@@ -96,7 +96,7 @@ func main() {
 		rate      = flag.Float64("rate", 50000, "foreground packet rate (packets/second)")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 		retention = flag.Int("retention", 2, "verified epochs kept in RAM before eviction")
-		shards    = flag.Int("shards", 1, "collector shards per HOP (0 = GOMAXPROCS)")
+		shards    = flag.Int("shards", 1, "collector shards per HOP (0 = GOMAXPROCS, 1 = one shard run inline on the observing goroutine)")
 		workers   = flag.Int("workers", 1, "verifier worker-pool size (0 = GOMAXPROCS)")
 		jsonOut   = flag.Bool("json", false, "emit a JSON summary instead of text")
 		quiet     = flag.Bool("quiet", false, "suppress per-epoch lines")

@@ -47,8 +47,8 @@ func main() {
 
 	// 3. Deploy VPM on every HOP and run the traffic. By default each
 	// HOP's collector is sharded across GOMAXPROCS cores
-	// (DeployConfig.Shards; set it to 1 to force the serial
-	// collector). Sharded and serial deployments emit identical
+	// (DeployConfig.Shards; 1 is one shard run inline on the
+	// observing goroutine). Every shard count emits identical
 	// receipts, so it is purely a throughput knob.
 	dep, err := vpm.NewDeployment(path, traceCfg.Table(), vpm.DefaultDeployConfig())
 	if err != nil {

@@ -196,7 +196,11 @@ func (p *Partitioner) ObserveBatch(recs []receipt.SampleRecord) {
 // enabled, the recent window) with a cut-free run of observations.
 // Eviction is amortized to once per run: the recent window is only
 // ever read through a time filter, so a stale head is invisible to
-// receipts — trimming exists purely to bound memory.
+// receipts — trimming exists purely to bound memory. For the same
+// reason only the part of the run within J of its end is copied in: a
+// 4096-observation run spans many J at line rate, and appending it
+// whole before trimming would size every path's window to the batch
+// rather than to J.
 func (p *Partitioner) extendOpen(recs []receipt.SampleRecord) {
 	p.observed += uint64(len(recs))
 	last := recs[len(recs)-1]
@@ -207,8 +211,17 @@ func (p *Partitioner) extendOpen(recs []receipt.SampleRecord) {
 	p.openLast = last.PktID
 	p.openCnt += uint64(len(recs))
 	if p.windowNS > 0 {
-		p.recent = append(p.recent, recs...)
 		p.evictRecent(last.TimeNS)
+		if p.recentHead == len(p.recent) {
+			// Everything older is gone, so eviction would go on to
+			// drop the run's own leading records older than J (the
+			// last one never is): skip them instead.
+			p.recent, p.recentHead = p.recent[:0], 0
+			for recs[0].TimeNS < last.TimeNS-p.windowNS {
+				recs = recs[1:]
+			}
+		}
+		p.recent = append(p.recent, recs...)
 	}
 }
 

@@ -237,6 +237,28 @@ func TestRecentWindowBounded(t *testing.T) {
 	}
 }
 
+// TestRecentWindowBoundedBatch is the batch hook's twin of the test
+// above: cut-free runs far longer than J must leave the window — and
+// the array behind it — sized by J, not by the run.
+func TestRecentWindowBoundedBatch(t *testing.T) {
+	const J = 10_000
+	p := New(Config{CutRate: 0.0001, WindowNS: J}, testPath())
+	stream := randomStream(8, 50000)
+	recs := make([]receipt.SampleRecord, len(stream))
+	for i, o := range stream {
+		recs[i] = receipt.SampleRecord{PktID: o.id, TimeNS: o.t}
+	}
+	for off := 0; off < len(recs); off += 4096 {
+		p.ObserveBatch(recs[off:min(off+4096, len(recs))])
+		if n := p.RecentWindowLen(); n > 15 {
+			t.Fatalf("recent window grew to %d", n)
+		}
+		if c := cap(p.recent); c > 256 {
+			t.Fatalf("recent window's array grew to %d records for a %d-record window", c, p.RecentWindowLen())
+		}
+	}
+}
+
 func TestStats(t *testing.T) {
 	p := New(Config{CutRate: 0.01}, testPath())
 	stream := randomStream(9, 10000)

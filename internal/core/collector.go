@@ -2,13 +2,15 @@
 // contribution. It ties the substrate packages together into the
 // NetFlow-like monitoring platform of §7:
 //
-//   - Collector: the data-plane module at a HOP. For every packet it
-//     looks up the HOP path, updates the open aggregate receipt
-//     (Algorithm 2), and feeds the temporary packet buffer of the
-//     bias-resistant delay sampler (Algorithm 1). Its per-packet work
-//     is a path lookup, a digest comparison, a counter update and a
-//     buffer append — the "three memory accesses, one hash function,
-//     and one timestamp computation" budget of §7.1.
+//   - ShardedCollector: the data-plane module at a HOP. For every
+//     packet it looks up the HOP path, updates the open aggregate
+//     receipt (Algorithm 2), and feeds the temporary packet buffer of
+//     the bias-resistant delay sampler (Algorithm 1). Its per-packet
+//     work is a path lookup, a digest comparison, a counter update and
+//     a buffer append — the "three memory accesses, one hash function,
+//     and one timestamp computation" budget of §7.1 — batched and
+//     hash-partitioned across shards. Collector is its per-packet
+//     reference implementation, kept as the test oracle.
 //   - Processor: the control-plane module that periodically drains
 //     finalized receipts from the collector and accounts for the
 //     bandwidth they consume.
@@ -68,9 +70,10 @@ type CollectorConfig struct {
 	Sampling sampling.Config
 	// Aggregation configures Algorithm 2 (δ local, J system-wide).
 	Aggregation aggregation.Config
-	// Shards selects the collector parallelism NewPathCollector
-	// builds: 0 means auto (GOMAXPROCS), 1 a single-threaded
-	// Collector, N ≥ 2 a ShardedCollector with N shards.
+	// Shards is the shard count of the ShardedCollector
+	// NewPathCollector builds: 0 means auto (GOMAXPROCS), 1 one shard
+	// run inline on the observing goroutine, N ≥ 2 N shards fanned
+	// out over goroutines. Receipts are byte-identical at every count.
 	Shards int
 	// Backend selects exact sample retention (the zero value) or the
 	// streaming sketch backend.
@@ -122,10 +125,11 @@ func (c CollectorConfig) Validate() error {
 	return c.Aggregation.Validate()
 }
 
-// PathCollector is the data-plane surface a Deployment drives. Both
-// the single-threaded Collector and the hash-partitioned
-// ShardedCollector implement it, so everything downstream (Processor,
-// Deployment, netsim replay) is agnostic to the sharding choice.
+// PathCollector is the data-plane surface a Deployment drives. The
+// ShardedCollector every deployment runs and the reference Collector
+// the tests compare it against both implement it, so everything
+// downstream (Processor, Deployment, netsim replay) is agnostic to
+// which one it holds.
 type PathCollector interface {
 	netsim.Observer
 	netsim.BatchObserver
@@ -167,14 +171,17 @@ type PathCollector interface {
 	Stats() (observed, unclassified uint64)
 }
 
-// NewPathCollector builds the collector variant cfg.Shards selects: a
-// single-threaded Collector when the resolved shard count is 1, a
-// ShardedCollector otherwise (Shards == 0 resolves to GOMAXPROCS).
+// NewPathCollector builds the collector every deployment runs: a
+// ShardedCollector with resolveShards(cfg.Shards) shards. Shards == 1
+// is one shard run inline on the observing goroutine — the same
+// batched pipeline without the fan-out, not a different
+// implementation; Shards == 0 resolves to GOMAXPROCS.
 func NewPathCollector(cfg CollectorConfig) (PathCollector, error) {
-	if resolveShards(cfg.Shards) == 1 {
-		return NewCollector(cfg)
+	c, err := NewShardedCollector(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return NewShardedCollector(cfg)
+	return c, nil
 }
 
 // pathState is the collector's per-active-path state: one open
@@ -241,18 +248,21 @@ func (b *backend) newPathState(cfg *CollectorConfig, key packet.PathKey) *pathSt
 	return st
 }
 
-// Collector is the single-threaded data-plane module of one HOP. It
-// implements PathCollector (and thereby netsim.Observer and
-// netsim.BatchObserver).
+// Collector is the reference implementation of one HOP's data-plane
+// module: Algorithms 1 and 2 applied packet by packet, with a
+// longest-prefix match and a path-map lookup for every observation and
+// nothing cached or batched. No deployment runs it — NewPathCollector
+// always builds a ShardedCollector, which is several times faster at
+// any shard count — it stays as the oracle the equivalence tests and
+// the serial benchmark row hold the ShardedCollector to, receipt for
+// receipt. It implements PathCollector (and thereby netsim.Observer
+// and netsim.BatchObserver).
 //
-// Concurrency model: a Collector is one shard's worth of data plane —
-// all of its state (path map, samplers, partitioners, counters) is
-// owned by a single goroutine and its per-packet path takes no locks,
-// exactly the §7.1 budget of three memory accesses, one hash function
-// and one timestamp computation. To use more than one core per HOP,
-// wrap the same config in a ShardedCollector, which hash-partitions
-// paths across N Collectors-worth of shard state the way a real router
-// shards by interface; the two are receipt-for-receipt equivalent.
+// Concurrency model: all of its state (path map, samplers,
+// partitioners, counters) is owned by a single goroutine and its
+// per-packet path takes no locks — the §7.1 budget of three memory
+// accesses, one hash function and one timestamp computation, spelled
+// out literally.
 type Collector struct {
 	cfg     CollectorConfig
 	backend backend
@@ -267,7 +277,8 @@ type Collector struct {
 	unclassified uint64
 }
 
-// NewCollector builds a collector.
+// NewCollector builds the reference collector (see Collector); use
+// NewPathCollector for one that carries traffic.
 func NewCollector(cfg CollectorConfig) (*Collector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -301,8 +312,7 @@ func (c *Collector) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
 
 // ObserveBatch processes a slice of observations in order — the
 // netsim.BatchObserver entry point. Semantically identical to calling
-// Observe per packet; the ShardedCollector adds the cross-core
-// fan-out.
+// Observe per packet, and implemented as exactly that.
 //
 //vpm:hotpath
 func (c *Collector) ObserveBatch(batch []netsim.Observation) {

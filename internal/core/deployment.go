@@ -41,10 +41,11 @@ type DeployConfig struct {
 	// SkipDomains lists domains that have not deployed VPM (§8,
 	// partial deployment): their HOPs produce no receipts.
 	SkipDomains map[string]bool
-	// Shards selects each HOP collector's parallelism: 0 auto
-	// (GOMAXPROCS), 1 single-threaded, N ≥ 2 a ShardedCollector with
-	// N shards. Sharded and serial deployments produce identical
-	// receipts for identical traffic.
+	// Shards is each HOP collector's shard count
+	// (CollectorConfig.Shards): 0 auto (GOMAXPROCS), 1 one shard run
+	// inline on the observing goroutine, N ≥ 2 N shards on their own
+	// goroutines. Every count runs the same batched ShardedCollector
+	// and produces identical receipts for identical traffic.
 	Shards int
 	// Backend selects exact sample retention (the zero value) or the
 	// streaming sketch backend for every HOP collector.
@@ -69,7 +70,7 @@ func (c DeployConfig) Validate() error {
 		return fmt.Errorf("core: negative reordering window %dns", c.WindowNS)
 	}
 	if c.Shards < 0 {
-		return fmt.Errorf("core: negative collector shard count %d (0 = GOMAXPROCS, 1 = serial)", c.Shards)
+		return fmt.Errorf("core: negative collector shard count %d (0 = GOMAXPROCS, 1 = one inline shard)", c.Shards)
 	}
 	if c.Backend == BackendSketch {
 		sk := c.Sketch

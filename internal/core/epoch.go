@@ -45,8 +45,8 @@ type EpochConfig struct {
 	// Workers sizes the verifier worker pools (VerifierConfig.Workers):
 	// 0 = GOMAXPROCS, 1 = serial.
 	Workers int
-	// Shards selects each HOP collector's parallelism
-	// (DeployConfig.Shards): 0 = GOMAXPROCS, 1 = serial.
+	// Shards is each HOP collector's shard count
+	// (DeployConfig.Shards): 0 = GOMAXPROCS, 1 = one inline shard.
 	Shards int
 }
 

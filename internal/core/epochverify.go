@@ -88,6 +88,7 @@ func (s *epochScope) epochLinkCheck(key packet.PathKey, linkID int, up, down rec
 	// each skips the other's kinds); fabItems is the mirror-direction
 	// trial stream over the downstream HOP's claims.
 	var linkItems, fabItems []seqdetect.Evidence
+	detail := missingDetails{up: up, down: down}
 	var missingDown, missingUp []receipt.Inconsistency
 	for _, pid := range cuUniq {
 		tu := su[pid]
@@ -95,10 +96,9 @@ func (s *epochScope) epochLinkCheck(key packet.PathKey, linkID int, up, down rec
 		if !ok {
 			if v.expectedSampled(iu, down, pid) {
 				missingDown = append(missingDown, receipt.Inconsistency{
-					Kind:  receipt.MissingDownstream,
-					PktID: pid,
-					Detail: fmt.Sprintf("delivered by %v, unreported by %v",
-						up, down),
+					Kind:   receipt.MissingDownstream,
+					PktID:  pid,
+					Detail: detail.missingDownstream(),
 				})
 				if s.seq != nil {
 					linkItems = append(linkItems, seqdetect.Evidence{Kind: seqdetect.KindDrop})
@@ -125,10 +125,9 @@ func (s *epochScope) epochLinkCheck(key packet.PathKey, linkID int, up, down rec
 		if _, ok := su[pid]; !ok {
 			if v.expectedSampled(id, up, pid) {
 				missingUp = append(missingUp, receipt.Inconsistency{
-					Kind:  receipt.MissingUpstream,
-					PktID: pid,
-					Detail: fmt.Sprintf("reported received by %v, never reported delivered by %v",
-						down, up),
+					Kind:   receipt.MissingUpstream,
+					PktID:  pid,
+					Detail: detail.missingUpstream(),
 				})
 				if s.seq != nil {
 					fabItems = append(fabItems, seqdetect.Evidence{Kind: seqdetect.KindDrop})

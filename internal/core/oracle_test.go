@@ -1,0 +1,199 @@
+package core
+
+import (
+	"bytes"
+	"reflect"
+	"runtime"
+	"sort"
+	"testing"
+	"unsafe"
+
+	"vpm/internal/hashing"
+	"vpm/internal/netsim"
+	"vpm/internal/packet"
+	"vpm/internal/receipt"
+	"vpm/internal/sampling"
+	"vpm/internal/stats"
+)
+
+// zipfWideWorkload builds zipfIntervals × perInterval observations over
+// a Zipf(1)-skewed choice among netsim.WideKeys(nKeys), with one packet
+// in 53 unclassifiable (both addresses alien, or only the destination).
+// The skew leaves most keys idle in any one interval, so a collector
+// with EvictIdleEpochs 1 evicts and re-creates path state throughout.
+// Three short intervals follow — keys 0–2 only, then key 3 only, then
+// keys 0–2 again — in which paths are evicted while nothing has
+// displaced them from the path-state memo, and then resume.
+func zipfWideWorkload(nKeys, zipfIntervals, perInterval int) (*packet.Table, [][]netsim.Observation) {
+	keys := netsim.WideKeys(nKeys)
+	prefixes := make([]packet.Prefix, 0, 2*nKeys)
+	cdf := make([]float64, nKeys)
+	sum := 0.0
+	for i, k := range keys {
+		prefixes = append(prefixes, k.Src, k.Dst)
+		sum += 1 / float64(i+1)
+		cdf[i] = sum
+	}
+	const resumeLen = 600
+	total := zipfIntervals*perInterval + 3*resumeLen
+	rng := stats.NewRNG(7)
+	pkts := make([]packet.Packet, total)
+	out := make([][]netsim.Observation, zipfIntervals+3)
+	for i := range pkts {
+		var interval, k int
+		if i < zipfIntervals*perInterval {
+			interval = i / perInterval
+			k = sort.SearchFloat64s(cdf, rng.Float64()*sum)
+		} else {
+			r := (i - zipfIntervals*perInterval) / resumeLen
+			interval = zipfIntervals + r
+			k = i % 3
+			if r == 1 {
+				k = 3
+			}
+		}
+		pkts[i] = packet.Packet{Src: keys[k].Src.Addr, Dst: keys[k].Dst.Addr, IPID: uint16(i)}
+		switch i % 106 {
+		case 0:
+			pkts[i].Src, pkts[i].Dst = [4]byte{198, 51, 100, byte(i)}, [4]byte{203, 0, 113, byte(i >> 8)}
+		case 53:
+			pkts[i].Dst = [4]byte{203, 0, 113, byte(i)}
+		}
+		out[interval] = append(out[interval], netsim.Observation{
+			Pkt:    &pkts[i],
+			Digest: hashing.Mix64(uint64(i) + 1),
+			TimeNS: int64(i) * 10_000,
+		})
+	}
+	return packet.NewTable(prefixes), out
+}
+
+// TestPathCollectorMatchesOracle holds the collector every deployment
+// gets — NewPathCollector at Shards 1: classification cache, packed
+// keys, run-length-encoded sub-batches, path-state memo, batch hooks —
+// to the per-packet reference Collector, receipt for receipt, on the
+// population the Fig1 equivalence tests never reach: thousands of
+// skewed keys, cache and memo conflicts, unclassifiable traffic, idle
+// eviction at every rotation, and evicted paths that resume.
+func TestPathCollectorMatchesOracle(t *testing.T) {
+	table, obs := zipfWideWorkload(2048, 4, 20_000)
+	cfg := evictCfg(table, 1)
+	cfg.Shards = 1
+
+	// batch 0 drives the single-packet Observe shim.
+	for _, batch := range []int{0, 1, 7, 4096} {
+		oracle, err := NewCollector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := NewPathCollector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evicted := false
+		for e, interval := range obs {
+			for i := range interval {
+				oracle.Observe(interval[i].Pkt, interval[i].Digest, interval[i].TimeNS)
+			}
+			if batch == 0 {
+				for i := range interval {
+					col.Observe(interval[i].Pkt, interval[i].Digest, interval[i].TimeNS)
+				}
+			} else {
+				for off := 0; off < len(interval); off += batch {
+					col.ObserveBatch(interval[off:min(off+batch, len(interval))])
+				}
+			}
+			before := col.Memory().ActivePaths
+			var wantEpoch, gotEpoch EpochID
+			var wantS, gotS []receipt.SampleReceipt
+			var wantA, gotA []receipt.AggReceipt
+			if e < len(obs)-1 {
+				wantEpoch, wantS, wantA = oracle.RotateInterval()
+				gotEpoch, gotS, gotA = col.RotateInterval()
+			} else {
+				wantEpoch, wantS, wantA = oracle.CloseEpoch()
+				gotEpoch, gotS, gotA = col.CloseEpoch()
+			}
+			if gotEpoch != wantEpoch {
+				t.Fatalf("batch %d interval %d: epoch %d, oracle %d", batch, e, gotEpoch, wantEpoch)
+			}
+			if !reflect.DeepEqual(gotS, wantS) || !reflect.DeepEqual(gotA, wantA) {
+				t.Fatalf("batch %d interval %d: receipts differ from the oracle (%d/%d samples, %d/%d aggregates)",
+					batch, e, len(gotS), len(wantS), len(gotA), len(wantA))
+			}
+			if !bytes.Equal(encodeReceipts(gotS, gotA), encodeReceipts(wantS, wantA)) {
+				t.Fatalf("batch %d interval %d: receipt wire bytes differ from the oracle", batch, e)
+			}
+			gotObs, gotUncl := col.Stats()
+			wantObs, wantUncl := oracle.Stats()
+			if gotObs != wantObs || gotUncl != wantUncl || gotUncl == 0 {
+				t.Fatalf("batch %d interval %d: stats (%d, %d), oracle (%d, %d), want unclassified > 0",
+					batch, e, gotObs, gotUncl, wantObs, wantUncl)
+			}
+			active := col.Memory().ActivePaths
+			if want := oracle.Memory().ActivePaths; active != want {
+				t.Fatalf("batch %d interval %d: %d active paths, oracle %d", batch, e, active, want)
+			}
+			evicted = evicted || active < before
+		}
+		if !evicted {
+			t.Fatalf("batch %d: no rotation evicted a path; the workload no longer exercises eviction", batch)
+		}
+	}
+}
+
+func TestClassifyEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(classifyEntry{}); got != 32 {
+		t.Fatalf("classifyEntry is %d bytes, want 32: every HOP collector holds %d of them", got, classifyCacheSize)
+	}
+}
+
+// TestCollectorScratchIsBounded: dispatch scratch is a fixed
+// shardChunk observations per shard whatever the batch size, so a
+// process with many HOP collectors does not pay per HOP for its
+// batches. Each collector here has taken a full 4096-observation batch
+// (160 KiB of sub-batch records and runs, were the scratch sized to
+// it); what it keeps afterwards, beyond its classification cache, must
+// stay under 32 KiB.
+func TestCollectorScratchIsBounded(t *testing.T) {
+	const n = 64
+	key := netsim.WideKeys(1)[0]
+	cfg := evictCfg(packet.NewTable([]packet.Prefix{key.Src, key.Dst}), 0)
+	cfg.Shards = 1
+	// Frequent markers keep the sampler's own pre-marker buffer (which
+	// is per path by design) out of the measurement.
+	cfg.Sampling = sampling.Config{MarkerRate: 0.05, SampleRate: 0.01}
+	pkt := packet.Packet{Src: key.Src.Addr, Dst: key.Dst.Addr}
+	batch := make([]netsim.Observation, netsim.ReplayBatchSize)
+	for i := range batch {
+		batch[i] = netsim.Observation{Pkt: &pkt, Digest: hashing.Mix64(uint64(i) + 1), TimeNS: int64(i) * 10_000}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	cols := make([]*ShardedCollector, n)
+	before := liveHeap()
+	for i := range cols {
+		col, err := NewShardedCollector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col.ObserveBatch(batch)
+		col.Recycle(col.Drain())
+		cols[i] = col
+	}
+	after := liveHeap()
+	runtime.KeepAlive(cols)
+
+	perCollector := int64(after-before) / n
+	extra := perCollector - int64(unsafe.Sizeof(*cols[0].cache))
+	t.Logf("%d B live per collector, %d B beyond its classification cache", perCollector, extra)
+	if extra > 32<<10 {
+		t.Fatalf("each additional collector keeps %d B beyond its classification cache, want < 32 KiB", extra)
+	}
+}

@@ -21,14 +21,39 @@ func resolveShards(n int) int {
 	return n
 }
 
-// pathKeyHash hashes a PathKey for shard selection and for the
-// per-shard path-state memo. It packs both prefix addresses into one
-// word and folds the prefix lengths in before mixing.
-func pathKeyHash(key packet.PathKey) uint64 {
-	src := uint64(binary.BigEndian.Uint32(key.Src.Addr[:]))
-	dst := uint64(binary.BigEndian.Uint32(key.Dst.Addr[:]))
-	bits := uint64(key.Src.Bits)<<6 | uint64(key.Dst.Bits)
-	return hashing.Mix64((src<<32 | dst) ^ bits*0x9e3779b97f4a7c15)
+// packedKey is a PathKey in 12 bytes — the two prefix addresses as
+// words plus the two prefix lengths — instead of PathKey's 32 (its
+// Prefix.Bits are ints). The batch path carries keys in this form from
+// the classification cache through the run-length encoding to the
+// path-state memo, and expands one only when the memo misses.
+type packedKey struct {
+	src, dst         uint32
+	srcBits, dstBits uint8
+}
+
+func packKey(key packet.PathKey) packedKey {
+	return packedKey{
+		src:     binary.BigEndian.Uint32(key.Src.Addr[:]),
+		dst:     binary.BigEndian.Uint32(key.Dst.Addr[:]),
+		srcBits: uint8(key.Src.Bits),
+		dstBits: uint8(key.Dst.Bits),
+	}
+}
+
+func (k packedKey) unpack() packet.PathKey {
+	var key packet.PathKey
+	binary.BigEndian.PutUint32(key.Src.Addr[:], k.src)
+	binary.BigEndian.PutUint32(key.Dst.Addr[:], k.dst)
+	key.Src.Bits, key.Dst.Bits = int(k.srcBits), int(k.dstBits)
+	return key
+}
+
+// hash hashes the key for shard selection and for the per-shard
+// path-state memo. It packs both prefix addresses into one word and
+// folds the prefix lengths in before mixing.
+func (k packedKey) hash() uint64 {
+	bits := uint64(k.srcBits)<<6 | uint64(k.dstBits)
+	return hashing.Mix64((uint64(k.src)<<32 | uint64(k.dst)) ^ bits*0x9e3779b97f4a7c15)
 }
 
 // classifyCacheSize is the dispatcher's direct-mapped classification
@@ -37,19 +62,25 @@ func pathKeyHash(key packet.PathKey) uint64 {
 // addresses for many packets, but a direct-mapped cache lives and dies
 // by conflict misses: with a few hundred live pairs, 512 slots still
 // evict hot pairs into each other's slots often enough to put the LPM
-// walk back on the per-packet profile. 4096 slots (~256 KiB) keeps the
+// walk back on the per-packet profile. 4096 slots (128 KiB) keeps the
 // conflict rate negligible at working sets into the low thousands of
-// pairs. Must be a power of two.
+// pairs. Must be a power of two. The size is fixed on purpose: a cache
+// that grows on conflict re-misses its whole working set after every
+// regrowth, which costs more than it saves at a few packets per key.
 const classifyCacheSize = 4096
 
-// classifyEntry caches one address pair's classification outcome.
+// classifyEntry caches one address pair's classification outcome. The
+// key is stored packed, field by field, so the entry is 32 bytes — two
+// per cache line — where one holding a packet.PathKey took 64; every
+// HOP collector owns a table of them (TestClassifyEntrySize).
 type classifyEntry struct {
-	addrs uint64 // src<<32 | dst
-	valid bool
-	ok    bool // false: pair matched no prefix (still cached)
-	key   packet.PathKey
-	hash  uint64 // pathKeyHash(key), valid only when ok
-	shard uint32
+	addrs            uint64 // packet src<<32 | dst
+	hash             uint64 // packedKey.hash(), valid only when ok
+	src, dst         uint32 // the matched prefixes (packedKey fields)
+	shard            uint32
+	srcBits, dstBits uint8
+	valid            bool
+	ok               bool // false: pair matched no prefix (still cached)
 }
 
 // stateMemoSize is each shard's direct-mapped PathKey → *pathState
@@ -59,7 +90,7 @@ const stateMemoSize = 64
 
 // stateMemoEntry caches one shard-local path-state lookup.
 type stateMemoEntry struct {
-	key   packet.PathKey
+	key   packedKey
 	state *pathState
 }
 
@@ -68,10 +99,18 @@ type stateMemoEntry struct {
 // partitioning, so the shard worker feeds whole runs to the batch
 // hooks without per-packet key comparisons or copies.
 type shardRun struct {
-	key  packet.PathKey
-	hash uint64 // pathKeyHash(key), for the memo index
-	n    int
+	hash uint64 // key.hash(), for the memo index
+	key  packedKey
+	n    int32
 }
+
+// shardChunk bounds a shard's sub-batch: ObserveBatch hands the shards
+// their work whenever one of them has this many observations pending,
+// however long the batch is. The scratch is therefore a fixed 10 KiB
+// per shard — sized to the batch it would be 160 KiB at 4096
+// observations, per HOP — and ObserveBatch never allocates: there is
+// no pool to miss and no warm-up before the steady state.
+const shardChunk = 256
 
 // shard is one lock-free slice of a ShardedCollector: its own path
 // map, samplers and partitioner state, touched only by the goroutine
@@ -82,56 +121,81 @@ type shard struct {
 	paths   map[packet.PathKey]*pathState
 	memo    [stateMemoSize]stateMemoEntry
 
-	// Reusable sub-batch buffers, filled by the dispatcher: the
-	// observations in shard-arrival order plus their run-length
-	// encoding by path.
-	runs []shardRun
-	recs []receipt.SampleRecord
+	// work is process-then-Done as a ready-made func value: `go
+	// s.work()` starts it without the wrapper closure a go statement
+	// with arguments or a receiver allocates on every spawn.
+	work func()
+
+	// The pending sub-batch, filled by the dispatcher: observations in
+	// shard-arrival order plus their run-length encoding by path.
+	// Pointer-free and last, so the garbage collector never scans it.
+	nrecs, nruns int
+	recs         [shardChunk]receipt.SampleRecord
+	runs         [shardChunk]shardRun
 }
 
 // stateFor returns (creating on first use) the shard's state for key.
-func (s *shard) stateFor(key packet.PathKey, hash uint64) *pathState {
+func (s *shard) stateFor(pk packedKey, hash uint64) *pathState {
 	m := &s.memo[hash&(stateMemoSize-1)]
-	if m.state != nil && m.key == key {
+	if m.state != nil && m.key == pk {
 		return m.state
 	}
+	key := pk.unpack()
 	st, ok := s.paths[key]
 	if !ok {
 		st = s.backend.newPathState(s.cfg, key)
 		s.paths[key] = st
 	}
-	m.key, m.state = key, st
+	m.key, m.state = pk, st
 	return st
 }
 
-// process runs the shard's pending sub-batch through Algorithm 1 and
+// push appends one observation to the pending sub-batch, extending the
+// last run when it is the same path. The caller keeps nrecs below
+// shardChunk.
+func (s *shard) push(pk packedKey, hash uint64, digest uint64, tNS int64) {
+	s.recs[s.nrecs] = receipt.SampleRecord{PktID: digest, TimeNS: tNS}
+	s.nrecs++
+	if n := s.nruns; n > 0 {
+		if r := &s.runs[n-1]; r.hash == hash && r.key == pk {
+			r.n++
+			return
+		}
+	}
+	s.runs[s.nruns] = shardRun{hash: hash, key: pk, n: 1}
+	s.nruns++
+}
+
+// process runs the pending sub-batch through Algorithm 1 and
 // Algorithm 2, feeding each same-path run to the batch hooks so
 // per-packet dispatch is amortized. Observations stay in arrival
 // order, so the shard's per-path state evolves exactly as a serial
 // collector's would.
 func (s *shard) process() {
-	recs := s.recs
 	off := 0
-	for i := range s.runs {
+	for i := range s.runs[:s.nruns] {
 		r := &s.runs[i]
 		st := s.stateFor(r.key, r.hash)
 		st.touched = true
-		run := recs[off : off+r.n]
+		run := s.recs[off : off+int(r.n)]
 		st.part.ObserveBatch(run)
 		st.sampler.ObserveBatch(run)
-		off += r.n
+		off += int(r.n)
 	}
-	s.runs = s.runs[:0]
-	s.recs = recs[:0]
+	s.nrecs, s.nruns = 0, 0
 }
 
-// ShardedCollector is the multi-core data-plane module of one HOP: it
+// ShardedCollector is the data-plane module of one HOP, and the
+// collector every deployment runs (NewPathCollector): it
 // hash-partitions PathKeys across N single-threaded collector shards,
 // each owning its own path map, sampler and partitioner state, so the
 // per-packet path needs no locks. It implements PathCollector and is
-// receipt-for-receipt equivalent to a single Collector fed the same
-// observations (each path's stream lands wholly in one shard, in
-// arrival order).
+// receipt-for-receipt equivalent to the reference Collector fed the
+// same observations (each path's stream lands wholly in one shard, in
+// arrival order). With one shard it is the same batched pipeline —
+// classification cache, run-length-encoded sub-batches, path-state
+// memo, batch hooks of Algorithms 1 and 2 — run inline on the calling
+// goroutine.
 //
 // Concurrency model: Observe/ObserveBatch/Drain/Flush must be called
 // from one goroutine at a time (netsim's replay gives each HOP's
@@ -142,13 +206,8 @@ type ShardedCollector struct {
 	cfg     CollectorConfig
 	backend backend
 	shards  []*shard
-	cache   [classifyCacheSize]classifyEntry
 	epoch   EpochID
-
-	// Dispatcher scratch, reused across ObserveBatch calls so the
-	// steady-state batch path allocates nothing.
-	busy []*shard
-	wg   sync.WaitGroup
+	wg      sync.WaitGroup
 
 	// Recycled outer receipt slices for Drain/Flush (see Recycle).
 	spareSamples []receipt.SampleReceipt
@@ -156,6 +215,11 @@ type ShardedCollector struct {
 
 	observed     uint64
 	unclassified uint64
+
+	// cache is its own allocation: exactly 16 pages. Embedded, it
+	// rounds every collector up to a 17th (8 KiB each: 14 MB of the
+	// fleet-http benchmark's live heap) for no measurable gain in time.
+	cache *[classifyCacheSize]classifyEntry
 }
 
 // NewShardedCollector builds a sharded collector with
@@ -165,10 +229,15 @@ func NewShardedCollector(cfg CollectorConfig) (*ShardedCollector, error) {
 		return nil, err
 	}
 	n := resolveShards(cfg.Shards)
-	c := &ShardedCollector{cfg: cfg, shards: make([]*shard, n)}
+	c := &ShardedCollector{cfg: cfg, shards: make([]*shard, n), cache: new([classifyCacheSize]classifyEntry)}
 	c.backend = newBackend(&c.cfg)
 	for i := range c.shards {
-		c.shards[i] = &shard{cfg: &c.cfg, backend: &c.backend, paths: make(map[packet.PathKey]*pathState)}
+		s := &shard{cfg: &c.cfg, backend: &c.backend, paths: make(map[packet.PathKey]*pathState)}
+		s.work = func() {
+			s.process()
+			c.wg.Done()
+		}
+		c.shards[i] = s
 	}
 	return c, nil
 }
@@ -179,23 +248,25 @@ func (c *ShardedCollector) NumShards() int { return len(c.shards) }
 // HOP returns the collector's HOP identity.
 func (c *ShardedCollector) HOP() receipt.HOPID { return c.cfg.HOP }
 
-// classify resolves a packet's PathKey, shard and path hash through
-// the direct-mapped cache, falling back to the prefix table's
+// classify resolves a packet's (packed) PathKey, path hash and shard
+// through the direct-mapped cache, falling back to the prefix table's
 // longest-prefix match on a miss.
-func (c *ShardedCollector) classify(pkt *packet.Packet) (key packet.PathKey, hash uint64, sh uint32, ok bool) {
+func (c *ShardedCollector) classify(pkt *packet.Packet) (pk packedKey, hash uint64, sh uint32, ok bool) {
 	addrs := uint64(binary.BigEndian.Uint32(pkt.Src[:]))<<32 | uint64(binary.BigEndian.Uint32(pkt.Dst[:]))
 	e := &c.cache[hashing.Mix64(addrs)&(classifyCacheSize-1)]
 	if e.valid && e.addrs == addrs {
-		return e.key, e.hash, e.shard, e.ok
+		return packedKey{e.src, e.dst, e.srcBits, e.dstBits}, e.hash, e.shard, e.ok
 	}
-	key, ok = c.cfg.Table.Classify(pkt)
+	key, ok := c.cfg.Table.Classify(pkt)
 	e.addrs, e.valid, e.ok = addrs, true, ok
 	if ok {
-		hash = pathKeyHash(key)
+		pk = packKey(key)
+		hash = pk.hash()
 		sh = uint32(hash % uint64(len(c.shards)))
-		e.key, e.hash, e.shard = key, hash, sh
+		e.src, e.dst, e.srcBits, e.dstBits = pk.src, pk.dst, pk.srcBits, pk.dstBits
+		e.hash, e.shard = hash, sh
 	}
-	return key, hash, sh, ok
+	return pk, hash, sh, ok
 }
 
 // Observe processes one packet observation — the single-packet
@@ -204,12 +275,12 @@ func (c *ShardedCollector) classify(pkt *packet.Packet) (key packet.PathKey, has
 //vpm:hotpath
 func (c *ShardedCollector) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
 	c.observed++
-	key, hash, sh, ok := c.classify(pkt)
+	pk, hash, sh, ok := c.classify(pkt)
 	if !ok {
 		c.unclassified++
 		return
 	}
-	st := c.shards[sh].stateFor(key, hash)
+	st := c.shards[sh].stateFor(pk, hash)
 	st.touched = true
 	st.part.Observe(digest, tNS)
 	st.sampler.Observe(digest, tNS)
@@ -217,54 +288,47 @@ func (c *ShardedCollector) Observe(pkt *packet.Packet, digest uint64, tNS int64)
 
 // ObserveBatch processes a batch of observations: the dispatcher
 // classifies and partitions the batch into per-shard sub-batches
-// (preserving arrival order within each shard), then the busy shards
-// run concurrently, one goroutine each.
+// (preserving arrival order within each shard) and dispatches them
+// whenever one fills, and once more at the end of the batch.
 //
 //vpm:hotpath
 func (c *ShardedCollector) ObserveBatch(batch []netsim.Observation) {
 	c.observed += uint64(len(batch))
 	for i := range batch {
-		key, hash, sh, ok := c.classify(batch[i].Pkt)
+		pk, hash, sh, ok := c.classify(batch[i].Pkt)
 		if !ok {
 			c.unclassified++
 			continue
 		}
 		s := c.shards[sh]
-		s.recs = append(s.recs, receipt.SampleRecord{PktID: batch[i].Digest, TimeNS: batch[i].TimeNS})
-		if n := len(s.runs); n > 0 {
-			if r := &s.runs[n-1]; r.hash == hash && r.key == key {
-				r.n++
-				continue
-			}
+		if s.nrecs == shardChunk {
+			c.dispatch()
 		}
-		s.runs = append(s.runs, shardRun{key: key, hash: hash, n: 1})
+		s.push(pk, hash, batch[i].Digest, batch[i].TimeNS)
 	}
-	busy := c.busy[:0]
-	for _, s := range c.shards {
-		if len(s.recs) > 0 {
-			busy = append(busy, s)
-		}
-	}
-	c.busy = busy
-	if len(busy) == 0 {
-		return
-	}
-	// The dispatcher processes the last busy shard itself instead of
-	// parking in Wait — one fewer goroutine handoff per batch. The
-	// workers run a plain method with explicit arguments (no closure)
-	// so spawning them allocates nothing in steady state.
-	for _, s := range busy[:len(busy)-1] {
-		c.wg.Add(1)
-		go c.runShard(s)
-	}
-	busy[len(busy)-1].process()
-	c.wg.Wait()
+	c.dispatch()
 }
 
-// runShard processes one shard's sub-batch on a worker goroutine.
-func (c *ShardedCollector) runShard(s *shard) {
-	s.process()
-	c.wg.Done()
+// dispatch runs every shard with a pending sub-batch and returns when
+// all are done: the busy shards run concurrently, the last of them —
+// so a lone one — on the calling goroutine instead of parking it in
+// Wait.
+func (c *ShardedCollector) dispatch() {
+	var last *shard
+	for _, s := range c.shards {
+		if s.nrecs == 0 {
+			continue
+		}
+		if last != nil {
+			c.wg.Add(1)
+			go last.work()
+		}
+		last = s
+	}
+	if last != nil {
+		last.process()
+		c.wg.Wait()
+	}
 }
 
 // Drain returns the receipts finalized since the last Drain across
@@ -332,7 +396,7 @@ func (c *ShardedCollector) Flush() ([]receipt.SampleReceipt, []receipt.AggReceip
 func (c *ShardedCollector) Recycle(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
 	for i := range samples {
 		key := samples[i].Path.Key
-		s := c.shards[pathKeyHash(key)%uint64(len(c.shards))]
+		s := c.shards[packKey(key).hash()%uint64(len(c.shards))]
 		if st, ok := s.paths[key]; ok {
 			st.sampler.Recycle(samples[i].Samples)
 		}

@@ -519,6 +519,30 @@ func absorbSymmetricNoise(missDown, missUp, floor int) (judgeDown, judgeUp int) 
 	return missDown - sym, missUp - sym
 }
 
+// missingDetails renders the Detail strings of a link check's
+// missing-record inconsistencies. Both are constants of (up, down), and
+// the tolerance test discards most missing records unreported, so each
+// is formatted at most once per check, on first use, instead of once
+// per missing packet.
+type missingDetails struct {
+	up, down             receipt.HOPID
+	downstream, upstream string
+}
+
+func (d *missingDetails) missingDownstream() string {
+	if d.downstream == "" {
+		d.downstream = fmt.Sprintf("delivered by %v, unreported by %v", d.up, d.down)
+	}
+	return d.downstream
+}
+
+func (d *missingDetails) missingUpstream() string {
+	if d.upstream == "" {
+		d.upstream = fmt.Sprintf("reported received by %v, never reported delivered by %v", d.down, d.up)
+	}
+	return d.upstream
+}
+
 // CheckLink verifies the receipts of the two HOPs at the ends of one
 // inter-domain link (§4): MaxDiff agreement, the timestamp bound on
 // commonly sampled packets, missing-record checks under the subset
@@ -549,6 +573,7 @@ func (v *Verifier) CheckLink(up, down receipt.HOPID) LinkVerdict {
 
 	uUniq, su := iu.snapshot()
 	dUniq, sd := id.snapshot()
+	detail := missingDetails{up: up, down: down}
 	var missingDown, missingUp []receipt.Inconsistency
 	for _, pid := range uUniq {
 		tu := su[pid]
@@ -556,10 +581,9 @@ func (v *Verifier) CheckLink(up, down receipt.HOPID) LinkVerdict {
 		if !ok {
 			if v.expectedSampled(iu, down, pid) {
 				missingDown = append(missingDown, receipt.Inconsistency{
-					Kind:  receipt.MissingDownstream,
-					PktID: pid,
-					Detail: fmt.Sprintf("delivered by %v, unreported by %v",
-						up, down),
+					Kind:   receipt.MissingDownstream,
+					PktID:  pid,
+					Detail: detail.missingDownstream(),
 				})
 			}
 			continue
@@ -577,10 +601,9 @@ func (v *Verifier) CheckLink(up, down receipt.HOPID) LinkVerdict {
 		if _, ok := su[pid]; !ok {
 			if v.expectedSampled(id, up, pid) {
 				missingUp = append(missingUp, receipt.Inconsistency{
-					Kind:  receipt.MissingUpstream,
-					PktID: pid,
-					Detail: fmt.Sprintf("reported received by %v, never reported delivered by %v",
-						down, up),
+					Kind:   receipt.MissingUpstream,
+					PktID:  pid,
+					Detail: detail.missingUpstream(),
 				})
 			}
 		}

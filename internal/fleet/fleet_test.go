@@ -3,7 +3,10 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -254,6 +257,50 @@ func TestVerifierRestartIsReplay(t *testing.T) {
 		if !bytes.Equal(first.Reports[e], second.Reports[e]) {
 			t.Fatalf("restart changed epoch %d verdict", e)
 		}
+	}
+}
+
+// TestVerifierGivesUpOnDeadCollector: a collector that only ever
+// answers 503 exhausts the fetch's retry budget, and Run surfaces that
+// as a typed error naming the shard and the feed — promptly, not after
+// polling forever.
+func TestVerifierGivesUpOnDeadCollector(t *testing.T) {
+	w, err := testSpec().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		http.Error(rw, "collector restarting", http.StatusServiceUnavailable)
+	}))
+	defer dead.Close()
+	urls := make([]string, w.Spec.Collectors)
+	for i := range urls {
+		urls[i] = dead.URL
+	}
+	v, err := NewVerifier(w, 2, 1, VerifierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two attempts with one 10ms backoff between them: the policy is
+	// spent after tens of milliseconds. The context only turns a hang
+	// into a failure.
+	retry := dissem.RetryPolicy{Attempts: 2, Base: 10 * time.Millisecond, Max: 10 * time.Millisecond}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = v.Run(ctx, urls, VerifierOptions{Retry: retry})
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("Run took %v to give up on a two-attempt, 10ms-backoff policy", elapsed)
+	}
+	var budget *dissem.RetryBudgetError
+	if !errors.As(err, &budget) {
+		t.Fatalf("Run error = %v, want a *dissem.RetryBudgetError in its chain", err)
+	}
+	if budget.Attempts != retry.Attempts {
+		t.Errorf("gave up after %d attempts, want %d", budget.Attempts, retry.Attempts)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "shard 1") || !strings.Contains(msg, dead.URL+"/hop/") {
+		t.Errorf("error %q does not name the shard and the feed", msg)
 	}
 }
 

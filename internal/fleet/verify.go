@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -164,10 +163,6 @@ func (v *Verifier) Run(ctx context.Context, collectorURLs []string, opts Verifie
 				})
 			})
 			if err != nil {
-				var budget *dissem.RetryBudgetError
-				if errors.As(err, &budget) {
-					return reports, fmt.Errorf("fleet: shard %d: feed %s: %w", v.shard, f.url, err)
-				}
 				return reports, fmt.Errorf("fleet: shard %d: feed %s: %w", v.shard, f.url, err)
 			}
 		}

@@ -28,10 +28,11 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"vpm/internal/lossmodel"
@@ -344,7 +345,7 @@ func (r *replayer) replay(obsPerHop [][]hopObservation, observers map[receipt.HO
 			batch := make([]Observation, 0, ReplayBatchSize)
 			for _, hop := range g.hops {
 				events := obsPerHop[hop]
-				sort.SliceStable(events, func(a, b int) bool { return events[a].timeNS < events[b].timeNS })
+				slices.SortStableFunc(events, func(a, b hopObservation) int { return cmp.Compare(a.timeNS, b.timeNS) })
 				// Everything observable past the cutoff could still
 				// interleave with a future packet's observation: hold
 				// it back for the next segment's merge. Ties at the
@@ -396,7 +397,7 @@ func (r *replayer) replay(obsPerHop [][]hopObservation, observers map[receipt.HO
 				for _, e := range events[en:] {
 					rest = append(rest, pendingObs{pkt: pkts[e.pktIdx], digest: digests[e.pktIdx], timeNS: e.timeNS})
 				}
-				sort.SliceStable(rest, func(a, b int) bool { return rest[a].timeNS < rest[b].timeNS })
+				slices.SortStableFunc(rest, func(a, b pendingObs) int { return cmp.Compare(a.timeNS, b.timeNS) })
 				r.pending[hop] = rest
 			}
 		}()

@@ -82,8 +82,12 @@ func BinomCDF(n, k int, p float64) float64 {
 // caller should then fall back to the sample min/max).
 //
 // The bounds come from P[x_(lo) <= Q_q <= x_(hi)] =
-// BinomCDF(n, hi-1, q) - BinomCDF(n, lo-1, q): the number of samples
-// below the true quantile is Binomial(n, q).
+// BinomCDF(n, hi-1, q) - BinomCDF(n, lo-1, q) = Σ_{i=lo}^{hi-1}
+// BinomPMF(n, i, q): the number of samples below the true quantile is
+// Binomial(n, q). The search keeps that sum running and adds only the
+// terms each widening step gains, so it costs O(hi-lo) PMF evaluations
+// (recomputing both CDFs per step was O(n·(hi-lo)) and dominated
+// per-epoch verification).
 func QuantileOrderBounds(n int, q, conf float64) (lo, hi int, ok bool) {
 	if n <= 0 {
 		return 0, 0, false
@@ -98,17 +102,17 @@ func QuantileOrderBounds(n int, q, conf float64) (lo, hi int, ok bool) {
 		center = n
 	}
 	lo, hi = center, center
-	cover := func(lo, hi int) float64 {
-		return BinomCDF(n, hi-1, q) - BinomCDF(n, lo-1, q)
-	}
-	for cover(lo, hi) < conf {
+	cover := 0.0 // Σ_{i=lo}^{hi-1} PMF(n, i, q); empty at lo == hi
+	for cover < conf {
 		grew := false
 		if lo > 1 {
 			lo--
+			cover += BinomPMF(n, lo, q)
 			grew = true
 		}
 		if hi < n {
 			hi++
+			cover += BinomPMF(n, hi-1, q)
 			grew = true
 		}
 		if !grew {

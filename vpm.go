@@ -21,18 +21,20 @@
 //
 // # Concurrency and sharding
 //
-// The collection pipeline is sharded for multi-core throughput. A
-// Collector is one single-threaded shard of a HOP's data plane; a
-// ShardedCollector hash-partitions origin-prefix paths across N such
-// shards, each owning its own path map, sampler and partitioner
-// state, so the per-packet path takes no locks. Observers can receive
+// The collection pipeline is batched, and sharded for multi-core
+// throughput. Every HOP runs a ShardedCollector, which
+// hash-partitions origin-prefix paths across N shards, each owning
+// its own path map, sampler and partitioner state, so the per-packet
+// path takes no locks; Collector is its packet-at-a-time reference
+// implementation, kept as the oracle the equivalence tests compare
+// against. Observers can receive
 // traffic either packet-at-a-time (Observe) or in arrival-order
 // batches (ObserveBatch, the BatchObserver interface), which
 // amortizes dispatch and classification; the simulator replays each
 // HOP's observations concurrently with every other HOP's, in batches.
-// DeployConfig.Shards selects the parallelism per HOP (0 = GOMAXPROCS,
-// 1 = serial); sharded and serial deployments produce byte-identical
-// receipts for the same traffic, and both drain receipts in
+// DeployConfig.Shards selects the shard count per HOP (0 = GOMAXPROCS,
+// 1 = one shard run inline on the observing goroutine); every count
+// produces byte-identical receipts for the same traffic, drained in
 // deterministic PathID-sorted order.
 //
 // # Verification
@@ -323,7 +325,8 @@ func ShaveDelays(ingress, egress SampleReceipt, factor float64) SampleReceipt {
 	return core.ShaveDelays(ingress, egress, factor)
 }
 
-// NewCollector builds a standalone single-threaded collector.
+// NewCollector builds the standalone reference collector — the
+// packet-at-a-time oracle; NewPathCollector builds the one to run.
 func NewCollector(cfg CollectorConfig) (*Collector, error) { return core.NewCollector(cfg) }
 
 // NewShardedCollector builds a standalone sharded collector with
@@ -332,7 +335,8 @@ func NewShardedCollector(cfg CollectorConfig) (*ShardedCollector, error) {
 	return core.NewShardedCollector(cfg)
 }
 
-// NewPathCollector builds the collector variant cfg.Shards selects.
+// NewPathCollector builds the collector deployments run: a
+// ShardedCollector with cfg.Shards shards (1 = one inline shard).
 func NewPathCollector(cfg CollectorConfig) (PathCollector, error) {
 	return core.NewPathCollector(cfg)
 }
