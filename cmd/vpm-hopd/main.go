@@ -6,7 +6,7 @@
 // Endpoints:
 //
 //	GET /hops                    — JSON list of HOPs and their public keys (hex)
-//	GET /hop/{id}/receipts?since=N — signed bundles from HOP id
+//	GET /hop/{id}/receipts?since=N — signed bundles from HOP id (dissem's framed feed)
 //
 // Usage:
 //

@@ -8,6 +8,10 @@ import (
 
 // Verdict merge: recombining one epoch's per-shard partial reports
 // into the union report a single-process verifier would have emitted.
+// MergeEpochReports is the struct-level statement of that merge and
+// the oracle for the one production merge, fleet.MergeShardOutputs,
+// which does the same ordering on the reports' encoded per-key
+// fragments without decoding them; nothing outside tests calls it.
 //
 // The fleet's verifier tier splits the key space across processes, so
 // each shard's EpochReport covers a disjoint subset of the epoch's
@@ -28,7 +32,8 @@ import (
 var ErrBadMerge = errors.New("core: epoch reports not mergeable")
 
 // MergeEpochReports merges one epoch's per-shard partial reports into
-// the union report. All parts must cover the same epoch and disjoint
+// the union report — the test oracle fleet.MergeShardOutputs is pinned
+// to, not a second production merge. All parts must cover the same epoch and disjoint
 // (key, route) sets, and none may carry sequential verdicts (fleet
 // shards run with the SPRT arm off); violations return an error
 // wrapping ErrBadMerge. Parts may be empty (a shard that owned no keys

@@ -181,7 +181,6 @@ func FindEquivocation(reg Registry, origin receipt.HOPID, a, b []SignedBundle) [
 		}
 	}
 	var out []Equivocation
-	var encA, encB []byte // re-encode scratch, grow-only across the sweep
 	for _, sb := range b {
 		bd, err := Verify(pub, origin, sb)
 		if err != nil {
@@ -191,22 +190,8 @@ func FindEquivocation(reg Registry, origin receipt.HOPID, a, b []SignedBundle) [
 		if !ok || bytes.Equal(other.Payload, sb.Payload) {
 			continue
 		}
-		// Different payload bytes for the same sequence number — but
-		// an honest origin that migrated its archive may legitimately
-		// serve the same interval once as the legacy v1 encoding and
-		// once as its v2 re-encoding. Equivocation is a *semantic*
-		// contradiction: compare the decoded bundles under the
-		// canonical (v2) encoding and only indict when they differ.
-		// (Within one version the codec is canonical — byte-different
-		// payloads cannot decode equal — so this only forgives the
-		// cross-version case.)
-		if otherBd, err := Verify(pub, origin, other); err == nil {
-			encA = otherBd.AppendEncode(encA[:0])
-			encB = bd.AppendEncode(encB[:0])
-			if bytes.Equal(encA, encB) {
-				continue
-			}
-		}
+		// The codec is canonical (one byte string per bundle), so two
+		// valid payloads that differ in bytes differ in content.
 		out = append(out, Equivocation{Origin: origin, Seq: bd.Seq, Epoch: bd.Epoch, A: other, B: sb})
 	}
 	return out

@@ -33,23 +33,17 @@ type Bundle struct {
 }
 
 // bundleMagic guards the canonical encoding. The last byte is the
-// layout version; '2' added the epoch tag to the header. Encode always
-// emits v2; DecodeBundle also accepts the pre-epoch v1 layout (no
-// epoch field, epoch 0 implied) so receipts archived by pre-epoch
-// deployments remain readable.
+// layout version; there is one version — any other magic is corrupt.
 var bundleMagic = [4]byte{'V', 'P', 'M', '2'}
-
-// bundleMagicV1 is the legacy pre-epoch encoding's magic.
-var bundleMagicV1 = [4]byte{'V', 'P', 'M', '1'}
 
 // ErrCorruptBundle reports a malformed bundle encoding.
 var ErrCorruptBundle = errors.New("dissem: corrupt bundle")
 
-// WireSize returns the exact encoded size of the v2 form, letting
+// WireSize returns the exact encoded size, letting
 // encoders allocate (or arena-reserve) once instead of growing
 // append-by-append through a whole epoch's receipts.
 func (b *Bundle) WireSize() int {
-	n := 4 + 28
+	n := bundleHeaderSize
 	for _, s := range b.Samples {
 		n += s.WireSize()
 	}
@@ -87,72 +81,39 @@ func (b *Bundle) Encode() []byte {
 	return b.AppendEncode(make([]byte, 0, b.WireSize()))
 }
 
-// EncodeV1 produces the legacy pre-epoch encoding — kept only so
-// round-trip tests and archived-receipt tooling can exercise the v1
-// decode path. The epoch tag does not exist in v1; encoding a bundle
-// with a non-zero Epoch returns an error instead of silently dropping
-// the tag from the signed bytes.
-func (b *Bundle) EncodeV1() ([]byte, error) {
-	if b.Epoch != 0 {
-		return nil, fmt.Errorf("dissem: v1 encoding cannot carry epoch %d", b.Epoch)
-	}
-	out := append([]byte{}, bundleMagicV1[:]...)
-	var hdr [20]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(b.Origin))
-	binary.LittleEndian.PutUint64(hdr[4:12], b.Seq)
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(b.Samples)))
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(len(b.Aggs)))
-	out = append(out, hdr[:]...)
-	for _, s := range b.Samples {
-		out = s.AppendBinary(out)
-	}
-	for _, a := range b.Aggs {
-		out = a.AppendBinary(out)
-	}
-	return out, nil
-}
+// bundleHeaderSize is the fixed prefix of the canonical encoding:
+// magic[4] origin[4] seq[8] epoch[8] nSamples[4] nAggs[4].
+const bundleHeaderSize = 32
 
-// DecodeBundle parses a canonical bundle encoding: the current v2
-// layout, or the legacy pre-epoch v1 layout (whose bundles carry
-// epoch 0 — they predate intervals). Malformed input of either
-// version returns an error wrapping ErrCorruptBundle, never a panic
-// (FuzzDecodeBundle).
+// The smallest encodings a receipt of each kind can have — what bounds
+// a header's receipt counts by the bytes that follow it.
+var (
+	minSampleWire = uint64(receipt.SampleReceipt{}.WireSize())
+	minAggWire    = uint64(receipt.AggReceipt{}.WireSize())
+)
+
+// DecodeBundle parses a canonical bundle encoding. Malformed input
+// returns an error wrapping ErrCorruptBundle, never a panic
+// (FuzzDecodeBundle), and never allocates more than a small multiple
+// of len(data): receipt counts the remaining bytes could not hold are
+// refused before anything is allocated for them.
 func DecodeBundle(data []byte) (*Bundle, error) {
-	if len(data) < 4 {
+	if len(data) < bundleHeaderSize || [4]byte(data[0:4]) != bundleMagic {
 		return nil, ErrCorruptBundle
 	}
-	var (
-		b        *Bundle
-		nSamples uint32
-		nAggs    uint32
-		rest     []byte
-	)
-	switch [4]byte(data[0:4]) {
-	case bundleMagic: // v2: origin[4] seq[8] epoch[8] nSamples[4] nAggs[4]
-		if len(data) < 32 {
-			return nil, ErrCorruptBundle
-		}
-		b = &Bundle{
-			Origin: receipt.HOPID(binary.LittleEndian.Uint32(data[4:8])),
-			Seq:    binary.LittleEndian.Uint64(data[8:16]),
-			Epoch:  binary.LittleEndian.Uint64(data[16:24]),
-		}
-		nSamples = binary.LittleEndian.Uint32(data[24:28])
-		nAggs = binary.LittleEndian.Uint32(data[28:32])
-		rest = data[32:]
-	case bundleMagicV1: // v1: origin[4] seq[8] nSamples[4] nAggs[4]
-		if len(data) < 24 {
-			return nil, ErrCorruptBundle
-		}
-		b = &Bundle{
-			Origin: receipt.HOPID(binary.LittleEndian.Uint32(data[4:8])),
-			Seq:    binary.LittleEndian.Uint64(data[8:16]),
-		}
-		nSamples = binary.LittleEndian.Uint32(data[16:20])
-		nAggs = binary.LittleEndian.Uint32(data[20:24])
-		rest = data[24:]
-	default:
-		return nil, ErrCorruptBundle
+	b := &Bundle{
+		Origin: receipt.HOPID(binary.LittleEndian.Uint32(data[4:8])),
+		Seq:    binary.LittleEndian.Uint64(data[8:16]),
+		Epoch:  binary.LittleEndian.Uint64(data[16:24]),
+	}
+	nSamples := binary.LittleEndian.Uint32(data[24:28])
+	nAggs := binary.LittleEndian.Uint32(data[28:32])
+	rest := data[bundleHeaderSize:]
+	if uint64(nSamples)*minSampleWire+uint64(nAggs)*minAggWire > uint64(len(rest)) {
+		return nil, fmt.Errorf("%w: header claims %d samples and %d aggs in %d bytes", ErrCorruptBundle, nSamples, nAggs, len(rest))
+	}
+	if nSamples > 0 {
+		b.Samples = make([]receipt.SampleReceipt, 0, nSamples)
 	}
 	for i := uint32(0); i < nSamples; i++ {
 		s, _, r, err := receipt.Decode(rest)
@@ -164,6 +125,9 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 		}
 		b.Samples = append(b.Samples, *s)
 		rest = r
+	}
+	if nAggs > 0 {
+		b.Aggs = make([]receipt.AggReceipt, 0, nAggs)
 	}
 	for i := uint32(0); i < nAggs; i++ {
 		_, a, r, err := receipt.Decode(rest)
@@ -184,8 +148,8 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 
 // SignedBundle is a bundle encoding plus its ed25519 signature.
 type SignedBundle struct {
-	Payload []byte `json:"payload"`
-	Sig     []byte `json:"sig"`
+	Payload []byte
+	Sig     []byte
 }
 
 // Signer holds a HOP's signing key.

@@ -1,9 +1,13 @@
 package dissem
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
+	"crypto/ed25519"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -66,11 +70,76 @@ func (e *BundleError) Error() string {
 // Unwrap exposes the underlying verification failure.
 func (e *BundleError) Unwrap() error { return e.Err }
 
+// The HTTP bundle feed is a sequence of length-prefixed frames, one
+// per bundle, under FrameContentType and an exact Content-Length:
+//
+//	payloadLen[4] sigLen[4] payload[payloadLen] sig[sigLen]
+//
+// (little-endian lengths). The payload is the Bundle.AppendEncode
+// bytes exactly as the origin signed them, so what crosses the wire is
+// the canonical signed encoding plus FrameHeaderSize bytes per bundle.
+const (
+	// FrameContentType names the framed feed. A response carrying any
+	// other type is refused: version skew reads as "this HOP does not
+	// speak the frame format", never as a garbage length.
+	FrameContentType = "application/vnd.vpm.bundle-frames"
+	// FrameHeaderSize is the per-bundle framing overhead.
+	FrameHeaderSize = 8
+	// MaxBundleBytes bounds the payload a client accepts in one frame.
+	// One sealed (HOP, epoch) is kilobytes in the benchmark's fleet and,
+	// by estimate, a few megabytes for a core HOP of the 2²⁰-key fleet;
+	// a frame announcing more than this is misbehaviour by the origin,
+	// refused before anything is buffered for it.
+	MaxBundleBytes = 64 << 20
+)
+
+// The ways a feed response can violate the frame format. Each reaches
+// the caller inside a *FrameError naming the origin.
+var (
+	// ErrNotFramed: the response is not a framed feed at all — wrong
+	// Content-Type or no Content-Length.
+	ErrNotFramed = errors.New("dissem: response is not a framed bundle feed")
+	// ErrFrameTooLarge: a frame announces a payload above
+	// MaxBundleBytes.
+	ErrFrameTooLarge = errors.New("dissem: frame exceeds MaxBundleBytes")
+	// ErrBadFrame: a frame header contradicts the format or the
+	// response's Content-Length (signature length, overrun, trailing
+	// bytes).
+	ErrBadFrame = errors.New("dissem: malformed frame")
+	// ErrTruncatedFrame: the body ended (or the read failed) inside a
+	// frame the Content-Length promised.
+	ErrTruncatedFrame = errors.New("dissem: truncated frame")
+)
+
+// FrameError reports a feed response that breaks the frame format:
+// which origin served it, which frame of the response (0-based; -1 for
+// the response headers), and the violation (one of the Err* frame
+// sentinels, match with errors.Is). Violations a retry cannot fix —
+// everything but a truncated read, which is how a restarting peer
+// looks — are marked Permanent.
+type FrameError struct {
+	Origin receipt.HOPID
+	Frame  int
+	Err    error
+}
+
+// Error implements error.
+func (e *FrameError) Error() string {
+	if e.Frame < 0 {
+		return fmt.Sprintf("dissem: feed of %v: %v", e.Origin, e.Err)
+	}
+	return fmt.Sprintf("dissem: feed of %v, frame %d: %v", e.Origin, e.Frame, e.Err)
+}
+
+// Unwrap exposes the violation.
+func (e *FrameError) Unwrap() error { return e.Err }
+
 // Server publishes one HOP's signed receipt bundles over HTTP. Mount
 // it at a path of your choice; GET ?since=N returns all bundles with
 // Seq >= N, GET ?epoch=E only the bundles tagged with epoch E (the
-// two filters compose), as a JSON array of SignedBundle. Wrap in TLS
-// for the paper's HTTPS web-site realization.
+// two filters compose), as length-prefixed frames (FrameContentType):
+// each bundle's canonical payload exactly as signed, then its
+// signature. Wrap in TLS for the paper's HTTPS web-site realization.
 type Server struct {
 	hop    receipt.HOPID
 	signer *Signer
@@ -206,10 +275,21 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// missed bundles, and silently clamping would hide that from the
 	// lagging verifier (Fetch promises all bundles with Seq >= since).
 	w.Header().Set(BaseHeader, strconv.FormatUint(base, 10))
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		// Connection-level failure; nothing more to do.
-		return
+	size := 0
+	for _, sb := range out {
+		size += FrameHeaderSize + len(sb.Payload) + len(sb.Sig)
+	}
+	w.Header().Set("Content-Type", FrameContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	var hdr [FrameHeaderSize]byte
+	for _, sb := range out {
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(sb.Payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(sb.Sig)))
+		for _, part := range [][]byte{hdr[:], sb.Payload, sb.Sig} {
+			if _, err := w.Write(part); err != nil {
+				return // connection-level failure; nothing more to do
+			}
+		}
 	}
 }
 
@@ -244,10 +324,13 @@ func (c *Client) Fetch(ctx context.Context, baseURL string, origin receipt.HOPID
 	return out, nil
 }
 
-// FetchEach is the streaming form of Fetch: the server's JSON response
-// is decoded incrementally, each bundle is signature-verified as it
-// arrives, and fn is invoked per authenticated bundle — the whole
-// interval's receipts never sit in memory at once. A verification
+// FetchEach is the streaming form of Fetch: the server's framed
+// response is read one frame at a time, each frame is bounded
+// (MaxBundleBytes, the response's Content-Length) before it is
+// buffered and signature-verified as it arrives, and fn is invoked per
+// authenticated bundle — the whole interval's receipts never sit in
+// memory at once. A response that breaks the frame format returns a
+// *FrameError. A verification
 // failure or an fn error aborts the stream and is returned; bundles
 // already passed to fn stay consumed (ingest is incremental by
 // design — pair FetchEach with a Verifier whose answers are only read
@@ -310,32 +393,61 @@ func (c *Client) fetchEach(ctx context.Context, url string, origin receipt.HOPID
 			}
 		}
 	}
-	dec := json.NewDecoder(resp.Body)
-	tok, err := dec.Token()
-	if err != nil {
-		return fmt.Errorf("dissem: decoding response from %v: %w", origin, err)
+	return readFrames(resp, origin, pub, fn)
+}
+
+// readFrames streams a framed feed response to fn, one authenticated
+// bundle per frame. A frame is read only after its header is checked
+// against MaxBundleBytes, the signature size and the bytes the
+// Content-Length still promises.
+func readFrames(resp *http.Response, origin receipt.HOPID, pub ed25519.PublicKey, fn func(*Bundle) error) error {
+	if ct := resp.Header.Get("Content-Type"); ct != FrameContentType {
+		return Permanent(&FrameError{Origin: origin, Frame: -1,
+			Err: fmt.Errorf("%w: Content-Type %q, want %s", ErrNotFramed, ct, FrameContentType)})
 	}
-	if tok == nil {
-		return nil // JSON null: no bundles
+	remaining := resp.ContentLength
+	if remaining < 0 {
+		return Permanent(&FrameError{Origin: origin, Frame: -1, Err: fmt.Errorf("%w: no Content-Length", ErrNotFramed)})
 	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return fmt.Errorf("dissem: response from %v is not a bundle array", origin)
-	}
-	for i := 0; dec.More(); i++ {
-		var sb SignedBundle
-		if err := dec.Decode(&sb); err != nil {
-			return fmt.Errorf("dissem: decoding bundle %d from %v: %w", i, origin, err)
+	var (
+		hdr [FrameHeaderSize]byte
+		buf bytes.Buffer // one frame's payload+signature; reused, DecodeBundle copies out of it
+		i   int
+	)
+	bad := func(err error) error { return &FrameError{Origin: origin, Frame: i, Err: err} }
+	for ; remaining > 0; i++ {
+		if remaining < FrameHeaderSize {
+			return Permanent(bad(fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, remaining)))
 		}
-		b, err := Verify(pub, origin, sb)
+		if _, err := io.ReadFull(resp.Body, hdr[:]); err != nil {
+			return bad(fmt.Errorf("%w: header: %w", ErrTruncatedFrame, err))
+		}
+		remaining -= FrameHeaderSize
+		payloadLen := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+		sigLen := int64(binary.LittleEndian.Uint32(hdr[4:8]))
+		switch {
+		case payloadLen > MaxBundleBytes:
+			return Permanent(bad(fmt.Errorf("%w: announces %d payload bytes", ErrFrameTooLarge, payloadLen)))
+		case sigLen != ed25519.SignatureSize:
+			return Permanent(bad(fmt.Errorf("%w: signature of %d bytes", ErrBadFrame, sigLen)))
+		case payloadLen+sigLen > remaining:
+			return Permanent(bad(fmt.Errorf("%w: %d-byte frame in a response with %d bytes left", ErrBadFrame, payloadLen+sigLen, remaining)))
+		}
+		// Grow with the bytes that arrive: the header's claim alone
+		// buys no memory.
+		buf.Reset()
+		if _, err := io.CopyN(&buf, resp.Body, payloadLen+sigLen); err != nil {
+			return bad(fmt.Errorf("%w: body: %w", ErrTruncatedFrame, err))
+		}
+		remaining -= payloadLen + sigLen
+		frame := buf.Bytes()
+		b, err := Verify(pub, origin, SignedBundle{Payload: frame[:payloadLen], Sig: frame[payloadLen:]})
 		if err != nil {
 			return fmt.Errorf("dissem: bundle %d from %v: %w", i, origin, err)
 		}
 		if err := fn(b); err != nil {
 			return err
 		}
-	}
-	if _, err := dec.Token(); err != nil {
-		return fmt.Errorf("dissem: decoding response from %v: %w", origin, err)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package dissem
 
 import (
 	"bytes"
-	"crypto/ed25519"
 	"testing"
 
 	"vpm/internal/packet"
@@ -11,8 +10,7 @@ import (
 )
 
 // Randomized bundle round-trip property, fixed seeds: for any bundle,
-// Encode → DecodeBundle → Encode is byte-identical (v2), and the
-// legacy v1 path round-trips for pre-epoch bundles.
+// Encode → DecodeBundle → Encode is byte-identical.
 
 func randBundle(rng *stats.RNG, epoch uint64) *Bundle {
 	randPath := func() receipt.PathID {
@@ -53,7 +51,7 @@ func randBundle(rng *stats.RNG, epoch uint64) *Bundle {
 }
 
 // TestBundleRoundTripProperty: 500 random epoch-tagged bundles
-// round-trip byte-identically through the v2 codec.
+// round-trip byte-identically through the codec.
 func TestBundleRoundTripProperty(t *testing.T) {
 	rng := stats.NewRNG(0xabc1)
 	for i := 0; i < 500; i++ {
@@ -65,80 +63,7 @@ func TestBundleRoundTripProperty(t *testing.T) {
 		}
 		re := got.Encode()
 		if !bytes.Equal(re, enc) {
-			t.Fatalf("iteration %d: v2 encode→decode→encode not byte-identical", i)
+			t.Fatalf("iteration %d: encode→decode→encode not byte-identical", i)
 		}
-	}
-}
-
-// TestEquivocationIgnoresV1V2Migration is the regression test for the
-// cross-version false positive: an origin serving the same interval
-// once as its archived v1 payload and once as the v2 re-encoding has
-// signed two byte-different payloads — but not two contradictory
-// statements. FindEquivocation must forgive the semantically-equal
-// pair and still indict a genuinely mutated bundle.
-func TestEquivocationIgnoresV1V2Migration(t *testing.T) {
-	var seed [32]byte
-	seed[0] = 9
-	signer := NewSigner(seed)
-	reg := Registry{3: signer.Public()}
-
-	b := fuzzBundle(0)
-	v1Payload, err := b.EncodeV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1Signed := SignedBundle{Payload: v1Payload, Sig: ed25519.Sign(signer.priv, v1Payload)}
-	v2Signed := signer.Sign(b)
-
-	if eqs := FindEquivocation(reg, 3, []SignedBundle{v1Signed}, []SignedBundle{v2Signed}); len(eqs) != 0 {
-		t.Fatalf("v1/v2 re-encodings of the same bundle flagged as equivocation: %v", eqs)
-	}
-
-	// A real contradiction under the same seq must still be caught.
-	mut := fuzzBundle(0)
-	mut.Samples[0].Samples[0].TimeNS += 5
-	mutSigned := signer.Sign(mut)
-	if eqs := FindEquivocation(reg, 3, []SignedBundle{v1Signed}, []SignedBundle{mutSigned}); len(eqs) != 1 {
-		t.Fatalf("mutated bundle not flagged: %v", eqs)
-	}
-}
-
-// TestBundleV1RoundTripProperty: pre-epoch bundles round-trip through
-// the legacy v1 codec, decode with epoch 0, and refuse to carry a
-// non-zero epoch.
-func TestBundleV1RoundTripProperty(t *testing.T) {
-	rng := stats.NewRNG(0xabc2)
-	for i := 0; i < 500; i++ {
-		b := randBundle(rng, 0)
-		enc, err := b.EncodeV1()
-		if err != nil {
-			t.Fatalf("iteration %d: v1 encode failed: %v", i, err)
-		}
-		got, err := DecodeBundle(enc)
-		if err != nil {
-			t.Fatalf("iteration %d: v1 decode failed: %v", i, err)
-		}
-		if got.Epoch != 0 {
-			t.Fatalf("iteration %d: v1 bundle decoded with epoch %d", i, got.Epoch)
-		}
-		re, err := got.EncodeV1()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re, enc) {
-			t.Fatalf("iteration %d: v1 encode→decode→encode not byte-identical", i)
-		}
-		// And the v2 re-encoding of the same bundle is decodable and
-		// semantically equal.
-		v2, err := DecodeBundle(got.Encode())
-		if err != nil {
-			t.Fatalf("iteration %d: v2 re-encode did not decode: %v", i, err)
-		}
-		if v2.Origin != got.Origin || v2.Seq != got.Seq || len(v2.Samples) != len(got.Samples) || len(v2.Aggs) != len(got.Aggs) {
-			t.Fatalf("iteration %d: v1→v2 migration changed the bundle", i)
-		}
-	}
-	if _, err := randBundle(rng, 7).EncodeV1(); err == nil {
-		t.Fatal("v1 encoding accepted a non-zero epoch")
 	}
 }

@@ -1,0 +1,303 @@
+package dissem
+
+import (
+	"context"
+	"crypto/ed25519"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"testing"
+	"time"
+
+	"vpm/internal/stats"
+)
+
+// The HTTP feed's wire: exact accounting, the tamper hooks through the
+// framed body, and a hostile or broken server on the other end.
+
+// header renders a frame header announcing the given lengths.
+func header(payloadLen, sigLen uint32) []byte {
+	hdr := make([]byte, FrameHeaderSize)
+	binary.LittleEndian.PutUint32(hdr[0:4], payloadLen)
+	binary.LittleEndian.PutUint32(hdr[4:8], sigLen)
+	return hdr
+}
+
+// frame renders one frame as the server would.
+func frame(sb SignedBundle) []byte {
+	return append(append(header(uint32(len(sb.Payload)), uint32(len(sb.Sig))), sb.Payload...), sb.Sig...)
+}
+
+// TestFrameWireAccounting: what crosses the wire is, to the byte, the
+// signed payloads and signatures plus FrameHeaderSize per bundle — for
+// the whole feed and under both filters — and Content-Length says so.
+func TestFrameWireAccounting(t *testing.T) {
+	srv, _, reg := dissemWorld(t, 4)
+	rng := stats.NewRNG(0xf4a3e)
+	var bundles []*Bundle
+	for e := uint64(0); e < 6; e++ {
+		b := randBundle(rng, e)
+		seq := srv.PublishEpoch(e, b.Samples, b.Aggs)
+		bundles = append(bundles, &Bundle{Origin: 4, Seq: seq, Epoch: e, Samples: b.Samples, Aggs: b.Aggs})
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	want := func(keep func(*Bundle) bool) (n int, size int64) {
+		for _, b := range bundles {
+			if keep(b) {
+				n++
+				size += int64(FrameHeaderSize + b.WireSize() + ed25519.SignatureSize)
+			}
+		}
+		return n, size
+	}
+	for _, tc := range []struct {
+		query string
+		keep  func(*Bundle) bool
+	}{
+		{"", func(*Bundle) bool { return true }},
+		{"?since=2", func(b *Bundle) bool { return b.Seq >= 2 }},
+		{"?epoch=3", func(b *Bundle) bool { return b.Epoch == 3 }},
+		{"?since=4&epoch=1", func(*Bundle) bool { return false }},
+		{"?since=99", func(*Bundle) bool { return false }},
+	} {
+		resp, err := http.Get(ts.URL + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, size := want(tc.keep)
+		if int64(len(body)) != size || resp.ContentLength != size {
+			t.Errorf("GET %q: body %d bytes, Content-Length %d, want %d (%d frames)", tc.query, len(body), resp.ContentLength, size, n)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != FrameContentType {
+			t.Errorf("GET %q: Content-Type %q", tc.query, ct)
+		}
+	}
+
+	// And the client turns those bytes back into the published bundles.
+	c := &Client{Registry: reg}
+	got, err := c.Fetch(context.Background(), ts.URL, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(bundles) {
+		t.Fatalf("fetched %d bundles, published %d", len(got), len(bundles))
+	}
+	for i := range got {
+		if string(got[i].Encode()) != string(bundles[i].Encode()) {
+			t.Fatalf("bundle %d changed in transit", i)
+		}
+	}
+}
+
+// TestTampersOverHTTP: the dissemination adversaries do over the framed
+// feed what their bus tests say they do.
+func TestTampersOverHTTP(t *testing.T) {
+	epochsServed := func(t *testing.T, tamper BundleTamper) ([]uint64, error) {
+		t.Helper()
+		srv, _, reg := dissemWorld(t, 4)
+		for e := uint64(0); e < 3; e++ {
+			b := sampleBundle(4, e)
+			srv.PublishEpoch(e, b.Samples, b.Aggs)
+		}
+		srv.SetTamper(tamper)
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		var epochs []uint64
+		err := (&Client{Registry: reg}).FetchEach(context.Background(), ts.URL, 4, 0, func(b *Bundle) error {
+			epochs = append(epochs, b.Epoch)
+			return nil
+		})
+		return epochs, err
+	}
+	if epochs, err := epochsServed(t, &Withholder{FromEpoch: 1}); err != nil || len(epochs) != 1 || epochs[0] != 0 {
+		t.Errorf("withholder over HTTP: epochs %v, err %v; want [0] and no transport error", epochs, err)
+	}
+	if epochs, err := epochsServed(t, &Replayer{FromEpoch: 1}); err != nil || len(epochs) != 3 || epochs[1] != 0 || epochs[2] != 0 {
+		t.Errorf("replayer over HTTP: epochs %v, err %v; want [0 0 0]", epochs, err)
+	}
+	if epochs, err := epochsServed(t, corruptSigTamper{}); !errors.Is(err, ErrBadSignature) || len(epochs) != 0 {
+		t.Errorf("corrupted signature over HTTP: delivered %v, err %v; want ErrBadSignature before any bundle", epochs, err)
+	}
+}
+
+// hostileFeed serves whatever raw response the handler writes, as HOP 4.
+func hostileFeed(t *testing.T, h http.HandlerFunc) (*httptest.Server, *Client) {
+	t.Helper()
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	_, _, reg := dissemWorld(t, 4)
+	return ts, &Client{Registry: reg}
+}
+
+// framed writes body as a framed-feed response of the declared length.
+func framed(w http.ResponseWriter, declared int64, body []byte) {
+	w.Header().Set("Content-Type", FrameContentType)
+	w.Header().Set("Content-Length", strconv.FormatInt(declared, 10))
+	w.Write(body)
+}
+
+// TestHostileFeeds: every way a response can break the frame format is
+// a *FrameError naming the origin and classifying the violation,
+// permanent for Retry unless a retry could fix it, delivered promptly
+// and without the response's claims buying memory.
+func TestHostileFeeds(t *testing.T) {
+	signer := NewSigner(seedOf(4))
+	good := frame(signer.Sign(sampleBundle(4, 0)))
+	cases := []struct {
+		name      string
+		serve     http.HandlerFunc
+		want      error
+		frame     int
+		permanent bool
+		delivered int
+	}{
+		{"JSON from a pre-frame server", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte(`[{"payload":"AAAA","sig":"AAAA"}]`))
+		}, ErrNotFramed, -1, true, 0},
+		{"no Content-Length", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", FrameContentType)
+			w.(http.Flusher).Flush() // forces chunked encoding
+			w.Write(good)
+		}, ErrNotFramed, -1, true, 0},
+		{"4 GiB frame", func(w http.ResponseWriter, _ *http.Request) {
+			framed(w, 1<<33, header(0xffffffff, ed25519.SignatureSize))
+		}, ErrFrameTooLarge, 0, true, 0},
+		{"one byte over MaxBundleBytes", func(w http.ResponseWriter, _ *http.Request) {
+			framed(w, 1<<33, header(MaxBundleBytes+1, ed25519.SignatureSize))
+		}, ErrFrameTooLarge, 0, true, 0},
+		{"short signature", func(w http.ResponseWriter, _ *http.Request) {
+			framed(w, 1<<20, header(100, ed25519.SignatureSize-1))
+		}, ErrBadFrame, 0, true, 0},
+		{"frame overruns Content-Length", func(w http.ResponseWriter, _ *http.Request) {
+			body := append(append([]byte{}, good...), header(1000, ed25519.SignatureSize)...)
+			framed(w, int64(len(body))+100, body)
+		}, ErrBadFrame, 1, true, 1},
+		{"trailing bytes", func(w http.ResponseWriter, _ *http.Request) {
+			body := append(append([]byte{}, good...), 1, 2, 3)
+			framed(w, int64(len(body)), body)
+		}, ErrBadFrame, 1, true, 1},
+		{"truncated mid-header", func(w http.ResponseWriter, _ *http.Request) {
+			framed(w, int64(2*len(good)), append(append([]byte{}, good...), good[:5]...))
+		}, ErrTruncatedFrame, 1, false, 1},
+		{"truncated mid-frame", func(w http.ResponseWriter, _ *http.Request) {
+			framed(w, int64(len(good)), good[:len(good)/2])
+		}, ErrTruncatedFrame, 0, false, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, c := hostileFeed(t, tc.serve)
+			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+			defer cancel()
+			delivered, attempts := 0, 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			err := Retry(ctx, RetryPolicy{Attempts: 2, Base: time.Millisecond}, func() error {
+				attempts++
+				return c.FetchEach(ctx, ts.URL, 4, 0, func(*Bundle) error {
+					delivered++
+					return nil
+				})
+			})
+			wall := time.Since(start)
+			runtime.ReadMemStats(&after)
+
+			var fe *FrameError
+			if !errors.As(err, &fe) || !errors.Is(err, tc.want) {
+				t.Fatalf("error %v (%T), want a *FrameError wrapping %v", err, err, tc.want)
+			}
+			if fe.Origin != 4 || fe.Frame != tc.frame {
+				t.Errorf("FrameError names origin %v frame %d, want HOP 4 frame %d", fe.Origin, fe.Frame, tc.frame)
+			}
+			if wantAttempts := map[bool]int{true: 1, false: 2}[tc.permanent]; attempts != wantAttempts {
+				t.Errorf("Retry made %d attempts, want %d (permanent=%v)", attempts, wantAttempts, tc.permanent)
+			}
+			if delivered != tc.delivered*attempts {
+				t.Errorf("delivered %d bundles over %d attempts, want %d per attempt", delivered, attempts, tc.delivered)
+			}
+			if wall > 5*time.Second {
+				t.Errorf("took %v to refuse the response", wall)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("allocated %d bytes refusing the response, want < 1 MiB", grew)
+			}
+		})
+	}
+}
+
+// TestStalledFeedHonoursContext: a server that announces the largest
+// frame the format allows, trickles a little of it and stalls costs the
+// fetch its deadline — not a hang, and not the memory it announced.
+func TestStalledFeedHonoursContext(t *testing.T) {
+	ts, c := hostileFeed(t, func(w http.ResponseWriter, r *http.Request) {
+		framed(w, FrameHeaderSize+MaxBundleBytes+ed25519.SignatureSize,
+			append(header(MaxBundleBytes, ed25519.SignatureSize), make([]byte, 1000)...))
+		w.(http.Flusher).Flush()
+		<-r.Context().Done() // until the client hangs up
+	})
+	c.HTTP = &http.Client{} // no client timeout: only the context bounds the fetch
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	err := c.FetchEach(ctx, ts.URL, 4, 0, func(*Bundle) error {
+		t.Error("delivered a bundle from an incomplete frame")
+		return nil
+	})
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	var fe *FrameError
+	if !errors.As(err, &fe) || !errors.Is(err, ErrTruncatedFrame) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error %v, want a *FrameError wrapping ErrTruncatedFrame and context.DeadlineExceeded", err)
+	}
+	if wall > 2*time.Second {
+		t.Fatalf("fetch took %v despite a 100ms deadline", wall)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("allocated %d bytes for a %d-byte announcement of which 1000 arrived", grew, MaxBundleBytes)
+	}
+}
+
+// TestDecodeBundleBoundsCounts: receipt counts the payload cannot hold
+// are refused from the header alone.
+func TestDecodeBundleBoundsCounts(t *testing.T) {
+	enc := sampleBundle(4, 7).Encode()
+	lie := func(nSamples, nAggs uint32) []byte {
+		out := append([]byte{}, enc...)
+		binary.LittleEndian.PutUint32(out[24:28], nSamples)
+		binary.LittleEndian.PutUint32(out[28:32], nAggs)
+		return out
+	}
+	room := uint32(len(enc) - bundleHeaderSize)
+	for _, data := range [][]byte{
+		lie(0xffffffff, 0xffffffff),
+		lie(0xffffffff, 0),
+		lie(0, room/uint32(minAggWire)+1),
+		lie(room/uint32(minSampleWire)+1, 0),
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(5, func() { _, err = DecodeBundle(data) })
+		if !errors.Is(err, ErrCorruptBundle) {
+			t.Fatalf("header claiming %d samples / %d aggs in %d bytes: %v", binary.LittleEndian.Uint32(data[24:28]), binary.LittleEndian.Uint32(data[28:32]), room, err)
+		}
+		if allocs > 8 {
+			t.Errorf("refusing an impossible header allocated %.0f times — it must not size anything by the claim", allocs)
+		}
+	}
+	if _, err := DecodeBundle(enc); err != nil {
+		t.Fatalf("honest bundle refused: %v", err)
+	}
+}

@@ -1,6 +1,10 @@
 package e2e
 
 import (
+	"context"
+	"crypto/ed25519"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -11,6 +15,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"vpm/internal/dissem"
+	"vpm/internal/receipt"
 )
 
 // These tests pin the daemons' HTTP lifecycle: a peer that opens a TCP
@@ -133,10 +140,39 @@ func TestHopdShutdownDrainsAndExitsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /hops: %d", resp.StatusCode)
 	}
+	var hops []struct {
+		HOP       uint32 `json:"hop"`
+		PublicKey string `json:"public_key"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&hops)
+	resp.Body.Close()
+	if err != nil || len(hops) == 0 {
+		t.Fatalf("GET /hops: %d HOPs, %v", len(hops), err)
+	}
+
+	// The framed bundle feed, spoken by the real binary: a registry built
+	// from the advertised keys authenticates and decodes one HOP's feed.
+	reg := make(dissem.Registry, len(hops))
+	for _, h := range hops {
+		pub, err := hex.DecodeString(h.PublicKey)
+		if err != nil || len(pub) != ed25519.PublicKeySize {
+			t.Fatalf("HOP %d advertises key %q: %v", h.HOP, h.PublicKey, err)
+		}
+		reg[receipt.HOPID(h.HOP)] = pub
+	}
+	hop := receipt.HOPID(hops[0].HOP)
+	client := &dissem.Client{Registry: reg}
+	bundles, err := client.Fetch(context.Background(), fmt.Sprintf("http://%s/hop/%d/receipts", addr, hop), hop, 0)
+	if err != nil {
+		t.Fatalf("fetching HOP %v's feed from vpm-hopd: %v", hop, err)
+	}
+	if len(bundles) == 0 || bundles[0].Origin != hop || len(bundles[0].Samples)+len(bundles[0].Aggs) == 0 {
+		t.Fatalf("HOP %v's feed: %d bundles, first %+v — want at least one bundle with receipts", hop, len(bundles), bundles)
+	}
+
 	conn := stallConn(t, addr)
 	defer conn.Close()
 

@@ -22,7 +22,7 @@ import (
 // epoch as a signed bundle. The HTTP surface a verifier consumes:
 //
 //	GET /hops                 — JSON list of the HOPs this process owns
-//	GET /hop/<id>/receipts    — that HOP's bundle feed (dissem.Server)
+//	GET /hop/<id>/receipts    — that HOP's framed bundle feed (dissem.Server)
 //	GET /status               — {"index","finished","terminal"}
 //
 // Bundles are retained for the whole run (no DropThrough): a verifier

@@ -250,11 +250,11 @@ func TestVerifierRestartIsReplay(t *testing.T) {
 	first := run()
 	wait() // collectors done: the second run replays a complete feed
 	second := run()
-	if len(first.Reports) != len(second.Reports) {
-		t.Fatalf("restart changed epoch count: %d vs %d", len(first.Reports), len(second.Reports))
+	if len(first.epochs) != len(second.epochs) {
+		t.Fatalf("restart changed epoch count: %d vs %d", len(first.epochs), len(second.epochs))
 	}
-	for e := range first.Reports {
-		if !bytes.Equal(first.Reports[e], second.Reports[e]) {
+	for e := range first.epochs {
+		if !bytes.Equal(first.report(e), second.report(e)) {
 			t.Fatalf("restart changed epoch %d verdict", e)
 		}
 	}
@@ -306,14 +306,14 @@ func TestVerifierGivesUpOnDeadCollector(t *testing.T) {
 
 func TestMergeShardOutputsRefusesBadTiers(t *testing.T) {
 	mk := func(shards, shard int, n int) *ShardOutput {
-		out, err := NewShardOutput(shards, shard, make([]core.EpochReport, n))
+		// Give each report its epoch so the merge accepts them.
+		reports := make([]core.EpochReport, n)
+		for e := range reports {
+			reports[e].Epoch = core.EpochID(e)
+		}
+		out, err := NewShardOutput(shards, shard, reports)
 		if err != nil {
 			t.Fatal(err)
-		}
-		// Give each report its epoch so the core merge accepts them.
-		for e := 0; e < n; e++ {
-			b, _ := core.EncodeEpochReport(core.EpochReport{Epoch: core.EpochID(e)})
-			out.Reports[e] = b
 		}
 		return out
 	}

@@ -16,8 +16,8 @@
 //     bounded retry, keeps only the receipts whose traffic key it owns
 //     on the consistent-hash ring, and runs the indexed store +
 //     rolling verifier over its key slice.
-//   - Merge: concatenates the shards' disjoint per-key reports and
-//     re-sorts into canonical order (core.MergeEpochReports).
+//   - Merge: concatenates the shards' disjoint per-key report
+//     encodings and re-sorts into canonical order (MergeShardOutputs).
 //
 // Ownership is per traffic key, not per receipt.StoreKey pair: a
 // verifier needs every HOP's receipts for a key to run the §4 link

@@ -18,7 +18,7 @@ import (
 // rolling verifier over that key slice. Because per-key verification
 // reads only that key's receipts, each shard's per-key reports are
 // byte-for-byte the reports a single whole-store verifier computes —
-// MergeEpochReports recombines the shards' outputs into the exact
+// MergeShardOutputs recombines the shards' outputs into the exact
 // single-process report stream.
 //
 // Fleet shards run the sequential (SPRT) detection arm off: its engine
