@@ -1,0 +1,454 @@
+package core
+
+import (
+	"fmt"
+
+	"vpm/internal/aggregation"
+	"vpm/internal/hashing"
+	"vpm/internal/quantile"
+	"vpm/internal/receipt"
+	"vpm/internal/seqdetect"
+)
+
+// This file is the one implementation of the §4 checks: the link check
+// (MaxDiff agreement, timestamp bound, missing records under the subset
+// property, aggregate counts) and the per-domain loss and delay
+// estimate. Batch verification (Verifier.CheckLink, DomainReport, …) and
+// rolling per-epoch verification (RollingVerifier.VerifyEpoch) run the
+// same functions; what differs is the scope they hand in.
+//
+// A scope separates two sets of receipts:
+//
+//   - claims — the records this run vouches for, each judged exactly
+//     once;
+//   - evidence — the records a claim's counterpart may be found in.
+//
+// In a batch run the whole stream is in view, so the claims are the
+// evidence and nothing is trimmed. A per-epoch run cannot simply check
+// one epoch's receipts against themselves: receipts for the same packet
+// legitimately seal in adjacent epochs at different HOPs. A sample is
+// sealed in the epoch of its *deciding marker* (Algorithm 1 decides a
+// packet only when the next marker arrives), and the same marker
+// crosses each HOP at a slightly different local time; likewise an
+// aggregate seals where its cutting point lands. The skew is bounded by
+// one interval (marker transit and propagation delay are far below any
+// sane epoch length), so the per-epoch claims are the receipts sealed
+// in the target epoch and the evidence is the ±1-epoch view around it.
+//
+// Missing-record judgments iterate the claims but match against the
+// evidence, so boundary spill never reads as a lie, while every record
+// is still judged exactly once — in the epoch that sealed it.
+// Aggregate counts are compared only over regions bounded by cutting
+// points common to both ends within the evidence (Join's half-open edge
+// regions are trimmed when the evidence is a window); the untrimmed
+// full-stream comparison is exactly the batch verdict, which continuous
+// operation reproduces byte-for-byte when epochs are unioned
+// (TestBatchContinuousEquivalence).
+
+// checkScope is what one run of the §4 checks may look at.
+type checkScope struct {
+	// view is the evidence, restricted to the traffic key under check,
+	// and carries the deployment constants.
+	view *Verifier
+	// claims holds the records this run vouches for; nil means the
+	// claims are the evidence (batch: the whole stream is in view).
+	claims *ReceiptStore
+	// headComplete reports that the evidence's lower edge is the true
+	// stream start: nothing precedes the first joined pair, so no
+	// patch-up evidence is missing at its leading boundary and the head
+	// region may be compared.
+	headComplete bool
+	// tailComplete reports that nothing exists beyond the evidence's
+	// upper edge (the stream finished at or inside it), so Join's tail
+	// region is bounded and may be compared.
+	tailComplete bool
+	// seq, when non-nil, captures per-packet evidence for the
+	// sequential arm (see seqarm.go). The checks only append to it;
+	// the rolling verifier feeds it to the engine after the parallel
+	// sweep, in deterministic work order.
+	seq *seqCollector
+}
+
+// wholeStream is the batch scope: claims = evidence = everything the
+// verifier's store holds, nothing trimmed.
+func (v *Verifier) wholeStream() *checkScope {
+	return &checkScope{view: v, headComplete: true, tailComplete: true}
+}
+
+// claimed returns the packets hop vouches for in this scope, in
+// first-arrival order.
+func (s *checkScope) claimed(hop receipt.HOPID) []uint64 {
+	pi := s.view.indexFor(hop)
+	if s.claims != nil {
+		pi = s.claims.lookup(hop, s.view.key)
+	}
+	uniq, _ := pi.snapshot()
+	return uniq
+}
+
+// checkLink verifies the receipts of the two HOPs at the ends of one
+// inter-domain link (§4): MaxDiff agreement, the timestamp bound and
+// missing-record checks for the claimed packets, and aggregate-count
+// equality over the commonly-bounded regions of the evidence. Packets
+// are visited in each HOP's first-arrival order, so the verdict —
+// including the order of its violations — is deterministic.
+//
+// Missing-record semantics: a packet the upstream HOP claims to have
+// delivered is expected in the downstream receipt exactly when the
+// downstream HOP's advertised sampling threshold would have selected
+// it (the verifier re-derives the Algorithm 1 decision). Expected but
+// missing records beyond a small reordering-noise tolerance are
+// inconsistencies — caused either by a faulty link or by a lie; the
+// two neighbors then debug the link, and if it is healthy the liar
+// stands exposed to the neighbor it implicated (§3.1).
+func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
+	v := s.view
+	lv := LinkVerdict{LinkID: linkID, Up: up, Down: down}
+	iu, id := v.indexFor(up), v.indexFor(down)
+	pu, hasU := iu.path()
+	pd, hasD := id.path()
+	if hasU && hasD && pu.MaxDiffNS != pd.MaxDiffNS {
+		lv.Violations = append(lv.Violations, receipt.Inconsistency{
+			Kind:   receipt.MaxDiffMismatch,
+			Detail: fmt.Sprintf("%v advertises %dns, %v advertises %dns", up, pu.MaxDiffNS, down, pd.MaxDiffNS),
+		})
+	}
+	maxDiff := pu.MaxDiffNS
+
+	_, su := iu.snapshot()
+	_, sd := id.snapshot()
+	// The sequential arm's trial streams, in claims order: linkItems
+	// interleaves keep/drop Bernoulli trials with matched link deltas
+	// (one mixed slice serves both the loss and the delay detector —
+	// each skips the other's kinds); fabItems is the mirror-direction
+	// trial stream over the downstream HOP's claims.
+	var linkItems, fabItems []seqdetect.Evidence
+	detail := missingDetails{up: up, down: down}
+	var missingDown, missingUp []receipt.Inconsistency
+	for _, pid := range s.claimed(up) {
+		tu := su[pid]
+		td, ok := sd[pid]
+		if !ok {
+			if v.expectedSampled(iu, down, pid) {
+				missingDown = append(missingDown, receipt.Inconsistency{
+					Kind:   receipt.MissingDownstream,
+					PktID:  pid,
+					Detail: detail.missingDownstream(),
+				})
+				if s.seq != nil {
+					linkItems = append(linkItems, seqdetect.Evidence{Kind: seqdetect.KindDrop})
+				}
+			}
+			continue
+		}
+		lv.MatchedSamples++
+		delta := td - tu
+		if s.seq != nil {
+			linkItems = append(linkItems,
+				seqdetect.Evidence{Kind: seqdetect.KindKeep},
+				seqdetect.Evidence{Kind: seqdetect.KindDelta, Value: float64(delta)})
+		}
+		if delta > maxDiff {
+			lv.Violations = append(lv.Violations, receipt.Inconsistency{
+				Kind:   receipt.DelayBound,
+				PktID:  pid,
+				Detail: fmt.Sprintf("link delta %dns exceeds MaxDiff %dns", delta, maxDiff),
+			})
+		}
+	}
+	for _, pid := range s.claimed(down) {
+		if _, ok := su[pid]; !ok {
+			if v.expectedSampled(id, up, pid) {
+				missingUp = append(missingUp, receipt.Inconsistency{
+					Kind:   receipt.MissingUpstream,
+					PktID:  pid,
+					Detail: detail.missingUpstream(),
+				})
+				if s.seq != nil {
+					fabItems = append(fabItems, seqdetect.Evidence{Kind: seqdetect.KindDrop})
+				}
+			}
+		} else if s.seq != nil {
+			fabItems = append(fabItems, seqdetect.Evidence{Kind: seqdetect.KindKeep})
+		}
+	}
+	if s.seq != nil {
+		sc := seqLinkScope(v.key, up, down)
+		s.seq.add(sc, seqdetect.ClassLoss, linkItems)
+		s.seq.add(sc, seqdetect.ClassDelay, linkItems)
+		s.seq.add(sc, seqdetect.ClassFabricate, fabItems)
+	}
+	lv.MissingDown, lv.MissingUp = len(missingDown), len(missingUp)
+	// Symmetric §5.3 reorder noise is absorbed before judging (see
+	// absorbSymmetricNoise); asymmetric excess — real loss or lies —
+	// keeps its full weight (TestCheckLinkSymmetricReorderNoise,
+	// TestRollingVerifierFlagsFaultyLink).
+	tol := missingTolerance(lv.MatchedSamples)
+	judgeDown, judgeUp := absorbSymmetricNoise(lv.MissingDown, lv.MissingUp, v.reorderNoiseFloor(up, down))
+	if judgeDown > tol {
+		lv.Violations = append(lv.Violations, missingDown...)
+	}
+	if judgeUp > tol {
+		lv.Violations = append(lv.Violations, missingUp...)
+	}
+
+	if ra, rb := iu.aggReceipts(), id.aggReceipts(); len(ra) > 0 && len(rb) > 0 {
+		pairs := aggregation.JoinAligned(ra, rb)
+		for _, p := range s.boundedPairs(pairs, ra, rb) {
+			lv.Violations = append(lv.Violations, receipt.CheckAggPair(p.A, p.B)...)
+		}
+	}
+	return lv
+}
+
+// boundedPairs trims a joined sequence to the pairs whose packet
+// regions can actually be judged inside the evidence:
+//
+//   - Interior pairs — bounded by cutting points common to both HOPs,
+//     with a preceding pair in view — are always comparable: PatchUp
+//     already migrated reordered packets across both of their
+//     boundaries.
+//   - The head pair is comparable only when the evidence reaches the
+//     true stream start AND, in a windowed scope, both sequences begin
+//     at the same packet; otherwise its leading boundary's patch-up
+//     evidence (the AggTrans of the preceding, out-of-view aggregate) is
+//     missing and a few legitimately migrated packets would read as a
+//     count lie.
+//   - The tail pair is comparable only when nothing beyond the evidence
+//     can extend either sequence (stream finished inside it).
+//
+// Half-open edge regions compare receipts for different packet sets —
+// seal-epoch skew, not lies — and are left to the reports whose view
+// does bound them; the whole-stream scope trims nothing and remains the
+// complete backstop.
+func (s *checkScope) boundedPairs(pairs []aggregation.Pair, a, b []receipt.AggReceipt) []aggregation.Pair {
+	lo, hi := 0, len(pairs)
+	if !s.headComplete || (s.claims != nil && a[0].Agg.First != b[0].Agg.First) {
+		lo = 1
+	}
+	if !s.tailComplete {
+		hi--
+	}
+	if lo >= hi {
+		return nil
+	}
+	return pairs[lo:hi]
+}
+
+// lossBetween computes the loss between two HOPs from their aggregate
+// receipts via the §6 join + patch-up pipeline, over the
+// commonly-bounded joined aggregates of the evidence. ok is false when
+// either HOP reported no aggregates.
+func (s *checkScope) lossBetween(a, b receipt.HOPID) (rep LossReport, ok bool) {
+	ra, rb := s.view.indexFor(a).aggReceipts(), s.view.indexFor(b).aggReceipts()
+	if len(ra) == 0 || len(rb) == 0 {
+		return rep, false
+	}
+	pairs := aggregation.Join(ra, rb)
+	rep.Migrations = aggregation.PatchUp(pairs)
+	rep.Pairs = s.boundedPairs(pairs, ra, rb)
+	for _, p := range rep.Pairs {
+		rep.In += int64(p.A.PktCnt)
+		rep.Lost += p.Lost()
+	}
+	return rep, true
+}
+
+// delaysBetween returns the per-packet delays (nanoseconds, as float64
+// for the statistics layer) across seg for the packets its Down HOP
+// claims and its Up HOP also sampled: Rb.Time − Ra.Time per common
+// PktID (§4, Receipt-based Statistics), in Down's first-arrival order.
+// Each sample thus contributes to exactly one scope's estimate.
+func (s *checkScope) delaysBetween(seg Segment) []float64 {
+	v := s.view
+	claimed := s.claimed(seg.Down)
+	_, sa := v.indexFor(seg.Up).snapshot()
+	_, sb := v.indexFor(seg.Down).snapshot()
+	if len(sa) == 0 || len(claimed) == 0 {
+		return nil
+	}
+	// Without MarkerThreshold the marker/σ-sample split is unknown and
+	// no sequential bias stream is collected — the same precondition
+	// the batch CheckMarkerBias has.
+	collectBias := s.seq != nil && v.cfg.MarkerThreshold != 0
+	var biasItems []seqdetect.Evidence
+	delays := make([]float64, 0, len(claimed))
+	for _, pid := range claimed {
+		if ta, ok := sa[pid]; ok {
+			d := float64(sb[pid] - ta)
+			delays = append(delays, d)
+			if collectBias {
+				biasItems = append(biasItems, seqdetect.Evidence{
+					Kind:  seqMarkerKind(pid, v.cfg.MarkerThreshold),
+					Value: d,
+				})
+			}
+		}
+	}
+	if collectBias {
+		s.seq.add(seqDomainScope(v.key, seg), seqdetect.ClassBias, biasItems)
+	}
+	return delays
+}
+
+// domainReport estimates one domain segment's loss and delay.
+func (s *checkScope) domainReport(seg Segment, qs []float64, confidence float64) (DomainReport, error) {
+	rep := DomainReport{Name: seg.Name, Ingress: seg.Up, Egress: seg.Down}
+	if seg.Partial {
+		// ECMP branch/merge point: the two HOPs see different subsets
+		// of the key's packets, so aggregate counts are not comparable
+		// (see Segment.Partial). Delay estimates below still are.
+		rep.PartialLoss = true
+	} else {
+		rep.Loss, _ = s.lossBetween(seg.Up, seg.Down)
+	}
+	delays := s.delaysBetween(seg)
+	rep.DelaySamples = len(delays)
+	if len(delays) > 0 {
+		ests, err := quantile.Quantiles(delays, qs, confidence)
+		if err != nil {
+			return rep, err
+		}
+		rep.DelayEstimates = ests
+	} else {
+		rep.DelayEstimateErr = "no matched samples"
+	}
+	return rep, nil
+}
+
+// The noise tolerance of the missing-record check: 5% of the matched
+// samples, floor 10 — an order of magnitude below what fabrication or
+// under-reporting lies produce, and above what heavy jitter causes on
+// honest links.
+const (
+	missingToleranceFraction = 0.05
+	missingToleranceFloor    = 10
+)
+
+// missingTolerance returns the number of unexplained missing sample
+// records a link check absorbs as noise before declaring
+// inconsistency. Reordering across a marker boundary legitimately
+// desynchronizes the sample sets of two honest HOPs for the packets
+// near the marker (§5.3), so missing records bounded by a small
+// fraction of the matched samples must not condemn a link.
+func missingTolerance(matched int) int {
+	return max(int(float64(matched)*missingToleranceFraction), missingToleranceFloor)
+}
+
+// reorderNoiseFloor bounds the symmetric §5.3 reordering noise a
+// missing-record check absorbs: one flipped marker desynchronizes up
+// to a temporary buffer's worth of sampling decisions — σ/µ samples in
+// expectation per direction — and the floor covers a few such events.
+// Used by both the batch CheckLink and the per-epoch link checks, so
+// the two pipelines judge honest jitter identically.
+func (v *Verifier) reorderNoiseFloor(up, down receipt.HOPID) int {
+	mu := v.cfg.MarkerThreshold
+	if mu == 0 {
+		return 0
+	}
+	muRate := hashing.RateForThreshold(mu)
+	if muRate <= 0 {
+		return 0
+	}
+	sigma := v.cfg.SampleThresholds[up]
+	if s, ok := v.cfg.SampleThresholds[down]; ok && (sigma == 0 || s < sigma) {
+		sigma = s // lower threshold = higher sampling rate = bigger buffers
+	}
+	if sigma == 0 {
+		return 0
+	}
+	perBuffer := hashing.RateForThreshold(sigma) / muRate
+	return int(4 * perBuffer)
+}
+
+// absorbSymmetricNoise splits a link check's missing-record counts
+// into the part absorbed as §5.3 reorder noise and the part to judge.
+// Reordering across a marker boundary desynchronizes the two ends'
+// sampling decisions symmetrically — each end samples ~σ/µ packets the
+// other did not, per flipped marker — so the symmetric component
+// min(down, up) is absorbed up to the floor; loss and lies are
+// asymmetric (a dropped packet is missing downstream only, a
+// fabricated one upstream only) and keep their full weight. A
+// symmetric component larger than the floor is judged in full.
+//
+// The absorption concedes a bounded window: an adversary that pairs k
+// suppressed records with k fabricated ones, k ≤ floor, hides 2k
+// records as noise — the same order as what the fractional tolerance
+// already forgives, and the paired fabrications still risk the
+// aggregate-count and delay-bound checks. The batch CheckLink and the
+// per-epoch epochLinkCheck share this one function so the two
+// pipelines can never drift apart in how they judge honest jitter.
+func absorbSymmetricNoise(missDown, missUp, floor int) (judgeDown, judgeUp int) {
+	sym := missDown
+	if missUp < sym {
+		sym = missUp
+	}
+	if sym > floor {
+		sym = 0 // too large even for reorder noise: judge in full
+	}
+	return missDown - sym, missUp - sym
+}
+
+// missingDetails renders the Detail strings of a link check's
+// missing-record inconsistencies. Both are constants of (up, down), and
+// the tolerance test discards most missing records unreported, so each
+// is formatted at most once per check, on first use, instead of once
+// per missing packet.
+type missingDetails struct {
+	up, down             receipt.HOPID
+	downstream, upstream string
+}
+
+func (d *missingDetails) missingDownstream() string {
+	if d.downstream == "" {
+		d.downstream = fmt.Sprintf("delivered by %v, unreported by %v", d.up, d.down)
+	}
+	return d.downstream
+}
+
+func (d *missingDetails) missingUpstream() string {
+	if d.upstream == "" {
+		d.upstream = fmt.Sprintf("reported received by %v, never reported delivered by %v", d.down, d.up)
+	}
+	return d.upstream
+}
+
+// expectedSampled reports whether HOP `other` must have sampled packet
+// id, given that the HOP behind reporter's index ri sampled it. It
+// re-derives the Algorithm 1 decision: find the marker that keyed id
+// in the reporter's sample timeline (the first marker at or after id's
+// observation — markers are the samples whose digest exceeds the
+// system-wide µ, binary-searched on the index's cached marker
+// timeline) and test SampleFcn(id, marker) against other's advertised
+// σ. Markers themselves are always expected. Without deployment
+// constants the verifier is strict: everything is expected (correct
+// when all HOPs share one rate).
+func (v *Verifier) expectedSampled(ri *pathIndex, other receipt.HOPID, id uint64) bool {
+	mu := v.cfg.MarkerThreshold
+	if mu == 0 {
+		return true
+	}
+	if hashing.Exceeds(id, mu) {
+		return true // markers are always sampled everywhere
+	}
+	if v.cfg.SampleKeep != nil && !v.cfg.SampleKeep(id) {
+		// Thinned by the system-wide retention filter: no HOP's
+		// receipts carry it, regardless of sampling thresholds.
+		return false
+	}
+	sigma, ok := v.cfg.SampleThresholds[other]
+	if !ok {
+		return true
+	}
+	t, ok := ri.timeOf(id)
+	if !ok {
+		return true
+	}
+	marker, ok := markerAtOrAfter(ri.markerTimeline(mu), t)
+	if !ok {
+		// No marker followed: the reporter could not have sampled id
+		// through Algorithm 1 either; don't expect it elsewhere.
+		return false
+	}
+	return hashing.Exceeds(hashing.SampleFcn(id, marker), sigma)
+}

@@ -193,3 +193,31 @@ func (d *Deployment) KeyLayoutsFor(keep func(packet.PathKey) bool) map[packet.Pa
 	}
 	return out
 }
+
+// OwnedLinks applies the shared-link rule to one traffic key's route
+// layouts. ECMP routes of a key share links (their access legs), and a
+// shared link would get the identical verdict on every route — same
+// receipts, same key — so the first route that reaches an (Up, Down)
+// pair owns its verdict. Element r lists, ascending, the link ordinals
+// (Layout.Links indexes) route r owns. Batch mesh sweeps and per-epoch
+// rolling verification both walk this, so checks, violations and blame
+// tally distinct link verifications — not route multiplicity — in one
+// order: key → route → owned links → domains → AttributeBlame.
+func OwnedLinks(routes []Layout) [][]int {
+	owned := make([][]int, len(routes))
+	seen := make(map[[2]receipt.HOPID]bool)
+	for r, lay := range routes {
+		li := 0
+		for _, seg := range lay.Segments {
+			if seg.Kind != LinkSegment {
+				continue
+			}
+			if pair := [2]receipt.HOPID{seg.Up, seg.Down}; !seen[pair] {
+				seen[pair] = true
+				owned[r] = append(owned[r], li)
+			}
+			li++
+		}
+	}
+	return owned
+}

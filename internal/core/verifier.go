@@ -100,15 +100,6 @@ type VerifierConfig struct {
 	// SampleThresholds maps each HOP to its advertised σ. Missing
 	// entries fall back to strict mode for that HOP.
 	SampleThresholds map[receipt.HOPID]uint64
-	// MissingToleranceFraction and MissingToleranceFloor bound the
-	// unexplained missing sample records a link check absorbs as
-	// reordering noise (§5.3) before declaring inconsistency. Zero
-	// values select the defaults (5% of matched samples, floor 10) —
-	// an order of magnitude below what fabrication or under-reporting
-	// lies produce, and above what heavy jitter causes on honest
-	// links.
-	MissingToleranceFraction float64
-	MissingToleranceFloor    int
 	// SampleKeep, when non-nil, is the system-wide retention thinning
 	// filter of the streaming sketch backend (streamagg.KeepFilter's
 	// Keep): a sampled packet's record appears in receipts only when
@@ -270,18 +261,7 @@ func (v *Verifier) SampleCount(hop receipt.HOPID) int { return v.indexFor(hop).s
 // HOPs: Rb.Time − Ra.Time per common PktID (§4, Receipt-based
 // Statistics), in b's deterministic first-arrival packet order.
 func (v *Verifier) DelaysBetween(a, b receipt.HOPID) []float64 {
-	_, sa := v.indexFor(a).snapshot()
-	ub, sb := v.indexFor(b).snapshot()
-	if len(sa) == 0 || len(sb) == 0 {
-		return nil
-	}
-	out := make([]float64, 0, len(sb))
-	for _, id := range ub {
-		if ta, ok := sa[id]; ok {
-			out = append(out, float64(sb[id]-ta))
-		}
-	}
-	return out
+	return v.wholeStream().delaysBetween(Segment{Up: a, Down: b})
 }
 
 // MarkerBiasReport is the outcome of the marker-preference check — an
@@ -401,17 +381,9 @@ func (r LossReport) Rate() float64 {
 // LossBetween computes the loss between two HOPs from their aggregate
 // receipts via the §6 join + patch-up pipeline.
 func (v *Verifier) LossBetween(a, b receipt.HOPID) (LossReport, error) {
-	ra := v.indexFor(a).aggReceipts()
-	rb := v.indexFor(b).aggReceipts()
-	if len(ra) == 0 || len(rb) == 0 {
+	rep, ok := v.wholeStream().lossBetween(a, b)
+	if !ok {
 		return LossReport{}, fmt.Errorf("core: missing aggregate receipts between %v and %v", a, b)
-	}
-	pairs := aggregation.Join(ra, rb)
-	mig := aggregation.PatchUp(pairs)
-	rep := LossReport{Pairs: pairs, Migrations: mig}
-	for _, p := range pairs {
-		rep.In += int64(p.A.PktCnt)
-		rep.Lost += p.Lost()
 	}
 	return rep, nil
 }
@@ -443,234 +415,11 @@ func (lv LinkVerdict) String() string {
 	return fmt.Sprintf("link %v-%v: %d violations, e.g. %v", lv.Up, lv.Down, len(lv.Violations), lv.Violations[0])
 }
 
-// missingTolerance returns the number of unexplained missing sample
-// records a link check absorbs as noise before declaring
-// inconsistency. Reordering across a marker boundary legitimately
-// desynchronizes the sample sets of two honest HOPs for the packets
-// near the marker (§5.3), so missing records bounded by a small
-// fraction of the matched samples must not condemn a link.
-func (v *Verifier) missingTolerance(matched int) int {
-	frac := v.cfg.MissingToleranceFraction
-	if frac <= 0 {
-		frac = 0.05
-	}
-	floor := v.cfg.MissingToleranceFloor
-	if floor <= 0 {
-		floor = 10
-	}
-	tol := int(float64(matched) * frac)
-	if tol < floor {
-		tol = floor
-	}
-	return tol
-}
-
-// reorderNoiseFloor bounds the symmetric §5.3 reordering noise a
-// missing-record check absorbs: one flipped marker desynchronizes up
-// to a temporary buffer's worth of sampling decisions — σ/µ samples in
-// expectation per direction — and the floor covers a few such events.
-// Used by both the batch CheckLink and the per-epoch link checks, so
-// the two pipelines judge honest jitter identically.
-func (v *Verifier) reorderNoiseFloor(up, down receipt.HOPID) int {
-	mu := v.cfg.MarkerThreshold
-	if mu == 0 {
-		return 0
-	}
-	muRate := hashing.RateForThreshold(mu)
-	if muRate <= 0 {
-		return 0
-	}
-	sigma := v.cfg.SampleThresholds[up]
-	if s, ok := v.cfg.SampleThresholds[down]; ok && (sigma == 0 || s < sigma) {
-		sigma = s // lower threshold = higher sampling rate = bigger buffers
-	}
-	if sigma == 0 {
-		return 0
-	}
-	perBuffer := hashing.RateForThreshold(sigma) / muRate
-	return int(4 * perBuffer)
-}
-
-// absorbSymmetricNoise splits a link check's missing-record counts
-// into the part absorbed as §5.3 reorder noise and the part to judge.
-// Reordering across a marker boundary desynchronizes the two ends'
-// sampling decisions symmetrically — each end samples ~σ/µ packets the
-// other did not, per flipped marker — so the symmetric component
-// min(down, up) is absorbed up to the floor; loss and lies are
-// asymmetric (a dropped packet is missing downstream only, a
-// fabricated one upstream only) and keep their full weight. A
-// symmetric component larger than the floor is judged in full.
-//
-// The absorption concedes a bounded window: an adversary that pairs k
-// suppressed records with k fabricated ones, k ≤ floor, hides 2k
-// records as noise — the same order as what the fractional tolerance
-// already forgives, and the paired fabrications still risk the
-// aggregate-count and delay-bound checks. The batch CheckLink and the
-// per-epoch epochLinkCheck share this one function so the two
-// pipelines can never drift apart in how they judge honest jitter.
-func absorbSymmetricNoise(missDown, missUp, floor int) (judgeDown, judgeUp int) {
-	sym := missDown
-	if missUp < sym {
-		sym = missUp
-	}
-	if sym > floor {
-		sym = 0 // too large even for reorder noise: judge in full
-	}
-	return missDown - sym, missUp - sym
-}
-
-// missingDetails renders the Detail strings of a link check's
-// missing-record inconsistencies. Both are constants of (up, down), and
-// the tolerance test discards most missing records unreported, so each
-// is formatted at most once per check, on first use, instead of once
-// per missing packet.
-type missingDetails struct {
-	up, down             receipt.HOPID
-	downstream, upstream string
-}
-
-func (d *missingDetails) missingDownstream() string {
-	if d.downstream == "" {
-		d.downstream = fmt.Sprintf("delivered by %v, unreported by %v", d.up, d.down)
-	}
-	return d.downstream
-}
-
-func (d *missingDetails) missingUpstream() string {
-	if d.upstream == "" {
-		d.upstream = fmt.Sprintf("reported received by %v, never reported delivered by %v", d.down, d.up)
-	}
-	return d.upstream
-}
-
 // CheckLink verifies the receipts of the two HOPs at the ends of one
-// inter-domain link (§4): MaxDiff agreement, the timestamp bound on
-// commonly sampled packets, missing-record checks under the subset
-// property, and aggregate count equality over the joined aggregates.
-// Packets are visited in each HOP's first-arrival order, so the
-// verdict — including the order of its violations — is deterministic.
-//
-// Missing-record semantics: a packet the upstream HOP claims to have
-// delivered is expected in the downstream receipt exactly when the
-// downstream HOP's advertised sampling threshold would have selected
-// it (the verifier re-derives the Algorithm 1 decision). Expected but
-// missing records beyond a small reordering-noise tolerance are
-// inconsistencies — caused either by a faulty link or by a lie; the
-// two neighbors then debug the link, and if it is healthy the liar
-// stands exposed to the neighbor it implicated (§3.1).
+// inter-domain link over everything the verifier holds (see
+// checkScope.checkLink for the checks and their semantics).
 func (v *Verifier) CheckLink(up, down receipt.HOPID) LinkVerdict {
-	lv := LinkVerdict{Up: up, Down: down}
-	iu, id := v.indexFor(up), v.indexFor(down)
-	pu, hasU := iu.path()
-	pd, hasD := id.path()
-	if hasU && hasD && pu.MaxDiffNS != pd.MaxDiffNS {
-		lv.Violations = append(lv.Violations, receipt.Inconsistency{
-			Kind:   receipt.MaxDiffMismatch,
-			Detail: fmt.Sprintf("%v advertises %dns, %v advertises %dns", up, pu.MaxDiffNS, down, pd.MaxDiffNS),
-		})
-	}
-	maxDiff := pu.MaxDiffNS
-
-	uUniq, su := iu.snapshot()
-	dUniq, sd := id.snapshot()
-	detail := missingDetails{up: up, down: down}
-	var missingDown, missingUp []receipt.Inconsistency
-	for _, pid := range uUniq {
-		tu := su[pid]
-		td, ok := sd[pid]
-		if !ok {
-			if v.expectedSampled(iu, down, pid) {
-				missingDown = append(missingDown, receipt.Inconsistency{
-					Kind:   receipt.MissingDownstream,
-					PktID:  pid,
-					Detail: detail.missingDownstream(),
-				})
-			}
-			continue
-		}
-		lv.MatchedSamples++
-		if delta := td - tu; delta > maxDiff {
-			lv.Violations = append(lv.Violations, receipt.Inconsistency{
-				Kind:   receipt.DelayBound,
-				PktID:  pid,
-				Detail: fmt.Sprintf("link delta %dns exceeds MaxDiff %dns", delta, maxDiff),
-			})
-		}
-	}
-	for _, pid := range dUniq {
-		if _, ok := su[pid]; !ok {
-			if v.expectedSampled(id, up, pid) {
-				missingUp = append(missingUp, receipt.Inconsistency{
-					Kind:   receipt.MissingUpstream,
-					PktID:  pid,
-					Detail: detail.missingUpstream(),
-				})
-			}
-		}
-	}
-	lv.MissingDown, lv.MissingUp = len(missingDown), len(missingUp)
-	// Symmetric §5.3 reorder noise is absorbed before judging (see
-	// absorbSymmetricNoise); the mesh fixtures exposed that this batch
-	// check lacked the absorption the per-epoch check always had — an
-	// honest shared link under jitter could trip the one-sided
-	// tolerance (TestCheckLinkSymmetricReorderNoise).
-	tol := v.missingTolerance(lv.MatchedSamples)
-	judgeDown, judgeUp := absorbSymmetricNoise(lv.MissingDown, lv.MissingUp, v.reorderNoiseFloor(up, down))
-	if judgeDown > tol {
-		lv.Violations = append(lv.Violations, missingDown...)
-	}
-	if judgeUp > tol {
-		lv.Violations = append(lv.Violations, missingUp...)
-	}
-
-	// Aggregate counts across the link.
-	if ra, rb := iu.aggReceipts(), id.aggReceipts(); len(ra) > 0 && len(rb) > 0 {
-		pairs := aggregation.JoinAligned(ra, rb)
-		for _, p := range pairs {
-			lv.Violations = append(lv.Violations, receipt.CheckAggPair(p.A, p.B)...)
-		}
-	}
-	return lv
-}
-
-// expectedSampled reports whether HOP `other` must have sampled packet
-// id, given that the HOP behind reporter's index ri sampled it. It
-// re-derives the Algorithm 1 decision: find the marker that keyed id
-// in the reporter's sample timeline (the first marker at or after id's
-// observation — markers are the samples whose digest exceeds the
-// system-wide µ, binary-searched on the index's cached marker
-// timeline) and test SampleFcn(id, marker) against other's advertised
-// σ. Markers themselves are always expected. Without deployment
-// constants the verifier is strict: everything is expected (correct
-// when all HOPs share one rate).
-func (v *Verifier) expectedSampled(ri *pathIndex, other receipt.HOPID, id uint64) bool {
-	mu := v.cfg.MarkerThreshold
-	if mu == 0 {
-		return true
-	}
-	if hashing.Exceeds(id, mu) {
-		return true // markers are always sampled everywhere
-	}
-	if v.cfg.SampleKeep != nil && !v.cfg.SampleKeep(id) {
-		// Thinned by the system-wide retention filter: no HOP's
-		// receipts carry it, regardless of sampling thresholds.
-		return false
-	}
-	sigma, ok := v.cfg.SampleThresholds[other]
-	if !ok {
-		return true
-	}
-	t, ok := ri.timeOf(id)
-	if !ok {
-		return true
-	}
-	marker, ok := markerAtOrAfter(ri.markerTimeline(mu), t)
-	if !ok {
-		// No marker followed: the reporter could not have sampled id
-		// through Algorithm 1 either; don't expect it elsewhere.
-		return false
-	}
-	return hashing.Exceeds(hashing.SampleFcn(id, marker), sigma)
+	return v.wholeStream().checkLink(0, up, down)
 }
 
 // VerifyAllLinks checks every inter-domain link on the path, spreading
@@ -684,10 +433,9 @@ func (v *Verifier) VerifyAllLinks() []LinkVerdict {
 		return nil
 	}
 	out := make([]LinkVerdict, len(links))
+	whole := v.wholeStream()
 	runParallel(resolveWorkers(v.cfg.Workers), len(links), func(i int) {
-		lv := v.CheckLink(links[i].Up, links[i].Down)
-		lv.LinkID = i
-		out[i] = lv
+		out[i] = whole.checkLink(i, links[i].Up, links[i].Down)
 	})
 	return out
 }
@@ -715,7 +463,7 @@ func (v *Verifier) DomainReport(name string, qs []float64, confidence float64) (
 	if !ok {
 		return DomainReport{}, fmt.Errorf("core: no domain %q in layout", name)
 	}
-	return v.domainReport(seg, qs, confidence)
+	return v.wholeStream().domainReport(seg, qs, confidence)
 }
 
 // DomainReports estimates every transit domain on the path, in path
@@ -731,8 +479,9 @@ func (v *Verifier) DomainReports(qs []float64, confidence float64) ([]DomainRepo
 	}
 	out := make([]DomainReport, len(segs))
 	errs := make([]error, len(segs))
+	whole := v.wholeStream()
 	runParallel(resolveWorkers(v.cfg.Workers), len(segs), func(i int) {
-		out[i], errs[i] = v.domainReport(segs[i], qs, confidence)
+		out[i], errs[i] = whole.domainReport(segs[i], qs, confidence)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -740,26 +489,4 @@ func (v *Verifier) DomainReports(qs []float64, confidence float64) ([]DomainRepo
 		}
 	}
 	return out, nil
-}
-
-// domainReport estimates one domain segment's loss and delay.
-func (v *Verifier) domainReport(seg Segment, qs []float64, confidence float64) (DomainReport, error) {
-	rep := DomainReport{Name: seg.Name, Ingress: seg.Up, Egress: seg.Down}
-	if seg.Partial {
-		rep.PartialLoss = true
-	} else if loss, err := v.LossBetween(seg.Up, seg.Down); err == nil {
-		rep.Loss = loss
-	}
-	delays := v.DelaysBetween(seg.Up, seg.Down)
-	rep.DelaySamples = len(delays)
-	if len(delays) > 0 {
-		ests, err := quantile.Quantiles(delays, qs, confidence)
-		if err != nil {
-			return rep, err
-		}
-		rep.DelayEstimates = ests
-	} else {
-		rep.DelayEstimateErr = "no matched samples"
-	}
-	return rep, nil
 }

@@ -306,30 +306,15 @@ func TestMergedViewTracksLaterIngest(t *testing.T) {
 	}
 }
 
-// TestMissingToleranceDefaultsAndOverrides covers the §5.3 noise
-// tolerance arithmetic directly.
-func TestMissingToleranceDefaultsAndOverrides(t *testing.T) {
-	v := NewVerifier(Layout{})
-	// Zero config: floor 10, 5% fraction.
+// TestMissingToleranceDefaults covers the §5.3 noise tolerance
+// arithmetic directly: floor 10, 5% of the matched samples.
+func TestMissingToleranceDefaults(t *testing.T) {
 	for _, tc := range []struct{ matched, want int }{
 		{0, 10}, {1, 10}, {199, 10}, {200, 10}, {201, 10}, {400, 20}, {10000, 500},
 	} {
-		if got := v.missingTolerance(tc.matched); got != tc.want {
-			t.Errorf("default tolerance(%d) = %d, want %d", tc.matched, got, tc.want)
+		if got := missingTolerance(tc.matched); got != tc.want {
+			t.Errorf("tolerance(%d) = %d, want %d", tc.matched, got, tc.want)
 		}
-	}
-	// Explicit config.
-	v.SetConfig(VerifierConfig{MissingToleranceFraction: 0.5, MissingToleranceFloor: 2})
-	if got := v.missingTolerance(10); got != 5 {
-		t.Errorf("tolerance(10) at 50%%/floor2 = %d, want 5", got)
-	}
-	if got := v.missingTolerance(2); got != 2 {
-		t.Errorf("tolerance(2) at 50%%/floor2 = %d, want floor 2", got)
-	}
-	// Negative values fall back to the defaults.
-	v.SetConfig(VerifierConfig{MissingToleranceFraction: -1, MissingToleranceFloor: -1})
-	if got := v.missingTolerance(10000); got != 500 {
-		t.Errorf("negative config tolerance(10000) = %d, want default 500", got)
 	}
 }
 

@@ -615,7 +615,7 @@ func NewRollingVerifier(layout Layout, cfg VerifierConfig, win *WindowedStore, q
 // VerifyEpoch verifies one sealed epoch and marks it verified: every
 // traffic key with receipts sealed in the epoch gets the scoped §4
 // link checks and per-domain estimates (claims from the epoch,
-// evidence from the ±1 window — see epochverify.go). An epoch with no
+// evidence from the ±1 window — see linkcheck.go). An epoch with no
 // traffic yields an empty report. Keys within the report verify on a
 // VerifierConfig.Workers pool; reports are identical at any pool size.
 func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
@@ -639,36 +639,22 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		return rep, rv.win.MarkVerified(epoch)
 	}
 	// One work item per (key, route layout): a linear path has exactly
-	// one layout per key; a mesh key verifies once per ECMP route.
-	// Links shared by a key's routes (the ECMP access legs) carry one
-	// verdict — on the first route that reaches them — so per-epoch
+	// one layout per key; a mesh key verifies once per ECMP route, each
+	// route checking the links it owns (see OwnedLinks) — so per-epoch
 	// violation and blame counts tally distinct link verifications,
 	// exactly like the batch sweep.
 	type keyWork struct {
 		key    packet.PathKey
 		layout Layout
 		route  int
-		// skip holds the layout's link ordinals already verified on an
-		// earlier route of the same key.
-		skip map[int]bool
+		links  []int // the layout's link ordinals this route owns
 	}
 	var work []keyWork
 	for _, key := range keys {
-		seen := make(map[[2]receipt.HOPID]bool)
-		for ri, lay := range rv.layoutsFor(key) {
-			var skip map[int]bool
-			for li, l := range lay.Links() {
-				pair := [2]receipt.HOPID{l.Up, l.Down}
-				if seen[pair] {
-					if skip == nil {
-						skip = make(map[int]bool)
-					}
-					skip[li] = true
-					continue
-				}
-				seen[pair] = true
-			}
-			work = append(work, keyWork{key: key, layout: lay, route: ri, skip: skip})
+		layouts := rv.layoutsFor(key)
+		owned := OwnedLinks(layouts)
+		for ri, lay := range layouts {
+			work = append(work, keyWork{key: key, layout: lay, route: ri, links: owned[ri]})
 		}
 	}
 	rep.Keys = make([]EpochKeyReport, len(work))
@@ -687,7 +673,7 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		key, layout := work[i].key, work[i].layout
 		v := NewVerifierOn(layout, view, key)
 		v.SetConfig(rv.cfg)
-		scope := &epochScope{
+		scope := &checkScope{
 			view:   v,
 			claims: claims,
 			// The view spans max(0, epoch−1)..epoch+1, so it reaches
@@ -699,14 +685,12 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 			scope.seq = seqCols[i]
 		}
 		kr := EpochKeyReport{Key: key, Route: work[i].route}
-		for li, l := range layout.Links() {
-			if work[i].skip[li] {
-				continue
-			}
-			kr.Links = append(kr.Links, scope.epochLinkCheck(key, li, l.Up, l.Down))
+		links := layout.Links()
+		for _, li := range work[i].links {
+			kr.Links = append(kr.Links, scope.checkLink(li, links[li].Up, links[li].Down))
 		}
 		for _, seg := range layout.DomainSegments() {
-			dr, err := scope.epochDomainReport(key, seg, rv.quantiles, rv.confidence)
+			dr, err := scope.domainReport(seg, rv.quantiles, rv.confidence)
 			if err != nil {
 				errs[i] = fmt.Errorf("core: epoch %d key %v: %w", epoch, key, err)
 				return

@@ -229,24 +229,17 @@ func (w *topoWorld) topoSweep(workers int, confidence float64) (string, map[pack
 	checks := 0
 	var text strings.Builder
 	for _, key := range w.fgKeys {
-		// ECMP routes of one key share their access legs; the shared
-		// links would get identical verdicts on every route (same
-		// store, same key). Check each (Up, Down) pair once — on the
-		// first route that reaches it — so checks, violations, blame
-		// counts AND the timed work all tally distinct link
-		// verifications, not route multiplicity.
-		seen := make(map[[2]receipt.HOPID]bool)
+		// Each (Up, Down) pair is checked once, on the route that owns it,
+		// so checks, violations, blame counts AND the timed work all tally
+		// distinct link verifications, not route multiplicity.
+		owned := core.OwnedLinks(keyLayouts[key])
 		for ri, layout := range keyLayouts[key] {
 			v := core.NewVerifierOn(layout, w.store, key)
 			v.SetConfig(vc)
+			links := layout.Links()
 			var kept []core.LinkVerdict
-			for li, l := range layout.Links() {
-				pair := [2]receipt.HOPID{l.Up, l.Down}
-				if seen[pair] {
-					continue
-				}
-				seen[pair] = true
-				lv := v.CheckLink(l.Up, l.Down)
+			for _, li := range owned[ri] {
+				lv := v.CheckLink(links[li].Up, links[li].Down)
 				lv.LinkID = li
 				kept = append(kept, lv)
 			}
