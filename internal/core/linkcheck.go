@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"vpm/internal/aggregation"
 	"vpm/internal/hashing"
@@ -78,9 +79,11 @@ func (v *Verifier) wholeStream() *checkScope {
 // claimed returns the packets hop vouches for in this scope, in
 // first-arrival order.
 func (s *checkScope) claimed(hop receipt.HOPID) []uint64 {
-	pi := s.view.indexFor(hop)
+	var pi *pathIndex
 	if s.claims != nil {
 		pi = s.claims.lookup(hop, s.view.key)
+	} else {
+		pi = s.view.indexFor(hop)
 	}
 	uniq, _ := pi.snapshot()
 	return uniq
@@ -129,7 +132,7 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 		tu := su[pid]
 		td, ok := sd[pid]
 		if !ok {
-			if v.expectedSampled(iu, down, pid) {
+			if v.expectedSampled(iu, id, down, maxDiff, pid) {
 				missingDown = append(missingDown, receipt.Inconsistency{
 					Kind:   receipt.MissingDownstream,
 					PktID:  pid,
@@ -158,7 +161,7 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 	}
 	for _, pid := range s.claimed(down) {
 		if _, ok := su[pid]; !ok {
-			if v.expectedSampled(id, up, pid) {
+			if v.expectedSampled(id, iu, up, maxDiff, pid) {
 				missingUp = append(missingUp, receipt.Inconsistency{
 					Kind:   receipt.MissingUpstream,
 					PktID:  pid,
@@ -179,16 +182,11 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 		s.seq.add(sc, seqdetect.ClassFabricate, fabItems)
 	}
 	lv.MissingDown, lv.MissingUp = len(missingDown), len(missingUp)
-	// Symmetric §5.3 reorder noise is absorbed before judging (see
-	// absorbSymmetricNoise); asymmetric excess — real loss or lies —
-	// keeps its full weight (TestCheckLinkSymmetricReorderNoise,
-	// TestRollingVerifierFlagsFaultyLink).
 	tol := missingTolerance(lv.MatchedSamples)
-	judgeDown, judgeUp := absorbSymmetricNoise(lv.MissingDown, lv.MissingUp, v.reorderNoiseFloor(up, down))
-	if judgeDown > tol {
+	if lv.MissingDown > tol {
 		lv.Violations = append(lv.Violations, missingDown...)
 	}
-	if judgeUp > tol {
+	if lv.MissingUp > tol {
 		lv.Violations = append(lv.Violations, missingUp...)
 	}
 
@@ -335,60 +333,6 @@ func missingTolerance(matched int) int {
 	return max(int(float64(matched)*missingToleranceFraction), missingToleranceFloor)
 }
 
-// reorderNoiseFloor bounds the symmetric §5.3 reordering noise a
-// missing-record check absorbs: one flipped marker desynchronizes up
-// to a temporary buffer's worth of sampling decisions — σ/µ samples in
-// expectation per direction — and the floor covers a few such events.
-// Used by both the batch CheckLink and the per-epoch link checks, so
-// the two pipelines judge honest jitter identically.
-func (v *Verifier) reorderNoiseFloor(up, down receipt.HOPID) int {
-	mu := v.cfg.MarkerThreshold
-	if mu == 0 {
-		return 0
-	}
-	muRate := hashing.RateForThreshold(mu)
-	if muRate <= 0 {
-		return 0
-	}
-	sigma := v.cfg.SampleThresholds[up]
-	if s, ok := v.cfg.SampleThresholds[down]; ok && (sigma == 0 || s < sigma) {
-		sigma = s // lower threshold = higher sampling rate = bigger buffers
-	}
-	if sigma == 0 {
-		return 0
-	}
-	perBuffer := hashing.RateForThreshold(sigma) / muRate
-	return int(4 * perBuffer)
-}
-
-// absorbSymmetricNoise splits a link check's missing-record counts
-// into the part absorbed as §5.3 reorder noise and the part to judge.
-// Reordering across a marker boundary desynchronizes the two ends'
-// sampling decisions symmetrically — each end samples ~σ/µ packets the
-// other did not, per flipped marker — so the symmetric component
-// min(down, up) is absorbed up to the floor; loss and lies are
-// asymmetric (a dropped packet is missing downstream only, a
-// fabricated one upstream only) and keep their full weight. A
-// symmetric component larger than the floor is judged in full.
-//
-// The absorption concedes a bounded window: an adversary that pairs k
-// suppressed records with k fabricated ones, k ≤ floor, hides 2k
-// records as noise — the same order as what the fractional tolerance
-// already forgives, and the paired fabrications still risk the
-// aggregate-count and delay-bound checks. The batch CheckLink and the
-// per-epoch epochLinkCheck share this one function so the two
-// pipelines can never drift apart in how they judge honest jitter.
-func absorbSymmetricNoise(missDown, missUp, floor int) (judgeDown, judgeUp int) {
-	sym := missDown
-	if missUp < sym {
-		sym = missUp
-	}
-	if sym > floor {
-		sym = 0 // too large even for reorder noise: judge in full
-	}
-	return missDown - sym, missUp - sym
-}
-
 // missingDetails renders the Detail strings of a link check's
 // missing-record inconsistencies. Both are constants of (up, down), and
 // the tolerance test discards most missing records unreported, so each
@@ -413,8 +357,8 @@ func (d *missingDetails) missingUpstream() string {
 	return d.upstream
 }
 
-// expectedSampled reports whether HOP `other` must have sampled packet
-// id, given that the HOP behind reporter's index ri sampled it. It
+// expectedSampled reports whether HOP `other` (index oi) must have
+// sampled packet id, given that the reporter (index ri) sampled it. It
 // re-derives the Algorithm 1 decision: find the marker that keyed id
 // in the reporter's sample timeline (the first marker at or after id's
 // observation — markers are the samples whose digest exceeds the
@@ -423,7 +367,18 @@ func (d *missingDetails) missingUpstream() string {
 // σ. Markers themselves are always expected. Without deployment
 // constants the verifier is strict: everything is expected (correct
 // when all HOPs share one rate).
-func (v *Verifier) expectedSampled(ri *pathIndex, other receipt.HOPID, id uint64) bool {
+//
+// §5.3, markers reordered in flight: when the deciding marker M and the
+// marker N after it crossed the link in the opposite order, the other
+// end closed id's whole temporary buffer with N, not M — one inversion
+// desynchronizes a buffer's worth of decisions, however long the buffer
+// had been filling. The receipts say when that happened: both ends
+// report every marker, so if other reported M and N and timestamped N
+// first, id is judged against N. Only markers both ends reported, no
+// farther apart than the link's advertised MaxDiff (reordering beyond
+// it is itself a violation), are honoured, so neither end can name a
+// deciding marker the other did not see.
+func (v *Verifier) expectedSampled(ri, oi *pathIndex, other receipt.HOPID, maxDiff int64, id uint64) bool {
 	mu := v.cfg.MarkerThreshold
 	if mu == 0 {
 		return true
@@ -444,11 +399,22 @@ func (v *Verifier) expectedSampled(ri *pathIndex, other receipt.HOPID, id uint64
 	if !ok {
 		return true
 	}
-	marker, ok := markerAtOrAfter(ri.markerTimeline(mu), t)
-	if !ok {
+	// Ties on the timeline are broken by arrival order (stable sort).
+	markers := ri.markerTimeline(mu)
+	i := sort.Search(len(markers), func(i int) bool { return markers[i].TimeNS >= t })
+	if i == len(markers) {
 		// No marker followed: the reporter could not have sampled id
 		// through Algorithm 1 either; don't expect it elsewhere.
 		return false
 	}
-	return hashing.Exceeds(hashing.SampleFcn(id, marker), sigma)
+	marker := markers[i]
+	if i+1 < len(markers) && markers[i+1].TimeNS-marker.TimeNS <= maxDiff {
+		next := markers[i+1]
+		tm, okM := oi.timeOf(marker.PktID)
+		tn, okN := oi.timeOf(next.PktID)
+		if okM && okN && tn < tm {
+			marker = next
+		}
+	}
+	return hashing.Exceeds(hashing.SampleFcn(id, marker.PktID), sigma)
 }

@@ -468,15 +468,14 @@ func TestLinkDomainsHyphenNames(t *testing.T) {
 	}
 }
 
-// TestCheckLinkSymmetricReorderNoise is the regression test for the
-// batch/epoch noise-floor mismatch the mesh fixtures exposed: §5.3
-// marker-boundary reordering desynchronizes two honest HOPs' sample
-// sets symmetrically (each end records some packets the other did
-// not), and the batch CheckLink used to judge each direction in
-// isolation — an honest jittery link with ~40 missing records each way
-// read as two-sided fabrication. The symmetric component must be
-// absorbed up to the σ/µ-scaled floor; asymmetric excess (real loss or
-// lies) keeps its full weight.
+// TestCheckLinkSymmetricReorderNoise pins what a link check does with
+// missing records the receipts do not explain. The check once absorbed
+// a symmetric component (each end recording ~40 packets the other did
+// not) as §5.3 reorder noise under a σ/µ-scaled floor; marker-order
+// inversions are now derived from the receipts themselves
+// (TestCheckLinkMarkerInversion), so nothing is budgeted: symmetric or
+// not, unexplained divergence beyond the tolerance is flagged, with the
+// counts surfaced.
 func TestCheckLinkSymmetricReorderNoise(t *testing.T) {
 	const (
 		markerRate = 0.004
@@ -518,19 +517,20 @@ func TestCheckLinkSymmetricReorderNoise(t *testing.T) {
 		return v
 	}
 
-	// Symmetric 40/40 (floor is 4·σ/µ = 50): honest reorder noise.
+	// Symmetric 40/40 with no marker inversion in the receipts: no
+	// budget covers it.
 	lv := build(40, 40).CheckLink(1, 2)
-	if !lv.Consistent() {
-		t.Fatalf("symmetric reorder noise flagged as violation: %v", lv)
+	if lv.Consistent() {
+		t.Fatal("unexplained symmetric divergence was absorbed as noise")
 	}
 	if lv.MissingDown != 40 || lv.MissingUp != 40 {
 		t.Fatalf("missing counts not surfaced: %+v", lv)
 	}
-	// Asymmetric 80/0: suppression-shaped, must still be flagged.
+	// Asymmetric 80/0: suppression-shaped, flagged.
 	if lv := build(80, 0).CheckLink(1, 2); lv.Consistent() {
 		t.Fatal("asymmetric missing records were absorbed as noise")
 	}
-	// Symmetric but huge (80/80 > floor): judged in full, flagged.
+	// Symmetric and huge (80/80): flagged.
 	if lv := build(80, 80).CheckLink(1, 2); lv.Consistent() {
 		t.Fatal("oversized symmetric divergence was absorbed as noise")
 	}

@@ -276,17 +276,6 @@ func (pi *pathIndex) rebuildLocked() {
 	pi.markers = nil // timeline derives from ordered; rebuild on demand
 }
 
-// markerAtOrAfter returns the PktID of the earliest marker observed at
-// or after t on the timeline (ties broken by arrival order), or false
-// when no marker followed.
-func markerAtOrAfter(timeline []receipt.SampleRecord, t int64) (uint64, bool) {
-	i := sort.Search(len(timeline), func(i int) bool { return timeline[i].TimeNS >= t })
-	if i == len(timeline) {
-		return 0, false
-	}
-	return timeline[i].PktID, true
-}
-
 // runParallel executes fn(0..n-1) on min(workers, n) goroutines.
 // workers <= 1 runs inline. Tasks are claimed from a shared counter,
 // so callers get determinism by writing results into index i — never

@@ -50,6 +50,32 @@ func TestRunContinuous(t *testing.T) {
 	}
 }
 
+// TestRunContinuousHonestMarkerInversion replays the honest Fig1 run
+// that used to blame innocent links: at seed 1 and 100 kpps, epoch 172
+// holds a 71 ms inter-marker gap (~70 σ-samples in one temporary
+// buffer) closed by two markers 45 µs apart that swap order across a
+// link, so its two ends key the whole buffer with different markers —
+// 282 violations at epoch 172 and 198 at 175 before the link check
+// derived the inversion from the receipts.
+func TestRunContinuousHonestMarkerInversion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("180 epochs at 100 kpps (~4 s)")
+	}
+	cfg := Config{Seed: 1, RatePPS: 100_000, DurationNS: 250_000_000}
+	ec := core.EpochConfig{IntervalNS: 250_000_000, Retention: 2, Workers: 1, Shards: 1}
+	res, err := RunContinuous(cfg, ec, 180, func(rep core.EpochReport, _ core.WindowStats) {
+		if n := rep.Violations(); n != 0 {
+			t.Errorf("honest epoch %d: %d violations", rep.Epoch, n)
+		}
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violations != 0 || len(res.Unverified) != 0 {
+		t.Fatalf("honest run: %d violations, unverified epochs %v", res.Violations, res.Unverified)
+	}
+}
+
 // TestRunContinuousValidation: the engine rejects broken epoch
 // configurations up front.
 func TestRunContinuousValidation(t *testing.T) {
