@@ -57,14 +57,18 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
+	"runtime"
 	"syscall"
 	"time"
 
 	"vpm/internal/core"
-	"vpm/internal/experiments"
+	"vpm/internal/dissem"
+	"vpm/internal/engine"
+	"vpm/internal/netsim"
+	"vpm/internal/receipt"
 	"vpm/internal/segstore"
 	"vpm/internal/seqdetect"
+	"vpm/internal/trace"
 )
 
 // BootError wraps a failure to establish the durable store at boot.
@@ -177,7 +181,6 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Seed: *seed, RatePPS: *rate, DurationNS: interval.Nanoseconds()}
 	ec := core.EpochConfig{
 		IntervalNS: interval.Nanoseconds(),
 		Retention:  *retention,
@@ -187,107 +190,144 @@ func main() {
 	if err := ec.Validate(); err != nil {
 		fatal(err)
 	}
-
-	var seqVerdicts atomic.Int64
-	onEpoch := func(rep core.EpochReport, ws core.WindowStats) {
-		seqVerdicts.Add(int64(len(rep.Seq)))
-		if *quiet || *jsonOut {
-			return
-		}
-		fmt.Printf("epoch %3d: keys=%d matched=%d violations=%d window=%d segs (%d gced)",
-			rep.Epoch, len(rep.Keys), rep.MatchedSamples(), rep.Violations(), ws.Segments, ws.Evicted)
-		for _, k := range rep.Keys {
-			for _, dom := range k.Domains {
-				if len(dom.DelayEstimates) > 0 {
-					fmt.Printf("  %s: loss=%.3f%% p50=%.2fms",
-						dom.Name, dom.Loss.Rate()*100, dom.DelayEstimates[0].Point/1e6)
-					break // one headline domain per line keeps it readable
-				}
-			}
-			break
-		}
-		fmt.Println()
-		// Early sequential verdicts land in the epoch whose seal
-		// crossed the SPRT threshold — often a fraction of an epoch
-		// after the lie started, and before any batch judgment.
-		for _, v := range rep.Seq {
-			where := fmt.Sprintf("link %d->%d", v.Up, v.Down)
-			if v.Domain != "" {
-				where = "domain " + v.Domain
-			}
-			fmt.Printf("epoch %3d: SEQ VERDICT %s on %s key=%s at %.2f epochs (stat %.1f, n=%d, α=%.0e β=%.0e)\n",
-				rep.Epoch, v.Class, where, v.Key, v.EpochsToVerdict(), v.Stat, v.N, v.Alpha, v.Beta)
-		}
+	if *epochs < 1 {
+		fatal(fmt.Errorf("need at least one epoch, got %d", *epochs))
+	}
+	// A zero seed or rate has always selected seed 1 and 100 kpps.
+	if *seed == 0 {
+		*seed = 1
+	}
+	if *rate == 0 {
+		*rate = 100000
 	}
 
-	opts := experiments.ContinuousOptions{
-		OnEpoch: onEpoch,
-		Stop:    stop,
-		Ctx:     ctx,
+	// The world: the Fig1 path with a collector on every HOP, its
+	// foreground trace, and one signing bundle server per HOP on an
+	// in-memory bus.
+	tc := trace.Config{
+		Seed:       *seed,
+		DurationNS: int64(*epochs) * ec.IntervalNS,
+		Paths:      []trace.PathSpec{trace.DefaultPath(*rate)},
 	}
-	if store != nil {
-		opts.Backend = segstore.Backend{Store: store}
+	gen, err := trace.NewGenerator(tc)
+	if err != nil {
+		fatal(err)
 	}
-	if *pace {
-		opts.Pace = *interval
+	path := netsim.Fig1Path(*seed + 1000)
+	dc := core.DefaultDeployConfig()
+	dc.Shards = ec.Shards
+	dep, err := core.NewDeployment(path, tc.Table(), dc)
+	if err != nil {
+		fatal(err)
 	}
+	hops := dep.HOPs()
+	bus := engine.NewBusTransport(hops, func(h receipt.HOPID) *dissem.Signer {
+		var keySeed [32]byte
+		keySeed[0], keySeed[1] = byte(*seed), byte(h)
+		return dissem.NewSigner(keySeed)
+	})
+
+	vc := dep.VerifierConfig()
+	vc.Workers = ec.Workers
 	if *seq {
 		sc := seqdetect.DefaultConfig()
-		opts.Sequential = &sc
+		vc.Sequential = &sc
 	}
-
-	start := time.Now()
-	res, err := experiments.RunContinuousOpts(cfg, ec, *epochs, opts)
+	st := engine.Store{HOPs: hops, Retention: ec.Retention}
+	if store != nil {
+		st.Backend = segstore.Backend{Store: store}
+	}
+	ver, err := engine.NewVerify(st, engine.Checks{Config: vc, Layout: dep.Layout()})
 	if err != nil {
+		fatal(err)
+	}
+	ver.Feeds = bus.Feeds()
+	seqVerdicts := 0
+	ver.OnEpoch = func(rep core.EpochReport, ws core.WindowStats) {
+		seqVerdicts += len(rep.Seq)
+		if !*quiet && !*jsonOut {
+			printEpoch(rep, ws)
+		}
+	}
+	col, err := engine.NewCollect(dep, hops, ec.IntervalNS, 0, bus.Sink())
+	if err != nil {
+		fatal(err)
+	}
+	sim, err := engine.PathSim(path, nil)
+	if err != nil {
+		fatal(err)
+	}
+	// Per-epoch ingest wall time (simulation + rotation + publication;
+	// verification overlaps the next epoch), and with -pace the sleep
+	// that stretches each epoch to one interval of wall clock — still
+	// answering the stop signal and cancellation promptly.
+	var wallSum, wallMax time.Duration
+	start := time.Now()
+	segStart := start
+	col.AfterSegment = func(ctx context.Context) error {
+		wall := time.Since(segStart)
+		wallSum += wall
+		wallMax = max(wallMax, wall)
+		if remain := *interval - wall; *pace && remain > 0 {
+			timer := time.NewTimer(remain)
+			defer timer.Stop()
+			select {
+			case <-timer.C:
+			case <-stop:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		segStart = time.Now()
+		return nil
+	}
+	if err := col.Run(ctx, engine.EpochSource(gen, ec.IntervalNS, *epochs, stop), sim, ver); err != nil {
 		fatal(err)
 	}
 	wall := time.Since(start)
 
-	if len(res.Reports)+res.RecoveredEpochs != res.EpochsSealed {
+	sealed, recovered := int(col.Terminal)+1, int(ver.Window.Recovered())
+	if ver.Epochs+recovered != sealed {
 		// Every sealed epoch — each simulated interval plus the
 		// terminal spill — must have been verified before shutdown,
 		// or recovered already-verified from the durable store.
-		fatal(fmt.Errorf("sealed %d epochs but verified %d and recovered %d",
-			res.EpochsSealed, len(res.Reports), res.RecoveredEpochs))
+		fatal(fmt.Errorf("sealed %d epochs but verified %d and recovered %d", sealed, ver.Epochs, recovered))
 	}
+	window := ver.Window.Stats()
+	// Steady-state heap: drop the trace machinery, keep the window.
+	gen = nil
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	heapMB := float64(ms.HeapAlloc) / (1 << 20)
+	runtime.KeepAlive(ver)
 
 	if *jsonOut {
-		// EpochsRow keeps the vpm-bench -run epochs schema (BENCH_*.json)
-		// so the two outputs cannot drift apart; the durable-store fields
-		// ride alongside.
-		row := experiments.EpochsRow{
-			Mode:           "continuous",
-			Epochs:         res.EpochsRun,
-			IntervalMS:     float64(interval.Nanoseconds()) / 1e6,
-			Retention:      *retention,
-			Packets:        res.Packets,
-			SampleReceipts: res.SampleReceipts,
-			AggReceipts:    res.AggReceipts,
-			MatchedSamples: res.MatchedSamples,
-			Violations:     res.Violations,
-			WallMS:         float64(wall.Nanoseconds()) / 1e6,
-			EpochsPerSec:   float64(res.EpochsRun) / wall.Seconds(),
-			HeapMB:         float64(res.HeapAllocBytes) / (1 << 20),
-			SegmentsHeld:   res.Window.Segments,
-			SegmentsGCed:   res.Window.Evicted,
+		// The first sixteen fields are the vpm-bench -run epochs row
+		// (experiments.EpochsRow, BENCH_*.json), tag for tag; the
+		// durable-store fields ride alongside.
+		out := summary{
+			Mode:            "continuous",
+			Epochs:          col.Segments,
+			IntervalMS:      float64(interval.Nanoseconds()) / 1e6,
+			Retention:       *retention,
+			Packets:         col.Packets,
+			SampleReceipts:  int(bus.Samples.Load()),
+			AggReceipts:     int(bus.Aggs.Load()),
+			MatchedSamples:  ver.MatchedSamples,
+			Violations:      ver.Violations,
+			WallMS:          float64(wall.Nanoseconds()) / 1e6,
+			EpochsPerSec:    float64(col.Segments) / wall.Seconds(),
+			MaxEpochMS:      float64(wallMax.Nanoseconds()) / 1e6,
+			HeapMB:          heapMB,
+			SegmentsHeld:    window.Segments,
+			SegmentsGCed:    window.Evicted,
+			RecoveredEpochs: recovered,
+			SeqVerdicts:     seqVerdicts,
 		}
-		var sum, max time.Duration
-		for _, d := range res.EpochWall {
-			sum += d
-			if d > max {
-				max = d
-			}
+		if col.Segments > 0 {
+			out.MeanEpochMS = float64(wallSum.Nanoseconds()) / float64(col.Segments) / 1e6
 		}
-		if n := len(res.EpochWall); n > 0 {
-			row.MeanEpochMS = float64(sum.Nanoseconds()) / float64(n) / 1e6
-			row.MaxEpochMS = float64(max.Nanoseconds()) / 1e6
-		}
-		out := struct {
-			experiments.EpochsRow
-			RecoveredEpochs int             `json:"recovered_epochs"`
-			SeqVerdicts     int64           `json:"seq_verdicts,omitempty"`
-			Store           *segstore.Stats `json:"store,omitempty"`
-		}{EpochsRow: row, RecoveredEpochs: res.RecoveredEpochs, SeqVerdicts: seqVerdicts.Load()}
 		if store != nil {
 			st := store.StoreStats()
 			out.Store = &st
@@ -300,18 +340,70 @@ func main() {
 		return
 	}
 	fmt.Printf("vpm-node: %d epochs (%v each) over %d packets in %v — %.1f epochs/s sustained\n",
-		res.EpochsRun, *interval, res.Packets, wall.Round(time.Millisecond),
-		float64(res.EpochsRun)/wall.Seconds())
+		col.Segments, *interval, col.Packets, wall.Round(time.Millisecond),
+		float64(col.Segments)/wall.Seconds())
 	fmt.Printf("vpm-node: %d sample + %d aggregate receipts, %d matched samples, %d violations\n",
-		res.SampleReceipts, res.AggReceipts, res.MatchedSamples, res.Violations)
+		bus.Samples.Load(), bus.Aggs.Load(), ver.MatchedSamples, ver.Violations)
 	fmt.Printf("vpm-node: window holds %d segments (%d evicted), steady-state heap %.1f MB\n",
-		res.Window.Segments, res.Window.Evicted, float64(res.HeapAllocBytes)/(1<<20))
+		window.Segments, window.Evicted, heapMB)
 	if store != nil {
 		st := store.StoreStats()
 		fmt.Printf("vpm-node: durable store holds %d sealed epochs in %d segments (%d reports, %.1f KB), %d recovered\n",
-			st.SealedEpochs, st.Segments, st.Reports, float64(st.Bytes)/(1<<10), res.RecoveredEpochs)
+			st.SealedEpochs, st.Segments, st.Reports, float64(st.Bytes)/(1<<10), recovered)
 	}
 	fmt.Println("vpm-node: clean shutdown")
+}
+
+// summary is the -json document.
+type summary struct {
+	Mode            string          `json:"mode"`
+	Epochs          int             `json:"epochs"`
+	IntervalMS      float64         `json:"interval_ms"`
+	Retention       int             `json:"retention"`
+	Packets         int             `json:"packets"`
+	SampleReceipts  int             `json:"sample_receipts"`
+	AggReceipts     int             `json:"agg_receipts"`
+	MatchedSamples  int64           `json:"matched_samples"`
+	Violations      int             `json:"violations"`
+	WallMS          float64         `json:"wall_ms"`
+	EpochsPerSec    float64         `json:"epochs_per_sec"`
+	MeanEpochMS     float64         `json:"mean_epoch_ms"`
+	MaxEpochMS      float64         `json:"max_epoch_ms"`
+	HeapMB          float64         `json:"heap_mb"`
+	SegmentsHeld    int             `json:"segments_held"`
+	SegmentsGCed    uint64          `json:"segments_gced"`
+	RecoveredEpochs int             `json:"recovered_epochs"`
+	SeqVerdicts     int             `json:"seq_verdicts,omitempty"`
+	Store           *segstore.Stats `json:"store,omitempty"`
+}
+
+// printEpoch emits the per-epoch line, and one line per early
+// sequential verdict.
+func printEpoch(rep core.EpochReport, ws core.WindowStats) {
+	fmt.Printf("epoch %3d: keys=%d matched=%d violations=%d window=%d segs (%d gced)",
+		rep.Epoch, len(rep.Keys), rep.MatchedSamples(), rep.Violations(), ws.Segments, ws.Evicted)
+	for _, k := range rep.Keys {
+		for _, dom := range k.Domains {
+			if len(dom.DelayEstimates) > 0 {
+				fmt.Printf("  %s: loss=%.3f%% p50=%.2fms",
+					dom.Name, dom.Loss.Rate()*100, dom.DelayEstimates[0].Point/1e6)
+				break // one headline domain per line keeps it readable
+			}
+		}
+		break
+	}
+	fmt.Println()
+	// Early sequential verdicts land in the epoch whose seal
+	// crossed the SPRT threshold — often a fraction of an epoch
+	// after the lie started, and before any batch judgment.
+	for _, v := range rep.Seq {
+		where := fmt.Sprintf("link %d->%d", v.Up, v.Down)
+		if v.Domain != "" {
+			where = "domain " + v.Domain
+		}
+		fmt.Printf("epoch %3d: SEQ VERDICT %s on %s key=%s at %.2f epochs (stat %.1f, n=%d, α=%.0e β=%.0e)\n",
+			rep.Epoch, v.Class, where, v.Key, v.EpochsToVerdict(), v.Stat, v.N, v.Alpha, v.Beta)
+	}
 }
 
 func fatal(err error) {

@@ -8,7 +8,8 @@
 // inside code that re-runs during recovery.
 //
 // The pass applies only to the deterministic packages (core, receipt,
-// dissem, seqdetect, segstore) and skips test files. It flags:
+// dissem, seqdetect, segstore, and engine, which every fingerprint
+// flows through) and skips test files. It flags:
 //
 //   - ranging over a map while appending to a slice declared outside
 //     the loop, unless the slice later reaches a sort call in the same
@@ -48,6 +49,7 @@ var scoped = map[string]bool{
 	"dissem":    true,
 	"seqdetect": true,
 	"segstore":  true,
+	"engine":    true,
 }
 
 // orderSinks are method names that emit or accumulate data in call

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -232,6 +233,16 @@ func NewDeployment(path *netsim.Path, table *packet.Table, cfg DeployConfig) (*D
 		}
 	}
 	return d, nil
+}
+
+// HOPs returns the HOPs that carry a collector, ascending.
+func (d *Deployment) HOPs() []receipt.HOPID {
+	hops := make([]receipt.HOPID, 0, len(d.Collectors))
+	for id := range d.Collectors {
+		hops = append(hops, id)
+	}
+	slices.Sort(hops)
+	return hops
 }
 
 // Observers adapts the deployment's collectors to the simulator.

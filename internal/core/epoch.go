@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
@@ -241,12 +240,7 @@ type EpochDriver struct {
 // NewEpochDriver wraps every collector of dep in an epoch clock of the
 // given interval feeding sink.
 func NewEpochDriver(dep *Deployment, intervalNS int64, sink EpochSink) (*EpochDriver, error) {
-	hops := make([]receipt.HOPID, 0, len(dep.Collectors))
-	for id := range dep.Collectors {
-		hops = append(hops, id)
-	}
-	sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
-	return NewEpochDriverFor(dep, hops, intervalNS, sink)
+	return NewEpochDriverFor(dep, dep.HOPs(), intervalNS, sink)
 }
 
 // NewEpochDriverFor wraps only the named HOPs' collectors of dep — the

@@ -738,8 +738,18 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 // report here (the durable report stands; WindowedStore.Recovered
 // counts them).
 func (rv *RollingVerifier) VerifyReady() ([]EpochReport, error) {
+	return rv.VerifyReadyBefore(^EpochID(0))
+}
+
+// VerifyReadyBefore is VerifyReady restricted to epochs below limit —
+// how a verifier that knows the stream's terminal epoch up front holds
+// the last two epochs back until the stream is declared over.
+func (rv *RollingVerifier) VerifyReadyBefore(limit EpochID) ([]EpochReport, error) {
 	var out []EpochReport
 	for _, e := range rv.win.Ready() {
+		if e >= limit {
+			break
+		}
 		if rv.win.skipRecovered(e) {
 			continue
 		}

@@ -1,0 +1,242 @@
+package engine_test
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"vpm/internal/core"
+	"vpm/internal/dissem"
+	"vpm/internal/engine"
+	"vpm/internal/netsim"
+	"vpm/internal/receipt"
+	"vpm/internal/segstore"
+	"vpm/internal/trace"
+)
+
+const (
+	testIntervalNS = int64(50_000_000)
+	testEpochs     = 4
+)
+
+// testWorld is one freshly built small world: collector state and the
+// simulator's RNG are single-use, so every run builds its own.
+type testWorld struct {
+	dep    *core.Deployment
+	hops   []receipt.HOPID
+	sim    engine.Sim
+	gen    *trace.Generator
+	checks engine.Checks
+}
+
+func fig1World(t *testing.T) testWorld {
+	t.Helper()
+	tc := trace.Config{Seed: 5, DurationNS: testEpochs * testIntervalNS, Paths: []trace.PathSpec{trace.DefaultPath(20000)}}
+	gen, err := trace.NewGenerator(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := netsim.Fig1Path(1005)
+	dep, err := core.NewDeployment(path, tc.Table(), core.DefaultDeployConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := engine.PathSim(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return testWorld{dep: dep, hops: dep.HOPs(), sim: sim, gen: gen,
+		checks: engine.Checks{Config: dep.VerifierConfig(), Layout: dep.Layout()}}
+}
+
+func closWorld(t *testing.T) testWorld {
+	t.Helper()
+	keys := netsim.TopoKeys(4)
+	tc := trace.Config{Seed: 21, DurationNS: testEpochs * testIntervalNS}
+	for _, k := range keys {
+		tc.Paths = append(tc.Paths, trace.PathSpec{SrcPrefix: k.Src, DstPrefix: k.Dst,
+			RatePPS: 10000, ActiveFlows: 8, MeanFlowPkts: 50, UDPFraction: 0.2})
+	}
+	gen, err := trace.NewGenerator(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := netsim.ClosTopology(9, 2, 2, keys)
+	dc := core.DefaultDeployConfig()
+	dc.MarkerRate, dc.Default.SampleRate, dc.Default.AggRate = 0.004, 0.05, 0.001
+	dep, err := core.NewTopoDeployment(topo, tc.Table(), dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := engine.TopoSim(topo, tc.Table())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return testWorld{dep: dep, hops: dep.HOPs(), sim: sim, gen: gen,
+		checks: engine.Checks{Config: dep.VerifierConfig(), KeyLayouts: dep.KeyLayouts()}}
+}
+
+func testSigner(h receipt.HOPID) *dissem.Signer {
+	var seed [32]byte
+	seed[0] = byte(h)
+	return dissem.NewSigner(seed)
+}
+
+// runWorld drives w through both halves over the named transport and
+// store and returns every report's canonical encoding, in order.
+func runWorld(t *testing.T, w testWorld, transport, store string) [][]byte {
+	t.Helper()
+	st := engine.Store{HOPs: w.hops, Retention: 2}
+	var disk *segstore.Store
+	if store == "segstore" {
+		var err error
+		if disk, _, err = segstore.Open("", segstore.Options{FS: segstore.NewMemFS()}); err != nil {
+			t.Fatal(err)
+		}
+		defer disk.Close()
+		st.Backend = segstore.Backend{Store: disk}
+	}
+	ver, err := engine.NewVerify(st, w.checks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports [][]byte
+	ver.OnEpoch = func(rep core.EpochReport, _ core.WindowStats) {
+		enc, err := core.EncodeEpochReport(rep)
+		if err != nil {
+			t.Error(err)
+		}
+		reports = append(reports, enc)
+	}
+
+	sink := ver.Window.Sink()
+	if transport != "direct" {
+		bus := engine.NewBusTransport(w.hops, testSigner)
+		sink = bus.Sink()
+		ver.Feeds = bus.Feeds()
+		if transport == "http" {
+			mux := http.NewServeMux()
+			for h, srv := range bus.Servers {
+				mux.Handle(fmt.Sprintf("/hop/%d", h), srv)
+			}
+			hs := httptest.NewServer(mux)
+			defer hs.Close()
+			client := &dissem.Client{Registry: bus.Registry}
+			retry := dissem.RetryPolicy{Attempts: 2, Base: time.Millisecond}
+			for i, h := range w.hops {
+				ver.Feeds[i] = engine.HTTPFeed(client, retry, fmt.Sprintf("%s/hop/%d", hs.URL, h), h)
+			}
+		}
+	}
+	col, err := engine.NewCollect(w.dep, w.hops, testIntervalNS, 0, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Run(context.Background(), engine.EpochSource(w.gen, testIntervalNS, testEpochs, nil), w.sim, ver); err != nil {
+		t.Fatal(err)
+	}
+	if len(ver.Findings) != 0 || len(reports) != int(col.Terminal)+1 || ver.Epochs != len(reports) {
+		t.Fatalf("%s/%s: %d findings, %d reports (%d tallied) for terminal epoch %d",
+			transport, store, len(ver.Findings), len(reports), ver.Epochs, col.Terminal)
+	}
+	if ver.MatchedSamples == 0 {
+		t.Fatalf("%s/%s: no matched samples — the world is too small to prove anything", transport, store)
+	}
+	if disk != nil {
+		for e, want := range reports {
+			if got, err := disk.Report(uint64(e)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s/%s: durable report of epoch %d differs from the one delivered (err %v)", transport, store, e, err)
+			}
+		}
+	}
+	return reports
+}
+
+// TestSeamsAreInterchangeable: the same world gives byte-identical
+// reports whichever transport carries the sealed epochs and whichever
+// store sits beneath the window — on a linear path and on a mesh.
+func TestSeamsAreInterchangeable(t *testing.T) {
+	worlds := map[string]func(*testing.T) testWorld{"fig1": fig1World, "clos": closWorld}
+	for name, build := range worlds {
+		t.Run(name, func(t *testing.T) {
+			var want [][]byte
+			for _, transport := range []string{"direct", "bus", "http"} {
+				for _, store := range []string{"ram", "segstore"} {
+					got := runWorld(t, build(t), transport, store)
+					if want == nil {
+						want = got
+						continue
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s/%s: %d reports, direct/ram gave %d", transport, store, len(got), len(want))
+					}
+					for e := range got {
+						if !bytes.Equal(got[e], want[e]) {
+							t.Fatalf("%s/%s: epoch %d report differs from direct/ram:\n got %s\nwant %s",
+								transport, store, e, got[e], want[e])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEpochSourceStops: a closed stop channel ends the stream at the
+// next segment boundary, and the engine still seals and verifies what
+// was simulated.
+func TestEpochSourceStops(t *testing.T) {
+	w := fig1World(t)
+	stop := make(chan struct{})
+	ver, err := engine.NewVerify(engine.Store{HOPs: w.hops, Retention: 2}, w.checks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := engine.NewCollect(w.dep, w.hops, testIntervalNS, 0, ver.Window.Sink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.AfterSegment = func(context.Context) error {
+		if col.Segments == 2 {
+			close(stop)
+		}
+		return nil
+	}
+	if err := col.Run(context.Background(), engine.EpochSource(w.gen, testIntervalNS, testEpochs, stop), w.sim, ver); err != nil {
+		t.Fatal(err)
+	}
+	if col.Segments != 2 || ver.Epochs != int(col.Terminal)+1 || len(ver.Window.UnverifiedEpochs()) != 0 {
+		t.Fatalf("stopped after %d segments, verified %d of %d sealed epochs, unverified %v",
+			col.Segments, ver.Epochs, int(col.Terminal)+1, ver.Window.UnverifiedEpochs())
+	}
+}
+
+// TestCancelAborts: a cancelled context stops both halves with the
+// context's error, sealing nothing further.
+func TestCancelAborts(t *testing.T) {
+	w := fig1World(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	bus := engine.NewBusTransport(w.hops, testSigner)
+	ver, err := engine.NewVerify(engine.Store{HOPs: w.hops, Retention: 2}, w.checks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ver.Feeds = bus.Feeds()
+	col, err := engine.NewCollect(w.dep, w.hops, testIntervalNS, 0, bus.Sink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.AfterSegment = func(context.Context) error {
+		cancel()
+		return nil
+	}
+	err = col.Run(ctx, engine.EpochSource(w.gen, testIntervalNS, testEpochs, nil), w.sim, ver)
+	if !errors.Is(err, context.Canceled) || col.Segments != 1 {
+		t.Fatalf("Run = %v after %d segments, want context.Canceled after 1", err, col.Segments)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"vpm/internal/core"
 	"vpm/internal/delaymodel"
 	"vpm/internal/dissem"
+	"vpm/internal/engine"
 	"vpm/internal/hashing"
 	"vpm/internal/lossmodel"
 	"vpm/internal/netsim"
@@ -775,10 +776,11 @@ func runBatchScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, error) {
 	for i, hi := range hops {
 		hopIDs[i] = receipt.HOPID(hi)
 	}
-	dw := newDissemWorld(cfg.Seed, hopIDs)
-	bus, reg, servers := dw.bus, dw.reg, dw.servers
+	signer := func(h receipt.HOPID) *dissem.Signer { return hopSigner(cfg.Seed, h) }
+	bt := engine.NewBusTransport(hopIDs, signer)
+	bus, reg, servers := bt.Bus, bt.Registry, bt.Servers
 	if sc.tamper != nil {
-		for hop, t := range sc.tamper("batch", func(h receipt.HOPID) *dissem.Signer { return dw.signers[h] }) {
+		for hop, t := range sc.tamper("batch", signer) {
 			servers[hop].SetTamper(t)
 		}
 	}

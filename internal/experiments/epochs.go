@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync/atomic"
 	"time"
 
 	"vpm/internal/core"
 	"vpm/internal/dissem"
+	"vpm/internal/engine"
 	"vpm/internal/netsim"
 	"vpm/internal/quantile"
 	"vpm/internal/receipt"
@@ -21,15 +19,16 @@ import (
 // This file runs the pipeline the way a deployment would: continuously,
 // over a stream of rotating epochs, with receipts travelling through
 // signed per-epoch dissemination bundles and verification rolling one
-// interval behind ingest. RunContinuous is the engine (cmd/vpm-node is
-// a thin wrapper around it); Epochs is the benchmark that measures
-// sustained epochs/s and steady-state memory against the one-shot
-// batch baseline, emitting the BENCH_*.json trajectory rows.
+// interval behind ingest. RunContinuous builds the Fig1 world and runs
+// internal/engine on it (as cmd/vpm-node does); Epochs is the
+// benchmark that measures sustained epochs/s and steady-state memory
+// against the one-shot batch baseline, emitting the BENCH_*.json
+// trajectory rows.
 
 // ContinuousResult is the outcome of one continuous run.
 type ContinuousResult struct {
 	// EpochsRun counts the simulation segments driven (one per
-	// configured epoch, fewer if stopped early).
+	// configured epoch, fewer if verification failed).
 	EpochsRun int
 	// EpochsSealed counts the epochs every HOP sealed — EpochsRun plus
 	// the terminal partial interval that propagation delay spills into.
@@ -58,27 +57,11 @@ type ContinuousResult struct {
 	// (counts summed, true delays concatenated).
 	Truth []netsim.DomainTruth
 	// DissemFindings are the dissemination-layer blame findings the
-	// drain loop classified instead of aborting on: signature failures,
-	// stale-epoch replays, pruned-cursor gaps, and — after shutdown —
-	// withheld bundles that left epochs permanently unverifiable.
+	// engine classified instead of aborting on (engine.Verify.Findings).
 	DissemFindings []core.Blame
 	// Unverified lists the epochs still held unverified at shutdown
 	// (empty on an honest run).
 	Unverified []core.EpochID
-	// RecoveredEpochs counts the epochs whose verification was skipped
-	// because the durable backend already held their verdict reports
-	// (only non-zero when ContinuousOptions.Backend resumes a prior
-	// run); Reports covers the other EpochsSealed − RecoveredEpochs.
-	RecoveredEpochs int
-}
-
-// stopOrNil returns stop, or a never-ready channel when stop is nil,
-// so it can sit in a select arm unconditionally.
-func stopOrNil(stop <-chan struct{}) <-chan struct{} {
-	if stop != nil {
-		return stop
-	}
-	return nil // nil channel: blocks forever
 }
 
 // hopSigner derives a HOP's deterministic signing key for an
@@ -91,52 +74,13 @@ func hopSigner(seed uint64, hop receipt.HOPID) *dissem.Signer {
 	return dissem.NewSigner(keySeed)
 }
 
-// dissemWorld is the signed-bundle substrate of one experiment run:
-// one signing server per HOP on an in-memory bus, every public key
-// registered.
-type dissemWorld struct {
-	bus     *dissem.Bus
-	reg     dissem.Registry
-	servers map[receipt.HOPID]*dissem.Server
-	signers map[receipt.HOPID]*dissem.Signer
-}
-
-// newDissemWorld builds the substrate for the given HOPs with keys
-// from hopSigner(seed, ·).
-func newDissemWorld(seed uint64, hops []receipt.HOPID) *dissemWorld {
-	w := &dissemWorld{
-		bus:     dissem.NewBus(),
-		reg:     make(dissem.Registry, len(hops)),
-		servers: make(map[receipt.HOPID]*dissem.Server, len(hops)),
-		signers: make(map[receipt.HOPID]*dissem.Signer, len(hops)),
-	}
-	for _, id := range hops {
-		signer := hopSigner(seed, id)
-		srv := dissem.NewServer(id, signer)
-		w.bus.Attach(srv)
-		w.servers[id] = srv
-		w.signers[id] = signer
-		w.reg[id] = signer.Public()
-	}
-	return w
-}
-
 // ContinuousOptions parameterizes RunContinuousOpts beyond the basic
 // epoch configuration — the hooks the Byzantine attack matrix uses to
 // corrupt each layer of the pipeline, plus operational knobs.
 type ContinuousOptions struct {
 	// OnEpoch receives each epoch's report as verification completes
-	// (from the verification goroutine).
+	// (from the goroutine running the verify step).
 	OnEpoch func(core.EpochReport, core.WindowStats)
-	// Stop aborts cleanly at the next epoch boundary when closed.
-	Stop <-chan struct{}
-	// Ctx, when non-nil, hard-aborts the run when cancelled: the epoch
-	// loop stops simulating and the collection/verification loop
-	// returns the context's error. Use Stop for a clean epoch-boundary
-	// shutdown; use Ctx for deadlines and forced aborts — it is
-	// consulted between per-HOP collection drains, so a deadline
-	// bounds the collection loop even when a fetch layer hangs.
-	Ctx context.Context
 	// MutatePath perturbs the Fig1 path (loss, congestion, skew)
 	// before deployment.
 	MutatePath func(*netsim.Path)
@@ -165,39 +109,30 @@ type ContinuousOptions struct {
 	// Backend attaches a durable store backend beneath the windowed
 	// store (see core.StoreBackend): sealed epochs and verdict reports
 	// persist to it, and epochs already durable from a previous run are
-	// neither re-persisted nor re-verified — the recovery path
-	// cmd/vpm-node uses after a crash.
+	// neither re-persisted nor re-verified.
 	Backend core.StoreBackend
-	// Pace, when positive, is the minimum wall-clock duration of each
-	// epoch: the loop sleeps out the remainder of the interval after
-	// simulating it. Simulated time normally outruns real time by
-	// orders of magnitude; pacing restores real-time epoch cadence so
-	// external events (signals, kill -9) land mid-stream.
-	Pace time.Duration
 }
 
 // RunContinuous drives the Fig1 workload over `epochs` rotating
-// intervals: each epoch's packets are generated and simulated as one
-// segment (network state persists across segments via netsim.Runner),
-// every HOP's sealed epoch is published as an ed25519-signed
-// epoch-tagged bundle, a rolling verifier drains the bundles into a
-// windowed store and verifies each interval as soon as every HOP has
-// sealed it — concurrently with ingest of the following epoch — and
-// verified epochs older than the retention window are evicted.
+// intervals through internal/engine: each epoch's packets are
+// generated and simulated as one segment, every HOP's sealed epoch is
+// published as an ed25519-signed epoch-tagged bundle on an in-memory
+// bus, and the verify half drains the bundles into a windowed store,
+// verifies each interval once every HOP has sealed it — overlapping
+// the next epoch's simulation — and evicts what has aged out.
 //
 // onEpoch, if non-nil, receives each epoch's report as verification
-// completes (from the verification goroutine). stop, if non-nil,
-// aborts cleanly at the next epoch boundary when closed.
-func RunContinuous(cfg Config, ec core.EpochConfig, epochs int, onEpoch func(core.EpochReport, core.WindowStats), stop <-chan struct{}) (*ContinuousResult, error) {
-	return RunContinuousOpts(cfg, ec, epochs, ContinuousOptions{OnEpoch: onEpoch, Stop: stop})
+// completes.
+func RunContinuous(cfg Config, ec core.EpochConfig, epochs int, onEpoch func(core.EpochReport, core.WindowStats)) (*ContinuousResult, error) {
+	return RunContinuousOpts(cfg, ec, epochs, ContinuousOptions{OnEpoch: onEpoch})
 }
 
 // RunContinuousOpts is RunContinuous with the full option set: path
 // perturbation, per-layer adversaries (data plane, control plane,
-// dissemination), bias checks, and context cancellation. Classified
-// dissemination misbehavior (bad signatures, stale replays, cursor
-// gaps) is recorded as blame findings and skipped rather than aborting
-// the pipeline; only unclassifiable errors fail the run.
+// dissemination), bias checks, the SPRT arm and a durable backend. It
+// builds the Fig1 world, runs the engine and shapes the result; when
+// the engine fails mid-stream the result so far is returned with the
+// error.
 func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts ContinuousOptions) (*ContinuousResult, error) {
 	cfg = cfg.Normalize()
 	if err := ec.Validate(); err != nil {
@@ -206,8 +141,6 @@ func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts Continu
 	if epochs < 1 {
 		return nil, fmt.Errorf("experiments: need at least one epoch, got %d", epochs)
 	}
-	onEpoch, stop := opts.OnEpoch, opts.Stop
-
 	tc := trace.Config{
 		Seed:       cfg.Seed,
 		DurationNS: int64(epochs) * ec.IntervalNS,
@@ -230,165 +163,50 @@ func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts Continu
 	if err != nil {
 		return nil, err
 	}
+	hops := dep.HOPs()
 
-	// Dissemination: one signer + bundle server per HOP, all on an
-	// in-memory bus, with every public key registered.
-	hops := make([]receipt.HOPID, 0, len(dep.Processors))
-	for id := range dep.Processors {
-		hops = append(hops, id)
-	}
-	sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
-	dw := newDissemWorld(cfg.Seed, hops)
-	bus, reg, servers := dw.bus, dw.reg, dw.servers
+	bus := engine.NewBusTransport(hops, func(h receipt.HOPID) *dissem.Signer { return hopSigner(cfg.Seed, h) })
 	for id, t := range opts.Tamper {
-		if srv, ok := servers[id]; ok {
+		if srv, ok := bus.Servers[id]; ok {
 			srv.SetTamper(t)
 		}
 	}
-
-	win, err := core.NewWindowedStore(hops, ec.Retention)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Backend != nil {
-		win.AttachBackend(opts.Backend)
-	}
-
-	res := &ContinuousResult{}
-	// The sink runs on the replay goroutines (one per HOP): count the
-	// sealed receipts, then publish the epoch as a signed bundle.
-	// Control-plane adversaries wrap this honest sink (WrapSink), so
-	// the counters and the published bundles both reflect what the
-	// lying control planes actually emitted.
-	var nSamples, nAggs atomic.Int64
-	sink := core.EpochSink(func(hop receipt.HOPID, epoch core.EpochID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
-		nSamples.Add(int64(len(samples)))
-		nAggs.Add(int64(len(aggs)))
-		servers[hop].PublishEpoch(uint64(epoch), samples, aggs)
-	})
-	if opts.WrapSink != nil {
-		sink = opts.WrapSink(sink)
-	}
-	driver, err := core.NewEpochDriver(dep, ec.IntervalNS, sink)
-	if err != nil {
-		return nil, err
-	}
-
-	layout := dep.Layout()
 	vc := dep.VerifierConfig()
 	vc.Workers = ec.Workers
 	vc.BiasChecks = opts.BiasChecks
 	vc.Sequential = opts.Sequential
-	rolling := core.NewRollingVerifier(layout, vc, win, quantile.DefaultQuantiles, cfg.Confidence)
-
-	// Verification pipeline: woken after each segment, it drains the
-	// bus into the windowed store (ingest + seal per bundle), verifies
-	// every interval that every HOP has sealed, and evicts what has
-	// aged out — all while the main loop simulates the next epoch.
-	// Classifiable dissemination misbehavior becomes a blame finding
-	// and the cursor skips past it; only unclassifiable errors abort.
-	notify := make(chan struct{}, 1)
-	verifyDone := make(chan error, 1)
-	cursors := make(map[receipt.HOPID]uint64, len(hops))
-	ctxErr := func() error {
-		if opts.Ctx != nil {
-			return opts.Ctx.Err()
-		}
-		return nil
-	}
-	drainAndVerify := func() error {
-		for _, id := range hops {
-			if err := ctxErr(); err != nil {
-				return err
-			}
-			consume := func(b *dissem.Bundle) error {
-				err := win.IngestBundle(b)
-				var stale *core.StaleSealError
-				if errors.As(err, &stale) {
-					res.DissemFindings = append(res.DissemFindings,
-						core.BlameHOP(layout, stale.Epoch, core.EvEpochReplay, b.Origin, 1, err.Error()))
-					return nil // consumed: replay evidence recorded
-				}
-				if errors.Is(err, core.ErrEvictedEpoch) {
-					res.DissemFindings = append(res.DissemFindings,
-						core.BlameHOP(layout, core.EpochID(b.Epoch), core.EvEpochReplay, b.Origin, 1, err.Error()))
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				return win.SealHOP(b.Origin, core.EpochID(b.Epoch))
-			}
-			cursor := cursors[id]
-			for {
-				next, err := bus.CollectSince(reg, id, cursor, consume)
-				cursor = next
-				if err == nil {
-					break
-				}
-				var be *dissem.BundleError
-				if errors.As(err, &be) {
-					res.DissemFindings = append(res.DissemFindings,
-						core.BlameHOP(layout, core.EpochID(be.Epoch), core.EvSignature, id, 1, err.Error()))
-					cursor = be.Seq + 1 // skip the poisoned bundle
-					continue
-				}
-				var gap *dissem.GapError
-				if errors.As(err, &gap) {
-					res.DissemFindings = append(res.DissemFindings,
-						core.BlameHOP(layout, 0, core.EvBundleGap, id, int(gap.Base-gap.Since), err.Error()))
-					cursor = gap.Base // resume past the pruned range
-					continue
-				}
-				return err
-			}
-			cursors[id] = cursor
-			if cursor > 0 {
-				// Consumed bundles live on in the windowed store; free
-				// the publisher's copies so server memory stays bounded
-				// over an endless epoch stream, like the window's.
-				servers[id].DropThrough(cursor - 1)
-			}
-		}
-		reps, err := rolling.VerifyReady()
-		for _, rep := range reps {
-			res.Reports = append(res.Reports, rep)
-			res.Violations += rep.Violations()
-			res.MatchedSamples += rep.MatchedSamples()
-			if onEpoch != nil {
-				onEpoch(rep, win.Stats())
-			}
-		}
-		if err != nil {
-			return err
-		}
-		win.Evict()
-		return nil
-	}
-	go func() {
-		for range notify {
-			if err := drainAndVerify(); err != nil {
-				verifyDone <- err
-				// Drain remaining wakeups so the main loop never blocks.
-				for range notify {
-				}
-				return
-			}
-		}
-		verifyDone <- drainAndVerify()
-	}()
-
-	runner, err := netsim.NewRunner(path)
+	ver, err := engine.NewVerify(
+		engine.Store{HOPs: hops, Retention: ec.Retention, Backend: opts.Backend},
+		engine.Checks{Config: vc, Layout: dep.Layout(), Confidence: cfg.Confidence})
 	if err != nil {
 		return nil, err
 	}
-	observers := driver.Observers()
-	for hop, adv := range opts.Wear {
-		if obs, ok := observers[hop]; ok && adv != nil {
-			observers[hop] = netsim.Wear(hop, adv, obs)
+	ver.Feeds = bus.Feeds()
+	res := &ContinuousResult{}
+	ver.OnEpoch = func(rep core.EpochReport, ws core.WindowStats) {
+		res.Reports = append(res.Reports, rep)
+		if opts.OnEpoch != nil {
+			opts.OnEpoch(rep, ws)
 		}
 	}
-	mergeTruth := func(seg *netsim.Result) {
+
+	// Control-plane adversaries wrap the honest publish sink, so the
+	// receipt counters and the published bundles both reflect what the
+	// lying control planes actually emitted.
+	sink := bus.Sink()
+	if opts.WrapSink != nil {
+		sink = opts.WrapSink(sink)
+	}
+	col, err := engine.NewCollect(dep, hops, ec.IntervalNS, 0, sink)
+	if err != nil {
+		return nil, err
+	}
+	for hop, adv := range opts.Wear {
+		if obs, ok := col.Observers[hop]; ok && adv != nil {
+			col.Observers[hop] = netsim.Wear(hop, adv, obs)
+		}
+	}
+	sim, err := engine.PathSim(path, func(seg *netsim.Result) {
 		if res.Truth == nil {
 			res.Truth = make([]netsim.DomainTruth, len(seg.Domains))
 			for i, d := range seg.Domains {
@@ -401,97 +219,35 @@ func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts Continu
 			res.Truth[i].DroppedInside += d.DroppedInside
 			res.Truth[i].TrueDelaysNS = append(res.Truth[i].TrueDelaysNS, d.TrueDelaysNS...)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	stopped := false
-	for e := 0; e < epochs && !stopped; e++ {
-		if stop != nil {
-			select {
-			case <-stop:
-				stopped = true
-				continue
-			default:
-			}
-		}
-		if ctxErr() != nil {
-			stopped = true
-			continue
-		}
-		start := time.Now()
-		horizon := int64(e+1) * ec.IntervalNS
-		chunk := gen.NextChunk(horizon)
-		segTruth, err := runner.RunSegment(chunk, observers, horizon)
-		if err != nil {
-			close(notify)
-			<-verifyDone
-			return nil, err
-		}
-		mergeTruth(segTruth)
-		res.Packets += len(chunk)
-		res.EpochsRun++
+	start := time.Now()
+	col.AfterSegment = func(context.Context) error {
 		res.EpochWall = append(res.EpochWall, time.Since(start))
-		select {
-		case notify <- struct{}{}:
-		default: // verifier already has a pending wakeup
-		}
-		if remain := opts.Pace - time.Since(start); opts.Pace > 0 && remain > 0 {
-			// Real-time pacing: sleep out the interval, still answering
-			// stop and cancellation promptly.
-			timer := time.NewTimer(remain)
-			var done <-chan struct{}
-			if opts.Ctx != nil {
-				done = opts.Ctx.Done()
-			}
-			select {
-			case <-timer.C:
-			case <-stopOrNil(stop):
-				stopped = true
-			case <-done:
-				stopped = true
-			}
-			timer.Stop()
-		}
+		start = time.Now()
+		return nil
 	}
-	// Deliver the replay observations withheld at the final boundary,
-	// then seal every HOP's terminal epoch.
-	if _, err := runner.Run(nil, observers); err != nil {
-		close(notify)
-		<-verifyDone
-		return nil, err
-	}
-	terminal := driver.Close()
-	res.EpochsSealed = int(terminal) + 1
-	// Clean shutdown: no further epochs will seal, so the terminal
-	// epoch may be verified without waiting for a successor.
-	win.FinishStream()
-	close(notify)
-	if err := <-verifyDone; err != nil {
-		return nil, err
-	}
-	res.SampleReceipts = int(nSamples.Load())
-	res.AggReceipts = int(nAggs.Load())
+	runErr := col.Run(context.TODO(), engine.EpochSource(gen, ec.IntervalNS, epochs, nil), sim, ver)
 
-	// Anything still unverified after the final sweep is permanently
-	// unjudgeable: some HOP never published the epoch's bundle. The
-	// missing seals name the withholder — the narrowest implicated set
-	// for starvation, since every other HOP's bundle arrived.
-	res.Unverified = win.UnverifiedEpochs()
-	for _, e := range res.Unverified {
-		for _, h := range win.MissingSeals(e) {
-			res.DissemFindings = append(res.DissemFindings,
-				core.BlameHOP(layout, e, core.EvWithheldBundle, h, 1,
-					fmt.Sprintf("epoch %d never sealed: no bundle from %v", e, h)))
-		}
+	res.EpochsRun, res.Packets = col.Segments, col.Packets
+	res.SampleReceipts, res.AggReceipts = int(bus.Samples.Load()), int(bus.Aggs.Load())
+	res.Violations, res.MatchedSamples = ver.Violations, ver.MatchedSamples
+	res.DissemFindings = ver.Findings
+	res.Window = ver.Window.Stats()
+	if runErr != nil {
+		return res, runErr
 	}
-
-	res.RecoveredEpochs = int(win.Recovered())
-	res.Window = win.Stats()
+	res.EpochsSealed = int(col.Terminal) + 1
+	res.Unverified = ver.Window.UnverifiedEpochs()
 	// Steady-state heap: drop the trace machinery, keep the window.
 	gen = nil
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	res.HeapAllocBytes = ms.HeapAlloc
-	runtime.KeepAlive(win)
+	runtime.KeepAlive(ver)
 	return res, nil
 }
 
@@ -545,7 +301,7 @@ func Epochs(cfg Config, epochs int, retentions []int) ([]EpochsRow, error) {
 	for _, ret := range retentions {
 		ec := core.EpochConfig{IntervalNS: intervalNS, Retention: ret, Workers: 1, Shards: 1}
 		start := time.Now()
-		res, err := RunContinuous(cfg, ec, epochs, nil, nil)
+		res, err := RunContinuous(cfg, ec, epochs, nil)
 		if err != nil {
 			return nil, err
 		}

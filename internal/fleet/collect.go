@@ -11,9 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vpm/internal/core"
-	"vpm/internal/dissem"
-	"vpm/internal/netsim"
+	"vpm/internal/engine"
+	"vpm/internal/packet"
 	"vpm/internal/receipt"
 )
 
@@ -22,7 +21,7 @@ import (
 // epoch as a signed bundle. The HTTP surface a verifier consumes:
 //
 //	GET /hops                 — JSON list of the HOPs this process owns
-//	GET /hop/<id>/receipts    — that HOP's framed bundle feed (dissem.Server)
+//	GET /hop/<id>/receipts    — that HOP's framed bundle feed (a dissem.Server)
 //	GET /status               — {"index","finished","terminal"}
 //
 // Bundles are retained for the whole run (no DropThrough): a verifier
@@ -33,7 +32,7 @@ type Collector struct {
 	world   *World
 	index   int
 	owned   []receipt.HOPID
-	servers map[receipt.HOPID]*dissem.Server
+	servers *engine.BusTransport // one signing bundle server per owned HOP
 	mux     *http.ServeMux
 
 	finished atomic.Bool
@@ -60,15 +59,8 @@ func NewCollector(w *World, index int) (*Collector, error) {
 	if index < 0 || index >= w.Spec.Collectors {
 		return nil, fmt.Errorf("fleet: collector index %d outside [0, %d)", index, w.Spec.Collectors)
 	}
-	c := &Collector{
-		world:   w,
-		index:   index,
-		owned:   w.OwnedHOPs(index),
-		servers: make(map[receipt.HOPID]*dissem.Server),
-	}
-	for _, h := range c.owned {
-		c.servers[h] = dissem.NewServer(h, w.Spec.Signer(h))
-	}
+	c := &Collector{world: w, index: index, owned: w.OwnedHOPs(index)}
+	c.servers = engine.NewBusTransport(c.owned, w.Spec.Signer)
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("/hops", c.handleHops)
 	c.mux.HandleFunc("/status", c.handleStatus)
@@ -138,7 +130,7 @@ func (c *Collector) handleReceipts(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	srv, ok := c.servers[receipt.HOPID(id)]
+	srv, ok := c.servers.Servers[receipt.HOPID(id)]
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -146,60 +138,54 @@ func (c *Collector) handleReceipts(w http.ResponseWriter, r *http.Request) {
 	srv.ServeHTTP(w, r)
 }
 
-// Run simulates the whole world's traffic while observing only the
-// owned HOPs, publishing each sealed (HOP, epoch) as one signed
-// bundle. The simulation is the full deterministic world — every
-// collector process replays identical traffic and forwarding decisions
-// — but observation is restricted to the process's HOPs, so the union
-// of all collectors' bundles equals a single whole-world run's (the
-// replayer delivers per-HOP observation streams independently).
-// Returns once every owned HOP has sealed through the spec-derived
-// terminal epoch, or early with ctx's error on cancellation.
+// Run is the engine's collect half over the owned HOPs: it simulates
+// the whole world's traffic while observing only them, publishing each
+// sealed (HOP, epoch) as one signed bundle. The simulation is the full
+// deterministic world — every collector process replays identical
+// traffic and forwarding decisions — but observation is restricted to
+// the process's HOPs, so the union of all collectors' bundles equals a
+// single whole-world run's (the replayer delivers per-HOP observation
+// streams independently). Returns once every owned HOP has sealed
+// through the spec-derived terminal epoch, or early with ctx's error
+// on cancellation.
 func (c *Collector) Run(ctx context.Context, opts CollectorOptions) error {
-	chunk := opts.ChunkSlots
-	if chunk <= 0 {
-		chunk = 1 << 18
-	}
-	sink := func(hop receipt.HOPID, epoch core.EpochID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
-		c.servers[hop].PublishEpoch(uint64(epoch), samples, aggs)
-	}
-	driver, err := core.NewEpochDriverFor(c.world.Dep, c.owned, c.world.Spec.IntervalNS, sink)
+	col, err := engine.NewCollect(c.world.Dep, c.owned, c.world.Spec.IntervalNS, c.world.Terminal, c.servers.Sink())
 	if err != nil {
 		return err
 	}
-	runner, err := netsim.NewTopoRunner(c.world.Topo, c.world.Table)
+	sim, err := engine.TopoSim(c.world.Topo, c.world.Table)
 	if err != nil {
 		return err
 	}
-	observers := driver.Observers()
-	total := c.world.Spec.TotalSlots()
-	for lo := int64(0); lo < total; lo += chunk {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := lo + chunk
-		horizon := int64(1) << 62
-		if hi < total {
-			// Every future packet is sent at or after the next chunk's
-			// first send time.
-			horizon = c.world.Spec.slotTime(hi)
-		} else {
-			hi = total
-		}
-		pkts := c.world.Spec.PacketsForSlots(c.world.Keys, lo, hi)
-		if _, err := runner.RunSegment(pkts, observers, horizon); err != nil {
-			return err
-		}
-		if opts.Pace > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(opts.Pace):
-			}
-		}
+	if opts.Pace > 0 {
+		col.AfterSegment = func(ctx context.Context) error { return engine.Sleep(ctx, opts.Pace) }
 	}
-	driver.CloseAt(c.world.Terminal)
-	c.terminal.Store(uint64(c.world.Terminal))
+	if err := col.Run(ctx, c.world.segments(opts.ChunkSlots), sim, nil); err != nil {
+		return err
+	}
+	c.terminal.Store(uint64(col.Terminal))
 	c.finished.Store(true)
 	return nil
+}
+
+// defaultChunkSlots is the segment size when the caller names none.
+const defaultChunkSlots = 1 << 18
+
+// segments is the fleet's packet source: the spec's packet slots in
+// chunks of chunkSlots (≤ 0: defaultChunkSlots), each chunk's horizon
+// the next chunk's first send time.
+func (w *World) segments(chunkSlots int64) engine.Source {
+	if chunkSlots <= 0 {
+		chunkSlots = defaultChunkSlots
+	}
+	total, lo := w.Spec.TotalSlots(), int64(0)
+	return func() ([]packet.Packet, int64, bool) {
+		if lo >= total {
+			return nil, 0, false
+		}
+		hi := min(lo+chunkSlots, total)
+		pkts := w.Spec.PacketsForSlots(w.Keys, lo, hi)
+		lo = hi
+		return pkts, w.Spec.slotTime(hi), true
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"vpm/internal/core"
 	"vpm/internal/dissem"
 	"vpm/internal/netsim"
+	"vpm/internal/receipt"
 )
 
 // testSpec is small enough to simulate once per collector per shard
@@ -357,5 +359,106 @@ func TestFilterBundlePreservesIdentity(t *testing.T) {
 	}
 	if len(fb.Samples) != 0 || len(fb.Aggs) != 0 {
 		t.Fatal("empty bundle grew receipts")
+	}
+}
+
+// TestRingOwnershipTotalAndStable: every key has an owner inside the
+// tier at every width, and widening the tier by one shard moves a key
+// only onto the new shard — never between old ones.
+func TestRingOwnershipTotalAndStable(t *testing.T) {
+	keys := netsim.WideKeys(5000)
+	prev := make([]int, len(keys)) // the 1-shard ring: everything on shard 0
+	for n := 2; n <= 9; n++ {
+		r, err := NewRing(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved := 0
+		for i, k := range keys {
+			s := r.OwnerKey(k)
+			if s < 0 || s >= n {
+				t.Fatalf("%d shards: %v owned by shard %d, outside the tier", n, k, s)
+			}
+			if s != prev[i] {
+				if s != n-1 {
+					t.Fatalf("%d → %d shards: %v moved from shard %d to old shard %d", n-1, n, k, prev[i], s)
+				}
+				moved++
+			}
+			prev[i] = s
+		}
+		if moved == 0 || moved > 2*len(keys)/n {
+			t.Fatalf("%d → %d shards moved %d of %d keys onto the new shard", n-1, n, moved, len(keys))
+		}
+	}
+}
+
+// TestVerifierReportsClassifiedFindings: dissemination misbehaviour the
+// engine classifies into blame — here a HOP that serves epoch 0 twice
+// and never its terminal epoch — does not vanish on the fleet path: Run
+// returns it as a *FindingsError naming the HOP.
+func TestVerifierReportsClassifiedFindings(t *testing.T) {
+	spec := testSpec()
+	urls := make([]string, spec.Collectors)
+	var liar receipt.HOPID
+	var terminal core.EpochID
+	for ci := range urls {
+		cw, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCollector(cw, ci)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Run(context.Background(), CollectorOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		handler := c.Handler()
+		if ci == 0 {
+			// Re-publish the first owned HOP's feed with epoch 0
+			// replayed in place of the terminal epoch.
+			liar, terminal = c.Owned()[0], cw.Terminal
+			honest := httptest.NewServer(handler)
+			defer honest.Close()
+			path := fmt.Sprintf("/hop/%d/receipts", liar)
+			bundles, err := (&dissem.Client{Registry: cw.Registry()}).Fetch(context.Background(), honest.URL+path, liar, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forged := dissem.NewServer(liar, spec.Signer(liar))
+			forged.PublishEpoch(0, bundles[0].Samples, bundles[0].Aggs)
+			for _, b := range bundles[:len(bundles)-1] {
+				forged.PublishEpoch(b.Epoch, b.Samples, b.Aggs)
+			}
+			mux := http.NewServeMux()
+			mux.Handle(path, forged)
+			mux.Handle("/", c.Handler())
+			handler = mux
+		}
+		hs := httptest.NewServer(handler)
+		defer hs.Close()
+		urls[ci] = hs.URL
+	}
+	w, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewVerifier(w, 1, 0, VerifierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = v.Run(context.Background(), urls, VerifierOptions{Poll: 5 * time.Millisecond})
+	var fe *FindingsError
+	if !errors.As(err, &fe) {
+		t.Fatalf("Run error = %v, want a *FindingsError", err)
+	}
+	first := fe.Findings[0]
+	if first.Evidence != core.EvEpochReplay || first.Epoch != 0 || len(first.HOPs) != 1 || first.HOPs[0] != liar {
+		t.Errorf("first finding %v, want an epoch-0 replay by %v", first, liar)
+	}
+	last := fe.Findings[len(fe.Findings)-1]
+	if last.Evidence != core.EvWithheldBundle || last.Epoch != terminal || last.HOPs[0] != liar {
+		t.Errorf("last finding %v, want epoch %d withheld by %v", last, terminal, liar)
 	}
 }

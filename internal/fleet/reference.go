@@ -1,68 +1,42 @@
 package fleet
 
 import (
+	"context"
+
 	"vpm/internal/core"
-	"vpm/internal/netsim"
+	"vpm/internal/engine"
 )
 
-// RunReference runs the whole world in-process — one simulation, one
-// windowed store, one rolling verifier over every key — and returns
-// the complete epoch report stream. This is the ground truth the fleet
-// must reproduce: for any shard count, merging the shards' reports
-// epoch by epoch yields encodings byte-identical to these (the
-// acceptance bar, asserted by tests and the bench gate).
+// RunReference runs the whole world in-process — both engine halves,
+// every HOP and every key, sealed epochs ingested directly — and
+// returns the complete epoch report stream. This is the ground truth
+// the fleet must reproduce: for any shard count, merging the shards'
+// reports epoch by epoch yields encodings byte-identical to these (the
+// acceptance bar, asserted by tests and the bench gate). It closes at
+// the same spec-derived terminal the fleet's collectors do, or the
+// final empty epochs' reports would differ.
 //
 // Like a collector run, this consumes w's per-HOP collector state:
 // build a fresh World for each reference run.
 func RunReference(w *World, chunkSlots int64) ([]core.EpochReport, error) {
-	if chunkSlots <= 0 {
-		chunkSlots = 1 << 18
-	}
-	win, err := core.NewWindowedStore(w.HOPs, 3)
+	ver, err := engine.NewVerify(
+		engine.Store{HOPs: w.HOPs, Retention: windowRetention},
+		engine.Checks{Config: w.VerifierConfig(), KeyLayouts: w.Dep.KeyLayouts()})
 	if err != nil {
 		return nil, err
 	}
-	rolling := core.NewRollingVerifier(core.Layout{}, w.VerifierConfig(), win, nil, 0.95)
-	rolling.SetKeyLayouts(w.Dep.KeyLayouts())
-	driver, err := core.NewEpochDriver(w.Dep, w.Spec.IntervalNS, win.Sink())
-	if err != nil {
-		return nil, err
-	}
-	runner, err := netsim.NewTopoRunner(w.Topo, w.Table)
-	if err != nil {
-		return nil, err
-	}
-	observers := driver.Observers()
 	var reports []core.EpochReport
-	total := w.Spec.TotalSlots()
-	for lo := int64(0); lo < total; lo += chunkSlots {
-		hi := lo + chunkSlots
-		horizon := int64(1) << 62
-		if hi < total {
-			horizon = w.Spec.slotTime(hi)
-		} else {
-			hi = total
-		}
-		pkts := w.Spec.PacketsForSlots(w.Keys, lo, hi)
-		if _, err := runner.RunSegment(pkts, observers, horizon); err != nil {
-			return nil, err
-		}
-		reps, err := rolling.VerifyReady()
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, reps...)
-		win.Evict()
-	}
-	// The same spec-derived terminal the fleet's collectors close at:
-	// the reference must seal the identical epoch range or the final
-	// empty epochs' reports would differ.
-	driver.CloseAt(w.Terminal)
-	win.FinishStream()
-	reps, err := rolling.VerifyReady()
+	ver.OnEpoch = func(rep core.EpochReport, _ core.WindowStats) { reports = append(reports, rep) }
+	col, err := engine.NewCollect(w.Dep, w.HOPs, w.Spec.IntervalNS, w.Terminal, ver.Window.Sink())
 	if err != nil {
 		return nil, err
 	}
-	reports = append(reports, reps...)
+	sim, err := engine.TopoSim(w.Topo, w.Table)
+	if err != nil {
+		return nil, err
+	}
+	if err := col.Run(context.TODO(), w.segments(chunkSlots), sim, ver); err != nil {
+		return nil, err
+	}
 	return reports, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"vpm/internal/core"
 	"vpm/internal/dissem"
@@ -157,12 +156,7 @@ func (s Spec) Build() (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	hops := make([]receipt.HOPID, 0, len(dep.Collectors))
-	for h := range dep.Collectors {
-		hops = append(hops, h)
-	}
-	sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
-	w := &World{Spec: s, Topo: topo, Table: table, Dep: dep, Keys: keys, HOPs: hops}
+	w := &World{Spec: s, Topo: topo, Table: table, Dep: dep, Keys: keys, HOPs: dep.HOPs()}
 	w.Terminal = w.terminalEpoch()
 	return w, nil
 }

@@ -8,8 +8,8 @@ import (
 
 	"vpm/internal/core"
 	"vpm/internal/dissem"
+	"vpm/internal/engine"
 	"vpm/internal/packet"
-	"vpm/internal/receipt"
 )
 
 // Verifier is one shard of the fleet's verifier tier. It polls every
@@ -26,11 +26,10 @@ import (
 // from key slices (see core.ErrBadMerge). The windowed per-epoch
 // checks — the paper's core protocol — shard cleanly.
 type Verifier struct {
-	world   *World
-	ring    *Ring
-	shard   int
-	win     *core.WindowedStore
-	rolling *core.RollingVerifier
+	world *World
+	ring  *Ring
+	shard int
+	ver   *engine.Verify
 }
 
 // VerifierOptions tunes the shard's fetch loop.
@@ -41,17 +40,20 @@ type VerifierOptions struct {
 	// Poll is the idle wait between sweeps that found no new bundles.
 	// 0 means 20ms.
 	Poll time.Duration
-	// Retention is the windowed store's verified-epoch retention.
-	// 0 means 3 — the ±1 evidence window plus one epoch of slack.
-	Retention int
 	// HTTP optionally overrides the fetch client (timeouts, transports).
 	HTTP *http.Client
 }
 
+// windowRetention is the verified-epoch retention of every fleet
+// window, the reference's included: the ±1 evidence window plus one
+// epoch of slack.
+const windowRetention = 3
+
 // NewVerifier builds shard `shard` of a `shards`-wide verifier tier.
 // Every shard must be built with the same shards count or ownership
-// splits inconsistently.
-func NewVerifier(w *World, shards, shard int, opts VerifierOptions) (*Verifier, error) {
+// splits inconsistently. Nothing at construction is tunable; the
+// options parameter is kept for the callers that pass one.
+func NewVerifier(w *World, shards, shard int, _ VerifierOptions) (*Verifier, error) {
 	if shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("fleet: shard %d outside [0, %d)", shard, shards)
 	}
@@ -59,22 +61,16 @@ func NewVerifier(w *World, shards, shard int, opts VerifierOptions) (*Verifier, 
 	if err != nil {
 		return nil, err
 	}
-	retention := opts.Retention
-	if retention <= 0 {
-		retention = 3
-	}
-	win, err := core.NewWindowedStore(w.HOPs, retention)
+	// Only owned keys get layouts — at fleet scale the layout map is
+	// the dominant allocation, and a shard needs 1/shards of it.
+	layouts := w.Dep.KeyLayoutsFor(func(k packet.PathKey) bool { return ring.OwnerKey(k) == shard })
+	ver, err := engine.NewVerify(
+		engine.Store{HOPs: w.HOPs, Retention: windowRetention},
+		engine.Checks{Config: w.VerifierConfig(), KeyLayouts: layouts})
 	if err != nil {
 		return nil, err
 	}
-	v := &Verifier{world: w, ring: ring, shard: shard, win: win}
-	v.rolling = core.NewRollingVerifier(core.Layout{}, w.VerifierConfig(), win, nil, 0.95)
-	// Only owned keys get layouts — at fleet scale the layout map is
-	// the dominant allocation, and a shard needs 1/shards of it.
-	v.rolling.SetKeyLayouts(w.Dep.KeyLayoutsFor(func(k packet.PathKey) bool {
-		return ring.OwnerKey(k) == shard
-	}))
-	return v, nil
+	return &Verifier{world: w, ring: ring, shard: shard, ver: ver}, nil
 }
 
 // filterBundle strips b down to the receipts whose traffic key this
@@ -95,12 +91,13 @@ func (v *Verifier) filterBundle(b *dissem.Bundle) *dissem.Bundle {
 	return out
 }
 
-// Run polls the collector base URLs until every HOP's feed is fully
-// consumed — each HOP publishes exactly Terminal+1 bundles (one per
-// epoch), so completion is a deterministic cursor position, not a
-// negotiation — verifying epochs as they become ready and evicting
-// behind the retention window. Returns this shard's epoch reports in
-// ascending epoch order.
+// Run is the engine's verify half over one feed per (collector, HOP),
+// each filtered to the shard's keys on the way in: it polls until
+// every feed is fully consumed, verifying epochs as they become ready
+// and evicting behind the retention window, and returns this shard's
+// epoch reports in ascending epoch order. The engine holds the last
+// two epochs until every feed is drained (its stream-end rule), which
+// is what keeps them byte-identical to the single-process reference.
 //
 // Collectors retain all bundles, so a restarted shard re-fetches from
 // cursor zero and reproduces its exact output: crash recovery is
@@ -122,87 +119,42 @@ func (v *Verifier) Run(ctx context.Context, collectorURLs []string, opts Verifie
 		Registry: v.world.Registry(),
 		Viewer:   fmt.Sprintf("shard-%d", v.shard),
 	}
-
-	// One feed per (collector, HOP); done when the cursor reaches the
-	// bundle count every HOP is guaranteed to publish.
-	type feed struct {
-		url    string
-		hop    receipt.HOPID
-		cursor uint64
-	}
-	var feeds []*feed
 	for ci, base := range collectorURLs {
 		for _, h := range v.world.OwnedHOPs(ci) {
-			feeds = append(feeds, &feed{url: fmt.Sprintf("%s/hop/%d/receipts", base, h), hop: h})
+			url := fmt.Sprintf("%s/hop/%d/receipts", base, h)
+			feed := engine.HTTPFeed(client, retry, url, h)
+			fetch := feed.Fetch
+			feed.Fetch = func(ctx context.Context, since uint64, fn func(*dissem.Bundle) error) (uint64, error) {
+				next, err := fetch(ctx, since, func(b *dissem.Bundle) error { return fn(v.filterBundle(b)) })
+				if err != nil {
+					err = fmt.Errorf("fleet: shard %d: feed %s: %w", v.shard, url, err)
+				}
+				return next, err
+			}
+			v.ver.Feeds = append(v.ver.Feeds, feed)
 		}
 	}
-	want := uint64(v.world.Terminal) + 1
-
 	var reports []core.EpochReport
-	for {
-		progressed := false
-		remaining := 0
-		for _, f := range feeds {
-			if f.cursor >= want {
-				continue
-			}
-			remaining++
-			err := dissem.Retry(ctx, retry, func() error {
-				return client.FetchEach(ctx, f.url, f.hop, f.cursor, func(b *dissem.Bundle) error {
-					if err := v.win.IngestBundle(v.filterBundle(b)); err != nil {
-						// A duplicate (HOP, epoch) in one feed is
-						// publisher misbehavior; no retry fixes it.
-						return dissem.Permanent(err)
-					}
-					if err := v.win.SealHOP(b.Origin, core.EpochID(b.Epoch)); err != nil {
-						return dissem.Permanent(err)
-					}
-					f.cursor = b.Seq + 1
-					progressed = true
-					return nil
-				})
-			})
-			if err != nil {
-				return reports, fmt.Errorf("fleet: shard %d: feed %s: %w", v.shard, f.url, err)
-			}
-		}
-		if remaining == 0 {
-			break
-		}
-		// Verify incrementally, but keep the final two epochs for after
-		// FinishStream: epoch Terminal only seals at the collectors'
-		// CloseAt, so the single-process reference necessarily verifies
-		// Terminal−1 and Terminal post-finish — with the stream-end
-		// (tailComplete) evidence rule in effect. Verifying them early
-		// here would produce different (equally sound, but not
-		// byte-identical) reports for the tail epochs.
-		for _, e := range v.win.Ready() {
-			if e+1 >= v.world.Terminal {
-				break
-			}
-			rep, err := v.rolling.VerifyEpoch(e)
-			if err != nil {
-				return reports, err
-			}
-			reports = append(reports, rep)
-		}
-		v.win.Evict()
-		if !progressed {
-			select {
-			case <-ctx.Done():
-				return reports, ctx.Err()
-			case <-time.After(poll):
-			}
-		}
-	}
-	// All feeds drained: the final epoch needs the stream declared over
-	// before it can verify (no successor epoch will seal).
-	v.win.FinishStream()
-	reps, err := v.rolling.VerifyReady()
-	reports = append(reports, reps...)
-	if err != nil {
+	v.ver.OnEpoch = func(rep core.EpochReport, _ core.WindowStats) { reports = append(reports, rep) }
+	if err := v.ver.Run(ctx, v.world.Terminal, poll); err != nil {
 		return reports, err
 	}
-	v.win.Evict()
+	if len(v.ver.Findings) > 0 {
+		return reports, &FindingsError{Shard: v.shard, Findings: v.ver.Findings}
+	}
 	return reports, nil
+}
+
+// FindingsError is how a shard reports the dissemination misbehaviour
+// the engine classified into blame (a replayed epoch, a bad signature,
+// a withheld bundle): part files have no field for findings yet, and a
+// shard that has some must not pass for a clean one.
+type FindingsError struct {
+	Shard    int
+	Findings []core.Blame
+}
+
+func (e *FindingsError) Error() string {
+	return fmt.Sprintf("fleet: shard %d: %d dissemination findings, first: %v: %s",
+		e.Shard, len(e.Findings), e.Findings[0], e.Findings[0].Detail)
 }

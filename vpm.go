@@ -60,22 +60,20 @@
 // # Continuous operation
 //
 // The pipeline also runs continuously, over a stream of rotating
-// epochs (reporting intervals), instead of as a one-shot batch. An
-// EpochDriver wraps every collector of a Deployment in an epoch clock:
-// when a HOP's observation timestamps cross an interval boundary the
-// collector rotates (RotateInterval), sealing the receipts finalized
-// during the closing epoch without disturbing open state — an
-// aggregate spanning the boundary keeps counting and lands in the
-// epoch where it closes, so the concatenated epoch stream is
-// byte-identical to a one-shot run's receipts. Sealed epochs flow
-// (optionally as epoch-tagged signed bundles, BundleServer.PublishEpoch)
-// into a WindowedStore — one ReceiptStore segment per epoch — and a
-// RollingVerifier verifies each epoch as soon as every HOP has sealed
-// it, concurrently with ingest of the next, while verified epochs
-// older than the retention window are evicted (unverified epochs
-// never are). Traffic segments come from TraceGenerator.NextChunk and
-// a SimRunner, whose network state persists across segments. See
-// examples/continuous and cmd/vpm-node.
+// epochs (reporting intervals), instead of as a one-shot batch. Every
+// collector sits behind an epoch clock: when a HOP's observation
+// timestamps cross an interval boundary the collector rotates
+// (RotateInterval), sealing the receipts finalized during the closing
+// epoch without disturbing open state — an aggregate spanning the
+// boundary keeps counting and lands in the epoch where it closes, so
+// the concatenated epoch stream is byte-identical to a one-shot run's
+// receipts. Sealed epochs flow (optionally as epoch-tagged signed
+// bundles, BundleServer.PublishEpoch) into a window holding one
+// ReceiptStore segment per epoch; each epoch is verified as soon as
+// every HOP has sealed it, concurrently with ingest of the next, while
+// verified epochs older than the retention window are evicted
+// (unverified epochs never are). RunContinuous is that whole pipeline
+// behind one call; see examples/continuous and cmd/vpm-node.
 //
 // # Mesh & multipath topologies
 //
@@ -84,8 +82,7 @@
 // so a link shared by many origin-prefix paths is one HOP pair whose
 // collectors file receipts for every traffic key crossing it. A Route
 // is one key's HOP sequence through the graph; several routes per key
-// is ECMP multipath, hash-split per packet by the TopoRunner (whose
-// segmented replay semantics match SimRunner's exactly). Named
+// is ECMP multipath, hash-split per packet by the TopoRunner. Named
 // families — StarTopology, TreeTopology, ClosTopology,
 // RandomASTopology — build mesh fixtures; NewTopoDeployment places
 // collectors on every routed HOP, verification runs per (key, route)
@@ -108,10 +105,13 @@
 package vpm
 
 import (
+	"context"
+
 	"vpm/internal/aggregation"
 	"vpm/internal/core"
 	"vpm/internal/delaymodel"
 	"vpm/internal/dissem"
+	"vpm/internal/engine"
 	"vpm/internal/lossmodel"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
@@ -250,23 +250,16 @@ func NewReceiptStore() *ReceiptStore { return core.NewReceiptStore() }
 
 // Byzantine adversary framework (threat-model tooling). Data-plane
 // adversaries (HOPAdversary) are worn by a HOP via WearAdversary and
-// rewrite its observation stream; control-plane adversaries
-// (EpochAdversary) are interposed between epoch rotation and
-// publication with NewAdversarySink and rewrite sealed receipts;
-// dissemination attacks (BundleTamper) install on a BundleServer with
-// SetTamper. Verification answers with blame attribution: each Blame
-// names the narrowest implicated HOP/domain set and the evidence
-// class. See the attack-matrix section in README.md.
+// rewrite its observation stream; dissemination attacks
+// (BundleTamper) install on a BundleServer with SetTamper; the
+// control-plane layer in between (core.EpochAdversary) is mounted by
+// internal/experiments. Verification answers with blame attribution:
+// each Blame names the narrowest implicated HOP/domain set and the
+// evidence class. See the attack-matrix section in README.md.
 type (
 	// HOPAdversary rewrites the observation stream of one HOP (the
 	// data-plane half of the Byzantine framework).
 	HOPAdversary = netsim.Adversary
-	// EpochAdversary rewrites a domain's sealed epoch receipts before
-	// publication (the control-plane half).
-	EpochAdversary = core.EpochAdversary
-	// SealedEpoch is one HOP's sealed interval as an EpochAdversary
-	// sees it.
-	SealedEpoch = core.SealedEpoch
 	// BundleTamper intercepts bundles at the dissemination boundary.
 	BundleTamper = dissem.BundleTamper
 	// Blame is one attribution: narrowest implicated set + evidence
@@ -281,12 +274,6 @@ type (
 // WearAdversary dresses a HOP's observer in a data-plane adversary.
 func WearAdversary(hop HOPID, adv HOPAdversary, obs Observer) Observer {
 	return netsim.Wear(hop, adv, obs)
-}
-
-// NewAdversarySink interposes a control-plane adversary between an
-// epoch pipeline and its publication sink.
-func NewAdversarySink(sink EpochSink, adv EpochAdversary) EpochSink {
-	return core.NewAdversarySink(sink, adv)
 }
 
 // AttributeBlame condenses link verdicts into blame findings.
@@ -506,68 +493,55 @@ func NewBundleSigner(seed [32]byte) *BundleSigner { return dissem.NewSigner(seed
 // NewBundleServer builds a bundle publisher for one HOP.
 func NewBundleServer(hop HOPID, s *BundleSigner) *BundleServer { return dissem.NewServer(hop, s) }
 
-// NewReceiptBus builds an in-memory signed-bundle bus (the sockets-free
-// dissemination transport for simulations).
-func NewReceiptBus() *ReceiptBus { return dissem.NewBus() }
-
 // Continuous operation.
 type (
 	// EpochID is the ordinal of one reporting interval.
 	EpochID = core.EpochID
 	// EpochConfig parameterizes continuous multi-interval operation.
 	EpochConfig = core.EpochConfig
-	// EpochSink receives one HOP's sealed epoch.
-	EpochSink = core.EpochSink
-	// EpochCollector wraps one collector in an epoch clock.
-	EpochCollector = core.EpochCollector
-	// EpochDriver runs a whole Deployment continuously.
-	EpochDriver = core.EpochDriver
-	// WindowedStore holds one ReceiptStore segment per epoch with
-	// retention-based eviction.
-	WindowedStore = core.WindowedStore
-	// WindowStats is a WindowedStore occupancy snapshot.
+	// WindowStats is an occupancy snapshot of the per-epoch receipt
+	// window.
 	WindowStats = core.WindowStats
 	// EpochReport is the rolling verifier's per-epoch delta.
 	EpochReport = core.EpochReport
 	// EpochKeyReport is one traffic key's outcome within an epoch.
 	EpochKeyReport = core.EpochKeyReport
-	// RollingVerifier verifies sealed epochs as they become ready.
-	RollingVerifier = core.RollingVerifier
-	// ReceiptBus is the in-memory dissemination transport.
-	ReceiptBus = dissem.Bus
-	// SimRunner drives a path in consecutive segments with persistent
-	// network state.
-	SimRunner = netsim.Runner
-	// TraceGenerator is the pull-based synthetic packet source;
-	// NextChunk slices its stream at epoch boundaries.
+	// TraceGenerator is the pull-based synthetic packet source; the
+	// engine slices its stream at epoch boundaries.
 	TraceGenerator = trace.Generator
 )
 
-// NewEpochCollector wraps a collector in an epoch clock of the given
-// interval feeding sink.
-func NewEpochCollector(col PathCollector, intervalNS int64, sink EpochSink) (*EpochCollector, error) {
-	return core.NewEpochCollector(col, intervalNS, sink)
-}
-
-// NewEpochDriver wraps every collector of a deployment in an epoch
-// clock sharing one interval and sink.
-func NewEpochDriver(dep *Deployment, intervalNS int64, sink EpochSink) (*EpochDriver, error) {
-	return core.NewEpochDriver(dep, intervalNS, sink)
-}
-
-// NewWindowedStore builds a per-epoch receipt store expecting seals
-// from the given HOPs and retaining `retention` verified epochs.
-func NewWindowedStore(hops []HOPID, retention int) (*WindowedStore, error) {
-	return core.NewWindowedStore(hops, retention)
-}
-
-// NewRollingVerifier builds a rolling verifier over a windowed store.
-func NewRollingVerifier(layout Layout, cfg VerifierConfig, win *WindowedStore, quantiles []float64, confidence float64) *RollingVerifier {
-	return core.NewRollingVerifier(layout, cfg, win, quantiles, confidence)
-}
-
-// NewSimRunner prepares a path for segmented continuous simulation.
-func NewSimRunner(p *Path) (*SimRunner, error) { return netsim.NewRunner(p) }
-
 // NewTraceGenerator builds a pull-based trace generator.
 func NewTraceGenerator(cfg TraceConfig) (*TraceGenerator, error) { return trace.NewGenerator(cfg) }
+
+// RunContinuous runs a deployment on a linear path as a stream of
+// `epochs` rotating intervals through the epoch engine: each interval
+// of gen's traffic is simulated as one segment, every HOP seals its
+// epoch straight into the receipt window, and each epoch is verified
+// once every HOP has sealed it — overlapping the next segment — and
+// reported to onEpoch, while verified epochs older than ec.Retention
+// are evicted. It returns the window's final occupancy. (ec.Shards is
+// not read: sharding was fixed when dep was built.)
+func RunContinuous(path *Path, dep *Deployment, gen *TraceGenerator, ec EpochConfig, epochs int, onEpoch func(EpochReport, WindowStats)) (WindowStats, error) {
+	if err := ec.Validate(); err != nil {
+		return WindowStats{}, err
+	}
+	hops := dep.HOPs()
+	vc := dep.VerifierConfig()
+	vc.Workers = ec.Workers
+	ver, err := engine.NewVerify(engine.Store{HOPs: hops, Retention: ec.Retention}, engine.Checks{Config: vc, Layout: dep.Layout()})
+	if err != nil {
+		return WindowStats{}, err
+	}
+	ver.OnEpoch = onEpoch
+	col, err := engine.NewCollect(dep, hops, ec.IntervalNS, 0, ver.Window.Sink())
+	if err != nil {
+		return WindowStats{}, err
+	}
+	sim, err := engine.PathSim(path, nil)
+	if err != nil {
+		return WindowStats{}, err
+	}
+	err = col.Run(context.Background(), engine.EpochSource(gen, ec.IntervalNS, epochs, nil), sim, ver)
+	return ver.Window.Stats(), err
+}
