@@ -8,15 +8,19 @@ package vpm
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"sort"
 	"testing"
 
 	"vpm/internal/core"
 	"vpm/internal/experiments"
+	"vpm/internal/hashing"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
 	"vpm/internal/quantile"
 	"vpm/internal/receipt"
+	"vpm/internal/stats"
 	"vpm/internal/trace"
 )
 
@@ -268,6 +272,108 @@ func BenchmarkObserveBatchSharded(b *testing.B) {
 					col.ObserveBatch(workload[off:end])
 				}
 			})
+			if allocsPerPkt > core.AllocsPerPktBudget {
+				b.Fatalf("steady-state allocations %.6f/pkt exceed budget %.4f",
+					allocsPerPkt, core.AllocsPerPktBudget)
+			}
+		})
+	}
+}
+
+// zipfCollectorWorkload is the mesh-shaped counterpart of
+// collectorWorkload: 40 960 observations, 10 µs apart, each on a
+// Zipf(1.01) draw over netsim.WideKeys(2048) — a few hundred paths
+// interleaved packet by packet, where the Fig1 workload is one path.
+// Every key's first packet carries a digest in the marker band (above
+// µ, below the cut threshold), so with the digests repeating pass after
+// pass each path's pre-marker buffer still empties once a pass and the
+// cycle has a steady state. ranks[i] is observation i's key.
+func zipfCollectorWorkload(b *testing.B) (workload []netsim.Observation, ranks []int, table *packet.Table) {
+	b.Helper()
+	const nKeys, n = 2048, 10 * experiments.ThroughputBatchSize
+	keys := netsim.WideKeys(nKeys)
+	prefixes := make([]packet.Prefix, 0, 2*nKeys)
+	cdf := make([]float64, nKeys)
+	sum := 0.0
+	for r, k := range keys {
+		prefixes = append(prefixes, k.Src, k.Dst)
+		sum += math.Pow(float64(r+1), -1.01)
+		cdf[r] = sum
+	}
+	mu := hashing.ThresholdForRate(core.DefaultSamplingConfig().MarkerRate)
+	if delta := hashing.ThresholdForRate(core.DefaultAggregationConfig().CutRate); mu+nKeys >= delta {
+		b.Fatalf("no marker band between µ %#x and δ %#x", mu, delta)
+	}
+	rng := stats.NewRNG(11)
+	seen := make([]bool, nKeys)
+	pkts := make([]packet.Packet, n)
+	workload = make([]netsim.Observation, n)
+	ranks = make([]int, n)
+	for i := range pkts {
+		k := min(sort.SearchFloat64s(cdf, rng.Float64()*sum), nKeys-1)
+		ranks[i] = k
+		pkts[i] = packet.Packet{Src: keys[k].Src.Addr, Dst: keys[k].Dst.Addr, IPID: uint16(i)}
+		workload[i] = netsim.Observation{Pkt: &pkts[i], Digest: hashing.Mix64(uint64(i) + 1), TimeNS: int64(i) * 10_000}
+		if !seen[k] {
+			seen[k] = true
+			workload[i].Digest = mu + 1 + uint64(k)
+		}
+	}
+	return workload, ranks, packet.NewTable(prefixes)
+}
+
+// dispatchVisits counts, for a one-shard collector fed ranks in
+// ThroughputBatchSize calls, the path-state visits of a dispatch that
+// groups each 256-observation sub-batch by path (the sub-batch's
+// distinct paths — what ShardedCollector does, pinned to its own
+// counter by core's TestGroupByPathMatchesOracle) and of one that
+// run-length-encodes it (its runs of consecutive same-path
+// observations — what the dispatch before it did).
+func dispatchVisits(ranks []int) (grouped, runs int) {
+	const subBatch = 256
+	for off := 0; off < len(ranks); off += experiments.ThroughputBatchSize {
+		call := ranks[off:min(off+experiments.ThroughputBatchSize, len(ranks))]
+		for sub := 0; sub < len(call); sub += subBatch {
+			chunk := call[sub:min(sub+subBatch, len(call))]
+			distinct := map[int]bool{}
+			for i, k := range chunk {
+				distinct[k] = true
+				if i == 0 || chunk[i-1] != k {
+					runs++
+				}
+			}
+			grouped += len(distinct)
+		}
+	}
+	return grouped, runs
+}
+
+// BenchmarkObserveBatchShardedZipf is BenchmarkObserveBatchSharded on
+// mesh-shaped traffic, at 1 and 2 shards: the same steady-state cycle
+// and the same allocation bar, so the zero-alloc gate holds the
+// dispatch's grouping scratch — not only the one-path fast path — to
+// core.AllocsPerPktBudget. The one-shard row also reports how often
+// the dispatch visits a path's state per observation, beside what
+// run-length encoding the same sub-batches would make.
+func BenchmarkObserveBatchShardedZipf(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			workload, ranks, table := zipfCollectorWorkload(b)
+			col, err := core.NewShardedCollector(experiments.ThroughputCollectorConfig(table, shards))
+			if err != nil {
+				b.Fatal(err)
+			}
+			const batch = experiments.ThroughputBatchSize
+			allocsPerPkt := observeSteadyState(b, col, workload, func() {
+				for off := 0; off < len(workload); off += batch {
+					col.ObserveBatch(workload[off:min(off+batch, len(workload))])
+				}
+			})
+			if shards == 1 {
+				grouped, runs := dispatchVisits(ranks)
+				b.ReportMetric(float64(grouped)/float64(len(ranks)), "visits/obs")
+				b.ReportMetric(float64(runs)/float64(len(ranks)), "runs/obs")
+			}
 			if allocsPerPkt > core.AllocsPerPktBudget {
 				b.Fatalf("steady-state allocations %.6f/pkt exceed budget %.4f",
 					allocsPerPkt, core.AllocsPerPktBudget)

@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vpm/internal/aggregation"
@@ -58,13 +59,11 @@ type CollectorConfig struct {
 	// Table classifies packet addresses into origin prefixes.
 	Table *packet.Table
 	// PathID derives the full PathID (prev/next HOP, MaxDiff) this
-	// HOP stamps on receipts for a given origin-prefix pair. A
-	// ShardedCollector invokes it concurrently from its shard
-	// goroutines when new paths appear, so the function must be safe
-	// for concurrent use (a pure function of key, the common case, is
-	// always fine). It must also be injective — distinct keys map to
-	// distinct PathIDs (natural, since the PathID embeds the key);
-	// collectors assume one PathID names one path when draining.
+	// HOP stamps on receipts for a given origin-prefix pair; the
+	// collector invokes it on the observing goroutine when a new path
+	// appears. It must be injective — distinct keys map to distinct
+	// PathIDs (natural, since the PathID embeds the key); collectors
+	// assume one PathID names one path when draining.
 	PathID func(key packet.PathKey) receipt.PathID
 	// Sampling configures Algorithm 1 (µ is system-wide, σ local).
 	Sampling sampling.Config
@@ -201,9 +200,9 @@ type pathState struct {
 	idleDrains int32
 }
 
-// backend is the streaming-backend plumbing shared by the serial
-// collector and every shard of a sharded one: the keep filter and one
-// sketch pool (sync.Pool-backed, safe for concurrent shard use).
+// backend is the streaming-backend plumbing of a collector: the keep
+// filter and one sketch pool (sync.Pool-backed, so the shards of a
+// sharded collector can draw from it concurrently).
 type backend struct {
 	sketch bool
 	keep   streamagg.KeepFilter
@@ -341,9 +340,7 @@ func (c *Collector) Drain() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
 			delete(c.paths, key)
 		}
 	}
-	samples = mergeSamplesByPath(samples)
-	sortReceipts(samples, aggs)
-	return samples, aggs
+	return sortReceipts(samples, aggs)
 }
 
 // drainPath moves one path's finalized receipts into (samples, aggs)
@@ -388,15 +385,19 @@ func (c *Collector) takeSpares() ([]receipt.SampleReceipt, []receipt.AggReceipt)
 func (c *Collector) Flush() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
 	samples, aggs := c.takeSpares()
 	for _, st := range c.paths {
-		flushed := st.part.Flush()
-		aggs = append(aggs, flushed...)
-		st.part.Recycle(flushed)
-		if recs := st.sampler.Take(); len(recs) > 0 {
-			samples = append(samples, receipt.SampleReceipt{Path: st.id, Samples: recs})
-		}
+		samples, aggs = flushPath(st, samples, aggs)
 	}
-	samples = mergeSamplesByPath(samples)
-	sortReceipts(samples, aggs)
+	return sortReceipts(samples, aggs)
+}
+
+// flushPath finalizes one path's open state into (samples, aggs).
+func flushPath(st *pathState, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) ([]receipt.SampleReceipt, []receipt.AggReceipt) {
+	flushed := st.part.Flush()
+	aggs = append(aggs, flushed...)
+	st.part.Recycle(flushed)
+	if recs := st.sampler.Take(); len(recs) > 0 {
+		samples = append(samples, receipt.SampleReceipt{Path: st.id, Samples: recs})
+	}
 	return samples, aggs
 }
 
@@ -443,19 +444,36 @@ func sortSketches(s []*streamagg.PathSketch) {
 }
 
 // sortReceipts puts drained receipts into the canonical deterministic
-// order: sample receipts sorted by PathID; aggregate receipts stably
-// sorted by PathID only, so each path's aggregates keep their stream
-// order (CombineAggregates relies on it).
-func sortReceipts(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
-	//lint:ignore hotpath two comparator closures once per drain, not per packet
-	sort.Slice(samples, func(a, b int) bool {
-		return samples[a].Path.Compare(samples[b].Path) < 0
-	})
-	//lint:ignore hotpath see above: once per drain
-	sort.SliceStable(aggs, func(a, b int) bool {
-		return aggs[a].Path.Compare(aggs[b].Path) < 0
-	})
+// order, both stably sorted by PathID only — each path's aggregates
+// keep their stream order (CombineAggregates relies on it) — and
+// upholds Drain's one-sample-receipt-per-path contract by combining
+// sample receipts that share a PathID via receipt.CombineSamples. With
+// an injective PathID builder (the documented requirement) none do; the
+// fold keeps serial and sharded drains behaving identically even if a
+// caller breaks it.
+func sortReceipts(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) ([]receipt.SampleReceipt, []receipt.AggReceipt) {
+	slices.SortStableFunc(samples, compareSamplePaths)
+	slices.SortStableFunc(aggs, compareAggPaths)
+	out := samples[:0]
+	for _, s := range samples {
+		if n := len(out); n > 0 && out[n-1].Path == s.Path {
+			merged, err := receipt.CombineSamples(out[n-1], s)
+			if err != nil {
+				// Unreachable: the two share a PathID, the only error
+				// CombineSamples has. Loud is better than silently
+				// dropping measurements.
+				panic(err)
+			}
+			out[n-1] = merged
+			continue
+		}
+		out = append(out, s)
+	}
+	return out, aggs
 }
+
+func compareSamplePaths(a, b receipt.SampleReceipt) int { return a.Path.Compare(b.Path) }
+func compareAggPaths(a, b receipt.AggReceipt) int       { return a.Path.Compare(b.Path) }
 
 // MemoryStats is the §7.1 memory-budget breakdown of a collector.
 type MemoryStats struct {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"vpm/internal/hashing"
@@ -141,7 +142,7 @@ func TestEvictIdlePaths(t *testing.T) {
 
 // TestEvictResurrection: a key that goes idle, is evicted, and then
 // resumes gets fresh state and keeps reporting — eviction must not
-// leave a stale shard memo pointing at deleted state.
+// leave a cached state index pointing at deleted state.
 func TestEvictResurrection(t *testing.T) {
 	const nKeys = 4
 	table, waveA, waveB := evictWorld(nKeys)
@@ -175,5 +176,65 @@ func TestEvictResurrection(t *testing.T) {
 	count(a)
 	if want := uint64(2*len(waveA) + len(waveB)); total != want {
 		t.Fatalf("counted %d packets across evict/resume, want %d", total, want)
+	}
+}
+
+// TestEvictSlotReuse: an evicted path's state slot goes to the next new
+// path, and the classification cache entries that still held the
+// slot's index must not deliver the old path's packets into it. Wave A
+// is evicted, wave B takes A's slots, then A's address pairs — all
+// still cached — arrive again: they must reach fresh A states, and
+// every path's aggregates must count its own packets only.
+func TestEvictSlotReuse(t *testing.T) {
+	const nKeys = 3
+	table, waveA, waveB := evictWorld(nKeys)
+	cfg := evictCfg(table, 1)
+	cfg.Shards = 2
+	col, err := NewShardedCollector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[packet.PathKey]uint64{}
+	count := func(_ []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
+		for _, a := range aggs {
+			counts[a.Path.Key] += a.PktCnt
+		}
+	}
+	slots := func() map[uint32]bool {
+		out := map[uint32]bool{}
+		for _, i := range col.paths {
+			out[i] = true
+		}
+		return out
+	}
+
+	t0 := feedWave(col, waveA, 0)
+	slotsA := slots()
+	count(col.Drain()) // A was active
+	count(col.Drain()) // A idle for one Drain → evicted, slots freed
+	if got := col.Memory().ActivePaths; got != 0 {
+		t.Fatalf("%d active paths after eviction, want 0", got)
+	}
+	t0 = feedWave(col, waveB, t0)
+	if slotsB := slots(); !reflect.DeepEqual(slotsB, slotsA) {
+		t.Fatalf("wave B took slots %v, want wave A's freed %v", slotsB, slotsA)
+	}
+	feedWave(col, waveA, t0)
+	if got := col.Memory().ActivePaths; got != 2*nKeys {
+		t.Fatalf("%d active paths after wave A resumed, want %d", got, 2*nKeys)
+	}
+	count(col.Flush())
+
+	if len(counts) != 2*nKeys {
+		t.Fatalf("aggregates name %d paths, want %d", len(counts), 2*nKeys)
+	}
+	for key, got := range counts {
+		want := uint64(len(waveB) / nKeys)
+		if key.Src.Addr[2] < nKeys { // wave A: delivered twice
+			want *= 2
+		}
+		if got != want {
+			t.Errorf("path %v counted %d packets, want %d", key, got, want)
+		}
 	}
 }

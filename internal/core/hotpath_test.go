@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"sort"
 	"testing"
 
+	"vpm/internal/hashing"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
+	"vpm/internal/stats"
 	"vpm/internal/streamagg"
 	"vpm/internal/trace"
 )
@@ -48,45 +52,120 @@ func hotpathWorkload(t testing.TB, npkts int) (batches [][]netsim.Observation, s
 	return batches, int64(len(obs)) * 10_000, cfg
 }
 
+// zipfPicker returns a seeded Zipf(s) draw over n ranks.
+func zipfPicker(n int, s float64, seed uint64) func() int {
+	cdf := make([]float64, n)
+	sum := 0.0
+	for r := range cdf {
+		sum += math.Pow(float64(r+1), -s)
+		cdf[r] = sum
+	}
+	rng := stats.NewRNG(seed)
+	return func() int { return min(sort.SearchFloat64s(cdf, rng.Float64()*sum), n-1) }
+}
+
+// wideWorkload builds n observations 10 µs apart over
+// netsim.WideKeys(nKeys), the i-th on key pick(), and the collector
+// configuration that classifies them. ranks[i] is observation i's key.
+func wideWorkload(nKeys, n int, pick func() int) (obs []netsim.Observation, ranks []int, cfg CollectorConfig) {
+	keys := netsim.WideKeys(nKeys)
+	prefixes := make([]packet.Prefix, 0, 2*nKeys)
+	for _, k := range keys {
+		prefixes = append(prefixes, k.Src, k.Dst)
+	}
+	pkts := make([]packet.Packet, n)
+	obs = make([]netsim.Observation, n)
+	ranks = make([]int, n)
+	for i := range pkts {
+		k := pick()
+		ranks[i] = k
+		pkts[i] = packet.Packet{Src: keys[k].Src.Addr, Dst: keys[k].Dst.Addr, IPID: uint16(i)}
+		obs[i] = netsim.Observation{Pkt: &pkts[i], Digest: hashing.Mix64(uint64(i) + 1), TimeNS: int64(i) * 10_000}
+	}
+	return obs, ranks, evictCfg(packet.NewTable(prefixes), 0)
+}
+
+// zipfHotpathWorkload is hotpathWorkload shaped like a mesh HOP's
+// traffic: each observation's key is a Zipf(1.01) draw over
+// netsim.WideKeys(2048), so a 256-observation sub-batch holds some 140
+// paths in runs barely longer than one. Every key's first packet of a
+// pass carries a digest in the marker band — above µ, below the cut
+// threshold δ — so each path's pre-marker buffer empties once per pass,
+// as it does on any path that has run for a marker period: with the
+// digests repeating pass after pass, a rare key's buffer would
+// otherwise never see a marker and grow for ever.
+func zipfHotpathWorkload(t testing.TB, npkts int) (batches [][]netsim.Observation, span int64, cfg CollectorConfig) {
+	t.Helper()
+	const nKeys = 2048
+	obs, ranks, cfg := wideWorkload(nKeys, npkts, zipfPicker(nKeys, 1.01, 11))
+	mu := hashing.ThresholdForRate(cfg.Sampling.MarkerRate)
+	if delta := hashing.ThresholdForRate(cfg.Aggregation.CutRate); mu+nKeys >= delta {
+		t.Fatalf("no marker band between µ %#x and δ %#x", mu, delta)
+	}
+	seen := make([]bool, nKeys)
+	for i, k := range ranks {
+		if !seen[k] {
+			seen[k] = true
+			obs[i].Digest = mu + 1 + uint64(k)
+		}
+	}
+	for off := 0; off < len(obs); off += netsim.ReplayBatchSize {
+		batches = append(batches, obs[off:min(off+netsim.ReplayBatchSize, len(obs))])
+	}
+	return batches, int64(len(obs)) * 10_000, cfg
+}
+
 // TestObserveBatchSteadyStateZeroAlloc is the zero-alloc bar of the
-// wire-speed hot path: after warmup (path state created, scratch
-// buffers grown, one Drain/Recycle round trip), feeding the sharded
-// collector allocates at most AllocsPerPktBudget per packet.
+// wire-speed hot path, on one-path-at-a-time traffic (four paths in
+// long runs) and on mesh-shaped traffic (2048 Zipf-ranked paths
+// interleaved packet by packet): after warmup (path state created,
+// scratch buffers grown, two Drain/Recycle round trips), feeding the
+// sharded collector allocates at most AllocsPerPktBudget per packet.
 func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
 	const npkts = 20_000
-	for _, shards := range []int{1, 2} {
-		batches, span, cfg := hotpathWorkload(t, npkts)
-		cfg.Shards = shards
-		col, err := NewShardedCollector(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed := func() {
-			for _, b := range batches {
-				for i := range b {
-					b[i].TimeNS += span
-				}
-				col.ObserveBatch(b)
+	workloads := []struct {
+		name  string
+		build func(testing.TB, int) ([][]netsim.Observation, int64, CollectorConfig)
+	}{{"fig1", hotpathWorkload}, {"zipf", zipfHotpathWorkload}}
+	for _, w := range workloads {
+		for _, shards := range []int{1, 2} {
+			batches, span, cfg := w.build(t, npkts)
+			cfg.Shards = shards
+			col, err := NewShardedCollector(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Warmup covers more feed passes than the measurement will run,
-		// so every accumulator reaches its steady-state capacity, then
-		// one Drain/Recycle round trip re-arms the spare buffers.
-		for i := 0; i < 8; i++ {
-			feed()
-		}
-		samples, aggs := col.Drain()
-		col.Recycle(samples, aggs)
+			feed := func() {
+				for _, b := range batches {
+					for i := range b {
+						b[i].TimeNS += span
+					}
+					col.ObserveBatch(b)
+				}
+			}
+			// Each warmup round covers more feed passes than the
+			// measurement will run, so every accumulator reaches its
+			// steady-state capacity; the second Drain/Recycle round trip
+			// leaves every path with both of its alternating sample
+			// buffers at that capacity.
+			for round := 0; round < 2; round++ {
+				for i := 0; i < 8; i++ {
+					feed()
+				}
+				samples, aggs := col.Drain()
+				col.Recycle(samples, aggs)
+			}
 
-		const runs = 3
-		allocs := testing.AllocsPerRun(runs, feed)
-		perPkt := allocs / float64(npkts)
-		t.Logf("shards=%d: %.1f allocs/run over %d pkts = %.6f allocs/pkt", shards, allocs, npkts, perPkt)
-		if perPkt > AllocsPerPktBudget {
-			t.Errorf("shards=%d: steady-state allocations %.6f/pkt exceed budget %.4f", shards, perPkt, AllocsPerPktBudget)
+			const runs = 3
+			allocs := testing.AllocsPerRun(runs, feed)
+			perPkt := allocs / float64(npkts)
+			t.Logf("%s shards=%d: %.1f allocs/run over %d pkts = %.6f allocs/pkt", w.name, shards, allocs, npkts, perPkt)
+			if perPkt > AllocsPerPktBudget {
+				t.Errorf("%s shards=%d: steady-state allocations %.6f/pkt exceed budget %.4f", w.name, shards, perPkt, AllocsPerPktBudget)
+			}
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // with EvictIdleEpochs 1 evicts and re-creates path state throughout.
 // Three short intervals follow — keys 0–2 only, then key 3 only, then
 // keys 0–2 again — in which paths are evicted while nothing has
-// displaced them from the path-state memo, and then resume.
+// displaced them from the classification cache, and then resume.
 func zipfWideWorkload(nKeys, zipfIntervals, perInterval int) (*packet.Table, [][]netsim.Observation) {
 	keys := netsim.WideKeys(nKeys)
 	prefixes := make([]packet.Prefix, 0, 2*nKeys)
@@ -69,12 +69,12 @@ func zipfWideWorkload(nKeys, zipfIntervals, perInterval int) (*packet.Table, [][
 }
 
 // TestPathCollectorMatchesOracle holds the collector every deployment
-// gets — NewPathCollector at Shards 1: classification cache, packed
-// keys, run-length-encoded sub-batches, path-state memo, batch hooks —
-// to the per-packet reference Collector, receipt for receipt, on the
+// gets — NewPathCollector at Shards 1: classification cache resolving
+// to state indices, sub-batches grouped by path, batch hooks — to the
+// per-packet reference Collector, receipt for receipt, on the
 // population the Fig1 equivalence tests never reach: thousands of
-// skewed keys, cache and memo conflicts, unclassifiable traffic, idle
-// eviction at every rotation, and evicted paths that resume.
+// skewed keys, cache conflicts, unclassifiable traffic, idle eviction
+// at every rotation, and evicted paths that resume.
 func TestPathCollectorMatchesOracle(t *testing.T) {
 	table, obs := zipfWideWorkload(2048, 4, 20_000)
 	cfg := evictCfg(table, 1)
@@ -153,7 +153,7 @@ func TestClassifyEntrySize(t *testing.T) {
 // shardChunk observations per shard whatever the batch size, so a
 // process with many HOP collectors does not pay per HOP for its
 // batches. Each collector here has taken a full 4096-observation batch
-// (160 KiB of sub-batch records and runs, were the scratch sized to
+// (176 KiB of sub-batch records and groups, were the scratch sized to
 // it); what it keeps afterwards, beyond its classification cache, must
 // stay under 32 KiB.
 func TestCollectorScratchIsBounded(t *testing.T) {
@@ -195,5 +195,162 @@ func TestCollectorScratchIsBounded(t *testing.T) {
 	t.Logf("%d B live per collector, %d B beyond its classification cache", perCollector, extra)
 	if extra > 32<<10 {
 		t.Fatalf("each additional collector keeps %d B beyond its classification cache, want < 32 KiB", extra)
+	}
+}
+
+// TestDispatchScratchIsPointerFree: the classification cache and every
+// per-shard scratch array hold integers, never pointers. A deployment
+// keeps one set per HOP — thousands in one process — and with a
+// *pathState in the cache entry or the groups each would be an object
+// the garbage collector scans on every cycle.
+func TestDispatchScratchIsPointerFree(t *testing.T) {
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Array:
+			return hasPointers(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if hasPointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		}
+		return typ.Kind() > reflect.Complex128 // chan, func, interface, map, pointer, slice, string, unsafe pointer
+	}
+	if hasPointers(reflect.TypeOf(classifyEntry{})) {
+		t.Error("classifyEntry holds a pointer type")
+	}
+	arrays := 0
+	shardType := reflect.TypeOf(shard{})
+	for i := 0; i < shardType.NumField(); i++ {
+		if f := shardType.Field(i); f.Type.Kind() == reflect.Array {
+			arrays++
+			if hasPointers(f.Type) {
+				t.Errorf("shard.%s holds a pointer type", f.Name)
+			}
+		}
+	}
+	if arrays == 0 {
+		t.Fatal("shard has no scratch arrays; the test no longer sees the scratch")
+	}
+}
+
+// modelVisits counts what a one-shard collector's dispatch makes of
+// obs fed in batch-sized calls: the path-state visits of grouping each
+// shardChunk-observation sub-batch by path (its distinct paths), and
+// the runs of consecutive same-path observations in it — the visits of
+// a dispatch that run-length-encodes instead.
+func modelVisits(ranks []int, batch int) (visits, runs int) {
+	for off := 0; off < len(ranks); off += batch {
+		call := ranks[off:min(off+batch, len(ranks))]
+		for sub := 0; sub < len(call); sub += shardChunk {
+			chunk := call[sub:min(sub+shardChunk, len(call))]
+			distinct := map[int]bool{}
+			for i, k := range chunk {
+				distinct[k] = true
+				if i == 0 || chunk[i-1] != k {
+					runs++
+				}
+			}
+			visits += len(distinct)
+		}
+	}
+	return visits, runs
+}
+
+// TestGroupByPathMatchesOracle holds the dispatch's grouping — sub-
+// batches scattered by path, each path's state visited once with its
+// whole group — to the per-packet reference Collector, receipt for
+// receipt, where grouping reorders the most: 300 paths interleaved
+// packet by packet, round-robin (every full sub-batch is shardChunk
+// groups of one record, the group table's worst case) and Zipf-skewed,
+// at batch sizes around the sub-batch size, with the single-packet
+// Observe shim taking every fifth call, at 1–3 shards, under the exact
+// backend and the sketch backend keeping every record.
+func TestGroupByPathMatchesOracle(t *testing.T) {
+	const nKeys, n = 300, 20_000
+	next := 0
+	zipf := zipfPicker(nKeys, 1.01, 5)
+	interleavings := []struct {
+		name string
+		pick func() int
+	}{
+		{"round-robin", func() int { next++; return (next - 1) % nKeys }},
+		{"zipf", zipf},
+	}
+	for _, il := range interleavings {
+		obs, ranks, cfg := wideWorkload(nKeys, n, il.pick)
+		oracle, err := NewCollector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle.ObserveBatch(obs[:n/2])
+		wantS, wantA := oracle.Drain()
+		wantDrain := encodeReceipts(wantS, wantA)
+		oracle.ObserveBatch(obs[n/2:])
+		wantS, wantA = oracle.Flush()
+		wantFlush := encodeReceipts(wantS, wantA)
+		if len(wantDrain) == 0 || len(wantFlush) == 0 {
+			t.Fatalf("%s: the oracle emitted nothing", il.name)
+		}
+
+		for _, batch := range []int{1, 7, 255, 256, 257, 4096} {
+			for _, shards := range []int{1, 2, 3} {
+				for _, sketch := range []bool{false, true} {
+					cfg := cfg
+					cfg.Shards = shards
+					if sketch {
+						cfg = sketchConfigFor(cfg, 1)
+					}
+					col, err := NewShardedCollector(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					feed := func(obs []netsim.Observation) {
+						for call, off := 0, 0; off < len(obs); call, off = call+1, off+batch {
+							b := obs[off:min(off+batch, len(obs))]
+							if call%5 != 4 {
+								col.ObserveBatch(b)
+								continue
+							}
+							for i := range b {
+								col.Observe(b[i].Pkt, b[i].Digest, b[i].TimeNS)
+							}
+						}
+					}
+					feed(obs[:n/2])
+					gotS, gotA := col.Drain()
+					if !bytes.Equal(encodeReceipts(gotS, gotA), wantDrain) {
+						t.Fatalf("%s batch %d shards %d sketch %v: drained receipts differ from the oracle", il.name, batch, shards, sketch)
+					}
+					feed(obs[n/2:])
+					gotS, gotA = col.Flush()
+					if !bytes.Equal(encodeReceipts(gotS, gotA), wantFlush) {
+						t.Fatalf("%s batch %d shards %d sketch %v: flushed receipts differ from the oracle", il.name, batch, shards, sketch)
+					}
+				}
+			}
+		}
+
+		// The visit count is the model's, so what the Zipf benchmark
+		// reports from the same model is what the dispatch does.
+		cfg.Shards = 1
+		col, err := NewShardedCollector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < n; off += netsim.ReplayBatchSize {
+			col.ObserveBatch(obs[off:min(off+netsim.ReplayBatchSize, n)])
+		}
+		visits, runs := modelVisits(ranks, netsim.ReplayBatchSize)
+		if got := col.shards[0].visits; got != uint64(visits) {
+			t.Fatalf("%s: %d path-state visits, want %d (distinct paths per sub-batch)", il.name, got, visits)
+		}
+		t.Logf("%s: %.3f state visits per observation, %.3f runs per observation", il.name, float64(visits)/n, float64(runs)/n)
+		if il.name == "round-robin" && visits != n {
+			t.Fatalf("round-robin: %d visits over %d observations; no sub-batch reached %d groups", visits, n, shardChunk)
+		}
 	}
 }

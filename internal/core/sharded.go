@@ -23,9 +23,9 @@ func resolveShards(n int) int {
 
 // packedKey is a PathKey in 12 bytes — the two prefix addresses as
 // words plus the two prefix lengths — instead of PathKey's 32 (its
-// Prefix.Bits are ints). The batch path carries keys in this form from
-// the classification cache through the run-length encoding to the
-// path-state memo, and expands one only when the memo misses.
+// Prefix.Bits are ints). The classification cache holds keys in this
+// form and expands one only to consult the path map, when a pair is
+// bound to its state.
 type packedKey struct {
 	src, dst         uint32
 	srcBits, dstBits uint8
@@ -48,166 +48,218 @@ func (k packedKey) unpack() packet.PathKey {
 	return key
 }
 
-// hash hashes the key for shard selection and for the per-shard
-// path-state memo. It packs both prefix addresses into one word and
-// folds the prefix lengths in before mixing.
+// hash hashes the key for shard selection. It packs both prefix
+// addresses into one word and folds the prefix lengths in before
+// mixing.
 func (k packedKey) hash() uint64 {
 	bits := uint64(k.srcBits)<<6 | uint64(k.dstBits)
 	return hashing.Mix64((uint64(k.src)<<32 | uint64(k.dst)) ^ bits*0x9e3779b97f4a7c15)
 }
 
 // classifyCacheSize is the dispatcher's direct-mapped classification
-// cache: it short-circuits the two longest-prefix-match lookups for
-// recently seen (source, destination) address pairs. Flows repeat
-// addresses for many packets, but a direct-mapped cache lives and dies
-// by conflict misses: with a few hundred live pairs, 512 slots still
-// evict hot pairs into each other's slots often enough to put the LPM
-// walk back on the per-packet profile. 4096 slots (128 KiB) keeps the
-// conflict rate negligible at working sets into the low thousands of
-// pairs. Must be a power of two. The size is fixed on purpose: a cache
-// that grows on conflict re-misses its whole working set after every
-// regrowth, which costs more than it saves at a few packets per key.
+// cache: it short-circuits the two longest-prefix-match lookups and the
+// path-map lookup for recently seen (source, destination) address
+// pairs. Flows repeat addresses for many packets, but a direct-mapped
+// cache lives and dies by conflict misses: with a few hundred live
+// pairs, 512 slots still evict hot pairs into each other's slots often
+// enough to put the LPM walk back on the per-packet profile. 4096 slots
+// (128 KiB) keeps the conflict rate negligible at working sets into the
+// low thousands of pairs. Must be a power of two. The size is fixed on
+// purpose: a cache that grows on conflict re-misses its whole working
+// set after every regrowth, which costs more than it saves at a few
+// packets per key.
 const classifyCacheSize = 4096
 
-// classifyEntry caches one address pair's classification outcome. The
-// key is stored packed, field by field, so the entry is 32 bytes — two
-// per cache line — where one holding a packet.PathKey took 64; every
-// HOP collector owns a table of them (TestClassifyEntrySize).
+// noState is the state index of a classification entry that is not
+// bound to a path state: the pair matched no prefix, or its path has
+// none yet (first packet, or evicted since).
+const noState = ^uint32(0)
+
+// classifyEntry caches one address pair's classification outcome and,
+// once a packet of the pair has been collected, where its path's state
+// lives: a hit yields the shard and the index into
+// ShardedCollector.states with no hashing of the path key. The index is
+// an integer and the key is stored packed, so the entry is 32 bytes —
+// two per cache line — and pointer-free: every HOP collector owns a
+// table of them, and one holding a *pathState would be 128 KiB for the
+// garbage collector to scan per HOP (TestClassifyEntrySize,
+// TestDispatchScratchIsPointerFree).
 type classifyEntry struct {
-	addrs            uint64 // packet src<<32 | dst
-	hash             uint64 // packedKey.hash(), valid only when ok
-	src, dst         uint32 // the matched prefixes (packedKey fields)
-	shard            uint32
-	srcBits, dstBits uint8
-	valid            bool
-	ok               bool // false: pair matched no prefix (still cached)
-}
-
-// stateMemoSize is each shard's direct-mapped PathKey → *pathState
-// memo, skipping the path-map lookup for runs of hot paths. Must be a
-// power of two.
-const stateMemoSize = 64
-
-// stateMemoEntry caches one shard-local path-state lookup.
-type stateMemoEntry struct {
-	key   packedKey
-	state *pathState
-}
-
-// shardRun is a maximal run of consecutive same-path observations in
-// a shard's sub-batch: the dispatcher run-length-encodes while
-// partitioning, so the shard worker feeds whole runs to the batch
-// hooks without per-packet key comparisons or copies.
-type shardRun struct {
-	hash uint64 // key.hash(), for the memo index
-	key  packedKey
-	n    int32
+	addrs uint64    // packet src<<32 | dst
+	key   packedKey // the matched prefixes, valid only when ok
+	state uint32    // index into ShardedCollector.states, or noState
+	shard uint32
+	valid bool
+	ok    bool // false: pair matched no prefix (still cached)
 }
 
 // shardChunk bounds a shard's sub-batch: ObserveBatch hands the shards
 // their work whenever one of them has this many observations pending,
-// however long the batch is. The scratch is therefore a fixed 10 KiB
-// per shard — sized to the batch it would be 160 KiB at 4096
+// however long the batch is. The scratch is therefore a fixed 11 KiB
+// per shard — sized to the batch it would be 176 KiB at 4096
 // observations, per HOP — and ObserveBatch never allocates: there is
-// no pool to miss and no warm-up before the steady state.
+// no pool to miss and no warm-up before the steady state. Grouping 1024
+// or 4096 observations at a time visits each path's state less often
+// still, but on a 160-HOP mesh that bought 5 % and nothing end to end
+// for 4 and 16 times the scratch on every HOP.
 const shardChunk = 256
 
-// shard is one lock-free slice of a ShardedCollector: its own path
-// map, samplers and partitioner state, touched only by the goroutine
-// currently processing this shard's sub-batch.
-type shard struct {
-	cfg     *CollectorConfig
-	backend *backend
-	paths   map[packet.PathKey]*pathState
-	memo    [stateMemoSize]stateMemoEntry
+// groupTableSize is the open-addressed state index → group table of a
+// sub-batch: twice the most groups a sub-batch can hold, so probe
+// sequences stay short when every observation is its own path.
+const (
+	groupTableBits = 9
+	groupTableSize = 1 << groupTableBits
+)
 
+// Group numbers are stored as bytes and the table is never resized.
+const (
+	_ = uint(1<<8 - shardChunk)
+	_ = uint(groupTableSize - 2*shardChunk)
+)
+
+// pathGroup is one path's share of a shard's sub-batch.
+type pathGroup struct {
+	state uint32 // index into ShardedCollector.states
+	// n counts the group's records while the sub-batch fills; process
+	// turns it into the group's write cursor in the scatter, which ends
+	// on the group's end offset.
+	n    uint16
+	slot uint16 // the group's slot in the group table
+}
+
+// shard is one lock-free slice of a ShardedCollector's traffic: the
+// pending sub-batch of the paths that hash to it, touched only by the
+// dispatcher while it fills and only by the goroutine processing it
+// afterwards. The path states themselves live in the collector; a shard
+// reaches only those of its own paths.
+type shard struct {
 	// work is process-then-Done as a ready-made func value: `go
 	// s.work()` starts it without the wrapper closure a go statement
 	// with arguments or a receiver allocates on every spawn.
 	work func()
 
+	// visits counts path-state visits (one per group per sub-batch).
+	visits uint64
+
 	// The pending sub-batch, filled by the dispatcher: observations in
-	// shard-arrival order plus their run-length encoding by path.
-	// Pointer-free and last, so the garbage collector never scans it.
-	nrecs, nruns int
-	recs         [shardChunk]receipt.SampleRecord
-	runs         [shardChunk]shardRun
+	// shard-arrival order, each one's group, and the groups in order of
+	// first appearance. current is the group of the latest observation
+	// and currentState its path (noState while the sub-batch is empty).
+	// Everything below is pointer-free and last, so the garbage
+	// collector never scans it.
+	nrecs, ngroups int
+	currentState   uint32
+	current        uint8
+	recs           [shardChunk]receipt.SampleRecord
+	byPath         [shardChunk]receipt.SampleRecord // recs, grouped by path
+	groupOf        [shardChunk]uint8
+	groups         [shardChunk]pathGroup
+	table          [groupTableSize]uint16 // group number + 1; 0 is empty
 }
 
-// stateFor returns (creating on first use) the shard's state for key.
-func (s *shard) stateFor(pk packedKey, hash uint64) *pathState {
-	m := &s.memo[hash&(stateMemoSize-1)]
-	if m.state != nil && m.key == pk {
-		return m.state
-	}
-	key := pk.unpack()
-	st, ok := s.paths[key]
-	if !ok {
-		st = s.backend.newPathState(s.cfg, key)
-		s.paths[key] = st
-	}
-	m.key, m.state = pk, st
-	return st
-}
-
-// push appends one observation to the pending sub-batch, extending the
-// last run when it is the same path. The caller keeps nrecs below
-// shardChunk.
-func (s *shard) push(pk packedKey, hash uint64, digest uint64, tNS int64) {
-	s.recs[s.nrecs] = receipt.SampleRecord{PktID: digest, TimeNS: tNS}
-	s.nrecs++
-	if n := s.nruns; n > 0 {
-		if r := &s.runs[n-1]; r.hash == hash && r.key == pk {
-			r.n++
-			return
+// enter makes state's group the current one, opening it on the path's
+// first observation in the pending sub-batch. ObserveBatch calls it
+// only when the path changes.
+func (s *shard) enter(state uint32) {
+	// Fibonacci hashing: state indices are dense, and taken modulo the
+	// table size they would sit in one long occupied stretch that every
+	// colliding index then has to walk.
+	h := state * 0x9e3779b1 >> (32 - groupTableBits)
+	for {
+		g := int(s.table[h]) - 1
+		if g < 0 {
+			g = s.ngroups
+			s.ngroups++
+			s.groups[g] = pathGroup{state: state, slot: uint16(h)}
+			s.table[h] = uint16(g + 1)
+		} else if s.groups[g].state != state {
+			h = (h + 1) % groupTableSize
+			continue
 		}
+		s.current, s.currentState = uint8(g), state
+		return
 	}
-	s.runs[s.nruns] = shardRun{hash: hash, key: pk, n: 1}
-	s.nruns++
+}
+
+// push appends one observation of the current group's path to the
+// pending sub-batch. The caller keeps nrecs below shardChunk.
+func (s *shard) push(digest uint64, tNS int64) {
+	n := s.nrecs
+	s.recs[n] = receipt.SampleRecord{PktID: digest, TimeNS: tNS}
+	s.groupOf[n] = s.current
+	s.groups[s.current].n++
+	s.nrecs = n + 1
 }
 
 // process runs the pending sub-batch through Algorithm 1 and
-// Algorithm 2, feeding each same-path run to the batch hooks so
-// per-packet dispatch is amortized. Observations stay in arrival
-// order, so the shard's per-path state evolves exactly as a serial
-// collector's would.
-func (s *shard) process() {
-	off := 0
-	for i := range s.runs[:s.nruns] {
-		r := &s.runs[i]
-		st := s.stateFor(r.key, r.hash)
-		st.touched = true
-		run := s.recs[off : off+int(r.n)]
-		st.part.ObserveBatch(run)
-		st.sampler.ObserveBatch(run)
-		off += int(r.n)
+// Algorithm 2 one path at a time: a stable counting scatter makes each
+// path's observations contiguous, and each path's state is then visited
+// once, its whole group fed to the batch hooks. Within a path the
+// observations stay in arrival order and paths share no state, so every
+// path's state evolves exactly as a serial collector's would. A
+// sub-batch of one path — every sub-batch of single-path traffic — is
+// fed as it arrived.
+func (s *shard) process(states []*pathState) {
+	recs, groups := s.recs[:s.nrecs], s.groups[:s.ngroups]
+	if len(groups) > 1 {
+		var off uint16
+		for i := range groups {
+			off, groups[i].n = off+groups[i].n, off
+		}
+		for i := range recs {
+			g := &groups[s.groupOf[i]]
+			s.byPath[g.n] = recs[i]
+			g.n++
+		}
+		recs = s.byPath[:len(recs)]
 	}
-	s.nrecs, s.nruns = 0, 0
+	start := 0
+	for i := range groups {
+		end := int(groups[i].n)
+		st := states[groups[i].state]
+		st.touched = true
+		st.part.ObserveBatch(recs[start:end])
+		st.sampler.ObserveBatch(recs[start:end])
+		start = end
+		s.table[groups[i].slot] = 0
+	}
+	s.visits += uint64(len(groups))
+	s.nrecs, s.ngroups, s.currentState = 0, 0, noState
 }
 
 // ShardedCollector is the data-plane module of one HOP, and the
 // collector every deployment runs (NewPathCollector): it
-// hash-partitions PathKeys across N single-threaded collector shards,
-// each owning its own path map, sampler and partitioner state, so the
+// hash-partitions PathKeys across N single-threaded shards, each path's
+// sampler and partitioner state touched by its shard alone, so the
 // per-packet path needs no locks. It implements PathCollector and is
 // receipt-for-receipt equivalent to the reference Collector fed the
 // same observations (each path's stream lands wholly in one shard, in
 // arrival order). With one shard it is the same batched pipeline —
-// classification cache, run-length-encoded sub-batches, path-state
-// memo, batch hooks of Algorithms 1 and 2 — run inline on the calling
-// goroutine.
+// classification cache resolving to a state index, sub-batches grouped
+// by path, batch hooks of Algorithms 1 and 2 — run inline on the
+// calling goroutine.
 //
 // Concurrency model: Observe/ObserveBatch/Drain/Flush must be called
 // from one goroutine at a time (netsim's replay gives each HOP's
 // observer its own goroutine); inside ObserveBatch the shards process
 // their sub-batches concurrently and the call returns only when all
-// shards are done.
+// shards are done. Path states are created, indexed and evicted on the
+// calling goroutine only, between dispatches.
 type ShardedCollector struct {
 	cfg     CollectorConfig
 	backend backend
 	shards  []*shard
 	epoch   EpochID
 	wg      sync.WaitGroup
+
+	// states holds every live path's state at a dense index — what the
+	// classification cache resolves to and the drains walk; paths finds
+	// the index by key when the cache cannot. An evicted path leaves a
+	// nil slot, listed in free for the next new path to take.
+	paths  map[packet.PathKey]uint32
+	states []*pathState
+	free   []uint32
 
 	// Recycled outer receipt slices for Drain/Flush (see Recycle).
 	spareSamples []receipt.SampleReceipt
@@ -228,13 +280,17 @@ func NewShardedCollector(cfg CollectorConfig) (*ShardedCollector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := resolveShards(cfg.Shards)
-	c := &ShardedCollector{cfg: cfg, shards: make([]*shard, n), cache: new([classifyCacheSize]classifyEntry)}
+	c := &ShardedCollector{
+		cfg:    cfg,
+		shards: make([]*shard, resolveShards(cfg.Shards)),
+		paths:  make(map[packet.PathKey]uint32),
+		cache:  new([classifyCacheSize]classifyEntry),
+	}
 	c.backend = newBackend(&c.cfg)
 	for i := range c.shards {
-		s := &shard{cfg: &c.cfg, backend: &c.backend, paths: make(map[packet.PathKey]*pathState)}
+		s := &shard{currentState: noState}
 		s.work = func() {
-			s.process()
+			s.process(c.states)
 			c.wg.Done()
 		}
 		c.shards[i] = s
@@ -248,25 +304,48 @@ func (c *ShardedCollector) NumShards() int { return len(c.shards) }
 // HOP returns the collector's HOP identity.
 func (c *ShardedCollector) HOP() receipt.HOPID { return c.cfg.HOP }
 
-// classify resolves a packet's (packed) PathKey, path hash and shard
-// through the direct-mapped cache, falling back to the prefix table's
-// longest-prefix match on a miss.
-func (c *ShardedCollector) classify(pkt *packet.Packet) (pk packedKey, hash uint64, sh uint32, ok bool) {
+// classify resolves a packet's shard and path-state index through the
+// direct-mapped cache. A miss falls back to the prefix table's
+// longest-prefix match; an entry not bound to a state — fresh from the
+// match, or unbound by an eviction — finds or creates it by key.
+func (c *ShardedCollector) classify(pkt *packet.Packet) (sh, state uint32, ok bool) {
 	addrs := uint64(binary.BigEndian.Uint32(pkt.Src[:]))<<32 | uint64(binary.BigEndian.Uint32(pkt.Dst[:]))
 	e := &c.cache[hashing.Mix64(addrs)&(classifyCacheSize-1)]
-	if e.valid && e.addrs == addrs {
-		return packedKey{e.src, e.dst, e.srcBits, e.dstBits}, e.hash, e.shard, e.ok
+	if !e.valid || e.addrs != addrs {
+		key, ok := c.cfg.Table.Classify(pkt)
+		*e = classifyEntry{addrs: addrs, state: noState, valid: true, ok: ok}
+		if ok {
+			e.key = packKey(key)
+			e.shard = uint32(e.key.hash() % uint64(len(c.shards)))
+		}
 	}
-	key, ok := c.cfg.Table.Classify(pkt)
-	e.addrs, e.valid, e.ok = addrs, true, ok
-	if ok {
-		pk = packKey(key)
-		hash = pk.hash()
-		sh = uint32(hash % uint64(len(c.shards)))
-		e.src, e.dst, e.srcBits, e.dstBits = pk.src, pk.dst, pk.srcBits, pk.dstBits
-		e.hash, e.shard = hash, sh
+	if e.state == noState {
+		if !e.ok {
+			return 0, 0, false
+		}
+		e.state = c.stateIndex(e.key)
 	}
-	return pk, hash, sh, ok
+	return e.shard, e.state, true
+}
+
+// stateIndex returns the index of key's path state, creating the state
+// — in a freed slot when there is one — on the path's first packet.
+func (c *ShardedCollector) stateIndex(pk packedKey) uint32 {
+	key := pk.unpack()
+	if i, ok := c.paths[key]; ok {
+		return i
+	}
+	st := c.backend.newPathState(&c.cfg, key)
+	var i uint32
+	if n := len(c.free); n > 0 {
+		i, c.free = c.free[n-1], c.free[:n-1]
+		c.states[i] = st
+	} else {
+		i = uint32(len(c.states))
+		c.states = append(c.states, st)
+	}
+	c.paths[key] = i
+	return i
 }
 
 // Observe processes one packet observation — the single-packet
@@ -275,12 +354,12 @@ func (c *ShardedCollector) classify(pkt *packet.Packet) (pk packedKey, hash uint
 //vpm:hotpath
 func (c *ShardedCollector) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
 	c.observed++
-	pk, hash, sh, ok := c.classify(pkt)
+	_, state, ok := c.classify(pkt)
 	if !ok {
 		c.unclassified++
 		return
 	}
-	st := c.shards[sh].stateFor(pk, hash)
+	st := c.states[state]
 	st.touched = true
 	st.part.Observe(digest, tNS)
 	st.sampler.Observe(digest, tNS)
@@ -295,7 +374,7 @@ func (c *ShardedCollector) Observe(pkt *packet.Packet, digest uint64, tNS int64)
 func (c *ShardedCollector) ObserveBatch(batch []netsim.Observation) {
 	c.observed += uint64(len(batch))
 	for i := range batch {
-		pk, hash, sh, ok := c.classify(batch[i].Pkt)
+		sh, state, ok := c.classify(batch[i].Pkt)
 		if !ok {
 			c.unclassified++
 			continue
@@ -304,7 +383,10 @@ func (c *ShardedCollector) ObserveBatch(batch []netsim.Observation) {
 		if s.nrecs == shardChunk {
 			c.dispatch()
 		}
-		s.push(pk, hash, batch[i].Digest, batch[i].TimeNS)
+		if state != s.currentState {
+			s.enter(state)
+		}
+		s.push(batch[i].Digest, batch[i].TimeNS)
 	}
 	c.dispatch()
 }
@@ -326,40 +408,51 @@ func (c *ShardedCollector) dispatch() {
 		last = s
 	}
 	if last != nil {
-		last.process()
+		last.process(c.states)
 		c.wg.Wait()
 	}
 }
 
 // Drain returns the receipts finalized since the last Drain across
-// all shards, merged per path via the ⊎ combination operators and
-// sorted by PathID — identical runs drain identical receipt
-// sequences, and a sharded drain is byte-identical to a serial one.
+// all shards, one sample receipt per path, sorted by PathID —
+// identical runs drain identical receipt sequences, and a sharded
+// drain is byte-identical to a serial one.
 //
 //vpm:hotpath
 func (c *ShardedCollector) Drain() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
 	samples, aggs := c.takeSpares()
-	for _, s := range c.shards {
-		evicted := false
-		for key, st := range s.paths {
-			var evict bool
-			samples, aggs, evict = drainPath(st, c.cfg.EvictIdleEpochs, samples, aggs)
-			if evict {
-				delete(s.paths, key)
-				evicted = true
-			}
+	evicted := false
+	for i, st := range c.states {
+		if st == nil {
+			continue
 		}
-		if evicted {
-			// The state memo holds raw *pathState pointers; a stale hit
-			// on an evicted path would resurrect state the path map no
-			// longer drains. Eviction epochs are rare, so a wholesale
-			// clear beats per-entry bookkeeping.
-			s.memo = [stateMemoSize]stateMemoEntry{}
+		var evict bool
+		samples, aggs, evict = drainPath(st, c.cfg.EvictIdleEpochs, samples, aggs)
+		if evict {
+			c.states[i] = nil
+			c.free = append(c.free, uint32(i))
+			evicted = true
 		}
 	}
-	samples = mergeSamplesByPath(samples)
-	sortReceipts(samples, aggs)
-	return samples, aggs
+	if evicted {
+		// A key or a cached pair still resolving to a freed slot would
+		// feed the slot's next tenant another path's packets. Drop
+		// exactly those — the cache entries keep their classification,
+		// so a resuming pair costs a map lookup, not a prefix match — in
+		// one pass over each, before any slot can be reused. Eviction
+		// epochs are rare.
+		for key, state := range c.paths {
+			if c.states[state] == nil {
+				delete(c.paths, key)
+			}
+		}
+		for i := range c.cache {
+			if e := &c.cache[i]; e.state != noState && c.states[e.state] == nil {
+				e.state = noState
+			}
+		}
+	}
+	return sortReceipts(samples, aggs)
 }
 
 // takeSpares hands out the recycled outer receipt slices (nil when the
@@ -374,31 +467,22 @@ func (c *ShardedCollector) takeSpares() ([]receipt.SampleReceipt, []receipt.AggR
 // receipts, in the same deterministic order as Drain.
 func (c *ShardedCollector) Flush() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
 	samples, aggs := c.takeSpares()
-	for _, s := range c.shards {
-		for _, st := range s.paths {
-			flushed := st.part.Flush()
-			aggs = append(aggs, flushed...)
-			st.part.Recycle(flushed)
-			if recs := st.sampler.Take(); len(recs) > 0 {
-				samples = append(samples, receipt.SampleReceipt{Path: st.id, Samples: recs})
-			}
+	for _, st := range c.states {
+		if st != nil {
+			samples, aggs = flushPath(st, samples, aggs)
 		}
 	}
-	samples = mergeSamplesByPath(samples)
-	sortReceipts(samples, aggs)
-	return samples, aggs
+	return sortReceipts(samples, aggs)
 }
 
 // Recycle hands the buffers of a previous Drain/Flush result back for
 // reuse: the outer slices return to the dispatcher, each receipt's
-// record buffer to its owning shard's sampler. Safe only when nothing
+// record buffer to its path's sampler. Safe only when nothing
 // retains the result (see PathCollector.Recycle).
 func (c *ShardedCollector) Recycle(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
 	for i := range samples {
-		key := samples[i].Path.Key
-		s := c.shards[packKey(key).hash()%uint64(len(c.shards))]
-		if st, ok := s.paths[key]; ok {
-			st.sampler.Recycle(samples[i].Samples)
+		if state, ok := c.paths[samples[i].Path.Key]; ok {
+			c.states[state].sampler.Recycle(samples[i].Samples)
 		}
 	}
 	if cap(samples) > cap(c.spareSamples) {
@@ -415,12 +499,10 @@ func (c *ShardedCollector) Recycle(samples []receipt.SampleReceipt, aggs []recei
 // SketchPool().Put.
 func (c *ShardedCollector) DrainSketches() []*streamagg.PathSketch {
 	var out []*streamagg.PathSketch
-	for _, s := range c.shards {
-		for _, st := range s.paths {
-			if st.sketch != nil {
-				out = append(out, st.sketch)
-				st.sketch = nil
-			}
+	for _, st := range c.states {
+		if st != nil && st.sketch != nil {
+			out = append(out, st.sketch)
+			st.sketch = nil
 		}
 	}
 	sortSketches(out)
@@ -431,47 +513,16 @@ func (c *ShardedCollector) DrainSketches() []*streamagg.PathSketch {
 // under BackendExact).
 func (c *ShardedCollector) SketchPool() *streamagg.Pool { return c.backend.pool }
 
-// mergeSamplesByPath combines sample receipts that share a PathID via
-// receipt.CombineSamples, upholding Drain's one-receipt-per-path
-// contract. With an injective PathID builder (the documented
-// requirement) duplicates cannot occur; the merge keeps serial and
-// sharded drains behaving identically even if a caller breaks it.
-func mergeSamplesByPath(samples []receipt.SampleReceipt) []receipt.SampleReceipt {
-	//lint:ignore hotpath one dedup map per drain, not per packet
-	byPath := make(map[receipt.PathID]int, len(samples))
-	out := samples[:0]
-	for _, s := range samples {
-		if i, ok := byPath[s.Path]; ok {
-			merged, err := receipt.CombineSamples(out[i], s)
-			if err != nil {
-				// Unreachable: entries are grouped by identical
-				// PathID, the only error CombineSamples has. Loud is
-				// better than silently dropping measurements.
-				panic(err)
-			}
-			out[i] = merged
-			continue
-		}
-		byPath[s.Path] = len(out)
-		out = append(out, s)
-	}
-	return out
-}
-
-// Memory reports the §7.1 memory accounting aggregated across shards:
-// path counts and cache bytes sum, the temp-buffer peak is the
-// per-shard maximum (each shard owns its own buffers).
+// Memory reports the §7.1 memory accounting; the temp-buffer peak is
+// the maximum over paths (each path owns its own buffer).
 func (c *ShardedCollector) Memory() MemoryStats {
-	var m MemoryStats
-	for _, s := range c.shards {
-		m.ActivePaths += len(s.paths)
-		m.MonitoringCacheBytes += len(s.paths) * receipt.BaseAggReceiptBytes
-		for _, st := range s.paths {
-			if hw := st.sampler.TempHighWater(); hw > m.TempBufferPeakEntries {
-				m.TempBufferPeakEntries = hw
-			}
+	m := MemoryStats{ActivePaths: len(c.paths)}
+	for _, st := range c.states {
+		if st != nil {
+			m.TempBufferPeakEntries = max(m.TempBufferPeakEntries, st.sampler.TempHighWater())
 		}
 	}
+	m.MonitoringCacheBytes = m.ActivePaths * receipt.BaseAggReceiptBytes
 	m.TempBufferPeakBytes = m.TempBufferPeakEntries * receipt.SampleRecordBytes
 	return m
 }

@@ -23,14 +23,16 @@
 //
 // The collection pipeline is batched, and sharded for multi-core
 // throughput. Every HOP runs a ShardedCollector, which
-// hash-partitions origin-prefix paths across N shards, each owning
-// its own path map, sampler and partitioner state, so the per-packet
-// path takes no locks; Collector is its packet-at-a-time reference
-// implementation, kept as the oracle the equivalence tests compare
-// against. Observers can receive
+// hash-partitions origin-prefix paths across N shards, each path's
+// sampler and partitioner state touched by its shard alone, so the
+// per-packet path takes no locks; Collector is its packet-at-a-time
+// reference implementation, kept as the oracle the equivalence tests
+// compare against. Observers can receive
 // traffic either packet-at-a-time (Observe) or in arrival-order
 // batches (ObserveBatch, the BatchObserver interface), which
-// amortizes dispatch and classification; the simulator replays each
+// amortizes dispatch and classification and is grouped by path 256
+// observations at a time, so interleaved traffic visits a path's state
+// once per group rather than once per packet; the simulator replays each
 // HOP's observations concurrently with every other HOP's, in batches.
 // DeployConfig.Shards selects the shard count per HOP (0 = GOMAXPROCS,
 // 1 = one shard run inline on the observing goroutine); every count
