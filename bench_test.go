@@ -7,7 +7,6 @@
 package vpm
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -185,9 +184,9 @@ func collectorWorkload(b *testing.B) []netsim.Observation {
 	return obs
 }
 
-func benchCollectorConfig(b *testing.B, shards int) core.CollectorConfig {
+func benchCollectorConfig(b *testing.B) core.CollectorConfig {
 	b.Helper()
-	return experiments.ThroughputCollectorConfig(benchTraceConfig().Table(), shards)
+	return experiments.ThroughputCollectorConfig(benchTraceConfig().Table())
 }
 
 // observeSteadyState drives a collector benchmark with the
@@ -230,13 +229,13 @@ func observeSteadyState(b *testing.B, col core.PathCollector, workload []netsim.
 	return allocsPerPkt
 }
 
-// BenchmarkObserveSerial is the baseline of the sharding acceptance
-// comparison: single-packet Observe calls through the netsim.Observer
-// interface, one virtual call, classification and map lookup per
-// packet — the pre-sharding hot path.
+// BenchmarkObserveSerial is the baseline of the batching acceptance
+// comparison: the reference Collector taking single-packet Observe
+// calls through the netsim.Observer interface, one virtual call,
+// classification and map lookup per packet.
 func BenchmarkObserveSerial(b *testing.B) {
 	workload := collectorWorkload(b)
-	col, err := core.NewCollector(benchCollectorConfig(b, 1))
+	col, err := core.NewCollector(benchCollectorConfig(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,35 +247,34 @@ func BenchmarkObserveSerial(b *testing.B) {
 	})
 }
 
-// BenchmarkObserveBatchSharded measures the sharded batch pipeline at
-// 1/2/4/8 shards on the same Fig1 workload. The acceptance bars: ≥ 2×
-// BenchmarkObserveSerial's packet rate at 4 shards, and steady-state
-// allocations within core.AllocsPerPktBudget — the CI zero-alloc gate
-// fails the build when the observe → drain → recycle cycle starts
-// allocating again.
+// BenchmarkObserveBatchSharded measures the batched pipeline every
+// deployment runs on the same Fig1 workload. The acceptance bars: ≥ 2×
+// BenchmarkObserveSerial's packet rate, and steady-state allocations
+// within core.AllocsPerPktBudget — the CI zero-alloc gate fails the
+// build when the observe → drain → recycle cycle starts allocating
+// again.
 func BenchmarkObserveBatchSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			workload := collectorWorkload(b)
-			col, err := core.NewShardedCollector(benchCollectorConfig(b, shards))
-			if err != nil {
-				b.Fatal(err)
-			}
-			const batch = experiments.ThroughputBatchSize
-			allocsPerPkt := observeSteadyState(b, col, workload, func() {
-				for off := 0; off < len(workload); off += batch {
-					end := off + batch
-					if end > len(workload) {
-						end = len(workload)
-					}
-					col.ObserveBatch(workload[off:end])
-				}
-			})
-			if allocsPerPkt > core.AllocsPerPktBudget {
-				b.Fatalf("steady-state allocations %.6f/pkt exceed budget %.4f",
-					allocsPerPkt, core.AllocsPerPktBudget)
-			}
-		})
+	observeBatchWithinBudget(b, benchCollectorConfig(b), collectorWorkload(b))
+}
+
+// observeBatchWithinBudget runs the steady-state cycle on the collector
+// deployments run, fed in ThroughputBatchSize calls, and fails the
+// benchmark when it allocates beyond core.AllocsPerPktBudget.
+func observeBatchWithinBudget(b *testing.B, cfg core.CollectorConfig, workload []netsim.Observation) {
+	b.Helper()
+	col, err := core.NewShardedCollector(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const batch = experiments.ThroughputBatchSize
+	allocsPerPkt := observeSteadyState(b, col, workload, func() {
+		for off := 0; off < len(workload); off += batch {
+			col.ObserveBatch(workload[off:min(off+batch, len(workload))])
+		}
+	})
+	if allocsPerPkt > core.AllocsPerPktBudget {
+		b.Fatalf("steady-state allocations %.6f/pkt exceed budget %.4f",
+			allocsPerPkt, core.AllocsPerPktBudget)
 	}
 }
 
@@ -322,7 +320,7 @@ func zipfCollectorWorkload(b *testing.B) (workload []netsim.Observation, ranks [
 	return workload, ranks, packet.NewTable(prefixes)
 }
 
-// dispatchVisits counts, for a one-shard collector fed ranks in
+// dispatchVisits counts, for a collector fed ranks in
 // ThroughputBatchSize calls, the path-state visits of a dispatch that
 // groups each 256-observation sub-batch by path (the sub-batch's
 // distinct paths — what ShardedCollector does, pinned to its own
@@ -349,37 +347,18 @@ func dispatchVisits(ranks []int) (grouped, runs int) {
 }
 
 // BenchmarkObserveBatchShardedZipf is BenchmarkObserveBatchSharded on
-// mesh-shaped traffic, at 1 and 2 shards: the same steady-state cycle
-// and the same allocation bar, so the zero-alloc gate holds the
-// dispatch's grouping scratch — not only the one-path fast path — to
-// core.AllocsPerPktBudget. The one-shard row also reports how often
-// the dispatch visits a path's state per observation, beside what
-// run-length encoding the same sub-batches would make.
+// mesh-shaped traffic: the same steady-state cycle and the same
+// allocation bar, so the zero-alloc gate holds the dispatch's grouping
+// scratch — not only the one-path fast path — to
+// core.AllocsPerPktBudget. It also reports how often the dispatch
+// visits a path's state per observation, beside what run-length
+// encoding the same sub-batches would make.
 func BenchmarkObserveBatchShardedZipf(b *testing.B) {
-	for _, shards := range []int{1, 2} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			workload, ranks, table := zipfCollectorWorkload(b)
-			col, err := core.NewShardedCollector(experiments.ThroughputCollectorConfig(table, shards))
-			if err != nil {
-				b.Fatal(err)
-			}
-			const batch = experiments.ThroughputBatchSize
-			allocsPerPkt := observeSteadyState(b, col, workload, func() {
-				for off := 0; off < len(workload); off += batch {
-					col.ObserveBatch(workload[off:min(off+batch, len(workload))])
-				}
-			})
-			if shards == 1 {
-				grouped, runs := dispatchVisits(ranks)
-				b.ReportMetric(float64(grouped)/float64(len(ranks)), "visits/obs")
-				b.ReportMetric(float64(runs)/float64(len(ranks)), "runs/obs")
-			}
-			if allocsPerPkt > core.AllocsPerPktBudget {
-				b.Fatalf("steady-state allocations %.6f/pkt exceed budget %.4f",
-					allocsPerPkt, core.AllocsPerPktBudget)
-			}
-		})
-	}
+	workload, ranks, table := zipfCollectorWorkload(b)
+	observeBatchWithinBudget(b, experiments.ThroughputCollectorConfig(table), workload)
+	grouped, runs := dispatchVisits(ranks)
+	b.ReportMetric(float64(grouped)/float64(len(ranks)), "visits/obs")
+	b.ReportMetric(float64(runs)/float64(len(ranks)), "runs/obs")
 }
 
 // reportThroughput converts a per-iteration packet count into the
@@ -409,7 +388,7 @@ func verifyWorld(b *testing.B) (*core.Deployment, []packet.PathKey) {
 // BenchmarkVerifyRebuildSerial is the baseline of the verification
 // acceptance comparison: the pre-store shape, where every path key
 // re-scans the deployment's receipts into a private verifier and then
-// checks its links serially.
+// checks its links.
 func BenchmarkVerifyRebuildSerial(b *testing.B) {
 	dep, keys := verifyWorld(b)
 	b.ResetTimer()
@@ -417,11 +396,7 @@ func BenchmarkVerifyRebuildSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var matched int
 		for _, key := range keys {
-			v := dep.NewVerifier(key)
-			vc := dep.VerifierConfig()
-			vc.Workers = 1
-			v.SetConfig(vc)
-			for _, lv := range v.VerifyAllLinks() {
+			for _, lv := range dep.NewVerifier(key).VerifyAllLinks() {
 				matched += lv.MatchedSamples
 			}
 		}
@@ -433,35 +408,24 @@ func BenchmarkVerifyRebuildSerial(b *testing.B) {
 }
 
 // BenchmarkVerifyIndexed measures VerifyAllLinks over the shared
-// indexed store at 1/2/4/8 workers on the same scenario. The
-// acceptance bar is ≥ 2× the serial link-check rate at 4 workers on
-// multi-core hardware; on a single-core host the pool must be
-// throughput-neutral.
+// indexed store on the same scenario.
 func BenchmarkVerifyIndexed(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			dep, keys := verifyWorld(b)
-			store := dep.NewStore()
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var matched int
-				for _, key := range keys {
-					v := dep.NewVerifierOn(store, key)
-					vc := dep.VerifierConfig()
-					vc.Workers = workers
-					v.SetConfig(vc)
-					for _, lv := range v.VerifyAllLinks() {
-						matched += lv.MatchedSamples
-					}
-				}
-				if matched == 0 {
-					b.Fatal("no matched samples")
-				}
+	dep, keys := verifyWorld(b)
+	store := dep.NewStore()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var matched int
+		for _, key := range keys {
+			for _, lv := range dep.NewVerifierOn(store, key).VerifyAllLinks() {
+				matched += lv.MatchedSamples
 			}
-			reportVerifyThroughput(b, len(keys)*len(dep.Layout().Links()))
-		})
+		}
+		if matched == 0 {
+			b.Fatal("no matched samples")
+		}
 	}
+	reportVerifyThroughput(b, len(keys)*len(dep.Layout().Links()))
 }
 
 // BenchmarkVerifyStoreIngest measures indexing the whole deployment's

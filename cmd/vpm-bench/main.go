@@ -4,33 +4,31 @@
 //
 // Usage:
 //
-//	vpm-bench [-run all|fig2|fig3|table1|memory|bandwidth|click|verif|attacks|seqdetect|throughput|verify|epochs|topo|churn|segstore]
+//	vpm-bench [-run all|fig2|fig3|table1|memory|bandwidth|click|verif|attacks|seqdetect|throughput|verify|epochs|topo|churn|segstore|fleet]
 //	          [-duration 1s] [-rate 100000] [-seed 1] [-markdown] [-o out.md]
-//	          [-json] [-shards 1,2,4,8] [-workers 1,2,4,8]
-//	          [-churn-keys 1048576] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	          [-json] [-churn-keys 1048576]
+//	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The defaults reproduce the paper's scale (100k packets/second for
 // one second per experiment point). Use a smaller -duration for a
 // quick pass.
 //
-// -run throughput measures the collection pipeline (serial per-packet
-// Observe vs the sharded batch pipeline at each -shards count);
-// -run verify measures the verification pipeline on the 16-HOP ×
+// -run throughput measures the collection pipeline (the reference
+// collector's per-packet Observe vs the batched pipeline deployments
+// run); -run verify measures the verification pipeline on the 16-HOP ×
 // 64-path scenario (per-key rebuild baseline vs the shared indexed
-// receipt store at each -workers pool size). With -json both emit a
-// machine-readable document so the perf trajectory can be tracked
-// across PRs:
+// receipt store). With -json both emit a machine-readable document so
+// the perf trajectory can be tracked across PRs:
 //
 //	vpm-bench -run throughput -json -o BENCH_throughput.json
 //	vpm-bench -run verify -json -o BENCH_verify.json
 //
 // -run topo sweeps the mesh topology families (star, tree, Clos-like
 // ECMP fabric, random AS graph): honest and faulty-shared-link
-// scenarios per family, the faulty one across the -shards × -workers
-// grid with byte-identical verdicts enforced, shared-link blame
-// localization reported per row:
+// scenarios per family, shared-link blame localization and a verdict
+// fingerprint reported per row:
 //
-//	vpm-bench -run topo -json -shards 1,4 -workers 1,4 -o BENCH_topo.json
+//	vpm-bench -run topo -json -o BENCH_topo.json
 //
 // -run throughput also meters steady-state heap behavior (allocs,
 // bytes and encoded receipt bytes per packet across the whole
@@ -64,9 +62,7 @@ func main() {
 		rate       = flag.Float64("rate", 100000, "foreground path packet rate (packets/second)")
 		seed       = flag.Uint64("seed", 1, "experiment seed")
 		markdown   = flag.Bool("markdown", false, "emit Markdown tables")
-		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON (throughput, verify and epochs experiments only)")
-		shards     = flag.String("shards", "1,2,4,8", "comma-separated shard counts for -run throughput")
-		workers    = flag.String("workers", "1,2,4,8", "comma-separated verifier worker-pool sizes for -run verify")
+		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON (throughput, verify, epochs, attacks, seqdetect, topo, churn, segstore and fleet experiments)")
 		epochs     = flag.Int("epochs", 8, "epochs to rotate through for -run epochs (and key waves for -run churn)")
 		retain     = flag.String("retention", "2,4", "comma-separated retention windows for -run epochs")
 		churnKeys  = flag.Int("churn-keys", 1<<20, "distinct traffic keys to cycle through for -run churn")
@@ -106,14 +102,6 @@ func main() {
 		}()
 	}
 
-	shardCounts, err := parseCounts(*shards)
-	if err != nil {
-		fatal(err)
-	}
-	workerCounts, err := parseCounts(*workers)
-	if err != nil {
-		fatal(err)
-	}
 	retentions, err := parseCounts(*retain)
 	if err != nil {
 		fatal(err)
@@ -245,7 +233,7 @@ func main() {
 	}
 	if wanted("throughput") {
 		ran = true
-		rows, err := experiments.Throughput(cfg, shardCounts)
+		rows, err := experiments.Throughput(cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -263,13 +251,13 @@ func main() {
 				fatal(err)
 			}
 		} else {
-			section("Collection pipeline — serial vs sharded throughput")
+			section("Collection pipeline — serial vs batched throughput")
 			fmt.Fprint(w, experiments.ThroughputRender(rows, *markdown))
 		}
 	}
 	if wanted("verify") {
 		ran = true
-		rows, err := experiments.Verify(cfg, workerCounts)
+		rows, err := experiments.Verify(cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -293,9 +281,7 @@ func main() {
 	}
 	if wanted("topo") {
 		ran = true
-		// The topology grid reuses -shards and -workers; the sweep
-		// itself enforces byte-identical verdicts across the grid.
-		rows, err := experiments.Topo(cfg, shardCounts, workerCounts)
+		rows, err := experiments.Topo(cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -349,10 +335,7 @@ func main() {
 	}
 	if *run == "churn" { // too heavy for "all": cycles -churn-keys distinct paths
 		ran = true
-		// The sketch row's shard count bounds the fan-out; churn uses
-		// the largest requested shard count.
-		churnShards := shardCounts[len(shardCounts)-1]
-		row, err := experiments.Churn(*churnKeys, *epochs, 4, churnShards)
+		row, err := experiments.Churn(*churnKeys, *epochs, 4)
 		if err != nil {
 			fatal(err)
 		}
@@ -360,9 +343,8 @@ func main() {
 			doc := struct {
 				Experiment string               `json:"experiment"`
 				Seed       uint64               `json:"seed"`
-				Shards     int                  `json:"shards"`
 				Row        experiments.ChurnRow `json:"row"`
-			}{"churn", cfg.Seed, churnShards, row}
+			}{"churn", cfg.Seed, row}
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(doc); err != nil {
@@ -484,7 +466,7 @@ func main() {
 }
 
 // parseCounts parses a comma-separated positive-integer list
-// ("1,2,4,8"), shared by -shards and -workers.
+// ("1,2,4"), shared by -retention and -fleet-verifiers.
 func parseCounts(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {

@@ -94,7 +94,6 @@ func defaultSpec() fleet.Spec {
 		IntervalNS: 100_000_000,
 		RatePPS:    100_000,
 		Collectors: 2,
-		Workers:    0,
 	}
 }
 
@@ -186,14 +185,9 @@ func runVerify(args []string) {
 	shard := fs.Int("shard", 0, "this shard's index")
 	collectors := fs.String("collectors", "", "comma-separated collector base URLs")
 	out := fs.String("out", "", "part file path (empty: stdout)")
-	workers := fs.Int("workers", -1, "verifier worker-pool override (-1: use spec)")
 	fs.Parse(args)
 
-	spec := parseSpecFlag(*specText)
-	if *workers >= 0 {
-		spec.Workers = *workers
-	}
-	w, err := spec.Build()
+	w, err := parseSpecFlag(*specText).Build()
 	if err != nil {
 		fatal(err)
 	}

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	vpm-node [-epochs 8] [-interval 250ms] [-rate 50000] [-seed 1]
-//	         [-retention 2] [-shards 1] [-workers 1] [-json] [-quiet]
+//	         [-retention 2] [-json] [-quiet]
 //	         [-data-dir DIR] [-disk-retention N] [-http ADDR]
 //	         [-serve-only] [-pace] [-sequential]
 //
@@ -100,8 +100,6 @@ func main() {
 		rate      = flag.Float64("rate", 50000, "foreground packet rate (packets/second)")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 		retention = flag.Int("retention", 2, "verified epochs kept in RAM before eviction")
-		shards    = flag.Int("shards", 1, "collector shards per HOP (0 = GOMAXPROCS, 1 = one shard run inline on the observing goroutine)")
-		workers   = flag.Int("workers", 1, "verifier worker-pool size (0 = GOMAXPROCS)")
 		jsonOut   = flag.Bool("json", false, "emit a JSON summary instead of text")
 		quiet     = flag.Bool("quiet", false, "suppress per-epoch lines")
 		dataDir   = flag.String("data-dir", "", "durable store directory (empty: RAM only)")
@@ -184,8 +182,6 @@ func main() {
 	ec := core.EpochConfig{
 		IntervalNS: interval.Nanoseconds(),
 		Retention:  *retention,
-		Workers:    *workers,
-		Shards:     *shards,
 	}
 	if err := ec.Validate(); err != nil {
 		fatal(err)
@@ -214,9 +210,7 @@ func main() {
 		fatal(err)
 	}
 	path := netsim.Fig1Path(*seed + 1000)
-	dc := core.DefaultDeployConfig()
-	dc.Shards = ec.Shards
-	dep, err := core.NewDeployment(path, tc.Table(), dc)
+	dep, err := core.NewDeployment(path, tc.Table(), core.DefaultDeployConfig())
 	if err != nil {
 		fatal(err)
 	}
@@ -228,7 +222,6 @@ func main() {
 	})
 
 	vc := dep.VerifierConfig()
-	vc.Workers = ec.Workers
 	if *seq {
 		sc := seqdetect.DefaultConfig()
 		vc.Sequential = &sc

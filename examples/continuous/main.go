@@ -34,7 +34,6 @@ func main() {
 	ec := vpm.EpochConfig{
 		IntervalNS: 100_000_000, // 100 ms epochs
 		Retention:  2,
-		Workers:    1,
 	}
 
 	tc := vpm.TraceConfig{

@@ -45,11 +45,9 @@ func main() {
 	}
 	path.Domains[xi].Loss = loss
 
-	// 3. Deploy VPM on every HOP and run the traffic. By default each
-	// HOP's collector is sharded across GOMAXPROCS cores
-	// (DeployConfig.Shards; 1 is one shard run inline on the
-	// observing goroutine). Every shard count emits identical
-	// receipts, so it is purely a throughput knob.
+	// 3. Deploy VPM on every HOP and run the traffic. Each HOP's
+	// collector runs on the goroutine that feeds it; the simulator
+	// replays the HOPs concurrently.
 	dep, err := vpm.NewDeployment(path, traceCfg.Table(), vpm.DefaultDeployConfig())
 	if err != nil {
 		log.Fatal(err)

@@ -9,8 +9,8 @@
 //     work is a path lookup, a digest comparison, a counter update and
 //     a buffer append — the "three memory accesses, one hash function,
 //     and one timestamp computation" budget of §7.1 — batched and
-//     hash-partitioned across shards. Collector is its per-packet
-//     reference implementation, kept as the test oracle.
+//     grouped by path. Collector is its per-packet reference
+//     implementation, kept as the test oracle.
 //   - Processor: the control-plane module that periodically drains
 //     finalized receipts from the collector and accounts for the
 //     bandwidth they consume.
@@ -69,11 +69,6 @@ type CollectorConfig struct {
 	Sampling sampling.Config
 	// Aggregation configures Algorithm 2 (δ local, J system-wide).
 	Aggregation aggregation.Config
-	// Shards is the shard count of the ShardedCollector
-	// NewPathCollector builds: 0 means auto (GOMAXPROCS), 1 one shard
-	// run inline on the observing goroutine, N ≥ 2 N shards fanned
-	// out over goroutines. Receipts are byte-identical at every count.
-	Shards int
 	// Backend selects exact sample retention (the zero value) or the
 	// streaming sketch backend.
 	Backend Backend
@@ -102,9 +97,6 @@ func (c CollectorConfig) Validate() error {
 	}
 	if c.PathID == nil {
 		return fmt.Errorf("core: collector needs a PathID builder")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: negative shard count %d", c.Shards)
 	}
 	if c.EvictIdleEpochs < 0 {
 		return fmt.Errorf("core: negative idle-eviction threshold %d", c.EvictIdleEpochs)
@@ -171,10 +163,7 @@ type PathCollector interface {
 }
 
 // NewPathCollector builds the collector every deployment runs: a
-// ShardedCollector with resolveShards(cfg.Shards) shards. Shards == 1
-// is one shard run inline on the observing goroutine — the same
-// batched pipeline without the fan-out, not a different
-// implementation; Shards == 0 resolves to GOMAXPROCS.
+// ShardedCollector.
 func NewPathCollector(cfg CollectorConfig) (PathCollector, error) {
 	c, err := NewShardedCollector(cfg)
 	if err != nil {
@@ -201,8 +190,7 @@ type pathState struct {
 }
 
 // backend is the streaming-backend plumbing of a collector: the keep
-// filter and one sketch pool (sync.Pool-backed, so the shards of a
-// sharded collector can draw from it concurrently).
+// filter and one sketch pool.
 type backend struct {
 	sketch bool
 	keep   streamagg.KeepFilter
@@ -251,8 +239,8 @@ func (b *backend) newPathState(cfg *CollectorConfig, key packet.PathKey) *pathSt
 // module: Algorithms 1 and 2 applied packet by packet, with a
 // longest-prefix match and a path-map lookup for every observation and
 // nothing cached or batched. No deployment runs it — NewPathCollector
-// always builds a ShardedCollector, which is several times faster at
-// any shard count — it stays as the oracle the equivalence tests and
+// always builds a ShardedCollector, which is several times faster —
+// it stays as the oracle the equivalence tests and
 // the serial benchmark row hold the ShardedCollector to, receipt for
 // receipt. It implements PathCollector (and thereby netsim.Observer
 // and netsim.BatchObserver).
@@ -449,8 +437,8 @@ func sortSketches(s []*streamagg.PathSketch) {
 // upholds Drain's one-sample-receipt-per-path contract by combining
 // sample receipts that share a PathID via receipt.CombineSamples. With
 // an injective PathID builder (the documented requirement) none do; the
-// fold keeps serial and sharded drains behaving identically even if a
-// caller breaks it.
+// fold keeps the oracle's and the deployed collector's drains behaving
+// identically even if a caller breaks it.
 func sortReceipts(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) ([]receipt.SampleReceipt, []receipt.AggReceipt) {
 	slices.SortStableFunc(samples, compareSamplePaths)
 	slices.SortStableFunc(aggs, compareAggPaths)

@@ -42,11 +42,7 @@ type DeployConfig struct {
 	// SkipDomains lists domains that have not deployed VPM (§8,
 	// partial deployment): their HOPs produce no receipts.
 	SkipDomains map[string]bool
-	// Shards is each HOP collector's shard count
-	// (CollectorConfig.Shards): 0 auto (GOMAXPROCS), 1 one shard run
-	// inline on the observing goroutine, N ≥ 2 N shards on their own
-	// goroutines. Every count runs the same batched ShardedCollector
-	// and produces identical receipts for identical traffic.
+	// Shards is retired and ignored (bench/ still assigns it).
 	Shards int
 	// Backend selects exact sample retention (the zero value) or the
 	// streaming sketch backend for every HOP collector.
@@ -60,18 +56,14 @@ type DeployConfig struct {
 
 // Validate rejects deployment configurations that would otherwise
 // fail deep inside collector construction with a less useful error —
-// or, worse, silently misbehave (a negative shard count used to reach
-// the collector validator; zero rates produced deployments that never
-// sample or never cut).
+// or, worse, silently misbehave (zero rates produced deployments that
+// never sample or never cut).
 func (c DeployConfig) Validate() error {
 	if c.MarkerRate <= 0 || c.MarkerRate > 1 {
 		return fmt.Errorf("core: marker rate %v outside (0,1]", c.MarkerRate)
 	}
 	if c.WindowNS < 0 {
 		return fmt.Errorf("core: negative reordering window %dns", c.WindowNS)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: negative collector shard count %d (0 = GOMAXPROCS, 1 = one inline shard)", c.Shards)
 	}
 	if c.Backend == BackendSketch {
 		sk := c.Sketch
@@ -220,7 +212,6 @@ func NewDeployment(path *netsim.Path, table *packet.Table, cfg DeployConfig) (*D
 					CutRate:  tune.AggRate,
 					WindowNS: cfg.WindowNS,
 				},
-				Shards:  cfg.Shards,
 				Backend: cfg.Backend,
 				Sketch:  cfg.Sketch,
 			})

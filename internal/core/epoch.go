@@ -31,8 +31,7 @@ import (
 type EpochID uint64
 
 // EpochConfig parameterizes continuous multi-interval operation: the
-// epoch clock, the receipt-retention window, and the parallelism of
-// the two pipelines it drives.
+// epoch clock and the receipt-retention window.
 type EpochConfig struct {
 	// IntervalNS is the epoch length in simulated nanoseconds — the
 	// paper's reporting interval.
@@ -41,30 +40,17 @@ type EpochConfig struct {
 	// receipt store keeps before eviction (the GC N−k knob). Unverified
 	// epochs are never evicted regardless of age.
 	Retention int
-	// Workers sizes the verifier worker pools (VerifierConfig.Workers):
-	// 0 = GOMAXPROCS, 1 = serial.
-	Workers int
-	// Shards is each HOP collector's shard count
-	// (DeployConfig.Shards): 0 = GOMAXPROCS, 1 = one inline shard.
-	Shards int
 }
 
 // Validate rejects configurations that would silently misbehave: a
-// zero or negative interval never rotates, retention below one epoch
-// would evict the epoch currently being verified, and negative
-// worker or shard counts have no meaning.
+// zero or negative interval never rotates, and retention below one
+// epoch would evict the epoch currently being verified.
 func (c EpochConfig) Validate() error {
 	if c.IntervalNS <= 0 {
 		return fmt.Errorf("core: epoch interval %dns must be positive", c.IntervalNS)
 	}
 	if c.Retention < 1 {
 		return fmt.Errorf("core: retention %d epochs is below the 1-epoch minimum", c.Retention)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: negative verifier worker count %d", c.Workers)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: negative collector shard count %d", c.Shards)
 	}
 	return nil
 }
@@ -94,8 +80,8 @@ func (c *Collector) CloseEpoch() (EpochID, []receipt.SampleReceipt, []receipt.Ag
 // Epoch returns the collector's current (open) epoch ordinal.
 func (c *Collector) Epoch() EpochID { return c.epoch }
 
-// RotateInterval seals the sharded collector's current epoch across
-// all shards; see Collector.RotateInterval.
+// RotateInterval seals the collector's current epoch; see
+// Collector.RotateInterval.
 func (c *ShardedCollector) RotateInterval() (EpochID, []receipt.SampleReceipt, []receipt.AggReceipt) {
 	e := c.epoch
 	c.epoch++
@@ -103,7 +89,7 @@ func (c *ShardedCollector) RotateInterval() (EpochID, []receipt.SampleReceipt, [
 	return e, samples, aggs
 }
 
-// CloseEpoch finalizes all shards' open state into the current epoch —
+// CloseEpoch finalizes all open state into the current epoch —
 // the terminal rotation at end of stream.
 func (c *ShardedCollector) CloseEpoch() (EpochID, []receipt.SampleReceipt, []receipt.AggReceipt) {
 	e := c.epoch
@@ -112,7 +98,7 @@ func (c *ShardedCollector) CloseEpoch() (EpochID, []receipt.SampleReceipt, []rec
 	return e, samples, aggs
 }
 
-// Epoch returns the sharded collector's current (open) epoch ordinal.
+// Epoch returns the collector's current (open) epoch ordinal.
 func (c *ShardedCollector) Epoch() EpochID { return c.epoch }
 
 // EpochSink receives one HOP's sealed epoch: every receipt the HOP

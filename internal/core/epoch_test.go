@@ -29,8 +29,6 @@ func TestEpochConfigValidation(t *testing.T) {
 		{"zero interval", EpochConfig{IntervalNS: 0, Retention: 1}, "interval"},
 		{"negative interval", EpochConfig{IntervalNS: -5, Retention: 1}, "interval"},
 		{"zero retention", EpochConfig{IntervalNS: 1e8, Retention: 0}, "retention"},
-		{"negative workers", EpochConfig{IntervalNS: 1e8, Retention: 1, Workers: -1}, "worker"},
-		{"negative shards", EpochConfig{IntervalNS: 1e8, Retention: 1, Shards: -2}, "shard"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -61,7 +59,6 @@ func TestDeployConfigValidation(t *testing.T) {
 	}{
 		{"zero marker rate", mut(func(d *DeployConfig) { d.MarkerRate = 0 }), "marker rate"},
 		{"negative window", mut(func(d *DeployConfig) { d.WindowNS = -1 }), "window"},
-		{"negative shards", mut(func(d *DeployConfig) { d.Shards = -3 }), "shard"},
 		{"bad default sampling", mut(func(d *DeployConfig) { d.Default.SampleRate = 1.5 }), "sampling rate"},
 		{"zero default agg", mut(func(d *DeployConfig) { d.Default.AggRate = 0 }), "aggregation rate"},
 		{"bad per-domain", mut(func(d *DeployConfig) {
@@ -153,7 +150,7 @@ func TestRotationRepackagesWithoutChangingReceipts(t *testing.T) {
 	}
 	const intervalNS = int64(5e7) // 8 epochs of 50 ms
 
-	oneShot, _ := runDeployment(t, tc, pkts, 1)
+	oneShot, _ := runDeployment(t, tc, pkts, false)
 	_, rec := runEpochDeployment(t, tc, [][]packet.Packet{pkts}, intervalNS)
 
 	for id, proc := range oneShot.Processors {
@@ -239,7 +236,7 @@ func TestBatchContinuousEquivalence(t *testing.T) {
 	}
 	const intervalNS = int64(5e7) // 8 epochs
 
-	oneShot, _ := runDeployment(t, tc, pkts, 1)
+	oneShot, _ := runDeployment(t, tc, pkts, false)
 	want := verdictFingerprint(t, oneShot, oneShot.NewStore())
 
 	epoched, rec := runEpochDeployment(t, tc, [][]packet.Packet{pkts}, intervalNS)
@@ -493,7 +490,7 @@ func TestRollingVerifierReportsEpochs(t *testing.T) {
 	}
 	// Each sample is claimed by exactly one epoch, so the per-epoch
 	// matched counts sum to the one-shot total.
-	oneShot, _ := runDeployment(t, tc, pkts, 1)
+	oneShot, _ := runDeployment(t, tc, pkts, false)
 	store := oneShot.NewStore()
 	var batchMatched int64
 	for _, key := range store.Keys() {

@@ -147,7 +147,6 @@ func TestEvictResurrection(t *testing.T) {
 	const nKeys = 4
 	table, waveA, waveB := evictWorld(nKeys)
 	cfg := evictCfg(table, 1)
-	cfg.Shards = 2
 	col, err := NewShardedCollector(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +188,6 @@ func TestEvictSlotReuse(t *testing.T) {
 	const nKeys = 3
 	table, waveA, waveB := evictWorld(nKeys)
 	cfg := evictCfg(table, 1)
-	cfg.Shards = 2
 	col, err := NewShardedCollector(cfg)
 	if err != nil {
 		t.Fatal(err)

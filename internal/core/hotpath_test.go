@@ -131,41 +131,38 @@ func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 		build func(testing.TB, int) ([][]netsim.Observation, int64, CollectorConfig)
 	}{{"fig1", hotpathWorkload}, {"zipf", zipfHotpathWorkload}}
 	for _, w := range workloads {
-		for _, shards := range []int{1, 2} {
-			batches, span, cfg := w.build(t, npkts)
-			cfg.Shards = shards
-			col, err := NewShardedCollector(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed := func() {
-				for _, b := range batches {
-					for i := range b {
-						b[i].TimeNS += span
-					}
-					col.ObserveBatch(b)
+		batches, span, cfg := w.build(t, npkts)
+		col, err := NewShardedCollector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := func() {
+			for _, b := range batches {
+				for i := range b {
+					b[i].TimeNS += span
 				}
+				col.ObserveBatch(b)
 			}
-			// Each warmup round covers more feed passes than the
-			// measurement will run, so every accumulator reaches its
-			// steady-state capacity; the second Drain/Recycle round trip
-			// leaves every path with both of its alternating sample
-			// buffers at that capacity.
-			for round := 0; round < 2; round++ {
-				for i := 0; i < 8; i++ {
-					feed()
-				}
-				samples, aggs := col.Drain()
-				col.Recycle(samples, aggs)
+		}
+		// Each warmup round covers more feed passes than the
+		// measurement will run, so every accumulator reaches its
+		// steady-state capacity; the second Drain/Recycle round trip
+		// leaves every path with both of its alternating sample
+		// buffers at that capacity.
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 8; i++ {
+				feed()
 			}
+			samples, aggs := col.Drain()
+			col.Recycle(samples, aggs)
+		}
 
-			const runs = 3
-			allocs := testing.AllocsPerRun(runs, feed)
-			perPkt := allocs / float64(npkts)
-			t.Logf("%s shards=%d: %.1f allocs/run over %d pkts = %.6f allocs/pkt", w.name, shards, allocs, npkts, perPkt)
-			if perPkt > AllocsPerPktBudget {
-				t.Errorf("%s shards=%d: steady-state allocations %.6f/pkt exceed budget %.4f", w.name, shards, perPkt, AllocsPerPktBudget)
-			}
+		const runs = 3
+		allocs := testing.AllocsPerRun(runs, feed)
+		perPkt := allocs / float64(npkts)
+		t.Logf("%s: %.1f allocs/run over %d pkts = %.6f allocs/pkt", w.name, allocs, npkts, perPkt)
+		if perPkt > AllocsPerPktBudget {
+			t.Errorf("%s: steady-state allocations %.6f/pkt exceed budget %.4f", w.name, perPkt, AllocsPerPktBudget)
 		}
 	}
 }
@@ -244,9 +241,7 @@ func TestSketchBackendThinnedSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardedCfg := sketchConfigFor(cfg, keepRate)
-	shardedCfg.Shards = 4
-	sharded, err := NewShardedCollector(shardedCfg)
+	sharded, err := NewShardedCollector(sketchConfigFor(cfg, keepRate))
 	if err != nil {
 		t.Fatal(err)
 	}

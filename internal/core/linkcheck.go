@@ -63,11 +63,10 @@ type checkScope struct {
 	// upper edge (the stream finished at or inside it), so Join's tail
 	// region is bounded and may be compared.
 	tailComplete bool
-	// seq, when non-nil, captures per-packet evidence for the
-	// sequential arm (see seqarm.go). The checks only append to it;
-	// the rolling verifier feeds it to the engine after the parallel
-	// sweep, in deterministic work order.
-	seq *seqCollector
+	// seq, when non-nil, is the sequential arm's engine (see
+	// seqarm.go): the checks feed it their per-packet evidence as they
+	// produce it.
+	seq *seqdetect.Engine
 }
 
 // wholeStream is the batch scope: claims = evidence = everything the
@@ -177,9 +176,9 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 	}
 	if s.seq != nil {
 		sc := seqLinkScope(v.key, up, down)
-		s.seq.add(sc, seqdetect.ClassLoss, linkItems)
-		s.seq.add(sc, seqdetect.ClassDelay, linkItems)
-		s.seq.add(sc, seqdetect.ClassFabricate, fabItems)
+		s.seq.Observe(sc, seqdetect.ClassLoss, linkItems)
+		s.seq.Observe(sc, seqdetect.ClassDelay, linkItems)
+		s.seq.Observe(sc, seqdetect.ClassFabricate, fabItems)
 	}
 	lv.MissingDown, lv.MissingUp = len(missingDown), len(missingUp)
 	tol := missingTolerance(lv.MatchedSamples)
@@ -284,7 +283,7 @@ func (s *checkScope) delaysBetween(seg Segment) []float64 {
 		}
 	}
 	if collectBias {
-		s.seq.add(seqDomainScope(v.key, seg), seqdetect.ClassBias, biasItems)
+		s.seq.Observe(seqDomainScope(v.key, seg), seqdetect.ClassBias, biasItems)
 	}
 	return delays
 }

@@ -69,7 +69,7 @@ func zipfWideWorkload(nKeys, zipfIntervals, perInterval int) (*packet.Table, [][
 }
 
 // TestPathCollectorMatchesOracle holds the collector every deployment
-// gets — NewPathCollector at Shards 1: classification cache resolving
+// gets — NewPathCollector: classification cache resolving
 // to state indices, sub-batches grouped by path, batch hooks — to the
 // per-packet reference Collector, receipt for receipt, on the
 // population the Fig1 equivalence tests never reach: thousands of
@@ -78,7 +78,6 @@ func zipfWideWorkload(nKeys, zipfIntervals, perInterval int) (*packet.Table, [][
 func TestPathCollectorMatchesOracle(t *testing.T) {
 	table, obs := zipfWideWorkload(2048, 4, 20_000)
 	cfg := evictCfg(table, 1)
-	cfg.Shards = 1
 
 	// batch 0 drives the single-packet Observe shim.
 	for _, batch := range []int{0, 1, 7, 4096} {
@@ -149,8 +148,8 @@ func TestClassifyEntrySize(t *testing.T) {
 	}
 }
 
-// TestCollectorScratchIsBounded: dispatch scratch is a fixed
-// shardChunk observations per shard whatever the batch size, so a
+// TestCollectorScratchIsBounded: the sub-batch scratch is a fixed
+// subBatchSize observations per collector whatever the batch size, so a
 // process with many HOP collectors does not pay per HOP for its
 // batches. Each collector here has taken a full 4096-observation batch
 // (176 KiB of sub-batch records and groups, were the scratch sized to
@@ -160,7 +159,6 @@ func TestCollectorScratchIsBounded(t *testing.T) {
 	const n = 64
 	key := netsim.WideKeys(1)[0]
 	cfg := evictCfg(packet.NewTable([]packet.Prefix{key.Src, key.Dst}), 0)
-	cfg.Shards = 1
 	// Frequent markers keep the sampler's own pre-marker buffer (which
 	// is per path by design) out of the measurement.
 	cfg.Sampling = sampling.Config{MarkerRate: 0.05, SampleRate: 0.01}
@@ -199,7 +197,7 @@ func TestCollectorScratchIsBounded(t *testing.T) {
 }
 
 // TestDispatchScratchIsPointerFree: the classification cache and every
-// per-shard scratch array hold integers, never pointers. A deployment
+// sub-batch scratch array hold integers, never pointers. A deployment
 // keeps one set per HOP — thousands in one process — and with a
 // *pathState in the cache entry or the groups each would be an object
 // the garbage collector scans on every cycle.
@@ -223,30 +221,30 @@ func TestDispatchScratchIsPointerFree(t *testing.T) {
 		t.Error("classifyEntry holds a pointer type")
 	}
 	arrays := 0
-	shardType := reflect.TypeOf(shard{})
-	for i := 0; i < shardType.NumField(); i++ {
-		if f := shardType.Field(i); f.Type.Kind() == reflect.Array {
+	subType := reflect.TypeOf(subBatch{})
+	for i := 0; i < subType.NumField(); i++ {
+		if f := subType.Field(i); f.Type.Kind() == reflect.Array {
 			arrays++
 			if hasPointers(f.Type) {
-				t.Errorf("shard.%s holds a pointer type", f.Name)
+				t.Errorf("subBatch.%s holds a pointer type", f.Name)
 			}
 		}
 	}
 	if arrays == 0 {
-		t.Fatal("shard has no scratch arrays; the test no longer sees the scratch")
+		t.Fatal("subBatch has no scratch arrays; the test no longer sees the scratch")
 	}
 }
 
-// modelVisits counts what a one-shard collector's dispatch makes of
-// obs fed in batch-sized calls: the path-state visits of grouping each
-// shardChunk-observation sub-batch by path (its distinct paths), and
+// modelVisits counts what the collector's dispatch makes of obs fed in
+// batch-sized calls: the path-state visits of grouping each
+// subBatchSize-observation sub-batch by path (its distinct paths), and
 // the runs of consecutive same-path observations in it — the visits of
 // a dispatch that run-length-encodes instead.
 func modelVisits(ranks []int, batch int) (visits, runs int) {
 	for off := 0; off < len(ranks); off += batch {
 		call := ranks[off:min(off+batch, len(ranks))]
-		for sub := 0; sub < len(call); sub += shardChunk {
-			chunk := call[sub:min(sub+shardChunk, len(call))]
+		for sub := 0; sub < len(call); sub += subBatchSize {
+			chunk := call[sub:min(sub+subBatchSize, len(call))]
 			distinct := map[int]bool{}
 			for i, k := range chunk {
 				distinct[k] = true
@@ -264,11 +262,11 @@ func modelVisits(ranks []int, batch int) (visits, runs int) {
 // batches scattered by path, each path's state visited once with its
 // whole group — to the per-packet reference Collector, receipt for
 // receipt, where grouping reorders the most: 300 paths interleaved
-// packet by packet, round-robin (every full sub-batch is shardChunk
+// packet by packet, round-robin (every full sub-batch is subBatchSize
 // groups of one record, the group table's worst case) and Zipf-skewed,
 // at batch sizes around the sub-batch size, with the single-packet
-// Observe shim taking every fifth call, at 1–3 shards, under the exact
-// backend and the sketch backend keeping every record.
+// Observe shim taking every fifth call, under the exact backend and the
+// sketch backend keeping every record.
 func TestGroupByPathMatchesOracle(t *testing.T) {
 	const nKeys, n = 300, 20_000
 	next := 0
@@ -297,46 +295,42 @@ func TestGroupByPathMatchesOracle(t *testing.T) {
 		}
 
 		for _, batch := range []int{1, 7, 255, 256, 257, 4096} {
-			for _, shards := range []int{1, 2, 3} {
-				for _, sketch := range []bool{false, true} {
-					cfg := cfg
-					cfg.Shards = shards
-					if sketch {
-						cfg = sketchConfigFor(cfg, 1)
-					}
-					col, err := NewShardedCollector(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					feed := func(obs []netsim.Observation) {
-						for call, off := 0, 0; off < len(obs); call, off = call+1, off+batch {
-							b := obs[off:min(off+batch, len(obs))]
-							if call%5 != 4 {
-								col.ObserveBatch(b)
-								continue
-							}
-							for i := range b {
-								col.Observe(b[i].Pkt, b[i].Digest, b[i].TimeNS)
-							}
+			for _, sketch := range []bool{false, true} {
+				cfg := cfg
+				if sketch {
+					cfg = sketchConfigFor(cfg, 1)
+				}
+				col, err := NewShardedCollector(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feed := func(obs []netsim.Observation) {
+					for call, off := 0, 0; off < len(obs); call, off = call+1, off+batch {
+						b := obs[off:min(off+batch, len(obs))]
+						if call%5 != 4 {
+							col.ObserveBatch(b)
+							continue
+						}
+						for i := range b {
+							col.Observe(b[i].Pkt, b[i].Digest, b[i].TimeNS)
 						}
 					}
-					feed(obs[:n/2])
-					gotS, gotA := col.Drain()
-					if !bytes.Equal(encodeReceipts(gotS, gotA), wantDrain) {
-						t.Fatalf("%s batch %d shards %d sketch %v: drained receipts differ from the oracle", il.name, batch, shards, sketch)
-					}
-					feed(obs[n/2:])
-					gotS, gotA = col.Flush()
-					if !bytes.Equal(encodeReceipts(gotS, gotA), wantFlush) {
-						t.Fatalf("%s batch %d shards %d sketch %v: flushed receipts differ from the oracle", il.name, batch, shards, sketch)
-					}
+				}
+				feed(obs[:n/2])
+				gotS, gotA := col.Drain()
+				if !bytes.Equal(encodeReceipts(gotS, gotA), wantDrain) {
+					t.Fatalf("%s batch %d sketch %v: drained receipts differ from the oracle", il.name, batch, sketch)
+				}
+				feed(obs[n/2:])
+				gotS, gotA = col.Flush()
+				if !bytes.Equal(encodeReceipts(gotS, gotA), wantFlush) {
+					t.Fatalf("%s batch %d sketch %v: flushed receipts differ from the oracle", il.name, batch, sketch)
 				}
 			}
 		}
 
 		// The visit count is the model's, so what the Zipf benchmark
 		// reports from the same model is what the dispatch does.
-		cfg.Shards = 1
 		col, err := NewShardedCollector(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -345,12 +339,12 @@ func TestGroupByPathMatchesOracle(t *testing.T) {
 			col.ObserveBatch(obs[off:min(off+netsim.ReplayBatchSize, n)])
 		}
 		visits, runs := modelVisits(ranks, netsim.ReplayBatchSize)
-		if got := col.shards[0].visits; got != uint64(visits) {
+		if got := col.sub.visits; got != uint64(visits) {
 			t.Fatalf("%s: %d path-state visits, want %d (distinct paths per sub-batch)", il.name, got, visits)
 		}
 		t.Logf("%s: %.3f state visits per observation, %.3f runs per observation", il.name, float64(visits)/n, float64(runs)/n)
 		if il.name == "round-robin" && visits != n {
-			t.Fatalf("round-robin: %d visits over %d observations; no sub-batch reached %d groups", visits, n, shardChunk)
+			t.Fatalf("round-robin: %d visits over %d observations; no sub-batch reached %d groups", visits, n, subBatchSize)
 		}
 	}
 }

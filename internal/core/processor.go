@@ -7,8 +7,7 @@ import (
 // Processor is the control-plane module of §7: it periodically reads
 // finalized receipts out of a collector's monitoring cache, retains
 // them for dissemination, and accounts for the receipt bandwidth —
-// the tunable cost knob of the protocol. It drives any PathCollector
-// — single-threaded or sharded.
+// the tunable cost knob of the protocol. It drives any PathCollector.
 type Processor struct {
 	c PathCollector
 

@@ -14,33 +14,9 @@ import (
 // accumulates per-packet evidence across epochs and can flag a lying
 // link after a fraction of one epoch's packets.
 //
-// Determinism: the link and domain checks run on a worker pool, so
-// evidence is first captured into a per-work-item seqCollector during
-// the parallel sweep, then fed to the engine serially in work order
-// once the sweep completes. The engine therefore sees the exact same
-// stream at any pool size, and crossings land on the same packet
-// (TestSequentialArmWorkerInvariance).
-
-// seqBatch is one evidence batch bound for the engine: the detector
-// scope, the evidence class, and the items in claims order.
-type seqBatch struct {
-	scope seqdetect.Scope
-	class seqdetect.Class
-	items []seqdetect.Evidence
-}
-
-// seqCollector buffers one work item's evidence batches during the
-// parallel sweep. Each work item owns its collector exclusively, so no
-// locking is needed.
-type seqCollector struct {
-	batches []seqBatch
-}
-
-// add appends one batch; empty batches are kept too — feeding zero
-// items is harmless and keeps the feed loop trivial.
-func (c *seqCollector) add(scope seqdetect.Scope, class seqdetect.Class, items []seqdetect.Evidence) {
-	c.batches = append(c.batches, seqBatch{scope: scope, class: class, items: items})
-}
+// Determinism: the link and domain checks of an epoch run one after
+// another in work order and feed the engine as they go, so the engine
+// sees one stream and crossings land on the same packet in every run.
 
 // seqLinkScope names a link detector's scope.
 func seqLinkScope(key packet.PathKey, up, down receipt.HOPID) seqdetect.Scope {
@@ -67,21 +43,11 @@ func seqMarkerKind(pid, mu uint64) seqdetect.Kind {
 	return seqdetect.KindOtherDelta
 }
 
-// feedSequential drains the work items' collectors into the engine in
-// work order, then closes the epoch and returns the epoch's new
-// sequential verdicts. Must be called from the single verification
-// goroutine only.
-func (rv *RollingVerifier) feedSequential(epoch EpochID, cols []*seqCollector) []seqdetect.SeqVerdict {
+// endSequentialEpoch closes the engine's epoch and returns the epoch's
+// new sequential verdicts; nil when the arm is off.
+func (rv *RollingVerifier) endSequentialEpoch(epoch EpochID) []seqdetect.SeqVerdict {
 	if rv.seq == nil {
 		return nil
-	}
-	for _, col := range cols {
-		if col == nil {
-			continue
-		}
-		for _, b := range col.batches {
-			rv.seq.Observe(b.scope, b.class, b.items)
-		}
 	}
 	return rv.seq.EndEpoch(uint64(epoch))
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"vpm/internal/lossmodel"
@@ -16,7 +15,7 @@ import (
 // runSeqRolling replays one deterministic lossy-or-healthy Fig1
 // deployment and rolls it up with the given sequential config and
 // worker count, returning the per-epoch reports in epoch order.
-func runSeqRolling(t *testing.T, lossyLink bool, seq *seqdetect.Config, workers int) ([]EpochReport, Layout) {
+func runSeqRolling(t *testing.T, lossyLink bool, seq *seqdetect.Config) ([]EpochReport, Layout) {
 	t.Helper()
 	tc := equivTraceConfig(1, 20_000, int64(2e8))
 	pkts, err := trace.Generate(tc)
@@ -61,7 +60,6 @@ func runSeqRolling(t *testing.T, lossyLink bool, seq *seqdetect.Config, workers 
 
 	cfg := dep.VerifierConfig()
 	cfg.Sequential = seq
-	cfg.Workers = workers
 	rolling := NewRollingVerifier(dep.Layout(), cfg, win, nil, 0)
 	reps, err := rolling.VerifyReady()
 	if err != nil {
@@ -77,8 +75,8 @@ func runSeqRolling(t *testing.T, lossyLink bool, seq *seqdetect.Config, workers 
 // from the armed reports yields encodings byte-identical to an
 // unarmed run's.
 func TestSequentialArmDetectsLossyLinkEarly(t *testing.T) {
-	unarmed, _ := runSeqRolling(t, true, nil, 0)
-	armed, layout := runSeqRolling(t, true, &seqdetect.Config{}, 0)
+	unarmed, _ := runSeqRolling(t, true, nil)
+	armed, layout := runSeqRolling(t, true, &seqdetect.Config{})
 	if len(armed) != len(unarmed) {
 		t.Fatalf("armed run has %d reports, unarmed %d", len(armed), len(unarmed))
 	}
@@ -144,35 +142,10 @@ func TestSequentialArmDetectsLossyLinkEarly(t *testing.T) {
 	}
 }
 
-// TestSequentialArmWorkerInvariance: sequential verdicts must be
-// identical at any worker-pool size — the evidence replay is serial
-// and in deterministic work order regardless of who captured it.
-func TestSequentialArmWorkerInvariance(t *testing.T) {
-	serial, _ := runSeqRolling(t, true, &seqdetect.Config{}, 1)
-	pooled, _ := runSeqRolling(t, true, &seqdetect.Config{}, 8)
-	if len(serial) != len(pooled) {
-		t.Fatalf("report counts differ: %d vs %d", len(serial), len(pooled))
-	}
-	for i := range serial {
-		sb, err := json.Marshal(serial[i].Seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := json.Marshal(pooled[i].Seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sb, pb) {
-			t.Fatalf("epoch %d: sequential verdicts differ across pool sizes:\n 1: %s\n 8: %s",
-				serial[i].Epoch, sb, pb)
-		}
-	}
-}
-
 // TestSequentialArmHonestRunQuiet: a healthy deployment with the arm
 // on yields zero sequential verdicts and zero batch violations.
 func TestSequentialArmHonestRunQuiet(t *testing.T) {
-	reps, _ := runSeqRolling(t, false, &seqdetect.Config{}, 0)
+	reps, _ := runSeqRolling(t, false, &seqdetect.Config{})
 	for _, rep := range reps {
 		if len(rep.Seq) != 0 {
 			t.Fatalf("epoch %d: honest run emitted sequential verdicts: %+v", rep.Epoch, rep.Seq)

@@ -2,8 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"runtime"
-	"sync"
 
 	"vpm/internal/hashing"
 	"vpm/internal/netsim"
@@ -11,15 +9,6 @@ import (
 	"vpm/internal/receipt"
 	"vpm/internal/streamagg"
 )
-
-// resolveShards maps the CollectorConfig.Shards knob to an actual
-// shard count: 0 means GOMAXPROCS, anything else is taken literally.
-func resolveShards(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
 
 // packedKey is a PathKey in 12 bytes — the two prefix addresses as
 // words plus the two prefix lengths — instead of PathKey's 32 (its
@@ -48,15 +37,7 @@ func (k packedKey) unpack() packet.PathKey {
 	return key
 }
 
-// hash hashes the key for shard selection. It packs both prefix
-// addresses into one word and folds the prefix lengths in before
-// mixing.
-func (k packedKey) hash() uint64 {
-	bits := uint64(k.srcBits)<<6 | uint64(k.dstBits)
-	return hashing.Mix64((uint64(k.src)<<32 | uint64(k.dst)) ^ bits*0x9e3779b97f4a7c15)
-}
-
-// classifyCacheSize is the dispatcher's direct-mapped classification
+// classifyCacheSize is the collector's direct-mapped classification
 // cache: it short-circuits the two longest-prefix-match lookups and the
 // path-map lookup for recently seen (source, destination) address
 // pairs. Flows repeat addresses for many packets, but a direct-mapped
@@ -77,32 +58,31 @@ const noState = ^uint32(0)
 
 // classifyEntry caches one address pair's classification outcome and,
 // once a packet of the pair has been collected, where its path's state
-// lives: a hit yields the shard and the index into
-// ShardedCollector.states with no hashing of the path key. The index is
-// an integer and the key is stored packed, so the entry is 32 bytes —
-// two per cache line — and pointer-free: every HOP collector owns a
-// table of them, and one holding a *pathState would be 128 KiB for the
-// garbage collector to scan per HOP (TestClassifyEntrySize,
+// lives: a hit yields the index into ShardedCollector.states with no
+// hashing of the path key. The index is an integer and the key is
+// stored packed, so the entry is 32 bytes — two per cache line — and
+// pointer-free: every HOP collector owns a table of them, and one
+// holding a *pathState would be 128 KiB for the garbage collector to
+// scan per HOP (TestClassifyEntrySize,
 // TestDispatchScratchIsPointerFree).
 type classifyEntry struct {
 	addrs uint64    // packet src<<32 | dst
 	key   packedKey // the matched prefixes, valid only when ok
 	state uint32    // index into ShardedCollector.states, or noState
-	shard uint32
 	valid bool
 	ok    bool // false: pair matched no prefix (still cached)
 }
 
-// shardChunk bounds a shard's sub-batch: ObserveBatch hands the shards
-// their work whenever one of them has this many observations pending,
-// however long the batch is. The scratch is therefore a fixed 11 KiB
-// per shard — sized to the batch it would be 176 KiB at 4096
-// observations, per HOP — and ObserveBatch never allocates: there is
-// no pool to miss and no warm-up before the steady state. Grouping 1024
-// or 4096 observations at a time visits each path's state less often
-// still, but on a 160-HOP mesh that bought 5 % and nothing end to end
-// for 4 and 16 times the scratch on every HOP.
-const shardChunk = 256
+// subBatchSize bounds the pending sub-batch: ObserveBatch processes it
+// whenever it holds this many observations, however long the batch is.
+// The scratch is therefore a fixed 11 KiB per collector — sized to the
+// batch it would be 176 KiB at 4096 observations, per HOP — and
+// ObserveBatch never allocates: there is no pool to miss and no
+// warm-up before the steady state. Grouping 1024 or 4096 observations
+// at a time visits each path's state less often still, but on a
+// 160-HOP mesh that bought 5 % and nothing end to end for 4 and 16
+// times the scratch on every HOP.
+const subBatchSize = 256
 
 // groupTableSize is the open-addressed state index → group table of a
 // sub-batch: twice the most groups a sub-batch can hold, so probe
@@ -114,11 +94,11 @@ const (
 
 // Group numbers are stored as bytes and the table is never resized.
 const (
-	_ = uint(1<<8 - shardChunk)
-	_ = uint(groupTableSize - 2*shardChunk)
+	_ = uint(1<<8 - subBatchSize)
+	_ = uint(groupTableSize - 2*subBatchSize)
 )
 
-// pathGroup is one path's share of a shard's sub-batch.
+// pathGroup is one path's share of a sub-batch.
 type pathGroup struct {
 	state uint32 // index into ShardedCollector.states
 	// n counts the group's records while the sub-batch fills; process
@@ -128,40 +108,33 @@ type pathGroup struct {
 	slot uint16 // the group's slot in the group table
 }
 
-// shard is one lock-free slice of a ShardedCollector's traffic: the
-// pending sub-batch of the paths that hash to it, touched only by the
-// dispatcher while it fills and only by the goroutine processing it
-// afterwards. The path states themselves live in the collector; a shard
-// reaches only those of its own paths.
-type shard struct {
-	// work is process-then-Done as a ready-made func value: `go
-	// s.work()` starts it without the wrapper closure a go statement
-	// with arguments or a receiver allocates on every spawn.
-	work func()
-
+// subBatch is a ShardedCollector's pending sub-batch: up to
+// subBatchSize classified observations waiting to be grouped by path
+// and run through Algorithms 1 and 2. The path states themselves live
+// in the collector, so the sub-batch is pointer-free and the garbage
+// collector never scans it.
+type subBatch struct {
 	// visits counts path-state visits (one per group per sub-batch).
 	visits uint64
 
-	// The pending sub-batch, filled by the dispatcher: observations in
-	// shard-arrival order, each one's group, and the groups in order of
-	// first appearance. current is the group of the latest observation
-	// and currentState its path (noState while the sub-batch is empty).
-	// Everything below is pointer-free and last, so the garbage
-	// collector never scans it.
+	// The pending observations in arrival order, each one's group, and
+	// the groups in order of first appearance. current is the group of
+	// the latest observation and currentState its path (noState while
+	// the sub-batch is empty).
 	nrecs, ngroups int
 	currentState   uint32
 	current        uint8
-	recs           [shardChunk]receipt.SampleRecord
-	byPath         [shardChunk]receipt.SampleRecord // recs, grouped by path
-	groupOf        [shardChunk]uint8
-	groups         [shardChunk]pathGroup
+	recs           [subBatchSize]receipt.SampleRecord
+	byPath         [subBatchSize]receipt.SampleRecord // recs, grouped by path
+	groupOf        [subBatchSize]uint8
+	groups         [subBatchSize]pathGroup
 	table          [groupTableSize]uint16 // group number + 1; 0 is empty
 }
 
 // enter makes state's group the current one, opening it on the path's
 // first observation in the pending sub-batch. ObserveBatch calls it
 // only when the path changes.
-func (s *shard) enter(state uint32) {
+func (s *subBatch) enter(state uint32) {
 	// Fibonacci hashing: state indices are dense, and taken modulo the
 	// table size they would sit in one long occupied stretch that every
 	// colliding index then has to walk.
@@ -183,8 +156,8 @@ func (s *shard) enter(state uint32) {
 }
 
 // push appends one observation of the current group's path to the
-// pending sub-batch. The caller keeps nrecs below shardChunk.
-func (s *shard) push(digest uint64, tNS int64) {
+// pending sub-batch. The caller keeps nrecs below subBatchSize.
+func (s *subBatch) push(digest uint64, tNS int64) {
 	n := s.nrecs
 	s.recs[n] = receipt.SampleRecord{PktID: digest, TimeNS: tNS}
 	s.groupOf[n] = s.current
@@ -200,7 +173,7 @@ func (s *shard) push(digest uint64, tNS int64) {
 // path's state evolves exactly as a serial collector's would. A
 // sub-batch of one path — every sub-batch of single-path traffic — is
 // fed as it arrived.
-func (s *shard) process(states []*pathState) {
+func (s *subBatch) process(states []*pathState) {
 	recs, groups := s.recs[:s.nrecs], s.groups[:s.ngroups]
 	if len(groups) > 1 {
 		var off uint16
@@ -229,29 +202,20 @@ func (s *shard) process(states []*pathState) {
 }
 
 // ShardedCollector is the data-plane module of one HOP, and the
-// collector every deployment runs (NewPathCollector): it
-// hash-partitions PathKeys across N single-threaded shards, each path's
-// sampler and partitioner state touched by its shard alone, so the
-// per-packet path needs no locks. It implements PathCollector and is
+// collector every deployment runs (NewPathCollector): a classification
+// cache resolving each packet to a dense path-state index, sub-batches
+// grouped by path, and the batch hooks of Algorithms 1 and 2 fed one
+// path at a time. It implements PathCollector and is
 // receipt-for-receipt equivalent to the reference Collector fed the
-// same observations (each path's stream lands wholly in one shard, in
-// arrival order). With one shard it is the same batched pipeline —
-// classification cache resolving to a state index, sub-batches grouped
-// by path, batch hooks of Algorithms 1 and 2 — run inline on the
-// calling goroutine.
+// same observations (each path's stream is processed in arrival order).
+// The name is historical: the collector no longer shards.
 //
-// Concurrency model: Observe/ObserveBatch/Drain/Flush must be called
-// from one goroutine at a time (netsim's replay gives each HOP's
-// observer its own goroutine); inside ObserveBatch the shards process
-// their sub-batches concurrently and the call returns only when all
-// shards are done. Path states are created, indexed and evicted on the
-// calling goroutine only, between dispatches.
+// Concurrency model: one goroutine at a time (netsim's replay gives
+// each HOP's observer its own goroutine). The collector starts none.
 type ShardedCollector struct {
 	cfg     CollectorConfig
 	backend backend
-	shards  []*shard
 	epoch   EpochID
-	wg      sync.WaitGroup
 
 	// states holds every live path's state at a dense index — what the
 	// classification cache resolves to and the drains walk; paths finds
@@ -272,43 +236,33 @@ type ShardedCollector struct {
 	// rounds every collector up to a 17th (8 KiB each: 14 MB of the
 	// fleet-http benchmark's live heap) for no measurable gain in time.
 	cache *[classifyCacheSize]classifyEntry
+	// sub is its own allocation for the same reason.
+	sub *subBatch
 }
 
-// NewShardedCollector builds a sharded collector with
-// resolveShards(cfg.Shards) shards (0 = GOMAXPROCS).
+// NewShardedCollector builds the collector.
 func NewShardedCollector(cfg CollectorConfig) (*ShardedCollector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := &ShardedCollector{
-		cfg:    cfg,
-		shards: make([]*shard, resolveShards(cfg.Shards)),
-		paths:  make(map[packet.PathKey]uint32),
-		cache:  new([classifyCacheSize]classifyEntry),
+		cfg:   cfg,
+		paths: make(map[packet.PathKey]uint32),
+		cache: new([classifyCacheSize]classifyEntry),
+		sub:   &subBatch{currentState: noState},
 	}
 	c.backend = newBackend(&c.cfg)
-	for i := range c.shards {
-		s := &shard{currentState: noState}
-		s.work = func() {
-			s.process(c.states)
-			c.wg.Done()
-		}
-		c.shards[i] = s
-	}
 	return c, nil
 }
-
-// NumShards returns the shard count.
-func (c *ShardedCollector) NumShards() int { return len(c.shards) }
 
 // HOP returns the collector's HOP identity.
 func (c *ShardedCollector) HOP() receipt.HOPID { return c.cfg.HOP }
 
-// classify resolves a packet's shard and path-state index through the
+// classify resolves a packet's path-state index through the
 // direct-mapped cache. A miss falls back to the prefix table's
 // longest-prefix match; an entry not bound to a state — fresh from the
 // match, or unbound by an eviction — finds or creates it by key.
-func (c *ShardedCollector) classify(pkt *packet.Packet) (sh, state uint32, ok bool) {
+func (c *ShardedCollector) classify(pkt *packet.Packet) (state uint32, ok bool) {
 	addrs := uint64(binary.BigEndian.Uint32(pkt.Src[:]))<<32 | uint64(binary.BigEndian.Uint32(pkt.Dst[:]))
 	e := &c.cache[hashing.Mix64(addrs)&(classifyCacheSize-1)]
 	if !e.valid || e.addrs != addrs {
@@ -316,16 +270,15 @@ func (c *ShardedCollector) classify(pkt *packet.Packet) (sh, state uint32, ok bo
 		*e = classifyEntry{addrs: addrs, state: noState, valid: true, ok: ok}
 		if ok {
 			e.key = packKey(key)
-			e.shard = uint32(e.key.hash() % uint64(len(c.shards)))
 		}
 	}
 	if e.state == noState {
 		if !e.ok {
-			return 0, 0, false
+			return 0, false
 		}
 		e.state = c.stateIndex(e.key)
 	}
-	return e.shard, e.state, true
+	return e.state, true
 }
 
 // stateIndex returns the index of key's path state, creating the state
@@ -349,12 +302,12 @@ func (c *ShardedCollector) stateIndex(pk packedKey) uint32 {
 }
 
 // Observe processes one packet observation — the single-packet
-// compatibility shim. It runs the owning shard inline.
+// compatibility shim.
 //
 //vpm:hotpath
 func (c *ShardedCollector) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
 	c.observed++
-	_, state, ok := c.classify(pkt)
+	state, ok := c.classify(pkt)
 	if !ok {
 		c.unclassified++
 		return
@@ -365,58 +318,37 @@ func (c *ShardedCollector) Observe(pkt *packet.Packet, digest uint64, tNS int64)
 	st.sampler.Observe(digest, tNS)
 }
 
-// ObserveBatch processes a batch of observations: the dispatcher
-// classifies and partitions the batch into per-shard sub-batches
-// (preserving arrival order within each shard) and dispatches them
-// whenever one fills, and once more at the end of the batch.
+// ObserveBatch processes a batch of observations: it classifies each
+// into the pending sub-batch (preserving arrival order) and processes
+// the sub-batch whenever it fills, and once more at the end of the
+// batch.
 //
 //vpm:hotpath
 func (c *ShardedCollector) ObserveBatch(batch []netsim.Observation) {
 	c.observed += uint64(len(batch))
+	s := c.sub
 	for i := range batch {
-		sh, state, ok := c.classify(batch[i].Pkt)
+		state, ok := c.classify(batch[i].Pkt)
 		if !ok {
 			c.unclassified++
 			continue
 		}
-		s := c.shards[sh]
-		if s.nrecs == shardChunk {
-			c.dispatch()
+		if s.nrecs == subBatchSize {
+			s.process(c.states)
 		}
 		if state != s.currentState {
 			s.enter(state)
 		}
 		s.push(batch[i].Digest, batch[i].TimeNS)
 	}
-	c.dispatch()
-}
-
-// dispatch runs every shard with a pending sub-batch and returns when
-// all are done: the busy shards run concurrently, the last of them —
-// so a lone one — on the calling goroutine instead of parking it in
-// Wait.
-func (c *ShardedCollector) dispatch() {
-	var last *shard
-	for _, s := range c.shards {
-		if s.nrecs == 0 {
-			continue
-		}
-		if last != nil {
-			c.wg.Add(1)
-			go last.work()
-		}
-		last = s
-	}
-	if last != nil {
-		last.process(c.states)
-		c.wg.Wait()
+	if s.nrecs > 0 {
+		s.process(c.states)
 	}
 }
 
-// Drain returns the receipts finalized since the last Drain across
-// all shards, one sample receipt per path, sorted by PathID —
-// identical runs drain identical receipt sequences, and a sharded
-// drain is byte-identical to a serial one.
+// Drain returns the receipts finalized since the last Drain, one
+// sample receipt per path, sorted by PathID — identical runs drain
+// identical receipt sequences.
 //
 //vpm:hotpath
 func (c *ShardedCollector) Drain() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
@@ -463,7 +395,7 @@ func (c *ShardedCollector) takeSpares() ([]receipt.SampleReceipt, []receipt.AggR
 	return samples, aggs
 }
 
-// Flush finalizes all shards' open state and returns the remaining
+// Flush finalizes all open state and returns the remaining
 // receipts, in the same deterministic order as Drain.
 func (c *ShardedCollector) Flush() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
 	samples, aggs := c.takeSpares()
@@ -476,7 +408,7 @@ func (c *ShardedCollector) Flush() ([]receipt.SampleReceipt, []receipt.AggReceip
 }
 
 // Recycle hands the buffers of a previous Drain/Flush result back for
-// reuse: the outer slices return to the dispatcher, each receipt's
+// reuse: the outer slices return to the collector, each receipt's
 // record buffer to its path's sampler. Safe only when nothing
 // retains the result (see PathCollector.Recycle).
 func (c *ShardedCollector) Recycle(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
@@ -494,9 +426,8 @@ func (c *ShardedCollector) Recycle(samples []receipt.SampleReceipt, aggs []recei
 }
 
 // DrainSketches seals and returns the streaming sketches of every path
-// that sampled at least one packet since the last call, PathID-sorted
-// across shards. Ownership passes to the caller; return them via
-// SketchPool().Put.
+// that sampled at least one packet since the last call, PathID-sorted.
+// Ownership passes to the caller; return them via SketchPool().Put.
 func (c *ShardedCollector) DrainSketches() []*streamagg.PathSketch {
 	var out []*streamagg.PathSketch
 	for _, st := range c.states {

@@ -12,7 +12,7 @@ import (
 )
 
 // equivTraceConfig builds a multi-path trace so collectors hold several
-// active paths (exercising shard spread and drain ordering). Total rate
+// active paths (exercising drain ordering). Total rate
 // is split evenly across paths.
 func equivTraceConfig(paths int, totalPPS float64, durationNS int64) trace.Config {
 	cfg := trace.Config{Seed: 42, DurationNS: durationNS}
@@ -31,15 +31,25 @@ func equivTraceConfig(paths int, totalPPS float64, durationNS int64) trace.Confi
 
 // runDeployment replays pkts over a fresh Fig1 path (same seed every
 // call, so loss/jitter randomness is identical across runs) into a
-// deployment with the given shard count, and finalizes it.
-func runDeployment(t testing.TB, tc trace.Config, pkts []packet.Packet, shards int) (*Deployment, *netsim.Result) {
+// default deployment — with every HOP's collector swapped for the
+// reference Collector under the same configuration when oracle is set
+// — and finalizes it.
+func runDeployment(t testing.TB, tc trace.Config, pkts []packet.Packet, oracle bool) (*Deployment, *netsim.Result) {
 	t.Helper()
 	path := netsim.Fig1Path(77)
-	dc := DefaultDeployConfig()
-	dc.Shards = shards
-	dep, err := NewDeployment(path, tc.Table(), dc)
+	dep, err := NewDeployment(path, tc.Table(), DefaultDeployConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if oracle {
+		for id, pc := range dep.Collectors {
+			ref, err := NewCollector(pc.(*ShardedCollector).cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep.Collectors[id] = ref
+			dep.Processors[id] = NewProcessor(ref)
+		}
 	}
 	res, err := path.Run(pkts, dep.Observers())
 	if err != nil {
@@ -62,10 +72,11 @@ func encodeReceipts(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) 
 	return b
 }
 
-// TestShardedSerialEquivalence is the acceptance check of the sharded
-// pipeline: a sharded deployment (4 shards) and a serial deployment
-// fed the same 100k-packet trace emit byte-identical receipt sets at
-// every HOP, with matching counters and memory accounting.
+// TestShardedSerialEquivalence is the acceptance check of the batched
+// pipeline: a deployment as built (a ShardedCollector per HOP) and the
+// same deployment running the serial reference Collector, fed the same
+// 100k-packet trace, emit byte-identical receipt sets at every HOP,
+// with matching counters and memory accounting.
 func TestShardedSerialEquivalence(t *testing.T) {
 	tc := equivTraceConfig(3, 100_000, int64(1e9)) // ~100k packets over 3 paths
 	pkts, err := trace.Generate(tc)
@@ -76,8 +87,8 @@ func TestShardedSerialEquivalence(t *testing.T) {
 		t.Fatalf("trace too small for the acceptance scale: %d packets", len(pkts))
 	}
 
-	serial, resS := runDeployment(t, tc, pkts, 1)
-	sharded, resP := runDeployment(t, tc, pkts, 4)
+	serial, resS := runDeployment(t, tc, pkts, true)
+	sharded, resP := runDeployment(t, tc, pkts, false)
 
 	if !reflect.DeepEqual(resS, resP) {
 		t.Fatal("ground truth differs between serial and sharded runs")
@@ -87,10 +98,11 @@ func TestShardedSerialEquivalence(t *testing.T) {
 		if !ok {
 			t.Fatalf("sharded deployment missing %v", id)
 		}
-		if shc, ok := pc.(*ShardedCollector); !ok {
+		if _, ok := sc.(*Collector); !ok {
+			t.Fatalf("%v: expected the reference Collector, got %T", id, sc)
+		}
+		if _, ok := pc.(*ShardedCollector); !ok {
 			t.Fatalf("%v: expected a ShardedCollector, got %T", id, pc)
-		} else if shc.NumShards() != 4 {
-			t.Fatalf("%v: expected 4 shards, got %d", id, shc.NumShards())
 		}
 		so, su := sc.Stats()
 		po, pu := pc.Stats()
@@ -127,10 +139,10 @@ func TestDrainDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 4} {
+	for _, oracle := range []bool{true, false} {
 		var prev map[receipt.HOPID][]byte
 		for run := 0; run < 2; run++ {
-			dep, _ := runDeployment(t, tc, pkts, shards)
+			dep, _ := runDeployment(t, tc, pkts, oracle)
 			cur := make(map[receipt.HOPID][]byte)
 			for id, p := range dep.Processors {
 				cur[id] = encodeReceipts(p.Samples, p.Aggs)
@@ -138,7 +150,7 @@ func TestDrainDeterminism(t *testing.T) {
 			if prev != nil {
 				for id, b := range cur {
 					if !bytes.Equal(prev[id], b) {
-						t.Errorf("shards=%d %v: drain output differs between identical runs", shards, id)
+						t.Errorf("oracle=%v %v: drain output differs between identical runs", oracle, id)
 					}
 				}
 			}
@@ -170,7 +182,6 @@ func TestShardedCollectorDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Shards = 8
 	sharded, err := NewShardedCollector(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,16 +236,16 @@ func TestShardedCollectorDirect(t *testing.T) {
 	}
 }
 
-// TestShardedReplayRace drives the fully concurrent configuration —
-// parallel per-HOP replay feeding sharded collectors that fan out over
-// shard goroutines — so `go test -race` patrols the whole pipeline.
+// TestShardedReplayRace drives the concurrent replay — netsim's
+// parallel per-HOP workers, each feeding its HOP's collector — so
+// `go test -race` patrols the whole pipeline.
 func TestShardedReplayRace(t *testing.T) {
 	tc := equivTraceConfig(4, 100_000, int64(1e9))
 	pkts, err := trace.Generate(tc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, res := runDeployment(t, tc, pkts, 4)
+	dep, res := runDeployment(t, tc, pkts, false)
 	var observed uint64
 	for _, c := range dep.Collectors {
 		o, _ := c.Stats()

@@ -78,7 +78,6 @@ func NewTopoDeployment(topo *netsim.Topology, table *packet.Table, cfg DeployCon
 				CutRate:  tune.AggRate,
 				WindowNS: cfg.WindowNS,
 			},
-			Shards: cfg.Shards,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: HOP %v: %w", h, err)

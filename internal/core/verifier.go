@@ -109,10 +109,7 @@ type VerifierConfig struct {
 	// retains exactly (oracle deployments mixing the two backends).
 	// Markers are never thinned, so marker timelines are unaffected.
 	SampleKeep func(pktID uint64) bool
-	// Workers sizes the worker pool VerifyAllLinks and DomainReports
-	// spread independent link and domain checks over: 0 uses
-	// GOMAXPROCS, 1 runs serially. Verdicts are byte-identical at any
-	// pool size; only wall-clock time changes.
+	// Workers is retired and ignored (bench/ still assigns it).
 	Workers int
 	// BiasChecks makes rolling verification run the marker-bias check
 	// (CheckMarkerBias) per domain per epoch, attaching the verdicts —
@@ -422,11 +419,8 @@ func (v *Verifier) CheckLink(up, down receipt.HOPID) LinkVerdict {
 	return v.wholeStream().checkLink(0, up, down)
 }
 
-// VerifyAllLinks checks every inter-domain link on the path, spreading
-// the independent link checks over VerifierConfig.Workers goroutines
-// (0 = GOMAXPROCS). Link pairs share no mutable state, so the verdicts
-// are byte-identical at any pool size; they return LinkID-sorted (path
-// order) regardless of which worker finished first.
+// VerifyAllLinks checks every inter-domain link on the path; the
+// verdicts return LinkID-sorted (path order).
 func (v *Verifier) VerifyAllLinks() []LinkVerdict {
 	links := v.layout.Links()
 	if len(links) == 0 {
@@ -434,9 +428,9 @@ func (v *Verifier) VerifyAllLinks() []LinkVerdict {
 	}
 	out := make([]LinkVerdict, len(links))
 	whole := v.wholeStream()
-	runParallel(resolveWorkers(v.cfg.Workers), len(links), func(i int) {
+	for i := range links {
 		out[i] = whole.checkLink(i, links[i].Up, links[i].Down)
-	})
+	}
 	return out
 }
 
@@ -467,26 +461,21 @@ func (v *Verifier) DomainReport(name string, qs []float64, confidence float64) (
 }
 
 // DomainReports estimates every transit domain on the path, in path
-// order, spreading the independent per-domain estimates over
-// VerifierConfig.Workers goroutines (0 = GOMAXPROCS). Like
-// VerifyAllLinks, the reports are byte-identical at any pool size.
-// The first per-domain error (by path order) is returned alongside
-// the reports that succeeded.
+// order. The first per-domain error (by path order) is returned
+// alongside the reports that succeeded.
 func (v *Verifier) DomainReports(qs []float64, confidence float64) ([]DomainReport, error) {
 	segs := v.layout.DomainSegments()
 	if len(segs) == 0 {
 		return nil, nil
 	}
 	out := make([]DomainReport, len(segs))
-	errs := make([]error, len(segs))
 	whole := v.wholeStream()
-	runParallel(resolveWorkers(v.cfg.Workers), len(segs), func(i int) {
-		out[i], errs[i] = whole.domainReport(segs[i], qs, confidence)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return out, err
+	var first error
+	for i := range segs {
+		var err error
+		if out[i], err = whole.domainReport(segs[i], qs, confidence); err != nil && first == nil {
+			first = err
 		}
 	}
-	return out, nil
+	return out, first
 }

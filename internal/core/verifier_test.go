@@ -64,72 +64,10 @@ func buildMultiPathScenario(t testing.TB, lossyLink bool) (*Deployment, []packet
 	return dep, keys
 }
 
-// configured returns a verifier over the shared store with the given
-// worker-pool size.
-func configured(dep *Deployment, store *ReceiptStore, key packet.PathKey, workers int) *Verifier {
-	v := dep.NewVerifierOn(store, key)
-	cfg := dep.VerifierConfig()
-	cfg.Workers = workers
-	v.SetConfig(cfg)
-	return v
-}
-
-// TestParallelVerifyEquivalence is the tentpole acceptance test:
-// VerifyAllLinks and DomainReports on the 16-HOP, 64-path scenario
-// must produce verdicts byte-identical to the serial verifier — for
-// the shared indexed store at any pool size, and for the legacy
-// per-key rebuilt store.
-func TestParallelVerifyEquivalence(t *testing.T) {
-	dep, keys := buildMultiPathScenario(t, true)
-	store := dep.NewStore()
-	var totalViolations, totalMatched int
-	for _, key := range keys {
-		serial := configured(dep, store, key, 1)
-		parallel := configured(dep, store, key, 4)
-		rebuilt := dep.NewVerifier(key) // private store, default pool
-
-		sv := serial.VerifyAllLinks()
-		pv := parallel.VerifyAllLinks()
-		rv := rebuilt.VerifyAllLinks()
-		sr, pr := fmt.Sprintf("%+v", sv), fmt.Sprintf("%+v", pv)
-		if sr != pr {
-			t.Fatalf("key %v: parallel verdicts differ from serial:\nserial:   %s\nparallel: %s", key, sr, pr)
-		}
-		if rr := fmt.Sprintf("%+v", rv); rr != sr {
-			t.Fatalf("key %v: rebuilt-store verdicts differ from shared-store:\nshared:  %s\nrebuilt: %s", key, sr, rr)
-		}
-		if !reflect.DeepEqual(sv, pv) {
-			t.Fatalf("key %v: DeepEqual mismatch between serial and parallel verdicts", key)
-		}
-		for i, lv := range sv {
-			if lv.LinkID != i {
-				t.Fatalf("key %v: verdict %d has LinkID %d; want path order", key, i, lv.LinkID)
-			}
-			totalViolations += len(lv.Violations)
-			totalMatched += lv.MatchedSamples
-		}
-
-		sd, serr := serial.DomainReports(nil, 0.95)
-		pd, perr := parallel.DomainReports(nil, 0.95)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("key %v: error mismatch: %v vs %v", key, serr, perr)
-		}
-		if ds, dp := fmt.Sprintf("%+v", sd), fmt.Sprintf("%+v", pd); ds != dp {
-			t.Fatalf("key %v: parallel domain reports differ from serial", key)
-		}
-	}
-	// The scenario must be non-trivial: dense matching everywhere and
-	// real violations on the faulty link.
-	if totalMatched == 0 {
-		t.Fatal("no matched samples anywhere — scenario degenerate")
-	}
-	if totalViolations == 0 {
-		t.Fatal("lossy link produced no violations — scenario degenerate")
-	}
-}
-
 // TestVerifyAllLinksDetectsFaultyLink pins the faulty link down to the
-// right LinkID on the multi-path scenario.
+// right LinkID on the 16-HOP, 64-path scenario, with the verdicts in
+// path order and identical whether the verifier reads the shared
+// indexed store or the per-key rebuilt one.
 func TestVerifyAllLinksDetectsFaultyLink(t *testing.T) {
 	dep, keys := buildMultiPathScenario(t, true)
 	store := dep.NewStore()
@@ -138,7 +76,14 @@ func TestVerifyAllLinksDetectsFaultyLink(t *testing.T) {
 	badUp, badDown := receipt.HOPID(7), receipt.HOPID(8)
 	flagged := 0
 	for _, key := range keys {
-		for _, lv := range configured(dep, store, key, 0).VerifyAllLinks() {
+		verdicts := dep.NewVerifierOn(store, key).VerifyAllLinks()
+		if rebuilt := dep.NewVerifier(key).VerifyAllLinks(); !reflect.DeepEqual(verdicts, rebuilt) {
+			t.Fatalf("key %v: rebuilt-store verdicts differ from shared-store:\nshared:  %+v\nrebuilt: %+v", key, verdicts, rebuilt)
+		}
+		for i, lv := range verdicts {
+			if lv.LinkID != i {
+				t.Fatalf("key %v: verdict %d has LinkID %d; want path order", key, i, lv.LinkID)
+			}
 			if lv.Consistent() {
 				continue
 			}
@@ -161,7 +106,7 @@ func TestStoreKeyedIsolation(t *testing.T) {
 	if got := len(store.Keys()); got != len(keys) {
 		t.Fatalf("store holds %d traffic keys, want %d", got, len(keys))
 	}
-	shared := configured(dep, store, keys[0], 1)
+	shared := dep.NewVerifierOn(store, keys[0])
 	private := dep.NewVerifier(keys[0])
 	for _, hop := range dep.Layout().HOPs {
 		if s, p := shared.SampleCount(hop), private.SampleCount(hop); s != p {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 
@@ -30,9 +29,9 @@ import (
 // Concurrency: ingest calls (AddSamples, AddAggs, IngestBundle) may
 // run concurrently with each other — a store can drain several
 // dissemination fetches at once. Verification may run concurrently
-// with verification (the worker pools of VerifyAllLinks and
-// DomainReports read the same store from many goroutines), but not
-// with ingest: quiesce ingestion before verifying.
+// with verification (several verifiers may read the same store from
+// many goroutines), but not with ingest: quiesce ingestion before
+// verifying.
 type ReceiptStore struct {
 	mu     sync.Mutex
 	idx    map[receipt.StoreKey]*pathIndex
@@ -51,8 +50,8 @@ func NewReceiptStore() *ReceiptStore {
 
 // pathIndex holds everything one HOP reported about one traffic key.
 // The store's mutex guards index creation; the index's own mutex
-// guards every field, so concurrent readers (verification workers)
-// and the lazy cache builds stay race-free.
+// guards every field, so concurrent readers and the lazy cache builds
+// stay race-free.
 type pathIndex struct {
 	mu sync.Mutex
 
@@ -274,49 +273,4 @@ func (pi *pathIndex) rebuildLocked() {
 	pi.uniq = uniq
 	pi.dirty = false
 	pi.markers = nil // timeline derives from ordered; rebuild on demand
-}
-
-// runParallel executes fn(0..n-1) on min(workers, n) goroutines.
-// workers <= 1 runs inline. Tasks are claimed from a shared counter,
-// so callers get determinism by writing results into index i — never
-// by relying on execution order.
-func runParallel(workers, n int, fn func(i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
-// resolveWorkers maps a VerifierConfig.Workers value to a concrete
-// pool size: 0 means GOMAXPROCS, anything else is taken literally
-// (floored at 1).
-func resolveWorkers(w int) int {
-	if w == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
 }

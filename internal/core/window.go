@@ -616,8 +616,8 @@ func NewRollingVerifier(layout Layout, cfg VerifierConfig, win *WindowedStore, q
 // traffic key with receipts sealed in the epoch gets the scoped §4
 // link checks and per-domain estimates (claims from the epoch,
 // evidence from the ±1 window — see linkcheck.go). An epoch with no
-// traffic yields an empty report. Keys within the report verify on a
-// VerifierConfig.Workers pool; reports are identical at any pool size.
+// traffic yields an empty report. Keys verify one after another, in
+// work order.
 func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	rep := EpochReport{Epoch: epoch}
 	view, err := rv.win.View(epoch)
@@ -632,7 +632,7 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	if len(keys) == 0 {
 		// An empty epoch still closes the sequential engine's epoch so
 		// detection latency counts calendar epochs, not traffic epochs.
-		rep.Seq = rv.feedSequential(epoch, nil)
+		rep.Seq = rv.endSequentialEpoch(epoch)
 		if err := rv.win.persistReport(rep); err != nil {
 			return rep, err
 		}
@@ -658,18 +658,7 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		}
 	}
 	rep.Keys = make([]EpochKeyReport, len(work))
-	errs := make([]error, len(work))
-	var seqCols []*seqCollector
-	if rv.seq != nil {
-		// One private collector per work item: the parallel sweep
-		// captures evidence lock-free, the serial feed below replays it
-		// in work order so the engine sees one deterministic stream.
-		seqCols = make([]*seqCollector, len(work))
-		for i := range seqCols {
-			seqCols[i] = &seqCollector{}
-		}
-	}
-	runParallel(resolveWorkers(rv.cfg.Workers), len(work), func(i int) {
+	for i := range work {
 		key, layout := work[i].key, work[i].layout
 		v := NewVerifierOn(layout, view, key)
 		v.SetConfig(rv.cfg)
@@ -680,9 +669,7 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 			// the stream start exactly when epoch ≤ 1.
 			headComplete: epoch <= 1,
 			tailComplete: rv.win.tailComplete(epoch),
-		}
-		if seqCols != nil {
-			scope.seq = seqCols[i]
+			seq:          rv.seq,
 		}
 		kr := EpochKeyReport{Key: key, Route: work[i].route}
 		links := layout.Links()
@@ -692,8 +679,7 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		for _, seg := range layout.DomainSegments() {
 			dr, err := scope.domainReport(seg, rv.quantiles, rv.confidence)
 			if err != nil {
-				errs[i] = fmt.Errorf("core: epoch %d key %v: %w", epoch, key, err)
-				return
+				return rep, fmt.Errorf("core: epoch %d key %v: %w", epoch, key, err)
 			}
 			kr.Domains = append(kr.Domains, dr)
 		}
@@ -711,15 +697,8 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 			}
 		}
 		rep.Keys[i] = kr
-	})
-	for _, err := range errs {
-		if err != nil {
-			return rep, err
-		}
 	}
-	if rv.seq != nil {
-		rep.Seq = rv.feedSequential(epoch, seqCols)
-	}
+	rep.Seq = rv.endSequentialEpoch(epoch)
 	// The verdict goes durable before the RAM window forgets the epoch
 	// needs judging — a crash between the two re-verifies, never skips.
 	if err := rv.win.persistReport(rep); err != nil {

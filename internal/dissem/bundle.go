@@ -54,7 +54,7 @@ func (b *Bundle) WireSize() int {
 }
 
 // AppendEncode appends the canonical binary form to dst and returns
-// the extended slice. Sealing loops hand it a per-shard grow-only
+// the extended slice. Sealing loops hand it a grow-only
 // buffer (or a receipt.Arena's) so steady-state encoding allocates
 // nothing; Encode wraps it for callers that need a fresh payload.
 func (b *Bundle) AppendEncode(dst []byte) []byte {

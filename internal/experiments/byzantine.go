@@ -895,7 +895,7 @@ func runContinuousScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, erro
 	if intervalNS < 1 {
 		intervalNS = cfg.DurationNS
 	}
-	ec := core.EpochConfig{IntervalNS: intervalNS, Retention: 2, Workers: 1, Shards: 1}
+	ec := core.EpochConfig{IntervalNS: intervalNS, Retention: 2}
 	seqCfg := matrixSeqConfig()
 	opts := ContinuousOptions{
 		MutatePath: mutateMatrixPath(cfg, sc, mu),

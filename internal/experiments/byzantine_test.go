@@ -131,7 +131,7 @@ func TestEpochStraddleAttribution(t *testing.T) {
 	const intervalNS = 60_000_000
 	const from, to = 2, 4 // fabricate during epochs [2, 4)
 	dc := matrixDeploy()
-	ec := core.EpochConfig{IntervalNS: intervalNS, Retention: 3, Workers: 1, Shards: 1}
+	ec := core.EpochConfig{IntervalNS: intervalNS, Retention: 3}
 	opts := ContinuousOptions{
 		Deploy: &dc,
 		MutatePath: func(p *netsim.Path) {
@@ -194,7 +194,7 @@ func TestContinuousWearMatchesBatchWear(t *testing.T) {
 	wear := map[receipt.HOPID]netsim.Adversary{
 		hopXEgress: &netsim.DelayShaver{ShaveNS: shaveBlatant},
 	}
-	ec := core.EpochConfig{IntervalNS: cfg.DurationNS / 4, Retention: 2, Workers: 1, Shards: 1}
+	ec := core.EpochConfig{IntervalNS: cfg.DurationNS / 4, Retention: 2}
 	res1, err := RunContinuousOpts(cfg, ec, 4, ContinuousOptions{Deploy: &dc, Wear: wear})
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ func churnTable(totalKeys int) *packet.Table {
 // runs with idle-path eviction (ChurnEvictIdleEpochs), so its heap
 // should plateau at roughly two blocks' working set no matter how many
 // total keys the run visits.
-func Churn(totalKeys, epochs, pktsPerKey, shards int) (ChurnRow, error) {
+func Churn(totalKeys, epochs, pktsPerKey int) (ChurnRow, error) {
 	if totalKeys < epochs {
 		return ChurnRow{}, fmt.Errorf("experiments: %d churn keys cannot fill %d epochs", totalKeys, epochs)
 	}
@@ -77,7 +77,7 @@ func Churn(totalKeys, epochs, pktsPerKey, shards int) (ChurnRow, error) {
 		return ChurnRow{}, fmt.Errorf("experiments: need at least 1 packet per key")
 	}
 	table := churnTable(totalKeys)
-	cfg := ThroughputCollectorConfig(table, shards)
+	cfg := ThroughputCollectorConfig(table)
 	cfg.EvictIdleEpochs = ChurnEvictIdleEpochs
 	col, err := core.NewPathCollector(cfg)
 	if err != nil {

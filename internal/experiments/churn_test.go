@@ -15,7 +15,7 @@ func TestChurnFlatHeap(t *testing.T) {
 		epochs     = 8
 		pktsPerKey = 2
 	)
-	row, err := Churn(totalKeys, epochs, pktsPerKey, 2)
+	row, err := Churn(totalKeys, epochs, pktsPerKey)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,8 +84,7 @@ type ContinuousOptions struct {
 	// MutatePath perturbs the Fig1 path (loss, congestion, skew)
 	// before deployment.
 	MutatePath func(*netsim.Path)
-	// Deploy overrides the deployment config (nil: defaults). Shards
-	// still come from the EpochConfig.
+	// Deploy overrides the deployment config (nil: defaults).
 	Deploy *core.DeployConfig
 	// Wear dresses HOPs in data-plane adversaries: each HOP's
 	// observation stream passes through its adversary before the
@@ -158,7 +157,6 @@ func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts Continu
 	if opts.Deploy != nil {
 		dc = *opts.Deploy
 	}
-	dc.Shards = ec.Shards
 	dep, err := core.NewDeployment(path, tc.Table(), dc)
 	if err != nil {
 		return nil, err
@@ -172,7 +170,6 @@ func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts Continu
 		}
 	}
 	vc := dep.VerifierConfig()
-	vc.Workers = ec.Workers
 	vc.BiasChecks = opts.BiasChecks
 	vc.Sequential = opts.Sequential
 	ver, err := engine.NewVerify(
@@ -299,7 +296,7 @@ func Epochs(cfg Config, epochs int, retentions []int) ([]EpochsRow, error) {
 	rows = append(rows, batch)
 
 	for _, ret := range retentions {
-		ec := core.EpochConfig{IntervalNS: intervalNS, Retention: ret, Workers: 1, Shards: 1}
+		ec := core.EpochConfig{IntervalNS: intervalNS, Retention: ret}
 		start := time.Now()
 		res, err := RunContinuous(cfg, ec, epochs, nil)
 		if err != nil {

@@ -20,7 +20,7 @@ import (
 func TestRunContinuous(t *testing.T) {
 	cfg := Config{Seed: 3, RatePPS: 20_000}
 	const epochs, retention = 12, 2
-	ec := core.EpochConfig{IntervalNS: 25_000_000, Retention: retention, Workers: 1, Shards: 1}
+	ec := core.EpochConfig{IntervalNS: 25_000_000, Retention: retention}
 
 	var reported []core.EpochID
 	res, err := RunContinuous(cfg, ec, epochs, func(rep core.EpochReport, _ core.WindowStats) {
@@ -68,7 +68,7 @@ func TestRunContinuousHonestMarkerInversion(t *testing.T) {
 		t.Skip("180 epochs at 100 kpps (~4 s)")
 	}
 	cfg := Config{Seed: 1, RatePPS: 100_000, DurationNS: 250_000_000}
-	ec := core.EpochConfig{IntervalNS: 250_000_000, Retention: 2, Workers: 1, Shards: 1}
+	ec := core.EpochConfig{IntervalNS: 250_000_000, Retention: 2}
 	res, err := RunContinuous(cfg, ec, 180, func(rep core.EpochReport, _ core.WindowStats) {
 		if n := rep.Violations(); n != 0 {
 			t.Errorf("honest epoch %d: %d violations", rep.Epoch, n)
@@ -149,7 +149,7 @@ func encodeReports(t *testing.T, reps []core.EpochReport) [][]byte {
 // time out and every report matches the unstalled run's.
 func TestStreamEndIsScheduleIndependent(t *testing.T) {
 	const epochs, wait = 6, 400 * time.Millisecond
-	ec := core.EpochConfig{IntervalNS: 250_000_000, Retention: 2, Workers: 1, Shards: 1}
+	ec := core.EpochConfig{IntervalNS: 250_000_000, Retention: 2}
 	for seed := uint64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
@@ -244,7 +244,7 @@ func (b failingBackend) PutReport(e core.EpochID, _ []byte) error {
 // been simulated.
 func TestVerifyFailureStopsTheRun(t *testing.T) {
 	cfg := Config{Seed: 3, RatePPS: 20_000}
-	ec := core.EpochConfig{IntervalNS: 25_000_000, Retention: 2, Workers: 1, Shards: 1}
+	ec := core.EpochConfig{IntervalNS: 25_000_000, Retention: 2}
 	res, err := RunContinuousOpts(cfg, ec, 200, ContinuousOptions{Backend: failingBackend{failAt: 1}})
 	if !errors.Is(err, errPutReport) {
 		t.Fatalf("run error = %v, want the backend's PutReport failure", err)

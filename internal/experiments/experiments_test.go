@@ -279,14 +279,14 @@ func TestAttackRows(t *testing.T) {
 func TestVerifyRows(t *testing.T) {
 	cfg := quickCfg()
 	cfg.DurationNS = int64(100e6)
-	rows, err := Verify(cfg, []int{1, 4})
+	rows, err := Verify(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows, want rebuild + indexed@1 + indexed@4", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("%d rows, want rebuild + indexed", len(rows))
 	}
-	if rows[0].Mode != "rebuild" || rows[1].Mode != "indexed" || rows[2].Mode != "indexed" {
+	if rows[0].Mode != "rebuild" || rows[1].Mode != "indexed" {
 		t.Fatalf("unexpected modes: %+v", rows)
 	}
 	for _, r := range rows {
@@ -300,8 +300,8 @@ func TestVerifyRows(t *testing.T) {
 			t.Fatalf("non-positive timing in %+v", r)
 		}
 		if r.MatchedSamples != rows[0].MatchedSamples {
-			t.Fatalf("mode %s@%d matched %d samples, rebuild matched %d — modes disagree",
-				r.Mode, r.Workers, r.MatchedSamples, rows[0].MatchedSamples)
+			t.Fatalf("mode %s matched %d samples, rebuild matched %d — modes disagree",
+				r.Mode, r.MatchedSamples, rows[0].MatchedSamples)
 		}
 	}
 	if rows[0].MatchedSamples == 0 {

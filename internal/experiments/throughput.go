@@ -17,16 +17,15 @@ import (
 // experiment: packets per second through a HOP collector in a given
 // configuration, plus the steady-state heap behavior of the full
 // observe → drain → encode → recycle cycle. Mode "serial" is the
-// pre-sharding hot path (single-packet Observe through the
+// reference Collector (single-packet Observe through the
 // netsim.Observer interface); "sharded" is the batched
-// ShardedCollector at Shards shards; "sharded-sketch" is the same
+// ShardedCollector every deployment runs; "sharded-sketch" is the same
 // pipeline with the streaming sketch backend thinning retained
 // records. The JSON tags are the machine-readable schema
 // cmd/vpm-bench -json emits, so the perf trajectory can be tracked
 // across PRs in BENCH_*.json files.
 type ThroughputRow struct {
 	Mode       string  `json:"mode"`
-	Shards     int     `json:"shards"`
 	Packets    int     `json:"packets"`
 	PktsPerSec float64 `json:"packets_per_sec"`
 	NSPerPkt   float64 `json:"ns_per_packet"`
@@ -87,9 +86,9 @@ func ShiftWorkload(w []netsim.Observation, span int64) {
 func WorkloadSpan(w []netsim.Observation) int64 { return int64(len(w)) * 10_000 }
 
 // ThroughputCollectorConfig is the standalone-collector configuration
-// the throughput measurements use (HOP 4 with an identity PathID, the
-// default protocol parameters, and the given shard count).
-func ThroughputCollectorConfig(table *packet.Table, shards int) core.CollectorConfig {
+// the throughput measurements use (HOP 4 with an identity PathID and
+// the default protocol parameters).
+func ThroughputCollectorConfig(table *packet.Table) core.CollectorConfig {
 	return core.CollectorConfig{
 		HOP:   4,
 		Table: table,
@@ -98,15 +97,14 @@ func ThroughputCollectorConfig(table *packet.Table, shards int) core.CollectorCo
 		},
 		Sampling:    core.DefaultSamplingConfig(),
 		Aggregation: core.DefaultAggregationConfig(),
-		Shards:      shards,
 	}
 }
 
 // SketchCollectorConfig is ThroughputCollectorConfig with the
 // streaming sketch backend at the standard benchmark thinning
 // parameters (keep 1 in 4 sampled records exactly, summarize the rest).
-func SketchCollectorConfig(table *packet.Table, shards int) core.CollectorConfig {
-	cfg := ThroughputCollectorConfig(table, shards)
+func SketchCollectorConfig(table *packet.Table) core.CollectorConfig {
+	cfg := ThroughputCollectorConfig(table)
 	cfg.Backend = core.BackendSketch
 	cfg.Sketch = streamagg.Config{
 		KeepRate:    0.25,
@@ -188,14 +186,10 @@ func runThroughput(col core.PathCollector, workload []netsim.Observation, batch 
 }
 
 // Throughput measures the collector data plane on the Fig1 foreground
-// workload: the serial per-packet baseline, the sharded batch pipeline
-// at each of shardCounts (default 1, 2, 4, 8), and the sketch backend
-// at the largest shard count.
-func Throughput(cfg Config, shardCounts []int) ([]ThroughputRow, error) {
+// workload: the serial per-packet baseline, the batched pipeline, and
+// the batched pipeline with the sketch backend.
+func Throughput(cfg Config) ([]ThroughputRow, error) {
 	cfg = cfg.Normalize()
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 2, 4, 8}
-	}
 	tc := trace.Config{
 		Seed:       cfg.Seed + 7,
 		DurationNS: cfg.DurationNS,
@@ -207,34 +201,30 @@ func Throughput(cfg Config, shardCounts []int) ([]ThroughputRow, error) {
 	}
 
 	var rows []ThroughputRow
-	serial, err := core.NewCollector(ThroughputCollectorConfig(tc.Table(), 1))
+	serial, err := core.NewCollector(ThroughputCollectorConfig(tc.Table()))
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, throughputRow("serial", 1, runThroughput(serial, workload, 0)))
+	rows = append(rows, throughputRow("serial", runThroughput(serial, workload, 0)))
 
-	for _, shards := range shardCounts {
-		col, err := core.NewShardedCollector(ThroughputCollectorConfig(tc.Table(), shards))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, throughputRow("sharded", col.NumShards(), runThroughput(col, workload, ThroughputBatchSize)))
-	}
-
-	maxShards := shardCounts[len(shardCounts)-1]
-	sk, err := core.NewShardedCollector(SketchCollectorConfig(tc.Table(), maxShards))
+	col, err := core.NewShardedCollector(ThroughputCollectorConfig(tc.Table()))
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, throughputRow("sharded-sketch", sk.NumShards(), runThroughput(sk, workload, ThroughputBatchSize)))
+	rows = append(rows, throughputRow("sharded", runThroughput(col, workload, ThroughputBatchSize)))
+
+	sk, err := core.NewShardedCollector(SketchCollectorConfig(tc.Table()))
+	if err != nil {
+		return nil, err
+	}
+	rows = append(rows, throughputRow("sharded-sketch", runThroughput(sk, workload, ThroughputBatchSize)))
 	return rows, nil
 }
 
-func throughputRow(mode string, shards int, m throughputMetrics) ThroughputRow {
+func throughputRow(mode string, m throughputMetrics) ThroughputRow {
 	n := float64(m.packets)
 	return ThroughputRow{
 		Mode:               mode,
-		Shards:             shards,
 		Packets:            m.packets,
 		PktsPerSec:         n / m.elapsed.Seconds(),
 		NSPerPkt:           float64(m.elapsed.Nanoseconds()) / n,
@@ -246,12 +236,11 @@ func throughputRow(mode string, shards int, m throughputMetrics) ThroughputRow {
 
 // ThroughputRender renders the rows.
 func ThroughputRender(rows []ThroughputRow, markdown bool) string {
-	header := []string{"Mode", "Shards", "Mpkts/s", "ns/pkt", "allocs/pkt", "B/pkt", "rcptB/pkt"}
+	header := []string{"Mode", "Mpkts/s", "ns/pkt", "allocs/pkt", "B/pkt", "rcptB/pkt"}
 	var body [][]string
 	for _, r := range rows {
 		body = append(body, []string{
 			r.Mode,
-			fmt.Sprintf("%d", r.Shards),
 			fmt.Sprintf("%.2f", r.PktsPerSec/1e6),
 			fmt.Sprintf("%.1f", r.NSPerPkt),
 			fmt.Sprintf("%.4f", r.AllocsPerPkt),

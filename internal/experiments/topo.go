@@ -22,11 +22,9 @@ import (
 // full pipeline — many origin-prefix keys multiplexed over shared
 // links, cross-traffic included — honest and with a lossy shared link,
 // and verifies every (key, route) against the per-route layouts. The
-// faulty runs repeat across the {shards} × {workers} grid and must
-// produce byte-identical verdicts at every point; the blame columns
-// prove the §3.1 localization claim on meshes: the shared link's own
-// domain pair is implicated by every key crossing it, and the honest
-// disjoint routes carry zero violations.
+// blame columns prove the §3.1 localization claim on meshes: the shared
+// link's own domain pair is implicated by every key crossing it, and
+// the honest disjoint routes carry zero violations.
 
 // TopoFaultLoss is the loss rate injected on the faulty shared link.
 const TopoFaultLoss = 0.3
@@ -47,8 +45,6 @@ type TopoRow struct {
 	Routes     int `json:"routes"`
 	// FanIn is the largest number of distinct keys sharing one link.
 	FanIn   int `json:"fan_in"`
-	Shards  int `json:"shards"`
-	Workers int `json:"workers"`
 	Packets int `json:"packets"`
 	// LinkChecks counts the per-(key, route) link verifications of the
 	// sweep; WallMS times store build + full sweep.
@@ -67,8 +63,7 @@ type TopoRow struct {
 	BlamedKeys           int      `json:"blamed_keys"`
 	HonestLinkViolations int      `json:"honest_link_violations"`
 	Localized            bool     `json:"localized"`
-	// Fingerprint is a digest of the full verdict text; identical
-	// across every (shards, workers) grid point of one scenario.
+	// Fingerprint is a digest of the full verdict text.
 	Fingerprint string `json:"fingerprint"`
 }
 
@@ -114,12 +109,11 @@ func topoFamilies() []topoFamily {
 
 // topoDeployConfig samples densely enough that every per-key link
 // check sees a meaningful population at bench scale.
-func topoDeployConfig(shards int) core.DeployConfig {
+func topoDeployConfig() core.DeployConfig {
 	dc := core.DefaultDeployConfig()
 	dc.MarkerRate = 0.004
 	dc.Default.SampleRate = 0.05
 	dc.Default.AggRate = 0.001
-	dc.Shards = shards
 	return dc
 }
 
@@ -154,10 +148,10 @@ type topoWorld struct {
 }
 
 // runTopoWorld builds the family's topology (optionally with the
-// faulty shared link), deploys at the given shard count, dresses any
-// worn HOPs in their data-plane adversaries, and replays the
+// faulty shared link), deploys, dresses any worn HOPs in their
+// data-plane adversaries, and replays the
 // multi-key trace through the mesh engine.
-func runTopoWorld(cfg Config, f topoFamily, faultyLink bool, shards int, wear map[receipt.HOPID]netsim.Adversary) (*topoWorld, int, error) {
+func runTopoWorld(cfg Config, f topoFamily, faultyLink bool, wear map[receipt.HOPID]netsim.Adversary) (*topoWorld, int, error) {
 	allKeys := netsim.TopoKeys(f.keys + f.background)
 	topo := f.build(cfg.Seed+5000, allKeys)
 	fault := -1
@@ -188,7 +182,7 @@ func runTopoWorld(cfg Config, f topoFamily, faultyLink bool, shards int, wear ma
 	if err != nil {
 		return nil, -1, err
 	}
-	dep, err := core.NewTopoDeployment(topo, tc.Table(), topoDeployConfig(shards))
+	dep, err := core.NewTopoDeployment(topo, tc.Table(), topoDeployConfig())
 	if err != nil {
 		return nil, -1, err
 	}
@@ -215,13 +209,11 @@ func runTopoWorld(cfg Config, f topoFamily, faultyLink bool, shards int, wear ma
 	}, fault, nil
 }
 
-// topoSweep verifies every foreground (key, route) of the world at the
-// given worker-pool size and returns the verdict text (for
-// fingerprinting), the per-key blames, all link verdicts, and the
-// matched-sample and link-check totals.
-func (w *topoWorld) topoSweep(workers int, confidence float64) (string, map[packet.PathKey][]core.Blame, []core.LinkVerdict, int64, int, error) {
+// topoSweep verifies every foreground (key, route) of the world and
+// returns the verdict text (for fingerprinting), the per-key blames,
+// all link verdicts, and the matched-sample and link-check totals.
+func (w *topoWorld) topoSweep(confidence float64) (string, map[packet.PathKey][]core.Blame, []core.LinkVerdict, int64, int, error) {
 	vc := w.dep.VerifierConfig()
-	vc.Workers = workers
 	keyLayouts := w.dep.KeyLayouts()
 	perKey := make(map[packet.PathKey][]core.Blame)
 	var all []core.LinkVerdict
@@ -264,93 +256,63 @@ func (w *topoWorld) topoSweep(workers int, confidence float64) (string, map[pack
 }
 
 // Topo runs the topology sweep: per family, an honest row, then the
-// faulty-shared-link scenario at every (shards × workers) grid point —
-// erroring out unless all grid points produce byte-identical verdicts.
-func Topo(cfg Config, shardCounts, workerCounts []int) ([]TopoRow, error) {
+// faulty-shared-link row.
+func Topo(cfg Config) ([]TopoRow, error) {
 	cfg = cfg.Normalize()
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 4}
-	}
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 4}
-	}
 	var rows []TopoRow
 	for _, f := range topoFamilies() {
-		honest, err := topoScenarioRows(cfg, f, false, []int{shardCounts[0]}, []int{workerCounts[0]})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, honest...)
-		faulty, err := topoScenarioRows(cfg, f, true, shardCounts, workerCounts)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, faulty...)
-	}
-	return rows, nil
-}
-
-// topoScenarioRows runs one (family, scenario) over the grid.
-func topoScenarioRows(cfg Config, f topoFamily, faulty bool, shardCounts, workerCounts []int) ([]TopoRow, error) {
-	var rows []TopoRow
-	wantFP := ""
-	for _, shards := range shardCounts {
-		// The simulated world is rebuilt per shard count — sharded and
-		// serial collectors must produce identical receipts, which the
-		// fingerprint equality below re-proves on every sweep.
-		world, fault, err := runTopoWorld(cfg, f, faulty, shards, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, workers := range workerCounts {
-			start := time.Now()
-			text, perKey, verdicts, matched, checks, err := world.topoSweep(workers, cfg.Confidence)
+		for _, faulty := range []bool{false, true} {
+			row, err := topoScenarioRow(cfg, f, faulty)
 			if err != nil {
 				return nil, err
-			}
-			wall := time.Since(start)
-			sum := sha256.Sum256([]byte(text))
-			fp := fmt.Sprintf("%x", sum[:8])
-			if wantFP == "" {
-				wantFP = fp
-			} else if fp != wantFP {
-				return nil, fmt.Errorf("experiments: %s/%v verdicts diverge at shards=%d workers=%d (fingerprint %s, want %s)",
-					f.name, faulty, shards, workers, fp, wantFP)
-			}
-			row := TopoRow{
-				Family:           f.name,
-				Scenario:         "honest",
-				Domains:          len(world.topo.Domains),
-				Links:            len(world.topo.Links),
-				HOPs:             world.topo.NumHOPs(),
-				PathKeys:         len(world.fgKeys),
-				Background:       f.background,
-				Routes:           len(world.topo.Routes),
-				FanIn:            world.topo.MaxFanIn(),
-				Shards:           shards,
-				Workers:          workers,
-				Packets:          world.packets,
-				LinkChecks:       checks,
-				MatchedSamples:   matched,
-				WallMS:           float64(wall.Nanoseconds()) / 1e6,
-				LinkChecksPerSec: float64(checks) / wall.Seconds(),
-				Fingerprint:      fp,
-			}
-			if faulty {
-				row.Scenario = "faulty-shared-link"
-				judgeTopoBlame(&row, world, fault, perKey, verdicts)
-			} else {
-				// Honest world: any violation anywhere is a false
-				// positive.
-				for _, lv := range verdicts {
-					row.HonestLinkViolations += len(lv.Violations)
-				}
-				row.Localized = row.HonestLinkViolations == 0
 			}
 			rows = append(rows, row)
 		}
 	}
 	return rows, nil
+}
+
+// topoScenarioRow runs one (family, scenario).
+func topoScenarioRow(cfg Config, f topoFamily, faulty bool) (TopoRow, error) {
+	world, fault, err := runTopoWorld(cfg, f, faulty, nil)
+	if err != nil {
+		return TopoRow{}, err
+	}
+	start := time.Now()
+	text, perKey, verdicts, matched, checks, err := world.topoSweep(cfg.Confidence)
+	if err != nil {
+		return TopoRow{}, err
+	}
+	wall := time.Since(start)
+	sum := sha256.Sum256([]byte(text))
+	row := TopoRow{
+		Family:           f.name,
+		Scenario:         "honest",
+		Domains:          len(world.topo.Domains),
+		Links:            len(world.topo.Links),
+		HOPs:             world.topo.NumHOPs(),
+		PathKeys:         len(world.fgKeys),
+		Background:       f.background,
+		Routes:           len(world.topo.Routes),
+		FanIn:            world.topo.MaxFanIn(),
+		Packets:          world.packets,
+		LinkChecks:       checks,
+		MatchedSamples:   matched,
+		WallMS:           float64(wall.Nanoseconds()) / 1e6,
+		LinkChecksPerSec: float64(checks) / wall.Seconds(),
+		Fingerprint:      fmt.Sprintf("%x", sum[:8]),
+	}
+	if faulty {
+		row.Scenario = "faulty-shared-link"
+		judgeTopoBlame(&row, world, fault, perKey, verdicts)
+	} else {
+		// Honest world: any violation anywhere is a false positive.
+		for _, lv := range verdicts {
+			row.HonestLinkViolations += len(lv.Violations)
+		}
+		row.Localized = row.HonestLinkViolations == 0
+	}
+	return row, nil
 }
 
 // judgeTopoBlame fills the blame columns of a faulty-shared-link row:
@@ -392,7 +354,7 @@ func judgeTopoBlame(row *TopoRow, world *topoWorld, fault int, perKey map[packet
 
 // TopoRender renders the rows.
 func TopoRender(rows []TopoRow, markdown bool) string {
-	header := []string{"Family", "Scenario", "Keys", "Routes", "FanIn", "Shards", "Workers", "Checks", "ms", "checks/s", "Blamed", "BlamedKeys", "HonestViol", "Localized"}
+	header := []string{"Family", "Scenario", "Keys", "Routes", "FanIn", "Checks", "ms", "checks/s", "Blamed", "BlamedKeys", "HonestViol", "Localized"}
 	var body [][]string
 	for _, r := range rows {
 		body = append(body, []string{
@@ -400,8 +362,6 @@ func TopoRender(rows []TopoRow, markdown bool) string {
 			fmt.Sprintf("%d", r.PathKeys),
 			fmt.Sprintf("%d", r.Routes),
 			fmt.Sprintf("%d", r.FanIn),
-			fmt.Sprintf("%d", r.Shards),
-			fmt.Sprintf("%d", r.Workers),
 			fmt.Sprintf("%d", r.LinkChecks),
 			fmt.Sprintf("%.1f", r.WallMS),
 			fmt.Sprintf("%.0f", r.LinkChecksPerSec),
@@ -467,11 +427,11 @@ func MeshAttackRows(cfg Config) ([]MatrixRow, error) {
 		if sc.wear != nil {
 			wear = sc.wear()
 		}
-		world, _, err := runTopoWorld(cfg, meshFamily, false, 1, wear)
+		world, _, err := runTopoWorld(cfg, meshFamily, false, wear)
 		if err != nil {
 			return nil, err
 		}
-		_, perKeyBlames, verdicts, _, _, err := world.topoSweep(1, cfg.Confidence)
+		_, perKeyBlames, verdicts, _, _, err := world.topoSweep(cfg.Confidence)
 		if err != nil {
 			return nil, err
 		}

@@ -10,26 +10,30 @@ func testTopoCfg() Config {
 }
 
 // TestTopoSweep is the mesh acceptance test: every family verifies
-// with byte-identical verdicts across the {1,4}×{1,4} shards/workers
-// grid, honest worlds carry zero violations, and a faulty shared link
-// is blamed on exactly its owning domain pair by at least two traffic
-// keys with zero violations on the disjoint honest routes.
+// with the same verdicts on every run, honest worlds carry zero
+// violations, and a faulty shared link is blamed on exactly its owning
+// domain pair by at least two traffic keys with zero violations on the
+// disjoint honest routes.
 func TestTopoSweep(t *testing.T) {
-	rows, err := Topo(testTopoCfg(), []int{1, 4}, []int{1, 4})
+	rows, err := Topo(testTopoCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
+	again, err := Topo(testTopoCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != len(rows) {
+		t.Fatalf("%d rows, then %d from the same sweep", len(rows), len(again))
+	}
 	families := map[string]bool{}
-	fpByScenario := map[string]string{}
-	gridRows := map[string]int{}
-	for _, r := range rows {
+	scenarios := map[string]int{}
+	for i, r := range rows {
 		families[r.Family] = true
-		key := r.Family + "/" + r.Scenario
-		if fp, ok := fpByScenario[key]; ok && fp != r.Fingerprint {
-			t.Errorf("%s: fingerprint diverges across the grid: %s vs %s (shards=%d workers=%d)",
-				key, fp, r.Fingerprint, r.Shards, r.Workers)
+		if fp := again[i].Fingerprint; fp != r.Fingerprint {
+			t.Errorf("%s/%s: fingerprint diverges between identical runs: %s vs %s", r.Family, r.Scenario, r.Fingerprint, fp)
 		}
-		fpByScenario[key] = r.Fingerprint
+		scenarios[r.Family+"/"+r.Scenario]++
 		switch r.Scenario {
 		case "honest":
 			if r.HonestLinkViolations != 0 {
@@ -39,7 +43,6 @@ func TestTopoSweep(t *testing.T) {
 				t.Errorf("%s honest: row not marked clean", r.Family)
 			}
 		case "faulty-shared-link":
-			gridRows[r.Family]++
 			if !r.Localized {
 				t.Errorf("%s faulty: blame not localized to the shared link (blamed %v, honest violations %d)",
 					r.Family, r.BlamedDomains, r.HonestLinkViolations)
@@ -66,9 +69,12 @@ func TestTopoSweep(t *testing.T) {
 	if len(families) < 3 {
 		t.Fatalf("sweep covered %d families, want at least 3", len(families))
 	}
-	for fam, n := range gridRows {
-		if n != 4 {
-			t.Errorf("%s: %d faulty grid rows, want the full {1,4}×{1,4} grid", fam, n)
+	if len(scenarios) != 2*len(families) {
+		t.Errorf("%d (family, scenario) cells over %d families, want honest + faulty each", len(scenarios), len(families))
+	}
+	for cell, n := range scenarios {
+		if n != 1 {
+			t.Errorf("%s: %d rows, want one per (family, scenario)", cell, n)
 		}
 	}
 }

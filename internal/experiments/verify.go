@@ -35,12 +35,11 @@ const (
 // re-scans the deployment's receipts into a private verifier. Mode
 // "indexed" ingests receipts once into the shared indexed store, then
 // runs every per-key verification sweep (VerifyAllLinks +
-// DomainReports) over it with the given worker-pool size. The JSON
+// DomainReports) over it. The JSON
 // tags are the schema cmd/vpm-bench -run verify -json emits for
 // BENCH_*.json tracking.
 type VerifyRow struct {
 	Mode             string  `json:"mode"`
-	Workers          int     `json:"workers"`
 	HOPs             int     `json:"hops"`
 	PathKeys         int     `json:"path_keys"`
 	LinkChecks       int     `json:"link_checks"`
@@ -111,22 +110,18 @@ func verifySweep(v *core.Verifier, confidence float64) (int64, error) {
 
 // Verify measures the verification pipeline on the 16-HOP × 64-path
 // scenario: the per-key rebuild baseline, then the shared indexed
-// store at each worker-pool size in workerCounts (default 1, 2, 4, 8).
-func Verify(cfg Config, workerCounts []int) ([]VerifyRow, error) {
+// store.
+func Verify(cfg Config) ([]VerifyRow, error) {
 	cfg = cfg.Normalize()
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4, 8}
-	}
 	dep, keys, err := VerifyScenario(cfg)
 	if err != nil {
 		return nil, err
 	}
 	linksPerKey := len(dep.Layout().Links())
-	mkRow := func(mode string, workers int, matched int64, d time.Duration) VerifyRow {
+	mkRow := func(mode string, matched int64, d time.Duration) VerifyRow {
 		checks := linksPerKey * len(keys)
 		return VerifyRow{
 			Mode:             mode,
-			Workers:          workers,
 			HOPs:             dep.Path.NumHOPs(),
 			PathKeys:         len(keys),
 			LinkChecks:       checks,
@@ -139,42 +134,31 @@ func Verify(cfg Config, workerCounts []int) ([]VerifyRow, error) {
 	var rows []VerifyRow
 
 	// Baseline: the pre-store shape — each key rebuilds its own
-	// verifier, re-scanning every processor's receipts, then verifies
-	// serially.
+	// verifier, re-scanning every processor's receipts, then verifies.
 	start := time.Now()
 	var matched int64
 	for _, key := range keys {
-		v := dep.NewVerifier(key)
-		vc := dep.VerifierConfig()
-		vc.Workers = 1
-		v.SetConfig(vc)
-		m, err := verifySweep(v, cfg.Confidence)
+		m, err := verifySweep(dep.NewVerifier(key), cfg.Confidence)
 		if err != nil {
 			return nil, err
 		}
 		matched += m
 	}
-	rows = append(rows, mkRow("rebuild", 1, matched, time.Since(start)))
+	rows = append(rows, mkRow("rebuild", matched, time.Since(start)))
 
 	// Indexed: ingest once into the shared store (charged to the row),
-	// then sweep every key at the configured pool size.
-	for _, workers := range workerCounts {
-		start := time.Now()
-		store := dep.NewStore()
-		var matched int64
-		for _, key := range keys {
-			v := dep.NewVerifierOn(store, key)
-			vc := dep.VerifierConfig()
-			vc.Workers = workers
-			v.SetConfig(vc)
-			m, err := verifySweep(v, cfg.Confidence)
-			if err != nil {
-				return nil, err
-			}
-			matched += m
+	// then sweep every key.
+	start = time.Now()
+	store := dep.NewStore()
+	matched = 0
+	for _, key := range keys {
+		m, err := verifySweep(dep.NewVerifierOn(store, key), cfg.Confidence)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, mkRow("indexed", workers, matched, time.Since(start)))
+		matched += m
 	}
+	rows = append(rows, mkRow("indexed", matched, time.Since(start)))
 
 	base := rows[0].WallMS
 	for i := range rows {
@@ -187,12 +171,11 @@ func Verify(cfg Config, workerCounts []int) ([]VerifyRow, error) {
 
 // VerifyRender renders the rows.
 func VerifyRender(rows []VerifyRow, markdown bool) string {
-	header := []string{"Mode", "Workers", "LinkChecks", "Matched", "ms", "checks/s", "x-rebuild"}
+	header := []string{"Mode", "LinkChecks", "Matched", "ms", "checks/s", "x-rebuild"}
 	var body [][]string
 	for _, r := range rows {
 		body = append(body, []string{
 			r.Mode,
-			fmt.Sprintf("%d", r.Workers),
 			fmt.Sprintf("%d", r.LinkChecks),
 			fmt.Sprintf("%d", r.MatchedSamples),
 			fmt.Sprintf("%.1f", r.WallMS),

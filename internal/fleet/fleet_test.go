@@ -225,6 +225,45 @@ func TestFleetMatchesReferenceAtEveryShardCount(t *testing.T) {
 	}
 }
 
+// TestRetiredKnobsAreInert: Spec.Workers is still declared (bench/
+// assigns it, and specs in the wild carry a "workers" field) but
+// nothing reads it — whatever it holds, the world verifies to the same
+// fingerprint.
+func TestRetiredKnobsAreInert(t *testing.T) {
+	fingerprint := func(s Spec) string {
+		t.Helper()
+		w, err := s.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports, err := RunReference(w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded, err := EncodeReports(reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Fingerprint(encoded)
+	}
+	zero, two := testSpec(), testSpec()
+	zero.Workers, two.Workers = 0, 2
+	decoded, err := ParseSpec(strings.Replace(zero.Encode(), `"workers":0`, `"workers":4`, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Workers != 4 {
+		t.Fatalf("decoded spec carries Workers %d, want the 4 its JSON held", decoded.Workers)
+	}
+	want := fingerprint(zero)
+	if got := fingerprint(two); got != want {
+		t.Errorf("Workers 2: fingerprint %s, Workers 0 gives %s", got, want)
+	}
+	if got := fingerprint(decoded); got != want {
+		t.Errorf(`spec decoded from "workers":4: fingerprint %s, Workers 0 gives %s`, got, want)
+	}
+}
+
 // TestVerifierRestartIsReplay: a verifier that ran, was discarded, and
 // re-ran from scratch against retained collector feeds produces
 // byte-identical output — crash recovery needs no state.

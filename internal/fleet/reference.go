@@ -21,7 +21,7 @@ import (
 func RunReference(w *World, chunkSlots int64) ([]core.EpochReport, error) {
 	ver, err := engine.NewVerify(
 		engine.Store{HOPs: w.HOPs, Retention: windowRetention},
-		engine.Checks{Config: w.VerifierConfig(), KeyLayouts: w.Dep.KeyLayouts()})
+		engine.Checks{Config: w.Dep.VerifierConfig(), KeyLayouts: w.Dep.KeyLayouts()})
 	if err != nil {
 		return nil, err
 	}

@@ -42,8 +42,7 @@ type Spec struct {
 	// Collectors is the collector-process count; domain d belongs to
 	// collector d mod Collectors.
 	Collectors int `json:"collectors"`
-	// Workers sizes each verifier's per-epoch worker pool (0 =
-	// GOMAXPROCS). Reports are identical at any pool size.
+	// Workers is retired and ignored (bench/ still assigns it).
 	Workers int `json:"workers"`
 }
 
@@ -68,8 +67,8 @@ func (s Spec) Validate() error {
 	if s.Collectors < 1 {
 		return fmt.Errorf("fleet: need at least 1 collector, got %d", s.Collectors)
 	}
-	if s.ExtraLinks < 0 || s.Workers < 0 {
-		return fmt.Errorf("fleet: negative extra-links or workers")
+	if s.ExtraLinks < 0 {
+		return fmt.Errorf("fleet: negative extra-links")
 	}
 	if s.slotsPerEpoch() < 1 {
 		return fmt.Errorf("fleet: rate %v pps over %dns sends no packets per epoch", s.RatePPS, s.IntervalNS)
@@ -272,12 +271,4 @@ func (w *World) OwnedHOPs(collector int) []receipt.HOPID {
 		}
 	}
 	return out
-}
-
-// VerifierConfig returns the verifier constants with the spec's worker
-// pool size applied.
-func (w *World) VerifierConfig() core.VerifierConfig {
-	cfg := w.Dep.VerifierConfig()
-	cfg.Workers = w.Spec.Workers
-	return cfg
 }

@@ -66,7 +66,7 @@ func NewVerifier(w *World, shards, shard int, _ VerifierOptions) (*Verifier, err
 	layouts := w.Dep.KeyLayoutsFor(func(k packet.PathKey) bool { return ring.OwnerKey(k) == shard })
 	ver, err := engine.NewVerify(
 		engine.Store{HOPs: w.HOPs, Retention: windowRetention},
-		engine.Checks{Config: w.VerifierConfig(), KeyLayouts: layouts})
+		engine.Checks{Config: w.Dep.VerifierConfig(), KeyLayouts: layouts})
 	if err != nil {
 		return nil, err
 	}

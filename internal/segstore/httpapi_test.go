@@ -29,7 +29,7 @@ func runBackedPipeline(t *testing.T, epochs int) (*segstore.Store, *experiments.
 		t.Fatalf("Open: %v", err)
 	}
 	cfg := experiments.Config{Seed: 7, RatePPS: 20_000, DurationNS: apiIntervalNS}
-	ec := core.EpochConfig{IntervalNS: apiIntervalNS, Retention: 2, Workers: 1, Shards: 1}
+	ec := core.EpochConfig{IntervalNS: apiIntervalNS, Retention: 2}
 	res, err := experiments.RunContinuousOpts(cfg, ec, epochs, experiments.ContinuousOptions{
 		Backend: segstore.Backend{Store: store},
 	})

@@ -19,31 +19,31 @@
 //     friends)
 //   - signed receipt dissemination over HTTP (internal/dissem)
 //
-// # Concurrency and sharding
+// # Collection and concurrency
 //
-// The collection pipeline is batched, and sharded for multi-core
-// throughput. Every HOP runs a ShardedCollector, which
-// hash-partitions origin-prefix paths across N shards, each path's
-// sampler and partitioner state touched by its shard alone, so the
-// per-packet path takes no locks; Collector is its packet-at-a-time
-// reference implementation, kept as the oracle the equivalence tests
-// compare against. Observers can receive
+// The collection pipeline is batched and serial inside a collector.
+// Every HOP runs a ShardedCollector, which one goroutine drives at a
+// time, so the per-packet path takes no locks and starts no
+// goroutines; Collector
+// is its packet-at-a-time reference implementation, kept as the oracle
+// the equivalence tests compare against. Observers can receive
 // traffic either packet-at-a-time (Observe) or in arrival-order
 // batches (ObserveBatch, the BatchObserver interface), which
 // amortizes dispatch and classification and is grouped by path 256
 // observations at a time, so interleaved traffic visits a path's state
-// once per group rather than once per packet; the simulator replays each
-// HOP's observations concurrently with every other HOP's, in batches.
-// DeployConfig.Shards selects the shard count per HOP (0 = GOMAXPROCS,
-// 1 = one shard run inline on the observing goroutine); every count
-// produces byte-identical receipts for the same traffic, drained in
+// once per group rather than once per packet. The process's
+// concurrency lives in three places only: the simulator replays each
+// HOP's observations concurrently with every other HOP's, in batches;
+// the epoch engine verifies one epoch while the next is collected; and
+// the fleet runs collectors and verifier shards as separate processes.
+// The same traffic always produces byte-identical receipts, drained in
 // deterministic PathID-sorted order.
 //
 // # Verification
 //
-// The verification side scales the same way. Receipts are ingested
-// into a ReceiptStore — an indexed, concurrent store keyed by (HOP,
-// traffic key) — either up front (Deployment.NewStore,
+// Receipts are ingested into a ReceiptStore — an indexed, concurrent
+// store keyed by (HOP, traffic key) — either up front
+// (Deployment.NewStore,
 // Verifier.AddSampleReceipt) or incrementally from signed
 // dissemination bundles (Verifier.Ingest, IngestSigned, and
 // IngestBundles; BundleClient.FetchEach streams bundles off the wire
@@ -52,12 +52,11 @@
 // attach a key-restricted verifier per origin-prefix path
 // (Deployment.NewVerifierOn, NewVerifierOn) without re-scanning
 // receipts per path. Verifier.VerifyAllLinks and
-// Verifier.DomainReports fan their independent link and domain checks
-// over a worker pool (VerifierConfig.Workers: 0 = GOMAXPROCS, 1 =
-// serial); verdicts are byte-identical at any pool size and return in
-// deterministic LinkID (path) order, with missing-record checks
-// answered by a binary search over each index's cached marker
-// timeline instead of a scan over all of a HOP's samples.
+// Verifier.DomainReports run their link and domain checks one after
+// another and return them in deterministic LinkID (path) order, with
+// missing-record checks answered by a binary search over each index's
+// cached marker timeline instead of a scan over all of a HOP's
+// samples.
 //
 // # Continuous operation
 //
@@ -173,10 +172,10 @@ func CombineAggregates(rs ...AggReceipt) (AggReceipt, error) {
 
 // Protocol stack.
 type (
-	// Collector is the per-HOP data-plane module (one shard's worth).
+	// Collector is the packet-at-a-time reference collector.
 	Collector = core.Collector
-	// ShardedCollector hash-partitions paths across N collector
-	// shards for multi-core throughput.
+	// ShardedCollector is the batched per-HOP data-plane module every
+	// deployment runs (the name is historical: it no longer shards).
 	ShardedCollector = core.ShardedCollector
 	// PathCollector is the data-plane surface both Collector and
 	// ShardedCollector implement.
@@ -318,14 +317,14 @@ func ShaveDelays(ingress, egress SampleReceipt, factor float64) SampleReceipt {
 // packet-at-a-time oracle; NewPathCollector builds the one to run.
 func NewCollector(cfg CollectorConfig) (*Collector, error) { return core.NewCollector(cfg) }
 
-// NewShardedCollector builds a standalone sharded collector with
-// cfg.Shards shards (0 = GOMAXPROCS).
+// NewShardedCollector builds a standalone collector of the kind
+// deployments run.
 func NewShardedCollector(cfg CollectorConfig) (*ShardedCollector, error) {
 	return core.NewShardedCollector(cfg)
 }
 
 // NewPathCollector builds the collector deployments run: a
-// ShardedCollector with cfg.Shards shards (1 = one inline shard).
+// ShardedCollector.
 func NewPathCollector(cfg CollectorConfig) (PathCollector, error) {
 	return core.NewPathCollector(cfg)
 }
@@ -522,16 +521,13 @@ func NewTraceGenerator(cfg TraceConfig) (*TraceGenerator, error) { return trace.
 // epoch straight into the receipt window, and each epoch is verified
 // once every HOP has sealed it — overlapping the next segment — and
 // reported to onEpoch, while verified epochs older than ec.Retention
-// are evicted. It returns the window's final occupancy. (ec.Shards is
-// not read: sharding was fixed when dep was built.)
+// are evicted. It returns the window's final occupancy.
 func RunContinuous(path *Path, dep *Deployment, gen *TraceGenerator, ec EpochConfig, epochs int, onEpoch func(EpochReport, WindowStats)) (WindowStats, error) {
 	if err := ec.Validate(); err != nil {
 		return WindowStats{}, err
 	}
 	hops := dep.HOPs()
-	vc := dep.VerifierConfig()
-	vc.Workers = ec.Workers
-	ver, err := engine.NewVerify(engine.Store{HOPs: hops, Retention: ec.Retention}, engine.Checks{Config: vc, Layout: dep.Layout()})
+	ver, err := engine.NewVerify(engine.Store{HOPs: hops, Retention: ec.Retention}, engine.Checks{Config: dep.VerifierConfig(), Layout: dep.Layout()})
 	if err != nil {
 		return WindowStats{}, err
 	}

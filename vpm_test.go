@@ -136,8 +136,8 @@ func TestPublicAPIAdversary(t *testing.T) {
 }
 
 // TestPublicAPIStoreAndStreaming pins the scaled verification
-// surface: the shared ReceiptStore, key-restricted verifiers, the
-// parallel worker pool, and signed-bundle streaming ingest.
+// surface: the shared ReceiptStore, key-restricted verifiers, and
+// signed-bundle streaming ingest.
 func TestPublicAPIStoreAndStreaming(t *testing.T) {
 	traceCfg := vpm.TraceConfig{
 		Seed:       131,
@@ -159,21 +159,18 @@ func TestPublicAPIStoreAndStreaming(t *testing.T) {
 	}
 	dep.Finalize()
 
-	// Shared store + parallel pool must reproduce the private-store
-	// serial verdicts exactly.
+	// The shared store must reproduce the private-store verdicts
+	// exactly.
 	baseline := dep.NewVerifier(key).VerifyAllLinks()
 	store := dep.NewStore()
 	v := dep.NewVerifierOn(store, key)
-	cfg := dep.VerifierConfig()
-	cfg.Workers = 4
-	v.SetConfig(cfg)
-	parallel := v.VerifyAllLinks()
-	if len(parallel) != len(baseline) {
-		t.Fatalf("parallel produced %d verdicts, baseline %d", len(parallel), len(baseline))
+	shared := v.VerifyAllLinks()
+	if len(shared) != len(baseline) {
+		t.Fatalf("shared store produced %d verdicts, baseline %d", len(shared), len(baseline))
 	}
-	for i := range parallel {
-		if parallel[i].String() != baseline[i].String() || parallel[i].LinkID != i {
-			t.Fatalf("verdict %d diverged: %v vs %v", i, parallel[i], baseline[i])
+	for i := range shared {
+		if shared[i].String() != baseline[i].String() || shared[i].LinkID != i {
+			t.Fatalf("verdict %d diverged: %v vs %v", i, shared[i], baseline[i])
 		}
 	}
 	reports, err := v.DomainReports(vpm.DefaultQuantiles, 0.95)
