@@ -3,7 +3,10 @@
 // DESIGN.md calls out. Each benchmark runs the corresponding
 // experiment at a reduced scale and reports the headline quantity via
 // b.ReportMetric, so `go test -bench=. -benchmem` doubles as a smoke
-// run of the whole evaluation; cmd/vpm-bench runs the full scale.
+// run of the whole evaluation; cmd/vpm-bench runs the full scale. The
+// Observe* benchmarks are the collector's zero-alloc and
+// batched-vs-serial gates (CI reads both); the pipeline's speed numbers
+// come from `go run ./bench`, not from here.
 package vpm
 
 import (
@@ -173,15 +176,28 @@ func forwardingWorkload(b *testing.B) ([]packet.Packet, [][]byte) {
 }
 
 // collectorWorkload materializes the Fig1 foreground workload as a
-// ready-to-feed observation stream — the same stream cmd/vpm-bench's
-// throughput experiment measures.
+// ready-to-feed observation stream (packets, digests, arrival-ordered
+// timestamps 10 µs apart).
 func collectorWorkload(b *testing.B) []netsim.Observation {
 	b.Helper()
-	obs, err := experiments.CollectorWorkload(benchTraceConfig())
+	pkts, err := trace.Generate(benchTraceConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	return obs
+	workload := make([]netsim.Observation, len(pkts))
+	for i := range pkts {
+		workload[i] = netsim.Observation{Pkt: &pkts[i], Digest: pkts[i].Digest(1), TimeNS: int64(i) * 10_000}
+	}
+	return workload
+}
+
+// shiftWorkload advances every observation timestamp by span — feeding
+// the same workload repeatedly must keep HOP clocks monotonic, or the
+// partitioner's reordering window sees time restart and never evicts.
+func shiftWorkload(w []netsim.Observation, span int64) {
+	for i := range w {
+		w[i].TimeNS += span
+	}
 }
 
 func benchCollectorConfig(b *testing.B) core.CollectorConfig {
@@ -190,19 +206,19 @@ func benchCollectorConfig(b *testing.B) core.CollectorConfig {
 }
 
 // observeSteadyState drives a collector benchmark with the
-// steady-state protocol shared by TestObserveBatchSteadyStateZeroAlloc
-// and the throughput experiment: warmup passes grow every accumulator
-// and prime the recycled buffers, timestamps shift forward by one
-// workload span per pass (so the reordering window keeps evicting
-// instead of accumulating a restarted clock), and each iteration's
-// Drain hands its buffers back via Recycle. Only the feed is timed;
-// the allocs/pkt metric meters the whole cycle. Returns allocations
-// per packet over the measured iterations.
+// steady-state protocol of core's TestObserveBatchSteadyStateZeroAlloc:
+// warmup passes grow every accumulator and prime the recycled buffers,
+// timestamps shift forward by one workload span per pass (so the
+// reordering window keeps evicting instead of accumulating a restarted
+// clock), and each iteration's Drain hands its buffers back via
+// Recycle. Only the feed is timed; the allocs/pkt metric meters the
+// whole cycle. Returns allocations per packet over the measured
+// iterations.
 func observeSteadyState(b *testing.B, col core.PathCollector, workload []netsim.Observation, feed func()) float64 {
 	b.Helper()
-	span := experiments.WorkloadSpan(workload)
+	span := int64(len(workload)) * 10_000 // one feed pass
 	for i := 0; i < 3; i++ {
-		experiments.ShiftWorkload(workload, span)
+		shiftWorkload(workload, span)
 		feed()
 		samples, aggs := col.Drain()
 		col.Recycle(samples, aggs)
@@ -214,7 +230,7 @@ func observeSteadyState(b *testing.B, col core.PathCollector, workload []netsim.
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		experiments.ShiftWorkload(workload, span)
+		shiftWorkload(workload, span)
 		b.StartTimer()
 		feed()
 		b.StopTimer()
@@ -362,93 +378,13 @@ func BenchmarkObserveBatchShardedZipf(b *testing.B) {
 }
 
 // reportThroughput converts a per-iteration packet count into the
-// pkts/s and ns/pkt metrics the perf trajectory tracks.
+// pkts/s and ns/pkt metrics CI's batched-vs-serial ratio gate reads.
 func reportThroughput(b *testing.B, pktsPerIter int) {
 	total := float64(b.N) * float64(pktsPerIter)
 	secs := b.Elapsed().Seconds()
 	if secs > 0 {
 		b.ReportMetric(total/secs, "pkts/s")
 		b.ReportMetric(secs*1e9/total, "ns/pkt")
-	}
-}
-
-// verifyWorld builds the reduced-scale 16-HOP × 64-path verification
-// scenario once per benchmark.
-func verifyWorld(b *testing.B) (*core.Deployment, []packet.PathKey) {
-	b.Helper()
-	cfg := benchCfg()
-	cfg.DurationNS = int64(100e6)
-	dep, keys, err := experiments.VerifyScenario(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return dep, keys
-}
-
-// BenchmarkVerifyRebuildSerial is the baseline of the verification
-// acceptance comparison: the pre-store shape, where every path key
-// re-scans the deployment's receipts into a private verifier and then
-// checks its links.
-func BenchmarkVerifyRebuildSerial(b *testing.B) {
-	dep, keys := verifyWorld(b)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var matched int
-		for _, key := range keys {
-			for _, lv := range dep.NewVerifier(key).VerifyAllLinks() {
-				matched += lv.MatchedSamples
-			}
-		}
-		if matched == 0 {
-			b.Fatal("no matched samples")
-		}
-	}
-	reportVerifyThroughput(b, len(keys)*len(dep.Layout().Links()))
-}
-
-// BenchmarkVerifyIndexed measures VerifyAllLinks over the shared
-// indexed store on the same scenario.
-func BenchmarkVerifyIndexed(b *testing.B) {
-	dep, keys := verifyWorld(b)
-	store := dep.NewStore()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var matched int
-		for _, key := range keys {
-			for _, lv := range dep.NewVerifierOn(store, key).VerifyAllLinks() {
-				matched += lv.MatchedSamples
-			}
-		}
-		if matched == 0 {
-			b.Fatal("no matched samples")
-		}
-	}
-	reportVerifyThroughput(b, len(keys)*len(dep.Layout().Links()))
-}
-
-// BenchmarkVerifyStoreIngest measures indexing the whole deployment's
-// receipts into a fresh store — the amortized-once cost the indexed
-// modes pay instead of 64 per-key rebuilds.
-func BenchmarkVerifyStoreIngest(b *testing.B) {
-	dep, _ := verifyWorld(b)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		store := dep.NewStore()
-		if len(store.Keys()) == 0 {
-			b.Fatal("empty store")
-		}
-	}
-}
-
-// reportVerifyThroughput converts per-iteration link checks into the
-// link-checks/s metric the perf trajectory tracks.
-func reportVerifyThroughput(b *testing.B, checksPerIter int) {
-	total := float64(b.N) * float64(checksPerIter)
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(total/secs, "linkchecks/s")
 	}
 }
 

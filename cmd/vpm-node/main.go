@@ -296,9 +296,8 @@ func main() {
 	runtime.KeepAlive(ver)
 
 	if *jsonOut {
-		// The first sixteen fields are the vpm-bench -run epochs row
-		// (experiments.EpochsRow, BENCH_*.json), tag for tag; the
-		// durable-store fields ride alongside.
+		// CI's continuous-mode and recovery gates read these fields
+		// by tag; the durable-store fields ride alongside.
 		out := summary{
 			Mode:            "continuous",
 			Epochs:          col.Segments,

@@ -117,10 +117,11 @@ func zipfHotpathWorkload(t testing.TB, npkts int) (batches [][]netsim.Observatio
 
 // TestObserveBatchSteadyStateZeroAlloc is the zero-alloc bar of the
 // wire-speed hot path, on one-path-at-a-time traffic (four paths in
-// long runs) and on mesh-shaped traffic (2048 Zipf-ranked paths
-// interleaved packet by packet): after warmup (path state created,
-// scratch buffers grown, two Drain/Recycle round trips), feeding the
-// sharded collector allocates at most AllocsPerPktBudget per packet.
+// long runs), on mesh-shaped traffic (2048 Zipf-ranked paths
+// interleaved packet by packet) and on the sketch backend: after warmup
+// (path state created, scratch buffers grown, two Drain/Recycle round
+// trips), feeding the sharded collector allocates at most
+// AllocsPerPktBudget per packet.
 func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -129,7 +130,7 @@ func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 	workloads := []struct {
 		name  string
 		build func(testing.TB, int) ([][]netsim.Observation, int64, CollectorConfig)
-	}{{"fig1", hotpathWorkload}, {"zipf", zipfHotpathWorkload}}
+	}{{"fig1", hotpathWorkload}, {"zipf", zipfHotpathWorkload}, {"sketch", sketchHotpathWorkload}}
 	for _, w := range workloads {
 		batches, span, cfg := w.build(t, npkts)
 		col, err := NewShardedCollector(cfg)
@@ -155,6 +156,11 @@ func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 			}
 			samples, aggs := col.Drain()
 			col.Recycle(samples, aggs)
+			if pool := col.SketchPool(); pool != nil {
+				for _, ps := range col.DrainSketches() {
+					pool.Put(ps)
+				}
+			}
 		}
 
 		const runs = 3
@@ -165,6 +171,14 @@ func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 			t.Errorf("%s: steady-state allocations %.6f/pkt exceed budget %.4f", w.name, perPkt, AllocsPerPktBudget)
 		}
 	}
+}
+
+// sketchHotpathWorkload is hotpathWorkload on the streaming sketch
+// backend, thinning retained records to 1 in 4 — the only allocation
+// bar on BackendSketch.
+func sketchHotpathWorkload(t testing.TB, npkts int) ([][]netsim.Observation, int64, CollectorConfig) {
+	batches, span, cfg := hotpathWorkload(t, npkts)
+	return batches, span, sketchConfigFor(cfg, 0.25)
 }
 
 // sketchConfigFor builds a sketch-backend variant of cfg.

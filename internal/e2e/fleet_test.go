@@ -2,6 +2,7 @@ package e2e
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os/exec"
@@ -176,5 +177,38 @@ func TestFleetVerifierKillAndRestartConverges(t *testing.T) {
 	}
 	if got, want := fleet.Fingerprint(merged), fleet.Fingerprint(refEnc); got != want {
 		t.Fatalf("fingerprint %s after kill+restart, reference %s", got, want)
+	}
+}
+
+// TestFleetSupervisorSweep drives `vpm-fleet run`, the supervisor CI's
+// fleet job calls: real collectors, the verifier tier at two widths,
+// the single-process reference check, and one fingerprint at every
+// width; a tier width below one is refused by name.
+func TestFleetSupervisorSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the vpm-fleet binary")
+	}
+	bin := buildVPMFleet(t)
+
+	cmd := exec.Command(bin, "run", "-spec", fleetSpec().Encode(), "-verifiers", "1,2", "-check", "-json")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("vpm-fleet run: %v\nstderr:\n%s", err, stderr.String())
+	}
+	var rows []fleet.BenchRow
+	if err := json.Unmarshal(stdout.Bytes(), &rows); err != nil {
+		t.Fatalf("decoding rows: %v\n%s", err, stdout.String())
+	}
+	if len(rows) != 2 || rows[0].Procs != 1 || rows[1].Procs != 2 {
+		t.Fatalf("rows %+v, want one per width 1,2", rows)
+	}
+	if rows[0].Fingerprint == "" || rows[0].Fingerprint != rows[1].Fingerprint {
+		t.Fatalf("fingerprints %q and %q, want equal and non-empty", rows[0].Fingerprint, rows[1].Fingerprint)
+	}
+
+	out, err := exec.Command(bin, "run", "-spec", fleetSpec().Encode(), "-verifiers", "0").CombinedOutput()
+	if err == nil || !bytes.Contains(out, []byte(`bad -verifiers entry "0"`)) {
+		t.Fatalf("-verifiers 0: err %v, output:\n%s", err, out)
 	}
 }

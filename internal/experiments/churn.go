@@ -9,7 +9,29 @@ import (
 	"vpm/internal/hashing"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
+	"vpm/internal/receipt"
 )
+
+// ThroughputBatchSize is the feed granularity of the standalone
+// collector runs (this experiment and the repo-root benchmarks) —
+// netsim's replay batch size, so they hand ObserveBatch what the real
+// pipeline delivers per call.
+const ThroughputBatchSize = netsim.ReplayBatchSize
+
+// ThroughputCollectorConfig is the standalone-collector configuration
+// those runs share (HOP 4 with an identity PathID and the default
+// protocol parameters).
+func ThroughputCollectorConfig(table *packet.Table) core.CollectorConfig {
+	return core.CollectorConfig{
+		HOP:   4,
+		Table: table,
+		PathID: func(key packet.PathKey) receipt.PathID {
+			return receipt.PathID{Key: key}
+		},
+		Sampling:    core.DefaultSamplingConfig(),
+		Aggregation: core.DefaultAggregationConfig(),
+	}
+}
 
 // ChurnRow reports the path-churn experiment: a collector fed a fresh
 // block of never-seen-before traffic keys every epoch, with idle-path

@@ -3,14 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"time"
 
 	"vpm/internal/core"
 	"vpm/internal/dissem"
 	"vpm/internal/engine"
 	"vpm/internal/netsim"
-	"vpm/internal/quantile"
 	"vpm/internal/receipt"
 	"vpm/internal/seqdetect"
 	"vpm/internal/trace"
@@ -20,10 +17,7 @@ import (
 // over a stream of rotating epochs, with receipts travelling through
 // signed per-epoch dissemination bundles and verification rolling one
 // interval behind ingest. RunContinuous builds the Fig1 world and runs
-// internal/engine on it (as cmd/vpm-node does); Epochs is the
-// benchmark that measures sustained epochs/s and steady-state memory
-// against the one-shot batch baseline, emitting the BENCH_*.json
-// trajectory rows.
+// internal/engine on it (as cmd/vpm-node does).
 
 // ContinuousResult is the outcome of one continuous run.
 type ContinuousResult struct {
@@ -43,16 +37,9 @@ type ContinuousResult struct {
 	// Violations and MatchedSamples aggregate the reports.
 	Violations     int
 	MatchedSamples int64
-	// EpochWall holds each epoch's ingest wall time (simulation +
-	// rotation + publication; verification overlaps the next epoch).
-	EpochWall []time.Duration
 	// Window is the windowed store's final occupancy — Segments stays
 	// bounded by retention no matter how many epochs ran.
 	Window core.WindowStats
-	// HeapAllocBytes is the live heap after a forced GC at the end of
-	// the run, with the window (but not the trace) still reachable —
-	// the steady-state memory of the pipeline.
-	HeapAllocBytes uint64
 	// Truth is the merged per-domain ground truth across all segments
 	// (counts summed, true delays concatenated).
 	Truth []netsim.DomainTruth
@@ -220,12 +207,6 @@ func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts Continu
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	col.AfterSegment = func(context.Context) error {
-		res.EpochWall = append(res.EpochWall, time.Since(start))
-		start = time.Now()
-		return nil
-	}
 	runErr := col.Run(context.TODO(), engine.EpochSource(gen, ec.IntervalNS, epochs, nil), sim, ver)
 
 	res.EpochsRun, res.Packets = col.Segments, col.Packets
@@ -238,181 +219,5 @@ func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts Continu
 	}
 	res.EpochsSealed = int(col.Terminal) + 1
 	res.Unverified = ver.Window.UnverifiedEpochs()
-	// Steady-state heap: drop the trace machinery, keep the window.
-	gen = nil
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	res.HeapAllocBytes = ms.HeapAlloc
-	runtime.KeepAlive(ver)
 	return res, nil
-}
-
-// EpochsRow is one line of the continuous-operation experiment — the
-// schema cmd/vpm-bench -run epochs -json emits for BENCH_*.json
-// tracking.
-type EpochsRow struct {
-	Mode           string  `json:"mode"` // "batch" (one-shot) or "continuous"
-	Epochs         int     `json:"epochs"`
-	IntervalMS     float64 `json:"interval_ms"`
-	Retention      int     `json:"retention"`
-	Packets        int     `json:"packets"`
-	SampleReceipts int     `json:"sample_receipts"`
-	AggReceipts    int     `json:"agg_receipts"`
-	MatchedSamples int64   `json:"matched_samples"`
-	Violations     int     `json:"violations"`
-	WallMS         float64 `json:"wall_ms"`
-	EpochsPerSec   float64 `json:"epochs_per_sec"`
-	MeanEpochMS    float64 `json:"mean_epoch_ms"`
-	MaxEpochMS     float64 `json:"max_epoch_ms"`
-	HeapMB         float64 `json:"heap_mb"`
-	SegmentsHeld   int     `json:"segments_held"`
-	SegmentsGCed   uint64  `json:"segments_gced"`
-}
-
-// Epochs measures continuous multi-interval operation on the Fig1
-// workload: the one-shot batch baseline (whole trace, single flush,
-// single verification sweep) against the rotating pipeline at each
-// retention in retentions (default 2). cfg.DurationNS is interpreted
-// as the epoch interval; epochs sets how many intervals to run.
-func Epochs(cfg Config, epochs int, retentions []int) ([]EpochsRow, error) {
-	cfg = cfg.Normalize()
-	if epochs < 1 {
-		epochs = 8
-	}
-	if len(retentions) == 0 {
-		retentions = []int{2}
-	}
-	intervalNS := cfg.DurationNS
-
-	var rows []EpochsRow
-
-	// Batch baseline: the same total trace, one run, one verification
-	// sweep at the end — what the repo did before continuous mode.
-	batch, err := epochsBatchRow(cfg, epochs, intervalNS)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, batch)
-
-	for _, ret := range retentions {
-		ec := core.EpochConfig{IntervalNS: intervalNS, Retention: ret}
-		start := time.Now()
-		res, err := RunContinuous(cfg, ec, epochs, nil)
-		if err != nil {
-			return nil, err
-		}
-		wall := time.Since(start)
-		row := EpochsRow{
-			Mode:           "continuous",
-			Epochs:         res.EpochsRun,
-			IntervalMS:     float64(intervalNS) / 1e6,
-			Retention:      ret,
-			Packets:        res.Packets,
-			SampleReceipts: res.SampleReceipts,
-			AggReceipts:    res.AggReceipts,
-			MatchedSamples: res.MatchedSamples,
-			Violations:     res.Violations,
-			WallMS:         float64(wall.Nanoseconds()) / 1e6,
-			EpochsPerSec:   float64(res.EpochsRun) / wall.Seconds(),
-			HeapMB:         float64(res.HeapAllocBytes) / (1 << 20),
-			SegmentsHeld:   res.Window.Segments,
-			SegmentsGCed:   res.Window.Evicted,
-		}
-		var sum, max time.Duration
-		for _, d := range res.EpochWall {
-			sum += d
-			if d > max {
-				max = d
-			}
-		}
-		if n := len(res.EpochWall); n > 0 {
-			row.MeanEpochMS = float64(sum.Nanoseconds()) / float64(n) / 1e6
-			row.MaxEpochMS = float64(max.Nanoseconds()) / 1e6
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// epochsBatchRow runs the one-shot baseline over the same total
-// duration and measures its wall time and post-GC heap with the full
-// store live.
-func epochsBatchRow(cfg Config, epochs int, intervalNS int64) (EpochsRow, error) {
-	row := EpochsRow{Mode: "batch", Epochs: epochs, IntervalMS: float64(intervalNS) / 1e6}
-	tc := trace.Config{
-		Seed:       cfg.Seed,
-		DurationNS: int64(epochs) * intervalNS,
-		Paths:      []trace.PathSpec{trace.DefaultPath(cfg.RatePPS)},
-	}
-	start := time.Now()
-	pkts, err := trace.Generate(tc)
-	if err != nil {
-		return row, err
-	}
-	path := netsim.Fig1Path(cfg.Seed + 1000)
-	dep, err := core.NewDeployment(path, tc.Table(), core.DefaultDeployConfig())
-	if err != nil {
-		return row, err
-	}
-	if _, err := path.Run(pkts, dep.Observers()); err != nil {
-		return row, err
-	}
-	dep.Finalize()
-	store := dep.NewStore()
-	for _, proc := range dep.Processors {
-		row.SampleReceipts += len(proc.Samples)
-		row.AggReceipts += len(proc.Aggs)
-	}
-	for _, key := range store.Keys() {
-		v := dep.NewVerifierOn(store, key)
-		for _, lv := range v.VerifyAllLinks() {
-			row.MatchedSamples += int64(lv.MatchedSamples)
-			row.Violations += len(lv.Violations)
-		}
-		if _, err := v.DomainReports(quantile.DefaultQuantiles, cfg.Confidence); err != nil {
-			return row, err
-		}
-	}
-	wall := time.Since(start)
-	row.Packets = len(pkts)
-	row.WallMS = float64(wall.Nanoseconds()) / 1e6
-	row.EpochsPerSec = float64(epochs) / wall.Seconds()
-	// Batch heap: everything — trace, receipts, store — is live until
-	// the sweep ends.
-	pkts = nil
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	row.HeapMB = float64(ms.HeapAlloc) / (1 << 20)
-	row.SegmentsHeld = 1
-	runtime.KeepAlive(store)
-	runtime.KeepAlive(dep)
-	return row, nil
-}
-
-// EpochsRender renders the rows.
-func EpochsRender(rows []EpochsRow, markdown bool) string {
-	header := []string{"Mode", "Epochs", "Interval", "Ret", "Packets", "Receipts", "Matched", "Viol", "ms", "epochs/s", "heap MB", "segs"}
-	var body [][]string
-	for _, r := range rows {
-		body = append(body, []string{
-			r.Mode,
-			fmt.Sprintf("%d", r.Epochs),
-			fmt.Sprintf("%.0fms", r.IntervalMS),
-			fmt.Sprintf("%d", r.Retention),
-			fmt.Sprintf("%d", r.Packets),
-			fmt.Sprintf("%d", r.SampleReceipts+r.AggReceipts),
-			fmt.Sprintf("%d", r.MatchedSamples),
-			fmt.Sprintf("%d", r.Violations),
-			fmt.Sprintf("%.1f", r.WallMS),
-			fmt.Sprintf("%.1f", r.EpochsPerSec),
-			fmt.Sprintf("%.1f", r.HeapMB),
-			fmt.Sprintf("%d", r.SegmentsHeld),
-		})
-	}
-	if markdown {
-		return Markdown(header, body)
-	}
-	return Table(header, body)
 }

@@ -97,34 +97,6 @@ func TestRunContinuousValidation(t *testing.T) {
 	}
 }
 
-// TestEpochsRows: the benchmark emits the batch baseline plus one row
-// per retention, with consistent packet accounting across modes.
-func TestEpochsRows(t *testing.T) {
-	cfg := Config{Seed: 2, RatePPS: 10_000, DurationNS: 25_000_000}
-	rows, err := Epochs(cfg, 4, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("expected batch + 1 continuous row, got %d", len(rows))
-	}
-	if rows[0].Mode != "batch" || rows[1].Mode != "continuous" {
-		t.Fatalf("unexpected modes: %q, %q", rows[0].Mode, rows[1].Mode)
-	}
-	if rows[0].Packets != rows[1].Packets {
-		t.Fatalf("modes saw different traffic: %d vs %d packets", rows[0].Packets, rows[1].Packets)
-	}
-	if rows[1].SegmentsHeld > 2+2 {
-		t.Fatalf("continuous row held %d segments", rows[1].SegmentsHeld)
-	}
-	if rows[1].EpochsPerSec <= 0 || rows[1].HeapMB <= 0 {
-		t.Fatalf("missing throughput/heap stats: %+v", rows[1])
-	}
-	if EpochsRender(rows, false) == "" || EpochsRender(rows, true) == "" {
-		t.Fatal("renderers returned nothing")
-	}
-}
-
 // encodeReports renders every report's canonical bytes.
 func encodeReports(t *testing.T, reps []core.EpochReport) [][]byte {
 	t.Helper()

@@ -276,45 +276,6 @@ func TestAttackRows(t *testing.T) {
 	}
 }
 
-func TestVerifyRows(t *testing.T) {
-	cfg := quickCfg()
-	cfg.DurationNS = int64(100e6)
-	rows, err := Verify(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows, want rebuild + indexed", len(rows))
-	}
-	if rows[0].Mode != "rebuild" || rows[1].Mode != "indexed" {
-		t.Fatalf("unexpected modes: %+v", rows)
-	}
-	for _, r := range rows {
-		if r.HOPs != 16 || r.PathKeys != VerifyPathKeys {
-			t.Fatalf("scenario shape %d HOPs × %d keys, want 16 × %d", r.HOPs, r.PathKeys, VerifyPathKeys)
-		}
-		if r.LinkChecks != 8*VerifyPathKeys {
-			t.Fatalf("%d link checks, want %d", r.LinkChecks, 8*VerifyPathKeys)
-		}
-		if r.LinkChecksPerSec <= 0 || r.WallMS <= 0 {
-			t.Fatalf("non-positive timing in %+v", r)
-		}
-		if r.MatchedSamples != rows[0].MatchedSamples {
-			t.Fatalf("mode %s matched %d samples, rebuild matched %d — modes disagree",
-				r.Mode, r.MatchedSamples, rows[0].MatchedSamples)
-		}
-	}
-	if rows[0].MatchedSamples == 0 {
-		t.Fatal("scenario matched no samples")
-	}
-	if out := VerifyRender(rows, false); !strings.Contains(out, "rebuild") {
-		t.Error("render broken")
-	}
-	if out := VerifyRender(rows, true); !strings.Contains(out, "|") {
-		t.Error("markdown render broken")
-	}
-}
-
 func TestClickRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")

@@ -1,10 +1,11 @@
 package fleet
 
-// BenchRow is one verifier-tier width's result in the fleet scale-out
-// sweep — the keys/s-vs-processes curve point that vpm-fleet run -json
-// emits and BENCH_fleet.json records. Fingerprint is the sha256-based
-// digest of the merged verdict stream (Fingerprint); equal fingerprints
-// across widths is the byte-identity acceptance gate.
+// BenchRow is one verifier-tier width's result in the supervisor's
+// sweep, as vpm-fleet run -json emits it. Fingerprint is the
+// sha256-based digest of the merged verdict stream (Fingerprint); equal
+// fingerprints across widths is the byte-identity acceptance gate. The
+// timing fields describe that one run; the fleet's speed numbers come
+// from `go run ./bench -workload fleet-http`.
 type BenchRow struct {
 	Procs       int     `json:"procs"`
 	Domains     int     `json:"domains"`
