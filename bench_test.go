@@ -13,6 +13,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"vpm/internal/core"
@@ -385,6 +386,185 @@ func reportThroughput(b *testing.B, pktsPerIter int) {
 	if secs > 0 {
 		b.ReportMetric(total/secs, "pkts/s")
 		b.ReportMetric(secs*1e9/total, "ns/pkt")
+	}
+}
+
+// meshVerifyWorld is a small recorded mesh stream for the verify-side
+// benchmark: a Clos(4,2) fabric (48 HOPs, two ECMP routes per key),
+// 256 keys whose rates follow Zipf(1.01) — a busy head and a long tail
+// of keys with a handful of packets, where verification is per-key
+// overhead — rotated into 8 epochs of 50 ms and recorded as each HOP
+// sealed them.
+type meshVerifyWorld struct {
+	dep    *core.Deployment
+	hops   []receipt.HOPID
+	sealed [][]meshSealed // by epoch, HOPs ascending
+}
+
+type meshSealed struct {
+	hop     receipt.HOPID
+	samples []receipt.SampleReceipt
+	aggs    []receipt.AggReceipt
+}
+
+func newMeshVerifyWorld(tb testing.TB) *meshVerifyWorld {
+	tb.Helper()
+	const (
+		nKeys      = 256
+		epochs     = 8
+		intervalNS = int64(50e6)
+		ratePPS    = 60000
+	)
+	keys := netsim.WideKeys(nKeys)
+	topo := netsim.ClosTopology(17, 4, 2, keys)
+	sum := 0.0
+	for r := range keys {
+		sum += math.Pow(float64(r+1), -1.01)
+	}
+	tc := trace.Config{Seed: 23, DurationNS: epochs * intervalNS}
+	for r, k := range keys {
+		tc.Paths = append(tc.Paths, trace.PathSpec{
+			SrcPrefix:    k.Src,
+			DstPrefix:    k.Dst,
+			RatePPS:      ratePPS * math.Pow(float64(r+1), -1.01) / sum,
+			ActiveFlows:  4,
+			MeanFlowPkts: 20,
+			UDPFraction:  0.2,
+		})
+	}
+	pkts, err := trace.Generate(tc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dc := core.DefaultDeployConfig()
+	dc.MarkerRate = 0.01
+	dc.Default.AggRate = 0.005
+	dep, err := core.NewTopoDeployment(topo, tc.Table(), dc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := &meshVerifyWorld{dep: dep, hops: dep.HOPs()}
+	// The simulator's replay workers seal distinct HOPs concurrently.
+	var mu sync.Mutex
+	driver, err := core.NewEpochDriver(dep, intervalNS, func(hop receipt.HOPID, epoch core.EpochID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
+		mu.Lock()
+		defer mu.Unlock()
+		for int(epoch) >= len(w.sealed) {
+			w.sealed = append(w.sealed, nil)
+		}
+		w.sealed[epoch] = append(w.sealed[epoch], meshSealed{hop, samples, aggs})
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runner, err := netsim.NewTopoRunner(topo, tc.Table())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := runner.Run(pkts, driver.Observers()); err != nil {
+		tb.Fatal(err)
+	}
+	driver.Close()
+	for _, epoch := range w.sealed {
+		sort.Slice(epoch, func(i, j int) bool { return epoch[i].hop < epoch[j].hop })
+	}
+	return w
+}
+
+// verify runs the recorded stream through a fresh window the way the
+// engine's step does — ingest an epoch's seals, verify what became
+// ready, evict — and returns the (key, route) reports and link checks
+// it produced.
+func (w *meshVerifyWorld) verify(tb testing.TB) (keyEpochs, linkChecks int) {
+	win, err := core.NewWindowedStore(w.hops, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rolling := core.NewRollingVerifier(core.Layout{}, w.dep.VerifierConfig(), win, nil, 0.95)
+	rolling.SetKeyLayouts(w.dep.KeyLayouts())
+	step := func() {
+		reps, err := rolling.VerifyReady()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, rep := range reps {
+			keyEpochs += len(rep.Keys)
+			for _, kr := range rep.Keys {
+				linkChecks += len(kr.Links)
+			}
+		}
+		win.Evict()
+	}
+	for e, epoch := range w.sealed {
+		for _, se := range epoch {
+			if err := win.IngestSealed(se.hop, core.EpochID(e), se.samples, se.aggs); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		step()
+	}
+	win.FinishStream()
+	step()
+	return keyEpochs, linkChecks
+}
+
+// measureAllocs runs the stream n times after one warm-up pass and
+// returns the heap objects allocated per (key, route) report, ingest
+// and index included.
+func (w *meshVerifyWorld) measureAllocs(tb testing.TB, n int) float64 {
+	w.verify(tb)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	keyEpochs := 0
+	for i := 0; i < n; i++ {
+		ke, _ := w.verify(tb)
+		keyEpochs += ke
+	}
+	runtime.ReadMemStats(&after)
+	if keyEpochs == 0 {
+		tb.Fatal("mesh stream verified no (key, route)")
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(keyEpochs)
+}
+
+// BenchmarkVerifyEpochMesh is the verify side's working benchmark: the
+// per-link-check cost and the allocations per (key, route) report of
+// ingest → index → VerifyEpoch → evict on a mesh whose keys are mostly
+// idle. The judged numbers are `go run ./bench`'s
+// core.verify.us_per_link_check and allocs_per_key_epoch; this is for
+// use while working on the store and the kernel.
+func BenchmarkVerifyEpochMesh(b *testing.B) {
+	w := newMeshVerifyWorld(b)
+	_, links := w.verify(b)
+	if links == 0 {
+		b.Fatal("mesh stream produced no link checks")
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w.verify(b)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(links)), "ns/link-check")
+	allocs := w.measureAllocs(b, 1)
+	b.ReportMetric(allocs, "allocs/key-epoch")
+	if allocs > core.VerifyAllocsPerKeyEpochBudget {
+		b.Fatalf("%.2f allocations per (key, route) report exceed budget %d", allocs, core.VerifyAllocsPerKeyEpochBudget)
+	}
+}
+
+// TestVerifyAllocsWithinBudget holds the verify side — ingest, index,
+// VerifyEpoch, evict — to core.VerifyAllocsPerKeyEpochBudget on the
+// benchmark's stream.
+func TestVerifyAllocsWithinBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	allocs := newMeshVerifyWorld(t).measureAllocs(t, 2)
+	t.Logf("%.2f allocations per (key, route) report", allocs)
+	if allocs > core.VerifyAllocsPerKeyEpochBudget {
+		t.Fatalf("%.2f allocations per (key, route) report exceed budget %d", allocs, core.VerifyAllocsPerKeyEpochBudget)
 	}
 }
 

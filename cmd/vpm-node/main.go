@@ -314,6 +314,8 @@ func main() {
 			HeapMB:          heapMB,
 			SegmentsHeld:    window.Segments,
 			SegmentsGCed:    window.Evicted,
+			IndexBuilds:     window.IndexBuilds,
+			IndexedSegments: window.IndexedSegments,
 			RecoveredEpochs: recovered,
 			SeqVerdicts:     seqVerdicts,
 		}
@@ -364,6 +366,8 @@ type summary struct {
 	HeapMB          float64         `json:"heap_mb"`
 	SegmentsHeld    int             `json:"segments_held"`
 	SegmentsGCed    uint64          `json:"segments_gced"`
+	IndexBuilds     uint64          `json:"index_builds"`
+	IndexedSegments int             `json:"indexed_segments"`
 	RecoveredEpochs int             `json:"recovered_epochs"`
 	SeqVerdicts     int             `json:"seq_verdicts,omitempty"`
 	Store           *segstore.Stats `json:"store,omitempty"`

@@ -51,9 +51,10 @@ type checkScope struct {
 	// view is the evidence, restricted to the traffic key under check,
 	// and carries the deployment constants.
 	view *Verifier
-	// claims holds the records this run vouches for; nil means the
-	// claims are the evidence (batch: the whole stream is in view).
-	claims *ReceiptStore
+	// claims holds the records this run vouches for — the key's entry
+	// in the target interval's leaf; nil means the claims are the
+	// evidence (batch: the whole stream is in view).
+	claims *keyIndex
 	// headComplete reports that the evidence's lower edge is the true
 	// stream start: nothing precedes the first joined pair, so no
 	// patch-up evidence is missing at its leading boundary and the head
@@ -78,14 +79,11 @@ func (v *Verifier) wholeStream() *checkScope {
 // claimed returns the packets hop vouches for in this scope, in
 // first-arrival order.
 func (s *checkScope) claimed(hop receipt.HOPID) []uint64 {
-	var pi *pathIndex
 	if s.claims != nil {
-		pi = s.claims.lookup(hop, s.view.key)
-	} else {
-		pi = s.view.indexFor(hop)
+		return s.claims.of(hop).uniqOrder()
 	}
-	uniq, _ := pi.snapshot()
-	return uniq
+	w := s.view.indexFor(hop)
+	return w.uniq()
 }
 
 // checkLink verifies the receipts of the two HOPs at the ends of one
@@ -117,8 +115,6 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 	}
 	maxDiff := pu.MaxDiffNS
 
-	_, su := iu.snapshot()
-	_, sd := id.snapshot()
 	// The sequential arm's trial streams, in claims order: linkItems
 	// interleaves keep/drop Bernoulli trials with matched link deltas
 	// (one mixed slice serves both the loss and the delay detector —
@@ -128,10 +124,10 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 	detail := missingDetails{up: up, down: down}
 	var missingDown, missingUp []receipt.Inconsistency
 	for _, pid := range s.claimed(up) {
-		tu := su[pid]
-		td, ok := sd[pid]
+		tu, _ := iu.timeOf(pid)
+		td, ok := id.timeOf(pid)
 		if !ok {
-			if v.expectedSampled(iu, id, down, maxDiff, pid) {
+			if v.expectedSampled(&iu, &id, down, maxDiff, pid) {
 				missingDown = append(missingDown, receipt.Inconsistency{
 					Kind:   receipt.MissingDownstream,
 					PktID:  pid,
@@ -159,8 +155,8 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 		}
 	}
 	for _, pid := range s.claimed(down) {
-		if _, ok := su[pid]; !ok {
-			if v.expectedSampled(id, iu, up, maxDiff, pid) {
+		if _, ok := iu.timeOf(pid); !ok {
+			if v.expectedSampled(&id, &iu, up, maxDiff, pid) {
 				missingUp = append(missingUp, receipt.Inconsistency{
 					Kind:   receipt.MissingUpstream,
 					PktID:  pid,
@@ -237,7 +233,8 @@ func (s *checkScope) boundedPairs(pairs []aggregation.Pair, a, b []receipt.AggRe
 // commonly-bounded joined aggregates of the evidence. ok is false when
 // either HOP reported no aggregates.
 func (s *checkScope) lossBetween(a, b receipt.HOPID) (rep LossReport, ok bool) {
-	ra, rb := s.view.indexFor(a).aggReceipts(), s.view.indexFor(b).aggReceipts()
+	wa, wb := s.view.indexFor(a), s.view.indexFor(b)
+	ra, rb := wa.aggReceipts(), wb.aggReceipts()
 	if len(ra) == 0 || len(rb) == 0 {
 		return rep, false
 	}
@@ -259,9 +256,8 @@ func (s *checkScope) lossBetween(a, b receipt.HOPID) (rep LossReport, ok bool) {
 func (s *checkScope) delaysBetween(seg Segment) []float64 {
 	v := s.view
 	claimed := s.claimed(seg.Down)
-	_, sa := v.indexFor(seg.Up).snapshot()
-	_, sb := v.indexFor(seg.Down).snapshot()
-	if len(sa) == 0 || len(claimed) == 0 {
+	wa, wb := v.indexFor(seg.Up), v.indexFor(seg.Down)
+	if !wa.hasSamples() || len(claimed) == 0 {
 		return nil
 	}
 	// Without MarkerThreshold the marker/σ-sample split is unknown and
@@ -271,8 +267,9 @@ func (s *checkScope) delaysBetween(seg Segment) []float64 {
 	var biasItems []seqdetect.Evidence
 	delays := make([]float64, 0, len(claimed))
 	for _, pid := range claimed {
-		if ta, ok := sa[pid]; ok {
-			d := float64(sb[pid] - ta)
+		if ta, ok := wa.timeOf(pid); ok {
+			tb, _ := wb.timeOf(pid)
+			d := float64(tb - ta)
 			delays = append(delays, d)
 			if collectBias {
 				biasItems = append(biasItems, seqdetect.Evidence{
@@ -356,12 +353,12 @@ func (d *missingDetails) missingUpstream() string {
 	return d.upstream
 }
 
-// expectedSampled reports whether HOP `other` (index oi) must have
-// sampled packet id, given that the reporter (index ri) sampled it. It
+// expectedSampled reports whether HOP `other` (window oi) must have
+// sampled packet id, given that the reporter (window ri) sampled it. It
 // re-derives the Algorithm 1 decision: find the marker that keyed id
 // in the reporter's sample timeline (the first marker at or after id's
 // observation — markers are the samples whose digest exceeds the
-// system-wide µ, binary-searched on the index's cached marker
+// system-wide µ, binary-searched on the window's cached marker
 // timeline) and test SampleFcn(id, marker) against other's advertised
 // σ. Markers themselves are always expected. Without deployment
 // constants the verifier is strict: everything is expected (correct
@@ -377,7 +374,7 @@ func (d *missingDetails) missingUpstream() string {
 // farther apart than the link's advertised MaxDiff (reordering beyond
 // it is itself a violation), are honoured, so neither end can name a
 // deciding marker the other did not see.
-func (v *Verifier) expectedSampled(ri, oi *pathIndex, other receipt.HOPID, maxDiff int64, id uint64) bool {
+func (v *Verifier) expectedSampled(ri, oi *window, other receipt.HOPID, maxDiff int64, id uint64) bool {
 	mu := v.cfg.MarkerThreshold
 	if mu == 0 {
 		return true

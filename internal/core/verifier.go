@@ -134,8 +134,8 @@ type VerifierConfig struct {
 // path — a verifier that sees only a segment cannot expose collusions
 // (§3.1).
 //
-// Receipts live in an indexed ReceiptStore keyed by (HOP, traffic
-// key), so one store can be shared by many per-path verifiers (see
+// Receipts live in an indexed ReceiptStore keyed by traffic key and
+// HOP, so one store can be shared by many per-path verifiers (see
 // Deployment.NewStore) and ingested concurrently from several
 // dissemination fetches. Receipts arrive either pre-decoded
 // (AddSampleReceipt, AddAggReceipts) or as signed dissemination
@@ -156,6 +156,10 @@ type Verifier struct {
 	store      *ReceiptStore
 	key        packet.PathKey
 	restricted bool
+	// wins, when set, are the key's windows already resolved against a
+	// per-epoch evidence view (see epochView.resolve); queries then never
+	// touch store.
+	wins []hopWindow
 }
 
 // NewVerifier builds an unrestricted verifier for the given path
@@ -188,12 +192,20 @@ func (v *Verifier) SetConfig(cfg VerifierConfig) { v.cfg = cfg }
 // further verifiers or to ingest into it directly.
 func (v *Verifier) Store() *ReceiptStore { return v.store }
 
-// indexFor resolves the index answering queries about hop.
-func (v *Verifier) indexFor(hop receipt.HOPID) *pathIndex {
-	if v.restricted {
-		return v.store.lookup(hop, v.key)
+// indexFor resolves the window answering queries about hop.
+func (v *Verifier) indexFor(hop receipt.HOPID) window {
+	switch {
+	case v.wins != nil:
+		for i := range v.wins {
+			if v.wins[i].hop == hop {
+				return v.wins[i].win
+			}
+		}
+		return window{}
+	case v.restricted:
+		return soleWindow(v.store.lookup(hop, v.key))
 	}
-	return v.store.hopView(hop)
+	return soleWindow(v.store.hopView(hop))
 }
 
 // AddSampleReceipt ingests one HOP's sample receipt.
@@ -251,7 +263,10 @@ func (v *Verifier) IngestBundles(reg dissem.Registry, bundles <-chan dissem.Sign
 
 // SampleCount returns the number of distinct sampled packets ingested
 // for a HOP.
-func (v *Verifier) SampleCount(hop receipt.HOPID) int { return v.indexFor(hop).sampleCount() }
+func (v *Verifier) SampleCount(hop receipt.HOPID) int {
+	w := v.indexFor(hop)
+	return len(w.uniq())
+}
 
 // DelaysBetween returns the per-packet delays (nanoseconds, as
 // float64 for the statistics layer) of the packets sampled by both
@@ -289,15 +304,15 @@ func (v *Verifier) CheckMarkerBias(a, b receipt.HOPID) (MarkerBiasReport, error)
 	if mu == 0 {
 		return rep, fmt.Errorf("core: marker threshold not configured")
 	}
-	_, sa := v.indexFor(a).snapshot()
-	ub, sb := v.indexFor(b).snapshot()
+	wa, wb := v.indexFor(a), v.indexFor(b)
 	var markers, others []float64
-	for _, id := range ub {
-		ta, ok := sa[id]
+	for _, id := range wb.uniq() {
+		ta, ok := wa.timeOf(id)
 		if !ok {
 			continue
 		}
-		d := float64(sb[id] - ta)
+		tb, _ := wb.timeOf(id)
+		d := float64(tb - ta)
 		if hashing.Exceeds(id, mu) {
 			markers = append(markers, d)
 		} else {
@@ -328,16 +343,15 @@ func (v *Verifier) CheckMarkerBias(a, b receipt.HOPID) (MarkerBiasReport, error)
 // The §7.2 verifiability analysis is built on this: the witness's
 // sampling rate caps the quality of verification.
 func (v *Verifier) CorroboratedDelays(a, b, witness receipt.HOPID) []float64 {
-	_, sa := v.indexFor(a).snapshot()
-	_, sb := v.indexFor(b).snapshot()
-	uw, sw := v.indexFor(witness).snapshot()
-	if len(sa) == 0 || len(sb) == 0 || len(sw) == 0 {
+	wa, wb, ww := v.indexFor(a), v.indexFor(b), v.indexFor(witness)
+	uw := ww.uniq()
+	if !wa.hasSamples() || !wb.hasSamples() || len(uw) == 0 {
 		return nil
 	}
-	out := make([]float64, 0, len(sw))
+	out := make([]float64, 0, len(uw))
 	for _, id := range uw {
-		ta, okA := sa[id]
-		tb, okB := sb[id]
+		ta, okA := wa.timeOf(id)
+		tb, okB := wb.timeOf(id)
 		if okA && okB {
 			out = append(out, float64(tb-ta))
 		}

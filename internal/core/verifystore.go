@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -9,22 +12,105 @@ import (
 	"vpm/internal/receipt"
 )
 
+// leaf is a key-first receipt index: traffic key → the few HOPs that
+// reported it → what each reported. A ReceiptStore is one leaf that
+// grows as receipts arrive; a WindowedStore holds one per epoch, built
+// as each HOP seals and immutable once every expected HOP has (see
+// epochSegment).
+type leaf map[packet.PathKey]*keyIndex
+
+// keyIndex lists the HOPs that reported one traffic key, in the order
+// their first receipt arrived — a handful even on a mesh, so finding a
+// HOP is a short scan, not a second map.
+type keyIndex struct {
+	hops []hopIndex
+}
+
+type hopIndex struct {
+	hop receipt.HOPID
+	pi  *pathIndex
+}
+
+// of returns what hop reported about the key, or nil.
+func (k *keyIndex) of(hop receipt.HOPID) *pathIndex {
+	if k == nil {
+		return nil
+	}
+	for i := range k.hops {
+		if k.hops[i].hop == hop {
+			return k.hops[i].pi
+		}
+	}
+	return nil
+}
+
+// index returns (creating if needed) the index for (hop, key); created
+// reports whether it is new.
+func (l leaf) index(hop receipt.HOPID, key packet.PathKey) (pi *pathIndex, created bool) {
+	ki := l[key]
+	if ki == nil {
+		ki = &keyIndex{}
+		l[key] = ki
+	} else if pi := ki.of(hop); pi != nil {
+		return pi, false
+	}
+	pi = &pathIndex{}
+	ki.hops = append(ki.hops, hopIndex{hop, pi})
+	return pi, true
+}
+
+// addHOP indexes everything one HOP sealed for one interval. The leaf
+// aliases the receipts' record slices instead of copying them: a sealed
+// (HOP, epoch) is final, and whoever handed it over — a decoded bundle,
+// a collector's drained buffers — gave it away.
+func (l leaf) addHOP(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
+	for _, r := range samples {
+		pi, _ := l.index(hop, r.Path.Key)
+		pi.addSamples(r, true)
+	}
+	for i := 0; i < len(aggs); {
+		j := aggRunEnd(aggs, i)
+		pi, _ := l.index(hop, aggs[i].Path.Key)
+		pi.addAggs(aggs[i:j], true)
+		i = j
+	}
+}
+
+// aggRunEnd returns the end of the run of aggregate receipts starting
+// at i that share one traffic key.
+func aggRunEnd(rs []receipt.AggReceipt, i int) int {
+	j := i + 1
+	for j < len(rs) && rs[j].Path.Key == rs[i].Path.Key {
+		j++
+	}
+	return j
+}
+
+// keys returns the leaf's traffic keys in packet.PathKey order.
+func (l leaf) keys() []packet.PathKey {
+	out := make([]packet.PathKey, 0, len(l))
+	for k := range l {
+		out = append(out, k)
+	}
+	slices.SortFunc(out, packet.PathKey.Compare)
+	return out
+}
+
 // ReceiptStore is the indexed receipt store behind the verifier.
 // Receipts from every HOP on a path — or from every HOP on many paths
-// — are filed under their (HOP, traffic-key) receipt.StoreKey as they
-// arrive, so a link check matches the two ends of a link with index
-// lookups instead of re-scanning flat per-HOP slices.
+// — are filed by traffic key and HOP as they arrive, so a link check
+// matches the two ends of a link with index lookups instead of
+// re-scanning flat per-HOP slices.
 //
-// Beyond the raw sample map, each index maintains two derived views,
-// built lazily and cached:
+// Beyond the raw samples, each index maintains two derived views:
 //
 //   - the deduplicated packet order (first-arrival order of distinct
 //     PktIDs), which makes every verifier iteration deterministic
 //     instead of following Go map order;
 //   - the marker timeline (time-sorted samples whose digest exceeds
-//     the system-wide µ), which turns the Algorithm 1 re-derivation in
-//     missing-record checks from a scan over all of a HOP's samples
-//     into a binary search.
+//     the system-wide µ, built on first use and cached), which turns
+//     the Algorithm 1 re-derivation in missing-record checks from a
+//     scan over all of a HOP's samples into a binary search.
 //
 // Concurrency: ingest calls (AddSamples, AddAggs, IngestBundle) may
 // run concurrently with each other — a store can drain several
@@ -34,7 +120,7 @@ import (
 // verifying.
 type ReceiptStore struct {
 	mu     sync.Mutex
-	idx    map[receipt.StoreKey]*pathIndex
+	leaf   leaf
 	byHOP  map[receipt.HOPID][]*pathIndex // creation order per HOP
 	merged map[receipt.HOPID]*pathIndex   // cached multi-key merges
 }
@@ -42,75 +128,226 @@ type ReceiptStore struct {
 // NewReceiptStore returns an empty indexed receipt store.
 func NewReceiptStore() *ReceiptStore {
 	return &ReceiptStore{
-		idx:    make(map[receipt.StoreKey]*pathIndex),
+		leaf:   make(leaf),
 		byHOP:  make(map[receipt.HOPID][]*pathIndex),
 		merged: make(map[receipt.HOPID]*pathIndex),
 	}
 }
 
 // pathIndex holds everything one HOP reported about one traffic key.
-// The store's mutex guards index creation; the index's own mutex
-// guards every field, so concurrent readers and the lazy cache builds
-// stay race-free.
+// Receipts are added under mu (a ReceiptStore ingests concurrently);
+// once ingest has quiesced the fields are read without it, and mu then
+// only serializes the lazy marker-timeline build between verifiers
+// reading the same index.
 type pathIndex struct {
 	mu sync.Mutex
 
 	pathID  receipt.PathID
 	hasPath bool
-	byID    map[uint64]int64 // PktID -> observation time (last write wins)
-	ordered []receipt.SampleRecord
-	aggs    []receipt.AggReceipt
+	// samplePath records that pathID came from a sample receipt — the
+	// claim that outranks an aggregate receipt's (see window.path).
+	samplePath bool
+	aggs       []receipt.AggReceipt
+	// samples is nil until the first sample record: on a mesh most
+	// (HOP, key) pairs of an interval carry aggregates only.
+	samples *sampleIndex
+}
 
-	// Derived caches; dirty is set on every sample append.
-	dirty    bool
-	uniq     []uint64               // distinct PktIDs, first-arrival order
-	markers  []receipt.SampleRecord // time-sorted (stable) markers under markerMu
+// sampleIndex is the sample side of a pathIndex.
+type sampleIndex struct {
+	ordered []receipt.SampleRecord // every record, arrival order
+	// byID holds one record per distinct PktID, sorted by PktID, with
+	// the time of its last arrival (last write wins) — a sorted slice,
+	// not a map: it is built in bulk, read by binary search, and costs
+	// 16 bytes a packet.
+	byID []receipt.SampleRecord
+	uniq []uint64 // distinct PktIDs, first-arrival order
+
+	markers  []receipt.SampleRecord // time-sorted (stable) markers under markerMu; nil = not built
 	markerMu uint64
 }
 
-// index returns (creating if needed) the index for key. It is only
-// called on ingest, so the HOP's cached merged view — a snapshot of
-// all its indexes — is invalidated unconditionally.
-func (s *ReceiptStore) index(key receipt.StoreKey) *pathIndex {
+// find returns the position of id in byID. PktIDs are hash digests,
+// spread evenly over uint64, so id's rank is guessed from its value and
+// the guess widened by doubling steps before bisecting — a probe or two
+// on honest receipts, still O(log n) on ids picked to defeat the guess.
+func (si *sampleIndex) find(id uint64) (int, bool) {
+	s := si.byID
+	n := len(s)
+	if n == 0 {
+		return 0, false
+	}
+	guess, _ := bits.Mul64(id, uint64(n)) // ⌊id·n / 2⁶⁴⌋
+	i := int(guess)
+	lo, hi := 0, n // everything before lo is below id, nothing from hi on is
+	if s[i].PktID < id {
+		lo = i + 1
+		for step := 1; i+step < n; step <<= 1 {
+			if s[i+step].PktID >= id {
+				hi = i + step
+				break
+			}
+			lo = i + step + 1
+		}
+	} else {
+		hi = i
+		for step := 1; i-step >= 0; step <<= 1 {
+			if s[i-step].PktID < id {
+				lo = i - step + 1
+				break
+			}
+			hi = i - step
+		}
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid].PktID < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < n && s[lo].PktID == id
+}
+
+// byPktID orders sample records by packet.
+func byPktID(a, b receipt.SampleRecord) int { return cmp.Compare(a.PktID, b.PktID) }
+
+// add files one receipt's records, in arrival order.
+func (si *sampleIndex) add(recs []receipt.SampleRecord) {
+	// The batch on its own: sorted by PktID, one record per packet
+	// carrying its last time. A packet recorded twice in one receipt is
+	// rare, so sort fast first and redo it stably — among equals the last
+	// arrival is then the last of its run — only when that turns one up.
+	batch := slices.Clone(recs)
+	slices.SortFunc(batch, byPktID)
+	for i := 1; i < len(batch); i++ {
+		if batch[i].PktID == batch[i-1].PktID {
+			copy(batch, recs)
+			slices.SortStableFunc(batch, byPktID)
+			break
+		}
+	}
+	n := 0
+	for i, rec := range batch {
+		if i+1 < len(batch) && batch[i+1].PktID == rec.PktID {
+			continue
+		}
+		batch[n] = rec
+		n++
+	}
+	batch = batch[:n]
+
+	// First arrivals, against what was known and within the batch.
+	var seen []bool
+	if len(batch) < len(recs) {
+		seen = make([]bool, len(batch))
+	}
+	si.uniq = slices.Grow(si.uniq, len(batch))
+	for _, rec := range recs {
+		if _, known := si.find(rec.PktID); known {
+			continue
+		}
+		if seen != nil {
+			j, _ := slices.BinarySearchFunc(batch, rec, byPktID)
+			if seen[j] {
+				continue
+			}
+			seen[j] = true
+		}
+		si.uniq = append(si.uniq, rec.PktID)
+	}
+
+	if len(si.byID) == 0 {
+		si.byID = batch
+		return
+	}
+	merged := make([]receipt.SampleRecord, 0, len(si.byID)+len(batch))
+	i, j := 0, 0
+	for i < len(si.byID) && j < len(batch) {
+		switch {
+		case si.byID[i].PktID < batch[j].PktID:
+			merged = append(merged, si.byID[i])
+			i++
+		case si.byID[i].PktID > batch[j].PktID:
+			merged = append(merged, batch[j])
+			j++
+		default: // the later write wins
+			merged = append(merged, batch[j])
+			i++
+			j++
+		}
+	}
+	merged = append(merged, si.byID[i:]...)
+	si.byID = append(merged, batch[j:]...)
+}
+
+// addSamples files one sample receipt. With alias set the first
+// receipt's records are referenced, not copied (see leaf.addHOP).
+func (pi *pathIndex) addSamples(r receipt.SampleReceipt, alias bool) {
+	pi.pathID, pi.hasPath, pi.samplePath = r.Path, true, true
+	if len(r.Samples) == 0 {
+		return
+	}
+	si := pi.samples
+	if si == nil {
+		si = &sampleIndex{}
+		pi.samples = si
+	}
+	si.add(r.Samples)
+	if alias && si.ordered == nil {
+		si.ordered = r.Samples[:len(r.Samples):len(r.Samples)]
+	} else {
+		si.ordered = append(si.ordered, r.Samples...)
+	}
+	si.markers = nil // the timeline derives from ordered; rebuild on demand
+}
+
+// addAggs files a run of one traffic key's aggregate receipts, in
+// stream order; alias as in addSamples.
+func (pi *pathIndex) addAggs(rs []receipt.AggReceipt, alias bool) {
+	if alias && pi.aggs == nil {
+		pi.aggs = rs[:len(rs):len(rs)]
+	} else {
+		pi.aggs = append(pi.aggs, rs...)
+	}
+	if !pi.hasPath {
+		pi.pathID, pi.hasPath = rs[0].Path, true
+	}
+}
+
+// index returns (creating if needed) the index for (hop, key). It is
+// only called on ingest, so the HOP's cached merged view — a snapshot
+// of all its indexes — is invalidated.
+func (s *ReceiptStore) index(hop receipt.HOPID, key packet.PathKey) *pathIndex {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.merged, key.HOP)
-	pi, ok := s.idx[key]
-	if !ok {
-		pi = &pathIndex{byID: make(map[uint64]int64)}
-		s.idx[key] = pi
-		s.byHOP[key.HOP] = append(s.byHOP[key.HOP], pi)
+	if len(s.merged) > 0 {
+		delete(s.merged, hop)
+	}
+	pi, created := s.leaf.index(hop, key)
+	if created {
+		s.byHOP[hop] = append(s.byHOP[hop], pi)
 	}
 	return pi
 }
 
-// AddSamples files one sample receipt under its store key.
+// AddSamples files one sample receipt under its HOP and traffic key.
 func (s *ReceiptStore) AddSamples(hop receipt.HOPID, r receipt.SampleReceipt) {
-	pi := s.index(receipt.KeyOf(hop, r.Path))
+	pi := s.index(hop, r.Path.Key)
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	for _, rec := range r.Samples {
-		pi.byID[rec.PktID] = rec.TimeNS
-	}
-	pi.ordered = append(pi.ordered, r.Samples...)
-	pi.pathID, pi.hasPath = r.Path, true
-	pi.dirty = true
+	pi.addSamples(r, false)
 }
 
 // AddAggs files one HOP's aggregate receipts, in stream order. The
 // receipts may span several traffic keys; each lands in its own index.
 func (s *ReceiptStore) AddAggs(hop receipt.HOPID, rs []receipt.AggReceipt) {
 	for i := 0; i < len(rs); {
-		j := i + 1
-		for j < len(rs) && rs[j].Path.Key == rs[i].Path.Key {
-			j++
-		}
-		pi := s.index(receipt.KeyOf(hop, rs[i].Path))
+		j := aggRunEnd(rs, i)
+		pi := s.index(hop, rs[i].Path.Key)
 		pi.mu.Lock()
-		pi.aggs = append(pi.aggs, rs[i:j]...)
-		if !pi.hasPath {
-			pi.pathID, pi.hasPath = rs[i].Path, true
-		}
+		pi.addAggs(rs[i:j], false)
 		pi.mu.Unlock()
 		i = j
 	}
@@ -121,24 +358,15 @@ func (s *ReceiptStore) AddAggs(hop receipt.HOPID, rs []receipt.AggReceipt) {
 // multi-path verification sweeps.
 func (s *ReceiptStore) Keys() []packet.PathKey {
 	s.mu.Lock()
-	seen := make(map[packet.PathKey]bool)
-	var out []packet.PathKey
-	for k := range s.idx {
-		if !seen[k.Key] {
-			seen[k.Key] = true
-			out = append(out, k.Key)
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	defer s.mu.Unlock()
+	return s.leaf.keys()
 }
 
 // lookup returns the index for (hop, key) without creating it, or nil.
 func (s *ReceiptStore) lookup(hop receipt.HOPID, key packet.PathKey) *pathIndex {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.idx[receipt.StoreKey{HOP: hop, Key: key}]
+	return s.leaf[key].of(hop)
 }
 
 // hopView returns the index serving unrestricted queries about hop:
@@ -159,92 +387,57 @@ func (s *ReceiptStore) hopView(hop receipt.HOPID) *pathIndex {
 	if m, ok := s.merged[hop]; ok {
 		return m
 	}
-	m := &pathIndex{byID: make(map[uint64]int64)}
+	m := &pathIndex{}
 	for _, pi := range list {
 		pi.mu.Lock()
-		for _, rec := range pi.ordered {
-			m.byID[rec.PktID] = rec.TimeNS
+		if pi.samples != nil {
+			m.addSamples(receipt.SampleReceipt{Samples: pi.samples.ordered}, false)
 		}
-		m.ordered = append(m.ordered, pi.ordered...)
-		m.aggs = append(m.aggs, pi.aggs...)
+		if len(pi.aggs) > 0 {
+			m.addAggs(pi.aggs, false)
+		}
 		if pi.hasPath {
 			m.pathID, m.hasPath = pi.pathID, true
 		}
 		pi.mu.Unlock()
 	}
-	m.dirty = true
 	s.merged[hop] = m
 	return m
 }
 
-// path returns the index's PathID claim.
-func (pi *pathIndex) path() (receipt.PathID, bool) {
-	if pi == nil {
-		return receipt.PathID{}, false
+// uniqOrder returns the distinct sampled PktIDs in first-arrival
+// order. The slice is shared: callers must not mutate it.
+func (pi *pathIndex) uniqOrder() []uint64 {
+	if pi == nil || pi.samples == nil {
+		return nil
 	}
-	pi.mu.Lock()
-	defer pi.mu.Unlock()
-	return pi.pathID, pi.hasPath
-}
-
-// sampleCount returns the number of distinct sampled packets.
-func (pi *pathIndex) sampleCount() int {
-	if pi == nil {
-		return 0
-	}
-	pi.mu.Lock()
-	defer pi.mu.Unlock()
-	return len(pi.byID)
+	return pi.samples.uniq
 }
 
 // timeOf returns the observation time of one packet.
 func (pi *pathIndex) timeOf(id uint64) (int64, bool) {
-	if pi == nil {
+	if pi == nil || pi.samples == nil {
 		return 0, false
 	}
-	pi.mu.Lock()
-	defer pi.mu.Unlock()
-	t, ok := pi.byID[id]
-	return t, ok
-}
-
-// aggReceipts returns the index's aggregate receipts in stream order.
-// The returned slice is shared: callers must not mutate it.
-func (pi *pathIndex) aggReceipts() []receipt.AggReceipt {
-	if pi == nil {
-		return nil
+	i, ok := pi.samples.find(id)
+	if !ok {
+		return 0, false
 	}
-	pi.mu.Lock()
-	defer pi.mu.Unlock()
-	return pi.aggs
-}
-
-// snapshot returns the deduplicated packet order and the sample map.
-// Both are shared, read-only views: the uniq slice is rebuilt (never
-// mutated in place) and byID is only written under ingest, which is
-// excluded during verification.
-func (pi *pathIndex) snapshot() (uniq []uint64, byID map[uint64]int64) {
-	if pi == nil {
-		return nil, nil
-	}
-	pi.mu.Lock()
-	defer pi.mu.Unlock()
-	pi.rebuildLocked()
-	return pi.uniq, pi.byID
+	return pi.samples.byID[i].TimeNS, true
 }
 
 // markerTimeline returns the time-sorted marker samples under µ = mu.
 // The slice is rebuilt on µ changes and never mutated in place.
 func (pi *pathIndex) markerTimeline(mu uint64) []receipt.SampleRecord {
-	if pi == nil {
+	if pi == nil || pi.samples == nil {
 		return nil
 	}
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	pi.rebuildLocked()
-	if pi.markerMu != mu || pi.markers == nil {
+	si := pi.samples
+	if si.markerMu != mu || si.markers == nil {
 		markers := make([]receipt.SampleRecord, 0, 8)
-		for _, rec := range pi.ordered {
+		for _, rec := range si.ordered {
 			if hashing.Exceeds(rec.PktID, mu) {
 				markers = append(markers, rec)
 			}
@@ -252,25 +445,152 @@ func (pi *pathIndex) markerTimeline(mu uint64) []receipt.SampleRecord {
 		// Stable: among markers with equal timestamps the earliest
 		// arrival stays first, matching the pre-index linear scan.
 		sort.SliceStable(markers, func(a, b int) bool { return markers[a].TimeNS < markers[b].TimeNS })
-		pi.markers, pi.markerMu = markers, mu
+		si.markers, si.markerMu = markers, mu
 	}
-	return pi.markers
+	return si.markers
 }
 
-// rebuildLocked refreshes the uniq cache; pi.mu must be held.
-func (pi *pathIndex) rebuildLocked() {
-	if !pi.dirty && pi.uniq != nil {
-		return
+// window is what the §4 kernel reads about one HOP and one traffic
+// key: the leaf indices holding its receipts, oldest first. A batch
+// verifier's window has the one index of its ReceiptStore; a per-epoch
+// window spans the target interval's leaf and its neighbours' (see
+// WindowedStore.View), and answers exactly as one index fed the
+// leaves' receipts in order would:
+//
+//   - a packet's time is the newest leaf's that sampled it (last write
+//     wins);
+//   - the PathID claim is the last leaf's that carried a sample
+//     receipt, else the first's that carried an aggregate;
+//   - the aggregates are the leaves' concatenation, the packet order
+//     their first-arrival order, and the marker timeline the stable
+//     merge of the leaves' timelines.
+//
+// A window is a value private to whoever resolved it; the leaves under
+// it are shared and read-only.
+type window struct {
+	leaves [3]*pathIndex
+	n      int
+	// aggs is the leaves' aggregates concatenated, filled by whoever
+	// assembles a window of several leaves (epochView.resolve).
+	aggs []receipt.AggReceipt
+	// markers caches the merged timeline of a window of several leaves.
+	markers  []receipt.SampleRecord
+	markerMu uint64
+}
+
+// soleWindow wraps one index (nil: nothing reported).
+func soleWindow(pi *pathIndex) window {
+	var w window
+	if pi != nil {
+		w.leaves[0], w.n = pi, 1
 	}
-	seen := make(map[uint64]bool, len(pi.byID))
-	uniq := make([]uint64, 0, len(pi.byID))
-	for _, rec := range pi.ordered {
-		if !seen[rec.PktID] {
-			seen[rec.PktID] = true
-			uniq = append(uniq, rec.PktID)
+	return w
+}
+
+// path returns the window's PathID claim.
+func (w *window) path() (receipt.PathID, bool) {
+	for i := w.n - 1; i >= 0; i-- {
+		if w.leaves[i].samplePath {
+			return w.leaves[i].pathID, true
 		}
 	}
-	pi.uniq = uniq
-	pi.dirty = false
-	pi.markers = nil // timeline derives from ordered; rebuild on demand
+	for i := 0; i < w.n; i++ {
+		if w.leaves[i].hasPath {
+			return w.leaves[i].pathID, true
+		}
+	}
+	return receipt.PathID{}, false
+}
+
+// timeOf returns the observation time of one packet.
+func (w *window) timeOf(id uint64) (int64, bool) {
+	for i := w.n - 1; i >= 0; i-- {
+		if t, ok := w.leaves[i].timeOf(id); ok {
+			return t, true
+		}
+	}
+	return 0, false
+}
+
+// hasSamples reports whether the window holds any sample record.
+func (w *window) hasSamples() bool {
+	for i := 0; i < w.n; i++ {
+		if w.leaves[i].samples != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// uniq returns the distinct sampled PktIDs in first-arrival order.
+// The slice may be shared: callers must not mutate it.
+func (w *window) uniq() []uint64 {
+	if w.n <= 1 {
+		return w.leaves[0].uniqOrder()
+	}
+	var out []uint64
+	seen := make(map[uint64]bool)
+	for i := 0; i < w.n; i++ {
+		for _, id := range w.leaves[i].uniqOrder() {
+			if !seen[id] {
+				seen[id] = true
+				out = append(out, id)
+			}
+		}
+	}
+	return out
+}
+
+// aggReceipts returns the aggregate receipts in stream order. The
+// slice is shared: callers must not mutate it.
+func (w *window) aggReceipts() []receipt.AggReceipt {
+	switch w.n {
+	case 0:
+		return nil
+	case 1:
+		return w.leaves[0].aggs
+	}
+	return w.aggs
+}
+
+// markerTimeline returns the time-sorted marker samples under µ = mu.
+func (w *window) markerTimeline(mu uint64) []receipt.SampleRecord {
+	if w.n <= 1 {
+		return w.leaves[0].markerTimeline(mu)
+	}
+	if w.markers == nil || w.markerMu != mu {
+		// Stable across leaves as within one: on equal timestamps the
+		// older leaf's marker stays first.
+		merged := make([]receipt.SampleRecord, 0, 8)
+		for i := 0; i < w.n; i++ {
+			merged = mergeTimelines(merged, w.leaves[i].markerTimeline(mu))
+		}
+		w.markers, w.markerMu = merged, mu
+	}
+	return w.markers
+}
+
+// mergeTimelines merges two time-sorted timelines into a fresh slice,
+// a's records first on equal timestamps. An empty side returns the
+// other unchanged.
+func mergeTimelines(a, b []receipt.SampleRecord) []receipt.SampleRecord {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]receipt.SampleRecord, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].TimeNS < a[i].TimeNS {
+			out = append(out, b[j])
+			j++
+		} else {
+			out = append(out, a[i])
+			i++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -33,10 +34,10 @@ func (e *StaleSealError) Error() string {
 }
 
 // WindowedStore is the continuous-operation receipt store: one segment
-// of raw receipts per epoch, so the pipeline can verify epoch N (a
-// sealed, immutable segment) while epoch N+1 is still ingesting into
-// its own segment, and garbage-collect old epochs once they are
-// verified and outside the retention window.
+// of receipts per epoch, so the pipeline can verify epoch N (a sealed,
+// immutable segment) while epoch N+1 is still ingesting into its own
+// segment, and garbage-collect old epochs once they are verified and
+// outside the retention window.
 //
 // Lifecycle per (HOP, epoch): receipts arrive exactly once, when the
 // HOP seals the epoch (EpochSink → IngestSealed), or incrementally
@@ -54,11 +55,11 @@ func (e *StaleSealError) Error() string {
 // only discarded after judgment.
 //
 // Concurrency: all methods are safe for concurrent use. Ingest into
-// epoch N+1 may run concurrently with verification of epoch N−1
-// (different segments); ingest and verification of the same epoch are
-// mutually exclusive by the seal protocol (only Ready — fully sealed —
-// epochs are verified, and a sealed (HOP, epoch) receives no further
-// receipts).
+// epoch N+1 may run concurrently with verification of epoch N−1:
+// verification reads the indices View handed it without the store's
+// lock, and those never change — a sealed (HOP, epoch) receives no
+// further receipts, and a segment some HOP has yet to seal is viewed
+// through a private copy.
 type WindowedStore struct {
 	mu        sync.Mutex
 	hops      []receipt.HOPID
@@ -69,6 +70,8 @@ type WindowedStore struct {
 	hasSealed bool
 	finished  bool // stream over: no further epochs will seal
 	evicted   uint64
+	// indexBuilds counts (HOP, epoch) indexings, cached or not.
+	indexBuilds uint64
 	// Durable persistence (see backend.go). backend mirrors seals to
 	// stable storage; durable/hasDurable is the recovery watermark
 	// captured at attach; recovered counts epochs whose verification
@@ -79,51 +82,51 @@ type WindowedStore struct {
 	recovered  uint64
 }
 
-// epochSegment is one epoch's worth of raw receipts plus its
-// lifecycle state. Receipts are kept raw (per HOP, in arrival order)
-// rather than pre-indexed, because verification reads them through a
-// multi-epoch evidence window assembled per target epoch.
+// epochSegment is one epoch's receipts plus its lifecycle state. A
+// HOP's receipts wait in pending, as they arrived, until the HOP seals
+// the epoch; the seal makes them final, so that is when they are
+// indexed — once — into the segment's leaf and the raw slices let go
+// (the leaf aliases their records). Every neighbouring target epoch's
+// evidence view then reads that same leaf. The store's mutex guards
+// every field.
 type epochSegment struct {
-	mu       sync.Mutex
-	samples  map[receipt.HOPID][]receipt.SampleReceipt
-	aggs     map[receipt.HOPID][]receipt.AggReceipt
+	pending map[receipt.HOPID]pendingReceipts
+	// index holds the expected HOPs that sealed; indexed counts them.
+	// Once indexed reaches the expected HOP count nothing writes index
+	// again, and views share it.
+	index    leaf
+	indexed  int
 	sealedBy map[receipt.HOPID]bool
 	verified bool
 }
 
+// pendingReceipts is what one HOP has delivered for an epoch it has not
+// sealed yet.
+type pendingReceipts struct {
+	samples []receipt.SampleReceipt
+	aggs    []receipt.AggReceipt
+}
+
 func newEpochSegment() *epochSegment {
 	return &epochSegment{
-		samples:  make(map[receipt.HOPID][]receipt.SampleReceipt),
-		aggs:     make(map[receipt.HOPID][]receipt.AggReceipt),
+		pending:  make(map[receipt.HOPID]pendingReceipts),
+		index:    make(leaf),
 		sealedBy: make(map[receipt.HOPID]bool),
 	}
 }
 
-// add appends receipts for one HOP.
+// add appends receipts for one HOP. The first delivery — with one
+// bundle per sealed epoch, the only one — is referenced, not copied.
 func (s *epochSegment) add(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.samples[hop] = append(s.samples[hop], samples...)
-	s.aggs[hop] = append(s.aggs[hop], aggs...)
-}
-
-// receipts snapshots the segment's receipt slices for hop — the final
-// set at seal time, handed to the durable backend.
-func (s *epochSegment) receipts(hop receipt.HOPID) ([]receipt.SampleReceipt, []receipt.AggReceipt) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.samples[hop], s.aggs[hop]
-}
-
-// ingestInto files the segment's receipts for hop into store.
-func (s *epochSegment) ingestInto(store *ReceiptStore, hop receipt.HOPID) {
-	s.mu.Lock()
-	samples, aggs := s.samples[hop], s.aggs[hop]
-	s.mu.Unlock()
-	for _, r := range samples {
-		store.AddSamples(hop, r)
+	p, ok := s.pending[hop]
+	if !ok {
+		p.samples = samples[:len(samples):len(samples)]
+		p.aggs = aggs[:len(aggs):len(aggs)]
+	} else {
+		p.samples = append(p.samples, samples...)
+		p.aggs = append(p.aggs, aggs...)
 	}
-	store.AddAggs(hop, aggs)
+	s.pending[hop] = p
 }
 
 // NewWindowedStore builds a windowed store expecting receipts from the
@@ -177,17 +180,11 @@ func (w *WindowedStore) Sink() EpochSink {
 
 // IngestSealed files one HOP's complete epoch — the EpochSink shape:
 // receipts are added to the epoch's segment and the HOP is marked as
-// having sealed it.
+// having sealed it. The slices are the store's from here on.
 func (w *WindowedStore) IngestSealed(hop receipt.HOPID, epoch EpochID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) error {
-	w.mu.Lock()
-	seg, err := w.segmentLocked(epoch)
-	w.mu.Unlock()
-	if err != nil {
+	if err := w.ingest(hop, epoch, samples, aggs); err != nil {
 		return err
 	}
-	// Segment ingest synchronizes per segment, so HOPs sealing
-	// different epochs never serialize on the window lock.
-	seg.add(hop, samples, aggs)
 	return w.SealHOP(hop, epoch)
 }
 
@@ -198,27 +195,42 @@ func (w *WindowedStore) IngestSealed(hop receipt.HOPID, epoch EpochID, samples [
 // sealed is refused with a StaleSealError instead of silently mutating
 // judged evidence — the detection point for replayed or duplicated
 // epochs; a bundle for an evicted epoch is refused with
-// ErrEvictedEpoch.
+// ErrEvictedEpoch. The bundle's receipt slices are the store's from
+// here on.
 func (w *WindowedStore) IngestBundle(b *dissem.Bundle) error {
+	return w.ingest(b.Origin, EpochID(b.Epoch), b.Samples, b.Aggs)
+}
+
+// ingest adds one delivery to hop's pending receipts for epoch.
+func (w *WindowedStore) ingest(hop receipt.HOPID, epoch EpochID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) error {
 	w.mu.Lock()
-	seg, err := w.segmentLocked(EpochID(b.Epoch))
-	if err == nil && seg.sealedBy[b.Origin] {
-		err = &StaleSealError{HOP: b.Origin, Epoch: EpochID(b.Epoch)}
-	}
-	w.mu.Unlock()
+	defer w.mu.Unlock()
+	seg, err := w.segmentLocked(epoch)
 	if err != nil {
 		return err
 	}
-	seg.add(b.Origin, b.Samples, b.Aggs)
+	if seg.sealedBy[hop] {
+		return &StaleSealError{HOP: hop, Epoch: epoch}
+	}
+	seg.add(hop, samples, aggs)
 	return nil
 }
 
-// SealHOP records that hop has no further receipts for epoch. When the
-// last expected HOP seals an epoch it counts toward readiness. With a
-// durable backend attached, the HOP's now-final receipt set is
-// mirrored to it here, and the epoch's durable seal is committed when
-// the last HOP seals — unless the epoch predates the recovery
-// watermark (already durable; re-persisting would double-count).
+// expects reports whether hop is one of the HOPs an epoch waits for.
+func (w *WindowedStore) expects(hop receipt.HOPID) bool {
+	_, ok := slices.BinarySearch(w.hops, hop)
+	return ok
+}
+
+// SealHOP records that hop has no further receipts for epoch, and
+// indexes what it delivered into the epoch's leaf (an expected HOP's —
+// nothing ever reads another's). When the last expected HOP seals an
+// epoch it counts toward readiness. With a durable backend attached,
+// the HOP's now-final receipt set is mirrored to it first, and the
+// epoch's durable seal is committed when the last HOP seals — unless
+// the epoch predates the recovery watermark (already durable;
+// re-persisting would double-count). Receipts whose persist failed
+// stay pending, and views index them on demand.
 func (w *WindowedStore) SealHOP(hop receipt.HOPID, epoch EpochID) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -229,10 +241,18 @@ func (w *WindowedStore) SealHOP(hop receipt.HOPID, epoch EpochID) error {
 	first := !seg.sealedBy[hop]
 	seg.sealedBy[hop] = true
 	persist := first && w.backend != nil && !w.durableSealLocked(epoch)
-	if persist {
-		samples, aggs := seg.receipts(hop)
-		if err := w.backend.AppendEpochHOP(epoch, hop, samples, aggs); err != nil {
-			return fmt.Errorf("core: persisting %v epoch %d: %w", hop, epoch, err)
+	if first {
+		p := seg.pending[hop]
+		if persist {
+			if err := w.backend.AppendEpochHOP(epoch, hop, p.samples, p.aggs); err != nil {
+				return fmt.Errorf("core: persisting %v epoch %d: %w", hop, epoch, err)
+			}
+		}
+		delete(seg.pending, hop)
+		if w.expects(hop) {
+			seg.index.addHOP(hop, p.samples, p.aggs)
+			seg.indexed++
+			w.indexBuilds++
 		}
 	}
 	if w.sealedLocked(seg) {
@@ -333,69 +353,136 @@ func (w *WindowedStore) Holds(epoch EpochID) bool {
 	return ok
 }
 
-// View assembles the verification store for one target epoch: the
-// target segment plus its immediate neighbors (when they exist),
-// ingested in (epoch, HOP) order so every (HOP, key) index holds its
-// records in stream order. The neighbors supply the boundary-spill
+// epochView is the evidence one target epoch is judged on: the leaves
+// of the epochs before it, of itself and after it that the store
+// holds, oldest first. The neighbours supply the boundary-spill
 // evidence — receipts a HOP sealed one interval away for packets that
 // crossed the target interval's edges in flight.
-func (w *WindowedStore) View(epoch EpochID) (*ReceiptStore, error) {
+type epochView struct {
+	leaves [3]leaf
+	n      int
+	// target is the position of the target epoch's own leaf: the
+	// records a per-epoch report vouches for.
+	target int
+	// tailComplete reports that nothing can exist beyond the view's
+	// upper edge (see tailCompleteLocked).
+	tailComplete bool
+}
+
+// hopWindow is one HOP's window within a resolved key.
+type hopWindow struct {
+	hop receipt.HOPID
+	win window
+}
+
+// resolve appends to wins the window of every HOP that reported key in
+// any leaf of the view — one map lookup per leaf for the whole key.
+// Windows spanning several leaves get their aggregates concatenated
+// into *aggs, a scratch slab the caller keeps between keys.
+func (v *epochView) resolve(key packet.PathKey, wins []hopWindow, aggs *[]receipt.AggReceipt) []hopWindow {
+	for li := 0; li < v.n; li++ {
+		ki := v.leaves[li][key]
+		if ki == nil {
+			continue
+		}
+	hops:
+		for _, h := range ki.hops {
+			for i := range wins {
+				if wins[i].hop == h.hop {
+					w := &wins[i].win
+					w.leaves[w.n] = h.pi
+					w.n++
+					continue hops
+				}
+			}
+			wins = append(wins, hopWindow{hop: h.hop, win: soleWindow(h.pi)})
+		}
+	}
+	// Size the slab first: growing it mid-way would strand the windows
+	// already cut from it.
+	total := 0
+	for i := range wins {
+		if w := &wins[i].win; w.n > 1 {
+			for l := 0; l < w.n; l++ {
+				total += len(w.leaves[l].aggs)
+			}
+		}
+	}
+	slab := slices.Grow((*aggs)[:0], total)
+	for i := range wins {
+		w := &wins[i].win
+		if w.n <= 1 {
+			continue
+		}
+		from := len(slab)
+		for l := 0; l < w.n; l++ {
+			slab = append(slab, w.leaves[l].aggs...)
+		}
+		w.aggs = slab[from:len(slab):len(slab)]
+	}
+	*aggs = slab
+	return wins
+}
+
+// View returns the evidence view of one target epoch: the target
+// segment's leaf plus its immediate neighbours' (when they exist). No
+// receipt is touched: a segment every expected HOP has sealed hands out
+// the leaf it built as they sealed.
+func (w *WindowedStore) View(epoch EpochID) (*epochView, error) {
 	w.mu.Lock()
-	var segs []*epochSegment
+	defer w.mu.Unlock()
+	if _, ok := w.segs[epoch]; !ok {
+		return nil, fmt.Errorf("core: no segment for epoch %d", epoch)
+	}
+	v := &epochView{tailComplete: w.tailCompleteLocked(epoch)}
+	first := epoch
 	if epoch > 0 {
-		if seg, ok := w.segs[epoch-1]; ok {
-			segs = append(segs, seg)
+		first = epoch - 1
+	}
+	for e := first; e <= epoch+1; e++ {
+		seg, ok := w.segs[e]
+		if !ok {
+			continue
 		}
-	}
-	target, ok := w.segs[epoch]
-	if !ok {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("core: no segment for epoch %d", epoch)
-	}
-	segs = append(segs, target)
-	if seg, ok := w.segs[epoch+1]; ok {
-		segs = append(segs, seg)
-	}
-	hops := w.hops
-	w.mu.Unlock()
-
-	store := NewReceiptStore()
-	for _, seg := range segs {
-		for _, hop := range hops {
-			seg.ingestInto(store, hop)
+		if e == epoch {
+			v.target = v.n
 		}
+		v.leaves[v.n] = w.leafLocked(seg)
+		v.n++
 	}
-	return store, nil
+	return v, nil
 }
 
-// claimsStore assembles just the target epoch's receipts — the records
-// a per-epoch report vouches for.
-func (w *WindowedStore) claimsStore(epoch EpochID) (*ReceiptStore, error) {
-	w.mu.Lock()
-	target, ok := w.segs[epoch]
-	if !ok {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("core: no segment for epoch %d", epoch)
+// leafLocked returns seg's receipts as a leaf. Once every expected HOP
+// has sealed that is the segment's own index, shared and never written
+// again. Until then it is a private copy with the pending receipts of
+// the HOPs still to seal indexed in — built per view and not kept, so
+// a bundle that arrives after one view was taken is in the next.
+func (w *WindowedStore) leafLocked(seg *epochSegment) leaf {
+	if seg.indexed == len(w.hops) {
+		return seg.index
 	}
-	hops := w.hops
-	w.mu.Unlock()
-	store := NewReceiptStore()
-	for _, hop := range hops {
-		target.ingestInto(store, hop)
+	out := make(leaf, len(seg.index))
+	for key, ki := range seg.index {
+		out[key] = &keyIndex{hops: ki.hops[:len(ki.hops):len(ki.hops)]}
 	}
-	return store, nil
+	for _, hop := range w.hops {
+		if p, ok := seg.pending[hop]; ok {
+			out.addHOP(hop, p.samples, p.aggs)
+			w.indexBuilds++
+		}
+	}
+	return out
 }
 
-// tailComplete reports whether nothing can exist beyond epoch+1: the
-// stream has finished, epoch+1 reaches the newest sealed epoch, and no
-// segment — sealed or not — holds receipts past the evidence window.
+// tailCompleteLocked reports whether nothing can exist beyond epoch+1:
+// the stream has finished, epoch+1 reaches the newest sealed epoch, and
+// no segment — sealed or not — holds receipts past the evidence window.
 // The last clause matters under bundle withholding: unsealed segments
 // beyond the window mean some HOPs' aggregate streams continue past it
 // while the withholder's stops, and comparing the half-open tail
 // region would smear the withholder's blame across every honest link.
-func (w *WindowedStore) tailComplete(epoch EpochID) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+func (w *WindowedStore) tailCompleteLocked(epoch EpochID) bool {
 	if !w.finished || !w.hasSealed || epoch+1 < w.maxSealed {
 		return false
 	}
@@ -462,15 +549,25 @@ type WindowStats struct {
 	// OldestHeld and NewestHeld bound the held epochs (zero when
 	// Segments is 0).
 	OldestHeld, NewestHeld EpochID
+	// IndexBuilds is the cumulative number of times a (HOP, epoch)'s
+	// receipts were indexed: once per seal in a healthy run, more when
+	// epochs had to be viewed while a HOP had yet to seal them.
+	IndexBuilds uint64
+	// IndexedSegments is how many held segments every expected HOP has
+	// sealed — the ones a view reads without indexing anything.
+	IndexedSegments int
 }
 
 // Stats returns the store's occupancy snapshot.
 func (w *WindowedStore) Stats() WindowStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	st := WindowStats{Segments: len(w.segs), Evicted: w.evicted}
+	st := WindowStats{Segments: len(w.segs), Evicted: w.evicted, IndexBuilds: w.indexBuilds}
 	first := true
-	for e := range w.segs {
+	for e, seg := range w.segs {
+		if seg.indexed == len(w.hops) {
+			st.IndexedSegments++
+		}
 		if first || e < st.OldestHeld {
 			st.OldestHeld = e
 		}
@@ -569,10 +666,68 @@ type RollingVerifier struct {
 	// verifies once per route. Keys absent from the map fall back to
 	// the constructor layout.
 	keyLayouts map[packet.PathKey][]Layout
+	// plans memoises what verifying a key needs from its route layouts
+	// (see keyPlan), filled the first time a key is seen; fallback is
+	// the constructor layout's, shared by every key without layouts of
+	// its own.
+	plans    map[packet.PathKey]*keyPlan
+	fallback *keyPlan
 	// seq is the sequential-detection engine of the SPRT arm, nil when
 	// VerifierConfig.Sequential is unset. Only the verification
-	// goroutine touches it (see feedSequential).
+	// goroutine touches it (see feedSequential), and the scratch below.
 	seq *seqdetect.Engine
+	// wins and aggs are the current key's resolved windows and the slab
+	// their concatenated aggregates are cut from, reused key after key.
+	wins []hopWindow
+	aggs []receipt.AggReceipt
+}
+
+// keyPlan is what verifying one traffic key takes from its route
+// layouts, worked out once: per route, which segments are the links it
+// owns (see OwnedLinks) and which are its domains — as ordinals into
+// the layouts' own Segments, which stay where the deployment built
+// them.
+type keyPlan struct {
+	layouts []Layout
+	routes  []routePlan // parallel to layouts
+}
+
+type routePlan struct {
+	owned   []plannedLink
+	domains []int32 // ordinals of the domain segments, in path order
+}
+
+// plannedLink is one owned link: its LinkID (ordinal among the
+// layout's link segments) and its ordinal in Layout.Segments.
+type plannedLink struct {
+	id, seg int32
+}
+
+// planRoutes builds the plan of one key's route layouts.
+func planRoutes(layouts []Layout) *keyPlan {
+	p := &keyPlan{layouts: layouts, routes: make([]routePlan, len(layouts))}
+	owned := OwnedLinks(layouts)
+	for r, lay := range layouts {
+		rp := &p.routes[r]
+		if len(owned[r]) > 0 {
+			rp.owned = make([]plannedLink, 0, len(owned[r]))
+		}
+		next := owned[r]
+		id := int32(0)
+		for si, seg := range lay.Segments {
+			switch seg.Kind {
+			case LinkSegment:
+				if len(next) > 0 && next[0] == int(id) {
+					rp.owned = append(rp.owned, plannedLink{id: id, seg: int32(si)})
+					next = next[1:]
+				}
+				id++
+			case DomainSegment:
+				rp.domains = append(rp.domains, int32(si))
+			}
+		}
+	}
+	return p
 }
 
 // SetKeyLayouts installs per-key route layouts for mesh verification
@@ -585,14 +740,24 @@ type RollingVerifier struct {
 // key (and each ECMP route of a key) has its own.
 func (rv *RollingVerifier) SetKeyLayouts(layouts map[packet.PathKey][]Layout) {
 	rv.keyLayouts = layouts
+	rv.plans = make(map[packet.PathKey]*keyPlan)
 }
 
-// layoutsFor resolves the layouts a key verifies against.
-func (rv *RollingVerifier) layoutsFor(key packet.PathKey) []Layout {
-	if ls, ok := rv.keyLayouts[key]; ok && len(ls) > 0 {
-		return ls
+// planFor resolves the plan a key verifies against: its own route
+// layouts', or the constructor layout's.
+func (rv *RollingVerifier) planFor(key packet.PathKey) *keyPlan {
+	if ls := rv.keyLayouts[key]; len(ls) > 0 {
+		p := rv.plans[key]
+		if p == nil {
+			p = planRoutes(ls)
+			rv.plans[key] = p
+		}
+		return p
 	}
-	return []Layout{rv.layout}
+	if rv.fallback == nil {
+		rv.fallback = planRoutes([]Layout{rv.layout})
+	}
+	return rv.fallback
 }
 
 // NewRollingVerifier builds a rolling verifier over win. quantiles and
@@ -624,11 +789,8 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	claims, err := rv.win.claimsStore(epoch)
-	if err != nil {
-		return rep, err
-	}
-	keys := claims.Keys()
+	claims := view.leaves[view.target]
+	keys := claims.keys()
 	if len(keys) == 0 {
 		// An empty epoch still closes the sequential engine's epoch so
 		// detection latency counts calendar epochs, not traffic epochs.
@@ -638,65 +800,70 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		}
 		return rep, rv.win.MarkVerified(epoch)
 	}
-	// One work item per (key, route layout): a linear path has exactly
-	// one layout per key; a mesh key verifies once per ECMP route, each
+	// One report per (key, route layout): a linear path has exactly one
+	// layout per key; a mesh key verifies once per ECMP route, each
 	// route checking the links it owns (see OwnedLinks) — so per-epoch
 	// violation and blame counts tally distinct link verifications,
 	// exactly like the batch sweep.
-	type keyWork struct {
-		key    packet.PathKey
-		layout Layout
-		route  int
-		links  []int // the layout's link ordinals this route owns
+	plans := make([]*keyPlan, len(keys))
+	reports := 0
+	for i, key := range keys {
+		plans[i] = rv.planFor(key)
+		reports += len(plans[i].routes)
 	}
-	var work []keyWork
-	for _, key := range keys {
-		layouts := rv.layoutsFor(key)
-		owned := OwnedLinks(layouts)
-		for ri, lay := range layouts {
-			work = append(work, keyWork{key: key, layout: lay, route: ri, links: owned[ri]})
-		}
+	rep.Keys = make([]EpochKeyReport, reports)
+	v := &Verifier{cfg: rv.cfg, restricted: true}
+	scope := &checkScope{
+		view: v,
+		// The view spans max(0, epoch−1)..epoch+1, so it reaches the
+		// stream start exactly when epoch ≤ 1.
+		headComplete: epoch <= 1,
+		tailComplete: view.tailComplete,
+		seq:          rv.seq,
 	}
-	rep.Keys = make([]EpochKeyReport, len(work))
-	for i := range work {
-		key, layout := work[i].key, work[i].layout
-		v := NewVerifierOn(layout, view, key)
-		v.SetConfig(rv.cfg)
-		scope := &checkScope{
-			view:   v,
-			claims: claims,
-			// The view spans max(0, epoch−1)..epoch+1, so it reaches
-			// the stream start exactly when epoch ≤ 1.
-			headComplete: epoch <= 1,
-			tailComplete: rv.win.tailComplete(epoch),
-			seq:          rv.seq,
-		}
-		kr := EpochKeyReport{Key: key, Route: work[i].route}
-		links := layout.Links()
-		for _, li := range work[i].links {
-			kr.Links = append(kr.Links, scope.checkLink(li, links[li].Up, links[li].Down))
-		}
-		for _, seg := range layout.DomainSegments() {
-			dr, err := scope.domainReport(seg, rv.quantiles, rv.confidence)
-			if err != nil {
-				return rep, fmt.Errorf("core: epoch %d key %v: %w", epoch, key, err)
+	next := 0
+	for i, key := range keys {
+		rv.wins = view.resolve(key, rv.wins[:0], &rv.aggs)
+		v.key, v.wins = key, rv.wins
+		scope.claims = claims[key]
+		for ri := range plans[i].routes {
+			layout, plan := plans[i].layouts[ri], &plans[i].routes[ri]
+			v.layout = layout
+			kr := EpochKeyReport{Key: key, Route: ri}
+			if len(plan.owned) > 0 {
+				kr.Links = make([]LinkVerdict, 0, len(plan.owned))
 			}
-			kr.Domains = append(kr.Domains, dr)
-		}
-		kr.Blames = AttributeBlame(layout, epoch, kr.Links)
-		if rv.cfg.BiasChecks {
-			for _, seg := range layout.DomainSegments() {
-				bias, err := v.CheckMarkerBias(seg.Up, seg.Down)
+			for _, l := range plan.owned {
+				seg := &layout.Segments[l.seg]
+				kr.Links = append(kr.Links, scope.checkLink(int(l.id), seg.Up, seg.Down))
+			}
+			if len(plan.domains) > 0 {
+				kr.Domains = make([]DomainReport, 0, len(plan.domains))
+			}
+			for _, si := range plan.domains {
+				dr, err := scope.domainReport(layout.Segments[si], rv.quantiles, rv.confidence)
 				if err != nil {
-					continue // too few samples this epoch to judge
+					return rep, fmt.Errorf("core: epoch %d key %v: %w", epoch, key, err)
 				}
-				kr.Bias = append(kr.Bias, DomainBiasVerdict{Domain: seg.Name, Report: bias})
-				if bias.Suspicious {
-					kr.Blames = append(kr.Blames, BlameMarkerBias(epoch, seg, bias))
+				kr.Domains = append(kr.Domains, dr)
+			}
+			kr.Blames = AttributeBlame(layout, epoch, kr.Links)
+			if rv.cfg.BiasChecks {
+				for _, si := range plan.domains {
+					seg := layout.Segments[si]
+					bias, err := v.CheckMarkerBias(seg.Up, seg.Down)
+					if err != nil {
+						continue // too few samples this epoch to judge
+					}
+					kr.Bias = append(kr.Bias, DomainBiasVerdict{Domain: seg.Name, Report: bias})
+					if bias.Suspicious {
+						kr.Blames = append(kr.Blames, BlameMarkerBias(epoch, seg, bias))
+					}
 				}
 			}
+			rep.Keys[next] = kr
+			next++
 		}
-		rep.Keys[i] = kr
 	}
 	rep.Seq = rv.endSequentialEpoch(epoch)
 	// The verdict goes durable before the RAM window forgets the epoch
