@@ -4,9 +4,9 @@
 // experiment at a reduced scale and reports the headline quantity via
 // b.ReportMetric, so `go test -bench=. -benchmem` doubles as a smoke
 // run of the whole evaluation; cmd/vpm-bench runs the full scale. The
-// Observe* benchmarks are the collector's zero-alloc and
-// batched-vs-serial gates (CI reads both); the pipeline's speed numbers
-// come from `go run ./bench`, not from here.
+// ObserveBatch* benchmarks are the collector's zero-alloc gate (CI reads
+// it); the pipeline's speed numbers come from `go run ./bench`, not
+// from here.
 package vpm
 
 import (
@@ -122,20 +122,12 @@ func BenchmarkForwardingBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardingWithVPM is the same loop with the collector
-// attached — the difference is VPM's true data-plane cost.
+// BenchmarkForwardingWithVPM is the same loop with the deployed
+// collector attached through its single-packet Observe shim — the
+// difference is VPM's true data-plane cost.
 func BenchmarkForwardingWithVPM(b *testing.B) {
 	pkts, wires := forwardingWorkload(b)
-	tc := benchTraceConfig()
-	col, err := core.NewCollector(core.CollectorConfig{
-		HOP:   4,
-		Table: tc.Table(),
-		PathID: func(key packet.PathKey) receipt.PathID {
-			return receipt.PathID{Key: key}
-		},
-		Sampling:    core.DefaultSamplingConfig(),
-		Aggregation: core.DefaultAggregationConfig(),
-	})
+	col, err := core.NewCollector(benchCollectorConfig(benchTraceConfig().Table()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -201,9 +193,19 @@ func shiftWorkload(w []netsim.Observation, span int64) {
 	}
 }
 
-func benchCollectorConfig(b *testing.B) core.CollectorConfig {
-	b.Helper()
-	return experiments.ThroughputCollectorConfig(benchTraceConfig().Table())
+// benchCollectorConfig is the standalone-collector configuration the
+// collector benchmarks share (HOP 4 with an identity PathID and the
+// default protocol parameters).
+func benchCollectorConfig(table *packet.Table) core.CollectorConfig {
+	return core.CollectorConfig{
+		HOP:   4,
+		Table: table,
+		PathID: func(key packet.PathKey) receipt.PathID {
+			return receipt.PathID{Key: key}
+		},
+		Sampling:    core.DefaultSamplingConfig(),
+		Aggregation: core.DefaultAggregationConfig(),
+	}
 }
 
 // observeSteadyState drives a collector benchmark with the
@@ -215,7 +217,7 @@ func benchCollectorConfig(b *testing.B) core.CollectorConfig {
 // Recycle. Only the feed is timed; the allocs/pkt metric meters the
 // whole cycle. Returns allocations per packet over the measured
 // iterations.
-func observeSteadyState(b *testing.B, col core.PathCollector, workload []netsim.Observation, feed func()) float64 {
+func observeSteadyState(b *testing.B, col *core.Collector, workload []netsim.Observation, feed func()) float64 {
 	b.Helper()
 	span := int64(len(workload)) * 10_000 // one feed pass
 	for i := 0; i < 3; i++ {
@@ -246,44 +248,25 @@ func observeSteadyState(b *testing.B, col core.PathCollector, workload []netsim.
 	return allocsPerPkt
 }
 
-// BenchmarkObserveSerial is the baseline of the batching acceptance
-// comparison: the reference Collector taking single-packet Observe
-// calls through the netsim.Observer interface, one virtual call,
-// classification and map lookup per packet.
-func BenchmarkObserveSerial(b *testing.B) {
-	workload := collectorWorkload(b)
-	col, err := core.NewCollector(benchCollectorConfig(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var obs netsim.Observer = col
-	observeSteadyState(b, col, workload, func() {
-		for j := range workload {
-			obs.Observe(workload[j].Pkt, workload[j].Digest, workload[j].TimeNS)
-		}
-	})
-}
-
-// BenchmarkObserveBatchSharded measures the batched pipeline every
-// deployment runs on the same Fig1 workload. The acceptance bars: ≥ 2×
-// BenchmarkObserveSerial's packet rate, and steady-state allocations
+// BenchmarkObserveBatch measures the collector every deployment runs on
+// the Fig1 workload. The acceptance bar: steady-state allocations
 // within core.AllocsPerPktBudget — the CI zero-alloc gate fails the
 // build when the observe → drain → recycle cycle starts allocating
 // again.
-func BenchmarkObserveBatchSharded(b *testing.B) {
-	observeBatchWithinBudget(b, benchCollectorConfig(b), collectorWorkload(b))
+func BenchmarkObserveBatch(b *testing.B) {
+	observeBatchWithinBudget(b, benchCollectorConfig(benchTraceConfig().Table()), collectorWorkload(b))
 }
 
 // observeBatchWithinBudget runs the steady-state cycle on the collector
-// deployments run, fed in ThroughputBatchSize calls, and fails the
+// deployments run, fed in netsim.ReplayBatchSize calls, and fails the
 // benchmark when it allocates beyond core.AllocsPerPktBudget.
 func observeBatchWithinBudget(b *testing.B, cfg core.CollectorConfig, workload []netsim.Observation) {
 	b.Helper()
-	col, err := core.NewShardedCollector(cfg)
+	col, err := core.NewCollector(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	const batch = experiments.ThroughputBatchSize
+	const batch = netsim.ReplayBatchSize
 	allocsPerPkt := observeSteadyState(b, col, workload, func() {
 		for off := 0; off < len(workload); off += batch {
 			col.ObserveBatch(workload[off:min(off+batch, len(workload))])
@@ -305,7 +288,7 @@ func observeBatchWithinBudget(b *testing.B, cfg core.CollectorConfig, workload [
 // cycle has a steady state. ranks[i] is observation i's key.
 func zipfCollectorWorkload(b *testing.B) (workload []netsim.Observation, ranks []int, table *packet.Table) {
 	b.Helper()
-	const nKeys, n = 2048, 10 * experiments.ThroughputBatchSize
+	const nKeys, n = 2048, 10 * netsim.ReplayBatchSize
 	keys := netsim.WideKeys(nKeys)
 	prefixes := make([]packet.Prefix, 0, 2*nKeys)
 	cdf := make([]float64, nKeys)
@@ -338,16 +321,16 @@ func zipfCollectorWorkload(b *testing.B) (workload []netsim.Observation, ranks [
 }
 
 // dispatchVisits counts, for a collector fed ranks in
-// ThroughputBatchSize calls, the path-state visits of a dispatch that
+// netsim.ReplayBatchSize calls, the path-state visits of a dispatch that
 // groups each 256-observation sub-batch by path (the sub-batch's
-// distinct paths — what ShardedCollector does, pinned to its own
+// distinct paths — what core.Collector does, pinned to its own
 // counter by core's TestGroupByPathMatchesOracle) and of one that
 // run-length-encodes it (its runs of consecutive same-path
 // observations — what the dispatch before it did).
 func dispatchVisits(ranks []int) (grouped, runs int) {
 	const subBatch = 256
-	for off := 0; off < len(ranks); off += experiments.ThroughputBatchSize {
-		call := ranks[off:min(off+experiments.ThroughputBatchSize, len(ranks))]
+	for off := 0; off < len(ranks); off += netsim.ReplayBatchSize {
+		call := ranks[off:min(off+netsim.ReplayBatchSize, len(ranks))]
 		for sub := 0; sub < len(call); sub += subBatch {
 			chunk := call[sub:min(sub+subBatch, len(call))]
 			distinct := map[int]bool{}
@@ -363,23 +346,23 @@ func dispatchVisits(ranks []int) (grouped, runs int) {
 	return grouped, runs
 }
 
-// BenchmarkObserveBatchShardedZipf is BenchmarkObserveBatchSharded on
+// BenchmarkObserveBatchZipf is BenchmarkObserveBatch on
 // mesh-shaped traffic: the same steady-state cycle and the same
 // allocation bar, so the zero-alloc gate holds the dispatch's grouping
 // scratch — not only the one-path fast path — to
 // core.AllocsPerPktBudget. It also reports how often the dispatch
 // visits a path's state per observation, beside what run-length
 // encoding the same sub-batches would make.
-func BenchmarkObserveBatchShardedZipf(b *testing.B) {
+func BenchmarkObserveBatchZipf(b *testing.B) {
 	workload, ranks, table := zipfCollectorWorkload(b)
-	observeBatchWithinBudget(b, experiments.ThroughputCollectorConfig(table), workload)
+	observeBatchWithinBudget(b, benchCollectorConfig(table), workload)
 	grouped, runs := dispatchVisits(ranks)
 	b.ReportMetric(float64(grouped)/float64(len(ranks)), "visits/obs")
 	b.ReportMetric(float64(runs)/float64(len(ranks)), "runs/obs")
 }
 
-// reportThroughput converts a per-iteration packet count into the
-// pkts/s and ns/pkt metrics CI's batched-vs-serial ratio gate reads.
+// reportThroughput converts a per-iteration packet count into pkts/s
+// and ns/pkt metrics.
 func reportThroughput(b *testing.B, pktsPerIter int) {
 	total := float64(b.N) * float64(pktsPerIter)
 	secs := b.Elapsed().Seconds()

@@ -15,17 +15,16 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func TestOnePipeline(t *testing.T) {
-	guarded := map[string]bool{
-		"RunSegment": true, "NewWindowedStore": true, "NewRollingVerifier": true,
-		"NewEpochDriver": true, "NewEpochDriverFor": true, "IngestBundle": true,
-	}
-	allowed := []string{"internal/engine/", "internal/core/", "internal/netsim/"}
-	fset := token.NewFileSet()
+// walkProductionGo calls fn with the slash-separated path of every
+// non-test Go file of the module outside bench/ and testdata.
+func walkProductionGo(t *testing.T, fn func(path string) error) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -40,6 +39,21 @@ func TestOnePipeline(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
+		return fn(path)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestOnePipeline(t *testing.T) {
+	guarded := map[string]bool{
+		"RunSegment": true, "NewWindowedStore": true, "NewRollingVerifier": true,
+		"NewEpochDriver": true, "NewEpochDriverFor": true, "IngestBundle": true,
+	}
+	allowed := []string{"internal/engine/", "internal/core/", "internal/netsim/"}
+	fset := token.NewFileSet()
+	walkProductionGo(t, func(path string) error {
 		for _, dir := range allowed {
 			if strings.HasPrefix(path, dir) {
 				return nil
@@ -69,7 +83,109 @@ func TestOnePipeline(t *testing.T) {
 		})
 		return nil
 	})
+}
+
+// TestLoadBearingSet is the guard on what PR 22 cut down to: one
+// collector type, no streaming-sketch backend, six binaries, and a
+// facade that exports only what something reads. Each clause fails on a
+// candidate that came back without a caller.
+func TestLoadBearingSet(t *testing.T) {
+	// One collector: in non-test internal/core only Collector and the
+	// epoch clock that wraps it (EpochCollector forwards, it holds no
+	// path state) take observation batches.
+	var batchTypes []string
+	retired := regexp.MustCompile(`BackendSketch|DrainSketches|SetKeep|SetSink`)
+	fset := token.NewFileSet()
+	walkProductionGo(t, func(path string) error {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if m := retired.Find(src); m != nil {
+			t.Errorf("%s: mentions %s — the streaming-sketch backend is gone; nothing selected it", path, m)
+		}
+		if !strings.HasPrefix(path, "internal/core/") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, src, 0)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Name.Name != "ObserveBatch" {
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			batchTypes = append(batchTypes, recv.(*ast.Ident).Name)
+		}
+		return nil
+	})
+	slices.Sort(batchTypes)
+	if want := []string{"Collector", "EpochCollector"}; !slices.Equal(batchTypes, want) {
+		t.Errorf("types declaring ObserveBatch in non-test internal/core: %v, want %v — a second collector belongs in a _test.go oracle", batchTypes, want)
+	}
+
+	// Six binaries.
+	entries, err := os.ReadDir("cmd")
 	if err != nil {
 		t.Fatal(err)
+	}
+	var cmds []string
+	for _, e := range entries {
+		cmds = append(cmds, e.Name())
+	}
+	if want := []string{"vpm-bench", "vpm-fleet", "vpm-lint", "vpm-node", "vpm-sim", "vpm-trace"}; !slices.Equal(cmds, want) {
+		t.Errorf("cmd/ holds %v, want exactly %v", cmds, want)
+	}
+
+	// A facade somebody reads: every exported identifier of vpm.go is
+	// referenced from examples/, README.md, docs/ or vpm_test.go.
+	readers := []string{"README.md", "vpm_test.go"}
+	for _, pattern := range []string{"docs/*.md", "examples/*/*.go"} {
+		matches, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers = append(readers, matches...)
+	}
+	referenced := map[string]bool{}
+	selector := regexp.MustCompile(`\bvpm\.(\w+)`)
+	for _, path := range readers {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range selector.FindAllSubmatch(src, -1) {
+			referenced[string(m[1])] = true
+		}
+	}
+	facade, err := parser.ParseFile(fset, "vpm.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []*ast.Ident
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			exported = append(exported, d.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					exported = append(exported, spec.Name)
+				case *ast.ValueSpec:
+					exported = append(exported, spec.Names...)
+				}
+			}
+		}
+	}
+	for _, id := range exported {
+		if id.IsExported() && !referenced[id.Name] {
+			t.Errorf("%s: %s is referenced by no example, doc or facade test — delete it or use it", fset.Position(id.Pos()), id.Name)
+		}
 	}
 }

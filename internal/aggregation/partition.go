@@ -153,9 +153,9 @@ func (p *Partitioner) Observe(pktID uint64, tNS int64) {
 }
 
 // ObserveBatch processes a slice of observations (PktID = digest,
-// TimeNS = observation time) in order — the batch hook the sharded
-// collector's per-path runs feed. Semantically identical to calling
-// Observe per record. Cutting points are rare (δ is a per-mille-scale
+// TimeNS = observation time) in order — the batch hook the collector's
+// per-path groups feed. Semantically identical to calling Observe per
+// record. Cutting points are rare (δ is a per-mille-scale
 // rate), so the batch is consumed as cut-delimited segments: one
 // threshold comparison per packet to find the next cut, then a single
 // bulk extend of the open aggregate and the recent window — the

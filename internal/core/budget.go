@@ -2,7 +2,7 @@ package core
 
 // AllocsPerPktBudget is the documented steady-state allocation budget
 // of the batch hot path: the CI zero-alloc gate (the root package's
-// BenchmarkObserveBatchSharded) and TestObserveBatchSteadyStateZeroAlloc
+// BenchmarkObserveBatch) and TestObserveBatchSteadyStateZeroAlloc
 // fail when ObserveBatch exceeds it. The budget is not exactly zero
 // because closing an aggregate (at the configured ~1e-5 cut rate)
 // legitimately allocates its AggTrans window; per packet that is

@@ -12,7 +12,6 @@ import (
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
 	"vpm/internal/sampling"
-	"vpm/internal/streamagg"
 )
 
 // Tuning is one domain's locally chosen resource knobs (§2.2
@@ -44,14 +43,6 @@ type DeployConfig struct {
 	SkipDomains map[string]bool
 	// Shards is retired and ignored (bench/ still assigns it).
 	Shards int
-	// Backend selects exact sample retention (the zero value) or the
-	// streaming sketch backend for every HOP collector.
-	Backend Backend
-	// Sketch configures the streaming backend when Backend ==
-	// BackendSketch. Its MarkerRate is filled in from
-	// DeployConfig.MarkerRate; KeepRate, Salt, SketchCells and
-	// SketchSeed are system-wide constants every HOP must share.
-	Sketch streamagg.Config
 }
 
 // Validate rejects deployment configurations that would otherwise
@@ -64,13 +55,6 @@ func (c DeployConfig) Validate() error {
 	}
 	if c.WindowNS < 0 {
 		return fmt.Errorf("core: negative reordering window %dns", c.WindowNS)
-	}
-	if c.Backend == BackendSketch {
-		sk := c.Sketch
-		sk.MarkerRate = c.MarkerRate
-		if err := sk.Validate(); err != nil {
-			return err
-		}
 	}
 	if err := validateTuning("default", c.Default); err != nil {
 		return err
@@ -139,15 +123,11 @@ type Deployment struct {
 	// KeyLayouts serve meshes.
 	Topo       *netsim.Topology
 	Table      *packet.Table
-	Collectors map[receipt.HOPID]PathCollector
+	Collectors map[receipt.HOPID]*Collector
 	Processors map[receipt.HOPID]*Processor
 
 	markerThreshold  uint64
 	sampleThresholds map[receipt.HOPID]uint64
-	// sampleKeep is the system-wide retention thinning filter under
-	// BackendSketch (nil otherwise); verifiers need it to avoid
-	// flagging thinned records as missing.
-	sampleKeep func(pktID uint64) bool
 	// keyLayouts caches the per-key route layouts of a mesh deployment
 	// (nil for linear ones); built lazily on first KeyLayouts call.
 	keyLayoutsOnce sync.Once
@@ -166,15 +146,10 @@ func NewDeployment(path *netsim.Path, table *packet.Table, cfg DeployConfig) (*D
 	d := &Deployment{
 		Path:             path,
 		Table:            table,
-		Collectors:       make(map[receipt.HOPID]PathCollector),
+		Collectors:       make(map[receipt.HOPID]*Collector),
 		Processors:       make(map[receipt.HOPID]*Processor),
 		markerThreshold:  hashing.ThresholdForRate(cfg.MarkerRate),
 		sampleThresholds: make(map[receipt.HOPID]uint64),
-	}
-	if cfg.Backend == BackendSketch {
-		cfg.Sketch.MarkerRate = cfg.MarkerRate
-		keep := streamagg.NewKeepFilter(cfg.Sketch.KeepRate, cfg.Sketch.Salt, cfg.Sketch.MarkerRate)
-		d.sampleKeep = keep.Keep
 	}
 	for di := range path.Domains {
 		dom := &path.Domains[di]
@@ -198,7 +173,7 @@ func NewDeployment(path *netsim.Path, table *packet.Table, cfg DeployConfig) (*D
 		}
 		for _, h := range hops {
 			di, ingress := di, h.ingress
-			col, err := NewPathCollector(CollectorConfig{
+			col, err := NewCollector(CollectorConfig{
 				HOP:   h.id,
 				Table: table,
 				PathID: func(key packet.PathKey) receipt.PathID {
@@ -212,8 +187,6 @@ func NewDeployment(path *netsim.Path, table *packet.Table, cfg DeployConfig) (*D
 					CutRate:  tune.AggRate,
 					WindowNS: cfg.WindowNS,
 				},
-				Backend: cfg.Backend,
-				Sketch:  cfg.Sketch,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("core: HOP %v: %w", h.id, err)
@@ -375,7 +348,6 @@ func (d *Deployment) VerifierConfig() VerifierConfig {
 	return VerifierConfig{
 		MarkerThreshold:  d.markerThreshold,
 		SampleThresholds: d.sampleThresholds,
-		SampleKeep:       d.sampleKeep,
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 
 	"vpm/internal/hashing"
-	"vpm/internal/netsim"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
-	"vpm/internal/streamagg"
 )
+
+// This file is the collector's dispatch: the classification cache that
+// resolves a packet to its path's state index, and the sub-batch that
+// groups pending observations by path so each state is visited once.
 
 // packedKey is a PathKey in 12 bytes — the two prefix addresses as
 // words plus the two prefix lengths — instead of PathKey's 32 (its
@@ -58,7 +60,7 @@ const noState = ^uint32(0)
 
 // classifyEntry caches one address pair's classification outcome and,
 // once a packet of the pair has been collected, where its path's state
-// lives: a hit yields the index into ShardedCollector.states with no
+// lives: a hit yields the index into Collector.states with no
 // hashing of the path key. The index is an integer and the key is
 // stored packed, so the entry is 32 bytes — two per cache line — and
 // pointer-free: every HOP collector owns a table of them, and one
@@ -68,7 +70,7 @@ const noState = ^uint32(0)
 type classifyEntry struct {
 	addrs uint64    // packet src<<32 | dst
 	key   packedKey // the matched prefixes, valid only when ok
-	state uint32    // index into ShardedCollector.states, or noState
+	state uint32    // index into Collector.states, or noState
 	valid bool
 	ok    bool // false: pair matched no prefix (still cached)
 }
@@ -100,7 +102,7 @@ const (
 
 // pathGroup is one path's share of a sub-batch.
 type pathGroup struct {
-	state uint32 // index into ShardedCollector.states
+	state uint32 // index into Collector.states
 	// n counts the group's records while the sub-batch fills; process
 	// turns it into the group's write cursor in the scatter, which ends
 	// on the group's end offset.
@@ -108,7 +110,7 @@ type pathGroup struct {
 	slot uint16 // the group's slot in the group table
 }
 
-// subBatch is a ShardedCollector's pending sub-batch: up to
+// subBatch is a Collector's pending sub-batch: up to
 // subBatchSize classified observations waiting to be grouped by path
 // and run through Algorithms 1 and 2. The path states themselves live
 // in the collector, so the sub-batch is pointer-free and the garbage
@@ -170,7 +172,7 @@ func (s *subBatch) push(digest uint64, tNS int64) {
 // path's observations contiguous, and each path's state is then visited
 // once, its whole group fed to the batch hooks. Within a path the
 // observations stay in arrival order and paths share no state, so every
-// path's state evolves exactly as a serial collector's would. A
+// path's state evolves exactly as the per-packet reference's would. A
 // sub-batch of one path — every sub-batch of single-path traffic — is
 // fed as it arrived.
 func (s *subBatch) process(states []*pathState) {
@@ -201,68 +203,11 @@ func (s *subBatch) process(states []*pathState) {
 	s.nrecs, s.ngroups, s.currentState = 0, 0, noState
 }
 
-// ShardedCollector is the data-plane module of one HOP, and the
-// collector every deployment runs (NewPathCollector): a classification
-// cache resolving each packet to a dense path-state index, sub-batches
-// grouped by path, and the batch hooks of Algorithms 1 and 2 fed one
-// path at a time. It implements PathCollector and is
-// receipt-for-receipt equivalent to the reference Collector fed the
-// same observations (each path's stream is processed in arrival order).
-// The name is historical: the collector no longer shards.
-//
-// Concurrency model: one goroutine at a time (netsim's replay gives
-// each HOP's observer its own goroutine). The collector starts none.
-type ShardedCollector struct {
-	cfg     CollectorConfig
-	backend backend
-	epoch   EpochID
-
-	// states holds every live path's state at a dense index — what the
-	// classification cache resolves to and the drains walk; paths finds
-	// the index by key when the cache cannot. An evicted path leaves a
-	// nil slot, listed in free for the next new path to take.
-	paths  map[packet.PathKey]uint32
-	states []*pathState
-	free   []uint32
-
-	// Recycled outer receipt slices for Drain/Flush (see Recycle).
-	spareSamples []receipt.SampleReceipt
-	spareAggs    []receipt.AggReceipt
-
-	observed     uint64
-	unclassified uint64
-
-	// cache is its own allocation: exactly 16 pages. Embedded, it
-	// rounds every collector up to a 17th (8 KiB each: 14 MB of the
-	// fleet-http benchmark's live heap) for no measurable gain in time.
-	cache *[classifyCacheSize]classifyEntry
-	// sub is its own allocation for the same reason.
-	sub *subBatch
-}
-
-// NewShardedCollector builds the collector.
-func NewShardedCollector(cfg CollectorConfig) (*ShardedCollector, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c := &ShardedCollector{
-		cfg:   cfg,
-		paths: make(map[packet.PathKey]uint32),
-		cache: new([classifyCacheSize]classifyEntry),
-		sub:   &subBatch{currentState: noState},
-	}
-	c.backend = newBackend(&c.cfg)
-	return c, nil
-}
-
-// HOP returns the collector's HOP identity.
-func (c *ShardedCollector) HOP() receipt.HOPID { return c.cfg.HOP }
-
 // classify resolves a packet's path-state index through the
 // direct-mapped cache. A miss falls back to the prefix table's
 // longest-prefix match; an entry not bound to a state — fresh from the
 // match, or unbound by an eviction — finds or creates it by key.
-func (c *ShardedCollector) classify(pkt *packet.Packet) (state uint32, ok bool) {
+func (c *Collector) classify(pkt *packet.Packet) (state uint32, ok bool) {
 	addrs := uint64(binary.BigEndian.Uint32(pkt.Src[:]))<<32 | uint64(binary.BigEndian.Uint32(pkt.Dst[:]))
 	e := &c.cache[hashing.Mix64(addrs)&(classifyCacheSize-1)]
 	if !e.valid || e.addrs != addrs {
@@ -283,12 +228,12 @@ func (c *ShardedCollector) classify(pkt *packet.Packet) (state uint32, ok bool) 
 
 // stateIndex returns the index of key's path state, creating the state
 // — in a freed slot when there is one — on the path's first packet.
-func (c *ShardedCollector) stateIndex(pk packedKey) uint32 {
+func (c *Collector) stateIndex(pk packedKey) uint32 {
 	key := pk.unpack()
 	if i, ok := c.paths[key]; ok {
 		return i
 	}
-	st := c.backend.newPathState(&c.cfg, key)
+	st := newPathState(&c.cfg, key)
 	var i uint32
 	if n := len(c.free); n > 0 {
 		i, c.free = c.free[n-1], c.free[:n-1]
@@ -299,166 +244,4 @@ func (c *ShardedCollector) stateIndex(pk packedKey) uint32 {
 	}
 	c.paths[key] = i
 	return i
-}
-
-// Observe processes one packet observation — the single-packet
-// compatibility shim.
-//
-//vpm:hotpath
-func (c *ShardedCollector) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
-	c.observed++
-	state, ok := c.classify(pkt)
-	if !ok {
-		c.unclassified++
-		return
-	}
-	st := c.states[state]
-	st.touched = true
-	st.part.Observe(digest, tNS)
-	st.sampler.Observe(digest, tNS)
-}
-
-// ObserveBatch processes a batch of observations: it classifies each
-// into the pending sub-batch (preserving arrival order) and processes
-// the sub-batch whenever it fills, and once more at the end of the
-// batch.
-//
-//vpm:hotpath
-func (c *ShardedCollector) ObserveBatch(batch []netsim.Observation) {
-	c.observed += uint64(len(batch))
-	s := c.sub
-	for i := range batch {
-		state, ok := c.classify(batch[i].Pkt)
-		if !ok {
-			c.unclassified++
-			continue
-		}
-		if s.nrecs == subBatchSize {
-			s.process(c.states)
-		}
-		if state != s.currentState {
-			s.enter(state)
-		}
-		s.push(batch[i].Digest, batch[i].TimeNS)
-	}
-	if s.nrecs > 0 {
-		s.process(c.states)
-	}
-}
-
-// Drain returns the receipts finalized since the last Drain, one
-// sample receipt per path, sorted by PathID — identical runs drain
-// identical receipt sequences.
-//
-//vpm:hotpath
-func (c *ShardedCollector) Drain() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
-	samples, aggs := c.takeSpares()
-	evicted := false
-	for i, st := range c.states {
-		if st == nil {
-			continue
-		}
-		var evict bool
-		samples, aggs, evict = drainPath(st, c.cfg.EvictIdleEpochs, samples, aggs)
-		if evict {
-			c.states[i] = nil
-			c.free = append(c.free, uint32(i))
-			evicted = true
-		}
-	}
-	if evicted {
-		// A key or a cached pair still resolving to a freed slot would
-		// feed the slot's next tenant another path's packets. Drop
-		// exactly those — the cache entries keep their classification,
-		// so a resuming pair costs a map lookup, not a prefix match — in
-		// one pass over each, before any slot can be reused. Eviction
-		// epochs are rare.
-		for key, state := range c.paths {
-			if c.states[state] == nil {
-				delete(c.paths, key)
-			}
-		}
-		for i := range c.cache {
-			if e := &c.cache[i]; e.state != noState && c.states[e.state] == nil {
-				e.state = noState
-			}
-		}
-	}
-	return sortReceipts(samples, aggs)
-}
-
-// takeSpares hands out the recycled outer receipt slices (nil when the
-// caller never recycles — the allocating, always-safe default).
-func (c *ShardedCollector) takeSpares() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
-	samples, aggs := c.spareSamples, c.spareAggs
-	c.spareSamples, c.spareAggs = nil, nil
-	return samples, aggs
-}
-
-// Flush finalizes all open state and returns the remaining
-// receipts, in the same deterministic order as Drain.
-func (c *ShardedCollector) Flush() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
-	samples, aggs := c.takeSpares()
-	for _, st := range c.states {
-		if st != nil {
-			samples, aggs = flushPath(st, samples, aggs)
-		}
-	}
-	return sortReceipts(samples, aggs)
-}
-
-// Recycle hands the buffers of a previous Drain/Flush result back for
-// reuse: the outer slices return to the collector, each receipt's
-// record buffer to its path's sampler. Safe only when nothing
-// retains the result (see PathCollector.Recycle).
-func (c *ShardedCollector) Recycle(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
-	for i := range samples {
-		if state, ok := c.paths[samples[i].Path.Key]; ok {
-			c.states[state].sampler.Recycle(samples[i].Samples)
-		}
-	}
-	if cap(samples) > cap(c.spareSamples) {
-		c.spareSamples = samples[:0]
-	}
-	if cap(aggs) > cap(c.spareAggs) {
-		c.spareAggs = aggs[:0]
-	}
-}
-
-// DrainSketches seals and returns the streaming sketches of every path
-// that sampled at least one packet since the last call, PathID-sorted.
-// Ownership passes to the caller; return them via SketchPool().Put.
-func (c *ShardedCollector) DrainSketches() []*streamagg.PathSketch {
-	var out []*streamagg.PathSketch
-	for _, st := range c.states {
-		if st != nil && st.sketch != nil {
-			out = append(out, st.sketch)
-			st.sketch = nil
-		}
-	}
-	sortSketches(out)
-	return out
-}
-
-// SketchPool returns the pool sealed sketches recycle through (nil
-// under BackendExact).
-func (c *ShardedCollector) SketchPool() *streamagg.Pool { return c.backend.pool }
-
-// Memory reports the §7.1 memory accounting; the temp-buffer peak is
-// the maximum over paths (each path owns its own buffer).
-func (c *ShardedCollector) Memory() MemoryStats {
-	m := MemoryStats{ActivePaths: len(c.paths)}
-	for _, st := range c.states {
-		if st != nil {
-			m.TempBufferPeakEntries = max(m.TempBufferPeakEntries, st.sampler.TempHighWater())
-		}
-	}
-	m.MonitoringCacheBytes = m.ActivePaths * receipt.BaseAggReceiptBytes
-	m.TempBufferPeakBytes = m.TempBufferPeakEntries * receipt.SampleRecordBytes
-	return m
-}
-
-// Stats returns (packets observed, packets that matched no prefix).
-func (c *ShardedCollector) Stats() (observed, unclassified uint64) {
-	return c.observed, c.unclassified
 }

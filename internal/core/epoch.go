@@ -80,27 +80,6 @@ func (c *Collector) CloseEpoch() (EpochID, []receipt.SampleReceipt, []receipt.Ag
 // Epoch returns the collector's current (open) epoch ordinal.
 func (c *Collector) Epoch() EpochID { return c.epoch }
 
-// RotateInterval seals the collector's current epoch; see
-// Collector.RotateInterval.
-func (c *ShardedCollector) RotateInterval() (EpochID, []receipt.SampleReceipt, []receipt.AggReceipt) {
-	e := c.epoch
-	c.epoch++
-	samples, aggs := c.Drain()
-	return e, samples, aggs
-}
-
-// CloseEpoch finalizes all open state into the current epoch —
-// the terminal rotation at end of stream.
-func (c *ShardedCollector) CloseEpoch() (EpochID, []receipt.SampleReceipt, []receipt.AggReceipt) {
-	e := c.epoch
-	c.epoch++
-	samples, aggs := c.Flush()
-	return e, samples, aggs
-}
-
-// Epoch returns the collector's current (open) epoch ordinal.
-func (c *ShardedCollector) Epoch() EpochID { return c.epoch }
-
 // EpochSink receives one HOP's sealed epoch: every receipt the HOP
 // finalized during that interval. The EpochDriver invokes it from the
 // goroutine replaying that HOP's observations, so distinct HOPs' sinks
@@ -117,7 +96,7 @@ type EpochSink func(hop receipt.HOPID, epoch EpochID, samples []receipt.SampleRe
 // exactly as a real deployment's HOPs rotate on their own NTP-
 // disciplined clocks.
 type EpochCollector struct {
-	col        PathCollector
+	col        *Collector
 	sink       EpochSink
 	intervalNS int64
 	end        int64 // current epoch's end time (exclusive)
@@ -129,7 +108,7 @@ type EpochCollector struct {
 // interval. Epoch 0 covers observation times (-inf, intervalNS): skew
 // may pull a HOP's first observations slightly negative, and they
 // belong to the first interval, not an unreachable "epoch -1".
-func NewEpochCollector(col PathCollector, intervalNS int64, sink EpochSink) (*EpochCollector, error) {
+func NewEpochCollector(col *Collector, intervalNS int64, sink EpochSink) (*EpochCollector, error) {
 	if intervalNS <= 0 {
 		return nil, fmt.Errorf("core: epoch interval %dns must be positive", intervalNS)
 	}

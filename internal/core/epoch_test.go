@@ -150,7 +150,7 @@ func TestRotationRepackagesWithoutChangingReceipts(t *testing.T) {
 	}
 	const intervalNS = int64(5e7) // 8 epochs of 50 ms
 
-	oneShot, _ := runDeployment(t, tc, pkts, false)
+	oneShot, _ := runDeployment(t, tc, pkts)
 	_, rec := runEpochDeployment(t, tc, [][]packet.Packet{pkts}, intervalNS)
 
 	for id, proc := range oneShot.Processors {
@@ -236,7 +236,7 @@ func TestBatchContinuousEquivalence(t *testing.T) {
 	}
 	const intervalNS = int64(5e7) // 8 epochs
 
-	oneShot, _ := runDeployment(t, tc, pkts, false)
+	oneShot, _ := runDeployment(t, tc, pkts)
 	want := verdictFingerprint(t, oneShot, oneShot.NewStore())
 
 	epoched, rec := runEpochDeployment(t, tc, [][]packet.Packet{pkts}, intervalNS)
@@ -490,7 +490,7 @@ func TestRollingVerifierReportsEpochs(t *testing.T) {
 	}
 	// Each sample is claimed by exactly one epoch, so the per-epoch
 	// matched counts sum to the one-shot total.
-	oneShot, _ := runDeployment(t, tc, pkts, false)
+	oneShot, _ := runDeployment(t, tc, pkts)
 	store := oneShot.NewStore()
 	var batchMatched int64
 	for _, key := range store.Keys() {

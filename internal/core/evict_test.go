@@ -51,7 +51,7 @@ func evictCfg(table *packet.Table, idleEpochs int) CollectorConfig {
 
 // feedWave feeds one wave's packets at 10µs spacing starting at t0,
 // returning the next free timestamp.
-func feedWave(col PathCollector, pkts []packet.Packet, t0 int64) int64 {
+func feedWave(col eitherCollector, pkts []packet.Packet, t0 int64) int64 {
 	obs := make([]netsim.Observation, len(pkts))
 	for i := range pkts {
 		obs[i] = netsim.Observation{
@@ -67,12 +67,12 @@ func feedWave(col PathCollector, pkts []packet.Packet, t0 int64) int64 {
 // TestEvictIdlePaths: with EvictIdleEpochs = 2, paths that stop seeing
 // traffic are dropped from the monitoring cache after two idle Drains,
 // their open aggregates force-flushed into that Drain so no packet
-// count is lost; serial and sharded collectors evict identically.
+// count is lost; reference and deployed collectors evict identically.
 func TestEvictIdlePaths(t *testing.T) {
 	const nKeys = 8
 	table, waveA, waveB := evictWorld(nKeys)
 
-	run := func(col PathCollector) (activeAfter int, total uint64, stream []byte) {
+	run := func(col eitherCollector) (activeAfter int, total uint64, stream []byte) {
 		t0 := feedWave(col, waveA, 0)
 		count := func(aggs []receipt.AggReceipt) {
 			for _, a := range aggs {
@@ -99,28 +99,22 @@ func TestEvictIdlePaths(t *testing.T) {
 		return activeAfter, total, stream
 	}
 
-	serial, err := NewCollector(evictCfg(table, 2))
+	reference := newReferenceCollector(t, evictCfg(table, 2))
+	deployed, err := NewCollector(evictCfg(table, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewShardedCollector(evictCfg(table, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep, err := NewCollector(evictCfg(table, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	keep := newReferenceCollector(t, evictCfg(table, 0))
 
-	activeSerial, totalSerial, streamSerial := run(serial)
-	activeSharded, totalSharded, streamSharded := run(sharded)
+	activeReference, totalReference, streamReference := run(reference)
+	activeDeployed, totalDeployed, streamDeployed := run(deployed)
 	activeKeep, totalKeep, _ := run(keep)
 
-	if activeSerial != nKeys {
-		t.Errorf("serial: %d active paths after idle epochs, want %d (wave A evicted)", activeSerial, nKeys)
+	if activeReference != nKeys {
+		t.Errorf("reference: %d active paths after idle epochs, want %d (wave A evicted)", activeReference, nKeys)
 	}
-	if activeSharded != nKeys {
-		t.Errorf("sharded: %d active paths after idle epochs, want %d", activeSharded, nKeys)
+	if activeDeployed != nKeys {
+		t.Errorf("deployed: %d active paths after idle epochs, want %d", activeDeployed, nKeys)
 	}
 	if activeKeep != 2*nKeys {
 		t.Errorf("no-eviction baseline: %d active paths, want %d", activeKeep, 2*nKeys)
@@ -130,13 +124,13 @@ func TestEvictIdlePaths(t *testing.T) {
 	// eviction: the idle-timeout flush reports open aggregates, it does
 	// not drop them.
 	want := uint64(len(waveA) + 3*len(waveB))
-	if totalSerial != want || totalSharded != want || totalKeep != want {
-		t.Errorf("aggregate packet counts: serial %d sharded %d keep %d, want %d",
-			totalSerial, totalSharded, totalKeep, want)
+	if totalReference != want || totalDeployed != want || totalKeep != want {
+		t.Errorf("aggregate packet counts: reference %d deployed %d keep %d, want %d",
+			totalReference, totalDeployed, totalKeep, want)
 	}
 
-	if !bytes.Equal(streamSerial, streamSharded) {
-		t.Error("serial and sharded receipt streams differ under eviction")
+	if !bytes.Equal(streamReference, streamDeployed) {
+		t.Error("reference and deployed receipt streams differ under eviction")
 	}
 }
 
@@ -147,7 +141,7 @@ func TestEvictResurrection(t *testing.T) {
 	const nKeys = 4
 	table, waveA, waveB := evictWorld(nKeys)
 	cfg := evictCfg(table, 1)
-	col, err := NewShardedCollector(cfg)
+	col, err := NewCollector(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +182,7 @@ func TestEvictSlotReuse(t *testing.T) {
 	const nKeys = 3
 	table, waveA, waveB := evictWorld(nKeys)
 	cfg := evictCfg(table, 1)
-	col, err := NewShardedCollector(cfg)
+	col, err := NewCollector(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
 	"vpm/internal/stats"
-	"vpm/internal/streamagg"
 	"vpm/internal/trace"
 )
 
@@ -117,11 +115,10 @@ func zipfHotpathWorkload(t testing.TB, npkts int) (batches [][]netsim.Observatio
 
 // TestObserveBatchSteadyStateZeroAlloc is the zero-alloc bar of the
 // wire-speed hot path, on one-path-at-a-time traffic (four paths in
-// long runs), on mesh-shaped traffic (2048 Zipf-ranked paths
-// interleaved packet by packet) and on the sketch backend: after warmup
-// (path state created, scratch buffers grown, two Drain/Recycle round
-// trips), feeding the sharded collector allocates at most
-// AllocsPerPktBudget per packet.
+// long runs) and on mesh-shaped traffic (2048 Zipf-ranked paths
+// interleaved packet by packet): after warmup (path state created,
+// scratch buffers grown, two Drain/Recycle round trips), feeding the
+// collector allocates at most AllocsPerPktBudget per packet.
 func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -130,10 +127,10 @@ func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 	workloads := []struct {
 		name  string
 		build func(testing.TB, int) ([][]netsim.Observation, int64, CollectorConfig)
-	}{{"fig1", hotpathWorkload}, {"zipf", zipfHotpathWorkload}, {"sketch", sketchHotpathWorkload}}
+	}{{"fig1", hotpathWorkload}, {"zipf", zipfHotpathWorkload}}
 	for _, w := range workloads {
 		batches, span, cfg := w.build(t, npkts)
-		col, err := NewShardedCollector(cfg)
+		col, err := NewCollector(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,11 +153,6 @@ func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 			}
 			samples, aggs := col.Drain()
 			col.Recycle(samples, aggs)
-			if pool := col.SketchPool(); pool != nil {
-				for _, ps := range col.DrainSketches() {
-					pool.Put(ps)
-				}
-			}
 		}
 
 		const runs = 3
@@ -170,155 +162,5 @@ func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 		if perPkt > AllocsPerPktBudget {
 			t.Errorf("%s: steady-state allocations %.6f/pkt exceed budget %.4f", w.name, perPkt, AllocsPerPktBudget)
 		}
-	}
-}
-
-// sketchHotpathWorkload is hotpathWorkload on the streaming sketch
-// backend, thinning retained records to 1 in 4 — the only allocation
-// bar on BackendSketch.
-func sketchHotpathWorkload(t testing.TB, npkts int) ([][]netsim.Observation, int64, CollectorConfig) {
-	batches, span, cfg := hotpathWorkload(t, npkts)
-	return batches, span, sketchConfigFor(cfg, 0.25)
-}
-
-// sketchConfigFor builds a sketch-backend variant of cfg.
-func sketchConfigFor(cfg CollectorConfig, keepRate float64) CollectorConfig {
-	cfg.Backend = BackendSketch
-	cfg.Sketch = streamagg.Config{
-		KeepRate:    keepRate,
-		Salt:        0x5eed_cafe,
-		MarkerRate:  cfg.Sampling.MarkerRate,
-		SketchCells: 512,
-		SketchSeed:  7,
-	}
-	return cfg
-}
-
-// TestSketchBackendKeepAllByteIdentical: with KeepRate = 1 the sketch
-// backend must emit receipts byte-identical to the exact backend — the
-// streaming state rides alongside without perturbing the receipt
-// stream.
-func TestSketchBackendKeepAllByteIdentical(t *testing.T) {
-	batches, _, cfg := hotpathWorkload(t, 40_000)
-	exact, err := NewCollector(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, err := NewCollector(sketchConfigFor(cfg, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches {
-		exact.ObserveBatch(b)
-		sk.ObserveBatch(b)
-	}
-	es, ea := exact.Flush()
-	ss, sa := sk.Flush()
-	if !bytes.Equal(encodeReceipts(es, ea), encodeReceipts(ss, sa)) {
-		t.Fatal("KeepRate=1 sketch backend receipts differ from exact backend")
-	}
-	sketches := sk.DrainSketches()
-	if len(sketches) == 0 {
-		t.Fatal("sketch backend sealed no sketches")
-	}
-	// Every retained record was also fed to the streaming state.
-	total := uint64(0)
-	for _, ps := range sketches {
-		total += ps.Sampled
-		sk.SketchPool().Put(ps)
-	}
-	var retained uint64
-	for _, r := range ss {
-		retained += uint64(len(r.Samples))
-	}
-	if total != retained {
-		t.Fatalf("sketches saw %d records, receipts retained %d", total, retained)
-	}
-	if exact.DrainSketches() != nil {
-		t.Fatal("exact backend produced sketches")
-	}
-}
-
-// TestSketchBackendThinnedSubset: with KeepRate < 1 the retained
-// records are exactly the exact backend's records filtered through the
-// system-wide KeepFilter (markers always kept), and each path's sketch
-// counted the full pre-thinning sampled set — serial and sharded
-// agreeing byte-for-byte.
-func TestSketchBackendThinnedSubset(t *testing.T) {
-	const keepRate = 0.25
-	batches, _, cfg := hotpathWorkload(t, 40_000)
-	exact, err := NewCollector(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := NewCollector(sketchConfigFor(cfg, keepRate))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := NewShardedCollector(sketchConfigFor(cfg, keepRate))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches {
-		exact.ObserveBatch(b)
-		serial.ObserveBatch(b)
-		sharded.ObserveBatch(b)
-	}
-	es, _ := exact.Flush()
-	ss, sa := serial.Flush()
-	hs, ha := sharded.Flush()
-	if !bytes.Equal(encodeReceipts(ss, sa), encodeReceipts(hs, ha)) {
-		t.Fatal("sketch-backend receipts differ between serial and sharded")
-	}
-
-	// Thinned receipts must equal the exact records passed through the
-	// same filter every HOP applies.
-	f := streamagg.NewKeepFilter(keepRate, 0x5eed_cafe, cfg.Sampling.MarkerRate)
-	exactByPath := map[receipt.PathID][]receipt.SampleRecord{}
-	for _, r := range es {
-		exactByPath[r.Path] = r.Samples
-	}
-	var thinnedWant int
-	for _, r := range ss {
-		want := make([]receipt.SampleRecord, 0, len(r.Samples))
-		for _, rec := range exactByPath[r.Path] {
-			if f.Keep(rec.PktID) {
-				want = append(want, rec)
-			}
-		}
-		thinnedWant += len(want)
-		if len(want) != len(r.Samples) {
-			t.Fatalf("path %v: retained %d records, want %d", r.Path, len(r.Samples), len(want))
-		}
-		for i := range want {
-			if want[i] != r.Samples[i] {
-				t.Fatalf("path %v record %d: %+v != %+v", r.Path, i, r.Samples[i], want[i])
-			}
-		}
-	}
-	var exactTotal int
-	for _, recs := range exactByPath {
-		exactTotal += len(recs)
-	}
-	if thinnedWant >= exactTotal {
-		t.Fatalf("thinning kept everything (%d of %d): keepRate not exercised", thinnedWant, exactTotal)
-	}
-
-	// Sketches count the pre-thinning sampled set.
-	serialSketches := serial.DrainSketches()
-	shardedSketches := sharded.DrainSketches()
-	if len(serialSketches) != len(shardedSketches) {
-		t.Fatalf("sketch counts differ: %d vs %d", len(serialSketches), len(shardedSketches))
-	}
-	for i, ps := range serialSketches {
-		hp := shardedSketches[i]
-		if ps.Path != hp.Path || ps.Sampled != hp.Sampled {
-			t.Fatalf("sketch %d differs: serial %v/%d sharded %v/%d", i, ps.Path, ps.Sampled, hp.Path, hp.Sampled)
-		}
-		if want := uint64(len(exactByPath[ps.Path])); ps.Sampled != want {
-			t.Fatalf("path %v: sketch counted %d sampled, exact retained %d", ps.Path, ps.Sampled, want)
-		}
-		serial.SketchPool().Put(ps)
-		sharded.SketchPool().Put(hp)
 	}
 }

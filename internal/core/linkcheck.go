@@ -382,11 +382,6 @@ func (v *Verifier) expectedSampled(ri, oi *window, other receipt.HOPID, maxDiff 
 	if hashing.Exceeds(id, mu) {
 		return true // markers are always sampled everywhere
 	}
-	if v.cfg.SampleKeep != nil && !v.cfg.SampleKeep(id) {
-		// Thinned by the system-wide retention filter: no HOP's
-		// receipts carry it, regardless of sampling thresholds.
-		return false
-	}
 	sigma, ok := v.cfg.SampleThresholds[other]
 	if !ok {
 		return true

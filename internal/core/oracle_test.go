@@ -16,6 +16,113 @@ import (
 	"vpm/internal/stats"
 )
 
+// referenceCollector is the per-packet reference implementation of one
+// HOP's data-plane module: Algorithms 1 and 2 applied packet by packet,
+// with a longest-prefix match and a path-map lookup for every
+// observation and nothing cached, batched or grouped — the §7.1 budget
+// spelled out literally. It shares the path state and the drain/flush
+// code with the deployed Collector (collector.go) and differs only in
+// how a packet reaches its path's state, which is what the equivalence
+// tests hold the Collector's dispatch to, receipt for receipt.
+type referenceCollector struct {
+	cfg   CollectorConfig
+	paths map[packet.PathKey]*pathState
+	epoch EpochID
+
+	observed     uint64
+	unclassified uint64
+}
+
+// eitherCollector is what a test drives on the deployed Collector and
+// the reference alike.
+type eitherCollector interface {
+	netsim.BatchObserver
+	Drain() ([]receipt.SampleReceipt, []receipt.AggReceipt)
+	Flush() ([]receipt.SampleReceipt, []receipt.AggReceipt)
+	Memory() MemoryStats
+}
+
+func newReferenceCollector(t testing.TB, cfg CollectorConfig) *referenceCollector {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return &referenceCollector{cfg: cfg, paths: make(map[packet.PathKey]*pathState)}
+}
+
+func (c *referenceCollector) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
+	c.observed++
+	key, ok := c.cfg.Table.Classify(pkt)
+	if !ok {
+		c.unclassified++
+		return
+	}
+	st, ok := c.paths[key]
+	if !ok {
+		st = newPathState(&c.cfg, key)
+		c.paths[key] = st
+	}
+	st.touched = true
+	st.part.Observe(digest, tNS)
+	st.sampler.Observe(digest, tNS)
+}
+
+func (c *referenceCollector) ObserveBatch(batch []netsim.Observation) {
+	for i := range batch {
+		c.Observe(batch[i].Pkt, batch[i].Digest, batch[i].TimeNS)
+	}
+}
+
+func (c *referenceCollector) Drain() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
+	var samples []receipt.SampleReceipt
+	var aggs []receipt.AggReceipt
+	for key, st := range c.paths {
+		var evict bool
+		samples, aggs, evict = drainPath(st, c.cfg.EvictIdleEpochs, samples, aggs)
+		if evict {
+			delete(c.paths, key)
+		}
+	}
+	return sortReceipts(samples, aggs)
+}
+
+func (c *referenceCollector) Flush() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
+	var samples []receipt.SampleReceipt
+	var aggs []receipt.AggReceipt
+	for _, st := range c.paths {
+		samples, aggs = flushPath(st, samples, aggs)
+	}
+	return sortReceipts(samples, aggs)
+}
+
+func (c *referenceCollector) RotateInterval() (EpochID, []receipt.SampleReceipt, []receipt.AggReceipt) {
+	e := c.epoch
+	c.epoch++
+	samples, aggs := c.Drain()
+	return e, samples, aggs
+}
+
+func (c *referenceCollector) CloseEpoch() (EpochID, []receipt.SampleReceipt, []receipt.AggReceipt) {
+	e := c.epoch
+	c.epoch++
+	samples, aggs := c.Flush()
+	return e, samples, aggs
+}
+
+func (c *referenceCollector) Stats() (observed, unclassified uint64) {
+	return c.observed, c.unclassified
+}
+
+func (c *referenceCollector) Memory() MemoryStats {
+	m := MemoryStats{ActivePaths: len(c.paths)}
+	for _, st := range c.paths {
+		m.TempBufferPeakEntries = max(m.TempBufferPeakEntries, st.sampler.TempHighWater())
+	}
+	m.MonitoringCacheBytes = m.ActivePaths * receipt.BaseAggReceiptBytes
+	m.TempBufferPeakBytes = m.TempBufferPeakEntries * receipt.SampleRecordBytes
+	return m
+}
+
 // zipfWideWorkload builds zipfIntervals × perInterval observations over
 // a Zipf(1)-skewed choice among netsim.WideKeys(nKeys), with one packet
 // in 53 unclassifiable (both addresses alien, or only the destination).
@@ -69,9 +176,9 @@ func zipfWideWorkload(nKeys, zipfIntervals, perInterval int) (*packet.Table, [][
 }
 
 // TestPathCollectorMatchesOracle holds the collector every deployment
-// gets — NewPathCollector: classification cache resolving
-// to state indices, sub-batches grouped by path, batch hooks — to the
-// per-packet reference Collector, receipt for receipt, on the
+// gets — classification cache resolving to state indices, sub-batches
+// grouped by path, batch hooks — to the per-packet
+// referenceCollector, receipt for receipt, on the
 // population the Fig1 equivalence tests never reach: thousands of
 // skewed keys, cache conflicts, unclassifiable traffic, idle eviction
 // at every rotation, and evicted paths that resume.
@@ -81,11 +188,8 @@ func TestPathCollectorMatchesOracle(t *testing.T) {
 
 	// batch 0 drives the single-packet Observe shim.
 	for _, batch := range []int{0, 1, 7, 4096} {
-		oracle, err := NewCollector(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col, err := NewPathCollector(cfg)
+		oracle := newReferenceCollector(t, cfg)
+		col, err := NewCollector(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,10 +278,10 @@ func TestCollectorScratchIsBounded(t *testing.T) {
 		return ms.HeapAlloc
 	}
 
-	cols := make([]*ShardedCollector, n)
+	cols := make([]*Collector, n)
 	before := liveHeap()
 	for i := range cols {
-		col, err := NewShardedCollector(cfg)
+		col, err := NewCollector(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,13 +364,12 @@ func modelVisits(ranks []int, batch int) (visits, runs int) {
 
 // TestGroupByPathMatchesOracle holds the dispatch's grouping — sub-
 // batches scattered by path, each path's state visited once with its
-// whole group — to the per-packet reference Collector, receipt for
+// whole group — to the per-packet referenceCollector, receipt for
 // receipt, where grouping reorders the most: 300 paths interleaved
 // packet by packet, round-robin (every full sub-batch is subBatchSize
 // groups of one record, the group table's worst case) and Zipf-skewed,
 // at batch sizes around the sub-batch size, with the single-packet
-// Observe shim taking every fifth call, under the exact backend and the
-// sketch backend keeping every record.
+// Observe shim taking every fifth call.
 func TestGroupByPathMatchesOracle(t *testing.T) {
 	const nKeys, n = 300, 20_000
 	next := 0
@@ -280,10 +383,7 @@ func TestGroupByPathMatchesOracle(t *testing.T) {
 	}
 	for _, il := range interleavings {
 		obs, ranks, cfg := wideWorkload(nKeys, n, il.pick)
-		oracle, err := NewCollector(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		oracle := newReferenceCollector(t, cfg)
 		oracle.ObserveBatch(obs[:n/2])
 		wantS, wantA := oracle.Drain()
 		wantDrain := encodeReceipts(wantS, wantA)
@@ -295,43 +395,37 @@ func TestGroupByPathMatchesOracle(t *testing.T) {
 		}
 
 		for _, batch := range []int{1, 7, 255, 256, 257, 4096} {
-			for _, sketch := range []bool{false, true} {
-				cfg := cfg
-				if sketch {
-					cfg = sketchConfigFor(cfg, 1)
-				}
-				col, err := NewShardedCollector(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				feed := func(obs []netsim.Observation) {
-					for call, off := 0, 0; off < len(obs); call, off = call+1, off+batch {
-						b := obs[off:min(off+batch, len(obs))]
-						if call%5 != 4 {
-							col.ObserveBatch(b)
-							continue
-						}
-						for i := range b {
-							col.Observe(b[i].Pkt, b[i].Digest, b[i].TimeNS)
-						}
+			col, err := NewCollector(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed := func(obs []netsim.Observation) {
+				for call, off := 0, 0; off < len(obs); call, off = call+1, off+batch {
+					b := obs[off:min(off+batch, len(obs))]
+					if call%5 != 4 {
+						col.ObserveBatch(b)
+						continue
+					}
+					for i := range b {
+						col.Observe(b[i].Pkt, b[i].Digest, b[i].TimeNS)
 					}
 				}
-				feed(obs[:n/2])
-				gotS, gotA := col.Drain()
-				if !bytes.Equal(encodeReceipts(gotS, gotA), wantDrain) {
-					t.Fatalf("%s batch %d sketch %v: drained receipts differ from the oracle", il.name, batch, sketch)
-				}
-				feed(obs[n/2:])
-				gotS, gotA = col.Flush()
-				if !bytes.Equal(encodeReceipts(gotS, gotA), wantFlush) {
-					t.Fatalf("%s batch %d sketch %v: flushed receipts differ from the oracle", il.name, batch, sketch)
-				}
+			}
+			feed(obs[:n/2])
+			gotS, gotA := col.Drain()
+			if !bytes.Equal(encodeReceipts(gotS, gotA), wantDrain) {
+				t.Fatalf("%s batch %d: drained receipts differ from the oracle", il.name, batch)
+			}
+			feed(obs[n/2:])
+			gotS, gotA = col.Flush()
+			if !bytes.Equal(encodeReceipts(gotS, gotA), wantFlush) {
+				t.Fatalf("%s batch %d: flushed receipts differ from the oracle", il.name, batch)
 			}
 		}
 
 		// The visit count is the model's, so what the Zipf benchmark
 		// reports from the same model is what the dispatch does.
-		col, err := NewShardedCollector(cfg)
+		col, err := NewCollector(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

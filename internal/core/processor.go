@@ -7,9 +7,9 @@ import (
 // Processor is the control-plane module of §7: it periodically reads
 // finalized receipts out of a collector's monitoring cache, retains
 // them for dissemination, and accounts for the receipt bandwidth —
-// the tunable cost knob of the protocol. It drives any PathCollector.
+// the tunable cost knob of the protocol.
 type Processor struct {
-	c PathCollector
+	c *Collector
 
 	Samples []receipt.SampleReceipt
 	Aggs    []receipt.AggReceipt
@@ -19,7 +19,7 @@ type Processor struct {
 }
 
 // NewProcessor attaches a processor to a collector.
-func NewProcessor(c PathCollector) *Processor {
+func NewProcessor(c *Collector) *Processor {
 	return &Processor{c: c}
 }
 

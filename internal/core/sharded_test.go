@@ -29,34 +29,48 @@ func equivTraceConfig(paths int, totalPPS float64, durationNS int64) trace.Confi
 	return cfg
 }
 
-// runDeployment replays pkts over a fresh Fig1 path (same seed every
-// call, so loss/jitter randomness is identical across runs) into a
-// default deployment — with every HOP's collector swapped for the
-// reference Collector under the same configuration when oracle is set
-// — and finalizes it.
-func runDeployment(t testing.TB, tc trace.Config, pkts []packet.Packet, oracle bool) (*Deployment, *netsim.Result) {
+// fig1Deployment builds a fresh Fig1 path (same seed every call, so
+// loss/jitter randomness is identical across runs) and a default
+// deployment on it.
+func fig1Deployment(t testing.TB, tc trace.Config) (*netsim.Path, *Deployment) {
 	t.Helper()
 	path := netsim.Fig1Path(77)
 	dep, err := NewDeployment(path, tc.Table(), DefaultDeployConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oracle {
-		for id, pc := range dep.Collectors {
-			ref, err := NewCollector(pc.(*ShardedCollector).cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dep.Collectors[id] = ref
-			dep.Processors[id] = NewProcessor(ref)
-		}
-	}
+	return path, dep
+}
+
+// runDeployment replays pkts into a fig1Deployment and finalizes it.
+func runDeployment(t testing.TB, tc trace.Config, pkts []packet.Packet) (*Deployment, *netsim.Result) {
+	t.Helper()
+	path, dep := fig1Deployment(t, tc)
 	res, err := path.Run(pkts, dep.Observers())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dep.Finalize()
 	return dep, res
+}
+
+// runReference is runDeployment with a referenceCollector standing at
+// every HOP, under the configuration the deployment gave that HOP's
+// collector; the collectors come back fed and not yet flushed.
+func runReference(t testing.TB, tc trace.Config, pkts []packet.Packet) (map[receipt.HOPID]*referenceCollector, *netsim.Result) {
+	t.Helper()
+	path, dep := fig1Deployment(t, tc)
+	refs := make(map[receipt.HOPID]*referenceCollector, len(dep.Collectors))
+	observers := make(map[receipt.HOPID]netsim.Observer, len(dep.Collectors))
+	for id, col := range dep.Collectors {
+		refs[id] = newReferenceCollector(t, col.cfg)
+		observers[id] = refs[id]
+	}
+	res, err := path.Run(pkts, observers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refs, res
 }
 
 // encodeReceipts renders a HOP's full receipt output to wire bytes, so
@@ -73,10 +87,10 @@ func encodeReceipts(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) 
 }
 
 // TestShardedSerialEquivalence is the acceptance check of the batched
-// pipeline: a deployment as built (a ShardedCollector per HOP) and the
-// same deployment running the serial reference Collector, fed the same
-// 100k-packet trace, emit byte-identical receipt sets at every HOP,
-// with matching counters and memory accounting.
+// pipeline: a deployment as built and the same path with the per-packet
+// referenceCollector at every HOP, fed the same 100k-packet trace, emit
+// byte-identical receipt sets at every HOP, with matching counters and
+// memory accounting.
 func TestShardedSerialEquivalence(t *testing.T) {
 	tc := equivTraceConfig(3, 100_000, int64(1e9)) // ~100k packets over 3 paths
 	pkts, err := trace.Generate(tc)
@@ -87,44 +101,39 @@ func TestShardedSerialEquivalence(t *testing.T) {
 		t.Fatalf("trace too small for the acceptance scale: %d packets", len(pkts))
 	}
 
-	serial, resS := runDeployment(t, tc, pkts, true)
-	sharded, resP := runDeployment(t, tc, pkts, false)
+	refs, resR := runReference(t, tc, pkts)
+	dep, resD := runDeployment(t, tc, pkts)
 
-	if !reflect.DeepEqual(resS, resP) {
-		t.Fatal("ground truth differs between serial and sharded runs")
+	if !reflect.DeepEqual(resR, resD) {
+		t.Fatal("ground truth differs between reference and deployed runs")
 	}
-	for id, sc := range serial.Collectors {
-		pc, ok := sharded.Collectors[id]
-		if !ok {
-			t.Fatalf("sharded deployment missing %v", id)
+	if len(refs) != len(dep.Collectors) {
+		t.Fatalf("%d reference collectors, %d deployed", len(refs), len(dep.Collectors))
+	}
+	for id, ref := range refs {
+		col := dep.Collectors[id]
+		ro, ru := ref.Stats()
+		do, du := col.Stats()
+		if ro != do || ru != du {
+			t.Errorf("%v: stats differ: reference (%d,%d) deployed (%d,%d)", id, ro, ru, do, du)
 		}
-		if _, ok := sc.(*Collector); !ok {
-			t.Fatalf("%v: expected the reference Collector, got %T", id, sc)
+		rm, dm := ref.Memory(), col.Memory()
+		if rm.ActivePaths != dm.ActivePaths {
+			t.Errorf("%v: active paths differ: %d vs %d", id, rm.ActivePaths, dm.ActivePaths)
 		}
-		if _, ok := pc.(*ShardedCollector); !ok {
-			t.Fatalf("%v: expected a ShardedCollector, got %T", id, pc)
-		}
-		so, su := sc.Stats()
-		po, pu := pc.Stats()
-		if so != po || su != pu {
-			t.Errorf("%v: stats differ: serial (%d,%d) sharded (%d,%d)", id, so, su, po, pu)
-		}
-		sm, pm := sc.Memory(), pc.Memory()
-		if sm.ActivePaths != pm.ActivePaths {
-			t.Errorf("%v: active paths differ: %d vs %d", id, sm.ActivePaths, pm.ActivePaths)
-		}
-		if sm.TempBufferPeakEntries != pm.TempBufferPeakEntries {
-			t.Errorf("%v: temp-buffer peak differs: %d vs %d", id, sm.TempBufferPeakEntries, pm.TempBufferPeakEntries)
+		if rm.TempBufferPeakEntries != dm.TempBufferPeakEntries {
+			t.Errorf("%v: temp-buffer peak differs: %d vs %d", id, rm.TempBufferPeakEntries, dm.TempBufferPeakEntries)
 		}
 
-		ps, pp := serial.Processors[id], sharded.Processors[id]
-		if !bytes.Equal(encodeReceipts(ps.Samples, ps.Aggs), encodeReceipts(pp.Samples, pp.Aggs)) {
-			t.Errorf("%v: receipt wire bytes differ between serial and sharded", id)
+		wantS, wantA := ref.Flush()
+		proc := dep.Processors[id]
+		if !bytes.Equal(encodeReceipts(wantS, wantA), encodeReceipts(proc.Samples, proc.Aggs)) {
+			t.Errorf("%v: receipt wire bytes differ between reference and deployed", id)
 		}
-		if !reflect.DeepEqual(ps.Samples, pp.Samples) {
+		if !reflect.DeepEqual(wantS, proc.Samples) {
 			t.Errorf("%v: sample receipts differ", id)
 		}
-		if !reflect.DeepEqual(ps.Aggs, pp.Aggs) {
+		if !reflect.DeepEqual(wantA, proc.Aggs) {
 			t.Errorf("%v: aggregate receipts differ", id)
 		}
 	}
@@ -132,7 +141,8 @@ func TestShardedSerialEquivalence(t *testing.T) {
 
 // TestDrainDeterminism is the regression test for the old
 // map-iteration drain order: two identical runs must produce identical
-// (ordered) drain output, for both collector variants.
+// (ordered) drain output, from the deployed collector and from the
+// reference.
 func TestDrainDeterminism(t *testing.T) {
 	tc := equivTraceConfig(5, 50_000, int64(400e6))
 	pkts, err := trace.Generate(tc)
@@ -142,10 +152,17 @@ func TestDrainDeterminism(t *testing.T) {
 	for _, oracle := range []bool{true, false} {
 		var prev map[receipt.HOPID][]byte
 		for run := 0; run < 2; run++ {
-			dep, _ := runDeployment(t, tc, pkts, oracle)
 			cur := make(map[receipt.HOPID][]byte)
-			for id, p := range dep.Processors {
-				cur[id] = encodeReceipts(p.Samples, p.Aggs)
+			if oracle {
+				refs, _ := runReference(t, tc, pkts)
+				for id, ref := range refs {
+					cur[id] = encodeReceipts(ref.Flush())
+				}
+			} else {
+				dep, _ := runDeployment(t, tc, pkts)
+				for id, p := range dep.Processors {
+					cur[id] = encodeReceipts(p.Samples, p.Aggs)
+				}
 			}
 			if prev != nil {
 				for id, b := range cur {
@@ -160,9 +177,9 @@ func TestDrainDeterminism(t *testing.T) {
 }
 
 // TestShardedCollectorDirect exercises the collector layer without the
-// simulator: single-packet Observe on a serial collector versus
-// ObserveBatch on a sharded one must agree on receipts, counters and
-// active paths — including unclassified traffic.
+// simulator: single-packet Observe on the reference versus ObserveBatch
+// on the deployed collector must agree on receipts, counters and active
+// paths — including unclassified traffic.
 func TestShardedCollectorDirect(t *testing.T) {
 	tc := equivTraceConfig(4, 40_000, int64(500e6))
 	pkts, err := trace.Generate(tc)
@@ -178,11 +195,8 @@ func TestShardedCollectorDirect(t *testing.T) {
 		Sampling:    DefaultSamplingConfig(),
 		Aggregation: DefaultAggregationConfig(),
 	}
-	serial, err := NewCollector(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := NewShardedCollector(cfg)
+	serial := newReferenceCollector(t, cfg)
+	sharded, err := NewCollector(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +259,7 @@ func TestShardedReplayRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, res := runDeployment(t, tc, pkts, false)
+	dep, res := runDeployment(t, tc, pkts)
 	var observed uint64
 	for _, c := range dep.Collectors {
 		o, _ := c.Stats()

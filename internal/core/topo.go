@@ -36,7 +36,7 @@ func NewTopoDeployment(topo *netsim.Topology, table *packet.Table, cfg DeployCon
 	d := &Deployment{
 		Topo:             topo,
 		Table:            table,
-		Collectors:       make(map[receipt.HOPID]PathCollector),
+		Collectors:       make(map[receipt.HOPID]*Collector),
 		Processors:       make(map[receipt.HOPID]*Processor),
 		markerThreshold:  hashing.ThresholdForRate(cfg.MarkerRate),
 		sampleThresholds: make(map[receipt.HOPID]uint64),
@@ -64,7 +64,7 @@ func NewTopoDeployment(topo *netsim.Topology, table *packet.Table, cfg DeployCon
 		if !ok {
 			tune = cfg.Default
 		}
-		col, err := NewPathCollector(CollectorConfig{
+		col, err := NewCollector(CollectorConfig{
 			HOP:   h,
 			Table: table,
 			PathID: func(key packet.PathKey) receipt.PathID {

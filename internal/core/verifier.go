@@ -100,15 +100,6 @@ type VerifierConfig struct {
 	// SampleThresholds maps each HOP to its advertised σ. Missing
 	// entries fall back to strict mode for that HOP.
 	SampleThresholds map[receipt.HOPID]uint64
-	// SampleKeep, when non-nil, is the system-wide retention thinning
-	// filter of the streaming sketch backend (streamagg.KeepFilter's
-	// Keep): a sampled packet's record appears in receipts only when
-	// SampleKeep(id) is true. The verifier composes it with the
-	// Algorithm 1 re-derivation so a thinned record is never expected
-	// — and never flagged missing — on a link, even when one side
-	// retains exactly (oracle deployments mixing the two backends).
-	// Markers are never thinned, so marker timelines are unaffected.
-	SampleKeep func(pktID uint64) bool
 	// Workers is retired and ignored (bench/ still assigns it).
 	Workers int
 	// BiasChecks makes rolling verification run the marker-bias check

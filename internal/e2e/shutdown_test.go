@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"vpm/internal/dissem"
-	"vpm/internal/receipt"
+	"vpm/internal/fleet"
 )
 
 // These tests pin the daemons' HTTP lifecycle: a peer that opens a TCP
@@ -111,42 +111,36 @@ func TestNodeShutdownNotBlockedByStalledConnection(t *testing.T) {
 	waitExit(t, serve, 20*time.Second, stderr)
 }
 
-var hopdAddrRE = regexp.MustCompile(`serving receipts for \d+ HOPs on ([^\s]+)`)
+var fleetFinishedRE = regexp.MustCompile(`collector \d+ (finished)`)
 
-// TestHopdShutdownDrainsAndExitsZero: vpm-hopd must announce, serve,
-// and on SIGTERM drain within its deadline and exit 0 — with a stalled
-// connection open, which its old bare ListenAndServe+log.Fatal form
-// could never do (no signal handling at all, exit always nonzero).
-func TestHopdShutdownDrainsAndExitsZero(t *testing.T) {
+// TestCollectorShutdownDrainsAndExitsZero: a `vpm-fleet collect`
+// daemon must announce, serve, and on SIGTERM drain within its deadline
+// and exit 0 — with a stalled connection open, which a bare
+// ListenAndServe+log.Fatal daemon could never do (no signal handling at
+// all, exit always nonzero).
+func TestCollectorShutdownDrainsAndExitsZero(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs the vpm-hopd binary")
+		t.Skip("builds and runs the vpm-fleet binary")
 	}
-	bin := filepath.Join(t.TempDir(), "vpm-hopd")
-	build := exec.Command("go", "build", "-o", bin, "vpm/cmd/vpm-hopd")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building vpm-hopd: %v\n%s", err, out)
-	}
-
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-duration", "50ms", "-rate", "20000")
+	bin := buildVPMFleet(t)
+	cmd := exec.Command(bin, "collect", "-spec", fleetSpec().Encode(), "-index", "0", "-addr", "127.0.0.1:0")
 	stderr := &syncBuffer{}
 	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer cmd.Process.Kill()
-	addr := scrapeAddr(t, stderr, hopdAddrRE, "vpm-hopd")
+	base := scrapeAddr(t, stderr, fleetAddrRE, "vpm-fleet collect")
+	scrapeAddr(t, stderr, fleetFinishedRE, "vpm-fleet collect (finishing its run)")
 
-	resp, err := http.Get("http://" + addr + "/hops")
+	resp, err := http.Get(base + "/hops")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /hops: %d", resp.StatusCode)
 	}
-	var hops []struct {
-		HOP       uint32 `json:"hop"`
-		PublicKey string `json:"public_key"`
-	}
+	var hops []fleet.HopInfo
 	err = json.NewDecoder(resp.Body).Decode(&hops)
 	resp.Body.Close()
 	if err != nil || len(hops) == 0 {
@@ -157,23 +151,30 @@ func TestHopdShutdownDrainsAndExitsZero(t *testing.T) {
 	// from the advertised keys authenticates and decodes one HOP's feed.
 	reg := make(dissem.Registry, len(hops))
 	for _, h := range hops {
-		pub, err := hex.DecodeString(h.PublicKey)
+		pub, err := hex.DecodeString(h.Pub)
 		if err != nil || len(pub) != ed25519.PublicKeySize {
-			t.Fatalf("HOP %d advertises key %q: %v", h.HOP, h.PublicKey, err)
+			t.Fatalf("HOP %d advertises key %q: %v", h.HOP, h.Pub, err)
 		}
-		reg[receipt.HOPID(h.HOP)] = pub
+		reg[h.HOP] = pub
 	}
-	hop := receipt.HOPID(hops[0].HOP)
+	hop := hops[0].HOP
 	client := &dissem.Client{Registry: reg}
-	bundles, err := client.Fetch(context.Background(), fmt.Sprintf("http://%s/hop/%d/receipts", addr, hop), hop, 0)
+	bundles, err := client.Fetch(context.Background(), fmt.Sprintf("%s/hop/%d/receipts", base, hop), hop, 0)
 	if err != nil {
-		t.Fatalf("fetching HOP %v's feed from vpm-hopd: %v", hop, err)
+		t.Fatalf("fetching HOP %v's feed from vpm-fleet collect: %v", hop, err)
 	}
-	if len(bundles) == 0 || bundles[0].Origin != hop || len(bundles[0].Samples)+len(bundles[0].Aggs) == 0 {
-		t.Fatalf("HOP %v's feed: %d bundles, first %+v — want at least one bundle with receipts", hop, len(bundles), bundles)
+	receipts := 0
+	for _, b := range bundles {
+		if b.Origin != hop {
+			t.Fatalf("HOP %v's feed carries a bundle from %v", hop, b.Origin)
+		}
+		receipts += len(b.Samples) + len(b.Aggs)
+	}
+	if receipts == 0 {
+		t.Fatalf("HOP %v's feed: %d bundles, no receipts — want at least one bundle with receipts", hop, len(bundles))
 	}
 
-	conn := stallConn(t, addr)
+	conn := stallConn(t, strings.TrimPrefix(base, "http://"))
 	defer conn.Close()
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {

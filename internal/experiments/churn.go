@@ -12,16 +12,10 @@ import (
 	"vpm/internal/receipt"
 )
 
-// ThroughputBatchSize is the feed granularity of the standalone
-// collector runs (this experiment and the repo-root benchmarks) —
-// netsim's replay batch size, so they hand ObserveBatch what the real
-// pipeline delivers per call.
-const ThroughputBatchSize = netsim.ReplayBatchSize
-
-// ThroughputCollectorConfig is the standalone-collector configuration
-// those runs share (HOP 4 with an identity PathID and the default
-// protocol parameters).
-func ThroughputCollectorConfig(table *packet.Table) core.CollectorConfig {
+// standaloneCollectorConfig is the configuration the experiments that
+// drive one collector outside a deployment share (HOP 4 with an
+// identity PathID and the default protocol parameters).
+func standaloneCollectorConfig(table *packet.Table) core.CollectorConfig {
 	return core.CollectorConfig{
 		HOP:   4,
 		Table: table,
@@ -99,9 +93,9 @@ func Churn(totalKeys, epochs, pktsPerKey int) (ChurnRow, error) {
 		return ChurnRow{}, fmt.Errorf("experiments: need at least 1 packet per key")
 	}
 	table := churnTable(totalKeys)
-	cfg := ThroughputCollectorConfig(table)
+	cfg := standaloneCollectorConfig(table)
 	cfg.EvictIdleEpochs = ChurnEvictIdleEpochs
-	col, err := core.NewPathCollector(cfg)
+	col, err := core.NewCollector(cfg)
 	if err != nil {
 		return ChurnRow{}, err
 	}
@@ -134,8 +128,8 @@ func Churn(totalKeys, epochs, pktsPerKey int) (ChurnRow, error) {
 			}
 		}
 		start := time.Now()
-		for off := 0; off < n; off += ThroughputBatchSize {
-			end := off + ThroughputBatchSize
+		for off := 0; off < n; off += netsim.ReplayBatchSize {
+			end := off + netsim.ReplayBatchSize
 			if end > n {
 				end = n
 			}

@@ -6,7 +6,6 @@ import (
 
 	"vpm/internal/core"
 	"vpm/internal/packet"
-	"vpm/internal/receipt"
 	"vpm/internal/trace"
 )
 
@@ -33,7 +32,9 @@ func forwardingTouch(p *packet.Packet, wire []byte) {
 }
 
 // Click measures the forwarding loop over n packets, with and without
-// a VPM collector observing every packet.
+// the deployed VPM collector observing every packet — one at a time,
+// as a Click element would hand them over, through the collector's
+// single-packet Observe shim.
 func Click(cfg Config, n int) ([]ClickRow, error) {
 	cfg = cfg.Normalize()
 	tc := trace.Config{
@@ -69,15 +70,7 @@ func Click(cfg Config, n int) ([]ClickRow, error) {
 	})
 
 	// With the VPM collector attached.
-	col, err := core.NewCollector(core.CollectorConfig{
-		HOP:   4,
-		Table: tc.Table(),
-		PathID: func(key packet.PathKey) receipt.PathID {
-			return receipt.PathID{Key: key}
-		},
-		Sampling:    core.DefaultSamplingConfig(),
-		Aggregation: core.DefaultAggregationConfig(),
-	})
+	col, err := core.NewCollector(standaloneCollectorConfig(tc.Table()))
 	if err != nil {
 		return nil, err
 	}

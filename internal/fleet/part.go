@@ -223,8 +223,8 @@ func ReadShardFile(path string) (*ShardOutput, error) {
 // MergeShardOutputs recombines a full tier's parts into the union
 // verdict stream: one canonical epoch-report encoding per epoch,
 // ascending — byte for byte what core.EncodeEpochReport renders for
-// core.MergeEpochReports of the same parts, without decoding a
-// fragment. Parts that cannot form one stream — a tier that is
+// the struct-level merge of the same parts (the tests' oracle,
+// mergeEpochReports), without decoding a fragment. Parts that cannot form one stream — a tier that is
 // incomplete, mixed or has a repeated shard, unequal epoch ranges, a
 // (key, route) two shards both report, sequential verdicts — return
 // an error wrapping core.ErrBadMerge.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"vpm/internal/core"
@@ -145,10 +147,118 @@ func permutations(n int, fn func([]int)) {
 	rec(0)
 }
 
+// mergeEpochReports is the struct-level statement of the verdict merge
+// — one epoch's per-shard partial reports recombined into the union
+// report a single-process verifier would have emitted — and the oracle
+// MergeShardOutputs, which does the same ordering on encoded fragments
+// without decoding them, is pinned to. All parts must cover the same
+// epoch and disjoint (key, route) sets, and none may carry sequential
+// verdicts; violations wrap core.ErrBadMerge. Parts may be empty; an
+// all-empty merge yields the empty report of an idle epoch.
+func mergeEpochReports(parts []core.EpochReport) (core.EpochReport, error) {
+	if len(parts) == 0 {
+		return core.EpochReport{}, fmt.Errorf("%w: no parts", core.ErrBadMerge)
+	}
+	out := core.EpochReport{Epoch: parts[0].Epoch}
+	n := 0
+	for i := range parts {
+		if parts[i].Epoch != out.Epoch {
+			return core.EpochReport{}, fmt.Errorf("%w: part covers epoch %d, want %d", core.ErrBadMerge, parts[i].Epoch, out.Epoch)
+		}
+		if len(parts[i].Seq) > 0 {
+			return core.EpochReport{}, fmt.Errorf("%w: part for epoch %d carries sequential verdicts", core.ErrBadMerge, out.Epoch)
+		}
+		n += len(parts[i].Keys)
+	}
+	if n == 0 {
+		// Keep Keys nil, not empty: the canonical encoding of an idle
+		// epoch spells null, and the merge must reproduce it.
+		return out, nil
+	}
+	out.Keys = make([]core.EpochKeyReport, 0, n)
+	for i := range parts {
+		out.Keys = append(out.Keys, parts[i].Keys...)
+	}
+	sort.Slice(out.Keys, func(i, j int) bool {
+		if c := out.Keys[i].Key.Compare(out.Keys[j].Key); c != 0 {
+			return c < 0
+		}
+		return out.Keys[i].Route < out.Keys[j].Route
+	})
+	for i := 1; i < len(out.Keys); i++ {
+		if out.Keys[i].Key == out.Keys[i-1].Key && out.Keys[i].Route == out.Keys[i-1].Route {
+			return core.EpochReport{}, fmt.Errorf("%w: key %v route %d reported by two shards", core.ErrBadMerge, out.Keys[i].Key, out.Keys[i].Route)
+		}
+	}
+	return out, nil
+}
+
+func TestMergeEpochReportsReordersToCanonical(t *testing.T) {
+	// A whole report split across three shards in arbitrary key order.
+	k := func(i, route int) core.EpochKeyReport { return core.EpochKeyReport{Key: partKey(i), Route: route} }
+	whole := core.EpochReport{Epoch: 7, Keys: []core.EpochKeyReport{k(1, 0), k(1, 1), k(2, 0), k(5, 0)}}
+	parts := []core.EpochReport{
+		{Epoch: 7, Keys: []core.EpochKeyReport{k(5, 0), k(1, 1)}},
+		{Epoch: 7, Keys: []core.EpochKeyReport{k(2, 0), k(1, 0)}},
+		{Epoch: 7}, // shard that owned no traffic this epoch
+	}
+	got, err := mergeEpochReports(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotB, err := core.EncodeEpochReport(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, err := core.EncodeEpochReport(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotB, wantB) {
+		t.Fatalf("merge not canonical:\n got %s\nwant %s", gotB, wantB)
+	}
+}
+
+func TestMergeEpochReportsEmptyStaysNull(t *testing.T) {
+	got, err := mergeEpochReports([]core.EpochReport{{Epoch: 3}, {Epoch: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Keys != nil {
+		t.Fatalf("all-empty merge produced non-nil Keys %v — canonical idle encoding is null", got.Keys)
+	}
+	b, _ := core.EncodeEpochReport(got)
+	single, _ := core.EncodeEpochReport(core.EpochReport{Epoch: 3})
+	if !bytes.Equal(b, single) {
+		t.Fatalf("idle merge encodes %s, single-process idle epoch encodes %s", b, single)
+	}
+}
+
+func TestMergeEpochReportsRefusals(t *testing.T) {
+	dup := []core.EpochKeyReport{{Key: partKey(1), Route: 0}}
+	cases := []struct {
+		name  string
+		parts []core.EpochReport
+	}{
+		{"no parts", nil},
+		{"epoch mismatch", []core.EpochReport{{Epoch: 1}, {Epoch: 2}}},
+		{"duplicate key+route", []core.EpochReport{{Epoch: 1, Keys: dup}, {Epoch: 1, Keys: dup}}},
+		{"sequential verdicts", []core.EpochReport{
+			{Epoch: 1, Seq: []seqdetect.SeqVerdict{{}}},
+			{Epoch: 1},
+		}},
+	}
+	for _, tc := range cases {
+		if _, err := mergeEpochReports(tc.parts); !errors.Is(err, core.ErrBadMerge) {
+			t.Errorf("%s: want ErrBadMerge, got %v", tc.name, err)
+		}
+	}
+}
+
 // TestMergeIsOrderingOverAnyPartition: however the key space is dealt
 // to 1–5 shards and in whatever order the parts arrive, the fragment
 // merge produces the bytes of the struct-level oracle
-// (core.MergeEpochReports, encoded) and of the unsplit stream.
+// (mergeEpochReports, encoded) and of the unsplit stream.
 func TestMergeIsOrderingOverAnyPartition(t *testing.T) {
 	stream := referenceStream(t)
 	whole, err := EncodeReports(stream)
@@ -180,7 +290,7 @@ func TestMergeIsOrderingOverAnyPartition(t *testing.T) {
 			for s := range split {
 				eparts[s] = split[s][e]
 			}
-			merged, err := core.MergeEpochReports(eparts)
+			merged, err := mergeEpochReports(eparts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -240,8 +240,7 @@ func (s Spec) PacketsForSlots(keys []packet.PathKey, lo, hi int64) []packet.Pack
 
 // Signer derives HOP h's bundle-signing key from the spec seed — 8
 // seed bytes plus 4 HOP bytes, so fleets with thousands of HOPs get
-// distinct keys (the single-byte scheme vpm-hopd uses for its Fig1
-// demo wraps at 256). Every process derives the same keys, standing in
+// distinct keys. Every process derives the same keys, standing in
 // for the out-of-band key distribution a real deployment would use.
 func (s Spec) Signer(h receipt.HOPID) *dissem.Signer {
 	var seed [32]byte

@@ -82,7 +82,7 @@ type Observation struct {
 // BatchObserver is the batched extension of Observer: observers that
 // implement it receive observations in arrival-order slices, amortizing
 // dispatch and classification over the batch instead of paying one
-// virtual call per packet. core.Collector and core.ShardedCollector
+// virtual call per packet. core.Collector and core.EpochCollector
 // implement it; Deliver is the compatibility shim for observers that
 // only implement single-packet Observe.
 type BatchObserver interface {

@@ -58,18 +58,6 @@ type Sampler struct {
 	mu    uint64 // marker threshold µ
 	sigma uint64 // sampling threshold σ
 
-	// keep, when non-nil, thins the *retained* sample records: a
-	// sampled packet is appended to the receipt under construction
-	// only when keep(pktID) is true. The sampling decision itself —
-	// and sink, the streaming-summary hook — always sees the full
-	// sampled set; only exact per-packet retention is thinned (the
-	// streaming aggregation backend's second-stage threshold
-	// subsample). Nil keeps everything (the exact path).
-	keep func(pktID uint64) bool
-	// sink, when non-nil, observes every sampled record (markers
-	// included) before thinning — the streaming sketch state's feed.
-	sink func(pktID uint64, tNS int64)
-
 	temp    []receipt.SampleRecord // TempBuffer: all packets since last marker
 	samples []receipt.SampleRecord // samples accumulated since last Take
 	spare   []receipt.SampleRecord // recycled accumulator for the next Take
@@ -78,7 +66,6 @@ type Sampler struct {
 	observed      uint64
 	markers       uint64
 	sampled       uint64
-	retained      uint64
 	tempHighWater int
 }
 
@@ -93,17 +80,6 @@ func New(cfg Config) *Sampler {
 		sigma: hashing.ThresholdForRate(cfg.SampleRate),
 	}
 }
-
-// SetKeep installs the retention thinning filter (nil = keep every
-// sampled record, the exact path). The filter must retain markers —
-// the verifier's marker timeline re-derivation depends on them — which
-// any digest-threshold filter composed with µ does by construction.
-func (s *Sampler) SetKeep(keep func(pktID uint64) bool) { s.keep = keep }
-
-// SetSink installs the streaming-summary hook: it observes every
-// sampled record (pre-thinning, markers included) as Algorithm 1
-// accepts it.
-func (s *Sampler) SetSink(sink func(pktID uint64, tNS int64)) { s.sink = sink }
 
 // Observe processes one packet observation (Algorithm 1): pktID is the
 // packet's digest, tNS the HOP's observation timestamp.
@@ -132,29 +108,17 @@ func (s *Sampler) marker(pktID uint64, tNS int64) {
 	for _, q := range s.temp {
 		if hashing.Exceeds(hashing.SampleFcn(q.PktID, pktID), sigma) {
 			s.sampled++
-			s.accept(q)
+			s.samples = append(s.samples, q)
 		}
 	}
 	s.temp = s.temp[:0]
 	s.sampled++
-	s.accept(receipt.SampleRecord{PktID: pktID, TimeNS: tNS})
-}
-
-// accept routes one sampled record through the streaming sink and the
-// retention filter.
-func (s *Sampler) accept(q receipt.SampleRecord) {
-	if s.sink != nil {
-		s.sink(q.PktID, q.TimeNS)
-	}
-	if s.keep == nil || s.keep(q.PktID) {
-		s.retained++
-		s.samples = append(s.samples, q)
-	}
+	s.samples = append(s.samples, receipt.SampleRecord{PktID: pktID, TimeNS: tNS})
 }
 
 // ObserveBatch processes a slice of observations (PktID = digest,
-// TimeNS = observation time) in order — the batch hook the sharded
-// collector's per-path runs feed. Semantically identical to calling
+// TimeNS = observation time) in order — the batch hook the collector's
+// per-path groups feed. Semantically identical to calling
 // Observe per record. Markers are rare (µ is a per-mille rate), so the
 // batch is consumed as marker-delimited segments: one threshold
 // comparison per packet to find the next marker, then a single bulk
@@ -220,10 +184,6 @@ func (s *Sampler) TempHighWater() int {
 func (s *Sampler) Stats() (observed, markers, sampled uint64) {
 	return s.observed, s.markers, s.sampled
 }
-
-// Retained returns how many sampled records passed the retention
-// filter into receipts. Without thinning it equals the sampled count.
-func (s *Sampler) Retained() uint64 { return s.retained }
 
 // EffectiveRate returns the empirical fraction of observed packets
 // that were sampled so far.

@@ -100,8 +100,8 @@ type detKey struct {
 // emit its verdict.
 type detState struct {
 	key  detKey
-	bin  binTest
-	mean meanTest
+	bin  *BernoulliSPRT
+	mean *GaussianSPRT
 	bias *BiasDetector
 
 	state      State
@@ -163,23 +163,11 @@ func (e *Engine) detector(scope Scope, class Class) *detState {
 	c := e.cfg
 	switch class {
 	case ClassLoss, ClassFabricate:
-		if c.Variant == VariantBayes {
-			d.bin = NewBernoulliBayes(c.Alpha, c.Beta, c.LossP0, c.LossP1)
-		} else {
-			d.bin = NewBernoulliSPRT(c.Alpha, c.Beta, c.LossP0, c.LossP1)
-		}
-		if s, ok := d.bin.(interface{ setClip(float64) }); ok {
-			s.setClip(c.ClipLLR)
-		}
+		d.bin = NewBernoulliSPRT(c.Alpha, c.Beta, c.LossP0, c.LossP1)
+		d.bin.setClip(c.ClipLLR)
 	case ClassDelay:
-		if c.Variant == VariantBayes {
-			d.mean = NewGaussianBayes(c.Alpha, c.Beta, c.DelayRefNS, c.DelayShiftNS, c.DelaySigmaNS)
-		} else {
-			d.mean = NewGaussianSPRT(c.Alpha, c.Beta, c.DelayRefNS, c.DelayShiftNS, c.DelaySigmaNS)
-		}
-		if s, ok := d.mean.(interface{ setClip(float64) }); ok {
-			s.setClip(c.ClipLLR)
-		}
+		d.mean = NewGaussianSPRT(c.Alpha, c.Beta, c.DelayRefNS, c.DelayShiftNS, c.DelaySigmaNS)
+		d.mean.setClip(c.ClipLLR)
 	case ClassBias:
 		d.bias = NewBiasDetector(c)
 		d.bias.setClip(c.ClipLLR)

@@ -8,20 +8,14 @@ import (
 )
 
 // The Monte-Carlo guarantee harness: for each detector family at three
-// (α, β) operating points, run M independent seeded simulations over a
-// fixed evidence horizon and check the empirical error rates against
+// (α, β) operating points, run M independent seeded simulations, each
+// to its first decision, and check the empirical error rates against
 // the configured bounds within Wilson-interval slack.
 //
-// Each family is tested against the guarantee it actually provides:
-//
-//   - SPRT variants (repeated test with a reflecting floor): Wald's
-//     bounds hold PER TEST CYCLE. FP: honest stream to the first
-//     terminal decision, P(Detected) ≤ α. FN: design-magnitude lying
-//     stream to the first decision, P(Cleared) ≤ β.
-//   - Bayes variants (always-valid, never restarted): Ville's
-//     inequality holds at EVERY horizon. FP: honest stream over a
-//     fixed horizon, P(fires anywhere) ≤ α. FN: design-magnitude
-//     stream, P(not fired by the horizon) ≤ β.
+// The guarantee a repeated SPRT with a reflecting floor provides is
+// Wald's, PER TEST CYCLE. FP: honest stream to the first terminal
+// decision, P(Detected) ≤ α. FN: design-magnitude lying stream to the
+// first decision, P(Cleared) ≤ β.
 //
 // The check is one-sided: the Wilson 95% lower bound of the observed
 // rate must not exceed the configured bound — if even the interval's
@@ -41,10 +35,6 @@ var opPoints = []opPoint{
 	{alpha: 1e-2, beta: 1e-1, sims: 3000},
 }
 
-// horizon is the per-sim evidence budget of the always-valid framing:
-// the order of items one detector sees across a multi-epoch run.
-const horizon = 10_000
-
 // decisionCap bounds a first-decision sim; SPRT cycles at these
 // operating points decide within hundreds of items.
 const decisionCap = 1_000_000
@@ -53,8 +43,7 @@ const decisionCap = 1_000_000
 // item and returns the test state.
 type decider func() State
 
-// firstDecision drives one sim to its first terminal state (SPRT
-// cycle framing).
+// firstDecision drives one sim to its first terminal state.
 func firstDecision(t *testing.T, step decider) State {
 	t.Helper()
 	for i := 0; i < decisionCap; i++ {
@@ -65,17 +54,6 @@ func firstDecision(t *testing.T, step decider) State {
 	}
 	t.Fatal("sequential test reached no decision within the step cap")
 	return Undecided
-}
-
-// detectedWithin drives one sim for the horizon and reports whether
-// the detector ever fired (always-valid framing).
-func detectedWithin(step decider) bool {
-	for i := 0; i < horizon; i++ {
-		if step() == Detected {
-			return true
-		}
-	}
-	return false
 }
 
 // assertRate checks the empirical k/n error rate against bound within
@@ -90,13 +68,11 @@ func assertRate(t *testing.T, what string, k, n int, bound float64) {
 }
 
 // guaranteeCase builds honest and lying single-detector sims for one
-// detector family at one operating point. alwaysValid selects the
-// horizon framing (Bayes) over the Wald-cycle framing (SPRT).
+// detector family at one operating point.
 type guaranteeCase struct {
-	name        string
-	alwaysValid bool
-	honest      func(op opPoint, rng *stats.RNG) decider
-	lying       func(op opPoint, rng *stats.RNG) decider
+	name   string
+	honest func(op opPoint, rng *stats.RNG) decider
+	lying  func(op opPoint, rng *stats.RNG) decider
 }
 
 const (
@@ -109,22 +85,18 @@ const (
 )
 
 func guaranteeCases() []guaranteeCase {
-	bern := func(p float64, mk func(op opPoint) binTest) func(opPoint, *stats.RNG) decider {
+	bern := func(p float64) func(opPoint, *stats.RNG) decider {
 		return func(op opPoint, rng *stats.RNG) decider {
-			d := mk(op)
+			d := NewBernoulliSPRT(op.alpha, op.beta, gLossP0, gLossP1)
 			return func() State { return d.Observe(rng.Bool(p)) }
 		}
 	}
-	gauss := func(mean float64, mk func(op opPoint) meanTest) func(opPoint, *stats.RNG) decider {
+	gauss := func(mean float64) func(opPoint, *stats.RNG) decider {
 		return func(op opPoint, rng *stats.RNG) decider {
-			d := mk(op)
+			d := NewGaussianSPRT(op.alpha, op.beta, gRef, gShift, gSigma)
 			return func() State { return d.Observe(mean + gSigma*rng.NormFloat64()) }
 		}
 	}
-	mkBernSPRT := func(op opPoint) binTest { return NewBernoulliSPRT(op.alpha, op.beta, gLossP0, gLossP1) }
-	mkBernBayes := func(op opPoint) binTest { return NewBernoulliBayes(op.alpha, op.beta, gLossP0, gLossP1) }
-	mkGaussSPRT := func(op opPoint) meanTest { return NewGaussianSPRT(op.alpha, op.beta, gRef, gShift, gSigma) }
-	mkGaussBayes := func(op opPoint) meanTest { return NewGaussianBayes(op.alpha, op.beta, gRef, gShift, gSigma) }
 
 	bias := func(markerShift float64) func(opPoint, *stats.RNG) decider {
 		return func(op opPoint, rng *stats.RNG) decider {
@@ -148,25 +120,13 @@ func guaranteeCases() []guaranteeCase {
 	return []guaranteeCase{
 		{
 			name:   "bernoulli-sprt",
-			honest: bern(gLossP0, mkBernSPRT),
-			lying:  bern(gLossP1, mkBernSPRT),
-		},
-		{
-			name:        "bernoulli-bayes",
-			alwaysValid: true,
-			honest:      bern(gLossP0, mkBernBayes),
-			lying:       bern(gLossP1, mkBernBayes),
+			honest: bern(gLossP0),
+			lying:  bern(gLossP1),
 		},
 		{
 			name:   "gaussian-sprt",
-			honest: gauss(gRef, mkGaussSPRT),
-			lying:  gauss(gRef+gShift, mkGaussSPRT),
-		},
-		{
-			name:        "gaussian-bayes",
-			alwaysValid: true,
-			honest:      gauss(gRef, mkGaussBayes),
-			lying:       gauss(gRef+gShift, mkGaussBayes),
+			honest: gauss(gRef),
+			lying:  gauss(gRef + gShift),
 		},
 		{
 			name:   "bias",
@@ -177,37 +137,27 @@ func guaranteeCases() []guaranteeCase {
 }
 
 // TestGuaranteeFalsePositiveRate: honest streams, empirical
-// P(detector fires within the horizon) ≤ α within Wilson slack, for
+// P(first decision is Detected) ≤ α within Wilson slack, for
 // every detector at every operating point. Seeded and deterministic.
 func TestGuaranteeFalsePositiveRate(t *testing.T) {
 	for pi, op := range opPoints {
 		for ci, gc := range guaranteeCases() {
 			t.Run(fmt.Sprintf("%s/alpha=%g,beta=%g", gc.name, op.alpha, op.beta), func(t *testing.T) {
 				rng := stats.NewRNG(0xF0 ^ uint64(pi*31+ci))
-				sims := op.sims
-				if gc.alwaysValid && sims > 4000 {
-					sims = 4000 // horizon sims are ~100× longer than cycles
-				}
 				detected := 0
-				for s := 0; s < sims; s++ {
-					sim := gc.honest(op, rng.Split())
-					if gc.alwaysValid {
-						if detectedWithin(sim) {
-							detected++
-						}
-					} else if firstDecision(t, sim) == Detected {
+				for s := 0; s < op.sims; s++ {
+					if firstDecision(t, gc.honest(op, rng.Split())) == Detected {
 						detected++
 					}
 				}
-				assertRate(t, "false-positive", detected, sims, op.alpha)
+				assertRate(t, "false-positive", detected, op.sims, op.alpha)
 			})
 		}
 	}
 }
 
 // TestGuaranteeFalseNegativeRate: design-magnitude lying streams,
-// empirical P(no detection within the horizon) ≤ β within Wilson
-// slack.
+// empirical P(first decision is Cleared) ≤ β within Wilson slack.
 func TestGuaranteeFalseNegativeRate(t *testing.T) {
 	for pi, op := range opPoints {
 		for ci, gc := range guaranteeCases() {
@@ -215,12 +165,7 @@ func TestGuaranteeFalseNegativeRate(t *testing.T) {
 				rng := stats.NewRNG(0xF4 ^ uint64(pi*37+ci))
 				missed := 0
 				for s := 0; s < op.sims; s++ {
-					sim := gc.lying(op, rng.Split())
-					if gc.alwaysValid {
-						if !detectedWithin(sim) {
-							missed++
-						}
-					} else if firstDecision(t, sim) == Cleared {
+					if firstDecision(t, gc.lying(op, rng.Split())) == Cleared {
 						missed++
 					}
 				}

@@ -1,9 +1,8 @@
 // Package seqdetect implements sequential hypothesis tests over the
 // evidence streams the batch verifier already judges per epoch: a
-// Wald SPRT and a Bayes-factor variant for each of the three evidence
-// classes — loss/suppression (Bernoulli drop rate), delay
-// underreporting (sub-Gaussian mean shift vs σ), and marker bias
-// (marker vs σ-sample delay split).
+// Wald SPRT for each of the three evidence classes — loss/suppression
+// (Bernoulli drop rate), delay underreporting (sub-Gaussian mean shift
+// vs σ), and marker bias (marker vs σ-sample delay split).
 //
 // The batch checks in core flag a lying domain only after a full
 // interval closes, and an adversary shaving just under the noise
@@ -18,13 +17,6 @@
 // provable: false positives ≤ α per test cycle, false negatives ≤ β
 // at the design magnitude — verified empirically by the seeded
 // Monte-Carlo guarantee tests in this package.
-//
-// The Bayes-factor variant replaces the fixed alternative with a
-// conjugate mixture (Beta-Bernoulli, Normal-Normal) and thresholds
-// the running marginal-likelihood ratio at 1/α: under honesty the
-// Bayes factor is a nonnegative martingale with mean one, so Ville's
-// inequality gives P(sup BF ≥ 1/α) ≤ α — an always-valid test that
-// needs no design magnitude to keep its false-positive guarantee.
 //
 // Every detector holds O(1) state per (link, key): a log-likelihood
 // (or sufficient statistics) plus a bounded per-epoch trajectory ring
@@ -57,27 +49,12 @@ const (
 	Cleared
 )
 
-// Variant selects the sequential test family.
-type Variant uint8
-
-// Test variants.
-const (
-	// VariantSPRT is Wald's sequential probability ratio test against
-	// the configured design-point alternative.
-	VariantSPRT Variant = iota
-	// VariantBayes is the conjugate-mixture Bayes-factor test
-	// thresholded at 1/α (Ville's inequality).
-	VariantBayes
-)
-
 // Config parameterizes the detectors of one Engine. The zero value is
 // not usable; start from DefaultConfig.
 type Config struct {
 	// Alpha and Beta are the target false-positive and false-negative
 	// rates. Thresholds: A = log((1−β)/α), B = log(β/(1−α)).
 	Alpha, Beta float64
-	// Variant selects Wald SPRT (default) or the Bayes-factor test.
-	Variant Variant
 
 	// LossP0 and LossP1 are the honest (noise-floor) and design-point
 	// alternative drop probabilities of the Bernoulli loss and
@@ -247,26 +224,11 @@ func (t *test) step(stat float64) State {
 // setClip overrides the per-item upward step cap.
 func (t *test) setClip(c float64) { t.clip = c }
 
-// Stat returns the current statistic (log-likelihood ratio or
-// log-Bayes-factor).
+// Stat returns the current statistic (log-likelihood ratio).
 func (t *test) Stat() float64 { return t.stat }
 
 // N returns the number of evidence items consumed.
 func (t *test) N() uint64 { return t.n }
-
-// binTest is a sequential test over a Bernoulli evidence stream.
-type binTest interface {
-	Observe(success bool) State
-	Stat() float64
-	N() uint64
-}
-
-// meanTest is a sequential test over a real-valued evidence stream.
-type meanTest interface {
-	Observe(x float64) State
-	Stat() float64
-	N() uint64
-}
 
 // BernoulliSPRT tests H0: p = P0 against H1: p = P1 over a stream of
 // Bernoulli trials (success = the lie-consistent outcome, e.g. an
@@ -294,65 +256,6 @@ func (b *BernoulliSPRT) Observe(success bool) State {
 	return b.step(b.stat + inc)
 }
 
-// bayesPriorESS is the equivalent sample size of the Beta prior the
-// Bernoulli Bayes factor centers on its design alternative. A vague
-// prior would waste mass far from the design point and let early
-// honest-looking trials sink the Bayes factor below the accept bound
-// (false negatives well above β at the design magnitude); an
-// informative prior makes the early predictive ratio match the SPRT's
-// while the posterior still adapts to the true attack rate. The FP
-// guarantee does not depend on the prior: the Bayes factor is a mean-1
-// martingale under H0 for ANY prior, so Ville's bound holds.
-const bayesPriorESS = 20
-
-// BernoulliBayes is the Beta-mixture Bayes-factor counterpart of
-// BernoulliSPRT: the alternative marginalizes p over a Beta prior
-// centered at the design point p1 (the conjugate posterior gives the
-// O(1) incremental predictive), the null is the fixed noise floor p0.
-// Detection thresholds at log(1/α) by Ville's inequality; crossing
-// the lower Wald bound reports Cleared but never restarts the test —
-// always-valid tests spend their α once, over the whole run.
-type BernoulliBayes struct {
-	test
-	p0     float64
-	a0, b0 float64 // Beta prior pseudo-counts
-	k      uint64  // successes this cycle
-	m      uint64  // trials this cycle
-}
-
-// NewBernoulliBayes builds the test. Requires 0 < p0 < p1 < 1.
-func NewBernoulliBayes(alpha, beta, p0, p1 float64) *BernoulliBayes {
-	t := newTest(alpha, beta)
-	t.upper = math.Log(1 / alpha)
-	return &BernoulliBayes{
-		test: t, p0: p0,
-		a0: bayesPriorESS * p1,
-		b0: bayesPriorESS * (1 - p1),
-	}
-}
-
-// Observe folds one trial.
-func (b *BernoulliBayes) Observe(success bool) State {
-	// Predictive probability of this trial under the Beta posterior
-	// of the current cycle vs under the fixed null.
-	var num, den float64
-	if success {
-		num = (float64(b.k) + b.a0) / (float64(b.m) + bayesPriorESS)
-		den = b.p0
-	} else {
-		num = (float64(b.m-b.k) + b.b0) / (float64(b.m) + bayesPriorESS)
-		den = 1 - b.p0
-	}
-	b.m++
-	if success {
-		b.k++
-	}
-	// No reset on Cleared: the Bayes factor is always-valid — Ville's
-	// bound covers the unrestarted process at every horizon, and a
-	// restart would re-spend α per cycle.
-	return b.step(b.stat + math.Log(num/den))
-}
-
 // GaussianSPRT tests H0: mean = Ref against H1: mean = Ref + Shift
 // for observations with sub-Gaussian scale Sigma. Shift may be
 // negative (markers faster than σ-samples). The Gaussian LLR is
@@ -375,43 +278,6 @@ func (g *GaussianSPRT) Observe(x float64) State {
 	return g.step(g.stat + inc)
 }
 
-// GaussianBayes is the Normal-mixture Bayes factor: the alternative
-// marginalizes the mean over N(Ref + Shift, Shift²), the null fixes
-// it at Ref. Computed in O(1) from the running (n, Σx) sufficient
-// statistics; detection thresholds at log(1/α).
-type GaussianBayes struct {
-	test
-	ref, shift, sigma2, tau2 float64
-	cn                       uint64  // observations this cycle
-	csum                     float64 // Σ(x − ref) this cycle
-}
-
-// NewGaussianBayes builds the test. Requires sigma > 0 and shift != 0.
-func NewGaussianBayes(alpha, beta, ref, shift, sigma float64) *GaussianBayes {
-	t := newTest(alpha, beta)
-	t.upper = math.Log(1 / alpha)
-	return &GaussianBayes{
-		test: t, ref: ref, shift: shift,
-		sigma2: sigma * sigma, tau2: shift * shift,
-	}
-}
-
-// Observe folds one observation.
-func (g *GaussianBayes) Observe(x float64) State {
-	g.cn++
-	g.csum += x - g.ref
-	// BF_n = N(x̄; shift, σ²/n + τ²) / N(x̄; 0, σ²/n) on centered data.
-	n := float64(g.cn)
-	mean := g.csum / n
-	v0 := g.sigma2 / n
-	v1 := v0 + g.tau2
-	d0 := mean * mean / v0
-	d1 := (mean - g.shift) * (mean - g.shift) / v1
-	logBF := 0.5*(math.Log(v0)-math.Log(v1)) + 0.5*(d0-d1)
-	// No reset on Cleared: always-valid, see BernoulliBayes.Observe.
-	return g.step(logBF)
-}
-
 // BiasDetector scores the marker-vs-σ-sample delay split of one
 // domain: σ-sample (non-marker) delays feed a Welford running
 // mean/variance reference; each marker delay is standardized against
@@ -422,18 +288,15 @@ type BiasDetector struct {
 	refN           uint64
 	refMean, refM2 float64
 	minRef         int
-	mean           meanTest
+	mean           *GaussianSPRT
 }
 
-// NewBiasDetector builds the detector for the configured variant.
+// NewBiasDetector builds the detector.
 func NewBiasDetector(cfg Config) *BiasDetector {
-	var mt meanTest
-	if cfg.Variant == VariantBayes {
-		mt = NewGaussianBayes(cfg.Alpha, cfg.Beta, 0, -cfg.BiasShiftSigma, 1)
-	} else {
-		mt = NewGaussianSPRT(cfg.Alpha, cfg.Beta, 0, -cfg.BiasShiftSigma, 1)
+	return &BiasDetector{
+		minRef: cfg.BiasMinRef,
+		mean:   NewGaussianSPRT(cfg.Alpha, cfg.Beta, 0, -cfg.BiasShiftSigma, 1),
 	}
-	return &BiasDetector{minRef: cfg.BiasMinRef, mean: mt}
 }
 
 // ObserveRef folds one σ-sample (non-marker) delay into the
@@ -465,11 +328,7 @@ func (b *BiasDetector) ObserveMarker(x float64) State {
 }
 
 // setClip forwards the step cap to the underlying mean test.
-func (b *BiasDetector) setClip(c float64) {
-	if s, ok := b.mean.(interface{ setClip(float64) }); ok {
-		s.setClip(c)
-	}
-}
+func (b *BiasDetector) setClip(c float64) { b.mean.setClip(c) }
 
 // Stat returns the running statistic of the underlying mean test.
 func (b *BiasDetector) Stat() float64 { return b.mean.Stat() }

@@ -110,33 +110,6 @@ func TestGaussianSPRTNegativeShift(t *testing.T) {
 	}
 }
 
-func TestBayesVariantsDetect(t *testing.T) {
-	bb := NewBernoulliBayes(1e-3, 1e-2, 0.01, 0.05)
-	rng := stats.NewRNG(13)
-	var st State
-	for i := 0; i < 100_000; i++ {
-		st = bb.Observe(rng.Bool(0.10))
-		if st == Detected {
-			break
-		}
-	}
-	if st != Detected {
-		t.Fatal("Bernoulli Bayes factor never crossed 1/alpha on a 10x elevated rate")
-	}
-
-	gb := NewGaussianBayes(1e-3, 1e-2, 1000, 100, 50)
-	st = Undecided
-	for i := 0; i < 100_000; i++ {
-		st = gb.Observe(1000 + 100 + 50*rng.NormFloat64())
-		if st == Detected {
-			break
-		}
-	}
-	if st != Detected {
-		t.Fatal("Gaussian Bayes factor never crossed 1/alpha on the design shift")
-	}
-}
-
 func TestBiasDetectorWarmup(t *testing.T) {
 	cfg := DefaultConfig()
 	b := NewBiasDetector(cfg)
@@ -343,16 +316,6 @@ func TestTrajectoryRingBounded(t *testing.T) {
 	d := e.dets[detKey{scope: scope, class: ClassLoss}]
 	if len(d.traj) > 4 {
 		t.Fatalf("trajectory ring grew to %d, cap 4", len(d.traj))
-	}
-}
-
-func TestVariantBayesEngine(t *testing.T) {
-	e := NewEngine(Config{Variant: VariantBayes})
-	scope := Scope{Key: "a->b", Up: 1, Down: 2}
-	e.Observe(scope, ClassLoss, makeLossStream(5000, 0.30, 43))
-	vs := e.EndEpoch(0)
-	if len(vs) != 1 {
-		t.Fatalf("Bayes engine: got %d verdicts, want 1", len(vs))
 	}
 }
 

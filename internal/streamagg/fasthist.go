@@ -1,3 +1,7 @@
+// Package streamagg holds FastHist, a fixed-size log-bucketed histogram
+// with a proven relative-error bound on its quantile estimates: O(1)
+// update, constant memory, mergeable, reusable after Reset — the
+// VictoriaMetrics streamaggr quantile-state idiom.
 package streamagg
 
 import (
@@ -11,7 +15,7 @@ import (
 // subdivided linearly into 64 sub-buckets by the next six bits. Every
 // bucket's width is at most lo/64, so any representative inside the
 // bucket is within a 1/64 relative error of every value it absorbed —
-// the proven bound the sketched-vs-exact oracle tests lean on.
+// the bound TestFastHistQuantileBound proves.
 const (
 	histLinear  = 64 // exact buckets for values in [0, histLinear)
 	histSubBits = 6

@@ -227,3 +227,35 @@ func TestPublicAPIReceipts(t *testing.T) {
 		t.Fatalf("quantile: %v", err)
 	}
 }
+
+// TestPublicAPICollector drives a standalone collector — the per-HOP
+// module deployments run — through the facade.
+func TestPublicAPICollector(t *testing.T) {
+	traceCfg := vpm.TraceConfig{Seed: 7, DurationNS: int64(100e6), Paths: []vpm.TracePathSpec{vpm.DefaultTracePath(100000)}}
+	pkts, err := vpm.GenerateTrace(traceCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := vpm.CollectorConfig{
+		HOP:    4,
+		Table:  traceCfg.Table(),
+		PathID: func(key vpm.PathKey) vpm.PathID { return vpm.PathID{Key: key, PrevHOP: 3, NextHOP: 5} },
+	}
+	cfg.Sampling.MarkerRate, cfg.Sampling.SampleRate = 0.001, 0.01
+	cfg.Aggregation.CutRate, cfg.Aggregation.WindowNS = 0.001, 2_000_000
+	var col *vpm.Collector
+	if col, err = vpm.NewCollector(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for i := range pkts {
+		col.Observe(&pkts[i], pkts[i].Digest(1), int64(i)*10_000)
+	}
+	samples, aggs := col.Flush()
+	var counted uint64
+	for _, a := range aggs {
+		counted += a.PktCnt
+	}
+	if observed, _ := col.Stats(); len(samples) != 1 || counted != observed || observed != uint64(len(pkts)) {
+		t.Fatalf("%d sample receipts, aggregates count %d of %d observed (%d sent)", len(samples), counted, observed, len(pkts))
+	}
+}
