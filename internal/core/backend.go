@@ -21,8 +21,9 @@ import (
 // SealEpoch the durability point: after it returns, the epoch must
 // survive kill -9; before it, the epoch is discardable. PutReport
 // files the epoch's canonical verdict bytes (EncodeEpochReport) after
-// verification; LastSealed and HasReport drive crash recovery (see
-// AttachBackend).
+// verification — the slice is the verifier's reused encode buffer,
+// valid only during the call; LastSealed and HasReport drive crash
+// recovery (see AttachBackend).
 type StoreBackend interface {
 	AppendEpochHOP(epoch EpochID, hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) error
 	SealEpoch(epoch EpochID) error
@@ -33,11 +34,12 @@ type StoreBackend interface {
 
 // EncodeEpochReport renders the canonical verdict bytes for one epoch
 // report: deterministic JSON (every report type is structs and slices
-// — no maps — so encoding is order-stable). The kill-9 e2e harness
+// — no maps — so encoding is order-stable), byte for byte what
+// json.Marshal renders (see AppendEpochReport). The kill-9 e2e harness
 // asserts byte identity of these encodings across crash-recovery, and
 // the historical query API serves them verbatim.
 func EncodeEpochReport(rep EpochReport) ([]byte, error) {
-	return json.Marshal(rep)
+	return AppendEpochReport(nil, &rep)
 }
 
 // DecodeEpochReport parses EncodeEpochReport's output.
@@ -112,20 +114,21 @@ func (w *WindowedStore) skipRecovered(epoch EpochID) bool {
 }
 
 // persistReport files the canonical encoding of rep with the backend;
-// a no-op without one.
-func (w *WindowedStore) persistReport(rep EpochReport) error {
+// a no-op without one. The encoding is built in buf, the caller's
+// grow-only scratch, which is returned for the next epoch.
+func (w *WindowedStore) persistReport(rep *EpochReport, buf []byte) ([]byte, error) {
 	w.mu.Lock()
 	b := w.backend
 	w.mu.Unlock()
 	if b == nil {
-		return nil
+		return buf, nil
 	}
-	data, err := EncodeEpochReport(rep)
+	buf, err := AppendEpochReport(buf[:0], rep)
 	if err != nil {
-		return fmt.Errorf("core: encoding epoch %d report: %w", rep.Epoch, err)
+		return buf, fmt.Errorf("core: encoding epoch %d report: %w", rep.Epoch, err)
 	}
-	if err := b.PutReport(rep.Epoch, data); err != nil {
-		return fmt.Errorf("core: persisting epoch %d report: %w", rep.Epoch, err)
+	if err := b.PutReport(rep.Epoch, buf); err != nil {
+		return buf, fmt.Errorf("core: persisting epoch %d report: %w", rep.Epoch, err)
 	}
-	return nil
+	return buf, nil
 }

@@ -680,6 +680,9 @@ type RollingVerifier struct {
 	// their concatenated aggregates are cut from, reused key after key.
 	wins []hopWindow
 	aggs []receipt.AggReceipt
+	// enc is the grow-only buffer each epoch's canonical report is
+	// encoded into on its way to the durable backend.
+	enc []byte
 }
 
 // keyPlan is what verifying one traffic key takes from its route
@@ -795,7 +798,7 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		// An empty epoch still closes the sequential engine's epoch so
 		// detection latency counts calendar epochs, not traffic epochs.
 		rep.Seq = rv.endSequentialEpoch(epoch)
-		if err := rv.win.persistReport(rep); err != nil {
+		if rv.enc, err = rv.win.persistReport(&rep, rv.enc); err != nil {
 			return rep, err
 		}
 		return rep, rv.win.MarkVerified(epoch)
@@ -868,7 +871,7 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	rep.Seq = rv.endSequentialEpoch(epoch)
 	// The verdict goes durable before the RAM window forgets the epoch
 	// needs judging — a crash between the two re-verifies, never skips.
-	if err := rv.win.persistReport(rep); err != nil {
+	if rv.enc, err = rv.win.persistReport(&rep, rv.enc); err != nil {
 		return rep, err
 	}
 	if err := rv.win.MarkVerified(epoch); err != nil {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/json"
@@ -60,29 +61,43 @@ type keyFragment struct {
 }
 
 // NewShardOutput encodes a verifier's reports canonically, one
-// fragment per key report.
+// fragment per key report, with the encoder that renders whole reports.
+// An epoch's fragments are encoded back to back into a scratch buffer
+// and cut from one exact-size copy of it.
 func NewShardOutput(shards, shard int, reports []core.EpochReport) (*ShardOutput, error) {
 	out := &ShardOutput{Shard: shard, Shards: shards, epochs: make([]shardEpoch, len(reports))}
+	var (
+		scratch []byte
+		ends    []int // where each fragment of the current epoch ends
+		err     error
+	)
 	for i := range reports {
 		rep := &reports[i]
 		ep := &out.epochs[i]
 		ep.epoch = rep.Epoch
+		scratch, ends = scratch[:0], ends[:0]
+		for k := range rep.Keys {
+			if scratch, err = core.AppendEpochKeyReport(scratch, &rep.Keys[k]); err != nil {
+				return nil, err
+			}
+			ends = append(ends, len(scratch))
+		}
+		if len(rep.Seq) > 0 {
+			if scratch, err = core.AppendSeqVerdicts(scratch, rep.Seq); err != nil {
+				return nil, err
+			}
+		}
+		buf := bytes.Clone(scratch)
 		if rep.Keys != nil {
 			ep.keys = make([]keyFragment, len(rep.Keys))
 		}
-		for k := range rep.Keys {
-			b, err := json.Marshal(&rep.Keys[k])
-			if err != nil {
-				return nil, err
-			}
-			ep.keys[k] = keyFragment{key: rep.Keys[k].Key, route: rep.Keys[k].Route, json: b}
+		start := 0
+		for k, end := range ends {
+			ep.keys[k] = keyFragment{key: rep.Keys[k].Key, route: rep.Keys[k].Route, json: buf[start:end:end]}
+			start = end
 		}
 		if len(rep.Seq) > 0 {
-			b, err := json.Marshal(rep.Seq)
-			if err != nil {
-				return nil, err
-			}
-			ep.seq = b
+			ep.seq = buf[start:]
 		}
 	}
 	return out, nil

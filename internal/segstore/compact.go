@@ -160,6 +160,7 @@ func (s *Store) compactLocked() (CompactStats, error) {
 			}
 			continue
 		}
+		s.reportBytes -= s.reports[epoch]
 		delete(s.reports, epoch)
 		st.ReportsDropped++
 	}
@@ -174,13 +175,19 @@ func (s *Store) compactLocked() (CompactStats, error) {
 // entry. The inputs are untouched; the caller retires them after the
 // manifest commit.
 func (s *Store) mergeRunLocked(run []SegmentInfo) (SegmentInfo, error) {
-	out := append([]byte(nil), segMagic[:]...)
+	size := int64(0)
+	for _, e := range run {
+		size += e.Bytes
+	}
+	out := append(make([]byte, 0, size), segMagic[:]...)
 	entry := SegmentInfo{
 		FromEpoch: run[0].FromEpoch,
 		ToEpoch:   run[len(run)-1].ToEpoch,
 	}
+	var data []byte // each input in turn
 	for _, e := range run {
-		data, err := s.fsys.ReadFile(e.File)
+		var err error
+		data, err = s.fsys.ReadInto(e.File, data)
 		if err != nil {
 			return entry, fmt.Errorf("%w: merging %s: %v", ErrSegmentIntegrity, e.File, err)
 		}

@@ -18,6 +18,7 @@
 package segstore
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -37,8 +38,11 @@ import (
 type FS interface {
 	// OpenAppend opens name for appending, creating it if needed.
 	OpenAppend(name string) (File, error)
-	// ReadFile returns name's full contents.
-	ReadFile(name string) ([]byte, error)
+	// ReadInto reads name's full contents into buf's storage, growing
+	// it only when the file is larger, and returns the filled slice —
+	// buf[:0] beside the error when the read fails. Handing the result
+	// back in reads file after file through one buffer; nil allocates.
+	ReadInto(name string, buf []byte) ([]byte, error)
 	// Rename atomically replaces newname with oldname.
 	Rename(oldname, newname string) error
 	// Remove deletes name.
@@ -82,9 +86,36 @@ func (f *DirFS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(filepath.Join(f.dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-// ReadFile implements FS.
-func (f *DirFS) ReadFile(name string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(f.dir, name))
+// ReadInto implements FS. A buffer that has to grow gets an eighth of
+// headroom, so a run of slightly larger files does not reallocate once
+// per file.
+func (f *DirFS) ReadInto(name string, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	file, err := os.Open(filepath.Join(f.dir, name))
+	if err != nil {
+		return buf, err
+	}
+	defer file.Close()
+	// One byte beyond the size lets the last Read report EOF without
+	// growing; a file that grew since Stat is still read whole.
+	if info, err := file.Stat(); err == nil {
+		if need := int(info.Size()) + 1; need > cap(buf) {
+			buf = make([]byte, 0, need+need/8)
+		}
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := file.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if errors.Is(err, io.EOF) {
+			return buf, nil
+		}
+		if err != nil {
+			return buf[:0], err
+		}
+	}
 }
 
 // Rename implements FS.

@@ -3,6 +3,7 @@ package segstore
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -26,7 +27,8 @@ import (
 //	                        "src->dst" CIDR pair), domain (domain
 //	                        name). Unfiltered reports are served
 //	                        verbatim from disk — byte-identical to
-//	                        what verification persisted.
+//	                        what verification persisted, each held
+//	                        to its checksum before it is written.
 //	GET /metrics          — Prometheus text exposition: occupancy
 //	                        gauges plus violation/matched-sample
 //	                        counters over the stored verdicts.
@@ -50,6 +52,10 @@ type apiHandler struct {
 	// metrics endpoint, so scrapes do not re-decode unchanged reports.
 	mu      sync.Mutex
 	tallies map[uint64]reportTally
+
+	// bufs holds the *[]byte read buffers verdict queries stream report
+	// files through, so a query allocates nothing per report byte.
+	bufs sync.Pool
 }
 
 type reportTally struct {
@@ -164,12 +170,31 @@ func (h *apiHandler) epochRange(r *http.Request) (from, to uint64, err error) {
 	return from, to, nil
 }
 
-// verdictsResponse is GET /api/v1/verdicts. Unfiltered, Reports holds
-// the stored verdict blobs verbatim.
-type verdictsResponse struct {
-	Epochs  []uint64          `json:"epochs"`
-	Reports []json.RawMessage `json:"reports"`
+// The body of GET /api/v1/verdicts is
+//
+//	{"epochs":[e0,e1,…],"reports":[r0,r1,…]}\n
+//
+// where each rᵢ is one canonical report. The frame is written by hand
+// around the report bytes: they are compact, HTML-escaped JSON as they
+// stand (core.AppendEpochReport's output), so a json.Encoder over
+// RawMessages would re-validate and re-compact megabytes into the very
+// same bytes (TestVerdictsResponseByteIdentical).
+
+// writeVerdictsHead starts the response: the header, and the frame up
+// to the first report.
+func writeVerdictsHead(w http.ResponseWriter, epochs []uint64) {
+	head := []byte(`{"epochs":[`)
+	for i, e := range epochs {
+		if i > 0 {
+			head = append(head, ',')
+		}
+		head = strconv.AppendUint(head, e, 10)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(head, `],"reports":[`...))
 }
+
+const verdictsTail = "]}\n"
 
 func (h *apiHandler) verdicts(w http.ResponseWriter, r *http.Request) {
 	if !wantGET(w, r) {
@@ -193,21 +218,31 @@ func (h *apiHandler) verdicts(w http.ResponseWriter, r *http.Request) {
 	}
 	domainFilter := q.Get("domain")
 
-	resp := verdictsResponse{Epochs: []uint64{}, Reports: []json.RawMessage{}}
-	for _, epoch := range h.store.ReportEpochs() {
-		if epoch < from || epoch > to {
-			continue
-		}
-		blob, err := h.store.Report(epoch)
+	epochs := h.store.ReportEpochs()
+	lo := sort.Search(len(epochs), func(i int) bool { return epochs[i] >= from })
+	hi := sort.Search(len(epochs), func(i int) bool { return epochs[i] > to })
+	epochs = epochs[lo:hi]
+
+	bufp, _ := h.bufs.Get().(*[]byte)
+	if bufp == nil {
+		bufp = new([]byte)
+	}
+	defer h.bufs.Put(bufp)
+
+	if keyFilter == "" && domainFilter == "" {
+		h.serveVerbatim(w, epochs, bufp)
+		return
+	}
+	// Filtered: which epochs survive is known only after every report
+	// has been narrowed, so the narrowed encodings are gathered first.
+	var kept []uint64
+	var body []byte
+	for _, epoch := range epochs {
+		blob, err := h.store.ReportInto(epoch, *bufp)
+		*bufp = blob[:0]
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "reading epoch %d report: %v", epoch, err)
 			return
-		}
-		if keyFilter == "" && domainFilter == "" {
-			// Verbatim: the exact bytes verification persisted.
-			resp.Epochs = append(resp.Epochs, epoch)
-			resp.Reports = append(resp.Reports, json.RawMessage(blob))
-			continue
 		}
 		rep, err := core.DecodeEpochReport(blob)
 		if err != nil {
@@ -218,16 +253,47 @@ func (h *apiHandler) verdicts(w http.ResponseWriter, r *http.Request) {
 		if len(filtered.Keys) == 0 {
 			continue
 		}
-		encoded, err := core.EncodeEpochReport(filtered)
-		if err != nil {
+		if len(kept) > 0 {
+			body = append(body, ',')
+		}
+		if body, err = core.AppendEpochReport(body, &filtered); err != nil {
 			httpError(w, http.StatusInternalServerError, "encoding epoch %d report: %v", epoch, err)
 			return
 		}
-		resp.Epochs = append(resp.Epochs, epoch)
-		resp.Reports = append(resp.Reports, json.RawMessage(encoded))
+		kept = append(kept, epoch)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	writeVerdictsHead(w, kept)
+	w.Write(body)
+	io.WriteString(w, verdictsTail)
+}
+
+// serveVerbatim writes the frame around the stored bytes of epochs'
+// reports, one report at a time through *bufp, each verified against
+// its checksum before any of it is written. A report that fails before
+// the first byte has gone out is a 500; one that fails later aborts
+// the connection — the client must see a broken response, never a
+// well-formed body that is short a verdict.
+func (h *apiHandler) serveVerbatim(w http.ResponseWriter, epochs []uint64, bufp *[]byte) {
+	for i, epoch := range epochs {
+		blob, err := h.store.ReportInto(epoch, *bufp)
+		*bufp = blob[:0]
+		switch {
+		case err != nil && i == 0:
+			httpError(w, http.StatusInternalServerError, "reading epoch %d report: %v", epoch, err)
+			return
+		case err != nil:
+			panic(http.ErrAbortHandler)
+		case i == 0:
+			writeVerdictsHead(w, epochs)
+		default:
+			io.WriteString(w, ",")
+		}
+		w.Write(blob)
+	}
+	if len(epochs) == 0 {
+		writeVerdictsHead(w, nil)
+	}
+	io.WriteString(w, verdictsTail)
 }
 
 // filterReport narrows a report to the requested key and/or domain:
@@ -306,9 +372,7 @@ func (h *apiHandler) metrics(w http.ResponseWriter, r *http.Request) {
 	st := h.store.StoreStats()
 	var violations int
 	var matched int64
-	epochs := h.store.ReportEpochs()
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	for _, epoch := range epochs {
+	for _, epoch := range h.store.ReportEpochs() {
 		t, err := h.tallyFor(epoch)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "tallying epoch %d: %v", epoch, err)
@@ -322,6 +386,7 @@ func (h *apiHandler) metrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE vpm_store_sealed_epochs gauge\nvpm_store_sealed_epochs %d\n", st.SealedEpochs)
 	fmt.Fprintf(w, "# TYPE vpm_store_segments gauge\nvpm_store_segments %d\n", st.Segments)
 	fmt.Fprintf(w, "# TYPE vpm_store_bytes gauge\nvpm_store_bytes %d\n", st.Bytes)
+	fmt.Fprintf(w, "# TYPE vpm_store_report_bytes gauge\nvpm_store_report_bytes %d\n", st.ReportBytes)
 	fmt.Fprintf(w, "# TYPE vpm_store_sample_receipts gauge\nvpm_store_sample_receipts %d\n", st.Samples)
 	fmt.Fprintf(w, "# TYPE vpm_store_agg_receipts gauge\nvpm_store_agg_receipts %d\n", st.Aggs)
 	fmt.Fprintf(w, "# TYPE vpm_store_reports gauge\nvpm_store_reports %d\n", st.Reports)

@@ -132,7 +132,7 @@ func commitManifest(fsys FS, entries []SegmentInfo) error {
 // empty store (fresh directory), anything unreadable is
 // ErrCorruptManifest.
 func loadManifest(fsys FS) ([]SegmentInfo, error) {
-	data, err := fsys.ReadFile(manifestName)
+	data, err := fsys.ReadInto(manifestName, nil)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}

@@ -62,15 +62,15 @@ func (m *MemFS) OpenAppend(name string) (File, error) {
 	return &memFile{fs: m, name: name}, nil
 }
 
-// ReadFile implements FS.
-func (m *MemFS) ReadFile(name string) ([]byte, error) {
+// ReadInto implements FS.
+func (m *MemFS) ReadInto(name string, buf []byte) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	data, ok := m.files[name]
 	if !ok {
-		return nil, &fs.PathError{Op: "read", Path: name, Err: fs.ErrNotExist}
+		return buf[:0], &fs.PathError{Op: "read", Path: name, Err: fs.ErrNotExist}
 	}
-	return append([]byte(nil), data...), nil
+	return append(buf[:0], data...), nil
 }
 
 // Rename implements FS.
@@ -139,14 +139,18 @@ var ErrInjectedFault = errors.New("segstore: injected fault")
 // budget is *torn*: a prefix of its bytes is applied before the error,
 // exercising the torn-tail truncation path in recovery.
 //
-// Reads are never failed: recovery runs against the wrapped FS
-// directly, the way a restarted process reads the surviving disk.
+// Reads do not spend the budget: recovery runs against the wrapped FS
+// directly, the way a restarted process reads the surviving disk. The
+// transient read error (EIO, EMFILE) is injected by name instead, with
+// FailRead.
 type FaultFS struct {
 	mu sync.Mutex
 	fs FS
 	// remaining is the mutating-operation budget; -1 once tripped.
 	remaining int
 	tripped   bool
+	// failRead is the file whose reads fail, "" for none.
+	failRead string
 }
 
 // NewFaultFS wraps inner, allowing budget mutating operations before
@@ -210,8 +214,26 @@ func (f *FaultFS) OpenAppend(name string) (File, error) {
 	return &faultFile{f: f, file: file}, nil
 }
 
-// ReadFile implements FS (never failed; see type comment).
-func (f *FaultFS) ReadFile(name string) ([]byte, error) { return f.fs.ReadFile(name) }
+// FailRead makes every read of name fail with an error wrapping
+// ErrInjectedFault — the file is there and intact, the read is not
+// getting through. "" clears it.
+func (f *FaultFS) FailRead(name string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.failRead = name
+}
+
+// ReadInto implements FS; it fails, with an error wrapping
+// ErrInjectedFault, only for the file named to FailRead.
+func (f *FaultFS) ReadInto(name string, buf []byte) ([]byte, error) {
+	f.mu.Lock()
+	fail := name != "" && name == f.failRead
+	f.mu.Unlock()
+	if fail {
+		return buf[:0], fmt.Errorf("%w: read %s", ErrInjectedFault, name)
+	}
+	return f.fs.ReadInto(name, buf)
+}
 
 // Rename implements FS; an exhausted budget returns an error wrapping
 // ErrInjectedFault.

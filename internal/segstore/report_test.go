@@ -1,0 +1,538 @@
+package segstore
+
+// The durable verdict path: a report goes to disk under a checksum,
+// comes back through Open and Report only if it still matches it, and
+// is served by /api/v1/verdicts as the bytes it was written as. The
+// tests here use synthetic reports (package experiments imports this
+// one, so the real pipeline drives the query API from httpapi_test.go
+// instead) sized like a mesh epoch's, with the characters a verdict's
+// Detail really carries.
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"io/fs"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"vpm/internal/core"
+	"vpm/internal/packet"
+	"vpm/internal/quantile"
+	"vpm/internal/receipt"
+)
+
+// syntheticReport is a report of the given number of keys, about
+// 700 bytes each.
+func syntheticReport(epoch uint64, keys int) core.EpochReport {
+	rep := core.EpochReport{Epoch: core.EpochID(epoch), Keys: make([]core.EpochKeyReport, keys)}
+	for k := range rep.Keys {
+		key := packet.PathKey{
+			Src: packet.MakePrefix(10, byte(k>>8), byte(k), 0, 24),
+			Dst: packet.MakePrefix(172, 16, byte(epoch), 0, 24),
+		}
+		domain := fmt.Sprintf("AS%d", 64512+k%7)
+		rep.Keys[k] = core.EpochKeyReport{
+			Key: key,
+			Links: []core.LinkVerdict{
+				{LinkID: 0, Up: 1, Down: 2, MatchedSamples: 40 + k%9},
+				{LinkID: 1, Up: 3, Down: 4, MatchedSamples: 38, MissingDown: 2, Violations: []receipt.Inconsistency{{
+					Kind: receipt.MissingDownstream, PktID: uint64(k)*2654435761 + epoch,
+					Detail: "HOP3 delivered <pkt> on " + key.String() + " & HOP4 has no record",
+				}}},
+			},
+			Domains: []core.DomainReport{{
+				Name: domain, Ingress: 2, Egress: 3,
+				Loss:         core.LossReport{In: 1000 + int64(k), Lost: int64(k % 5)},
+				DelaySamples: 40,
+				DelayEstimates: []quantile.Estimate{
+					{Q: 0.5, Point: 1.25e6 + float64(k)/3, Lo: 1.1e6, Hi: 1.4e6 + float64(epoch)/7, N: 40, Exact: true},
+					{Q: 0.9, Point: 2.5e6 + float64(k)/7, Lo: 2.2e6, Hi: 2.9e6, N: 40},
+				},
+			}},
+			Blames: []core.Blame{{
+				Epoch: core.EpochID(epoch), Evidence: core.EvMissingReceipt, LinkID: 1,
+				HOPs: []receipt.HOPID{3, 4}, Domains: []string{domain, "AS64999"}, Count: 1,
+				Detail: "missing-downstream on " + key.String(),
+			}},
+		}
+	}
+	return rep
+}
+
+// fillReports seals epochs [0, len(keys)) and files a synthetic report
+// of keys[e] keys for each, returning the bytes filed.
+func fillReports(t testing.TB, s *Store, keys []int) [][]byte {
+	t.Helper()
+	blobs := make([][]byte, len(keys))
+	for e, n := range keys {
+		epoch := uint64(e)
+		samples, aggs := testReceiptsRaw(epoch, 1)
+		if err := s.Append(epoch, 1, samples, aggs); err != nil {
+			t.Fatalf("Append(%d): %v", epoch, err)
+		}
+		if err := s.Seal(epoch); err != nil {
+			t.Fatalf("Seal(%d): %v", epoch, err)
+		}
+		blob, err := core.EncodeEpochReport(syntheticReport(epoch, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutReport(epoch, blob); err != nil {
+			t.Fatalf("PutReport(%d): %v", epoch, err)
+		}
+		blobs[e] = blob
+	}
+	return blobs
+}
+
+// rewriteFile replaces name's contents in mfs with edit's result.
+func rewriteFile(t testing.TB, mfs *MemFS, name string, edit func([]byte) []byte) {
+	t.Helper()
+	data, err := mfs.ReadInto(name, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = edit(data)
+	if err := mfs.Truncate(name, 0); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := mfs.OpenAppend(name)
+	f.Write(data)
+	f.Close()
+}
+
+// flipDigit changes one decimal digit inside the JSON: the file still
+// parses, and says something else.
+func flipDigit(data []byte) []byte {
+	i := bytes.Index(data, []byte(`"MatchedSamples":`)) + len(`"MatchedSamples":`)
+	if data[i] < '0' || data[i] > '8' {
+		panic("no digit to flip")
+	}
+	data[i]++
+	return data
+}
+
+func TestReportFileIsJSONUnderChecksumTrailer(t *testing.T) {
+	mfs := NewMemFS()
+	s, _, err := Open("", Options{FS: mfs, DiskRetention: 2, CompactFanIn: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := fillReports(t, s, []int{3, 0, 5})
+	var onDisk int64
+	for e, blob := range blobs {
+		got, err := s.Report(uint64(e))
+		if err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("Report(%d) differs from the bytes put (err %v)", e, err)
+		}
+		file, err := mfs.ReadInto(reportName(uint64(e)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(file) != len(blob)+reportTrailerLen || !bytes.Equal(file[:len(blob)], blob) {
+			t.Fatalf("epoch %d: file is not the JSON followed by a %d-byte trailer", e, reportTrailerLen)
+		}
+		onDisk += int64(len(file))
+	}
+	if st := s.StoreStats(); st.ReportBytes != onDisk || st.Reports != 3 {
+		t.Fatalf("StoreStats = %+v, want %d report bytes in 3 reports", st, onDisk)
+	}
+	// Re-putting replaces, it does not add.
+	if err := s.PutReport(1, blobs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.StoreStats(); st.ReportBytes != onDisk {
+		t.Fatalf("ReportBytes = %d after a re-put, want %d", st.ReportBytes, onDisk)
+	}
+	// Recovery arrives at the same figure from the files alone.
+	s2, stats, err := Open("", Options{FS: mfs, DiskRetention: 2, CompactFanIn: -1})
+	if err != nil || stats.Reports != 3 || stats.CorruptReports != 0 {
+		t.Fatalf("reopen: %+v, %v", stats, err)
+	}
+	if st := s2.StoreStats(); st.ReportBytes != onDisk {
+		t.Fatalf("ReportBytes = %d after reopen, want %d", st.ReportBytes, onDisk)
+	}
+	// Retention takes epoch 0's report and its bytes with it.
+	if cs, err := s2.Compact(); err != nil || cs.ReportsDropped != 1 {
+		t.Fatalf("Compact: %+v, %v", cs, err)
+	}
+	if st := s2.StoreStats(); st.ReportBytes != onDisk-int64(len(blobs[0])+reportTrailerLen) {
+		t.Fatalf("ReportBytes = %d after retention, want epoch 0's file gone from %d", st.ReportBytes, onDisk)
+	}
+	if err := s2.PutReport(2, nil); err == nil {
+		t.Fatal("PutReport accepted an empty report")
+	}
+}
+
+func TestOpenDropsBitRottedReport(t *testing.T) {
+	mfs := NewMemFS()
+	s, _, err := Open("", Options{FS: mfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := fillReports(t, s, []int{2, 2, 2})
+	rewriteFile(t, mfs, reportName(1), flipDigit)
+	if rotted, _ := mfs.ReadInto(reportName(1), nil); !json.Valid(rotted[:len(rotted)-reportTrailerLen]) {
+		t.Fatal("the flipped digit was meant to leave valid JSON")
+	}
+	// The open store notices when asked…
+	if _, err := s.Report(1); !errors.Is(err, ErrCorruptReport) {
+		t.Fatalf("Report(1) over a rotted file: err = %v, want ErrCorruptReport", err)
+	}
+	// …and recovery refuses to vouch for it: dropped, counted apart
+	// from the orphans, named in the boot line.
+	s2, stats, err := Open("", Options{FS: mfs})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if stats.CorruptReports != 1 || stats.OrphansRemoved != 0 || stats.Reports != 2 {
+		t.Fatalf("recovery stats: %+v, want 1 corrupt report, 0 orphans, 2 reports", stats)
+	}
+	if want := "1 corrupt reports"; !bytes.Contains([]byte(stats.String()), []byte(want)) {
+		t.Fatalf("boot line %q does not say %q", stats, want)
+	}
+	if s2.HasReport(1) {
+		t.Fatal("the rotted report is still on record")
+	}
+	if _, err := mfs.ReadInto(reportName(1), nil); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the rotted file survived recovery: %v", err)
+	}
+	// HasReport false is what sends the epoch through verification
+	// again on re-execution; its verdict then files as usual.
+	if err := s2.PutReport(1, blobs[1]); err != nil {
+		t.Fatal(err)
+	}
+	for e, blob := range blobs {
+		if got, err := s2.Report(uint64(e)); err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("Report(%d) after repair: err %v", e, err)
+		}
+	}
+}
+
+// A report written before reports carried a checksum is bare JSON. It
+// cannot be told from a damaged one, so it is treated as one: not
+// vouched for, dropped, its epoch verified again.
+func TestOpenDropsReportWithoutTrailer(t *testing.T) {
+	for name, file := range map[string]func(blob []byte) []byte{
+		"bare JSON, the format before the trailer": func(blob []byte) []byte { return blob },
+		"empty file":              func([]byte) []byte { return nil },
+		"a trailer and no report": func([]byte) []byte { return make([]byte, reportTrailerLen) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			mfs := NewMemFS()
+			s, _, err := Open("", Options{FS: mfs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs := fillReports(t, s, []int{2, 2})
+			rewriteFile(t, mfs, reportName(0), func([]byte) []byte { return file(blobs[0]) })
+			s2, stats, err := Open("", Options{FS: mfs})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if stats.CorruptReports != 1 || stats.Reports != 1 || s2.HasReport(0) || !s2.HasReport(1) {
+				t.Fatalf("recovery stats: %+v, want epoch 0's report dropped as corrupt and epoch 1's kept", stats)
+			}
+		})
+	}
+}
+
+// A read that fails is not a verdict on the file: Open must hand the
+// error up and leave the report where it is.
+func TestOpenReturnsReportReadError(t *testing.T) {
+	mfs := NewMemFS()
+	s, _, err := Open("", Options{FS: mfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := fillReports(t, s, []int{2, 2})
+	fault := NewFaultFS(mfs, 1<<20)
+	fault.FailRead(reportName(1))
+	if _, _, err := Open("", Options{FS: fault}); !errors.Is(err, ErrInjectedFault) {
+		t.Fatalf("Open over an unreadable report: err = %v, want the read error", err)
+	}
+	if _, err := mfs.ReadInto(reportName(1), nil); err != nil {
+		t.Fatalf("Open deleted the report it could not read: %v", err)
+	}
+	// The same through FaultFS with the file damaged rather than
+	// unreadable: dropped and counted, no error.
+	fault.FailRead("")
+	rewriteFile(t, mfs, reportName(0), flipDigit)
+	s2, stats, err := Open("", Options{FS: fault})
+	if err != nil || stats.CorruptReports != 1 || stats.Reports != 1 {
+		t.Fatalf("Open over a damaged report: %+v, %v", stats, err)
+	}
+	if got, err := s2.Report(1); err != nil || !bytes.Equal(got, blobs[1]) {
+		t.Fatalf("the intact report did not survive: %v", err)
+	}
+}
+
+// verdictsOracle renders the response the way the handler used to:
+// json.Encoder over the reports as RawMessages.
+func verdictsOracle(t *testing.T, epochs []uint64, reports [][]byte) []byte {
+	t.Helper()
+	resp := struct {
+		Epochs  []uint64          `json:"epochs"`
+		Reports []json.RawMessage `json:"reports"`
+	}{Epochs: []uint64{}, Reports: []json.RawMessage{}}
+	for i, e := range epochs {
+		resp.Epochs = append(resp.Epochs, e)
+		resp.Reports = append(resp.Reports, reports[i])
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestVerdictsResponseByteIdentical(t *testing.T) {
+	s, _, err := Open("", Options{FS: NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := NewHandler(s, APIConfig{})
+	get := func(query string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		api.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/verdicts"+query, nil))
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("GET %s: %d %q", query, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		return rec.Body.Bytes()
+	}
+	if got, want := get(""), verdictsOracle(t, nil, nil); !bytes.Equal(got, want) {
+		t.Fatalf("empty store: %q, want %q", got, want)
+	}
+
+	blobs := fillReports(t, s, []int{4, 0, 9, 1})
+	for _, c := range []struct {
+		query  string
+		epochs []uint64
+	}{
+		{"", []uint64{0, 1, 2, 3}},
+		{"?from=2&to=2", []uint64{2}},
+		{"?from=1", []uint64{1, 2, 3}},
+		{"?from=7", nil},
+	} {
+		var reports [][]byte
+		for _, e := range c.epochs {
+			reports = append(reports, blobs[e])
+		}
+		if got, want := get(c.query), verdictsOracle(t, c.epochs, reports); !bytes.Equal(got, want) {
+			t.Fatalf("GET %q differs from the json.Encoder rendering:\n got %.200q\nwant %.200q", c.query, got, want)
+		}
+	}
+
+	// The filtered path shares the frame: narrowed reports, re-encoded.
+	const domain = "AS64513"
+	var epochs []uint64
+	var reports [][]byte
+	for e := range blobs {
+		rep, err := core.DecodeEpochReport(blobs[e])
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrowed := filterReport(rep, false, packet.PathKey{}, domain)
+		if len(narrowed.Keys) == 0 {
+			continue
+		}
+		enc, err := json.Marshal(narrowed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		epochs, reports = append(epochs, uint64(e)), append(reports, enc)
+	}
+	if len(epochs) == 0 || len(epochs) == len(blobs) {
+		t.Fatalf("the domain filter kept %d of %d epochs; the case needs some and not all", len(epochs), len(blobs))
+	}
+	if got, want := get("?domain="+domain), verdictsOracle(t, epochs, reports); !bytes.Equal(got, want) {
+		t.Fatalf("filtered response differs from the json.Encoder rendering:\n got %.200q\nwant %.200q", got, want)
+	}
+}
+
+// A report that fails its checksum once earlier reports are on the wire
+// must break the response, not shorten it.
+func TestVerdictsAbortsMidStreamOnCorruptReport(t *testing.T) {
+	mfs := NewMemFS()
+	s, _, err := Open("", Options{FS: mfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reports larger than the server's write buffer, so epoch 0's is on
+	// the wire when epoch 1's fails.
+	fillReports(t, s, []int{20, 20, 20})
+	srv := httptest.NewServer(NewHandler(s, APIConfig{}))
+	defer srv.Close()
+	srv.Config.ErrorLog = nil
+
+	rewriteFile(t, mfs, reportName(1), flipDigit)
+	resp, err := srv.Client().Get(srv.URL + "/api/v1/verdicts")
+	if err != nil {
+		t.Fatalf("GET: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err == nil {
+		t.Fatalf("status %d, body read err %v; want 200 and then a broken body", resp.StatusCode, err)
+	}
+	if json.Valid(body) {
+		t.Fatalf("the aborted response is a well-formed body: %.200q", body)
+	}
+
+	// Before the first byte there is still a status line to say it on.
+	resp, err = srv.Client().Get(srv.URL + "/api/v1/verdicts?from=1")
+	if err != nil {
+		t.Fatalf("GET: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d for a query whose first report is corrupt, want 500", resp.StatusCode)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing, so the
+// allocation gates below see the handler's allocations and not a
+// recorder's growing body.
+type discardWriter struct {
+	header http.Header
+	code   int
+	n      int64
+}
+
+func (w *discardWriter) Header() http.Header  { return w.header }
+func (w *discardWriter) WriteHeader(code int) { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// diskStore builds a store on a real directory holding one synthetic
+// report per entry of keys, closes it, and returns the directory and
+// the size of each report file.
+func diskStore(t testing.TB, keys []int) (string, []int64) {
+	t.Helper()
+	dir := t.TempDir()
+	s, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillReports(t, s, keys)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([]int64, len(keys))
+	for e := range keys {
+		info, err := os.Stat(filepath.Join(dir, reportName(uint64(e))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[e] = info.Size()
+	}
+	return dir, sizes
+}
+
+// Open reads every file through one buffer: what it allocates follows
+// the largest file, not the sum of them.
+func TestOpenAllocatesLargestFileNotSum(t *testing.T) {
+	keys := []int{300, 280, 310, 290, 305, 270, 320, 300, 295, 315, 285, 300}
+	dir, sizes := diskStore(t, keys)
+	var largest, sum int64
+	for _, n := range sizes {
+		largest, sum = max(largest, n), sum+n
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, stats, err := Open(dir, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil || stats.Reports != len(keys) {
+		t.Fatalf("Open: %+v, %v", stats, err)
+	}
+	defer s.Close()
+	got := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("Open allocated %d B over %d reports: largest %d B, sum %d B", got, len(keys), largest, sum)
+	if got >= 2*largest {
+		t.Fatalf("Open allocated %d B, not under twice its largest file (%d B); the files sum to %d B", got, largest, sum)
+	}
+}
+
+// One unfiltered single-epoch query allocates the same number of
+// objects whether the report is a few kilobytes or a megabyte.
+func TestVerdictQueryAllocsIndependentOfReportSize(t *testing.T) {
+	dir, sizes := diskStore(t, []int{4, 1500})
+	if sizes[1] < 100*sizes[0] {
+		t.Fatalf("report sizes %v: the case needs two orders of magnitude between them", sizes)
+	}
+	s, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	api := NewHandler(s, APIConfig{})
+	allocs := func(epoch int) float64 {
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/api/v1/verdicts?from=%d&to=%d", epoch, epoch), nil)
+		w := &discardWriter{header: make(http.Header)}
+		n := testing.AllocsPerRun(20, func() {
+			w.n = 0
+			api.ServeHTTP(w, req)
+		})
+		if w.code != 0 || w.n < sizes[epoch]-reportTrailerLen {
+			t.Fatalf("epoch %d: status %d, %d bytes written for a %d-byte file", epoch, w.code, w.n, sizes[epoch])
+		}
+		return n
+	}
+	large := allocs(1)
+	small := allocs(0)
+	t.Logf("allocs per query: %.0f for %d B, %.0f for %d B", small, sizes[0], large, sizes[1])
+	if large != small && !raceEnabled {
+		t.Fatalf("a %d-byte report costs %.0f allocations per query, a %d-byte one %.0f", sizes[1], large, sizes[0], small)
+	}
+}
+
+func BenchmarkOpen(b *testing.B) {
+	keys := []int{1500, 1500, 1500, 1500, 1500, 1500, 1500, 1500}
+	dir, sizes := diskStore(b, keys)
+	var sum int64
+	for _, n := range sizes {
+		sum += n
+	}
+	b.SetBytes(sum)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, stats, err := Open(dir, Options{})
+		if err != nil || stats.Reports != len(keys) {
+			b.Fatalf("Open: %+v, %v", stats, err)
+		}
+		s.Close()
+	}
+}
+
+func BenchmarkVerdictsQuery(b *testing.B) {
+	dir, sizes := diskStore(b, []int{1500})
+	s, _, err := Open(dir, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	api := NewHandler(s, APIConfig{})
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/verdicts?from=0&to=0", nil)
+	w := &discardWriter{header: make(http.Header)}
+	b.SetBytes(sizes[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		api.ServeHTTP(w, req)
+	}
+	if w.code != 0 {
+		b.Fatalf("status %d", w.code)
+	}
+}

@@ -94,14 +94,22 @@ func EncodeBlock(epoch uint64, hop receipt.HOPID, samples []receipt.SampleReceip
 	return AppendBlock(nil, epoch, hop, samples, aggs)
 }
 
-// decodeBlock parses one block from b, returning the block and the
-// remaining bytes. A clean truncation (fewer bytes than the header or
-// payload promise, with the present prefix intact) returns ErrTornTail;
-// checksum or receipt-decode failures return ErrCorruptSegment.
-func decodeBlock(b []byte) (Block, []byte, error) {
-	var blk Block
+// blockHeader is a block's fixed header, decoded.
+type blockHeader struct {
+	epoch           uint64
+	hop             receipt.HOPID
+	nSamples, nAggs uint32
+}
+
+// nextBlock checks the block at the head of b against both of its
+// checksums and returns its header and payload. A clean truncation
+// (fewer bytes than the header or payload promise, with the present
+// prefix intact) returns ErrTornTail; a checksum failure returns
+// ErrCorruptSegment.
+func nextBlock(b []byte) (blockHeader, []byte, error) {
+	var h blockHeader
 	if len(b) < blockHeaderLen {
-		return blk, nil, ErrTornTail
+		return h, nil, ErrTornTail
 	}
 	hdr := b[:blockHeaderLen]
 	if crc32.Checksum(hdr[:28], crcTable) != binary.LittleEndian.Uint32(hdr[28:32]) {
@@ -109,48 +117,82 @@ func decodeBlock(b []byte) (Block, []byte, error) {
 		// indistinguishable from a corrupt one; either way the block —
 		// and everything after it — is unusable. Report the stronger
 		// "torn" only when the header itself was short.
-		return blk, nil, fmt.Errorf("%w: block header checksum", ErrCorruptSegment)
+		return h, nil, fmt.Errorf("%w: block header checksum", ErrCorruptSegment)
 	}
-	blk.Epoch = binary.LittleEndian.Uint64(hdr[0:8])
-	blk.HOP = receipt.HOPID(binary.LittleEndian.Uint32(hdr[8:12]))
-	nSamples := binary.LittleEndian.Uint32(hdr[12:16])
-	nAggs := binary.LittleEndian.Uint32(hdr[16:20])
+	h.epoch = binary.LittleEndian.Uint64(hdr[0:8])
+	h.hop = receipt.HOPID(binary.LittleEndian.Uint32(hdr[8:12]))
+	h.nSamples = binary.LittleEndian.Uint32(hdr[12:16])
+	h.nAggs = binary.LittleEndian.Uint32(hdr[16:20])
 	payloadLen := binary.LittleEndian.Uint32(hdr[20:24])
-	wantCRC := binary.LittleEndian.Uint32(hdr[24:28])
 	rest := b[blockHeaderLen:]
 	if uint64(len(rest)) < uint64(payloadLen) {
-		return blk, nil, ErrTornTail
+		return h, nil, ErrTornTail
 	}
 	payload := rest[:payloadLen]
-	if crc32.Checksum(payload, crcTable) != wantCRC {
-		return blk, nil, fmt.Errorf("%w: block payload checksum", ErrCorruptSegment)
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[24:28]) {
+		return h, nil, fmt.Errorf("%w: block payload checksum", ErrCorruptSegment)
 	}
-	for i := uint32(0); i < nSamples; i++ {
+	return h, payload, nil
+}
+
+// decodeReceipts parses a checksummed block payload into its receipts;
+// anything but exactly the declared samples then aggregates is
+// ErrCorruptSegment.
+func decodeReceipts(h blockHeader, payload []byte) (Block, error) {
+	blk := Block{Epoch: h.epoch, HOP: h.hop}
+	for i := uint32(0); i < h.nSamples; i++ {
 		s, _, r, err := receipt.Decode(payload)
 		if err != nil {
-			return blk, nil, fmt.Errorf("%w: sample %d: %v", ErrCorruptSegment, i, err)
+			return blk, fmt.Errorf("%w: sample %d: %v", ErrCorruptSegment, i, err)
 		}
 		if s == nil {
-			return blk, nil, fmt.Errorf("%w: sample %d has wrong kind", ErrCorruptSegment, i)
+			return blk, fmt.Errorf("%w: sample %d has wrong kind", ErrCorruptSegment, i)
 		}
 		blk.Samples = append(blk.Samples, *s)
 		payload = r
 	}
-	for i := uint32(0); i < nAggs; i++ {
+	for i := uint32(0); i < h.nAggs; i++ {
 		_, a, r, err := receipt.Decode(payload)
 		if err != nil {
-			return blk, nil, fmt.Errorf("%w: agg %d: %v", ErrCorruptSegment, i, err)
+			return blk, fmt.Errorf("%w: agg %d: %v", ErrCorruptSegment, i, err)
 		}
 		if a == nil {
-			return blk, nil, fmt.Errorf("%w: agg %d has wrong kind", ErrCorruptSegment, i)
+			return blk, fmt.Errorf("%w: agg %d has wrong kind", ErrCorruptSegment, i)
 		}
 		blk.Aggs = append(blk.Aggs, *a)
 		payload = r
 	}
 	if len(payload) != 0 {
-		return blk, nil, fmt.Errorf("%w: %d payload bytes beyond the declared receipts", ErrCorruptSegment, len(payload))
+		return blk, fmt.Errorf("%w: %d payload bytes beyond the declared receipts", ErrCorruptSegment, len(payload))
 	}
-	return blk, rest[payloadLen:], nil
+	return blk, nil
+}
+
+// scanBlocks walks a segment image block by block, handing each block
+// that passes its checksums to each. It returns the length of the
+// prefix each accepted (magic included — the truncation point for a
+// torn file) and the error that stopped the walk: nil for a clean end,
+// ErrTornTail for an incomplete final block, ErrCorruptSegment
+// (wrapped) for a checksum failure, or whatever each returned.
+func scanBlocks(data []byte, each func(h blockHeader, payload []byte) error) (int, error) {
+	if len(data) < len(segMagic) {
+		return 0, fmt.Errorf("%w: short magic", ErrTornTail)
+	}
+	if [8]byte(data[:8]) != segMagic {
+		return 0, fmt.Errorf("%w: bad magic", ErrCorruptSegment)
+	}
+	valid := len(segMagic)
+	for valid < len(data) {
+		h, payload, err := nextBlock(data[valid:])
+		if err != nil {
+			return valid, err
+		}
+		if err := each(h, payload); err != nil {
+			return valid, err
+		}
+		valid += blockHeaderLen + len(payload)
+	}
+	return valid, nil
 }
 
 // ScanSegment decodes a segment image block by block. It returns the
@@ -161,23 +203,13 @@ func decodeBlock(b []byte) (Block, []byte, error) {
 // decode failures. Malformed input of any shape returns; it never
 // panics (FuzzDecodeSegment).
 func ScanSegment(data []byte) ([]Block, int, error) {
-	if len(data) < len(segMagic) {
-		return nil, 0, fmt.Errorf("%w: short magic", ErrTornTail)
-	}
-	if [8]byte(data[:8]) != segMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorruptSegment)
-	}
 	var blocks []Block
-	valid := len(segMagic)
-	rest := data[len(segMagic):]
-	for len(rest) > 0 {
-		blk, r, err := decodeBlock(rest)
-		if err != nil {
-			return blocks, valid, err
+	valid, err := scanBlocks(data, func(h blockHeader, payload []byte) error {
+		blk, err := decodeReceipts(h, payload)
+		if err == nil {
+			blocks = append(blocks, blk)
 		}
-		blocks = append(blocks, blk)
-		valid += len(rest) - len(r)
-		rest = r
-	}
-	return blocks, valid, nil
+		return err
+	})
+	return blocks, valid, err
 }

@@ -330,7 +330,7 @@ func TestRecoveryRefusesCorruptSealedSegment(t *testing.T) {
 	cases := map[string]func(mfs *MemFS){
 		"missing segment": func(mfs *MemFS) { mfs.Remove(segmentName(0)) },
 		"payload bitflip": func(mfs *MemFS) {
-			data, _ := mfs.ReadFile(segmentName(0))
+			data, _ := mfs.ReadInto(segmentName(0), nil)
 			data[len(data)-1] ^= 0x10
 			mfs.Truncate(segmentName(0), 0)
 			f, _ := mfs.OpenAppend(segmentName(0))
@@ -338,7 +338,7 @@ func TestRecoveryRefusesCorruptSealedSegment(t *testing.T) {
 			f.Close()
 		},
 		"short file": func(mfs *MemFS) {
-			data, _ := mfs.ReadFile(segmentName(0))
+			data, _ := mfs.ReadInto(segmentName(0), nil)
 			mfs.Truncate(segmentName(0), int64(len(data)-4))
 		},
 	}
@@ -409,7 +409,7 @@ func TestManifestEntryCRCMatchesFile(t *testing.T) {
 	}
 	fillEpochs(t, s, 2, []receipt.HOPID{0, 1})
 	for _, e := range s.Manifest() {
-		data, err := mfs.ReadFile(e.File)
+		data, err := mfs.ReadInto(e.File, nil)
 		if err != nil {
 			t.Fatalf("read %s: %v", e.File, err)
 		}

@@ -1,7 +1,7 @@
 package segstore
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -29,6 +29,9 @@ var (
 	// epoch that is not durably sealed — a report must never outlive
 	// the evidence it judges.
 	ErrNotSealed = errors.New("segstore: epoch not sealed")
+	// ErrCorruptReport reports a verdict-report file that is shorter
+	// than its framing or fails its checksum.
+	ErrCorruptReport = errors.New("segstore: verdict report fails integrity check")
 )
 
 // Options parameterizes a Store.
@@ -84,8 +87,14 @@ type RecoveryStats struct {
 	// grown past their committed size (an append torn mid-crash after
 	// the manifest commit).
 	TruncatedBytes int64 `json:"truncated_bytes"`
-	// OrphansRemoved counts stale temp files garbage-collected.
+	// OrphansRemoved counts stale temp files, and reports of epochs
+	// that never sealed, garbage-collected.
 	OrphansRemoved int `json:"orphans_removed"`
+	// CorruptReports counts reports of sealed epochs dropped because
+	// they failed their checksum (bit rot, or a file from before
+	// reports carried one). Their epochs have no verdict on record and
+	// are verified again when the stream is re-executed.
+	CorruptReports int `json:"corrupt_reports"`
 }
 
 // String renders the one-line boot summary.
@@ -94,8 +103,8 @@ func (s RecoveryStats) String() string {
 	if s.HasSealed {
 		last = fmt.Sprintf("%d", s.LastSealed)
 	}
-	return fmt.Sprintf("recovered %d sealed epochs (last sealed epoch %s, %d reports); dropped %d partial segments (%d blocks, %d torn bytes), %d orphans",
-		s.SealedEpochs, last, s.Reports, s.PartialSegments, s.PartialBlocksDropped, s.TornBytes, s.OrphansRemoved)
+	return fmt.Sprintf("recovered %d sealed epochs (last sealed epoch %s, %d reports); dropped %d partial segments (%d blocks, %d torn bytes), %d orphans, %d corrupt reports",
+		s.SealedEpochs, last, s.Reports, s.PartialSegments, s.PartialBlocksDropped, s.TornBytes, s.OrphansRemoved, s.CorruptReports)
 }
 
 // activeSegment is one open (unsealed) epoch's append state.
@@ -117,18 +126,26 @@ type Store struct {
 	opts    Options
 	entries []SegmentInfo // committed manifest, sorted by FromEpoch
 	active  map[uint64]*activeSegment
-	reports map[uint64]bool
-	buf     []byte // grow-only block-encode buffer
+	// reports maps each epoch with a durable report to its file's size;
+	// reportBytes is their sum.
+	reports     map[uint64]int64
+	reportBytes int64
+	buf         []byte // grow-only block-encode buffer
 }
 
 // Open opens (or initializes) the store in dir, running crash
 // recovery: the manifest's world is validated segment by segment, torn
 // tails are truncated, unsealed partial segments and stale temp files
-// are removed. Returns the store and what recovery found. Integrity
-// failures (a corrupt manifest, a sealed segment that cannot be read
-// back) return typed errors — ErrCorruptManifest, ErrSegmentIntegrity;
-// match with errors.Is — and no store, so the caller decides whether
-// to refuse service or rebuild.
+// are removed, and every report is held to its checksum. Every file is
+// read through one buffer that grows to the largest of them. Returns
+// the store and what recovery found. Integrity failures (a corrupt
+// manifest, a sealed segment that cannot be read back) return typed
+// errors — ErrCorruptManifest, ErrSegmentIntegrity; match with
+// errors.Is — and no store, so the caller decides whether to refuse
+// service or rebuild. A report that fails its checksum is not fatal:
+// the evidence is intact, so the file is dropped and the epoch is
+// verified again. A report that cannot be read at all is an error —
+// deleting a verdict over a transient EIO would be.
 func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	opts = opts.normalize()
 	var stats RecoveryStats
@@ -144,7 +161,7 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 		fsys:    fsys,
 		opts:    opts,
 		active:  make(map[uint64]*activeSegment),
-		reports: make(map[uint64]bool),
+		reports: make(map[uint64]int64),
 	}
 	entries, err := loadManifest(fsys)
 	if err != nil {
@@ -153,12 +170,17 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].FromEpoch < entries[j].FromEpoch })
 	s.entries = entries
 
-	// Validate every sealed segment against its manifest entry.
+	// Validate every sealed segment against its manifest entry: size,
+	// whole-file checksum, then every block's own checksums, the block
+	// count and the epochs the blocks claim. Receipts are not decoded —
+	// bytes that pass the committed checksum are the bytes Seal wrote.
+	var buf []byte // every file below is read through this
 	for _, e := range entries {
-		data, err := fsys.ReadFile(e.File)
+		buf, err = fsys.ReadInto(e.File, buf)
 		if err != nil {
 			return nil, stats, fmt.Errorf("%w: %s: %v", ErrSegmentIntegrity, e.File, err)
 		}
+		data := buf
 		if int64(len(data)) < e.Bytes {
 			return nil, stats, fmt.Errorf("%w: %s has %d bytes, manifest committed %d",
 				ErrSegmentIntegrity, e.File, len(data), e.Bytes)
@@ -176,19 +198,20 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 			return nil, stats, fmt.Errorf("%w: %s checksum %08x, manifest committed %08x",
 				ErrSegmentIntegrity, e.File, got, e.CRC)
 		}
-		blocks, _, err := ScanSegment(data)
+		blocks := 0
+		_, err := scanBlocks(data, func(h blockHeader, _ []byte) error {
+			if h.epoch < e.FromEpoch || h.epoch > e.ToEpoch {
+				return fmt.Errorf("holds epoch %d outside [%d,%d]", h.epoch, e.FromEpoch, e.ToEpoch)
+			}
+			blocks++
+			return nil
+		})
 		if err != nil {
 			return nil, stats, fmt.Errorf("%w: %s: %v", ErrSegmentIntegrity, e.File, err)
 		}
-		if len(blocks) != e.Blocks {
+		if blocks != e.Blocks {
 			return nil, stats, fmt.Errorf("%w: %s holds %d blocks, manifest committed %d",
-				ErrSegmentIntegrity, e.File, len(blocks), e.Blocks)
-		}
-		for _, b := range blocks {
-			if b.Epoch < e.FromEpoch || b.Epoch > e.ToEpoch {
-				return nil, stats, fmt.Errorf("%w: %s holds epoch %d outside [%d,%d]",
-					ErrSegmentIntegrity, e.File, b.Epoch, e.FromEpoch, e.ToEpoch)
-			}
+				ErrSegmentIntegrity, e.File, blocks, e.Blocks)
 		}
 	}
 
@@ -212,36 +235,47 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 			stats.OrphansRemoved++
 		case strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix):
 			// An unsealed segment: the epoch in flight at the crash.
-			// Scan its valid prefix for the record, then drop it —
+			// Walk its valid prefix for the record, then drop it —
 			// commitment is at seal, and keeping a partial epoch would
 			// double-count its receipts when the epoch is rebuilt.
-			data, err := fsys.ReadFile(name)
+			buf, err = fsys.ReadInto(name, buf)
 			if err != nil {
 				return nil, stats, fmt.Errorf("segstore: read partial %s: %w", name, err)
 			}
-			blocks, valid, scanErr := ScanSegment(data)
+			blocks := 0
+			valid, scanErr := scanBlocks(buf, func(blockHeader, []byte) error { blocks++; return nil })
 			stats.PartialSegments++
-			stats.PartialBlocksDropped += len(blocks)
+			stats.PartialBlocksDropped += blocks
 			if scanErr != nil {
-				stats.TornBytes += int64(len(data) - valid)
+				stats.TornBytes += int64(len(buf) - valid)
 			}
 			if err := fsys.Remove(name); err != nil {
 				return nil, stats, fmt.Errorf("segstore: remove partial %s: %w", name, err)
 			}
 		case strings.HasPrefix(name, repPrefix) && strings.HasSuffix(name, repSuffix):
 			epoch, perr := parseReportName(name)
-			if perr == nil && s.sealedLocked(epoch) {
-				if data, err := fsys.ReadFile(name); err == nil && json.Valid(data) {
-					s.reports[epoch] = true
-					continue
+			if perr != nil || !s.sealedLocked(epoch) {
+				// A report for an epoch that is not durably sealed: a
+				// verdict without evidence — drop it.
+				if err := fsys.Remove(name); err != nil {
+					return nil, stats, fmt.Errorf("segstore: remove orphan report %s: %w", name, err)
 				}
+				stats.OrphansRemoved++
+				continue
 			}
-			// A report for an epoch that is not durably sealed (or
-			// unreadable): a verdict without evidence — drop it.
-			if err := fsys.Remove(name); err != nil {
-				return nil, stats, fmt.Errorf("segstore: remove orphan report %s: %w", name, err)
+			buf, err = fsys.ReadInto(name, buf)
+			if err != nil {
+				return nil, stats, fmt.Errorf("segstore: read report %s: %w", name, err)
 			}
-			stats.OrphansRemoved++
+			if _, err := reportPayload(buf); err != nil {
+				if err := fsys.Remove(name); err != nil {
+					return nil, stats, fmt.Errorf("segstore: remove corrupt report %s: %w", name, err)
+				}
+				stats.CorruptReports++
+				continue
+			}
+			s.reports[epoch] = int64(len(buf))
+			s.reportBytes += int64(len(buf))
 		}
 	}
 	if err := fsys.SyncDir(); err != nil {
@@ -267,6 +301,27 @@ const (
 	repPrefix = "rep-"
 	repSuffix = ".json"
 )
+
+// A report file is the canonical JSON followed by a fixed trailer: the
+// CRC-32C of the JSON, little-endian — the checksum and byte order of
+// the segment block framing. JSON that parses is not evidence the
+// bytes are the ones verification wrote (a flipped digit still
+// parses); the trailer is. A file from before the trailer existed
+// fails the check like any other damaged one.
+const reportTrailerLen = 4
+
+// reportPayload checks a report file image against its trailer and
+// returns the JSON inside it, a prefix of file.
+func reportPayload(file []byte) ([]byte, error) {
+	n := len(file) - reportTrailerLen
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: %d bytes hold no report", ErrCorruptReport, len(file))
+	}
+	if got, want := crc32.Checksum(file[:n], crcTable), binary.LittleEndian.Uint32(file[n:]); got != want {
+		return nil, fmt.Errorf("%w: checksum %08x, trailer says %08x", ErrCorruptReport, got, want)
+	}
+	return file[:n], nil
+}
 
 func segmentName(epoch uint64) string {
 	return fmt.Sprintf("%s%016x%s", segPrefix, epoch, segSuffix)
@@ -456,7 +511,7 @@ func (s *Store) ReadEpoch(epoch uint64) ([]Block, error) {
 	}
 	e := *entry
 	s.mu.Unlock()
-	data, err := s.fsys.ReadFile(e.File)
+	data, err := s.fsys.ReadInto(e.File, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrSegmentIntegrity, e.File, err)
 	}
@@ -477,16 +532,20 @@ func (s *Store) ReadEpoch(epoch uint64) ([]Block, error) {
 }
 
 // PutReport durably files the epoch's canonical verdict-report bytes
-// (write-temp, sync, rename, sync-dir — the same commit discipline as
-// the manifest). The epoch must be sealed first — a verdict must
-// never outlive the evidence it judges — else ErrNotSealed is
-// returned (match with errors.Is). Re-putting a report replaces it
-// (re-verification writes identical bytes).
+// under their checksum trailer (write-temp, sync, rename, sync-dir —
+// the same commit discipline as the manifest). data is not retained.
+// The epoch must be sealed first — a verdict must never outlive the
+// evidence it judges — else ErrNotSealed is returned (match with
+// errors.Is). Re-putting a report replaces it (re-verification writes
+// identical bytes).
 func (s *Store) PutReport(epoch uint64, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.sealedLocked(epoch) {
 		return fmt.Errorf("%w: epoch %d has no durable evidence for a report", ErrNotSealed, epoch)
+	}
+	if len(data) == 0 {
+		return fmt.Errorf("segstore: empty report for epoch %d", epoch)
 	}
 	name := reportName(epoch)
 	tmp := name + ".tmp"
@@ -497,9 +556,13 @@ func (s *Store) PutReport(epoch uint64, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("segstore: stage report for epoch %d: %w", epoch, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("segstore: stage report for epoch %d: %w", epoch, err)
+	var trailer [reportTrailerLen]byte
+	binary.LittleEndian.PutUint32(trailer[:], crc32.Checksum(data, crcTable))
+	for _, part := range [][]byte{data, trailer[:]} {
+		if _, err := f.Write(part); err != nil {
+			f.Close()
+			return fmt.Errorf("segstore: stage report for epoch %d: %w", epoch, err)
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -514,7 +577,9 @@ func (s *Store) PutReport(epoch uint64, data []byte) error {
 	if err := s.fsys.SyncDir(); err != nil {
 		return fmt.Errorf("segstore: sync report commit for epoch %d: %w", epoch, err)
 	}
-	s.reports[epoch] = true
+	size := int64(len(data) + reportTrailerLen)
+	s.reportBytes += size - s.reports[epoch]
+	s.reports[epoch] = size
 	return nil
 }
 
@@ -522,19 +587,39 @@ func (s *Store) PutReport(epoch uint64, data []byte) error {
 func (s *Store) HasReport(epoch uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.reports[epoch]
+	_, ok := s.reports[epoch]
+	return ok
 }
 
-// Report returns the epoch's stored verdict-report bytes; fs.ErrNotExist
-// (wrapped) when none is filed.
+// Report returns the epoch's stored verdict-report bytes — exactly the
+// canonical JSON PutReport was given, verified against its checksum;
+// fs.ErrNotExist (wrapped) when none is filed, ErrCorruptReport
+// (wrapped) when the file no longer matches its trailer.
 func (s *Store) Report(epoch uint64) ([]byte, error) {
+	return s.ReportInto(epoch, nil)
+}
+
+// ReportInto is Report through the caller's buffer: the file is read
+// into buf's storage (see FS.ReadInto) and the returned JSON is a
+// prefix of it. The errors are Report's — fs.ErrNotExist,
+// ErrCorruptReport — and beside one it returns the buffer emptied, so
+// a serving loop keeps one buffer whatever happens.
+func (s *Store) ReportInto(epoch uint64, buf []byte) ([]byte, error) {
 	s.mu.Lock()
-	ok := s.reports[epoch]
+	_, ok := s.reports[epoch]
 	s.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("segstore: no report for epoch %d: %w", epoch, fs.ErrNotExist)
+		return buf[:0], fmt.Errorf("segstore: no report for epoch %d: %w", epoch, fs.ErrNotExist)
 	}
-	return s.fsys.ReadFile(reportName(epoch))
+	buf, err := s.fsys.ReadInto(reportName(epoch), buf)
+	if err != nil {
+		return buf, err
+	}
+	data, err := reportPayload(buf)
+	if err != nil {
+		return buf[:0], fmt.Errorf("segstore: epoch %d: %w", epoch, err)
+	}
+	return data, nil
 }
 
 // ReportEpochs returns every epoch with a durable report, ascending.
@@ -558,6 +643,9 @@ type Stats struct {
 	Samples      int   `json:"samples"`
 	Aggs         int   `json:"aggs"`
 	Reports      int   `json:"reports"`
+	// ReportBytes is the size of the report files; Bytes counts the
+	// sealed segments only.
+	ReportBytes  int64 `json:"report_bytes"`
 	ActiveEpochs int   `json:"active_epochs"`
 }
 
@@ -568,6 +656,7 @@ func (s *Store) StoreStats() Stats {
 	st := Stats{
 		Segments:     len(s.entries),
 		Reports:      len(s.reports),
+		ReportBytes:  s.reportBytes,
 		ActiveEpochs: len(s.active),
 	}
 	for _, e := range s.entries {
