@@ -209,8 +209,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	path := netsim.Fig1Path(*seed + 1000)
-	dep, err := core.NewDeployment(path, tc.Table(), core.DefaultDeployConfig())
+	dep, err := core.NewDeployment(netsim.Fig1Path(*seed+1000), tc.Table(), core.DefaultDeployConfig())
 	if err != nil {
 		fatal(err)
 	}
@@ -246,7 +245,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sim, err := engine.PathSim(path, nil)
+	sim, err := engine.NewSim(dep.Topo, dep.Table, nil)
 	if err != nil {
 		fatal(err)
 	}

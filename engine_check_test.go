@@ -85,15 +85,15 @@ func TestOnePipeline(t *testing.T) {
 	})
 }
 
-// TestLoadBearingSet is the guard on what PR 22 cut down to: one
-// collector type, no streaming-sketch backend, six binaries, and a
-// facade that exports only what something reads. Each clause fails on a
+// TestLoadBearingSet is the guard on what PRs 22 and 24 cut down to: one
+// collector type, no streaming-sketch backend, one simulator, six
+// binaries, and a facade that exports only what something reads. Each clause fails on a
 // candidate that came back without a caller.
 func TestLoadBearingSet(t *testing.T) {
 	// One collector: in non-test internal/core only Collector and the
 	// epoch clock that wraps it (EpochCollector forwards, it holds no
 	// path state) take observation batches.
-	var batchTypes []string
+	var batchTypes, simTypes []string
 	retired := regexp.MustCompile(`BackendSketch|DrainSketches|SetKeep|SetSink`)
 	fset := token.NewFileSet()
 	walkProductionGo(t, func(path string) error {
@@ -104,7 +104,12 @@ func TestLoadBearingSet(t *testing.T) {
 		if m := retired.Find(src); m != nil {
 			t.Errorf("%s: mentions %s — the streaming-sketch backend is gone; nothing selected it", path, m)
 		}
-		if !strings.HasPrefix(path, "internal/core/") {
+		// The method whose receiver types are gathered from this file.
+		inCore := strings.HasPrefix(path, "internal/core/")
+		method, types := "ObserveBatch", &batchTypes
+		if strings.HasPrefix(path, "internal/netsim/") {
+			method, types = "RunSegment", &simTypes
+		} else if !inCore {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, src, 0)
@@ -112,21 +117,43 @@ func TestLoadBearingSet(t *testing.T) {
 			return err
 		}
 		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || fn.Name.Name != "ObserveBatch" {
-				continue
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil || d.Name.Name != method {
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				*types = append(*types, recv.(*ast.Ident).Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !inCore || ts.Name.Name != "Deployment" {
+						continue
+					}
+					for _, field := range ts.Type.(*ast.StructType).Fields.List {
+						for _, name := range field.Names {
+							if name.Name == "Path" {
+								t.Errorf("%s: core.Deployment has a Path field again — a chain is a Topology with one default route (netsim.Path.Topology)", fset.Position(name.Pos()))
+							}
+						}
+					}
+				}
 			}
-			recv := fn.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
-			}
-			batchTypes = append(batchTypes, recv.(*ast.Ident).Name)
 		}
 		return nil
 	})
 	slices.Sort(batchTypes)
 	if want := []string{"Collector", "EpochCollector"}; !slices.Equal(batchTypes, want) {
 		t.Errorf("types declaring ObserveBatch in non-test internal/core: %v, want %v — a second collector belongs in a _test.go oracle", batchTypes, want)
+	}
+	// One network model: one type in non-test internal/netsim owns a
+	// forwarding sweep, and a deployment holds a Topology, never a Path
+	// beside it.
+	if want := []string{"TopoRunner"}; !slices.Equal(simTypes, want) {
+		t.Errorf("types declaring RunSegment in non-test internal/netsim: %v, want %v — a second simulator belongs in a _test.go oracle", simTypes, want)
 	}
 
 	// Six binaries.

@@ -47,13 +47,12 @@ func main() {
 	}
 
 	// The paper's Figure 1 path with a full deployment on every HOP.
-	path := vpm.Fig1Path(seed + 1)
-	dep, err := vpm.NewDeployment(path, tc.Table(), vpm.DefaultDeployConfig())
+	dep, err := vpm.NewDeployment(vpm.Fig1Path(seed+1), tc.Table(), vpm.DefaultDeployConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	st, err := vpm.RunContinuous(path, dep, gen, ec, epochs, report)
+	st, err := vpm.RunContinuous(dep, gen, ec, epochs, report)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"vpm/internal/aggregation"
-	"vpm/internal/hashing"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
@@ -109,18 +108,13 @@ func DefaultAggregationConfig() aggregation.Config {
 	return aggregation.Config{CutRate: c.Default.AggRate, WindowNS: c.WindowNS}
 }
 
-// Deployment wires a Collector + Processor pair onto every HOP of a
-// simulated path. It is the integration point the examples and
-// experiments use: build a netsim.Path, deploy, run traffic, then
-// verify.
+// Deployment wires a Collector + Processor pair onto every routed HOP
+// of a simulated topology. It is the integration point the examples and
+// experiments use: build a netsim.Path or netsim.Topology, deploy, run
+// traffic, then verify.
 type Deployment struct {
-	// Path is the linear path this deployment covers, nil for a mesh
-	// deployment (see Topo).
-	Path *netsim.Path
-	// Topo is the mesh topology this deployment covers, nil for a
-	// linear one (see NewTopoDeployment). Exactly one of Path and Topo
-	// is set; Layout serves linear deployments, RouteLayouts and
-	// KeyLayouts serve meshes.
+	// Topo is the topology this deployment covers; a chain built as a
+	// netsim.Path is its one-default-route case (NewDeployment).
 	Topo       *netsim.Topology
 	Table      *packet.Table
 	Collectors map[receipt.HOPID]*Collector
@@ -128,75 +122,20 @@ type Deployment struct {
 
 	markerThreshold  uint64
 	sampleThresholds map[receipt.HOPID]uint64
-	// keyLayouts caches the per-key route layouts of a mesh deployment
-	// (nil for linear ones); built lazily on first KeyLayouts call.
+	// keyLayouts caches the per-key route layouts, built lazily on
+	// first KeyLayouts call.
 	keyLayoutsOnce sync.Once
 	keyLayouts     map[packet.PathKey][]Layout
 }
 
 // NewDeployment builds collectors for every HOP of every deploying
-// domain on the path.
+// domain on the path, compiled as it stands (netsim.Path.Topology).
 func NewDeployment(path *netsim.Path, table *packet.Table, cfg DeployConfig) (*Deployment, error) {
-	if err := path.Validate(); err != nil {
+	topo, err := path.Topology()
+	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	d := &Deployment{
-		Path:             path,
-		Table:            table,
-		Collectors:       make(map[receipt.HOPID]*Collector),
-		Processors:       make(map[receipt.HOPID]*Processor),
-		markerThreshold:  hashing.ThresholdForRate(cfg.MarkerRate),
-		sampleThresholds: make(map[receipt.HOPID]uint64),
-	}
-	for di := range path.Domains {
-		dom := &path.Domains[di]
-		if cfg.SkipDomains[dom.Name] {
-			continue
-		}
-		tune, ok := cfg.PerDomain[dom.Name]
-		if !ok {
-			tune = cfg.Default
-		}
-		in, eg := path.HOPsOf(di)
-		hops := []struct {
-			id      receipt.HOPID
-			ingress bool
-		}{{in, true}}
-		if eg != in {
-			hops = append(hops, struct {
-				id      receipt.HOPID
-				ingress bool
-			}{eg, false})
-		}
-		for _, h := range hops {
-			di, ingress := di, h.ingress
-			col, err := NewCollector(CollectorConfig{
-				HOP:   h.id,
-				Table: table,
-				PathID: func(key packet.PathKey) receipt.PathID {
-					return path.PathIDFor(receipt.PathID{Key: key}, di, ingress)
-				},
-				Sampling: sampling.Config{
-					MarkerRate: cfg.MarkerRate,
-					SampleRate: tune.SampleRate,
-				},
-				Aggregation: aggregation.Config{
-					CutRate:  tune.AggRate,
-					WindowNS: cfg.WindowNS,
-				},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("core: HOP %v: %w", h.id, err)
-			}
-			d.Collectors[h.id] = col
-			d.Processors[h.id] = NewProcessor(col)
-			d.sampleThresholds[h.id] = hashing.ThresholdForRate(tune.SampleRate)
-		}
-	}
-	return d, nil
+	return NewTopoDeployment(topo, table, cfg)
 }
 
 // HOPs returns the HOPs that carry a collector, ascending.
@@ -226,44 +165,12 @@ func (d *Deployment) Finalize() {
 	}
 }
 
-// Layout derives the verifier's path layout from the simulated linear
-// path. A mesh deployment has no single layout — each route has its
-// own (RouteLayouts/KeyLayouts) — so Layout returns the zero Layout
-// there; the verifier entry points route through verifierLayout, which
-// picks the right per-key layout for both kinds.
+// Layout is the layout of the topology's default route — the whole
+// path of a chain deployment, whatever the traffic key. A topology
+// without a default route has no single layout (each route has its own,
+// see RouteLayouts/KeyLayouts) and gets the zero Layout.
 func (d *Deployment) Layout() Layout {
-	p := d.Path
-	if p == nil {
-		return Layout{}
-	}
-	var l Layout
-	for di := range p.Domains {
-		in, eg := p.HOPsOf(di)
-		if di > 0 {
-			_, prevEg := p.HOPsOf(di - 1)
-			l.Segments = append(l.Segments, Segment{
-				Kind:       LinkSegment,
-				Up:         prevEg,
-				Down:       in,
-				Name:       fmt.Sprintf("%s-%s", p.Domains[di-1].Name, p.Domains[di].Name),
-				UpDomain:   p.Domains[di-1].Name,
-				DownDomain: p.Domains[di].Name,
-			})
-		}
-		l.HOPs = append(l.HOPs, in)
-		if eg != in {
-			l.Segments = append(l.Segments, Segment{
-				Kind:       DomainSegment,
-				Up:         in,
-				Down:       eg,
-				Name:       p.Domains[di].Name,
-				UpDomain:   p.Domains[di].Name,
-				DownDomain: p.Domains[di].Name,
-			})
-			l.HOPs = append(l.HOPs, eg)
-		}
-	}
-	return l
+	return d.verifierLayout(packet.PathKey{})
 }
 
 // NewVerifier builds a verifier over the deployment's receipts for
@@ -317,10 +224,9 @@ func (d *Deployment) newStore(only *packet.PathKey) *ReceiptStore {
 
 // NewVerifierOn builds a verifier for one origin-prefix path key over
 // a shared receipt store (see NewStore), configured with the
-// deployment's constants. On a mesh deployment the verifier covers the
-// key's first route; a multipath (ECMP) key has several routes — use
-// KeyLayouts and build one verifier per route layout to cover them
-// all.
+// deployment's constants. The verifier covers the key's first route; a
+// multipath (ECMP) key has several routes — use KeyLayouts and build
+// one verifier per route layout to cover them all.
 func (d *Deployment) NewVerifierOn(store *ReceiptStore, key packet.PathKey) *Verifier {
 	v := NewVerifierOn(d.verifierLayout(key), store, key)
 	v.SetConfig(d.VerifierConfig())
@@ -328,17 +234,16 @@ func (d *Deployment) NewVerifierOn(store *ReceiptStore, key packet.PathKey) *Ver
 }
 
 // verifierLayout resolves the layout a single-layout verifier for key
-// uses: the linear path layout, or — on a mesh — the key's first
-// route layout (an unrouted key gets an empty layout, yielding a
-// verifier with nothing to check rather than a panic).
+// uses: that of the first route Topology.RoutesForKey names — the
+// default route's for a key the route table does not list; a key no
+// route claims gets an empty layout, yielding a verifier with nothing
+// to check rather than a panic.
 func (d *Deployment) verifierLayout(key packet.PathKey) Layout {
-	if d.Topo == nil {
-		return d.Layout()
+	routes := d.Topo.RoutesForKey(key)
+	if len(routes) == 0 {
+		return Layout{}
 	}
-	if ls := d.KeyLayouts()[key]; len(ls) > 0 {
-		return ls[0]
-	}
-	return Layout{}
+	return d.RouteLayout(routes[0])
 }
 
 // VerifierConfig returns the deployment constants a hand-built

@@ -55,7 +55,7 @@ func TestRetiredKnobsAreInert(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dep.Path.Run(pkts, driver.Observers()); err != nil {
+		if _, err := dep.Topo.Run(dep.Table, pkts, driver.Observers()); err != nil {
 			t.Fatal(err)
 		}
 		driver.Close()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vpm/internal/aggregation"
@@ -12,20 +13,16 @@ import (
 	"vpm/internal/sampling"
 )
 
-// This file wires the mesh topology engine into the deployment and
-// verification stack. A topology deployment places one collector per
-// link-endpoint HOP — a HOP on a shared link files receipts for every
-// traffic key crossing it, which the (HOP, key)-indexed ReceiptStore
-// holds without change — and verification runs per (traffic key,
-// route): each route is a linear HOP sequence, so the whole §4 link
-// checking machinery applies route by route, with per-route layouts
-// replacing the single linear Layout.
+// This file wires the topology into the deployment and verification
+// stack. A deployment places one collector per link-endpoint HOP — a
+// HOP on a shared link files receipts for every traffic key crossing
+// it, which the (HOP, key)-indexed ReceiptStore holds without change —
+// and verification runs per (traffic key, route): each route is a
+// linear HOP sequence, so the whole §4 link checking machinery applies
+// route by route, one layout per route.
 
 // NewTopoDeployment builds collectors for every routed HOP of every
-// deploying domain in the topology. The returned Deployment drives the
-// same Processor/Finalize/NewStore pipeline as a linear one (and the
-// same EpochDriver for continuous operation); only its layout accessors
-// differ — use RouteLayouts/KeyLayouts instead of Layout.
+// deploying domain in the topology.
 func NewTopoDeployment(topo *netsim.Topology, table *packet.Table, cfg DeployConfig) (*Deployment, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
@@ -111,17 +108,14 @@ func (d *Deployment) RouteLayout(ri int) Layout {
 	// crossed by equally many but different routes (a domain that is
 	// both a branch and a merge point) still see different packet
 	// subsets.
-	share := func(h receipt.HOPID) string {
-		var sig []byte
+	share := func(h receipt.HOPID) []int {
+		var through []int
 		for _, rj := range topo.RoutesForKey(rt.Key) {
-			for _, hh := range topo.RouteHOPs(rj) {
-				if hh == h {
-					sig = append(sig, byte(rj), byte(rj>>8))
-					break
-				}
+			if slices.Contains(topo.RouteHOPs(rj), h) {
+				through = append(through, rj)
 			}
 		}
-		return string(sig) // RoutesForKey is ordered, so the signature is canonical
+		return through // RoutesForKey is ordered, so equal sets compare equal
 	}
 	var l Layout
 	l.HOPs = append(l.HOPs, hops...)
@@ -145,7 +139,7 @@ func (d *Deployment) RouteLayout(ri int) Layout {
 				Name:       name,
 				UpDomain:   name,
 				DownDomain: name,
-				Partial:    share(in) != share(eg),
+				Partial:    !slices.Equal(share(in), share(eg)),
 			})
 		}
 	}

@@ -395,6 +395,37 @@ func TestRouteLayoutPartial(t *testing.T) {
 			t.Fatalf("route %d: spine segment wrongly marked Partial", ri)
 		}
 	}
+
+	// A domain that is both a merge and a branch point: M's ingress off
+	// A→M carries routes {0, 1} of the key and its egress onto M→C
+	// routes {0, 65537}. The two sets are the same size and their odd
+	// members sit 65 536 apart in the route table — which a signature
+	// of the low two index bytes could not tell apart.
+	key, filler := keys[0], netsim.TopoKeys(2)[1]
+	mesh := &netsim.Topology{Seed: 7}
+	for _, name := range []string{"S", "A", "B", "M", "C", "E", "D"} {
+		mesh.Domains = append(mesh.Domains, netsim.DomainSpec{Name: name})
+	}
+	for _, l := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {3, 5}, {4, 6}, {5, 6}} {
+		mesh.Links = append(mesh.Links, netsim.TopoLink{From: l[0], To: l[1]})
+	}
+	viaAC, viaAE, viaBC := []int{0, 2, 4, 6}, []int{0, 2, 5, 7}, []int{1, 3, 4, 6}
+	mesh.Routes = append(mesh.Routes, netsim.Route{Key: key, Links: viaAC}, netsim.Route{Key: key, Links: viaAE})
+	for len(mesh.Routes) < 1+65536 {
+		mesh.Routes = append(mesh.Routes, netsim.Route{Key: filler, Links: viaAC})
+	}
+	mesh.Routes = append(mesh.Routes, netsim.Route{Key: key, Links: viaBC})
+	dep, err = NewTopoDeployment(mesh, topoTraceConfig([]packet.PathKey{key, filler}, 1000, 1e7).Table(), meshDeployConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := dep.RouteLayout(0).DomainSegments()
+	if len(segs) != 3 || segs[1].Name != "M" {
+		t.Fatalf("route 0 domain segments: %+v", segs)
+	}
+	if !segs[1].Partial {
+		t.Fatal("M merges route 1 in and branches route 65537 out, yet its segment is not Partial")
+	}
 }
 
 // TestTopoDeploymentNewVerifier is the regression test for the nil

@@ -71,10 +71,11 @@ type Sim func(pkts []packet.Packet, observers map[receipt.HOPID]netsim.Observer,
 // noHorizon promises that no packet follows: nothing is withheld.
 const noHorizon = int64(1) << 62
 
-// PathSim simulates a linear path. truth, if non-nil, receives every
-// segment's ground truth.
-func PathSim(p *netsim.Path, truth func(*netsim.Result)) (Sim, error) {
-	r, err := netsim.NewRunner(p)
+// NewSim simulates a topology — a deployment's Topo and Table, or a
+// fleet world's — classifying packets with table. truth, if non-nil,
+// receives every segment's ground truth.
+func NewSim(t *netsim.Topology, table *packet.Table, truth func(*netsim.Result)) (Sim, error) {
+	r, err := netsim.NewTopoRunner(t, table)
 	if err != nil {
 		return nil, err
 	}
@@ -83,18 +84,6 @@ func PathSim(p *netsim.Path, truth func(*netsim.Result)) (Sim, error) {
 		if err == nil && truth != nil {
 			truth(res)
 		}
-		return err
-	}, nil
-}
-
-// TopoSim simulates a topology, classifying packets with table.
-func TopoSim(t *netsim.Topology, table *packet.Table) (Sim, error) {
-	r, err := netsim.NewTopoRunner(t, table)
-	if err != nil {
-		return nil, err
-	}
-	return func(pkts []packet.Packet, observers map[receipt.HOPID]netsim.Observer, horizonNS int64) error {
-		_, err := r.RunSegment(pkts, observers, horizonNS)
 		return err
 	}, nil
 }

@@ -41,12 +41,11 @@ func fig1World(t *testing.T) testWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := netsim.Fig1Path(1005)
-	dep, err := core.NewDeployment(path, tc.Table(), core.DefaultDeployConfig())
+	dep, err := core.NewDeployment(netsim.Fig1Path(1005), tc.Table(), core.DefaultDeployConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := engine.PathSim(path, nil)
+	sim, err := engine.NewSim(dep.Topo, dep.Table, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func closWorld(t *testing.T) testWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := engine.TopoSim(topo, tc.Table())
+	sim, err := engine.NewSim(dep.Topo, dep.Table, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

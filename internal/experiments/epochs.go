@@ -190,11 +190,11 @@ func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts Continu
 			col.Observers[hop] = netsim.Wear(hop, adv, obs)
 		}
 	}
-	sim, err := engine.PathSim(path, func(seg *netsim.Result) {
+	sim, err := engine.NewSim(dep.Topo, dep.Table, func(seg *netsim.Result) {
 		if res.Truth == nil {
 			res.Truth = make([]netsim.DomainTruth, len(seg.Domains))
 			for i, d := range seg.Domains {
-				res.Truth[i] = netsim.DomainTruth{Name: d.Name, Ingress: d.Ingress, Egress: d.Egress}
+				res.Truth[i] = netsim.DomainTruth{Name: d.Name}
 			}
 		}
 		for i, d := range seg.Domains {

@@ -186,17 +186,13 @@ func runTopoWorld(cfg Config, f topoFamily, faultyLink bool, wear map[receipt.HO
 	if err != nil {
 		return nil, -1, err
 	}
-	tr, err := netsim.NewTopoRunner(topo, tc.Table())
-	if err != nil {
-		return nil, -1, err
-	}
 	observers := dep.Observers()
 	for hop, adv := range wear {
 		if obs, ok := observers[hop]; ok && adv != nil {
 			observers[hop] = netsim.Wear(hop, adv, obs)
 		}
 	}
-	if _, err := tr.Run(pkts, observers); err != nil {
+	if _, err := topo.Run(tc.Table(), pkts, observers); err != nil {
 		return nil, -1, err
 	}
 	dep.Finalize()

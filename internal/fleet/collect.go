@@ -153,7 +153,7 @@ func (c *Collector) Run(ctx context.Context, opts CollectorOptions) error {
 	if err != nil {
 		return err
 	}
-	sim, err := engine.TopoSim(c.world.Topo, c.world.Table)
+	sim, err := engine.NewSim(c.world.Topo, c.world.Table, nil)
 	if err != nil {
 		return err
 	}

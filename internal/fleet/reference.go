@@ -31,7 +31,7 @@ func RunReference(w *World, chunkSlots int64) ([]core.EpochReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := engine.TopoSim(w.Topo, w.Table)
+	sim, err := engine.NewSim(w.Topo, w.Table, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -30,28 +30,11 @@ const (
 	DefaultReorderJitterNS = 200_000 // 0.2 ms
 )
 
-// Fig1Path builds the five-domain topology of Figure 1 with healthy
+// Fig1Path builds the five-domain chain of Figure 1 with healthy
 // defaults: no loss anywhere, constant transit delays, mild jitter.
 // Experiments then perturb individual domains (e.g. congest X, add
 // loss within X) by mutating the returned path before Run.
-func Fig1Path(seed uint64) *Path {
-	p := &Path{Seed: seed}
-	for _, name := range Fig1DomainNames {
-		p.Domains = append(p.Domains, DomainSpec{
-			Name:            name,
-			BaseDelayNS:     DefaultBaseDelayNS,
-			ReorderJitterNS: DefaultReorderJitterNS,
-		})
-	}
-	for i := 0; i < len(p.Domains)-1; i++ {
-		p.Links = append(p.Links, LinkSpec{
-			DelayNS:   DefaultLinkDelayNS,
-			JitterNS:  DefaultLinkJitterNS,
-			MaxDiffNS: DefaultMaxDiffNS,
-		})
-	}
-	return p
-}
+func Fig1Path(seed uint64) *Path { return chain(seed, Fig1DomainNames) }
 
 // LinearPath builds an nDomains-long path with the same healthy
 // defaults as Fig1Path: stub source S, transit domains T1..T(n-2),
@@ -62,27 +45,22 @@ func LinearPath(seed uint64, nDomains int) *Path {
 	if nDomains < 2 {
 		nDomains = 2
 	}
-	p := &Path{Seed: seed}
-	for i := 0; i < nDomains; i++ {
-		name := fmt.Sprintf("T%d", i)
-		switch i {
-		case 0:
-			name = "S"
-		case nDomains - 1:
-			name = "D"
-		}
-		p.Domains = append(p.Domains, DomainSpec{
-			Name:            name,
-			BaseDelayNS:     DefaultBaseDelayNS,
-			ReorderJitterNS: DefaultReorderJitterNS,
-		})
+	names := make([]string, nDomains)
+	for i := range names {
+		names[i] = fmt.Sprintf("T%d", i)
 	}
-	for i := 0; i < len(p.Domains)-1; i++ {
-		p.Links = append(p.Links, LinkSpec{
-			DelayNS:   DefaultLinkDelayNS,
-			JitterNS:  DefaultLinkJitterNS,
-			MaxDiffNS: DefaultMaxDiffNS,
-		})
+	names[0], names[nDomains-1] = "S", "D"
+	return chain(seed, names)
+}
+
+// chain links the named healthy domains in order.
+func chain(seed uint64, names []string) *Path {
+	p := &Path{Seed: seed}
+	for i, name := range names {
+		p.Domains = append(p.Domains, healthyDomain(name))
+		if i > 0 {
+			p.Links = append(p.Links, healthyLink())
+		}
 	}
 	return p
 }
@@ -97,17 +75,13 @@ func (p *Path) DomainIndex(name string) int {
 	return -1
 }
 
-// LinkBetween returns the index of the link between domain d and d+1
-// — equivalently, the link upstream of domain d+1.
-func (p *Path) LinkBetween(d int) *LinkSpec { return &p.Links[d] }
-
 // PathIDFor builds the PathID a HOP of domain d would stamp on its
 // receipts for traffic with the given origin-prefix key: the previous
 // and next HOPs of the reporting HOP along the path (0 when the path
 // ends there, as at HOP 1's upstream or HOP 8's downstream in Figure
-// 1) and the MaxDiff of the adjacent inter-domain link in the
-// reporting direction. ingress selects the domain's ingress HOP
-// (true) or egress HOP (false); for stub domains the two coincide.
+// 1) and the MaxDiff of the link the HOP sits on. ingress selects the
+// domain's ingress HOP (true) or egress HOP (false); for stub domains
+// the two coincide.
 func (p *Path) PathIDFor(key receipt.PathID, d int, ingress bool) receipt.PathID {
 	in, eg := p.HOPsOf(d)
 	h := eg
@@ -117,18 +91,8 @@ func (p *Path) PathIDFor(key receipt.PathID, d int, ingress bool) receipt.PathID
 	id := key
 	id.PrevHOP = prevHOP(h)
 	id.NextHOP = nextHOP(h, p.NumHOPs())
-	// Receipts are compared across one inter-domain link; the MaxDiff
-	// a HOP advertises is the bound for the link it shares with the
-	// neighbor it reports about: the upstream link for an ingress HOP
-	// and the downstream link for an egress HOP.
-	switch {
-	case ingress && d > 0:
-		id.MaxDiffNS = p.Links[d-1].MaxDiffNS
-	case d < len(p.Links):
-		id.MaxDiffNS = p.Links[d].MaxDiffNS
-	case d > 0:
-		id.MaxDiffNS = p.Links[d-1].MaxDiffNS
-	}
+	// HOPs 2i+1 and 2i+2 are the two ends of link i (Topology.HOPLink).
+	id.MaxDiffNS = p.Links[(h-1)/2].MaxDiffNS
 	return id
 }
 

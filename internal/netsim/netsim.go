@@ -1,11 +1,12 @@
 // Package netsim simulates the inter-domain forwarding substrate of
-// the paper's setup (§2): a linear HOP path like Figure 1's
-// S → L → X → N → D, where stub domains S and D contribute one HOP
-// each and every transit domain contributes an ingress and an egress
-// HOP. Packets traverse inter-domain links (propagation delay, jitter,
-// optional loss) and intra-domain crossings (base delay, optional
-// congestion via a delaymodel.Queue, optional loss, jitter-induced
-// reordering, per-HOP clock skew).
+// the paper's setup (§2): a directed domain graph with a route table
+// (Topology), of which Figure 1's S → L → X → N → D — stub domains S
+// and D contributing one HOP each, every transit domain an ingress and
+// an egress HOP — is the one-route case a Path builds. Packets traverse
+// inter-domain links (propagation delay, jitter, optional loss) and
+// intra-domain crossings (base delay, optional congestion via a
+// delaymodel.Queue, optional loss, jitter-induced reordering, per-HOP
+// clock skew).
 //
 // The simulator computes every packet's observation time at every HOP,
 // then replays each HOP's observations in arrival order to the
@@ -38,7 +39,6 @@ import (
 	"vpm/internal/lossmodel"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
-	"vpm/internal/stats"
 )
 
 // DelaySource yields a per-packet delay for a congested crossing.
@@ -142,7 +142,10 @@ type LinkSpec struct {
 	Loss lossmodel.Process
 }
 
-// Path is a linear inter-domain path.
+// Path builds a chain of domains: the paper's Figure 1 shape, kept as
+// plain slices so callers can perturb Domains[i] and Links[i] in place.
+// It is not a second network model — Topology compiles it to the
+// one-route topology every simulation and deployment runs on.
 type Path struct {
 	// Domains along the path; the first and last are stubs with a
 	// single HOP (egress and ingress respectively).
@@ -187,13 +190,31 @@ func (p *Path) HOPsOf(d int) (ingress, egress receipt.HOPID) {
 	}
 }
 
-// DomainTruth is the ground truth recorded for one transit domain.
+// Topology compiles the chain as it stands: domain i is linked to
+// domain i+1 — so link i's HOP pair 2i+1 / 2i+2 is HOPsOf's numbering —
+// and one default route crosses every link: a Path forwards every
+// packet, whatever its addresses. The specs are copied; perturb the
+// path first.
+func (p *Path) Topology() (*Topology, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	t := &Topology{Domains: slices.Clone(p.Domains), Seed: p.Seed}
+	var route Route
+	for i, l := range p.Links {
+		t.Links = append(t.Links, TopoLink{From: i, To: i + 1, LinkSpec: l})
+		route.Links = append(route.Links, i)
+	}
+	t.Routes = []Route{route}
+	return t, nil
+}
+
+// DomainTruth is the ground truth recorded for one domain.
 type DomainTruth struct {
-	Name            string
-	Ingress, Egress receipt.HOPID
-	In, Out         uint64
-	DroppedInside   uint64
-	TrueDelaysNS    []float64 // egress minus ingress true time per delivered packet
+	Name          string
+	In, Out       uint64
+	DroppedInside uint64
+	TrueDelaysNS  []float64 // egress minus ingress true time per delivered packet
 }
 
 // LossRate returns the domain's actual loss rate for this run.
@@ -204,81 +225,32 @@ func (d DomainTruth) LossRate() float64 {
 	return float64(d.DroppedInside) / float64(d.In)
 }
 
-// Result is the outcome of one simulation run.
-type Result struct {
-	Sent      int
-	Delivered int
-	// Domains holds ground truth for every domain (stubs included;
-	// stubs never drop or delay).
-	Domains []DomainTruth
-	// LinkDrops counts packets lost on each inter-domain link.
-	LinkDrops []uint64
-}
-
-// DomainByName returns the truth record for the named domain.
-func (r *Result) DomainByName(name string) (*DomainTruth, bool) {
-	for i := range r.Domains {
-		if r.Domains[i].Name == name {
-			return &r.Domains[i], true
-		}
-	}
-	return nil, false
-}
-
 // hopObservation is one (packet, time) event at a HOP.
 type hopObservation struct {
 	pktIdx int32
 	timeNS int64
 }
 
-// Run drives pkts (in send order) across the path, delivering each
-// HOP's observations in arrival-time order to the corresponding
-// observer. observers maps HOP ID → Observer; HOPs without an entry
-// are non-deploying (partial deployment, §8). Run is deterministic
-// given the path seed.
-//
-// Distinct observers are called concurrently (one goroutine per
-// observer, bounded by a worker pool); each individual observer still
-// sees its observations from a single goroutine, in arrival order.
-//
-// Run is the one-shot form: it derives fresh jitter state from the
-// path seed on every call. Continuous operation feeds the path in
-// epoch-sized segments through a Runner instead, whose state persists
-// across segments so the concatenated stream behaves like one run.
+// Run drives pkts (in send order) across the chain in one shot: see
+// TopoRunner.Run. It compiles the path on every call, so perturbations
+// made since the last run take effect.
 func (p *Path) Run(pkts []packet.Packet, observers map[receipt.HOPID]Observer) (*Result, error) {
-	r, err := NewRunner(p)
+	t, err := p.Topology()
 	if err != nil {
 		return nil, err
 	}
-	return r.Run(pkts, observers)
+	return t.Run(nil, pkts, observers)
 }
 
-// Runner drives traffic across a path in consecutive segments while
-// behaving exactly like one uninterrupted Run over the concatenated
-// trace. Two mechanisms make the equivalence hold:
-//
-//   - All per-path randomness state persists between calls: the jitter
-//     RNG streams (created once, from the path seed) and the stateful
-//     loss and congestion processes attached to the Path. Per-packet
-//     drop/delay decisions depend only on the packet sequence, so
-//     segmentation never changes them.
-//   - Replay withholding: a packet sent near the end of a segment
-//     arrives at downstream HOPs after packets of the next segment
-//     have started arriving, so replaying each segment to completion
-//     would deliver those observations out of arrival order. RunSegment
-//     therefore withholds, per HOP, every observation that could still
-//     interleave with a future packet (observation time past the
-//     segment horizon plus the HOP's minimum observation delay) and
-//     merges it into the next segment's arrival-ordered replay. The
-//     delivered stream is identical, observation for observation, to a
-//     one-shot run's (TestRunnerSegmentsMatchOneShot) — which is what
-//     lets the continuous pipeline's receipts match batch receipts
-//     exactly.
-type Runner struct {
-	p          *Path
-	jitterRngs []*stats.RNG
-	linkRngs   []*stats.RNG
-	rep        *replayer
+// NewRunner compiles the path and prepares its persistent simulation
+// state. A chain's only route is the default one, so no prefix table is
+// needed.
+func NewRunner(p *Path) (*TopoRunner, error) {
+	t, err := p.Topology()
+	if err != nil {
+		return nil, err
+	}
+	return NewTopoRunner(t, nil)
 }
 
 // pendingObs is one withheld observation, self-contained.
@@ -291,9 +263,7 @@ type pendingObs struct {
 // replayer owns the arrival-order replay of per-HOP observation
 // streams: the per-HOP minimum observation delays that bound what a
 // future packet can still interleave with, and the withheld
-// observations carried across segment boundaries. The linear Runner
-// and the mesh TopoRunner share it — replay semantics are identical
-// whatever graph produced the observations.
+// observations carried across segment boundaries.
 type replayer struct {
 	// minObsNS is each HOP's minimum observation delay after a
 	// packet's send time: propagation + base transit (jitter,
@@ -403,156 +373,6 @@ func (r *replayer) replay(obsPerHop [][]hopObservation, observers map[receipt.HO
 		}()
 	}
 	wg.Wait()
-}
-
-// NewRunner validates the path and prepares its persistent simulation
-// state.
-func NewRunner(p *Path) (*Runner, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	rng := stats.NewRNG(p.Seed ^ 0xabcdef)
-	nHops := p.NumHOPs()
-	r := &Runner{
-		p:          p,
-		jitterRngs: make([]*stats.RNG, len(p.Domains)),
-		linkRngs:   make([]*stats.RNG, len(p.Links)),
-		rep:        newReplayer(nHops),
-	}
-	for i := range r.jitterRngs {
-		r.jitterRngs[i] = rng.Split()
-	}
-	for i := range r.linkRngs {
-		r.linkRngs[i] = rng.Split()
-	}
-	// Minimum cumulative delay to each HOP, in path order.
-	t := int64(0)
-	for d := range p.Domains {
-		in, eg := p.HOPsOf(d)
-		if d > 0 {
-			t += p.Links[d-1].DelayNS
-		}
-		r.rep.minObsNS[in] = t + p.Domains[d].IngressSkewNS
-		if eg != in {
-			t += p.Domains[d].BaseDelayNS
-			r.rep.minObsNS[eg] = t + p.Domains[d].EgressSkewNS
-		} else if d == 0 {
-			r.rep.minObsNS[eg] = t + p.Domains[d].EgressSkewNS
-		}
-	}
-	return r, nil
-}
-
-// Run drives one final (or sole) segment of traffic: every
-// observation, including any withheld by earlier RunSegment calls, is
-// delivered. Equivalent to RunSegment with an unbounded horizon; call
-// with an empty packet slice to flush withheld observations after an
-// early stop.
-func (r *Runner) Run(pkts []packet.Packet, observers map[receipt.HOPID]Observer) (*Result, error) {
-	return r.RunSegment(pkts, observers, int64(1)<<62)
-}
-
-// RunSegment drives one segment of traffic (in send order) across the
-// path and returns that segment's ground truth. horizonNS promises
-// that every future packet is sent at or after it; observations that
-// could interleave with such packets are withheld and delivered by the
-// next call, keeping each HOP's replay in global arrival order across
-// segments.
-func (r *Runner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPID]Observer, horizonNS int64) (*Result, error) {
-	p := r.p
-	nHops := p.NumHOPs()
-	jitterRngs, linkRngs := r.jitterRngs, r.linkRngs
-
-	res := &Result{
-		Sent:      len(pkts),
-		LinkDrops: make([]uint64, len(p.Links)),
-	}
-	for d := range p.Domains {
-		in, eg := p.HOPsOf(d)
-		res.Domains = append(res.Domains, DomainTruth{
-			Name:    p.Domains[d].Name,
-			Ingress: in,
-			Egress:  eg,
-		})
-	}
-
-	digests := make([]uint64, len(pkts))
-	parallelChunks(len(pkts), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			digests[i] = pkts[i].Digest(p.Seed)
-		}
-	})
-
-	obsPerHop := make([][]hopObservation, nHops+1) // 1-based HOP IDs
-
-	record := func(hop receipt.HOPID, pktIdx int, t int64) {
-		obsPerHop[hop] = append(obsPerHop[hop], hopObservation{pktIdx: int32(pktIdx), timeNS: t})
-	}
-
-	for i := range pkts {
-		pkt := &pkts[i]
-		t := pkt.SentAt
-
-		// Stub source domain: observed at its egress HOP.
-		srcIn, srcEg := p.HOPsOf(0)
-		_ = srcIn
-		record(srcEg, i, t+p.Domains[0].EgressSkewNS)
-		res.Domains[0].In++
-		res.Domains[0].Out++
-
-		alive := true
-		for d := 1; d < len(p.Domains) && alive; d++ {
-			// Inter-domain link d-1 → d.
-			link := &p.Links[d-1]
-			if link.Loss != nil && link.Loss.Drop() {
-				res.LinkDrops[d-1]++
-				alive = false
-				break
-			}
-			t += link.DelayNS
-			if link.JitterNS > 0 {
-				t += int64(linkRngs[d-1].Float64() * float64(link.JitterNS))
-			}
-
-			dom := &p.Domains[d]
-			truth := &res.Domains[d]
-			in, eg := p.HOPsOf(d)
-			arrived := t
-			record(in, i, arrived+dom.IngressSkewNS)
-			truth.In++
-
-			if d == len(p.Domains)-1 {
-				// Destination stub: delivered.
-				truth.Out++
-				res.Delivered++
-				break
-			}
-
-			// Intra-domain crossing.
-			preferred := dom.Preferential != nil && dom.Preferential(pkt, digests[i])
-			if !preferred && dom.Loss != nil && dom.Loss.Drop() {
-				truth.DroppedInside++
-				alive = false
-				break
-			}
-			t += dom.BaseDelayNS
-			if !preferred && dom.Delay != nil {
-				t += dom.Delay.DelayOf(arrived, pkt.WireLen())
-			}
-			if dom.ReorderJitterNS > 0 {
-				t += int64(jitterRngs[d].Float64() * float64(dom.ReorderJitterNS))
-			}
-			record(eg, i, t+dom.EgressSkewNS)
-			truth.Out++
-			truth.TrueDelaysNS = append(truth.TrueDelaysNS, float64(t-arrived))
-			_ = eg
-		}
-	}
-
-	// Replay each HOP's observations in arrival order (see
-	// replayer.replay for the concurrency and withholding rules).
-	r.rep.replay(obsPerHop, observers, pkts, digests, horizonNS)
-	return res, nil
 }
 
 // ReplayBatchSize is the observation-slice granularity of the replay

@@ -13,7 +13,7 @@ import (
 // fabric (ECMP multipath across spines), and a random AS-style graph
 // (shortest-path routes overlapping organically). Every family uses
 // the same healthy defaults as Fig1Path, so experiments perturb
-// individual links and domains the same way they do on linear paths.
+// individual links and domains the same way they do on a chain.
 
 // TopoKeys returns n distinct origin-prefix traffic keys, numbered the
 // way the verify scenario numbers its paths (10.i/16 -> 192.i/16).
@@ -67,33 +67,6 @@ func healthyLink() LinkSpec {
 func (t *Topology) addLink(a, b int) int {
 	t.Links = append(t.Links, TopoLink{From: a, To: b, LinkSpec: healthyLink()})
 	return len(t.Links) - 1
-}
-
-// LinearTopology is the linear path expressed as a topology: domains
-// S, T1..T(n-2), D chained by directed links, one route carrying key.
-// It is the bridge fixture proving the mesh engine agrees with the
-// linear Runner (TestTopoLinearEquivalence).
-func LinearTopology(seed uint64, nDomains int, key packet.PathKey) *Topology {
-	if nDomains < 2 {
-		nDomains = 2
-	}
-	t := &Topology{Seed: seed}
-	for i := 0; i < nDomains; i++ {
-		name := fmt.Sprintf("T%d", i)
-		switch i {
-		case 0:
-			name = "S"
-		case nDomains - 1:
-			name = "D"
-		}
-		t.Domains = append(t.Domains, healthyDomain(name))
-	}
-	route := Route{Key: key}
-	for i := 0; i < nDomains-1; i++ {
-		route.Links = append(route.Links, t.addLink(i, i+1))
-	}
-	t.Routes = append(t.Routes, route)
-	return t
 }
 
 // StarTopology builds a hub with `leaves` leaf domains. Every key

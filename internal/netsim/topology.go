@@ -1,7 +1,8 @@
-// Topology generalizes the linear Path to an arbitrary directed domain
-// graph — the shape real inter-domain measurement platforms exercise,
-// where one backbone link carries traffic for many origin-prefix paths
-// and blame must localize despite the sharing.
+// Topology is the network model: an arbitrary directed domain graph
+// with a route table — the shape real inter-domain measurement
+// platforms exercise, where one backbone link carries traffic for many
+// origin-prefix paths and blame must localize despite the sharing. The
+// paper's Figure 1 chain is its one-route case (Path.Topology).
 //
 // The model keeps the paper's HOP semantics: a HOP is a hand-off point
 // at a domain's interface onto one inter-domain link, so every directed
@@ -14,15 +15,22 @@
 //     naturally files receipts for many traffic keys, and the indexed
 //     (HOP, key) receipt store needs no changes to hold a mesh.
 //   - MaxDiff is unambiguous. A HOP reports about exactly the link it
-//     sits on, so the bound it advertises is always its own link's —
-//     no reporting-direction case analysis as in the linear PathIDFor.
+//     sits on, so the bound it advertises is always its own link's.
 //
 // Multipath (ECMP) is a traffic key with several routes: the runner
 // hash-splits the key's packets across them by packet digest, the way
 // a router's flow hash would. Routes of one key may share their first
 // and last legs (the realistic ECMP shape) — at a HOP where the key's
 // routes branch or merge, the stamped PathID records prev/next HOP 0,
-// the same "path ends here" convention the linear encoding uses.
+// the same convention as "path ends here".
+//
+// A route whose Key is the zero PathKey (0.0.0.0/0 → 0.0.0.0/0) is a
+// default route: any packet no keyed route claims follows it — one that
+// matches no prefix included — and every routing query (RoutesForKey,
+// PathIDFor, a deployment's layouts) falls back to it for a key the
+// table does not list. It is how a chain forwards every packet without
+// knowing the traffic's prefixes, and the rule the verify side already
+// applies with RollingVerifier's fallback layout.
 package netsim
 
 import (
@@ -51,19 +59,18 @@ type TopoLink struct {
 // destination domain. Several routes may carry the same Key — that is
 // ECMP multipath, hash-split per packet by the runner.
 type Route struct {
-	// Key is the origin-prefix pair routed along this sequence.
+	// Key is the origin-prefix pair routed along this sequence; the
+	// zero PathKey makes it a default route.
 	Key packet.PathKey
 	// Links are indices into Topology.Links; Links[i].To must equal
 	// Links[i+1].From.
 	Links []int
 }
 
-// Topology is a directed domain graph with a route table. It reuses
-// DomainSpec and LinkSpec wholesale, so every intra-domain model
-// (loss, congestion queues, skew, preferential treatment) carries over
-// from the linear simulator unchanged — and, like there, the stateful
-// loss and queue processes attached to the specs are consulted in
-// global packet send order, shared by every route crossing them.
+// Topology is a directed domain graph with a route table. The stateful
+// loss and queue processes attached to its DomainSpecs and LinkSpecs
+// are consulted in global packet send order, shared by every route
+// crossing them.
 type Topology struct {
 	Domains []DomainSpec
 	Links   []TopoLink
@@ -80,8 +87,9 @@ type Topology struct {
 	idx     map[packet.PathKey][]int
 }
 
-// keyRoutes returns the indices of the routes carrying key, in
-// route-table order, from the lazily built per-key index.
+// keyRoutes returns the indices of the routes carrying key — the
+// default routes for a key the table does not list — in route-table
+// order, from the lazily built per-key index.
 func (t *Topology) keyRoutes(key packet.PathKey) []int {
 	t.idxOnce.Do(func() {
 		t.idx = make(map[packet.PathKey][]int, len(t.Routes))
@@ -89,7 +97,10 @@ func (t *Topology) keyRoutes(key packet.PathKey) []int {
 			t.idx[t.Routes[i].Key] = append(t.idx[t.Routes[i].Key], i)
 		}
 	})
-	return t.idx[key]
+	if rs, ok := t.idx[key]; ok {
+		return rs
+	}
+	return t.idx[packet.PathKey{}]
 }
 
 // Validate checks structural invariants: link endpoints in range,
@@ -178,7 +189,7 @@ func (t *Topology) DomainIndex(name string) int {
 // RouteHOPs returns route r's HOP sequence in traversal order: the
 // origin's egress onto the first link, then each transit domain's
 // ingress and egress pair, then the destination's ingress off the last
-// link — 2·len(links) HOPs, the same shape as a linear path's.
+// link — 2·len(links) HOPs.
 func (t *Topology) RouteHOPs(r int) []receipt.HOPID {
 	rt := &t.Routes[r]
 	out := make([]receipt.HOPID, 0, 2*len(rt.Links))
@@ -202,7 +213,8 @@ func (t *Topology) RouteDomains(r int) []int {
 }
 
 // RoutesForKey returns the indices of the routes carrying key, in
-// route-table order — one for single-path keys, several for ECMP.
+// route-table order — one for single-path keys, several for ECMP, the
+// default routes for a key with none of its own.
 // The first call builds a per-key index, so the route table must be
 // complete by then.
 func (t *Topology) RoutesForKey(key packet.PathKey) []int {
@@ -319,18 +331,18 @@ func (t *Topology) SharedLinks() []int {
 	return out
 }
 
-// TopoResult is the ground truth of one topology simulation segment.
-type TopoResult struct {
+// Result is the ground truth of one simulation segment.
+type Result struct {
 	Sent      int
 	Delivered int
-	// Unrouted counts packets whose classified key had no route (or
-	// that matched no prefix at all) — cross-traffic outside the route
-	// table crosses no HOP.
+	// Unrouted counts packets no route claimed: their classified key
+	// had none (or they matched no prefix at all) and the table holds
+	// no default route — cross-traffic outside the route table crosses
+	// no HOP.
 	Unrouted int
 	// Domains holds per-domain ground truth, indexed like
-	// Topology.Domains. A mesh domain owns many HOPs, so the linear
-	// Ingress/Egress fields stay zero; the counters aggregate every
-	// route crossing the domain.
+	// Topology.Domains; the counters aggregate every route crossing the
+	// domain.
 	Domains []DomainTruth
 	// LinkDrops counts packets lost on each directed link, indexed
 	// like Topology.Links.
@@ -341,7 +353,7 @@ type TopoResult struct {
 }
 
 // DomainByName returns the truth record for the named domain.
-func (r *TopoResult) DomainByName(name string) (*DomainTruth, bool) {
+func (r *Result) DomainByName(name string) (*DomainTruth, bool) {
 	for i := range r.Domains {
 		if r.Domains[i].Name == name {
 			return &r.Domains[i], true
@@ -350,39 +362,54 @@ func (r *TopoResult) DomainByName(name string) (*DomainTruth, bool) {
 	return nil, false
 }
 
-// TopoRunner drives traffic across a topology in consecutive segments,
-// exactly like Runner does for a linear path: all randomness and
-// queue/loss state persists between calls, and replay withholding
-// keeps each HOP's delivered observation stream in global arrival
-// order across segment boundaries (the replayer is shared with
-// Runner, so the equivalence argument is too).
+// TopoRunner drives traffic across a topology in consecutive segments
+// while behaving exactly like one uninterrupted Run over the
+// concatenated trace. Two mechanisms make the equivalence hold:
+//
+//   - All randomness state persists between calls: the jitter RNG
+//     streams (created once, from the topology seed) and the stateful
+//     loss and congestion processes attached to the specs. Per-packet
+//     drop/delay decisions depend only on the packet sequence, so
+//     segmentation never changes them.
+//   - Replay withholding: a packet sent near the end of a segment
+//     arrives at downstream HOPs after packets of the next segment
+//     have started arriving, so replaying each segment to completion
+//     would deliver those observations out of arrival order. RunSegment
+//     therefore withholds, per HOP, every observation that could still
+//     interleave with a future packet (observation time past the
+//     segment horizon plus the HOP's minimum observation delay) and
+//     merges it into the next segment's arrival-ordered replay. The
+//     delivered stream is identical, observation for observation, to a
+//     one-shot run's (TestRunnerSegmentsMatchOneShot,
+//     TestTopoRunnerSegmentsMatchOneShot) — which is what lets the
+//     continuous pipeline's receipts match batch receipts exactly.
 type TopoRunner struct {
 	t     *Topology
 	table *packet.Table
 	// Per-domain reorder-jitter and per-link jitter RNG streams, split
-	// once from the topology seed in domain-then-link order — the same
-	// discipline NewRunner uses.
+	// once from the topology seed in domain-then-link order.
 	jitterRngs []*stats.RNG
 	linkRngs   []*stats.RNG
 	rep        *replayer
 	// routesByKey resolves a classified packet to its candidate
-	// routes; routeSalt keys the ECMP split so it is uncorrelated with
-	// the digest comparisons the sampling layer makes.
-	routesByKey map[packet.PathKey][]int
-	routeHOPs   [][]receipt.HOPID
-	routeDoms   [][]int
-	routeSalt   uint64
+	// routes, defaultRoutes every other packet; with routesByKey empty
+	// (default routes only) the sweep skips classification. routeSalt
+	// keys the ECMP split so it is uncorrelated with the digest
+	// comparisons the sampling layer makes.
+	routesByKey   map[packet.PathKey][]int
+	defaultRoutes []int
+	routeHOPs     [][]receipt.HOPID
+	routeDoms     [][]int
+	routeSalt     uint64
 }
 
 // NewTopoRunner validates the topology and prepares persistent
 // simulation state. table classifies packet addresses into traffic
-// keys (build it from the trace config, as deployments do).
+// keys (build it from the trace config, as deployments do); a topology
+// of default routes alone needs none.
 func NewTopoRunner(t *Topology, table *packet.Table) (*TopoRunner, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
-	}
-	if table == nil {
-		return nil, fmt.Errorf("netsim: topo runner needs a prefix table")
 	}
 	rng := stats.NewRNG(t.Seed ^ 0xabcdef)
 	r := &TopoRunner{
@@ -403,9 +430,17 @@ func NewTopoRunner(t *Topology, table *packet.Table) (*TopoRunner, error) {
 		r.linkRngs[i] = rng.Split()
 	}
 	for ri := range t.Routes {
-		r.routesByKey[t.Routes[ri].Key] = append(r.routesByKey[t.Routes[ri].Key], ri)
+		key := t.Routes[ri].Key
+		if key == (packet.PathKey{}) {
+			r.defaultRoutes = append(r.defaultRoutes, ri)
+		} else {
+			r.routesByKey[key] = append(r.routesByKey[key], ri)
+		}
 		r.routeHOPs[ri] = t.RouteHOPs(ri)
 		r.routeDoms[ri] = t.RouteDomains(ri)
+	}
+	if len(r.routesByKey) > 0 && table == nil {
+		return nil, fmt.Errorf("netsim: a topology with keyed routes needs a prefix table")
 	}
 	// Minimum observation delay per HOP: the minimum over all routes
 	// through it of the cumulative link propagation + base transit
@@ -434,10 +469,26 @@ func NewTopoRunner(t *Topology, table *packet.Table) (*TopoRunner, error) {
 	return r, nil
 }
 
+// Run drives pkts (in send order) across the topology in one shot, on
+// fresh simulation state: NewTopoRunner, then TopoRunner.Run.
+func (t *Topology) Run(table *packet.Table, pkts []packet.Packet, observers map[receipt.HOPID]Observer) (*Result, error) {
+	r, err := NewTopoRunner(t, table)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run(pkts, observers)
+}
+
 // Run drives one final (or sole) segment: every observation, including
 // any withheld by earlier RunSegment calls, is delivered. Call with an
 // empty packet slice to flush withheld observations.
-func (r *TopoRunner) Run(pkts []packet.Packet, observers map[receipt.HOPID]Observer) (*TopoResult, error) {
+//
+// Each HOP's observations reach its observer in arrival-time order;
+// observers maps HOP ID → Observer, and HOPs without an entry are
+// non-deploying (partial deployment, §8). Distinct observers are called
+// concurrently (see replayer.replay); everything is deterministic given
+// the topology seed.
+func (r *TopoRunner) Run(pkts []packet.Packet, observers map[receipt.HOPID]Observer) (*Result, error) {
 	return r.RunSegment(pkts, observers, int64(1)<<62)
 }
 
@@ -445,11 +496,11 @@ func (r *TopoRunner) Run(pkts []packet.Packet, observers map[receipt.HOPID]Obser
 // topology and returns that segment's ground truth. horizonNS promises
 // that every future packet is sent at or after it; observations that
 // could still interleave with such packets are withheld and delivered
-// by the next call (see Runner.RunSegment — the semantics are
-// identical, only the forwarding sweep differs).
-func (r *TopoRunner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPID]Observer, horizonNS int64) (*TopoResult, error) {
+// by the next call, keeping each HOP's replay in global arrival order
+// across segments.
+func (r *TopoRunner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPID]Observer, horizonNS int64) (*Result, error) {
 	t := r.t
-	res := &TopoResult{
+	res := &Result{
 		Sent:           len(pkts),
 		LinkDrops:      make([]uint64, len(t.Links)),
 		RouteDelivered: make([]int, len(t.Routes)),
@@ -472,12 +523,14 @@ func (r *TopoRunner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPI
 
 	for i := range pkts {
 		pkt := &pkts[i]
-		key, ok := r.table.Classify(pkt)
-		if !ok {
-			res.Unrouted++
-			continue
+		routes := r.defaultRoutes
+		if len(r.routesByKey) > 0 {
+			if key, ok := r.table.Classify(pkt); ok {
+				if own := r.routesByKey[key]; len(own) > 0 {
+					routes = own
+				}
+			}
 		}
-		routes := r.routesByKey[key]
 		if len(routes) == 0 {
 			res.Unrouted++
 			continue

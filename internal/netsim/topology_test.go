@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -64,9 +65,7 @@ func topoTrace(t *testing.T, keys []packet.PathKey, ratePPS float64, durNS int64
 }
 
 func TestTopologyValidate(t *testing.T) {
-	key := TopoKeys(1)[0]
-	good := LinearTopology(1, 4, key)
-	if err := good.Validate(); err != nil {
+	if _, err := LinearPath(1, 4).Topology(); err != nil {
 		t.Fatalf("valid topology rejected: %v", err)
 	}
 	cases := []struct {
@@ -84,7 +83,7 @@ func TestTopologyValidate(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		tp := LinearTopology(1, 4, key)
+		tp, _ := LinearPath(1, 4).Topology()
 		c.mut(tp)
 		if err := tp.Validate(); err == nil {
 			t.Errorf("%s: expected a validation error", c.name)
@@ -92,96 +91,76 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
-// TestTopoLinearEquivalence: the mesh engine run over a linear
-// topology delivers, HOP for HOP and observation for observation, the
-// exact stream the linear Runner delivers for the equivalent Path —
-// same HOP numbering, same RNG discipline, same arrival order.
-func TestTopoLinearEquivalence(t *testing.T) {
-	const nDomains = 5
-	key := packet.PathKey{
-		Src: packet.MakePrefix(10, 1, 0, 0, 16),
-		Dst: packet.MakePrefix(172, 16, 0, 0, 16),
-	}
-	tc := trace.Config{
-		Seed:       7,
-		DurationNS: 2e8,
-		Paths:      []trace.PathSpec{trace.DefaultPath(50000)},
-	}
-	pkts, err := trace.Generate(tc)
+// TestDefaultRoute: a route with the zero key carries every packet no
+// keyed route claims — unclassified ones included — and answers routing
+// queries for unlisted keys; without one, such packets stay Unrouted;
+// and a table of default routes alone is never classified against.
+func TestDefaultRoute(t *testing.T) {
+	keys := TopoKeys(3)
+	tc, pkts := topoTrace(t, keys, 5000, 1e8) // keys[2] gets no route of its own
+	background, err := trace.Generate(trace.Config{Seed: 12, DurationNS: 1e8, Paths: []trace.PathSpec{trace.DefaultPath(5000)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	const seed = 42
-	lin := LinearPath(seed, nDomains)
-	topo := LinearTopology(seed, nDomains, key)
-	// Same stochastic world on both: loss and congestion inside T2,
-	// loss on the first link, skew on T1 — separate process instances
-	// with identical seeds.
-	perturb := func(setDomLoss func(int, lossmodel.Process), setLinkLoss func(int, lossmodel.Process), doms []DomainSpec, links func(int) *LinkSpec) {
-		dl, err := lossmodel.FromTargetLoss(0.05, 4, stats.NewRNG(99))
-		if err != nil {
-			t.Fatal(err)
-		}
-		setDomLoss(2, dl)
-		ll, err := lossmodel.FromTargetLoss(0.02, 4, stats.NewRNG(77))
-		if err != nil {
-			t.Fatal(err)
-		}
-		setLinkLoss(0, ll)
-		doms[1].IngressSkewNS = 40_000
-		doms[1].EgressSkewNS = -25_000
+	perKey := make(map[packet.PathKey]int)
+	for i := range pkts {
+		k, _ := tc.Table().Classify(&pkts[i])
+		perKey[k]++
 	}
-	perturb(func(d int, p lossmodel.Process) { lin.Domains[d].Loss = p },
-		func(l int, p lossmodel.Process) { lin.Links[l].Loss = p },
-		lin.Domains, func(l int) *LinkSpec { return &lin.Links[l] })
-	perturb(func(d int, p lossmodel.Process) { topo.Domains[d].Loss = p },
-		func(l int, p lossmodel.Process) { topo.Links[l].Loss = p },
-		topo.Domains, func(l int) *LinkSpec { return &topo.Links[l].LinkSpec })
+	pkts = append(pkts, background...) // send order does not matter here
 
-	nHops := lin.NumHOPs()
-	if got := topo.NumHOPs(); got != nHops {
-		t.Fatalf("HOP count mismatch: linear %d, topo %d", nHops, got)
+	// A star where keys[0] and keys[1] leave leaf0 for leaf1 and leaf2,
+	// and everything else defaults to leaf3.
+	build := func(withDefault bool) *Topology {
+		star := StarTopology(5, 4, keys[:2])
+		if withDefault {
+			star.Routes = append(star.Routes, Route{Links: []int{0, 3}})
+		}
+		return star
 	}
-
-	linObs, linRec := recorders(nHops)
-	linRes, err := lin.Run(append([]packet.Packet(nil), pkts...), linObs)
+	star := build(true)
+	res, err := star.Run(tc.Table(), pkts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := []int{perKey[keys[0]], perKey[keys[1]], perKey[keys[2]] + len(background)}
+	if res.Unrouted != 0 || !slices.Equal(res.RouteDelivered, want) {
+		t.Fatalf("with a default route: unrouted %d, per-route deliveries %v, want 0 and %v", res.Unrouted, res.RouteDelivered, want)
+	}
+	if got := star.RoutesForKey(keys[2]); !slices.Equal(got, []int{2}) {
+		t.Fatalf("unlisted key resolves to routes %v, want the default route [2]", got)
+	}
+	if got := star.RoutesForKey(keys[0]); !slices.Equal(got, []int{0}) {
+		t.Fatalf("listed key resolves to routes %v, want its own [0]", got)
+	}
+	_, in := star.LinkHOPs(3)
+	up, _ := star.LinkHOPs(3)
+	if id := star.PathIDFor(keys[2], in); id.Key != keys[2] || id.PrevHOP != up || id.NextHOP != 0 {
+		t.Fatalf("PathID of an unlisted key on the default route: %+v", id)
+	}
 
-	tr, err := NewTopoRunner(topo, tc.Table())
+	res, err = build(false).Run(tc.Table(), pkts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	topoObs, topoRec := recorders(nHops)
-	topoRes, err := tr.Run(append([]packet.Packet(nil), pkts...), topoObs)
+	if want := perKey[keys[2]] + len(background); res.Unrouted != want {
+		t.Fatalf("without a default route: unrouted %d, want %d", res.Unrouted, want)
+	}
+
+	// Default routes only: no table, nothing classified, all forwarded.
+	chain, err := LinearPath(5, 3).Topology()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if linRes.Delivered != topoRes.Delivered {
-		t.Fatalf("delivered mismatch: linear %d, topo %d", linRes.Delivered, topoRes.Delivered)
+	res, err = chain.Run(nil, pkts, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for h := 1; h <= nHops; h++ {
-		a := linRec[receipt.HOPID(h)].got
-		b := topoRec[receipt.HOPID(h)].got
-		if len(a) != len(b) {
-			t.Fatalf("HOP %d: observation count mismatch: linear %d, topo %d", h, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("HOP %d: observation %d differs: linear %+v, topo %+v", h, i, a[i], b[i])
-			}
-		}
+	if res.Delivered != len(pkts) {
+		t.Fatalf("chain delivered %d of %d packets", res.Delivered, len(pkts))
 	}
-	// Ground truth agrees per domain.
-	for d := range lin.Domains {
-		lt := linRes.Domains[d]
-		tt := topoRes.Domains[d]
-		if lt.In != tt.In || lt.Out != tt.Out || lt.DroppedInside != tt.DroppedInside {
-			t.Fatalf("domain %s truth mismatch: linear %+v, topo %+v", lt.Name, lt, tt)
-		}
+	if _, err := NewTopoRunner(star, nil); err == nil {
+		t.Fatal("keyed routes accepted without a prefix table")
 	}
 }
 

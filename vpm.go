@@ -149,22 +149,19 @@ func CoverUpAggs(liarEgress []AggReceipt, ownPath PathID, linkDelayNS int64) []A
 
 // Simulation substrate.
 type (
-	// Path is a linear inter-domain path.
+	// Path builds a chain of domains, the one-route topology of the
+	// paper's Figure 1; perturb Domains[i] / Links[i], then deploy.
 	Path = netsim.Path
-	// Topology is a directed domain graph with a route table: every
-	// directed link contributes an egress and an ingress HOP, several
-	// routes per key is ECMP multipath.
+	// Topology is the network model, a directed domain graph with a
+	// route table: every directed link contributes an egress and an
+	// ingress HOP, several routes per key is ECMP multipath, and
+	// Topology.Run drives a trace across it.
 	Topology = netsim.Topology
 )
 
 // Fig1Path builds the paper's five-domain example topology
 // (S -> L -> X -> N -> D, HOPs 1..8).
 func Fig1Path(seed uint64) *Path { return netsim.Fig1Path(seed) }
-
-// NewTopoRunner prepares persistent mesh simulation state.
-func NewTopoRunner(t *Topology, table *packet.Table) (*netsim.TopoRunner, error) {
-	return netsim.NewTopoRunner(t, table)
-}
 
 // NewTopoDeployment places collectors on every routed HOP of a
 // topology; verify per (key, route) via Deployment.KeyLayouts.
@@ -269,14 +266,15 @@ type (
 	EpochReport = core.EpochReport
 )
 
-// RunContinuous runs a deployment on a linear path as a stream of
+// RunContinuous runs a chain deployment (NewDeployment) as a stream of
 // `epochs` rotating intervals through the epoch engine: each interval
-// of gen's traffic is simulated as one segment, every HOP seals its
-// epoch straight into the receipt window, and each epoch is verified
-// once every HOP has sealed it — overlapping the next segment — and
-// reported to onEpoch, while verified epochs older than ec.Retention
-// are evicted. It returns the window's final occupancy.
-func RunContinuous(path *Path, dep *Deployment, gen *trace.Generator, ec EpochConfig, epochs int, onEpoch func(EpochReport, WindowStats)) (WindowStats, error) {
+// of gen's traffic is simulated as one segment across the deployment's
+// topology, every HOP seals its epoch straight into the receipt window,
+// and each epoch is verified once every HOP has sealed it — overlapping
+// the next segment — and reported to onEpoch, while verified epochs
+// older than ec.Retention are evicted. It returns the window's final
+// occupancy.
+func RunContinuous(dep *Deployment, gen *trace.Generator, ec EpochConfig, epochs int, onEpoch func(EpochReport, WindowStats)) (WindowStats, error) {
 	if err := ec.Validate(); err != nil {
 		return WindowStats{}, err
 	}
@@ -290,7 +288,7 @@ func RunContinuous(path *Path, dep *Deployment, gen *trace.Generator, ec EpochCo
 	if err != nil {
 		return WindowStats{}, err
 	}
-	sim, err := engine.PathSim(path, nil)
+	sim, err := engine.NewSim(dep.Topo, dep.Table, nil)
 	if err != nil {
 		return WindowStats{}, err
 	}
