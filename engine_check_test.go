@@ -85,16 +85,21 @@ func TestOnePipeline(t *testing.T) {
 	})
 }
 
-// TestLoadBearingSet is the guard on what PRs 22 and 24 cut down to: one
-// collector type, no streaming-sketch backend, one simulator, six
-// binaries, and a facade that exports only what something reads. Each clause fails on a
-// candidate that came back without a caller.
+// TestLoadBearingSet is the guard on what PRs 22, 24 and 25 cut down
+// to: one collector type, no streaming-sketch backend, one simulator,
+// one serve selection for every dissemination carrier, six binaries,
+// and a facade that exports only what something reads. Each clause
+// fails on a candidate that came back without a caller.
 func TestLoadBearingSet(t *testing.T) {
 	// One collector: in non-test internal/core only Collector and the
 	// epoch clock that wraps it (EpochCollector forwards, it holds no
 	// path state) take observation batches.
-	var batchTypes, simTypes []string
+	var batchTypes, simTypes, tamperCallers []string
 	retired := regexp.MustCompile(`BackendSketch|DrainSketches|SetKeep|SetSink`)
+	// What only the per-carrier copies served: the epoch-filtered
+	// subscription, the registry-first ingest path, the compact receipt
+	// codec and the store-key type.
+	deleted := regexp.MustCompile(`\b(FetchEpochEach|CollectEpochEach|CollectEach|VerifyFromRegistry|IngestSigned|IngestBundles|AppendCompact|DecodeCompact|StoreKey)\b`)
 	fset := token.NewFileSet()
 	walkProductionGo(t, func(path string) error {
 		src, err := os.ReadFile(path)
@@ -103,6 +108,34 @@ func TestLoadBearingSet(t *testing.T) {
 		}
 		if m := retired.Find(src); m != nil {
 			t.Errorf("%s: mentions %s — the streaming-sketch backend is gone; nothing selected it", path, m)
+		}
+		if m := deleted.Find(src); m != nil {
+			t.Errorf("%s: mentions %s — deleted in PR 25; no non-test caller used it", path, m)
+		}
+		if strings.HasPrefix(path, "internal/dissem/") {
+			f, err := parser.ParseFile(fset, path, src, 0)
+			if err != nil {
+				return err
+			}
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				calls := false
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 4 {
+						if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Serve" {
+							calls = true
+						}
+					}
+					return !calls
+				})
+				if calls {
+					tamperCallers = append(tamperCallers, fn.Name.Name)
+				}
+			}
+			return nil
 		}
 		// The method whose receiver types are gathered from this file.
 		inCore := strings.HasPrefix(path, "internal/core/")
@@ -154,6 +187,13 @@ func TestLoadBearingSet(t *testing.T) {
 	// beside it.
 	if want := []string{"TopoRunner"}; !slices.Equal(simTypes, want) {
 		t.Errorf("types declaring RunSegment in non-test internal/netsim: %v, want %v — a second simulator belongs in a _test.go oracle", simTypes, want)
+	}
+
+	// One serve selection: the bundles a viewer is served are chosen,
+	// and the tamper applied, in one place for HTTP, the bus and the
+	// equivocation cross-check alike.
+	if len(tamperCallers) != 1 {
+		t.Errorf("functions in non-test internal/dissem calling BundleTamper.Serve: %v, want exactly one — every carrier serves from Server's one selection", tamperCallers)
 	}
 
 	// Six binaries.

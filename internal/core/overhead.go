@@ -89,14 +89,24 @@ func ComputeBandwidthBudget(nHOPs int, pktsPerAgg float64, sampleRate float64, a
 	}
 }
 
+// The paper's packed field sizes (§7.1). A 〈PktID, Time〉 record is a
+// 4-byte packet ID plus a 3-byte time. A base aggregate receipt is
+// 53 bytes: a kind byte, the explicit 28-byte PathID, 32-bit first,
+// last and count fields, and a 64-bit base time plus a 32-bit record
+// count — the same order as the paper's 22-byte estimate, which
+// amortizes path identification across a reporting session.
+const (
+	paperRecordBytes  = 7
+	paperBaseAggBytes = 53
+)
+
 // ComputeCompactBandwidthBudget is ComputeBandwidthBudget at the
-// paper's packed field sizes (receipt.AppendCompact: 7-byte records,
-// 53-byte base aggregate receipts) — the encoding that makes the
-// paper's "0.2 bytes per packet" arithmetic directly comparable.
+// paper's packed field sizes (paperRecordBytes, paperBaseAggBytes) —
+// what makes the paper's "0.2 bytes per packet" arithmetic directly
+// comparable.
 func ComputeCompactBandwidthBudget(nHOPs int, pktsPerAgg float64, sampleRate float64, avgPktBytes float64) BandwidthBudget {
-	base := receipt.AggReceipt{}.CompactWireSize()
-	perPkt := float64(nHOPs) * (float64(base)/pktsPerAgg +
-		sampleRate*float64(receipt.CompactRecordBytes))
+	perPkt := float64(nHOPs) * (paperBaseAggBytes/pktsPerAgg +
+		sampleRate*paperRecordBytes)
 	return BandwidthBudget{
 		HOPs:             nHOPs,
 		PktsPerAggregate: pktsPerAgg,
@@ -116,6 +126,6 @@ func PaperMemoryScenario(activePaths int, ratePPS float64, windowNS int64) Memor
 		PerPathStateBytes:    20,
 		MonitoringCacheBytes: int64(activePaths) * 20,
 		TempBufferEntries:    entries,
-		TempBufferBytes:      entries * 7, // 4-byte PktID + 3-byte Time
+		TempBufferBytes:      entries * paperRecordBytes,
 	}
 }

@@ -129,10 +129,10 @@ type VerifierConfig struct {
 // HOP, so one store can be shared by many per-path verifiers (see
 // Deployment.NewStore) and ingested concurrently from several
 // dissemination fetches. Receipts arrive either pre-decoded
-// (AddSampleReceipt, AddAggReceipts) or as signed dissemination
-// bundles consumed incrementally (Ingest, IngestSigned,
-// IngestBundles) — no need to hold a path's worth of receipts in
-// memory before verification starts.
+// (AddSampleReceipt, AddAggReceipts) or as dissemination bundles,
+// authenticated by the transport and consumed incrementally (Ingest) —
+// no need to hold a path's worth of receipts in memory before
+// verification starts.
 //
 // A verifier built by NewVerifierFor (or Deployment.NewVerifier) is
 // restricted to one traffic key: queries resolve (HOP, key) indexes
@@ -220,36 +220,6 @@ func (v *Verifier) Ingest(b *dissem.Bundle) {
 		v.store.AddSamples(b.Origin, s)
 	}
 	v.store.AddAggs(b.Origin, b.Aggs)
-}
-
-// IngestSigned authenticates one signed bundle against the key
-// registered for its claimed origin, then ingests it. Unauthenticated
-// receipts never enter the store.
-func (v *Verifier) IngestSigned(reg dissem.Registry, sb dissem.SignedBundle) error {
-	b, err := dissem.VerifyFromRegistry(reg, sb)
-	if err != nil {
-		return err
-	}
-	v.Ingest(b)
-	return nil
-}
-
-// IngestBundles drains a stream of signed bundles, authenticating and
-// ingesting each as it arrives — the streaming counterpart of
-// collecting every receipt up front. On a verification failure it
-// keeps draining the channel (so producers do not block) but ingests
-// nothing further, and returns the first error.
-func (v *Verifier) IngestBundles(reg dissem.Registry, bundles <-chan dissem.SignedBundle) error {
-	var firstErr error
-	for sb := range bundles {
-		if firstErr != nil {
-			continue
-		}
-		if err := v.IngestSigned(reg, sb); err != nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // SampleCount returns the number of distinct sampled packets ingested

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -116,48 +117,44 @@ func TestStoreKeyedIsolation(t *testing.T) {
 }
 
 // TestStreamingIngestMatchesBatch feeds the deployment's receipts
-// through the signed-bundle streaming path — concurrently, from four
-// producer channels — and requires verdicts byte-identical to the
-// batch-built verifier.
+// through the signed-bundle streaming path — one bundle server per HOP
+// on a bus, drained concurrently by four consumers ingesting as
+// bundles clear authentication — and requires verdicts byte-identical
+// to the batch-built verifier.
 func TestStreamingIngestMatchesBatch(t *testing.T) {
 	dep, keys := buildMultiPathScenario(t, true)
 
 	// Sign one bundle per HOP.
+	bus := dissem.NewBus()
 	reg := dissem.Registry{}
-	var bundles []dissem.SignedBundle
+	var hops []receipt.HOPID
 	for hop, proc := range dep.Processors {
 		var seed [32]byte
 		seed[0] = byte(hop)
 		signer := dissem.NewSigner(seed)
 		reg[hop] = signer.Public()
-		bundles = append(bundles, signer.Sign(&dissem.Bundle{
-			Origin:  hop,
-			Samples: proc.CombinedSamples(),
-			Aggs:    proc.Aggs,
-		}))
+		srv := dissem.NewServer(hop, signer)
+		srv.Publish(proc.CombinedSamples(), proc.Aggs)
+		bus.Attach(srv)
+		hops = append(hops, hop)
 	}
 
 	v := NewVerifierFor(dep.Layout(), keys[7])
 	v.SetConfig(dep.VerifierConfig())
-	const producers = 4
-	chans := make([]chan dissem.SignedBundle, producers)
-	for i := range chans {
-		chans[i] = make(chan dissem.SignedBundle)
-	}
+	const consumers = 4
 	var wg sync.WaitGroup
-	errs := make([]error, producers)
-	for i := range chans {
+	errs := make([]error, consumers)
+	for i := 0; i < consumers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = v.IngestBundles(reg, chans[i])
+			for j := i; j < len(hops) && errs[i] == nil; j += consumers {
+				_, errs[i] = bus.CollectSince(reg, hops[j], 0, func(b *dissem.Bundle) error {
+					v.Ingest(b)
+					return nil
+				})
+			}
 		}(i)
-	}
-	for i, sb := range bundles {
-		chans[i%producers] <- sb
-	}
-	for _, ch := range chans {
-		close(ch)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -173,6 +170,17 @@ func TestStreamingIngestMatchesBatch(t *testing.T) {
 	}
 }
 
+// corruptSeq breaks the signature of the bundle at one log position.
+type corruptSeq uint64
+
+func (corruptSeq) Name() string { return "corrupt-seq" }
+func (c corruptSeq) Serve(_ string, seq, _ uint64, sb dissem.SignedBundle) (dissem.SignedBundle, bool) {
+	if seq == uint64(c) {
+		sb.Sig = append([]byte{sb.Sig[0] ^ 0xff}, sb.Sig[1:]...)
+	}
+	return sb, true
+}
+
 // TestIngestRejectsBadBundles checks the streaming path's signature
 // discipline: forged or unknown-origin bundles never enter the store.
 func TestIngestRejectsBadBundles(t *testing.T) {
@@ -186,32 +194,44 @@ func TestIngestRejectsBadBundles(t *testing.T) {
 	path := receipt.PathKeyOf(
 		packet.MakePrefix(10, 1, 0, 0, 16),
 		packet.MakePrefix(172, 16, 0, 0, 16), 3, 5, 2_000_000)
-	bundle := &dissem.Bundle{Origin: 4, Samples: []receipt.SampleReceipt{{
+	samples := []receipt.SampleReceipt{{
 		Path:    path,
 		Samples: []receipt.SampleRecord{{PktID: 1, TimeNS: 2}},
-	}}}
+	}}
 
 	v := NewVerifier(Layout{})
-	if err := v.IngestSigned(reg, evil.Sign(bundle)); err == nil {
-		t.Error("forged bundle accepted")
+	ingest := func(b *dissem.Bundle) error {
+		v.Ingest(b)
+		return nil
 	}
-	unknown := *bundle
-	unknown.Origin = 9
-	if err := v.IngestSigned(reg, legit.Sign(&unknown)); err == nil {
+	forged, unknown := dissem.NewServer(4, evil), dissem.NewServer(9, legit)
+	forged.Publish(samples, nil)
+	unknown.Publish(samples, nil)
+	bus := dissem.NewBus()
+	bus.Attach(forged)
+	bus.Attach(unknown)
+	if _, err := bus.CollectSince(reg, 4, 0, ingest); !errors.Is(err, dissem.ErrBadSignature) {
+		t.Errorf("forged bundle: err %v, want ErrBadSignature", err)
+	}
+	if _, err := bus.CollectSince(reg, 9, 0, ingest); err == nil {
 		t.Error("unknown-origin bundle accepted")
 	}
 	if got := v.SampleCount(4); got != 0 {
 		t.Fatalf("rejected bundles left %d samples in the store", got)
 	}
 
-	// A bad bundle mid-stream drains the channel and reports the error.
-	ch := make(chan dissem.SignedBundle, 3)
-	ch <- legit.Sign(bundle)
-	ch <- evil.Sign(bundle)
-	ch <- legit.Sign(bundle)
-	close(ch)
-	if err := v.IngestBundles(reg, ch); err == nil {
-		t.Error("stream with forged bundle reported no error")
+	// A bad bundle mid-stream stops the stream after the bundle before
+	// it, and is named so the consumer can skip it.
+	srv := dissem.NewServer(4, legit)
+	for i := 0; i < 3; i++ {
+		srv.Publish(samples, nil)
+	}
+	srv.SetTamper(corruptSeq(1))
+	bus.Attach(srv)
+	next, err := bus.CollectSince(reg, 4, 0, ingest)
+	var be *dissem.BundleError
+	if !errors.As(err, &be) || be.Seq != 1 || next != 1 {
+		t.Fatalf("stream with a forged bundle: next %d, err %v; want a BundleError at seq 1", next, err)
 	}
 	if got := v.SampleCount(4); got != 1 {
 		t.Fatalf("stream ingested %d distinct samples, want 1 (pre-error bundle only)", got)

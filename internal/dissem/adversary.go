@@ -46,18 +46,10 @@ func (s *Server) SetTamper(t BundleTamper) {
 // material two verifiers exchange when cross-checking an origin for
 // equivocation (FindEquivocation).
 func (s *Server) SignedBundles(viewer string) []SignedBundle {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]SignedBundle, 0, len(s.bundles))
-	for i, p := range s.bundles {
-		sb := p.sb
-		if s.tamper != nil {
-			var ok bool
-			if sb, ok = s.tamper.Serve(viewer, s.base+uint64(i), p.epoch, sb); !ok {
-				continue
-			}
-		}
-		out = append(out, sb)
+	_, served := s.serve(viewer, 0)
+	out := make([]SignedBundle, len(served))
+	for i, p := range served {
+		out[i] = p.sb
 	}
 	return out
 }

@@ -106,8 +106,7 @@ func TestPrunedCursorGapHTTP(t *testing.T) {
 }
 
 // TestPrunedCursorGapBus: same contract on the in-memory bus —
-// CollectSince surfaces the gap instead of skipping it; CollectEach
-// (no cursor promise) still serves what is retained.
+// CollectSince surfaces the gap instead of skipping it.
 func TestPrunedCursorGapBus(t *testing.T) {
 	srv, _, reg := dissemWorld(t, 4)
 	for seq := 0; seq < 4; seq++ {
@@ -129,10 +128,6 @@ func TestPrunedCursorGapBus(t *testing.T) {
 	next, err := bus.CollectSince(reg, 4, gap.Base, func(*Bundle) error { return nil })
 	if err != nil || next != 4 {
 		t.Fatalf("resume from base: next=%d err=%v", next, err)
-	}
-	n := 0
-	if err := bus.CollectEach(reg, 4, func(*Bundle) error { n++; return nil }); err != nil || n != 2 {
-		t.Fatalf("CollectEach over pruned log: n=%d err=%v", n, err)
 	}
 }
 
@@ -227,37 +222,65 @@ func TestEquivocatorAndProof(t *testing.T) {
 	}
 }
 
-// corruptSigTamper breaks the signature of every bundle it serves.
-type corruptSigTamper struct{}
+// corruptSigTamper breaks the signature of every bundle of one epoch.
+type corruptSigTamper struct{ epoch uint64 }
 
 func (corruptSigTamper) Name() string { return "corrupt-sig" }
-func (corruptSigTamper) Serve(_ string, _, _ uint64, sb SignedBundle) (SignedBundle, bool) {
+func (c corruptSigTamper) Serve(_ string, _, epoch uint64, sb SignedBundle) (SignedBundle, bool) {
+	if epoch != c.epoch {
+		return sb, true
+	}
 	bad := append([]byte(nil), sb.Sig...)
 	bad[0] ^= 0xff
 	return SignedBundle{Payload: sb.Payload, Sig: bad}, true
 }
 
 // TestBundleErrorCarriesSeq: a verification failure mid-stream is a
-// typed BundleError naming origin and sequence, so a cursor consumer
-// can classify it and skip the poisoned bundle.
+// typed BundleError naming origin, sequence and epoch — on the bus and
+// over HTTP alike — so a cursor consumer can classify it and skip the
+// poisoned bundle.
 func TestBundleErrorCarriesSeq(t *testing.T) {
 	srv, _, reg := dissemWorld(t, 4)
-	b := sampleBundle(4, 0)
-	srv.Publish(b.Samples, b.Aggs)
-	srv.SetTamper(corruptSigTamper{})
+	for e := uint64(5); e < 8; e++ { // seqs 0, 1, 2
+		b := sampleBundle(4, 0)
+		srv.PublishEpoch(e, b.Samples, b.Aggs)
+	}
+	srv.SetTamper(corruptSigTamper{epoch: 6})
 	bus := NewBus()
 	bus.Attach(srv)
-	_, err := bus.CollectSince(reg, 4, 0, func(*Bundle) error { return nil })
-	var be *BundleError
-	if !errors.As(err, &be) {
-		t.Fatalf("want BundleError, got %v", err)
-	}
-	if be.Origin != 4 || be.Seq != 0 || !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("bundle error misdescribed: %+v", be)
-	}
-	// Skipping past it drains cleanly.
-	if _, err := bus.CollectSince(reg, 4, be.Seq+1, func(*Bundle) error { return nil }); err != nil {
-		t.Fatal(err)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := &Client{Registry: reg}
+	for _, carrier := range []struct {
+		name    string
+		collect func(since uint64, fn func(*Bundle) error) error
+	}{
+		{"bus", func(since uint64, fn func(*Bundle) error) error {
+			_, err := bus.CollectSince(reg, 4, since, fn)
+			return err
+		}},
+		{"http", func(since uint64, fn func(*Bundle) error) error {
+			return client.FetchEach(context.Background(), ts.URL, 4, since, fn)
+		}},
+	} {
+		var seqs []uint64
+		record := func(b *Bundle) error {
+			seqs = append(seqs, b.Seq)
+			return nil
+		}
+		err := carrier.collect(0, record)
+		var be *BundleError
+		if !errors.As(err, &be) {
+			t.Fatalf("%s: want BundleError, got %v", carrier.name, err)
+		}
+		if be.Origin != 4 || be.Seq != 1 || be.Epoch != 6 || !errors.Is(err, ErrBadSignature) || len(seqs) != 1 {
+			t.Fatalf("%s: bundle error misdescribed: %+v after delivering %v", carrier.name, be, seqs)
+		}
+		// Skipping past it drains cleanly.
+		seqs = nil
+		if err := carrier.collect(be.Seq+1, record); err != nil || len(seqs) != 1 || seqs[0] != 2 {
+			t.Fatalf("%s: skipping the poisoned bundle: delivered %v, err %v", carrier.name, seqs, err)
+		}
 	}
 }
 

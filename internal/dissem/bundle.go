@@ -85,6 +85,12 @@ func (b *Bundle) Encode() []byte {
 // magic[4] origin[4] seq[8] epoch[8] nSamples[4] nAggs[4].
 const bundleHeaderSize = 32
 
+// headerClaims reads the seq and epoch an encoding's header claims,
+// unauthenticated; data must hold at least bundleHeaderSize bytes.
+func headerClaims(data []byte) (seq, epoch uint64) {
+	return binary.LittleEndian.Uint64(data[8:16]), binary.LittleEndian.Uint64(data[16:24])
+}
+
 // The smallest encodings a receipt of each kind can have — what bounds
 // a header's receipt counts by the bytes that follow it.
 var (
@@ -101,11 +107,8 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 	if len(data) < bundleHeaderSize || [4]byte(data[0:4]) != bundleMagic {
 		return nil, ErrCorruptBundle
 	}
-	b := &Bundle{
-		Origin: receipt.HOPID(binary.LittleEndian.Uint32(data[4:8])),
-		Seq:    binary.LittleEndian.Uint64(data[8:16]),
-		Epoch:  binary.LittleEndian.Uint64(data[16:24]),
-	}
+	b := &Bundle{Origin: receipt.HOPID(binary.LittleEndian.Uint32(data[4:8]))}
+	b.Seq, b.Epoch = headerClaims(data)
 	nSamples := binary.LittleEndian.Uint32(data[24:28])
 	nAggs := binary.LittleEndian.Uint32(data[28:32])
 	rest := data[bundleHeaderSize:]
@@ -196,29 +199,6 @@ func Verify(pub ed25519.PublicKey, origin receipt.HOPID, sb SignedBundle) (*Bund
 	}
 	if b.Origin != origin {
 		return nil, fmt.Errorf("%w: claims %v, key belongs to %v", ErrWrongOrigin, b.Origin, origin)
-	}
-	return b, nil
-}
-
-// VerifyFromRegistry authenticates a signed bundle against the key
-// registered for its claimed origin HOP: the payload is decoded first
-// to learn the origin, then the signature is checked against that
-// origin's registered key. A bundle claiming a HOP with no registered
-// key is rejected. This is the entry point for streaming ingest,
-// where bundles from many HOPs arrive interleaved and the expected
-// origin is not known per call. A signature that fails against the
-// registered key returns ErrBadSignature (match with errors.Is).
-func VerifyFromRegistry(reg Registry, sb SignedBundle) (*Bundle, error) {
-	b, err := DecodeBundle(sb.Payload)
-	if err != nil {
-		return nil, err
-	}
-	pub, ok := reg[b.Origin]
-	if !ok {
-		return nil, fmt.Errorf("dissem: no registered key for claimed origin %v", b.Origin)
-	}
-	if !ed25519.Verify(pub, sb.Payload, sb.Sig) {
-		return nil, fmt.Errorf("%w: bundle claiming %v", ErrBadSignature, b.Origin)
 	}
 	return b, nil
 }

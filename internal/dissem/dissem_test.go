@@ -208,35 +208,6 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
-func TestVerifyFromRegistry(t *testing.T) {
-	signer := NewSigner(seedOf(20))
-	reg := Registry{4: signer.Public()}
-	sb := signer.Sign(sampleBundle(4, 3))
-	b, err := VerifyFromRegistry(reg, sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Origin != 4 || b.Seq != 3 {
-		t.Fatalf("verified bundle mismatch: %+v", b)
-	}
-
-	// Unregistered claimed origin.
-	if _, err := VerifyFromRegistry(Registry{}, sb); err == nil {
-		t.Error("bundle from unregistered origin accepted")
-	}
-	// Signed by a key other than the claimed origin's.
-	evil := NewSigner(seedOf(21))
-	if _, err := VerifyFromRegistry(reg, evil.Sign(sampleBundle(4, 0))); err == nil {
-		t.Error("bundle signed by wrong key accepted")
-	}
-	// Corrupt payload.
-	bad := signer.Sign(sampleBundle(4, 0))
-	bad.Payload = bad.Payload[:10]
-	if _, err := VerifyFromRegistry(reg, bad); err == nil {
-		t.Error("corrupt payload accepted")
-	}
-}
-
 func TestFetchEachStreams(t *testing.T) {
 	signer := NewSigner(seedOf(22))
 	srv := NewServer(4, signer)
@@ -284,34 +255,6 @@ func TestFetchEachStreams(t *testing.T) {
 	}
 }
 
-func TestCollectEach(t *testing.T) {
-	signer := NewSigner(seedOf(23))
-	srv := NewServer(4, signer)
-	b := sampleBundle(4, 0)
-	srv.Publish(b.Samples, nil)
-	srv.Publish(nil, b.Aggs)
-	bus := NewBus()
-	bus.Attach(srv)
-	reg := Registry{4: signer.Public()}
-
-	var seqs []uint64
-	if err := bus.CollectEach(reg, 4, func(b *Bundle) error {
-		seqs = append(seqs, b.Seq)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seqs) != 2 || seqs[0] != 0 || seqs[1] != 1 {
-		t.Fatalf("collected seqs %v", seqs)
-	}
-	if err := bus.CollectEach(reg, 9, func(*Bundle) error { return nil }); err == nil {
-		t.Error("missing HOP accepted")
-	}
-	if err := bus.CollectEach(Registry{}, 4, func(*Bundle) error { return nil }); err == nil {
-		t.Error("missing key accepted")
-	}
-}
-
 func TestBus(t *testing.T) {
 	signer := NewSigner(seedOf(12))
 	srv := NewServer(4, signer)
@@ -320,17 +263,22 @@ func TestBus(t *testing.T) {
 	bus := NewBus()
 	bus.Attach(srv)
 	reg := Registry{4: signer.Public()}
-	got, err := bus.Collect(reg, 4)
+	var got []*Bundle
+	collect := func(b *Bundle) error {
+		got = append(got, b)
+		return nil
+	}
+	next, err := bus.CollectSince(reg, 4, 0, collect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("collected %d bundles", len(got))
+	if len(got) != 1 || next != 1 {
+		t.Fatalf("collected %d bundles, cursor %d", len(got), next)
 	}
-	if _, err := bus.Collect(reg, 9); err == nil {
+	if _, err := bus.CollectSince(reg, 9, 0, collect); err == nil {
 		t.Error("missing HOP accepted")
 	}
-	if _, err := bus.Collect(Registry{}, 4); err == nil {
+	if _, err := bus.CollectSince(Registry{}, 4, 0, collect); err == nil {
 		t.Error("missing key accepted")
 	}
 }
@@ -352,49 +300,6 @@ func TestBundleEpochRoundTrip(t *testing.T) {
 	sb.Payload[16] ^= 1 // first epoch byte
 	if _, err := Verify(signer.Public(), 4, sb); err == nil {
 		t.Fatal("tampered epoch accepted")
-	}
-}
-
-func TestPublishEpochFilters(t *testing.T) {
-	signer := NewSigner(seedOf(9))
-	srv := NewServer(3, signer)
-	reg := Registry{3: signer.Public()}
-
-	// Three epochs, two bundles for epoch 1.
-	srv.PublishEpoch(0, sampleBundle(3, 0).Samples, nil)
-	srv.PublishEpoch(1, sampleBundle(3, 0).Samples, nil)
-	srv.PublishEpoch(1, nil, sampleBundle(3, 0).Aggs)
-	srv.PublishEpoch(2, sampleBundle(3, 0).Samples, nil)
-
-	// HTTP per-epoch fetch.
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := &Client{Registry: reg}
-	var got []uint64
-	err := c.FetchEpochEach(context.Background(), ts.URL, 3, 1, func(b *Bundle) error {
-		got = append(got, b.Seq)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("epoch-1 fetch returned seqs %v", got)
-	}
-
-	// Bus per-epoch collection.
-	bus := NewBus()
-	bus.Attach(srv)
-	var epochs []uint64
-	err = bus.CollectEpochEach(reg, 3, 1, func(b *Bundle) error {
-		epochs = append(epochs, b.Epoch)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(epochs) != 2 || epochs[0] != 1 || epochs[1] != 1 {
-		t.Fatalf("bus epoch-1 collection returned %v", epochs)
 	}
 }
 

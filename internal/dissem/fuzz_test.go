@@ -3,6 +3,9 @@ package dissem
 import (
 	"bytes"
 	"errors"
+	"io"
+	"net/http"
+	"runtime"
 	"testing"
 
 	"vpm/internal/packet"
@@ -74,6 +77,32 @@ func FuzzDecodeBundle(f *testing.F) {
 		re := b.Encode()
 		if !bytes.Equal(re, data) {
 			t.Fatalf("re-encoding differs:\n in: %x\nout: %x", data, re)
+		}
+	})
+}
+
+// FuzzReadFrames: the client's frame reader is total over whatever a
+// server answers — any Content-Type, Content-Length and body end in
+// nil, a *FrameError or a *BundleError, never a panic, and the
+// response's claims buy no memory beyond a small multiple of the bytes
+// that actually arrived. The corpus holds TestHostileFeeds' responses,
+// one honest frame and one with a corrupted signature.
+func FuzzReadFrames(f *testing.F) {
+	pub := NewSigner(seedOf(4)).Public()
+	f.Fuzz(func(t *testing.T, contentType string, contentLength int64, body []byte) {
+		resp := &http.Response{Header: http.Header{}, ContentLength: contentLength, Body: io.NopCloser(bytes.NewReader(body))}
+		resp.Header.Set("Content-Type", contentType)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := readFrames(resp, 4, pub, 0, func(*Bundle) error { return nil })
+		runtime.ReadMemStats(&after)
+		var fe *FrameError
+		var be *BundleError
+		if err != nil && !errors.As(err, &fe) && !errors.As(err, &be) {
+			t.Fatalf("untyped error %v (%T)", err, err)
+		}
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, 64<<10+8*uint64(len(body)); grew > limit {
+			t.Fatalf("allocated %d bytes reading a %d-byte body (limit %d)", grew, len(body), limit)
 		}
 	})
 }

@@ -51,10 +51,11 @@ func (e *GapError) Error() string {
 }
 
 // BundleError wraps a per-bundle verification failure with the origin,
-// sequence number and the epoch the publisher tagged the bundle with,
-// so a consumer can classify the evidence (attributed to the right
+// sequence number and epoch of the bundle — on the bus the server's log
+// position and tag, over HTTP what the payload's header claims — so a
+// consumer can classify the evidence (attributed to the right
 // interval) and skip past the poisoned bundle instead of stalling its
-// cursor on it.
+// cursor on it. Both carriers return it for the same bundles.
 type BundleError struct {
 	Origin receipt.HOPID
 	Seq    uint64
@@ -136,10 +137,9 @@ func (e *FrameError) Unwrap() error { return e.Err }
 
 // Server publishes one HOP's signed receipt bundles over HTTP. Mount
 // it at a path of your choice; GET ?since=N returns all bundles with
-// Seq >= N, GET ?epoch=E only the bundles tagged with epoch E (the
-// two filters compose), as length-prefixed frames (FrameContentType):
-// each bundle's canonical payload exactly as signed, then its
-// signature. Wrap in TLS for the paper's HTTPS web-site realization.
+// Seq >= N as length-prefixed frames (FrameContentType): each bundle's
+// canonical payload exactly as signed, then its signature. Wrap in TLS
+// for the paper's HTTPS web-site realization.
 type Server struct {
 	hop    receipt.HOPID
 	signer *Signer
@@ -151,12 +151,12 @@ type Server struct {
 	tamper  BundleTamper // simulation hook for dissemination attacks
 }
 
-// published is one signed bundle plus the epoch it was tagged with,
-// kept in the clear so the server can filter without re-decoding
-// payloads.
+// published is one signed bundle with its log position and the epoch
+// it was tagged with, kept in the clear so the tamper sees them without
+// re-decoding the payload.
 type published struct {
-	sb    SignedBundle
-	epoch uint64
+	seq, epoch uint64
+	sb         SignedBundle
 }
 
 // NewServer builds a publisher for one HOP.
@@ -180,7 +180,7 @@ func (s *Server) PublishEpoch(epoch uint64, samples []receipt.SampleReceipt, agg
 	seq := s.nextSeq
 	s.nextSeq++
 	b := &Bundle{Origin: s.hop, Seq: seq, Epoch: epoch, Samples: samples, Aggs: aggs}
-	s.bundles = append(s.bundles, published{sb: s.signer.Sign(b), epoch: epoch})
+	s.bundles = append(s.bundles, published{seq: seq, epoch: epoch, sb: s.signer.Sign(b)})
 	return seq
 }
 
@@ -220,6 +220,31 @@ func (s *Server) DropThrough(seq uint64) {
 	s.base += n
 }
 
+// serve is the one serve selection, behind every carrier: the
+// retention base and the retained bundles at positions ≥ since exactly
+// as viewer is served them — tamper applied, withheld bundles left out.
+// The triples are copied under the read lock and the tamper runs after
+// it is released, so a Publish never waits behind a fetch.
+func (s *Server) serve(viewer string, since uint64) (base uint64, out []published) {
+	s.mu.RLock()
+	base, tamper := s.base, s.tamper
+	if start := max(since, base) - base; start < uint64(len(s.bundles)) {
+		out = append([]published(nil), s.bundles[start:]...)
+	}
+	s.mu.RUnlock()
+	if tamper == nil {
+		return base, out
+	}
+	kept := out[:0]
+	for _, p := range out {
+		var ok bool
+		if p.sb, ok = tamper.Serve(viewer, p.seq, p.epoch, p.sb); ok {
+			kept = append(kept, p)
+		}
+	}
+	return base, kept
+}
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -235,57 +260,26 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		since = v
 	}
-	epochFilter, hasEpoch := uint64(0), false
-	if q := r.URL.Query().Get("epoch"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			http.Error(w, "bad epoch parameter", http.StatusBadRequest)
-			return
-		}
-		epochFilter, hasEpoch = v, true
-	}
 	viewer := r.URL.Query().Get("viewer")
 	if viewer == "" {
 		viewer = r.Header.Get(ViewerHeader)
 	}
-	s.mu.RLock()
-	var out []SignedBundle
-	base := s.base
-	start := uint64(0)
-	if since > s.base {
-		start = since - s.base
-	}
-	if start < uint64(len(s.bundles)) {
-		for i, p := range s.bundles[start:] {
-			if hasEpoch && p.epoch != epochFilter {
-				continue
-			}
-			sb := p.sb
-			if s.tamper != nil {
-				var ok bool
-				if sb, ok = s.tamper.Serve(viewer, s.base+start+uint64(i), p.epoch, sb); !ok {
-					continue
-				}
-			}
-			out = append(out, sb)
-		}
-	}
-	s.mu.RUnlock()
+	base, out := s.serve(viewer, since)
 	// The base is always advertised: a cursor below it has permanently
 	// missed bundles, and silently clamping would hide that from the
 	// lagging verifier (Fetch promises all bundles with Seq >= since).
 	w.Header().Set(BaseHeader, strconv.FormatUint(base, 10))
 	size := 0
-	for _, sb := range out {
-		size += FrameHeaderSize + len(sb.Payload) + len(sb.Sig)
+	for _, p := range out {
+		size += FrameHeaderSize + len(p.sb.Payload) + len(p.sb.Sig)
 	}
 	w.Header().Set("Content-Type", FrameContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(size))
 	var hdr [FrameHeaderSize]byte
-	for _, sb := range out {
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(sb.Payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(sb.Sig)))
-		for _, part := range [][]byte{hdr[:], sb.Payload, sb.Sig} {
+	for _, p := range out {
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p.sb.Payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(p.sb.Sig)))
+		for _, part := range [][]byte{hdr[:], p.sb.Payload, p.sb.Sig} {
 			if _, err := w.Write(part); err != nil {
 				return // connection-level failure; nothing more to do
 			}
@@ -330,38 +324,16 @@ func (c *Client) Fetch(ctx context.Context, baseURL string, origin receipt.HOPID
 // buffered and signature-verified as it arrives, and fn is invoked per
 // authenticated bundle — the whole interval's receipts never sit in
 // memory at once. A response that breaks the frame format returns a
-// *FrameError. A verification
-// failure or an fn error aborts the stream and is returned; bundles
-// already passed to fn stay consumed (ingest is incremental by
-// design — pair FetchEach with a Verifier whose answers are only read
-// after a successful drain). When the server advertises a retention
-// base above since (it pruned bundles the cursor never consumed),
-// FetchEach returns a GapError before delivering anything: the caller
-// must decide how to handle the permanently missing bundles rather
-// than silently skipping them.
+// *FrameError; a bundle that fails authentication, a *BundleError —
+// both permanent for Retry. Either, or an fn error, aborts the stream
+// and is returned; bundles already passed to fn stay consumed (ingest
+// is incremental by design — pair FetchEach with a Verifier whose
+// answers are only read after a successful drain). When the server
+// advertises a retention base above since (it pruned bundles the
+// cursor never consumed), FetchEach returns a GapError before
+// delivering anything: the caller must decide how to handle the
+// permanently missing bundles rather than silently skipping them.
 func (c *Client) FetchEach(ctx context.Context, baseURL string, origin receipt.HOPID, since uint64, fn func(*Bundle) error) error {
-	return c.fetchEach(ctx, fmt.Sprintf("%s?since=%d", baseURL, since), origin, &since, fn)
-}
-
-// FetchEpochEach streams only the bundles the server tagged with the
-// given epoch — the per-epoch subscription of a rolling verifier.
-// Signatures are verified per bundle exactly as in FetchEach, and the
-// epoch claim inside each authenticated payload is checked against the
-// requested epoch so a server cannot smuggle another interval's
-// receipts into the response.
-func (c *Client) FetchEpochEach(ctx context.Context, baseURL string, origin receipt.HOPID, epoch uint64, fn func(*Bundle) error) error {
-	return c.fetchEach(ctx, fmt.Sprintf("%s?epoch=%d", baseURL, epoch), origin, nil, func(b *Bundle) error {
-		if b.Epoch != epoch {
-			return fmt.Errorf("dissem: %v sent epoch %d in an epoch-%d fetch", origin, b.Epoch, epoch)
-		}
-		return fn(b)
-	})
-}
-
-// fetchEach GETs url and streams each authenticated bundle to fn.
-// since, when non-nil, is the cursor the fetch promised to serve
-// completely; a server base above it becomes a GapError.
-func (c *Client) fetchEach(ctx context.Context, url string, origin receipt.HOPID, since *uint64, fn func(*Bundle) error) error {
 	pub, ok := c.Registry[origin]
 	if !ok {
 		return fmt.Errorf("dissem: no registered key for %v", origin)
@@ -370,7 +342,7 @@ func (c *Client) fetchEach(ctx context.Context, url string, origin receipt.HOPID
 	if hc == nil {
 		hc = &http.Client{Timeout: DefaultFetchTimeout}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s?since=%d", baseURL, since), nil)
 	if err != nil {
 		return err
 	}
@@ -385,22 +357,34 @@ func (c *Client) fetchEach(ctx context.Context, url string, origin receipt.HOPID
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("dissem: %v returned %s", origin, resp.Status)
 	}
-	if since != nil {
-		if h := resp.Header.Get(BaseHeader); h != "" {
-			base, err := strconv.ParseUint(h, 10, 64)
-			if err == nil && base > *since {
-				return &GapError{Origin: origin, Since: *since, Base: base}
-			}
+	if h := resp.Header.Get(BaseHeader); h != "" {
+		base, err := strconv.ParseUint(h, 10, 64)
+		if err == nil && base > since {
+			return &GapError{Origin: origin, Since: since, Base: base}
 		}
 	}
-	return readFrames(resp, origin, pub, fn)
+	return readFrames(resp, origin, pub, since, fn)
+}
+
+// authenticate is the receive side's one authentication step, the same
+// for both carriers: it verifies sb against origin's key and turns a
+// failure into a *BundleError naming the bundle's seq and epoch.
+func authenticate(pub ed25519.PublicKey, origin receipt.HOPID, seq, epoch uint64, sb SignedBundle) (*Bundle, error) {
+	b, err := Verify(pub, origin, sb)
+	if err != nil {
+		return nil, &BundleError{Origin: origin, Seq: seq, Epoch: epoch, Err: err}
+	}
+	return b, nil
 }
 
 // readFrames streams a framed feed response to fn, one authenticated
 // bundle per frame. A frame is read only after its header is checked
-// against MaxBundleBytes, the signature size and the bytes the
-// Content-Length still promises.
-func readFrames(resp *http.Response, origin receipt.HOPID, pub ed25519.PublicKey, fn func(*Bundle) error) error {
+// against MaxBundleBytes, the bundle header, the signature size and the
+// bytes the Content-Length still promises. The seq and epoch a failed
+// bundle is named by come from its payload's header, and a claim below
+// since is refused before authentication: no claim may move the
+// caller's cursor backwards.
+func readFrames(resp *http.Response, origin receipt.HOPID, pub ed25519.PublicKey, since uint64, fn func(*Bundle) error) error {
 	if ct := resp.Header.Get("Content-Type"); ct != FrameContentType {
 		return Permanent(&FrameError{Origin: origin, Frame: -1,
 			Err: fmt.Errorf("%w: Content-Type %q, want %s", ErrNotFramed, ct, FrameContentType)})
@@ -428,6 +412,8 @@ func readFrames(resp *http.Response, origin receipt.HOPID, pub ed25519.PublicKey
 		switch {
 		case payloadLen > MaxBundleBytes:
 			return Permanent(bad(fmt.Errorf("%w: announces %d payload bytes", ErrFrameTooLarge, payloadLen)))
+		case payloadLen < bundleHeaderSize:
+			return Permanent(bad(fmt.Errorf("%w: %d-byte payload cannot hold a bundle header", ErrBadFrame, payloadLen)))
 		case sigLen != ed25519.SignatureSize:
 			return Permanent(bad(fmt.Errorf("%w: signature of %d bytes", ErrBadFrame, sigLen)))
 		case payloadLen+sigLen > remaining:
@@ -441,9 +427,13 @@ func readFrames(resp *http.Response, origin receipt.HOPID, pub ed25519.PublicKey
 		}
 		remaining -= payloadLen + sigLen
 		frame := buf.Bytes()
-		b, err := Verify(pub, origin, SignedBundle{Payload: frame[:payloadLen], Sig: frame[payloadLen:]})
+		seq, epoch := headerClaims(frame)
+		if seq < since {
+			return Permanent(bad(fmt.Errorf("%w: claims seq %d below the requested %d", ErrBadFrame, seq, since)))
+		}
+		b, err := authenticate(pub, origin, seq, epoch, SignedBundle{Payload: frame[:payloadLen], Sig: frame[payloadLen:]})
 		if err != nil {
-			return fmt.Errorf("dissem: bundle %d from %v: %w", i, origin, err)
+			return Permanent(err)
 		}
 		if err := fn(b); err != nil {
 			return err
@@ -472,19 +462,6 @@ func (b *Bus) Attach(s *Server) {
 	b.servers[s.hop] = s
 }
 
-// Collect returns all verified bundles from the given HOP.
-func (b *Bus) Collect(reg Registry, origin receipt.HOPID) ([]*Bundle, error) {
-	out := make([]*Bundle, 0)
-	err := b.CollectEach(reg, origin, func(bundle *Bundle) error {
-		out = append(out, bundle)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // CollectSince streams the HOP's verified bundles with Seq >= since to
 // fn and returns the next since value — the incremental-subscription
 // primitive: a rolling verifier polls each HOP with the cursor from
@@ -501,102 +478,35 @@ func (b *Bus) CollectSince(reg Registry, origin receipt.HOPID, since uint64, fn 
 
 // CollectSinceAs is CollectSince with a viewer identity, which
 // simulated per-verifier misbehavior (an Equivocator tamper) keys on.
+// The server's log position is the cursor; fn runs outside the bus and
+// server locks, so it may ingest into a verifier (or publish
+// elsewhere) freely. A bundle that fails authentication is a
+// *BundleError naming the origin and position, so a cursor consumer
+// can classify it and skip past the poisoned bundle.
 func (b *Bus) CollectSinceAs(viewer string, reg Registry, origin receipt.HOPID, since uint64, fn func(*Bundle) error) (uint64, error) {
-	s, ok := b.server(origin)
+	b.mu.RLock()
+	s, ok := b.servers[origin]
+	b.mu.RUnlock()
 	if !ok {
 		return since, fmt.Errorf("dissem: HOP %v not on bus", origin)
 	}
-	if base := s.Base(); since < base {
-		return since, &GapError{Origin: origin, Since: since, Base: base}
-	}
-	next := since
-	err := b.collectFrom(viewer, reg, origin, since, func(bundle *Bundle, seq uint64) error {
-		if err := fn(bundle); err != nil {
-			return err
-		}
-		if seq >= next {
-			next = seq + 1
-		}
-		return nil
-	})
-	return next, err
-}
-
-// CollectEach is the streaming form of Collect: each of the HOP's
-// bundles is verified and handed to fn one at a time, without
-// materializing the full interval. fn runs outside the bus and server
-// locks, so it may ingest into a verifier (or publish elsewhere)
-// freely; a verification failure or fn error aborts the stream.
-// Unlike the cursor-based CollectSince, CollectEach means "everything
-// still retained": bundles pruned by DropThrough are skipped silently.
-func (b *Bus) CollectEach(reg Registry, origin receipt.HOPID, fn func(*Bundle) error) error {
-	return b.collectFrom("", reg, origin, 0, func(bundle *Bundle, _ uint64) error { return fn(bundle) })
-}
-
-// CollectEpochEach streams only the HOP's bundles tagged with the
-// given epoch — the per-epoch fetch a rolling verifier issues when it
-// learns an interval has closed. Every bundle is still signature-
-// verified before the epoch filter is applied.
-func (b *Bus) CollectEpochEach(reg Registry, origin receipt.HOPID, epoch uint64, fn func(*Bundle) error) error {
-	return b.collectFrom("", reg, origin, 0, func(bundle *Bundle, _ uint64) error {
-		if bundle.Epoch != epoch {
-			return nil
-		}
-		return fn(bundle)
-	})
-}
-
-// server resolves an attached HOP server.
-func (b *Bus) server(origin receipt.HOPID) (*Server, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	s, ok := b.servers[origin]
-	return s, ok
-}
-
-// collectFrom streams the HOP's verified bundles at log positions >=
-// since to fn, along with each bundle's server-side sequence number.
-// Sequence numbers index the server's log behind its base offset
-// (bundles below the base were dropped by DropThrough and are
-// skipped — CollectSince surfaces that as a GapError before calling
-// here). A verification failure is returned as a *BundleError naming
-// the origin and sequence, so cursor-based consumers can classify it
-// and skip past the poisoned bundle.
-func (b *Bus) collectFrom(viewer string, reg Registry, origin receipt.HOPID, since uint64, fn func(*Bundle, uint64) error) error {
-	s, ok := b.server(origin)
-	if !ok {
-		return fmt.Errorf("dissem: HOP %v not on bus", origin)
-	}
 	pub, ok := reg[origin]
 	if !ok {
-		return fmt.Errorf("dissem: no registered key for %v", origin)
+		return since, fmt.Errorf("dissem: no registered key for %v", origin)
 	}
-	for i := since; ; i++ {
-		s.mu.RLock()
-		if i < s.base {
-			i = s.base
-		}
-		idx := i - s.base
-		if idx >= uint64(len(s.bundles)) {
-			s.mu.RUnlock()
-			return nil
-		}
-		sb := s.bundles[idx].sb
-		epoch := s.bundles[idx].epoch
-		tamper := s.tamper
-		s.mu.RUnlock()
-		if tamper != nil {
-			var serve bool
-			if sb, serve = tamper.Serve(viewer, i, epoch, sb); !serve {
-				continue // withheld: the consumer sees only absence
-			}
-		}
-		bundle, err := Verify(pub, origin, sb)
+	base, served := s.serve(viewer, since)
+	if since < base {
+		return since, &GapError{Origin: origin, Since: since, Base: base}
+	}
+	for _, p := range served {
+		bundle, err := authenticate(pub, origin, p.seq, p.epoch, p.sb)
 		if err != nil {
-			return &BundleError{Origin: origin, Seq: i, Epoch: epoch, Err: err}
+			return since, err
 		}
-		if err := fn(bundle, i); err != nil {
-			return err
+		if err := fn(bundle); err != nil {
+			return since, err
 		}
+		since = p.seq + 1
 	}
+	return since, nil
 }

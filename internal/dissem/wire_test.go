@@ -34,7 +34,7 @@ func frame(sb SignedBundle) []byte {
 
 // TestFrameWireAccounting: what crosses the wire is, to the byte, the
 // signed payloads and signatures plus FrameHeaderSize per bundle — for
-// the whole feed and under both filters — and Content-Length says so.
+// the whole feed and from any cursor — and Content-Length says so.
 func TestFrameWireAccounting(t *testing.T) {
 	srv, _, reg := dissemWorld(t, 4)
 	rng := stats.NewRNG(0xf4a3e)
@@ -62,8 +62,6 @@ func TestFrameWireAccounting(t *testing.T) {
 	}{
 		{"", func(*Bundle) bool { return true }},
 		{"?since=2", func(b *Bundle) bool { return b.Seq >= 2 }},
-		{"?epoch=3", func(b *Bundle) bool { return b.Epoch == 3 }},
-		{"?since=4&epoch=1", func(*Bundle) bool { return false }},
 		{"?since=99", func(*Bundle) bool { return false }},
 	} {
 		resp, err := http.Get(ts.URL + tc.query)
@@ -126,8 +124,35 @@ func TestTampersOverHTTP(t *testing.T) {
 	if epochs, err := epochsServed(t, &Replayer{FromEpoch: 1}); err != nil || len(epochs) != 3 || epochs[1] != 0 || epochs[2] != 0 {
 		t.Errorf("replayer over HTTP: epochs %v, err %v; want [0 0 0]", epochs, err)
 	}
-	if epochs, err := epochsServed(t, corruptSigTamper{}); !errors.Is(err, ErrBadSignature) || len(epochs) != 0 {
-		t.Errorf("corrupted signature over HTTP: delivered %v, err %v; want ErrBadSignature before any bundle", epochs, err)
+
+	// A forged bundle is a permanent *BundleError named by the seq and
+	// epoch its payload claims (here frame 0 of a since=1 fetch carries
+	// seq 1), refused after one attempt exactly as the bus refuses it.
+	srv, _, reg := dissemWorld(t, 4)
+	for e := uint64(0); e < 3; e++ {
+		b := sampleBundle(4, e)
+		srv.PublishEpoch(e+10, b.Samples, b.Aggs)
+	}
+	srv.SetTamper(corruptSigTamper{epoch: 11})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	attempts, delivered := 0, 0
+	err := Retry(context.Background(), RetryPolicy{Attempts: 2, Base: time.Millisecond}, func() error {
+		attempts++
+		return (&Client{Registry: reg}).FetchEach(context.Background(), ts.URL, 4, 1, func(*Bundle) error {
+			delivered++
+			return nil
+		})
+	})
+	var be *BundleError
+	if !errors.As(err, &be) || !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("corrupted signature over HTTP: err %v (%T), want a *BundleError wrapping ErrBadSignature", err, err)
+	}
+	if be.Origin != 4 || be.Seq != 1 || be.Epoch != 11 {
+		t.Errorf("corrupted signature over HTTP: %+v, want HOP 4 seq 1 epoch 11", be)
+	}
+	if attempts != 1 || delivered != 0 {
+		t.Errorf("corrupted signature over HTTP: %d attempts delivering %d bundles, want 1 attempt and none", attempts, delivered)
 	}
 }
 
@@ -161,39 +186,47 @@ func TestHostileFeeds(t *testing.T) {
 		frame     int
 		permanent bool
 		delivered int
+		since     uint64
 	}{
 		{"JSON from a pre-frame server", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			w.Write([]byte(`[{"payload":"AAAA","sig":"AAAA"}]`))
-		}, ErrNotFramed, -1, true, 0},
+		}, ErrNotFramed, -1, true, 0, 0},
 		{"no Content-Length", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", FrameContentType)
 			w.(http.Flusher).Flush() // forces chunked encoding
 			w.Write(good)
-		}, ErrNotFramed, -1, true, 0},
+		}, ErrNotFramed, -1, true, 0, 0},
 		{"4 GiB frame", func(w http.ResponseWriter, _ *http.Request) {
 			framed(w, 1<<33, header(0xffffffff, ed25519.SignatureSize))
-		}, ErrFrameTooLarge, 0, true, 0},
+		}, ErrFrameTooLarge, 0, true, 0, 0},
 		{"one byte over MaxBundleBytes", func(w http.ResponseWriter, _ *http.Request) {
 			framed(w, 1<<33, header(MaxBundleBytes+1, ed25519.SignatureSize))
-		}, ErrFrameTooLarge, 0, true, 0},
+		}, ErrFrameTooLarge, 0, true, 0, 0},
 		{"short signature", func(w http.ResponseWriter, _ *http.Request) {
 			framed(w, 1<<20, header(100, ed25519.SignatureSize-1))
-		}, ErrBadFrame, 0, true, 0},
+		}, ErrBadFrame, 0, true, 0, 0},
 		{"frame overruns Content-Length", func(w http.ResponseWriter, _ *http.Request) {
 			body := append(append([]byte{}, good...), header(1000, ed25519.SignatureSize)...)
 			framed(w, int64(len(body))+100, body)
-		}, ErrBadFrame, 1, true, 1},
+		}, ErrBadFrame, 1, true, 1, 0},
 		{"trailing bytes", func(w http.ResponseWriter, _ *http.Request) {
 			body := append(append([]byte{}, good...), 1, 2, 3)
 			framed(w, int64(len(body)), body)
-		}, ErrBadFrame, 1, true, 1},
+		}, ErrBadFrame, 1, true, 1, 0},
 		{"truncated mid-header", func(w http.ResponseWriter, _ *http.Request) {
 			framed(w, int64(2*len(good)), append(append([]byte{}, good...), good[:5]...))
-		}, ErrTruncatedFrame, 1, false, 1},
+		}, ErrTruncatedFrame, 1, false, 1, 0},
 		{"truncated mid-frame", func(w http.ResponseWriter, _ *http.Request) {
 			framed(w, int64(len(good)), good[:len(good)/2])
-		}, ErrTruncatedFrame, 0, false, 0},
+		}, ErrTruncatedFrame, 0, false, 0, 0},
+		{"payload shorter than a bundle header", func(w http.ResponseWriter, _ *http.Request) {
+			body := append(header(bundleHeaderSize-1, ed25519.SignatureSize), make([]byte, bundleHeaderSize-1+ed25519.SignatureSize)...)
+			framed(w, int64(len(body)), body)
+		}, ErrBadFrame, 0, true, 0, 0},
+		{"seq below the cursor", func(w http.ResponseWriter, _ *http.Request) {
+			framed(w, int64(len(good)), good) // seq 0, asked for since=1
+		}, ErrBadFrame, 0, true, 0, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -206,7 +239,7 @@ func TestHostileFeeds(t *testing.T) {
 			start := time.Now()
 			err := Retry(ctx, RetryPolicy{Attempts: 2, Base: time.Millisecond}, func() error {
 				attempts++
-				return c.FetchEach(ctx, ts.URL, 4, 0, func(*Bundle) error {
+				return c.FetchEach(ctx, ts.URL, 4, tc.since, func(*Bundle) error {
 					delivered++
 					return nil
 				})

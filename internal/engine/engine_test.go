@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -87,8 +88,10 @@ func testSigner(h receipt.HOPID) *dissem.Signer {
 }
 
 // runWorld drives w through both halves over the named transport and
-// store and returns every report's canonical encoding, in order.
-func runWorld(t *testing.T, w testWorld, transport, store string) [][]byte {
+// store, with tamper installed on the bus servers, and returns every
+// report's canonical encoding, in order, and the findings. An honest
+// run (nil tamper) must verify every epoch without a finding.
+func runWorld(t *testing.T, w testWorld, transport, store string, tamper map[receipt.HOPID]dissem.BundleTamper) ([][]byte, []core.Blame) {
 	t.Helper()
 	st := engine.Store{HOPs: w.hops, Retention: 2}
 	var disk *segstore.Store
@@ -116,6 +119,9 @@ func runWorld(t *testing.T, w testWorld, transport, store string) [][]byte {
 	sink := ver.Window.Sink()
 	if transport != "direct" {
 		bus := engine.NewBusTransport(w.hops, testSigner)
+		for h, tm := range tamper {
+			bus.Servers[h].SetTamper(tm)
+		}
 		sink = bus.Sink()
 		ver.Feeds = bus.Feeds()
 		if transport == "http" {
@@ -139,7 +145,7 @@ func runWorld(t *testing.T, w testWorld, transport, store string) [][]byte {
 	if err := col.Run(context.Background(), engine.EpochSource(w.gen, testIntervalNS, testEpochs, nil), w.sim, ver); err != nil {
 		t.Fatal(err)
 	}
-	if len(ver.Findings) != 0 || len(reports) != int(col.Terminal)+1 || ver.Epochs != len(reports) {
+	if tamper == nil && (len(ver.Findings) != 0 || len(reports) != int(col.Terminal)+1) || ver.Epochs != len(reports) {
 		t.Fatalf("%s/%s: %d findings, %d reports (%d tallied) for terminal epoch %d",
 			transport, store, len(ver.Findings), len(reports), ver.Epochs, col.Terminal)
 	}
@@ -153,12 +159,29 @@ func runWorld(t *testing.T, w testWorld, transport, store string) [][]byte {
 			}
 		}
 	}
-	return reports
+	return reports, ver.Findings
+}
+
+// corruptEpoch breaks the signature of every bundle of one epoch.
+type corruptEpoch uint64
+
+func (corruptEpoch) Name() string { return "corrupt-epoch" }
+func (c corruptEpoch) Serve(_ string, _, epoch uint64, sb dissem.SignedBundle) (dissem.SignedBundle, bool) {
+	if epoch != uint64(c) {
+		return sb, true
+	}
+	bad := append([]byte(nil), sb.Sig...)
+	bad[0] ^= 0xff
+	return dissem.SignedBundle{Payload: sb.Payload, Sig: bad}, true
 }
 
 // TestSeamsAreInterchangeable: the same world gives byte-identical
 // reports whichever transport carries the sealed epochs and whichever
-// store sits beneath the window — on a linear path and on a mesh.
+// store sits beneath the window — on a linear path and on a mesh — and,
+// with one HOP misbehaving at the dissemination layer, the bus and HTTP
+// give the same reports and the same findings. (A Replayer is left
+// out: the bus counts a replaying origin's cursor by server log
+// position, HTTP by the payload's signed seq.)
 func TestSeamsAreInterchangeable(t *testing.T) {
 	worlds := map[string]func(*testing.T) testWorld{"fig1": fig1World, "clos": closWorld}
 	for name, build := range worlds {
@@ -166,7 +189,7 @@ func TestSeamsAreInterchangeable(t *testing.T) {
 			var want [][]byte
 			for _, transport := range []string{"direct", "bus", "http"} {
 				for _, store := range []string{"ram", "segstore"} {
-					got := runWorld(t, build(t), transport, store)
+					got, _ := runWorld(t, build(t), transport, store, nil)
 					if want == nil {
 						want = got
 						continue
@@ -179,6 +202,40 @@ func TestSeamsAreInterchangeable(t *testing.T) {
 							t.Fatalf("%s/%s: epoch %d report differs from direct/ram:\n got %s\nwant %s",
 								transport, store, e, got[e], want[e])
 						}
+					}
+				}
+			}
+		})
+	}
+	for _, attack := range []struct {
+		name   string
+		tamper dissem.BundleTamper
+	}{
+		{"corrupt-signature", corruptEpoch(1)},
+		{"withhold", &dissem.Withholder{FromEpoch: 2}},
+	} {
+		t.Run("fig1-"+attack.name, func(t *testing.T) {
+			var want [][]byte
+			var wantFindings []core.Blame
+			for _, transport := range []string{"bus", "http"} {
+				w := fig1World(t)
+				got, findings := runWorld(t, w, transport, "ram", map[receipt.HOPID]dissem.BundleTamper{w.hops[3]: attack.tamper})
+				if len(findings) == 0 {
+					t.Fatalf("%s: the attack left no finding", transport)
+				}
+				if want == nil {
+					want, wantFindings = got, findings
+					continue
+				}
+				if !reflect.DeepEqual(findings, wantFindings) {
+					t.Fatalf("%s: findings differ from the bus's:\n got %v\nwant %v", transport, findings, wantFindings)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d reports, the bus gave %d", transport, len(got), len(want))
+				}
+				for e := range got {
+					if !bytes.Equal(got[e], want[e]) {
+						t.Fatalf("%s: report %d differs from the bus's:\n got %s\nwant %s", transport, e, got[e], want[e])
 					}
 				}
 			}

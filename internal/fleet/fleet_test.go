@@ -432,14 +432,27 @@ func TestRingOwnershipTotalAndStable(t *testing.T) {
 	}
 }
 
+// forgeEpoch breaks the signature of every bundle of one epoch.
+type forgeEpoch uint64
+
+func (forgeEpoch) Name() string { return "forge-epoch" }
+func (f forgeEpoch) Serve(_ string, _, epoch uint64, sb dissem.SignedBundle) (dissem.SignedBundle, bool) {
+	if epoch == uint64(f) {
+		sb.Sig = append([]byte{sb.Sig[0] ^ 0xff}, sb.Sig[1:]...)
+	}
+	return sb, true
+}
+
 // TestVerifierReportsClassifiedFindings: dissemination misbehaviour the
 // engine classifies into blame — here a HOP that serves epoch 0 twice
-// and never its terminal epoch — does not vanish on the fleet path: Run
-// returns it as a *FindingsError naming the HOP.
+// and never its terminal epoch, and a HOP whose epoch-1 bundle fails
+// its signature — does not vanish on the fleet path: Run returns it as
+// a *FindingsError naming the HOPs, without spending a retry budget on
+// the forged frame.
 func TestVerifierReportsClassifiedFindings(t *testing.T) {
 	spec := testSpec()
 	urls := make([]string, spec.Collectors)
-	var liar receipt.HOPID
+	var liar, forger receipt.HOPID
 	var terminal core.EpochID
 	for ci := range urls {
 		cw, err := spec.Build()
@@ -472,6 +485,20 @@ func TestVerifierReportsClassifiedFindings(t *testing.T) {
 			}
 			mux := http.NewServeMux()
 			mux.Handle(path, forged)
+			// Re-serve the second owned HOP's feed with epoch 1's
+			// signature broken.
+			forger = c.Owned()[1]
+			path = fmt.Sprintf("/hop/%d/receipts", forger)
+			bundles, err = (&dissem.Client{Registry: cw.Registry()}).Fetch(context.Background(), honest.URL+path, forger, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resigned := dissem.NewServer(forger, spec.Signer(forger))
+			for _, b := range bundles {
+				resigned.PublishEpoch(b.Epoch, b.Samples, b.Aggs)
+			}
+			resigned.SetTamper(forgeEpoch(1))
+			mux.Handle(path, resigned)
 			mux.Handle("/", c.Handler())
 			handler = mux
 		}
@@ -499,5 +526,17 @@ func TestVerifierReportsClassifiedFindings(t *testing.T) {
 	last := fe.Findings[len(fe.Findings)-1]
 	if last.Evidence != core.EvWithheldBundle || last.Epoch != terminal || last.HOPs[0] != liar {
 		t.Errorf("last finding %v, want epoch %d withheld by %v", last, terminal, liar)
+	}
+	forgeries := 0
+	for _, f := range fe.Findings {
+		if f.Evidence == core.EvSignature {
+			forgeries++
+			if f.Epoch != 1 || len(f.HOPs) != 1 || f.HOPs[0] != forger {
+				t.Errorf("signature finding %v, want epoch 1 by %v", f, forger)
+			}
+		}
+	}
+	if forgeries != 1 {
+		t.Errorf("%d signature findings, want 1: %v", forgeries, fe.Findings)
 	}
 }

@@ -19,10 +19,10 @@
 //   - Merge: concatenates the shards' disjoint per-key report
 //     encodings and re-sorts into canonical order (MergeShardOutputs).
 //
-// Ownership is per traffic key, not per receipt.StoreKey pair: a
-// verifier needs every HOP's receipts for a key to run the §4 link
-// checks, so the ring hashes only the StoreKey's traffic-key component
-// and a shard owns whole keys across all HOPs.
+// Ownership is per traffic key, not per (HOP, key) pair: a verifier
+// needs every HOP's receipts for a key to run the §4 link checks, so
+// the ring hashes only the traffic key and a shard owns whole keys
+// across all HOPs.
 package fleet
 
 import (
@@ -31,7 +31,6 @@ import (
 	"sort"
 
 	"vpm/internal/packet"
-	"vpm/internal/receipt"
 )
 
 // ringVnodes is the number of virtual nodes per shard. 64 keeps the
@@ -108,11 +107,4 @@ func (r *Ring) OwnerKey(k packet.PathKey) int {
 		i = 0
 	}
 	return r.points[i].shard
-}
-
-// Owner returns the shard owning store key k. Only the traffic-key
-// component routes (see the package comment): every (HOP, key) pair of
-// one traffic key maps to one shard.
-func (r *Ring) Owner(k receipt.StoreKey) int {
-	return r.OwnerKey(k.Key)
 }

@@ -120,26 +120,3 @@ func TestReceiptStreamRoundTripProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestStoreKeyRoundTripProperty: random store keys print and re-parse
-// to themselves — the strict parser accepts exactly the canonical
-// spelling String emits.
-func TestStoreKeyRoundTripProperty(t *testing.T) {
-	rng := stats.NewRNG(0xcafe)
-	for i := 0; i < 2000; i++ {
-		k := StoreKey{
-			HOP: HOPID(rng.Uint32()),
-			Key: packet.PathKey{
-				Src: packet.MakePrefix(byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32()), rng.Intn(33)),
-				Dst: packet.MakePrefix(byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32()), rng.Intn(33)),
-			},
-		}
-		got, err := ParseStoreKey(k.String())
-		if err != nil {
-			t.Fatalf("iteration %d: %q did not parse: %v", i, k.String(), err)
-		}
-		if got != k {
-			t.Fatalf("iteration %d: %q parsed to %v, want %v", i, k.String(), got, k)
-		}
-	}
-}

@@ -240,9 +240,6 @@ func EstimateQuantile(delaysNS []float64, q, confidence float64) (quantile.Estim
 type (
 	// ReceiptBundle is one signed reporting interval.
 	ReceiptBundle = dissem.Bundle
-	// SignedReceiptBundle is a bundle encoding plus its signature —
-	// the unit of the streaming ingest path (Verifier.IngestBundles).
-	SignedReceiptBundle = dissem.SignedBundle
 	// BundleClient fetches and authenticates bundles.
 	BundleClient = dissem.Client
 	// KeyRegistry maps HOPs to verification keys.

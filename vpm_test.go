@@ -1,7 +1,11 @@
 package vpm_test
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"vpm"
@@ -181,21 +185,32 @@ func TestPublicAPIStoreAndStreaming(t *testing.T) {
 		t.Fatalf("%d domain reports, want 3", len(reports))
 	}
 
-	// Streaming ingest of signed bundles must match batch ingest.
+	// Streaming ingest of signed bundles, fetched over HTTP and
+	// authenticated frame by frame, must match batch ingest.
 	reg := vpm.KeyRegistry{}
-	ch := make(chan vpm.SignedReceiptBundle, len(dep.Processors))
+	mux := http.NewServeMux()
 	for hop, proc := range dep.Processors {
 		var seed [32]byte
 		seed[0] = byte(hop)
 		signer := vpm.NewBundleSigner(seed)
 		reg[hop] = signer.Public()
-		ch <- signer.Sign(&vpm.ReceiptBundle{Origin: hop, Samples: proc.CombinedSamples(), Aggs: proc.Aggs})
+		srv := vpm.NewBundleServer(hop, signer)
+		srv.Publish(proc.CombinedSamples(), proc.Aggs)
+		mux.Handle(fmt.Sprintf("/hop/%d", hop), srv)
 	}
-	close(ch)
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
 	vs := vpm.NewVerifierFor(dep.Layout(), key)
 	vs.SetConfig(dep.VerifierConfig())
-	if err := vs.IngestBundles(reg, ch); err != nil {
-		t.Fatal(err)
+	client := &vpm.BundleClient{Registry: reg}
+	for hop := range dep.Processors {
+		err := client.FetchEach(context.Background(), fmt.Sprintf("%s/hop/%d", hs.URL, hop), hop, 0, func(b *vpm.ReceiptBundle) error {
+			vs.Ingest(b)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	streamed := vs.VerifyAllLinks()
 	for i := range streamed {
