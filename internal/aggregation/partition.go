@@ -269,9 +269,13 @@ func (p *Partitioner) Take() []receipt.AggReceipt {
 
 // Recycle hands a no-longer-needed receipt buffer back to the
 // partitioner for reuse by a future Take. Only call with buffers whose
-// contents nothing retains.
+// contents nothing retains. A kept buffer is cleared first: a spare
+// holding the old receipts' AggTrans would pin the previous epoch's
+// records until a later epoch overwrote them, and after the last
+// epoch nothing does.
 func (p *Partitioner) Recycle(buf []receipt.AggReceipt) {
 	if cap(buf) > cap(p.spare) {
+		clear(buf[:cap(buf)])
 		p.spare = buf[:0]
 	}
 }

@@ -354,3 +354,37 @@ func TestTakeRecycleOwnership(t *testing.T) {
 		t.Fatal("no receipts after recycle")
 	}
 }
+
+// TestRecycledSpareReferencesNothing: a buffer kept as spare holds no
+// receipt, so no AggTrans window of the epoch it carried stays
+// reachable through it — after Take, and after the terminal Flush,
+// where no later epoch would overwrite it.
+func TestRecycledSpareReferencesNothing(t *testing.T) {
+	p := New(Config{CutRate: 0.05, WindowNS: 10_000}, testPath())
+	stream := randomStream(5, 4000)
+	empty := func(when string) {
+		t.Helper()
+		if cap(p.spare) == 0 {
+			t.Fatalf("%s: no spare kept", when)
+		}
+		for i, r := range p.spare[:cap(p.spare)] {
+			if !reflect.DeepEqual(r, receipt.AggReceipt{}) {
+				t.Fatalf("%s: spare slot %d still holds %+v", when, i, r)
+			}
+		}
+	}
+	for _, o := range stream[:2000] {
+		p.Observe(o.id, o.t)
+	}
+	taken := p.Take()
+	if len(taken) == 0 || taken[0].AggTrans == nil {
+		t.Fatal("workload closed no aggregate with an AggTrans window")
+	}
+	p.Recycle(taken)
+	empty("after Take")
+	for _, o := range stream[2000:] {
+		p.Observe(o.id, o.t)
+	}
+	p.Recycle(p.Flush())
+	empty("after Flush")
+}

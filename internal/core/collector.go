@@ -252,7 +252,8 @@ func (c *Collector) Flush() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
 // record buffer to its path's sampler. Only call with the exact slices
 // that call returned, and only when nothing retains them or their
 // records — retaining callers (the Processor, the windowed store)
-// simply never call it.
+// simply never call it. Kept slices are cleared, so a spare pins no
+// record buffer of the epoch it carried.
 func (c *Collector) Recycle(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
 	for i := range samples {
 		if state, ok := c.paths[samples[i].Path.Key]; ok {
@@ -260,9 +261,11 @@ func (c *Collector) Recycle(samples []receipt.SampleReceipt, aggs []receipt.AggR
 		}
 	}
 	if cap(samples) > cap(c.spareSamples) {
+		clear(samples[:cap(samples)])
 		c.spareSamples = samples[:0]
 	}
 	if cap(aggs) > cap(c.spareAggs) {
+		clear(aggs[:cap(aggs)])
 		c.spareAggs = aggs[:0]
 	}
 }

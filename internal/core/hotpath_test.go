@@ -164,3 +164,53 @@ func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledSparesReferenceNothing: the outer slices Recycle keeps
+// for the next Drain hold no receipt, so they pin none of the record
+// buffers of the epoch they carried — also after the terminal
+// CloseEpoch, which no later drain overwrites.
+func TestRecycledSparesReferenceNothing(t *testing.T) {
+	batches, span, cfg := hotpathWorkload(t, 20_000)
+	cfg.Aggregation.CutRate = 0.001 // aggregates every ~1000 packets, not every ~100k
+	col, err := NewCollector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(passes int) {
+		for range passes {
+			for _, b := range batches {
+				for i := range b {
+					b[i].TimeNS += span
+				}
+				col.ObserveBatch(b)
+			}
+		}
+	}
+	empty := func(when string) {
+		t.Helper()
+		if cap(col.spareSamples) == 0 || cap(col.spareAggs) == 0 {
+			t.Fatalf("%s: no spares kept", when)
+		}
+		for i, s := range col.spareSamples[:cap(col.spareSamples)] {
+			if s.Samples != nil || s.Path != (receipt.PathID{}) {
+				t.Fatalf("%s: spare sample slot %d still holds %d records of %v", when, i, len(s.Samples), s.Path)
+			}
+		}
+		for i, a := range col.spareAggs[:cap(col.spareAggs)] {
+			if a.AggTrans != nil || a.Path != (receipt.PathID{}) {
+				t.Fatalf("%s: spare aggregate slot %d still holds %d AggTrans records of %v", when, i, len(a.AggTrans), a.Path)
+			}
+		}
+	}
+	feed(2)
+	_, samples, aggs := col.RotateInterval()
+	if len(samples) == 0 || len(aggs) == 0 {
+		t.Fatalf("the first epoch sealed %d sample and %d aggregate receipts", len(samples), len(aggs))
+	}
+	col.Recycle(samples, aggs)
+	empty("after RotateInterval")
+	feed(2)
+	_, samples, aggs = col.CloseEpoch()
+	col.Recycle(samples, aggs)
+	empty("after CloseEpoch")
+}

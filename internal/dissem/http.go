@@ -140,15 +140,27 @@ func (e *FrameError) Unwrap() error { return e.Err }
 // Seq >= N as length-prefixed frames (FrameContentType): each bundle's
 // canonical payload exactly as signed, then its signature. Wrap in TLS
 // for the paper's HTTPS web-site realization.
+//
+// Publishing is a hand-off (§7's Collector/Processor split): the
+// sealing goroutine only takes a sequence number, and the Server's
+// signer goroutine encodes and signs behind it, in seq order. The
+// signer runs while unsigned entries are queued and exits when the
+// queue drains, so a Server needs no Close. Every fetch waits for the
+// signatures of the bundles it selected, so what is served, and in
+// which order, does not depend on how far the signer has got.
 type Server struct {
 	hop    receipt.HOPID
 	signer *Signer
 
 	mu      sync.RWMutex
-	bundles []published
+	bundles []*entry
 	base    uint64 // Seq of bundles[0]; earlier bundles were dropped
 	nextSeq uint64
 	tamper  BundleTamper // simulation hook for dissemination attacks
+	// unsigned holds the entries awaiting the signer, oldest first. An
+	// entry leaves it only once signed, so the signer goroutine runs
+	// exactly while it is non-empty.
+	unsigned []*entry
 }
 
 // published is one signed bundle with its log position and the epoch
@@ -159,29 +171,69 @@ type published struct {
 	sb         SignedBundle
 }
 
+// entry is one retained bundle. seq and epoch are fixed at publish;
+// sb is written by the signer before it closes signed and read only
+// after.
+type entry struct {
+	published
+	signed chan struct{}
+	bundle *Bundle // the receipts to encode; the signer drops it once signed
+}
+
 // NewServer builds a publisher for one HOP.
 func NewServer(hop receipt.HOPID, signer *Signer) *Server {
 	return &Server{hop: hop, signer: signer}
 }
 
-// Publish signs and retains the given receipts as the next bundle,
-// returning its sequence number. Batch (single-interval) use; the
-// bundle is tagged epoch 0.
+// Publish retains the given receipts as the next bundle and returns
+// its sequence number; see PublishEpoch. Batch (single-interval) use;
+// the bundle is tagged epoch 0.
 func (s *Server) Publish(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) uint64 {
 	return s.PublishEpoch(0, samples, aggs)
 }
 
-// PublishEpoch signs and retains one sealed epoch's receipts as the
-// next bundle, tagged with the epoch so subscribers can route it into
-// the matching window segment. Returns the bundle's sequence number.
+// PublishEpoch retains one sealed epoch's receipts as the next bundle,
+// tagged with the epoch so subscribers can route it into the matching
+// window segment, and returns the bundle's sequence number. It returns
+// before the bundle is encoded and signed: the Server takes ownership
+// of samples, aggs and every record they reference, and the caller
+// must not modify them afterwards. A fetch issued after PublishEpoch
+// returns serves the bundle, waiting for its signature if need be.
 func (s *Server) PublishEpoch(epoch uint64, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := s.nextSeq
 	s.nextSeq++
-	b := &Bundle{Origin: s.hop, Seq: seq, Epoch: epoch, Samples: samples, Aggs: aggs}
-	s.bundles = append(s.bundles, published{seq: seq, epoch: epoch, sb: s.signer.Sign(b)})
+	e := &entry{
+		published: published{seq: seq, epoch: epoch},
+		signed:    make(chan struct{}),
+		bundle:    &Bundle{Origin: s.hop, Seq: seq, Epoch: epoch, Samples: samples, Aggs: aggs},
+	}
+	s.bundles = append(s.bundles, e)
+	s.unsigned = append(s.unsigned, e)
+	if len(s.unsigned) == 1 {
+		go s.signQueued()
+	}
 	return seq
+}
+
+// signQueued is the signer goroutine: it encodes and signs the queued
+// entries oldest first and returns once the queue is empty. An entry
+// DropThrough already discarded is signed all the same; nobody waits
+// for it.
+func (s *Server) signQueued() {
+	s.mu.Lock()
+	for len(s.unsigned) > 0 {
+		e := s.unsigned[0]
+		s.mu.Unlock()
+		e.sb = s.signer.Sign(e.bundle)
+		e.bundle = nil
+		close(e.signed)
+		s.mu.Lock()
+		s.unsigned[0] = nil
+		s.unsigned = s.unsigned[1:]
+	}
+	s.mu.Unlock()
 }
 
 // BundleCount returns how many bundles the server currently retains.
@@ -223,26 +275,30 @@ func (s *Server) DropThrough(seq uint64) {
 // serve is the one serve selection, behind every carrier: the
 // retention base and the retained bundles at positions ≥ since exactly
 // as viewer is served them — tamper applied, withheld bundles left out.
-// The triples are copied under the read lock and the tamper runs after
-// it is released, so a Publish never waits behind a fetch.
+// The entries are selected under the read lock; the wait for their
+// signatures and the tamper run after it is released, so neither a
+// Publish nor the signer ever waits behind a fetch.
 func (s *Server) serve(viewer string, since uint64) (base uint64, out []published) {
 	s.mu.RLock()
 	base, tamper := s.base, s.tamper
+	var selected []*entry
 	if start := max(since, base) - base; start < uint64(len(s.bundles)) {
-		out = append([]published(nil), s.bundles[start:]...)
+		selected = append(selected, s.bundles[start:]...)
 	}
 	s.mu.RUnlock()
-	if tamper == nil {
-		return base, out
-	}
-	kept := out[:0]
-	for _, p := range out {
-		var ok bool
-		if p.sb, ok = tamper.Serve(viewer, p.seq, p.epoch, p.sb); ok {
-			kept = append(kept, p)
+	out = make([]published, 0, len(selected))
+	for _, e := range selected {
+		<-e.signed
+		p := e.published
+		if tamper != nil {
+			var ok bool
+			if p.sb, ok = tamper.Serve(viewer, p.seq, p.epoch, p.sb); !ok {
+				continue
+			}
 		}
+		out = append(out, p)
 	}
-	return base, kept
+	return base, out
 }
 
 // ServeHTTP implements http.Handler.

@@ -89,8 +89,10 @@ type HopInfo struct {
 // CollectorStatus is the /status document.
 type CollectorStatus struct {
 	Index int `json:"index"`
-	// Finished reports that every owned HOP has sealed every epoch
-	// through Terminal — the feed will not grow further.
+	// Finished reports that every owned HOP has sealed and published
+	// every epoch through Terminal — every bundle has its seq and the
+	// feed will not grow further. Signing runs behind publication, so
+	// a fetch may still wait briefly for signatures.
 	Finished bool   `json:"finished"`
 	Terminal uint64 `json:"terminal"`
 }

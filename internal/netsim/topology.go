@@ -80,9 +80,11 @@ type Topology struct {
 	Seed uint64
 
 	// idx caches the per-key route lists, built once on first routing
-	// query (RoutesForKey, PathIDFor). Without it every per-key query
-	// scans the whole route table — quadratic once a fleet-scale table
-	// holds a million keys. Finish building Routes before querying.
+	// query (RoutesForKey, PathIDFor, NewTopoRunner; the runner's
+	// sweep routes every classified packet through it). Without it
+	// every per-key query scans the whole route table — quadratic once
+	// a fleet-scale table holds a million keys. Finish building Routes
+	// before querying.
 	idxOnce sync.Once
 	idx     map[packet.PathKey][]int
 }
@@ -391,12 +393,11 @@ type TopoRunner struct {
 	jitterRngs []*stats.RNG
 	linkRngs   []*stats.RNG
 	rep        *replayer
-	// routesByKey resolves a classified packet to its candidate
-	// routes, defaultRoutes every other packet; with routesByKey empty
-	// (default routes only) the sweep skips classification. routeSalt
-	// keys the ECMP split so it is uncorrelated with the digest
-	// comparisons the sampling layer makes.
-	routesByKey   map[packet.PathKey][]int
+	// A classified packet follows the topology's routes for its key
+	// (Topology.keyRoutes), every other packet defaultRoutes; when every
+	// route is a default route the sweep skips classification.
+	// routeSalt keys the ECMP split so it is uncorrelated with the
+	// digest comparisons the sampling layer makes.
 	defaultRoutes []int
 	routeHOPs     [][]receipt.HOPID
 	routeDoms     [][]int
@@ -413,15 +414,15 @@ func NewTopoRunner(t *Topology, table *packet.Table) (*TopoRunner, error) {
 	}
 	rng := stats.NewRNG(t.Seed ^ 0xabcdef)
 	r := &TopoRunner{
-		t:           t,
-		table:       table,
-		jitterRngs:  make([]*stats.RNG, len(t.Domains)),
-		linkRngs:    make([]*stats.RNG, len(t.Links)),
-		rep:         newReplayer(t.NumHOPs()),
-		routesByKey: make(map[packet.PathKey][]int),
-		routeHOPs:   make([][]receipt.HOPID, len(t.Routes)),
-		routeDoms:   make([][]int, len(t.Routes)),
-		routeSalt:   t.Seed ^ 0x9e3779b97f4a7c15,
+		t:             t,
+		table:         table,
+		jitterRngs:    make([]*stats.RNG, len(t.Domains)),
+		linkRngs:      make([]*stats.RNG, len(t.Links)),
+		rep:           newReplayer(t.NumHOPs()),
+		defaultRoutes: t.keyRoutes(packet.PathKey{}),
+		routeHOPs:     make([][]receipt.HOPID, len(t.Routes)),
+		routeDoms:     make([][]int, len(t.Routes)),
+		routeSalt:     t.Seed ^ 0x9e3779b97f4a7c15,
 	}
 	for i := range r.jitterRngs {
 		r.jitterRngs[i] = rng.Split()
@@ -430,16 +431,10 @@ func NewTopoRunner(t *Topology, table *packet.Table) (*TopoRunner, error) {
 		r.linkRngs[i] = rng.Split()
 	}
 	for ri := range t.Routes {
-		key := t.Routes[ri].Key
-		if key == (packet.PathKey{}) {
-			r.defaultRoutes = append(r.defaultRoutes, ri)
-		} else {
-			r.routesByKey[key] = append(r.routesByKey[key], ri)
-		}
 		r.routeHOPs[ri] = t.RouteHOPs(ri)
 		r.routeDoms[ri] = t.RouteDomains(ri)
 	}
-	if len(r.routesByKey) > 0 && table == nil {
+	if r.keyed() && table == nil {
 		return nil, fmt.Errorf("netsim: a topology with keyed routes needs a prefix table")
 	}
 	// Minimum observation delay per HOP: the minimum over all routes
@@ -468,6 +463,10 @@ func NewTopoRunner(t *Topology, table *packet.Table) (*TopoRunner, error) {
 	}
 	return r, nil
 }
+
+// keyed reports whether the route table holds a keyed route, which
+// packets must be classified to find.
+func (r *TopoRunner) keyed() bool { return len(r.defaultRoutes) < len(r.t.Routes) }
 
 // Run drives pkts (in send order) across the topology in one shot, on
 // fresh simulation state: NewTopoRunner, then TopoRunner.Run.
@@ -517,6 +516,7 @@ func (r *TopoRunner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPI
 	})
 
 	obsPerHop := make([][]hopObservation, t.NumHOPs()+1) // 1-based HOP IDs
+	keyed := r.keyed()
 	record := func(hop receipt.HOPID, pktIdx int, tm int64) {
 		obsPerHop[hop] = append(obsPerHop[hop], hopObservation{pktIdx: int32(pktIdx), timeNS: tm})
 	}
@@ -524,11 +524,9 @@ func (r *TopoRunner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPI
 	for i := range pkts {
 		pkt := &pkts[i]
 		routes := r.defaultRoutes
-		if len(r.routesByKey) > 0 {
+		if keyed {
 			if key, ok := r.table.Classify(pkt); ok {
-				if own := r.routesByKey[key]; len(own) > 0 {
-					routes = own
-				}
+				routes = t.keyRoutes(key)
 			}
 		}
 		if len(routes) == 0 {
