@@ -88,8 +88,10 @@ func TestOnePipeline(t *testing.T) {
 // TestLoadBearingSet is the guard on what PRs 22, 24 and 25 cut down
 // to: one collector type, no streaming-sketch backend, one simulator,
 // one serve selection for every dissemination carrier, six binaries,
-// and a facade that exports only what something reads. Each clause
-// fails on a candidate that came back without a caller.
+// and a facade that exports only what something reads — and on one
+// verifier front end, a one-shot run being epoch 0 of the epoch
+// pipeline. Each clause fails on a candidate that came back without a
+// caller.
 func TestLoadBearingSet(t *testing.T) {
 	// One collector: in non-test internal/core only Collector and the
 	// epoch clock that wraps it (EpochCollector forwards, it holds no
@@ -100,6 +102,9 @@ func TestLoadBearingSet(t *testing.T) {
 	// subscription, the registry-first ingest path, the compact receipt
 	// codec and the store-key type.
 	deleted := regexp.MustCompile(`\b(FetchEpochEach|CollectEpochEach|CollectEach|VerifyFromRegistry|IngestSigned|IngestBundles|AppendCompact|DecodeCompact|StoreKey)\b`)
+	// What a one-shot run kept beside the epoch pipeline: the batch
+	// bridge that applied adversaries and the second receipt store.
+	batchFrontEnd := regexp.MustCompile(`\b(BatchSeal|CorruptSealed|StoreFromSealed|ReceiptStore|NewReceiptStore|NewVerifierOn)\b`)
 	fset := token.NewFileSet()
 	walkProductionGo(t, func(path string) error {
 		src, err := os.ReadFile(path)
@@ -111,6 +116,9 @@ func TestLoadBearingSet(t *testing.T) {
 		}
 		if m := deleted.Find(src); m != nil {
 			t.Errorf("%s: mentions %s — deleted in PR 25; no non-test caller used it", path, m)
+		}
+		if m := batchFrontEnd.Find(src); m != nil {
+			t.Errorf("%s: mentions %s — a one-shot run is epoch 0 of the epoch pipeline (Deployment.Seal, Deployment.VerifyOnce), and a Verifier reads one leaf", path, m)
 		}
 		if strings.HasPrefix(path, "internal/dissem/") {
 			f, err := parser.ParseFile(fset, path, src, 0)

@@ -64,7 +64,7 @@ func main() {
 		seed[0] = byte(hop)
 		signer := vpm.NewBundleSigner(seed)
 		srv := vpm.NewBundleServer(hop, signer)
-		srv.Publish(proc.CombinedSamples(), proc.Aggs)
+		srv.PublishEpoch(0, proc.CombinedSamples(), proc.Aggs)
 		registry[hop] = signer.Public()
 
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -105,7 +105,7 @@ func main() {
 	var evilSeed [32]byte
 	evilSeed[0] = 0xEE
 	evil := vpm.NewBundleServer(4, vpm.NewBundleSigner(evilSeed))
-	evil.Publish(nil, nil)
+	evil.PublishEpoch(0, nil, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

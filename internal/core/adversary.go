@@ -2,7 +2,6 @@ package core
 
 import (
 	"vpm/internal/receipt"
-	"vpm/internal/stats"
 )
 
 // This file implements the lying-domain strategies of the threat model
@@ -96,39 +95,4 @@ func CoverUpAggs(liarEgress []receipt.AggReceipt, ownPath receipt.PathID, linkDe
 		out = append(out, f)
 	}
 	return out
-}
-
-// DropSamples is the under-reporting lie: the liar omits a fraction of
-// its sample records (e.g. the ones with embarrassing delays),
-// hoping the verifier's estimate improves. Omitted records for
-// packets that other HOPs reported become missing-record evidence.
-func DropSamples(r receipt.SampleReceipt, dropFraction float64, seed uint64) receipt.SampleReceipt {
-	rng := stats.NewRNG(seed)
-	out := receipt.SampleReceipt{Path: r.Path}
-	for _, s := range r.Samples {
-		if rng.Bool(dropFraction) {
-			continue
-		}
-		out.Samples = append(out.Samples, s)
-	}
-	return out
-}
-
-// BiasedSampler models the §3.2 attack against Trajectory Sampling ++:
-// a domain that knows, at forwarding time, whether a packet is
-// sampled, and treats sampled packets preferentially. Against VPM the
-// predicate is unknowable at forwarding time — a domain would have to
-// buffer all traffic for the marker interval (~10 ms), visibly
-// inflating its delay (§5.1) — so this type exists for the baseline
-// comparison experiments.
-type BiasedSampler struct {
-	// IsSampled is the adversary's predictor. For TS++ it is exact
-	// (digest > threshold is checkable immediately); for VPM any
-	// predictor is no better than chance.
-	IsSampled func(digest uint64) bool
-}
-
-// ShouldPrefer implements the netsim preferential-treatment hook.
-func (b *BiasedSampler) ShouldPrefer(digest uint64) bool {
-	return b.IsSampled != nil && b.IsSampled(digest)
 }

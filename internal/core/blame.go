@@ -121,26 +121,14 @@ func (b Blame) String() string {
 }
 
 // LinkDomains returns the names of the two domains adjacent to the
-// given link ordinal (Layout.Links order), from the segment's explicit
-// UpDomain/DownDomain fields. Layouts from older builders carry only
-// the "A-B" segment name; those fall back to splitting the name on "-"
-// — a linear-path-era convention that misattributes when the upstream
-// domain's own name contains a hyphen (mesh generators and real AS
-// names legitimately do), which is why the explicit fields exist.
-// ok is false for an out-of-range ordinal.
+// given link ordinal (Layout.Links order), from the segment's
+// UpDomain/DownDomain fields. ok is false for an out-of-range ordinal.
 func (l Layout) LinkDomains(linkID int) (up, down string, ok bool) {
 	links := l.Links()
 	if linkID < 0 || linkID >= len(links) {
 		return "", "", false
 	}
-	if s := links[linkID]; s.UpDomain != "" || s.DownDomain != "" {
-		return s.UpDomain, s.DownDomain, true
-	}
-	parts := strings.SplitN(links[linkID].Name, "-", 2)
-	if len(parts) != 2 {
-		return "", "", false
-	}
-	return parts[0], parts[1], true
+	return links[linkID].UpDomain, links[linkID].DownDomain, true
 }
 
 // evidenceOf maps a receipt inconsistency kind onto its evidence
@@ -232,32 +220,15 @@ func BlameHOP(layout Layout, epoch EpochID, ev EvidenceClass, hop receipt.HOPID,
 	}
 }
 
-// domainOf names the domain owning a HOP: the explicit per-segment
-// domain fields first (any segment kind), then the domain segments by
-// name, then the linear-era link-name fallback for stub HOPs.
+// domainOf names the domain owning a HOP, from the first segment (of
+// either kind) that ends at it.
 func (l Layout) domainOf(hop receipt.HOPID) string {
 	for _, s := range l.Segments {
-		if s.Up == hop && s.UpDomain != "" {
+		if s.Up == hop {
 			return s.UpDomain
 		}
-		if s.Down == hop && s.DownDomain != "" {
-			return s.DownDomain
-		}
-	}
-	for _, s := range l.Segments {
-		if s.Kind == DomainSegment && (s.Up == hop || s.Down == hop) {
-			return s.Name
-		}
-	}
-	// Stubs: recover from the adjacent link name.
-	for i, s := range l.Links() {
-		if s.Up == hop {
-			up, _, _ := l.LinkDomains(i)
-			return up
-		}
 		if s.Down == hop {
-			_, down, _ := l.LinkDomains(i)
-			return down
+			return s.DownDomain
 		}
 	}
 	return ""

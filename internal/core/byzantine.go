@@ -17,7 +17,9 @@ import (
 // forging egress receipts from ingress receipts — or echo a
 // neighbor's claims (collusion, §3.1), so the framework buffers each
 // epoch until every tapped HOP has sealed it and hands the adversary
-// the complete set to corrupt at once.
+// the complete set to corrupt at once. NewAdversarySink is the one way
+// to mount one: a continuous run's epoch driver and a one-shot run's
+// Deployment.Seal (its epoch 0) both seal into an EpochSink.
 
 // SealedEpoch is one HOP's sealed interval as the adversary sees it:
 // the receipts the honest collector produced, mutable in place.
@@ -265,55 +267,4 @@ func (r *RecordDropper) Corrupt(epoch EpochID, sealed map[receipt.HOPID]*SealedE
 		}
 		se.Samples[i].Samples = kept
 	}
-}
-
-// BatchSeal packages a finalized batch deployment as epoch-0 sealed
-// intervals — the bridge that lets the same EpochAdversary implementations
-// attack the one-shot pipeline: seal, corrupt, then ingest the result.
-func BatchSeal(d *Deployment) map[receipt.HOPID]*SealedEpoch {
-	out := make(map[receipt.HOPID]*SealedEpoch, len(d.Processors))
-	for hop, proc := range d.Processors {
-		out[hop] = &SealedEpoch{
-			HOP:     hop,
-			Samples: proc.CombinedSamples(),
-			Aggs:    append([]receipt.AggReceipt(nil), proc.Aggs...),
-		}
-	}
-	return out
-}
-
-// CorruptSealed runs each adversary over the sealed intervals in the
-// order given — so a colluder listed after a fabricator taps the
-// fabricator's output, exactly as chained AdversarySinks do in
-// continuous mode.
-func CorruptSealed(sealed map[receipt.HOPID]*SealedEpoch, advs ...EpochAdversary) {
-	for _, adv := range advs {
-		tapped := make(map[receipt.HOPID]*SealedEpoch)
-		for _, h := range adv.Taps() {
-			if se, ok := sealed[h]; ok {
-				tapped[h] = se
-			}
-		}
-		adv.Corrupt(0, tapped)
-	}
-}
-
-// StoreFromSealed indexes sealed intervals into a fresh receipt store,
-// in HOP order — the published, possibly-lying view a batch verifier
-// judges.
-func StoreFromSealed(sealed map[receipt.HOPID]*SealedEpoch) *ReceiptStore {
-	hops := make([]int, 0, len(sealed))
-	for h := range sealed {
-		hops = append(hops, int(h))
-	}
-	sort.Ints(hops)
-	store := NewReceiptStore()
-	for _, h := range hops {
-		se := sealed[receipt.HOPID(h)]
-		for _, s := range se.Samples {
-			store.AddSamples(se.HOP, s)
-		}
-		store.AddAggs(se.HOP, se.Aggs)
-	}
-	return store
 }

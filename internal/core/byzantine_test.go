@@ -77,13 +77,13 @@ func fig1Layout() Layout {
 	return Layout{
 		HOPs: []receipt.HOPID{1, 2, 3, 4, 5, 6, 7, 8},
 		Segments: []Segment{
-			{Kind: LinkSegment, Up: 1, Down: 2, Name: "S-L"},
-			{Kind: DomainSegment, Up: 2, Down: 3, Name: "L"},
-			{Kind: LinkSegment, Up: 3, Down: 4, Name: "L-X"},
-			{Kind: DomainSegment, Up: 4, Down: 5, Name: "X"},
-			{Kind: LinkSegment, Up: 5, Down: 6, Name: "X-N"},
-			{Kind: DomainSegment, Up: 6, Down: 7, Name: "N"},
-			{Kind: LinkSegment, Up: 7, Down: 8, Name: "N-D"},
+			{Kind: LinkSegment, Up: 1, Down: 2, Name: "S-L", UpDomain: "S", DownDomain: "L"},
+			{Kind: DomainSegment, Up: 2, Down: 3, Name: "L", UpDomain: "L", DownDomain: "L"},
+			{Kind: LinkSegment, Up: 3, Down: 4, Name: "L-X", UpDomain: "L", DownDomain: "X"},
+			{Kind: DomainSegment, Up: 4, Down: 5, Name: "X", UpDomain: "X", DownDomain: "X"},
+			{Kind: LinkSegment, Up: 5, Down: 6, Name: "X-N", UpDomain: "X", DownDomain: "N"},
+			{Kind: DomainSegment, Up: 6, Down: 7, Name: "N", UpDomain: "N", DownDomain: "N"},
+			{Kind: LinkSegment, Up: 7, Down: 8, Name: "N-D", UpDomain: "N", DownDomain: "D"},
 		},
 	}
 }

@@ -221,6 +221,11 @@ func TestDomainReport(t *testing.T) {
 	if _, err := v.DomainReport("Z", quantile.DefaultQuantiles, 0.95); err == nil {
 		t.Error("unknown domain accepted")
 	}
+	// An invalid confidence fails the first domain with samples, and
+	// the whole sweep with it, as it fails RollingVerifier.VerifyEpoch.
+	if reps, err := v.DomainReports(quantile.DefaultQuantiles, 0); err == nil || reps != nil {
+		t.Errorf("invalid confidence: %d reports, err %v; want none and an error", len(reps), err)
+	}
 }
 
 func TestBlameShiftExposedAtDownstreamLink(t *testing.T) {
@@ -411,6 +416,22 @@ func TestShavedDelaysBreakMaxDiff(t *testing.T) {
 	}
 }
 
+// dropSamples is the under-reporting lie: the liar omits a fraction of
+// its sample records (e.g. the ones with embarrassing delays),
+// hoping the verifier's estimate improves. Omitted records for
+// packets that other HOPs reported become missing-record evidence.
+func dropSamples(r receipt.SampleReceipt, dropFraction float64, seed uint64) receipt.SampleReceipt {
+	rng := stats.NewRNG(seed)
+	out := receipt.SampleReceipt{Path: r.Path}
+	for _, s := range r.Samples {
+		if rng.Bool(dropFraction) {
+			continue
+		}
+		out.Samples = append(out.Samples, s)
+	}
+	return out
+}
+
 func TestDropSamplesExposedByEvidence(t *testing.T) {
 	sc := buildScenario(t, scenarioOpt{durNS: int64(300e6)})
 	v := NewVerifier(sc.dep.Layout())
@@ -421,7 +442,7 @@ func TestDropSamplesExposedByEvidence(t *testing.T) {
 				continue
 			}
 			if hop == 5 {
-				s = DropSamples(s, 0.5, 99)
+				s = dropSamples(s, 0.5, 99)
 			}
 			v.AddSampleReceipt(hop, s)
 		}
@@ -572,11 +593,15 @@ func TestOverheadBudgets(t *testing.T) {
 func TestProcessorPolling(t *testing.T) {
 	sc := buildScenario(t, scenarioOpt{durNS: int64(200e6)})
 	p := sc.dep.Processors[4]
-	if p.Polls() == 0 {
-		t.Error("no polls recorded")
+	var want int64
+	for _, s := range p.Samples {
+		want += int64(s.WireSize())
 	}
-	if p.ReceiptBytes() == 0 {
-		t.Error("no bytes recorded")
+	for _, a := range p.Aggs {
+		want += int64(a.WireSize())
+	}
+	if got := p.ReceiptBytes(); got == 0 || got != want {
+		t.Errorf("ReceiptBytes %d, retained receipts' wire size %d", got, want)
 	}
 	if len(p.CombinedSamples()) == 0 {
 		t.Error("no combined samples")

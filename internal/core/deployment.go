@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"vpm/internal/aggregation"
@@ -168,68 +167,55 @@ func (d *Deployment) Finalize() {
 // Layout is the layout of the topology's default route — the whole
 // path of a chain deployment, whatever the traffic key. A topology
 // without a default route has no single layout (each route has its own,
-// see RouteLayouts/KeyLayouts) and gets the zero Layout.
+// see RouteLayout/KeyLayouts) and gets the zero Layout.
 func (d *Deployment) Layout() Layout {
 	return d.verifierLayout(packet.PathKey{})
 }
 
-// NewVerifier builds a verifier over the deployment's receipts for
-// one origin-prefix path key, indexing only that key's receipts into
-// a private store (each call re-scans the deployment's receipts). To
-// verify many path keys, build the store once with NewStore and share
-// it across per-key verifiers via NewVerifierOn instead.
+// Seal hands every HOP's finalized receipts to sink as epoch 0, in HOP
+// order: a one-shot run is the one-epoch case of the continuous
+// pipeline, so whatever takes a sealed epoch — adversary sinks, a bundle
+// server, a WindowedStore — takes it unchanged. The sink owns what it
+// is handed: each path's sample receipts combined into one (the ⊎ of
+// §4) and a copy of the aggregates. Call after Finalize.
+func (d *Deployment) Seal(sink EpochSink) {
+	for _, hop := range d.HOPs() {
+		proc := d.Processors[hop]
+		sink(hop, 0, proc.CombinedSamples(), slices.Clone(proc.Aggs))
+	}
+}
+
+// VerifyOnce judges one interval of the deployment's traffic exactly as
+// continuous operation judges each epoch: seal hands every HOP's
+// receipts, each HOP once, to a one-epoch WindowedStore — Seal does
+// that with the deployment's own; a caller that routes them through
+// adversaries or dissemination first hands over what arrived — and
+// RollingVerifier.VerifyEpoch reports epoch 0 over every traffic key
+// and route (KeyLayouts; Layout for a key the route table does not
+// list).
+func (d *Deployment) VerifyOnce(cfg VerifierConfig, confidence float64, seal func(EpochSink)) (EpochReport, error) {
+	win, err := NewWindowedStore(d.HOPs(), 1)
+	if err != nil {
+		return EpochReport{}, err
+	}
+	seal(win.Sink())
+	if missing := win.MissingSeals(0); len(missing) > 0 {
+		return EpochReport{}, fmt.Errorf("core: HOPs %v never sealed the interval", missing)
+	}
+	win.FinishStream()
+	rv := NewRollingVerifier(d.Layout(), cfg, win, nil, confidence)
+	rv.SetKeyLayouts(d.KeyLayouts())
+	return rv.VerifyEpoch(0)
+}
+
+// NewVerifier builds a verifier over the deployment's receipts for one
+// origin-prefix path key, configured with the deployment's constants.
+// It covers the key's first route; a multipath (ECMP) key has several,
+// which VerifyOnce covers.
 func (d *Deployment) NewVerifier(key packet.PathKey) *Verifier {
-	return d.NewVerifierOn(d.newStore(&key), key)
-}
-
-// NewStore indexes every processor's retained receipts — all HOPs,
-// all traffic keys — into one ReceiptStore. Build it once after
-// Finalize; every per-key verifier then resolves its receipts with
-// index lookups instead of re-scanning the deployment.
-func (d *Deployment) NewStore() *ReceiptStore {
-	return d.newStore(nil)
-}
-
-// newStore indexes the deployment's receipts, all of them (only ==
-// nil) or one traffic key's worth.
-func (d *Deployment) newStore(only *packet.PathKey) *ReceiptStore {
-	s := NewReceiptStore()
-	// Deterministic iteration order for reproducibility.
-	hops := make([]int, 0, len(d.Processors))
-	for id := range d.Processors {
-		hops = append(hops, int(id))
-	}
-	sort.Ints(hops)
-	for _, hi := range hops {
-		id := receipt.HOPID(hi)
-		proc := d.Processors[id]
-		for _, r := range proc.CombinedSamples() {
-			if only == nil || r.Path.Key == *only {
-				s.AddSamples(id, r)
-			}
-		}
-		aggs := proc.Aggs
-		if only != nil {
-			aggs = nil
-			for _, a := range proc.Aggs {
-				if a.Path.Key == *only {
-					aggs = append(aggs, a)
-				}
-			}
-		}
-		s.AddAggs(id, aggs)
-	}
-	return s
-}
-
-// NewVerifierOn builds a verifier for one origin-prefix path key over
-// a shared receipt store (see NewStore), configured with the
-// deployment's constants. The verifier covers the key's first route; a
-// multipath (ECMP) key has several routes — use KeyLayouts and build
-// one verifier per route layout to cover them all.
-func (d *Deployment) NewVerifierOn(store *ReceiptStore, key packet.PathKey) *Verifier {
-	v := NewVerifierOn(d.verifierLayout(key), store, key)
+	v := NewVerifierFor(d.verifierLayout(key), key)
 	v.SetConfig(d.VerifierConfig())
+	d.Seal(v.Sink())
 	return v
 }
 

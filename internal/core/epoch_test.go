@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +10,6 @@ import (
 	"vpm/internal/lossmodel"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
-	"vpm/internal/quantile"
 	"vpm/internal/receipt"
 	"vpm/internal/stats"
 	"vpm/internal/trace"
@@ -201,33 +200,47 @@ func mergeByPath(in []receipt.SampleReceipt) []receipt.SampleReceipt {
 	return out
 }
 
-// verdictFingerprint renders every per-key link verdict and domain
-// report over a store, for byte-identical comparison.
-func verdictFingerprint(t *testing.T, dep *Deployment, store *ReceiptStore) string {
-	t.Helper()
-	var b strings.Builder
-	for _, key := range store.Keys() {
-		v := dep.NewVerifierOn(store, key)
-		fmt.Fprintf(&b, "key %v\n", key)
-		for _, lv := range v.VerifyAllLinks() {
-			fmt.Fprintf(&b, "  %+v\n", lv)
-		}
-		reps, err := v.DomainReports(quantile.DefaultQuantiles, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rep := range reps {
-			fmt.Fprintf(&b, "  %+v\n", rep)
-		}
+// sealUnion hands every HOP's recorded epochs to sink as one interval,
+// concatenated in epoch order — the stream's receipts exactly as a
+// one-shot run seals them (TestRotationRepackagesWithoutChangingReceipts).
+func (r *epochRecorder) sealUnion(sink EpochSink) {
+	hops := make([]receipt.HOPID, 0, len(r.byHOP))
+	for hop := range r.byHOP {
+		hops = append(hops, hop)
 	}
-	return b.String()
+	slices.Sort(hops)
+	for _, hop := range hops {
+		var samples []receipt.SampleReceipt
+		var aggs []receipt.AggReceipt
+		for _, se := range r.byHOP[hop] {
+			samples = append(samples, se.samples...)
+			aggs = append(aggs, se.aggs...)
+		}
+		sink(hop, 0, samples, aggs)
+	}
+}
+
+// onceBytes verifies one interval as epoch 0 (Deployment.VerifyOnce)
+// and returns the report and its canonical encoding, for byte-identical
+// comparison.
+func onceBytes(t *testing.T, dep *Deployment, seal func(EpochSink)) (EpochReport, []byte) {
+	t.Helper()
+	rep, err := dep.VerifyOnce(dep.VerifierConfig(), 0.95, seal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := EncodeEpochReport(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, enc
 }
 
 // TestBatchContinuousEquivalence is the acceptance check of continuous
 // operation: the same Fig1 trace replayed one-shot and across 8
 // rotated epochs produces byte-identical aggregate verdicts — link
 // verdicts and domain reports, including violation order — when the
-// per-epoch receipts are ingested into one store.
+// per-epoch receipts are sealed as one interval.
 func TestBatchContinuousEquivalence(t *testing.T) {
 	tc := equivTraceConfig(2, 40_000, int64(4e8))
 	pkts, err := trace.Generate(tc)
@@ -237,26 +250,17 @@ func TestBatchContinuousEquivalence(t *testing.T) {
 	const intervalNS = int64(5e7) // 8 epochs
 
 	oneShot, _ := runDeployment(t, tc, pkts)
-	want := verdictFingerprint(t, oneShot, oneShot.NewStore())
+	rep, want := onceBytes(t, oneShot, oneShot.Seal)
 
 	epoched, rec := runEpochDeployment(t, tc, [][]packet.Packet{pkts}, intervalNS)
-	agg := NewReceiptStore()
-	for hop, sealed := range rec.byHOP {
-		for _, se := range sealed {
-			for _, s := range se.samples {
-				agg.AddSamples(hop, s)
-			}
-			agg.AddAggs(hop, se.aggs)
-		}
-	}
-	got := verdictFingerprint(t, epoched, agg)
+	_, got := onceBytes(t, epoched, rec.sealUnion)
 
-	if got != want {
+	if !bytes.Equal(got, want) {
 		t.Fatalf("aggregate verdicts differ between one-shot and %d rotated epochs:\none-shot:\n%s\ncontinuous:\n%s",
 			8, want, got)
 	}
-	if !strings.Contains(want, "matched") && len(want) == 0 {
-		t.Fatal("empty fingerprint — the comparison proved nothing")
+	if len(rep.Keys) != 2 || rep.MatchedSamples() == 0 {
+		t.Fatalf("one-shot report covers %d keys, %d matched samples — the comparison proved nothing", len(rep.Keys), rep.MatchedSamples())
 	}
 }
 
@@ -491,16 +495,9 @@ func TestRollingVerifierReportsEpochs(t *testing.T) {
 	// Each sample is claimed by exactly one epoch, so the per-epoch
 	// matched counts sum to the one-shot total.
 	oneShot, _ := runDeployment(t, tc, pkts)
-	store := oneShot.NewStore()
-	var batchMatched int64
-	for _, key := range store.Keys() {
-		v := oneShot.NewVerifierOn(store, key)
-		for _, lv := range v.VerifyAllLinks() {
-			batchMatched += int64(lv.MatchedSamples)
-		}
-	}
-	if matched != batchMatched {
-		t.Fatalf("per-epoch matched samples sum to %d, one-shot matched %d", matched, batchMatched)
+	once, _ := onceBytes(t, oneShot, oneShot.Seal)
+	if matched != once.MatchedSamples() {
+		t.Fatalf("per-epoch matched samples sum to %d, one-shot matched %d", matched, once.MatchedSamples())
 	}
 	// Everything verified: nothing left in the Ready queue, and a
 	// second sweep is a no-op.

@@ -14,9 +14,11 @@ import (
 // This file is the one implementation of the §4 checks: the link check
 // (MaxDiff agreement, timestamp bound, missing records under the subset
 // property, aggregate counts) and the per-domain loss and delay
-// estimate. Batch verification (Verifier.CheckLink, DomainReport, …) and
-// rolling per-epoch verification (RollingVerifier.VerifyEpoch) run the
-// same functions; what differs is the scope they hand in.
+// estimate. RollingVerifier.VerifyEpoch runs them for every verdict a
+// report carries — a one-shot run's too, as epoch 0 of a one-epoch
+// stream (Deployment.VerifyOnce) — and a hand-fed Verifier's queries
+// (CheckLink, DomainReport, …) run them over its one leaf. What differs
+// is the scope handed in.
 //
 // A scope separates two sets of receipts:
 //
@@ -24,10 +26,12 @@ import (
 //     once;
 //   - evidence — the records a claim's counterpart may be found in.
 //
-// In a batch run the whole stream is in view, so the claims are the
-// evidence and nothing is trimmed. A per-epoch run cannot simply check
-// one epoch's receipts against themselves: receipts for the same packet
-// legitimately seal in adjacent epochs at different HOPs. A sample is
+// When the evidence is one leaf that reaches both ends of the stream —
+// a hand-fed verifier's, or a one-epoch stream's epoch 0 — the whole
+// stream is in view, so the claims are the evidence and nothing is
+// trimmed. An epoch of a longer stream cannot simply be checked against
+// itself: receipts for the same packet legitimately seal in adjacent
+// epochs at different HOPs. A sample is
 // sealed in the epoch of its *deciding marker* (Algorithm 1 decides a
 // packet only when the next marker arrives), and the same marker
 // crosses each HOP at a slightly different local time; likewise an
@@ -42,8 +46,8 @@ import (
 // Aggregate counts are compared only over regions bounded by cutting
 // points common to both ends within the evidence (Join's half-open edge
 // regions are trimmed when the evidence is a window); the untrimmed
-// full-stream comparison is exactly the batch verdict, which continuous
-// operation reproduces byte-for-byte when epochs are unioned
+// full-stream comparison is exactly the one-shot verdict, which
+// continuous operation reproduces byte-for-byte when epochs are unioned
 // (TestBatchContinuousEquivalence).
 
 // checkScope is what one run of the §4 checks may look at.
@@ -52,8 +56,8 @@ type checkScope struct {
 	// and carries the deployment constants.
 	view *Verifier
 	// claims holds the records this run vouches for — the key's entry
-	// in the target interval's leaf; nil means the claims are the
-	// evidence (batch: the whole stream is in view).
+	// in the target interval's leaf when the evidence spans neighbouring
+	// leaves too; nil means the claims are the evidence (one leaf).
 	claims *keyIndex
 	// headComplete reports that the evidence's lower edge is the true
 	// stream start: nothing precedes the first joined pair, so no
@@ -70,8 +74,8 @@ type checkScope struct {
 	seq *seqdetect.Engine
 }
 
-// wholeStream is the batch scope: claims = evidence = everything the
-// verifier's store holds, nothing trimmed.
+// wholeStream is a hand-fed verifier's scope: claims = evidence =
+// everything its leaf holds, nothing trimmed.
 func (v *Verifier) wholeStream() *checkScope {
 	return &checkScope{view: v, headComplete: true, tailComplete: true}
 }
@@ -202,18 +206,18 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 //     already migrated reordered packets across both of their
 //     boundaries.
 //   - The head pair is comparable only when the evidence reaches the
-//     true stream start AND, in a windowed scope, both sequences begin
-//     at the same packet; otherwise its leading boundary's patch-up
-//     evidence (the AggTrans of the preceding, out-of-view aggregate) is
-//     missing and a few legitimately migrated packets would read as a
-//     count lie.
+//     true stream start AND, when it spans neighbouring leaves, both
+//     sequences begin at the same packet; otherwise its leading
+//     boundary's patch-up evidence (the AggTrans of the preceding,
+//     out-of-view aggregate) is missing and a few legitimately migrated
+//     packets would read as a count lie.
 //   - The tail pair is comparable only when nothing beyond the evidence
 //     can extend either sequence (stream finished inside it).
 //
 // Half-open edge regions compare receipts for different packet sets —
 // seal-epoch skew, not lies — and are left to the reports whose view
-// does bound them; the whole-stream scope trims nothing and remains the
-// complete backstop.
+// does bound them; a one-leaf scope reaching both ends of the stream
+// trims nothing and remains the complete backstop.
 func (s *checkScope) boundedPairs(pairs []aggregation.Pair, a, b []receipt.AggReceipt) []aggregation.Pair {
 	lo, hi := 0, len(pairs)
 	if !s.headComplete || (s.claims != nil && a[0].Agg.First != b[0].Agg.First) {

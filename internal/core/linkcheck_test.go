@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"vpm/internal/hashing"
@@ -120,5 +121,51 @@ func TestCheckLinkMarkerInversion(t *testing.T) {
 	lv = inversionLink{gapNS: gap, hideNext: true}.build(t).CheckLink(1, 2)
 	if lv.Consistent() || lv.MissingDown <= tol {
 		t.Fatalf("unreported deciding marker honoured: %d missing downstream, %v", lv.MissingDown, lv)
+	}
+}
+
+// TestOneEpochViewIsWholeStream: a one-shot run's epoch 0 judges
+// exactly as a hand-fed verifier over the same receipts. Its view is
+// the target's leaf alone, so it keeps the head aggregate pair that a
+// window spanning neighbouring epochs drops when the two ends' first
+// aggregates start at different packets.
+func TestOneEpochViewIsWholeStream(t *testing.T) {
+	dep, err := NewDeployment(netsim.Fig1Path(1), equivTraceConfig(1, 1000, 1e7).Table(), DefaultDeployConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := netsim.TopoKeys(1)[0]
+	pid := receipt.PathID{Key: key, MaxDiffNS: inversionMaxDiffNS}
+	agg := func(first, last, n uint64) receipt.AggReceipt {
+		return receipt.AggReceipt{Path: pid, Agg: receipt.AggID{First: first, Last: last}, PktCnt: n}
+	}
+	// HOP 2 never saw packet 10, the first HOP 1 counted: before the
+	// common cut at 20, 5 packets left upstream and 4 arrived.
+	up := []receipt.AggReceipt{agg(10, 19, 5), agg(20, 29, 5)}
+	down := []receipt.AggReceipt{agg(11, 19, 4), agg(20, 29, 5)}
+	rep, err := dep.VerifyOnce(dep.VerifierConfig(), 0.95, func(sink EpochSink) {
+		for _, hop := range dep.HOPs() {
+			switch hop {
+			case 1:
+				sink(hop, 0, nil, up)
+			case 2:
+				sink(hop, 0, nil, down)
+			default:
+				sink(hop, 0, nil, nil)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewVerifierFor(dep.Layout(), key)
+	v.AddAggReceipts(1, up)
+	v.AddAggReceipts(2, down)
+	want := v.CheckLink(1, 2)
+	if len(want.Violations) != 1 || want.Violations[0].Kind != receipt.CountMismatch {
+		t.Fatalf("hand-fed verifier: %+v, want the head pair's count mismatch", want)
+	}
+	if len(rep.Keys) != 1 || len(rep.Keys[0].Links) == 0 || !reflect.DeepEqual(rep.Keys[0].Links[0], want) {
+		t.Fatalf("epoch 0 of a one-epoch stream judged the link differently:\n got %+v\nwant %+v", rep.Keys, want)
 	}
 }

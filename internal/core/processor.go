@@ -4,8 +4,8 @@ import (
 	"vpm/internal/receipt"
 )
 
-// Processor is the control-plane module of §7: it periodically reads
-// finalized receipts out of a collector's monitoring cache, retains
+// Processor is the control-plane module of §7: it reads the finalized
+// receipts out of a collector's monitoring cache, retains
 // them for dissemination, and accounts for the receipt bandwidth —
 // the tunable cost knob of the protocol.
 type Processor struct {
@@ -15,7 +15,6 @@ type Processor struct {
 	Aggs    []receipt.AggReceipt
 
 	receiptBytes int64
-	polls        int
 }
 
 // NewProcessor attaches a processor to a collector.
@@ -23,23 +22,11 @@ func NewProcessor(c *Collector) *Processor {
 	return &Processor{c: c}
 }
 
-// Poll drains the collector once — a real deployment runs this on a
-// timer; simulations call it between trace segments or once at the
-// end via Finalize.
-func (p *Processor) Poll() {
-	samples, aggs := p.c.Drain()
-	p.retain(samples, aggs)
-}
-
-// Finalize flushes the collector's remaining state into the
-// processor.
+// Finalize flushes the collector's state into the processor — the one
+// drain of a one-shot run; continuous operation drains per epoch
+// through an EpochCollector instead.
 func (p *Processor) Finalize() {
 	samples, aggs := p.c.Flush()
-	p.retain(samples, aggs)
-}
-
-func (p *Processor) retain(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
-	p.polls++
 	for _, s := range samples {
 		p.receiptBytes += int64(s.WireSize())
 	}
@@ -73,6 +60,3 @@ func (p *Processor) CombinedSamples() []receipt.SampleReceipt {
 // processor has retained — the numerator of the §7.1 bandwidth
 // overhead.
 func (p *Processor) ReceiptBytes() int64 { return p.receiptBytes }
-
-// Polls returns how many times the processor has drained.
-func (p *Processor) Polls() int { return p.polls }

@@ -16,7 +16,7 @@ import (
 // This file wires the topology into the deployment and verification
 // stack. A deployment places one collector per link-endpoint HOP — a
 // HOP on a shared link files receipts for every traffic key crossing
-// it, which the (HOP, key)-indexed ReceiptStore holds without change —
+// it, which the key-first receipt index (leaf) holds without change —
 // and verification runs per (traffic key, route): each route is a
 // linear HOP sequence, so the whole §4 link checking machinery applies
 // route by route, one layout per route.
@@ -146,22 +146,11 @@ func (d *Deployment) RouteLayout(ri int) Layout {
 	return l
 }
 
-// RouteLayouts returns every route's layout, indexed like
-// Topology.Routes.
-func (d *Deployment) RouteLayouts() []Layout {
-	out := make([]Layout, len(d.Topo.Routes))
-	for i := range out {
-		out[i] = d.RouteLayout(i)
-	}
-	return out
-}
-
 // KeyLayouts groups the route layouts by traffic key, in route-table
 // order — the map RollingVerifier.SetKeyLayouts consumes for mesh
-// verification, and the unit batch verification iterates: one
-// verification sweep per (key, route layout). The map is built on
-// first call and cached (layouts are immutable once built); do not
-// mutate it.
+// verification: one verification per (key, route layout). The map is
+// built on first call and cached (layouts are immutable once built);
+// do not mutate it.
 func (d *Deployment) KeyLayouts() map[packet.PathKey][]Layout {
 	d.keyLayoutsOnce.Do(func() {
 		d.keyLayouts = d.KeyLayoutsFor(nil)
@@ -192,8 +181,8 @@ func (d *Deployment) KeyLayoutsFor(keep func(packet.PathKey) bool) map[packet.Pa
 // shared link would get the identical verdict on every route — same
 // receipts, same key — so the first route that reaches an (Up, Down)
 // pair owns its verdict. Element r lists, ascending, the link ordinals
-// (Layout.Links indexes) route r owns. Batch mesh sweeps and per-epoch
-// rolling verification both walk this, so checks, violations and blame
+// (Layout.Links indexes) route r owns. RollingVerifier.VerifyEpoch —
+// one-shot runs included — walks this, so checks, violations and blame
 // tally distinct link verifications — not route multiplicity — in one
 // order: key → route → owned links → domains → AttributeBlame.
 func OwnedLinks(routes []Layout) [][]int {

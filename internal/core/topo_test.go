@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,7 +10,6 @@ import (
 	"vpm/internal/lossmodel"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
-	"vpm/internal/quantile"
 	"vpm/internal/receipt"
 	"vpm/internal/stats"
 	"vpm/internal/trace"
@@ -42,8 +42,8 @@ func meshDeployConfig() DeployConfig {
 }
 
 // runTopo deploys cfg on topo, runs pkts, and returns the finalized
-// deployment with its shared store.
-func runTopo(t testing.TB, topo *netsim.Topology, tc trace.Config, pkts []packet.Packet, dc DeployConfig) (*Deployment, *ReceiptStore) {
+// deployment.
+func runTopo(t testing.TB, topo *netsim.Topology, tc trace.Config, pkts []packet.Packet, dc DeployConfig) *Deployment {
 	t.Helper()
 	dep, err := NewTopoDeployment(topo, tc.Table(), dc)
 	if err != nil {
@@ -57,25 +57,7 @@ func runTopo(t testing.TB, topo *netsim.Topology, tc trace.Config, pkts []packet
 		t.Fatal(err)
 	}
 	dep.Finalize()
-	return dep, dep.NewStore()
-}
-
-// meshVerdicts verifies every (key, route) of a topo deployment over
-// store and returns the per-key blames plus all link verdicts keyed by
-// (key, route).
-func meshVerdicts(dep *Deployment, store *ReceiptStore) (map[packet.PathKey][]Blame, map[string][]LinkVerdict) {
-	perKey := make(map[packet.PathKey][]Blame)
-	verdicts := make(map[string][]LinkVerdict)
-	for _, key := range dep.Topo.Keys() {
-		for ri, layout := range dep.KeyLayouts()[key] {
-			v := NewVerifierOn(layout, store, key)
-			v.SetConfig(dep.VerifierConfig())
-			lvs := v.VerifyAllLinks()
-			verdicts[fmt.Sprintf("%v/%d", key, ri)] = lvs
-			perKey[key] = append(perKey[key], AttributeBlame(layout, 0, lvs)...)
-		}
-	}
-	return perKey, verdicts
+	return dep
 }
 
 // TestTopoSharedLinkBlame is the mesh blame-localization acceptance
@@ -96,9 +78,13 @@ func TestTopoSharedLinkBlame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, store := runTopo(t, topo, tc, pkts, meshDeployConfig())
+	dep := runTopo(t, topo, tc, pkts, meshDeployConfig())
 
-	perKey, verdicts := meshVerdicts(dep, store)
+	rep, _ := onceBytes(t, dep, dep.Seal)
+	perKey := make(map[packet.PathKey][]Blame)
+	for _, kr := range rep.Keys {
+		perKey[kr.Key] = append(perKey[kr.Key], kr.Blames...)
+	}
 	sharedEg, sharedIn := topo.LinkHOPs(0)
 	implicated := map[receipt.HOPID]bool{sharedEg: true, sharedIn: true}
 
@@ -119,13 +105,13 @@ func TestTopoSharedLinkBlame(t *testing.T) {
 		}
 	}
 	// Honest disjoint links: zero violations anywhere else.
-	for kr, lvs := range verdicts {
-		for _, lv := range lvs {
+	for _, kr := range rep.Keys {
+		for _, lv := range kr.Links {
 			if implicated[lv.Up] && implicated[lv.Down] {
 				continue
 			}
 			if len(lv.Violations) != 0 {
-				t.Fatalf("%s: honest link %v-%v has %d violations", kr, lv.Up, lv.Down, len(lv.Violations))
+				t.Fatalf("%v/%d: honest link %v-%v has %d violations", kr.Key, kr.Route, lv.Up, lv.Down, len(lv.Violations))
 			}
 		}
 	}
@@ -149,37 +135,11 @@ func TestTopoSharedLinkBlame(t *testing.T) {
 	}
 }
 
-// meshFingerprint renders every (key, route) link verdict and domain
-// report over a store, for byte-identical cross-mode comparison — the
-// mesh counterpart of verdictFingerprint.
-func meshFingerprint(t *testing.T, dep *Deployment, store *ReceiptStore) string {
-	t.Helper()
-	var b strings.Builder
-	for _, key := range dep.Topo.Keys() {
-		for ri, layout := range dep.KeyLayouts()[key] {
-			v := NewVerifierOn(layout, store, key)
-			v.SetConfig(dep.VerifierConfig())
-			fmt.Fprintf(&b, "key %v route %d\n", key, ri)
-			for _, lv := range v.VerifyAllLinks() {
-				fmt.Fprintf(&b, "  %+v\n", lv)
-			}
-			reps, err := v.DomainReports(quantile.DefaultQuantiles, 0.95)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, rep := range reps {
-				fmt.Fprintf(&b, "  %+v\n", rep)
-			}
-		}
-	}
-	return b.String()
-}
-
 // TestMeshBatchContinuousEquivalence extends the batch/continuous
 // acceptance check to a mesh fixture: the same star-topology trace
 // (faulty shared link included) replayed one-shot and across rotated
 // epochs produces byte-identical per-(key, route) verdicts when the
-// per-epoch receipts are aggregated into one store.
+// per-epoch receipts are sealed as one interval.
 func TestMeshBatchContinuousEquivalence(t *testing.T) {
 	keys := netsim.TopoKeys(3)
 	build := func() *netsim.Topology {
@@ -198,11 +158,11 @@ func TestMeshBatchContinuousEquivalence(t *testing.T) {
 	}
 
 	// Batch arm.
-	batchDep, batchStore := runTopo(t, build(), tc, append([]packet.Packet(nil), pkts...), meshDeployConfig())
-	want := meshFingerprint(t, batchDep, batchStore)
+	batchDep := runTopo(t, build(), tc, append([]packet.Packet(nil), pkts...), meshDeployConfig())
+	rep, want := onceBytes(t, batchDep, batchDep.Seal)
 
 	// Continuous arm: 8 rotated epochs through an EpochDriver, receipts
-	// sealed per epoch and aggregated back into one store.
+	// recorded per epoch and sealed back together as one interval.
 	const intervalNS = int64(5e7)
 	topo := build()
 	epDep, err := NewTopoDeployment(topo, tc.Table(), meshDeployConfig())
@@ -236,21 +196,12 @@ func TestMeshBatchContinuousEquivalence(t *testing.T) {
 	}
 	driver.Close()
 
-	agg := NewReceiptStore()
-	for hop, sealed := range rec.byHOP {
-		for _, se := range sealed {
-			for _, s := range se.samples {
-				agg.AddSamples(hop, s)
-			}
-			agg.AddAggs(hop, se.aggs)
-		}
-	}
-	got := meshFingerprint(t, epDep, agg)
-	if got != want {
+	_, got := onceBytes(t, epDep, rec.sealUnion)
+	if !bytes.Equal(got, want) {
 		t.Fatalf("mesh verdicts differ between one-shot and rotated epochs:\nbatch:\n%s\ncontinuous:\n%s", want, got)
 	}
-	if !strings.Contains(want, "violations") {
-		t.Fatalf("fingerprint carries no shared-link violations — the comparison proved nothing:\n%s", want)
+	if rep.Violations() == 0 {
+		t.Fatalf("report carries no shared-link violations — the comparison proved nothing:\n%s", want)
 	}
 }
 
@@ -430,7 +381,7 @@ func TestRouteLayoutPartial(t *testing.T) {
 
 // TestTopoDeploymentNewVerifier is the regression test for the nil
 // Path dereference: the single-layout convenience entry points
-// (Deployment.NewVerifier / NewVerifierOn / Layout) must work on a
+// (Deployment.NewVerifier / Layout) must work on a
 // mesh deployment — resolving the key's first route layout — instead
 // of panicking on the nil linear path.
 func TestTopoDeploymentNewVerifier(t *testing.T) {
@@ -441,7 +392,7 @@ func TestTopoDeploymentNewVerifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, _ := runTopo(t, topo, tc, pkts, meshDeployConfig())
+	dep := runTopo(t, topo, tc, pkts, meshDeployConfig())
 
 	if l := dep.Layout(); len(l.HOPs) != 0 {
 		t.Fatalf("mesh Layout() should be empty, got %d HOPs", len(l.HOPs))
@@ -459,16 +410,15 @@ func TestTopoDeploymentNewVerifier(t *testing.T) {
 		t.Fatal("mesh NewVerifier matched no samples")
 	}
 	// An unrouted key yields an empty, harmless verifier.
-	if lvs := dep.NewVerifierOn(dep.NewStore(), netsim.TopoKeys(9)[8]).VerifyAllLinks(); len(lvs) != 0 {
+	if lvs := dep.NewVerifier(netsim.TopoKeys(9)[8]).VerifyAllLinks(); len(lvs) != 0 {
 		t.Fatalf("unrouted key produced %d verdicts", len(lvs))
 	}
 }
 
 // TestLinkDomainsHyphenNames is the regression test for the
 // linear-path-era "A-B" name splitting: a domain legitimately named
-// with a hyphen ("edge-1") used to be misattributed; explicit
-// UpDomain/DownDomain fields now carry the truth, with the name split
-// still honored for legacy layouts.
+// with a hyphen ("edge-1") used to be misattributed; the explicit
+// UpDomain/DownDomain fields carry the truth, and the name is a label.
 func TestLinkDomainsHyphenNames(t *testing.T) {
 	l := Layout{
 		HOPs: []receipt.HOPID{1, 2},
@@ -489,13 +439,6 @@ func TestLinkDomainsHyphenNames(t *testing.T) {
 	b := BlameHOP(l, 0, EvSignature, 1, 1, "x")
 	if len(b.Domains) != 1 || b.Domains[0] != "edge-1" {
 		t.Fatalf("BlameHOP domain: got %v, want [edge-1]", b.Domains)
-	}
-	// Legacy layout without explicit fields: the split fallback still
-	// answers (and documents the wrong answer hyphens would produce).
-	legacy := Layout{Segments: []Segment{{Kind: LinkSegment, Up: 1, Down: 2, Name: "A-B"}}}
-	up, down, ok = legacy.LinkDomains(0)
-	if !ok || up != "A" || down != "B" {
-		t.Fatalf("legacy fallback broken: got %q/%q ok=%v", up, down, ok)
 	}
 }
 
@@ -585,7 +528,7 @@ func TestMeshBlameIngestionOrderInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, _ := runTopo(t, topo, tc, pkts, meshDeployConfig())
+	dep := runTopo(t, topo, tc, pkts, meshDeployConfig())
 
 	// Per-HOP receipt streams in sealed order.
 	type hopStream struct {
@@ -598,55 +541,55 @@ func TestMeshBlameIngestionOrderInvariance(t *testing.T) {
 		streams = append(streams, hopStream{hop: hop, samples: proc.CombinedSamples(), aggs: proc.Aggs})
 	}
 
-	fingerprint := func(store *ReceiptStore) string {
-		perKey, verdicts := meshVerdicts(dep, store)
+	// fingerprint feeds each (key, route) verifier the interleaving
+	// shuffle draws and renders the merged blame and every link verdict.
+	fingerprint := func(shuffle uint64) string {
+		perKey := make(map[packet.PathKey][]Blame)
 		var b strings.Builder
-		for _, sb := range MergeBlames(perKey) {
-			fmt.Fprintf(&b, "%v keys=%d\n", sb.Blame, sb.Keys)
-		}
 		for _, key := range dep.Topo.Keys() {
-			for ri := range dep.KeyLayouts()[key] {
-				for _, lv := range verdicts[fmt.Sprintf("%v/%d", key, ri)] {
+			for ri, layout := range dep.KeyLayouts()[key] {
+				v := NewVerifierFor(layout, key)
+				v.SetConfig(dep.VerifierConfig())
+				rng := stats.NewRNG(1000 + shuffle)
+				// Random interleaving across HOPs, order within a HOP preserved.
+				pos := make([]int, len(streams)) // next sample receipt per stream
+				aggDone := make([]bool, len(streams))
+				remaining := 0
+				for _, s := range streams {
+					remaining += len(s.samples) + 1 // +1 for the agg batch
+				}
+				for remaining > 0 {
+					i := rng.Intn(len(streams))
+					s := &streams[i]
+					if pos[i] < len(s.samples) {
+						v.AddSampleReceipt(s.hop, s.samples[pos[i]])
+						pos[i]++
+						remaining--
+					} else if !aggDone[i] {
+						v.AddAggReceipts(s.hop, s.aggs)
+						aggDone[i] = true
+						remaining--
+					}
+				}
+				lvs := v.VerifyAllLinks()
+				perKey[key] = append(perKey[key], AttributeBlame(layout, 0, lvs)...)
+				for _, lv := range lvs {
 					fmt.Fprintf(&b, "%v/%d %+v\n", key, ri, lv)
 				}
 			}
 		}
+		for _, sb := range MergeBlames(perKey) {
+			fmt.Fprintf(&b, "%v keys=%d\n", sb.Blame, sb.Keys)
+		}
 		return b.String()
 	}
 
-	var want string
-	for shuffle := uint64(0); shuffle < 5; shuffle++ {
-		store := NewReceiptStore()
-		rng := stats.NewRNG(1000 + shuffle)
-		// Random interleaving across HOPs, order within a HOP preserved.
-		pos := make([]int, len(streams)) // next sample receipt per stream
-		aggDone := make([]bool, len(streams))
-		remaining := 0
-		for _, s := range streams {
-			remaining += len(s.samples) + 1 // +1 for the agg batch
-		}
-		for remaining > 0 {
-			i := rng.Intn(len(streams))
-			s := &streams[i]
-			if pos[i] < len(s.samples) {
-				store.AddSamples(s.hop, s.samples[pos[i]])
-				pos[i]++
-				remaining--
-			} else if !aggDone[i] {
-				store.AddAggs(s.hop, s.aggs)
-				aggDone[i] = true
-				remaining--
-			}
-		}
-		got := fingerprint(store)
-		if shuffle == 0 {
-			want = got
-			if !strings.Contains(want, "missing-receipt") {
-				t.Fatalf("fingerprint carries no shared-link findings:\n%s", want)
-			}
-			continue
-		}
-		if got != want {
+	want := fingerprint(0)
+	if !strings.Contains(want, "missing-receipt") {
+		t.Fatalf("fingerprint carries no shared-link findings:\n%s", want)
+	}
+	for shuffle := uint64(1); shuffle < 5; shuffle++ {
+		if got := fingerprint(shuffle); got != want {
 			t.Fatalf("shuffle %d: blame attribution depends on ingestion order:\nwant:\n%s\ngot:\n%s", shuffle, want, got)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"vpm/internal/aggregation"
 	"vpm/internal/dissem"
@@ -30,13 +31,11 @@ const (
 type Segment struct {
 	Kind     SegmentKind
 	Up, Down receipt.HOPID
-	// Name is the domain name for DomainSegment, or "A-B" for links.
+	// Name is the domain name for DomainSegment, or "A-B" for links —
+	// a label only; domains are resolved from the fields below.
 	Name string
 	// UpDomain and DownDomain name the domains owning the Up and Down
-	// HOPs. Layout builders should set them; LinkDomains falls back to
-	// splitting Name on "-" when they are empty — a legacy path that
-	// breaks for domain names containing hyphens, which mesh
-	// topologies legitimately produce.
+	// HOPs.
 	UpDomain, DownDomain string
 	// Partial marks a domain segment whose two HOPs see different
 	// subsets of a traffic key's packets — an ECMP branch or merge
@@ -118,108 +117,122 @@ type VerifierConfig struct {
 	Sequential *seqdetect.Config
 }
 
-// Verifier is a receipt collector for one HOP path: it ingests
-// receipts from every HOP, estimates each domain's loss and delay, and
-// checks consistency across every inter-domain link (§4). The paper's
-// verifiability argument requires collecting from all HOPs on the
-// path — a verifier that sees only a segment cannot expose collusions
-// (§3.1).
+// Verifier reads one traffic key's receipts along one HOP path: it
+// estimates each domain's loss and delay and checks consistency across
+// every inter-domain link (§4). The paper's verifiability argument
+// requires receipts from all HOPs on the path — a verifier that sees
+// only a segment cannot expose collusions (§3.1).
 //
-// Receipts live in an indexed ReceiptStore keyed by traffic key and
-// HOP, so one store can be shared by many per-path verifiers (see
-// Deployment.NewStore) and ingested concurrently from several
-// dissemination fetches. Receipts arrive either pre-decoded
-// (AddSampleReceipt, AddAggReceipts) or as dissemination bundles,
-// authenticated by the transport and consumed incrementally (Ingest) —
-// no need to hold a path's worth of receipts in memory before
-// verification starts.
+// It is a read view over the one receipt index, a leaf: inside
+// RollingVerifier.VerifyEpoch over the key's windows in the ±1 epoch
+// view, and otherwise over a leaf of its own that is fed by hand —
+// pre-decoded receipts (AddSampleReceipt, AddAggReceipts), or
+// dissemination bundles authenticated by the transport and consumed
+// one at a time (Ingest). Ingest calls may run concurrently with each
+// other (one goroutine per dissemination fetch); queries may run
+// concurrently with queries, but not with ingest.
 //
-// A verifier built by NewVerifierFor (or Deployment.NewVerifier) is
-// restricted to one traffic key: queries resolve (HOP, key) indexes
-// directly, so receipts for other paths in the same store or bundle
-// stream are invisible to it. An unrestricted verifier (NewVerifier)
-// answers queries from everything its HOPs reported, merging traffic
-// keys if several were ingested.
+// A verifier built by NewVerifierFor (or Deployment.NewVerifier)
+// answers for its traffic key and drops other keys' receipts at
+// ingest. A keyless verifier (NewVerifier) answers for the one key it
+// was fed; fed several, it answers for the lowest in packet.PathKey
+// order and holds the others unread — it never merges keys.
 type Verifier struct {
 	layout Layout
 	cfg    VerifierConfig
 
-	store      *ReceiptStore
-	key        packet.PathKey
-	restricted bool
+	mu    sync.Mutex // serializes ingest into leaf
+	leaf  leaf
+	key   packet.PathKey
+	keyed bool
 	// wins, when set, are the key's windows already resolved against a
 	// per-epoch evidence view (see epochView.resolve); queries then never
-	// touch store.
+	// touch leaf.
 	wins []hopWindow
 }
 
-// NewVerifier builds an unrestricted verifier for the given path
-// layout over a fresh private store.
+// NewVerifier builds a keyless verifier for the given path layout.
 func NewVerifier(layout Layout) *Verifier {
-	return &Verifier{layout: layout, store: NewReceiptStore()}
+	return &Verifier{layout: layout, leaf: make(leaf)}
 }
 
-// NewVerifierFor builds a verifier restricted to one traffic key over
-// a fresh private store: receipts for other origin-prefix pairs may be
-// ingested (e.g. from multi-path dissemination bundles) but never leak
-// into this verifier's answers.
+// NewVerifierFor builds a verifier for one traffic key: receipts for
+// other origin-prefix pairs (e.g. in multi-path dissemination bundles)
+// are dropped at ingest.
 func NewVerifierFor(layout Layout, key packet.PathKey) *Verifier {
 	v := NewVerifier(layout)
-	v.key, v.restricted = key, true
+	v.key, v.keyed = key, true
 	return v
-}
-
-// NewVerifierOn builds a key-restricted verifier over a shared
-// ReceiptStore. Ingest the store once, then verify every path key it
-// holds without re-scanning receipts per key.
-func NewVerifierOn(layout Layout, store *ReceiptStore, key packet.PathKey) *Verifier {
-	return &Verifier{layout: layout, store: store, key: key, restricted: true}
 }
 
 // SetConfig installs the deployment constants (see VerifierConfig).
 func (v *Verifier) SetConfig(cfg VerifierConfig) { v.cfg = cfg }
 
-// Store exposes the verifier's receipt store, e.g. to share it with
-// further verifiers or to ingest into it directly.
-func (v *Verifier) Store() *ReceiptStore { return v.store }
-
 // indexFor resolves the window answering queries about hop.
 func (v *Verifier) indexFor(hop receipt.HOPID) window {
-	switch {
-	case v.wins != nil:
-		for i := range v.wins {
-			if v.wins[i].hop == hop {
-				return v.wins[i].win
-			}
-		}
-		return window{}
-	case v.restricted:
-		return soleWindow(v.store.lookup(hop, v.key))
+	if v.wins == nil {
+		return soleWindow(v.leaf[v.queried()].of(hop))
 	}
-	return soleWindow(v.store.hopView(hop))
+	for i := range v.wins {
+		if v.wins[i].hop == hop {
+			return v.wins[i].win
+		}
+	}
+	return window{}
+}
+
+// queried returns the traffic key a hand-fed verifier answers for.
+func (v *Verifier) queried() packet.PathKey {
+	if v.keyed {
+		return v.key
+	}
+	var low packet.PathKey
+	first := true
+	for k := range v.leaf {
+		if first || k.Compare(low) < 0 {
+			low, first = k, false
+		}
+	}
+	return low
+}
+
+// add files one HOP's receipts, copying them: the caller may reuse its
+// slices.
+func (v *Verifier) add(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	var only *packet.PathKey
+	if v.keyed {
+		only = &v.key
+	}
+	v.leaf.addHOP(hop, samples, aggs, false, only)
 }
 
 // AddSampleReceipt ingests one HOP's sample receipt.
 func (v *Verifier) AddSampleReceipt(hop receipt.HOPID, r receipt.SampleReceipt) {
-	v.store.AddSamples(hop, r)
+	v.add(hop, []receipt.SampleReceipt{r}, nil)
 }
 
 // AddAggReceipts ingests one HOP's aggregate receipts, in stream
 // order.
 func (v *Verifier) AddAggReceipts(hop receipt.HOPID, rs []receipt.AggReceipt) {
-	v.store.AddAggs(hop, rs)
+	v.add(hop, nil, rs)
 }
 
 // Ingest consumes one decoded dissemination bundle: every sample and
 // aggregate receipt in it is filed under the bundle's origin HOP.
-// Bundles may arrive in any order and may interleave traffic keys; a
-// restricted verifier simply never reads the foreign indexes. Safe to
-// call concurrently (one goroutine per dissemination fetch).
+// Bundles may arrive in any order and may interleave traffic keys.
 func (v *Verifier) Ingest(b *dissem.Bundle) {
-	for _, s := range b.Samples {
-		v.store.AddSamples(b.Origin, s)
+	v.add(b.Origin, b.Samples, b.Aggs)
+}
+
+// Sink adapts the verifier to the EpochSink shape, so whatever seals an
+// interval — Deployment.Seal, an adversary sink in front of it — can
+// feed it directly.
+func (v *Verifier) Sink() EpochSink {
+	return func(hop receipt.HOPID, _ EpochID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
+		v.add(hop, samples, aggs)
 	}
-	v.store.AddAggs(b.Origin, b.Aggs)
 }
 
 // SampleCount returns the number of distinct sampled packets ingested
@@ -436,21 +449,17 @@ func (v *Verifier) DomainReport(name string, qs []float64, confidence float64) (
 }
 
 // DomainReports estimates every transit domain on the path, in path
-// order. The first per-domain error (by path order) is returned
-// alongside the reports that succeeded.
+// order. An estimate fails only on invalid quantiles or confidence;
+// the first failure aborts, as it aborts RollingVerifier.VerifyEpoch.
 func (v *Verifier) DomainReports(qs []float64, confidence float64) ([]DomainReport, error) {
-	segs := v.layout.DomainSegments()
-	if len(segs) == 0 {
-		return nil, nil
-	}
-	out := make([]DomainReport, len(segs))
+	var out []DomainReport
 	whole := v.wholeStream()
-	var first error
-	for i := range segs {
-		var err error
-		if out[i], err = whole.domainReport(segs[i], qs, confidence); err != nil && first == nil {
-			first = err
+	for _, seg := range v.layout.DomainSegments() {
+		dr, err := whole.domainReport(seg, qs, confidence)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, dr)
 	}
-	return out, first
+	return out, nil
 }

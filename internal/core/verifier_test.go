@@ -67,19 +67,22 @@ func buildMultiPathScenario(t testing.TB, lossyLink bool) (*Deployment, []packet
 
 // TestVerifyAllLinksDetectsFaultyLink pins the faulty link down to the
 // right LinkID on the 16-HOP, 64-path scenario, with the verdicts in
-// path order and identical whether the verifier reads the shared
-// indexed store or the per-key rebuilt one.
+// path order and identical whether they come from the one-epoch report
+// over every key (Deployment.VerifyOnce) or a per-key verifier.
 func TestVerifyAllLinksDetectsFaultyLink(t *testing.T) {
 	dep, keys := buildMultiPathScenario(t, true)
-	store := dep.NewStore()
+	rep, _ := onceBytes(t, dep, dep.Seal)
+	if len(rep.Keys) != len(keys) {
+		t.Fatalf("report covers %d traffic keys, want %d", len(rep.Keys), len(keys))
+	}
 	// Link 3 connects domain 3's egress (HOP 7) to domain 4's ingress
 	// (HOP 8).
 	badUp, badDown := receipt.HOPID(7), receipt.HOPID(8)
 	flagged := 0
-	for _, key := range keys {
-		verdicts := dep.NewVerifierOn(store, key).VerifyAllLinks()
+	for _, kr := range rep.Keys {
+		key, verdicts := kr.Key, kr.Links
 		if rebuilt := dep.NewVerifier(key).VerifyAllLinks(); !reflect.DeepEqual(verdicts, rebuilt) {
-			t.Fatalf("key %v: rebuilt-store verdicts differ from shared-store:\nshared:  %+v\nrebuilt: %+v", key, verdicts, rebuilt)
+			t.Fatalf("key %v: per-key verifier's verdicts differ from the report's:\nreport:   %+v\nverifier: %+v", key, verdicts, rebuilt)
 		}
 		for i, lv := range verdicts {
 			if lv.LinkID != i {
@@ -99,20 +102,27 @@ func TestVerifyAllLinksDetectsFaultyLink(t *testing.T) {
 	}
 }
 
-// TestStoreKeyedIsolation checks that a restricted verifier never
-// reads another path's receipts out of the shared store.
+// TestStoreKeyedIsolation checks that a keyed verifier never reads
+// another path's receipts: fed every key's, it keeps its own key's
+// alone and answers as the deployment's verifier for that key.
 func TestStoreKeyedIsolation(t *testing.T) {
 	dep, keys := buildMultiPathScenario(t, false)
-	store := dep.NewStore()
-	if got := len(store.Keys()); got != len(keys) {
-		t.Fatalf("store holds %d traffic keys, want %d", got, len(keys))
+	fed := NewVerifierFor(dep.Layout(), keys[0])
+	dep.Seal(fed.Sink())
+	if got := len(fed.leaf); got != 1 {
+		t.Fatalf("keyed verifier holds %d traffic keys, want 1", got)
 	}
-	shared := dep.NewVerifierOn(store, keys[0])
 	private := dep.NewVerifier(keys[0])
+	seen := 0
 	for _, hop := range dep.Layout().HOPs {
-		if s, p := shared.SampleCount(hop), private.SampleCount(hop); s != p {
-			t.Fatalf("HOP %v: shared store sees %d samples, private rebuild %d", hop, s, p)
+		s, p := fed.SampleCount(hop), private.SampleCount(hop)
+		if s != p {
+			t.Fatalf("HOP %v: multi-key feed sees %d samples, private rebuild %d", hop, s, p)
 		}
+		seen += s
+	}
+	if seen == 0 {
+		t.Fatal("no samples anywhere — the comparison proved nothing")
 	}
 }
 
@@ -134,7 +144,7 @@ func TestStreamingIngestMatchesBatch(t *testing.T) {
 		signer := dissem.NewSigner(seed)
 		reg[hop] = signer.Public()
 		srv := dissem.NewServer(hop, signer)
-		srv.Publish(proc.CombinedSamples(), proc.Aggs)
+		srv.PublishEpoch(0, proc.CombinedSamples(), proc.Aggs)
 		bus.Attach(srv)
 		hops = append(hops, hop)
 	}
@@ -205,8 +215,8 @@ func TestIngestRejectsBadBundles(t *testing.T) {
 		return nil
 	}
 	forged, unknown := dissem.NewServer(4, evil), dissem.NewServer(9, legit)
-	forged.Publish(samples, nil)
-	unknown.Publish(samples, nil)
+	forged.PublishEpoch(0, samples, nil)
+	unknown.PublishEpoch(0, samples, nil)
 	bus := dissem.NewBus()
 	bus.Attach(forged)
 	bus.Attach(unknown)
@@ -224,7 +234,7 @@ func TestIngestRejectsBadBundles(t *testing.T) {
 	// it, and is named so the consumer can skip it.
 	srv := dissem.NewServer(4, legit)
 	for i := 0; i < 3; i++ {
-		srv.Publish(samples, nil)
+		srv.PublishEpoch(0, samples, nil)
 	}
 	srv.SetTamper(corruptSeq(1))
 	bus.Attach(srv)
@@ -238,36 +248,56 @@ func TestIngestRejectsBadBundles(t *testing.T) {
 	}
 }
 
-// TestMergedViewTracksLaterIngest guards the unrestricted multi-key
-// path: once a HOP has receipts for several traffic keys, further
-// ingest into an existing key must invalidate the cached merged view,
-// not leave queries answering from a stale snapshot.
-func TestMergedViewTracksLaterIngest(t *testing.T) {
+// TestKeylessVerifierAnswersForOneKey pins what a keyless verifier does
+// with several traffic keys: it answers for the lowest exactly as a
+// verifier keyed to it would, whatever order they arrived in, and never
+// merges the others in. Fed one key, it answers for that key.
+func TestKeylessVerifierAnswersForOneKey(t *testing.T) {
 	keyA := receipt.PathKeyOf(
 		packet.MakePrefix(10, 1, 0, 0, 16),
 		packet.MakePrefix(172, 16, 0, 0, 16), 3, 5, 2_000_000)
 	keyB := receipt.PathKeyOf(
 		packet.MakePrefix(10, 2, 0, 0, 16),
 		packet.MakePrefix(172, 16, 0, 0, 16), 3, 5, 2_000_000)
-	v := NewVerifier(Layout{})
-	v.AddSampleReceipt(4, receipt.SampleReceipt{Path: keyA,
-		Samples: []receipt.SampleRecord{{PktID: 1, TimeNS: 10}}})
-	v.AddSampleReceipt(4, receipt.SampleReceipt{Path: keyB,
-		Samples: []receipt.SampleRecord{{PktID: 2, TimeNS: 20}}})
-	if got := v.SampleCount(4); got != 2 {
-		t.Fatalf("after two keys: %d samples, want 2", got)
+	feedB := func(v *Verifier) {
+		v.AddSampleReceipt(4, receipt.SampleReceipt{Path: keyB,
+			Samples: []receipt.SampleRecord{{PktID: 2, TimeNS: 20}}})
+		v.AddSampleReceipt(5, receipt.SampleReceipt{Path: keyB,
+			Samples: []receipt.SampleRecord{{PktID: 2, TimeNS: 25}}})
 	}
-	// Ingest into an already-existing index after the merge was built.
-	v.AddSampleReceipt(4, receipt.SampleReceipt{Path: keyA,
-		Samples: []receipt.SampleRecord{{PktID: 3, TimeNS: 30}}})
-	if got := v.SampleCount(4); got != 3 {
-		t.Fatalf("after late ingest: %d samples, want 3 (stale merged view?)", got)
+	feedA := func(v *Verifier) {
+		v.AddSampleReceipt(4, receipt.SampleReceipt{Path: keyA,
+			Samples: []receipt.SampleRecord{{PktID: 1, TimeNS: 10}}})
+		v.AddSampleReceipt(4, receipt.SampleReceipt{Path: keyA,
+			Samples: []receipt.SampleRecord{{PktID: 3, TimeNS: 30}}})
+		v.AddAggReceipts(4, []receipt.AggReceipt{{Path: keyA, PktCnt: 7}})
+		v.AddSampleReceipt(5, receipt.SampleReceipt{Path: keyA,
+			Samples: []receipt.SampleRecord{{PktID: 1, TimeNS: 15}, {PktID: 3, TimeNS: 35}}})
 	}
-	v.AddAggReceipts(4, []receipt.AggReceipt{{Path: keyA, PktCnt: 7}})
-	v.AddSampleReceipt(5, receipt.SampleReceipt{Path: keyA,
-		Samples: []receipt.SampleRecord{{PktID: 1, TimeNS: 15}, {PktID: 3, TimeNS: 35}}})
-	if got := len(v.DelaysBetween(4, 5)); got != 2 {
-		t.Fatalf("%d matched delays across late-ingested samples, want 2", got)
+	low, lowFeed, highFeed := keyA, feedA, feedB
+	if keyB.Key.Compare(keyA.Key) < 0 {
+		low, lowFeed, highFeed = keyB, feedB, feedA
+	}
+	keyed := NewVerifierFor(Layout{}, low.Key)
+	lowFeed(keyed)
+	for _, order := range [][]func(*Verifier){{feedA, feedB}, {feedB, feedA}} {
+		v := NewVerifier(Layout{})
+		for _, feed := range order {
+			feed(v)
+		}
+		if got, want := v.SampleCount(4), keyed.SampleCount(4); got != want {
+			t.Fatalf("keyless verifier fed both keys sees %d samples at HOP 4, the lower key has %d", got, want)
+		}
+		if got, want := v.DelaysBetween(4, 5), keyed.DelaysBetween(4, 5); !reflect.DeepEqual(got, want) {
+			t.Fatalf("keyless delays %v, the lower key's %v", got, want)
+		}
+	}
+	single := NewVerifier(Layout{})
+	highFeed(single)
+	alone := NewVerifier(Layout{})
+	lowFeed(alone)
+	if single.SampleCount(4) == 0 || single.SampleCount(4) == alone.SampleCount(4) {
+		t.Fatalf("keyless verifier fed one key: %d samples at HOP 4 (the other key has %d)", single.SampleCount(4), alone.SampleCount(4))
 	}
 }
 

@@ -12,11 +12,22 @@ import (
 	"vpm/internal/receipt"
 )
 
-// leaf is a key-first receipt index: traffic key → the few HOPs that
-// reported it → what each reported. A ReceiptStore is one leaf that
-// grows as receipts arrive; a WindowedStore holds one per epoch, built
-// as each HOP seals and immutable once every expected HOP has (see
-// epochSegment).
+// leaf is the one receipt index: traffic key → the few HOPs that
+// reported it → what each reported. A WindowedStore holds one per
+// epoch, built as each HOP seals and immutable once every expected HOP
+// has (see epochSegment); a hand-fed Verifier holds one that grows as
+// receipts arrive.
+//
+// Beyond the raw samples, each (HOP, key) index maintains two derived
+// views:
+//
+//   - the deduplicated packet order (first-arrival order of distinct
+//     PktIDs), which makes every verifier iteration deterministic
+//     instead of following Go map order;
+//   - the marker timeline (time-sorted samples whose digest exceeds
+//     the system-wide µ, built on first use and cached), which turns
+//     the Algorithm 1 re-derivation in missing-record checks from a
+//     scan over all of a HOP's samples into a binary search.
 type leaf map[packet.PathKey]*keyIndex
 
 // keyIndex lists the HOPs that reported one traffic key, in the order
@@ -59,19 +70,25 @@ func (l leaf) index(hop receipt.HOPID, key packet.PathKey) (pi *pathIndex, creat
 	return pi, true
 }
 
-// addHOP indexes everything one HOP sealed for one interval. The leaf
-// aliases the receipts' record slices instead of copying them: a sealed
-// (HOP, epoch) is final, and whoever handed it over — a decoded bundle,
-// a collector's drained buffers — gave it away.
-func (l leaf) addHOP(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
+// addHOP indexes receipts one HOP delivered. A WindowedStore indexes a
+// sealed (HOP, epoch) with alias set: the leaf then references the
+// receipts' record slices instead of copying them, since a sealed
+// interval is final and whoever handed it over — a decoded bundle, a
+// collector's drained buffers — gave it away. A hand-fed Verifier
+// copies, and passes only to keep one traffic key's receipts.
+func (l leaf) addHOP(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt, alias bool, only *packet.PathKey) {
 	for _, r := range samples {
-		pi, _ := l.index(hop, r.Path.Key)
-		pi.addSamples(r, true)
+		if only == nil || r.Path.Key == *only {
+			pi, _ := l.index(hop, r.Path.Key)
+			pi.addSamples(r, alias)
+		}
 	}
 	for i := 0; i < len(aggs); {
 		j := aggRunEnd(aggs, i)
-		pi, _ := l.index(hop, aggs[i].Path.Key)
-		pi.addAggs(aggs[i:j], true)
+		if only == nil || aggs[i].Path.Key == *only {
+			pi, _ := l.index(hop, aggs[i].Path.Key)
+			pi.addAggs(aggs[i:j], alias)
+		}
 		i = j
 	}
 }
@@ -96,49 +113,10 @@ func (l leaf) keys() []packet.PathKey {
 	return out
 }
 
-// ReceiptStore is the indexed receipt store behind the verifier.
-// Receipts from every HOP on a path — or from every HOP on many paths
-// — are filed by traffic key and HOP as they arrive, so a link check
-// matches the two ends of a link with index lookups instead of
-// re-scanning flat per-HOP slices.
-//
-// Beyond the raw samples, each index maintains two derived views:
-//
-//   - the deduplicated packet order (first-arrival order of distinct
-//     PktIDs), which makes every verifier iteration deterministic
-//     instead of following Go map order;
-//   - the marker timeline (time-sorted samples whose digest exceeds
-//     the system-wide µ, built on first use and cached), which turns
-//     the Algorithm 1 re-derivation in missing-record checks from a
-//     scan over all of a HOP's samples into a binary search.
-//
-// Concurrency: ingest calls (AddSamples, AddAggs, IngestBundle) may
-// run concurrently with each other — a store can drain several
-// dissemination fetches at once. Verification may run concurrently
-// with verification (several verifiers may read the same store from
-// many goroutines), but not with ingest: quiesce ingestion before
-// verifying.
-type ReceiptStore struct {
-	mu     sync.Mutex
-	leaf   leaf
-	byHOP  map[receipt.HOPID][]*pathIndex // creation order per HOP
-	merged map[receipt.HOPID]*pathIndex   // cached multi-key merges
-}
-
-// NewReceiptStore returns an empty indexed receipt store.
-func NewReceiptStore() *ReceiptStore {
-	return &ReceiptStore{
-		leaf:   make(leaf),
-		byHOP:  make(map[receipt.HOPID][]*pathIndex),
-		merged: make(map[receipt.HOPID]*pathIndex),
-	}
-}
-
 // pathIndex holds everything one HOP reported about one traffic key.
-// Receipts are added under mu (a ReceiptStore ingests concurrently);
-// once ingest has quiesced the fields are read without it, and mu then
-// only serializes the lazy marker-timeline build between verifiers
-// reading the same index.
+// Whoever owns the leaf serializes adding to it; once ingest has
+// quiesced the fields are read freely, and mu only serializes the lazy
+// marker-timeline build between verifiers reading the same index.
 type pathIndex struct {
 	mu sync.Mutex
 
@@ -316,95 +294,6 @@ func (pi *pathIndex) addAggs(rs []receipt.AggReceipt, alias bool) {
 	}
 }
 
-// index returns (creating if needed) the index for (hop, key). It is
-// only called on ingest, so the HOP's cached merged view — a snapshot
-// of all its indexes — is invalidated.
-func (s *ReceiptStore) index(hop receipt.HOPID, key packet.PathKey) *pathIndex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.merged) > 0 {
-		delete(s.merged, hop)
-	}
-	pi, created := s.leaf.index(hop, key)
-	if created {
-		s.byHOP[hop] = append(s.byHOP[hop], pi)
-	}
-	return pi
-}
-
-// AddSamples files one sample receipt under its HOP and traffic key.
-func (s *ReceiptStore) AddSamples(hop receipt.HOPID, r receipt.SampleReceipt) {
-	pi := s.index(hop, r.Path.Key)
-	pi.mu.Lock()
-	defer pi.mu.Unlock()
-	pi.addSamples(r, false)
-}
-
-// AddAggs files one HOP's aggregate receipts, in stream order. The
-// receipts may span several traffic keys; each lands in its own index.
-func (s *ReceiptStore) AddAggs(hop receipt.HOPID, rs []receipt.AggReceipt) {
-	for i := 0; i < len(rs); {
-		j := aggRunEnd(rs, i)
-		pi := s.index(hop, rs[i].Path.Key)
-		pi.mu.Lock()
-		pi.addAggs(rs[i:j], false)
-		pi.mu.Unlock()
-		i = j
-	}
-}
-
-// Keys returns the distinct traffic keys the store has receipts for,
-// in packet.PathKey order — the deterministic iteration order for
-// multi-path verification sweeps.
-func (s *ReceiptStore) Keys() []packet.PathKey {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.leaf.keys()
-}
-
-// lookup returns the index for (hop, key) without creating it, or nil.
-func (s *ReceiptStore) lookup(hop receipt.HOPID, key packet.PathKey) *pathIndex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.leaf[key].of(hop)
-}
-
-// hopView returns the index serving unrestricted queries about hop:
-// the HOP's sole index when it reported one traffic key, or a cached
-// merge of all its indexes (in creation order) when it reported
-// several — the flat-pool semantics hand-built verifiers relied on
-// before the store existed.
-func (s *ReceiptStore) hopView(hop receipt.HOPID) *pathIndex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	list := s.byHOP[hop]
-	switch len(list) {
-	case 0:
-		return nil
-	case 1:
-		return list[0]
-	}
-	if m, ok := s.merged[hop]; ok {
-		return m
-	}
-	m := &pathIndex{}
-	for _, pi := range list {
-		pi.mu.Lock()
-		if pi.samples != nil {
-			m.addSamples(receipt.SampleReceipt{Samples: pi.samples.ordered}, false)
-		}
-		if len(pi.aggs) > 0 {
-			m.addAggs(pi.aggs, false)
-		}
-		if pi.hasPath {
-			m.pathID, m.hasPath = pi.pathID, true
-		}
-		pi.mu.Unlock()
-	}
-	s.merged[hop] = m
-	return m
-}
-
 // uniqOrder returns the distinct sampled PktIDs in first-arrival
 // order. The slice is shared: callers must not mutate it.
 func (pi *pathIndex) uniqOrder() []uint64 {
@@ -451,9 +340,9 @@ func (pi *pathIndex) markerTimeline(mu uint64) []receipt.SampleRecord {
 }
 
 // window is what the §4 kernel reads about one HOP and one traffic
-// key: the leaf indices holding its receipts, oldest first. A batch
-// verifier's window has the one index of its ReceiptStore; a per-epoch
-// window spans the target interval's leaf and its neighbours' (see
+// key: the leaf indices holding its receipts, oldest first. A hand-fed
+// Verifier's window has the one index of its leaf; a per-epoch window
+// spans the target interval's leaf and its neighbours' (see
 // WindowedStore.View), and answers exactly as one index fed the
 // leaves' receipts in order would:
 //

@@ -250,7 +250,7 @@ func (w *WindowedStore) SealHOP(hop receipt.HOPID, epoch EpochID) error {
 		}
 		delete(seg.pending, hop)
 		if w.expects(hop) {
-			seg.index.addHOP(hop, p.samples, p.aggs)
+			seg.index.addHOP(hop, p.samples, p.aggs, true, nil)
 			seg.indexed++
 			w.indexBuilds++
 		}
@@ -468,7 +468,7 @@ func (w *WindowedStore) leafLocked(seg *epochSegment) leaf {
 	}
 	for _, hop := range w.hops {
 		if p, ok := seg.pending[hop]; ok {
-			out.addHOP(hop, p.samples, p.aggs)
+			out.addHOP(hop, p.samples, p.aggs, true, nil)
 			w.indexBuilds++
 		}
 	}
@@ -652,8 +652,9 @@ func (r EpochReport) MatchedSamples() int64 {
 // DomainReports) over every traffic key in the epoch's evidence
 // window, then marks the epoch verified so the window can evict it.
 // Rolling operation changes when verification runs, not what it
-// computes: ingesting every epoch's receipts into one store and
-// verifying once yields verdicts byte-identical to the one-shot batch
+// computes: a one-shot run is the one-epoch stream
+// (Deployment.VerifyOnce), and sealing every epoch's receipts as that
+// one epoch yields the one-shot report byte for byte
 // (TestBatchContinuousEquivalence).
 type RollingVerifier struct {
 	layout     Layout
@@ -805,9 +806,8 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	}
 	// One report per (key, route layout): a linear path has exactly one
 	// layout per key; a mesh key verifies once per ECMP route, each
-	// route checking the links it owns (see OwnedLinks) — so per-epoch
-	// violation and blame counts tally distinct link verifications,
-	// exactly like the batch sweep.
+	// route checking the links it owns (see OwnedLinks) — so violation
+	// and blame counts tally distinct link verifications.
 	plans := make([]*keyPlan, len(keys))
 	reports := 0
 	for i, key := range keys {
@@ -815,7 +815,7 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		reports += len(plans[i].routes)
 	}
 	rep.Keys = make([]EpochKeyReport, reports)
-	v := &Verifier{cfg: rv.cfg, restricted: true}
+	v := &Verifier{cfg: rv.cfg, keyed: true}
 	scope := &checkScope{
 		view: v,
 		// The view spans max(0, epoch−1)..epoch+1, so it reaches the
@@ -828,7 +828,12 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	for i, key := range keys {
 		rv.wins = view.resolve(key, rv.wins[:0], &rv.aggs)
 		v.key, v.wins = key, rv.wins
-		scope.claims = claims[key]
+		// A view of the target's leaf alone is the whole stream —
+		// claims and evidence at once, as in a one-shot run
+		// (Deployment.VerifyOnce) — so it keeps no separate claims.
+		if view.n > 1 {
+			scope.claims = claims[key]
+		}
 		for ri := range plans[i].routes {
 			layout, plan := plans[i].layouts[ri], &plans[i].routes[ri]
 			v.layout = layout

@@ -40,21 +40,18 @@ func streamOf(rec *epochRecorder) *epochStream {
 	return s
 }
 
-// rebuilt is the oracle: the store the window used to assemble per
-// target epoch — a fresh ReceiptStore fed epochs lo..hi in (epoch, HOP)
-// order.
-func (s *epochStream) rebuilt(lo, hi int) *ReceiptStore {
-	store := NewReceiptStore()
+// rebuilt is the oracle: the index the window used to assemble per
+// target epoch — one leaf fed epochs lo..hi in (epoch, HOP) order, as a
+// hand-fed keyless verifier files them.
+func (s *epochStream) rebuilt(lo, hi int) leaf {
+	v := NewVerifier(Layout{})
 	for e := max(lo, 0); e <= hi && e < len(s.epochs); e++ {
 		for _, hop := range s.hops {
 			se := s.epochs[e][hop]
-			for _, r := range se.samples {
-				store.AddSamples(hop, r)
-			}
-			store.AddAggs(hop, se.aggs)
+			v.add(hop, se.samples, se.aggs)
 		}
 	}
-	return store
+	return v.leaf
 }
 
 // window fills a WindowedStore with the whole stream, finished.
@@ -84,15 +81,14 @@ func oracleVerifyEpoch(t *testing.T, s *epochStream, epoch int, layoutsFor func(
 	t.Helper()
 	view, claims := s.rebuilt(epoch-1, epoch+1), s.rebuilt(epoch, epoch)
 	rep := EpochReport{Epoch: EpochID(epoch)}
-	for _, key := range claims.Keys() {
+	for _, key := range claims.keys() {
 		layouts := layoutsFor(key)
 		owned := OwnedLinks(layouts)
 		for ri, layout := range layouts {
-			v := NewVerifierOn(layout, view, key)
-			v.SetConfig(cfg)
+			v := &Verifier{layout: layout, cfg: cfg, leaf: view, key: key, keyed: true}
 			scope := &checkScope{
 				view:         v,
-				claims:       claims.leaf[key],
+				claims:       claims[key],
 				headComplete: epoch <= 1,
 				tailComplete: epoch+1 >= len(s.epochs)-1,
 			}
@@ -227,14 +223,14 @@ func checkViewsMatchOracle(t *testing.T, s *epochStream, layoutsFor func(packet.
 			t.Fatalf("epoch %d: view spans %d leaves, want %d", e, view.n, wantLeaves)
 		}
 		oracle, claims := s.rebuilt(e-1, e+1), s.rebuilt(e, e)
-		if got, want := view.leaves[view.target].keys(), claims.Keys(); !reflect.DeepEqual(got, want) {
+		if got, want := view.leaves[view.target].keys(), claims.keys(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("epoch %d: claimed keys %v, oracle %v", e, got, want)
 		}
 		var scratch []receipt.AggReceipt
-		for _, key := range oracle.Keys() {
+		for _, key := range oracle.keys() {
 			wins := view.resolve(key, nil, &scratch)
 			for _, hop := range s.hops {
-				want := soleWindow(oracle.lookup(hop, key))
+				want := soleWindow(oracle[key].of(hop))
 				var got window
 				for i := range wins {
 					if wins[i].hop == hop {

@@ -76,7 +76,7 @@ func TestPrunedCursorGapHTTP(t *testing.T) {
 	srv, _, reg := dissemWorld(t, 4)
 	for seq := 0; seq < 4; seq++ {
 		b := sampleBundle(4, uint64(seq))
-		srv.Publish(b.Samples, b.Aggs)
+		srv.PublishEpoch(0, b.Samples, b.Aggs)
 	}
 	srv.DropThrough(1) // bundles 0 and 1 are gone; base is now 2
 	ts := httptest.NewServer(srv)
@@ -111,7 +111,7 @@ func TestPrunedCursorGapBus(t *testing.T) {
 	srv, _, reg := dissemWorld(t, 4)
 	for seq := 0; seq < 4; seq++ {
 		b := sampleBundle(4, uint64(seq))
-		srv.Publish(b.Samples, b.Aggs)
+		srv.PublishEpoch(0, b.Samples, b.Aggs)
 	}
 	srv.DropThrough(1)
 	bus := NewBus()
@@ -187,7 +187,7 @@ func TestReplayerServesStaleEpoch(t *testing.T) {
 func TestEquivocatorAndProof(t *testing.T) {
 	srv, signer, reg := dissemWorld(t, 4)
 	b := sampleBundle(4, 0)
-	srv.Publish(b.Samples, b.Aggs)
+	srv.PublishEpoch(0, b.Samples, b.Aggs)
 	srv.SetTamper(&Equivocator{
 		Signer: signer,
 		Victim: "B",
@@ -290,7 +290,7 @@ func TestBundleErrorCarriesSeq(t *testing.T) {
 func TestViewerHeaderReachesTamper(t *testing.T) {
 	srv, signer, reg := dissemWorld(t, 4)
 	b := sampleBundle(4, 0)
-	srv.Publish(b.Samples, b.Aggs)
+	srv.PublishEpoch(0, b.Samples, b.Aggs)
 	srv.SetTamper(&Equivocator{
 		Signer: signer,
 		Victim: "victim",

@@ -122,8 +122,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 	signer := NewSigner(seedOf(7))
 	srv := NewServer(4, signer)
 	b := sampleBundle(4, 0)
-	srv.Publish(b.Samples, b.Aggs)
-	srv.Publish(nil, b.Aggs)
+	srv.PublishEpoch(0, b.Samples, b.Aggs)
+	srv.PublishEpoch(0, nil, b.Aggs)
 	if srv.BundleCount() != 2 {
 		t.Fatalf("bundle count %d", srv.BundleCount())
 	}
@@ -176,7 +176,7 @@ func TestHTTPRejectsForgedServer(t *testing.T) {
 	evil := NewSigner(seedOf(9))
 	srv := NewServer(4, evil)
 	b := sampleBundle(4, 0)
-	srv.Publish(b.Samples, nil)
+	srv.PublishEpoch(0, b.Samples, nil)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	legit := NewSigner(seedOf(10))
@@ -213,7 +213,7 @@ func TestFetchEachStreams(t *testing.T) {
 	srv := NewServer(4, signer)
 	b := sampleBundle(4, 0)
 	for i := 0; i < 5; i++ {
-		srv.Publish(b.Samples, b.Aggs)
+		srv.PublishEpoch(0, b.Samples, b.Aggs)
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -259,7 +259,7 @@ func TestBus(t *testing.T) {
 	signer := NewSigner(seedOf(12))
 	srv := NewServer(4, signer)
 	b := sampleBundle(4, 0)
-	srv.Publish(b.Samples, b.Aggs)
+	srv.PublishEpoch(0, b.Samples, b.Aggs)
 	bus := NewBus()
 	bus.Attach(srv)
 	reg := Registry{4: signer.Public()}

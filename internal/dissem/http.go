@@ -185,13 +185,6 @@ func NewServer(hop receipt.HOPID, signer *Signer) *Server {
 	return &Server{hop: hop, signer: signer}
 }
 
-// Publish retains the given receipts as the next bundle and returns
-// its sequence number; see PublishEpoch. Batch (single-interval) use;
-// the bundle is tagged epoch 0.
-func (s *Server) Publish(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) uint64 {
-	return s.PublishEpoch(0, samples, aggs)
-}
-
 // PublishEpoch retains one sealed epoch's receipts as the next bundle,
 // tagged with the epoch so subscribers can route it into the matching
 // window segment, and returns the bundle's sequence number. It returns
@@ -277,7 +270,7 @@ func (s *Server) DropThrough(seq uint64) {
 // as viewer is served them — tamper applied, withheld bundles left out.
 // The entries are selected under the read lock; the wait for their
 // signatures and the tamper run after it is released, so neither a
-// Publish nor the signer ever waits behind a fetch.
+// PublishEpoch nor the signer ever waits behind a fetch.
 func (s *Server) serve(viewer string, since uint64) (base uint64, out []published) {
 	s.mu.RLock()
 	base, tamper := s.base, s.tamper

@@ -126,44 +126,17 @@ func Attacks(cfg Config) ([]AttackRow, error) {
 		})
 	}
 
-	// --- VPM with the blame-shift lie. ---
+	// --- VPM with the blame-shift lie: X's control plane forges its
+	// egress receipts from its ingress ones as the run is sealed. ---
 	{
 		w, err := buildVPMAttackWorld(cfg, lossX, nil)
 		if err != nil {
 			return nil, err
 		}
 		truth, _ := w.truth.DomainByName("X")
-		v := core.NewVerifier(w.dep.Layout())
+		v := core.NewVerifierFor(w.dep.Layout(), w.key)
 		v.SetConfig(w.dep.VerifierConfig())
-		var xInS receipt.SampleReceipt
-		var xInA []receipt.AggReceipt
-		for hop, proc := range w.dep.Processors {
-			if hop == 5 {
-				continue
-			}
-			for _, s := range proc.CombinedSamples() {
-				if s.Path.Key == w.key {
-					v.AddSampleReceipt(hop, s)
-					if hop == 4 {
-						xInS = s
-					}
-				}
-			}
-			var aggs []receipt.AggReceipt
-			for _, a := range proc.Aggs {
-				if a.Path.Key == w.key {
-					aggs = append(aggs, a)
-				}
-			}
-			v.AddAggReceipts(hop, aggs)
-			if hop == 4 {
-				xInA = aggs
-			}
-		}
-		egressPath := w.path.PathIDFor(receipt.PathID{Key: w.key}, w.path.DomainIndex("X"), false)
-		fs, fa := core.FabricateDelivery(xInS, xInA, egressPath, 500_000)
-		v.AddSampleReceipt(5, fs)
-		v.AddAggReceipts(5, fa)
+		w.dep.Seal(core.NewAdversarySink(v.Sink(), fabricatorForX(w.path)))
 		rep, err := v.LossBetween(4, 5)
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,7 +16,6 @@ import (
 	"vpm/internal/lossmodel"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
-	"vpm/internal/quantile"
 	"vpm/internal/receipt"
 	"vpm/internal/seqdetect"
 	"vpm/internal/stats"
@@ -491,22 +491,6 @@ func seqBlame(v seqdetect.SeqVerdict) core.Blame {
 	}
 }
 
-// recordMatched folds the per-link matched-sample counts into the
-// outcome's per-epoch-per-link mean — the evidence budget n one
-// sequential detector sees per epoch.
-func (out *matrixOutcome) recordMatched() {
-	var matched, cells int
-	for _, vs := range out.linkVerdicts {
-		for _, lv := range vs {
-			matched += lv.MatchedSamples
-			cells++
-		}
-	}
-	if cells > 0 {
-		out.perEpochN = float64(matched) / float64(cells)
-	}
-}
-
 // mutateMatrixPath perturbs the Fig1 path into the scenario's world.
 func mutateMatrixPath(cfg Config, sc *matrixScenario, mu uint64) func(*netsim.Path) {
 	return func(p *netsim.Path) {
@@ -722,10 +706,27 @@ func sortCSV(csv string) string {
 	return strings.Join(parts, ",")
 }
 
-// runBatchScenario mounts the scenario on the one-shot pipeline:
-// simulate with worn observers, seal the batch as epoch 0, run the
-// control-plane adversaries, publish signed bundles through tampered
-// servers, collect as verifier "A", and judge.
+// adversarySink mounts the scenario's control-plane adversaries, if
+// any, on sink (PathIDFor depends only on the path geometry, which the
+// world mutation never changes, so any Fig1 path serves the rewrite
+// closures). The first-listed adversary is wrapped outermost, so it sees
+// the honest receipts first and later ones tap its output.
+func (sc *matrixScenario) adversarySink(p *netsim.Path, sink core.EpochSink) core.EpochSink {
+	if sc.domainAdvs == nil {
+		return sink
+	}
+	chain := sc.domainAdvs(p)
+	for i := len(chain) - 1; i >= 0; i-- {
+		sink = core.NewAdversarySink(sink, chain[i])
+	}
+	return sink
+}
+
+// runBatchScenario mounts the scenario on a one-shot run — a stream of
+// one epoch: simulate with worn observers, seal the whole trace as
+// epoch 0 through the control-plane adversaries onto (possibly
+// tampered) bundle servers, collect as verifier "A", and judge epoch
+// 0's report.
 func runBatchScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, error) {
 	dc := matrixDeploy()
 	mu := hashing.ThresholdForRate(dc.MarkerRate)
@@ -758,52 +759,28 @@ func runBatchScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, error) {
 	}
 	dep.Finalize()
 
-	// Control plane: seal the batch as epoch 0 and let the lying
-	// domains rewrite their intervals.
-	sealed := core.BatchSeal(dep)
-	if sc.domainAdvs != nil {
-		core.CorruptSealed(sealed, sc.domainAdvs(path)...)
-	}
-
-	// Dissemination: one signed bundle per HOP through (possibly
-	// tampered) servers on a bus; verifier "A" collects with a cursor.
-	hops := make([]int, 0, len(sealed))
-	for h := range sealed {
-		hops = append(hops, int(h))
-	}
-	sort.Ints(hops)
-	hopIDs := make([]receipt.HOPID, len(hops))
-	for i, hi := range hops {
-		hopIDs[i] = receipt.HOPID(hi)
-	}
+	// Seal the trace as epoch 0 through the lying control planes into
+	// one signed bundle server per HOP, as the continuous arm does every
+	// epoch.
+	hops := dep.HOPs()
 	signer := func(h receipt.HOPID) *dissem.Signer { return hopSigner(cfg.Seed, h) }
-	bt := engine.NewBusTransport(hopIDs, signer)
-	bus, reg, servers := bt.Bus, bt.Registry, bt.Servers
+	bt := engine.NewBusTransport(hops, signer)
 	if sc.tamper != nil {
 		for hop, t := range sc.tamper("batch", signer) {
-			servers[hop].SetTamper(t)
+			bt.Servers[hop].SetTamper(t)
 		}
 	}
-	for _, hi := range hops {
-		id := receipt.HOPID(hi)
-		se := sealed[id]
-		servers[id].Publish(se.Samples, se.Aggs)
-	}
+	dep.Seal(sc.adversarySink(path, bt.Sink()))
 
+	// Verifier "A" collects every feed with a cursor.
 	layout := dep.Layout()
-	out := &matrixOutcome{linkVerdicts: make(map[uint64][]core.LinkVerdict), domainLoss: make(map[string]float64)}
-	store := core.NewReceiptStore()
-	received := make(map[receipt.HOPID]int, len(hops))
-	for _, hi := range hops {
-		id := receipt.HOPID(hi)
+	out := newMatrixOutcome()
+	received := make(map[receipt.HOPID][]*dissem.Bundle, len(hops))
+	for _, id := range hops {
 		cursor := uint64(0)
 		for {
-			next, err := bus.CollectSinceAs("A", reg, id, cursor, func(b *dissem.Bundle) error {
-				for _, s := range b.Samples {
-					store.AddSamples(b.Origin, s)
-				}
-				store.AddAggs(b.Origin, b.Aggs)
-				received[id]++
+			next, err := bt.Bus.CollectSinceAs("A", bt.Registry, id, cursor, func(b *dissem.Bundle) error {
+				received[id] = append(received[id], b)
 				return nil
 			})
 			cursor = next
@@ -826,9 +803,8 @@ func runBatchScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, error) {
 	// smear the withholder's blame onto its honest neighbor, while the
 	// absence already names the narrowest set.
 	absent := make(map[receipt.HOPID]bool)
-	for _, hi := range hops {
-		id := receipt.HOPID(hi)
-		if received[id] == 0 {
+	for _, id := range hops {
+		if len(received[id]) == 0 {
 			absent[id] = true
 			out.blames = append(out.blames, core.BlameHOP(layout, 0, core.EvWithheldBundle, id, 1,
 				fmt.Sprintf("no bundle from %v", id)))
@@ -837,51 +813,41 @@ func runBatchScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, error) {
 
 	// Cross-verifier equivocation check: a second verifier "B" fetches
 	// independently and the two compare raw signed bundles per origin.
-	for _, hi := range hops {
-		id := receipt.HOPID(hi)
-		eqs := dissem.FindEquivocation(reg, id, servers[id].SignedBundles("A"), servers[id].SignedBundles("B"))
+	for _, id := range hops {
+		eqs := dissem.FindEquivocation(bt.Registry, id, bt.Servers[id].SignedBundles("A"), bt.Servers[id].SignedBundles("B"))
 		if len(eqs) > 0 {
 			out.blames = append(out.blames, core.BlameHOP(layout, 0, core.EvEquivocation, id, len(eqs), eqs[0].String()))
 		}
 	}
 
-	// Verification: link checks, blame attribution, bias checks, and
-	// per-domain estimates over the collected receipts.
-	key := packet.PathKey{Src: tc.Paths[0].SrcPrefix, Dst: tc.Paths[0].DstPrefix}
-	v := core.NewVerifierOn(layout, store, key)
-	v.SetConfig(dep.VerifierConfig())
-	var verdicts []core.LinkVerdict
-	for _, lv := range v.VerifyAllLinks() {
-		if absent[lv.Up] || absent[lv.Down] {
-			continue
-		}
-		verdicts = append(verdicts, lv)
-	}
-	out.linkVerdicts[0] = verdicts
-	out.blames = append(out.blames, core.AttributeBlame(layout, 0, verdicts)...)
-	for _, seg := range layout.DomainSegments() {
-		bias, err := v.CheckMarkerBias(seg.Up, seg.Down)
-		if err != nil || !bias.Suspicious {
-			continue
-		}
-		out.blames = append(out.blames, core.BlameMarkerBias(0, seg, bias))
-	}
-	reports, _ := v.DomainReports(quantile.DefaultQuantiles, cfg.Confidence)
-	for _, dr := range reports {
-		out.domainLoss[dr.Name] = dr.Loss.Rate()
-		if dr.Name == "X" {
-			out.estLoss = dr.Loss.Rate()
-			if len(dr.DelayEstimates) > 1 {
-				out.estP90MS = dr.DelayEstimates[1].Point / 1e6
+	// Verification: epoch 0 over what "A" received, every HOP sealing
+	// what it delivered (an absent HOP, nothing).
+	vc := dep.VerifierConfig()
+	vc.BiasChecks = true
+	rep, err := dep.VerifyOnce(vc, cfg.Confidence, func(sink core.EpochSink) {
+		for _, id := range hops {
+			var samples []receipt.SampleReceipt
+			var aggs []receipt.AggReceipt
+			for _, b := range received[id] {
+				samples = append(samples, b.Samples...)
+				aggs = append(aggs, b.Aggs...)
 			}
+			sink(id, 0, samples, aggs)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
+	for i := range rep.Keys {
+		kr := &rep.Keys[i]
+		kr.Links = slices.DeleteFunc(kr.Links, func(lv core.LinkVerdict) bool { return absent[lv.Up] || absent[lv.Down] })
+		kr.Blames = slices.DeleteFunc(kr.Blames, func(b core.Blame) bool {
+			return slices.ContainsFunc(b.HOPs, func(h receipt.HOPID) bool { return absent[h] })
+		})
+	}
+	out.fold([]core.EpochReport{rep})
 	truth, _ := truthRes.DomainByName("X")
 	out.truth = truth
-	out.recordMatched()
-	if len(out.blames) > 0 {
-		out.batchEpochs = 1 // one-shot: the whole trace is epoch 0
-	}
 	return out, nil
 }
 
@@ -900,25 +866,14 @@ func runContinuousScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, erro
 	opts := ContinuousOptions{
 		MutatePath: mutateMatrixPath(cfg, sc, mu),
 		Deploy:     &dc,
+		WrapSink: func(sink core.EpochSink) core.EpochSink {
+			return sc.adversarySink(netsim.Fig1Path(cfg.Seed+1000), sink)
+		},
 		BiasChecks: true,
 		Sequential: &seqCfg,
 	}
 	if sc.wear != nil {
 		opts.Wear = sc.wear(mu)
-	}
-	if sc.domainAdvs != nil {
-		opts.WrapSink = func(sink core.EpochSink) core.EpochSink {
-			// PathIDFor depends only on the path geometry, which the
-			// world mutation never changes, so a fresh Fig1 path serves
-			// the rewrite closures. Wrap in reverse order so the
-			// first-listed adversary sees the honest receipts first and
-			// later ones tap its output.
-			chain := sc.domainAdvs(netsim.Fig1Path(cfg.Seed + 1000))
-			for i := len(chain) - 1; i >= 0; i-- {
-				sink = core.NewAdversarySink(sink, chain[i])
-			}
-			return sink
-		}
 	}
 	if sc.tamper != nil {
 		// The same hopSigner derivation RunContinuousOpts uses, so a
@@ -933,18 +888,47 @@ func runContinuousScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, erro
 		return nil, err
 	}
 
-	out := &matrixOutcome{linkVerdicts: make(map[uint64][]core.LinkVerdict), domainLoss: make(map[string]float64)}
+	out := newMatrixOutcome()
 	out.blames = append(out.blames, res.DissemFindings...)
+	out.fold(res.Reports)
+	for i := range res.Truth {
+		if res.Truth[i].Name == "X" {
+			out.truth = &res.Truth[i]
+		}
+	}
+	return out, nil
+}
+
+// newMatrixOutcome returns an empty outcome.
+func newMatrixOutcome() *matrixOutcome {
+	return &matrixOutcome{linkVerdicts: make(map[uint64][]core.LinkVerdict), domainLoss: make(map[string]float64)}
+}
+
+// fold adds the verified epochs' reports to an outcome holding the
+// dissemination findings, and settles what the judge reads: loss
+// summed over the epochs, domain X's p90 weighted by each epoch's
+// samples — one epoch's taken as is, since x·n/n need not be x in
+// floating point — the mean matched samples per link and epoch (the
+// evidence budget n one sequential detector sees), and the batch
+// epochs-to-verdict, judged before the sequential verdicts are folded
+// in so the column measures the per-epoch checks alone (the folded
+// blames then give the judge's localization contract authority over the
+// early verdicts too).
+func (out *matrixOutcome) fold(reports []core.EpochReport) {
 	var lossIn, lossLost int64
 	domIn := make(map[string]int64)
 	domLost := make(map[string]int64)
-	var p90Weighted float64
-	var p90Samples int
-	for _, rep := range res.Reports {
+	var p90Weighted, p90Last float64
+	var p90Samples, p90Epochs, matched, cells int
+	for _, rep := range reports {
 		out.seq = append(out.seq, rep.Seq...)
 		for _, k := range rep.Keys {
 			out.linkVerdicts[uint64(rep.Epoch)] = append(out.linkVerdicts[uint64(rep.Epoch)], k.Links...)
 			out.blames = append(out.blames, k.Blames...)
+			for _, lv := range k.Links {
+				matched += lv.MatchedSamples
+				cells++
+			}
 			for _, dom := range k.Domains {
 				domIn[dom.Name] += dom.Loss.In
 				domLost[dom.Name] += dom.Loss.Lost
@@ -952,8 +936,10 @@ func runContinuousScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, erro
 					lossIn += dom.Loss.In
 					lossLost += dom.Loss.Lost
 					if len(dom.DelayEstimates) > 1 && dom.DelaySamples > 0 {
-						p90Weighted += dom.DelayEstimates[1].Point * float64(dom.DelaySamples)
+						p90Last = dom.DelayEstimates[1].Point
+						p90Weighted += p90Last * float64(dom.DelaySamples)
 						p90Samples += dom.DelaySamples
+						p90Epochs++
 					}
 				}
 			}
@@ -967,19 +953,15 @@ func runContinuousScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, erro
 			out.domainLoss[name] = float64(domLost[name]) / float64(in)
 		}
 	}
-	if p90Samples > 0 {
+	switch {
+	case p90Epochs == 1:
+		out.estP90MS = p90Last / 1e6
+	case p90Epochs > 1:
 		out.estP90MS = p90Weighted / float64(p90Samples) / 1e6
 	}
-	for i := range res.Truth {
-		if res.Truth[i].Name == "X" {
-			out.truth = &res.Truth[i]
-		}
+	if cells > 0 {
+		out.perEpochN = float64(matched) / float64(cells)
 	}
-	out.recordMatched()
-	// Batch latency is judged before the sequential verdicts are
-	// folded in, so the column measures the per-epoch checks alone;
-	// the folded blames then give the judge's localization contract
-	// authority over the early verdicts too.
 	for _, b := range out.blames {
 		if e := float64(b.Epoch) + 1; out.batchEpochs == 0 || e < out.batchEpochs {
 			out.batchEpochs = e
@@ -988,7 +970,6 @@ func runContinuousScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, erro
 	for _, v := range out.seq {
 		out.blames = append(out.blames, seqBlame(v))
 	}
-	return out, nil
 }
 
 // MatrixRender renders the rows.

@@ -6,6 +6,7 @@ import (
 
 	"vpm/internal/core"
 	"vpm/internal/netsim"
+	"vpm/internal/quantile"
 	"vpm/internal/receipt"
 )
 
@@ -213,5 +214,28 @@ func TestContinuousWearMatchesBatchWear(t *testing.T) {
 	}
 	if res1.Violations == 0 {
 		t.Fatal("worn DelayShaver produced no violations")
+	}
+}
+
+// TestFoldOneEpochP90IsExact: a one-shot run's p90 is its one epoch's
+// estimate bit for bit — weighting an estimate by its own sample count
+// need not round-trip in floating point, which would move a batch row.
+func TestFoldOneEpochP90IsExact(t *testing.T) {
+	p90 := 10_601_400.2
+	n := 1
+	for p90*float64(n)/float64(n) == p90 {
+		if n++; n > 1_000_000 {
+			t.Fatal("every weight round-trips; pick another estimate")
+		}
+	}
+	rep := core.EpochReport{Keys: []core.EpochKeyReport{{Domains: []core.DomainReport{{
+		Name:           "X",
+		DelaySamples:   n,
+		DelayEstimates: []quantile.Estimate{{Q: 0.5}, {Q: 0.9, Point: p90}, {Q: 0.99}},
+	}}}}}
+	out := newMatrixOutcome()
+	out.fold([]core.EpochReport{rep})
+	if out.estP90MS != p90/1e6 {
+		t.Fatalf("one epoch of %d samples folds its p90 to %v ms, want %v", n, out.estP90MS, p90/1e6)
 	}
 }

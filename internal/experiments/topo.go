@@ -11,7 +11,6 @@ import (
 	"vpm/internal/lossmodel"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
-	"vpm/internal/quantile"
 	"vpm/internal/receipt"
 	"vpm/internal/stats"
 	"vpm/internal/trace"
@@ -47,7 +46,8 @@ type TopoRow struct {
 	FanIn   int `json:"fan_in"`
 	Packets int `json:"packets"`
 	// LinkChecks counts the per-(key, route) link verifications of the
-	// sweep; WallMS times store build + full sweep.
+	// sweep; WallMS times it: sealing, indexing and verifying the one
+	// epoch.
 	LinkChecks       int     `json:"link_checks"`
 	MatchedSamples   int64   `json:"matched_samples"`
 	WallMS           float64 `json:"wall_ms"`
@@ -142,7 +142,6 @@ func busiestSharedLink(t *netsim.Topology) int {
 type topoWorld struct {
 	topo    *netsim.Topology
 	dep     *core.Deployment
-	store   *core.ReceiptStore
 	fgKeys  []packet.PathKey
 	packets int
 }
@@ -199,56 +198,45 @@ func runTopoWorld(cfg Config, f topoFamily, faultyLink bool, wear map[receipt.HO
 	return &topoWorld{
 		topo:    topo,
 		dep:     dep,
-		store:   dep.NewStore(),
 		fgKeys:  allKeys[:f.keys],
 		packets: len(pkts),
 	}, fault, nil
 }
 
-// topoSweep verifies every foreground (key, route) of the world and
-// returns the verdict text (for fingerprinting), the per-key blames,
-// all link verdicts, and the matched-sample and link-check totals.
+// topoSweep verifies the world as one epoch (Deployment.VerifyOnce) and
+// returns, over the foreground keys' (key, route) reports, the verdict
+// text (for fingerprinting), the per-key blames, all link verdicts, and
+// the matched-sample and link-check totals. Each (Up, Down) pair is
+// checked once, on the route that owns it (core.OwnedLinks), so the
+// tallies count distinct link verifications, not route multiplicity.
 func (w *topoWorld) topoSweep(confidence float64) (string, map[packet.PathKey][]core.Blame, []core.LinkVerdict, int64, int, error) {
-	vc := w.dep.VerifierConfig()
-	keyLayouts := w.dep.KeyLayouts()
+	rep, err := w.dep.VerifyOnce(w.dep.VerifierConfig(), confidence, w.dep.Seal)
+	if err != nil {
+		return "", nil, nil, 0, 0, err
+	}
+	byKey := make(map[packet.PathKey][]core.EpochKeyReport)
+	for _, kr := range rep.Keys {
+		byKey[kr.Key] = append(byKey[kr.Key], kr)
+	}
 	perKey := make(map[packet.PathKey][]core.Blame)
 	var all []core.LinkVerdict
 	var matched int64
-	checks := 0
 	var text strings.Builder
 	for _, key := range w.fgKeys {
-		// Each (Up, Down) pair is checked once, on the route that owns it,
-		// so checks, violations, blame counts AND the timed work all tally
-		// distinct link verifications, not route multiplicity.
-		owned := core.OwnedLinks(keyLayouts[key])
-		for ri, layout := range keyLayouts[key] {
-			v := core.NewVerifierOn(layout, w.store, key)
-			v.SetConfig(vc)
-			links := layout.Links()
-			var kept []core.LinkVerdict
-			for _, li := range owned[ri] {
-				lv := v.CheckLink(links[li].Up, links[li].Down)
-				lv.LinkID = li
-				kept = append(kept, lv)
-			}
-			checks += len(kept)
-			fmt.Fprintf(&text, "key %v route %d\n", key, ri)
-			for _, lv := range kept {
+		for _, kr := range byKey[key] {
+			fmt.Fprintf(&text, "key %v route %d\n", key, kr.Route)
+			for _, lv := range kr.Links {
 				matched += int64(lv.MatchedSamples)
 				fmt.Fprintf(&text, "  %+v\n", lv)
 			}
-			reps, err := v.DomainReports(quantile.DefaultQuantiles, confidence)
-			if err != nil {
-				return "", nil, nil, 0, 0, err
+			for _, dr := range kr.Domains {
+				fmt.Fprintf(&text, "  %+v\n", dr)
 			}
-			for _, rep := range reps {
-				fmt.Fprintf(&text, "  %+v\n", rep)
-			}
-			all = append(all, kept...)
-			perKey[key] = append(perKey[key], core.AttributeBlame(layout, 0, kept)...)
+			all = append(all, kr.Links...)
+			perKey[key] = append(perKey[key], kr.Blames...)
 		}
 	}
-	return text.String(), perKey, all, matched, checks, nil
+	return text.String(), perKey, all, matched, len(all), nil
 }
 
 // Topo runs the topology sweep: per family, an honest row, then the

@@ -9,19 +9,21 @@
 // facade the runnable examples, the README and the docs are written
 // against, and exports exactly what they use (TestLoadBearingSet fails
 // on an identifier none of them references). Methods of the aliased
-// types — Deployment.NewStore, Verifier.VerifyAllLinks,
+// types — Deployment.VerifyOnce, Verifier.VerifyAllLinks,
 // BundleClient.FetchEach, … — come with them.
 //
 // Every HOP of a Deployment runs one Collector, driven by one goroutine
 // at a time; the same traffic always produces byte-identical receipts.
-// Receipts are indexed by (HOP, traffic key) in a store that
-// Deployment.NewStore builds once and per-key verifiers share
-// (NewVerifierOn), or are ingested from signed bundles (Verifier.Ingest).
-// AttributeBlame names the narrowest implicated HOP/domain set;
-// MergeBlames condenses per-key findings on a mesh, so a faulty shared
-// link is named by every key crossing it. RunContinuous drives a
-// deployment over a stream of rotating epochs, each verified as soon as
-// every HOP has sealed it, concurrently with ingest of the next.
+// A one-shot run is judged as the one epoch of a stream
+// (Deployment.VerifyOnce): every traffic key and route, blame named on
+// the narrowest implicated HOP/domain set, in the EpochReport continuous
+// runs publish. MergeBlames condenses per-key findings on a mesh, so a
+// faulty shared link is named by every key crossing it. A Verifier
+// reads one key's receipts for the paper's estimates, fed by
+// Deployment.NewVerifier or from signed bundles (Verifier.Ingest).
+// RunContinuous drives a deployment over a stream of rotating epochs,
+// each verified as soon as every HOP has sealed it, concurrently with
+// ingest of the next.
 //
 // Start from examples/quickstart: trace → Fig1 path → deployment →
 // verifier, through this package only.
@@ -109,18 +111,6 @@ func NewVerifier(layout core.Layout) *Verifier { return core.NewVerifier(layout)
 // dissemination bundles) are ingested but never read back.
 func NewVerifierFor(layout core.Layout, key PathKey) *Verifier {
 	return core.NewVerifierFor(layout, key)
-}
-
-// NewVerifierOn builds a key-restricted verifier over a shared receipt
-// store (Deployment.NewStore); Deployment.NewVerifierOn is the usual
-// entry point.
-func NewVerifierOn(layout core.Layout, store *core.ReceiptStore, key PathKey) *Verifier {
-	return core.NewVerifierOn(layout, store, key)
-}
-
-// AttributeBlame condenses link verdicts into blame findings.
-func AttributeBlame(layout core.Layout, epoch core.EpochID, verdicts []core.LinkVerdict) []Blame {
-	return core.AttributeBlame(layout, epoch, verdicts)
 }
 
 // MergeBlames condenses per-key blame findings into shared findings

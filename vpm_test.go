@@ -140,8 +140,9 @@ func TestPublicAPIAdversary(t *testing.T) {
 }
 
 // TestPublicAPIStoreAndStreaming pins the scaled verification
-// surface: the shared ReceiptStore, key-restricted verifiers, and
-// signed-bundle streaming ingest.
+// surface: the one-shot report over every traffic key (epoch 0 of a
+// one-epoch stream), keyed verifiers, and signed-bundle streaming
+// ingest.
 func TestPublicAPIStoreAndStreaming(t *testing.T) {
 	traceCfg := vpm.TraceConfig{
 		Seed:       131,
@@ -163,14 +164,20 @@ func TestPublicAPIStoreAndStreaming(t *testing.T) {
 	}
 	dep.Finalize()
 
-	// The shared store must reproduce the private-store verdicts
+	// The one-shot report must reproduce the key's verifier verdicts
 	// exactly.
-	baseline := dep.NewVerifier(key).VerifyAllLinks()
-	store := dep.NewStore()
-	v := dep.NewVerifierOn(store, key)
-	shared := v.VerifyAllLinks()
+	v := dep.NewVerifier(key)
+	baseline := v.VerifyAllLinks()
+	rep, err := dep.VerifyOnce(dep.VerifierConfig(), 0.95, dep.Seal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Keys) != 1 || rep.Keys[0].Key != key {
+		t.Fatalf("one-shot report covers %d keys, want the one path key", len(rep.Keys))
+	}
+	shared := rep.Keys[0].Links
 	if len(shared) != len(baseline) {
-		t.Fatalf("shared store produced %d verdicts, baseline %d", len(shared), len(baseline))
+		t.Fatalf("one-shot report holds %d verdicts, verifier %d", len(shared), len(baseline))
 	}
 	for i := range shared {
 		if shared[i].String() != baseline[i].String() || shared[i].LinkID != i {
@@ -181,8 +188,8 @@ func TestPublicAPIStoreAndStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 3 { // L, X, N
-		t.Fatalf("%d domain reports, want 3", len(reports))
+	if len(reports) != 3 || len(rep.Keys[0].Domains) != 3 { // L, X, N
+		t.Fatalf("%d domain reports, %d in the one-shot report, want 3", len(reports), len(rep.Keys[0].Domains))
 	}
 
 	// Streaming ingest of signed bundles, fetched over HTTP and
@@ -195,7 +202,7 @@ func TestPublicAPIStoreAndStreaming(t *testing.T) {
 		signer := vpm.NewBundleSigner(seed)
 		reg[hop] = signer.Public()
 		srv := vpm.NewBundleServer(hop, signer)
-		srv.Publish(proc.CombinedSamples(), proc.Aggs)
+		srv.PublishEpoch(0, proc.CombinedSamples(), proc.Aggs)
 		mux.Handle(fmt.Sprintf("/hop/%d", hop), srv)
 	}
 	hs := httptest.NewServer(mux)
