@@ -193,7 +193,13 @@ func Verify(pub ed25519.PublicKey, origin receipt.HOPID, sb SignedBundle) (*Bund
 	if !ed25519.Verify(pub, sb.Payload, sb.Sig) {
 		return nil, ErrBadSignature
 	}
-	b, err := DecodeBundle(sb.Payload)
+	return decodeFrom(origin, sb.Payload)
+}
+
+// decodeFrom is Verify after the signature check: it decodes an
+// authenticated payload and refuses one claiming another origin.
+func decodeFrom(origin receipt.HOPID, payload []byte) (*Bundle, error) {
+	b, err := DecodeBundle(payload)
 	if err != nil {
 		return nil, err
 	}

@@ -146,9 +146,9 @@ func TestFetchAfterPublishIsSigned(t *testing.T) {
 	}
 }
 
-// TestPublishServeConcurrently runs every Server entry point at once;
-// its value is under -race. Afterwards every retained bundle is served,
-// authenticated.
+// TestPublishServeConcurrently runs every Server entry point at once,
+// with bus consumers holding different keys; its value is under -race.
+// Afterwards every retained bundle is served, authenticated.
 func TestPublishServeConcurrently(t *testing.T) {
 	srv, signer, reg := dissemWorld(t, 4)
 	bus := NewBus()
@@ -196,6 +196,26 @@ func TestPublishServeConcurrently(t *testing.T) {
 			t.Errorf("bus: cursor moved back from %d to %d", cursor, next)
 		default:
 			cursor = next
+		}
+	})
+	// A second viewer whose registry holds another key for HOP 4: it is
+	// refused every bundle, whichever of the two fetched first.
+	wrong := Registry{4: NewSigner(seedOf(99)).Public()}
+	var wrongCursor uint64
+	run(300, func(int) {
+		_, err := bus.CollectSinceAs("b", wrong, 4, wrongCursor, func(b *Bundle) error {
+			t.Errorf("bus: bundle %d accepted under another key", b.Seq)
+			return nil
+		})
+		var gap *GapError
+		var be *BundleError
+		switch {
+		case errors.As(err, &gap):
+			wrongCursor = gap.Base
+		case errors.As(err, &be):
+			wrongCursor = be.Seq + 1
+		case err != nil:
+			t.Errorf("bus, wrong key: %v", err)
 		}
 	})
 	run(300, func(int) {

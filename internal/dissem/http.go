@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vpm/internal/receipt"
@@ -148,9 +150,20 @@ func (e *FrameError) Unwrap() error { return e.Err }
 // queue drains, so a Server needs no Close. Every fetch waits for the
 // signatures of the bundles it selected, so what is served, and in
 // which order, does not depend on how far the signer has got.
+//
+// Once a bus consumer has fetched from the Server, the signer also
+// authenticates ahead for it: each bundle signed from then on is
+// verified under the key that consumer's registry holds for this HOP,
+// so the consumer's fetch only decodes (Bus.CollectSinceAs). A Server
+// no bus consumer fetches from signs and nothing more.
 type Server struct {
 	hop    receipt.HOPID
 	signer *Signer
+	// aheadKey is the key the first bus consumer's registry holds for
+	// hop; nil until then.
+	aheadKey atomic.Pointer[ed25519.PublicKey]
+	// aheadChecks counts the signatures the signer verified ahead.
+	aheadChecks atomic.Int64
 
 	mu      sync.RWMutex
 	bundles []*entry
@@ -165,15 +178,18 @@ type Server struct {
 
 // published is one signed bundle with its log position and the epoch
 // it was tagged with, kept in the clear so the tamper sees them without
-// re-decoding the payload.
+// re-decoding the payload. verified is the key the signer verified sb
+// under, nil if it did not; serve clears it whenever a tamper is
+// installed, since sb may then no longer be the bytes verified.
 type published struct {
 	seq, epoch uint64
 	sb         SignedBundle
+	verified   ed25519.PublicKey
 }
 
 // entry is one retained bundle. seq and epoch are fixed at publish;
-// sb is written by the signer before it closes signed and read only
-// after.
+// sb and verified are written by the signer before it closes signed and
+// read only after.
 type entry struct {
 	published
 	signed chan struct{}
@@ -211,9 +227,10 @@ func (s *Server) PublishEpoch(epoch uint64, samples []receipt.SampleReceipt, agg
 }
 
 // signQueued is the signer goroutine: it encodes and signs the queued
-// entries oldest first and returns once the queue is empty. An entry
-// DropThrough already discarded is signed all the same; nobody waits
-// for it.
+// entries oldest first and returns once the queue is empty. Once a bus
+// consumer has recorded its key, each signature is also verified under
+// that key before the entry is released. An entry DropThrough already
+// discarded is signed all the same; nobody waits for it.
 func (s *Server) signQueued() {
 	s.mu.Lock()
 	for len(s.unsigned) > 0 {
@@ -221,6 +238,12 @@ func (s *Server) signQueued() {
 		s.mu.Unlock()
 		e.sb = s.signer.Sign(e.bundle)
 		e.bundle = nil
+		if key := s.aheadKey.Load(); key != nil {
+			s.aheadChecks.Add(1)
+			if ed25519.Verify(*key, e.sb.Payload, e.sb.Sig) {
+				e.verified = *key
+			}
+		}
 		close(e.signed)
 		s.mu.Lock()
 		s.unsigned[0] = nil
@@ -247,10 +270,10 @@ func (s *Server) Base() uint64 {
 // DropThrough discards every retained bundle with Seq <= seq — the
 // publisher-side garbage collection of continuous operation. Sequence
 // numbers are stable across drops: later fetches with ?since continue
-// to work, and a fetch reaching into the dropped range simply returns
-// what is still retained (the subscriber's cursor discipline guarantees
-// it already consumed the rest). Without periodic drops an endless
-// epoch stream accumulates in the server forever.
+// to work, and a fetch reaching into the dropped range gets a *GapError
+// on either carrier, naming the new base, instead of a silently
+// shortened stream. Without periodic drops an endless epoch stream
+// accumulates in the server forever.
 func (s *Server) DropThrough(seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -284,6 +307,7 @@ func (s *Server) serve(viewer string, since uint64) (base uint64, out []publishe
 		<-e.signed
 		p := e.published
 		if tamper != nil {
+			p.verified = nil
 			var ok bool
 			if p.sb, ok = tamper.Serve(viewer, p.seq, p.epoch, p.sb); !ok {
 				continue
@@ -532,6 +556,12 @@ func (b *Bus) CollectSince(reg Registry, origin receipt.HOPID, since uint64, fn 
 // elsewhere) freely. A bundle that fails authentication is a
 // *BundleError naming the origin and position, so a cursor consumer
 // can classify it and skip past the poisoned bundle.
+//
+// The first call for an origin records reg's key on its server, whose
+// signer then verifies every later bundle under that key as it signs
+// it. A bundle served untampered whose signature the signer verified
+// under a key byte-equal to reg's is only decoded and its origin
+// checked here; every other bundle goes through the full check.
 func (b *Bus) CollectSinceAs(viewer string, reg Registry, origin receipt.HOPID, since uint64, fn func(*Bundle) error) (uint64, error) {
 	b.mu.RLock()
 	s, ok := b.servers[origin]
@@ -543,12 +573,24 @@ func (b *Bus) CollectSinceAs(viewer string, reg Registry, origin receipt.HOPID, 
 	if !ok {
 		return since, fmt.Errorf("dissem: no registered key for %v", origin)
 	}
+	if s.aheadKey.Load() == nil && len(pub) == ed25519.PublicKeySize {
+		key := slices.Clone(pub)
+		s.aheadKey.CompareAndSwap(nil, &key)
+	}
 	base, served := s.serve(viewer, since)
 	if since < base {
 		return since, &GapError{Origin: origin, Since: since, Base: base}
 	}
 	for _, p := range served {
-		bundle, err := authenticate(pub, origin, p.seq, p.epoch, p.sb)
+		var bundle *Bundle
+		var err error
+		if p.verified != nil && bytes.Equal(p.verified, pub) {
+			if bundle, err = decodeFrom(origin, p.sb.Payload); err != nil {
+				err = &BundleError{Origin: origin, Seq: p.seq, Epoch: p.epoch, Err: err}
+			}
+		} else {
+			bundle, err = authenticate(pub, origin, p.seq, p.epoch, p.sb)
+		}
 		if err != nil {
 			return since, err
 		}

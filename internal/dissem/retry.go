@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -42,16 +43,17 @@ type RetryPolicy struct {
 var DefaultRetryPolicy = RetryPolicy{Attempts: 5, Base: 200 * time.Millisecond, Max: 2 * time.Second}
 
 // wait returns the backoff before retry number n (n = 1 is the first
-// retry).
+// retry): Base·2^(n-1), saturating at Max, or at the largest Duration
+// when the policy is uncapped — never wrapping to a shorter wait.
 func (p RetryPolicy) wait(n int) time.Duration {
-	d := p.Base << (n - 1)
-	if d < p.Base { // shift overflow
-		d = p.Max
+	limit := p.Max
+	if limit <= 0 {
+		limit = math.MaxInt64
 	}
-	if p.Max > 0 && d > p.Max {
-		d = p.Max
+	if p.Base > limit>>(n-1) { // Base·2^(n-1) would pass limit
+		return limit
 	}
-	return d
+	return p.Base << (n - 1)
 }
 
 // RetryBudgetError reports an operation that failed on every try of

@@ -140,3 +140,24 @@ func TestRetryPolicyBackoffCaps(t *testing.T) {
 		t.Fatalf("wait(62) = %v, want Max after shift overflow", d)
 	}
 }
+
+// TestRetryBackoffSaturates: past the retry where Base·2^(n-1)
+// overflows a Duration (37 at the default 200 ms base), the wait
+// saturates — at Max, or at the largest Duration when uncapped — and
+// never wraps to zero or to a shorter wait.
+func TestRetryBackoffSaturates(t *testing.T) {
+	for _, limit := range []time.Duration{0, 2 * time.Second} {
+		p := RetryPolicy{Attempts: 1000, Base: DefaultRetryPolicy.Base, Max: limit}
+		var prev time.Duration
+		for _, n := range []int{1, 36, 37, 38, 64, 65, 200} {
+			d := p.wait(n)
+			if d <= 0 || d < prev {
+				t.Errorf("Max %v: wait(%d) = %v after %v; want non-zero and no shorter", limit, n, d, prev)
+			}
+			prev = d
+		}
+		if limit > 0 && prev != limit {
+			t.Errorf("Max %v: wait(200) = %v, want Max", limit, prev)
+		}
+	}
+}
