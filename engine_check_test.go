@@ -87,16 +87,20 @@ func TestOnePipeline(t *testing.T) {
 
 // TestLoadBearingSet is the guard on what PRs 22, 24 and 25 cut down
 // to: one collector type, no streaming-sketch backend, one simulator,
-// one serve selection for every dissemination carrier, six binaries,
-// and a facade that exports only what something reads — and on one
-// verifier front end, a one-shot run being epoch 0 of the epoch
-// pipeline. Each clause fails on a candidate that came back without a
-// caller.
+// one serve selection and one cursor for every dissemination carrier,
+// six binaries, and a facade that exports only what something reads —
+// and on one verifier front end, a one-shot run being epoch 0 of the
+// epoch pipeline. Each clause fails on a candidate that came back
+// without a caller.
 func TestLoadBearingSet(t *testing.T) {
 	// One collector: in non-test internal/core only Collector and the
 	// epoch clock that wraps it (EpochCollector forwards, it holds no
 	// path state) take observation batches.
-	var batchTypes, simTypes, tamperCallers []string
+	var batchTypes, simTypes, tamperCallers, seqCursors []string
+	// One cursor: outside internal/dissem a feed's cursor moves past a
+	// bundle only in the engine's drain, by the server position a
+	// BundleError names — never by the seq a payload claims.
+	seqCursor := regexp.MustCompile(`\.Seq\s*\+\s*1\b`)
 	retired := regexp.MustCompile(`BackendSketch|DrainSketches|SetKeep|SetSink`)
 	// What only the per-carrier copies served: the epoch-filtered
 	// subscription, the registry-first ingest path, the compact receipt
@@ -120,7 +124,11 @@ func TestLoadBearingSet(t *testing.T) {
 		if m := batchFrontEnd.Find(src); m != nil {
 			t.Errorf("%s: mentions %s — a one-shot run is epoch 0 of the epoch pipeline (Deployment.Seal, Deployment.VerifyOnce), and a Verifier reads one leaf", path, m)
 		}
-		if strings.HasPrefix(path, "internal/dissem/") {
+		if !strings.HasPrefix(path, "internal/dissem/") {
+			for range seqCursor.FindAll(src, -1) {
+				seqCursors = append(seqCursors, path)
+			}
+		} else {
 			f, err := parser.ParseFile(fset, path, src, 0)
 			if err != nil {
 				return err
@@ -202,6 +210,9 @@ func TestLoadBearingSet(t *testing.T) {
 	// equivocation cross-check alike.
 	if len(tamperCallers) != 1 {
 		t.Errorf("functions in non-test internal/dissem calling BundleTamper.Serve: %v, want exactly one — every carrier serves from Server's one selection", tamperCallers)
+	}
+	if want := []string{"internal/engine/verify.go"}; !slices.Equal(seqCursors, want) {
+		t.Errorf("non-test files outside internal/dissem advancing a cursor by a bundle's Seq: %v, want only %v — both carriers return the server position as the cursor", seqCursors, want)
 	}
 
 	// Six binaries.

@@ -90,7 +90,7 @@ func main() {
 	v.SetConfig(dep.VerifierConfig())
 	fetched := 0
 	for hop, url := range urls {
-		err := client.FetchEach(ctx, url, hop, 0, func(b *vpm.ReceiptBundle) error {
+		_, err := client.FetchEach(ctx, url, hop, 0, func(b *vpm.ReceiptBundle) error {
 			v.Ingest(b)
 			fetched++
 			return nil

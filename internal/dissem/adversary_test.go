@@ -38,7 +38,7 @@ func TestFetchTimeoutOnHungServer(t *testing.T) {
 	_, _, reg := dissemWorld(t, 4)
 	c := &Client{Registry: reg}
 	start := time.Now()
-	err := c.FetchEach(context.Background(), hung.URL, 4, 0, func(*Bundle) error { return nil })
+	_, err := c.FetchEach(context.Background(), hung.URL, 4, 0, func(*Bundle) error { return nil })
 	if err == nil {
 		t.Fatal("fetch from a hung server succeeded")
 	}
@@ -61,7 +61,7 @@ func TestFetchCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if err := c.FetchEach(ctx, hung.URL, 4, 0, func(*Bundle) error { return nil }); err == nil {
+	if _, err := c.FetchEach(ctx, hung.URL, 4, 0, func(*Bundle) error { return nil }); err == nil {
 		t.Fatal("fetch outlived its context deadline")
 	}
 	if wall := time.Since(start); wall > 2*time.Second {
@@ -83,13 +83,13 @@ func TestPrunedCursorGapHTTP(t *testing.T) {
 	defer ts.Close()
 
 	c := &Client{Registry: reg}
-	err := c.FetchEach(context.Background(), ts.URL, 4, 0, func(*Bundle) error {
+	next, err := c.FetchEach(context.Background(), ts.URL, 4, 0, func(*Bundle) error {
 		t.Fatal("bundle delivered before the gap was surfaced")
 		return nil
 	})
 	var gap *GapError
-	if !errors.As(err, &gap) {
-		t.Fatalf("want GapError, got %v", err)
+	if !errors.As(err, &gap) || next != 0 {
+		t.Fatalf("want GapError and the cursor held at 0, got %v at %d", err, next)
 	}
 	if gap.Origin != 4 || gap.Since != 0 || gap.Base != 2 {
 		t.Fatalf("gap misdescribed: %+v", gap)
@@ -97,8 +97,9 @@ func TestPrunedCursorGapHTTP(t *testing.T) {
 	// Resuming from the advertised base acknowledges the loss and
 	// serves the rest.
 	n := 0
-	if err := c.FetchEach(context.Background(), ts.URL, 4, gap.Base, func(*Bundle) error { n++; return nil }); err != nil {
-		t.Fatal(err)
+	next, err = c.FetchEach(context.Background(), ts.URL, 4, gap.Base, func(*Bundle) error { n++; return nil })
+	if err != nil || next != 4 {
+		t.Fatalf("resume from base: next=%d err=%v", next, err)
 	}
 	if n != 2 {
 		t.Fatalf("resumed fetch returned %d bundles, want 2", n)
@@ -236,12 +237,12 @@ func (c corruptSigTamper) Serve(_ string, _, epoch uint64, sb SignedBundle) (Sig
 }
 
 // TestBundleErrorCarriesSeq: a verification failure mid-stream is a
-// typed BundleError naming origin, sequence and epoch — on the bus and
-// over HTTP alike — so a cursor consumer can classify it and skip the
-// poisoned bundle.
+// typed BundleError naming origin, server position and epoch — on the
+// bus and over HTTP alike, permanent for Retry on both — so a cursor
+// consumer can classify it and skip the poisoned bundle.
 func TestBundleErrorCarriesSeq(t *testing.T) {
 	srv, _, reg := dissemWorld(t, 4)
-	for e := uint64(5); e < 8; e++ { // seqs 0, 1, 2
+	for e := uint64(5); e < 8; e++ { // positions 0, 1, 2
 		b := sampleBundle(4, 0)
 		srv.PublishEpoch(e, b.Samples, b.Aggs)
 	}
@@ -253,13 +254,12 @@ func TestBundleErrorCarriesSeq(t *testing.T) {
 	client := &Client{Registry: reg}
 	for _, carrier := range []struct {
 		name    string
-		collect func(since uint64, fn func(*Bundle) error) error
+		collect func(since uint64, fn func(*Bundle) error) (uint64, error)
 	}{
-		{"bus", func(since uint64, fn func(*Bundle) error) error {
-			_, err := bus.CollectSince(reg, 4, since, fn)
-			return err
+		{"bus", func(since uint64, fn func(*Bundle) error) (uint64, error) {
+			return bus.CollectSince(reg, 4, since, fn)
 		}},
-		{"http", func(since uint64, fn func(*Bundle) error) error {
+		{"http", func(since uint64, fn func(*Bundle) error) (uint64, error) {
 			return client.FetchEach(context.Background(), ts.URL, 4, since, fn)
 		}},
 	} {
@@ -268,18 +268,19 @@ func TestBundleErrorCarriesSeq(t *testing.T) {
 			seqs = append(seqs, b.Seq)
 			return nil
 		}
-		err := carrier.collect(0, record)
+		next, err := carrier.collect(0, record)
 		var be *BundleError
-		if !errors.As(err, &be) {
-			t.Fatalf("%s: want BundleError, got %v", carrier.name, err)
+		var perm *PermanentError
+		if !errors.As(err, &be) || !errors.As(err, &perm) {
+			t.Fatalf("%s: want a permanent BundleError, got %v", carrier.name, err)
 		}
-		if be.Origin != 4 || be.Seq != 1 || be.Epoch != 6 || !errors.Is(err, ErrBadSignature) || len(seqs) != 1 {
-			t.Fatalf("%s: bundle error misdescribed: %+v after delivering %v", carrier.name, be, seqs)
+		if be.Origin != 4 || be.Seq != 1 || be.Epoch != 6 || !errors.Is(err, ErrBadSignature) || len(seqs) != 1 || next != 1 {
+			t.Fatalf("%s: bundle error misdescribed: %+v after delivering %v, cursor %d", carrier.name, be, seqs, next)
 		}
 		// Skipping past it drains cleanly.
 		seqs = nil
-		if err := carrier.collect(be.Seq+1, record); err != nil || len(seqs) != 1 || seqs[0] != 2 {
-			t.Fatalf("%s: skipping the poisoned bundle: delivered %v, err %v", carrier.name, seqs, err)
+		if next, err := carrier.collect(be.Seq+1, record); err != nil || len(seqs) != 1 || seqs[0] != 2 || next != 3 {
+			t.Fatalf("%s: skipping the poisoned bundle: delivered %v up to %d, err %v", carrier.name, seqs, next, err)
 		}
 	}
 }
@@ -302,7 +303,7 @@ func TestViewerHeaderReachesTamper(t *testing.T) {
 	fetchFirstTime := func(viewer string) int64 {
 		c := &Client{Registry: reg, Viewer: viewer}
 		var got int64
-		if err := c.FetchEach(context.Background(), ts.URL, 4, 0, func(b *Bundle) error {
+		if _, err := c.FetchEach(context.Background(), ts.URL, 4, 0, func(b *Bundle) error {
 			got = b.Samples[0].Samples[0].TimeNS
 			return nil
 		}); err != nil {

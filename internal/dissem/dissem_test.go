@@ -220,38 +220,39 @@ func TestFetchEachStreams(t *testing.T) {
 	client := &Client{Registry: Registry{4: signer.Public()}}
 
 	var seqs []uint64
-	err := client.FetchEach(context.Background(), ts.URL, 4, 1, func(b *Bundle) error {
+	next, err := client.FetchEach(context.Background(), ts.URL, 4, 1, func(b *Bundle) error {
 		seqs = append(seqs, b.Seq)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) != 4 || seqs[0] != 1 || seqs[3] != 4 {
-		t.Fatalf("streamed seqs %v, want 1..4", seqs)
+	if len(seqs) != 4 || seqs[0] != 1 || seqs[3] != 4 || next != 5 {
+		t.Fatalf("streamed seqs %v up to cursor %d, want 1..4 and 5", seqs, next)
 	}
 
-	// A callback error aborts the stream.
+	// A callback error aborts the stream, the cursor on the refused
+	// bundle.
 	calls := 0
 	sentinel := context.Canceled
-	err = client.FetchEach(context.Background(), ts.URL, 4, 0, func(*Bundle) error {
+	next, err = client.FetchEach(context.Background(), ts.URL, 4, 0, func(*Bundle) error {
 		calls++
 		if calls == 2 {
 			return sentinel
 		}
 		return nil
 	})
-	if err != sentinel || calls != 2 {
-		t.Fatalf("abort: err=%v calls=%d", err, calls)
+	if err != sentinel || calls != 2 || next != 1 {
+		t.Fatalf("abort: err=%v calls=%d cursor=%d", err, calls, next)
 	}
 
-	// Past the end: the server encodes a JSON null; zero callbacks.
-	err = client.FetchEach(context.Background(), ts.URL, 4, 99, func(*Bundle) error {
+	// Past the end: an empty body; zero callbacks, the cursor holds.
+	next, err = client.FetchEach(context.Background(), ts.URL, 4, 99, func(*Bundle) error {
 		t.Error("callback on empty stream")
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || next != 99 {
+		t.Fatalf("past the end: cursor %d, err %v", next, err)
 	}
 }
 
@@ -390,14 +391,12 @@ func TestDropThroughKeepsCursorSemantics(t *testing.T) {
 	defer ts.Close()
 	c := &Client{Registry: reg}
 	got := 0
-	if err := c.FetchEach(context.Background(), ts.URL, 4, 3, func(*Bundle) error {
+	next, err = c.FetchEach(context.Background(), ts.URL, 4, 3, func(*Bundle) error {
 		got++
 		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Fatalf("since=3 fetch after drop returned %d bundles, want 2", got)
+	})
+	if err != nil || got != 2 || next != 5 {
+		t.Fatalf("since=3 fetch after drop returned %d bundles up to %d (err %v), want 2 up to 5", got, next, err)
 	}
 }
 

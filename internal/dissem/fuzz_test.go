@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"testing"
@@ -82,27 +83,53 @@ func FuzzDecodeBundle(f *testing.F) {
 }
 
 // FuzzReadFrames: the client's frame reader is total over whatever a
-// server answers — any Content-Type, Content-Length and body end in
-// nil, a *FrameError or a *BundleError, never a panic, and the
-// response's claims buy no memory beyond a small multiple of the bytes
-// that actually arrived. The corpus holds TestHostileFeeds' responses,
-// one honest frame and one with a corrupted signature.
+// server answers — any Content-Type, Content-Length, retention base
+// (empty: no BaseHeader), cursor and body end in nil, a *FrameError, a
+// *BundleError or a *GapError, never a panic — and it only moves the
+// cursor forward: every frame is handed on at a position ≥ since,
+// strictly above the one before and below 2⁶⁴−1, and the returned
+// cursor is one past the last position delivered (since when none
+// was). The response's claims buy no memory beyond a small multiple of
+// the bytes that actually arrived, headers included. The corpus holds
+// TestHostileFeeds' responses, honest frames with and without skips,
+// one with a corrupted signature, a skip that wraps the cursor, a gap,
+// a missing or garbled base and a 10 KB Content-Type.
 func FuzzReadFrames(f *testing.F) {
 	pub := NewSigner(seedOf(4)).Public()
-	f.Fuzz(func(t *testing.T, contentType string, contentLength int64, body []byte) {
+	f.Fuzz(func(t *testing.T, contentType string, contentLength int64, base string, since uint64, body []byte) {
 		resp := &http.Response{Header: http.Header{}, ContentLength: contentLength, Body: io.NopCloser(bytes.NewReader(body))}
 		resp.Header.Set("Content-Type", contentType)
+		if base != "" {
+			resp.Header.Set(BaseHeader, base)
+		}
+		floor, delivered := since, since
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := readFrames(resp, 4, pub, 0, func(*Bundle) error { return nil })
+		next, err := readFrames(resp, 4, since, func(p published) (uint64, error) {
+			if p.seq < floor || p.seq == math.MaxUint64 {
+				t.Fatalf("frame handed on at position %d, want ≥ %d and < 2⁶⁴−1", p.seq, floor)
+			}
+			floor = p.seq + 1
+			n, err := receive(pub, 4, p, func(*Bundle) error { return nil })
+			if err == nil {
+				delivered = n
+			}
+			return n, err
+		})
 		runtime.ReadMemStats(&after)
 		var fe *FrameError
 		var be *BundleError
-		if err != nil && !errors.As(err, &fe) && !errors.As(err, &be) {
+		var gap *GapError
+		if err != nil && !errors.As(err, &fe) && !errors.As(err, &be) && !errors.As(err, &gap) {
 			t.Fatalf("untyped error %v (%T)", err, err)
 		}
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, 64<<10+8*uint64(len(body)); grew > limit {
-			t.Fatalf("allocated %d bytes reading a %d-byte body (limit %d)", grew, len(body), limit)
+		if next != delivered {
+			t.Fatalf("returned cursor %d, want %d: one past the last position delivered from since %d", next, delivered, since)
+		}
+		// The headers arrived too: a refusal may quote them.
+		arrived := uint64(len(contentType) + len(base) + len(body))
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, 64<<10+8*arrived; grew > limit {
+			t.Fatalf("allocated %d bytes reading a %d-byte response (limit %d)", grew, arrived, limit)
 		}
 	})
 }

@@ -91,7 +91,7 @@ func TestServedBytesEqualSynchronousSign(t *testing.T) {
 	}
 	var wantBody []byte
 	for _, sb := range want {
-		wantBody = append(wantBody, frame(sb)...)
+		wantBody = append(wantBody, frame(sb, 0)...)
 	}
 	if !bytes.Equal(body, wantBody) {
 		t.Errorf("http: %d-byte body differs from the %d bytes of synchronously signed frames", len(body), len(wantBody))
@@ -128,7 +128,8 @@ func TestFetchAfterPublishIsSigned(t *testing.T) {
 			return err
 		}},
 		{"http", func(since uint64, fn func(*Bundle) error) error {
-			return client.FetchEach(context.Background(), ts.URL, 4, since, fn)
+			_, err := client.FetchEach(context.Background(), ts.URL, 4, since, fn)
+			return err
 		}},
 	} {
 		for i := 0; i < 1000; i++ {

@@ -19,10 +19,10 @@ import (
 )
 
 // BaseHeader is the response header a Server sets on every fetch: the
-// sequence number of the oldest bundle it still retains. A client
-// whose cursor lies below it has permanently missed bundles
-// (DropThrough pruned them) and receives a GapError instead of a
-// silently clamped stream.
+// position of the oldest bundle it still retains. A client whose cursor
+// lies below it has permanently missed bundles (DropThrough pruned
+// them) and receives a GapError instead of a silently clamped stream;
+// a response without it is not a feed.
 const BaseHeader = "X-VPM-Base"
 
 // ViewerHeader carries the requesting verifier's identity on fetches,
@@ -53,11 +53,11 @@ func (e *GapError) Error() string {
 }
 
 // BundleError wraps a per-bundle verification failure with the origin,
-// sequence number and epoch of the bundle — on the bus the server's log
-// position and tag, over HTTP what the payload's header claims — so a
-// consumer can classify the evidence (attributed to the right
-// interval) and skip past the poisoned bundle instead of stalling its
-// cursor on it. Both carriers return it for the same bundles.
+// the bundle's position in the server's log (Seq) and its epoch — the
+// server's tag on the bus, the payload header's claim over HTTP — so a
+// consumer can classify the evidence (attributed to the right interval)
+// and resume at Seq+1 instead of stalling on the poisoned bundle. Both
+// carriers return it, permanent for Retry, for the same bundles.
 type BundleError struct {
 	Origin receipt.HOPID
 	Seq    uint64
@@ -73,19 +73,22 @@ func (e *BundleError) Error() string {
 // Unwrap exposes the underlying verification failure.
 func (e *BundleError) Unwrap() error { return e.Err }
 
-// The HTTP bundle feed is a sequence of length-prefixed frames, one
-// per bundle, under FrameContentType and an exact Content-Length:
+// The HTTP bundle feed is a sequence of frames, one per bundle, under
+// FrameContentType, an exact Content-Length and BaseHeader:
 //
-//	payloadLen[4] sigLen[4] payload[payloadLen] sig[sigLen]
+//	payloadLen[4] skip[4] payload[payloadLen] sig[64]
 //
-// (little-endian lengths). The payload is the Bundle.AppendEncode
-// bytes exactly as the origin signed them, so what crosses the wire is
-// the canonical signed encoding plus FrameHeaderSize bytes per bundle.
+// (little-endian). The payload is the Bundle.AppendEncode bytes exactly
+// as signed, so the wire carries the signed bytes plus FrameHeaderSize
+// per bundle. skip counts the retained positions the server withheld
+// before the frame (from since, then from the previous frame), so each
+// frame's log position — the cursor, as on the bus — is implicit and
+// strictly increasing; the seq the payload claims is only evidence.
 const (
 	// FrameContentType names the framed feed. A response carrying any
 	// other type is refused: version skew reads as "this HOP does not
 	// speak the frame format", never as a garbage length.
-	FrameContentType = "application/vnd.vpm.bundle-frames"
+	FrameContentType = "application/vnd.vpm.bundle-frames.v2"
 	// FrameHeaderSize is the per-bundle framing overhead.
 	FrameHeaderSize = 8
 	// MaxBundleBytes bounds the payload a client accepts in one frame.
@@ -100,14 +103,14 @@ const (
 // the caller inside a *FrameError naming the origin.
 var (
 	// ErrNotFramed: the response is not a framed feed at all — wrong
-	// Content-Type or no Content-Length.
+	// Content-Type, no Content-Length, or no well-formed BaseHeader.
 	ErrNotFramed = errors.New("dissem: response is not a framed bundle feed")
 	// ErrFrameTooLarge: a frame announces a payload above
 	// MaxBundleBytes.
 	ErrFrameTooLarge = errors.New("dissem: frame exceeds MaxBundleBytes")
 	// ErrBadFrame: a frame header contradicts the format or the
-	// response's Content-Length (signature length, overrun, trailing
-	// bytes).
+	// response's Content-Length (overrun, trailing bytes, a skip that
+	// wraps the cursor).
 	ErrBadFrame = errors.New("dissem: malformed frame")
 	// ErrTruncatedFrame: the body ended (or the read failed) inside a
 	// frame the Content-Length promised.
@@ -138,10 +141,10 @@ func (e *FrameError) Error() string {
 func (e *FrameError) Unwrap() error { return e.Err }
 
 // Server publishes one HOP's signed receipt bundles over HTTP. Mount
-// it at a path of your choice; GET ?since=N returns all bundles with
-// Seq >= N as length-prefixed frames (FrameContentType): each bundle's
-// canonical payload exactly as signed, then its signature. Wrap in TLS
-// for the paper's HTTPS web-site realization.
+// it at a path of your choice; GET ?since=N returns all bundles at log
+// positions >= N as length-prefixed frames (FrameContentType): each
+// bundle's canonical payload exactly as signed, then its signature.
+// Wrap in TLS for the paper's HTTPS web-site realization.
 //
 // Publishing is a hand-off (§7's Collector/Processor split): the
 // sealing goroutine only takes a sequence number, and the Server's
@@ -180,7 +183,8 @@ type Server struct {
 // it was tagged with, kept in the clear so the tamper sees them without
 // re-decoding the payload. verified is the key the signer verified sb
 // under, nil if it did not; serve clears it whenever a tamper is
-// installed, since sb may then no longer be the bytes verified.
+// installed, since sb may then no longer be the bytes verified. A frame
+// read off the HTTP feed is one too, its epoch the payload's claim.
 type published struct {
 	seq, epoch uint64
 	sb         SignedBundle
@@ -340,7 +344,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	base, out := s.serve(viewer, since)
 	// The base is always advertised: a cursor below it has permanently
 	// missed bundles, and silently clamping would hide that from the
-	// lagging verifier (Fetch promises all bundles with Seq >= since).
+	// lagging verifier (Fetch promises all bundles at positions ≥ since).
 	w.Header().Set(BaseHeader, strconv.FormatUint(base, 10))
 	size := 0
 	for _, p := range out {
@@ -349,9 +353,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", FrameContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(size))
 	var hdr [FrameHeaderSize]byte
+	pos := max(since, base) // the first frame's skip counts from here
 	for _, p := range out {
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p.sb.Payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(p.sb.Sig)))
+		binary.LittleEndian.PutUint32(hdr[4:8], uint32(p.seq-pos)) // a server retains far fewer than 2³² bundles
+		pos = p.seq + 1
 		for _, part := range [][]byte{hdr[:], p.sb.Payload, p.sb.Sig} {
 			if _, err := w.Write(part); err != nil {
 				return // connection-level failure; nothing more to do
@@ -375,41 +381,38 @@ type Client struct {
 	Viewer string
 }
 
-// Fetch retrieves all bundles with Seq >= since from the HOP server at
-// baseURL, verifies each signature against the registered key of
+// Fetch retrieves all bundles at positions ≥ since from the HOP server
+// at baseURL, verifies each signature against the registered key of
 // origin, and returns the decoded bundles. Any verification failure
 // aborts the fetch: unauthenticated receipts are never returned.
 func (c *Client) Fetch(ctx context.Context, baseURL string, origin receipt.HOPID, since uint64) ([]*Bundle, error) {
 	var out []*Bundle
-	err := c.FetchEach(ctx, baseURL, origin, since, func(b *Bundle) error {
+	if _, err := c.FetchEach(ctx, baseURL, origin, since, func(b *Bundle) error {
 		out = append(out, b)
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// FetchEach is the streaming form of Fetch: the server's framed
-// response is read one frame at a time, each frame is bounded
-// (MaxBundleBytes, the response's Content-Length) before it is
-// buffered and signature-verified as it arrives, and fn is invoked per
-// authenticated bundle — the whole interval's receipts never sit in
-// memory at once. A response that breaks the frame format returns a
-// *FrameError; a bundle that fails authentication, a *BundleError —
-// both permanent for Retry. Either, or an fn error, aborts the stream
-// and is returned; bundles already passed to fn stay consumed (ingest
-// is incremental by design — pair FetchEach with a Verifier whose
-// answers are only read after a successful drain). When the server
-// advertises a retention base above since (it pruned bundles the
-// cursor never consumed), FetchEach returns a GapError before
-// delivering anything: the caller must decide how to handle the
-// permanently missing bundles rather than silently skipping them.
-func (c *Client) FetchEach(ctx context.Context, baseURL string, origin receipt.HOPID, since uint64, fn func(*Bundle) error) error {
+// FetchEach is the streaming form of Fetch and the HTTP twin of
+// Bus.CollectSince: frames are read one at a time, each bounded
+// (MaxBundleBytes, the Content-Length) before it is buffered, and fn
+// gets each bundle as it clears authentication — the interval's
+// receipts never sit in memory at once. It returns the cursor: one past
+// the server position of the last bundle fn consumed, since if none. A
+// response that breaks the frame format is a *FrameError; a bundle that
+// fails authentication, a *BundleError — both permanent for Retry.
+// Either, or an fn error, aborts the stream; bundles already passed to
+// fn stay consumed (ingest is incremental by design). A retention base
+// above since (the server pruned bundles the cursor never consumed) is
+// a GapError before anything is delivered: the caller decides how to
+// handle the loss rather than silently skipping it.
+func (c *Client) FetchEach(ctx context.Context, baseURL string, origin receipt.HOPID, since uint64, fn func(*Bundle) error) (next uint64, err error) {
 	pub, ok := c.Registry[origin]
 	if !ok {
-		return fmt.Errorf("dissem: no registered key for %v", origin)
+		return since, fmt.Errorf("dissem: no registered key for %v", origin)
 	}
 	hc := c.HTTP
 	if hc == nil {
@@ -417,102 +420,115 @@ func (c *Client) FetchEach(ctx context.Context, baseURL string, origin receipt.H
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s?since=%d", baseURL, since), nil)
 	if err != nil {
-		return err
+		return since, err
 	}
 	if c.Viewer != "" {
 		req.Header.Set(ViewerHeader, c.Viewer)
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("dissem: fetching %v: %w", origin, err)
+		return since, fmt.Errorf("dissem: fetching %v: %w", origin, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("dissem: %v returned %s", origin, resp.Status)
+		return since, fmt.Errorf("dissem: %v returned %s", origin, resp.Status)
 	}
-	if h := resp.Header.Get(BaseHeader); h != "" {
-		base, err := strconv.ParseUint(h, 10, 64)
-		if err == nil && base > since {
-			return &GapError{Origin: origin, Since: since, Base: base}
-		}
-	}
-	return readFrames(resp, origin, pub, since, fn)
+	return readFrames(resp, origin, since, func(p published) (uint64, error) {
+		return receive(pub, origin, p, fn)
+	})
 }
 
-// authenticate is the receive side's one authentication step, the same
-// for both carriers: it verifies sb against origin's key and turns a
-// failure into a *BundleError naming the bundle's seq and epoch.
-func authenticate(pub ed25519.PublicKey, origin receipt.HOPID, seq, epoch uint64, sb SignedBundle) (*Bundle, error) {
-	b, err := Verify(pub, origin, sb)
+// receive is the one receive step behind both carriers: it
+// authenticates the bundle served at position p.seq, hands it to fn and
+// returns the cursor past it. A bundle the signer already verified
+// under a key byte-equal to pub (Bus.CollectSinceAs) is only decoded
+// and its origin checked; every other one takes the full check. A
+// failure is a permanent *BundleError naming the position and p.epoch.
+func receive(pub ed25519.PublicKey, origin receipt.HOPID, p published, fn func(*Bundle) error) (uint64, error) {
+	var b *Bundle
+	err := ErrBadSignature
+	if (p.verified != nil && bytes.Equal(p.verified, pub)) || ed25519.Verify(pub, p.sb.Payload, p.sb.Sig) {
+		b, err = decodeFrom(origin, p.sb.Payload)
+	}
 	if err != nil {
-		return nil, &BundleError{Origin: origin, Seq: seq, Epoch: epoch, Err: err}
+		return p.seq, Permanent(&BundleError{Origin: origin, Seq: p.seq, Epoch: p.epoch, Err: err})
 	}
-	return b, nil
+	if err := fn(b); err != nil {
+		return p.seq, err
+	}
+	return p.seq + 1, nil
 }
 
-// readFrames streams a framed feed response to fn, one authenticated
-// bundle per frame. A frame is read only after its header is checked
-// against MaxBundleBytes, the bundle header, the signature size and the
-// bytes the Content-Length still promises. The seq and epoch a failed
-// bundle is named by come from its payload's header, and a claim below
-// since is refused before authentication: no claim may move the
-// caller's cursor backwards.
-func readFrames(resp *http.Response, origin receipt.HOPID, pub ed25519.PublicKey, since uint64, fn func(*Bundle) error) error {
+// readFrames hands each frame of a feed response to recv as the bundle
+// at its server position, with the epoch its payload claims, and
+// returns the cursor recv last returned (since if none). A base above
+// since is a *GapError; a missing or malformed one, not a feed. Each
+// frame header is checked against MaxBundleBytes, the bundle header,
+// the bytes the Content-Length still promises and the cursor — a skip
+// that would wrap it is refused — before anything is read for it.
+func readFrames(resp *http.Response, origin receipt.HOPID, since uint64, recv func(published) (uint64, error)) (uint64, error) {
+	notFramed := func(why string) error {
+		return Permanent(&FrameError{Origin: origin, Frame: -1, Err: fmt.Errorf("%w: %s", ErrNotFramed, why)})
+	}
 	if ct := resp.Header.Get("Content-Type"); ct != FrameContentType {
-		return Permanent(&FrameError{Origin: origin, Frame: -1,
-			Err: fmt.Errorf("%w: Content-Type %q, want %s", ErrNotFramed, ct, FrameContentType)})
+		return since, notFramed(fmt.Sprintf("Content-Type %q, want %s", ct, FrameContentType))
 	}
 	remaining := resp.ContentLength
 	if remaining < 0 {
-		return Permanent(&FrameError{Origin: origin, Frame: -1, Err: fmt.Errorf("%w: no Content-Length", ErrNotFramed)})
+		return since, notFramed("no Content-Length")
+	}
+	h := resp.Header.Get(BaseHeader)
+	base, err := strconv.ParseUint(h, 10, 64)
+	if err != nil {
+		return since, notFramed(fmt.Sprintf("%s %q", BaseHeader, h))
+	}
+	if base > since {
+		return since, &GapError{Origin: origin, Since: since, Base: base}
 	}
 	var (
-		hdr [FrameHeaderSize]byte
-		buf bytes.Buffer // one frame's payload+signature; reused, DecodeBundle copies out of it
-		i   int
+		hdr  [FrameHeaderSize]byte
+		buf  bytes.Buffer // one frame's payload+signature; reused, DecodeBundle copies out of it
+		i    int
+		next = since // the position the next frame's skip counts from
 	)
 	bad := func(err error) error { return &FrameError{Origin: origin, Frame: i, Err: err} }
 	for ; remaining > 0; i++ {
 		if remaining < FrameHeaderSize {
-			return Permanent(bad(fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, remaining)))
+			return next, Permanent(bad(fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, remaining)))
 		}
 		if _, err := io.ReadFull(resp.Body, hdr[:]); err != nil {
-			return bad(fmt.Errorf("%w: header: %w", ErrTruncatedFrame, err))
+			return next, bad(fmt.Errorf("%w: header: %w", ErrTruncatedFrame, err))
 		}
 		remaining -= FrameHeaderSize
 		payloadLen := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		sigLen := int64(binary.LittleEndian.Uint32(hdr[4:8]))
+		skip := uint64(binary.LittleEndian.Uint32(hdr[4:8]))
+		frameLen := payloadLen + ed25519.SignatureSize
 		switch {
 		case payloadLen > MaxBundleBytes:
-			return Permanent(bad(fmt.Errorf("%w: announces %d payload bytes", ErrFrameTooLarge, payloadLen)))
+			return next, Permanent(bad(fmt.Errorf("%w: announces %d payload bytes", ErrFrameTooLarge, payloadLen)))
 		case payloadLen < bundleHeaderSize:
-			return Permanent(bad(fmt.Errorf("%w: %d-byte payload cannot hold a bundle header", ErrBadFrame, payloadLen)))
-		case sigLen != ed25519.SignatureSize:
-			return Permanent(bad(fmt.Errorf("%w: signature of %d bytes", ErrBadFrame, sigLen)))
-		case payloadLen+sigLen > remaining:
-			return Permanent(bad(fmt.Errorf("%w: %d-byte frame in a response with %d bytes left", ErrBadFrame, payloadLen+sigLen, remaining)))
+			return next, Permanent(bad(fmt.Errorf("%w: %d-byte payload cannot hold a bundle header", ErrBadFrame, payloadLen)))
+		case frameLen > remaining:
+			return next, Permanent(bad(fmt.Errorf("%w: %d-byte frame in a response with %d bytes left", ErrBadFrame, frameLen, remaining)))
+		case skip >= ^uint64(0)-next:
+			return next, Permanent(bad(fmt.Errorf("%w: skipping %d positions past %d wraps the cursor", ErrBadFrame, skip, next)))
 		}
 		// Grow with the bytes that arrive: the header's claim alone
 		// buys no memory.
 		buf.Reset()
-		if _, err := io.CopyN(&buf, resp.Body, payloadLen+sigLen); err != nil {
-			return bad(fmt.Errorf("%w: body: %w", ErrTruncatedFrame, err))
+		if _, err := io.CopyN(&buf, resp.Body, frameLen); err != nil {
+			return next, bad(fmt.Errorf("%w: body: %w", ErrTruncatedFrame, err))
 		}
-		remaining -= payloadLen + sigLen
+		remaining -= frameLen
 		frame := buf.Bytes()
-		seq, epoch := headerClaims(frame)
-		if seq < since {
-			return Permanent(bad(fmt.Errorf("%w: claims seq %d below the requested %d", ErrBadFrame, seq, since)))
-		}
-		b, err := authenticate(pub, origin, seq, epoch, SignedBundle{Payload: frame[:payloadLen], Sig: frame[payloadLen:]})
+		_, epoch := headerClaims(frame)
+		n, err := recv(published{seq: next + skip, epoch: epoch, sb: SignedBundle{Payload: frame[:payloadLen], Sig: frame[payloadLen:]}})
 		if err != nil {
-			return Permanent(err)
+			return next, err
 		}
-		if err := fn(b); err != nil {
-			return err
-		}
+		next = n
 	}
-	return nil
+	return next, nil
 }
 
 // Bus is an in-memory alternative to the HTTP transport for
@@ -535,8 +551,8 @@ func (b *Bus) Attach(s *Server) {
 	b.servers[s.hop] = s
 }
 
-// CollectSince streams the HOP's verified bundles with Seq >= since to
-// fn and returns the next since value — the incremental-subscription
+// CollectSince streams the HOP's verified bundles at positions ≥ since
+// to fn and returns the next since value — the incremental-subscription
 // primitive: a rolling verifier polls each HOP with the cursor from
 // the previous call and sees every bundle exactly once. The cursor
 // advances only past bundles fn consumed successfully, so retrying
@@ -551,11 +567,11 @@ func (b *Bus) CollectSince(reg Registry, origin receipt.HOPID, since uint64, fn 
 
 // CollectSinceAs is CollectSince with a viewer identity, which
 // simulated per-verifier misbehavior (an Equivocator tamper) keys on.
-// The server's log position is the cursor; fn runs outside the bus and
-// server locks, so it may ingest into a verifier (or publish
-// elsewhere) freely. A bundle that fails authentication is a
-// *BundleError naming the origin and position, so a cursor consumer
-// can classify it and skip past the poisoned bundle.
+// The server's log position is the cursor, as over HTTP (FetchEach);
+// fn runs outside the bus and server locks, so it may ingest into a
+// verifier (or publish elsewhere) freely. A bundle that fails
+// authentication is a *BundleError naming the origin and position, so
+// a cursor consumer can classify it and skip past the poisoned bundle.
 //
 // The first call for an origin records reg's key on its server, whose
 // signer then verifies every later bundle under that key as it signs
@@ -582,22 +598,11 @@ func (b *Bus) CollectSinceAs(viewer string, reg Registry, origin receipt.HOPID, 
 		return since, &GapError{Origin: origin, Since: since, Base: base}
 	}
 	for _, p := range served {
-		var bundle *Bundle
-		var err error
-		if p.verified != nil && bytes.Equal(p.verified, pub) {
-			if bundle, err = decodeFrom(origin, p.sb.Payload); err != nil {
-				err = &BundleError{Origin: origin, Seq: p.seq, Epoch: p.epoch, Err: err}
-			}
-		} else {
-			bundle, err = authenticate(pub, origin, p.seq, p.epoch, p.sb)
-		}
+		next, err := receive(pub, origin, p, fn)
 		if err != nil {
 			return since, err
 		}
-		if err := fn(bundle); err != nil {
-			return since, err
-		}
-		since = p.seq + 1
+		since = next
 	}
 	return since, nil
 }

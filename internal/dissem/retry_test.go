@@ -42,10 +42,11 @@ func TestRetryRidesOutFlappingServer(t *testing.T) {
 	var got int
 	err := Retry(ctx, fastRetry, func() error {
 		got = 0
-		return client.FetchEach(ctx, hs.URL, 7, 0, func(b *Bundle) error {
+		_, err := client.FetchEach(ctx, hs.URL, 7, 0, func(b *Bundle) error {
 			got++
 			return nil
 		})
+		return err
 	})
 	if err != nil {
 		t.Fatalf("retry over flapping server: %v", err)
@@ -62,7 +63,8 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	hs, client, requests := flappingServer(t, 1<<30) // never recovers
 	ctx := context.Background()
 	err := Retry(ctx, fastRetry, func() error {
-		return client.FetchEach(ctx, hs.URL, 7, 0, func(*Bundle) error { return nil })
+		_, err := client.FetchEach(ctx, hs.URL, 7, 0, func(*Bundle) error { return nil })
+		return err
 	})
 	var budget *RetryBudgetError
 	if !errors.As(err, &budget) {

@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -19,17 +21,19 @@ import (
 // The HTTP feed's wire: exact accounting, the tamper hooks through the
 // framed body, and a hostile or broken server on the other end.
 
-// header renders a frame header announcing the given lengths.
-func header(payloadLen, sigLen uint32) []byte {
+// header renders a frame header announcing a payload length and the
+// positions skipped before the frame.
+func header(payloadLen, skip uint32) []byte {
 	hdr := make([]byte, FrameHeaderSize)
 	binary.LittleEndian.PutUint32(hdr[0:4], payloadLen)
-	binary.LittleEndian.PutUint32(hdr[4:8], sigLen)
+	binary.LittleEndian.PutUint32(hdr[4:8], skip)
 	return hdr
 }
 
-// frame renders one frame as the server would.
-func frame(sb SignedBundle) []byte {
-	return append(append(header(uint32(len(sb.Payload)), uint32(len(sb.Sig))), sb.Payload...), sb.Sig...)
+// frame renders one frame as the server would, skip positions past the
+// previous one.
+func frame(sb SignedBundle, skip uint32) []byte {
+	return append(append(header(uint32(len(sb.Payload)), skip), sb.Payload...), sb.Sig...)
 }
 
 // TestFrameWireAccounting: what crosses the wire is, to the byte, the
@@ -99,35 +103,52 @@ func TestFrameWireAccounting(t *testing.T) {
 }
 
 // TestTampersOverHTTP: the dissemination adversaries do over the framed
-// feed what their bus tests say they do.
+// feed what their bus tests say they do, and leave both carriers'
+// cursors on the same server position — a withheld position is
+// skipped, a replayed bundle counts where it was served, not where its
+// payload claims to belong.
 func TestTampersOverHTTP(t *testing.T) {
-	epochsServed := func(t *testing.T, tamper BundleTamper) ([]uint64, error) {
-		t.Helper()
+	for _, tc := range []struct {
+		tamper BundleTamper
+		epochs []uint64
+		next   uint64
+	}{
+		{&Withholder{FromEpoch: 1}, []uint64{0}, 1},
+		{&Withholder{FromEpoch: 1, ToEpoch: 2}, []uint64{0, 2}, 3},
+		{&Replayer{FromEpoch: 1}, []uint64{0, 0, 0}, 3},
+	} {
 		srv, _, reg := dissemWorld(t, 4)
 		for e := uint64(0); e < 3; e++ {
 			b := sampleBundle(4, e)
 			srv.PublishEpoch(e, b.Samples, b.Aggs)
 		}
-		srv.SetTamper(tamper)
+		srv.SetTamper(tc.tamper)
+		bus := NewBus()
+		bus.Attach(srv)
 		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		var epochs []uint64
-		err := (&Client{Registry: reg}).FetchEach(context.Background(), ts.URL, 4, 0, func(b *Bundle) error {
-			epochs = append(epochs, b.Epoch)
-			return nil
-		})
-		return epochs, err
-	}
-	if epochs, err := epochsServed(t, &Withholder{FromEpoch: 1}); err != nil || len(epochs) != 1 || epochs[0] != 0 {
-		t.Errorf("withholder over HTTP: epochs %v, err %v; want [0] and no transport error", epochs, err)
-	}
-	if epochs, err := epochsServed(t, &Replayer{FromEpoch: 1}); err != nil || len(epochs) != 3 || epochs[1] != 0 || epochs[2] != 0 {
-		t.Errorf("replayer over HTTP: epochs %v, err %v; want [0 0 0]", epochs, err)
+		for carrier, collect := range map[string]func(fn func(*Bundle) error) (uint64, error){
+			"bus": func(fn func(*Bundle) error) (uint64, error) { return bus.CollectSince(reg, 4, 0, fn) },
+			"http": func(fn func(*Bundle) error) (uint64, error) {
+				return (&Client{Registry: reg}).FetchEach(context.Background(), ts.URL, 4, 0, fn)
+			},
+		} {
+			var epochs []uint64
+			next, err := collect(func(b *Bundle) error {
+				epochs = append(epochs, b.Epoch)
+				return nil
+			})
+			if err != nil || !slices.Equal(epochs, tc.epochs) || next != tc.next {
+				t.Errorf("%s over %s: epochs %v up to cursor %d, err %v; want %v up to %d",
+					tc.tamper.Name(), carrier, epochs, next, err, tc.epochs, tc.next)
+			}
+		}
+		ts.Close()
 	}
 
-	// A forged bundle is a permanent *BundleError named by the seq and
-	// epoch its payload claims (here frame 0 of a since=1 fetch carries
-	// seq 1), refused after one attempt exactly as the bus refuses it.
+	// A forged bundle is a permanent *BundleError named by its server
+	// position and the epoch its payload claims (here frame 0 of a
+	// since=1 fetch, at position 1), refused after one attempt exactly as
+	// the bus refuses it.
 	srv, _, reg := dissemWorld(t, 4)
 	for e := uint64(0); e < 3; e++ {
 		b := sampleBundle(4, e)
@@ -139,10 +160,11 @@ func TestTampersOverHTTP(t *testing.T) {
 	attempts, delivered := 0, 0
 	err := Retry(context.Background(), RetryPolicy{Attempts: 2, Base: time.Millisecond}, func() error {
 		attempts++
-		return (&Client{Registry: reg}).FetchEach(context.Background(), ts.URL, 4, 1, func(*Bundle) error {
+		_, err := (&Client{Registry: reg}).FetchEach(context.Background(), ts.URL, 4, 1, func(*Bundle) error {
 			delivered++
 			return nil
 		})
+		return err
 	})
 	var be *BundleError
 	if !errors.As(err, &be) || !errors.Is(err, ErrBadSignature) {
@@ -165,8 +187,10 @@ func hostileFeed(t *testing.T, h http.HandlerFunc) (*httptest.Server, *Client) {
 	return ts, &Client{Registry: reg}
 }
 
-// framed writes body as a framed-feed response of the declared length.
+// framed writes body as a framed-feed response of the declared length
+// from a server whose retention base is 0.
 func framed(w http.ResponseWriter, declared int64, body []byte) {
+	w.Header().Set(BaseHeader, "0")
 	w.Header().Set("Content-Type", FrameContentType)
 	w.Header().Set("Content-Length", strconv.FormatInt(declared, 10))
 	w.Write(body)
@@ -178,7 +202,19 @@ func framed(w http.ResponseWriter, declared int64, body []byte) {
 // and without the response's claims buying memory.
 func TestHostileFeeds(t *testing.T) {
 	signer := NewSigner(seedOf(4))
-	good := frame(signer.Sign(sampleBundle(4, 0)))
+	good := frame(signer.Sign(sampleBundle(4, 0)), 0)
+	// unbased serves good as a framed feed whose X-VPM-Base header is
+	// base, or absent when base is empty.
+	unbased := func(base string) http.HandlerFunc {
+		return func(w http.ResponseWriter, _ *http.Request) {
+			if base != "" {
+				w.Header().Set(BaseHeader, base)
+			}
+			w.Header().Set("Content-Type", FrameContentType)
+			w.Header().Set("Content-Length", strconv.Itoa(len(good)))
+			w.Write(good)
+		}
+	}
 	cases := []struct {
 		name      string
 		serve     http.HandlerFunc
@@ -193,21 +229,26 @@ func TestHostileFeeds(t *testing.T) {
 			w.Write([]byte(`[{"payload":"AAAA","sig":"AAAA"}]`))
 		}, ErrNotFramed, -1, true, 0, 0},
 		{"no Content-Length", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set(BaseHeader, "0")
 			w.Header().Set("Content-Type", FrameContentType)
 			w.(http.Flusher).Flush() // forces chunked encoding
 			w.Write(good)
 		}, ErrNotFramed, -1, true, 0, 0},
+		// A server that pruned and stays quiet about it, or no server
+		// at all: without a base, frame positions could hide a gap.
+		{"no X-VPM-Base", unbased(""), ErrNotFramed, -1, true, 0, 0},
+		{"garbled X-VPM-Base", unbased("2x"), ErrNotFramed, -1, true, 0, 0},
 		{"4 GiB frame", func(w http.ResponseWriter, _ *http.Request) {
-			framed(w, 1<<33, header(0xffffffff, ed25519.SignatureSize))
+			framed(w, 1<<33, header(0xffffffff, 0))
 		}, ErrFrameTooLarge, 0, true, 0, 0},
 		{"one byte over MaxBundleBytes", func(w http.ResponseWriter, _ *http.Request) {
-			framed(w, 1<<33, header(MaxBundleBytes+1, ed25519.SignatureSize))
+			framed(w, 1<<33, header(MaxBundleBytes+1, 0))
 		}, ErrFrameTooLarge, 0, true, 0, 0},
 		{"short signature", func(w http.ResponseWriter, _ *http.Request) {
-			framed(w, 1<<20, header(100, ed25519.SignatureSize-1))
+			framed(w, int64(len(good)-1), good[:len(good)-1])
 		}, ErrBadFrame, 0, true, 0, 0},
 		{"frame overruns Content-Length", func(w http.ResponseWriter, _ *http.Request) {
-			body := append(append([]byte{}, good...), header(1000, ed25519.SignatureSize)...)
+			body := append(append([]byte{}, good...), header(1000, 0)...)
 			framed(w, int64(len(body))+100, body)
 		}, ErrBadFrame, 1, true, 1, 0},
 		{"trailing bytes", func(w http.ResponseWriter, _ *http.Request) {
@@ -221,12 +262,13 @@ func TestHostileFeeds(t *testing.T) {
 			framed(w, int64(len(good)), good[:len(good)/2])
 		}, ErrTruncatedFrame, 0, false, 0, 0},
 		{"payload shorter than a bundle header", func(w http.ResponseWriter, _ *http.Request) {
-			body := append(header(bundleHeaderSize-1, ed25519.SignatureSize), make([]byte, bundleHeaderSize-1+ed25519.SignatureSize)...)
+			body := append(header(bundleHeaderSize-1, 0), make([]byte, bundleHeaderSize-1+ed25519.SignatureSize)...)
 			framed(w, int64(len(body)), body)
 		}, ErrBadFrame, 0, true, 0, 0},
-		{"seq below the cursor", func(w http.ResponseWriter, _ *http.Request) {
-			framed(w, int64(len(good)), good) // seq 0, asked for since=1
-		}, ErrBadFrame, 0, true, 0, 1},
+		{"skip wraps the cursor", func(w http.ResponseWriter, _ *http.Request) {
+			body := append(append([]byte{}, good...), frame(signer.Sign(sampleBundle(4, 1)), 0xffffffff)...)
+			framed(w, int64(len(body)), body) // frame 1 would sit at 2⁶⁴−1
+		}, ErrBadFrame, 1, true, 1, math.MaxUint64 - 1<<32},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -239,10 +281,11 @@ func TestHostileFeeds(t *testing.T) {
 			start := time.Now()
 			err := Retry(ctx, RetryPolicy{Attempts: 2, Base: time.Millisecond}, func() error {
 				attempts++
-				return c.FetchEach(ctx, ts.URL, 4, tc.since, func(*Bundle) error {
+				_, err := c.FetchEach(ctx, ts.URL, 4, tc.since, func(*Bundle) error {
 					delivered++
 					return nil
 				})
+				return err
 			})
 			wall := time.Since(start)
 			runtime.ReadMemStats(&after)
@@ -276,7 +319,7 @@ func TestHostileFeeds(t *testing.T) {
 func TestStalledFeedHonoursContext(t *testing.T) {
 	ts, c := hostileFeed(t, func(w http.ResponseWriter, r *http.Request) {
 		framed(w, FrameHeaderSize+MaxBundleBytes+ed25519.SignatureSize,
-			append(header(MaxBundleBytes, ed25519.SignatureSize), make([]byte, 1000)...))
+			append(header(MaxBundleBytes, 0), make([]byte, 1000)...))
 		w.(http.Flusher).Flush()
 		<-r.Context().Done() // until the client hangs up
 	})
@@ -286,7 +329,7 @@ func TestStalledFeedHonoursContext(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	err := c.FetchEach(ctx, ts.URL, 4, 0, func(*Bundle) error {
+	_, err := c.FetchEach(ctx, ts.URL, 4, 0, func(*Bundle) error {
 		t.Error("delivered a bundle from an incomplete frame")
 		return nil
 	})

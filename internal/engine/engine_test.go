@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -89,9 +90,10 @@ func testSigner(h receipt.HOPID) *dissem.Signer {
 
 // runWorld drives w through both halves over the named transport and
 // store, with tamper installed on the bus servers, and returns every
-// report's canonical encoding, in order, and the findings. An honest
-// run (nil tamper) must verify every epoch without a finding.
-func runWorld(t *testing.T, w testWorld, transport, store string, tamper map[receipt.HOPID]dissem.BundleTamper) ([][]byte, []core.Blame) {
+// report's canonical encoding, in order, the findings and each feed's
+// final cursor (none for the direct transport). An honest run (nil
+// tamper) must verify every epoch without a finding.
+func runWorld(t *testing.T, w testWorld, transport, store string, tamper map[receipt.HOPID]dissem.BundleTamper) ([][]byte, []core.Blame, []uint64) {
 	t.Helper()
 	st := engine.Store{HOPs: w.hops, Retention: 2}
 	var disk *segstore.Store
@@ -138,6 +140,15 @@ func runWorld(t *testing.T, w testWorld, transport, store string, tamper map[rec
 			}
 		}
 	}
+	cursors := make([]uint64, len(ver.Feeds))
+	for i := range ver.Feeds {
+		fetch := ver.Feeds[i].Fetch
+		ver.Feeds[i].Fetch = func(ctx context.Context, since uint64, fn func(*dissem.Bundle) error) (uint64, error) {
+			next, err := fetch(ctx, since, fn)
+			cursors[i] = next
+			return next, err
+		}
+	}
 	col, err := engine.NewCollect(w.dep, w.hops, testIntervalNS, 0, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +170,7 @@ func runWorld(t *testing.T, w testWorld, transport, store string, tamper map[rec
 			}
 		}
 	}
-	return reports, ver.Findings
+	return reports, ver.Findings, cursors
 }
 
 // corruptEpoch breaks the signature of every bundle of one epoch.
@@ -179,9 +190,9 @@ func (c corruptEpoch) Serve(_ string, _, epoch uint64, sb dissem.SignedBundle) (
 // reports whichever transport carries the sealed epochs and whichever
 // store sits beneath the window — on a linear path and on a mesh — and,
 // with one HOP misbehaving at the dissemination layer, the bus and HTTP
-// give the same reports and the same findings. (A Replayer is left
-// out: the bus counts a replaying origin's cursor by server log
-// position, HTTP by the payload's signed seq.)
+// give the same reports, the same findings and the same final cursors:
+// both advance by the server's log position, whatever seq a replayed
+// payload claims.
 func TestSeamsAreInterchangeable(t *testing.T) {
 	worlds := map[string]func(*testing.T) testWorld{"fig1": fig1World, "clos": closWorld}
 	for name, build := range worlds {
@@ -189,7 +200,7 @@ func TestSeamsAreInterchangeable(t *testing.T) {
 			var want [][]byte
 			for _, transport := range []string{"direct", "bus", "http"} {
 				for _, store := range []string{"ram", "segstore"} {
-					got, _ := runWorld(t, build(t), transport, store, nil)
+					got, _, _ := runWorld(t, build(t), transport, store, nil)
 					if want == nil {
 						want = got
 						continue
@@ -208,27 +219,49 @@ func TestSeamsAreInterchangeable(t *testing.T) {
 		})
 	}
 	for _, attack := range []struct {
-		name   string
-		tamper dissem.BundleTamper
+		name     string
+		tamper   func() dissem.BundleTamper
+		evidence []core.EvidenceClass // every class the findings hold, all on the liar
 	}{
-		{"corrupt-signature", corruptEpoch(1)},
-		{"withhold", &dissem.Withholder{FromEpoch: 2}},
+		{"corrupt-signature", func() dissem.BundleTamper { return corruptEpoch(1) },
+			[]core.EvidenceClass{core.EvSignature, core.EvWithheldBundle}},
+		{"withhold", func() dissem.BundleTamper { return &dissem.Withholder{FromEpoch: 2} },
+			[]core.EvidenceClass{core.EvWithheldBundle}},
+		{"replay", func() dissem.BundleTamper { return &dissem.Replayer{FromEpoch: 2} },
+			[]core.EvidenceClass{core.EvEpochReplay, core.EvWithheldBundle}},
 	} {
 		t.Run("fig1-"+attack.name, func(t *testing.T) {
 			var want [][]byte
 			var wantFindings []core.Blame
+			var wantCursors []uint64
 			for _, transport := range []string{"bus", "http"} {
 				w := fig1World(t)
-				got, findings := runWorld(t, w, transport, "ram", map[receipt.HOPID]dissem.BundleTamper{w.hops[3]: attack.tamper})
-				if len(findings) == 0 {
-					t.Fatalf("%s: the attack left no finding", transport)
+				liar := w.hops[3]
+				got, findings, cursors := runWorld(t, w, transport, "ram", map[receipt.HOPID]dissem.BundleTamper{liar: attack.tamper()})
+				classes := map[core.EvidenceClass]bool{}
+				for _, f := range findings {
+					classes[f.Evidence] = true
+					if !slices.Equal(f.HOPs, []receipt.HOPID{liar}) {
+						t.Fatalf("%s: finding %v blames %v, want the liar %v alone", transport, f, f.HOPs, liar)
+					}
+				}
+				if len(classes) != len(attack.evidence) {
+					t.Fatalf("%s: findings %v, want exactly the classes %v", transport, findings, attack.evidence)
+				}
+				for _, ev := range attack.evidence {
+					if !classes[ev] {
+						t.Fatalf("%s: no %v finding among %v", transport, ev, findings)
+					}
 				}
 				if want == nil {
-					want, wantFindings = got, findings
+					want, wantFindings, wantCursors = got, findings, cursors
 					continue
 				}
 				if !reflect.DeepEqual(findings, wantFindings) {
 					t.Fatalf("%s: findings differ from the bus's:\n got %v\nwant %v", transport, findings, wantFindings)
+				}
+				if !slices.Equal(cursors, wantCursors) {
+					t.Fatalf("%s: final cursors %v, the bus's %v", transport, cursors, wantCursors)
 				}
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d reports, the bus gave %d", transport, len(got), len(want))

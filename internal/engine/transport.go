@@ -71,18 +71,15 @@ func (t *BusTransport) Feeds() []Feed {
 	return feeds
 }
 
-// HTTPFeed is hop's feed at url, fetched by c under the retry policy.
+// HTTPFeed is hop's feed at url, fetched by c under the retry policy: a
+// retry resumes from the cursor the failed attempt reached, and a
+// bundle refused at ingest is permanent — no retry fixes that.
 func HTTPFeed(c *dissem.Client, retry dissem.RetryPolicy, url string, hop receipt.HOPID) Feed {
-	return Feed{HOP: hop, Fetch: func(ctx context.Context, since uint64, fn func(*dissem.Bundle) error) (uint64, error) {
-		next := since
-		err := dissem.Retry(ctx, retry, func() error {
-			return c.FetchEach(ctx, url, hop, next, func(b *dissem.Bundle) error {
-				if err := fn(b); err != nil {
-					return dissem.Permanent(err) // refused at ingest: no retry fixes that
-				}
-				next = b.Seq + 1
-				return nil
-			})
+	return Feed{HOP: hop, Fetch: func(ctx context.Context, since uint64, fn func(*dissem.Bundle) error) (next uint64, err error) {
+		next = since
+		err = dissem.Retry(ctx, retry, func() (err error) {
+			next, err = c.FetchEach(ctx, url, hop, next, func(b *dissem.Bundle) error { return dissem.Permanent(fn(b)) })
+			return err
 		})
 		return next, err
 	}}

@@ -181,10 +181,11 @@ func (v *Verify) step(ctx context.Context) (progressed bool, err error) {
 	return progressed, nil
 }
 
-// drain fetches feed i from its cursor until the feed has nothing
-// more. A bundle that fails authentication or a cursor that reaches
-// into a pruned range is a finding against the feed's HOP and the
-// cursor moves past it; any other fetch error aborts.
+// drain fetches feed i from its cursor — the server's log position, on
+// every carrier — until the feed has nothing more. A bundle that fails
+// authentication or a cursor that reaches into a pruned range is a
+// finding against the feed's HOP and the cursor moves past it; any
+// other fetch error aborts.
 func (v *Verify) drain(ctx context.Context, i int) error {
 	f := &v.Feeds[i]
 	for {

@@ -772,27 +772,20 @@ func runBatchScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, error) {
 	}
 	dep.Seal(sc.adversarySink(path, bt.Sink()))
 
-	// Verifier "A" collects every feed with a cursor.
+	// Verifier "A" collects every feed: one bundle per HOP, the sealed
+	// epoch 0, or a signature finding in its place.
 	layout := dep.Layout()
 	out := newMatrixOutcome()
 	received := make(map[receipt.HOPID][]*dissem.Bundle, len(hops))
 	for _, id := range hops {
-		cursor := uint64(0)
-		for {
-			next, err := bt.Bus.CollectSinceAs("A", bt.Registry, id, cursor, func(b *dissem.Bundle) error {
-				received[id] = append(received[id], b)
-				return nil
-			})
-			cursor = next
-			if err == nil {
-				break
-			}
-			var be *dissem.BundleError
-			if errors.As(err, &be) {
-				out.blames = append(out.blames, core.BlameHOP(layout, 0, core.EvSignature, id, 1, err.Error()))
-				cursor = be.Seq + 1
-				continue
-			}
+		_, err := bt.Bus.CollectSinceAs("A", bt.Registry, id, 0, func(b *dissem.Bundle) error {
+			received[id] = append(received[id], b)
+			return nil
+		})
+		var be *dissem.BundleError
+		if errors.As(err, &be) {
+			out.blames = append(out.blames, core.BlameHOP(layout, 0, core.EvSignature, id, 1, err.Error()))
+		} else if err != nil {
 			return nil, err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -538,5 +539,70 @@ func TestVerifierReportsClassifiedFindings(t *testing.T) {
 	}
 	if forgeries != 1 {
 		t.Errorf("%d signature findings, want 1: %v", forgeries, fe.Findings)
+	}
+}
+
+// TestReplayedFeedBecomesBlame: a collector whose own HOP server
+// replays epoch 0 in place of every later epoch is blamed, not crashed
+// on. Each shard's Run returns a *FindingsError naming epoch-replay and
+// withheld-bundle on that HOP alone, and the findings are the same at
+// widths 1 and 2: every shard fetches every feed, and each feed's cursor
+// is the server's position, not the seq the replayed payload claims.
+func TestReplayedFeedBecomesBlame(t *testing.T) {
+	spec := testSpec()
+	urls := make([]string, spec.Collectors)
+	var liar receipt.HOPID
+	for ci := range urls {
+		cw, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCollector(cw, ci)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Run(context.Background(), CollectorOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if ci == 0 {
+			liar = c.Owned()[0]
+			c.servers.Servers[liar].SetTamper(&dissem.Replayer{FromEpoch: 1})
+		}
+		hs := httptest.NewServer(c.Handler())
+		defer hs.Close()
+		urls[ci] = hs.URL
+	}
+	w, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []core.Blame
+	for _, shards := range []int{1, 2} {
+		for s := 0; s < shards; s++ {
+			v, err := NewVerifier(w, shards, s, VerifierOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = v.Run(context.Background(), urls, VerifierOptions{Poll: 5 * time.Millisecond})
+			var fe *FindingsError
+			if !errors.As(err, &fe) {
+				t.Fatalf("width %d shard %d: Run error = %v, want a *FindingsError", shards, s, err)
+			}
+			classes := map[core.EvidenceClass]int{}
+			for _, f := range fe.Findings {
+				classes[f.Evidence]++
+				if len(f.HOPs) != 1 || f.HOPs[0] != liar {
+					t.Errorf("width %d shard %d: finding %v, want it on %v alone", shards, s, f, liar)
+				}
+			}
+			if len(classes) != 2 || classes[core.EvEpochReplay] == 0 || classes[core.EvWithheldBundle] == 0 {
+				t.Fatalf("width %d shard %d: findings %v, want epoch-replay and withheld-bundle only", shards, s, fe.Findings)
+			}
+			if want == nil {
+				want = fe.Findings
+			} else if !reflect.DeepEqual(fe.Findings, want) {
+				t.Fatalf("width %d shard %d: findings differ from width 1's:\n got %v\nwant %v", shards, s, fe.Findings, want)
+			}
+		}
 	}
 }

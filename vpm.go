@@ -10,7 +10,8 @@
 // against, and exports exactly what they use (TestLoadBearingSet fails
 // on an identifier none of them references). Methods of the aliased
 // types — Deployment.VerifyOnce, Verifier.VerifyAllLinks,
-// BundleClient.FetchEach, … — come with them.
+// BundleClient.FetchEach (which returns the next cursor, the server's
+// log position, as the in-memory bus does), … — come with them.
 //
 // Every HOP of a Deployment runs one Collector, driven by one goroutine
 // at a time; the same traffic always produces byte-identical receipts.

@@ -211,12 +211,12 @@ func TestPublicAPIStoreAndStreaming(t *testing.T) {
 	vs.SetConfig(dep.VerifierConfig())
 	client := &vpm.BundleClient{Registry: reg}
 	for hop := range dep.Processors {
-		err := client.FetchEach(context.Background(), fmt.Sprintf("%s/hop/%d", hs.URL, hop), hop, 0, func(b *vpm.ReceiptBundle) error {
+		next, err := client.FetchEach(context.Background(), fmt.Sprintf("%s/hop/%d", hs.URL, hop), hop, 0, func(b *vpm.ReceiptBundle) error {
 			vs.Ingest(b)
 			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || next != 1 {
+			t.Fatalf("HOP %v: cursor %d after its one bundle, err %v", hop, next, err)
 		}
 	}
 	streamed := vs.VerifyAllLinks()
