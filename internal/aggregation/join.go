@@ -21,56 +21,153 @@ type Pair struct {
 // honest pair never does).
 func (p Pair) Lost() int64 { return int64(p.A.PktCnt) - int64(p.B.PktCnt) }
 
-// Join computes the join of two aggregate receipt sequences: it finds
-// the cutting points common to both HOPs (aggregate First-packet IDs
-// appearing in both sequences, in order) and combines the receipts
-// between consecutive common cuts. The result is the finest partition
-// over which the two HOPs' claims can be compared (§6.1–§6.2).
+// Joiner computes the §6 join of two HOPs' aggregate receipt sequences
+// and applies the §6.3 patch-up to it. It keeps its working storage —
+// one first-occurrence index and the pair slice — from call to call, so
+// a verifier that joins every (key, adjacent HOP pair) of every epoch
+// allocates only while that storage grows. The zero value is ready to
+// use. A Joiner is not safe for concurrent use: each verifying
+// goroutine owns its own.
+type Joiner struct {
+	// first maps an ID to the position of its first occurrence in the
+	// list being searched, when that list is longer than shortList: the
+	// downstream sequence's aggregate First IDs during the join, a
+	// downstream AggTrans window during the patch-up.
+	first map[uint64]int
+	pairs []Pair
+}
+
+// shortList is the longest list the Joiner searches by scanning rather
+// than through its index. Most lists are that short — on a mesh a key's
+// HOP seals one aggregate in most epochs — and scanning a few entries
+// costs less than hashing them.
+const shortList = 16
+
+// Join computes the join of two aggregate receipt sequences and aligns
+// it: it finds the cutting points common to both HOPs (aggregate
+// First-packet IDs appearing in both sequences, in order), combines the
+// receipts between consecutive common cuts — the finest partition over
+// which the two HOPs' claims can be compared (§6.1–§6.2) — and then
+// migrates packets the two HOPs saw on different sides of a common cut
+// (§6.3). migrations counts the packets moved.
 //
 // Receipts must be in stream order and share each side's PathID
 // traffic. Loss or extra cuts on either side merge away — exactly the
-// graceful degradation §6.3 describes.
-func Join(a, b []receipt.AggReceipt) []Pair {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
+// graceful degradation §6.3 describes; a boundary whose combined
+// receipts would mix PathIDs is skipped.
+//
+// The pairs are the Joiner's scratch, valid until its next call: a
+// caller that keeps them copies them. Each combined receipt carries the
+// AggTrans of the last receipt it combines (the only cutting point that
+// survives the merge) by reference, not by copy; nothing writes through
+// a Pair's AggTrans.
+//
+//vpm:hotpath
+func (j *Joiner) Join(a, b []receipt.AggReceipt) (pairs []Pair, migrations int) {
+	stale := len(j.pairs)
+	j.join(a, b)
+	// Pairs a longer previous call left beyond this one's are dropped,
+	// references included, so the scratch pins no receipt windows beyond
+	// the latest join's.
+	if stale > len(j.pairs) {
+		clear(j.pairs[len(j.pairs):stale])
 	}
-	// Internal boundaries of b: First-packet ID -> aggregate index.
-	bIdx := make(map[uint64]int, len(b))
-	for j := 1; j < len(b); j++ {
-		if _, dup := bIdx[b[j].Agg.First]; !dup {
-			bIdx[b[j].Agg.First] = j
-		}
-	}
-	var pairs []Pair
-	ia, ib := 0, 0
-	for i := 1; i < len(a); i++ {
-		j, ok := bIdx[a[i].Agg.First]
-		if !ok || j <= ib {
-			// Not a common boundary (or would violate stream order,
-			// which can happen with duplicate digests): merge on.
-			continue
-		}
-		if ia == i || ib == j {
-			continue
-		}
-		ca, err1 := receipt.CombineAggregates(a[ia:i]...)
-		cb, err2 := receipt.CombineAggregates(b[ib:j]...)
-		if err1 != nil || err2 != nil {
-			// PathID mismatch inside a sequence — skip this boundary.
-			continue
-		}
-		pairs = append(pairs, Pair{A: ca, B: cb})
-		ia, ib = i, j
-	}
-	ca, err1 := receipt.CombineAggregates(a[ia:]...)
-	cb, err2 := receipt.CombineAggregates(b[ib:]...)
-	if err1 == nil && err2 == nil {
-		pairs = append(pairs, Pair{A: ca, B: cb})
-	}
-	return pairs
+	return j.pairs, j.patchUp(j.pairs)
 }
 
-// PatchUp applies the §6.3 migration to a joined sequence: for each
+// join fills j.pairs with the join of a and b.
+func (j *Joiner) join(a, b []receipt.AggReceipt) {
+	j.pairs = j.pairs[:0]
+	if len(a) == 0 || len(b) == 0 {
+		return
+	}
+	// b's internal boundaries: First-packet ID -> aggregate index.
+	indexed := len(b) > shortList
+	if indexed {
+		j.resetIndex()
+		for k := 1; k < len(b); k++ {
+			if _, dup := j.first[b[k].Agg.First]; !dup {
+				j.first[b[k].Agg.First] = k
+			}
+		}
+	}
+	ia, ib := 0, 0
+	for i := 1; i < len(a); i++ {
+		id := a[i].Agg.First
+		var k int
+		var ok bool
+		if indexed {
+			k, ok = j.first[id]
+		} else {
+			k, ok = boundaryOf(b, id)
+		}
+		// Not a common boundary, or one that would violate stream order
+		// (duplicate digests): merge on.
+		if ok && k > ib && j.appendPair(a[ia:i], b[ib:k]) {
+			ia, ib = i, k
+		}
+	}
+	j.appendPair(a[ia:], b[ib:])
+}
+
+// boundaryOf returns the first internal boundary of b (an aggregate
+// after the first) that starts at packet id.
+func boundaryOf(b []receipt.AggReceipt, id uint64) (int, bool) {
+	for k := 1; k < len(b); k++ {
+		if b[k].Agg.First == id {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// resetIndex empties the first-occurrence index for a new list.
+func (j *Joiner) resetIndex() {
+	if j.first == nil {
+		//lint:ignore hotpath once per Joiner; every later list clears and refills it
+		j.first = make(map[uint64]int)
+	}
+	clear(j.first)
+}
+
+// appendPair appends the pair combining as and bs, and reports false —
+// appending nothing — when either side mixes PathIDs.
+func (j *Joiner) appendPair(as, bs []receipt.AggReceipt) bool {
+	j.pairs = append(j.pairs, Pair{})
+	p := &j.pairs[len(j.pairs)-1]
+	if !combine(&p.A, as) || !combine(&p.B, bs) {
+		j.pairs = j.pairs[:len(j.pairs)-1]
+		return false
+	}
+	return true
+}
+
+// combine fills the zero receipt *out with the ⊎ of rs
+// (receipt.CombineAggregates): the union aggregate from the first
+// receipt's First to the last one's Last, with the summed packet count
+// and the last receipt's AggTrans, referenced rather than copied. It
+// reports false when rs mixes PathIDs.
+func combine(out *receipt.AggReceipt, rs []receipt.AggReceipt) bool {
+	first, last := &rs[0], &rs[len(rs)-1]
+	var n uint64
+	for i := range rs {
+		if rs[i].Path != first.Path {
+			return false
+		}
+		n += rs[i].PktCnt
+	}
+	out.Path = first.Path
+	out.Agg = receipt.AggID{First: first.Agg.First, Last: last.Agg.Last}
+	out.PktCnt = n
+	if len(last.AggTrans) > 0 {
+		// Capped, so an append through the pair could never reach the
+		// receipt's array.
+		out.AggTrans = last.AggTrans[:len(last.AggTrans):len(last.AggTrans)]
+	}
+	return true
+}
+
+// patchUp applies the §6.3 migration to a joined sequence: for each
 // internal boundary, it compares the two AggTrans windows and, for any
 // packet that appears on different sides of the cutting point at the
 // two HOPs, migrates B's count so that B's aggregates correspond to
@@ -81,7 +178,7 @@ func Join(a, b []receipt.AggReceipt) []Pair {
 // at p5 while HOP 4 observes 〈p2 p3 p5 p4〉: p4 moved across the cut,
 // so the verifier migrates p4 from HOP 4's later aggregate into its
 // earlier one.
-func PatchUp(pairs []Pair) int {
+func (j *Joiner) patchUp(pairs []Pair) int {
 	migrations := 0
 	for k := 0; k+1 < len(pairs); k++ {
 		// The boundary after pair k is the First packet of pair k+1.
@@ -97,25 +194,33 @@ func PatchUp(pairs []Pair) int {
 		if !okA || !okB {
 			continue
 		}
-		// Side of the cut each common packet fell on at each HOP.
-		sideB := make(map[uint64]bool, len(wb)) // true = before cut
-		for i, r := range wb {
-			if r.PktID == cutID {
-				continue
-			}
-			if _, dup := sideB[r.PktID]; !dup {
-				sideB[r.PktID] = i < posB
+		// Where each packet of B's window first appears, to tell on which
+		// side of the cut B saw it.
+		indexed := len(wb) > shortList
+		if indexed {
+			j.resetIndex()
+			for i := range wb {
+				if _, dup := j.first[wb[i].PktID]; !dup {
+					j.first[wb[i].PktID] = i
+				}
 			}
 		}
-		for i, r := range wa {
-			if r.PktID == cutID {
+		for i := range wa {
+			id := wa[i].PktID
+			if id == cutID {
 				continue
 			}
-			beforeAtB, seen := sideB[r.PktID]
+			var at int
+			var seen bool
+			if indexed {
+				at, seen = j.first[id]
+			} else {
+				at, seen = indexOf(wb, id)
+			}
 			if !seen {
 				continue
 			}
-			beforeAtA := i < posA
+			beforeAtA, beforeAtB := i < posA, at < posB
 			switch {
 			case beforeAtA && !beforeAtB:
 				// A says the packet belongs to the earlier aggregate;
@@ -133,22 +238,14 @@ func PatchUp(pairs []Pair) int {
 	return migrations
 }
 
-// indexOf returns the position of id in the window.
+// indexOf returns the position of id's first occurrence in the window.
 func indexOf(w []receipt.SampleRecord, id uint64) (int, bool) {
-	for i, r := range w {
-		if r.PktID == id {
+	for i := range w {
+		if w[i].PktID == id {
 			return i, true
 		}
 	}
 	return 0, false
-}
-
-// JoinAligned is Join followed by PatchUp — the full §6 verifier
-// pipeline for aggregate receipts.
-func JoinAligned(a, b []receipt.AggReceipt) []Pair {
-	pairs := Join(a, b)
-	PatchUp(pairs)
-	return pairs
 }
 
 // Partition describes an abstract partition of a packet set as a list

@@ -1,12 +1,113 @@
 package aggregation
 
 import (
+	"reflect"
 	"testing"
 
 	"vpm/internal/hashing"
 	"vpm/internal/receipt"
 	"vpm/internal/stats"
 )
+
+// oracleJoin is the allocating reference join the Joiner replaced: the
+// same algorithm over fresh maps and slices, combining with
+// receipt.CombineAggregates (which copies AggTrans).
+func oracleJoin(a, b []receipt.AggReceipt) []Pair {
+	if len(a) == 0 || len(b) == 0 {
+		return nil
+	}
+	// Internal boundaries of b: First-packet ID -> aggregate index.
+	bIdx := make(map[uint64]int, len(b))
+	for j := 1; j < len(b); j++ {
+		if _, dup := bIdx[b[j].Agg.First]; !dup {
+			bIdx[b[j].Agg.First] = j
+		}
+	}
+	var pairs []Pair
+	ia, ib := 0, 0
+	for i := 1; i < len(a); i++ {
+		j, ok := bIdx[a[i].Agg.First]
+		if !ok || j <= ib {
+			continue
+		}
+		ca, err1 := receipt.CombineAggregates(a[ia:i]...)
+		cb, err2 := receipt.CombineAggregates(b[ib:j]...)
+		if err1 != nil || err2 != nil {
+			continue
+		}
+		pairs = append(pairs, Pair{A: ca, B: cb})
+		ia, ib = i, j
+	}
+	ca, err1 := receipt.CombineAggregates(a[ia:]...)
+	cb, err2 := receipt.CombineAggregates(b[ib:]...)
+	if err1 == nil && err2 == nil {
+		pairs = append(pairs, Pair{A: ca, B: cb})
+	}
+	return pairs
+}
+
+// oraclePatchUp is the allocating reference patch-up: a fresh side map
+// per boundary.
+func oraclePatchUp(pairs []Pair) int {
+	migrations := 0
+	for k := 0; k+1 < len(pairs); k++ {
+		cutID := pairs[k+1].A.Agg.First
+		if cutID != pairs[k+1].B.Agg.First {
+			continue
+		}
+		wa, wb := pairs[k].A.AggTrans, pairs[k].B.AggTrans
+		posA, okA := indexOf(wa, cutID)
+		posB, okB := indexOf(wb, cutID)
+		if !okA || !okB {
+			continue
+		}
+		sideB := make(map[uint64]bool, len(wb))
+		for i, r := range wb {
+			if r.PktID == cutID {
+				continue
+			}
+			if _, dup := sideB[r.PktID]; !dup {
+				sideB[r.PktID] = i < posB
+			}
+		}
+		for i, r := range wa {
+			if r.PktID == cutID {
+				continue
+			}
+			beforeAtB, seen := sideB[r.PktID]
+			if !seen {
+				continue
+			}
+			beforeAtA := i < posA
+			switch {
+			case beforeAtA && !beforeAtB:
+				pairs[k].B.PktCnt++
+				pairs[k+1].B.PktCnt--
+				migrations++
+			case !beforeAtA && beforeAtB:
+				pairs[k].B.PktCnt--
+				pairs[k+1].B.PktCnt++
+				migrations++
+			}
+		}
+	}
+	return migrations
+}
+
+// joinRaw is the join without the patch-up, for the test that looks at
+// counts before alignment.
+func joinRaw(a, b []receipt.AggReceipt) []Pair {
+	var j Joiner
+	j.join(a, b)
+	return j.pairs
+}
+
+// joinAligned is the full §6 pipeline on a fresh Joiner.
+func joinAligned(a, b []receipt.AggReceipt) []Pair {
+	var j Joiner
+	pairs, _ := j.Join(a, b)
+	return pairs
+}
 
 // runPair feeds the upstream stream to one partitioner and a
 // downstream variant (possibly with drops/reorder) to another,
@@ -27,7 +128,7 @@ func TestJoinIdenticalStreams(t *testing.T) {
 	stream := randomStream(11, 100000)
 	cfg := Config{CutRate: 0.001, WindowNS: 10_000}
 	a, b := runPair(cfg, cfg, stream, stream)
-	pairs := Join(a, b)
+	pairs := joinAligned(a, b)
 	if len(pairs) != len(a) {
 		t.Fatalf("join of identical sequences has %d pairs, want %d", len(pairs), len(a))
 	}
@@ -50,7 +151,7 @@ func TestJoinDifferentThresholds(t *testing.T) {
 		Config{CutRate: 0.0005, WindowNS: 10_000},
 		Config{CutRate: 0.01, WindowNS: 10_000},
 		stream, stream)
-	pairs := Join(a, b)
+	pairs := joinAligned(a, b)
 	if len(pairs) != len(a) {
 		t.Fatalf("join has %d pairs, want coarse side's %d", len(pairs), len(a))
 	}
@@ -78,7 +179,7 @@ func TestJoinExactLossAccounting(t *testing.T) {
 		down = append(down, o)
 	}
 	a, b := runPair(cfg, cfg, stream, down)
-	pairs := Join(a, b)
+	pairs := joinAligned(a, b)
 	if len(pairs) != len(a) {
 		// All cuts survive, so alignment must be perfect.
 		t.Fatalf("join has %d pairs, want %d", len(pairs), len(a))
@@ -116,7 +217,7 @@ func TestJoinLostCuttingPointsMerge(t *testing.T) {
 		t.Fatal("test did not drop any cuts")
 	}
 	a, b := runPair(cfg, cfg, stream, down)
-	pairs := Join(a, b)
+	pairs := joinAligned(a, b)
 	if len(pairs) == 0 {
 		t.Fatal("no pairs after cut loss")
 	}
@@ -133,12 +234,19 @@ func TestJoinLostCuttingPointsMerge(t *testing.T) {
 }
 
 func TestJoinEmpty(t *testing.T) {
-	if Join(nil, nil) != nil {
-		t.Error("join of empties should be nil")
+	var j Joiner
+	if pairs, n := j.Join(nil, nil); len(pairs) != 0 || n != 0 {
+		t.Error("join of empties should be empty")
 	}
 	one := []receipt.AggReceipt{{Path: testPath(), PktCnt: 5}}
-	if Join(one, nil) != nil || Join(nil, one) != nil {
-		t.Error("join with one empty side should be nil")
+	if pairs, _ := j.Join(one, one); len(pairs) != 1 {
+		t.Fatal("join of one aggregate with itself should be one pair")
+	}
+	if pairs, _ := j.Join(one, nil); len(pairs) != 0 {
+		t.Error("join with an empty downstream side should be empty")
+	}
+	if pairs, _ := j.Join(nil, one); len(pairs) != 0 {
+		t.Error("join with an empty upstream side should be empty")
 	}
 }
 
@@ -146,7 +254,7 @@ func TestJoinSingleAggregates(t *testing.T) {
 	p := testPath()
 	a := []receipt.AggReceipt{{Path: p, Agg: receipt.AggID{First: 1, Last: 9}, PktCnt: 10}}
 	b := []receipt.AggReceipt{{Path: p, Agg: receipt.AggID{First: 1, Last: 9}, PktCnt: 8}}
-	pairs := Join(a, b)
+	pairs := joinAligned(a, b)
 	if len(pairs) != 1 || pairs[0].Lost() != 2 {
 		t.Fatalf("pairs = %+v", pairs)
 	}
@@ -185,14 +293,15 @@ func TestPatchUpPaperExample(t *testing.T) {
 	if len(a) != 2 || len(b) != 2 {
 		t.Fatalf("unexpected partitioning: %d and %d aggregates", len(a), len(b))
 	}
-	pairs := Join(a, b)
+	pairs := joinRaw(a, b)
 	if len(pairs) != 2 {
 		t.Fatalf("join has %d pairs", len(pairs))
 	}
 	if pairs[0].Lost() == 0 && pairs[1].Lost() == 0 {
 		t.Fatal("reordering should misalign raw counts (4,4 vs 3,5)")
 	}
-	n := PatchUp(pairs)
+	var j Joiner
+	n := j.patchUp(pairs)
 	if n != 1 {
 		t.Fatalf("PatchUp migrated %d packets, want 1", n)
 	}
@@ -205,7 +314,7 @@ func TestPatchUpPaperExample(t *testing.T) {
 
 func TestJoinAlignedUnderJitterReordering(t *testing.T) {
 	// Randomized reordering confined to a J-sized neighborhood: after
-	// JoinAligned, total loss must be exactly zero (nothing dropped).
+	// Join, total loss must be exactly zero (nothing dropped).
 	stream := randomStream(15, 60000) // spaced 1000ns
 	const J = 20_000
 	r := stats.NewRNG(31)
@@ -221,7 +330,7 @@ func TestJoinAlignedUnderJitterReordering(t *testing.T) {
 	}
 	cfg := Config{CutRate: 0.002, WindowNS: J}
 	a, b := runPair(cfg, cfg, stream, down)
-	pairs := JoinAligned(a, b)
+	pairs := joinAligned(a, b)
 	if len(pairs) == 0 {
 		t.Fatal("no pairs")
 	}
@@ -230,12 +339,12 @@ func TestJoinAlignedUnderJitterReordering(t *testing.T) {
 		lost += p.Lost()
 	}
 	if lost != 0 {
-		t.Fatalf("JoinAligned leaves %d phantom losses under pure reordering", lost)
+		t.Fatalf("Join leaves %d phantom losses under pure reordering", lost)
 	}
 }
 
 func TestPatchUpNoWindows(t *testing.T) {
-	// Without AggTrans, PatchUp is a no-op.
+	// Without AggTrans, the patch-up is a no-op.
 	p := testPath()
 	pairs := []Pair{
 		{A: receipt.AggReceipt{Path: p, Agg: receipt.AggID{First: 1, Last: 2}, PktCnt: 4},
@@ -243,8 +352,28 @@ func TestPatchUpNoWindows(t *testing.T) {
 		{A: receipt.AggReceipt{Path: p, Agg: receipt.AggID{First: 5, Last: 6}, PktCnt: 4},
 			B: receipt.AggReceipt{Path: p, Agg: receipt.AggID{First: 5, Last: 6}, PktCnt: 5}},
 	}
-	if n := PatchUp(pairs); n != 0 {
+	var j Joiner
+	if n := j.patchUp(pairs); n != 0 {
 		t.Fatalf("PatchUp migrated %d without windows", n)
+	}
+}
+
+// TestJoinerPinsNoStaleWindows: after a long join and then a short one,
+// the pair scratch beyond the short join's pairs references no AggTrans
+// window — a reused Joiner keeps nothing alive that its latest result
+// does not hold.
+func TestJoinerPinsNoStaleWindows(t *testing.T) {
+	cfg := Config{CutRate: 0.001, WindowNS: 10_000}
+	a, b := runPair(cfg, cfg, randomStream(17, 50000), randomStream(17, 50000))
+	var j Joiner
+	if pairs, _ := j.Join(a, b); len(pairs) < 10 || len(pairs[0].A.AggTrans) == 0 {
+		t.Fatalf("long join: %d pairs", len(pairs))
+	}
+	j.Join(a[:1], b[:1])
+	for i, p := range j.pairs[len(j.pairs):cap(j.pairs)] {
+		if p.A.AggTrans != nil || p.B.AggTrans != nil {
+			t.Fatalf("scratch pair %d past the latest join still references an AggTrans window", len(j.pairs)+i)
+		}
 	}
 }
 
@@ -308,9 +437,114 @@ func BenchmarkJoin(b *testing.B) {
 	stream := randomStream(16, 200000)
 	cfg := Config{CutRate: 0.001, WindowNS: 10_000}
 	a, bb := runPair(cfg, Config{CutRate: 0.005, WindowNS: 10_000}, stream, stream)
+	var j Joiner
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Join(a, bb)
+		j.Join(a, bb)
 	}
+}
+
+// joinInput draws aggregate receipt sequences from fuzz bytes (zeros
+// once they run out).
+type joinInput struct{ b []byte }
+
+func (in *joinInput) next() int {
+	if len(in.b) == 0 {
+		return 0
+	}
+	c := in.b[0]
+	in.b = in.b[1:]
+	return int(c)
+}
+
+// sequences builds an upstream and a downstream receipt sequence over
+// one stream of up to maxPkts packets. Digests come from a 32-value
+// space, so First digests repeat. Each position may be a cut at both
+// HOPs or at one only; from a drawn aggregate on, either side's
+// receipts switch PathID; each closed aggregate carries an AggTrans
+// window around its cut, and the downstream window may have the cut
+// packet swapped with the packet before it — a packet seen on the
+// other side of the cut.
+func (in *joinInput) sequences(maxPkts int) (a, b []receipt.AggReceipt) {
+	n := 2 + in.next()%(maxPkts-1)
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = uint64(1 + in.next()%32)
+	}
+	const (
+		cutA = 1 << iota
+		cutB
+	)
+	cuts := make([]int, n)
+	for i := 1; i < n; i++ {
+		switch in.next() % 4 {
+		case 1:
+			cuts[i] = cutA | cutB
+		case 2:
+			cuts[i] = cutA
+		case 3:
+			cuts[i] = cutB
+		}
+	}
+	half := in.next() % 12
+	other := testPath()
+	other.NextHOP++
+	side := func(bit int, downstream bool) []receipt.AggReceipt {
+		switchAt := in.next() % 16
+		var out []receipt.AggReceipt
+		start := 0
+		closeAt := func(end int) {
+			r := receipt.AggReceipt{Path: testPath(), Agg: receipt.AggID{First: ids[start], Last: ids[end-1]}, PktCnt: uint64(end - start)}
+			if len(out) >= switchAt && switchAt > 0 {
+				r.Path = other
+			}
+			if downstream && r.PktCnt > 1 {
+				r.PktCnt -= uint64(in.next() % 2) // a loss
+			}
+			if end < n && half > 0 {
+				for i := max(start, end-half); i < min(n, end+half+1); i++ {
+					r.AggTrans = append(r.AggTrans, receipt.SampleRecord{PktID: ids[i], TimeNS: int64(i)})
+				}
+				if cut := end - max(start, end-half); downstream && cut > 0 && in.next()%2 == 1 {
+					r.AggTrans[cut-1], r.AggTrans[cut] = r.AggTrans[cut], r.AggTrans[cut-1]
+				}
+			}
+			out = append(out, r)
+			start = end
+		}
+		for i := 1; i < n; i++ {
+			if cuts[i]&bit != 0 {
+				closeAt(i)
+			}
+		}
+		closeAt(n)
+		return out
+	}
+	return side(cutA, false), side(cutB, true)
+}
+
+// FuzzJoinMatchesOracle holds the Joiner to the allocating reference
+// join and patch-up: the same pairs, AggTrans contents included, and the
+// same migration count — on one Joiner reused across a long input and
+// then a short one, so scratch left over from the first call shows.
+func FuzzJoinMatchesOracle(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{40, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 1, 2, 2, 3, 3, 3, 5, 7, 1, 1, 0, 2, 1, 3, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &joinInput{b: data}
+		var j Joiner
+		for _, maxPkts := range []int{64, 24} {
+			a, b := in.sequences(maxPkts)
+			want := oracleJoin(a, b)
+			wantMig := oraclePatchUp(want)
+			got, gotMig := j.Join(a, b)
+			if gotMig != wantMig {
+				t.Fatalf("%d-packet stream: %d migrations, oracle %d", maxPkts, gotMig, wantMig)
+			}
+			if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d-packet stream: pairs differ\n got %+v\nwant %+v\n  a %+v\n  b %+v", maxPkts, got, want, a, b)
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vpm/internal/aggregation"
@@ -72,12 +73,26 @@ type checkScope struct {
 	// seqarm.go): the checks feed it their per-packet evidence as they
 	// produce it.
 	seq *seqdetect.Engine
+	// scratch is the checks' working storage, owned by whoever runs the
+	// scope: a RollingVerifier's, reused for every key of every epoch,
+	// or the scope's own for a hand-fed verifier's query.
+	scratch *kernelScratch
+}
+
+// kernelScratch is what the checks reuse from one (key, segment) to the
+// next instead of allocating: the §6 join's and the delay samples a
+// domain estimate sorts. Nothing a report keeps points into it. One
+// belongs to each verifying goroutine; it is never shared.
+type kernelScratch struct {
+	join   aggregation.Joiner
+	delays []float64
 }
 
 // wholeStream is a hand-fed verifier's scope: claims = evidence =
-// everything its leaf holds, nothing trimmed.
+// everything its leaf holds, nothing trimmed. Queries may run
+// concurrently, so each scope has scratch of its own.
 func (v *Verifier) wholeStream() *checkScope {
-	return &checkScope{view: v, headComplete: true, tailComplete: true}
+	return &checkScope{view: v, headComplete: true, tailComplete: true, scratch: new(kernelScratch)}
 }
 
 // claimed returns the packets hop vouches for in this scope, in
@@ -190,9 +205,12 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 	}
 
 	if ra, rb := iu.aggReceipts(), id.aggReceipts(); len(ra) > 0 && len(rb) > 0 {
-		pairs := aggregation.JoinAligned(ra, rb)
-		for _, p := range s.boundedPairs(pairs, ra, rb) {
-			lv.Violations = append(lv.Violations, receipt.CheckAggPair(p.A, p.B)...)
+		pairs, _ := s.scratch.join.Join(ra, rb)
+		bounded := s.boundedPairs(pairs, ra, rb)
+		for i := range bounded {
+			if p := &bounded[i]; p.A.PktCnt != p.B.PktCnt {
+				lv.Violations = append(lv.Violations, receipt.CheckAggPair(p.A, p.B)...)
+			}
 		}
 	}
 	return lv
@@ -202,8 +220,8 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 // regions can actually be judged inside the evidence:
 //
 //   - Interior pairs — bounded by cutting points common to both HOPs,
-//     with a preceding pair in view — are always comparable: PatchUp
-//     already migrated reordered packets across both of their
+//     with a preceding pair in view — are always comparable: the join's
+//     patch-up already migrated reordered packets across both of their
 //     boundaries.
 //   - The head pair is comparable only when the evidence reaches the
 //     true stream start AND, when it spans neighbouring leaves, both
@@ -235,41 +253,48 @@ func (s *checkScope) boundedPairs(pairs []aggregation.Pair, a, b []receipt.AggRe
 // lossBetween computes the loss between two HOPs from their aggregate
 // receipts via the §6 join + patch-up pipeline, over the
 // commonly-bounded joined aggregates of the evidence. ok is false when
-// either HOP reported no aggregates.
+// either HOP reported no aggregates. The report keeps a copy of the
+// bounded pairs — the join's own are scratch the next join overwrites —
+// whose AggTrans still reference the receipts' windows.
 func (s *checkScope) lossBetween(a, b receipt.HOPID) (rep LossReport, ok bool) {
 	wa, wb := s.view.indexFor(a), s.view.indexFor(b)
 	ra, rb := wa.aggReceipts(), wb.aggReceipts()
 	if len(ra) == 0 || len(rb) == 0 {
 		return rep, false
 	}
-	pairs := aggregation.Join(ra, rb)
-	rep.Migrations = aggregation.PatchUp(pairs)
-	rep.Pairs = s.boundedPairs(pairs, ra, rb)
-	for _, p := range rep.Pairs {
+	pairs, migrations := s.scratch.join.Join(ra, rb)
+	rep.Migrations = migrations
+	if bounded := s.boundedPairs(pairs, ra, rb); len(bounded) > 0 {
+		rep.Pairs = slices.Clone(bounded)
+	}
+	for i := range rep.Pairs {
+		p := &rep.Pairs[i]
 		rep.In += int64(p.A.PktCnt)
 		rep.Lost += p.Lost()
 	}
 	return rep, true
 }
 
-// delaysBetween returns the per-packet delays (nanoseconds, as float64
-// for the statistics layer) across seg for the packets its Down HOP
-// claims and its Up HOP also sampled: Rb.Time − Ra.Time per common
-// PktID (§4, Receipt-based Statistics), in Down's first-arrival order.
-// Each sample thus contributes to exactly one scope's estimate.
-func (s *checkScope) delaysBetween(seg Segment) []float64 {
+// delaysBetween appends to delays (which it empties first) the
+// per-packet delays (nanoseconds, as float64 for the statistics layer)
+// across seg for the packets its Down HOP claims and its Up HOP also
+// sampled: Rb.Time − Ra.Time per common PktID (§4, Receipt-based
+// Statistics), in Down's first-arrival order. Each sample thus
+// contributes to exactly one scope's estimate.
+func (s *checkScope) delaysBetween(seg Segment, delays []float64) []float64 {
 	v := s.view
 	claimed := s.claimed(seg.Down)
 	wa, wb := v.indexFor(seg.Up), v.indexFor(seg.Down)
+	delays = delays[:0]
 	if !wa.hasSamples() || len(claimed) == 0 {
-		return nil
+		return delays
 	}
 	// Without MarkerThreshold the marker/σ-sample split is unknown and
 	// no sequential bias stream is collected — the same precondition
 	// the batch CheckMarkerBias has.
 	collectBias := s.seq != nil && v.cfg.MarkerThreshold != 0
 	var biasItems []seqdetect.Evidence
-	delays := make([]float64, 0, len(claimed))
+	delays = slices.Grow(delays, len(claimed))
 	for _, pid := range claimed {
 		if ta, ok := wa.timeOf(pid); ok {
 			tb, _ := wb.timeOf(pid)
@@ -300,10 +325,11 @@ func (s *checkScope) domainReport(seg Segment, qs []float64, confidence float64)
 	} else {
 		rep.Loss, _ = s.lossBetween(seg.Up, seg.Down)
 	}
-	delays := s.delaysBetween(seg)
+	delays := s.delaysBetween(seg, s.scratch.delays)
+	s.scratch.delays = delays
 	rep.DelaySamples = len(delays)
 	if len(delays) > 0 {
-		ests, err := quantile.Quantiles(delays, qs, confidence)
+		ests, err := quantile.QuantilesInPlace(delays, qs, confidence)
 		if err != nil {
 			return rep, err
 		}

@@ -247,7 +247,7 @@ func (v *Verifier) SampleCount(hop receipt.HOPID) int {
 // HOPs: Rb.Time − Ra.Time per common PktID (§4, Receipt-based
 // Statistics), in b's deterministic first-arrival packet order.
 func (v *Verifier) DelaysBetween(a, b receipt.HOPID) []float64 {
-	return v.wholeStream().delaysBetween(Segment{Up: a, Down: b})
+	return v.wholeStream().delaysBetween(Segment{Up: a, Down: b}, nil)
 }
 
 // MarkerBiasReport is the outcome of the marker-preference check — an

@@ -684,6 +684,9 @@ type RollingVerifier struct {
 	// enc is the grow-only buffer each epoch's canonical report is
 	// encoded into on its way to the durable backend.
 	enc []byte
+	// scratch is the link-check kernel's working storage, reused for
+	// every key of every epoch this verifier checks.
+	scratch kernelScratch
 }
 
 // keyPlan is what verifying one traffic key takes from its route
@@ -809,12 +812,19 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	// route checking the links it owns (see OwnedLinks) — so violation
 	// and blame counts tally distinct link verifications.
 	plans := make([]*keyPlan, len(keys))
-	reports := 0
+	reports, links, domains := 0, 0, 0
 	for i, key := range keys {
 		plans[i] = rv.planFor(key)
 		reports += len(plans[i].routes)
+		for ri := range plans[i].routes {
+			links += len(plans[i].routes[ri].owned)
+			domains += len(plans[i].routes[ri].domains)
+		}
 	}
 	rep.Keys = make([]EpochKeyReport, reports)
+	// Every (key, route) report's verdicts and estimates are cut from one
+	// slab each, capped so an append to one report never reaches the next.
+	linkSlab, domainSlab := make([]LinkVerdict, links), make([]DomainReport, domains)
 	v := &Verifier{cfg: rv.cfg, keyed: true}
 	scope := &checkScope{
 		view: v,
@@ -823,6 +833,7 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		headComplete: epoch <= 1,
 		tailComplete: view.tailComplete,
 		seq:          rv.seq,
+		scratch:      &rv.scratch,
 	}
 	next := 0
 	for i, key := range keys {
@@ -838,15 +849,15 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 			layout, plan := plans[i].layouts[ri], &plans[i].routes[ri]
 			v.layout = layout
 			kr := EpochKeyReport{Key: key, Route: ri}
-			if len(plan.owned) > 0 {
-				kr.Links = make([]LinkVerdict, 0, len(plan.owned))
+			if n := len(plan.owned); n > 0 {
+				kr.Links, linkSlab = linkSlab[:0:n], linkSlab[n:]
 			}
 			for _, l := range plan.owned {
 				seg := &layout.Segments[l.seg]
 				kr.Links = append(kr.Links, scope.checkLink(int(l.id), seg.Up, seg.Down))
 			}
-			if len(plan.domains) > 0 {
-				kr.Domains = make([]DomainReport, 0, len(plan.domains))
+			if n := len(plan.domains); n > 0 {
+				kr.Domains, domainSlab = domainSlab[:0:n], domainSlab[n:]
 			}
 			for _, si := range plan.domains {
 				dr, err := scope.domainReport(layout.Segments[si], rv.quantiles, rv.confidence)

@@ -91,6 +91,7 @@ func oracleVerifyEpoch(t *testing.T, s *epochStream, epoch int, layoutsFor func(
 				claims:       claims[key],
 				headComplete: epoch <= 1,
 				tailComplete: epoch+1 >= len(s.epochs)-1,
+				scratch:      new(kernelScratch),
 			}
 			kr := EpochKeyReport{Key: key, Route: ri}
 			links := layout.Links()

@@ -167,10 +167,14 @@ func TestAheadOnlyForBusConsumers(t *testing.T) {
 // TestBusAuthenticatesAhead is the hardware-independent gate on
 // authentication on arrival: for a ~100-receipt bundle published after
 // the consumer's first fetch, the consumer's CollectSince costs under a
-// quarter of one ed25519.Verify of the same payload (medians of 50,
-// same process; not asserted under -race). A CollectSince that verifies the signature itself
-// costs more than the Verify and fails it; decoding the bundle costs
-// about a seventh of it.
+// quarter of one ed25519.Verify of the same payload (not asserted under
+// -race). A CollectSince that verifies the signature itself costs more
+// than the Verify and fails it; decoding the bundle costs about a
+// seventh of it. The two are sampled alternately, 50 of each in one
+// process, and compared by their minima: load from other processes
+// only ever adds time, so the minimum is the statistic it cannot
+// inflate, and alternating keeps a burst of load from landing on one
+// side's samples only.
 func TestBusAuthenticatesAhead(t *testing.T) {
 	srv, _, reg := dissemWorld(t, 4)
 	bus := NewBus()
@@ -180,8 +184,7 @@ func TestBusAuthenticatesAhead(t *testing.T) {
 	}
 	b := handoffBundle(stats.NewRNG(0xa4ead), 100)
 	const n = 50
-	collect := make([]time.Duration, n)
-	var sb SignedBundle
+	collect, verify := make([]time.Duration, n), make([]time.Duration, n)
 	// A first, untimed pass and a GC let the timed pass decode into heap
 	// already mapped: a young process's first allocations fault fresh
 	// pages, which is noise at this scale.
@@ -189,7 +192,7 @@ func TestBusAuthenticatesAhead(t *testing.T) {
 		runtime.GC()
 		for i := range collect {
 			seq := srv.PublishEpoch(uint64(i), b.Samples, b.Aggs)
-			sb = srv.SignedBundles("")[0] // the only one retained, signed and verified ahead
+			sb := srv.SignedBundles("")[0] // the only one retained, signed and verified ahead
 			delivered := 0
 			start := time.Now()
 			_, err := bus.CollectSince(reg, 4, seq, func(*Bundle) error {
@@ -200,26 +203,21 @@ func TestBusAuthenticatesAhead(t *testing.T) {
 			if err != nil || delivered != 1 {
 				t.Fatalf("collect %d: delivered %d bundles, err %v", i, delivered, err)
 			}
+			start = time.Now()
+			ok := ed25519.Verify(reg[4], sb.Payload, sb.Sig)
+			verify[i] = time.Since(start)
+			if !ok {
+				t.Fatal("the served signature does not verify")
+			}
 			srv.DropThrough(seq)
 		}
 	}
-	verify := make([]time.Duration, n)
-	for i := range verify {
-		start := time.Now()
-		ok := ed25519.Verify(reg[4], sb.Payload, sb.Sig)
-		verify[i] = time.Since(start)
-		if !ok {
-			t.Fatal("the served signature does not verify")
-		}
-	}
-	slices.Sort(collect)
-	slices.Sort(verify)
-	col, ver := collect[n/2], verify[n/2]
-	t.Logf("CollectSince median %v, ed25519.Verify median %v (%d-byte payload)", col, ver, len(sb.Payload))
+	col, ver := slices.Min(collect), slices.Min(verify)
+	t.Logf("CollectSince min %v, ed25519.Verify min %v (%d-receipt bundle)", col, ver, len(b.Samples)+len(b.Aggs))
 	if got := srv.aheadChecks.Load(); got != 2*n {
 		t.Errorf("signer verified %d bundles ahead, want all %d", got, 2*n)
 	}
 	if 4*col >= ver && !raceEnabled {
-		t.Errorf("CollectSince median %v is not under a quarter of ed25519.Verify's %v: the fetch still pays for authentication", col, ver)
+		t.Errorf("CollectSince min %v is not under a quarter of ed25519.Verify's %v: the fetch still pays for authentication", col, ver)
 	}
 }

@@ -13,6 +13,7 @@ package quantile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vpm/internal/stats"
@@ -48,19 +49,53 @@ func (e Estimate) Width() float64 { return e.Hi - e.Lo }
 // from sampled delays (nanoseconds) at the given confidence. It
 // returns an error when no samples are available.
 func Quantile(delaysNS []float64, q, confidence float64) (Estimate, error) {
-	n := len(delaysNS)
+	if err := validate(len(delaysNS), q, confidence); err != nil {
+		return Estimate{}, err
+	}
+	sorted := slices.Clone(delaysNS)
+	sort.Float64s(sorted)
+	return ofSorted(sorted, q, confidence), nil
+}
+
+// Quantiles estimates several quantiles from one sample set.
+func Quantiles(delaysNS []float64, qs []float64, confidence float64) ([]Estimate, error) {
+	return QuantilesInPlace(slices.Clone(delaysNS), qs, confidence)
+}
+
+// QuantilesInPlace is Quantiles over a sample set the caller no longer
+// needs in its order: it sorts delaysNS in place, once for all qs,
+// instead of sorting a copy per quantile.
+func QuantilesInPlace(delaysNS []float64, qs []float64, confidence float64) ([]Estimate, error) {
+	out := make([]Estimate, 0, len(qs))
+	for i, q := range qs {
+		if err := validate(len(delaysNS), q, confidence); err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			sort.Float64s(delaysNS)
+		}
+		out = append(out, ofSorted(delaysNS, q, confidence))
+	}
+	return out, nil
+}
+
+// validate checks one estimate's inputs.
+func validate(n int, q, confidence float64) error {
 	if n == 0 {
-		return Estimate{}, fmt.Errorf("quantile: no samples")
+		return fmt.Errorf("quantile: no samples")
 	}
 	if q < 0 || q > 1 {
-		return Estimate{}, fmt.Errorf("quantile: q %v outside [0,1]", q)
+		return fmt.Errorf("quantile: q %v outside [0,1]", q)
 	}
 	if confidence <= 0 || confidence >= 1 {
-		return Estimate{}, fmt.Errorf("quantile: confidence %v outside (0,1)", confidence)
+		return fmt.Errorf("quantile: confidence %v outside (0,1)", confidence)
 	}
-	sorted := make([]float64, n)
-	copy(sorted, delaysNS)
-	sort.Float64s(sorted)
+	return nil
+}
+
+// ofSorted estimates the q-quantile from ascending delays.
+func ofSorted(sorted []float64, q, confidence float64) Estimate {
+	n := len(sorted)
 	est := Estimate{
 		Q:     q,
 		Point: stats.QuantileSorted(sorted, q),
@@ -73,20 +108,7 @@ func Quantile(delaysNS []float64, q, confidence float64) (Estimate, error) {
 	} else {
 		est.Lo, est.Hi = sorted[0], sorted[n-1]
 	}
-	return est, nil
-}
-
-// Quantiles estimates several quantiles from one sample set.
-func Quantiles(delaysNS []float64, qs []float64, confidence float64) ([]Estimate, error) {
-	out := make([]Estimate, 0, len(qs))
-	for _, q := range qs {
-		e, err := Quantile(delaysNS, q, confidence)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
+	return est
 }
 
 // DefaultQuantiles are the quantiles the experiments report: median,

@@ -138,7 +138,7 @@ func CheckSamplePair(up, down SampleReceipt) SamplePairReport {
 // HOPs at the ends of a correct inter-domain link must report equal
 // packet counts for the same aggregate. The receipts are assumed to
 // describe the same aggregate (the verifier aligns aggregates first,
-// see internal/aggregation.Join).
+// see internal/aggregation.Joiner).
 func CheckAggPair(up, down AggReceipt) []Inconsistency {
 	var out []Inconsistency
 	if up.PktCnt != down.PktCnt {
