@@ -1,18 +1,19 @@
 // Command vpm-fleet runs the measurement pipeline as a multi-process
-// fleet: per-domain collector processes stream sealed, signed epoch
-// bundles over HTTP to a sharded verifier tier that consistent-hashes
-// traffic keys across N verifier processes, and a merge step
-// recombines the shards' partial verdicts into union epoch reports
-// byte-identical to a single process's at any shard count.
+// fleet: per-domain collector processes stream sealed epochs over HTTP,
+// each domain's epoch one payload signed with the domain's key, to a
+// sharded verifier tier that consistent-hashes traffic keys across N
+// verifier processes, and a merge step recombines the shards' partial
+// verdicts into union epoch reports byte-identical to a single
+// process's at any shard count.
 //
 // Subcommands:
 //
 //	vpm-fleet collect -spec JSON -index I [-addr 127.0.0.1:0] [-pace D]
 //	    One collector process: simulates the shared world, drives the
-//	    epoch pipeline for the HOPs of its domain slice, serves signed
-//	    bundles (GET /hops, /hop/{id}/receipts, /status). Announces
-//	    "serving on http://..." on stderr; keeps serving after the
-//	    simulation finishes until SIGINT/SIGTERM.
+//	    epoch pipeline for the HOPs of its domain slice, serves one
+//	    signed feed per domain (GET /hops, /domain/{d}/receipts,
+//	    /status). Announces "serving on http://..." on stderr; keeps
+//	    serving after the simulation finishes until SIGINT/SIGTERM.
 //
 //	vpm-fleet verify -spec JSON -shards N -shard I -collectors URLS -out F
 //	    One verifier shard: fetches every collector's bundles with

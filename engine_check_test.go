@@ -90,13 +90,17 @@ func TestOnePipeline(t *testing.T) {
 // one serve selection and one cursor for every dissemination carrier,
 // six binaries, and a facade that exports only what something reads —
 // and on one verifier front end, a one-shot run being epoch 0 of the
-// epoch pipeline. Each clause fails on a candidate that came back
-// without a caller.
+// epoch pipeline, and one signed unit per (domain, epoch): one
+// signature check for every carrier and one fleet feed per domain.
+// Each clause fails on a candidate that came back without a caller.
 func TestLoadBearingSet(t *testing.T) {
 	// One collector: in non-test internal/core only Collector and the
 	// epoch clock that wraps it (EpochCollector forwards, it holds no
 	// path state) take observation batches.
-	var batchTypes, simTypes, tamperCallers, seqCursors []string
+	var batchTypes, simTypes, tamperCallers, seqCursors, sigCheckers []string
+	// One signed unit per (domain, epoch): the fleet serves one feed per
+	// domain, never one per HOP.
+	perHOPRoute := regexp.MustCompile(`/hop/`)
 	// One cursor: outside internal/dissem a feed's cursor moves past a
 	// bundle only in the engine's drain, by the server position a
 	// BundleError names — never by the seq a payload claims.
@@ -123,6 +127,27 @@ func TestLoadBearingSet(t *testing.T) {
 		}
 		if m := batchFrontEnd.Find(src); m != nil {
 			t.Errorf("%s: mentions %s — a one-shot run is epoch 0 of the epoch pipeline (Deployment.Seal, Deployment.VerifyOnce), and a Verifier reads one leaf", path, m)
+		}
+		if (strings.HasPrefix(path, "internal/fleet/") || strings.HasPrefix(path, "cmd/vpm-fleet/")) && perHOPRoute.Match(src) {
+			t.Errorf("%s: mentions a /hop/ route — a collector serves one feed per domain (fleet.FeedPath), each epoch one payload under the domain's key", path)
+		}
+		if strings.Contains(string(src), "ed25519.Verify(") {
+			f, err := parser.ParseFile(fset, path, src, 0)
+			if err != nil {
+				return err
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Body != nil {
+					ast.Inspect(fn.Body, func(n ast.Node) bool {
+						if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Verify" {
+							if x, ok := sel.X.(*ast.Ident); ok && x.Name == "ed25519" {
+								sigCheckers = append(sigCheckers, path+":"+fn.Name.Name)
+							}
+						}
+						return true
+					})
+				}
+			}
 		}
 		if !strings.HasPrefix(path, "internal/dissem/") {
 			for range seqCursor.FindAll(src, -1) {
@@ -213,6 +238,13 @@ func TestLoadBearingSet(t *testing.T) {
 	}
 	if want := []string{"internal/engine/verify.go"}; !slices.Equal(seqCursors, want) {
 		t.Errorf("non-test files outside internal/dissem advancing a cursor by a bundle's Seq: %v, want only %v — both carriers return the server position as the cursor", seqCursors, want)
+	}
+	// One signature check: dissem's receive step (open) for every
+	// carrier, and the signer's verification ahead for the first bus
+	// consumer, whose result open only trusts under a byte-equal key.
+	slices.Sort(sigCheckers)
+	if want := []string{"internal/dissem/bundle.go:open", "internal/dissem/http.go:signQueued"}; !slices.Equal(sigCheckers, want) {
+		t.Errorf("non-test functions calling ed25519.Verify: %v, want exactly %v — every payload is authenticated by the one receive step", sigCheckers, want)
 	}
 
 	// Six binaries.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -99,8 +100,9 @@ type Blame struct {
 	// directly rather than through a link check.
 	LinkID int
 	// HOPs is the narrowest implicated HOP set: the two ends of a link
-	// for receipt inconsistencies, the single origin for
-	// dissemination-layer evidence.
+	// for receipt inconsistencies, the origin for dissemination-layer
+	// evidence — every HOP of a payload's key when the key signed the
+	// evidence for all of them.
 	HOPs []receipt.HOPID
 	// Domains names the domains owning those HOPs.
 	Domains []string
@@ -209,12 +211,26 @@ func BlameMarkerBias(epoch EpochID, seg Segment, rep MarkerBiasReport) Blame {
 // produce — the offending bundle itself, so no second domain shares
 // the blame.
 func BlameHOP(layout Layout, epoch EpochID, ev EvidenceClass, hop receipt.HOPID, count int, detail string) Blame {
+	return BlameHOPs(layout, epoch, ev, []receipt.HOPID{hop}, count, detail)
+}
+
+// BlameHOPs is BlameHOP for evidence signed by one key on behalf of
+// several HOPs — a domain's payload covers every HOP of the domain, so
+// a forged or pruned one implicates all of them. Domains lists each
+// owning domain once, in the order of hops.
+func BlameHOPs(layout Layout, epoch EpochID, ev EvidenceClass, hops []receipt.HOPID, count int, detail string) Blame {
+	var domains []string
+	for _, h := range hops {
+		if d := layout.domainOf(h); !slices.Contains(domains, d) {
+			domains = append(domains, d)
+		}
+	}
 	return Blame{
 		Epoch:    epoch,
 		Evidence: ev,
 		LinkID:   -1,
-		HOPs:     []receipt.HOPID{hop},
-		Domains:  []string{layout.domainOf(hop)},
+		HOPs:     slices.Clone(hops),
+		Domains:  domains,
 		Count:    count,
 		Detail:   detail,
 	}

@@ -105,7 +105,7 @@ func (r *Replayer) Serve(_ string, _, epoch uint64, sb SignedBundle) (SignedBund
 	return *r.stale, true
 }
 
-// Equivocator serves the honest bundle to every viewer except Victim,
+// Equivocator serves the honest payload to every viewer except Victim,
 // who receives a mutated, re-signed variant — the cross-verifier
 // equivocation attack. Only the origin itself can mount it (Signer is
 // the origin's own key), and mounting it is self-destructive: the two
@@ -117,7 +117,8 @@ type Equivocator struct {
 	Signer *Signer
 	// Victim is the viewer that receives the forged variant.
 	Victim string
-	// Mutate rewrites the decoded bundle served to the victim.
+	// Mutate rewrites each decoded bundle of a payload served to the
+	// victim.
 	Mutate func(*Bundle)
 }
 
@@ -129,12 +130,14 @@ func (e *Equivocator) Serve(viewer string, _, _ uint64, sb SignedBundle) (Signed
 	if viewer != e.Victim || e.Mutate == nil {
 		return sb, true
 	}
-	b, err := DecodeBundle(sb.Payload)
+	bundles, err := DecodePayload(sb.Payload)
 	if err != nil {
 		return sb, true // not decodable: nothing to equivocate about
 	}
-	e.Mutate(b)
-	return e.Signer.Sign(b), true
+	for _, b := range bundles {
+		e.Mutate(b)
+	}
+	return e.Signer.Sign(bundles...), true
 }
 
 // Equivocation is non-repudiable proof that one origin served two

@@ -2,10 +2,14 @@
 // exists a way for a domain in path P to disseminate receipts to all
 // other domains in P, such that the authenticity and integrity of each
 // received receipt is guaranteed." Receipts are batched into bundles,
-// canonically encoded, signed with the origin HOP's ed25519 key, and
-// served over HTTP (the paper's suggested realization is an
-// administrative web-site over HTTPS; wrap the handler in a TLS
-// listener for the full equivalent).
+// one per sealed (HOP, epoch), canonically encoded. The signed unit is a
+// payload: one epoch's bundles from every HOP one ed25519 key speaks
+// for, laid end to end in ascending HOP order and signed once — the
+// paper gives each domain one key pair, so a domain's sealed epoch costs
+// one signature. A key that speaks for one HOP signs one-bundle
+// payloads. Payloads are served over HTTP (the paper's suggested
+// realization is an administrative web-site over HTTPS; wrap the
+// handler in a TLS listener for the full equivalent).
 package dissem
 
 import (
@@ -13,6 +17,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"vpm/internal/receipt"
 )
@@ -75,8 +81,8 @@ func (b *Bundle) AppendEncode(dst []byte) []byte {
 	return dst
 }
 
-// Encode produces the canonical binary form that signatures cover, in
-// one exactly-sized allocation.
+// Encode produces the canonical binary form — a one-bundle payload —
+// in one exactly-sized allocation.
 func (b *Bundle) Encode() []byte {
 	return b.AppendEncode(make([]byte, 0, b.WireSize()))
 }
@@ -104,8 +110,41 @@ var (
 // of len(data): receipt counts the remaining bytes could not hold are
 // refused before anything is allocated for them.
 func DecodeBundle(data []byte) (*Bundle, error) {
+	b, rest, err := decodeNext(data)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptBundle, len(rest))
+	}
+	return b, nil
+}
+
+// DecodePayload parses a signed payload: one or more canonical bundle
+// encodings laid end to end. An empty payload, or any bundle
+// DecodeBundle would refuse, returns an error wrapping
+// ErrCorruptBundle, with the same guarantees.
+func DecodePayload(payload []byte) ([]*Bundle, error) {
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("%w: empty payload", ErrCorruptBundle)
+	}
+	var out []*Bundle
+	for len(payload) > 0 {
+		b, rest, err := decodeNext(payload)
+		if err != nil {
+			return nil, fmt.Errorf("bundle %d: %w", len(out), err)
+		}
+		out = append(out, b)
+		payload = rest
+	}
+	return out, nil
+}
+
+// decodeNext parses the bundle encoding at the start of data and
+// returns the bytes after it.
+func decodeNext(data []byte) (*Bundle, []byte, error) {
 	if len(data) < bundleHeaderSize || [4]byte(data[0:4]) != bundleMagic {
-		return nil, ErrCorruptBundle
+		return nil, nil, ErrCorruptBundle
 	}
 	b := &Bundle{Origin: receipt.HOPID(binary.LittleEndian.Uint32(data[4:8]))}
 	b.Seq, b.Epoch = headerClaims(data)
@@ -113,7 +152,7 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 	nAggs := binary.LittleEndian.Uint32(data[28:32])
 	rest := data[bundleHeaderSize:]
 	if uint64(nSamples)*minSampleWire+uint64(nAggs)*minAggWire > uint64(len(rest)) {
-		return nil, fmt.Errorf("%w: header claims %d samples and %d aggs in %d bytes", ErrCorruptBundle, nSamples, nAggs, len(rest))
+		return nil, nil, fmt.Errorf("%w: header claims %d samples and %d aggs in %d bytes", ErrCorruptBundle, nSamples, nAggs, len(rest))
 	}
 	if nSamples > 0 {
 		b.Samples = make([]receipt.SampleReceipt, 0, nSamples)
@@ -121,10 +160,10 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 	for i := uint32(0); i < nSamples; i++ {
 		s, _, r, err := receipt.Decode(rest)
 		if err != nil {
-			return nil, fmt.Errorf("%w: sample %d: %v", ErrCorruptBundle, i, err)
+			return nil, nil, fmt.Errorf("%w: sample %d: %v", ErrCorruptBundle, i, err)
 		}
 		if s == nil {
-			return nil, fmt.Errorf("%w: sample %d has wrong kind", ErrCorruptBundle, i)
+			return nil, nil, fmt.Errorf("%w: sample %d has wrong kind", ErrCorruptBundle, i)
 		}
 		b.Samples = append(b.Samples, *s)
 		rest = r
@@ -135,21 +174,19 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 	for i := uint32(0); i < nAggs; i++ {
 		_, a, r, err := receipt.Decode(rest)
 		if err != nil {
-			return nil, fmt.Errorf("%w: agg %d: %v", ErrCorruptBundle, i, err)
+			return nil, nil, fmt.Errorf("%w: agg %d: %v", ErrCorruptBundle, i, err)
 		}
 		if a == nil {
-			return nil, fmt.Errorf("%w: agg %d has wrong kind", ErrCorruptBundle, i)
+			return nil, nil, fmt.Errorf("%w: agg %d has wrong kind", ErrCorruptBundle, i)
 		}
 		b.Aggs = append(b.Aggs, *a)
 		rest = r
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptBundle, len(rest))
-	}
-	return b, nil
+	return b, rest, nil
 }
 
-// SignedBundle is a bundle encoding plus its ed25519 signature.
+// SignedBundle is a signed payload — one or more bundle encodings laid
+// end to end (DecodePayload) — plus its ed25519 signature.
 type SignedBundle struct {
 	Payload []byte
 	Sig     []byte
@@ -172,42 +209,109 @@ func NewSigner(seed [32]byte) *Signer {
 // Public returns the verification key to register with peers.
 func (s *Signer) Public() ed25519.PublicKey { return s.pub }
 
-// Sign encodes and signs a bundle.
-func (s *Signer) Sign(b *Bundle) SignedBundle {
-	payload := b.Encode()
+// Sign encodes the bundles end to end, in the order given, and signs
+// the payload once. One bundle gives exactly that bundle's Encode bytes.
+func (s *Signer) Sign(bundles ...*Bundle) SignedBundle {
+	n := 0
+	for _, b := range bundles {
+		n += b.WireSize()
+	}
+	payload := make([]byte, 0, n)
+	for _, b := range bundles {
+		payload = b.AppendEncode(payload)
+	}
 	return SignedBundle{Payload: payload, Sig: ed25519.Sign(s.priv, payload)}
 }
 
 // ErrBadSignature reports signature verification failure.
 var ErrBadSignature = errors.New("dissem: bad signature")
 
-// ErrWrongOrigin reports a bundle claiming a different origin HOP than
-// the key it was verified against.
-var ErrWrongOrigin = errors.New("dissem: bundle origin mismatch")
+// The ways an authentic payload can misstate the HOPs its key speaks
+// for. Each reaches a consumer inside a *BundleError.
+var (
+	// ErrWrongOrigin: a bundle's origin is not registered under the key
+	// that signed the payload.
+	ErrWrongOrigin = errors.New("dissem: bundle origin mismatch")
+	// ErrMixedEpochs: the payload's bundles are tagged with different
+	// epochs.
+	ErrMixedEpochs = errors.New("dissem: payload mixes epochs")
+	// ErrDuplicateOrigin: a HOP's bundle appears twice, or the bundles
+	// are not in ascending HOP order.
+	ErrDuplicateOrigin = errors.New("dissem: payload repeats or reorders a HOP")
+	// ErrMissingOrigin: a HOP registered under the key has no bundle in
+	// the payload.
+	ErrMissingOrigin = errors.New("dissem: payload omits a HOP")
+)
 
-// Verify checks a signed bundle against pub and the expected origin
-// HOP, returning the decoded bundle. A forged or corrupted signature
-// returns ErrBadSignature; a bundle claiming a different origin than
-// the key's HOP returns ErrWrongOrigin (match both with errors.Is).
+// Verify checks a one-bundle payload against pub and the expected
+// origin HOP, returning the decoded bundle. A forged or corrupted
+// signature returns ErrBadSignature; a bundle claiming a different
+// origin than the key's HOP returns ErrWrongOrigin (match both with
+// errors.Is).
 func Verify(pub ed25519.PublicKey, origin receipt.HOPID, sb SignedBundle) (*Bundle, error) {
-	if !ed25519.Verify(pub, sb.Payload, sb.Sig) {
-		return nil, ErrBadSignature
-	}
-	return decodeFrom(origin, sb.Payload)
-}
-
-// decodeFrom is Verify after the signature check: it decodes an
-// authenticated payload and refuses one claiming another origin.
-func decodeFrom(origin receipt.HOPID, payload []byte) (*Bundle, error) {
-	b, err := DecodeBundle(payload)
+	bundles, err := open(pub, []receipt.HOPID{origin}, published{sb: sb}, nil)
 	if err != nil {
 		return nil, err
 	}
-	if b.Origin != origin {
-		return nil, fmt.Errorf("%w: claims %v, key belongs to %v", ErrWrongOrigin, b.Origin, origin)
-	}
-	return b, nil
+	return bundles[0], nil
 }
 
-// Registry maps HOPs to their registered verification keys.
+// open is the one authentication step: it checks p's signature under
+// pub — unless the server's signer already verified these very bytes
+// under a byte-equal key — counting the check in verifications if
+// non-nil, decodes the payload, and refuses it unless it holds exactly
+// one bundle per HOP of group (ascending), all tagged with one epoch.
+func open(pub ed25519.PublicKey, group []receipt.HOPID, p published, verifications *atomic.Int64) ([]*Bundle, error) {
+	if p.verified == nil || !slices.Equal(p.verified, pub) {
+		if verifications != nil {
+			verifications.Add(1)
+		}
+		if !ed25519.Verify(pub, p.sb.Payload, p.sb.Sig) {
+			return nil, ErrBadSignature
+		}
+	}
+	bundles, err := DecodePayload(p.sb.Payload)
+	if err != nil {
+		return nil, err
+	}
+	for i, b := range bundles {
+		switch {
+		case !slices.Contains(group, b.Origin):
+			return nil, fmt.Errorf("%w: %v is not registered under the key of %v", ErrWrongOrigin, b.Origin, group)
+		case b.Epoch != bundles[0].Epoch:
+			return nil, fmt.Errorf("%w: %v's bundle is tagged %d, %v's %d", ErrMixedEpochs, b.Origin, b.Epoch, bundles[0].Origin, bundles[0].Epoch)
+		case i > 0 && b.Origin <= bundles[i-1].Origin:
+			return nil, fmt.Errorf("%w: %v follows %v", ErrDuplicateOrigin, b.Origin, bundles[i-1].Origin)
+		}
+	}
+	// Every origin is a distinct member of group, so a shortfall is a
+	// missing HOP; the first one names it.
+	for i, h := range group {
+		if i >= len(bundles) || bundles[i].Origin != h {
+			return nil, fmt.Errorf("%w: no bundle from %v", ErrMissingOrigin, h)
+		}
+	}
+	return bundles, nil
+}
+
+// Registry maps HOPs to their registered verification keys. HOPs whose
+// keys are byte-equal belong to one key's group: their payloads come
+// signed together.
 type Registry map[receipt.HOPID]ed25519.PublicKey
+
+// Group returns the HOPs registered under hop's key, ascending — hop
+// included — or nil when hop has no key.
+func (r Registry) Group(hop receipt.HOPID) []receipt.HOPID {
+	pub, ok := r[hop]
+	if !ok {
+		return nil
+	}
+	var out []receipt.HOPID
+	for h, k := range r {
+		if slices.Equal(k, pub) {
+			out = append(out, h)
+		}
+	}
+	slices.Sort(out)
+	return out
+}

@@ -52,12 +52,14 @@ func (e *GapError) Error() string {
 		e.Origin, e.Since, e.Base, e.Since)
 }
 
-// BundleError wraps a per-bundle verification failure with the origin,
-// the bundle's position in the server's log (Seq) and its epoch — the
-// server's tag on the bus, the payload header's claim over HTTP — so a
-// consumer can classify the evidence (attributed to the right interval)
-// and resume at Seq+1 instead of stalling on the poisoned bundle. Both
-// carriers return it, permanent for Retry, for the same bundles.
+// BundleError wraps a payload's authentication failure with the origin
+// the feed was fetched for, the payload's position in the server's log
+// (Seq) and its epoch — the server's tag on the bus, the first bundle
+// header's claim over HTTP — so a consumer can classify the evidence
+// (attributed to the right interval, against every HOP the feed's key
+// speaks for) and resume at Seq+1 instead of stalling on the poisoned
+// payload. Both carriers return it, permanent for Retry, for the same
+// payloads.
 type BundleError struct {
 	Origin receipt.HOPID
 	Seq    uint64
@@ -73,29 +75,31 @@ func (e *BundleError) Error() string {
 // Unwrap exposes the underlying verification failure.
 func (e *BundleError) Unwrap() error { return e.Err }
 
-// The HTTP bundle feed is a sequence of frames, one per bundle, under
+// The HTTP feed is a sequence of frames, one per signed payload, under
 // FrameContentType, an exact Content-Length and BaseHeader:
 //
 //	payloadLen[4] skip[4] payload[payloadLen] sig[64]
 //
-// (little-endian). The payload is the Bundle.AppendEncode bytes exactly
-// as signed, so the wire carries the signed bytes plus FrameHeaderSize
-// per bundle. skip counts the retained positions the server withheld
+// (little-endian). The payload is the bundles' AppendEncode bytes laid
+// end to end exactly as signed, so the wire carries the signed bytes
+// plus FrameHeaderSize per payload; a one-HOP server's frames carry one
+// bundle each. skip counts the retained positions the server withheld
 // before the frame (from since, then from the previous frame), so each
 // frame's log position — the cursor, as on the bus — is implicit and
 // strictly increasing; the seq the payload claims is only evidence.
 const (
 	// FrameContentType names the framed feed. A response carrying any
-	// other type is refused: version skew reads as "this HOP does not
-	// speak the frame format", never as a garbage length.
-	FrameContentType = "application/vnd.vpm.bundle-frames.v2"
-	// FrameHeaderSize is the per-bundle framing overhead.
+	// other type is refused: version skew reads as "this server does not
+	// speak the frame format", never as a garbage length. v3: a payload
+	// holds every bundle of one key's sealed epoch.
+	FrameContentType = "application/vnd.vpm.bundle-frames.v3"
+	// FrameHeaderSize is the per-payload framing overhead.
 	FrameHeaderSize = 8
 	// MaxBundleBytes bounds the payload a client accepts in one frame.
-	// One sealed (HOP, epoch) is kilobytes in the benchmark's fleet and,
-	// by estimate, a few megabytes for a core HOP of the 2²⁰-key fleet;
-	// a frame announcing more than this is misbehaviour by the origin,
-	// refused before anything is buffered for it.
+	// One domain's sealed epoch is kilobytes in the benchmark's fleet
+	// and, by estimate, a few megabytes for a core domain of the
+	// 2²⁰-key fleet; a frame announcing more than this is misbehaviour
+	// by the origin, refused before anything is buffered for it.
 	MaxBundleBytes = 64 << 20
 )
 
@@ -140,38 +144,46 @@ func (e *FrameError) Error() string {
 // Unwrap exposes the violation.
 func (e *FrameError) Unwrap() error { return e.Err }
 
-// Server publishes one HOP's signed receipt bundles over HTTP. Mount
-// it at a path of your choice; GET ?since=N returns all bundles at log
-// positions >= N as length-prefixed frames (FrameContentType): each
-// bundle's canonical payload exactly as signed, then its signature.
-// Wrap in TLS for the paper's HTTPS web-site realization.
+// Server publishes the signed receipt payloads of the HOPs one key
+// speaks for over HTTP. Mount it at a path of your choice; GET ?since=N
+// returns all payloads at log positions >= N as length-prefixed frames
+// (FrameContentType): each payload exactly as signed, then its
+// signature. Wrap in TLS for the paper's HTTPS web-site realization.
+//
+// Every HOP publishes every epoch in order, so once the last of the
+// Server's HOPs has published epoch e, the HOPs' epoch-e bundles form
+// the next payload, in ascending HOP order, and its log position is the
+// next seq. A one-HOP Server (NewServer) makes one payload per publish.
 //
 // Publishing is a hand-off (§7's Collector/Processor split): the
-// sealing goroutine only takes a sequence number, and the Server's
-// signer goroutine encodes and signs behind it, in seq order. The
-// signer runs while unsigned entries are queued and exits when the
-// queue drains, so a Server needs no Close. Every fetch waits for the
-// signatures of the bundles it selected, so what is served, and in
-// which order, does not depend on how far the signer has got.
+// sealing goroutine only queues its bundle, and the Server's signer
+// goroutine encodes and signs each complete payload behind it, in seq
+// order. The signer runs while unsigned entries are queued and exits
+// when the queue drains, so a Server needs no Close. Every fetch waits
+// for the signatures of the payloads it selected, so what is served,
+// and in which order, does not depend on how far the signer has got.
 //
 // Once a bus consumer has fetched from the Server, the signer also
-// authenticates ahead for it: each bundle signed from then on is
-// verified under the key that consumer's registry holds for this HOP,
-// so the consumer's fetch only decodes (Bus.CollectSinceAs). A Server
-// no bus consumer fetches from signs and nothing more.
+// authenticates ahead for it: each payload signed from then on is
+// verified under the key that consumer's registry holds for the HOP it
+// named, so the consumer's fetch only decodes (Bus.CollectSinceAs). A
+// Server no bus consumer fetches from signs and nothing more.
 type Server struct {
-	hop    receipt.HOPID
+	hops   []receipt.HOPID // ascending
 	signer *Signer
 	// aheadKey is the key the first bus consumer's registry holds for
-	// hop; nil until then.
+	// the HOP it named; nil until then.
 	aheadKey atomic.Pointer[ed25519.PublicKey]
 	// aheadChecks counts the signatures the signer verified ahead.
 	aheadChecks atomic.Int64
 
 	mu      sync.RWMutex
-	bundles []*entry
-	base    uint64 // Seq of bundles[0]; earlier bundles were dropped
+	bundles []*entry // the retained payloads
+	base    uint64   // Seq of bundles[0]; earlier payloads were dropped
 	nextSeq uint64
+	// pending holds, per HOP of hops, the bundles published but not yet
+	// part of a payload, oldest first.
+	pending [][]*Bundle
 	tamper  BundleTamper // simulation hook for dissemination attacks
 	// unsigned holds the entries awaiting the signer, oldest first. An
 	// entry leaves it only once signed, so the signer goroutine runs
@@ -179,7 +191,7 @@ type Server struct {
 	unsigned []*entry
 }
 
-// published is one signed bundle with its log position and the epoch
+// published is one signed payload with its log position and the epoch
 // it was tagged with, kept in the clear so the tamper sees them without
 // re-decoding the payload. verified is the key the signer verified sb
 // under, nil if it did not; serve clears it whenever a tamper is
@@ -191,43 +203,97 @@ type published struct {
 	verified   ed25519.PublicKey
 }
 
-// entry is one retained bundle. seq and epoch are fixed at publish;
-// sb and verified are written by the signer before it closes signed and
-// read only after.
+// entry is one retained payload. seq and epoch are fixed when it is
+// complete; sb and verified are written by the signer before it closes
+// signed and read only after.
 type entry struct {
 	published
 	signed chan struct{}
-	bundle *Bundle // the receipts to encode; the signer drops it once signed
+	// bundles are the receipts to encode, in ascending HOP order; the
+	// signer drops them once signed.
+	bundles []*Bundle
 }
 
-// NewServer builds a publisher for one HOP.
+// NewServer builds a publisher for one HOP: every publish is a payload.
 func NewServer(hop receipt.HOPID, signer *Signer) *Server {
-	return &Server{hop: hop, signer: signer}
+	return NewDomainServer([]receipt.HOPID{hop}, signer)
 }
 
-// PublishEpoch retains one sealed epoch's receipts as the next bundle,
-// tagged with the epoch so subscribers can route it into the matching
-// window segment, and returns the bundle's sequence number. It returns
-// before the bundle is encoded and signed: the Server takes ownership
-// of samples, aggs and every record they reference, and the caller
-// must not modify them afterwards. A fetch issued after PublishEpoch
-// returns serves the bundle, waiting for its signature if need be.
+// NewDomainServer builds the publisher for the HOPs signer's key
+// speaks for — a domain's HOPs under the paper's one key pair per
+// domain. hops must be non-empty and distinct.
+func NewDomainServer(hops []receipt.HOPID, signer *Signer) *Server {
+	hops = slices.Sorted(slices.Values(hops))
+	if len(hops) == 0 || len(slices.Compact(slices.Clone(hops))) != len(hops) {
+		panic(fmt.Sprintf("dissem: a server needs distinct HOPs, got %v", hops))
+	}
+	return &Server{hops: hops, signer: signer, pending: make([][]*Bundle, len(hops))}
+}
+
+// HOPs returns the HOPs the server publishes for, ascending.
+func (s *Server) HOPs() []receipt.HOPID { return s.hops }
+
+// PublishEpoch publishes a one-HOP server's sealed epoch: Publish for
+// its only HOP.
 func (s *Server) PublishEpoch(epoch uint64, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) uint64 {
+	if len(s.hops) != 1 {
+		panic(fmt.Sprintf("dissem: PublishEpoch on a server for %v names no HOP; use Publish", s.hops))
+	}
+	return s.Publish(s.hops[0], epoch, samples, aggs)
+}
+
+// Publish retains hop's sealed epoch as its next bundle, tagged with the
+// epoch so subscribers can route it into the matching window segment,
+// and returns the log position of the payload the bundle will travel
+// in. Each of the server's HOPs publishes its epochs in the same order;
+// the payload is complete, and queued for signing, once every HOP has
+// published it. Publish returns before anything is encoded or signed:
+// the Server takes ownership of samples, aggs and every record they
+// reference, and the caller must not modify them afterwards. A fetch
+// issued after the payload is complete serves it, waiting for its
+// signature if need be.
+func (s *Server) Publish(hop receipt.HOPID, epoch uint64, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) uint64 {
+	i, ok := slices.BinarySearch(s.hops, hop)
+	if !ok {
+		panic(fmt.Sprintf("dissem: server for %v publishes no bundle for %v", s.hops, hop))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq := s.nextSeq
-	s.nextSeq++
+	seq := s.nextSeq + uint64(len(s.pending[i]))
+	s.pending[i] = append(s.pending[i], &Bundle{Origin: hop, Epoch: epoch, Samples: samples, Aggs: aggs})
+	for !slices.ContainsFunc(s.pending, func(q []*Bundle) bool { return len(q) == 0 }) {
+		s.completeHeads()
+	}
+	return seq
+}
+
+// completeHeads moves the oldest pending bundle of every HOP into the
+// next payload and queues it for signing. The caller holds mu.
+func (s *Server) completeHeads() {
 	e := &entry{
-		published: published{seq: seq, epoch: epoch},
+		published: published{seq: s.nextSeq, epoch: s.pending[0][0].Epoch},
 		signed:    make(chan struct{}),
-		bundle:    &Bundle{Origin: s.hop, Seq: seq, Epoch: epoch, Samples: samples, Aggs: aggs},
+		bundles:   make([]*Bundle, len(s.hops)),
+	}
+	s.nextSeq++
+	for _, q := range s.pending {
+		if b := q[0]; b.Epoch != e.epoch {
+			panic(fmt.Sprintf("dissem: %v published epoch %d where %v published %d: a server's HOPs publish their epochs in one order", b.Origin, b.Epoch, s.hops[0], e.epoch))
+		}
+	}
+	for i, q := range s.pending {
+		b := q[0]
+		b.Seq = e.seq
+		e.bundles[i] = b
+		copy(q, q[1:])
+		q[len(q)-1] = nil
+		s.pending[i] = q[:len(q)-1]
 	}
 	s.bundles = append(s.bundles, e)
 	s.unsigned = append(s.unsigned, e)
 	if len(s.unsigned) == 1 {
 		go s.signQueued()
 	}
-	return seq
 }
 
 // signQueued is the signer goroutine: it encodes and signs the queued
@@ -240,8 +306,8 @@ func (s *Server) signQueued() {
 	for len(s.unsigned) > 0 {
 		e := s.unsigned[0]
 		s.mu.Unlock()
-		e.sb = s.signer.Sign(e.bundle)
-		e.bundle = nil
+		e.sb = s.signer.Sign(e.bundles...)
+		e.bundles = nil
 		if key := s.aheadKey.Load(); key != nil {
 			s.aheadChecks.Add(1)
 			if ed25519.Verify(*key, e.sb.Payload, e.sb.Sig) {
@@ -256,14 +322,14 @@ func (s *Server) signQueued() {
 	s.mu.Unlock()
 }
 
-// BundleCount returns how many bundles the server currently retains.
+// BundleCount returns how many payloads the server currently retains.
 func (s *Server) BundleCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.bundles)
 }
 
-// Base returns the sequence number of the oldest retained bundle —
+// Base returns the sequence number of the oldest retained payload —
 // everything below it was pruned by DropThrough.
 func (s *Server) Base() uint64 {
 	s.mu.RLock()
@@ -271,7 +337,7 @@ func (s *Server) Base() uint64 {
 	return s.base
 }
 
-// DropThrough discards every retained bundle with Seq <= seq — the
+// DropThrough discards every retained payload with Seq <= seq — the
 // publisher-side garbage collection of continuous operation. Sequence
 // numbers are stable across drops: later fetches with ?since continue
 // to work, and a fetch reaching into the dropped range gets a *GapError
@@ -293,11 +359,11 @@ func (s *Server) DropThrough(seq uint64) {
 }
 
 // serve is the one serve selection, behind every carrier: the
-// retention base and the retained bundles at positions ≥ since exactly
-// as viewer is served them — tamper applied, withheld bundles left out.
+// retention base and the retained payloads at positions ≥ since exactly
+// as viewer is served them — tamper applied, withheld payloads left out.
 // The entries are selected under the read lock; the wait for their
 // signatures and the tamper run after it is released, so neither a
-// PublishEpoch nor the signer ever waits behind a fetch.
+// Publish nor the signer ever waits behind a fetch.
 func (s *Server) serve(viewer string, since uint64) (base uint64, out []published) {
 	s.mu.RLock()
 	base, tamper := s.base, s.tamper
@@ -366,25 +432,32 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Client fetches and authenticates bundles from HOP servers.
+// Client fetches and authenticates bundles from servers.
 type Client struct {
 	// HTTP is the underlying client. nil selects a default client with
 	// DefaultFetchTimeout — never the timeout-less http.DefaultClient,
 	// which would let one hung HOP stall collection forever. Context
 	// deadlines on the fetch calls are honored either way.
 	HTTP *http.Client
-	// Registry supplies the verification key per origin HOP.
+	// Registry supplies the verification key per origin HOP, and with
+	// it the HOPs each feed's payloads must cover (Registry.Group).
 	Registry Registry
 	// Viewer optionally identifies this verifier to servers (sent as
 	// the X-VPM-Viewer header); simulations use it to model
 	// per-verifier misbehavior.
 	Viewer string
+
+	verifications atomic.Int64
 }
 
-// Fetch retrieves all bundles at positions ≥ since from the HOP server
-// at baseURL, verifies each signature against the registered key of
-// origin, and returns the decoded bundles. Any verification failure
-// aborts the fetch: unauthenticated receipts are never returned.
+// Verifications returns how many signatures the client has checked.
+func (c *Client) Verifications() int64 { return c.verifications.Load() }
+
+// Fetch retrieves all bundles at positions ≥ since from the server at
+// baseURL that publishes origin's payloads, verifies each payload under
+// origin's registered key, and returns the decoded bundles. Any
+// verification failure aborts the fetch: unauthenticated receipts are
+// never returned.
 func (c *Client) Fetch(ctx context.Context, baseURL string, origin receipt.HOPID, since uint64) ([]*Bundle, error) {
 	var out []*Bundle
 	if _, err := c.FetchEach(ctx, baseURL, origin, since, func(b *Bundle) error {
@@ -399,21 +472,24 @@ func (c *Client) Fetch(ctx context.Context, baseURL string, origin receipt.HOPID
 // FetchEach is the streaming form of Fetch and the HTTP twin of
 // Bus.CollectSince: frames are read one at a time, each bounded
 // (MaxBundleBytes, the Content-Length) before it is buffered, and fn
-// gets each bundle as it clears authentication — the interval's
-// receipts never sit in memory at once. It returns the cursor: one past
-// the server position of the last bundle fn consumed, since if none. A
-// response that breaks the frame format is a *FrameError; a bundle that
-// fails authentication, a *BundleError — both permanent for Retry.
-// Either, or an fn error, aborts the stream; bundles already passed to
-// fn stay consumed (ingest is incremental by design). A retention base
-// above since (the server pruned bundles the cursor never consumed) is
-// a GapError before anything is delivered: the caller decides how to
-// handle the loss rather than silently skipping it.
+// gets each bundle of a payload once the payload clears authentication
+// — the interval's receipts never sit in memory at once. A payload must
+// hold one bundle for each HOP registered under origin's key. It
+// returns the cursor: one past the server position of the last payload
+// fn consumed, since if none. A response that breaks the frame format
+// is a *FrameError; a payload that fails authentication, a
+// *BundleError — both permanent for Retry. Either, or an fn error,
+// aborts the stream; bundles already passed to fn stay consumed (ingest
+// is incremental by design). A retention base above since (the server
+// pruned payloads the cursor never consumed) is a GapError before
+// anything is delivered: the caller decides how to handle the loss
+// rather than silently skipping it.
 func (c *Client) FetchEach(ctx context.Context, baseURL string, origin receipt.HOPID, since uint64, fn func(*Bundle) error) (next uint64, err error) {
 	pub, ok := c.Registry[origin]
 	if !ok {
 		return since, fmt.Errorf("dissem: no registered key for %v", origin)
 	}
+	group := c.Registry.Group(origin)
 	hc := c.HTTP
 	if hc == nil {
 		hc = &http.Client{Timeout: DefaultFetchTimeout}
@@ -434,33 +510,33 @@ func (c *Client) FetchEach(ctx context.Context, baseURL string, origin receipt.H
 		return since, fmt.Errorf("dissem: %v returned %s", origin, resp.Status)
 	}
 	return readFrames(resp, origin, since, func(p published) (uint64, error) {
-		return receive(pub, origin, p, fn)
+		return receive(pub, origin, group, p, fn, &c.verifications)
 	})
 }
 
 // receive is the one receive step behind both carriers: it
-// authenticates the bundle served at position p.seq, hands it to fn and
-// returns the cursor past it. A bundle the signer already verified
-// under a key byte-equal to pub (Bus.CollectSinceAs) is only decoded
-// and its origin checked; every other one takes the full check. A
-// failure is a permanent *BundleError naming the position and p.epoch.
-func receive(pub ed25519.PublicKey, origin receipt.HOPID, p published, fn func(*Bundle) error) (uint64, error) {
-	var b *Bundle
-	err := ErrBadSignature
-	if (p.verified != nil && bytes.Equal(p.verified, pub)) || ed25519.Verify(pub, p.sb.Payload, p.sb.Sig) {
-		b, err = decodeFrom(origin, p.sb.Payload)
-	}
+// authenticates the payload served at position p.seq for the HOPs of
+// group (open), hands its bundles to fn in order and returns the cursor
+// past it. The signature is checked once per payload, and not at all
+// when the signer already verified these bytes under a key byte-equal
+// to pub (Bus.CollectSinceAs). A failure is a permanent *BundleError
+// naming origin, the position and p.epoch; nothing of a refused payload
+// reaches fn.
+func receive(pub ed25519.PublicKey, origin receipt.HOPID, group []receipt.HOPID, p published, fn func(*Bundle) error, verifications *atomic.Int64) (uint64, error) {
+	bundles, err := open(pub, group, p, verifications)
 	if err != nil {
 		return p.seq, Permanent(&BundleError{Origin: origin, Seq: p.seq, Epoch: p.epoch, Err: err})
 	}
-	if err := fn(b); err != nil {
-		return p.seq, err
+	for _, b := range bundles {
+		if err := fn(b); err != nil {
+			return p.seq, err
+		}
 	}
 	return p.seq + 1, nil
 }
 
-// readFrames hands each frame of a feed response to recv as the bundle
-// at its server position, with the epoch its payload claims, and
+// readFrames hands each frame of a feed response to recv as the payload
+// at its server position, with the epoch its first bundle claims, and
 // returns the cursor recv last returned (since if none). A base above
 // since is a *GapError; a missing or malformed one, not a feed. Each
 // frame header is checked against MaxBundleBytes, the bundle header,
@@ -487,7 +563,7 @@ func readFrames(resp *http.Response, origin receipt.HOPID, since uint64, recv fu
 	}
 	var (
 		hdr  [FrameHeaderSize]byte
-		buf  bytes.Buffer // one frame's payload+signature; reused, DecodeBundle copies out of it
+		buf  bytes.Buffer // one frame's payload+signature; reused, DecodePayload copies out of it
 		i    int
 		next = since // the position the next frame's skip counts from
 	)
@@ -537,6 +613,8 @@ func readFrames(resp *http.Response, origin receipt.HOPID, since uint64, recv fu
 type Bus struct {
 	mu      sync.RWMutex
 	servers map[receipt.HOPID]*Server
+
+	verifications atomic.Int64
 }
 
 // NewBus creates an empty bus.
@@ -544,23 +622,31 @@ func NewBus() *Bus {
 	return &Bus{servers: make(map[receipt.HOPID]*Server)}
 }
 
-// Attach registers a HOP's server on the bus.
+// Attach registers a server on the bus under every HOP it publishes
+// for.
 func (b *Bus) Attach(s *Server) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.servers[s.hop] = s
+	for _, h := range s.hops {
+		b.servers[h] = s
+	}
 }
 
-// CollectSince streams the HOP's verified bundles at positions ≥ since
-// to fn and returns the next since value — the incremental-subscription
-// primitive: a rolling verifier polls each HOP with the cursor from
-// the previous call and sees every bundle exactly once. The cursor
-// advances only past bundles fn consumed successfully, so retrying
-// with the returned cursor after an error re-delivers the failed
-// bundle (at-least-once). When the server pruned bundles the cursor
-// never consumed (DropThrough moved its base past since), CollectSince
-// returns a GapError instead of silently skipping the gap; resume from
-// the error's Base to accept the loss explicitly.
+// Verifications returns how many signatures the bus's consumers have
+// checked — every payload but those a server's signer verified ahead.
+func (b *Bus) Verifications() int64 { return b.verifications.Load() }
+
+// CollectSince streams the verified bundles of origin's server at
+// positions ≥ since to fn and returns the next since value — the
+// incremental-subscription primitive: a rolling verifier polls each
+// server with the cursor from the previous call and sees every payload
+// exactly once. The cursor advances only past payloads fn consumed
+// successfully, so retrying with the returned cursor after an error
+// re-delivers the failed payload (at-least-once). When the server
+// pruned payloads the cursor never consumed (DropThrough moved its base
+// past since), CollectSince returns a GapError instead of silently
+// skipping the gap; resume from the error's Base to accept the loss
+// explicitly.
 func (b *Bus) CollectSince(reg Registry, origin receipt.HOPID, since uint64, fn func(*Bundle) error) (uint64, error) {
 	return b.CollectSinceAs("", reg, origin, since, fn)
 }
@@ -569,15 +655,22 @@ func (b *Bus) CollectSince(reg Registry, origin receipt.HOPID, since uint64, fn 
 // simulated per-verifier misbehavior (an Equivocator tamper) keys on.
 // The server's log position is the cursor, as over HTTP (FetchEach);
 // fn runs outside the bus and server locks, so it may ingest into a
-// verifier (or publish elsewhere) freely. A bundle that fails
+// verifier (or publish elsewhere) freely. A payload that fails
 // authentication is a *BundleError naming the origin and position, so
-// a cursor consumer can classify it and skip past the poisoned bundle.
+// a cursor consumer can classify it and skip past the poisoned payload.
+//
+// A payload must hold one bundle for each HOP the server was attached
+// for, and reg must register every one of them under origin's key: on
+// the bus the server's HOP set is the simulation's own wiring, which
+// engine.NewBusTransport derives from the same keys, so it stands in
+// for the registry scan FetchEach makes (Registry.Group) at no cost per
+// fetch.
 //
 // The first call for an origin records reg's key on its server, whose
-// signer then verifies every later bundle under that key as it signs
-// it. A bundle served untampered whose signature the signer verified
-// under a key byte-equal to reg's is only decoded and its origin
-// checked here; every other bundle goes through the full check.
+// signer then verifies every later payload under that key as it signs
+// it. A payload served untampered whose signature the signer verified
+// under a key byte-equal to reg's is only decoded and checked here;
+// every other payload goes through the full check.
 func (b *Bus) CollectSinceAs(viewer string, reg Registry, origin receipt.HOPID, since uint64, fn func(*Bundle) error) (uint64, error) {
 	b.mu.RLock()
 	s, ok := b.servers[origin]
@@ -589,6 +682,11 @@ func (b *Bus) CollectSinceAs(viewer string, reg Registry, origin receipt.HOPID, 
 	if !ok {
 		return since, fmt.Errorf("dissem: no registered key for %v", origin)
 	}
+	for _, h := range s.hops {
+		if !bytes.Equal(reg[h], pub) {
+			return since, fmt.Errorf("dissem: %v shares %v's server but not its registered key", h, origin)
+		}
+	}
 	if s.aheadKey.Load() == nil && len(pub) == ed25519.PublicKeySize {
 		key := slices.Clone(pub)
 		s.aheadKey.CompareAndSwap(nil, &key)
@@ -598,7 +696,7 @@ func (b *Bus) CollectSinceAs(viewer string, reg Registry, origin receipt.HOPID, 
 		return since, &GapError{Origin: origin, Since: since, Base: base}
 	}
 	for _, p := range served {
-		next, err := receive(pub, origin, p, fn)
+		next, err := receive(pub, origin, s.hops, p, fn, &b.verifications)
 		if err != nil {
 			return since, err
 		}

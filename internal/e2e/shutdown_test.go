@@ -147,8 +147,10 @@ func TestCollectorShutdownDrainsAndExitsZero(t *testing.T) {
 		t.Fatalf("GET /hops: %d HOPs, %v", len(hops), err)
 	}
 
-	// The framed bundle feed, spoken by the real binary: a registry built
-	// from the advertised keys authenticates and decodes one HOP's feed.
+	// The framed payload feed, spoken by the real binary: a registry
+	// built from the advertised keys authenticates and decodes the feed
+	// of the first HOP's domain, one bundle per HOP of the domain each
+	// epoch.
 	reg := make(dissem.Registry, len(hops))
 	for _, h := range hops {
 		pub, err := hex.DecodeString(h.Pub)
@@ -158,20 +160,21 @@ func TestCollectorShutdownDrainsAndExitsZero(t *testing.T) {
 		reg[h.HOP] = pub
 	}
 	hop := hops[0].HOP
+	domain := reg.Group(hop)
 	client := &dissem.Client{Registry: reg}
-	bundles, err := client.Fetch(context.Background(), fmt.Sprintf("%s/hop/%d/receipts", base, hop), hop, 0)
+	bundles, err := client.Fetch(context.Background(), base+hops[0].Feed, hop, 0)
 	if err != nil {
-		t.Fatalf("fetching HOP %v's feed from vpm-fleet collect: %v", hop, err)
+		t.Fatalf("fetching %s from vpm-fleet collect: %v", hops[0].Feed, err)
 	}
 	receipts := 0
-	for _, b := range bundles {
-		if b.Origin != hop {
-			t.Fatalf("HOP %v's feed carries a bundle from %v", hop, b.Origin)
+	for i, b := range bundles {
+		if b.Origin != domain[i%len(domain)] {
+			t.Fatalf("%s: bundle %d from %v, want the domain's HOPs %v in turn", hops[0].Feed, i, b.Origin, domain)
 		}
 		receipts += len(b.Samples) + len(b.Aggs)
 	}
-	if receipts == 0 {
-		t.Fatalf("HOP %v's feed: %d bundles, no receipts — want at least one bundle with receipts", hop, len(bundles))
+	if receipts == 0 || len(bundles)%len(domain) != 0 {
+		t.Fatalf("%s: %d bundles for %d HOPs, %d receipts — want whole payloads, at least one with receipts", hops[0].Feed, len(bundles), len(domain), receipts)
 	}
 
 	conn := stallConn(t, strings.TrimPrefix(base, "http://"))

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,12 +89,24 @@ func testSigner(h receipt.HOPID) *dissem.Signer {
 	return dissem.NewSigner(seed)
 }
 
+// pairedSigner gives hops[2k] and hops[2k+1] one key — two-HOP domains,
+// each sealed epoch of a pair one signed payload.
+func pairedSigner(hops []receipt.HOPID) func(receipt.HOPID) *dissem.Signer {
+	return func(h receipt.HOPID) *dissem.Signer {
+		var seed [32]byte
+		seed[0], seed[1] = 0xd0, byte(slices.Index(hops, h)/2)
+		return dissem.NewSigner(seed)
+	}
+}
+
 // runWorld drives w through both halves over the named transport and
-// store, with tamper installed on the bus servers, and returns every
-// report's canonical encoding, in order, the findings and each feed's
-// final cursor (none for the direct transport). An honest run (nil
-// tamper) must verify every epoch without a finding.
-func runWorld(t *testing.T, w testWorld, transport, store string, tamper map[receipt.HOPID]dissem.BundleTamper) ([][]byte, []core.Blame, []uint64) {
+// store — "bus" and "http" with each HOP's key from signer, "direct"
+// without keys — with tamper installed on the servers of the HOPs it
+// names, and returns every report's canonical encoding, in order, the
+// findings and each feed's final cursor (none for the direct
+// transport). An honest run (nil tamper) must verify every epoch
+// without a finding.
+func runWorld(t *testing.T, w testWorld, transport, store string, signer func(receipt.HOPID) *dissem.Signer, tamper map[receipt.HOPID]dissem.BundleTamper) ([][]byte, []core.Blame, []uint64) {
 	t.Helper()
 	st := engine.Store{HOPs: w.hops, Retention: 2}
 	var disk *segstore.Store
@@ -120,23 +133,28 @@ func runWorld(t *testing.T, w testWorld, transport, store string, tamper map[rec
 
 	sink := ver.Window.Sink()
 	if transport != "direct" {
-		bus := engine.NewBusTransport(w.hops, testSigner)
+		bus := engine.NewBusTransport(w.hops, signer)
 		for h, tm := range tamper {
 			bus.Servers[h].SetTamper(tm)
 		}
 		sink = bus.Sink()
 		ver.Feeds = bus.Feeds()
 		if transport == "http" {
+			// One route per server, named by its first HOP, as a fleet
+			// collector serves one feed per domain.
 			mux := http.NewServeMux()
-			for h, srv := range bus.Servers {
-				mux.Handle(fmt.Sprintf("/hop/%d", h), srv)
+			for _, f := range ver.Feeds {
+				mux.Handle(fmt.Sprintf("/feed/%d", f.HOPs[0]), bus.Servers[f.HOPs[0]])
 			}
 			hs := httptest.NewServer(mux)
 			defer hs.Close()
 			client := &dissem.Client{Registry: bus.Registry}
 			retry := dissem.RetryPolicy{Attempts: 2, Base: time.Millisecond}
-			for i, h := range w.hops {
-				ver.Feeds[i] = engine.HTTPFeed(client, retry, fmt.Sprintf("%s/hop/%d", hs.URL, h), h)
+			for i, f := range ver.Feeds {
+				ver.Feeds[i] = engine.HTTPFeed(client, retry, fmt.Sprintf("%s/feed/%d", hs.URL, f.HOPs[0]), f.HOPs[0])
+				if !slices.Equal(ver.Feeds[i].HOPs, f.HOPs) {
+					t.Fatalf("HTTP feed of %v speaks for %v, its bus feed for %v", f.HOPs[0], ver.Feeds[i].HOPs, f.HOPs)
+				}
 			}
 		}
 	}
@@ -186,21 +204,54 @@ func (c corruptEpoch) Serve(_ string, _, epoch uint64, sb dissem.SignedBundle) (
 	return dissem.SignedBundle{Payload: sb.Payload, Sig: bad}, true
 }
 
+// forgePayload serves epoch 1's payload rewritten by forge.
+type forgePayload func(dissem.SignedBundle) dissem.SignedBundle
+
+func (forgePayload) Name() string { return "forge-payload" }
+func (f forgePayload) Serve(_ string, _, epoch uint64, sb dissem.SignedBundle) (dissem.SignedBundle, bool) {
+	if epoch != 1 {
+		return sb, true
+	}
+	return f(sb), true
+}
+
+// resign decodes a payload, rewrites its bundles and signs the result
+// with signer.
+func resign(t *testing.T, signer *dissem.Signer, rewrite func([]*dissem.Bundle) []*dissem.Bundle) forgePayload {
+	return func(sb dissem.SignedBundle) dissem.SignedBundle {
+		bundles, err := dissem.DecodePayload(sb.Payload)
+		if err != nil {
+			t.Error(err)
+			return sb
+		}
+		return signer.Sign(rewrite(bundles)...)
+	}
+}
+
 // TestSeamsAreInterchangeable: the same world gives byte-identical
-// reports whichever transport carries the sealed epochs and whichever
-// store sits beneath the window — on a linear path and on a mesh — and,
-// with one HOP misbehaving at the dissemination layer, the bus and HTTP
-// give the same reports, the same findings and the same final cursors:
-// both advance by the server's log position, whatever seq a replayed
-// payload claims.
+// reports whichever transport carries the sealed epochs — per-HOP keys
+// or two HOPs per key — and whichever store sits beneath the window, on
+// a linear path and on a mesh. With one HOP misbehaving at the
+// dissemination layer, the bus and HTTP give the same reports, the same
+// findings and the same final cursors: both advance by the server's log
+// position, whatever seq a replayed payload claims. With two HOPs per
+// key, every way a domain's payload can fail authentication — a flipped
+// byte, another domain's signature, an omitted HOP, a smuggled foreign
+// HOP, mixed epochs — is one signature finding naming both of the
+// domain's HOPs, identically on both carriers.
 func TestSeamsAreInterchangeable(t *testing.T) {
 	worlds := map[string]func(*testing.T) testWorld{"fig1": fig1World, "clos": closWorld}
 	for name, build := range worlds {
 		t.Run(name, func(t *testing.T) {
 			var want [][]byte
-			for _, transport := range []string{"direct", "bus", "http"} {
+			for _, transport := range []string{"direct", "bus", "http", "bus-paired", "http-paired"} {
 				for _, store := range []string{"ram", "segstore"} {
-					got, _, _ := runWorld(t, build(t), transport, store, nil)
+					w := build(t)
+					signer, carrier := testSigner, transport
+					if c, ok := strings.CutSuffix(transport, "-paired"); ok {
+						signer, carrier = pairedSigner(w.hops), c
+					}
+					got, _, _ := runWorld(t, w, carrier, store, signer, nil)
 					if want == nil {
 						want = got
 						continue
@@ -218,32 +269,74 @@ func TestSeamsAreInterchangeable(t *testing.T) {
 			}
 		})
 	}
+	// hops is Fig1's HOP list; the liar is hops[3], whose paired domain
+	// is {hops[2], hops[3]}.
+	hops := fig1World(t).hops
+	paired := pairedSigner(hops)
+	liar, domain, foreign := hops[3], hops[2:4], hops[0]
 	for _, attack := range []struct {
 		name     string
+		signer   func(receipt.HOPID) *dissem.Signer
 		tamper   func() dissem.BundleTamper
-		evidence []core.EvidenceClass // every class the findings hold, all on the liar
+		evidence []core.EvidenceClass // every class the findings hold, all on the liar's HOPs
 	}{
-		{"corrupt-signature", func() dissem.BundleTamper { return corruptEpoch(1) },
+		{"corrupt-signature", testSigner, func() dissem.BundleTamper { return corruptEpoch(1) },
 			[]core.EvidenceClass{core.EvSignature, core.EvWithheldBundle}},
-		{"withhold", func() dissem.BundleTamper { return &dissem.Withholder{FromEpoch: 2} },
+		{"withhold", testSigner, func() dissem.BundleTamper { return &dissem.Withholder{FromEpoch: 2} },
 			[]core.EvidenceClass{core.EvWithheldBundle}},
-		{"replay", func() dissem.BundleTamper { return &dissem.Replayer{FromEpoch: 2} },
+		{"replay", testSigner, func() dissem.BundleTamper { return &dissem.Replayer{FromEpoch: 2} },
 			[]core.EvidenceClass{core.EvEpochReplay, core.EvWithheldBundle}},
+		{"domain-flipped-byte", paired, func() dissem.BundleTamper {
+			return forgePayload(func(sb dissem.SignedBundle) dissem.SignedBundle {
+				bad := slices.Clone(sb.Payload)
+				bad[len(bad)-1] ^= 0x01
+				return dissem.SignedBundle{Payload: bad, Sig: sb.Sig}
+			})
+		}, []core.EvidenceClass{core.EvSignature, core.EvWithheldBundle}},
+		{"domain-other-key", paired, func() dissem.BundleTamper {
+			return resign(t, paired(foreign), func(bs []*dissem.Bundle) []*dissem.Bundle { return bs })
+		}, []core.EvidenceClass{core.EvSignature, core.EvWithheldBundle}},
+		{"domain-omits-hop", paired, func() dissem.BundleTamper {
+			return resign(t, paired(liar), func(bs []*dissem.Bundle) []*dissem.Bundle { return bs[:1] })
+		}, []core.EvidenceClass{core.EvSignature, core.EvWithheldBundle}},
+		{"domain-smuggles-foreign-hop", paired, func() dissem.BundleTamper {
+			return resign(t, paired(liar), func(bs []*dissem.Bundle) []*dissem.Bundle {
+				return append(bs, &dissem.Bundle{Origin: foreign, Seq: bs[0].Seq, Epoch: bs[0].Epoch})
+			})
+		}, []core.EvidenceClass{core.EvSignature, core.EvWithheldBundle}},
+		{"domain-mixes-epochs", paired, func() dissem.BundleTamper {
+			return resign(t, paired(liar), func(bs []*dissem.Bundle) []*dissem.Bundle {
+				bs[1].Epoch++
+				return bs
+			})
+		}, []core.EvidenceClass{core.EvSignature, core.EvWithheldBundle}},
 	} {
 		t.Run("fig1-"+attack.name, func(t *testing.T) {
+			accountable := []receipt.HOPID{liar}
+			if attack.signer(domain[0]).Public().Equal(attack.signer(domain[1]).Public()) {
+				accountable = domain
+			}
 			var want [][]byte
 			var wantFindings []core.Blame
 			var wantCursors []uint64
 			for _, transport := range []string{"bus", "http"} {
-				w := fig1World(t)
-				liar := w.hops[3]
-				got, findings, cursors := runWorld(t, w, transport, "ram", map[receipt.HOPID]dissem.BundleTamper{liar: attack.tamper()})
+				got, findings, cursors := runWorld(t, fig1World(t), transport, "ram", attack.signer, map[receipt.HOPID]dissem.BundleTamper{liar: attack.tamper()})
 				classes := map[core.EvidenceClass]bool{}
+				blamed := map[receipt.HOPID]bool{}
 				for _, f := range findings {
 					classes[f.Evidence] = true
-					if !slices.Equal(f.HOPs, []receipt.HOPID{liar}) {
-						t.Fatalf("%s: finding %v blames %v, want the liar %v alone", transport, f, f.HOPs, liar)
+					for _, h := range f.HOPs {
+						blamed[h] = true
+						if !slices.Contains(accountable, h) {
+							t.Fatalf("%s: finding %v blames %v, outside the liar's key %v", transport, f, f.HOPs, accountable)
+						}
 					}
+					if f.Evidence == core.EvSignature && !slices.Equal(f.HOPs, accountable) {
+						t.Fatalf("%s: signature finding %v, want one naming %v", transport, f, accountable)
+					}
+				}
+				if len(blamed) != len(accountable) {
+					t.Fatalf("%s: findings %v blame %d HOPs, want all of %v", transport, findings, len(blamed), accountable)
 				}
 				if len(classes) != len(attack.evidence) {
 					t.Fatalf("%s: findings %v, want exactly the classes %v", transport, findings, attack.evidence)

@@ -12,11 +12,15 @@ import (
 	"vpm/internal/receipt"
 )
 
-// Feed is the fetch side of the transport seam: one HOP's bundle feed.
+// Feed is the fetch side of the transport seam: one key's payload feed.
 type Feed struct {
-	HOP receipt.HOPID
-	// Fetch streams the feed's bundles at positions ≥ since to fn, in
-	// order, and returns the position after the last one fn consumed.
+	// HOPs are the HOPs the feed's key speaks for, ascending: each
+	// payload holds one bundle of each, and a payload that fails
+	// authentication, or a pruned gap, implicates them all.
+	HOPs []receipt.HOPID
+	// Fetch streams the bundles of the feed's payloads at positions
+	// ≥ since to fn, in order, and returns the position after the last
+	// payload fn consumed.
 	Fetch func(ctx context.Context, since uint64, fn func(*dissem.Bundle) error) (next uint64, err error)
 }
 
@@ -89,8 +93,8 @@ func NewVerify(st Store, ck Checks) (*Verify, error) {
 }
 
 // Run is the verify half alone, for a stream sealed elsewhere whose
-// terminal epoch is known up front: every HOP publishes exactly one
-// bundle per epoch, so a feed is complete at cursor terminal+1 —
+// terminal epoch is known up front: every feed carries exactly one
+// payload per epoch, so a feed is complete at cursor terminal+1 —
 // completion is a position, not a negotiation. Steps repeat, waiting
 // poll after one that consumed nothing, with epochs ≥ terminal−1 held
 // (the stream-end rule) until every feed is complete.
@@ -139,7 +143,7 @@ func (v *Verify) finish(ctx context.Context) error {
 	}
 	for _, e := range v.Window.UnverifiedEpochs() {
 		for _, h := range v.Window.MissingSeals(e) {
-			v.blame(e, core.EvWithheldBundle, h, 1, fmt.Sprintf("epoch %d never sealed: no bundle from %v", e, h))
+			v.blame(e, core.EvWithheldBundle, []receipt.HOPID{h}, 1, fmt.Sprintf("epoch %d never sealed: no bundle from %v", e, h))
 		}
 	}
 	return nil
@@ -182,10 +186,10 @@ func (v *Verify) step(ctx context.Context) (progressed bool, err error) {
 }
 
 // drain fetches feed i from its cursor — the server's log position, on
-// every carrier — until the feed has nothing more. A bundle that fails
-// authentication or a cursor that reaches into a pruned range is a
-// finding against the feed's HOP and the cursor moves past it; any
-// other fetch error aborts.
+// every carrier — until the feed has nothing more. A payload that fails
+// authentication or a cursor that reaches into a pruned range is one
+// finding against every HOP of the feed and the cursor moves past it;
+// any other fetch error aborts.
 func (v *Verify) drain(ctx context.Context, i int) error {
 	f := &v.Feeds[i]
 	for {
@@ -197,10 +201,10 @@ func (v *Verify) drain(ctx context.Context, i int) error {
 		case err == nil:
 			return nil
 		case errors.As(err, &be):
-			v.blame(core.EpochID(be.Epoch), core.EvSignature, f.HOP, 1, err.Error())
+			v.blame(core.EpochID(be.Epoch), core.EvSignature, f.HOPs, 1, err.Error())
 			v.cursors[i] = be.Seq + 1
 		case errors.As(err, &gap):
-			v.blame(0, core.EvBundleGap, f.HOP, int(gap.Base-gap.Since), err.Error())
+			v.blame(0, core.EvBundleGap, f.HOPs, int(gap.Base-gap.Since), err.Error())
 			v.cursors[i] = gap.Base
 		default:
 			return err
@@ -216,7 +220,7 @@ func (v *Verify) consume(b *dissem.Bundle) error {
 	err := v.Window.IngestBundle(b)
 	var stale *core.StaleSealError
 	if errors.As(err, &stale) || errors.Is(err, core.ErrEvictedEpoch) {
-		v.blame(core.EpochID(b.Epoch), core.EvEpochReplay, b.Origin, 1, err.Error())
+		v.blame(core.EpochID(b.Epoch), core.EvEpochReplay, []receipt.HOPID{b.Origin}, 1, err.Error())
 		return nil
 	}
 	if err != nil {
@@ -225,6 +229,6 @@ func (v *Verify) consume(b *dissem.Bundle) error {
 	return v.Window.SealHOP(b.Origin, core.EpochID(b.Epoch))
 }
 
-func (v *Verify) blame(e core.EpochID, ev core.EvidenceClass, hop receipt.HOPID, count int, detail string) {
-	v.Findings = append(v.Findings, core.BlameHOP(v.layout, e, ev, hop, count, detail))
+func (v *Verify) blame(e core.EpochID, ev core.EvidenceClass, hops []receipt.HOPID, count int, detail string) {
+	v.Findings = append(v.Findings, core.BlameHOPs(v.layout, e, ev, hops, count, detail))
 }

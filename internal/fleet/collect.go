@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
+	"vpm/internal/dissem"
 	"vpm/internal/engine"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
@@ -18,13 +18,14 @@ import (
 
 // Collector is one collector process's state: it drives the epoch
 // pipeline for the HOPs of its domain slice and serves every sealed
-// epoch as a signed bundle. The HTTP surface a verifier consumes:
+// epoch of each domain as one payload signed with the domain's key. The
+// HTTP surface a verifier consumes:
 //
-//	GET /hops                 — JSON list of the HOPs this process owns
-//	GET /hop/<id>/receipts    — that HOP's framed bundle feed (a dissem.Server)
-//	GET /status               — {"index","finished","terminal"}
+//	GET /hops                  — JSON list of the HOPs this process owns
+//	GET /domain/<d>/receipts   — domain d's framed payload feed (a dissem.Server)
+//	GET /status                — {"index","finished","terminal"}
 //
-// Bundles are retained for the whole run (no DropThrough): a verifier
+// Payloads are retained for the whole run (no DropThrough): a verifier
 // shard that crashes and restarts re-fetches everything from cursor
 // zero, which is what makes verifier restart a pure replay instead of
 // a recovery protocol.
@@ -32,7 +33,8 @@ type Collector struct {
 	world   *World
 	index   int
 	owned   []receipt.HOPID
-	servers *engine.BusTransport // one signing bundle server per owned HOP
+	servers *engine.BusTransport   // one signing server per owned domain
+	feeds   map[int]*dissem.Server // owned domain → its server
 	mux     *http.ServeMux
 
 	finished atomic.Bool
@@ -60,13 +62,27 @@ func NewCollector(w *World, index int) (*Collector, error) {
 		return nil, fmt.Errorf("fleet: collector index %d outside [0, %d)", index, w.Spec.Collectors)
 	}
 	c := &Collector{world: w, index: index, owned: w.OwnedHOPs(index)}
-	c.servers = engine.NewBusTransport(c.owned, w.Spec.Signer)
+	signers := make(map[int]*dissem.Signer)
+	c.servers = engine.NewBusTransport(c.owned, func(h receipt.HOPID) *dissem.Signer {
+		d := w.Topo.HOPDomain(h)
+		if signers[d] == nil {
+			signers[d] = w.Spec.DomainSigner(d)
+		}
+		return signers[d]
+	})
+	c.feeds = make(map[int]*dissem.Server, len(signers))
+	for _, h := range c.owned {
+		c.feeds[w.Topo.HOPDomain(h)] = c.servers.Servers[h]
+	}
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("/hops", c.handleHops)
 	c.mux.HandleFunc("/status", c.handleStatus)
-	c.mux.HandleFunc("/hop/", c.handleReceipts)
+	c.mux.HandleFunc("/domain/{d}/receipts", c.handleReceipts)
 	return c, nil
 }
+
+// FeedPath is the path under which a collector serves domain d's feed.
+func FeedPath(d int) string { return fmt.Sprintf("/domain/%d/receipts", d) }
 
 // Owned returns the HOPs this collector drives, ascending.
 func (c *Collector) Owned() []receipt.HOPID { return c.owned }
@@ -80,18 +96,21 @@ func (c *Collector) Handler() http.Handler { return c.mux }
 type HopInfo struct {
 	HOP    receipt.HOPID `json:"hop"`
 	Domain string        `json:"domain"`
-	// Pub is the HOP's ed25519 public key, hex — informational (the
-	// verifier derives keys from the spec; a real deployment would
-	// authenticate this listing out of band).
+	// Pub is the ed25519 public key of the HOP's domain, hex —
+	// informational (the verifier derives keys from the spec; a real
+	// deployment would authenticate this listing out of band).
 	Pub string `json:"pub"`
+	// Feed is the path of the feed carrying the HOP's bundles: its
+	// domain's (FeedPath).
+	Feed string `json:"feed"`
 }
 
 // CollectorStatus is the /status document.
 type CollectorStatus struct {
 	Index int `json:"index"`
 	// Finished reports that every owned HOP has sealed and published
-	// every epoch through Terminal — every bundle has its seq and the
-	// feed will not grow further. Signing runs behind publication, so
+	// every epoch through Terminal — every payload has its seq and the
+	// feeds will not grow further. Signing runs behind publication, so
 	// a fetch may still wait briefly for signatures.
 	Finished bool   `json:"finished"`
 	Terminal uint64 `json:"terminal"`
@@ -99,12 +118,14 @@ type CollectorStatus struct {
 
 func (c *Collector) handleHops(w http.ResponseWriter, r *http.Request) {
 	out := make([]HopInfo, 0, len(c.owned))
+	reg := c.servers.Registry
 	for _, h := range c.owned {
 		d := c.world.Topo.HOPDomain(h)
 		out = append(out, HopInfo{
 			HOP:    h,
 			Domain: c.world.Topo.Domains[d].Name,
-			Pub:    hex.EncodeToString(c.world.Spec.Signer(h).Public()),
+			Pub:    hex.EncodeToString(reg[h]),
+			Feed:   FeedPath(d),
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -121,19 +142,9 @@ func (c *Collector) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Collector) handleReceipts(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/hop/")
-	idText, ok := strings.CutSuffix(rest, "/receipts")
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	id, err := strconv.ParseUint(idText, 10, 32)
-	if err != nil {
-		http.NotFound(w, r)
-		return
-	}
-	srv, ok := c.servers.Servers[receipt.HOPID(id)]
-	if !ok {
+	d, err := strconv.Atoi(r.PathValue("d"))
+	srv, ok := c.feeds[d]
+	if err != nil || !ok {
 		http.NotFound(w, r)
 		return
 	}
@@ -142,7 +153,7 @@ func (c *Collector) handleReceipts(w http.ResponseWriter, r *http.Request) {
 
 // Run is the engine's collect half over the owned HOPs: it simulates
 // the whole world's traffic while observing only them, publishing each
-// sealed (HOP, epoch) as one signed bundle. The simulation is the full
+// sealed (HOP, epoch) as one bundle of its domain's signed payload. The simulation is the full
 // deterministic world — every collector process replays identical
 // traffic and forwarding decisions — but observation is restricted to
 // the process's HOPs, so the union of all collectors' bundles equals a

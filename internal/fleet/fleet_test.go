@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,7 +342,7 @@ func TestVerifierGivesUpOnDeadCollector(t *testing.T) {
 	if budget.Attempts != retry.Attempts {
 		t.Errorf("gave up after %d attempts, want %d", budget.Attempts, retry.Attempts)
 	}
-	if msg := err.Error(); !strings.Contains(msg, "shard 1") || !strings.Contains(msg, dead.URL+"/hop/") {
+	if msg := err.Error(); !strings.Contains(msg, "shard 1") || !strings.Contains(msg, dead.URL+"/domain/") {
 		t.Errorf("error %q does not name the shard and the feed", msg)
 	}
 }
@@ -433,7 +434,7 @@ func TestRingOwnershipTotalAndStable(t *testing.T) {
 	}
 }
 
-// forgeEpoch breaks the signature of every bundle of one epoch.
+// forgeEpoch breaks the signature of every payload of one epoch.
 type forgeEpoch uint64
 
 func (forgeEpoch) Name() string { return "forge-epoch" }
@@ -444,16 +445,55 @@ func (f forgeEpoch) Serve(_ string, _, epoch uint64, sb dissem.SignedBundle) (di
 	return sb, true
 }
 
+// multiHOPDomains returns the domains collector ci serves that have at
+// least two HOPs, so blame on "every HOP of the domain" means more than
+// one.
+func multiHOPDomains(t *testing.T, w *World, ci int) []int {
+	t.Helper()
+	var out []int
+	for _, d := range w.Domains() {
+		if w.Spec.CollectorOf(d) == ci && len(w.DomainHOPs(d)) >= 2 {
+			out = append(out, d)
+		}
+	}
+	if len(out) < 2 {
+		t.Fatalf("collector %d serves %d multi-HOP domains, the test needs 2", ci, len(out))
+	}
+	return out
+}
+
+// republish fetches domain d's payloads from an honest collector at
+// base and publishes the epochs order picks of them, by index, on a
+// fresh server signing with the domain's key.
+func republish(t *testing.T, w *World, base string, d int, order func(n int) []int) *dissem.Server {
+	t.Helper()
+	hops := w.DomainHOPs(d)
+	bundles, err := (&dissem.Client{Registry: w.Registry()}).Fetch(context.Background(), base+FeedPath(d), hops[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := dissem.NewDomainServer(hops, w.Spec.DomainSigner(d))
+	for _, e := range order(len(bundles) / len(hops)) {
+		for _, b := range bundles[e*len(hops) : (e+1)*len(hops)] {
+			srv.Publish(b.Origin, b.Epoch, b.Samples, b.Aggs)
+		}
+	}
+	return srv
+}
+
 // TestVerifierReportsClassifiedFindings: dissemination misbehaviour the
-// engine classifies into blame — here a HOP that serves epoch 0 twice
-// and never its terminal epoch, and a HOP whose epoch-1 bundle fails
-// its signature — does not vanish on the fleet path: Run returns it as
-// a *FindingsError naming the HOPs, without spending a retry budget on
-// the forged frame.
+// engine classifies into blame — here a domain that serves epoch 0
+// twice and never its terminal epoch, and a domain whose epoch-1
+// payload fails its signature — does not vanish on the fleet path: Run
+// returns it as a *FindingsError naming the domains' HOPs, without
+// spending a retry budget on the forged frame. The forged payload is
+// one signature finding naming every HOP of its domain; the replay is
+// one epoch-replay finding per replayed bundle and the starved terminal
+// epoch one withheld-bundle finding per HOP.
 func TestVerifierReportsClassifiedFindings(t *testing.T) {
 	spec := testSpec()
 	urls := make([]string, spec.Collectors)
-	var liar, forger receipt.HOPID
+	var liar, forger []receipt.HOPID
 	var terminal core.EpochID
 	for ci := range urls {
 		cw, err := spec.Build()
@@ -469,38 +509,20 @@ func TestVerifierReportsClassifiedFindings(t *testing.T) {
 		}
 		handler := c.Handler()
 		if ci == 0 {
-			// Re-publish the first owned HOP's feed with epoch 0
-			// replayed in place of the terminal epoch.
-			liar, terminal = c.Owned()[0], cw.Terminal
 			honest := httptest.NewServer(handler)
 			defer honest.Close()
-			path := fmt.Sprintf("/hop/%d/receipts", liar)
-			bundles, err := (&dissem.Client{Registry: cw.Registry()}).Fetch(context.Background(), honest.URL+path, liar, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			forged := dissem.NewServer(liar, spec.Signer(liar))
-			forged.PublishEpoch(0, bundles[0].Samples, bundles[0].Aggs)
-			for _, b := range bundles[:len(bundles)-1] {
-				forged.PublishEpoch(b.Epoch, b.Samples, b.Aggs)
-			}
+			domains := multiHOPDomains(t, cw, ci)
+			liar, forger, terminal = cw.DomainHOPs(domains[0]), cw.DomainHOPs(domains[1]), cw.Terminal
 			mux := http.NewServeMux()
-			mux.Handle(path, forged)
-			// Re-serve the second owned HOP's feed with epoch 1's
-			// signature broken.
-			forger = c.Owned()[1]
-			path = fmt.Sprintf("/hop/%d/receipts", forger)
-			bundles, err = (&dissem.Client{Registry: cw.Registry()}).Fetch(context.Background(), honest.URL+path, forger, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resigned := dissem.NewServer(forger, spec.Signer(forger))
-			for _, b := range bundles {
-				resigned.PublishEpoch(b.Epoch, b.Samples, b.Aggs)
-			}
-			resigned.SetTamper(forgeEpoch(1))
-			mux.Handle(path, resigned)
-			mux.Handle("/", c.Handler())
+			// The liar re-publishes epoch 0 in place of its terminal epoch.
+			mux.Handle(FeedPath(domains[0]), republish(t, cw, honest.URL, domains[0], func(n int) []int {
+				return append([]int{0}, seq(n-1)...)
+			}))
+			// The forger re-serves its feed with epoch 1's signature broken.
+			forged := republish(t, cw, honest.URL, domains[1], seq)
+			forged.SetTamper(forgeEpoch(1))
+			mux.Handle(FeedPath(domains[1]), forged)
+			mux.Handle("/", handler)
 			handler = mux
 		}
 		hs := httptest.NewServer(handler)
@@ -520,38 +542,51 @@ func TestVerifierReportsClassifiedFindings(t *testing.T) {
 	if !errors.As(err, &fe) {
 		t.Fatalf("Run error = %v, want a *FindingsError", err)
 	}
-	first := fe.Findings[0]
-	if first.Evidence != core.EvEpochReplay || first.Epoch != 0 || len(first.HOPs) != 1 || first.HOPs[0] != liar {
-		t.Errorf("first finding %v, want an epoch-0 replay by %v", first, liar)
-	}
-	last := fe.Findings[len(fe.Findings)-1]
-	if last.Evidence != core.EvWithheldBundle || last.Epoch != terminal || last.HOPs[0] != liar {
-		t.Errorf("last finding %v, want epoch %d withheld by %v", last, terminal, liar)
-	}
+	var replayed, withheld, unsealed []receipt.HOPID
 	forgeries := 0
 	for _, f := range fe.Findings {
-		if f.Evidence == core.EvSignature {
+		switch {
+		case f.Evidence == core.EvEpochReplay && f.Epoch == 0 && len(f.HOPs) == 1:
+			replayed = append(replayed, f.HOPs[0])
+		case f.Evidence == core.EvWithheldBundle && f.Epoch == terminal && len(f.HOPs) == 1:
+			withheld = append(withheld, f.HOPs[0])
+		case f.Evidence == core.EvSignature && f.Epoch == 1 && reflect.DeepEqual(f.HOPs, forger):
 			forgeries++
-			if f.Epoch != 1 || len(f.HOPs) != 1 || f.HOPs[0] != forger {
-				t.Errorf("signature finding %v, want epoch 1 by %v", f, forger)
-			}
+		case f.Evidence == core.EvWithheldBundle && f.Epoch == 1 && len(f.HOPs) == 1:
+			unsealed = append(unsealed, f.HOPs[0])
+		default:
+			t.Errorf("unexpected finding %v (%s)", f, f.Detail)
 		}
 	}
-	if forgeries != 1 {
-		t.Errorf("%d signature findings, want 1: %v", forgeries, fe.Findings)
+	if !reflect.DeepEqual(replayed, liar) || !reflect.DeepEqual(withheld, liar) {
+		t.Errorf("epoch-0 replays on %v and terminal withholding on %v, want each on every HOP of %v", replayed, withheld, liar)
+	}
+	// The refused payload leaves epoch 1 unsealed by every forger HOP.
+	if forgeries != 1 || !reflect.DeepEqual(unsealed, forger) {
+		t.Errorf("%d signature findings naming %v and epoch 1 unsealed by %v, want 1 and all of %v: %v", forgeries, forger, unsealed, forger, fe.Findings)
 	}
 }
 
-// TestReplayedFeedBecomesBlame: a collector whose own HOP server
+// seq returns 0, 1, …, n−1.
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// TestReplayedFeedBecomesBlame: a collector whose own domain server
 // replays epoch 0 in place of every later epoch is blamed, not crashed
 // on. Each shard's Run returns a *FindingsError naming epoch-replay and
-// withheld-bundle on that HOP alone, and the findings are the same at
-// widths 1 and 2: every shard fetches every feed, and each feed's cursor
-// is the server's position, not the seq the replayed payload claims.
+// withheld-bundle on that domain's HOPs alone, every one of them, and
+// the findings are the same at widths 1 and 2: every shard fetches
+// every feed, and each feed's cursor is the server's position, not the
+// seq the replayed payload claims.
 func TestReplayedFeedBecomesBlame(t *testing.T) {
 	spec := testSpec()
 	urls := make([]string, spec.Collectors)
-	var liar receipt.HOPID
+	var liar []receipt.HOPID
 	for ci := range urls {
 		cw, err := spec.Build()
 		if err != nil {
@@ -565,8 +600,8 @@ func TestReplayedFeedBecomesBlame(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ci == 0 {
-			liar = c.Owned()[0]
-			c.servers.Servers[liar].SetTamper(&dissem.Replayer{FromEpoch: 1})
+			liar = cw.DomainHOPs(multiHOPDomains(t, cw, ci)[0])
+			c.servers.Servers[liar[0]].SetTamper(&dissem.Replayer{FromEpoch: 1})
 		}
 		hs := httptest.NewServer(c.Handler())
 		defer hs.Close()
@@ -589,11 +624,18 @@ func TestReplayedFeedBecomesBlame(t *testing.T) {
 				t.Fatalf("width %d shard %d: Run error = %v, want a *FindingsError", shards, s, err)
 			}
 			classes := map[core.EvidenceClass]int{}
+			blamed := map[receipt.HOPID]bool{}
 			for _, f := range fe.Findings {
 				classes[f.Evidence]++
-				if len(f.HOPs) != 1 || f.HOPs[0] != liar {
-					t.Errorf("width %d shard %d: finding %v, want it on %v alone", shards, s, f, liar)
+				for _, h := range f.HOPs {
+					blamed[h] = true
 				}
+				if len(f.HOPs) != 1 || !slices.Contains(liar, f.HOPs[0]) {
+					t.Errorf("width %d shard %d: finding %v, want it on one HOP of %v", shards, s, f, liar)
+				}
+			}
+			if len(blamed) != len(liar) {
+				t.Errorf("width %d shard %d: findings name %d HOPs, want every one of %v", shards, s, len(blamed), liar)
 			}
 			if len(classes) != 2 || classes[core.EvEpochReplay] == 0 || classes[core.EvWithheldBundle] == 0 {
 				t.Fatalf("width %d shard %d: findings %v, want epoch-replay and withheld-bundle only", shards, s, fe.Findings)
@@ -603,6 +645,47 @@ func TestReplayedFeedBecomesBlame(t *testing.T) {
 			} else if !reflect.DeepEqual(fe.Findings, want) {
 				t.Fatalf("width %d shard %d: findings differ from width 1's:\n got %v\nwant %v", shards, s, fe.Findings, want)
 			}
+		}
+	}
+}
+
+// countingTransport counts the HTTP requests a shard makes.
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestShardVerifiesOncePerDomainEpoch is the hardware-independent gate
+// on the signed unit: against finished collectors, each shard of a
+// width-2 tier checks one signature per (domain, epoch) — not one per
+// (HOP, epoch) — and makes one request per domain feed.
+func TestShardVerifiesOncePerDomainEpoch(t *testing.T) {
+	w, err := testSpec().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := len(w.Domains())
+	if domains >= len(w.HOPs) {
+		t.Fatalf("%d domains for %d HOPs: no domain has two HOPs, nothing to share a signature", domains, len(w.HOPs))
+	}
+	urls, wait := startCollectors(t, w.Spec)
+	wait()
+	for s := 0; s < 2; s++ {
+		v, err := NewVerifier(w, 2, s, VerifierOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requests := &countingTransport{}
+		if _, err := v.Run(context.Background(), urls, VerifierOptions{HTTP: &http.Client{Transport: requests}}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := v.Verifications(), int64(domains)*int64(w.Terminal+1); got != want {
+			t.Errorf("shard %d checked %d signatures, want %d: %d domains × %d epochs (%d HOPs)", s, got, want, domains, w.Terminal+1, len(w.HOPs))
+		}
+		if got := requests.n.Load(); got != int64(domains) {
+			t.Errorf("shard %d made %d requests, want one per domain feed: %d", s, got, domains)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package fleet splits the single-process measurement pipeline into a
 // multi-process deployment: per-domain collector processes stream
-// sealed, signed epoch bundles over the dissemination plane to a
+// sealed, signed epochs over the dissemination plane to a
 // horizontally sharded verifier tier, and a merge step recombines the
 // shards' partial verdicts into union epoch reports byte-identical to
 // a single process's at any shard count.
@@ -11,8 +11,9 @@
 //
 //   - Collector (one process per domain slice): simulates or observes
 //     the shared world, runs the epoch pipeline for its own HOPs only,
-//     and serves each sealed epoch as an ed25519-signed bundle.
-//   - Verifier (N processes): fetches every collector's bundles with
+//     and serves each domain's sealed epoch as one payload signed with
+//     the domain's ed25519 key (§2.3: one key pair per domain).
+//   - Verifier (N processes): fetches every domain's payloads with
 //     bounded retry, keeps only the receipts whose traffic key it owns
 //     on the consistent-hash ring, and runs the indexed store +
 //     rolling verifier over its key slice.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"vpm/internal/core"
 	"vpm/internal/dissem"
@@ -16,7 +17,7 @@ import (
 // Spec is the fleet's shared world description. Every process —
 // collectors, verifiers, the supervisor, the in-process reference —
 // derives everything it needs deterministically from this one value:
-// the topology and route table, the traffic, the per-HOP signing keys,
+// the topology and route table, the traffic, the per-domain signing keys,
 // the domain-to-collector assignment, and the terminal epoch. Passing
 // the same Spec to N processes is what makes their union output
 // byte-identical to one process's: there is no state to synchronize,
@@ -238,26 +239,53 @@ func (s Spec) PacketsForSlots(keys []packet.PathKey, lo, hi int64) []packet.Pack
 	return out
 }
 
-// Signer derives HOP h's bundle-signing key from the spec seed — 8
-// seed bytes plus 4 HOP bytes, so fleets with thousands of HOPs get
-// distinct keys. Every process derives the same keys, standing in
-// for the out-of-band key distribution a real deployment would use.
-func (s Spec) Signer(h receipt.HOPID) *dissem.Signer {
+// DomainSigner derives domain d's signing key from the spec seed — 8
+// seed bytes plus 4 domain bytes. The paper's principal is the domain
+// (§2.3: one key pair per domain), so one key signs each sealed epoch
+// of all the domain's HOPs at once. Every process derives the same
+// keys, standing in for the out-of-band key distribution a real
+// deployment would use.
+func (s Spec) DomainSigner(d int) *dissem.Signer {
 	var seed [32]byte
 	binary.LittleEndian.PutUint64(seed[0:8], s.Seed)
-	binary.LittleEndian.PutUint32(seed[8:12], uint32(h))
-	seed[12] = 0xf1 // fleet key-derivation domain tag
+	binary.LittleEndian.PutUint32(seed[8:12], uint32(d))
+	seed[12] = 0xd0 // fleet domain-key derivation tag
 	return dissem.NewSigner(seed)
 }
 
 // Registry returns the public-key registry of every collector-bearing
-// HOP.
+// HOP: each HOP maps to its domain's key.
 func (w *World) Registry() dissem.Registry {
 	reg := make(dissem.Registry, len(w.HOPs))
-	for _, h := range w.HOPs {
-		reg[h] = w.Spec.Signer(h).Public()
+	for _, d := range w.Domains() {
+		pub := w.Spec.DomainSigner(d).Public()
+		for _, h := range w.DomainHOPs(d) {
+			reg[h] = pub
+		}
 	}
 	return reg
+}
+
+// Domains returns the domains with collector-bearing HOPs, ascending:
+// the fleet serves one feed per domain.
+func (w *World) Domains() []int {
+	out := make([]int, len(w.HOPs))
+	for i, h := range w.HOPs {
+		out[i] = w.Topo.HOPDomain(h)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// DomainHOPs returns domain d's collector-bearing HOPs, ascending.
+func (w *World) DomainHOPs(d int) []receipt.HOPID {
+	var out []receipt.HOPID
+	for _, h := range w.HOPs {
+		if w.Topo.HOPDomain(h) == d {
+			out = append(out, h)
+		}
+	}
+	return out
 }
 
 // OwnedHOPs returns the HOPs collector process i drives, in ascending

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"vpm/internal/core"
 	"vpm/internal/dissem"
 	"vpm/internal/engine"
 	"vpm/internal/packet"
+	"vpm/internal/receipt"
 )
 
 // Verifier is one shard of the fleet's verifier tier. It polls every
@@ -26,10 +28,20 @@ import (
 // from key slices (see core.ErrBadMerge). The windowed per-epoch
 // checks — the paper's core protocol — shard cleanly.
 type Verifier struct {
-	world *World
-	ring  *Ring
-	shard int
-	ver   *engine.Verify
+	world  *World
+	ring   *Ring
+	shard  int
+	ver    *engine.Verify
+	client *dissem.Client // set by Run
+}
+
+// Verifications returns how many payload signatures Run has checked:
+// one per (domain, epoch) on an honest fleet.
+func (v *Verifier) Verifications() int64 {
+	if v.client == nil {
+		return 0
+	}
+	return v.client.Verifications()
 }
 
 // VerifierOptions tunes the shard's fetch loop.
@@ -73,33 +85,27 @@ func NewVerifier(w *World, shards, shard int, _ VerifierOptions) (*Verifier, err
 	return &Verifier{world: w, ring: ring, shard: shard, ver: ver}, nil
 }
 
-// filterBundle strips b down to the receipts whose traffic key this
-// shard owns. The bundle's identity (origin, seq, epoch) is preserved:
-// a filtered-to-empty bundle still seals its (HOP, epoch).
+// filterBundle strips b, in place, down to the receipts whose traffic
+// key this shard owns — b is the shard's own, freshly decoded. The
+// bundle's identity (origin, seq, epoch) is preserved: a
+// filtered-to-empty bundle still seals its (HOP, epoch).
 func (v *Verifier) filterBundle(b *dissem.Bundle) *dissem.Bundle {
-	out := &dissem.Bundle{Origin: b.Origin, Seq: b.Seq, Epoch: b.Epoch}
-	for _, r := range b.Samples {
-		if v.ring.OwnerKey(r.Path.Key) == v.shard {
-			out.Samples = append(out.Samples, r)
-		}
-	}
-	for _, r := range b.Aggs {
-		if v.ring.OwnerKey(r.Path.Key) == v.shard {
-			out.Aggs = append(out.Aggs, r)
-		}
-	}
-	return out
+	b.Samples = slices.DeleteFunc(b.Samples, func(r receipt.SampleReceipt) bool { return v.ring.OwnerKey(r.Path.Key) != v.shard })
+	b.Aggs = slices.DeleteFunc(b.Aggs, func(r receipt.AggReceipt) bool { return v.ring.OwnerKey(r.Path.Key) != v.shard })
+	return b
 }
 
-// Run is the engine's verify half over one feed per (collector, HOP),
-// each filtered to the shard's keys on the way in: it polls until
-// every feed is fully consumed, verifying epochs as they become ready
-// and evicting behind the retention window, and returns this shard's
-// epoch reports in ascending epoch order. The engine holds the last
-// two epochs until every feed is drained (its stream-end rule), which
-// is what keeps them byte-identical to the single-process reference.
+// Run is the engine's verify half over one feed per domain, from the
+// collector that owns it, each payload authenticated once under the
+// domain's key and its bundles filtered to the shard's keys on the way
+// in: it polls until every feed is fully consumed, verifying epochs as
+// they become ready and evicting behind the retention window, and
+// returns this shard's epoch reports in ascending epoch order. The
+// engine holds the last two epochs until every feed is drained (its
+// stream-end rule), which is what keeps them byte-identical to the
+// single-process reference.
 //
-// Collectors retain all bundles, so a restarted shard re-fetches from
+// Collectors retain all payloads, so a restarted shard re-fetches from
 // cursor zero and reproduces its exact output: crash recovery is
 // replay.
 func (v *Verifier) Run(ctx context.Context, collectorURLs []string, opts VerifierOptions) ([]core.EpochReport, error) {
@@ -114,25 +120,23 @@ func (v *Verifier) Run(ctx context.Context, collectorURLs []string, opts Verifie
 	if poll <= 0 {
 		poll = 20 * time.Millisecond
 	}
-	client := &dissem.Client{
+	v.client = &dissem.Client{
 		HTTP:     opts.HTTP,
 		Registry: v.world.Registry(),
 		Viewer:   fmt.Sprintf("shard-%d", v.shard),
 	}
-	for ci, base := range collectorURLs {
-		for _, h := range v.world.OwnedHOPs(ci) {
-			url := fmt.Sprintf("%s/hop/%d/receipts", base, h)
-			feed := engine.HTTPFeed(client, retry, url, h)
-			fetch := feed.Fetch
-			feed.Fetch = func(ctx context.Context, since uint64, fn func(*dissem.Bundle) error) (uint64, error) {
-				next, err := fetch(ctx, since, func(b *dissem.Bundle) error { return fn(v.filterBundle(b)) })
-				if err != nil {
-					err = fmt.Errorf("fleet: shard %d: feed %s: %w", v.shard, url, err)
-				}
-				return next, err
+	for _, d := range v.world.Domains() {
+		url := collectorURLs[v.world.Spec.CollectorOf(d)] + FeedPath(d)
+		feed := engine.HTTPFeed(v.client, retry, url, v.world.DomainHOPs(d)[0])
+		fetch := feed.Fetch
+		feed.Fetch = func(ctx context.Context, since uint64, fn func(*dissem.Bundle) error) (uint64, error) {
+			next, err := fetch(ctx, since, func(b *dissem.Bundle) error { return fn(v.filterBundle(b)) })
+			if err != nil {
+				err = fmt.Errorf("fleet: shard %d: feed %s: %w", v.shard, url, err)
 			}
-			v.ver.Feeds = append(v.ver.Feeds, feed)
+			return next, err
 		}
+		v.ver.Feeds = append(v.ver.Feeds, feed)
 	}
 	var reports []core.EpochReport
 	v.ver.OnEpoch = func(rep core.EpochReport, _ core.WindowStats) { reports = append(reports, rep) }
