@@ -23,6 +23,7 @@ import (
 	"vpm/internal/packet"
 	"vpm/internal/quantile"
 	"vpm/internal/receipt"
+	"vpm/internal/seqdetect"
 	"vpm/internal/stats"
 	"vpm/internal/trace"
 )
@@ -382,6 +383,8 @@ type meshVerifyWorld struct {
 	dep    *core.Deployment
 	hops   []receipt.HOPID
 	sealed [][]meshSealed // by epoch, HOPs ascending
+	// sequential, when set, arms the verifier's SPRT arm.
+	sequential *seqdetect.Config
 }
 
 type meshSealed struct {
@@ -463,7 +466,9 @@ func (w *meshVerifyWorld) verify(tb testing.TB) (keyEpochs, linkChecks int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rolling := core.NewRollingVerifier(core.Layout{}, w.dep.VerifierConfig(), win, nil, 0.95)
+	cfg := w.dep.VerifierConfig()
+	cfg.Sequential = w.sequential
+	rolling := core.NewRollingVerifier(core.Layout{}, cfg, win, nil, 0.95)
 	rolling.SetKeyLayouts(w.dep.KeyLayouts())
 	step := func() {
 		reps, err := rolling.VerifyReady()
@@ -518,7 +523,19 @@ func (w *meshVerifyWorld) measureAllocs(tb testing.TB, n int) float64 {
 // core.verify.us_per_link_check and allocs_per_key_epoch; this is for
 // use while working on the store and the kernel.
 func BenchmarkVerifyEpochMesh(b *testing.B) {
+	benchmarkVerifyEpochMesh(b, newMeshVerifyWorld(b), core.VerifyAllocsPerKeyEpochBudget)
+}
+
+// BenchmarkVerifyEpochMeshSequential is BenchmarkVerifyEpochMesh with
+// the SPRT arm on: every pass is a fresh verifier, so it also pays for
+// creating each detector once.
+func BenchmarkVerifyEpochMeshSequential(b *testing.B) {
 	w := newMeshVerifyWorld(b)
+	w.sequential = new(seqdetect.Config)
+	benchmarkVerifyEpochMesh(b, w, core.SequentialVerifyAllocsPerKeyEpochBudget)
+}
+
+func benchmarkVerifyEpochMesh(b *testing.B, w *meshVerifyWorld, budget float64) {
 	_, links := w.verify(b)
 	if links == 0 {
 		b.Fatal("mesh stream produced no link checks")
@@ -532,8 +549,8 @@ func BenchmarkVerifyEpochMesh(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(links)), "ns/link-check")
 	allocs := w.measureAllocs(b, 1)
 	b.ReportMetric(allocs, "allocs/key-epoch")
-	if allocs > core.VerifyAllocsPerKeyEpochBudget {
-		b.Fatalf("%.2f allocations per (key, route) report exceed budget %d", allocs, core.VerifyAllocsPerKeyEpochBudget)
+	if allocs > budget {
+		b.Fatalf("%.2f allocations per (key, route) report exceed budget %v", allocs, budget)
 	}
 }
 
@@ -542,13 +559,25 @@ func BenchmarkVerifyEpochMesh(b *testing.B) {
 // benchmark's stream (not under -race, which adds about one allocation
 // per report, a varying amount).
 func TestVerifyAllocsWithinBudget(t *testing.T) {
+	testVerifyAllocsWithinBudget(t, newMeshVerifyWorld(t), core.VerifyAllocsPerKeyEpochBudget)
+}
+
+// TestSequentialVerifyAllocsWithinBudget is TestVerifyAllocsWithinBudget
+// with the SPRT arm on, held to core.SequentialVerifyAllocsPerKeyEpochBudget.
+func TestSequentialVerifyAllocsWithinBudget(t *testing.T) {
+	w := newMeshVerifyWorld(t)
+	w.sequential = new(seqdetect.Config)
+	testVerifyAllocsWithinBudget(t, w, core.SequentialVerifyAllocsPerKeyEpochBudget)
+}
+
+func testVerifyAllocsWithinBudget(t *testing.T, w *meshVerifyWorld, budget float64) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation measurement")
 	}
-	allocs := newMeshVerifyWorld(t).measureAllocs(t, 2)
+	allocs := w.measureAllocs(t, 2)
 	t.Logf("%.2f allocations per (key, route) report", allocs)
-	if allocs > core.VerifyAllocsPerKeyEpochBudget {
-		t.Fatalf("%.2f allocations per (key, route) report exceed budget %d", allocs, core.VerifyAllocsPerKeyEpochBudget)
+	if allocs > budget {
+		t.Fatalf("%.2f allocations per (key, route) report exceed budget %v", allocs, budget)
 	}
 }
 

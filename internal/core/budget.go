@@ -24,3 +24,16 @@ const AllocsPerPktBudget = 0.001
 // (~18 %), and the parts a report keeps: its delay estimates and
 // copied loss pairs.
 const VerifyAllocsPerKeyEpochBudget = 13
+
+// SequentialVerifyAllocsPerKeyEpochBudget is VerifyAllocsPerKeyEpochBudget
+// with the SPRT arm on (VerifierConfig.Sequential): the same stream,
+// with every detector created once per pass, since each pass is a fresh
+// verifier (BenchmarkVerifyEpochMeshSequential;
+// TestSequentialVerifyAllocsWithinBudget asserts it). It is the measured
+// 11.99 plus about 10 %. The arm cost 32.0 when every feed looked its
+// detector up by a Scope formatted from the key, each detector was four
+// objects and its trajectory a ring grown per epoch, and each check
+// allocated its evidence streams; detectors are now handles resolved
+// once per (key, link) and cut from slabs, and the evidence streams are
+// kernel scratch.
+const SequentialVerifyAllocsPerKeyEpochBudget = 13.2

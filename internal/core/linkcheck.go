@@ -71,8 +71,12 @@ type checkScope struct {
 	tailComplete bool
 	// seq, when non-nil, is the sequential arm's engine (see
 	// seqarm.go): the checks feed it their per-packet evidence as they
-	// produce it.
-	seq *seqdetect.Engine
+	// produce it, through the handles in dets — the slots of the link or
+	// domain under check (three or one) — which they fill on first use
+	// with detectors named after seqKey, the key's string form.
+	seq    *seqdetect.Engine
+	dets   []*seqdetect.Detector
+	seqKey string
 	// scratch is the checks' working storage, owned by whoever runs the
 	// scope: a RollingVerifier's, reused for every key of every epoch,
 	// or the scope's own for a hand-fed verifier's query.
@@ -80,12 +84,14 @@ type checkScope struct {
 }
 
 // kernelScratch is what the checks reuse from one (key, segment) to the
-// next instead of allocating: the §6 join's and the delay samples a
-// domain estimate sorts. Nothing a report keeps points into it. One
-// belongs to each verifying goroutine; it is never shared.
+// next instead of allocating: the §6 join's, the delay samples a domain
+// estimate sorts and the sequential arm's evidence streams. Nothing a
+// report keeps points into it. One belongs to each verifying goroutine;
+// it is never shared.
 type kernelScratch struct {
-	join   aggregation.Joiner
-	delays []float64
+	join                           aggregation.Joiner
+	delays                         []float64
+	linkItems, fabItems, biasItems []seqdetect.Evidence
 }
 
 // wholeStream is a hand-fed verifier's scope: claims = evidence =
@@ -139,7 +145,7 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 	// (one mixed slice serves both the loss and the delay detector —
 	// each skips the other's kinds); fabItems is the mirror-direction
 	// trial stream over the downstream HOP's claims.
-	var linkItems, fabItems []seqdetect.Evidence
+	linkItems, fabItems := s.scratch.linkItems[:0], s.scratch.fabItems[:0]
 	detail := missingDetails{up: up, down: down}
 	var missingDown, missingUp []receipt.Inconsistency
 	for _, pid := range s.claimed(up) {
@@ -190,10 +196,11 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 		}
 	}
 	if s.seq != nil {
-		sc := seqLinkScope(v.key, up, down)
-		s.seq.Observe(sc, seqdetect.ClassLoss, linkItems)
-		s.seq.Observe(sc, seqdetect.ClassDelay, linkItems)
-		s.seq.Observe(sc, seqdetect.ClassFabricate, fabItems)
+		d := s.linkDetectors(up, down)
+		d[0].Observe(linkItems)
+		d[1].Observe(linkItems)
+		d[2].Observe(fabItems)
+		s.scratch.linkItems, s.scratch.fabItems = linkItems, fabItems
 	}
 	lv.MissingDown, lv.MissingUp = len(missingDown), len(missingUp)
 	tol := missingTolerance(lv.MatchedSamples)
@@ -293,7 +300,7 @@ func (s *checkScope) delaysBetween(seg Segment, delays []float64) []float64 {
 	// no sequential bias stream is collected — the same precondition
 	// the batch CheckMarkerBias has.
 	collectBias := s.seq != nil && v.cfg.MarkerThreshold != 0
-	var biasItems []seqdetect.Evidence
+	biasItems := s.scratch.biasItems[:0]
 	delays = slices.Grow(delays, len(claimed))
 	for _, pid := range claimed {
 		if ta, ok := wa.timeOf(pid); ok {
@@ -309,7 +316,8 @@ func (s *checkScope) delaysBetween(seg Segment, delays []float64) []float64 {
 		}
 	}
 	if collectBias {
-		s.seq.Observe(seqDomainScope(v.key, seg), seqdetect.ClassBias, biasItems)
+		s.biasDetector(seg).Observe(biasItems)
+		s.scratch.biasItems = biasItems
 	}
 	return delays
 }

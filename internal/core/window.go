@@ -674,9 +674,12 @@ type RollingVerifier struct {
 	plans    map[packet.PathKey]*keyPlan
 	fallback *keyPlan
 	// seq is the sequential-detection engine of the SPRT arm, nil when
-	// VerifierConfig.Sequential is unset. Only the verification
-	// goroutine touches it (see feedSequential), and the scratch below.
-	seq *seqdetect.Engine
+	// VerifierConfig.Sequential is unset; seqKeys holds each key's
+	// detector handles beside plans (see keySeq), cut from seqSlab. Only
+	// the verification goroutine touches them, and the scratch below.
+	seq     *seqdetect.Engine
+	seqKeys map[packet.PathKey]keySeq
+	seqSlab []*seqdetect.Detector
 	// wins and aggs are the current key's resolved windows and the slab
 	// their concatenated aggregates are cut from, reused key after key.
 	wins []hopWindow
@@ -748,6 +751,11 @@ func planRoutes(layouts []Layout) *keyPlan {
 func (rv *RollingVerifier) SetKeyLayouts(layouts map[packet.PathKey][]Layout) {
 	rv.keyLayouts = layouts
 	rv.plans = make(map[packet.PathKey]*keyPlan)
+	if rv.seq != nil {
+		// Slots follow the plans; the detectors they point to stay in the
+		// engine and are found again.
+		rv.seqKeys = make(map[packet.PathKey]keySeq)
+	}
 }
 
 // planFor resolves the plan a key verifies against: its own route
@@ -780,6 +788,7 @@ func NewRollingVerifier(layout Layout, cfg VerifierConfig, win *WindowedStore, q
 	rv := &RollingVerifier{layout: layout, cfg: cfg, win: win, quantiles: quantiles, confidence: confidence}
 	if cfg.Sequential != nil {
 		rv.seq = seqdetect.NewEngine(*cfg.Sequential)
+		rv.seqKeys = make(map[packet.PathKey]keySeq)
 	}
 	return rv
 }
@@ -845,6 +854,13 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		if view.n > 1 {
 			scope.claims = claims[key]
 		}
+		// slots are the key's detector handles still to be handed out,
+		// in the order the checks below consume them.
+		var slots []*seqdetect.Detector
+		if rv.seq != nil {
+			ks := rv.keySeqFor(key, plans[i])
+			scope.seqKey, slots = ks.name, ks.slots
+		}
 		for ri := range plans[i].routes {
 			layout, plan := plans[i].layouts[ri], &plans[i].routes[ri]
 			v.layout = layout
@@ -853,6 +869,9 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 				kr.Links, linkSlab = linkSlab[:0:n], linkSlab[n:]
 			}
 			for _, l := range plan.owned {
+				if slots != nil {
+					scope.dets, slots = slots[:3], slots[3:]
+				}
 				seg := &layout.Segments[l.seg]
 				kr.Links = append(kr.Links, scope.checkLink(int(l.id), seg.Up, seg.Down))
 			}
@@ -860,6 +879,9 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 				kr.Domains, domainSlab = domainSlab[:0:n], domainSlab[n:]
 			}
 			for _, si := range plan.domains {
+				if slots != nil {
+					scope.dets, slots = slots[:1], slots[1:]
+				}
 				dr, err := scope.domainReport(layout.Segments[si], rv.quantiles, rv.confidence)
 				if err != nil {
 					return rep, fmt.Errorf("core: epoch %d key %v: %w", epoch, key, err)

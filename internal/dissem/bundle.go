@@ -97,6 +97,16 @@ func headerClaims(data []byte) (seq, epoch uint64) {
 	return binary.LittleEndian.Uint64(data[8:16]), binary.LittleEndian.Uint64(data[16:24])
 }
 
+// claimedEpoch returns the epoch a payload's first bundle header claims,
+// unauthenticated, or 0 when the payload is too short to hold a header.
+func claimedEpoch(payload []byte) uint64 {
+	if len(payload) < bundleHeaderSize {
+		return 0
+	}
+	_, epoch := headerClaims(payload)
+	return epoch
+}
+
 // The smallest encodings a receipt of each kind can have — what bounds
 // a header's receipt counts by the bytes that follow it.
 var (

@@ -196,7 +196,8 @@ type Server struct {
 // re-decoding the payload. verified is the key the signer verified sb
 // under, nil if it did not; serve clears it whenever a tamper is
 // installed, since sb may then no longer be the bytes verified. A frame
-// read off the HTTP feed is one too, its epoch the payload's claim.
+// read off the HTTP feed is one too, without an epoch: receive names
+// the payload's own claim on both carriers.
 type published struct {
 	seq, epoch uint64
 	sb         SignedBundle
@@ -520,12 +521,13 @@ func (c *Client) FetchEach(ctx context.Context, baseURL string, origin receipt.H
 // past it. The signature is checked once per payload, and not at all
 // when the signer already verified these bytes under a key byte-equal
 // to pub (Bus.CollectSinceAs). A failure is a permanent *BundleError
-// naming origin, the position and p.epoch; nothing of a refused payload
-// reaches fn.
+// naming origin, the position and the epoch the payload claims (0 when
+// it is too short to claim one) — what both carriers can read off the
+// payload alike; nothing of a refused payload reaches fn.
 func receive(pub ed25519.PublicKey, origin receipt.HOPID, group []receipt.HOPID, p published, fn func(*Bundle) error, verifications *atomic.Int64) (uint64, error) {
 	bundles, err := open(pub, group, p, verifications)
 	if err != nil {
-		return p.seq, Permanent(&BundleError{Origin: origin, Seq: p.seq, Epoch: p.epoch, Err: err})
+		return p.seq, Permanent(&BundleError{Origin: origin, Seq: p.seq, Epoch: claimedEpoch(p.sb.Payload), Err: err})
 	}
 	for _, b := range bundles {
 		if err := fn(b); err != nil {
@@ -541,7 +543,10 @@ func receive(pub ed25519.PublicKey, origin receipt.HOPID, group []receipt.HOPID,
 // since is a *GapError; a missing or malformed one, not a feed. Each
 // frame header is checked against MaxBundleBytes, the bundle header,
 // the bytes the Content-Length still promises and the cursor — a skip
-// that would wrap it is refused — before anything is read for it.
+// that would wrap it is refused — before anything is read for it. A
+// payload too short for a bundle header is read all the same (it is
+// shorter than the header, so the read is bounded) and left to recv to
+// refuse, as the bus refuses it.
 func readFrames(resp *http.Response, origin receipt.HOPID, since uint64, recv func(published) (uint64, error)) (uint64, error) {
 	notFramed := func(why string) error {
 		return Permanent(&FrameError{Origin: origin, Frame: -1, Err: fmt.Errorf("%w: %s", ErrNotFramed, why)})
@@ -582,8 +587,6 @@ func readFrames(resp *http.Response, origin receipt.HOPID, since uint64, recv fu
 		switch {
 		case payloadLen > MaxBundleBytes:
 			return next, Permanent(bad(fmt.Errorf("%w: announces %d payload bytes", ErrFrameTooLarge, payloadLen)))
-		case payloadLen < bundleHeaderSize:
-			return next, Permanent(bad(fmt.Errorf("%w: %d-byte payload cannot hold a bundle header", ErrBadFrame, payloadLen)))
 		case frameLen > remaining:
 			return next, Permanent(bad(fmt.Errorf("%w: %d-byte frame in a response with %d bytes left", ErrBadFrame, frameLen, remaining)))
 		case skip >= ^uint64(0)-next:
@@ -597,8 +600,7 @@ func readFrames(resp *http.Response, origin receipt.HOPID, since uint64, recv fu
 		}
 		remaining -= frameLen
 		frame := buf.Bytes()
-		_, epoch := headerClaims(frame)
-		n, err := recv(published{seq: next + skip, epoch: epoch, sb: SignedBundle{Payload: frame[:payloadLen], Sig: frame[payloadLen:]}})
+		n, err := recv(published{seq: next + skip, sb: SignedBundle{Payload: frame[:payloadLen], Sig: frame[payloadLen:]}})
 		if err != nil {
 			return next, err
 		}

@@ -199,7 +199,9 @@ func framed(w http.ResponseWriter, declared int64, body []byte) {
 // TestHostileFeeds: every way a response can break the frame format is
 // a *FrameError naming the origin and classifying the violation,
 // permanent for Retry unless a retry could fix it, delivered promptly
-// and without the response's claims buying memory.
+// and without the response's claims buying memory. A well-framed
+// payload too short for a bundle header is not a frame violation: it is
+// the receive step's to refuse, on this carrier as on the bus.
 func TestHostileFeeds(t *testing.T) {
 	signer := NewSigner(seedOf(4))
 	good := frame(signer.Sign(sampleBundle(4, 0)), 0)
@@ -261,10 +263,12 @@ func TestHostileFeeds(t *testing.T) {
 		{"truncated mid-frame", func(w http.ResponseWriter, _ *http.Request) {
 			framed(w, int64(len(good)), good[:len(good)/2])
 		}, ErrTruncatedFrame, 0, false, 0, 0},
+		// Well framed: the receive step refuses it, as it does on the
+		// bus — a *BundleError at position 0, epoch 0 (it claims none).
 		{"payload shorter than a bundle header", func(w http.ResponseWriter, _ *http.Request) {
 			body := append(header(bundleHeaderSize-1, 0), make([]byte, bundleHeaderSize-1+ed25519.SignatureSize)...)
 			framed(w, int64(len(body)), body)
-		}, ErrBadFrame, 0, true, 0, 0},
+		}, ErrBadSignature, 0, true, 0, 0},
 		{"skip wraps the cursor", func(w http.ResponseWriter, _ *http.Request) {
 			body := append(append([]byte{}, good...), frame(signer.Sign(sampleBundle(4, 1)), 0xffffffff)...)
 			framed(w, int64(len(body)), body) // frame 1 would sit at 2⁶⁴−1
@@ -291,10 +295,15 @@ func TestHostileFeeds(t *testing.T) {
 			runtime.ReadMemStats(&after)
 
 			var fe *FrameError
-			if !errors.As(err, &fe) || !errors.Is(err, tc.want) {
+			var be *BundleError
+			switch {
+			case errors.Is(tc.want, ErrBadSignature):
+				if !errors.As(err, &be) || !errors.Is(err, tc.want) || be.Origin != 4 || be.Seq != uint64(tc.frame) || be.Epoch != 0 {
+					t.Fatalf("error %v (%T), want a *BundleError for HOP 4 at %d, epoch 0, wrapping %v", err, err, tc.frame, tc.want)
+				}
+			case !errors.As(err, &fe) || !errors.Is(err, tc.want):
 				t.Fatalf("error %v (%T), want a *FrameError wrapping %v", err, err, tc.want)
-			}
-			if fe.Origin != 4 || fe.Frame != tc.frame {
+			case fe.Origin != 4 || fe.Frame != tc.frame:
 				t.Errorf("FrameError names origin %v frame %d, want HOP 4 frame %d", fe.Origin, fe.Frame, tc.frame)
 			}
 			if wantAttempts := map[bool]int{true: 1, false: 2}[tc.permanent]; attempts != wantAttempts {

@@ -282,6 +282,13 @@ func TestSeamsAreInterchangeable(t *testing.T) {
 	}{
 		{"corrupt-signature", testSigner, func() dissem.BundleTamper { return corruptEpoch(1) },
 			[]core.EvidenceClass{core.EvSignature, core.EvWithheldBundle}},
+		// One byte short of a bundle header: no frame violation over
+		// HTTP, a payload refused on both carriers, claiming no epoch.
+		{"short-payload", testSigner, func() dissem.BundleTamper {
+			return forgePayload(func(sb dissem.SignedBundle) dissem.SignedBundle {
+				return dissem.SignedBundle{Payload: sb.Payload[:31], Sig: sb.Sig}
+			})
+		}, []core.EvidenceClass{core.EvSignature, core.EvWithheldBundle}},
 		{"withhold", testSigner, func() dissem.BundleTamper { return &dissem.Withholder{FromEpoch: 2} },
 			[]core.EvidenceClass{core.EvWithheldBundle}},
 		{"replay", testSigner, func() dissem.BundleTamper { return &dissem.Replayer{FromEpoch: 2} },

@@ -2,9 +2,11 @@ package netsim
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"vpm/internal/lossmodel"
 	"vpm/internal/packet"
@@ -417,5 +419,53 @@ func TestTopoRunnerDeterminism(t *testing.T) {
 		if fmt.Sprint(a[h]) != fmt.Sprint(b[h]) {
 			t.Fatalf("HOP %v: nondeterministic observation stream", h)
 		}
+	}
+}
+
+// nopObserver discards observations; distinct values are distinct
+// observers, so each HOP replays in a group of its own.
+type nopObserver struct{ hop int }
+
+func (nopObserver) Observe(*packet.Packet, uint64, int64) {}
+
+// TestReplayScratchSizedToSegment: each observer group's replay scratch
+// is sized to what its HOPs deliver in the segment, not to
+// ReplayBatchSize. A 10-packet segment over a fabric of 160 HOPs, each
+// its own group, allocates less than one full-size batch in all (it
+// was one full-size batch per HOP).
+func TestReplayScratchSizedToSegment(t *testing.T) {
+	keys := TopoKeys(4)
+	topo := ClosTopology(9, 8, 4, keys)
+	nHops := topo.NumHOPs()
+	if nHops < 100 {
+		t.Fatalf("fabric has %d HOPs, want at least 100", nHops)
+	}
+	tc, pkts := topoTrace(t, keys, 2000, 1e8)
+	if len(pkts) < 20 {
+		t.Fatalf("trace has %d packets, want at least 20", len(pkts))
+	}
+	obs := make(map[receipt.HOPID]Observer, nHops)
+	for h := 1; h <= nHops; h++ {
+		obs[receipt.HOPID(h)] = nopObserver{h}
+	}
+	tr, err := NewTopoRunner(topo, tc.Table())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A first segment warms whatever the runner keeps between segments.
+	if _, err := tr.RunSegment(pkts[:10], obs, pkts[10].SentAt); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := tr.RunSegment(pkts[10:20], obs, pkts[20].SentAt); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	batch := uint64(ReplayBatchSize) * uint64(unsafe.Sizeof(Observation{}))
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a 10-packet segment over %d HOPs allocated %d bytes", nHops, grew)
+	if grew >= batch {
+		t.Fatalf("a 10-packet segment over %d HOPs allocated %d bytes, want < %d (one full-size batch)", nHops, grew, batch)
 	}
 }

@@ -1,11 +1,27 @@
 package seqdetect
 
+import (
+	"cmp"
+	"math"
+	"slices"
+)
+
 // The Engine multiplexes the per-(link, key) detectors of one rolling
-// verifier: the core pipeline feeds it each epoch's evidence batches
-// (in deterministic work order, from one goroutine) and closes the
-// epoch with EndEpoch, which snapshots every detector's trajectory
-// and emits a SeqVerdict for each detector that crossed its detection
-// threshold during the epoch.
+// verifier. A caller resolves each detector once — Engine.Detector finds
+// or creates it — and feeds the handle its evidence batches
+// (Detector.Observe), in deterministic work order from one goroutine;
+// EndEpoch closes the epoch and emits a SeqVerdict for each detector
+// that crossed its detection threshold during it.
+//
+// An epoch costs what it was fed, not how many detectors exist. The
+// engine lists the detectors created or fed since the last EndEpoch,
+// and EndEpoch visits only those. A detector's statistic moves only when
+// it is fed, so it records a point (epoch, statistic) at the epochs it
+// was fed and the epochs in between repeat the earlier point; the
+// bounded per-epoch trajectory a verdict carries is rebuilt from those
+// points when, and only when, the verdict is emitted. Verdicts crossing
+// in one epoch are emitted in detector creation order, whatever order
+// the detectors were fed in.
 //
 // Crossing points are recorded as global evidence indexes, so they
 // are invariant under re-chunking of the evidence stream (the same
@@ -96,25 +112,36 @@ type detKey struct {
 	class Class
 }
 
-// detState is one detector plus the bookkeeping the engine needs to
-// emit its verdict.
-type detState struct {
+// Detector is the handle of one (scope, class) detector. Resolve it once
+// with Engine.Detector and feed it with Observe; the engine owns it.
+type Detector struct {
+	eng  *Engine
 	key  detKey
+	ord  uint64 // creation ordinal: the emission order within an epoch
 	bin  *BernoulliSPRT
 	mean *GaussianSPRT
 	bias *BiasDetector
 
 	state      State
 	emitted    bool
+	listed     uint64 // 1 + the epoch tick the detector was last listed as fed in
+	born       uint64 // the epoch tick it was created in
 	items      uint64 // evidence items consumed (trials/scored samples)
 	epochStart uint64 // items at the start of the current epoch
 	crossItem  uint64 // items at the detection crossing (1-based)
-	traj       []float64
-	trajCap    int
+	// pts are the statistic at the epochs it was fed, ascending, pruned
+	// to what the last TrajectoryCap epochs need.
+	pts []point
+}
+
+// point is a detector's statistic as one epoch closed.
+type point struct {
+	tick uint64
+	stat float64
 }
 
 // stat returns the detector's current statistic.
-func (d *detState) stat() float64 {
+func (d *Detector) stat() float64 {
 	switch {
 	case d.bin != nil:
 		return d.bin.Stat()
@@ -125,64 +152,89 @@ func (d *detState) stat() float64 {
 	}
 }
 
-// pushTraj appends one per-epoch statistic snapshot, keeping the ring
-// bounded.
-func (d *detState) pushTraj(v float64) {
-	if len(d.traj) >= d.trajCap {
-		copy(d.traj, d.traj[1:])
-		d.traj = d.traj[:len(d.traj)-1]
-	}
-	d.traj = append(d.traj, v)
-}
-
 // Engine owns the detectors of one rolling verifier. Not safe for
 // concurrent use: the rolling pipeline feeds it from its single
 // verification goroutine, in deterministic work order.
 type Engine struct {
-	cfg   Config
-	dets  map[detKey]*detState
-	order []*detState // first-seen order: deterministic EndEpoch sweeps
-	done  []SeqVerdict
+	cfg  Config
+	dets map[detKey]*Detector
+	// tick counts EndEpoch calls: the epoch being fed.
+	tick uint64
+	// fed lists the detectors created or fed since the last EndEpoch,
+	// each once; crossed is EndEpoch's scratch.
+	fed, crossed []*Detector
+	done         []SeqVerdict
+
+	// Detector state is cut from chunked slabs: one allocation per chunk,
+	// addresses stable for the engine's life.
+	detSlab  slab[Detector]
+	binSlab  slab[BernoulliSPRT]
+	meanSlab slab[GaussianSPRT]
+	biasSlab slab[BiasDetector]
+	ptSlab   slab[point]
 }
 
 // NewEngine builds an engine; zero cfg fields take defaults.
 func NewEngine(cfg Config) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), dets: make(map[detKey]*detState)}
+	return &Engine{cfg: cfg.withDefaults(), dets: make(map[detKey]*Detector)}
 }
 
 // Config returns the engine's effective (default-filled) config.
 func (e *Engine) Config() Config { return e.cfg }
 
-// detector finds or creates the detector for (scope, class).
-func (e *Engine) detector(scope Scope, class Class) *detState {
+// Detector finds or creates the (scope, class) detector. A detector
+// created counts as fed in the current epoch, so it snapshots its
+// statistic from this epoch on, as if fed an empty batch.
+func (e *Engine) Detector(scope Scope, class Class) *Detector {
 	k := detKey{scope: scope, class: class}
 	if d, ok := e.dets[k]; ok {
 		return d
 	}
-	d := &detState{key: k, trajCap: e.cfg.TrajectoryCap}
+	d := e.detSlab.alloc()
+	*d = Detector{eng: e, key: k, ord: uint64(len(e.dets)), born: e.tick}
 	c := e.cfg
 	switch class {
 	case ClassLoss, ClassFabricate:
-		d.bin = NewBernoulliSPRT(c.Alpha, c.Beta, c.LossP0, c.LossP1)
+		d.bin = e.binSlab.alloc()
+		*d.bin = newBernoulliSPRT(c.Alpha, c.Beta, c.LossP0, c.LossP1)
 		d.bin.setClip(c.ClipLLR)
 	case ClassDelay:
-		d.mean = NewGaussianSPRT(c.Alpha, c.Beta, c.DelayRefNS, c.DelayShiftNS, c.DelaySigmaNS)
+		d.mean = e.meanSlab.alloc()
+		*d.mean = newGaussianSPRT(c.Alpha, c.Beta, c.DelayRefNS, c.DelayShiftNS, c.DelaySigmaNS)
 		d.mean.setClip(c.ClipLLR)
 	case ClassBias:
-		d.bias = NewBiasDetector(c)
+		mean := e.meanSlab.alloc()
+		*mean = newBiasMean(c)
+		d.bias = e.biasSlab.alloc()
+		*d.bias = BiasDetector{minRef: c.BiasMinRef, mean: mean}
 		d.bias.setClip(c.ClipLLR)
 	}
 	e.dets[k] = d
-	e.order = append(e.order, d)
+	e.list(d)
 	return d
 }
 
-// Observe feeds one evidence batch to the (scope, class) detector.
-// Items irrelevant to the class are skipped, so callers may reuse one
-// mixed slice across classes. Batching carries no meaning: any
-// chunking of the same stream yields the same crossings.
-func (e *Engine) Observe(scope Scope, class Class, items []Evidence) {
-	d := e.detector(scope, class)
+// list enters d in the epoch's fed list, once.
+func (e *Engine) list(d *Detector) {
+	if d.listed != e.tick+1 {
+		d.listed = e.tick + 1
+		e.fed = append(e.fed, d)
+	}
+}
+
+// Observe feeds one evidence batch to the detector. Items irrelevant to
+// its class are skipped, so callers may reuse one mixed slice across
+// classes. Batching carries no meaning: any chunking of the same stream
+// yields the same crossings. A detector whose verdict was emitted has
+// nothing left to decide and ignores its feed.
+//
+//vpm:hotpath
+func (d *Detector) Observe(items []Evidence) {
+	if d.emitted {
+		return
+	}
+	d.eng.list(d)
+	class := d.key.class
 	for _, it := range items {
 		if d.state == Detected {
 			// Keep tallying the epoch's evidence so the crossing's
@@ -248,41 +300,166 @@ func countable(class Class, k Kind) bool {
 	return false
 }
 
-// EndEpoch closes one epoch: every detector snapshots its statistic
-// into its trajectory, and each detector that crossed detection during
-// the epoch emits its SeqVerdict (once). epoch is the epoch id the
-// evidence batches since the previous EndEpoch belonged to.
+// EndEpoch closes one epoch: every detector created or fed during it
+// records its statistic, and each that crossed detection emits its
+// SeqVerdict (once), in creation order. Detectors left idle are not
+// visited. epoch is the epoch id the evidence batches since the
+// previous EndEpoch belonged to.
+//
+//vpm:hotpath
 func (e *Engine) EndEpoch(epoch uint64) []SeqVerdict {
-	var out []SeqVerdict
-	for _, d := range e.order {
-		d.pushTraj(d.stat())
-		if d.state == Detected && !d.emitted {
-			span := d.items - d.epochStart
-			frac := 1.0
-			if span > 0 {
-				frac = float64(d.crossItem-d.epochStart) / float64(span)
-			}
-			v := SeqVerdict{
-				Class:  d.key.class,
-				Up:     d.key.scope.Up,
-				Down:   d.key.scope.Down,
-				Key:    d.key.scope.Key,
-				Domain: d.key.scope.Domain,
-				Epoch:  epoch,
-				Frac:   frac,
-				N:      d.crossItem,
-				Stat:   d.stat(),
-				Alpha:  e.cfg.Alpha,
-				Beta:   e.cfg.Beta,
-			}
-			v.Trajectory = append(v.Trajectory, d.traj...)
-			out = append(out, v)
-			e.done = append(e.done, v)
-			d.emitted = true
+	crossed := e.crossed[:0]
+	for _, d := range e.fed {
+		if d.state == Detected {
+			crossed = append(crossed, d)
+			continue
 		}
+		e.record(d)
 		d.epochStart = d.items
 	}
+	var out []SeqVerdict
+	if len(crossed) > 0 {
+		slices.SortFunc(crossed, byCreation)
+		//lint:ignore hotpath once per epoch with a crossing: the verdicts are the epoch's output
+		out = make([]SeqVerdict, len(crossed))
+		for i, d := range crossed {
+			out[i] = e.emit(d, epoch)
+		}
+		e.done = append(e.done, out...)
+		clear(crossed)
+	}
+	clear(e.fed)
+	e.fed, e.crossed = e.fed[:0], crossed[:0]
+	e.tick++
 	return out
+}
+
+// byCreation orders detectors by creation.
+func byCreation(a, b *Detector) int { return cmp.Compare(a.ord, b.ord) }
+
+// emit builds d's verdict as the epoch closes and retires d.
+func (e *Engine) emit(d *Detector, epoch uint64) SeqVerdict {
+	span := d.items - d.epochStart
+	frac := 1.0
+	if span > 0 {
+		frac = float64(d.crossItem-d.epochStart) / float64(span)
+	}
+	stat := d.stat()
+	e.record(d)
+	v := SeqVerdict{
+		Class:      d.key.class,
+		Up:         d.key.scope.Up,
+		Down:       d.key.scope.Down,
+		Key:        d.key.scope.Key,
+		Domain:     d.key.scope.Domain,
+		Epoch:      epoch,
+		Frac:       frac,
+		N:          d.crossItem,
+		Stat:       stat,
+		Alpha:      e.cfg.Alpha,
+		Beta:       e.cfg.Beta,
+		Trajectory: d.trajectory(max(d.born, e.window()), e.tick),
+	}
+	d.emitted, d.pts = true, nil
+	return v
+}
+
+// record notes d's statistic as the current epoch closes, unless it is
+// the statistic d last recorded. A full point slice first drops the
+// points no trajectory of the last TrajectoryCap epochs can reach, then
+// moves to a slab segment twice its size.
+func (e *Engine) record(d *Detector) {
+	stat := d.stat()
+	if n := len(d.pts); n > 0 && math.Float64bits(d.pts[n-1].stat) == math.Float64bits(stat) {
+		return
+	}
+	if len(d.pts) == cap(d.pts) {
+		d.pts = d.pts[:copy(d.pts, d.pts[d.firstNeeded(e.window()):])]
+		if len(d.pts) == cap(d.pts) {
+			//lint:ignore hotpath a move to a slab segment twice the size: a few times per detector, its points bounded by the trajectory cap
+			d.pts = append(e.points(max(2*cap(d.pts), 2)), d.pts...)
+		}
+	}
+	d.pts = append(d.pts, point{tick: e.tick, stat: stat})
+}
+
+// window returns the first epoch tick of the trajectory a verdict
+// emitted at the current tick may carry.
+func (e *Engine) window() uint64 {
+	if n := uint64(e.cfg.TrajectoryCap); e.tick >= n {
+		return e.tick - n + 1
+	}
+	return 0
+}
+
+// firstNeeded returns the index of the point that values epoch tick
+// from: the last recorded at or before it (0 when none is).
+func (d *Detector) firstNeeded(from uint64) int {
+	i := 0
+	for i+1 < len(d.pts) && d.pts[i+1].tick <= from {
+		i++
+	}
+	return i
+}
+
+// trajectory rebuilds the statistic at each epoch tick from through now:
+// each epoch repeats the last point recorded at or before it.
+func (d *Detector) trajectory(from, now uint64) []float64 {
+	//lint:ignore hotpath once per verdict: the trajectory it carries
+	out := make([]float64, 0, now-from+1)
+	j := d.firstNeeded(from)
+	for t := from; t <= now; t++ {
+		for j+1 < len(d.pts) && d.pts[j+1].tick <= t {
+			j++
+		}
+		out = append(out, d.pts[j].stat)
+	}
+	return out
+}
+
+// points returns an empty point slice of capacity n cut from the
+// engine's point slab.
+func (e *Engine) points(n int) []point {
+	if n > len(e.ptSlab.free) {
+		e.ptSlab.grow(n, 4*slabChunkMax)
+		if n > len(e.ptSlab.free) {
+			//lint:ignore hotpath larger than the largest chunk: only under a TrajectoryCap in the thousands
+			return make([]point, 0, n)
+		}
+	}
+	p := e.ptSlab.free[:0:n]
+	e.ptSlab.free = e.ptSlab.free[n:]
+	return p
+}
+
+// slab hands out stable pointers into chunks it allocates a chunk at a
+// time, chunks doubling from slabChunkMin so that a small engine stays
+// small.
+type slab[T any] struct {
+	free []T
+	next int
+}
+
+const (
+	slabChunkMin = 4
+	slabChunkMax = 1024
+)
+
+// grow replaces the free chunk with a fresh one of the next size, at
+// least need and at most limit elements.
+func (s *slab[T]) grow(need, limit int) {
+	s.next = min(max(2*s.next, slabChunkMin, need), limit)
+	//lint:ignore hotpath once per chunk, amortized over the chunk's elements
+	s.free = make([]T, s.next)
+}
+
+func (s *slab[T]) alloc() *T {
+	if len(s.free) == 0 {
+		s.grow(1, slabChunkMax)
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	return p
 }
 
 // Verdicts returns every verdict emitted so far, in emission order.

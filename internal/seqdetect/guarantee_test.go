@@ -196,7 +196,8 @@ func TestGuaranteeEngineHonestRun(t *testing.T) {
 		rr := rng.Split()
 		e := NewEngine(cfg)
 		link := Scope{Key: "a->b", Up: 1, Down: 2}
-		dom := Scope{Domain: "X", Up: 2, Down: 3}
+		lossDet, delayDet := e.Detector(link, ClassLoss), e.Detector(link, ClassDelay)
+		biasDet := e.Detector(Scope{Domain: "X", Up: 2, Down: 3}, ClassBias)
 		any := false
 		for ep := uint64(0); ep < epochs; ep++ {
 			loss := make([]Evidence, perEpoch)
@@ -207,12 +208,12 @@ func TestGuaranteeEngineHonestRun(t *testing.T) {
 					loss[i] = Evidence{Kind: KindKeep}
 				}
 			}
-			e.Observe(link, ClassLoss, loss)
+			lossDet.Observe(loss)
 			deltas := make([]Evidence, perEpoch/2)
 			for i := range deltas {
 				deltas[i] = Evidence{Kind: KindDelta, Value: gRef + gSigma*rr.NormFloat64()}
 			}
-			e.Observe(link, ClassDelay, deltas)
+			delayDet.Observe(deltas)
 			biasItems := make([]Evidence, 0, 4*markersPer)
 			for i := 0; i < markersPer; i++ {
 				for j := 0; j < 3; j++ {
@@ -220,7 +221,7 @@ func TestGuaranteeEngineHonestRun(t *testing.T) {
 				}
 				biasItems = append(biasItems, Evidence{Kind: KindMarkerDelta, Value: gRef + gSigma*rr.NormFloat64()})
 			}
-			e.Observe(dom, ClassBias, biasItems)
+			biasDet.Observe(biasItems)
 			if len(e.EndEpoch(ep)) > 0 {
 				any = true
 			}

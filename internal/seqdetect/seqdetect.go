@@ -19,8 +19,9 @@
 // Monte-Carlo guarantee tests in this package.
 //
 // Every detector holds O(1) state per (link, key): a log-likelihood
-// (or sufficient statistics) plus a bounded per-epoch trajectory ring
-// for the verdict it may eventually emit. Detection latches; an
+// (or sufficient statistics) plus the statistic at the epochs it was
+// fed, bounded by the trajectory the verdict it may eventually emit
+// carries. Detection latches; an
 // accept-honest crossing clamps the statistic at the lower bound B (a
 // reflecting floor) and keeps watching, so a duty-cycling adversary
 // that goes quiet cannot retire its detector — it only buys itself
@@ -77,8 +78,8 @@ type Config struct {
 	BiasMinRef     int
 
 	// TrajectoryCap bounds the per-epoch statistic trajectory a
-	// detector retains for its verdict (a ring of the most recent
-	// epochs), keeping detector state O(1).
+	// verdict carries (the most recent epochs), and with it the points
+	// a detector keeps to rebuild it, keeping detector state O(1).
 	TrajectoryCap int
 
 	// ClipLLR caps how far the statistic may move TOWARD detection on
@@ -240,7 +241,12 @@ type BernoulliSPRT struct {
 
 // NewBernoulliSPRT builds the test. Requires 0 < p0 < p1 < 1.
 func NewBernoulliSPRT(alpha, beta, p0, p1 float64) *BernoulliSPRT {
-	return &BernoulliSPRT{
+	b := newBernoulliSPRT(alpha, beta, p0, p1)
+	return &b
+}
+
+func newBernoulliSPRT(alpha, beta, p0, p1 float64) BernoulliSPRT {
+	return BernoulliSPRT{
 		test:    newTest(alpha, beta),
 		llrHit:  math.Log(p1 / p0),
 		llrMiss: math.Log((1 - p1) / (1 - p0)),
@@ -268,7 +274,12 @@ type GaussianSPRT struct {
 
 // NewGaussianSPRT builds the test. Requires sigma > 0 and shift != 0.
 func NewGaussianSPRT(alpha, beta, ref, shift, sigma float64) *GaussianSPRT {
-	return &GaussianSPRT{test: newTest(alpha, beta), ref: ref, shift: shift, sigma2: sigma * sigma}
+	g := newGaussianSPRT(alpha, beta, ref, shift, sigma)
+	return &g
+}
+
+func newGaussianSPRT(alpha, beta, ref, shift, sigma float64) GaussianSPRT {
+	return GaussianSPRT{test: newTest(alpha, beta), ref: ref, shift: shift, sigma2: sigma * sigma}
 }
 
 // Observe folds one observation.
@@ -293,10 +304,14 @@ type BiasDetector struct {
 
 // NewBiasDetector builds the detector.
 func NewBiasDetector(cfg Config) *BiasDetector {
-	return &BiasDetector{
-		minRef: cfg.BiasMinRef,
-		mean:   NewGaussianSPRT(cfg.Alpha, cfg.Beta, 0, -cfg.BiasShiftSigma, 1),
-	}
+	mean := newBiasMean(cfg)
+	return &BiasDetector{minRef: cfg.BiasMinRef, mean: &mean}
+}
+
+// newBiasMean builds a bias detector's scored test: standardized marker
+// delays against a −BiasShiftSigma mean shift.
+func newBiasMean(cfg Config) GaussianSPRT {
+	return newGaussianSPRT(cfg.Alpha, cfg.Beta, 0, -cfg.BiasShiftSigma, 1)
 }
 
 // ObserveRef folds one σ-sample (non-marker) delay into the

@@ -172,9 +172,9 @@ func makeLossStream(n int, dropRate float64, seed uint64) []Evidence {
 
 func TestEngineEmitsVerdictOnce(t *testing.T) {
 	e := NewEngine(Config{})
-	scope := Scope{Key: "a->b", Up: 1, Down: 2}
+	d := e.Detector(Scope{Key: "a->b", Up: 1, Down: 2}, ClassLoss)
 	stream := makeLossStream(4000, 0.30, 23)
-	e.Observe(scope, ClassLoss, stream[:2000])
+	d.Observe(stream[:2000])
 	vs := e.EndEpoch(0)
 	if len(vs) != 1 {
 		t.Fatalf("epoch 0: got %d verdicts, want 1", len(vs))
@@ -196,7 +196,7 @@ func TestEngineEmitsVerdictOnce(t *testing.T) {
 		t.Fatal("verdict must carry the statistic trajectory")
 	}
 	// Later epochs must not re-emit.
-	e.Observe(scope, ClassLoss, stream[2000:])
+	d.Observe(stream[2000:])
 	if vs := e.EndEpoch(1); len(vs) != 0 {
 		t.Fatalf("epoch 1 re-emitted %d verdicts", len(vs))
 	}
@@ -214,9 +214,9 @@ func TestEngineEpochsToVerdict(t *testing.T) {
 
 func TestEngineHonestStreamStaysQuiet(t *testing.T) {
 	e := NewEngine(Config{})
-	scope := Scope{Key: "a->b", Up: 1, Down: 2}
+	d := e.Detector(Scope{Key: "a->b", Up: 1, Down: 2}, ClassLoss)
 	for ep := uint64(0); ep < 8; ep++ {
-		e.Observe(scope, ClassLoss, makeLossStream(5000, 0.01, 100+ep))
+		d.Observe(makeLossStream(5000, 0.01, 100+ep))
 		if vs := e.EndEpoch(ep); len(vs) != 0 {
 			t.Fatalf("honest stream flagged at epoch %d: %+v", ep, vs)
 		}
@@ -237,8 +237,8 @@ func TestRechunkingInvariance(t *testing.T) {
 
 	run := func(chunk int) []SeqVerdict {
 		e := NewEngine(Config{})
-		lossScope := Scope{Key: "a->b", Up: 1, Down: 2}
-		delayScope := Scope{Key: "a->b", Up: 2, Down: 3}
+		lossDet := e.Detector(Scope{Key: "a->b", Up: 1, Down: 2}, ClassLoss)
+		delayDet := e.Detector(Scope{Key: "a->b", Up: 2, Down: 3}, ClassDelay)
 		var all []SeqVerdict
 		for ep := 0; ep < 4; ep++ {
 			ls := stream[ep*epochLen : (ep+1)*epochLen]
@@ -248,14 +248,14 @@ func TestRechunkingInvariance(t *testing.T) {
 				if end > len(ls) {
 					end = len(ls)
 				}
-				e.Observe(lossScope, ClassLoss, ls[i:end])
+				lossDet.Observe(ls[i:end])
 			}
 			for i := 0; i < len(ds); i += chunk {
 				end := i + chunk
 				if end > len(ds) {
 					end = len(ds)
 				}
-				e.Observe(delayScope, ClassDelay, ds[i:end])
+				delayDet.Observe(ds[i:end])
 			}
 			all = append(all, e.EndEpoch(uint64(ep))...)
 		}
@@ -292,12 +292,11 @@ func TestEngineMixedSlice(t *testing.T) {
 	}
 	e := NewEngine(Config{})
 	scope := Scope{Key: "k", Up: 1, Down: 2}
-	e.Observe(scope, ClassLoss, mixed)
-	e.Observe(scope, ClassDelay, mixed)
+	dLoss, dDelay := e.Detector(scope, ClassLoss), e.Detector(scope, ClassDelay)
+	dLoss.Observe(mixed)
+	dDelay.Observe(mixed)
 	e.EndEpoch(0)
 	// Loss detector saw exactly 2 trials, delay exactly 1 delta.
-	dLoss := e.dets[detKey{scope: scope, class: ClassLoss}]
-	dDelay := e.dets[detKey{scope: scope, class: ClassDelay}]
 	if dLoss.items != 2 {
 		t.Fatalf("loss items = %d, want 2", dLoss.items)
 	}
@@ -306,16 +305,24 @@ func TestEngineMixedSlice(t *testing.T) {
 	}
 }
 
+// TestTrajectoryRingBounded: a detector fed every epoch keeps O(cap)
+// points however long it runs, and its verdict carries the last cap
+// epochs' statistics.
 func TestTrajectoryRingBounded(t *testing.T) {
-	e := NewEngine(Config{TrajectoryCap: 4})
-	scope := Scope{Key: "k", Up: 1, Down: 2}
+	const trajCap = 4
+	e := NewEngine(Config{TrajectoryCap: trajCap})
+	d := e.Detector(Scope{Key: "k", Up: 1, Down: 2}, ClassLoss)
 	for ep := uint64(0); ep < 20; ep++ {
-		e.Observe(scope, ClassLoss, makeLossStream(100, 0.01, ep))
+		d.Observe(makeLossStream(100, 0.01, ep))
 		e.EndEpoch(ep)
+		if cap(d.pts) > 2*(trajCap+1) {
+			t.Fatalf("epoch %d: %d points held (capacity %d), cap %d", ep, len(d.pts), cap(d.pts), trajCap)
+		}
 	}
-	d := e.dets[detKey{scope: scope, class: ClassLoss}]
-	if len(d.traj) > 4 {
-		t.Fatalf("trajectory ring grew to %d, cap 4", len(d.traj))
+	d.Observe(makeLossStream(2000, 0.5, 99))
+	vs := e.EndEpoch(20)
+	if len(vs) != 1 || len(vs[0].Trajectory) != trajCap {
+		t.Fatalf("verdicts %+v, want one with a %d-epoch trajectory", vs, trajCap)
 	}
 }
 
@@ -328,5 +335,53 @@ func TestConfigWithDefaults(t *testing.T) {
 	c = Config{Alpha: 0.05}.withDefaults()
 	if c.Alpha != 0.05 || c.Beta != d.Beta {
 		t.Fatalf("partial config must keep set fields: %+v", c)
+	}
+}
+
+// TestEndEpochIgnoresIdleDetectors: an epoch's close costs the detectors
+// fed in it, not every detector the engine ever made. With 10 000
+// detectors created in epoch 0 and one fed per epoch after that, each
+// EndEpoch visits exactly the one fed and, with no crossing, allocates
+// nothing.
+func TestEndEpochIgnoresIdleDetectors(t *testing.T) {
+	const n = 10_000
+	e := NewEngine(Config{})
+	dets := make([]*Detector, n)
+	for i := range dets {
+		dets[i] = e.Detector(Scope{Key: "k", Up: uint32(i), Down: uint32(i + 1)}, ClassLoss)
+	}
+	if len(e.fed) != n {
+		t.Fatalf("%d detectors listed after creating %d", len(e.fed), n)
+	}
+	e.EndEpoch(0)
+	keep := []Evidence{{Kind: KindKeep}}
+	epoch := uint64(1)
+	allocs := testing.AllocsPerRun(200, func() {
+		dets[epoch%n].Observe(keep)
+		if len(e.fed) != 1 {
+			t.Fatalf("epoch %d: %d detectors listed, want the one fed", epoch, len(e.fed))
+		}
+		if vs := e.EndEpoch(epoch); vs != nil {
+			t.Fatalf("epoch %d: unexpected verdicts %+v", epoch, vs)
+		}
+		epoch++
+	})
+	if allocs != 0 {
+		t.Fatalf("EndEpoch with one detector fed allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestCrossingsEmitInCreationOrder: two detectors crossing in one epoch
+// emit in the order they were created, not the order they were fed.
+func TestCrossingsEmitInCreationOrder(t *testing.T) {
+	e := NewEngine(Config{})
+	first := e.Detector(Scope{Key: "k", Up: 1, Down: 2}, ClassLoss)
+	second := e.Detector(Scope{Key: "k", Up: 2, Down: 3}, ClassLoss)
+	drops := makeLossStream(200, 0.5, 7)
+	second.Observe(drops)
+	first.Observe(drops)
+	vs := e.EndEpoch(0)
+	if len(vs) != 2 || vs[0].Up != 1 || vs[1].Up != 2 {
+		t.Fatalf("verdicts %+v, want link 1→2 then 2→3", vs)
 	}
 }
