@@ -14,26 +14,27 @@ const AllocsPerPktBudget = 0.001
 // report over the whole of ingest → index at seal → VerifyEpoch →
 // evict, on the root package's recorded Clos stream
 // (BenchmarkVerifyEpochMesh; TestVerifyAllocsWithinBudget asserts it).
-// It is the measured 11.9 plus about 10 % headroom. The same stream
+// It is the measured 4.62 plus about 10 % headroom. The same stream
 // cost 73.9 when a store was rebuilt per target epoch, 27.9 once the ±1
-// evidence view became a window over per-segment indices, and 11.9
-// since the §6 join and the delay estimates reuse the verifier's
-// scratch and each epoch's verdicts are cut from one slab. What is
-// left is indexing each sealed (HOP, epoch) at SealHOP (~70 %), the
-// route plans the benchmark's fresh verifier builds once per key
-// (~18 %), and the parts a report keeps: its delay estimates and
-// copied loss pairs.
-const VerifyAllocsPerKeyEpochBudget = 13
+// evidence view became a window over per-segment indices, 11.9 once
+// the §6 join and the delay estimates reused the verifier's scratch and
+// each epoch's verdicts were cut from one slab, and 4.62 since each
+// sealed (HOP, epoch) is indexed from one slab per kind instead of about
+// five objects per receipt. What is left is mostly the route plans the
+// benchmark's fresh verifier builds once per key, and the parts a report
+// keeps: its delay estimates and copied loss pairs.
+const VerifyAllocsPerKeyEpochBudget = 5.1
 
 // SequentialVerifyAllocsPerKeyEpochBudget is VerifyAllocsPerKeyEpochBudget
 // with the SPRT arm on (VerifierConfig.Sequential): the same stream,
 // with every detector created once per pass, since each pass is a fresh
 // verifier (BenchmarkVerifyEpochMeshSequential;
 // TestSequentialVerifyAllocsWithinBudget asserts it). It is the measured
-// 11.99 plus about 10 %. The arm cost 32.0 when every feed looked its
+// 4.73 plus about 10 % (11.99 before the seal index was cut from slabs).
+// The arm cost 32.0 when every feed looked its
 // detector up by a Scope formatted from the key, each detector was four
 // objects and its trajectory a ring grown per epoch, and each check
 // allocated its evidence streams; detectors are now handles resolved
 // once per (key, link) and cut from slabs, and the evidence streams are
 // kernel scratch.
-const SequentialVerifyAllocsPerKeyEpochBudget = 13.2
+const SequentialVerifyAllocsPerKeyEpochBudget = 5.2

@@ -55,19 +55,66 @@ func (k *keyIndex) of(hop receipt.HOPID) *pathIndex {
 	return nil
 }
 
-// index returns (creating if needed) the index for (hop, key); created
-// reports whether it is new.
-func (l leaf) index(hop receipt.HOPID, key packet.PathKey) (pi *pathIndex, created bool) {
+// index returns (creating if needed) the index for (hop, key), cutting
+// whatever it creates from slab.
+func (l leaf) index(hop receipt.HOPID, key packet.PathKey, slab *leafSlab) *pathIndex {
 	ki := l[key]
-	if ki == nil {
-		ki = &keyIndex{}
-		l[key] = ki
-	} else if pi := ki.of(hop); pi != nil {
-		return pi, false
+	if pi := ki.of(hop); pi != nil {
+		return pi
 	}
-	pi = &pathIndex{}
+	return l.addPath(hop, key, ki, slab)
+}
+
+// addPath creates the index for (hop, key), which the leaf does not
+// hold; ki is the key's entry, nil when the key is new to the leaf.
+func (l leaf) addPath(hop receipt.HOPID, key packet.PathKey, ki *keyIndex, slab *leafSlab) *pathIndex {
+	if ki == nil {
+		ki = &cut(&slab.keys, 1)[0]
+		ki.hops = cut(&slab.hops, 1)[:0]
+		l[key] = ki
+	} else if len(ki.hops) == cap(ki.hops) {
+		// Grow as append would, into the slab.
+		ki.hops = append(cut(&slab.hops, 2*len(ki.hops))[:0], ki.hops...)
+	}
+	pi := &cut(&slab.paths, 1)[0]
 	ki.hops = append(ki.hops, hopIndex{hop, pi})
-	return pi, true
+	return pi
+}
+
+// leafSlab is what one addHOP call cuts the index values it creates
+// from: one allocation per kind, sized by its first pass (leaf.runs). A
+// slab lives as long as anything cut from it — for a sealed (HOP,
+// epoch), as long as its segment.
+type leafSlab struct {
+	keys    []keyIndex
+	paths   []pathIndex
+	hops    []hopIndex // each new key's initial list, and full lists grown
+	samples []sampleIndex
+	recs    []receipt.SampleRecord // sampleIndex.add's sorted batches
+	ids     []uint64               // sampleIndex.add's first arrivals
+}
+
+// cut takes the next n values off the front of *slab as a capped
+// three-index slice, so a later append — a second HOP reporting the
+// key, a second receipt for it — reallocates instead of reaching a
+// neighbour. A slab the count left short yields a fresh slice.
+func cut[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		return make([]T, n)
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// keyRun is one traffic key's receipts within a delivery —
+// samples[s0:s1] and aggs[a0:a1] — and what the leaf held for the key
+// before it: ki is nil for a key new to the leaf, pi for a key new to
+// the delivering HOP.
+type keyRun struct {
+	s0, s1, a0, a1 int
+	ki             *keyIndex
+	pi             *pathIndex
 }
 
 // addHOP indexes receipts one HOP delivered. A WindowedStore indexes a
@@ -76,31 +123,105 @@ func (l leaf) index(hop receipt.HOPID, key packet.PathKey) (pi *pathIndex, creat
 // interval is final and whoever handed it over — a decoded bundle, a
 // collector's drained buffers — gave it away. A hand-fed Verifier
 // copies, and passes only to keep one traffic key's receipts.
+//
+// It takes two passes: runs finds each key's receipts and looks the key
+// up once, sizing the slab from what is missing; the second pass creates
+// that from the slab and files the receipts.
 func (l leaf) addHOP(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt, alias bool, only *packet.PathKey) {
-	for _, r := range samples {
-		if only == nil || r.Path.Key == *only {
-			pi, _ := l.index(hop, r.Path.Key)
-			pi.addSamples(r, alias)
-		}
+	var buf [64]keyRun
+	scratch := buf[:0]
+	if n := len(samples) + len(aggs); n > len(buf) {
+		scratch = make([]keyRun, 0, n)
 	}
-	for i := 0; i < len(aggs); {
-		j := aggRunEnd(aggs, i)
-		if only == nil || aggs[i].Path.Key == *only {
-			pi, _ := l.index(hop, aggs[i].Path.Key)
-			pi.addAggs(aggs[i:j], alias)
+	runs, slab, ascending := l.runs(scratch, hop, samples, aggs, only)
+	for _, r := range runs {
+		pi := r.pi
+		switch {
+		case !ascending:
+			// A key may recur in a later run, so what the first pass saw is
+			// stale: look again.
+			pi = l.index(hop, r.key(samples, aggs), &slab)
+		case pi == nil:
+			pi = l.addPath(hop, r.key(samples, aggs), r.ki, &slab)
 		}
-		i = j
+		for _, s := range samples[r.s0:r.s1] {
+			pi.addSamples(s, alias, &slab)
+		}
+		if r.a0 < r.a1 {
+			pi.addAggs(aggs[r.a0:r.a1], alias)
+		}
 	}
 }
 
-// aggRunEnd returns the end of the run of aggregate receipts starting
-// at i that share one traffic key.
-func aggRunEnd(rs []receipt.AggReceipt, i int) int {
-	j := i + 1
-	for j < len(rs) && rs[j].Path.Key == rs[i].Path.Key {
-		j++
+// key returns the run's traffic key.
+func (r *keyRun) key(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) packet.PathKey {
+	if r.s0 < r.s1 {
+		return samples[r.s0].Path.Key
 	}
-	return j
+	return aggs[r.a0].Path.Key
+}
+
+// runs is addHOP's first pass. Samples and aggregates both arrive
+// PathID-sorted, so one merge walk meets each key once, as a run in
+// either list or both; runs appends each run of a key only passes to
+// dst, looks the key up, and counts what indexing the delivery will
+// create: a new key's keyIndex and initial hop list, a new (hop, key)'s
+// pathIndex, a full hop list's growth, the keys that carry sample
+// records and the records themselves. It returns the runs, a slab sized
+// by the counts, and whether the runs' keys ascend strictly. An unsorted
+// delivery splits a key into several runs: they do not ascend, and the
+// counts only overshoot.
+func (l leaf) runs(dst []keyRun, hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt, only *packet.PathKey) ([]keyRun, leafSlab, bool) {
+	var keys, paths, hops, sampled, recs int
+	ascending := true
+	for i, j := 0, 0; i < len(samples) || j < len(aggs); {
+		var key packet.PathKey
+		if j == len(aggs) || i < len(samples) && samples[i].Path.Key.Compare(aggs[j].Path.Key) <= 0 {
+			key = samples[i].Path.Key
+		} else {
+			key = aggs[j].Path.Key
+		}
+		r := keyRun{s0: i, a0: j}
+		n := 0
+		for ; i < len(samples) && samples[i].Path.Key == key; i++ {
+			n += len(samples[i].Samples)
+		}
+		for ; j < len(aggs) && aggs[j].Path.Key == key; j++ {
+		}
+		r.s1, r.a1 = i, j
+		if only != nil && key != *only {
+			continue
+		}
+		if len(dst) > 0 && dst[len(dst)-1].key(samples, aggs).Compare(key) >= 0 {
+			ascending = false
+		}
+		if n > 0 {
+			sampled++
+			recs += n
+		}
+		r.ki = l[key]
+		r.pi = r.ki.of(hop)
+		switch {
+		case r.ki == nil:
+			keys++
+			hops++
+			paths++
+		case r.pi == nil:
+			paths++
+			if len(r.ki.hops) == cap(r.ki.hops) {
+				hops += 2 * len(r.ki.hops)
+			}
+		}
+		dst = append(dst, r)
+	}
+	return dst, leafSlab{
+		keys:    make([]keyIndex, keys),
+		paths:   make([]pathIndex, paths),
+		hops:    make([]hopIndex, hops),
+		samples: make([]sampleIndex, sampled),
+		recs:    make([]receipt.SampleRecord, recs),
+		ids:     make([]uint64, recs),
+	}, ascending
 }
 
 // keys returns the leaf's traffic keys in packet.PathKey order.
@@ -191,13 +312,15 @@ func (si *sampleIndex) find(id uint64) (int, bool) {
 // byPktID orders sample records by packet.
 func byPktID(a, b receipt.SampleRecord) int { return cmp.Compare(a.PktID, b.PktID) }
 
-// add files one receipt's records, in arrival order.
-func (si *sampleIndex) add(recs []receipt.SampleRecord) {
+// add files one receipt's records, in arrival order, cutting the sorted
+// batch and the first first-arrival list from slab.
+func (si *sampleIndex) add(recs []receipt.SampleRecord, slab *leafSlab) {
 	// The batch on its own: sorted by PktID, one record per packet
 	// carrying its last time. A packet recorded twice in one receipt is
 	// rare, so sort fast first and redo it stably — among equals the last
 	// arrival is then the last of its run — only when that turns one up.
-	batch := slices.Clone(recs)
+	batch := cut(&slab.recs, len(recs))
+	copy(batch, recs)
 	slices.SortFunc(batch, byPktID)
 	for i := 1; i < len(batch); i++ {
 		if batch[i].PktID == batch[i-1].PktID {
@@ -214,14 +337,18 @@ func (si *sampleIndex) add(recs []receipt.SampleRecord) {
 		batch[n] = rec
 		n++
 	}
-	batch = batch[:n]
+	batch = batch[:n:n]
 
 	// First arrivals, against what was known and within the batch.
 	var seen []bool
 	if len(batch) < len(recs) {
 		seen = make([]bool, len(batch))
 	}
-	si.uniq = slices.Grow(si.uniq, len(batch))
+	if si.uniq == nil {
+		si.uniq = cut(&slab.ids, len(batch))[:0]
+	} else {
+		si.uniq = slices.Grow(si.uniq, len(batch))
+	}
 	for _, rec := range recs {
 		if _, known := si.find(rec.PktID); known {
 			continue
@@ -260,19 +387,20 @@ func (si *sampleIndex) add(recs []receipt.SampleRecord) {
 	si.byID = append(merged, batch[j:]...)
 }
 
-// addSamples files one sample receipt. With alias set the first
-// receipt's records are referenced, not copied (see leaf.addHOP).
-func (pi *pathIndex) addSamples(r receipt.SampleReceipt, alias bool) {
+// addSamples files one sample receipt, cutting what it creates from
+// slab. With alias set the first receipt's records are referenced, not
+// copied (see leaf.addHOP).
+func (pi *pathIndex) addSamples(r receipt.SampleReceipt, alias bool, slab *leafSlab) {
 	pi.pathID, pi.hasPath, pi.samplePath = r.Path, true, true
 	if len(r.Samples) == 0 {
 		return
 	}
 	si := pi.samples
 	if si == nil {
-		si = &sampleIndex{}
+		si = &cut(&slab.samples, 1)[0]
 		pi.samples = si
 	}
-	si.add(r.Samples)
+	si.add(r.Samples, slab)
 	if alias && si.ordered == nil {
 		si.ordered = r.Samples[:len(r.Samples):len(r.Samples)]
 	} else {

@@ -97,6 +97,8 @@ type epochSegment struct {
 	index    leaf
 	indexed  int
 	sealedBy map[receipt.HOPID]bool
+	// sealed counts the expected HOPs in sealedBy.
+	sealed   int
 	verified bool
 }
 
@@ -107,11 +109,13 @@ type pendingReceipts struct {
 	aggs    []receipt.AggReceipt
 }
 
-func newEpochSegment() *epochSegment {
+// newEpochSegment sizes a segment for the expected HOPs and for keys
+// traffic keys, so its maps do not grow as the HOPs seal.
+func newEpochSegment(hops, keys int) *epochSegment {
 	return &epochSegment{
-		pending:  make(map[receipt.HOPID]pendingReceipts),
-		index:    make(leaf),
-		sealedBy: make(map[receipt.HOPID]bool),
+		pending:  make(map[receipt.HOPID]pendingReceipts, hops),
+		index:    make(leaf, keys),
+		sealedBy: make(map[receipt.HOPID]bool, hops),
 	}
 }
 
@@ -159,7 +163,12 @@ func (w *WindowedStore) segmentLocked(epoch EpochID) (*epochSegment, error) {
 	if epoch < w.minEpoch {
 		return nil, fmt.Errorf("%w: epoch %d (window starts at %d)", ErrEvictedEpoch, epoch, w.minEpoch)
 	}
-	seg := newEpochSegment()
+	// The busiest held segment's key count is the guess at this one's.
+	keys := 0
+	for _, held := range w.segs {
+		keys = max(keys, len(held.index))
+	}
+	seg := newEpochSegment(len(w.hops), keys)
 	w.segs[epoch] = seg
 	return seg, nil
 }
@@ -240,6 +249,9 @@ func (w *WindowedStore) SealHOP(hop receipt.HOPID, epoch EpochID) error {
 	}
 	first := !seg.sealedBy[hop]
 	seg.sealedBy[hop] = true
+	if first && w.expects(hop) {
+		seg.sealed++
+	}
 	persist := first && w.backend != nil && !w.durableSealLocked(epoch)
 	if first {
 		p := seg.pending[hop]
@@ -280,12 +292,7 @@ func (w *WindowedStore) FinishStream() {
 
 // sealedLocked reports whether every expected HOP sealed the segment.
 func (w *WindowedStore) sealedLocked(seg *epochSegment) bool {
-	for _, h := range w.hops {
-		if !seg.sealedBy[h] {
-			return false
-		}
-	}
-	return true
+	return seg.sealed == len(w.hops)
 }
 
 // Ready returns the epochs eligible for verification, in ascending

@@ -425,7 +425,7 @@ func TestSampleIndexMatchesMap(t *testing.T) {
 				}
 				times[recs[i].PktID] = recs[i].TimeNS
 			}
-			si.add(recs)
+			si.add(recs, new(leafSlab))
 		}
 		if !reflect.DeepEqual(si.uniq, order) {
 			t.Fatalf("trial %d: first-arrival order differs\n got %v\nwant %v", trial, si.uniq, order)
@@ -446,6 +446,90 @@ func TestSampleIndexMatchesMap(t *testing.T) {
 		}
 	}
 }
+
+// TestSealIndexAllocsPerReceipt: indexing a sealed (HOP, epoch) cuts
+// every index value from one slab per kind, so the objects it allocates
+// do not grow with the receipts it indexes — at most one per slab kind,
+// and one for the list of key runs once a delivery outgrows its stack
+// buffer, for 10 keys as for 1 000, beyond what the leaf map takes to
+// grow, which is measured on its own and allowed for. Later HOPs
+// reporting the same keys grow each key's hop list from their own
+// slabs, and no key's list reaches another's.
+func TestSealIndexAllocsPerReceipt(t *testing.T) {
+	const perDelivery = 6 + 1 // the fields of leafSlab, and addHOP's runs
+	delivery := func(keys []packet.PathKey, hop receipt.HOPID) ([]receipt.SampleReceipt, []receipt.AggReceipt) {
+		samples := make([]receipt.SampleReceipt, len(keys))
+		aggs := make([]receipt.AggReceipt, len(keys))
+		for i, k := range keys {
+			path := receipt.PathID{Key: k, PrevHOP: hop - 1, NextHOP: hop + 1}
+			id := uint64(i) << 32
+			samples[i] = receipt.SampleReceipt{Path: path, Samples: []receipt.SampleRecord{{PktID: id | 2, TimeNS: 2}, {PktID: id | 1, TimeNS: 1}}}
+			aggs[i] = receipt.AggReceipt{Path: path, Agg: receipt.AggID{First: id | 1, Last: id | 2}, PktCnt: 2}
+		}
+		return samples, aggs
+	}
+	hops := []receipt.HOPID{3, 5, 7}
+	for _, n := range []int{10, 1000} {
+		keys := netsim.WideKeys(n)
+		slices.SortFunc(keys, packet.PathKey.Compare)
+		samples, aggs := delivery(keys, hops[0])
+		seal := func(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) func() {
+			return func() {
+				w, err := NewWindowedStore(hops[:1], 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.IngestSealed(hops[0], 0, samples, aggs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		indexed := testing.AllocsPerRun(20, seal(samples, aggs))
+		empty := testing.AllocsPerRun(20, seal(nil, nil))
+		fill := func(keys []packet.PathKey) func() {
+			return func() {
+				leafSink = make(leaf)
+				for _, k := range keys {
+					leafSink[k] = nil
+				}
+			}
+		}
+		growth := testing.AllocsPerRun(20, fill(keys)) - testing.AllocsPerRun(20, fill(nil))
+		extra := indexed - empty - growth
+		t.Logf("%d keys (%d receipts): %.0f allocations, %.0f of them the leaf map's growth", n, 2*n, indexed-empty, growth)
+		if extra > perDelivery {
+			t.Errorf("%d keys (%d receipts): indexing allocates %.0f objects beyond the leaf map's growth (%.3f per receipt), want at most %d",
+				n, 2*n, extra, extra/float64(2*n), perDelivery)
+		}
+
+		w, err := NewWindowedStore(hops, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hops {
+			s, a := delivery(keys, h)
+			if err := w.IngestSealed(h, 0, s, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l := w.segs[0].index
+		for _, k := range keys {
+			ki := l[k]
+			if ki == nil || len(ki.hops) != len(hops) {
+				t.Fatalf("%v: indexed %+v, want one entry per HOP of %v", k, ki, hops)
+			}
+			for i, h := range ki.hops {
+				if h.hop != hops[i] || h.pi.pathID.Key != k || h.pi.pathID.PrevHOP != hops[i]-1 || len(h.pi.aggs) != 1 || len(h.pi.uniqOrder()) != 2 {
+					t.Fatalf("%v: entry %d is %v with path %+v, want %v's index of the key", k, i, h.hop, h.pi.pathID, hops[i])
+				}
+			}
+		}
+	}
+}
+
+// leafSink keeps the leaf TestSealIndexAllocsPerReceipt fills on the
+// heap, where a segment's leaf lives.
+var leafSink leaf
 
 // oneSample builds a bundle carrying one sample record and one
 // aggregate for key.

@@ -1,23 +1,27 @@
 package dissem
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"weak"
 
 	"vpm/internal/stats"
 )
 
 // Authentication on arrival: once a bus consumer has fetched from a
 // server, the server's signer verifies each later bundle under that
-// consumer's registry key, and the consumer's fetch only decodes. These
-// tests pin the trust rule: nothing is accepted on a verification under
-// another key, or of bytes other than the ones served.
+// consumer's registry key and decodes it, and the consumer's fetch only
+// checks. These tests pin the trust rule: nothing is accepted on a
+// verification under another key, or of bytes other than the ones
+// served.
 
 // collectSeqs collects from since as viewer and returns the seqs
 // delivered, the next cursor and the error.
@@ -169,12 +173,12 @@ func TestAheadOnlyForBusConsumers(t *testing.T) {
 // the consumer's first fetch, the consumer's CollectSince costs under a
 // quarter of one ed25519.Verify of the same payload (not asserted under
 // -race). A CollectSince that verifies the signature itself costs more
-// than the Verify and fails it; decoding the bundle costs about a
-// seventh of it. The two are sampled alternately, 50 of each in one
-// process, and compared by their minima: load from other processes
-// only ever adds time, so the minimum is the statistic it cannot
-// inflate, and alternating keeps a burst of load from landing on one
-// side's samples only.
+// than the Verify and fails it; decoding the bundle, which the signer
+// does as well (TestBusDecodesAhead), costs about a seventh of it. The
+// two are sampled alternately, 50 of each in one process, and compared
+// by their minima: load from other processes only ever adds time, so
+// the minimum is the statistic it cannot inflate, and alternating keeps
+// a burst of load from landing on one side's samples only.
 func TestBusAuthenticatesAhead(t *testing.T) {
 	srv, _, reg := dissemWorld(t, 4)
 	bus := NewBus()
@@ -220,4 +224,198 @@ func TestBusAuthenticatesAhead(t *testing.T) {
 	if 4*col >= ver && !raceEnabled {
 		t.Errorf("CollectSince min %v is not under a quarter of ed25519.Verify's %v: the fetch still pays for authentication", col, ver)
 	}
+}
+
+// parkedOn waits for the signer and returns the bundles it parked on the
+// retained payload at position seq, nil if none are parked.
+func parkedOn(srv *Server, seq uint64) []*Bundle {
+	srv.SignedBundles("")
+	srv.mu.RLock()
+	defer srv.mu.RUnlock()
+	if p := srv.bundles[seq-srv.base].decoded.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// TestBusDecodesAhead pins decoding on arrival: once a bus consumer has
+// fetched from a server, the signer decodes each payload it verified
+// ahead, and the consumer's next fetch of it takes those bundles instead
+// of decoding on the fetching goroutine. The bundles are handed over
+// once; every other path decodes at fetch, and nothing parked outlives
+// its payload.
+func TestBusDecodesAhead(t *testing.T) {
+	// world is a server whose bus consumer has made its first fetch.
+	world := func(t *testing.T) (*Server, *Bus, Registry) {
+		srv, _, reg := dissemWorld(t, 4)
+		bus := NewBus()
+		bus.Attach(srv)
+		if _, err := bus.CollectSince(reg, 4, 0, func(*Bundle) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return srv, bus, reg
+	}
+	publish := func(srv *Server, receipts int) uint64 {
+		b := handoffBundle(stats.NewRNG(uint64(receipts)), receipts)
+		return srv.PublishEpoch(7, b.Samples, b.Aggs)
+	}
+
+	// (a) The fetching goroutine allocates as much for four 1000-receipt
+	// payloads as for four 10-receipt ones: it decodes none of them.
+	t.Run("fetch decodes nothing", func(t *testing.T) {
+		fetchAllocs := func(receipts int) uint64 {
+			srv, bus, reg := world(t)
+			for i := 0; i < 4; i++ {
+				if parkedOn(srv, publish(srv, receipts)) == nil {
+					t.Fatalf("%d-receipt payload %d: nothing parked", receipts, i)
+				}
+			}
+			delivered := 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := bus.CollectSince(reg, 4, 0, func(*Bundle) error {
+				delivered++
+				return nil
+			})
+			runtime.ReadMemStats(&after)
+			if err != nil || delivered != 4 {
+				t.Fatalf("%d-receipt payloads: delivered %d, err %v", receipts, delivered, err)
+			}
+			return after.Mallocs - before.Mallocs
+		}
+		small, large := fetchAllocs(10), fetchAllocs(1000)
+		t.Logf("fetching 4 payloads allocates %d objects at 10 receipts each, %d at 1000", small, large)
+		if large > small+4 {
+			t.Errorf("fetching 4 payloads allocates %d objects at 1000 receipts each against %d at 10: the fetch decodes", large, small)
+		}
+	})
+
+	// (b) The first fetch takes the parked bundles, even when fn refuses
+	// them; the retry gets bundles decoded afresh, which re-encode to the
+	// signed bytes.
+	t.Run("retry decodes afresh", func(t *testing.T) {
+		srv, bus, reg := world(t)
+		seq := publish(srv, 20)
+		parked := parkedOn(srv, seq)
+		if len(parked) != 1 {
+			t.Fatalf("parked %d bundles, want 1", len(parked))
+		}
+		refuse := errors.New("ingest failed")
+		var first *Bundle
+		if next, err := bus.CollectSince(reg, 4, seq, func(b *Bundle) error {
+			first = b
+			return refuse
+		}); !errors.Is(err, refuse) || next != seq {
+			t.Fatalf("refused fetch: next %d, err %v; want %d and the fn error", next, err, seq)
+		}
+		if first != parked[0] || parkedOn(srv, seq) != nil {
+			t.Fatalf("the first fetch did not take the parked bundle (got %p, parked %p)", first, parked[0])
+		}
+		var again *Bundle
+		if _, err := bus.CollectSince(reg, 4, seq, func(b *Bundle) error {
+			again = b
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		signed := srv.SignedBundles("")[0].Payload
+		if again == nil || again == first || !bytes.Equal(again.Encode(), signed) {
+			t.Fatalf("retry delivered %p (first attempt %p); want a fresh decode that re-encodes to the signed bytes", again, first)
+		}
+	})
+
+	// (c) A tamper, a first consumer holding another key, a payload signed
+	// before the first fetch and the HTTP feed all decode at fetch.
+	t.Run("other paths decode at fetch", func(t *testing.T) {
+		check := func(t *testing.T, srv *Server, seq uint64, fetch func() (*Bundle, error)) {
+			t.Helper()
+			parked := parkedOn(srv, seq)
+			got, err := fetch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(parked) > 0 && (got == parked[0] || parkedOn(srv, seq) == nil) {
+				t.Fatal("the fetch took the parked bundles")
+			}
+			if !bytes.Equal(got.Encode(), srv.SignedBundles("")[seq-srv.Base()].Payload) {
+				t.Fatal("the fetched bundle does not re-encode to the signed bytes")
+			}
+		}
+		busFetch := func(bus *Bus, reg Registry, seq uint64) func() (*Bundle, error) {
+			return func() (*Bundle, error) {
+				var got *Bundle
+				_, err := bus.CollectSince(reg, 4, seq, func(b *Bundle) error {
+					got = b
+					return nil
+				})
+				return got, err
+			}
+		}
+		t.Run("tamper", func(t *testing.T) {
+			srv, bus, reg := world(t)
+			seq := publish(srv, 20)
+			if parkedOn(srv, seq) == nil {
+				t.Fatal("nothing parked")
+			}
+			srv.SetTamper(corruptSigTamper{epoch: ^uint64(0)}) // installed, changes nothing
+			check(t, srv, seq, busFetch(bus, reg, seq))
+		})
+		t.Run("another consumer's key", func(t *testing.T) {
+			srv, _, reg := dissemWorld(t, 4)
+			bus := NewBus()
+			bus.Attach(srv)
+			wrong := Registry{4: NewSigner(seedOf(99)).Public()}
+			if _, err := bus.CollectSince(wrong, 4, 0, func(*Bundle) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			seq := publish(srv, 20)
+			if parkedOn(srv, seq) != nil {
+				t.Fatal("the signer parked bundles it verified under no consumer's key")
+			}
+			check(t, srv, seq, busFetch(bus, reg, seq))
+		})
+		t.Run("signed before the first fetch", func(t *testing.T) {
+			srv, _, reg := dissemWorld(t, 4)
+			bus := NewBus()
+			bus.Attach(srv)
+			seq := publish(srv, 20)
+			if parkedOn(srv, seq) != nil {
+				t.Fatal("the signer parked bundles before any bus consumer fetched")
+			}
+			check(t, srv, seq, busFetch(bus, reg, seq))
+		})
+		t.Run("HTTP", func(t *testing.T) {
+			srv, _, reg := world(t)
+			seq := publish(srv, 20)
+			if parkedOn(srv, seq) == nil {
+				t.Fatal("nothing parked")
+			}
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			client := &Client{Registry: reg}
+			check(t, srv, seq, func() (*Bundle, error) {
+				got, err := client.Fetch(context.Background(), ts.URL, 4, seq)
+				if err != nil || len(got) != 1 {
+					return nil, fmt.Errorf("fetched %d bundles, err %v", len(got), err)
+				}
+				return got[0], nil
+			})
+		})
+	})
+
+	// (d) Parked bundles nobody fetched go with their payload.
+	t.Run("DropThrough releases", func(t *testing.T) {
+		srv, _, _ := world(t)
+		seq := publish(srv, 20)
+		parked := weak.Make(parkedOn(srv, seq)[0])
+		runtime.GC()
+		if parked.Value() == nil {
+			t.Fatal("the parked bundle was collected while its payload is retained")
+		}
+		srv.DropThrough(seq)
+		runtime.GC()
+		if parked.Value() != nil {
+			t.Fatal("the parked bundle outlived its payload's DropThrough")
+		}
+	})
 }

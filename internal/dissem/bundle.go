@@ -271,7 +271,12 @@ func Verify(pub ed25519.PublicKey, origin receipt.HOPID, sb SignedBundle) (*Bund
 // under a byte-equal key — counting the check in verifications if
 // non-nil, decodes the payload, and refuses it unless it holds exactly
 // one bundle per HOP of group (ascending), all tagged with one epoch.
+// When the signer verified the bytes it also decoded them, and the
+// first open to find those bundles parked takes them instead of
+// decoding: each is handed over once, since whoever receives bundles
+// owns them.
 func open(pub ed25519.PublicKey, group []receipt.HOPID, p published, verifications *atomic.Int64) ([]*Bundle, error) {
+	var bundles []*Bundle
 	if p.verified == nil || !slices.Equal(p.verified, pub) {
 		if verifications != nil {
 			verifications.Add(1)
@@ -279,10 +284,16 @@ func open(pub ed25519.PublicKey, group []receipt.HOPID, p published, verificatio
 		if !ed25519.Verify(pub, p.sb.Payload, p.sb.Sig) {
 			return nil, ErrBadSignature
 		}
+	} else if p.parked != nil {
+		if taken := p.parked.Swap(nil); taken != nil {
+			bundles = *taken
+		}
 	}
-	bundles, err := DecodePayload(p.sb.Payload)
-	if err != nil {
-		return nil, err
+	if bundles == nil {
+		var err error
+		if bundles, err = DecodePayload(p.sb.Payload); err != nil {
+			return nil, err
+		}
 	}
 	for i, b := range bundles {
 		switch {

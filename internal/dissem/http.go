@@ -166,8 +166,9 @@ func (e *FrameError) Unwrap() error { return e.Err }
 // Once a bus consumer has fetched from the Server, the signer also
 // authenticates ahead for it: each payload signed from then on is
 // verified under the key that consumer's registry holds for the HOP it
-// named, so the consumer's fetch only decodes (Bus.CollectSinceAs). A
-// Server no bus consumer fetches from signs and nothing more.
+// named and decoded, so the consumer's fetch only checks
+// (Bus.CollectSinceAs). A Server no bus consumer fetches from signs and
+// nothing more.
 type Server struct {
 	hops   []receipt.HOPID // ascending
 	signer *Signer
@@ -195,24 +196,32 @@ type Server struct {
 // it was tagged with, kept in the clear so the tamper sees them without
 // re-decoding the payload. verified is the key the signer verified sb
 // under, nil if it did not; serve clears it whenever a tamper is
-// installed, since sb may then no longer be the bytes verified. A frame
-// read off the HTTP feed is one too, without an epoch: receive names
-// the payload's own claim on both carriers.
+// installed, since sb may then no longer be the bytes verified. parked
+// is where the bundles the signer decoded from the verified bytes wait
+// for the first fetch that takes them (open); serve sets it only when no
+// tamper is installed. A frame read off the HTTP feed is one too,
+// without an epoch or parked bundles: receive names the payload's own
+// claim on both carriers.
 type published struct {
 	seq, epoch uint64
 	sb         SignedBundle
 	verified   ed25519.PublicKey
+	parked     *atomic.Pointer[[]*Bundle]
 }
 
 // entry is one retained payload. seq and epoch are fixed when it is
-// complete; sb and verified are written by the signer before it closes
-// signed and read only after.
+// complete; sb, verified and decoded are written by the signer before it
+// closes signed and read only after.
 type entry struct {
 	published
 	signed chan struct{}
 	// bundles are the receipts to encode, in ascending HOP order; the
 	// signer drops them once signed.
 	bundles []*Bundle
+	// decoded holds sb's bundles as the signer decoded them after
+	// verifying sb ahead, until a fetch takes them; they go with the
+	// entry when DropThrough discards it.
+	decoded atomic.Pointer[[]*Bundle]
 }
 
 // NewServer builds a publisher for one HOP: every publish is a payload.
@@ -300,7 +309,10 @@ func (s *Server) completeHeads() {
 // signQueued is the signer goroutine: it encodes and signs the queued
 // entries oldest first and returns once the queue is empty. Once a bus
 // consumer has recorded its key, each signature is also verified under
-// that key before the entry is released. An entry DropThrough already
+// that key, and a payload that verifies is decoded and its bundles
+// parked on the entry, before the entry is released. It decodes the
+// signed bytes, not the bundles published: what a fetch takes is what
+// its own decode would have produced. An entry DropThrough already
 // discarded is signed all the same; nobody waits for it.
 func (s *Server) signQueued() {
 	s.mu.Lock()
@@ -313,6 +325,9 @@ func (s *Server) signQueued() {
 			s.aheadChecks.Add(1)
 			if ed25519.Verify(*key, e.sb.Payload, e.sb.Sig) {
 				e.verified = *key
+				if bundles, err := DecodePayload(e.sb.Payload); err == nil {
+					e.decoded.Store(&bundles)
+				}
 			}
 		}
 		close(e.signed)
@@ -377,7 +392,9 @@ func (s *Server) serve(viewer string, since uint64) (base uint64, out []publishe
 	for _, e := range selected {
 		<-e.signed
 		p := e.published
-		if tamper != nil {
+		if tamper == nil {
+			p.parked = &e.decoded
+		} else {
 			p.verified = nil
 			var ok bool
 			if p.sb, ok = tamper.Serve(viewer, p.seq, p.epoch, p.sb); !ok {
@@ -520,7 +537,8 @@ func (c *Client) FetchEach(ctx context.Context, baseURL string, origin receipt.H
 // group (open), hands its bundles to fn in order and returns the cursor
 // past it. The signature is checked once per payload, and not at all
 // when the signer already verified these bytes under a key byte-equal
-// to pub (Bus.CollectSinceAs). A failure is a permanent *BundleError
+// to pub (Bus.CollectSinceAs), which also spares the decode the first
+// time the payload is received. A failure is a permanent *BundleError
 // naming origin, the position and the epoch the payload claims (0 when
 // it is too short to claim one) — what both carriers can read off the
 // payload alike; nothing of a refused payload reaches fn.
@@ -670,9 +688,11 @@ func (b *Bus) CollectSince(reg Registry, origin receipt.HOPID, since uint64, fn 
 //
 // The first call for an origin records reg's key on its server, whose
 // signer then verifies every later payload under that key as it signs
-// it. A payload served untampered whose signature the signer verified
-// under a key byte-equal to reg's is only decoded and checked here;
-// every other payload goes through the full check.
+// it, and decodes it. A payload served untampered whose signature the
+// signer verified under a key byte-equal to reg's is only checked here,
+// on the bundles the signer decoded — the first fetch to select it
+// takes them; a later one, a retry after fn failed included, decodes
+// afresh. Every other payload goes through the full check.
 func (b *Bus) CollectSinceAs(viewer string, reg Registry, origin receipt.HOPID, since uint64, fn func(*Bundle) error) (uint64, error) {
 	b.mu.RLock()
 	s, ok := b.servers[origin]

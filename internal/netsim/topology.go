@@ -253,21 +253,29 @@ func (t *Topology) PathIDFor(key packet.PathKey, h receipt.HOPID) receipt.PathID
 	// sentinel would make ambiguity detection depend on route-table
 	// order (a route ending at h seen before a route transiting h
 	// would let the transit neighbor overwrite the legitimate 0).
+	// Each route's HOP sequence (RouteHOPs) is walked link by link, in
+	// place: h's neighbours are its own link's other side and the
+	// adjacent link's near side.
 	var prev, next receipt.HOPID
 	first := true
 	prevAmbig, nextAmbig := false, false
 	for _, ri := range t.keyRoutes(key) {
-		hops := t.RouteHOPs(ri)
-		for pos, hh := range hops {
-			if hh != h {
-				continue
-			}
+		links := t.Routes[ri].Links
+		for k, li := range links {
 			var p, n receipt.HOPID
-			if pos > 0 {
-				p = hops[pos-1]
-			}
-			if pos < len(hops)-1 {
-				n = hops[pos+1]
+			switch eg, in := t.LinkHOPs(li); h {
+			case eg:
+				if k > 0 {
+					_, p = t.LinkHOPs(links[k-1])
+				}
+				n = in
+			case in:
+				p = eg
+				if k+1 < len(links) {
+					n, _ = t.LinkHOPs(links[k+1])
+				}
+			default:
+				continue
 			}
 			if first {
 				prev, next = p, n

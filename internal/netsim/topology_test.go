@@ -315,6 +315,67 @@ func TestPathIDForECMPBranch(t *testing.T) {
 	}
 }
 
+// TestPathIDForAllocatesNothing: a deployment builds a PathID for every
+// new (HOP, key) path state, so building one walks the key's routes in
+// place — nothing allocated, for an ECMP key at its branch point and on
+// a spine leg alike — and answers as the neighbours read off RouteHOPs
+// do, for every key at every HOP of a Clos mesh and a random AS graph.
+func TestPathIDForAllocatesNothing(t *testing.T) {
+	keys := TopoKeys(1)
+	clos := ClosTopology(4, 2, 2, keys)
+	for _, h := range clos.RouteHOPs(clos.RoutesForKey(keys[0])[0]) {
+		if n := testing.AllocsPerRun(100, func() { clos.PathIDFor(keys[0], h) }); n != 0 {
+			t.Errorf("PathIDFor at %v: %v allocations, want 0", h, n)
+		}
+	}
+	for _, tp := range []*Topology{ClosTopology(5, 4, 3, TopoKeys(12)), RandomASTopology(7, 12, 6, TopoKeys(16))} {
+		for _, key := range tp.Keys() {
+			for h := receipt.HOPID(1); int(h) <= 2*len(tp.Links); h++ {
+				if got, want := tp.PathIDFor(key, h), pathIDFromRouteHOPs(tp, key, h); got != want {
+					t.Fatalf("%v at %v: PathIDFor %+v, from RouteHOPs %+v", key, h, got, want)
+				}
+			}
+		}
+	}
+}
+
+// pathIDFromRouteHOPs is PathIDFor as first written: each route's HOP
+// sequence materialised, h's neighbours read off it.
+func pathIDFromRouteHOPs(t *Topology, key packet.PathKey, h receipt.HOPID) receipt.PathID {
+	li, _ := t.HOPLink(h)
+	id := receipt.PathID{Key: key, MaxDiffNS: t.Links[li].MaxDiffNS}
+	var prev, next receipt.HOPID
+	first, prevAmbig, nextAmbig := true, false, false
+	for _, ri := range t.RoutesForKey(key) {
+		hops := t.RouteHOPs(ri)
+		for pos, hh := range hops {
+			if hh != h {
+				continue
+			}
+			var p, n receipt.HOPID
+			if pos > 0 {
+				p = hops[pos-1]
+			}
+			if pos < len(hops)-1 {
+				n = hops[pos+1]
+			}
+			if first {
+				prev, next, first = p, n, false
+				continue
+			}
+			prevAmbig = prevAmbig || prev != p
+			nextAmbig = nextAmbig || next != n
+		}
+	}
+	if !prevAmbig {
+		id.PrevHOP = prev
+	}
+	if !nextAmbig {
+		id.NextHOP = next
+	}
+	return id
+}
+
 // TestPathIDForRouteOrderIndependent is the regression test for the
 // 0-as-unset sentinel bug: when one route of a key ends at a HOP
 // another route transits, the stamped PathID must record NextHOP 0
