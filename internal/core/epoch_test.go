@@ -395,6 +395,26 @@ func TestWindowedStoreLifecycle(t *testing.T) {
 	if _, err := win.View(99); err == nil {
 		t.Fatal("expected error viewing a segment that never existed")
 	}
+
+	// A HOP listed twice is expected once: its seal completes the epoch
+	// and the epoch's index.
+	dup, err := NewWindowedStore([]receipt.HOPID{2, 1, 2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := EpochID(0); e <= 1; e++ {
+		for _, h := range hops {
+			if err := dup.IngestSealed(h, e, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if r := dup.Ready(); len(r) != 1 || r[0] != 0 {
+		t.Fatalf("store expecting a HOP twice: ready %v, want [0]", r)
+	}
+	if st := dup.Stats(); st.IndexedSegments != st.Segments {
+		t.Fatalf("store expecting a HOP twice: %d of %d sealed segments indexed", st.IndexedSegments, st.Segments)
+	}
 }
 
 // TestWindowBoundedUnderRetention is the bounded-memory assertion: a

@@ -143,6 +143,7 @@ type Verifier struct {
 
 	mu    sync.Mutex // serializes ingest into leaf
 	leaf  leaf
+	runs  []keyRun // leaf.addHOP's scratch
 	key   packet.PathKey
 	keyed bool
 	// wins, when set, are the key's windows already resolved against a
@@ -205,7 +206,7 @@ func (v *Verifier) add(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs 
 	if v.keyed {
 		only = &v.key
 	}
-	v.leaf.addHOP(hop, samples, aggs, false, only)
+	v.leaf.addHOP(hop, samples, aggs, false, only, &v.runs)
 }
 
 // AddSampleReceipt ingests one HOP's sample receipt.

@@ -126,14 +126,11 @@ type keyRun struct {
 //
 // It takes two passes: runs finds each key's receipts and looks the key
 // up once, sizing the slab from what is missing; the second pass creates
-// that from the slab and files the receipts.
-func (l leaf) addHOP(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt, alias bool, only *packet.PathKey) {
-	var buf [64]keyRun
-	scratch := buf[:0]
-	if n := len(samples) + len(aggs); n > len(buf) {
-		scratch = make([]keyRun, 0, n)
-	}
-	runs, slab, ascending := l.runs(scratch, hop, samples, aggs, only)
+// that from the slab and files the receipts. The runs live in *scratch,
+// which the caller keeps between calls under the lock that guards the
+// leaf, so a delivery allocates no run list.
+func (l leaf) addHOP(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt, alias bool, only *packet.PathKey, scratch *[]keyRun) {
+	runs, slab, ascending := l.runs((*scratch)[:0], hop, samples, aggs, only)
 	for _, r := range runs {
 		pi := r.pi
 		switch {
@@ -151,6 +148,8 @@ func (l leaf) addHOP(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []
 			pi.addAggs(aggs[r.a0:r.a1], alias)
 		}
 	}
+	clear(runs) // the scratch must not pin an evicted segment's index
+	*scratch = runs[:0]
 }
 
 // key returns the run's traffic key.
@@ -174,6 +173,7 @@ func (r *keyRun) key(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt)
 func (l leaf) runs(dst []keyRun, hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt, only *packet.PathKey) ([]keyRun, leafSlab, bool) {
 	var keys, paths, hops, sampled, recs int
 	ascending := true
+	dst = slices.Grow(dst, len(samples)+len(aggs))
 	for i, j := 0, 0; i < len(samples) || j < len(aggs); {
 		var key packet.PathKey
 		if j == len(aggs) || i < len(samples) && samples[i].Path.Key.Compare(aggs[j].Path.Key) <= 0 {

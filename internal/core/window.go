@@ -72,6 +72,7 @@ type WindowedStore struct {
 	evicted   uint64
 	// indexBuilds counts (HOP, epoch) indexings, cached or not.
 	indexBuilds uint64
+	runs        []keyRun // leaf.addHOP's scratch
 	// Durable persistence (see backend.go). backend mirrors seals to
 	// stable storage; durable/hasDurable is the recovery watermark
 	// captured at attach; recovered counts epochs whose verification
@@ -97,8 +98,6 @@ type epochSegment struct {
 	index    leaf
 	indexed  int
 	sealedBy map[receipt.HOPID]bool
-	// sealed counts the expected HOPs in sealedBy.
-	sealed   int
 	verified bool
 }
 
@@ -109,13 +108,11 @@ type pendingReceipts struct {
 	aggs    []receipt.AggReceipt
 }
 
-// newEpochSegment sizes a segment for the expected HOPs and for keys
-// traffic keys, so its maps do not grow as the HOPs seal.
-func newEpochSegment(hops, keys int) *epochSegment {
+func newEpochSegment() *epochSegment {
 	return &epochSegment{
-		pending:  make(map[receipt.HOPID]pendingReceipts, hops),
-		index:    make(leaf, keys),
-		sealedBy: make(map[receipt.HOPID]bool, hops),
+		pending:  make(map[receipt.HOPID]pendingReceipts),
+		index:    make(leaf),
+		sealedBy: make(map[receipt.HOPID]bool),
 	}
 }
 
@@ -134,8 +131,9 @@ func (s *epochSegment) add(hop receipt.HOPID, samples []receipt.SampleReceipt, a
 }
 
 // NewWindowedStore builds a windowed store expecting receipts from the
-// given HOPs (an epoch seals when all of them sealed it), keeping at
-// most retention verified epochs behind the newest sealed one.
+// given HOPs (an epoch seals when all of them sealed it; a HOP listed
+// twice is expected once), keeping at most retention verified epochs
+// behind the newest sealed one.
 func NewWindowedStore(hops []receipt.HOPID, retention int) (*WindowedStore, error) {
 	if retention < 1 {
 		return nil, fmt.Errorf("core: retention %d epochs is below the 1-epoch minimum", retention)
@@ -146,7 +144,7 @@ func NewWindowedStore(hops []receipt.HOPID, retention int) (*WindowedStore, erro
 	sorted := append([]receipt.HOPID(nil), hops...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return &WindowedStore{
-		hops:      sorted,
+		hops:      slices.Compact(sorted),
 		retention: retention,
 		segs:      make(map[EpochID]*epochSegment),
 	}, nil
@@ -163,12 +161,7 @@ func (w *WindowedStore) segmentLocked(epoch EpochID) (*epochSegment, error) {
 	if epoch < w.minEpoch {
 		return nil, fmt.Errorf("%w: epoch %d (window starts at %d)", ErrEvictedEpoch, epoch, w.minEpoch)
 	}
-	// The busiest held segment's key count is the guess at this one's.
-	keys := 0
-	for _, held := range w.segs {
-		keys = max(keys, len(held.index))
-	}
-	seg := newEpochSegment(len(w.hops), keys)
+	seg := newEpochSegment()
 	w.segs[epoch] = seg
 	return seg, nil
 }
@@ -249,9 +242,6 @@ func (w *WindowedStore) SealHOP(hop receipt.HOPID, epoch EpochID) error {
 	}
 	first := !seg.sealedBy[hop]
 	seg.sealedBy[hop] = true
-	if first && w.expects(hop) {
-		seg.sealed++
-	}
 	persist := first && w.backend != nil && !w.durableSealLocked(epoch)
 	if first {
 		p := seg.pending[hop]
@@ -262,7 +252,7 @@ func (w *WindowedStore) SealHOP(hop receipt.HOPID, epoch EpochID) error {
 		}
 		delete(seg.pending, hop)
 		if w.expects(hop) {
-			seg.index.addHOP(hop, p.samples, p.aggs, true, nil)
+			seg.index.addHOP(hop, p.samples, p.aggs, true, nil, &w.runs)
 			seg.indexed++
 			w.indexBuilds++
 		}
@@ -292,7 +282,12 @@ func (w *WindowedStore) FinishStream() {
 
 // sealedLocked reports whether every expected HOP sealed the segment.
 func (w *WindowedStore) sealedLocked(seg *epochSegment) bool {
-	return seg.sealed == len(w.hops)
+	for _, h := range w.hops {
+		if !seg.sealedBy[h] {
+			return false
+		}
+	}
+	return true
 }
 
 // Ready returns the epochs eligible for verification, in ascending
@@ -475,7 +470,7 @@ func (w *WindowedStore) leafLocked(seg *epochSegment) leaf {
 	}
 	for _, hop := range w.hops {
 		if p, ok := seg.pending[hop]; ok {
-			out.addHOP(hop, p.samples, p.aggs, true, nil)
+			out.addHOP(hop, p.samples, p.aggs, true, nil, &w.runs)
 			w.indexBuilds++
 		}
 	}
