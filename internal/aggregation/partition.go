@@ -79,10 +79,19 @@ type Partitioner struct {
 // New builds a Partitioner for one path. It panics on an invalid
 // config; use Config.Validate for user input.
 func New(cfg Config, path receipt.PathID) *Partitioner {
+	p := new(Partitioner)
+	p.Init(cfg, path)
+	return p
+}
+
+// Init makes p a fresh Partitioner for one path, in place — for state
+// that embeds a Partitioner by value instead of holding one built by
+// New. It panics on an invalid config, as New does.
+func (p *Partitioner) Init(cfg Config, path receipt.PathID) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Partitioner{
+	*p = Partitioner{
 		delta:    hashing.ThresholdForRate(cfg.CutRate),
 		windowNS: cfg.WindowNS,
 		path:     path,
@@ -94,11 +103,12 @@ func New(cfg Config, path receipt.PathID) *Partitioner {
 // must be non-decreasing per HOP.
 func (p *Partitioner) Observe(pktID uint64, tNS int64) {
 	p.observed++
+	prev := p.lastTime
 	p.lastTime = tNS
 
 	// Maintain the recent window and flush pending receipts whose
 	// post-cut window has elapsed.
-	p.evict(tNS)
+	p.evict(prev, tNS)
 
 	if hashing.Exceeds(pktID, p.delta) {
 		// Cutting point: close the current aggregate (if any) and
@@ -204,6 +214,7 @@ func (p *Partitioner) ObserveBatch(recs []receipt.SampleRecord) {
 func (p *Partitioner) extendOpen(recs []receipt.SampleRecord) {
 	p.observed += uint64(len(recs))
 	last := recs[len(recs)-1]
+	prev := p.lastTime
 	p.lastTime = last.TimeNS
 	if !p.hasOpen {
 		p.openFirst, p.hasOpen = recs[0].PktID, true
@@ -211,7 +222,7 @@ func (p *Partitioner) extendOpen(recs []receipt.SampleRecord) {
 	p.openLast = last.PktID
 	p.openCnt += uint64(len(recs))
 	if p.windowNS > 0 {
-		p.evictRecent(last.TimeNS)
+		p.evictRecent(prev, last.TimeNS)
 		if p.recentHead == len(p.recent) {
 			// Everything older is gone, so eviction would go on to
 			// drop the run's own leading records older than J (the
@@ -226,12 +237,13 @@ func (p *Partitioner) extendOpen(recs []receipt.SampleRecord) {
 }
 
 // evict drops recent records older than J and finalizes pending
-// receipts whose deadline has passed.
-func (p *Partitioner) evict(now int64) {
+// receipts whose deadline has passed. prev is the time of the
+// observation before now's (see evictRecent).
+func (p *Partitioner) evict(prev, now int64) {
 	if p.windowNS <= 0 {
 		return
 	}
-	p.evictRecent(now)
+	p.evictRecent(prev, now)
 	done := 0
 	for done < len(p.pending) && p.pending[done].deadline < now {
 		p.closed = append(p.closed, p.pending[done].rec)
@@ -243,7 +255,17 @@ func (p *Partitioner) evict(now int64) {
 }
 
 // evictRecent advances the recent window past records older than J.
-func (p *Partitioner) evictRecent(now int64) {
+// prev is the previous lastTime; timestamps never decrease, so no
+// record in the window is after it. When prev is itself older than J,
+// so is the whole window, and the window is dropped without reading
+// it. On a path that sees a packet less often than every J — most keys
+// of a many-key mesh — that read would be the first touch of memory
+// gone cold since the path's last packet.
+func (p *Partitioner) evictRecent(prev, now int64) {
+	if prev < now-p.windowNS {
+		p.recent, p.recentHead = p.recent[:0], 0
+		return
+	}
 	for p.recentHead < len(p.recent) && p.recent[p.recentHead].TimeNS < now-p.windowNS {
 		p.recentHead++
 	}

@@ -323,6 +323,97 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 	}
 }
 
+// windowedReceipts is the aggregate receipts of a whole stream, flushed
+// at its end, worked out from the stream itself rather than from a
+// Partitioner's recent window: a cut at time T closes the aggregate
+// before it with every earlier packet at or after T-J, the cut, and
+// every later packet in (T, T+J]; the last aggregate carries every
+// packet at or after the final time minus J.
+func windowedReceipts(cfg Config, stream []obs) []receipt.AggReceipt {
+	delta := hashing.ThresholdForRate(cfg.CutRate)
+	var out []receipt.AggReceipt
+	start := 0
+	window := func(lo, hi int64, upTo int) []receipt.SampleRecord {
+		var w []receipt.SampleRecord
+		for _, o := range stream[:upTo] {
+			if o.t >= lo && o.t <= hi {
+				w = append(w, receipt.SampleRecord{PktID: o.id, TimeNS: o.t})
+			}
+		}
+		return w
+	}
+	for i := 1; i < len(stream); i++ {
+		if !hashing.Exceeds(stream[i].id, delta) {
+			continue
+		}
+		cut := stream[i]
+		trans := window(cut.t-cfg.WindowNS, cut.t, i)
+		trans = append(trans, receipt.SampleRecord{PktID: cut.id, TimeNS: cut.t})
+		for _, o := range stream[i+1:] {
+			if o.t > cut.t && o.t <= cut.t+cfg.WindowNS {
+				trans = append(trans, receipt.SampleRecord{PktID: o.id, TimeNS: o.t})
+			}
+		}
+		out = append(out, receipt.AggReceipt{
+			Path:     testPath(),
+			Agg:      receipt.AggID{First: stream[start].id, Last: stream[i-1].id},
+			PktCnt:   uint64(i - start),
+			AggTrans: trans,
+		})
+		start = i
+	}
+	end := stream[len(stream)-1].t
+	return append(out, receipt.AggReceipt{
+		Path:     testPath(),
+		Agg:      receipt.AggID{First: stream[start].id, Last: stream[len(stream)-1].id},
+		PktCnt:   uint64(len(stream) - start),
+		AggTrans: window(end-cfg.WindowNS, end, len(stream)),
+	})
+}
+
+// TestAggTransMatchesStreamWindows: on a sparse stream — gaps longer
+// than J between bursts shorter than it, so the recent window is often
+// wholly stale when the next packet arrives and is dropped unread —
+// per-packet and batched observation both yield exactly the receipts
+// worked out from the stream, AggTrans included.
+func TestAggTransMatchesStreamWindows(t *testing.T) {
+	const J = 100_000
+	cfg := Config{CutRate: 0.05, WindowNS: J}
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := stats.NewRNG(seed)
+		stream := make([]obs, 5000)
+		var now int64
+		for i := range stream {
+			switch r.Intn(4) {
+			case 0:
+				now += J + 1 + int64(r.Intn(2*J)) // a gap: the window goes stale
+			case 1:
+				now += J // exactly J: the oldest record stays
+			default:
+				now += int64(r.Intn(J / 4))
+			}
+			stream[i] = obs{id: r.Uint64(), t: now}
+		}
+		want := windowedReceipts(cfg, stream)
+		if got := runPartitioner(cfg, stream); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: per-packet receipts differ from the stream's windows (%d vs %d receipts)", seed, len(got), len(want))
+		}
+		recs := make([]receipt.SampleRecord, len(stream))
+		for i, o := range stream {
+			recs[i] = receipt.SampleRecord{PktID: o.id, TimeNS: o.t}
+		}
+		for _, batch := range []int{1, 7, 100, len(recs)} {
+			p := New(cfg, testPath())
+			for off := 0; off < len(recs); off += batch {
+				p.ObserveBatch(recs[off:min(off+batch, len(recs))])
+			}
+			if got := p.Flush(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d batch %d: batched receipts differ from the stream's windows", seed, batch)
+			}
+		}
+	}
+}
+
 // TestTakeRecycleOwnership proves Take transfers ownership of the
 // closed-receipt buffer and Recycle reuses it without aliasing a
 // buffer the caller still holds.

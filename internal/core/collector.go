@@ -307,11 +307,13 @@ type MemoryStats struct {
 
 // pathState is the collector's per-active-path state: one open
 // aggregate receipt and the sampler's temporary buffer (§7.1's
-// monitoring-cache entry).
+// monitoring-cache entry). Both algorithms' state lives in it by value,
+// so a path costs one allocation and an observation reaches its
+// Partitioner and Sampler without a pointer hop to memory of their own.
 type pathState struct {
 	id      receipt.PathID
-	sampler *sampling.Sampler
-	part    *aggregation.Partitioner
+	sampler sampling.Sampler
+	part    aggregation.Partitioner
 
 	// touched records whether the path saw any observation since the
 	// last Drain; idleDrains counts consecutive untouched Drains. They
@@ -322,13 +324,11 @@ type pathState struct {
 
 // newPathState builds one path's state.
 func newPathState(cfg *CollectorConfig, key packet.PathKey) *pathState {
-	id := cfg.PathID(key)
 	//lint:ignore hotpath once per newly seen path, amortized over that path's whole packet stream
-	return &pathState{
-		id:      id,
-		sampler: sampling.New(cfg.Sampling),
-		part:    aggregation.New(cfg.Aggregation, id),
-	}
+	st := &pathState{id: cfg.PathID(key)}
+	st.sampler.Init(cfg.Sampling)
+	st.part.Init(cfg.Aggregation, st.id)
+	return st
 }
 
 // drainPath moves one path's finalized receipts into (samples, aggs)

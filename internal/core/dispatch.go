@@ -12,33 +12,6 @@ import (
 // resolves a packet to its path's state index, and the sub-batch that
 // groups pending observations by path so each state is visited once.
 
-// packedKey is a PathKey in 12 bytes — the two prefix addresses as
-// words plus the two prefix lengths — instead of PathKey's 32 (its
-// Prefix.Bits are ints). The classification cache holds keys in this
-// form and expands one only to consult the path map, when a pair is
-// bound to its state.
-type packedKey struct {
-	src, dst         uint32
-	srcBits, dstBits uint8
-}
-
-func packKey(key packet.PathKey) packedKey {
-	return packedKey{
-		src:     binary.BigEndian.Uint32(key.Src.Addr[:]),
-		dst:     binary.BigEndian.Uint32(key.Dst.Addr[:]),
-		srcBits: uint8(key.Src.Bits),
-		dstBits: uint8(key.Dst.Bits),
-	}
-}
-
-func (k packedKey) unpack() packet.PathKey {
-	var key packet.PathKey
-	binary.BigEndian.PutUint32(key.Src.Addr[:], k.src)
-	binary.BigEndian.PutUint32(key.Dst.Addr[:], k.dst)
-	key.Src.Bits, key.Dst.Bits = int(k.srcBits), int(k.dstBits)
-	return key
-}
-
 // classifyCacheSize is the collector's direct-mapped classification
 // cache: it short-circuits the two longest-prefix-match lookups and the
 // path-map lookup for recently seen (source, destination) address
@@ -61,16 +34,16 @@ const noState = ^uint32(0)
 // classifyEntry caches one address pair's classification outcome and,
 // once a packet of the pair has been collected, where its path's state
 // lives: a hit yields the index into Collector.states with no
-// hashing of the path key. The index is an integer and the key is
-// stored packed, so the entry is 32 bytes — two per cache line — and
+// hashing of the path key. The index is an integer and the key is 10
+// bytes, so the entry is 32 bytes — two per cache line — and
 // pointer-free: every HOP collector owns a table of them, and one
 // holding a *pathState would be 128 KiB for the garbage collector to
 // scan per HOP (TestClassifyEntrySize,
 // TestDispatchScratchIsPointerFree).
 type classifyEntry struct {
-	addrs uint64    // packet src<<32 | dst
-	key   packedKey // the matched prefixes, valid only when ok
-	state uint32    // index into Collector.states, or noState
+	addrs uint64         // packet src<<32 | dst
+	key   packet.PathKey // the matched prefixes, valid only when ok
+	state uint32         // index into Collector.states, or noState
 	valid bool
 	ok    bool // false: pair matched no prefix (still cached)
 }
@@ -212,10 +185,7 @@ func (c *Collector) classify(pkt *packet.Packet) (state uint32, ok bool) {
 	e := &c.cache[hashing.Mix64(addrs)&(classifyCacheSize-1)]
 	if !e.valid || e.addrs != addrs {
 		key, ok := c.cfg.Table.Classify(pkt)
-		*e = classifyEntry{addrs: addrs, state: noState, valid: true, ok: ok}
-		if ok {
-			e.key = packKey(key)
-		}
+		*e = classifyEntry{addrs: addrs, key: key, state: noState, valid: true, ok: ok}
 	}
 	if e.state == noState {
 		if !e.ok {
@@ -228,8 +198,7 @@ func (c *Collector) classify(pkt *packet.Packet) (state uint32, ok bool) {
 
 // stateIndex returns the index of key's path state, creating the state
 // — in a freed slot when there is one — on the path's first packet.
-func (c *Collector) stateIndex(pk packedKey) uint32 {
-	key := pk.unpack()
+func (c *Collector) stateIndex(key packet.PathKey) uint32 {
 	if i, ok := c.paths[key]; ok {
 		return i
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"vpm/internal/aggregation"
 	"vpm/internal/hashing"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
@@ -243,6 +244,151 @@ func TestPathCollectorMatchesOracle(t *testing.T) {
 		if !evicted {
 			t.Fatalf("batch %d: no rotation evicted a path; the workload no longer exercises eviction", batch)
 		}
+	}
+}
+
+// sparseGapWorkload builds intervals of observations over a few keys
+// whose consecutive packets are often more than j apart, so a path's
+// AggTrans window is stale when its next packet arrives: the case in
+// which the Partitioner drops the window without reading it. Bursts of
+// packets 20µs apart keep other windows live. After some gaps the next
+// packet is forced to be a cutting point (gapCuts holds their digests),
+// and the last interval ends with one packet of key 0, digest lone,
+// after a gap longer than j.
+func sparseGapWorkload(j int64) (table *packet.Table, intervals [][]netsim.Observation, gapCuts map[uint64]bool, lone receipt.SampleRecord) {
+	const nKeys, nIntervals, perInterval = 6, 4, 3000
+	keys := netsim.WideKeys(nKeys)
+	var prefixes []packet.Prefix
+	for _, k := range keys {
+		prefixes = append(prefixes, k.Src, k.Dst)
+	}
+	rng := stats.NewRNG(11)
+	pkts := make([]packet.Packet, 0, nIntervals*perInterval+1)
+	last := make([]int64, nKeys)
+	seen := make([]bool, nKeys)
+	gapCuts = make(map[uint64]bool)
+	var now int64
+	burstKey, burstLeft := 0, 0
+	add := func(interval, k int, digest uint64) {
+		pkts = append(pkts, packet.Packet{Src: keys[k].Src.Addr, Dst: keys[k].Dst.Addr})
+		intervals[interval] = append(intervals[interval], netsim.Observation{Pkt: &pkts[len(pkts)-1], Digest: digest, TimeNS: now})
+		last[k], seen[k] = now, true
+	}
+	intervals = make([][]netsim.Observation, nIntervals)
+	for e := range intervals {
+		for range perInterval {
+			k := burstKey
+			if burstLeft > 0 {
+				burstLeft--
+				now += 20_000
+			} else {
+				k = rng.Intn(nKeys)
+				now += int64(rng.Intn(int(j / 2)))
+				if rng.Intn(50) == 0 {
+					burstKey, burstLeft = k, 30
+				}
+			}
+			n := uint64(len(pkts))
+			digest := hashing.Mix64(n + 1)
+			if seen[k] && now-last[k] > j && rng.Intn(4) == 0 {
+				digest = ^n // above any cut threshold
+				gapCuts[digest] = true
+			}
+			add(e, k, digest)
+		}
+	}
+	now += 2 * j
+	lone = receipt.SampleRecord{PktID: 1, TimeNS: now} // below any cut threshold
+	add(nIntervals-1, 0, lone.PktID)
+	return packet.NewTable(prefixes), intervals, gapCuts, lone
+}
+
+// TestStaleWindowSkipMatchesOracle holds the collector to the
+// per-packet reference on sparse paths, where most observations find
+// their path's AggTrans window stale: every drained receipt, AggTrans
+// included, must equal the reference's at every batch split; the
+// aggregate a cut right after a gap closes must carry no pre-cut
+// records, and the Flush right after a gap only the packet that ended
+// it.
+func TestStaleWindowSkipMatchesOracle(t *testing.T) {
+	const j = 1_000_000
+	table, obs, gapCuts, lone := sparseGapWorkload(j)
+	if len(gapCuts) == 0 {
+		t.Fatal("the workload forces no cut right after a gap")
+	}
+	cfg := evictCfg(table, 0)
+	cfg.Aggregation = aggregation.Config{CutRate: 0.05, WindowNS: j}
+	for _, batch := range []int{0, 1, 7, 4096} {
+		oracle := newReferenceCollector(t, cfg)
+		col, err := NewCollector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byPath := make(map[packet.PathKey][]receipt.AggReceipt)
+		for e, interval := range obs {
+			oracle.ObserveBatch(interval)
+			if batch == 0 {
+				for i := range interval {
+					col.Observe(interval[i].Pkt, interval[i].Digest, interval[i].TimeNS)
+				}
+			} else {
+				for off := 0; off < len(interval); off += batch {
+					col.ObserveBatch(interval[off:min(off+batch, len(interval))])
+				}
+			}
+			var wantS, gotS []receipt.SampleReceipt
+			var wantA, gotA []receipt.AggReceipt
+			if e < len(obs)-1 {
+				_, wantS, wantA = oracle.RotateInterval()
+				_, gotS, gotA = col.RotateInterval()
+			} else {
+				_, wantS, wantA = oracle.CloseEpoch()
+				_, gotS, gotA = col.CloseEpoch()
+			}
+			if !reflect.DeepEqual(gotS, wantS) || !reflect.DeepEqual(gotA, wantA) {
+				t.Fatalf("batch %d interval %d: receipts differ from the oracle (%d/%d samples, %d/%d aggregates)",
+					batch, e, len(gotS), len(wantS), len(gotA), len(wantA))
+			}
+			for _, a := range gotA {
+				byPath[a.Path.Key] = append(byPath[a.Path.Key], a)
+			}
+		}
+		checked := 0
+		for key, aggs := range byPath {
+			for i := 1; i < len(aggs); i++ {
+				if cut := aggs[i].Agg.First; gapCuts[cut] {
+					if got := aggs[i-1].AggTrans; len(got) == 0 || got[0].PktID != cut {
+						t.Fatalf("batch %d: %v: the aggregate closed by a cut right after a gap carries pre-cut records: %v", batch, key, got)
+					}
+					checked++
+				}
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("batch %d: no aggregate closed by a cut right after a gap", batch)
+		}
+		aggs := byPath[netsim.WideKeys(1)[0]]
+		if got := aggs[len(aggs)-1].AggTrans; !reflect.DeepEqual(got, []receipt.SampleRecord{lone}) {
+			t.Fatalf("batch %d: the Flush right after a gap carries AggTrans %v, want only %v", batch, got, lone)
+		}
+	}
+}
+
+// pathStateSink keeps the measured path state on the heap, as the
+// collector's states slice does.
+var pathStateSink *pathState
+
+// TestNewPathStateAllocatesOnce: a path's Algorithm 1 and Algorithm 2
+// state live by value in its pathState, so a newly seen key costs the
+// collector one allocation, not one per object.
+func TestNewPathStateAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector include its own")
+	}
+	key := netsim.WideKeys(1)[0]
+	cfg := evictCfg(packet.NewTable([]packet.Prefix{key.Src, key.Dst}), 0)
+	if got := testing.AllocsPerRun(100, func() { pathStateSink = newPathState(&cfg, key) }); got != 1 {
+		t.Fatalf("a new path's state costs %v allocations, want 1", got)
 	}
 }
 

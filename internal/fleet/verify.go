@@ -33,6 +33,10 @@ type Verifier struct {
 	shard  int
 	ver    *engine.Verify
 	client *dissem.Client // set by Run
+	// owners caches each key's ring owner, filled on first sight:
+	// Ring.OwnerKey renders and hashes the key's text, and every bundle
+	// names the same keys again.
+	owners map[packet.PathKey]int
 }
 
 // Verifications returns how many payload signatures Run has checked:
@@ -82,7 +86,7 @@ func NewVerifier(w *World, shards, shard int, _ VerifierOptions) (*Verifier, err
 	if err != nil {
 		return nil, err
 	}
-	return &Verifier{world: w, ring: ring, shard: shard, ver: ver}, nil
+	return &Verifier{world: w, ring: ring, shard: shard, ver: ver, owners: make(map[packet.PathKey]int)}, nil
 }
 
 // filterBundle strips b, in place, down to the receipts whose traffic
@@ -90,9 +94,21 @@ func NewVerifier(w *World, shards, shard int, _ VerifierOptions) (*Verifier, err
 // bundle's identity (origin, seq, epoch) is preserved: a
 // filtered-to-empty bundle still seals its (HOP, epoch).
 func (v *Verifier) filterBundle(b *dissem.Bundle) *dissem.Bundle {
-	b.Samples = slices.DeleteFunc(b.Samples, func(r receipt.SampleReceipt) bool { return v.ring.OwnerKey(r.Path.Key) != v.shard })
-	b.Aggs = slices.DeleteFunc(b.Aggs, func(r receipt.AggReceipt) bool { return v.ring.OwnerKey(r.Path.Key) != v.shard })
+	b.Samples = slices.DeleteFunc(b.Samples, func(r receipt.SampleReceipt) bool { return !v.owns(r.Path.Key) })
+	b.Aggs = slices.DeleteFunc(b.Aggs, func(r receipt.AggReceipt) bool { return !v.owns(r.Path.Key) })
 	return b
+}
+
+// owns reports whether k's ring owner is this shard, through the
+// owners cache. Feeds are fetched one at a time, so the cache needs no
+// lock.
+func (v *Verifier) owns(k packet.PathKey) bool {
+	owner, ok := v.owners[k]
+	if !ok {
+		owner = v.ring.OwnerKey(k)
+		v.owners[k] = owner
+	}
+	return owner == v.shard
 }
 
 // Run is the engine's verify half over one feed per domain, from the

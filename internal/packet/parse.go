@@ -43,8 +43,8 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, fmt.Errorf("%w: length %q: %v", ErrBadPrefix, bitsStr, err)
 	}
-	p.Bits = bits
-	if canon := MakePrefix(p.Addr[0], p.Addr[1], p.Addr[2], p.Addr[3], p.Bits); canon != p {
+	p.Bits = uint8(bits)
+	if canon := MakePrefix(p.Addr[0], p.Addr[1], p.Addr[2], p.Addr[3], bits); canon != p {
 		return Prefix{}, fmt.Errorf("%w: %q has host bits set beyond /%d", ErrBadPrefix, s, p.Bits)
 	}
 	return p, nil

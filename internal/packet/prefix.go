@@ -13,15 +13,22 @@ import (
 // The paper names HOP paths by their source and destination origin
 // prefixes; HOPs classify packets by looking their addresses up in a
 // table of advertised prefixes.
+//
+// Both fields are bytes, so a Prefix is 5 bytes and a PathKey 10, with
+// no padding: maps keyed by them hash and compare the key as one block
+// of memory instead of field by field.
 type Prefix struct {
 	Addr [4]byte
-	Bits int // prefix length, 0..32
+	Bits uint8 // prefix length, 0..32
 }
 
 // MakePrefix builds a Prefix from four address octets and a length,
-// normalizing host bits to zero.
+// normalizing host bits to zero. It panics on a length outside 0..32.
 func MakePrefix(a, b, c, d byte, bits int) Prefix {
-	p := Prefix{Addr: [4]byte{a, b, c, d}, Bits: bits}
+	if bits < 0 || bits > 32 {
+		panic(fmt.Sprintf("packet: invalid prefix length %d", bits))
+	}
+	p := Prefix{Addr: [4]byte{a, b, c, d}, Bits: uint8(bits)}
 	v := p.uint32() & p.mask()
 	binary.BigEndian.PutUint32(p.Addr[:], v)
 	return p
@@ -30,7 +37,7 @@ func MakePrefix(a, b, c, d byte, bits int) Prefix {
 func (p Prefix) uint32() uint32 { return binary.BigEndian.Uint32(p.Addr[:]) }
 
 func (p Prefix) mask() uint32 {
-	if p.Bits <= 0 {
+	if p.Bits == 0 {
 		return 0
 	}
 	if p.Bits >= 32 {
@@ -53,7 +60,7 @@ func (p Prefix) AppendText(dst []byte) []byte {
 		dst = strconv.AppendUint(dst, uint64(o), 10)
 	}
 	dst = append(dst, '/')
-	return strconv.AppendInt(dst, int64(p.Bits), 10)
+	return strconv.AppendUint(dst, uint64(p.Bits), 10)
 }
 
 // String renders the prefix in CIDR notation. Prefixes name traffic
@@ -127,7 +134,7 @@ type Table struct {
 func NewTable(prefixes []Prefix) *Table {
 	t := &Table{}
 	for _, p := range prefixes {
-		if p.Bits < 0 || p.Bits > 32 {
+		if p.Bits > 32 {
 			panic(fmt.Sprintf("packet: invalid prefix length %d", p.Bits))
 		}
 		v := p.uint32() & p.mask()

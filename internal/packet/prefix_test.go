@@ -3,6 +3,7 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPrefixContains(t *testing.T) {
@@ -112,9 +113,10 @@ func TestTableLPMAgainstLinearScan(t *testing.T) {
 	}
 	tbl := NewTable(prefixes)
 	linear := func(a [4]byte) (Prefix, bool) {
-		best, found := Prefix{Bits: -1}, false
+		var best Prefix
+		found := false
 		for _, p := range prefixes {
-			if p.Contains(a) && p.Bits > best.Bits {
+			if p.Contains(a) && (!found || p.Bits > best.Bits) {
 				best, found = p, true
 			}
 		}
@@ -138,6 +140,33 @@ func TestTableInvalidPrefixPanics(t *testing.T) {
 		}
 	}()
 	NewTable([]Prefix{{Bits: 40}})
+}
+
+// TestPathKeyIsPaddingFree: a Prefix is its four address bytes and a
+// one-byte length, and a PathKey two of them with nothing between, so
+// the maps keyed by PathKey (the collector's paths, the leaf index, the
+// verifier's route plans) hash and compare each key as one 10-byte
+// block instead of field by field.
+func TestPathKeyIsPaddingFree(t *testing.T) {
+	if got := unsafe.Sizeof(Prefix{}); got != 5 {
+		t.Errorf("Prefix is %d bytes, want 5", got)
+	}
+	if got := unsafe.Sizeof(PathKey{}); got != 10 {
+		t.Errorf("PathKey is %d bytes, want 10", got)
+	}
+}
+
+func TestMakePrefixRejectsInvalidLength(t *testing.T) {
+	for _, bits := range []int{-1, 33, 256 + 8} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MakePrefix with length %d did not panic", bits)
+				}
+			}()
+			MakePrefix(10, 0, 0, 0, bits)
+		}()
+	}
 }
 
 func BenchmarkTableLookup(b *testing.B) {

@@ -34,9 +34,9 @@ var ErrCorrupt = errors.New("receipt: corrupt encoding")
 func appendPathID(dst []byte, p PathID) []byte {
 	var b [pathIDLen]byte
 	copy(b[0:4], p.Key.Src.Addr[:])
-	b[4] = byte(p.Key.Src.Bits)
+	b[4] = p.Key.Src.Bits
 	copy(b[5:9], p.Key.Dst.Addr[:])
-	b[9] = byte(p.Key.Dst.Bits)
+	b[9] = p.Key.Dst.Bits
 	binary.LittleEndian.PutUint32(b[10:14], uint32(p.PrevHOP))
 	binary.LittleEndian.PutUint32(b[14:18], uint32(p.NextHOP))
 	binary.LittleEndian.PutUint64(b[18:26], uint64(p.MaxDiffNS))
@@ -49,9 +49,9 @@ func decodePathID(b []byte) (PathID, error) {
 	}
 	var p PathID
 	copy(p.Key.Src.Addr[:], b[0:4])
-	p.Key.Src.Bits = int(b[4])
+	p.Key.Src.Bits = b[4]
 	copy(p.Key.Dst.Addr[:], b[5:9])
-	p.Key.Dst.Bits = int(b[9])
+	p.Key.Dst.Bits = b[9]
 	if p.Key.Src.Bits > 32 || p.Key.Dst.Bits > 32 {
 		return PathID{}, fmt.Errorf("%w: prefix bits out of range", ErrCorrupt)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"vpm/internal/packet"
 )
@@ -286,6 +287,15 @@ func TestSameTraffic(t *testing.T) {
 	q.Key.Dst = packet.MakePrefix(9, 9, 0, 0, 16)
 	if p.SameTraffic(q) {
 		t.Error("different prefixes should differ")
+	}
+}
+
+// TestPathIDSize: a PathID is its 10-byte padding-free key, two HOP
+// IDs and MaxDiff — 32 bytes, half a cache line, in every receipt held
+// in the verification window.
+func TestPathIDSize(t *testing.T) {
+	if got := unsafe.Sizeof(PathID{}); got != 32 {
+		t.Errorf("PathID is %d bytes, want 32", got)
 	}
 }
 

@@ -72,10 +72,19 @@ type Sampler struct {
 // New builds a Sampler. It panics on an invalid config (programmer
 // error); use Config.Validate to check user input first.
 func New(cfg Config) *Sampler {
+	s := new(Sampler)
+	s.Init(cfg)
+	return s
+}
+
+// Init makes s a fresh Sampler for cfg, in place — for state that
+// embeds a Sampler by value instead of holding one built by New. It
+// panics on an invalid config, as New does.
+func (s *Sampler) Init(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Sampler{
+	*s = Sampler{
 		mu:    hashing.ThresholdForRate(cfg.MarkerRate),
 		sigma: hashing.ThresholdForRate(cfg.SampleRate),
 	}
