@@ -151,7 +151,9 @@ func DecodePayload(payload []byte) ([]*Bundle, error) {
 }
 
 // decodeNext parses the bundle encoding at the start of data and
-// returns the bytes after it.
+// returns the bytes after it. The receipts are decoded in place
+// (receipt.DecodeReceipts): a bundle costs its own allocation and a
+// slice and a record slab per kind, however many receipts it holds.
 func decodeNext(data []byte) (*Bundle, []byte, error) {
 	if len(data) < bundleHeaderSize || [4]byte(data[0:4]) != bundleMagic {
 		return nil, nil, ErrCorruptBundle
@@ -164,33 +166,9 @@ func decodeNext(data []byte) (*Bundle, []byte, error) {
 	if uint64(nSamples)*minSampleWire+uint64(nAggs)*minAggWire > uint64(len(rest)) {
 		return nil, nil, fmt.Errorf("%w: header claims %d samples and %d aggs in %d bytes", ErrCorruptBundle, nSamples, nAggs, len(rest))
 	}
-	if nSamples > 0 {
-		b.Samples = make([]receipt.SampleReceipt, 0, nSamples)
-	}
-	for i := uint32(0); i < nSamples; i++ {
-		s, _, r, err := receipt.Decode(rest)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: sample %d: %v", ErrCorruptBundle, i, err)
-		}
-		if s == nil {
-			return nil, nil, fmt.Errorf("%w: sample %d has wrong kind", ErrCorruptBundle, i)
-		}
-		b.Samples = append(b.Samples, *s)
-		rest = r
-	}
-	if nAggs > 0 {
-		b.Aggs = make([]receipt.AggReceipt, 0, nAggs)
-	}
-	for i := uint32(0); i < nAggs; i++ {
-		_, a, r, err := receipt.Decode(rest)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: agg %d: %v", ErrCorruptBundle, i, err)
-		}
-		if a == nil {
-			return nil, nil, fmt.Errorf("%w: agg %d has wrong kind", ErrCorruptBundle, i)
-		}
-		b.Aggs = append(b.Aggs, *a)
-		rest = r
+	var err error
+	if b.Samples, b.Aggs, rest, err = receipt.DecodeReceipts(rest, nSamples, nAggs); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorruptBundle, err)
 	}
 	return b, rest, nil
 }

@@ -2,6 +2,7 @@ package dissem
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"errors"
 	"io"
 	"math"
@@ -90,7 +91,9 @@ func FuzzDecodeBundle(f *testing.F) {
 // strictly above the one before and below 2⁶⁴−1, and the returned
 // cursor is one past the last position delivered (since when none
 // was). The response's claims buy no memory beyond a small multiple of
-// the bytes that actually arrived, headers included. The corpus holds
+// the bytes that actually arrived, headers included, also with the
+// frame buffer pool warmed by an honest multi-frame response just
+// before, as a verifier's earlier fetches leave it. The corpus holds
 // TestHostileFeeds' responses, honest frames with and without skips,
 // one with a corrupted signature, a skip that wraps the cursor, a gap,
 // a missing or garbled base, a 10 KB Content-Type, and signed payloads
@@ -100,7 +103,17 @@ func FuzzDecodeBundle(f *testing.F) {
 func FuzzReadFrames(f *testing.F) {
 	pub := NewSigner(seedOf(4)).Public()
 	group := []receipt.HOPID{4}
+	var warmBody []byte
+	for range 3 {
+		warmBody = append(warmBody, frame(SignedBundle{Payload: make([]byte, 16<<10), Sig: make([]byte, ed25519.SignatureSize)}, 0)...)
+	}
 	f.Fuzz(func(t *testing.T, contentType string, contentLength int64, base string, since uint64, body []byte) {
+		warm := &http.Response{Header: http.Header{}, ContentLength: int64(len(warmBody)), Body: io.NopCloser(bytes.NewReader(warmBody))}
+		warm.Header.Set("Content-Type", FrameContentType)
+		warm.Header.Set(BaseHeader, "0")
+		if _, err := readFrames(warm, 4, 0, func(p published) (uint64, error) { return p.seq + 1, nil }); err != nil {
+			t.Fatal(err)
+		}
 		resp := &http.Response{Header: http.Header{}, ContentLength: contentLength, Body: io.NopCloser(bytes.NewReader(body))}
 		resp.Header.Set("Content-Type", contentType)
 		if base != "" {

@@ -1,6 +1,7 @@
 package dissem
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"encoding/binary"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"vpm/internal/receipt"
 	"vpm/internal/stats"
 )
 
@@ -384,5 +386,128 @@ func TestDecodeBundleBoundsCounts(t *testing.T) {
 	}
 	if _, err := DecodeBundle(enc); err != nil {
 		t.Fatalf("honest bundle refused: %v", err)
+	}
+}
+
+// TestReadFramesReusesItsBuffer: every frame of every response is read
+// into one pooled buffer. Once a fetch has grown it, one or sixteen
+// further multi-frame fetches allocate less than a quarter of one
+// frame — nothing that grows with their number — and a buffer a frame
+// grew past maxPooledFrameBuffer is dropped, not kept. The byte counts skip
+// under the race detector, whose sync.Pool drops buffers at random.
+func TestReadFramesReusesItsBuffer(t *testing.T) {
+	const frameBytes = 64 << 10
+	body := func(payload int, frames int) []byte {
+		var out []byte
+		for range frames {
+			out = append(out, frame(SignedBundle{Payload: make([]byte, payload), Sig: make([]byte, ed25519.SignatureSize)}, 0)...)
+		}
+		return out
+	}
+	response := func(body []byte) *http.Response {
+		resp := &http.Response{Header: http.Header{}, ContentLength: int64(len(body)), Body: io.NopCloser(bytes.NewReader(body))}
+		resp.Header.Set("Content-Type", FrameContentType)
+		resp.Header.Set(BaseHeader, "0")
+		return resp
+	}
+	read := func(resp *http.Response) {
+		t.Helper()
+		if _, err := readFrames(resp, 4, 0, func(p published) (uint64, error) { return p.seq + 1, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	read(response(body(maxPooledFrameBuffer, 1)))
+	for {
+		p, ok := frameBuffers.Get().(*[]byte)
+		if !ok {
+			break
+		}
+		if cap(*p) > maxPooledFrameBuffer {
+			t.Fatalf("the pool kept a %d-byte buffer; the cap is %d", cap(*p), maxPooledFrameBuffer)
+		}
+	}
+
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	multi := body(frameBytes, 3)
+	fetches := func(n int) uint64 {
+		resps := make([]*http.Response, n)
+		for i := range resps {
+			resps[i] = response(multi)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, resp := range resps {
+			read(resp)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	fetches(1) // grows the pooled buffer
+	for _, n := range []int{1, 16} {
+		// The least of three: a collection that empties the pool between
+		// two samples costs one regrowth, which a quiet sample does not.
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			least = min(least, fetches(n))
+		}
+		if least > frameBytes/4 {
+			t.Errorf("%d fetches of 3 × %d-byte frames allocated %d bytes after the first; want the buffer reused", n, frameBytes, least)
+		}
+	}
+}
+
+// TestDecodeBundleAllocs: a bundle decodes in a constant number of
+// allocations — the bundle, and a slice and a record slab per kind —
+// whether it holds 4 receipts or 4 000, and every receipt's records are
+// cut with cap == len, so an append to one receipt's records cannot
+// reach its neighbour's. The counts skip under the race detector.
+func TestDecodeBundleAllocs(t *testing.T) {
+	bundle := func(n int) *Bundle {
+		b := &Bundle{Origin: 4, Seq: 1, Epoch: 2}
+		for i := range n {
+			path := receipt.PathID{PrevHOP: 3, NextHOP: 5, MaxDiffNS: int64(i)}
+			rs := make([]receipt.SampleRecord, i%3)
+			for j := range rs {
+				rs[j] = receipt.SampleRecord{PktID: uint64(i<<8 | j), TimeNS: int64(j)}
+			}
+			b.Samples = append(b.Samples, receipt.SampleReceipt{Path: path, Samples: rs})
+			b.Aggs = append(b.Aggs, receipt.AggReceipt{Path: path, Agg: receipt.AggID{First: uint64(i), Last: uint64(i)}, PktCnt: 1, AggTrans: rs})
+		}
+		return b
+	}
+	for _, n := range []int{2, 2000} {
+		enc := bundle(n).Encode()
+		b, err := DecodeBundle(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var records [][]receipt.SampleRecord
+		for _, s := range b.Samples {
+			records = append(records, s.Samples)
+		}
+		for _, a := range b.Aggs {
+			records = append(records, a.AggTrans)
+		}
+		for i, rs := range records {
+			if cap(rs) != len(rs) {
+				t.Fatalf("%d receipts: records %d have cap %d, len %d", 2*n, i, cap(rs), len(rs))
+			}
+		}
+		for i := range records[:len(records)-1] {
+			next := slices.Clone(records[i+1])
+			_ = append(records[i], receipt.SampleRecord{PktID: 0xbad})
+			if !slices.Equal(records[i+1], next) {
+				t.Fatalf("%d receipts: appending to records %d rewrote records %d", 2*n, i, i+1)
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _, err = DecodeBundle(enc) }); err != nil || allocs > 5 {
+			t.Errorf("%d receipts: DecodeBundle allocated %.0f times (err %v); want 5 at most, whatever the count", 2*n, allocs, err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/json"
@@ -62,45 +61,95 @@ type keyFragment struct {
 
 // NewShardOutput encodes a verifier's reports canonically, one
 // fragment per key report, with the encoder that renders whole reports.
-// An epoch's fragments are encoded back to back into a scratch buffer
-// and cut from one exact-size copy of it.
+// Each fragment is encoded once, straight into the fragArena it is
+// sliced from, and the fragment slices of every epoch are cut from one
+// slab.
 func NewShardOutput(shards, shard int, reports []core.EpochReport) (*ShardOutput, error) {
 	out := &ShardOutput{Shard: shard, Shards: shards, epochs: make([]shardEpoch, len(reports))}
-	var (
-		scratch []byte
-		ends    []int // where each fragment of the current epoch ends
-		err     error
-	)
+	keys, seqs := 0, 0
+	for i := range reports {
+		keys += len(reports[i].Keys)
+		if len(reports[i].Seq) > 0 {
+			seqs++
+		}
+	}
+	slab := make([]keyFragment, keys) // never nil: an epoch's empty, non-nil Keys stay "[]"
+	arena := fragArena{left: keys + seqs}
 	for i := range reports {
 		rep := &reports[i]
 		ep := &out.epochs[i]
 		ep.epoch = rep.Epoch
-		scratch, ends = scratch[:0], ends[:0]
-		for k := range rep.Keys {
-			if scratch, err = core.AppendEpochKeyReport(scratch, &rep.Keys[k]); err != nil {
-				return nil, err
-			}
-			ends = append(ends, len(scratch))
-		}
-		if len(rep.Seq) > 0 {
-			if scratch, err = core.AppendSeqVerdicts(scratch, rep.Seq); err != nil {
-				return nil, err
-			}
-		}
-		buf := bytes.Clone(scratch)
 		if rep.Keys != nil {
-			ep.keys = make([]keyFragment, len(rep.Keys))
+			n := len(rep.Keys)
+			ep.keys, slab = slab[:n:n], slab[n:]
 		}
-		start := 0
-		for k, end := range ends {
-			ep.keys[k] = keyFragment{key: rep.Keys[k].Key, route: rep.Keys[k].Route, json: buf[start:end:end]}
-			start = end
+		for k := range rep.Keys {
+			kr := &rep.Keys[k]
+			frag, err := core.AppendEpochKeyReport(arena.free(), kr)
+			if err != nil {
+				return nil, err
+			}
+			ep.keys[k] = keyFragment{key: kr.Key, route: kr.Route, json: arena.keep(frag)}
 		}
 		if len(rep.Seq) > 0 {
-			ep.seq = buf[start:]
+			frag, err := core.AppendSeqVerdicts(arena.free(), rep.Seq)
+			if err != nil {
+				return nil, err
+			}
+			ep.seq = arena.keep(frag)
 		}
 	}
 	return out, nil
+}
+
+// fragArena is the chunked storage a part's fragments are encoded into.
+// A fragment is appended to the unused tail of the current chunk and
+// kept there, sliced with cap == len so an append to it cannot reach
+// its neighbour. A tail shorter than the largest fragment so far is
+// abandoned for a new chunk sized for the fragments still to come: a
+// sixteenth short of their count times the mean size so far — so the
+// last chunk seldom ends part-empty — and never above 16 times the
+// bytes measured, so a few early fragments do not size the whole part.
+// A part costs a few chunks whatever its key count, with no scratch to
+// grow and nothing copied; a fragment that outgrows its tail anyway
+// stays in the allocation append grew for it.
+type fragArena struct {
+	tail    []byte // the current chunk's unused capacity
+	bytes   int    // the size of the fragments kept so far
+	kept    int    // how many fragments were kept
+	largest int    // the largest fragment kept so far
+	left    int    // how many fragments are still to come
+}
+
+// firstFragChunk is the first chunk's size, before any fragment has
+// been measured, and the least any chunk holds.
+const firstFragChunk = 16 << 10
+
+// free returns the place to encode the next fragment into.
+func (a *fragArena) free() []byte {
+	if cap(a.tail) == 0 || cap(a.tail) < a.largest {
+		n := firstFragChunk
+		if a.kept > 0 {
+			n = max(n, min(16*a.bytes, a.bytes/a.kept*a.left*15/16))
+		}
+		a.tail = make([]byte, 0, n)
+	}
+	return a.tail[:0]
+}
+
+// keep takes frag, encoded into free's slice, as the next fragment.
+func (a *fragArena) keep(frag []byte) []byte {
+	n := len(frag)
+	a.bytes += n
+	a.kept++
+	a.largest = max(a.largest, n)
+	a.left--
+	if n <= cap(a.tail) {
+		a.tail = a.tail[n:n] // encoded in place
+	} else {
+		a.tail = nil // append moved it
+	}
+	return frag[:n:n]
 }
 
 // reportSize is the exact length appendReport adds.

@@ -81,27 +81,6 @@ func appendRecords(dst []byte, rs []SampleRecord) []byte {
 	return dst
 }
 
-func decodeRecords(b []byte) ([]SampleRecord, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, ErrCorrupt
-	}
-	n := binary.LittleEndian.Uint32(b[:4])
-	b = b[4:]
-	if uint64(len(b)) < uint64(n)*recordLen {
-		return nil, nil, ErrCorrupt
-	}
-	var rs []SampleRecord
-	if n > 0 {
-		rs = make([]SampleRecord, n)
-		for i := range rs {
-			rs[i].PktID = binary.LittleEndian.Uint64(b[0:8])
-			rs[i].TimeNS = int64(binary.LittleEndian.Uint64(b[8:16]))
-			b = b[recordLen:]
-		}
-	}
-	return rs, b, nil
-}
-
 // AppendBinary appends the receipt's binary encoding to dst.
 func (r SampleReceipt) AppendBinary(dst []byte) []byte {
 	dst = append(dst, kindSample)
@@ -138,37 +117,125 @@ func Decode(b []byte) (*SampleReceipt, *AggReceipt, []byte, error) {
 	if len(b) < 1 {
 		return nil, nil, nil, ErrCorrupt
 	}
-	kind := b[0]
-	b = b[1:]
-	path, err := decodePathID(b)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	b = b[pathIDLen:]
-	switch kind {
+	switch b[0] {
 	case kindSample:
-		samples, rest, err := decodeRecords(b)
+		s, _, rest, err := DecodeReceipts(b, 1, 0)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return &SampleReceipt{Path: path, Samples: samples}, nil, rest, nil
+		return &s[0], nil, rest, nil
 	case kindAgg:
-		if len(b) < 24 {
-			return nil, nil, nil, ErrCorrupt
-		}
-		r := AggReceipt{Path: path}
-		r.Agg.First = binary.LittleEndian.Uint64(b[0:8])
-		r.Agg.Last = binary.LittleEndian.Uint64(b[8:16])
-		r.PktCnt = binary.LittleEndian.Uint64(b[16:24])
-		trans, rest, err := decodeRecords(b[24:])
+		_, a, rest, err := DecodeReceipts(b, 0, 1)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		r.AggTrans = trans
-		return nil, &r, rest, nil
+		return nil, &a[0], rest, nil
 	default:
-		return nil, nil, nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
+		return nil, nil, nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, b[0])
 	}
+}
+
+// DecodeReceipts parses nSamples sample receipts and then nAggs
+// aggregate receipts — the stream order of a bundle or a segment block
+// — from the head of b, and returns them with the bytes after them. A
+// first pass checks the layout and counts the records, so nothing is
+// allocated for counts the bytes could not hold, and decoding costs at
+// most four allocations whatever the counts: a slice and a record slab
+// per kind. Every receipt's Samples or AggTrans is cut from its kind's
+// slab with cap == len, so an append to one receipt's records cannot
+// reach its neighbour's; the slabs are per kind so that a consumer
+// keeping only one kind's records does not pin the other's. A kind
+// with no receipts, and a receipt with no records, decode as nil.
+// Malformed input returns an error wrapping ErrCorrupt that names the
+// receipt.
+func DecodeReceipts(b []byte, nSamples, nAggs uint32) ([]SampleReceipt, []AggReceipt, []byte, error) {
+	// Pass 1: each receipt's kind and length, and the records per kind.
+	// Every receipt it accepts spans at least 33 bytes, so the walk is
+	// bounded by len(b) whatever the counts claim.
+	var sampleRecs, aggRecs uint64
+	off := 0
+	for i := uint64(0); i < uint64(nSamples)+uint64(nAggs); i++ {
+		what, j, kind, head, recs := "sample", i, byte(kindSample), 1+pathIDLen, &sampleRecs
+		if i >= uint64(nSamples) {
+			what, j, kind, head, recs = "agg", i-uint64(nSamples), kindAgg, 1+pathIDLen+24, &aggRecs
+		}
+		r := b[off:]
+		if len(r) < head+4 {
+			return nil, nil, nil, fmt.Errorf("%w: %s %d: truncated", ErrCorrupt, what, j)
+		}
+		if r[0] != kind {
+			return nil, nil, nil, fmt.Errorf("%w: %s %d has kind %d", ErrCorrupt, what, j, r[0])
+		}
+		n := uint64(binary.LittleEndian.Uint32(r[head : head+4]))
+		if uint64(len(r)-head-4) < n*recordLen {
+			return nil, nil, nil, fmt.Errorf("%w: %s %d: %d records truncated", ErrCorrupt, what, j, n)
+		}
+		*recs += n
+		off += head + 4 + int(n)*recordLen
+	}
+
+	// Pass 2: decode into the slices and the slabs.
+	var (
+		samples []SampleReceipt
+		aggs    []AggReceipt
+	)
+	rest := b
+	if nSamples > 0 {
+		samples = make([]SampleReceipt, nSamples)
+	}
+	slab := recordSlab(sampleRecs)
+	for i := range samples {
+		s := &samples[i]
+		var err error
+		if s.Path, err = decodePathID(rest[1:]); err != nil {
+			return nil, nil, nil, fmt.Errorf("sample %d: %w", i, err)
+		}
+		s.Samples, rest = cutRecords(&slab, rest[1+pathIDLen:])
+	}
+	if nAggs > 0 {
+		aggs = make([]AggReceipt, nAggs)
+	}
+	slab = recordSlab(aggRecs)
+	for i := range aggs {
+		a := &aggs[i]
+		var err error
+		if a.Path, err = decodePathID(rest[1:]); err != nil {
+			return nil, nil, nil, fmt.Errorf("agg %d: %w", i, err)
+		}
+		body := rest[1+pathIDLen:]
+		a.Agg.First = binary.LittleEndian.Uint64(body[0:8])
+		a.Agg.Last = binary.LittleEndian.Uint64(body[8:16])
+		a.PktCnt = binary.LittleEndian.Uint64(body[16:24])
+		a.AggTrans, rest = cutRecords(&slab, body[24:])
+	}
+	return samples, aggs, rest, nil
+}
+
+// recordSlab allocates n records, none for n == 0.
+func recordSlab(n uint64) []SampleRecord {
+	if n == 0 {
+		return nil
+	}
+	return make([]SampleRecord, n)
+}
+
+// cutRecords decodes the count-prefixed records at the head of b, whose
+// length the layout pass checked, into the front of *slab, and returns
+// them, with cap == len, and the bytes after them.
+func cutRecords(slab *[]SampleRecord, b []byte) ([]SampleRecord, []byte) {
+	n := int(binary.LittleEndian.Uint32(b))
+	b = b[4:]
+	if n == 0 {
+		return nil, b
+	}
+	rs := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	for i := range rs {
+		rs[i].PktID = binary.LittleEndian.Uint64(b[0:8])
+		rs[i].TimeNS = int64(binary.LittleEndian.Uint64(b[8:16]))
+		b = b[recordLen:]
+	}
+	return rs, b
 }
 
 // BaseAggReceiptBytes is the size of an aggregate receipt without its

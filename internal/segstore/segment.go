@@ -140,27 +140,9 @@ func nextBlock(b []byte) (blockHeader, []byte, error) {
 // ErrCorruptSegment.
 func decodeReceipts(h blockHeader, payload []byte) (Block, error) {
 	blk := Block{Epoch: h.epoch, HOP: h.hop}
-	for i := uint32(0); i < h.nSamples; i++ {
-		s, _, r, err := receipt.Decode(payload)
-		if err != nil {
-			return blk, fmt.Errorf("%w: sample %d: %v", ErrCorruptSegment, i, err)
-		}
-		if s == nil {
-			return blk, fmt.Errorf("%w: sample %d has wrong kind", ErrCorruptSegment, i)
-		}
-		blk.Samples = append(blk.Samples, *s)
-		payload = r
-	}
-	for i := uint32(0); i < h.nAggs; i++ {
-		_, a, r, err := receipt.Decode(payload)
-		if err != nil {
-			return blk, fmt.Errorf("%w: agg %d: %v", ErrCorruptSegment, i, err)
-		}
-		if a == nil {
-			return blk, fmt.Errorf("%w: agg %d has wrong kind", ErrCorruptSegment, i)
-		}
-		blk.Aggs = append(blk.Aggs, *a)
-		payload = r
+	var err error
+	if blk.Samples, blk.Aggs, payload, err = receipt.DecodeReceipts(payload, h.nSamples, h.nAggs); err != nil {
+		return blk, fmt.Errorf("%w: %v", ErrCorruptSegment, err)
 	}
 	if len(payload) != 0 {
 		return blk, fmt.Errorf("%w: %d payload bytes beyond the declared receipts", ErrCorruptSegment, len(payload))
