@@ -10,40 +10,54 @@ package vpm
 // stream-end rule existed in one of five before).
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
+	pathpkg "path"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// walkProductionGo calls fn with the slash-separated path of every
-// non-test Go file of the module outside bench/ and testdata.
-func walkProductionGo(t *testing.T, fn func(path string) error) {
+// walkGo calls fn with the slash-separated path of every Go file of
+// the module, tests included, outside testdata and dot directories.
+func walkGo(t *testing.T, fn func(path string) error) {
 	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == "bench" || name == "testdata" {
+			if name := d.Name(); name == "testdata" || (name != "." && strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		path = filepath.ToSlash(path)
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		if path = filepath.ToSlash(path); strings.HasSuffix(path, ".go") {
+			return fn(path)
 		}
-		return fn(path)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// walkProductionGo calls fn with the slash-separated path of every
+// non-test Go file of the module outside bench/ and testdata.
+func walkProductionGo(t *testing.T, fn func(path string) error) {
+	t.Helper()
+	walkGo(t, func(path string) error {
+		if strings.HasPrefix(path, "bench/") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		return fn(path)
+	})
 }
 
 func TestOnePipeline(t *testing.T) {
@@ -306,4 +320,148 @@ func TestLoadBearingSet(t *testing.T) {
 			t.Errorf("%s: %s is referenced by no example, doc or facade test — delete it or use it", fset.Position(id.Pos()), id.Name)
 		}
 	}
+}
+
+// TestNoUnusedInternalExports keeps internal/ down to what runs. Every
+// exported top-level identifier of non-test internal/ code must be
+// referenced by a non-test file (bench/ counts) or by the tests of
+// another package, and every internal/ package must be imported by one
+// of those. What only its own package's tests use belongs in a _test.go
+// file of that package, where its external tests still reach it; what
+// nothing uses goes. A reference from inside the identifier's own
+// declaration, or from a method of the type it names, does not count.
+func TestNoUnusedInternalExports(t *testing.T) {
+	type ident struct{ dir, name string }
+	declared := map[ident]token.Pos{}
+	used := map[ident]bool{}
+	packages := map[string]token.Pos{} // internal/ directory -> a package clause
+	imported := map[string]bool{}
+	fset := token.NewFileSet()
+	walkGo(t, func(path string) error {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir, test := pathpkg.Dir(path), strings.HasSuffix(path, "_test.go")
+		internal := !test && strings.HasPrefix(dir, "internal/")
+		if internal && slices.ContainsFunc(f.Decls, declaresCode) {
+			packages[dir] = f.Name.Pos()
+		}
+		// Import name -> directory, for the module's own packages.
+		local := map[string]string{}
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				return err
+			}
+			d, ok := strings.CutPrefix(p, "vpm/")
+			if !ok {
+				continue
+			}
+			name := pathpkg.Base(d)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			local[name] = d
+			if d != dir {
+				imported[d] = true
+			}
+		}
+		for _, decl := range f.Decls {
+			// Each top-level spec with the names it declares; references
+			// to those inside it, or inside a method of the type it
+			// declares, are self-references.
+			var specs []ast.Node
+			var names [][]*ast.Ident
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				specs = append(specs, decl)
+				if decl.Recv == nil {
+					names = append(names, []*ast.Ident{decl.Name})
+				} else {
+					names = append(names, nil)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						specs, names = append(specs, spec), append(names, []*ast.Ident{spec.Name})
+					case *ast.ValueSpec:
+						specs, names = append(specs, spec), append(names, spec.Names)
+					}
+				}
+			}
+			for i, spec := range specs {
+				self := map[string]bool{}
+				for _, id := range names[i] {
+					self[id.Name] = true
+					if internal && id.IsExported() {
+						declared[ident{dir, id.Name}] = id.Pos()
+					}
+				}
+				skip := map[*ast.Ident]bool{}
+				if fn, ok := spec.(*ast.FuncDecl); ok {
+					skip[fn.Name] = true
+					if fn.Recv != nil {
+						self[receiverType(fn.Recv.List[0].Type)] = true
+					}
+				}
+				ast.Inspect(spec, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						skip[n.Sel] = true
+						if x, ok := n.X.(*ast.Ident); ok {
+							if d, ok := local[x.Name]; ok && (!test || d != dir) {
+								used[ident{d, n.Sel.Name}] = true
+							}
+						}
+					case *ast.Field:
+						for _, id := range n.Names {
+							skip[id] = true
+						}
+					case *ast.CompositeLit:
+						// A key of a struct literal names a field.
+						if _, ok := n.Type.(*ast.MapType); !ok {
+							for _, elt := range n.Elts {
+								if kv, ok := elt.(*ast.KeyValueExpr); ok {
+									if id, ok := kv.Key.(*ast.Ident); ok {
+										skip[id] = true
+									}
+								}
+							}
+						}
+					case *ast.Ident:
+						if !test && !skip[n] && !self[n.Name] {
+							used[ident{dir, n.Name}] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+		return nil
+	})
+	var unused []string
+	for dir, pos := range packages {
+		if !imported[dir] {
+			unused = append(unused, fmt.Sprintf("%s: package %s is imported by no non-test file and by no other package's tests — delete it", fset.Position(pos), dir))
+		}
+	}
+	for id, pos := range declared {
+		if !used[id] {
+			unused = append(unused, fmt.Sprintf("%s: %s.%s is referenced by no non-test file and by no other package's tests — delete it, or move it into a _test.go file if its own tests use it", fset.Position(pos), pathpkg.Base(id.dir), id.name))
+		}
+	}
+	slices.Sort(unused)
+	for _, msg := range unused {
+		t.Error(msg)
+	}
+}
+
+// declaresCode reports whether d declares something other than imports:
+// a package of documentation alone, like internal/e2e, holds no code
+// for anything to import.
+func declaresCode(d ast.Decl) bool {
+	g, ok := d.(*ast.GenDecl)
+	return !ok || g.Tok != token.IMPORT
 }

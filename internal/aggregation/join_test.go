@@ -113,11 +113,11 @@ func joinAligned(a, b []receipt.AggReceipt) []Pair {
 // downstream variant (possibly with drops/reorder) to another,
 // returning both receipt sequences.
 func runPair(cfgUp, cfgDown Config, up, down []obs) (a, b []receipt.AggReceipt) {
-	pa := New(cfgUp, testPath())
+	pa := newPartitioner(cfgUp, testPath())
 	for _, o := range up {
 		pa.Observe(o.id, o.t)
 	}
-	pb := New(cfgDown, testPath())
+	pb := newPartitioner(cfgDown, testPath())
 	for _, o := range down {
 		pb.Observe(o.id, o.t)
 	}

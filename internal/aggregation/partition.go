@@ -76,17 +76,9 @@ type Partitioner struct {
 	cutsSeen   uint64
 }
 
-// New builds a Partitioner for one path. It panics on an invalid
-// config; use Config.Validate for user input.
-func New(cfg Config, path receipt.PathID) *Partitioner {
-	p := new(Partitioner)
-	p.Init(cfg, path)
-	return p
-}
-
-// Init makes p a fresh Partitioner for one path, in place — for state
-// that embeds a Partitioner by value instead of holding one built by
-// New. It panics on an invalid config, as New does.
+// Init makes p a fresh Partitioner for one path, in place, so state
+// can embed a Partitioner by value. It panics on an invalid config;
+// use Config.Validate for user input.
 func (p *Partitioner) Init(cfg Config, path receipt.PathID) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -329,10 +321,3 @@ func (p *Partitioner) Flush() []receipt.AggReceipt {
 	}
 	return p.Take()
 }
-
-// Stats returns (packets observed, cutting points seen).
-func (p *Partitioner) Stats() (observed, cuts uint64) { return p.observed, p.cutsSeen }
-
-// RecentWindowLen returns the current number of records held in the
-// recent-packet window (the §7.1 temporary-buffer quantity).
-func (p *Partitioner) RecentWindowLen() int { return len(p.recent) - p.recentHead }

@@ -18,6 +18,20 @@ func testPath() receipt.PathID {
 		4, 5, 2_000_000)
 }
 
+// newPartitioner builds a Partitioner for one path.
+func newPartitioner(cfg Config, path receipt.PathID) *Partitioner {
+	p := new(Partitioner)
+	p.Init(cfg, path)
+	return p
+}
+
+// Stats returns (packets observed, cutting points seen).
+func (p *Partitioner) Stats() (observed, cuts uint64) { return p.observed, p.cutsSeen }
+
+// RecentWindowLen returns the current number of records held in the
+// recent-packet window (the §7.1 temporary-buffer quantity).
+func (p *Partitioner) RecentWindowLen() int { return len(p.recent) - p.recentHead }
+
 // obs is one (id, time) observation.
 type obs struct {
 	id uint64
@@ -36,7 +50,7 @@ func randomStream(seed uint64, n int) []obs {
 
 // runPartitioner feeds the stream and flushes.
 func runPartitioner(cfg Config, stream []obs) []receipt.AggReceipt {
-	p := New(cfg, testPath())
+	p := newPartitioner(cfg, testPath())
 	for _, o := range stream {
 		p.Observe(o.id, o.t)
 	}
@@ -57,7 +71,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Error("New with invalid config did not panic")
 		}
 	}()
-	New(Config{}, testPath())
+	newPartitioner(Config{}, testPath())
 }
 
 func TestCountsSumToObserved(t *testing.T) {
@@ -204,7 +218,7 @@ func TestZeroWindowDisablesAggTrans(t *testing.T) {
 }
 
 func TestTakeVsFlush(t *testing.T) {
-	p := New(Config{CutRate: 0.01, WindowNS: 1000}, testPath())
+	p := newPartitioner(Config{CutRate: 0.01, WindowNS: 1000}, testPath())
 	stream := randomStream(7, 10000)
 	for _, o := range stream {
 		p.Observe(o.id, o.t)
@@ -228,7 +242,7 @@ func TestTakeVsFlush(t *testing.T) {
 
 func TestRecentWindowBounded(t *testing.T) {
 	const J = 10_000 // 10µs; stream spaced 1µs -> ~10 packets in window
-	p := New(Config{CutRate: 0.001, WindowNS: J}, testPath())
+	p := newPartitioner(Config{CutRate: 0.001, WindowNS: J}, testPath())
 	for _, o := range randomStream(8, 50000) {
 		p.Observe(o.id, o.t)
 		if n := p.RecentWindowLen(); n > 15 {
@@ -242,7 +256,7 @@ func TestRecentWindowBounded(t *testing.T) {
 // the array behind it — sized by J, not by the run.
 func TestRecentWindowBoundedBatch(t *testing.T) {
 	const J = 10_000
-	p := New(Config{CutRate: 0.0001, WindowNS: J}, testPath())
+	p := newPartitioner(Config{CutRate: 0.0001, WindowNS: J}, testPath())
 	stream := randomStream(8, 50000)
 	recs := make([]receipt.SampleRecord, len(stream))
 	for i, o := range stream {
@@ -260,7 +274,7 @@ func TestRecentWindowBoundedBatch(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	p := New(Config{CutRate: 0.01}, testPath())
+	p := newPartitioner(Config{CutRate: 0.01}, testPath())
 	stream := randomStream(9, 10000)
 	for _, o := range stream {
 		p.Observe(o.id, o.t)
@@ -275,7 +289,7 @@ func TestStats(t *testing.T) {
 }
 
 func BenchmarkPartitionerObserve(b *testing.B) {
-	p := New(Config{CutRate: 0.001, WindowNS: 10_000}, testPath())
+	p := newPartitioner(Config{CutRate: 0.001, WindowNS: 10_000}, testPath())
 	r := stats.NewRNG(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -305,7 +319,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 			want := runPartitioner(cfg, stream)
 
 			for _, batch := range []int{1, 7, 100, 4096, len(recs)} {
-				p := New(cfg, testPath())
+				p := newPartitioner(cfg, testPath())
 				for off := 0; off < len(recs); off += batch {
 					end := off + batch
 					if end > len(recs) {
@@ -403,7 +417,7 @@ func TestAggTransMatchesStreamWindows(t *testing.T) {
 			recs[i] = receipt.SampleRecord{PktID: o.id, TimeNS: o.t}
 		}
 		for _, batch := range []int{1, 7, 100, len(recs)} {
-			p := New(cfg, testPath())
+			p := newPartitioner(cfg, testPath())
 			for off := 0; off < len(recs); off += batch {
 				p.ObserveBatch(recs[off:min(off+batch, len(recs))])
 			}
@@ -419,7 +433,7 @@ func TestAggTransMatchesStreamWindows(t *testing.T) {
 // buffer the caller still holds.
 func TestTakeRecycleOwnership(t *testing.T) {
 	cfg := Config{CutRate: 0.05, WindowNS: 10_000}
-	p := New(cfg, testPath())
+	p := newPartitioner(cfg, testPath())
 	stream := randomStream(3, 8000)
 	for _, o := range stream[:4000] {
 		p.Observe(o.id, o.t)
@@ -451,7 +465,7 @@ func TestTakeRecycleOwnership(t *testing.T) {
 // reachable through it — after Take, and after the terminal Flush,
 // where no later epoch would overwrite it.
 func TestRecycledSpareReferencesNothing(t *testing.T) {
-	p := New(Config{CutRate: 0.05, WindowNS: 10_000}, testPath())
+	p := newPartitioner(Config{CutRate: 0.05, WindowNS: 10_000}, testPath())
 	stream := randomStream(5, 4000)
 	empty := func(when string) {
 		t.Helper()

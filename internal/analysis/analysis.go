@@ -25,7 +25,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/token"
 )
 
@@ -48,9 +47,4 @@ type Diagnostic struct {
 	// Fix is the remediation hint vpm-lint prints alongside the
 	// position — every invariant has a known-good idiom.
 	Fix string
-}
-
-// Reportf reports a formatted diagnostic without a fix hint.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }

@@ -14,7 +14,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -113,14 +112,4 @@ func matchWant(ws []*want, message string) bool {
 		}
 	}
 	return false
-}
-
-// Fprint is a debugging helper: it renders findings the way vpm-lint
-// does, for use in suite-failure messages.
-func Fprint(findings []analysis.Finding) string {
-	var b strings.Builder
-	for _, f := range findings {
-		fmt.Fprintln(&b, f.String())
-	}
-	return b.String()
 }

@@ -34,16 +34,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// CalleePkgPath returns the import path of the package the call's
-// target function belongs to ("" when unresolvable or a builtin).
-func CalleePkgPath(info *types.Info, call *ast.CallExpr) string {
-	fn := Callee(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Path()
-}
-
 // IsPackageLevel reports whether obj is declared at some package's
 // top-level scope.
 func IsPackageLevel(obj types.Object) bool {

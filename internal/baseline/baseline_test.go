@@ -216,3 +216,17 @@ func TestDAPPEmptyEstimate(t *testing.T) {
 		t.Error("zero-value estimate should be all zeros")
 	}
 }
+
+// ReceiptBytes returns the reporting cost: one 〈PktID, Time〉 record
+// per packet at the wire record size.
+func (s *Strawman) ReceiptBytes() int64 {
+	return int64(len(s.Records)) * receipt.SampleRecordBytes
+}
+
+// Observed returns the total packets seen.
+func (t *TrajectorySampling) Observed() uint64 { return t.observed }
+
+// ReceiptBytes returns the reporting cost.
+func (t *TrajectorySampling) ReceiptBytes() int64 {
+	return int64(len(t.Records)) * receipt.SampleRecordBytes
+}

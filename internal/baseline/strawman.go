@@ -13,13 +13,12 @@
 //     timestamp sums (after the Lossy Difference Aggregator). Tunable,
 //     but reordering near cutting points breaks aggregate alignment,
 //     and only loss and average delay — no delay quantiles — are
-//     computable.
+//     computable. The experiments run only the first two; this one
+//     lives in the package's tests (dapp_test.go), which show the
+//     failure that motivates VPM's AggTrans window.
 package baseline
 
-import (
-	"vpm/internal/packet"
-	"vpm/internal/receipt"
-)
+import "vpm/internal/packet"
 
 // StrawmanRecord is one per-packet receipt: the §3.1 strawman keeps a
 // digest and timestamp for every single packet.
@@ -37,12 +36,6 @@ type Strawman struct {
 // Observe appends a per-packet receipt.
 func (s *Strawman) Observe(_ *packet.Packet, digest uint64, tNS int64) {
 	s.Records = append(s.Records, StrawmanRecord{PktID: digest, TimeNS: tNS})
-}
-
-// ReceiptBytes returns the reporting cost: one 〈PktID, Time〉 record
-// per packet at the wire record size.
-func (s *Strawman) ReceiptBytes() int64 {
-	return int64(len(s.Records)) * receipt.SampleRecordBytes
 }
 
 // StrawmanCompare computes exact loss and per-packet delays between

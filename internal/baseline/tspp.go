@@ -3,7 +3,6 @@ package baseline
 import (
 	"vpm/internal/hashing"
 	"vpm/internal/packet"
-	"vpm/internal/receipt"
 	"vpm/internal/stats"
 )
 
@@ -36,14 +35,6 @@ func (t *TrajectorySampling) Observe(_ *packet.Packet, digest uint64, tNS int64)
 	if t.Sampled(digest) {
 		t.Records = append(t.Records, StrawmanRecord{PktID: digest, TimeNS: tNS})
 	}
-}
-
-// Observed returns the total packets seen.
-func (t *TrajectorySampling) Observed() uint64 { return t.observed }
-
-// ReceiptBytes returns the reporting cost.
-func (t *TrajectorySampling) ReceiptBytes() int64 {
-	return int64(len(t.Records)) * receipt.SampleRecordBytes
 }
 
 // TSPPEstimate is the performance estimate a TS++ verifier computes

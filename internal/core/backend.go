@@ -71,17 +71,6 @@ func (w *WindowedStore) AttachBackend(b StoreBackend) {
 	w.durable, w.hasDurable = b.LastSealed()
 }
 
-// DurableWatermark returns the backend's last durably sealed epoch at
-// attach time; false with no backend or a fresh one.
-func (w *WindowedStore) DurableWatermark() (EpochID, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.backend == nil {
-		return 0, false
-	}
-	return w.durable, w.hasDurable
-}
-
 // Recovered returns how many epochs skipped re-verification because a
 // durable verdict report already existed.
 func (w *WindowedStore) Recovered() uint64 {

@@ -275,3 +275,14 @@ func TestBackendErrorsPropagate(t *testing.T) {
 		t.Fatal("report-persist failure did not propagate through VerifyReady")
 	}
 }
+
+// DurableWatermark returns the backend's last durably sealed epoch at
+// attach time; false with no backend or a fresh one.
+func (w *WindowedStore) DurableWatermark() (EpochID, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.backend == nil {
+		return 0, false
+	}
+	return w.durable, w.hasDurable
+}

@@ -77,9 +77,6 @@ func (c *Collector) CloseEpoch() (EpochID, []receipt.SampleReceipt, []receipt.Ag
 	return e, samples, aggs
 }
 
-// Epoch returns the collector's current (open) epoch ordinal.
-func (c *Collector) Epoch() EpochID { return c.epoch }
-
 // EpochSink receives one HOP's sealed epoch: every receipt the HOP
 // finalized during that interval. The EpochDriver invokes it from the
 // goroutine replaying that HOP's observations, so distinct HOPs' sinks
@@ -117,9 +114,6 @@ func NewEpochCollector(col *Collector, intervalNS int64, sink EpochSink) (*Epoch
 	}
 	return &EpochCollector{col: col, sink: sink, intervalNS: intervalNS, end: intervalNS}, nil
 }
-
-// HOP returns the wrapped collector's HOP identity.
-func (e *EpochCollector) HOP() receipt.HOPID { return e.col.HOP() }
 
 // rotateTo rotates (possibly several times, emitting empty epochs for
 // idle intervals) until t falls inside the open epoch.

@@ -80,8 +80,12 @@ func TestEvictIdlePaths(t *testing.T) {
 			}
 		}
 		encode := func(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
-			var arena receipt.Arena
-			stream = append(stream, arena.Encode(samples, aggs)...)
+			for _, r := range samples {
+				stream = r.AppendBinary(stream)
+			}
+			for _, r := range aggs {
+				stream = r.AppendBinary(stream)
+			}
 		}
 		s, a := col.Drain() // epoch 1: wave A active
 		count(a)

@@ -94,12 +94,3 @@ func (rv *RollingVerifier) endSequentialEpoch(epoch EpochID) []seqdetect.SeqVerd
 	}
 	return rv.seq.EndEpoch(uint64(epoch))
 }
-
-// SeqVerdicts returns every sequential verdict the arm has emitted so
-// far, in emission order; nil when the arm is off.
-func (rv *RollingVerifier) SeqVerdicts() []seqdetect.SeqVerdict {
-	if rv.seq == nil {
-		return nil
-	}
-	return rv.seq.Verdicts()
-}

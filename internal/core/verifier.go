@@ -236,13 +236,6 @@ func (v *Verifier) Sink() EpochSink {
 	}
 }
 
-// SampleCount returns the number of distinct sampled packets ingested
-// for a HOP.
-func (v *Verifier) SampleCount(hop receipt.HOPID) int {
-	w := v.indexFor(hop)
-	return len(w.uniq())
-}
-
 // DelaysBetween returns the per-packet delays (nanoseconds, as
 // float64 for the statistics layer) of the packets sampled by both
 // HOPs: Rb.Time − Ra.Time per common PktID (§4, Receipt-based
@@ -332,16 +325,6 @@ func (v *Verifier) CorroboratedDelays(a, b, witness receipt.HOPID) []float64 {
 		}
 	}
 	return out
-}
-
-// DelayQuantiles estimates the delay quantiles of the traffic between
-// two HOPs from their matched samples.
-func (v *Verifier) DelayQuantiles(a, b receipt.HOPID, qs []float64, confidence float64) ([]quantile.Estimate, error) {
-	delays := v.DelaysBetween(a, b)
-	if len(delays) == 0 {
-		return nil, fmt.Errorf("core: no matched samples between %v and %v", a, b)
-	}
-	return quantile.Quantiles(delays, qs, confidence)
 }
 
 // LossReport is the aggregate-based loss computation between two HOPs.

@@ -12,6 +12,7 @@ import (
 	"vpm/internal/lossmodel"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
+	"vpm/internal/quantile"
 	"vpm/internal/receipt"
 	"vpm/internal/stats"
 	"vpm/internal/trace"
@@ -450,4 +451,21 @@ func TestDelayQuantilesZeroConfidence(t *testing.T) {
 	if _, err := v.DelayQuantiles(1, 2, []float64{0.5}, 0.95); err != nil {
 		t.Errorf("valid confidence rejected: %v", err)
 	}
+}
+
+// SampleCount returns the number of distinct sampled packets ingested
+// for a HOP.
+func (v *Verifier) SampleCount(hop receipt.HOPID) int {
+	w := v.indexFor(hop)
+	return len(w.uniq())
+}
+
+// DelayQuantiles estimates the delay quantiles of the traffic between
+// two HOPs from their matched samples.
+func (v *Verifier) DelayQuantiles(a, b receipt.HOPID, qs []float64, confidence float64) ([]quantile.Estimate, error) {
+	delays := v.DelaysBetween(a, b)
+	if len(delays) == 0 {
+		return nil, fmt.Errorf("core: no matched samples between %v and %v", a, b)
+	}
+	return quantile.Quantiles(delays, qs, confidence)
 }

@@ -347,14 +347,6 @@ func (w *WindowedStore) UnverifiedEpochs() []EpochID {
 	return out
 }
 
-// Holds reports whether the store still has a segment for epoch.
-func (w *WindowedStore) Holds(epoch EpochID) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, ok := w.segs[epoch]
-	return ok
-}
-
 // epochView is the evidence one target epoch is judged on: the leaves
 // of the epochs before it, of itself and after it that the store
 // holds, oldest first. The neighbours supply the boundary-spill

@@ -785,3 +785,11 @@ func TestEvictReleasesLeaf(t *testing.T) {
 			plateau, final, epochs/4, epochs, st.Segments)
 	}
 }
+
+// Holds reports whether the store still has a segment for epoch.
+func (w *WindowedStore) Holds(epoch EpochID) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	_, ok := w.segs[epoch]
+	return ok
+}

@@ -77,19 +77,6 @@ func BurstyUDPScenario(seed uint64) Config {
 	}
 }
 
-// MixedScenario adds long-lived AIMD flows to the bursty UDP flow,
-// the paper's "long-lived TCP or UDP flows compete for/saturate the
-// bandwidth of a bottleneck link" alternative.
-func MixedScenario(seed uint64) Config {
-	c := BurstyUDPScenario(seed)
-	c.UDP[0].RateBps = 6e8
-	c.TCP = []AIMD{
-		{RTTNS: 4e7, StartBps: 2e8},
-		{RTTNS: 8e7, StartBps: 1e8},
-	}
-	return c
-}
-
 // udpState is the evolving state of one on/off flow.
 type udpState struct {
 	spec     OnOffUDP
@@ -225,19 +212,4 @@ func (q *Queue) DelayOf(tNS int64, pktBytes int) int64 {
 		q.overflowed = true
 	}
 	return int64(queueing) + q.cfg.PropagationNS
-}
-
-// Backlog returns the current queue occupancy in bytes (for tests and
-// instrumentation).
-func (q *Queue) Backlog() float64 { return q.backlogBytes }
-
-// DroppedBytes returns the cumulative background bytes discarded by
-// the droptail buffer.
-func (q *Queue) DroppedBytes() float64 { return q.drops }
-
-// MaxDelayNS returns the largest delay the scenario can produce: a
-// full buffer ahead of the packet, plus propagation.
-func (q *Queue) MaxDelayNS(pktBytes int) int64 {
-	drain := q.cfg.CapacityBps / 8
-	return int64((q.cfg.QueueBytes+float64(pktBytes))/drain*1e9) + q.cfg.PropagationNS
 }

@@ -35,7 +35,7 @@ func TestValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("invalid UDP flow accepted")
 	}
-	badTCP := MixedScenario(1)
+	badTCP := mixedScenario(1)
 	badTCP.TCP[0].RTTNS = 0
 	if _, err := New(badTCP); err == nil {
 		t.Error("invalid TCP flow accepted")
@@ -126,7 +126,7 @@ func TestBacklogBounded(t *testing.T) {
 }
 
 func TestMixedScenarioAIMD(t *testing.T) {
-	q, err := New(MixedScenario(5))
+	q, err := New(mixedScenario(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,4 +169,32 @@ func BenchmarkDelayOf(b *testing.B) {
 		q.DelayOf(now, 400)
 		now += 10_000
 	}
+}
+
+// mixedScenario adds long-lived AIMD flows to the bursty UDP flow,
+// the paper's "long-lived TCP or UDP flows compete for/saturate the
+// bandwidth of a bottleneck link" alternative.
+func mixedScenario(seed uint64) Config {
+	c := BurstyUDPScenario(seed)
+	c.UDP[0].RateBps = 6e8
+	c.TCP = []AIMD{
+		{RTTNS: 4e7, StartBps: 2e8},
+		{RTTNS: 8e7, StartBps: 1e8},
+	}
+	return c
+}
+
+// Backlog returns the current queue occupancy in bytes (for tests and
+// instrumentation).
+func (q *Queue) Backlog() float64 { return q.backlogBytes }
+
+// DroppedBytes returns the cumulative background bytes discarded by
+// the droptail buffer.
+func (q *Queue) DroppedBytes() float64 { return q.drops }
+
+// MaxDelayNS returns the largest delay the scenario can produce: a
+// full buffer ahead of the packet, plus propagation.
+func (q *Queue) MaxDelayNS(pktBytes int) int64 {
+	drain := q.cfg.CapacityBps / 8
+	return int64((q.cfg.QueueBytes+float64(pktBytes))/drain*1e9) + q.cfg.PropagationNS
 }

@@ -60,9 +60,8 @@ func (b *Bundle) WireSize() int {
 }
 
 // AppendEncode appends the canonical binary form to dst and returns
-// the extended slice. Sealing loops hand it a grow-only
-// buffer (or a receipt.Arena's) so steady-state encoding allocates
-// nothing; Encode wraps it for callers that need a fresh payload.
+// the extended slice. Sealing loops hand it a grow-only buffer so
+// steady-state encoding allocates nothing.
 func (b *Bundle) AppendEncode(dst []byte) []byte {
 	dst = append(dst, bundleMagic[:]...)
 	var hdr [28]byte
@@ -79,12 +78,6 @@ func (b *Bundle) AppendEncode(dst []byte) []byte {
 		dst = a.AppendBinary(dst)
 	}
 	return dst
-}
-
-// Encode produces the canonical binary form — a one-bundle payload —
-// in one exactly-sized allocation.
-func (b *Bundle) Encode() []byte {
-	return b.AppendEncode(make([]byte, 0, b.WireSize()))
 }
 
 // bundleHeaderSize is the fixed prefix of the canonical encoding:
@@ -114,26 +107,12 @@ var (
 	minAggWire    = uint64(receipt.AggReceipt{}.WireSize())
 )
 
-// DecodeBundle parses a canonical bundle encoding. Malformed input
-// returns an error wrapping ErrCorruptBundle, never a panic
-// (FuzzDecodeBundle), and never allocates more than a small multiple
-// of len(data): receipt counts the remaining bytes could not hold are
-// refused before anything is allocated for them.
-func DecodeBundle(data []byte) (*Bundle, error) {
-	b, rest, err := decodeNext(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptBundle, len(rest))
-	}
-	return b, nil
-}
-
 // DecodePayload parses a signed payload: one or more canonical bundle
-// encodings laid end to end. An empty payload, or any bundle
-// DecodeBundle would refuse, returns an error wrapping
-// ErrCorruptBundle, with the same guarantees.
+// encodings laid end to end. Malformed input, an empty payload
+// included, returns an error wrapping ErrCorruptBundle, never a panic
+// (FuzzDecodeBundle), and never allocates more than a small multiple
+// of len(payload): receipt counts the remaining bytes could not hold
+// are refused before anything is allocated for them.
 func DecodePayload(payload []byte) ([]*Bundle, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("%w: empty payload", ErrCorruptBundle)

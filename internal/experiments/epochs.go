@@ -16,8 +16,8 @@ import (
 // This file runs the pipeline the way a deployment would: continuously,
 // over a stream of rotating epochs, with receipts travelling through
 // signed per-epoch dissemination bundles and verification rolling one
-// interval behind ingest. RunContinuous builds the Fig1 world and runs
-// internal/engine on it (as cmd/vpm-node does).
+// interval behind ingest. RunContinuousOpts builds the Fig1 world and
+// runs internal/engine on it (as cmd/vpm-node does).
 
 // ContinuousResult is the outcome of one continuous run.
 type ContinuousResult struct {
@@ -99,7 +99,7 @@ type ContinuousOptions struct {
 	Backend core.StoreBackend
 }
 
-// RunContinuous drives the Fig1 workload over `epochs` rotating
+// RunContinuousOpts drives the Fig1 workload over `epochs` rotating
 // intervals through internal/engine: each epoch's packets are
 // generated and simulated as one segment, every HOP's sealed epoch is
 // published as an ed25519-signed epoch-tagged bundle on an in-memory
@@ -107,18 +107,10 @@ type ContinuousOptions struct {
 // verifies each interval once every HOP has sealed it — overlapping
 // the next epoch's simulation — and evicts what has aged out.
 //
-// onEpoch, if non-nil, receives each epoch's report as verification
-// completes.
-func RunContinuous(cfg Config, ec core.EpochConfig, epochs int, onEpoch func(core.EpochReport, core.WindowStats)) (*ContinuousResult, error) {
-	return RunContinuousOpts(cfg, ec, epochs, ContinuousOptions{OnEpoch: onEpoch})
-}
-
-// RunContinuousOpts is RunContinuous with the full option set: path
-// perturbation, per-layer adversaries (data plane, control plane,
-// dissemination), bias checks, the SPRT arm and a durable backend. It
-// builds the Fig1 world, runs the engine and shapes the result; when
-// the engine fails mid-stream the result so far is returned with the
-// error.
+// opts adds path perturbation, per-layer adversaries (data plane,
+// control plane, dissemination), bias checks, the SPRT arm and a
+// durable backend. When the engine fails mid-stream the result so far
+// is returned with the error.
 func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts ContinuousOptions) (*ContinuousResult, error) {
 	cfg = cfg.Normalize()
 	if err := ec.Validate(); err != nil {

@@ -23,9 +23,9 @@ func TestRunContinuous(t *testing.T) {
 	ec := core.EpochConfig{IntervalNS: 25_000_000, Retention: retention}
 
 	var reported []core.EpochID
-	res, err := RunContinuous(cfg, ec, epochs, func(rep core.EpochReport, _ core.WindowStats) {
+	res, err := RunContinuousOpts(cfg, ec, epochs, ContinuousOptions{OnEpoch: func(rep core.EpochReport, _ core.WindowStats) {
 		reported = append(reported, rep.Epoch)
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestRunContinuousHonestMarkerInversion(t *testing.T) {
 	}
 	cfg := Config{Seed: 1, RatePPS: 100_000, DurationNS: 250_000_000}
 	ec := core.EpochConfig{IntervalNS: 250_000_000, Retention: 2}
-	res, err := RunContinuous(cfg, ec, 180, func(rep core.EpochReport, _ core.WindowStats) {
+	res, err := RunContinuousOpts(cfg, ec, 180, ContinuousOptions{OnEpoch: func(rep core.EpochReport, _ core.WindowStats) {
 		if n := rep.Violations(); n != 0 {
 			t.Errorf("honest epoch %d: %d violations", rep.Epoch, n)
 		}
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestRunContinuousHonestMarkerInversion(t *testing.T) {
 // configurations up front.
 func TestRunContinuousValidation(t *testing.T) {
 	cfg := Config{Seed: 1, RatePPS: 1000}
-	if _, err := RunContinuous(cfg, core.EpochConfig{IntervalNS: 0, Retention: 1}, 2, nil); err == nil {
+	if _, err := RunContinuousOpts(cfg, core.EpochConfig{IntervalNS: 0, Retention: 1}, 2, ContinuousOptions{}); err == nil {
 		t.Fatal("zero interval accepted")
 	}
-	if _, err := RunContinuous(cfg, core.EpochConfig{IntervalNS: 1e7, Retention: 0}, 2, nil); err == nil {
+	if _, err := RunContinuousOpts(cfg, core.EpochConfig{IntervalNS: 1e7, Retention: 0}, 2, ContinuousOptions{}); err == nil {
 		t.Fatal("zero retention accepted")
 	}
-	if _, err := RunContinuous(cfg, core.EpochConfig{IntervalNS: 1e7, Retention: 1}, 0, nil); err == nil {
+	if _, err := RunContinuousOpts(cfg, core.EpochConfig{IntervalNS: 1e7, Retention: 1}, 0, ContinuousOptions{}); err == nil {
 		t.Fatal("zero epochs accepted")
 	}
 }

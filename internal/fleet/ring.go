@@ -90,9 +90,6 @@ func NewRing(n int) (*Ring, error) {
 	return r, nil
 }
 
-// Shards returns the shard count the ring was built for.
-func (r *Ring) Shards() int { return r.shards }
-
 // OwnerKey returns the shard owning traffic key k: the first ring
 // point at or after the key's hash, wrapping at the top.
 func (r *Ring) OwnerKey(k packet.PathKey) int {

@@ -39,15 +39,6 @@ type Verifier struct {
 	owners map[packet.PathKey]int
 }
 
-// Verifications returns how many payload signatures Run has checked:
-// one per (domain, epoch) on an honest fleet.
-func (v *Verifier) Verifications() int64 {
-	if v.client == nil {
-		return 0
-	}
-	return v.client.Verifications()
-}
-
 // VerifierOptions tunes the shard's fetch loop.
 type VerifierOptions struct {
 	// Retry bounds each collector fetch. Zero value means

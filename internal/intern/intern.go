@@ -71,6 +71,3 @@ var global Table
 
 // Bytes interns b in the process-wide table.
 func Bytes(b []byte) string { return global.Bytes(b) }
-
-// String interns s in the process-wide table.
-func String(s string) string { return global.String(s) }

@@ -50,7 +50,7 @@ func TestBounded(t *testing.T) {
 
 func TestGlobalHelpers(t *testing.T) {
 	a := Bytes([]byte("global-key"))
-	if b := String("global-key"); b != a {
+	if b := global.String("global-key"); b != a {
 		t.Fatal("global helpers disagree")
 	}
 }

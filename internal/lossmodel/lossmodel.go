@@ -21,12 +21,6 @@ type Process interface {
 	Drop() bool
 }
 
-// None is a Process that never drops.
-type None struct{}
-
-// Drop always returns false.
-func (None) Drop() bool { return false }
-
 // Bernoulli drops each packet independently with probability P.
 type Bernoulli struct {
 	P   float64
@@ -88,18 +82,6 @@ func FromTargetLoss(target, meanBurst float64, rng *stats.RNG) (*GilbertElliott,
 	return NewGilbertElliott(pgb, pbg, 0, 1, rng)
 }
 
-// StationaryLoss returns the model's long-run loss rate.
-func (g *GilbertElliott) StationaryLoss() float64 {
-	denom := g.PGB + g.PBG
-	if denom == 0 {
-		// Chain never transitions; loss rate is that of the initial
-		// (Good) state.
-		return g.LossGood
-	}
-	pBad := g.PGB / denom
-	return (1-pBad)*g.LossGood + pBad*g.LossBad
-}
-
 // Drop implements Process: advance the chain one packet and decide.
 func (g *GilbertElliott) Drop() bool {
 	// Transition first, then emit by current state.
@@ -124,13 +106,4 @@ func (g *GilbertElliott) Drop() bool {
 		return true
 	}
 	return false
-}
-
-// ObservedLoss returns the empirical loss rate so far (0 if no packets
-// have been offered yet).
-func (g *GilbertElliott) ObservedLoss() float64 {
-	if g.total == 0 {
-		return 0
-	}
-	return float64(g.drops) / float64(g.total)
 }

@@ -7,15 +7,6 @@ import (
 	"vpm/internal/stats"
 )
 
-func TestNoneNeverDrops(t *testing.T) {
-	var n None
-	for i := 0; i < 1000; i++ {
-		if n.Drop() {
-			t.Fatal("None dropped")
-		}
-	}
-}
-
 func TestBernoulliRate(t *testing.T) {
 	for _, p := range []float64{0, 0.1, 0.25, 0.5} {
 		b := NewBernoulli(p, stats.NewRNG(1))
@@ -180,4 +171,25 @@ func BenchmarkGilbertElliott(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Drop()
 	}
+}
+
+// StationaryLoss returns the model's long-run loss rate.
+func (g *GilbertElliott) StationaryLoss() float64 {
+	denom := g.PGB + g.PBG
+	if denom == 0 {
+		// Chain never transitions; loss rate is that of the initial
+		// (Good) state.
+		return g.LossGood
+	}
+	pBad := g.PGB / denom
+	return (1-pBad)*g.LossGood + pBad*g.LossBad
+}
+
+// ObservedLoss returns the empirical loss rate so far (0 if no packets
+// have been offered yet).
+func (g *GilbertElliott) ObservedLoss() float64 {
+	if g.total == 0 {
+		return 0
+	}
+	return float64(g.drops) / float64(g.total)
 }

@@ -49,12 +49,6 @@ type DelaySource interface {
 	DelayOf(tNS int64, pktBytes int) int64
 }
 
-// FixedDelay is a DelaySource with a constant delay.
-type FixedDelay int64
-
-// DelayOf returns the fixed delay.
-func (d FixedDelay) DelayOf(int64, int) int64 { return int64(d) }
-
 // Observer receives one HOP's packet observations in arrival order.
 // The packet pointer is valid only for the duration of the call
 // (NoCopy semantics); digest is the packet's 64-bit ID under the
@@ -62,12 +56,6 @@ func (d FixedDelay) DelayOf(int64, int) int64 { return int64(d) }
 type Observer interface {
 	Observe(pkt *packet.Packet, digest uint64, tNS int64)
 }
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(pkt *packet.Packet, digest uint64, tNS int64)
-
-// Observe calls f.
-func (f ObserverFunc) Observe(pkt *packet.Packet, digest uint64, tNS int64) { f(pkt, digest, tNS) }
 
 // Observation is one packet observation at a HOP: the packet, its
 // 64-bit digest under the deployment seed, and the HOP's (possibly
@@ -399,7 +387,7 @@ type replayGroup struct {
 
 // findGroup returns the index of the group that must also replay obs,
 // or -1 for a new group. Comparable observers group by identity.
-// Observers of non-comparable dynamic type (e.g. ObserverFunc) cannot
+// Observers of non-comparable dynamic type (e.g. a func type) cannot
 // be tested for identity, so they all share one sequential group —
 // conservatively preserving the serial-replay guarantee for a closure
 // registered under several HOPs, at the cost of parallelism between

@@ -178,16 +178,6 @@ func (t *Topology) HOPDomain(h receipt.HOPID) int {
 	return t.Links[li].To
 }
 
-// DomainIndex returns the index of the named domain, or -1.
-func (t *Topology) DomainIndex(name string) int {
-	for i := range t.Domains {
-		if t.Domains[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // RouteHOPs returns route r's HOP sequence in traversal order: the
 // origin's egress onto the first link, then each transit domain's
 // ingress and egress pair, then the destination's ingress off the last

@@ -530,3 +530,13 @@ func TestReplayScratchSizedToSegment(t *testing.T) {
 		t.Fatalf("a 10-packet segment over %d HOPs allocated %d bytes, want < %d (one full-size batch)", nHops, grew, batch)
 	}
 }
+
+// DomainIndex returns the index of the named domain, or -1.
+func (t *Topology) DomainIndex(name string) int {
+	for i := range t.Domains {
+		if t.Domains[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}

@@ -41,10 +41,6 @@ func (e Estimate) String() string {
 	return fmt.Sprintf("q%.3g=%.3fms [%.3f,%.3f] n=%d", e.Q, e.Point/1e6, e.Lo/1e6, e.Hi/1e6, e.N)
 }
 
-// Width returns the confidence interval width in nanoseconds — the
-// verifier's "accuracy" handle on its own estimate.
-func (e Estimate) Width() float64 { return e.Hi - e.Lo }
-
 // Quantile estimates the q-quantile of the underlying traffic delay
 // from sampled delays (nanoseconds) at the given confidence. It
 // returns an error when no samples are available.

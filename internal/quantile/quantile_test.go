@@ -206,3 +206,7 @@ func BenchmarkQuantile(b *testing.B) {
 		}
 	}
 }
+
+// Width returns the confidence interval width in nanoseconds — the
+// verifier's "accuracy" handle on its own estimate.
+func (e Estimate) Width() float64 { return e.Hi - e.Lo }

@@ -68,72 +68,6 @@ func (v Inconsistency) String() string {
 	return fmt.Sprintf("%s: %s", v.Kind, v.Detail)
 }
 
-// SamplePairReport is the outcome of checking two sample receipts for
-// the same traffic across one inter-domain link.
-type SamplePairReport struct {
-	// Matched pairs of records (same PktID in both receipts), as
-	// (upstream record, downstream record).
-	Matched [][2]SampleRecord
-	// Violations found. An honest pair over a healthy link has none.
-	Violations []Inconsistency
-}
-
-// Consistent reports whether no violations were found.
-func (r SamplePairReport) Consistent() bool { return len(r.Violations) == 0 }
-
-// CheckSamplePair applies the paper's consistency rules (equations 1
-// and 2 in §4) to the receipts of the upstream HOP (which delivered
-// the traffic onto the link) and the downstream HOP (which received
-// it). Missing records are reported as violations of the appropriate
-// direction; the caller decides how to attribute blame (a missing
-// downstream record is expected when the packet was genuinely lost on
-// a faulty link — or when someone is lying).
-func CheckSamplePair(up, down SampleReceipt) SamplePairReport {
-	var rep SamplePairReport
-	if up.Path.MaxDiffNS != down.Path.MaxDiffNS {
-		rep.Violations = append(rep.Violations, Inconsistency{
-			Kind:   MaxDiffMismatch,
-			Detail: fmt.Sprintf("upstream %dns vs downstream %dns", up.Path.MaxDiffNS, down.Path.MaxDiffNS),
-		})
-	}
-	maxDiff := up.Path.MaxDiffNS
-	downByID := make(map[uint64]SampleRecord, len(down.Samples))
-	for _, r := range down.Samples {
-		downByID[r.PktID] = r
-	}
-	seen := make(map[uint64]bool, len(up.Samples))
-	for _, u := range up.Samples {
-		seen[u.PktID] = true
-		d, ok := downByID[u.PktID]
-		if !ok {
-			rep.Violations = append(rep.Violations, Inconsistency{
-				Kind:   MissingDownstream,
-				PktID:  u.PktID,
-				Detail: "delivered upstream, no downstream record",
-			})
-			continue
-		}
-		rep.Matched = append(rep.Matched, [2]SampleRecord{u, d})
-		if delta := d.TimeNS - u.TimeNS; delta > maxDiff {
-			rep.Violations = append(rep.Violations, Inconsistency{
-				Kind:   DelayBound,
-				PktID:  u.PktID,
-				Detail: fmt.Sprintf("link delta %dns exceeds MaxDiff %dns", delta, maxDiff),
-			})
-		}
-	}
-	for _, d := range down.Samples {
-		if !seen[d.PktID] {
-			rep.Violations = append(rep.Violations, Inconsistency{
-				Kind:   MissingUpstream,
-				PktID:  d.PktID,
-				Detail: "received downstream, never reported upstream",
-			})
-		}
-	}
-	return rep
-}
-
 // CheckAggPair applies the aggregate consistency rule of §4: the two
 // HOPs at the ends of a correct inter-domain link must report equal
 // packet counts for the same aggregate. The receipts are assumed to

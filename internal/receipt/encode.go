@@ -110,31 +110,6 @@ func (r AggReceipt) WireSize() int {
 	return 1 + pathIDLen + 24 + 4 + len(r.AggTrans)*recordLen
 }
 
-// Decode parses one receipt from b, returning the receipt (exactly one
-// of the two pointers is non-nil), the remaining bytes, and an error.
-// Malformed input returns ErrCorrupt (match with errors.Is).
-func Decode(b []byte) (*SampleReceipt, *AggReceipt, []byte, error) {
-	if len(b) < 1 {
-		return nil, nil, nil, ErrCorrupt
-	}
-	switch b[0] {
-	case kindSample:
-		s, _, rest, err := DecodeReceipts(b, 1, 0)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return &s[0], nil, rest, nil
-	case kindAgg:
-		_, a, rest, err := DecodeReceipts(b, 0, 1)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return nil, &a[0], rest, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, b[0])
-	}
-}
-
 // DecodeReceipts parses nSamples sample receipts and then nAggs
 // aggregate receipts — the stream order of a bundle or a segment block
 // — from the head of b, and returns them with the bytes after them. A

@@ -49,11 +49,6 @@ type PathID struct {
 	MaxDiffNS int64          `json:"max_diff_ns"`
 }
 
-// SameTraffic reports whether two PathIDs refer to the same traffic
-// (same origin-prefix pair), regardless of the reporting HOP's
-// position or link configuration.
-func (p PathID) SameTraffic(q PathID) bool { return p.Key == q.Key }
-
 // String renders the PathID compactly.
 func (p PathID) String() string {
 	return fmt.Sprintf("%s prev=%s next=%s maxdiff=%dns", p.Key, p.PrevHOP, p.NextHOP, p.MaxDiffNS)

@@ -82,75 +82,6 @@ func TestCombineAggregatesPathMismatch(t *testing.T) {
 	}
 }
 
-func TestCheckSamplePairConsistent(t *testing.T) {
-	p := testPath()
-	up := SampleReceipt{Path: p, Samples: []SampleRecord{{1, 1000}, {2, 2000}}}
-	down := SampleReceipt{Path: p, Samples: []SampleRecord{{1, 1000 + 500_000}, {2, 2000 + 900_000}}}
-	rep := CheckSamplePair(up, down)
-	if !rep.Consistent() {
-		t.Fatalf("expected consistency, got %v", rep.Violations)
-	}
-	if len(rep.Matched) != 2 {
-		t.Errorf("matched %d, want 2", len(rep.Matched))
-	}
-}
-
-func TestCheckSamplePairDelayBound(t *testing.T) {
-	p := testPath()
-	up := SampleReceipt{Path: p, Samples: []SampleRecord{{1, 0}}}
-	down := SampleReceipt{Path: p, Samples: []SampleRecord{{1, p.MaxDiffNS + 1}}}
-	rep := CheckSamplePair(up, down)
-	if rep.Consistent() {
-		t.Fatal("delay-bound violation missed")
-	}
-	if rep.Violations[0].Kind != DelayBound {
-		t.Errorf("kind = %v", rep.Violations[0].Kind)
-	}
-}
-
-func TestCheckSamplePairNegativeDeltaAllowed(t *testing.T) {
-	// Clock skew can make the downstream timestamp earlier; the
-	// paper's rule only bounds the positive difference.
-	p := testPath()
-	up := SampleReceipt{Path: p, Samples: []SampleRecord{{1, 1000}}}
-	down := SampleReceipt{Path: p, Samples: []SampleRecord{{1, 500}}}
-	if rep := CheckSamplePair(up, down); !rep.Consistent() {
-		t.Fatalf("negative delta should be tolerated: %v", rep.Violations)
-	}
-}
-
-func TestCheckSamplePairMaxDiffMismatch(t *testing.T) {
-	up := SampleReceipt{Path: testPath()}
-	downPath := testPath()
-	downPath.MaxDiffNS++
-	down := SampleReceipt{Path: downPath}
-	rep := CheckSamplePair(up, down)
-	if rep.Consistent() || rep.Violations[0].Kind != MaxDiffMismatch {
-		t.Fatalf("MaxDiff mismatch missed: %+v", rep.Violations)
-	}
-}
-
-func TestCheckSamplePairMissing(t *testing.T) {
-	p := testPath()
-	up := SampleReceipt{Path: p, Samples: []SampleRecord{{1, 0}, {2, 0}}}
-	down := SampleReceipt{Path: p, Samples: []SampleRecord{{2, 100}, {3, 100}}}
-	rep := CheckSamplePair(up, down)
-	var kinds []InconsistencyKind
-	for _, v := range rep.Violations {
-		kinds = append(kinds, v.Kind)
-	}
-	if len(kinds) != 2 {
-		t.Fatalf("violations = %v", rep.Violations)
-	}
-	hasMissing := map[InconsistencyKind]bool{}
-	for _, k := range kinds {
-		hasMissing[k] = true
-	}
-	if !hasMissing[MissingDownstream] || !hasMissing[MissingUpstream] {
-		t.Errorf("kinds = %v", kinds)
-	}
-}
-
 func TestCheckAggPair(t *testing.T) {
 	p := testPath()
 	a := AggReceipt{Path: p, Agg: AggID{1, 2}, PktCnt: 100}
@@ -331,3 +262,8 @@ func BenchmarkReceiptEncodingJSONVsBinary(b *testing.B) {
 		}
 	})
 }
+
+// SameTraffic reports whether two PathIDs refer to the same traffic
+// (same origin-prefix pair), regardless of the reporting HOP's
+// position or link configuration.
+func (p PathID) SameTraffic(q PathID) bool { return p.Key == q.Key }

@@ -176,10 +176,6 @@ func (s *Sampler) Recycle(buf []receipt.SampleRecord) {
 	}
 }
 
-// Pending returns the number of packets currently awaiting a marker in
-// the temporary buffer.
-func (s *Sampler) Pending() int { return len(s.temp) }
-
 // TempHighWater returns the maximum temporary-buffer occupancy seen,
 // in packets — the §7.1 memory-budget quantity.
 func (s *Sampler) TempHighWater() int {
@@ -187,18 +183,4 @@ func (s *Sampler) TempHighWater() int {
 		return len(s.temp)
 	}
 	return s.tempHighWater
-}
-
-// Stats returns (packets observed, markers seen, packets sampled).
-func (s *Sampler) Stats() (observed, markers, sampled uint64) {
-	return s.observed, s.markers, s.sampled
-}
-
-// EffectiveRate returns the empirical fraction of observed packets
-// that were sampled so far.
-func (s *Sampler) EffectiveRate() float64 {
-	if s.observed == 0 {
-		return 0
-	}
-	return float64(s.sampled) / float64(s.observed)
 }

@@ -353,3 +353,21 @@ func TestTakeRecycleOwnership(t *testing.T) {
 		t.Fatal("no samples after recycle")
 	}
 }
+
+// Pending returns the number of packets currently awaiting a marker in
+// the temporary buffer.
+func (s *Sampler) Pending() int { return len(s.temp) }
+
+// Stats returns (packets observed, markers seen, packets sampled).
+func (s *Sampler) Stats() (observed, markers, sampled uint64) {
+	return s.observed, s.markers, s.sampled
+}
+
+// EffectiveRate returns the empirical fraction of observed packets
+// that were sampled so far.
+func (s *Sampler) EffectiveRate() float64 {
+	if s.observed == 0 {
+		return 0
+	}
+	return float64(s.sampled) / float64(s.observed)
+}

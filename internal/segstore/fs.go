@@ -78,9 +78,6 @@ func NewDirFS(dir string) (*DirFS, error) {
 	return &DirFS{dir: dir}, nil
 }
 
-// Dir returns the root directory.
-func (f *DirFS) Dir() string { return f.dir }
-
 // OpenAppend implements FS.
 func (f *DirFS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(filepath.Join(f.dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -18,10 +18,10 @@ import (
 //	        payloadCRC[4] headerCRC[4]  payload[payloadLen]
 //
 // The payload is the receipt wire encoding (samples then aggregates,
-// the canonical stream order — the same bytes a receipt.Arena encodes
-// and a dissemination bundle carries). Both CRCs are CRC-32C
-// (Castagnoli); headerCRC covers the 28 header bytes before it, so a
-// torn or bit-rotted header is detected without trusting payloadLen.
+// the canonical stream order — the same bytes a dissemination bundle
+// carries). Both CRCs are CRC-32C (Castagnoli); headerCRC covers the
+// 28 header bytes before it, so a torn or bit-rotted header is
+// detected without trusting payloadLen.
 // Everything is little-endian, like the receipt encoding.
 //
 // The format is append-only and self-delimiting: recovery scans
@@ -59,8 +59,7 @@ type Block struct {
 
 // AppendBlock appends the canonical block encoding for one HOP's
 // sealed epoch to dst and returns the extended slice. The payload is
-// encoded exactly as receipt.Arena.Encode would: samples then
-// aggregates.
+// each receipt's AppendBinary encoding: samples then aggregates.
 func AppendBlock(dst []byte, epoch uint64, hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) []byte {
 	payloadLen := 0
 	for _, r := range samples {
@@ -87,11 +86,6 @@ func AppendBlock(dst []byte, epoch uint64, hop receipt.HOPID, samples []receipt.
 	binary.LittleEndian.PutUint32(dst[start+24:start+28], crc32.Checksum(payload, crcTable))
 	binary.LittleEndian.PutUint32(dst[start+28:start+32], crc32.Checksum(dst[start:start+28], crcTable))
 	return dst
-}
-
-// EncodeBlock is AppendBlock into a fresh slice.
-func EncodeBlock(epoch uint64, hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) []byte {
-	return AppendBlock(nil, epoch, hop, samples, aggs)
 }
 
 // blockHeader is a block's fixed header, decoded.

@@ -433,3 +433,10 @@ func TestRecoveryStatsString(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%v", full)
 }
+
+// Manifest returns a copy of the committed manifest entries.
+func (s *Store) Manifest() []SegmentInfo {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]SegmentInfo(nil), s.entries...)
+}

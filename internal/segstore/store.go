@@ -491,13 +491,6 @@ func (s *Store) SealedEpochs() []uint64 {
 	return out
 }
 
-// Sealed reports whether epoch is durably sealed.
-func (s *Store) Sealed(epoch uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sealedLocked(epoch)
-}
-
 // ReadEpoch returns the sealed epoch's record blocks in seal order.
 // Unsealed epochs return ErrNotSealed; a sealed segment whose bytes
 // fail verification returns ErrSegmentIntegrity (match with
@@ -666,13 +659,6 @@ func (s *Store) StoreStats() Stats {
 		st.Aggs += e.Aggs
 	}
 	return st
-}
-
-// Manifest returns a copy of the committed manifest entries.
-func (s *Store) Manifest() []SegmentInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]SegmentInfo(nil), s.entries...)
 }
 
 // Close releases the open segment files. Unsealed epochs stay

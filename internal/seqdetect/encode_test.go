@@ -7,10 +7,11 @@ import (
 	"math"
 )
 
-// Binary wire encoding of SeqVerdict — the record a continuous
-// deployment publishes the moment a detector crosses, ahead of the
-// epoch's batch report. Little-endian, fixed-width fields, canonical:
-// exactly one byte string encodes a given verdict, and Decode rejects
+// A standalone binary encoding of one SeqVerdict. Deployed reports
+// carry verdicts inside the epoch report (core.AppendSeqVerdicts), so
+// only this package's tests use it. Little-endian, fixed-width fields,
+// canonical: exactly one byte string encodes a given verdict, and
+// DecodeVerdict rejects
 // anything else (non-canonical padding, trailing bytes, out-of-range
 // tags) with a typed error. FuzzSeqVerdictDecode holds the codec to
 // typed-error-or-valid with byte-identical re-encoding.

@@ -179,9 +179,6 @@ func NewEngine(cfg Config) *Engine {
 	return &Engine{cfg: cfg.withDefaults(), dets: make(map[detKey]*Detector)}
 }
 
-// Config returns the engine's effective (default-filled) config.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Detector finds or creates the (scope, class) detector. A detector
 // created counts as fed in the current epoch, so it snapshots its
 // statistic from this epoch on, as if fed an empty batch.
@@ -461,9 +458,6 @@ func (s *slab[T]) alloc() *T {
 	s.free = s.free[1:]
 	return p
 }
-
-// Verdicts returns every verdict emitted so far, in emission order.
-func (e *Engine) Verdicts() []SeqVerdict { return e.done }
 
 // SeqVerdict is an early sequential verdict: the (link, key) scope,
 // evidence class, crossing epoch with its mid-epoch fraction, the

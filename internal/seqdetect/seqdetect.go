@@ -228,21 +228,12 @@ func (t *test) setClip(c float64) { t.clip = c }
 // Stat returns the current statistic (log-likelihood ratio).
 func (t *test) Stat() float64 { return t.stat }
 
-// N returns the number of evidence items consumed.
-func (t *test) N() uint64 { return t.n }
-
 // BernoulliSPRT tests H0: p = P0 against H1: p = P1 over a stream of
 // Bernoulli trials (success = the lie-consistent outcome, e.g. an
 // expected-but-missing downstream record).
 type BernoulliSPRT struct {
 	test
 	llrHit, llrMiss float64
-}
-
-// NewBernoulliSPRT builds the test. Requires 0 < p0 < p1 < 1.
-func NewBernoulliSPRT(alpha, beta, p0, p1 float64) *BernoulliSPRT {
-	b := newBernoulliSPRT(alpha, beta, p0, p1)
-	return &b
 }
 
 func newBernoulliSPRT(alpha, beta, p0, p1 float64) BernoulliSPRT {
@@ -272,12 +263,6 @@ type GaussianSPRT struct {
 	ref, shift, sigma2 float64
 }
 
-// NewGaussianSPRT builds the test. Requires sigma > 0 and shift != 0.
-func NewGaussianSPRT(alpha, beta, ref, shift, sigma float64) *GaussianSPRT {
-	g := newGaussianSPRT(alpha, beta, ref, shift, sigma)
-	return &g
-}
-
 func newGaussianSPRT(alpha, beta, ref, shift, sigma float64) GaussianSPRT {
 	return GaussianSPRT{test: newTest(alpha, beta), ref: ref, shift: shift, sigma2: sigma * sigma}
 }
@@ -300,12 +285,6 @@ type BiasDetector struct {
 	refMean, refM2 float64
 	minRef         int
 	mean           *GaussianSPRT
-}
-
-// NewBiasDetector builds the detector.
-func NewBiasDetector(cfg Config) *BiasDetector {
-	mean := newBiasMean(cfg)
-	return &BiasDetector{minRef: cfg.BiasMinRef, mean: &mean}
 }
 
 // newBiasMean builds a bias detector's scored test: standardized marker
@@ -347,6 +326,3 @@ func (b *BiasDetector) setClip(c float64) { b.mean.setClip(c) }
 
 // Stat returns the running statistic of the underlying mean test.
 func (b *BiasDetector) Stat() float64 { return b.mean.Stat() }
-
-// N returns the number of markers scored.
-func (b *BiasDetector) N() uint64 { return b.mean.N() }

@@ -385,3 +385,27 @@ func TestCrossingsEmitInCreationOrder(t *testing.T) {
 		t.Fatalf("verdicts %+v, want link 1→2 then 2→3", vs)
 	}
 }
+
+// NewBernoulliSPRT builds the test. Requires 0 < p0 < p1 < 1.
+func NewBernoulliSPRT(alpha, beta, p0, p1 float64) *BernoulliSPRT {
+	b := newBernoulliSPRT(alpha, beta, p0, p1)
+	return &b
+}
+
+// NewGaussianSPRT builds the test. Requires sigma > 0 and shift != 0.
+func NewGaussianSPRT(alpha, beta, ref, shift, sigma float64) *GaussianSPRT {
+	g := newGaussianSPRT(alpha, beta, ref, shift, sigma)
+	return &g
+}
+
+// NewBiasDetector builds the detector.
+func NewBiasDetector(cfg Config) *BiasDetector {
+	mean := newBiasMean(cfg)
+	return &BiasDetector{minRef: cfg.BiasMinRef, mean: &mean}
+}
+
+// Config returns the engine's effective (default-filled) config.
+func (e *Engine) Config() Config { return e.cfg }
+
+// Verdicts returns every verdict emitted so far, in emission order.
+func (e *Engine) Verdicts() []SeqVerdict { return e.done }

@@ -149,3 +149,35 @@ func BenchmarkQuantileOrderBounds(b *testing.B) {
 		boundsSink += lo + hi
 	}
 }
+
+// BinomCDF returns P[X <= k] for X ~ Binomial(n, p), by direct
+// summation of the PMF. n in this codebase is at most a few tens of
+// thousands (sample counts), for which this is fast and accurate.
+func BinomCDF(n, k int, p float64) float64 {
+	if k < 0 {
+		return 0
+	}
+	if k >= n {
+		return 1
+	}
+	// Sum the smaller tail for numerical behaviour.
+	if float64(k) <= float64(n)*p {
+		s := 0.0
+		for i := 0; i <= k; i++ {
+			s += BinomPMF(n, i, p)
+		}
+		if s > 1 {
+			s = 1
+		}
+		return s
+	}
+	s := 0.0
+	for i := k + 1; i <= n; i++ {
+		s += BinomPMF(n, i, p)
+	}
+	c := 1 - s
+	if c < 0 {
+		c = 0
+	}
+	return c
+}

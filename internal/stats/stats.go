@@ -36,20 +36,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs. It panics on an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -97,19 +83,6 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Quantiles returns the values of xs at each of the given quantiles.
-// xs is copied and sorted once.
-func Quantiles(xs []float64, qs ...float64) []float64 {
-	c := make([]float64, len(xs))
-	copy(c, xs)
-	sort.Float64s(c)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = QuantileSorted(c, q)
-	}
-	return out
-}
-
 // Summary holds descriptive statistics of a sample.
 type Summary struct {
 	N                  int
@@ -152,55 +125,4 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g",
 		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P90, s.P99, s.Max)
-}
-
-// Histogram is a fixed-width-bucket histogram over [Lo, Hi). Values
-// outside the range are clamped into the first/last bucket.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	Count   int
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
-	h.Count++
-}
-
-// BucketMid returns the midpoint value of bucket i.
-func (h *Histogram) BucketMid(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Quantile returns an approximate q-quantile from the histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.Count == 0 {
-		return h.Lo
-	}
-	target := q * float64(h.Count)
-	cum := 0.0
-	for i, c := range h.Buckets {
-		cum += float64(c)
-		if cum >= target {
-			return h.BucketMid(i)
-		}
-	}
-	return h.Hi
 }

@@ -291,16 +291,3 @@ func Generate(cfg Config) ([]packet.Packet, error) {
 	}
 	return out, nil
 }
-
-// ExtractPath filters pkts to those whose addresses fall in the given
-// path's prefixes — the paper's "extract a packet sequence" operation
-// (§7.2 step 1).
-func ExtractPath(pkts []packet.Packet, src, dst packet.Prefix) []packet.Packet {
-	var out []packet.Packet
-	for i := range pkts {
-		if src.Contains(pkts[i].Src) && dst.Contains(pkts[i].Dst) {
-			out = append(out, pkts[i])
-		}
-	}
-	return out
-}

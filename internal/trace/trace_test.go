@@ -181,33 +181,6 @@ func TestConfigTable(t *testing.T) {
 	}
 }
 
-func TestExtractPath(t *testing.T) {
-	cfg := Config{
-		Seed:       3,
-		DurationNS: int64(50e6),
-		Paths: []PathSpec{
-			DefaultPath(20000),
-			{
-				SrcPrefix: packet.MakePrefix(10, 9, 0, 0, 16),
-				DstPrefix: packet.MakePrefix(172, 31, 0, 0, 16),
-				RatePPS:   20000,
-			},
-		},
-	}
-	pkts, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0 := ExtractPath(pkts, cfg.Paths[0].SrcPrefix, cfg.Paths[0].DstPrefix)
-	p1 := ExtractPath(pkts, cfg.Paths[1].SrcPrefix, cfg.Paths[1].DstPrefix)
-	if len(p0)+len(p1) != len(pkts) {
-		t.Fatalf("extraction lost packets: %d + %d != %d", len(p0), len(p1), len(pkts))
-	}
-	if len(p0) == 0 || len(p1) == 0 {
-		t.Fatal("a path generated no packets")
-	}
-}
-
 func TestFileRoundTrip(t *testing.T) {
 	pkts, err := Generate(testConfig(20000, int64(100e6)))
 	if err != nil {
