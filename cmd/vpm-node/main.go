@@ -33,7 +33,8 @@
 // corrupt manifest, segment failing its checksum — is a refusal to
 // start (exit 3, see BootError), never a silent empty history.
 //
-// -http serves the historical-verdict query API (see
+// -http serves the historical-verdict query API and the runtime
+// profiles of net/http/pprof under /debug/pprof/ (see
 // docs/OPERATIONS.md) alongside the run; -serve-only skips the
 // pipeline entirely and just serves an existing store — the post-hoc
 // audit mode. -pace slows the simulation to real time (one epoch per
@@ -55,6 +56,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -153,7 +155,7 @@ func main() {
 			fatal(fmt.Errorf("query API listen: %w", err))
 		}
 		srv := &http.Server{
-			Handler:           segstore.NewHandler(store, segstore.APIConfig{IntervalNS: interval.Nanoseconds()}),
+			Handler:           nodeHandler(store, *interval),
 			ReadHeaderTimeout: 10 * time.Second,
 		}
 		go srv.Serve(ln)
@@ -410,4 +412,18 @@ func fatal(err error) {
 func fatalBoot(err *BootError) {
 	fmt.Fprintln(os.Stderr, "vpm-node:", err)
 	os.Exit(bootExitCode)
+}
+
+// nodeHandler is the -http surface: the store's historical-verdict
+// query API, and the runtime profiles of net/http/pprof under
+// /debug/pprof/.
+func nodeHandler(store *segstore.Store, interval time.Duration) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", segstore.NewHandler(store, segstore.APIConfig{IntervalNS: interval.Nanoseconds()}))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -170,6 +172,28 @@ func TestDiskFlagsRequireDataDir(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), "need -data-dir") {
 			t.Fatalf("%v: stderr does not explain the missing -data-dir:\n%s", args, stderr.String())
+		}
+	}
+}
+
+// TestHTTPServesProfiles: the -http surface serves the runtime
+// profiles under /debug/pprof/ beside the query API.
+func TestHTTPServesProfiles(t *testing.T) {
+	store, _, err := segstore.Open(t.TempDir(), segstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	hs := httptest.NewServer(nodeHandler(store, time.Second))
+	defer hs.Close()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/api/v1/epochs"} {
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s, want 200", path, resp.Status)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -78,6 +79,11 @@ func NewCollector(w *World, index int) (*Collector, error) {
 	c.mux.HandleFunc("/hops", c.handleHops)
 	c.mux.HandleFunc("/status", c.handleStatus)
 	c.mux.HandleFunc("/domain/{d}/receipts", c.handleReceipts)
+	c.mux.HandleFunc("/debug/pprof/", pprof.Index)
+	c.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	c.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	c.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	c.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return c, nil
 }
 
@@ -89,7 +95,8 @@ func (c *Collector) Owned() []receipt.HOPID { return c.owned }
 
 // Handler returns the collector's HTTP surface. It is safe to serve
 // while Run is still simulating: bundle feeds grow as epochs seal and
-// /status flips finished when the terminal epoch is sealed.
+// /status flips finished when the terminal epoch is sealed. The
+// runtime profiles of net/http/pprof are under /debug/pprof/.
 func (c *Collector) Handler() http.Handler { return c.mux }
 
 // HopInfo is one row of the /hops listing.

@@ -689,3 +689,28 @@ func TestShardVerifiesOncePerDomainEpoch(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectorServesProfiles: a collector's HTTP surface serves the
+// runtime profiles under /debug/pprof/, from its own mux.
+func TestCollectorServesProfiles(t *testing.T) {
+	w, err := testSpec().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCollector(w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(c.Handler())
+	defer hs.Close()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s, want 200", path, resp.Status)
+		}
+	}
+}

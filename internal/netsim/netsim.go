@@ -35,6 +35,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"vpm/internal/lossmodel"
 	"vpm/internal/packet"
@@ -309,7 +310,7 @@ func (r *replayer) replay(obsPerHop [][]hopObservation, observers map[receipt.HO
 			batch := make([]Observation, 0, min(size, ReplayBatchSize))
 			for _, hop := range g.hops {
 				events := obsPerHop[hop]
-				slices.SortStableFunc(events, func(a, b hopObservation) int { return cmp.Compare(a.timeNS, b.timeNS) })
+				sortArrivals(events)
 				// Everything observable past the cutoff could still
 				// interleave with a future packet's observation: hold
 				// it back for the next segment's merge. Ties at the
@@ -349,24 +350,60 @@ func (r *replayer) replay(obsPerHop [][]hopObservation, observers map[receipt.HO
 					Deliver(g.obs, batch)
 					batch = batch[:0]
 				}
-				// Withheld observations outlive this segment's packet
-				// slice: copy them out. The concatenation is NOT sorted
-				// — an old pending observation delayed by congestion
-				// can carry a later timestamp than a newly withheld one
-				// — so the stable sort below is load-bearing: it
-				// restores time order while keeping pending entries
-				// ahead of new ones on ties (their insertion order).
-				rest := pend[:0]
-				rest = append(rest, pend[pn:]...)
-				for _, e := range events[en:] {
-					rest = append(rest, pendingObs{pkt: pkts[e.pktIdx], digest: digests[e.pktIdx], timeNS: e.timeNS})
-				}
-				slices.SortStableFunc(rest, func(a, b pendingObs) int { return cmp.Compare(a.timeNS, b.timeNS) })
-				r.pending[hop] = rest
+				r.pending[hop] = withhold(append(pend[:0], pend[pn:]...), events[en:], pkts, digests)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// withhold returns what a HOP carries into the next segment: pend,
+// observations withheld earlier, and events, this segment's withheld
+// tail, copied out of the segment's packets (which do not outlive it)
+// and merged into time order in pend's storage. Both runs are
+// time-sorted, but their concatenation is not — an old pending
+// observation delayed by congestion can carry a later timestamp than a
+// newly withheld one. The merge runs back to front, pending first on
+// ties (their insertion order).
+func withhold(pend []pendingObs, events []hopObservation, pkts []packet.Packet, digests []uint64) []pendingObs {
+	k, m := len(pend), len(events)
+	rest := slices.Grow(pend, m)[:k+m]
+	for i, j, w := k-1, m-1, k+m-1; j >= 0; w-- {
+		if e := events[j]; i < 0 || rest[i].timeNS <= e.timeNS {
+			rest[w] = pendingObs{pkt: pkts[e.pktIdx], digest: digests[e.pktIdx], timeNS: e.timeNS}
+			j--
+		} else {
+			rest[w] = rest[i]
+			i--
+		}
+	}
+	return rest
+}
+
+// sortArrivals puts one HOP's events in arrival order, stably: ties
+// keep insertion (packet-index) order. Events are appended in packet
+// order at send time plus a jittered path delay, so each sits only a
+// few slots from its place, and an insertion sort keyed on timeNS
+// finishes in a few moves per event; the strict > keeps it stable.
+// Past a budget of 32 moves per event the input is not nearly ordered
+// after all, and a stable merge sort finishes the job. It gives the
+// same order: the sorted prefix kept its ties in insertion order and
+// the suffix is untouched.
+func sortArrivals(events []hopObservation) {
+	budget := 32 * len(events)
+	for i := 1; i < len(events); i++ {
+		x := events[i]
+		j := i
+		for j > 0 && events[j-1].timeNS > x.timeNS {
+			events[j] = events[j-1]
+			j--
+		}
+		events[j] = x
+		if budget -= i - j; budget < 0 {
+			slices.SortStableFunc(events, func(a, b hopObservation) int { return cmp.Compare(a.timeNS, b.timeNS) })
+			return
+		}
+	}
 }
 
 // ReplayBatchSize is the observation-slice granularity of the replay
@@ -416,30 +453,34 @@ func replayWorkers() int {
 	return 2
 }
 
-// parallelChunks runs fn over [0,n) split into contiguous chunks, one
-// per worker. fn must only touch its own index range.
+// parallelChunks runs fn over [0,n) split into contiguous chunks of at
+// least 4096 indices, shared by up to replayWorkers() goroutines, the
+// caller among them. fn must only touch its own index range. Its
+// allocations do not depend on n: the helpers share one closure, and a
+// range too small to split runs as one chunk on the caller.
 func parallelChunks(n int, fn func(lo, hi int)) {
-	workers := replayWorkers()
 	const minChunk = 4096
-	if n < 2*minChunk || workers < 2 {
-		fn(0, n)
-		return
-	}
-	if n < workers*minChunk {
-		workers = n / minChunk
-	}
+	workers := max(min(replayWorkers(), n/minChunk), 1)
 	chunk := (n + workers - 1) / workers
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	work := func() {
+		for {
+			lo := int(next.Add(int64(chunk))) - chunk
+			if lo >= n {
+				return
+			}
+			fn(lo, min(lo+chunk, n))
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
 	}
+	helper := func() {
+		defer wg.Done()
+		work()
+	}
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go helper()
+	}
+	work()
 	wg.Wait()
 }

@@ -391,6 +391,11 @@ type TopoRunner struct {
 	jitterRngs []*stats.RNG
 	linkRngs   []*stats.RNG
 	rep        *replayer
+	// hints holds the previous segment's event count of each HOP
+	// (indices 1..NumHOPs) and true-delay count of each domain (after
+	// them): each segment sizes its buffers from them once instead of
+	// growing them append by append, and keeps none of them.
+	hints []int
 	// A classified packet follows the topology's routes for its key
 	// (Topology.keyRoutes), every other packet defaultRoutes; when every
 	// route is a default route the sweep skips classification.
@@ -417,6 +422,7 @@ func NewTopoRunner(t *Topology, table *packet.Table) (*TopoRunner, error) {
 		jitterRngs:    make([]*stats.RNG, len(t.Domains)),
 		linkRngs:      make([]*stats.RNG, len(t.Links)),
 		rep:           newReplayer(t.NumHOPs()),
+		hints:         make([]int, t.NumHOPs()+1+len(t.Domains)),
 		defaultRoutes: t.keyRoutes(packet.PathKey{}),
 		routeHOPs:     make([][]receipt.HOPID, len(t.Routes)),
 		routeDoms:     make([][]int, len(t.Routes)),
@@ -499,11 +505,16 @@ func (r *TopoRunner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPI
 	t := r.t
 	res := &Result{
 		Sent:           len(pkts),
+		Domains:        make([]DomainTruth, len(t.Domains)),
 		LinkDrops:      make([]uint64, len(t.Links)),
 		RouteDelivered: make([]int, len(t.Routes)),
 	}
+	hopHints, domHints := r.hints[:t.NumHOPs()+1], r.hints[t.NumHOPs()+1:]
 	for d := range t.Domains {
-		res.Domains = append(res.Domains, DomainTruth{Name: t.Domains[d].Name})
+		res.Domains[d].Name = t.Domains[d].Name
+		if c := sizeFromHint(domHints[d], len(pkts)); c > 0 {
+			res.Domains[d].TrueDelaysNS = make([]float64, 0, c)
+		}
 	}
 
 	digests := make([]uint64, len(pkts))
@@ -513,10 +524,24 @@ func (r *TopoRunner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPI
 		}
 	})
 
+	// Only HOPs with an observer record events: the replay would drop
+	// the others' unread.
 	obsPerHop := make([][]hopObservation, t.NumHOPs()+1) // 1-based HOP IDs
+	watched := make([]bool, t.NumHOPs()+1)
+	for hop := 1; hop <= t.NumHOPs(); hop++ {
+		if observers[receipt.HOPID(hop)] == nil {
+			continue
+		}
+		watched[hop] = true
+		if c := sizeFromHint(hopHints[hop], len(pkts)); c > 0 {
+			obsPerHop[hop] = make([]hopObservation, 0, c)
+		}
+	}
 	keyed := r.keyed()
 	record := func(hop receipt.HOPID, pktIdx int, tm int64) {
-		obsPerHop[hop] = append(obsPerHop[hop], hopObservation{pktIdx: int32(pktIdx), timeNS: tm})
+		if watched[hop] {
+			obsPerHop[hop] = append(obsPerHop[hop], hopObservation{pktIdx: int32(pktIdx), timeNS: tm})
+		}
 	}
 
 	for i := range pkts {
@@ -595,6 +620,20 @@ func (r *TopoRunner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPI
 		}
 	}
 
+	for hop := 1; hop <= t.NumHOPs(); hop++ {
+		hopHints[hop] = len(obsPerHop[hop])
+	}
+	for d := range res.Domains {
+		domHints[d] = len(res.Domains[d].TrueDelaysNS)
+	}
 	r.rep.replay(obsPerHop, observers, pkts, digests, horizonNS)
 	return res, nil
+}
+
+// sizeFromHint is the capacity of a per-segment buffer whose previous
+// segment held hint entries: an eighth more, for the rate's noise, but
+// never past n, the segment's packet count — a packet crosses a HOP or
+// a domain at most once.
+func sizeFromHint(hint, n int) int {
+	return min(hint+hint/8, n)
 }

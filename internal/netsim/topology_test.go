@@ -483,11 +483,12 @@ func TestTopoRunnerDeterminism(t *testing.T) {
 	}
 }
 
-// nopObserver discards observations; distinct values are distinct
-// observers, so each HOP replays in a group of its own.
+// nopObserver discards observations, batched; distinct values are
+// distinct observers, so each HOP replays in a group of its own.
 type nopObserver struct{ hop int }
 
 func (nopObserver) Observe(*packet.Packet, uint64, int64) {}
+func (nopObserver) ObserveBatch([]Observation)            {}
 
 // TestReplayScratchSizedToSegment: each observer group's replay scratch
 // is sized to what its HOPs deliver in the segment, not to

@@ -163,7 +163,6 @@ type Engine struct {
 	// fed lists the detectors created or fed since the last EndEpoch,
 	// each once; crossed is EndEpoch's scratch.
 	fed, crossed []*Detector
-	done         []SeqVerdict
 
 	// Detector state is cut from chunked slabs: one allocation per chunk,
 	// addresses stable for the engine's life.
@@ -322,7 +321,6 @@ func (e *Engine) EndEpoch(epoch uint64) []SeqVerdict {
 		for i, d := range crossed {
 			out[i] = e.emit(d, epoch)
 		}
-		e.done = append(e.done, out...)
 		clear(crossed)
 	}
 	clear(e.fed)

@@ -2,6 +2,7 @@ package seqdetect
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vpm/internal/stats"
@@ -179,6 +180,7 @@ func TestEngineEmitsVerdictOnce(t *testing.T) {
 	if len(vs) != 1 {
 		t.Fatalf("epoch 0: got %d verdicts, want 1", len(vs))
 	}
+	emitted := slices.Clone(vs)
 	v := vs[0]
 	if v.Class != ClassLoss || v.Up != 1 || v.Down != 2 || v.Key != "a->b" {
 		t.Fatalf("verdict scope mismatch: %+v", v)
@@ -197,11 +199,12 @@ func TestEngineEmitsVerdictOnce(t *testing.T) {
 	}
 	// Later epochs must not re-emit.
 	d.Observe(stream[2000:])
-	if vs := e.EndEpoch(1); len(vs) != 0 {
+	vs = e.EndEpoch(1)
+	if len(vs) != 0 {
 		t.Fatalf("epoch 1 re-emitted %d verdicts", len(vs))
 	}
-	if got := len(e.Verdicts()); got != 1 {
-		t.Fatalf("Verdicts() = %d, want 1", got)
+	if emitted = append(emitted, vs...); len(emitted) != 1 {
+		t.Fatalf("EndEpoch emitted %d verdicts over two epochs, want 1", len(emitted))
 	}
 }
 
@@ -406,6 +409,3 @@ func NewBiasDetector(cfg Config) *BiasDetector {
 
 // Config returns the engine's effective (default-filled) config.
 func (e *Engine) Config() Config { return e.cfg }
-
-// Verdicts returns every verdict emitted so far, in emission order.
-func (e *Engine) Verdicts() []SeqVerdict { return e.done }
