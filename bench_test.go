@@ -1,9 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (DESIGN.md's per-experiment index), plus the ablations
-// DESIGN.md calls out. Each benchmark runs the corresponding
+// evaluation (docs/PAPER-MAP.md's Evaluation index), plus ablations of
+// the protocol's parameters. Each benchmark runs the corresponding
 // experiment at a reduced scale and reports the headline quantity via
 // b.ReportMetric, so `go test -bench=. -benchmem` doubles as a smoke
-// run of the whole evaluation; cmd/vpm-bench runs the full scale. The
+// run of the whole evaluation; TestPaperResults (paper_test.go) holds
+// the results at full scale as golden files. The
 // ObserveBatch* benchmarks are the collector's zero-alloc gate (CI reads
 // it); the pipeline's speed numbers come from `go run ./bench`, not
 // from here.
@@ -617,8 +618,8 @@ func BenchmarkAttacks(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMarkerRate sweeps the marker rate µ (DESIGN.md
-// ablation): more frequent markers shrink the bias-resistance buffer
+// BenchmarkAblationMarkerRate sweeps the marker rate µ (an ablation
+// beside docs/PAPER-MAP.md's Evaluation index): more frequent markers shrink the bias-resistance buffer
 // but add always-sampled marker traffic. Reported metric: sampler
 // temp-buffer high-water mark in entries.
 func BenchmarkAblationMarkerRate(b *testing.B) {

@@ -1,5 +1,5 @@
 // Command vpm-trace generates and inspects synthetic packet traces
-// (the CAIDA substitute documented in DESIGN.md).
+// (the CAIDA substitute: docs/PAPER-MAP.md's "CAIDA Tier-1 traces" row).
 //
 // Usage:
 //

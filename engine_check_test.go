@@ -102,7 +102,7 @@ func TestOnePipeline(t *testing.T) {
 // TestLoadBearingSet is the guard on what PRs 22, 24 and 25 cut down
 // to: one collector type, no streaming-sketch backend, one simulator,
 // one serve selection and one cursor for every dissemination carrier,
-// six binaries, and a facade that exports only what something reads —
+// five binaries, and a facade that exports only what something reads —
 // and on one verifier front end, a one-shot run being epoch 0 of the
 // epoch pipeline, and one signed unit per (domain, epoch): one
 // signature check for every carrier and one fleet feed per domain.
@@ -261,7 +261,8 @@ func TestLoadBearingSet(t *testing.T) {
 		t.Errorf("non-test functions calling ed25519.Verify: %v, want exactly %v — every payload is authenticated by the one receive step", sigCheckers, want)
 	}
 
-	// Six binaries.
+	// Five binaries: the paper's results are TestPaperResults' golden
+	// files, not a binary's output.
 	entries, err := os.ReadDir("cmd")
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +271,7 @@ func TestLoadBearingSet(t *testing.T) {
 	for _, e := range entries {
 		cmds = append(cmds, e.Name())
 	}
-	if want := []string{"vpm-bench", "vpm-fleet", "vpm-lint", "vpm-node", "vpm-sim", "vpm-trace"}; !slices.Equal(cmds, want) {
+	if want := []string{"vpm-fleet", "vpm-lint", "vpm-node", "vpm-sim", "vpm-trace"}; !slices.Equal(cmds, want) {
 		t.Errorf("cmd/ holds %v, want exactly %v", cmds, want)
 	}
 

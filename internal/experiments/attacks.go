@@ -241,29 +241,3 @@ func p90ms(delaysNS []float64) float64 {
 	}
 	return stats.Quantile(delaysNS, 0.9) / 1e6
 }
-
-// AttacksRender renders the rows.
-func AttacksRender(rows []AttackRow, markdown bool) string {
-	header := []string{"Protocol", "Adversary", "True loss", "Est. loss", "True p90", "Est. p90", "Exposed?", "Note"}
-	var body [][]string
-	ms := func(v float64) string {
-		if v < 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.2f ms", v)
-	}
-	for _, r := range rows {
-		body = append(body, []string{
-			r.Protocol, r.Attack,
-			fmt.Sprintf("%.1f%%", r.TrueLossPct),
-			fmt.Sprintf("%.1f%%", r.EstLossPct),
-			ms(r.TrueP90MS), ms(r.EstP90MS),
-			fmt.Sprintf("%v", r.Detected),
-			r.Note,
-		})
-	}
-	if markdown {
-		return Markdown(header, body)
-	}
-	return Table(header, body)
-}

@@ -964,45 +964,3 @@ func (out *matrixOutcome) fold(reports []core.EpochReport) {
 		out.blames = append(out.blames, seqBlame(v))
 	}
 }
-
-// MatrixRender renders the rows.
-func MatrixRender(rows []MatrixRow, markdown bool) string {
-	header := []string{"Adversary", "Layer", "Mode", "Verdict", "Localized", "Evidence", "Blamed", "Batch ep", "Seq ep", "True loss", "Est. loss", "True p90", "Est. p90"}
-	ms := func(v float64) string {
-		if v == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.2f ms", v)
-	}
-	ep := func(v float64) string {
-		if v == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.2f", v)
-	}
-	var body [][]string
-	for _, r := range rows {
-		blamed := make([]string, len(r.BlamedHOPs))
-		for i, h := range r.BlamedHOPs {
-			blamed[i] = fmt.Sprintf("%d", h)
-		}
-		seqEp := "-"
-		if r.SeqDetected {
-			seqEp = ep(r.SeqEpochsToVerdict)
-		}
-		body = append(body, []string{
-			r.Adversary, r.Layer, r.Mode, r.Verdict,
-			fmt.Sprintf("%v", r.Localized),
-			r.Evidence,
-			strings.Join(blamed, ","),
-			ep(r.BatchEpochsToVerdict), seqEp,
-			fmt.Sprintf("%.1f%%", r.TrueLossPct),
-			fmt.Sprintf("%.1f%%", r.EstLossPct),
-			ms(r.TrueP90MS), ms(r.EstP90MS),
-		})
-	}
-	if markdown {
-		return Markdown(header, body)
-	}
-	return Table(header, body)
-}

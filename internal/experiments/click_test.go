@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"testing"
 	"time"
 
 	"vpm/internal/core"
@@ -91,19 +91,30 @@ func Click(cfg Config, n int) ([]ClickRow, error) {
 	return rows, nil
 }
 
-// ClickRender renders the rows.
-func ClickRender(rows []ClickRow, markdown bool) string {
-	header := []string{"Configuration", "Mpkts/s", "ns/pkt"}
-	var body [][]string
-	for _, r := range rows {
-		body = append(body, []string{
-			r.Configuration,
-			fmt.Sprintf("%.2f", r.PktsPerSec/1e6),
-			fmt.Sprintf("%.1f", r.NSPerPkt),
-		})
+func TestClickRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing experiment")
 	}
-	if markdown {
-		return Markdown(header, body)
+	cfg := quickCfg()
+	cfg.DurationNS = int64(100e6)
+	rows, err := Click(cfg, 300000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return Table(header, body)
+	if len(rows) != 2 {
+		t.Fatalf("%d rows", len(rows))
+	}
+	if rows[0].PktsPerSec <= 0 || rows[1].PktsPerSec <= 0 {
+		t.Fatal("non-positive rates")
+	}
+	// The paper's Click setup was I/O-bound, hiding the collector's
+	// CPU cost entirely; our pure-CPU loop surfaces it. The absolute
+	// budget is what matters: the collector's marginal cost must keep
+	// a single core above 2 Mpkts/s (~6.4 Gbps at 400 B packets),
+	// comfortably inside "modern network capabilities" for a
+	// multi-core line card.
+	if !raceEnabled && rows[1].PktsPerSec < 2e6 {
+		t.Errorf("with collector: %.2f Mpkts/s — below the 2 Mpps/core budget",
+			rows[1].PktsPerSec/1e6)
+	}
 }

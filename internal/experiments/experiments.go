@@ -1,13 +1,14 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§7) plus the attack ablations its design sections argue
-// (§3, §5.3). Each experiment is a pure function of a Config, returns
-// typed rows, and renders itself as an aligned text table and as
-// Markdown — cmd/vpm-bench and the repo-root benchmarks are thin
-// wrappers around these. See DESIGN.md's per-experiment index.
+// (§3, §5.3). Each experiment is a pure function of a Config and
+// returns typed rows; the paper's tables also render as Markdown. The
+// root package's TestPaperResults rebuilds docs/PAPER-TABLES.md and the
+// BENCH_*.json verdict documents from these rows and compares them
+// byte for byte with the checked-in files; the repo-root benchmarks
+// time them. See docs/PAPER-MAP.md's Evaluation index.
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
 	"vpm/internal/core"
@@ -132,43 +133,6 @@ func buildWorld(cfg Config, opt worldOpt) (*world, error) {
 		key:   packet.PathKey{Src: tc.Paths[0].SrcPrefix, Dst: tc.Paths[0].DstPrefix},
 		truth: res,
 	}, nil
-}
-
-// Table renders rows of cells as an aligned text table.
-func Table(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(header)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, r := range rows {
-		writeRow(r)
-	}
-	return b.String()
 }
 
 // Markdown renders rows of cells as a Markdown table.

@@ -84,7 +84,7 @@ func Fig2(cfg Config) ([]Fig2Row, error) {
 
 // Fig2Render renders the rows like the paper's figure: one column per
 // sampling rate, one row per loss level.
-func Fig2Render(rows []Fig2Row, markdown bool) string {
+func Fig2Render(rows []Fig2Row) string {
 	header := []string{"Loss \\ Sampling"}
 	for _, r := range Fig2SampleRatesPct {
 		header = append(header, fmt.Sprintf("%g%%", r))
@@ -102,8 +102,5 @@ func Fig2Render(rows []Fig2Row, markdown bool) string {
 		}
 		body = append(body, line)
 	}
-	if markdown {
-		return Markdown(header, body)
-	}
-	return Table(header, body)
+	return Markdown(header, body)
 }

@@ -84,7 +84,7 @@ func Fig3(cfg Config) ([]Fig3Row, error) {
 }
 
 // Fig3Render renders the figure's series.
-func Fig3Render(rows []Fig3Row, markdown bool) string {
+func Fig3Render(rows []Fig3Row) string {
 	header := []string{"Loss Rate", "Loss Granularity [sec]", "vs no-loss", "Joined Aggs", "Measured Loss"}
 	var body [][]string
 	for _, r := range rows {
@@ -100,8 +100,5 @@ func Fig3Render(rows []Fig3Row, markdown bool) string {
 			fmt.Sprintf("%.1f%%", r.MeasuredLossPct),
 		})
 	}
-	if markdown {
-		return Markdown(header, body)
-	}
-	return Table(header, body)
+	return Markdown(header, body)
 }

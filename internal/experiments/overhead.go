@@ -40,7 +40,7 @@ func MemoryOverhead() []MemoryRow {
 }
 
 // MemoryRender renders the memory rows.
-func MemoryRender(rows []MemoryRow, markdown bool) string {
+func MemoryRender(rows []MemoryRow) string {
 	header := []string{"Scenario", "Paper cache", "Ours cache", "Paper tempbuf", "Ours tempbuf"}
 	var body [][]string
 	mb := func(v int64) string { return fmt.Sprintf("%.2f MB", float64(v)/1e6) }
@@ -51,10 +51,7 @@ func MemoryRender(rows []MemoryRow, markdown bool) string {
 			mb(r.Paper.TempBufferBytes), mb(r.Ours.TempBufferBytes),
 		})
 	}
-	if markdown {
-		return Markdown(header, body)
-	}
-	return Table(header, body)
+	return Markdown(header, body)
 }
 
 // BandwidthRow is one §7.1 bandwidth scenario.
@@ -110,7 +107,7 @@ func BandwidthOverhead(cfg Config) ([]BandwidthRow, error) {
 }
 
 // BandwidthRender renders the bandwidth rows.
-func BandwidthRender(rows []BandwidthRow, markdown bool) string {
+func BandwidthRender(rows []BandwidthRow) string {
 	header := []string{"Scenario", "Analytic B/pkt", "Analytic %", "Measured B/pkt", "Measured %"}
 	var body [][]string
 	for _, r := range rows {
@@ -126,8 +123,5 @@ func BandwidthRender(rows []BandwidthRow, markdown bool) string {
 			meas1, meas2,
 		})
 	}
-	if markdown {
-		return Markdown(header, body)
-	}
-	return Table(header, body)
+	return Markdown(header, body)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"vpm/internal/seqdetect"
@@ -208,32 +207,4 @@ func sweepLoss(sq seqdetect.Config, mag float64, n, trials int, seed uint64) Seq
 		}
 	}
 	return ta.row("loss", mag, n, trials, sq)
-}
-
-// SeqFrontierRender renders the frontier rows.
-func SeqFrontierRender(rows []SeqFrontierRow, markdown bool) string {
-	header := []string{"Channel", "Magnitude", "n/epoch", "Seq det", "Seq epochs", "Batch det", "Batch epochs", "1-epoch floor (σ)"}
-	var body [][]string
-	for _, r := range rows {
-		ep := func(det float64, v float64) string {
-			if det == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.2f", v)
-		}
-		body = append(body, []string{
-			r.Channel,
-			fmt.Sprintf("%.3f", r.Magnitude),
-			fmt.Sprintf("%d", r.PerEpochN),
-			fmt.Sprintf("%.0f%%", r.SeqDetectFrac*100),
-			ep(r.SeqDetectFrac, r.SeqEpochs),
-			fmt.Sprintf("%.0f%%", r.BatchDetectFrac*100),
-			ep(r.BatchDetectFrac, r.BatchEpochs),
-			fmt.Sprintf("%.3f", r.MinDetectableSigma),
-		})
-	}
-	if markdown {
-		return Markdown(header, body)
-	}
-	return Table(header, body)
 }

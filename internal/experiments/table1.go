@@ -60,14 +60,11 @@ func Table1() []Table1Row {
 }
 
 // Table1Render renders the table.
-func Table1Render(rows []Table1Row, markdown bool) string {
+func Table1Render(rows []Table1Row) string {
 	header := []string{"Set", "Partition", "Relation", "Join example"}
 	var body [][]string
 	for _, r := range rows {
 		body = append(body, []string{r.Name, r.Value, r.Relation, r.JoinNote})
 	}
-	if markdown {
-		return Markdown(header, body)
-	}
-	return Table(header, body)
+	return Markdown(header, body)
 }

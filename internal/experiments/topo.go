@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"vpm/internal/core"
 	"vpm/internal/lossmodel"
@@ -28,8 +27,8 @@ import (
 // TopoFaultLoss is the loss rate injected on the faulty shared link.
 const TopoFaultLoss = 0.3
 
-// TopoRow is one line of the topology sweep — the schema
-// cmd/vpm-bench -run topo -json emits for BENCH_*.json tracking.
+// TopoRow is one line of the topology sweep — the row schema of
+// BENCH_5.json.
 type TopoRow struct {
 	Family   string `json:"family"`
 	Scenario string `json:"scenario"` // "honest" or "faulty-shared-link"
@@ -46,12 +45,9 @@ type TopoRow struct {
 	FanIn   int `json:"fan_in"`
 	Packets int `json:"packets"`
 	// LinkChecks counts the per-(key, route) link verifications of the
-	// sweep; WallMS times it: sealing, indexing and verifying the one
-	// epoch.
-	LinkChecks       int     `json:"link_checks"`
-	MatchedSamples   int64   `json:"matched_samples"`
-	WallMS           float64 `json:"wall_ms"`
-	LinkChecksPerSec float64 `json:"link_checks_per_sec"`
+	// sweep's one epoch.
+	LinkChecks     int   `json:"link_checks"`
+	MatchedSamples int64 `json:"matched_samples"`
 	// FaultyLink names the injected faulty link ("leaf0-hub"), empty on
 	// honest rows. BlamedDomains is the union of domains the merged
 	// blame implicates; BlamedKeys is how many distinct keys implicated
@@ -262,29 +258,25 @@ func topoScenarioRow(cfg Config, f topoFamily, faulty bool) (TopoRow, error) {
 	if err != nil {
 		return TopoRow{}, err
 	}
-	start := time.Now()
 	text, perKey, verdicts, matched, checks, err := world.topoSweep(cfg.Confidence)
 	if err != nil {
 		return TopoRow{}, err
 	}
-	wall := time.Since(start)
 	sum := sha256.Sum256([]byte(text))
 	row := TopoRow{
-		Family:           f.name,
-		Scenario:         "honest",
-		Domains:          len(world.topo.Domains),
-		Links:            len(world.topo.Links),
-		HOPs:             world.topo.NumHOPs(),
-		PathKeys:         len(world.fgKeys),
-		Background:       f.background,
-		Routes:           len(world.topo.Routes),
-		FanIn:            world.topo.MaxFanIn(),
-		Packets:          world.packets,
-		LinkChecks:       checks,
-		MatchedSamples:   matched,
-		WallMS:           float64(wall.Nanoseconds()) / 1e6,
-		LinkChecksPerSec: float64(checks) / wall.Seconds(),
-		Fingerprint:      fmt.Sprintf("%x", sum[:8]),
+		Family:         f.name,
+		Scenario:       "honest",
+		Domains:        len(world.topo.Domains),
+		Links:          len(world.topo.Links),
+		HOPs:           world.topo.NumHOPs(),
+		PathKeys:       len(world.fgKeys),
+		Background:     f.background,
+		Routes:         len(world.topo.Routes),
+		FanIn:          world.topo.MaxFanIn(),
+		Packets:        world.packets,
+		LinkChecks:     checks,
+		MatchedSamples: matched,
+		Fingerprint:    fmt.Sprintf("%x", sum[:8]),
 	}
 	if faulty {
 		row.Scenario = "faulty-shared-link"
@@ -334,31 +326,6 @@ func judgeTopoBlame(row *TopoRow, world *topoWorld, fault int, perKey map[packet
 		row.HonestLinkViolations += len(lv.Violations)
 	}
 	row.Localized = localized && row.HonestLinkViolations == 0
-}
-
-// TopoRender renders the rows.
-func TopoRender(rows []TopoRow, markdown bool) string {
-	header := []string{"Family", "Scenario", "Keys", "Routes", "FanIn", "Checks", "ms", "checks/s", "Blamed", "BlamedKeys", "HonestViol", "Localized"}
-	var body [][]string
-	for _, r := range rows {
-		body = append(body, []string{
-			r.Family, r.Scenario,
-			fmt.Sprintf("%d", r.PathKeys),
-			fmt.Sprintf("%d", r.Routes),
-			fmt.Sprintf("%d", r.FanIn),
-			fmt.Sprintf("%d", r.LinkChecks),
-			fmt.Sprintf("%.1f", r.WallMS),
-			fmt.Sprintf("%.0f", r.LinkChecksPerSec),
-			strings.Join(r.BlamedDomains, "+"),
-			fmt.Sprintf("%d", r.BlamedKeys),
-			fmt.Sprintf("%d", r.HonestLinkViolations),
-			fmt.Sprintf("%v", r.Localized),
-		})
-	}
-	if markdown {
-		return Markdown(header, body)
-	}
-	return Table(header, body)
 }
 
 // MeshAttackRows extends the Byzantine attack matrix onto a mesh: a

@@ -89,7 +89,7 @@ func Verifiability(cfg Config) ([]VerifiabilityRow, error) {
 }
 
 // VerifiabilityRender renders the rows.
-func VerifiabilityRender(rows []VerifiabilityRow, markdown bool) string {
+func VerifiabilityRender(rows []VerifiabilityRow) string {
 	header := []string{"X rate", "N rate", "X loss", "X self-estimate", "verifiable accuracy"}
 	var body [][]string
 	for _, r := range rows {
@@ -101,8 +101,5 @@ func VerifiabilityRender(rows []VerifiabilityRow, markdown bool) string {
 			fmt.Sprintf("%.3f ms (n=%d)", r.VerifyMS, r.VerifyN),
 		})
 	}
-	if markdown {
-		return Markdown(header, body)
-	}
-	return Table(header, body)
+	return Markdown(header, body)
 }

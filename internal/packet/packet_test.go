@@ -191,8 +191,9 @@ func TestDigestMatchesAfterWireTrip(t *testing.T) {
 }
 
 func TestDigestCollisionRate(t *testing.T) {
-	// DESIGN.md ablation: with 64-bit digests, collisions among 200k
-	// distinct packets should effectively never occur.
+	// docs/PAPER-MAP.md's §2.3 Assumption 1 row (packet digests): with
+	// 64-bit digests, collisions among 200k distinct packets should
+	// effectively never occur.
 	r := stats.NewRNG(5)
 	seen := make(map[uint64]struct{}, 200000)
 	p := samplePacket()

@@ -1,10 +1,11 @@
 // Package trace generates and stores synthetic packet traces that stand
 // in for the CAIDA Tier-1 traces used in the paper's evaluation
-// (DESIGN.md documents the substitution). The paper uses traces only to
-// drive the hashing, sampling and aggregation machinery with a
-// realistic packet stream — what matters is header entropy, a realistic
-// packet-size mix, and well-defined per-path packet sequences, all of
-// which the generator reproduces deterministically from a seed.
+// (docs/PAPER-MAP.md's "CAIDA Tier-1 traces" row documents the
+// substitution). The paper uses traces only to drive the hashing,
+// sampling and aggregation machinery with a realistic packet stream —
+// what matters is header entropy, a realistic packet-size mix, and
+// well-defined per-path packet sequences, all of which the generator
+// reproduces deterministically from a seed.
 //
 // The workload model: each HOP path (source/destination origin-prefix
 // pair) carries a population of concurrent flows; flow sizes are
