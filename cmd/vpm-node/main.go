@@ -33,11 +33,11 @@
 // corrupt manifest, segment failing its checksum — is a refusal to
 // start (exit 3, see BootError), never a silent empty history.
 //
-// -http serves the historical-verdict query API and the runtime
-// profiles of net/http/pprof under /debug/pprof/ (see
-// docs/OPERATIONS.md) alongside the run; -serve-only skips the
-// pipeline entirely and just serves an existing store — the post-hoc
-// audit mode. -pace slows the simulation to real time (one epoch per
+// -http serves the historical-verdict query API, the runtime profiles
+// of net/http/pprof under /debug/pprof/ and the verifier's window under
+// /debug/epochs (see docs/OPERATIONS.md) alongside the run;
+// -serve-only skips the pipeline entirely and just serves an existing
+// store — the post-hoc audit mode. -pace slows the simulation to real time (one epoch per
 // -interval of wall clock), the cadence a live deployment would have.
 //
 // SIGINT or SIGTERM stops cleanly at the next epoch boundary (systemd
@@ -60,6 +60,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"sync"
 	"syscall"
 	"time"
 
@@ -149,13 +150,15 @@ func main() {
 	}
 
 	// Query API server, alongside the run or standalone (-serve-only).
+	var status *epochStatus
 	if *httpAddr != "" {
+		status = &epochStatus{}
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fatal(fmt.Errorf("query API listen: %w", err))
 		}
 		srv := &http.Server{
-			Handler:           nodeHandler(store, *interval),
+			Handler:           nodeHandler(store, *interval, status),
 			ReadHeaderTimeout: 10 * time.Second,
 		}
 		go srv.Serve(ln)
@@ -238,6 +241,7 @@ func main() {
 	ver.Feeds = bus.Feeds()
 	seqVerdicts := 0
 	ver.OnEpoch = func(rep core.EpochReport, ws core.WindowStats) {
+		status.update(ver, rep.Epoch, ws)
 		seqVerdicts += len(rep.Seq)
 		if !*quiet && !*jsonOut {
 			printEpoch(rep, ws)
@@ -415,15 +419,75 @@ func fatalBoot(err *BootError) {
 }
 
 // nodeHandler is the -http surface: the store's historical-verdict
-// query API, and the runtime profiles of net/http/pprof under
-// /debug/pprof/.
-func nodeHandler(store *segstore.Store, interval time.Duration) http.Handler {
+// query API, the runtime profiles of net/http/pprof under
+// /debug/pprof/, and the verifier's window under /debug/epochs.
+func nodeHandler(store *segstore.Store, interval time.Duration, epochs *epochStatus) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", segstore.NewHandler(store, segstore.APIConfig{IntervalNS: interval.Nanoseconds()}))
+	mux.Handle("/debug/epochs", epochs)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// epochStatus is the /debug/epochs document: what the verifier's window
+// holds, which HOPs have yet to seal each held epoch, the last epoch
+// verified and the dissemination findings so far. OnEpoch refreshes it
+// after every verified epoch; the HTTP server reads it under the same
+// mutex. A nil *epochStatus (no -http) records nothing.
+type epochStatus struct {
+	mu  sync.Mutex
+	doc epochsDoc
+}
+
+// epochsDoc is the JSON body of /debug/epochs.
+type epochsDoc struct {
+	// Held lists the window's epochs, ascending (WindowStats bounds).
+	Held []heldEpoch `json:"held"`
+	// LastVerified is the newest verified epoch; null before the first.
+	LastVerified *core.EpochID `json:"last_verified"`
+	// Findings tallies engine.Verify.Findings by evidence class.
+	Findings map[string]int `json:"findings"`
+}
+
+// heldEpoch is one held epoch and the HOPs that have not sealed it —
+// the stragglers an unverified epoch is waiting for.
+type heldEpoch struct {
+	Epoch        core.EpochID    `json:"epoch"`
+	MissingSeals []receipt.HOPID `json:"missing_seals,omitempty"`
+}
+
+// update records the window after epoch was verified. It runs on the
+// verify step's goroutine, the one that appends ver.Findings.
+func (s *epochStatus) update(ver *engine.Verify, epoch core.EpochID, ws core.WindowStats) {
+	if s == nil {
+		return
+	}
+	doc := epochsDoc{LastVerified: &epoch, Findings: make(map[string]int)}
+	if ws.Segments > 0 {
+		for e := ws.OldestHeld; e <= ws.NewestHeld; e++ {
+			doc.Held = append(doc.Held, heldEpoch{Epoch: e, MissingSeals: ver.Window.MissingSeals(e)})
+		}
+	}
+	for _, f := range ver.Findings {
+		doc.Findings[f.Evidence.String()]++
+	}
+	s.mu.Lock()
+	s.doc = doc
+	s.mu.Unlock()
+}
+
+func (s *epochStatus) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	body, err := json.Marshal(s.doc)
+	s.mu.Unlock()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(body, '\n'))
 }

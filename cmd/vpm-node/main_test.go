@@ -2,18 +2,24 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"vpm/internal/core"
+	"vpm/internal/engine"
+	"vpm/internal/receipt"
 	"vpm/internal/segstore"
 )
 
@@ -177,16 +183,17 @@ func TestDiskFlagsRequireDataDir(t *testing.T) {
 }
 
 // TestHTTPServesProfiles: the -http surface serves the runtime
-// profiles under /debug/pprof/ beside the query API.
+// profiles under /debug/pprof/ and the window status under
+// /debug/epochs beside the query API.
 func TestHTTPServesProfiles(t *testing.T) {
 	store, _, err := segstore.Open(t.TempDir(), segstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	hs := httptest.NewServer(nodeHandler(store, time.Second))
+	hs := httptest.NewServer(nodeHandler(store, time.Second, &epochStatus{}))
 	defer hs.Close()
-	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/api/v1/epochs"} {
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/api/v1/epochs", "/debug/epochs"} {
 		resp, err := http.Get(hs.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -196,4 +203,138 @@ func TestHTTPServesProfiles(t *testing.T) {
 			t.Fatalf("GET %s: %s, want 200", path, resp.Status)
 		}
 	}
+}
+
+// TestDebugEpochsTracksTheWindow: a paced node's /debug/epochs follows
+// the verifier as it goes — the held epochs ascend one by one, the last
+// verified epoch advances and is never past the newest held one — and
+// serving it does not get in the way of the clean shutdown.
+func TestDebugEpochsTracksTheWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the vpm-node binary")
+	}
+	bin := buildNode(t)
+	cmd := exec.Command(bin, "-epochs", "100000", "-interval", "50ms", "-rate", "20000", "-quiet",
+		"-pace", "-http", "127.0.0.1:0", "-data-dir", t.TempDir())
+	stdout, stderr := &lockedBuffer{}, &lockedBuffer{}
+	cmd.Stdout, cmd.Stderr = stdout, stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	exited := false
+	defer func() {
+		if !exited {
+			cmd.Process.Kill()
+			<-done
+		}
+	}()
+
+	addrRe := regexp.MustCompile(`query API on (http://\S+)`)
+	deadline := time.Now().Add(30 * time.Second)
+	var base string
+	for base == "" {
+		if m := addrRe.FindStringSubmatch(stderr.String()); m != nil {
+			base = m[1]
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no query API address on stderr within 30s:\n%s", stderr.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	var first, last *uint64
+	for last == nil || *last < *first+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("last verified epoch went from %v to %v in 30s, want two advances\nstderr:\n%s", first, last, stderr.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+		resp, err := http.Get(base + "/debug/epochs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Held []struct {
+				Epoch        uint64   `json:"epoch"`
+				MissingSeals []uint64 `json:"missing_seals"`
+			} `json:"held"`
+			LastVerified *uint64        `json:"last_verified"`
+			Findings     map[string]int `json:"findings"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("GET /debug/epochs: %v", err)
+		}
+		if doc.LastVerified == nil {
+			continue
+		}
+		for i := 1; i < len(doc.Held); i++ {
+			if doc.Held[i].Epoch != doc.Held[i-1].Epoch+1 {
+				t.Fatalf("held epochs %+v do not ascend one by one", doc.Held)
+			}
+		}
+		if n := len(doc.Held); n == 0 || *doc.LastVerified > doc.Held[n-1].Epoch {
+			t.Fatalf("last verified epoch %d, held %+v: want it no newer than the newest held", *doc.LastVerified, doc.Held)
+		}
+		if len(doc.Findings) != 0 {
+			t.Fatalf("an honest node reports findings %v", doc.Findings)
+		}
+		if first == nil {
+			first = doc.LastVerified
+		}
+		last = doc.LastVerified
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		exited = true
+		if err != nil {
+			t.Fatalf("vpm-node exited non-zero after SIGTERM: %v\nstderr:\n%s", err, stderr.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("vpm-node did not shut down within 30s of SIGTERM\nstderr:\n%s", stderr.String())
+	}
+}
+
+// TestEpochStatusReadsWhileVerifying: /debug/epochs is read by the
+// server's goroutines while the verify step rewrites it; under -race
+// the two must not touch the document unordered.
+func TestEpochStatusReadsWhileVerifying(t *testing.T) {
+	ver, err := engine.NewVerify(engine.Store{HOPs: []receipt.HOPID{1, 2}, Retention: 2}, engine.Checks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ver.Window.Sink()(1, 0, nil, nil)
+	status := &epochStatus{}
+	hs := httptest.NewServer(nodeHandler(nil, time.Second, status))
+	defer hs.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for e := range core.EpochID(200) {
+			status.update(ver, e, ver.Window.Stats())
+		}
+	}()
+	for range 50 {
+		resp, err := http.Get(hs.URL + "/debug/epochs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc epochsDoc
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Held) > 0 && !slices.Equal(doc.Held[0].MissingSeals, []receipt.HOPID{2}) {
+			t.Fatalf("held %+v: want epoch 0 waiting on HOP 2", doc.Held)
+		}
+	}
+	<-done
 }

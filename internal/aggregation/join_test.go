@@ -121,7 +121,7 @@ func runPair(cfgUp, cfgDown Config, up, down []obs) (a, b []receipt.AggReceipt) 
 	for _, o := range down {
 		pb.Observe(o.id, o.t)
 	}
-	return pa.Flush(), pb.Flush()
+	return pa.Flush(nil), pb.Flush(nil)
 }
 
 func TestJoinIdenticalStreams(t *testing.T) {

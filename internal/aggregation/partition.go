@@ -295,12 +295,18 @@ func (p *Partitioner) Recycle(buf []receipt.AggReceipt) {
 }
 
 // Flush finalizes all pending state — the still-open aggregate and any
-// receipts waiting out their post-cut window — and returns every
-// remaining receipt. Call at end of stream or reporting period.
-func (p *Partitioner) Flush() []receipt.AggReceipt {
+// receipts waiting out their post-cut window — and appends every
+// remaining receipt to dst, in the order Take would have returned
+// them, returning the extended slice. Call at end of stream or
+// reporting period. The partitioner keeps its buffers, emptied.
+func (p *Partitioner) Flush(dst []receipt.AggReceipt) []receipt.AggReceipt {
+	dst = append(dst, p.closed...)
+	clear(p.closed)
+	p.closed = p.closed[:0]
 	for _, pr := range p.pending {
-		p.closed = append(p.closed, pr.rec)
+		dst = append(dst, pr.rec)
 	}
+	clear(p.pending)
 	p.pending = p.pending[:0]
 	if p.hasOpen && p.openCnt > 0 {
 		rec := receipt.AggReceipt{
@@ -315,9 +321,18 @@ func (p *Partitioner) Flush() []receipt.AggReceipt {
 				}
 			}
 		}
-		p.closed = append(p.closed, rec)
+		dst = append(dst, rec)
 		p.hasOpen = false
 		p.openCnt = 0
 	}
-	return p.Take()
+	return dst
+}
+
+// Held is how many receipts the next Flush appends.
+func (p *Partitioner) Held() int {
+	n := len(p.closed) + len(p.pending)
+	if p.hasOpen && p.openCnt > 0 {
+		n++
+	}
+	return n
 }

@@ -54,7 +54,7 @@ func runPartitioner(cfg Config, stream []obs) []receipt.AggReceipt {
 	for _, o := range stream {
 		p.Observe(o.id, o.t)
 	}
-	return p.Flush()
+	return p.Flush(nil)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -224,7 +224,7 @@ func TestTakeVsFlush(t *testing.T) {
 		p.Observe(o.id, o.t)
 	}
 	early := p.Take()
-	rest := p.Flush()
+	rest := p.Flush(nil)
 	var sum uint64
 	for _, r := range early {
 		sum += r.PktCnt
@@ -235,7 +235,7 @@ func TestTakeVsFlush(t *testing.T) {
 	if sum != uint64(len(stream)) {
 		t.Fatalf("Take+Flush cover %d of %d", sum, len(stream))
 	}
-	if len(p.Flush()) != 0 {
+	if len(p.Flush(nil)) != 0 {
 		t.Error("second Flush should be empty")
 	}
 }
@@ -327,7 +327,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 					}
 					p.ObserveBatch(recs[off:end])
 				}
-				got := p.Flush()
+				got := p.Flush(nil)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("cfg %+v seed %d batch %d: batched receipts diverge from serial (%d vs %d receipts)",
 						cfg, seed, batch, len(got), len(want))
@@ -421,7 +421,7 @@ func TestAggTransMatchesStreamWindows(t *testing.T) {
 			for off := 0; off < len(recs); off += batch {
 				p.ObserveBatch(recs[off:min(off+batch, len(recs))])
 			}
-			if got := p.Flush(); !reflect.DeepEqual(got, want) {
+			if got := p.Flush(nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d batch %d: batched receipts differ from the stream's windows", seed, batch)
 			}
 		}
@@ -451,7 +451,7 @@ func TestTakeRecycleOwnership(t *testing.T) {
 	for _, o := range stream {
 		p.Observe(o.id, o.t+stream[len(stream)-1].t+1)
 	}
-	third := p.Flush()
+	third := p.Flush(nil)
 	if len(second) > 0 && len(third) > 0 && &second[0] == &third[0] {
 		t.Fatal("buffer still owned by caller was handed out again")
 	}
@@ -490,6 +490,6 @@ func TestRecycledSpareReferencesNothing(t *testing.T) {
 	for _, o := range stream[2000:] {
 		p.Observe(o.id, o.t)
 	}
-	p.Recycle(p.Flush())
+	p.Recycle(p.Flush(nil))
 	empty("after Flush")
 }

@@ -15,7 +15,10 @@
 //   - Processor: the control-plane module that periodically drains
 //     finalized receipts from the collector and accounts for the
 //     bandwidth they consume.
-//   - Deployment: wires collectors onto every HOP of a simulated path.
+//   - Plan and Deployment: a Plan is the collector-free part of a
+//     deployment (HOPs, verifier constants, route layouts) that a
+//     verify-only process holds; Plan.Deploy wires a collector onto
+//     each of its HOPs.
 //   - Verifier: consumes receipts from all HOPs of a path, estimates
 //     each domain's loss (exactly, via the aggregate join) and delay
 //     quantiles (probabilistically, via matched samples), and checks
@@ -114,8 +117,8 @@ type Collector struct {
 	unclassified uint64
 
 	// cache is its own allocation: exactly 16 pages. Embedded, it
-	// rounds every collector up to a 17th (8 KiB each: 14 MB of the
-	// fleet-http benchmark's live heap) for no measurable gain in time.
+	// would round every collector up to a 17th page (8 KiB more per
+	// HOP) for no measurable gain in time.
 	cache *[classifyCacheSize]classifyEntry
 	// sub is its own allocation for the same reason.
 	sub *subBatch
@@ -236,9 +239,19 @@ func (c *Collector) takeSpares() ([]receipt.SampleReceipt, []receipt.AggReceipt)
 
 // Flush finalizes all open state (end of reporting period or stream)
 // and returns the remaining receipts, in the same deterministic order
-// as Drain.
+// as Drain. Both outputs are sized once, up front, to exactly what the
+// live paths hold.
 func (c *Collector) Flush() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
 	samples, aggs := c.takeSpares()
+	nSamples, nAggs := 0, 0
+	for _, st := range c.states {
+		if st != nil {
+			nSamples += min(st.sampler.Held(), 1)
+			nAggs += st.part.Held()
+		}
+	}
+	samples = slices.Grow(samples, nSamples)
+	aggs = slices.Grow(aggs, nAggs)
 	for _, st := range c.states {
 		if st != nil {
 			samples, aggs = flushPath(st, samples, aggs)
@@ -347,9 +360,7 @@ func drainPath(st *pathState, evictAfter int, samples []receipt.SampleReceipt, a
 	} else if evictAfter > 0 {
 		st.idleDrains++
 		if st.idleDrains >= int32(evictAfter) {
-			flushed := st.part.Flush()
-			aggs = append(aggs, flushed...)
-			return samples, aggs, true
+			return samples, st.part.Flush(aggs), true
 		}
 	}
 	taken := st.part.Take()
@@ -360,9 +371,7 @@ func drainPath(st *pathState, evictAfter int, samples []receipt.SampleReceipt, a
 
 // flushPath finalizes one path's open state into (samples, aggs).
 func flushPath(st *pathState, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) ([]receipt.SampleReceipt, []receipt.AggReceipt) {
-	flushed := st.part.Flush()
-	aggs = append(aggs, flushed...)
-	st.part.Recycle(flushed)
+	aggs = st.part.Flush(aggs)
 	if recs := st.sampler.Take(); len(recs) > 0 {
 		samples = append(samples, receipt.SampleReceipt{Path: st.id, Samples: recs})
 	}

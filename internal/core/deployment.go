@@ -107,24 +107,36 @@ func DefaultAggregationConfig() aggregation.Config {
 	return aggregation.Config{CutRate: c.Default.AggRate, WindowNS: c.WindowNS}
 }
 
-// Deployment wires a Collector + Processor pair onto every routed HOP
-// of a simulated topology. It is the integration point the examples and
-// experiments use: build a netsim.Path or netsim.Topology, deploy, run
-// traffic, then verify.
-type Deployment struct {
-	// Topo is the topology this deployment covers; a chain built as a
+// Plan is the collector-free part of a deployment: the topology and
+// prefix table, the routed HOPs of deploying domains, the verifier
+// constants and the route layouts. It is everything a process that
+// verifies but does not collect needs — a fleet verifier shard holds a
+// Plan and nothing else — and it holds no per-HOP state. Plan.Deploy
+// puts collectors on its HOPs.
+type Plan struct {
+	// Topo is the topology the plan covers; a chain built as a
 	// netsim.Path is its one-default-route case (NewDeployment).
-	Topo       *netsim.Topology
-	Table      *packet.Table
-	Collectors map[receipt.HOPID]*Collector
-	Processors map[receipt.HOPID]*Processor
+	Topo  *netsim.Topology
+	Table *packet.Table
 
+	cfg              DeployConfig
+	hops             []receipt.HOPID // routed HOPs of deploying domains, ascending
 	markerThreshold  uint64
 	sampleThresholds map[receipt.HOPID]uint64
 	// keyLayouts caches the per-key route layouts, built lazily on
 	// first KeyLayouts call.
 	keyLayoutsOnce sync.Once
 	keyLayouts     map[packet.PathKey][]Layout
+}
+
+// Deployment wires a Collector + Processor pair onto every HOP of a
+// Plan. It is the integration point the examples and experiments use:
+// build a netsim.Path or netsim.Topology, deploy, run traffic, then
+// verify. The plan's fields and methods are the deployment's own.
+type Deployment struct {
+	*Plan
+	Collectors map[receipt.HOPID]*Collector
+	Processors map[receipt.HOPID]*Processor
 }
 
 // NewDeployment builds collectors for every HOP of every deploying
@@ -137,14 +149,11 @@ func NewDeployment(path *netsim.Path, table *packet.Table, cfg DeployConfig) (*D
 	return NewTopoDeployment(topo, table, cfg)
 }
 
-// HOPs returns the HOPs that carry a collector, ascending.
-func (d *Deployment) HOPs() []receipt.HOPID {
-	hops := make([]receipt.HOPID, 0, len(d.Collectors))
-	for id := range d.Collectors {
-		hops = append(hops, id)
-	}
-	slices.Sort(hops)
-	return hops
+// HOPs returns the HOPs that carry a collector once the plan is
+// deployed — the routed HOPs of deploying domains — ascending, in a
+// slice the caller owns.
+func (p *Plan) HOPs() []receipt.HOPID {
+	return slices.Clone(p.hops)
 }
 
 // Observers adapts the deployment's collectors to the simulator.
@@ -168,8 +177,8 @@ func (d *Deployment) Finalize() {
 // path of a chain deployment, whatever the traffic key. A topology
 // without a default route has no single layout (each route has its own,
 // see RouteLayout/KeyLayouts) and gets the zero Layout.
-func (d *Deployment) Layout() Layout {
-	return d.verifierLayout(packet.PathKey{})
+func (p *Plan) Layout() Layout {
+	return p.verifierLayout(packet.PathKey{})
 }
 
 // Seal hands every HOP's finalized receipts to sink as epoch 0, in HOP
@@ -179,7 +188,7 @@ func (d *Deployment) Layout() Layout {
 // is handed: each path's sample receipts combined into one (the ⊎ of
 // §4) and a copy of the aggregates. Call after Finalize.
 func (d *Deployment) Seal(sink EpochSink) {
-	for _, hop := range d.HOPs() {
+	for _, hop := range d.hops {
 		proc := d.Processors[hop]
 		sink(hop, 0, proc.CombinedSamples(), slices.Clone(proc.Aggs))
 	}
@@ -193,8 +202,8 @@ func (d *Deployment) Seal(sink EpochSink) {
 // RollingVerifier.VerifyEpoch reports epoch 0 over every traffic key
 // and route (KeyLayouts; Layout for a key the route table does not
 // list).
-func (d *Deployment) VerifyOnce(cfg VerifierConfig, confidence float64, seal func(EpochSink)) (EpochReport, error) {
-	win, err := NewWindowedStore(d.HOPs(), 1)
+func (p *Plan) VerifyOnce(cfg VerifierConfig, confidence float64, seal func(EpochSink)) (EpochReport, error) {
+	win, err := NewWindowedStore(p.hops, 1)
 	if err != nil {
 		return EpochReport{}, err
 	}
@@ -203,8 +212,8 @@ func (d *Deployment) VerifyOnce(cfg VerifierConfig, confidence float64, seal fun
 		return EpochReport{}, fmt.Errorf("core: HOPs %v never sealed the interval", missing)
 	}
 	win.FinishStream()
-	rv := NewRollingVerifier(d.Layout(), cfg, win, nil, confidence)
-	rv.SetKeyLayouts(d.KeyLayouts())
+	rv := NewRollingVerifier(p.Layout(), cfg, win, nil, confidence)
+	rv.SetKeyLayouts(p.KeyLayouts())
 	return rv.VerifyEpoch(0)
 }
 
@@ -224,21 +233,21 @@ func (d *Deployment) NewVerifier(key packet.PathKey) *Verifier {
 // default route's for a key the route table does not list; a key no
 // route claims gets an empty layout, yielding a verifier with nothing
 // to check rather than a panic.
-func (d *Deployment) verifierLayout(key packet.PathKey) Layout {
-	routes := d.Topo.RoutesForKey(key)
+func (p *Plan) verifierLayout(key packet.PathKey) Layout {
+	routes := p.Topo.RoutesForKey(key)
 	if len(routes) == 0 {
 		return Layout{}
 	}
-	return d.RouteLayout(routes[0])
+	return p.RouteLayout(routes[0])
 }
 
 // VerifierConfig returns the deployment constants a hand-built
 // Verifier needs (see Verifier.SetConfig); Deployment.NewVerifier
 // applies them automatically.
-func (d *Deployment) VerifierConfig() VerifierConfig {
+func (p *Plan) VerifierConfig() VerifierConfig {
 	return VerifierConfig{
-		MarkerThreshold:  d.markerThreshold,
-		SampleThresholds: d.sampleThresholds,
+		MarkerThreshold:  p.markerThreshold,
+		SampleThresholds: p.sampleThresholds,
 	}
 }
 

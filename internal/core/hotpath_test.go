@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -213,4 +214,61 @@ func TestRecycledSparesReferenceNothing(t *testing.T) {
 	_, samples, aggs = col.CloseEpoch()
 	col.Recycle(samples, aggs)
 	empty("after CloseEpoch")
+}
+
+// TestFlushAllocsFlatInPaths: the terminal Flush sizes its outputs once
+// and every path's partitioner appends into them, so flushing N paths
+// that each hold an open aggregate costs a handful of allocations
+// beyond the receipts' own AggTrans windows, whatever N is.
+func TestFlushAllocsFlatInPaths(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector include its own")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// extra flushes n one-packet paths and returns the allocations that
+	// are not an AggTrans window, the least of three flushes.
+	extra := func(n int) uint64 {
+		keys := netsim.WideKeys(n)
+		prefixes := make([]packet.Prefix, 0, 2*n)
+		for _, k := range keys {
+			prefixes = append(prefixes, k.Src, k.Dst)
+		}
+		cfg := evictCfg(packet.NewTable(prefixes), 0)
+		pkts := make([]packet.Packet, n)
+		obs := make([]netsim.Observation, n)
+		for i, k := range keys {
+			pkts[i] = packet.Packet{Src: k.Src.Addr, Dst: k.Dst.Addr, IPID: uint16(i)}
+			obs[i] = netsim.Observation{Pkt: &pkts[i], Digest: hashing.Mix64(uint64(i) + 1), TimeNS: int64(i) * 1000}
+		}
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			col, err := NewCollector(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col.ObserveBatch(obs)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, aggs := col.Flush()
+			runtime.ReadMemStats(&after)
+			if len(aggs) != n {
+				t.Fatalf("%d paths flushed %d aggregates, want one each", n, len(aggs))
+			}
+			windows := uint64(0)
+			for _, a := range aggs {
+				if a.AggTrans != nil {
+					windows++
+				}
+			}
+			if got := after.Mallocs - before.Mallocs - windows; got < best {
+				best = got
+			}
+		}
+		return best
+	}
+	small, large := extra(64), extra(4096)
+	t.Logf("allocations beyond AggTrans: %d flushing 64 paths, %d flushing 4096", small, large)
+	if large > small+1 || large > 4 {
+		t.Fatalf("flushing 4096 paths costs %d allocations beyond AggTrans, 64 paths %d: want a few, flat in the path count", large, small)
+	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"vpm/internal/aggregation"
 	"vpm/internal/hashing"
@@ -22,58 +21,89 @@ import (
 // route by route, one layout per route.
 
 // NewTopoDeployment builds collectors for every routed HOP of every
-// deploying domain in the topology.
+// deploying domain in the topology: NewTopoPlan, then Plan.Deploy.
 func NewTopoDeployment(topo *netsim.Topology, table *packet.Table, cfg DeployConfig) (*Deployment, error) {
+	p, err := NewTopoPlan(topo, table, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Deploy()
+}
+
+// NewTopoPlan derives the collector-free part of the topology's
+// deployment: its HOPs are the routed HOPs of every deploying domain
+// (only HOPs on some route ever observe traffic), each with its
+// domain's sampling threshold. Route layouts are derived lazily on
+// first KeyLayouts call — at a million keys the layout cache is the
+// plan's largest allocation, and a process that only collects never
+// asks for it.
+func NewTopoPlan(topo *netsim.Topology, table *packet.Table, cfg DeployConfig) (*Plan, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Deployment{
+	p := &Plan{
 		Topo:             topo,
 		Table:            table,
-		Collectors:       make(map[receipt.HOPID]*Collector),
-		Processors:       make(map[receipt.HOPID]*Processor),
+		cfg:              cfg,
 		markerThreshold:  hashing.ThresholdForRate(cfg.MarkerRate),
 		sampleThresholds: make(map[receipt.HOPID]uint64),
 	}
-	// Only HOPs on some route ever observe traffic; collectors on the
-	// rest would drain nothing.
 	routed := make(map[receipt.HOPID]bool)
 	for ri := range topo.Routes {
 		for _, h := range topo.RouteHOPs(ri) {
 			routed[h] = true
 		}
 	}
-	hops := make([]int, 0, len(routed))
 	for h := range routed {
-		hops = append(hops, int(h))
+		if !cfg.SkipDomains[p.domain(h)] {
+			p.hops = append(p.hops, h)
+			p.sampleThresholds[h] = hashing.ThresholdForRate(p.tuning(h).SampleRate)
+		}
 	}
-	sort.Ints(hops)
-	for _, hi := range hops {
-		h := receipt.HOPID(hi)
-		dom := &topo.Domains[topo.HOPDomain(h)]
-		if cfg.SkipDomains[dom.Name] {
-			continue
-		}
-		tune, ok := cfg.PerDomain[dom.Name]
-		if !ok {
-			tune = cfg.Default
-		}
+	slices.Sort(p.hops)
+	return p, nil
+}
+
+// domain names HOP h's domain.
+func (p *Plan) domain(h receipt.HOPID) string {
+	return p.Topo.Domains[p.Topo.HOPDomain(h)].Name
+}
+
+// tuning is HOP h's domain's σ/δ: its override, or the default.
+func (p *Plan) tuning(h receipt.HOPID) Tuning {
+	if t, ok := p.cfg.PerDomain[p.domain(h)]; ok {
+		return t
+	}
+	return p.cfg.Default
+}
+
+// Deploy builds a fresh Collector + Processor pair on every HOP of the
+// plan. Collector state is single-use, the plan is not: each call
+// returns a deployment of its own over the same plan.
+func (p *Plan) Deploy() (*Deployment, error) {
+	d := &Deployment{
+		Plan:       p,
+		Collectors: make(map[receipt.HOPID]*Collector, len(p.hops)),
+		Processors: make(map[receipt.HOPID]*Processor, len(p.hops)),
+	}
+	for _, h := range p.hops {
+		tune := p.tuning(h)
 		col, err := NewCollector(CollectorConfig{
 			HOP:   h,
-			Table: table,
+			Table: p.Table,
 			PathID: func(key packet.PathKey) receipt.PathID {
-				return topo.PathIDFor(key, h)
+				return p.Topo.PathIDFor(key, h)
 			},
 			Sampling: sampling.Config{
-				MarkerRate: cfg.MarkerRate,
+				MarkerRate: p.cfg.MarkerRate,
 				SampleRate: tune.SampleRate,
 			},
 			Aggregation: aggregation.Config{
 				CutRate:  tune.AggRate,
-				WindowNS: cfg.WindowNS,
+				WindowNS: p.cfg.WindowNS,
 			},
 		})
 		if err != nil {
@@ -81,13 +111,7 @@ func NewTopoDeployment(topo *netsim.Topology, table *packet.Table, cfg DeployCon
 		}
 		d.Collectors[h] = col
 		d.Processors[h] = NewProcessor(col)
-		d.sampleThresholds[h] = hashing.ThresholdForRate(tune.SampleRate)
 	}
-	// Route layouts are pure functions of the (immutable) topology;
-	// they are derived lazily on first KeyLayouts call so collector-
-	// only processes (fleet collectors never verify) skip the cost —
-	// at a million keys the layout cache is the deployment's largest
-	// allocation.
 	return d, nil
 }
 
@@ -97,8 +121,8 @@ func NewTopoDeployment(topo *netsim.Topology, table *packet.Table, cfg DeployCon
 // segments marked Partial (the two HOPs see different subsets of the
 // key's traffic there, so aggregate loss is not comparable across
 // them).
-func (d *Deployment) RouteLayout(ri int) Layout {
-	topo := d.Topo
+func (p *Plan) RouteLayout(ri int) Layout {
+	topo := p.Topo
 	rt := &topo.Routes[ri]
 	hops := topo.RouteHOPs(ri)
 	doms := topo.RouteDomains(ri)
@@ -151,11 +175,11 @@ func (d *Deployment) RouteLayout(ri int) Layout {
 // verification: one verification per (key, route layout). The map is
 // built on first call and cached (layouts are immutable once built);
 // do not mutate it.
-func (d *Deployment) KeyLayouts() map[packet.PathKey][]Layout {
-	d.keyLayoutsOnce.Do(func() {
-		d.keyLayouts = d.KeyLayoutsFor(nil)
+func (p *Plan) KeyLayouts() map[packet.PathKey][]Layout {
+	p.keyLayoutsOnce.Do(func() {
+		p.keyLayouts = p.KeyLayoutsFor(nil)
 	})
-	return d.keyLayouts
+	return p.keyLayouts
 }
 
 // KeyLayoutsFor builds the route-layout map for the keys keep admits
@@ -164,14 +188,14 @@ func (d *Deployment) KeyLayouts() map[packet.PathKey][]Layout {
 // layouts for its slice only, instead of the whole route table's.
 // Each call builds a fresh map; for the unfiltered shared cache use
 // KeyLayouts.
-func (d *Deployment) KeyLayoutsFor(keep func(packet.PathKey) bool) map[packet.PathKey][]Layout {
+func (p *Plan) KeyLayoutsFor(keep func(packet.PathKey) bool) map[packet.PathKey][]Layout {
 	out := make(map[packet.PathKey][]Layout)
-	for ri := range d.Topo.Routes {
-		key := d.Topo.Routes[ri].Key
+	for ri := range p.Topo.Routes {
+		key := p.Topo.Routes[ri].Key
 		if keep != nil && !keep(key) {
 			continue
 		}
-		out[key] = append(out[key], d.RouteLayout(ri))
+		out[key] = append(out[key], p.RouteLayout(ri))
 	}
 	return out
 }

@@ -96,8 +96,7 @@ func TestFleetVerifierKillAndRestartConverges(t *testing.T) {
 	bin := buildVPMFleet(t)
 	spec := fleetSpec()
 
-	// The oracle: one in-process whole-world run (fresh World — the
-	// collector state is single-use).
+	// The oracle: one in-process whole-world run.
 	refWorld, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)

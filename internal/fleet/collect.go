@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vpm/internal/core"
 	"vpm/internal/dissem"
 	"vpm/internal/engine"
 	"vpm/internal/packet"
@@ -32,6 +33,7 @@ import (
 // a recovery protocol.
 type Collector struct {
 	world   *World
+	dep     *core.Deployment // every routed HOP's collector, built for this process
 	index   int
 	owned   []receipt.HOPID
 	servers *engine.BusTransport   // one signing server per owned domain
@@ -53,16 +55,20 @@ type CollectorOptions struct {
 	Pace time.Duration
 }
 
-// NewCollector builds collector process index's state for the world.
-// The collector drives w's per-HOP collector state, which is
-// single-use: build a fresh World per collector run (each real process
-// does, from the shared spec), and never share one World between a
-// collector and RunReference.
+// NewCollector builds collector process index's state for the world:
+// a deployment of w's plan with its own per-HOP collectors, which Run
+// consumes (a Collector runs once; w stays reusable). It deploys every
+// routed HOP, not only the owned ones: the simulation replays the whole
+// world either way.
 func NewCollector(w *World, index int) (*Collector, error) {
 	if index < 0 || index >= w.Spec.Collectors {
 		return nil, fmt.Errorf("fleet: collector index %d outside [0, %d)", index, w.Spec.Collectors)
 	}
-	c := &Collector{world: w, index: index, owned: w.OwnedHOPs(index)}
+	dep, err := w.Plan.Deploy()
+	if err != nil {
+		return nil, err
+	}
+	c := &Collector{world: w, dep: dep, index: index, owned: w.OwnedHOPs(index)}
 	signers := make(map[int]*dissem.Signer)
 	c.servers = engine.NewBusTransport(c.owned, func(h receipt.HOPID) *dissem.Signer {
 		d := w.Topo.HOPDomain(h)
@@ -169,7 +175,7 @@ func (c *Collector) handleReceipts(w http.ResponseWriter, r *http.Request) {
 // through the spec-derived terminal epoch, or early with ctx's error
 // on cancellation.
 func (c *Collector) Run(ctx context.Context, opts CollectorOptions) error {
-	col, err := engine.NewCollect(c.world.Dep, c.owned, c.world.Spec.IntervalNS, c.world.Terminal, c.servers.Sink())
+	col, err := engine.NewCollect(c.dep, c.owned, c.world.Spec.IntervalNS, c.world.Terminal, c.servers.Sink())
 	if err != nil {
 		return err
 	}

@@ -114,8 +114,7 @@ func TestWorldSplitsHOPsAcrossCollectors(t *testing.T) {
 // startCollectors runs every collector process in-process: each drives
 // its slice of the world and serves its bundles from an httptest
 // server. Each collector builds its own World from the spec, exactly
-// like a real process would — a World's per-HOP collector state is
-// single-use. Returns the base URLs and a wait function.
+// like a real process would. Returns the base URLs and a wait function.
 func startCollectors(t *testing.T, spec Spec) ([]string, func()) {
 	t.Helper()
 	urls := make([]string, spec.Collectors)

@@ -16,18 +16,22 @@ import (
 // the same spec-derived terminal the fleet's collectors do, or the
 // final empty epochs' reports would differ.
 //
-// Like a collector run, this consumes w's per-HOP collector state:
-// build a fresh World for each reference run.
+// Like a collector, it deploys w's plan with collectors of its own, so
+// w stays reusable.
 func RunReference(w *World, chunkSlots int64) ([]core.EpochReport, error) {
+	dep, err := w.Plan.Deploy()
+	if err != nil {
+		return nil, err
+	}
 	ver, err := engine.NewVerify(
 		engine.Store{HOPs: w.HOPs, Retention: windowRetention},
-		engine.Checks{Config: w.Dep.VerifierConfig(), KeyLayouts: w.Dep.KeyLayouts()})
+		engine.Checks{Config: w.Plan.VerifierConfig(), KeyLayouts: w.Plan.KeyLayouts()})
 	if err != nil {
 		return nil, err
 	}
 	var reports []core.EpochReport
 	ver.OnEpoch = func(rep core.EpochReport, _ core.WindowStats) { reports = append(reports, rep) }
-	col, err := engine.NewCollect(w.Dep, w.HOPs, w.Spec.IntervalNS, w.Terminal, ver.Window.Sink())
+	col, err := engine.NewCollect(dep, w.HOPs, w.Spec.IntervalNS, w.Terminal, ver.Window.Sink())
 	if err != nil {
 		return nil, err
 	}

@@ -107,16 +107,18 @@ func (s Spec) slotsPerEpoch() int64 {
 	return int64(math.Round(s.RatePPS * float64(s.IntervalNS) / 1e9))
 }
 
-// World is the deterministic expansion of a Spec: topology, routes,
-// prefix table, deployment (collectors + verifier constants) and key
-// list. Every fleet process builds its own World from the shared Spec
-// and they all agree, because construction consumes nothing but the
-// Spec.
+// World is the deterministic expansion of a Spec that every fleet
+// process shares: topology, routes, prefix table, key list and the
+// deployment plan (HOP set, verifier constants, key layouts) — no
+// per-HOP collector state, which only a collector process builds
+// (NewCollector, RunReference). Every fleet process builds its own
+// World from the shared Spec and they all agree, because construction
+// consumes nothing but the Spec.
 type World struct {
 	Spec  Spec
 	Topo  *netsim.Topology
 	Table *packet.Table
-	Dep   *core.Deployment
+	Plan  *core.Plan
 	Keys  []packet.PathKey
 	// HOPs are the routed, collector-bearing HOPs in ascending order —
 	// the seal set every verifier's windowed store expects.
@@ -138,9 +140,9 @@ func (s Spec) deployConfig() core.DeployConfig {
 	return cfg
 }
 
-// Build expands the spec. The topology is the random-AS family over
-// WideKeys; collector processes and verifier processes both call this
-// and read different parts of the result.
+// Build expands the spec into the shared world. The topology is the
+// random-AS family over WideKeys; collector processes and verifier
+// processes both call this and read different parts of the result.
 func (s Spec) Build() (*World, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -152,11 +154,11 @@ func (s Spec) Build() (*World, error) {
 		prefixes = append(prefixes, k.Src, k.Dst)
 	}
 	table := packet.NewTable(prefixes)
-	dep, err := core.NewTopoDeployment(topo, table, s.deployConfig())
+	plan, err := core.NewTopoPlan(topo, table, s.deployConfig())
 	if err != nil {
 		return nil, err
 	}
-	w := &World{Spec: s, Topo: topo, Table: table, Dep: dep, Keys: keys, HOPs: dep.HOPs()}
+	w := &World{Spec: s, Topo: topo, Table: table, Plan: plan, Keys: keys, HOPs: plan.HOPs()}
 	w.Terminal = w.terminalEpoch()
 	return w, nil
 }

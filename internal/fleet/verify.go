@@ -70,10 +70,10 @@ func NewVerifier(w *World, shards, shard int, _ VerifierOptions) (*Verifier, err
 	}
 	// Only owned keys get layouts — at fleet scale the layout map is
 	// the dominant allocation, and a shard needs 1/shards of it.
-	layouts := w.Dep.KeyLayoutsFor(func(k packet.PathKey) bool { return ring.OwnerKey(k) == shard })
+	layouts := w.Plan.KeyLayoutsFor(func(k packet.PathKey) bool { return ring.OwnerKey(k) == shard })
 	ver, err := engine.NewVerify(
 		engine.Store{HOPs: w.HOPs, Retention: windowRetention},
-		engine.Checks{Config: w.Dep.VerifierConfig(), KeyLayouts: layouts})
+		engine.Checks{Config: w.Plan.VerifierConfig(), KeyLayouts: layouts})
 	if err != nil {
 		return nil, err
 	}

@@ -167,6 +167,9 @@ func (s *Sampler) Take() []receipt.SampleRecord {
 	return out
 }
 
+// Held is how many records the next Take returns.
+func (s *Sampler) Held() int { return len(s.samples) }
+
 // Recycle hands a no-longer-needed record buffer back to the sampler
 // for reuse by a future Take. Only call with buffers whose contents
 // nothing retains.
