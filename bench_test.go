@@ -6,8 +6,9 @@
 // run of the whole evaluation; TestPaperResults (paper_test.go) holds
 // the results at full scale as golden files. The
 // ObserveBatch* benchmarks are the collector's zero-alloc gate (CI reads
-// it); the pipeline's speed numbers come from `go run ./bench`, not
-// from here.
+// it), and BenchmarkObserveMesh / TestObserveMeshAllocs measure and gate
+// collection in the clos-zipf shape; the pipeline's speed numbers come
+// from `go run ./bench`, not from here.
 package vpm
 
 import (
@@ -361,6 +362,228 @@ func BenchmarkObserveBatchZipf(b *testing.B) {
 	grouped, runs := dispatchVisits(ranks)
 	b.ReportMetric(float64(grouped)/float64(len(ranks)), "visits/obs")
 	b.ReportMetric(float64(runs)/float64(len(ranks)), "runs/obs")
+}
+
+// meshCollectWorld is the clos-zipf shape of collection, recorded once:
+// every routed HOP of a Clos(8,4) mesh over netsim.WideKeys(4096), each
+// HOP's observations of Zipf(1.01) traffic in arrival order, cut into
+// epochs. BenchmarkObserveBatchZipf runs one recycled collector over
+// 2048 keys; here there is a collector per HOP, fresh each pass, each
+// meeting its paths for the first time and keeping every Drain as the
+// windowed store keeps them — the cold per-path memory a mesh pays.
+type meshCollectWorld struct {
+	plan    *core.Plan
+	streams map[receipt.HOPID][][]netsim.Observation // by HOP, then epoch
+	obs     int
+}
+
+// meshObserver records a HOP's observations, every packet of a key
+// standing for the key's canonical packet.
+type meshObserver struct {
+	keyPkts []packet.Packet
+	keyOf   map[[8]byte]int
+	obs     []netsim.Observation
+}
+
+func (o *meshObserver) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
+	o.ObserveBatch([]netsim.Observation{{Pkt: pkt, Digest: digest, TimeNS: tNS}})
+}
+
+func (o *meshObserver) ObserveBatch(batch []netsim.Observation) {
+	for _, ob := range batch {
+		k := o.keyOf[addrPair(ob.Pkt.Src, ob.Pkt.Dst)]
+		o.obs = append(o.obs, netsim.Observation{Pkt: &o.keyPkts[k], Digest: ob.Digest, TimeNS: ob.TimeNS})
+	}
+}
+
+func addrPair(src, dst [4]byte) (pair [8]byte) {
+	copy(pair[:4], src[:])
+	copy(pair[4:], dst[:])
+	return pair
+}
+
+// newMeshCollectWorld simulates epochs × intervalNS of Zipf(1.01)
+// traffic at ratePPS over the mesh and records what every HOP sees.
+func newMeshCollectWorld(tb testing.TB, epochs int, intervalNS int64, ratePPS float64) *meshCollectWorld {
+	tb.Helper()
+	keys := netsim.WideKeys(4096)
+	topo := netsim.ClosTopology(5001, 8, 4, keys)
+	prefixes := make([]packet.Prefix, 0, 2*len(keys))
+	keyPkts := make([]packet.Packet, len(keys))
+	keyOf := make(map[[8]byte]int, len(keys))
+	cdf := make([]float64, len(keys))
+	sum := 0.0
+	for r, k := range keys {
+		prefixes = append(prefixes, k.Src, k.Dst)
+		keyPkts[r] = packet.Packet{Src: k.Src.Addr, Dst: k.Dst.Addr}
+		keyOf[addrPair(k.Src.Addr, k.Dst.Addr)] = r
+		sum += math.Pow(float64(r+1), -1.01)
+		cdf[r] = sum
+	}
+	table := packet.NewTable(prefixes)
+	dc := core.DefaultDeployConfig()
+	dc.MarkerRate, dc.Default.AggRate = 0.01, 0.005 // the clos-zipf workload's rates
+	plan, err := core.NewTopoPlan(topo, table, dc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runner, err := netsim.NewTopoRunner(topo, table)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recorders := make(map[receipt.HOPID]*meshObserver)
+	observers := make(map[receipt.HOPID]netsim.Observer)
+	for _, h := range plan.HOPs() {
+		recorders[h] = &meshObserver{keyPkts: keyPkts, keyOf: keyOf}
+		observers[h] = recorders[h]
+	}
+	rng := stats.NewRNG(7001)
+	sent := make([]uint32, len(keys))
+	gapNS := 1e9 / ratePPS
+	next := int64(0)
+	for e := 1; e <= epochs; e++ {
+		horizon := int64(e) * intervalNS
+		var pkts []packet.Packet
+		for ; next < horizon; next += 1 + int64(rng.ExpFloat64()*gapNS) {
+			k := min(sort.SearchFloat64s(cdf, rng.Float64()*sum), len(keys)-1)
+			n := sent[k]
+			sent[k]++
+			pkts = append(pkts, packet.Packet{
+				TotalLen: 576, IPID: uint16(n), TTL: 64, Proto: packet.ProtoTCP,
+				Src: keys[k].Src.Addr, Dst: keys[k].Dst.Addr, SrcPort: uint16(1024 + n>>16), DstPort: 443,
+				Seq: rng.Uint32(), SentAt: next,
+			})
+		}
+		if _, err := runner.RunSegment(pkts, observers, horizon); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := runner.RunSegment(nil, observers, 1<<62); err != nil {
+		tb.Fatal(err)
+	}
+	w := &meshCollectWorld{plan: plan, streams: make(map[receipt.HOPID][][]netsim.Observation)}
+	for h, rec := range recorders {
+		byEpoch := make([][]netsim.Observation, epochs)
+		for _, ob := range rec.obs {
+			e := min(int(max(ob.TimeNS, 0)/intervalNS), epochs-1)
+			byEpoch[e] = append(byEpoch[e], ob)
+		}
+		w.streams[h] = byEpoch
+		w.obs += len(rec.obs)
+	}
+	return w
+}
+
+// meshDrain is one Drain of one collector, kept.
+type meshDrain struct {
+	samples []receipt.SampleReceipt
+	aggs    []receipt.AggReceipt
+}
+
+// replay feeds dep's fresh collectors every epoch HOP by HOP in
+// netsim.ReplayBatchSize batches, draining every collector at the end of
+// each epoch and keeping what it drains, as the windowed store does. It
+// returns the drains and the allocations of the replay and the drains.
+func (w *meshCollectWorld) replay(dep *core.Deployment) (kept []meshDrain, allocs uint64) {
+	hops := w.plan.HOPs()
+	epochs := len(w.streams[hops[0]])
+	kept = make([]meshDrain, 0, epochs*len(hops))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for e := range epochs {
+		for _, h := range hops {
+			col, stream := dep.Collectors[h], w.streams[h][e]
+			for off := 0; off < len(stream); off += netsim.ReplayBatchSize {
+				col.ObserveBatch(stream[off:min(off+netsim.ReplayBatchSize, len(stream))])
+			}
+			samples, aggs := col.Drain()
+			kept = append(kept, meshDrain{samples, aggs})
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return kept, after.Mallocs - before.Mallocs
+}
+
+func (w *meshCollectWorld) deploy(tb testing.TB) *core.Deployment {
+	tb.Helper()
+	dep, err := w.plan.Deploy()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dep
+}
+
+// liveBytesPerPath is what a deployment's collectors hold per active
+// path beyond their fixed dispatch scratch, from the live heap.
+func (w *meshCollectWorld) liveBytesPerPath(tb testing.TB) float64 {
+	tb.Helper()
+	base := liveHeapBytes()
+	dep := w.deploy(tb)
+	w.replay(dep)
+	held := liveHeapBytes() - base
+	paths, fixed := 0, 0
+	for _, col := range dep.Collectors {
+		m := col.Memory()
+		paths += m.ActivePaths
+		fixed += m.DispatchBytes
+	}
+	runtime.KeepAlive(w) // the recorded streams were in base
+	return (float64(held) - float64(fixed)) / float64(paths)
+}
+
+func liveHeapBytes() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// BenchmarkObserveMesh measures collection in the clos-zipf shape (see
+// meshCollectWorld): ns/obs over the replay and its drains, allocs/obs,
+// and the live bytes per active path the collectors hold beyond their
+// fixed scratch. Speed numbers for a claim come from `go run ./bench`;
+// this isolates the collector's share.
+func BenchmarkObserveMesh(b *testing.B) {
+	w := newMeshCollectWorld(b, 4, 250_000_000, 200_000)
+	b.ResetTimer()
+	b.StopTimer()
+	var allocs uint64
+	for range b.N {
+		dep := w.deploy(b)
+		b.StartTimer()
+		_, a := w.replay(dep)
+		b.StopTimer()
+		allocs += a
+	}
+	obs := float64(b.N) * float64(w.obs)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/obs, "ns/obs")
+	b.ReportMetric(float64(allocs)/obs, "allocs/obs")
+	b.ReportMetric(w.liveBytesPerPath(b), "live-B/path")
+}
+
+// meshParentAllocsPerObs is what TestObserveMeshAllocs measured on the
+// collector this one replaced, which kept a heap object per path and
+// two buffers per path that each drain handed away and the next epoch
+// regrew.
+const meshParentAllocsPerObs = 0.53708
+
+// TestObserveMeshAllocs is the allocation gate of mesh collection: on
+// the clos-zipf shape, a pass of fresh collectors whose drains are all
+// kept allocates at most half what the collector it replaced did per
+// observation. It is a ratio of counts in one process, not a stopwatch.
+func TestObserveMeshAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector include its own")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w := newMeshCollectWorld(t, 3, 100_000_000, 200_000)
+	_, allocs := w.replay(w.deploy(t))
+	perObs := float64(allocs) / float64(w.obs)
+	t.Logf("%d observations over %d HOPs: %.5f allocations each (the replaced collector: %.5f)",
+		w.obs, len(w.plan.HOPs()), perObs, meshParentAllocsPerObs)
+	if perObs > meshParentAllocsPerObs/2 {
+		t.Fatalf("mesh collection allocates %.5f per observation, want at most half of %.5f", perObs, meshParentAllocsPerObs)
+	}
 }
 
 // reportThroughput converts a per-iteration packet count into pkts/s

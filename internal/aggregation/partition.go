@@ -51,7 +51,10 @@ type pendingReceipt struct {
 // Partitioner is the per-path aggregation state of one HOP: one open
 // aggregate receipt (constant state per aggregate, constant work per
 // packet — Algorithm 2's footprint), the recent-packet window for
-// AggTrans, and closed receipts awaiting collection. Not safe for
+// AggTrans, and closed receipts awaiting collection, fed one packet at
+// a time — the algorithm as the paper states it, and the reference the
+// deployed collector (core.Collector, which runs Algorithms 1 and 2
+// together over one record buffer per path) is held to. Not safe for
 // concurrent use.
 type Partitioner struct {
 	delta    uint64 // partition threshold δ
@@ -154,80 +157,6 @@ func (p *Partitioner) Observe(pktID uint64, tNS int64) {
 	}
 }
 
-// ObserveBatch processes a slice of observations (PktID = digest,
-// TimeNS = observation time) in order — the batch hook the collector's
-// per-path groups feed. Semantically identical to calling Observe per
-// record. Cutting points are rare (δ is a per-mille-scale
-// rate), so the batch is consumed as cut-delimited segments: one
-// threshold comparison per packet to find the next cut, then a single
-// bulk extend of the open aggregate and the recent window — the
-// steady-state cost is a compare and a memmove. Only the packets
-// around a cut (and any packets while post-cut AggTrans windows are
-// still collecting) pay the per-packet call.
-func (p *Partitioner) ObserveBatch(recs []receipt.SampleRecord) {
-	delta := p.delta
-	for len(recs) > 0 {
-		if len(p.pending) > 0 {
-			// Post-cut windows are open: feed packets one at a time so
-			// pending AggTrans windows fill and flush at the same
-			// points they would under per-packet observation.
-			i := 0
-			for i < len(recs) && len(p.pending) > 0 {
-				p.Observe(recs[i].PktID, recs[i].TimeNS)
-				i++
-			}
-			recs = recs[i:]
-			continue
-		}
-		n := 0
-		for n < len(recs) && !hashing.Exceeds(recs[n].PktID, delta) {
-			n++
-		}
-		if n > 0 {
-			p.extendOpen(recs[:n])
-		}
-		if n == len(recs) {
-			return
-		}
-		p.Observe(recs[n].PktID, recs[n].TimeNS) // the cutting point
-		recs = recs[n+1:]
-	}
-}
-
-// extendOpen bulk-extends the open aggregate (and, when AggTrans is
-// enabled, the recent window) with a cut-free run of observations.
-// Eviction is amortized to once per run: the recent window is only
-// ever read through a time filter, so a stale head is invisible to
-// receipts — trimming exists purely to bound memory. For the same
-// reason only the part of the run within J of its end is copied in: a
-// 4096-observation run spans many J at line rate, and appending it
-// whole before trimming would size every path's window to the batch
-// rather than to J.
-func (p *Partitioner) extendOpen(recs []receipt.SampleRecord) {
-	p.observed += uint64(len(recs))
-	last := recs[len(recs)-1]
-	prev := p.lastTime
-	p.lastTime = last.TimeNS
-	if !p.hasOpen {
-		p.openFirst, p.hasOpen = recs[0].PktID, true
-	}
-	p.openLast = last.PktID
-	p.openCnt += uint64(len(recs))
-	if p.windowNS > 0 {
-		p.evictRecent(prev, last.TimeNS)
-		if p.recentHead == len(p.recent) {
-			// Everything older is gone, so eviction would go on to
-			// drop the run's own leading records older than J (the
-			// last one never is): skip them instead.
-			p.recent, p.recentHead = p.recent[:0], 0
-			for recs[0].TimeNS < last.TimeNS-p.windowNS {
-				recs = recs[1:]
-			}
-		}
-		p.recent = append(p.recent, recs...)
-	}
-}
-
 // evict drops recent records older than J and finalizes pending
 // receipts whose deadline has passed. prev is the time of the
 // observation before now's (see evictRecent).
@@ -326,13 +255,4 @@ func (p *Partitioner) Flush(dst []receipt.AggReceipt) []receipt.AggReceipt {
 		p.openCnt = 0
 	}
 	return dst
-}
-
-// Held is how many receipts the next Flush appends.
-func (p *Partitioner) Held() int {
-	n := len(p.closed) + len(p.pending)
-	if p.hasOpen && p.openCnt > 0 {
-		n++
-	}
-	return n
 }

@@ -251,28 +251,6 @@ func TestRecentWindowBounded(t *testing.T) {
 	}
 }
 
-// TestRecentWindowBoundedBatch is the batch hook's twin of the test
-// above: cut-free runs far longer than J must leave the window — and
-// the array behind it — sized by J, not by the run.
-func TestRecentWindowBoundedBatch(t *testing.T) {
-	const J = 10_000
-	p := newPartitioner(Config{CutRate: 0.0001, WindowNS: J}, testPath())
-	stream := randomStream(8, 50000)
-	recs := make([]receipt.SampleRecord, len(stream))
-	for i, o := range stream {
-		recs[i] = receipt.SampleRecord{PktID: o.id, TimeNS: o.t}
-	}
-	for off := 0; off < len(recs); off += 4096 {
-		p.ObserveBatch(recs[off:min(off+4096, len(recs))])
-		if n := p.RecentWindowLen(); n > 15 {
-			t.Fatalf("recent window grew to %d", n)
-		}
-		if c := cap(p.recent); c > 256 {
-			t.Fatalf("recent window's array grew to %d records for a %d-record window", c, p.RecentWindowLen())
-		}
-	}
-}
-
 func TestStats(t *testing.T) {
 	p := newPartitioner(Config{CutRate: 0.01}, testPath())
 	stream := randomStream(9, 10000)
@@ -296,43 +274,6 @@ func BenchmarkPartitionerObserve(b *testing.B) {
 		p.Observe(r.Uint64(), int64(i)*1000)
 		if i%1000000 == 0 {
 			p.Take()
-		}
-	}
-}
-
-// TestObserveBatchMatchesObserve proves the segment-scan batch path
-// produces byte-identical receipts to per-packet observation across
-// seeds, batch splits, and window configurations — including batches
-// that straddle cutting points and post-cut AggTrans windows.
-func TestObserveBatchMatchesObserve(t *testing.T) {
-	for _, cfg := range []Config{
-		{CutRate: 0.01, WindowNS: 50_000},
-		{CutRate: 0.05, WindowNS: 5_000},
-		{CutRate: 0.01, WindowNS: 0},
-	} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			stream := randomStream(seed, 20_000)
-			recs := make([]receipt.SampleRecord, len(stream))
-			for i, o := range stream {
-				recs[i] = receipt.SampleRecord{PktID: o.id, TimeNS: o.t}
-			}
-			want := runPartitioner(cfg, stream)
-
-			for _, batch := range []int{1, 7, 100, 4096, len(recs)} {
-				p := newPartitioner(cfg, testPath())
-				for off := 0; off < len(recs); off += batch {
-					end := off + batch
-					if end > len(recs) {
-						end = len(recs)
-					}
-					p.ObserveBatch(recs[off:end])
-				}
-				got := p.Flush(nil)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("cfg %+v seed %d batch %d: batched receipts diverge from serial (%d vs %d receipts)",
-						cfg, seed, batch, len(got), len(want))
-				}
-			}
 		}
 	}
 }
@@ -388,8 +329,9 @@ func windowedReceipts(cfg Config, stream []obs) []receipt.AggReceipt {
 // TestAggTransMatchesStreamWindows: on a sparse stream — gaps longer
 // than J between bursts shorter than it, so the recent window is often
 // wholly stale when the next packet arrives and is dropped unread —
-// per-packet and batched observation both yield exactly the receipts
-// worked out from the stream, AggTrans included.
+// the partitioner yields exactly the receipts worked out from the
+// stream, AggTrans included. (The deployed collector is held to this
+// partitioner on such streams by core's TestStaleWindowSkipMatchesOracle.)
 func TestAggTransMatchesStreamWindows(t *testing.T) {
 	const J = 100_000
 	cfg := Config{CutRate: 0.05, WindowNS: J}
@@ -411,19 +353,6 @@ func TestAggTransMatchesStreamWindows(t *testing.T) {
 		want := windowedReceipts(cfg, stream)
 		if got := runPartitioner(cfg, stream); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: per-packet receipts differ from the stream's windows (%d vs %d receipts)", seed, len(got), len(want))
-		}
-		recs := make([]receipt.SampleRecord, len(stream))
-		for i, o := range stream {
-			recs[i] = receipt.SampleRecord{PktID: o.id, TimeNS: o.t}
-		}
-		for _, batch := range []int{1, 7, 100, len(recs)} {
-			p := newPartitioner(cfg, testPath())
-			for off := 0; off < len(recs); off += batch {
-				p.ObserveBatch(recs[off:min(off+batch, len(recs))])
-			}
-			if got := p.Flush(nil); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d batch %d: batched receipts differ from the stream's windows", seed, batch)
-			}
 		}
 	}
 }

@@ -174,13 +174,6 @@ func TestHonestPathFullyConsistent(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestAsymmetricRatesStayConsistent(t *testing.T) {
 	// X samples 1%, N samples 0.1%: the subset property plus the
 	// verifier's expectation logic must avoid false alarms.
@@ -529,8 +522,9 @@ func TestMemoryAccounting(t *testing.T) {
 	if m.ActivePaths != 1 {
 		t.Errorf("active paths = %d, want 1", m.ActivePaths)
 	}
-	if m.MonitoringCacheBytes != receipt.BaseAggReceiptBytes {
-		t.Errorf("cache bytes = %d", m.MonitoringCacheBytes)
+	if m.MonitoringCacheBytes == 0 || m.RecordBufferBytes == 0 || m.DispatchBytes < classifyCacheSize*32 {
+		t.Errorf("held bytes: monitoring cache %d, record buffers %d, dispatch %d",
+			m.MonitoringCacheBytes, m.RecordBufferBytes, m.DispatchBytes)
 	}
 	if m.TempBufferPeakEntries == 0 || m.TempBufferPeakBytes == 0 {
 		t.Error("temp buffer accounting empty")

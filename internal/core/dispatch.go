@@ -14,7 +14,7 @@ import (
 
 // classifyCacheSize is the collector's direct-mapped classification
 // cache: it short-circuits the two longest-prefix-match lookups and the
-// path-map lookup for recently seen (source, destination) address
+// key-index lookup for recently seen (source, destination) address
 // pairs. Flows repeat addresses for many packets, but a direct-mapped
 // cache lives and dies by conflict misses: with a few hundred live
 // pairs, 512 slots still evict hot pairs into each other's slots often
@@ -33,17 +33,17 @@ const noState = ^uint32(0)
 
 // classifyEntry caches one address pair's classification outcome and,
 // once a packet of the pair has been collected, where its path's state
-// lives: a hit yields the index into Collector.states with no
-// hashing of the path key. The index is an integer and the key is 10
-// bytes, so the entry is 32 bytes — two per cache line — and
-// pointer-free: every HOP collector owns a table of them, and one
-// holding a *pathState would be 128 KiB for the garbage collector to
-// scan per HOP (TestClassifyEntrySize,
+// lives: a hit yields the path's index into the collector's state
+// slices with no hashing of the path key. The index is an integer and
+// the key is 10 bytes, so the entry is 32 bytes — two per cache line —
+// and pointer-free: every HOP collector owns a table of them, and one
+// holding a pointer to path state would be 128 KiB for the garbage
+// collector to scan per HOP (TestClassifyEntrySize,
 // TestDispatchScratchIsPointerFree).
 type classifyEntry struct {
 	addrs uint64         // packet src<<32 | dst
 	key   packet.PathKey // the matched prefixes, valid only when ok
-	state uint32         // index into Collector.states, or noState
+	state uint32         // the path's index, or noState
 	valid bool
 	ok    bool // false: pair matched no prefix (still cached)
 }
@@ -75,7 +75,7 @@ const (
 
 // pathGroup is one path's share of a sub-batch.
 type pathGroup struct {
-	state uint32 // index into Collector.states
+	state uint32 // the path's index
 	// n counts the group's records while the sub-batch fills; process
 	// turns it into the group's write cursor in the scatter, which ends
 	// on the group's end offset.
@@ -143,12 +143,13 @@ func (s *subBatch) push(digest uint64, tNS int64) {
 // process runs the pending sub-batch through Algorithm 1 and
 // Algorithm 2 one path at a time: a stable counting scatter makes each
 // path's observations contiguous, and each path's state is then visited
-// once, its whole group fed to the batch hooks. Within a path the
+// once, its whole group run through both algorithms together
+// (Collector.observePath). Within a path the
 // observations stay in arrival order and paths share no state, so every
 // path's state evolves exactly as the per-packet reference's would. A
 // sub-batch of one path — every sub-batch of single-path traffic — is
 // fed as it arrived.
-func (s *subBatch) process(states []*pathState) {
+func (s *subBatch) process(c *Collector) {
 	recs, groups := s.recs[:s.nrecs], s.groups[:s.ngroups]
 	if len(groups) > 1 {
 		var off uint16
@@ -165,10 +166,7 @@ func (s *subBatch) process(states []*pathState) {
 	start := 0
 	for i := range groups {
 		end := int(groups[i].n)
-		st := states[groups[i].state]
-		st.touched = true
-		st.part.ObserveBatch(recs[start:end])
-		st.sampler.ObserveBatch(recs[start:end])
+		c.observePath(groups[i].state, recs[start:end])
 		start = end
 		s.table[groups[i].slot] = 0
 	}
@@ -194,23 +192,4 @@ func (c *Collector) classify(pkt *packet.Packet) (state uint32, ok bool) {
 		e.state = c.stateIndex(e.key)
 	}
 	return e.state, true
-}
-
-// stateIndex returns the index of key's path state, creating the state
-// — in a freed slot when there is one — on the path's first packet.
-func (c *Collector) stateIndex(key packet.PathKey) uint32 {
-	if i, ok := c.paths[key]; ok {
-		return i
-	}
-	st := newPathState(&c.cfg, key)
-	var i uint32
-	if n := len(c.free); n > 0 {
-		i, c.free = c.free[n-1], c.free[:n-1]
-		c.states[i] = st
-	} else {
-		i = uint32(len(c.states))
-		c.states = append(c.states, st)
-	}
-	c.paths[key] = i
-	return i
 }

@@ -198,8 +198,10 @@ func TestEvictSlotReuse(t *testing.T) {
 	}
 	slots := func() map[uint32]bool {
 		out := map[uint32]bool{}
-		for _, i := range col.paths {
-			out[i] = true
+		for i := range col.hot {
+			if col.hot[i].flags&pathLive != 0 {
+				out[uint32(i)] = true
+			}
 		}
 		return out
 	}

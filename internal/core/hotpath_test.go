@@ -6,10 +6,12 @@ import (
 	"sort"
 	"testing"
 
+	"vpm/internal/aggregation"
 	"vpm/internal/hashing"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
+	"vpm/internal/sampling"
 	"vpm/internal/stats"
 	"vpm/internal/trace"
 )
@@ -189,15 +191,15 @@ func TestRecycledSparesReferenceNothing(t *testing.T) {
 	}
 	empty := func(when string) {
 		t.Helper()
-		if cap(col.spareSamples) == 0 || cap(col.spareAggs) == 0 {
+		if cap(col.spare.samples) == 0 || cap(col.spare.aggs) == 0 {
 			t.Fatalf("%s: no spares kept", when)
 		}
-		for i, s := range col.spareSamples[:cap(col.spareSamples)] {
+		for i, s := range col.spare.samples[:cap(col.spare.samples)] {
 			if s.Samples != nil || s.Path != (receipt.PathID{}) {
 				t.Fatalf("%s: spare sample slot %d still holds %d records of %v", when, i, len(s.Samples), s.Path)
 			}
 		}
-		for i, a := range col.spareAggs[:cap(col.spareAggs)] {
+		for i, a := range col.spare.aggs[:cap(col.spare.aggs)] {
 			if a.AggTrans != nil || a.Path != (receipt.PathID{}) {
 				t.Fatalf("%s: spare aggregate slot %d still holds %d AggTrans records of %v", when, i, len(a.AggTrans), a.Path)
 			}
@@ -216,18 +218,18 @@ func TestRecycledSparesReferenceNothing(t *testing.T) {
 	empty("after CloseEpoch")
 }
 
-// TestFlushAllocsFlatInPaths: the terminal Flush sizes its outputs once
-// and every path's partitioner appends into them, so flushing N paths
-// that each hold an open aggregate costs a handful of allocations
-// beyond the receipts' own AggTrans windows, whatever N is.
+// TestFlushAllocsFlatInPaths: the terminal Flush sizes its logs once
+// and cuts every receipt — AggTrans windows included — from one slab per
+// kind, so flushing N paths that each hold an open aggregate costs a
+// handful of allocations, whatever N is.
 func TestFlushAllocsFlatInPaths(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector include its own")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// extra flushes n one-packet paths and returns the allocations that
-	// are not an AggTrans window, the least of three flushes.
-	extra := func(n int) uint64 {
+	// allocs flushes n one-packet paths and returns its allocations, the
+	// least of three flushes.
+	allocs := func(n int) uint64 {
 		keys := netsim.WideKeys(n)
 		prefixes := make([]packet.Prefix, 0, 2*n)
 		for _, k := range keys {
@@ -254,21 +256,106 @@ func TestFlushAllocsFlatInPaths(t *testing.T) {
 			if len(aggs) != n {
 				t.Fatalf("%d paths flushed %d aggregates, want one each", n, len(aggs))
 			}
-			windows := uint64(0)
-			for _, a := range aggs {
-				if a.AggTrans != nil {
-					windows++
-				}
-			}
-			if got := after.Mallocs - before.Mallocs - windows; got < best {
-				best = got
-			}
+			best = min(best, after.Mallocs-before.Mallocs)
 		}
 		return best
 	}
-	small, large := extra(64), extra(4096)
-	t.Logf("allocations beyond AggTrans: %d flushing 64 paths, %d flushing 4096", small, large)
-	if large > small+1 || large > 4 {
-		t.Fatalf("flushing 4096 paths costs %d allocations beyond AggTrans, 64 paths %d: want a few, flat in the path count", large, small)
+	small, large := allocs(64), allocs(4096)
+	t.Logf("allocations: %d flushing 64 paths, %d flushing 4096", small, large)
+	if large > small+1 || large > 8 {
+		t.Fatalf("flushing 4096 paths costs %d allocations, 64 paths %d: want a few, flat in the path count", large, small)
+	}
+}
+
+// TestMemoryMatchesLiveHeap holds Collector.Memory to what a collector
+// fed n paths really keeps on the heap, and the per-path state to
+// §7.1's order: at 4 096 and 65 536 paths, the reported bytes are
+// within 10 % of the live-heap growth, and what a path costs beyond its
+// record buffer — the hot entry, the PathID, the buffer's
+// header and the index slots — is at most 128 B.
+func TestMemoryMatchesLiveHeap(t *testing.T) {
+	for _, n := range []int{4096, 65536} {
+		keys := netsim.WideKeys(n)
+		prefixes := make([]packet.Prefix, 0, 2*n)
+		for _, k := range keys {
+			prefixes = append(prefixes, k.Src, k.Dst)
+		}
+		cfg := evictCfg(packet.NewTable(prefixes), 0)
+		const perPath = 3
+		pkts := make([]packet.Packet, n)
+		obs := make([]netsim.Observation, 0, perPath*n)
+		for i, k := range keys {
+			pkts[i] = packet.Packet{Src: k.Src.Addr, Dst: k.Dst.Addr}
+		}
+		for r := range perPath {
+			for i := range pkts {
+				j := r*n + i
+				obs = append(obs, netsim.Observation{Pkt: &pkts[i], Digest: hashing.Mix64(uint64(j) + 1), TimeNS: int64(j) * 1000})
+			}
+		}
+		before := liveHeap()
+		col, err := NewCollector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(obs); off += netsim.ReplayBatchSize {
+			col.ObserveBatch(obs[off:min(off+netsim.ReplayBatchSize, len(obs))])
+		}
+		held := float64(liveHeap() - before)
+		m := col.Memory()
+		runtime.KeepAlive(col)
+		runtime.KeepAlive(obs)
+		reported := float64(m.MonitoringCacheBytes + m.RecordBufferBytes + m.DispatchBytes)
+		state := (held - float64(m.RecordBufferBytes+m.DispatchBytes)) / float64(n)
+		t.Logf("%d paths: %.0f B live, Memory reports %.0f B (%+.1f %%); %.1f B per path beyond its records (reported %.1f)",
+			n, held, reported, 100*(reported-held)/held, state, float64(m.MonitoringCacheBytes)/float64(n))
+		if m.ActivePaths != n {
+			t.Fatalf("%d active paths, want %d", m.ActivePaths, n)
+		}
+		if reported < 0.9*held || reported > 1.1*held {
+			t.Errorf("%d paths: Memory reports %.0f B, the live heap grew %.0f B: want within 10 %%", n, reported, held)
+		}
+		if state > 128 {
+			t.Errorf("%d paths: %.1f B of state per path beyond its record buffer, want at most 128", n, state)
+		}
+	}
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestRecordBufferIsBounded: a path's one record buffer holds its
+// pre-marker buffer and its J window, not its history. Cut-free runs far
+// longer than J, fed 4096 at a time, must leave the buffer — and the
+// array behind it — sized by the marker spacing and J, not by the run
+// or the stream.
+func TestRecordBufferIsBounded(t *testing.T) {
+	key := netsim.WideKeys(1)[0]
+	cfg := evictCfg(packet.NewTable([]packet.Prefix{key.Src, key.Dst}), 0)
+	cfg.Sampling = sampling.Config{MarkerRate: 0.2, SampleRate: 0.01}
+	cfg.Aggregation = aggregation.Config{CutRate: 0.0001, WindowNS: 10_000} // ~10 records at 1 µs
+	col, err := NewCollector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := packet.Packet{Src: key.Src.Addr, Dst: key.Dst.Addr}
+	obs := make([]netsim.Observation, 50_000)
+	for i := range obs {
+		obs[i] = netsim.Observation{Pkt: &pkt, Digest: hashing.Mix64(uint64(i) + 1), TimeNS: int64(i) * 1000}
+	}
+	for off := 0; off < len(obs); off += netsim.ReplayBatchSize {
+		col.ObserveBatch(obs[off:min(off+netsim.ReplayBatchSize, len(obs))])
+		buf, h := col.recs[0], col.hot[0]
+		if n := len(buf) - int(h.winHead); n > 15 {
+			t.Fatalf("after %d observations the J window holds %d records", off, n)
+		}
+		if c := cap(buf); c > 256 {
+			t.Fatalf("after %d observations the record buffer's array holds %d records for a %d-record pre-marker buffer",
+				off, c, len(buf)-int(h.markStart))
+		}
 	}
 }

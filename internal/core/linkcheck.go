@@ -214,13 +214,55 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 	if ra, rb := iu.aggReceipts(), id.aggReceipts(); len(ra) > 0 && len(rb) > 0 {
 		pairs, _ := s.scratch.join.Join(ra, rb)
 		bounded := s.boundedPairs(pairs, ra, rb)
-		for i := range bounded {
-			if p := &bounded[i]; p.A.PktCnt != p.B.PktCnt {
-				lv.Violations = append(lv.Violations, receipt.CheckAggPair(p.A, p.B)...)
+		for i := 0; i < len(bounded); i++ {
+			p := &bounded[i]
+			if p.A.PktCnt == p.B.PktCnt {
+				continue
 			}
+			if i+1 < len(bounded) && tiedAtCut(p, &bounded[i+1]) {
+				i++
+				continue
+			}
+			lv.Violations = append(lv.Violations, receipt.CheckAggPair(p.A, p.B)...)
 		}
 	}
 	return lv
+}
+
+// tiedAtCut reports whether the count differences of two adjacent
+// joined pairs are one packet set's shift across the cut between them,
+// which the patch-up cannot see. A cut's AggTrans window holds what its
+// HOP observed within J before the cut and *strictly later* than the
+// cut, up to J after it: a packet observed at the cut's own timestamp,
+// after the cut, is in neither half. When the other HOP saw that packet
+// before the cut, the patch-up finds it in one window only and migrates
+// nothing, and the pairs on either side differ by one packet each, in
+// opposite directions, on a link that delivered everything. So the two
+// pairs are judged together, as if the cut were not common: their
+// differences must cancel, and the packets that only the HOP counting
+// more before the cut saw before it must be enough to account for the
+// shift. A lost packet makes no such pair — it leaves a difference
+// nothing cancels.
+func tiedAtCut(p, q *aggregation.Pair) bool {
+	d := int64(p.A.PktCnt) - int64(p.B.PktCnt)
+	cut := q.A.Agg.First
+	if int64(q.A.PktCnt)-int64(q.B.PktCnt) != -d || cut != q.B.Agg.First {
+		return false
+	}
+	more, other := p.B.AggTrans, p.A.AggTrans
+	if d > 0 {
+		more, other = p.A.AggTrans, p.B.AggTrans
+	}
+	unseen := int64(0)
+	for _, r := range more {
+		if r.PktID == cut {
+			break
+		}
+		if !slices.ContainsFunc(other, func(o receipt.SampleRecord) bool { return o.PktID == r.PktID }) {
+			unseen++
+		}
+	}
+	return unseen >= max(d, -d)
 }
 
 // boundedPairs trims a joined sequence to the pairs whose packet

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -18,20 +19,31 @@ import (
 )
 
 // referenceCollector is the per-packet reference implementation of one
-// HOP's data-plane module: Algorithms 1 and 2 applied packet by packet,
-// with a longest-prefix match and a path-map lookup for every
-// observation and nothing cached, batched or grouped — the §7.1 budget
-// spelled out literally. It shares the path state and the drain/flush
-// code with the deployed Collector (collector.go) and differs only in
-// how a packet reaches its path's state, which is what the equivalence
-// tests hold the Collector's dispatch to, receipt for receipt.
+// HOP's data-plane module: Algorithms 1 and 2 as the literal per-packet
+// sampling.Sampler and aggregation.Partitioner, one of each per path in
+// a map, with a longest-prefix match and a map lookup for every
+// observation and nothing cached, batched, grouped or shared — the §7.1
+// budget spelled out literally. It shares no path state, buffer or
+// drain code with the deployed Collector (collector.go), which is what
+// the equivalence tests hold the Collector to, receipt for receipt.
 type referenceCollector struct {
 	cfg   CollectorConfig
-	paths map[packet.PathKey]*pathState
+	paths map[packet.PathKey]*referencePath
 	epoch EpochID
 
 	observed     uint64
 	unclassified uint64
+}
+
+// referencePath is one path's state in the referenceCollector.
+type referencePath struct {
+	id      receipt.PathID
+	sampler *sampling.Sampler
+	part    aggregation.Partitioner
+	// touched records an observation since the last Drain; idleDrains
+	// counts consecutive untouched Drains (EvictIdleEpochs).
+	touched    bool
+	idleDrains int
 }
 
 // eitherCollector is what a test drives on the deployed Collector and
@@ -48,7 +60,7 @@ func newReferenceCollector(t testing.TB, cfg CollectorConfig) *referenceCollecto
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return &referenceCollector{cfg: cfg, paths: make(map[packet.PathKey]*pathState)}
+	return &referenceCollector{cfg: cfg, paths: make(map[packet.PathKey]*referencePath)}
 }
 
 func (c *referenceCollector) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
@@ -60,7 +72,8 @@ func (c *referenceCollector) Observe(pkt *packet.Packet, digest uint64, tNS int6
 	}
 	st, ok := c.paths[key]
 	if !ok {
-		st = newPathState(&c.cfg, key)
+		st = &referencePath{id: c.cfg.PathID(key), sampler: sampling.New(c.cfg.Sampling)}
+		st.part.Init(c.cfg.Aggregation, st.id)
 		c.paths[key] = st
 	}
 	st.touched = true
@@ -74,15 +87,25 @@ func (c *referenceCollector) ObserveBatch(batch []netsim.Observation) {
 	}
 }
 
+// Drain takes every path's samples and closed aggregates; a path idle
+// for EvictIdleEpochs Drains is flushed into this one and forgotten.
 func (c *referenceCollector) Drain() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
 	var samples []receipt.SampleReceipt
 	var aggs []receipt.AggReceipt
 	for key, st := range c.paths {
-		var evict bool
-		samples, aggs, evict = drainPath(st, c.cfg.EvictIdleEpochs, samples, aggs)
-		if evict {
-			delete(c.paths, key)
+		if recs := st.sampler.Take(); len(recs) > 0 {
+			samples = append(samples, receipt.SampleReceipt{Path: st.id, Samples: recs})
 		}
+		if st.touched {
+			st.touched, st.idleDrains = false, 0
+		} else if c.cfg.EvictIdleEpochs > 0 {
+			if st.idleDrains++; st.idleDrains >= c.cfg.EvictIdleEpochs {
+				aggs = st.part.Flush(aggs)
+				delete(c.paths, key)
+				continue
+			}
+		}
+		aggs = append(aggs, st.part.Take()...)
 	}
 	return sortReceipts(samples, aggs)
 }
@@ -91,7 +114,10 @@ func (c *referenceCollector) Flush() ([]receipt.SampleReceipt, []receipt.AggRece
 	var samples []receipt.SampleReceipt
 	var aggs []receipt.AggReceipt
 	for _, st := range c.paths {
-		samples, aggs = flushPath(st, samples, aggs)
+		aggs = st.part.Flush(aggs)
+		if recs := st.sampler.Take(); len(recs) > 0 {
+			samples = append(samples, receipt.SampleReceipt{Path: st.id, Samples: recs})
+		}
 	}
 	return sortReceipts(samples, aggs)
 }
@@ -119,9 +145,30 @@ func (c *referenceCollector) Memory() MemoryStats {
 	for _, st := range c.paths {
 		m.TempBufferPeakEntries = max(m.TempBufferPeakEntries, st.sampler.TempHighWater())
 	}
-	m.MonitoringCacheBytes = m.ActivePaths * receipt.BaseAggReceiptBytes
 	m.TempBufferPeakBytes = m.TempBufferPeakEntries * receipt.SampleRecordBytes
 	return m
+}
+
+// sortReceipts puts drained receipts into the canonical deterministic
+// order, both stably sorted by PathID only — each path's aggregates
+// keep their stream order — and combines sample receipts that share a
+// PathID, so a Drain returns one per PathID.
+func sortReceipts(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) ([]receipt.SampleReceipt, []receipt.AggReceipt) {
+	slices.SortStableFunc(samples, func(a, b receipt.SampleReceipt) int { return a.Path.Compare(b.Path) })
+	slices.SortStableFunc(aggs, func(a, b receipt.AggReceipt) int { return a.Path.Compare(b.Path) })
+	out := samples[:0]
+	for _, s := range samples {
+		if n := len(out); n > 0 && out[n-1].Path == s.Path {
+			merged, err := receipt.CombineSamples(out[n-1], s)
+			if err != nil {
+				panic(err)
+			}
+			out[n-1] = merged
+			continue
+		}
+		out = append(out, s)
+	}
+	return out, aggs
 }
 
 // zipfWideWorkload builds zipfIntervals × perInterval observations over
@@ -374,21 +421,38 @@ func TestStaleWindowSkipMatchesOracle(t *testing.T) {
 	}
 }
 
-// pathStateSink keeps the measured path state on the heap, as the
-// collector's states slice does.
-var pathStateSink *pathState
-
-// TestNewPathStateAllocatesOnce: a path's Algorithm 1 and Algorithm 2
-// state live by value in its pathState, so a newly seen key costs the
-// collector one allocation, not one per object.
-func TestNewPathStateAllocatesOnce(t *testing.T) {
+// TestNewPathsAllocateNothing: a path's state is an entry of the
+// collector's dense slices, so a newly seen key costs no allocation of
+// its own — only the amortized growth of slices shared by every path —
+// and the slice every observation touches holds no pointer for the
+// garbage collector to scan.
+func TestNewPathsAllocateNothing(t *testing.T) {
+	if hasPointers(reflect.TypeOf(pathHot{})) {
+		t.Fatal("pathHot holds a pointer type")
+	}
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector include its own")
 	}
-	key := netsim.WideKeys(1)[0]
-	cfg := evictCfg(packet.NewTable([]packet.Prefix{key.Src, key.Dst}), 0)
-	if got := testing.AllocsPerRun(100, func() { pathStateSink = newPathState(&cfg, key) }); got != 1 {
-		t.Fatalf("a new path's state costs %v allocations, want 1", got)
+	const n = 1 << 14
+	keys := netsim.WideKeys(n)
+	var prefixes []packet.Prefix
+	for _, k := range keys {
+		prefixes = append(prefixes, k.Src, k.Dst)
+	}
+	col, err := NewCollector(evictCfg(packet.NewTable(prefixes), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, k := range keys {
+		col.stateIndex(k)
+	}
+	runtime.ReadMemStats(&after)
+	perPath := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%d new paths: %.4f allocations each", n, perPath)
+	if perPath > 0.01 || col.live != n {
+		t.Fatalf("%d new paths cost %.4f allocations each (%d live), want amortized zero", n, perPath, col.live)
 	}
 }
 
@@ -446,27 +510,28 @@ func TestCollectorScratchIsBounded(t *testing.T) {
 	}
 }
 
+// hasPointers reports whether a value of typ holds a pointer.
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Array:
+		return hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return typ.Kind() > reflect.Complex128 // chan, func, interface, map, pointer, slice, string, unsafe pointer
+}
+
 // TestDispatchScratchIsPointerFree: the classification cache and every
 // sub-batch scratch array hold integers, never pointers. A deployment
 // keeps one set per HOP — thousands in one process — and with a
 // *pathState in the cache entry or the groups each would be an object
 // the garbage collector scans on every cycle.
 func TestDispatchScratchIsPointerFree(t *testing.T) {
-	var hasPointers func(reflect.Type) bool
-	hasPointers = func(typ reflect.Type) bool {
-		switch typ.Kind() {
-		case reflect.Array:
-			return hasPointers(typ.Elem())
-		case reflect.Struct:
-			for i := 0; i < typ.NumField(); i++ {
-				if hasPointers(typ.Field(i).Type) {
-					return true
-				}
-			}
-			return false
-		}
-		return typ.Kind() > reflect.Complex128 // chan, func, interface, map, pointer, slice, string, unsafe pointer
-	}
 	if hasPointers(reflect.TypeOf(classifyEntry{})) {
 		t.Error("classifyEntry holds a pointer type")
 	}

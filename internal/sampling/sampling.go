@@ -53,7 +53,11 @@ func (c Config) Validate() error {
 
 // Sampler is the per-path delay-sampling state of one HOP: the
 // temporary packet buffer of Algorithm 1 plus the accumulated samples
-// of the receipt under construction. Not safe for concurrent use.
+// of the receipt under construction, fed one packet at a time — the
+// algorithm as the paper states it, and the reference the deployed
+// collector (core.Collector, which runs Algorithms 1 and 2 together
+// over one record buffer per path) is held to. Not safe for concurrent
+// use.
 type Sampler struct {
 	mu    uint64 // marker threshold µ
 	sigma uint64 // sampling threshold σ
@@ -125,36 +129,6 @@ func (s *Sampler) marker(pktID uint64, tNS int64) {
 	s.samples = append(s.samples, receipt.SampleRecord{PktID: pktID, TimeNS: tNS})
 }
 
-// ObserveBatch processes a slice of observations (PktID = digest,
-// TimeNS = observation time) in order — the batch hook the collector's
-// per-path groups feed. Semantically identical to calling
-// Observe per record. Markers are rare (µ is a per-mille rate), so the
-// batch is consumed as marker-delimited segments: one threshold
-// comparison per packet to find the next marker, then a single bulk
-// append moves the whole segment into the temporary buffer — the
-// steady-state cost is a compare and a memmove, not a call.
-//
-//vpm:hotpath
-func (s *Sampler) ObserveBatch(recs []receipt.SampleRecord) {
-	mu := s.mu
-	for len(recs) > 0 {
-		n := 0
-		for n < len(recs) && !hashing.Exceeds(recs[n].PktID, mu) {
-			n++
-		}
-		if n > 0 {
-			s.temp = append(s.temp, recs[:n]...)
-			s.observed += uint64(n)
-		}
-		if n == len(recs) {
-			return
-		}
-		s.observed++
-		s.marker(recs[n].PktID, recs[n].TimeNS)
-		recs = recs[n+1:]
-	}
-}
-
 // Take returns the samples accumulated since the previous Take and
 // resets the accumulator. Ownership of the returned slice passes to
 // the caller; the sampler continues on a buffer previously returned
@@ -166,9 +140,6 @@ func (s *Sampler) Take() []receipt.SampleRecord {
 	s.spare = nil
 	return out
 }
-
-// Held is how many records the next Take returns.
-func (s *Sampler) Held() int { return len(s.samples) }
 
 // Recycle hands a no-longer-needed record buffer back to the sampler
 // for reuse by a future Take. Only call with buffers whose contents

@@ -273,55 +273,6 @@ func BenchmarkObserve(b *testing.B) {
 	}
 }
 
-// TestObserveBatchMatchesObserve proves the segment-scan batch path is
-// byte-identical to per-packet observation across seeds, batch splits,
-// and marker positions — the receipt-identity bar the sharded
-// collector's equivalence tests build on.
-func TestObserveBatchMatchesObserve(t *testing.T) {
-	cfg := Config{MarkerRate: 0.01, SampleRate: 0.3}
-	for seed := uint64(1); seed <= 5; seed++ {
-		ids := stream(seed, 20_000)
-		recs := make([]receipt.SampleRecord, len(ids))
-		for i, id := range ids {
-			recs[i] = receipt.SampleRecord{PktID: id, TimeNS: int64(i)}
-		}
-
-		serial := New(cfg)
-		for _, r := range recs {
-			serial.Observe(r.PktID, r.TimeNS)
-		}
-		want := serial.Take()
-
-		// Uneven batch sizes exercise segments that straddle batch
-		// boundaries and batches with zero or many markers.
-		for _, batch := range []int{1, 7, 100, 4096, len(recs)} {
-			b := New(cfg)
-			for off := 0; off < len(recs); off += batch {
-				end := off + batch
-				if end > len(recs) {
-					end = len(recs)
-				}
-				b.ObserveBatch(recs[off:end])
-			}
-			got := b.Take()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d batch %d: batched samples diverge from serial (%d vs %d records)",
-					seed, batch, len(got), len(want))
-			}
-			bo, bm, bs := b.Stats()
-			so, sm, ss := serial.Stats()
-			if bo != so || bm != sm || bs != ss {
-				t.Fatalf("seed %d batch %d: stats diverge: (%d,%d,%d) vs (%d,%d,%d)",
-					seed, batch, bo, bm, bs, so, sm, ss)
-			}
-			if b.TempHighWater() != serial.TempHighWater() {
-				t.Fatalf("seed %d batch %d: temp high water %d vs %d",
-					seed, batch, b.TempHighWater(), serial.TempHighWater())
-			}
-		}
-	}
-}
-
 // TestTakeRecycleOwnership proves Take transfers ownership: records
 // returned by one Take are never clobbered by later observation, and a
 // Recycled buffer is reused without leaking stale records.
