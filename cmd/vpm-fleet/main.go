@@ -15,10 +15,12 @@
 //	    /status). Announces "serving on http://..." on stderr; keeps
 //	    serving after the simulation finishes until SIGINT/SIGTERM.
 //
-//	vpm-fleet verify -spec JSON -shards N -shard I -collectors URLS -out F
+//	vpm-fleet verify -spec JSON -shards N -shard I -collectors URLS -out F [-http ADDR]
 //	    One verifier shard: fetches every collector's bundles with
 //	    bounded retry, verifies its key slice, writes its part file
-//	    atomically, exits.
+//	    atomically, exits. With -http it serves the runtime profiles
+//	    under /debug/pprof/ while it runs and announces "serving on
+//	    http://..." on stderr.
 //
 //	vpm-fleet run -spec JSON [-verifiers 1,2,4] [-check] [-json] [-dir D]
 //	    Local supervisor harness: spawns the collector processes and,
@@ -186,6 +188,7 @@ func runVerify(args []string) {
 	shard := fs.Int("shard", 0, "this shard's index")
 	collectors := fs.String("collectors", "", "comma-separated collector base URLs")
 	out := fs.String("out", "", "part file path (empty: stdout)")
+	httpAddr := fs.String("http", "", "serve /debug/pprof/ on this address while the shard runs (empty: off)")
 	fs.Parse(args)
 
 	w, err := parseSpecFlag(*specText).Build()
@@ -199,6 +202,18 @@ func runVerify(args []string) {
 	v, err := fleet.NewVerifier(w, *shards, *shard, fleet.VerifierOptions{})
 	if err != nil {
 		fatal(err)
+	}
+	if *httpAddr != "" {
+		ln, err := net.Listen("tcp", *httpAddr)
+		if err != nil {
+			fatal(err)
+		}
+		mux := http.NewServeMux()
+		fleet.HandleProfiles(mux)
+		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+		go srv.Serve(ln)
+		defer srv.Close()
+		fmt.Fprintf(os.Stderr, "vpm-fleet: shard %d/%d serving on http://%s\n", *shard, *shards, ln.Addr())
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
@@ -275,12 +290,19 @@ func startCollectors(self string, spec fleet.Spec, pace time.Duration) ([]*colle
 
 // waitFinished polls every collector's /status until the simulation is
 // done, so verifier-tier timings measure verification, not collection.
+// Each poll is bounded by the time left: a collector that accepts the
+// connection and never answers cannot outlive the timeout.
 func waitFinished(procs []*collectorProc, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
 	for _, p := range procs {
 		for {
 			var st fleet.CollectorStatus
-			resp, err := http.Get(p.url + "/status")
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+"/status", nil)
+			if err != nil {
+				return err
+			}
+			resp, err := http.DefaultClient.Do(req)
 			if err == nil {
 				err = json.NewDecoder(resp.Body).Decode(&st)
 				resp.Body.Close()
@@ -288,7 +310,7 @@ func waitFinished(procs []*collectorProc, timeout time.Duration) error {
 			if err == nil && st.Finished {
 				break
 			}
-			if time.Now().After(deadline) {
+			if ctx.Err() != nil {
 				return fmt.Errorf("collector %s not finished after %v", p.url, timeout)
 			}
 			time.Sleep(50 * time.Millisecond)

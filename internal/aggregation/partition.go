@@ -73,7 +73,6 @@ type Partitioner struct {
 	recentHead int
 	pending    []pendingReceipt
 	closed     []receipt.AggReceipt
-	spare      []receipt.AggReceipt // recycled accumulator for the next Take
 	lastTime   int64
 	observed   uint64
 	cutsSeen   uint64
@@ -200,27 +199,11 @@ func (p *Partitioner) evictRecent(prev, now int64) {
 
 // Take returns the receipts finalized since the previous Take and
 // resets the accumulator. Ownership of the returned slice passes to
-// the caller; the partitioner continues on a buffer previously
-// returned through Recycle when one is available (the zero-alloc
-// steady state), or a fresh one otherwise.
+// the caller; the partitioner starts a fresh one.
 func (p *Partitioner) Take() []receipt.AggReceipt {
 	out := p.closed
-	p.closed = p.spare
-	p.spare = nil
+	p.closed = nil
 	return out
-}
-
-// Recycle hands a no-longer-needed receipt buffer back to the
-// partitioner for reuse by a future Take. Only call with buffers whose
-// contents nothing retains. A kept buffer is cleared first: a spare
-// holding the old receipts' AggTrans would pin the previous epoch's
-// records until a later epoch overwrote them, and after the last
-// epoch nothing does.
-func (p *Partitioner) Recycle(buf []receipt.AggReceipt) {
-	if cap(buf) > cap(p.spare) {
-		clear(buf[:cap(buf)])
-		p.spare = buf[:0]
-	}
 }
 
 // Flush finalizes all pending state — the still-open aggregate and any

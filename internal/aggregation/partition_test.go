@@ -357,10 +357,11 @@ func TestAggTransMatchesStreamWindows(t *testing.T) {
 	}
 }
 
-// TestTakeRecycleOwnership proves Take transfers ownership of the
-// closed-receipt buffer and Recycle reuses it without aliasing a
-// buffer the caller still holds.
-func TestTakeRecycleOwnership(t *testing.T) {
+// TestTakeTransfersOwnership proves Take transfers ownership of the
+// closed-receipt buffer: receipts it returned are never clobbered by
+// later observation, and no later Take or Flush aliases a buffer the
+// caller still holds.
+func TestTakeTransfersOwnership(t *testing.T) {
 	cfg := Config{CutRate: 0.05, WindowNS: 10_000}
 	p := newPartitioner(cfg, testPath())
 	stream := randomStream(3, 8000)
@@ -376,7 +377,6 @@ func TestTakeRecycleOwnership(t *testing.T) {
 		t.Fatal("receipts from Take were clobbered by later observation")
 	}
 	second := p.Take()
-	p.Recycle(first)
 	for _, o := range stream {
 		p.Observe(o.id, o.t+stream[len(stream)-1].t+1)
 	}
@@ -385,40 +385,6 @@ func TestTakeRecycleOwnership(t *testing.T) {
 		t.Fatal("buffer still owned by caller was handed out again")
 	}
 	if len(third) == 0 {
-		t.Fatal("no receipts after recycle")
+		t.Fatal("no receipts after the second Take")
 	}
-}
-
-// TestRecycledSpareReferencesNothing: a buffer kept as spare holds no
-// receipt, so no AggTrans window of the epoch it carried stays
-// reachable through it — after Take, and after the terminal Flush,
-// where no later epoch would overwrite it.
-func TestRecycledSpareReferencesNothing(t *testing.T) {
-	p := newPartitioner(Config{CutRate: 0.05, WindowNS: 10_000}, testPath())
-	stream := randomStream(5, 4000)
-	empty := func(when string) {
-		t.Helper()
-		if cap(p.spare) == 0 {
-			t.Fatalf("%s: no spare kept", when)
-		}
-		for i, r := range p.spare[:cap(p.spare)] {
-			if !reflect.DeepEqual(r, receipt.AggReceipt{}) {
-				t.Fatalf("%s: spare slot %d still holds %+v", when, i, r)
-			}
-		}
-	}
-	for _, o := range stream[:2000] {
-		p.Observe(o.id, o.t)
-	}
-	taken := p.Take()
-	if len(taken) == 0 || taken[0].AggTrans == nil {
-		t.Fatal("workload closed no aggregate with an AggTrans window")
-	}
-	p.Recycle(taken)
-	empty("after Take")
-	for _, o := range stream[2000:] {
-		p.Observe(o.id, o.t)
-	}
-	p.Recycle(p.Flush(nil))
-	empty("after Flush")
 }

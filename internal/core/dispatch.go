@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 
-	"vpm/internal/hashing"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
 )
@@ -20,11 +19,25 @@ import (
 // pairs, 512 slots still evict hot pairs into each other's slots often
 // enough to put the LPM walk back on the per-packet profile. 4096 slots
 // (128 KiB) keeps the conflict rate negligible at working sets into the
-// low thousands of pairs. Must be a power of two. The size is fixed on
-// purpose: a cache that grows on conflict re-misses its whole working
-// set after every regrowth, which costs more than it saves at a few
-// packets per key.
-const classifyCacheSize = 4096
+// low thousands of pairs. The size is fixed on purpose: a cache that
+// grows on conflict re-misses its whole working set after every
+// regrowth, which costs more than it saves at a few packets per key,
+// and a 1024-slot cache, though faster on a 160-HOP mesh, shrinks the
+// heap enough to pull the garbage collector into a fleet's timed
+// phases.
+const (
+	classifyCacheBits = 12
+	classifyCacheSize = 1 << classifyCacheBits
+)
+
+// classifySlot is the cache slot of the address pair src<<32 | dst: the
+// top classifyCacheBits bits of the pair times 2^64/φ (Fibonacci
+// hashing). That is one multiply and one shift per packet, where a
+// 64-bit finalizer took five dependent steps before every probe, and
+// the multiply carries every address bit into the top bits, so pairs
+// that differ in one octet spread as a uniform hash would spread them
+// (TestClassifyIndexSpreadsPairs).
+func classifySlot(addrs uint64) uint64 { return addrs * 0x9e3779b97f4a7c15 >> (64 - classifyCacheBits) }
 
 // noState is the state index of a classification entry that is not
 // bound to a path state: the pair matched no prefix, or its path has
@@ -149,6 +162,13 @@ func (s *subBatch) push(digest uint64, tNS int64) {
 // path's state evolves exactly as the per-packet reference's would. A
 // sub-batch of one path — every sub-batch of single-path traffic — is
 // fed as it arrived.
+//
+// Before the algorithms run, one pass advances every group's J window
+// to its first record, which the group's run would do first anyway
+// (timestamps never decrease, so eviction done early changes nothing).
+// The pass reads each group's hot entry, buffer header and buffer tail,
+// a many-path sub-batch's cache misses; they are independent from group
+// to group, so they overlap instead of each stalling its group's run.
 func (s *subBatch) process(c *Collector) {
 	recs, groups := s.recs[:s.nrecs], s.groups[:s.ngroups]
 	if len(groups) > 1 {
@@ -162,6 +182,14 @@ func (s *subBatch) process(c *Collector) {
 			g.n++
 		}
 		recs = s.byPath[:len(recs)]
+		if c.windowNS > 0 {
+			start := 0
+			for i := range groups {
+				state := groups[i].state
+				c.evictWindow(&c.hot[state], c.recs[state], recs[start].TimeNS)
+				start = int(groups[i].n)
+			}
+		}
 	}
 	start := 0
 	for i := range groups {
@@ -180,7 +208,7 @@ func (s *subBatch) process(c *Collector) {
 // match, or unbound by an eviction — finds or creates it by key.
 func (c *Collector) classify(pkt *packet.Packet) (state uint32, ok bool) {
 	addrs := uint64(binary.BigEndian.Uint32(pkt.Src[:]))<<32 | uint64(binary.BigEndian.Uint32(pkt.Dst[:]))
-	e := &c.cache[hashing.Mix64(addrs)&(classifyCacheSize-1)]
+	e := &c.cache[classifySlot(addrs)]
 	if !e.valid || e.addrs != addrs {
 		key, ok := c.cfg.Table.Classify(pkt)
 		*e = classifyEntry{addrs: addrs, key: key, state: noState, valid: true, ok: ok}

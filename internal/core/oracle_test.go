@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -459,6 +462,82 @@ func TestNewPathsAllocateNothing(t *testing.T) {
 func TestClassifyEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(classifyEntry{}); got != 32 {
 		t.Fatalf("classifyEntry is %d bytes, want 32: every HOP collector holds %d of them", got, classifyCacheSize)
+	}
+}
+
+// TestClassifyIndexSpreadsPairs holds the classification cache's index
+// to a uniform hash on the address-pair populations a HOP sees: the
+// sequential keys one Clos HOP routes, a run of sequential keys, pairs
+// that differ in one octet of one address, and random pairs. In each,
+// the pairs that land in an occupied slot must stay within three times
+// a uniform hash's expectation, plus 16. An index that slices the
+// address bits instead piles a one-octet population into a handful of
+// slots and fails here.
+func TestClassifyIndexSpreadsPairs(t *testing.T) {
+	pair := func(src, dst [4]byte) uint64 {
+		return uint64(binary.BigEndian.Uint32(src[:]))<<32 | uint64(binary.BigEndian.Uint32(dst[:]))
+	}
+	type population struct {
+		name  string
+		pairs []uint64
+	}
+	var pops []population
+
+	topo := netsim.ClosTopology(1, 8, 4, netsim.WideKeys(4096))
+	hop := topo.RouteHOPs(0)[0]
+	var routed []uint64
+	for _, k := range topo.Keys() {
+		for _, r := range topo.RoutesForKey(k) {
+			if slices.Contains(topo.RouteHOPs(r), hop) {
+				routed = append(routed, pair(k.Src.Addr, k.Dst.Addr))
+				break
+			}
+		}
+	}
+	if len(routed) != 512 {
+		t.Fatalf("Clos(8, 4) HOP %v routes %d of 4096 keys, want 512", hop, len(routed))
+	}
+	pops = append(pops, population{"keys one Clos(8, 4) HOP routes", routed})
+
+	var seq []uint64
+	for _, k := range netsim.WideKeys(4096) {
+		seq = append(seq, pair(k.Src.Addr, k.Dst.Addr))
+	}
+	pops = append(pops, population{"4096 sequential keys", seq})
+
+	for octet := range 8 {
+		var one []uint64
+		for v := range 256 {
+			src, dst := [4]byte{10, 1, 2, 3}, [4]byte{192, 168, 4, 5}
+			if octet < 4 {
+				src[octet] = byte(v)
+			} else {
+				dst[octet-4] = byte(v)
+			}
+			one = append(one, pair(src, dst))
+		}
+		pops = append(pops, population{fmt.Sprintf("256 pairs varying address octet %d", octet), one})
+	}
+
+	rng := stats.NewRNG(7)
+	random := make([]uint64, 4096)
+	for i := range random {
+		random[i] = rng.Uint64()
+	}
+	pops = append(pops, population{"4096 random pairs", random})
+
+	for _, p := range pops {
+		used := make(map[uint64]bool)
+		for _, a := range p.pairs {
+			used[classifySlot(a)] = true
+		}
+		collisions := len(p.pairs) - len(used)
+		n, m := float64(len(p.pairs)), float64(classifyCacheSize)
+		uniform := n - m*(1-math.Pow(1-1/m, n))
+		t.Logf("%s: %d collisions, %.1f expected of a uniform hash", p.name, collisions, uniform)
+		if float64(collisions) > 3*uniform+16 {
+			t.Errorf("%s: %d pairs collide in %d slots, a uniform hash expects %.1f", p.name, collisions, classifyCacheSize, uniform)
+		}
 	}
 }
 

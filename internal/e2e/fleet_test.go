@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -209,5 +211,53 @@ func TestFleetSupervisorSweep(t *testing.T) {
 	out, err := exec.Command(bin, "run", "-spec", fleetSpec().Encode(), "-verifiers", "0").CombinedOutput()
 	if err == nil || !bytes.Contains(out, []byte(`bad -verifiers entry "0"`)) {
 		t.Fatalf("-verifiers 0: err %v, output:\n%s", err, out)
+	}
+}
+
+var shardAddrRE = regexp.MustCompile(`shard \d+/\d+ serving on (http://[^\s]+)`)
+
+// TestFleetShardServesProfiles: `vpm-fleet verify -http` serves the
+// runtime profiles while the shard runs (paced collectors keep it
+// running, and the listener closes when it exits), and the shard then
+// finishes as it would without them.
+func TestFleetShardServesProfiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the vpm-fleet binary")
+	}
+	bin := buildVPMFleet(t)
+	spec := fleetSpec()
+	urls := make([]string, spec.Collectors)
+	for i := range urls {
+		_, urls[i] = startFleetCollector(t, bin, spec, i, 20*time.Millisecond)
+	}
+
+	cmd := fleetVerifyCmd(bin, spec, 1, 0, urls, filepath.Join(t.TempDir(), "part-0.json"))
+	cmd.Args = append(cmd.Args, "-http", "127.0.0.1:0")
+	stderr := &syncBuffer{}
+	cmd.Stderr = stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	t.Cleanup(func() { cmd.Process.Kill() })
+
+	base := scrapeAddr(t, stderr, shardAddrRE, "vpm-fleet verify -http")
+	resp, err := http.Get(base + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatalf("fetching the shard's profiles: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("verify")) {
+		t.Fatalf("/debug/pprof/cmdline: status %d, err %v, body %q", resp.StatusCode, err, body)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("shard: %v\nstderr:\n%s", err, stderr)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatalf("shard still running after 60s\nstderr:\n%s", stderr)
 	}
 }

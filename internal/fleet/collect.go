@@ -85,12 +85,19 @@ func NewCollector(w *World, index int) (*Collector, error) {
 	c.mux.HandleFunc("/hops", c.handleHops)
 	c.mux.HandleFunc("/status", c.handleStatus)
 	c.mux.HandleFunc("/domain/{d}/receipts", c.handleReceipts)
-	c.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	c.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	c.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	c.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	c.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	HandleProfiles(c.mux)
 	return c, nil
+}
+
+// HandleProfiles registers the runtime profiles of net/http/pprof
+// under /debug/pprof/ on mux: a fleet process serves them from its own
+// mux, never from http.DefaultServeMux.
+func HandleProfiles(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // FeedPath is the path under which a collector serves domain d's feed.

@@ -64,7 +64,6 @@ type Sampler struct {
 
 	temp    []receipt.SampleRecord // TempBuffer: all packets since last marker
 	samples []receipt.SampleRecord // samples accumulated since last Take
-	spare   []receipt.SampleRecord // recycled accumulator for the next Take
 
 	// Accounting.
 	observed      uint64
@@ -131,23 +130,11 @@ func (s *Sampler) marker(pktID uint64, tNS int64) {
 
 // Take returns the samples accumulated since the previous Take and
 // resets the accumulator. Ownership of the returned slice passes to
-// the caller; the sampler continues on a buffer previously returned
-// through Recycle when one is available (the zero-alloc steady state),
-// or a fresh one otherwise.
+// the caller; the sampler starts a fresh one.
 func (s *Sampler) Take() []receipt.SampleRecord {
 	out := s.samples
-	s.samples = s.spare
-	s.spare = nil
+	s.samples = nil
 	return out
-}
-
-// Recycle hands a no-longer-needed record buffer back to the sampler
-// for reuse by a future Take. Only call with buffers whose contents
-// nothing retains.
-func (s *Sampler) Recycle(buf []receipt.SampleRecord) {
-	if cap(buf) > cap(s.spare) {
-		s.spare = buf[:0]
-	}
 }
 
 // TempHighWater returns the maximum temporary-buffer occupancy seen,
