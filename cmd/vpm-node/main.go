@@ -30,8 +30,9 @@
 // manifest, reports what survived, and the deterministic pipeline
 // re-executes the stream without re-persisting (or re-verifying)
 // anything already durable. A store that cannot be opened —
-// corrupt manifest, segment failing its checksum — is a refusal to
-// start (exit 3, see BootError), never a silent empty history.
+// corrupt manifest, segment failing its checksum, segments another
+// release wrote in another format version — is a refusal to start
+// (exit 3, see BootError), never a silent empty history.
 //
 // -http serves the historical-verdict query API, the runtime profiles
 // of net/http/pprof under /debug/pprof/ and the verifier's window under
@@ -88,7 +89,7 @@ type BootError struct {
 func (e *BootError) Error() string { return "durable store boot failure: " + e.Err.Error() }
 
 // Unwrap exposes the underlying store error (segstore.ErrCorruptManifest,
-// segstore.ErrSegmentIntegrity, ...).
+// segstore.ErrSegmentIntegrity, segstore.ErrSegmentVersion, ...).
 func (e *BootError) Unwrap() error { return e.Err }
 
 // bootExitCode is the exit status for BootError — distinct from 1

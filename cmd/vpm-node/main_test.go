@@ -115,10 +115,12 @@ func TestSIGTERMCleanShutdown(t *testing.T) {
 // BootError unwraps to the segstore error that caused it, so callers
 // (and the exit-code test below) can tell corruption from misuse.
 func TestBootErrorWrapsStoreErrors(t *testing.T) {
-	err := &BootError{Err: segstore.ErrCorruptManifest}
-	if !errors.Is(err, segstore.ErrCorruptManifest) {
-		t.Fatal("BootError does not unwrap to its cause")
+	for _, cause := range []error{segstore.ErrCorruptManifest, segstore.ErrSegmentIntegrity, segstore.ErrSegmentVersion} {
+		if !errors.Is(&BootError{Err: cause}, cause) {
+			t.Fatalf("BootError does not unwrap to %v", cause)
+		}
 	}
+	err := &BootError{Err: segstore.ErrCorruptManifest}
 	//lint:ignore errwrap the boot prefix in the operator-facing message is itself the contract under test
 	if !strings.Contains(err.Error(), "durable store boot failure") {
 		t.Fatalf("BootError message %q lacks the boot prefix", err.Error())
@@ -152,6 +154,62 @@ func TestCorruptStoreRefusesBoot(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "durable store boot failure") {
 		t.Fatalf("stderr does not name the boot failure:\n%s", stderr.String())
+	}
+}
+
+// TestEarlierFormatStoreRefusesBoot: a data directory the release
+// before wrote (segments VPMSEG1, fixed-width receipts; segstore's
+// fixture) is a boot refusal naming the format version, and the
+// refusal changes none of its files.
+func TestEarlierFormatStoreRefusesBoot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the vpm-node binary")
+	}
+	bin := buildNode(t)
+	fixture := filepath.Join("..", "..", "internal", "segstore", "testdata", "vpmseg1")
+	files, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	want := map[string][]byte{}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(fixture, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[f.Name()] = data
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cmd := exec.Command(bin, "-epochs", "1", "-interval", "50ms", "-data-dir", dir)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != bootExitCode {
+		t.Fatalf("earlier-format store: err = %v, want exit %d\nstderr:\n%s", err, bootExitCode, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `"VPMSEG1", this release reads "VPMSEG2"`) {
+		t.Fatalf("stderr does not name the format versions:\n%s", stderr.String())
+	}
+	after, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range after {
+		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want[f.Name()]) {
+			t.Errorf("%s changed or appeared at boot", f.Name())
+		}
+	}
+	if len(after) != len(want) {
+		t.Errorf("%d files after the refused boot, %d before", len(after), len(want))
 	}
 }
 

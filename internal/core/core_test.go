@@ -589,13 +589,13 @@ func TestProcessorPolling(t *testing.T) {
 	p := sc.dep.Processors[4]
 	var want int64
 	for _, s := range p.Samples {
-		want += int64(s.WireSize())
+		want += int64(len(s.AppendBinary(nil)))
 	}
 	for _, a := range p.Aggs {
-		want += int64(a.WireSize())
+		want += int64(len(a.AppendBinary(nil)))
 	}
 	if got := p.ReceiptBytes(); got == 0 || got != want {
-		t.Errorf("ReceiptBytes %d, retained receipts' wire size %d", got, want)
+		t.Errorf("ReceiptBytes %d, retained receipts' encoded size %d", got, want)
 	}
 	if len(p.CombinedSamples()) == 0 {
 		t.Error("no combined samples")

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"slices"
 	"testing"
@@ -9,15 +11,59 @@ import (
 	"vpm/internal/lossmodel"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
+	"vpm/internal/receipt"
 	"vpm/internal/stats"
 	"vpm/internal/trace"
 )
 
-// goldenFig1Receipts is the SHA-256 prefix of every HOP's encoded
-// receipts, HOPs ascending, for the world of TestFig1GoldenReceipts,
-// captured at commit 5cdd3dd from the linear simulator and deployment
-// constructor this test outlives.
+// goldenFig1Receipts is the SHA-256 prefix of every HOP's receipts in
+// the fixed-width rendering below, HOPs ascending, for the world of
+// TestFig1GoldenReceipts, captured at commit 5cdd3dd from the linear
+// simulator and deployment constructor this test outlives. It pins the
+// collector's output, not the wire codec.
 const goldenFig1Receipts = "41e98699ccc99375"
+
+// fixedWidthReceipts renders receipts in the fixed-width layout the
+// wire codec had when goldenFig1Receipts was captured — little-endian,
+// every field at full width: PathID as src addr[4] bits[1] dst addr[4]
+// bits[1] prevHOP[4] nextHOP[4] maxDiff[8] pad[2]; a sample receipt as
+// kind[1]=1 PathID count[4] (pktID[8] time[8])*; an aggregate as
+// kind[1]=2 PathID first[8] last[8] pktCnt[8] count[4] (pktID[8]
+// time[8])*. Every field a receipt holds appears in it, so two receipt
+// sets render alike exactly when they are equal.
+func fixedWidthReceipts(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) []byte {
+	var b []byte
+	path := func(kind byte, p receipt.PathID) {
+		b = append(b, kind)
+		b = append(b, p.Key.Src.Addr[:]...)
+		b = append(b, p.Key.Src.Bits)
+		b = append(b, p.Key.Dst.Addr[:]...)
+		b = append(b, p.Key.Dst.Bits)
+		b = binary.LittleEndian.AppendUint32(b, uint32(p.PrevHOP))
+		b = binary.LittleEndian.AppendUint32(b, uint32(p.NextHOP))
+		b = binary.LittleEndian.AppendUint64(b, uint64(p.MaxDiffNS))
+		b = append(b, 0, 0)
+	}
+	records := func(rs []receipt.SampleRecord) {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(rs)))
+		for _, r := range rs {
+			b = binary.LittleEndian.AppendUint64(b, r.PktID)
+			b = binary.LittleEndian.AppendUint64(b, uint64(r.TimeNS))
+		}
+	}
+	for _, s := range samples {
+		path(1, s.Path)
+		records(s.Samples)
+	}
+	for _, a := range aggs {
+		path(2, a.Path)
+		b = binary.LittleEndian.AppendUint64(b, a.Agg.First)
+		b = binary.LittleEndian.AppendUint64(b, a.Agg.Last)
+		b = binary.LittleEndian.AppendUint64(b, a.PktCnt)
+		records(a.AggTrans)
+	}
+	return b
+}
 
 // TestFig1GoldenReceipts pins what a chain deployment does with traffic
 // no bench workload carries: two traffic keys at once, plus background
@@ -25,7 +71,8 @@ const goldenFig1Receipts = "41e98699ccc99375"
 // background packets consume loss and jitter draws like any other, so
 // which keyed packets drop and when they arrive, and with them every
 // receipt byte, depend on the background being forwarded — and every
-// HOP stamps both keys with the same neighbours.
+// HOP stamps both keys with the same neighbours. Every HOP's receipts
+// also round-trip through the wire codec.
 func TestFig1GoldenReceipts(t *testing.T) {
 	tc := equivTraceConfig(2, 60_000, int64(3e8))
 	keyed, err := trace.Generate(tc)
@@ -95,7 +142,16 @@ func TestFig1GoldenReceipts(t *testing.T) {
 		if len(keys) != 2 {
 			t.Fatalf("HOP %v filed aggregates for %d keys, want 2", id, len(keys))
 		}
-		h.Write(encodeReceipts(proc.CombinedSamples(), proc.Aggs))
+		samples := proc.CombinedSamples()
+		fixed := fixedWidthReceipts(samples, proc.Aggs)
+		h.Write(fixed)
+		ds, da, rest, err := receipt.DecodeReceipts(encodeReceipts(samples, proc.Aggs), uint32(len(samples)), uint32(len(proc.Aggs)))
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("HOP %v: decoding its receipts: %v, %d bytes left", id, err, len(rest))
+		}
+		if !bytes.Equal(fixedWidthReceipts(ds, da), fixed) {
+			t.Fatalf("HOP %v: receipts changed crossing the wire codec", id)
+		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)[:8]); got != goldenFig1Receipts {
 		t.Fatalf("encoded-receipt digest %s, want %s", got, goldenFig1Receipts)

@@ -7,9 +7,13 @@ import (
 )
 
 // This file reproduces the back-of-the-envelope overhead accounting of
-// §7.1 with this implementation's actual encoded sizes, so the memory
-// and bandwidth experiments can print the paper's scenario rows next
-// to ours.
+// §7.1 with this implementation's field sizes, so the memory and
+// bandwidth experiments can print the paper's scenario rows next to
+// ours. The analytic rows count receipts in the fixed-width reference
+// layout (receipt.BaseAggReceiptBytes, receipt.SampleRecordBytes: every
+// field at full width); the wire codec is smaller — varint-delta record
+// times, varint HOPs and counts — and its size is what the measured
+// bandwidth row reports.
 
 // MemoryBudget is the §7.1 memory requirement of one HOP.
 type MemoryBudget struct {
@@ -76,7 +80,8 @@ func (b BandwidthBudget) String() string {
 // path of nHOPs where each HOP produces one aggregate receipt per
 // pktsPerAgg packets and samples sampleRate of the traffic, with
 // avgPktBytes mean packet size. Per sampled packet each HOP emits one
-// 〈PktID, Time〉 record; per aggregate a base receipt.
+// 〈PktID, Time〉 record; per aggregate a base receipt — both at their
+// fixed-width reference sizes.
 func ComputeBandwidthBudget(nHOPs int, pktsPerAgg float64, sampleRate float64, avgPktBytes float64) BandwidthBudget {
 	perPkt := float64(nHOPs) * (float64(receipt.BaseAggReceiptBytes)/pktsPerAgg +
 		sampleRate*float64(receipt.SampleRecordBytes))
@@ -91,7 +96,7 @@ func ComputeBandwidthBudget(nHOPs int, pktsPerAgg float64, sampleRate float64, a
 
 // The paper's packed field sizes (§7.1). A 〈PktID, Time〉 record is a
 // 4-byte packet ID plus a 3-byte time. A base aggregate receipt is
-// 53 bytes: a kind byte, the explicit 28-byte PathID, 32-bit first,
+// 53 bytes: a kind byte, the fixed-width 28-byte PathID, 32-bit first,
 // last and count fields, and a 64-bit base time plus a 32-bit record
 // count — the same order as the paper's 22-byte estimate, which
 // amortizes path identification across a reporting session.

@@ -27,12 +27,7 @@ func NewProcessor(c *Collector) *Processor {
 // through an EpochCollector instead.
 func (p *Processor) Finalize() {
 	samples, aggs := p.c.Flush()
-	for _, s := range samples {
-		p.receiptBytes += int64(s.WireSize())
-	}
-	for _, a := range aggs {
-		p.receiptBytes += int64(a.WireSize())
-	}
+	p.receiptBytes += int64(receipt.WireSize(samples, aggs))
 	p.Samples = append(p.Samples, samples...)
 	p.Aggs = append(p.Aggs, aggs...)
 }

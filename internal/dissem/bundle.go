@@ -13,6 +13,7 @@
 package dissem
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -40,23 +41,18 @@ type Bundle struct {
 
 // bundleMagic guards the canonical encoding. The last byte is the
 // layout version; there is one version — any other magic is corrupt.
-var bundleMagic = [4]byte{'V', 'P', 'M', '2'}
+// VPM3: the receipts are in receipt's compact layout (varint-delta
+// record times, varint HOPs and counts).
+var bundleMagic = [4]byte{'V', 'P', 'M', '3'}
 
 // ErrCorruptBundle reports a malformed bundle encoding.
 var ErrCorruptBundle = errors.New("dissem: corrupt bundle")
 
-// WireSize returns the exact encoded size, letting
-// encoders allocate (or arena-reserve) once instead of growing
-// append-by-append through a whole epoch's receipts.
+// WireSize returns the exact encoded size. It visits every record (the
+// receipt layout is variable-length), so encoders append instead of
+// sizing first.
 func (b *Bundle) WireSize() int {
-	n := bundleHeaderSize
-	for _, s := range b.Samples {
-		n += s.WireSize()
-	}
-	for _, a := range b.Aggs {
-		n += a.WireSize()
-	}
-	return n
+	return bundleHeaderSize + receipt.WireSize(b.Samples, b.Aggs)
 }
 
 // AppendEncode appends the canonical binary form to dst and returns
@@ -103,8 +99,8 @@ func claimedEpoch(payload []byte) uint64 {
 // The smallest encodings a receipt of each kind can have — what bounds
 // a header's receipt counts by the bytes that follow it.
 var (
-	minSampleWire = uint64(receipt.SampleReceipt{}.WireSize())
-	minAggWire    = uint64(receipt.AggReceipt{}.WireSize())
+	minSampleWire = uint64(receipt.WireSize(make([]receipt.SampleReceipt, 1), nil))
+	minAggWire    = uint64(receipt.WireSize(nil, make([]receipt.AggReceipt, 1)))
 )
 
 // DecodePayload parses a signed payload: one or more canonical bundle
@@ -178,15 +174,16 @@ func (s *Signer) Public() ed25519.PublicKey { return s.pub }
 
 // Sign encodes the bundles end to end, in the order given, and signs
 // the payload once. One bundle gives exactly that bundle's Encode bytes.
+// The bundles are encoded into a pooled buffer and the payload copied
+// out at its exact size: one pass over the records, and a retained
+// payload pins no spare capacity.
 func (s *Signer) Sign(bundles ...*Bundle) SignedBundle {
-	n := 0
+	buf := getFrameBuffer()
 	for _, b := range bundles {
-		n += b.WireSize()
+		*buf = b.AppendEncode(*buf)
 	}
-	payload := make([]byte, 0, n)
-	for _, b := range bundles {
-		payload = b.AppendEncode(payload)
-	}
+	payload := bytes.Clone(*buf)
+	putFrameBuffer(buf)
 	return SignedBundle{Payload: payload, Sig: ed25519.Sign(s.priv, payload)}
 }
 

@@ -45,25 +45,27 @@ func fuzzBundle(epoch uint64) *Bundle {
 // decodes into a bundle that re-encodes byte-identically (the codec is
 // canonical), or returns an error wrapping ErrCorruptBundle; never a
 // panic or an allocation the input's length does not justify, whatever
-// the headers claim. The retired pre-epoch "VPM1" layout stays in the
-// corpus as one more corrupt input.
+// the headers claim. The retired layouts stay in the corpus as more
+// corrupt input: pre-epoch "VPM1", and "VPM2" with fixed-width
+// receipts.
 func FuzzDecodeBundle(f *testing.F) {
-	v2 := fuzzBundle(4).Encode()
-	f.Add(v2)
-	f.Add(append([]byte("VPM1"), v2[4:]...))
+	v3 := fuzzBundle(4).Encode()
+	f.Add(v3)
+	f.Add(append([]byte("VPM2"), v3[4:]...))
 	f.Add([]byte{})
+	f.Add([]byte("VPM3"))
 	f.Add([]byte("VPM2"))
-	f.Add([]byte("VPM1"))
-	f.Add([]byte("VPM3----------------------------"))
-	f.Add(v2[:len(v2)-5])
-	f.Add(append(append([]byte{}, v2...), 0xAA)) // trailing byte
-	corrupt := append([]byte{}, v2...)
+	f.Add([]byte("VPM4----------------------------"))
+	f.Add(v3[:len(v3)-5])
+	f.Add(append(append([]byte{}, v3...), 0xAA)) // trailing byte
+	corrupt := append([]byte{}, v3...)
 	corrupt[33] ^= 0xff // inside the first receipt
 	f.Add(corrupt)
 	// Header claiming 4 billion samples.
-	huge := append([]byte{}, v2[:24]...)
+	huge := append([]byte{}, v3[:24]...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)
 	f.Add(huge)
+	f.Add(append([]byte("VPM1"), v3[4:]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeBundle(data)
@@ -99,7 +101,9 @@ func FuzzDecodeBundle(f *testing.F) {
 // a missing or garbled base, a 10 KB Content-Type, and signed payloads
 // the one-HOP feed must refuse: two bundles (one from a HOP outside the
 // key's group), a truncated second bundle, zero bundles, and two
-// bundles tagged with different epochs.
+// bundles tagged with different epochs; and, as seed_v3_*, the same
+// responses as an earlier release served them (frames v3, VPM2
+// bundles).
 func FuzzReadFrames(f *testing.F) {
 	pub := NewSigner(seedOf(4)).Public()
 	group := []receipt.HOPID{4}

@@ -90,9 +90,11 @@ func (e *BundleError) Unwrap() error { return e.Err }
 const (
 	// FrameContentType names the framed feed. A response carrying any
 	// other type is refused: version skew reads as "this server does not
-	// speak the frame format", never as a garbage length. v3: a payload
-	// holds every bundle of one key's sealed epoch.
-	FrameContentType = "application/vnd.vpm.bundle-frames.v3"
+	// speak the frame format", never as a garbage length, and never as a
+	// bad signature. v3: a payload holds every bundle of one key's
+	// sealed epoch. v4: the bundles are VPM3, receipts in the compact
+	// layout.
+	FrameContentType = "application/vnd.vpm.bundle-frames.v4"
 	// FrameHeaderSize is the per-payload framing overhead.
 	FrameHeaderSize = 8
 	// MaxBundleBytes bounds the payload a client accepts in one frame.
@@ -625,8 +627,9 @@ const maxPooledFrameBuffer = 512 << 10
 
 // frameBuffers recycles readFrames' buffers across responses, so a
 // verifier fetching feed after feed reads every frame into a buffer an
-// earlier response already grew. It holds *[]byte; see getFrameBuffer
-// and putFrameBuffer.
+// earlier response already grew, and Signer.Sign's encode buffers, so a
+// signer encodes into one an earlier payload grew. It holds *[]byte;
+// see getFrameBuffer and putFrameBuffer.
 var frameBuffers sync.Pool
 
 // getFrameBuffer returns an empty buffer, reusing a pooled one's

@@ -207,6 +207,19 @@ func framed(w http.ResponseWriter, declared int64, body []byte) {
 func TestHostileFeeds(t *testing.T) {
 	signer := NewSigner(seedOf(4))
 	good := frame(signer.Sign(sampleBundle(4, 0)), 0)
+	// An earlier release's frame: a VPM2 payload under a good signature.
+	old := signer.Sign(sampleBundle(4, 0)).Payload
+	copy(old, "VPM2")
+	v2 := frame(SignedBundle{Payload: old, Sig: ed25519.Sign(signer.priv, old)}, 0)
+	// typed serves v2 as a framed feed of the given Content-Type.
+	typed := func(ct string) http.HandlerFunc {
+		return func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set(BaseHeader, "0")
+			w.Header().Set("Content-Type", ct)
+			w.Header().Set("Content-Length", strconv.Itoa(len(v2)))
+			w.Write(v2)
+		}
+	}
 	// unbased serves good as a framed feed whose X-VPM-Base header is
 	// base, or absent when base is empty.
 	unbased := func(base string) http.HandlerFunc {
@@ -240,6 +253,12 @@ func TestHostileFeeds(t *testing.T) {
 		}, ErrNotFramed, -1, true, 0, 0},
 		// A server that pruned and stays quiet about it, or no server
 		// at all: without a base, frame positions could hide a gap.
+		// Version skew: an earlier release's feed is refused at the
+		// Content-Type, before its authentic payload could read as a
+		// bad bundle from an honest domain — which it would if only
+		// the bundle magic had moved.
+		{"v3 feed from an earlier release", typed("application/vnd.vpm.bundle-frames.v3"), ErrNotFramed, -1, true, 0, 0},
+		{"VPM2 payload under this release's type", typed(FrameContentType), ErrCorruptBundle, 0, true, 0, 0},
 		{"no X-VPM-Base", unbased(""), ErrNotFramed, -1, true, 0, 0},
 		{"garbled X-VPM-Base", unbased("2x"), ErrNotFramed, -1, true, 0, 0},
 		{"4 GiB frame", func(w http.ResponseWriter, _ *http.Request) {
@@ -299,7 +318,7 @@ func TestHostileFeeds(t *testing.T) {
 			var fe *FrameError
 			var be *BundleError
 			switch {
-			case errors.Is(tc.want, ErrBadSignature):
+			case errors.Is(tc.want, ErrBadSignature), errors.Is(tc.want, ErrCorruptBundle):
 				if !errors.As(err, &be) || !errors.Is(err, tc.want) || be.Origin != 4 || be.Seq != uint64(tc.frame) || be.Epoch != 0 {
 					t.Fatalf("error %v (%T), want a *BundleError for HOP 4 at %d, epoch 0, wrapping %v", err, err, tc.frame, tc.want)
 				}

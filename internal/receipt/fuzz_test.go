@@ -38,7 +38,9 @@ func fuzzAggReceipt() AggReceipt {
 // FuzzDecodeReceipt: Decode must be total — any byte string either
 // parses into exactly one receipt whose re-encoding reproduces the
 // consumed bytes, or returns an error wrapping ErrCorrupt. It must
-// never panic, whatever the header claims about record counts.
+// never panic, whatever the header claims about record counts. The
+// committed corpus keeps receipts in the earlier fixed-width layout as
+// hostile input.
 func FuzzDecodeReceipt(f *testing.F) {
 	f.Add(fuzzSampleReceipt().AppendBinary(nil))
 	f.Add(fuzzAggReceipt().AppendBinary(nil))
@@ -48,8 +50,8 @@ func FuzzDecodeReceipt(f *testing.F) {
 	trunc := fuzzAggReceipt().AppendBinary(nil)
 	f.Add(trunc[:len(trunc)-3])
 	// A header claiming 4 billion records backed by 4 bytes.
-	huge := append([]byte{kindSample}, make([]byte, pathIDLen)...)
-	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4)
+	huge := append([]byte{kindSample}, make([]byte, prefixesLen+3)...)
+	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 2, 3, 4)
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

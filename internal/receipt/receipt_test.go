@@ -115,8 +115,8 @@ func TestInconsistencyStrings(t *testing.T) {
 func TestSampleReceiptBinaryRoundTrip(t *testing.T) {
 	r := SampleReceipt{Path: testPath(), Samples: []SampleRecord{{0xdead, 123}, {0xbeef, -7}}}
 	b := r.AppendBinary(nil)
-	if len(b) != r.WireSize() {
-		t.Fatalf("encoded %d bytes, WireSize says %d", len(b), r.WireSize())
+	if n := WireSize([]SampleReceipt{r}, nil); len(b) != n {
+		t.Fatalf("encoded %d bytes, WireSize says %d", len(b), n)
 	}
 	s, a, rest, err := Decode(b)
 	if err != nil || a != nil || len(rest) != 0 {
@@ -135,8 +135,8 @@ func TestAggReceiptBinaryRoundTrip(t *testing.T) {
 		AggTrans: []SampleRecord{{0x33, 1}, {0x44, 2}, {0x55, 3}},
 	}
 	b := r.AppendBinary(nil)
-	if len(b) != r.WireSize() {
-		t.Fatalf("encoded %d bytes, WireSize says %d", len(b), r.WireSize())
+	if n := WireSize(nil, []AggReceipt{r}); len(b) != n {
+		t.Fatalf("encoded %d bytes, WireSize says %d", len(b), n)
 	}
 	s, a, rest, err := Decode(b)
 	if err != nil || s != nil || len(rest) != 0 {
@@ -238,7 +238,7 @@ func TestStringers(t *testing.T) {
 
 func BenchmarkSampleReceiptEncode(b *testing.B) {
 	r := SampleReceipt{Path: testPath(), Samples: make([]SampleRecord, 100)}
-	buf := make([]byte, 0, r.WireSize())
+	buf := make([]byte, 0, WireSize([]SampleReceipt{r}, nil))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = r.AppendBinary(buf[:0])
@@ -249,7 +249,7 @@ func BenchmarkReceiptEncodingJSONVsBinary(b *testing.B) {
 	r := AggReceipt{Path: testPath(), Agg: AggID{1, 2}, PktCnt: 100000,
 		AggTrans: make([]SampleRecord, 16)}
 	b.Run("binary", func(b *testing.B) {
-		buf := make([]byte, 0, r.WireSize())
+		buf := make([]byte, 0, WireSize(nil, []AggReceipt{r}))
 		for i := 0; i < b.N; i++ {
 			buf = r.AppendBinary(buf[:0])
 		}

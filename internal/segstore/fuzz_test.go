@@ -41,13 +41,16 @@ func testReceiptsRaw(epoch uint64, hop receipt.HOPID) ([]receipt.SampleReceipt, 
 // yields (blocks, valid, err) without panicking, the valid prefix is
 // really valid (re-scanning it succeeds and yields the same blocks),
 // the decoded blocks re-encode into a scannable image, and the error
-// is always one of nil / ErrTornTail / ErrCorruptSegment.
+// is always one of nil / ErrTornTail / ErrCorruptSegment /
+// ErrSegmentVersion. The committed corpus keeps version-1 images
+// (fixed-width receipts) as inputs of another version.
 func FuzzDecodeSegment(f *testing.F) {
 	img := fuzzSegmentImage()
 	f.Add(img)
 	f.Add([]byte{})
 	f.Add(segMagic[:])
-	f.Add([]byte("VPMSEG1\nnot a block"))
+	f.Add([]byte("VPMSEG2\nnot a block"))
+	f.Add([]byte("VPMSEG1\n")) // an earlier release's empty segment
 	f.Add([]byte("WRONGMAG"))
 	f.Add(img[:len(img)-3]) // torn mid-block
 	f.Add(img[:11])         // torn mid-header
@@ -68,7 +71,7 @@ func FuzzDecodeSegment(f *testing.F) {
 			if valid != len(data) {
 				t.Fatalf("clean scan stopped at %d of %d bytes", valid, len(data))
 			}
-		case errors.Is(err, ErrTornTail), errors.Is(err, ErrCorruptSegment):
+		case errors.Is(err, ErrTornTail), errors.Is(err, ErrCorruptSegment), errors.Is(err, ErrSegmentVersion):
 		default:
 			t.Fatalf("unexpected error class: %v", err)
 		}

@@ -13,7 +13,7 @@ import (
 // by zero or more record blocks, each one HOP's receipts for one
 // epoch, appended in seal order:
 //
-//	magic:  "VPMSEG1\n"
+//	magic:  "VPMSEG2\n"
 //	block:  epoch[8] hop[4] nSamples[4] nAggs[4] payloadLen[4]
 //	        payloadCRC[4] headerCRC[4]  payload[payloadLen]
 //
@@ -21,15 +21,20 @@ import (
 // the canonical stream order — the same bytes a dissemination bundle
 // carries). Both CRCs are CRC-32C (Castagnoli); headerCRC covers the
 // 28 header bytes before it, so a torn or bit-rotted header is
-// detected without trusting payloadLen.
-// Everything is little-endian, like the receipt encoding.
+// detected without trusting payloadLen. The header is little-endian,
+// like the receipt encoding's fixed-width fields.
+//
+// The magic's digit is the format version, and it moves with the
+// receipt layout: version 1 held fixed-width receipts, version 2 holds
+// the compact ones. A file of another version is refused with
+// ErrSegmentVersion, never read as corrupt and never repaired.
 //
 // The format is append-only and self-delimiting: recovery scans
 // blocks until the first incomplete or corrupt one and truncates
 // there — the torn tail a crash mid-append leaves behind.
 
 // segMagic begins every segment file.
-var segMagic = [8]byte{'V', 'P', 'M', 'S', 'E', 'G', '1', '\n'}
+var segMagic = [8]byte{'V', 'P', 'M', 'S', 'E', 'G', '2', '\n'}
 
 // blockHeaderLen is the fixed block header size.
 const blockHeaderLen = 32
@@ -43,6 +48,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // decode. A truncated (torn) tail is reported as ErrTornTail instead —
 // recovery treats the two differently.
 var ErrCorruptSegment = errors.New("segstore: corrupt segment")
+
+// ErrSegmentVersion reports a segment file written in another format
+// version — by another release, whose receipts this one cannot read.
+// It is not corruption: the store refuses to open and touches nothing.
+var ErrSegmentVersion = errors.New("segstore: segment format version")
 
 // ErrTornTail reports a segment whose final block is incomplete — the
 // signature of a crash mid-append. The valid prefix before the tear is
@@ -59,22 +69,16 @@ type Block struct {
 
 // AppendBlock appends the canonical block encoding for one HOP's
 // sealed epoch to dst and returns the extended slice. The payload is
-// each receipt's AppendBinary encoding: samples then aggregates.
+// each receipt's AppendBinary encoding: samples then aggregates. The
+// header's payload length and CRC are filled in once the payload is
+// written.
 func AppendBlock(dst []byte, epoch uint64, hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) []byte {
-	payloadLen := 0
-	for _, r := range samples {
-		payloadLen += r.WireSize()
-	}
-	for _, r := range aggs {
-		payloadLen += r.WireSize()
-	}
 	start := len(dst)
 	var hdr [blockHeaderLen]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], epoch)
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(hop))
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(samples)))
 	binary.LittleEndian.PutUint32(hdr[16:20], uint32(len(aggs)))
-	binary.LittleEndian.PutUint32(hdr[20:24], uint32(payloadLen))
 	dst = append(dst, hdr[:]...)
 	for _, r := range samples {
 		dst = r.AppendBinary(dst)
@@ -83,6 +87,7 @@ func AppendBlock(dst []byte, epoch uint64, hop receipt.HOPID, samples []receipt.
 		dst = r.AppendBinary(dst)
 	}
 	payload := dst[start+blockHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start+20:start+24], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[start+24:start+28], crc32.Checksum(payload, crcTable))
 	binary.LittleEndian.PutUint32(dst[start+28:start+32], crc32.Checksum(dst[start:start+28], crcTable))
 	return dst
@@ -148,14 +153,12 @@ func decodeReceipts(h blockHeader, payload []byte) (Block, error) {
 // that passes its checksums to each. It returns the length of the
 // prefix each accepted (magic included — the truncation point for a
 // torn file) and the error that stopped the walk: nil for a clean end,
-// ErrTornTail for an incomplete final block, ErrCorruptSegment
-// (wrapped) for a checksum failure, or whatever each returned.
+// ErrTornTail for an incomplete final block, ErrSegmentVersion for
+// another format version, ErrCorruptSegment (wrapped) for a checksum
+// failure, or whatever each returned.
 func scanBlocks(data []byte, each func(h blockHeader, payload []byte) error) (int, error) {
-	if len(data) < len(segMagic) {
-		return 0, fmt.Errorf("%w: short magic", ErrTornTail)
-	}
-	if [8]byte(data[:8]) != segMagic {
-		return 0, fmt.Errorf("%w: bad magic", ErrCorruptSegment)
+	if err := checkMagic(data); err != nil {
+		return 0, err
 	}
 	valid := len(segMagic)
 	for valid < len(data) {
@@ -171,13 +174,31 @@ func scanBlocks(data []byte, each func(h blockHeader, payload []byte) error) (in
 	return valid, nil
 }
 
+// checkMagic checks a segment image's magic: ErrTornTail when it is
+// short, ErrSegmentVersion when it names another format version,
+// ErrCorruptSegment when it is no segment magic at all.
+func checkMagic(data []byte) error {
+	if len(data) < len(segMagic) {
+		return fmt.Errorf("%w: short magic", ErrTornTail)
+	}
+	magic := [8]byte(data[:8])
+	switch {
+	case magic == segMagic:
+		return nil
+	case string(magic[:6]) == "VPMSEG" && magic[7] == '\n':
+		return fmt.Errorf("%w: %q, this release reads %q", ErrSegmentVersion, magic[:7], segMagic[:7])
+	}
+	return fmt.Errorf("%w: bad magic", ErrCorruptSegment)
+}
+
 // ScanSegment decodes a segment image block by block. It returns the
 // decoded blocks of the valid prefix, the prefix's length in bytes
 // (magic included — the truncation point for a torn file), and the
 // error that stopped the scan: nil for a clean end, ErrTornTail for an
-// incomplete final block, ErrCorruptSegment (wrapped) for checksum or
-// decode failures. Malformed input of any shape returns; it never
-// panics (FuzzDecodeSegment).
+// incomplete final block, ErrSegmentVersion for another format
+// version, ErrCorruptSegment (wrapped) for checksum or decode
+// failures. Malformed input of any shape returns; it never panics
+// (FuzzDecodeSegment).
 func ScanSegment(data []byte) ([]Block, int, error) {
 	var blocks []Block
 	valid, err := scanBlocks(data, func(h blockHeader, payload []byte) error {

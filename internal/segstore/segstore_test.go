@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vpm/internal/packet"
@@ -93,12 +96,7 @@ func TestScanSegmentTornAndCorrupt(t *testing.T) {
 	full = AppendBlock(full, 1, 1, samples, aggs)
 	full = AppendBlock(full, 2, 1, samples, aggs)
 	oneBlock := len(segMagic) + blockHeaderLen
-	for _, r := range samples {
-		oneBlock += r.WireSize()
-	}
-	for _, r := range aggs {
-		oneBlock += r.WireSize()
-	}
+	oneBlock += receipt.WireSize(samples, aggs)
 
 	// Every truncation point inside the second block is a torn tail
 	// whose valid prefix is exactly the first block.
@@ -129,6 +127,46 @@ func TestScanSegmentTornAndCorrupt(t *testing.T) {
 	bad[0] = 'X'
 	if _, _, err := ScanSegment(bad); !errors.Is(err, ErrCorruptSegment) {
 		t.Fatalf("bad magic: err = %v, want ErrCorruptSegment", err)
+	}
+}
+
+// TestOpenRefusesEarlierFormat: a store an earlier release wrote —
+// testdata/vpmseg1, sealed epochs 0 and 1 in VPMSEG1 segments of
+// fixed-width receipts, a report, a torn tail past epoch 0's committed
+// size, the unsealed epoch 2 and a stale manifest temp — is refused
+// with ErrSegmentVersion naming both versions, and Open changes no
+// file: nothing truncated, swept or removed.
+func TestOpenRefusesEarlierFormat(t *testing.T) {
+	m := NewMemFS()
+	dir := filepath.Join("testdata", "vpmseg1")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[f.Name()] = data
+		m.files[f.Name()] = append([]byte(nil), data...)
+	}
+	if len(want) != 6 {
+		t.Fatalf("fixture holds %d files, want 6", len(want))
+	}
+	s, _, err := Open("", Options{FS: m})
+	if !errors.Is(err, ErrSegmentVersion) || s != nil {
+		t.Fatalf("Open: store %v, err %v; want ErrSegmentVersion", s, err)
+	}
+	if errors.Is(err, ErrSegmentIntegrity) || errors.Is(err, ErrCorruptSegment) {
+		t.Fatalf("Open: %v reads as damage, not as another version", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"VPMSEG1"`) || !strings.Contains(msg, `"VPMSEG2"`) {
+		t.Fatalf("Open: %q does not name both format versions", msg)
+	}
+	if !reflect.DeepEqual(m.files, want) {
+		t.Fatalf("Open changed the store: %d files after, %d before", len(m.files), len(want))
 	}
 }
 

@@ -142,7 +142,10 @@ type Store struct {
 // manifest, a sealed segment that cannot be read back) return typed
 // errors — ErrCorruptManifest, ErrSegmentIntegrity; match with
 // errors.Is — and no store, so the caller decides whether to refuse
-// service or rebuild. A report that fails its checksum is not fatal:
+// service or rebuild. A sealed segment in another format version
+// returns ErrSegmentVersion before any file is changed. An unsealed
+// one is dropped like any partial segment: its epoch was never
+// committed. A report that fails its checksum is not fatal:
 // the evidence is intact, so the file is dropped and the epoch is
 // verified again. A report that cannot be read at all is an error —
 // deleting a verdict over a transient EIO would be.
@@ -181,6 +184,11 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 			return nil, stats, fmt.Errorf("%w: %s: %v", ErrSegmentIntegrity, e.File, err)
 		}
 		data := buf
+		if err := checkMagic(data); errors.Is(err, ErrSegmentVersion) {
+			// Another release's store: refused before anything is
+			// truncated, swept or removed.
+			return nil, stats, fmt.Errorf("%s: %w", e.File, err)
+		}
 		if int64(len(data)) < e.Bytes {
 			return nil, stats, fmt.Errorf("%w: %s has %d bytes, manifest committed %d",
 				ErrSegmentIntegrity, e.File, len(data), e.Bytes)
