@@ -19,8 +19,8 @@
 //	    One verifier shard: fetches every collector's bundles with
 //	    bounded retry, verifies its key slice, writes its part file
 //	    atomically, exits. With -http it serves the runtime profiles
-//	    under /debug/pprof/ while it runs and announces "serving on
-//	    http://..." on stderr.
+//	    under /debug/pprof/ and its window under /debug/epochs while
+//	    it runs and announces "serving on http://..." on stderr.
 //
 //	vpm-fleet run -spec JSON [-verifiers 1,2,4] [-check] [-json] [-dir D]
 //	    Local supervisor harness: spawns the collector processes and,
@@ -188,7 +188,7 @@ func runVerify(args []string) {
 	shard := fs.Int("shard", 0, "this shard's index")
 	collectors := fs.String("collectors", "", "comma-separated collector base URLs")
 	out := fs.String("out", "", "part file path (empty: stdout)")
-	httpAddr := fs.String("http", "", "serve /debug/pprof/ on this address while the shard runs (empty: off)")
+	httpAddr := fs.String("http", "", "serve /debug/pprof/ and /debug/epochs on this address while the shard runs (empty: off)")
 	fs.Parse(args)
 
 	w, err := parseSpecFlag(*specText).Build()
@@ -210,6 +210,7 @@ func runVerify(args []string) {
 		}
 		mux := http.NewServeMux()
 		fleet.HandleProfiles(mux)
+		v.HandleEpochs(mux)
 		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 		go srv.Serve(ln)
 		defer srv.Close()

@@ -61,7 +61,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
@@ -151,9 +150,9 @@ func main() {
 	}
 
 	// Query API server, alongside the run or standalone (-serve-only).
-	var status *epochStatus
+	var status *engine.EpochStatus
 	if *httpAddr != "" {
-		status = &epochStatus{}
+		status = &engine.EpochStatus{}
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fatal(fmt.Errorf("query API listen: %w", err))
@@ -242,7 +241,7 @@ func main() {
 	ver.Feeds = bus.Feeds()
 	seqVerdicts := 0
 	ver.OnEpoch = func(rep core.EpochReport, ws core.WindowStats) {
-		status.update(ver, rep.Epoch, ws)
+		status.Update(ver, rep.Epoch, ws)
 		seqVerdicts += len(rep.Seq)
 		if !*quiet && !*jsonOut {
 			printEpoch(rep, ws)
@@ -422,7 +421,7 @@ func fatalBoot(err *BootError) {
 // nodeHandler is the -http surface: the store's historical-verdict
 // query API, the runtime profiles of net/http/pprof under
 // /debug/pprof/, and the verifier's window under /debug/epochs.
-func nodeHandler(store *segstore.Store, interval time.Duration, epochs *epochStatus) http.Handler {
+func nodeHandler(store *segstore.Store, interval time.Duration, epochs *engine.EpochStatus) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", segstore.NewHandler(store, segstore.APIConfig{IntervalNS: interval.Nanoseconds()}))
 	mux.Handle("/debug/epochs", epochs)
@@ -432,63 +431,4 @@ func nodeHandler(store *segstore.Store, interval time.Duration, epochs *epochSta
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// epochStatus is the /debug/epochs document: what the verifier's window
-// holds, which HOPs have yet to seal each held epoch, the last epoch
-// verified and the dissemination findings so far. OnEpoch refreshes it
-// after every verified epoch; the HTTP server reads it under the same
-// mutex. A nil *epochStatus (no -http) records nothing.
-type epochStatus struct {
-	mu  sync.Mutex
-	doc epochsDoc
-}
-
-// epochsDoc is the JSON body of /debug/epochs.
-type epochsDoc struct {
-	// Held lists the window's epochs, ascending (WindowStats bounds).
-	Held []heldEpoch `json:"held"`
-	// LastVerified is the newest verified epoch; null before the first.
-	LastVerified *core.EpochID `json:"last_verified"`
-	// Findings tallies engine.Verify.Findings by evidence class.
-	Findings map[string]int `json:"findings"`
-}
-
-// heldEpoch is one held epoch and the HOPs that have not sealed it —
-// the stragglers an unverified epoch is waiting for.
-type heldEpoch struct {
-	Epoch        core.EpochID    `json:"epoch"`
-	MissingSeals []receipt.HOPID `json:"missing_seals,omitempty"`
-}
-
-// update records the window after epoch was verified. It runs on the
-// verify step's goroutine, the one that appends ver.Findings.
-func (s *epochStatus) update(ver *engine.Verify, epoch core.EpochID, ws core.WindowStats) {
-	if s == nil {
-		return
-	}
-	doc := epochsDoc{LastVerified: &epoch, Findings: make(map[string]int)}
-	if ws.Segments > 0 {
-		for e := ws.OldestHeld; e <= ws.NewestHeld; e++ {
-			doc.Held = append(doc.Held, heldEpoch{Epoch: e, MissingSeals: ver.Window.MissingSeals(e)})
-		}
-	}
-	for _, f := range ver.Findings {
-		doc.Findings[f.Evidence.String()]++
-	}
-	s.mu.Lock()
-	s.doc = doc
-	s.mu.Unlock()
-}
-
-func (s *epochStatus) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	body, err := json.Marshal(s.doc)
-	s.mu.Unlock()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(body, '\n'))
 }

@@ -249,7 +249,7 @@ func TestHTTPServesProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	hs := httptest.NewServer(nodeHandler(store, time.Second, &epochStatus{}))
+	hs := httptest.NewServer(nodeHandler(store, time.Second, &engine.EpochStatus{}))
 	defer hs.Close()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/api/v1/epochs", "/debug/epochs"} {
 		resp, err := http.Get(hs.URL + path)
@@ -369,14 +369,14 @@ func TestEpochStatusReadsWhileVerifying(t *testing.T) {
 		t.Fatal(err)
 	}
 	ver.Window.Sink()(1, 0, nil, nil)
-	status := &epochStatus{}
+	status := &engine.EpochStatus{}
 	hs := httptest.NewServer(nodeHandler(nil, time.Second, status))
 	defer hs.Close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for e := range core.EpochID(200) {
-			status.update(ver, e, ver.Window.Stats())
+			status.Update(ver, e, ver.Window.Stats())
 		}
 	}()
 	for range 50 {
@@ -384,7 +384,11 @@ func TestEpochStatusReadsWhileVerifying(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var doc epochsDoc
+		var doc struct {
+			Held []struct {
+				MissingSeals []receipt.HOPID `json:"missing_seals"`
+			} `json:"held"`
+		}
 		err = json.NewDecoder(resp.Body).Decode(&doc)
 		resp.Body.Close()
 		if err != nil {

@@ -104,20 +104,22 @@ func (w *WindowedStore) skipRecovered(epoch EpochID) bool {
 
 // persistReport files the canonical encoding of rep with the backend;
 // a no-op without one. The encoding is built in buf, the caller's
-// grow-only scratch, which is returned for the next epoch.
-func (w *WindowedStore) persistReport(rep *EpochReport, buf []byte) ([]byte, error) {
+// grow-only scratch, which is returned for the next epoch with the
+// encoding's bytes per key report without a blame finding (see
+// appendEpochReport; 0 when nothing was encoded).
+func (w *WindowedStore) persistReport(rep *EpochReport, buf []byte) ([]byte, int, error) {
 	w.mu.Lock()
 	b := w.backend
 	w.mu.Unlock()
 	if b == nil {
-		return buf, nil
+		return buf, 0, nil
 	}
-	buf, err := AppendEpochReport(buf[:0], rep)
+	buf, perKey, err := appendEpochReport(buf[:0], rep)
 	if err != nil {
-		return buf, fmt.Errorf("core: encoding epoch %d report: %w", rep.Epoch, err)
+		return buf, 0, fmt.Errorf("core: encoding epoch %d report: %w", rep.Epoch, err)
 	}
 	if err := b.PutReport(rep.Epoch, buf); err != nil {
-		return buf, fmt.Errorf("core: persisting epoch %d report: %w", rep.Epoch, err)
+		return buf, perKey, fmt.Errorf("core: persisting epoch %d report: %w", rep.Epoch, err)
 	}
-	return buf, nil
+	return buf, perKey, nil
 }

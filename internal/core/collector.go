@@ -478,12 +478,14 @@ func (c *Collector) logPending(p *pendingAgg, buf []receipt.SampleRecord) {
 
 // decide is Algorithm 1 at a marker: the marker's digest keys the
 // sampling decision for every record of the pre-marker buffer, and the
-// marker itself is sampled. The buffer only grows between markers, so
+// marker itself is sampled. The marker's half of SampleFcn is mixed
+// once for the whole buffer. The buffer only grows between markers, so
 // its length here is its high-water mark.
 func (c *Collector) decide(state uint32, temp []receipt.SampleRecord, marker receipt.SampleRecord) {
 	c.tempHighWater = max(c.tempHighWater, len(temp))
+	key, sigma := hashing.SampleKey(marker.PktID), c.sigma
 	for _, q := range temp {
-		if hashing.Exceeds(hashing.SampleFcn(q.PktID, marker.PktID), c.sigma) {
+		if hashing.Exceeds(hashing.SampleStep(q.PktID, key), sigma) {
 			c.sampleLog = append(c.sampleLog, loggedSample{state: state, rec: q})
 		}
 	}

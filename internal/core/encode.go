@@ -28,9 +28,25 @@ import (
 // NaN or infinite float returns the *json.UnsupportedValueError
 // json.Marshal would, and dst at its original length.
 func AppendEpochReport(dst []byte, rep *EpochReport) ([]byte, error) {
+	b, _, err := appendEpochReport(dst, rep)
+	return b, err
+}
+
+// appendEpochReport is AppendEpochReport that also returns the
+// encoding's length per key report without a blame finding, rounded
+// up (0 when every key has one). The blamed keys' reports and the
+// sequential verdicts are left out of the length: the violations and
+// verdicts that make a few keys' reports many times the rest (see
+// RollingVerifier.persist).
+func appendEpochReport(dst []byte, rep *EpochReport) ([]byte, int, error) {
 	e := reportEncoder{b: dst}
 	e.epochReport(rep)
-	return e.finish(len(dst))
+	b, err := e.finish(len(dst))
+	clean := len(rep.Keys) - e.blamedKeys
+	if clean == 0 || err != nil {
+		return b, 0, err
+	}
+	return b, (len(b) - len(dst) - e.inflated + clean - 1) / clean, nil
 }
 
 // AppendEpochKeyReport appends the canonical encoding of one key's
@@ -49,10 +65,13 @@ func AppendSeqVerdicts(dst []byte, vs []seqdetect.SeqVerdict) ([]byte, error) {
 	return e.finish(len(dst))
 }
 
-// reportEncoder carries the output and the first float error.
+// reportEncoder carries the output and the first float error, and
+// tallies the key reports with a blame finding and the bytes they and
+// the sequential verdicts take.
 type reportEncoder struct {
-	b   []byte
-	err error
+	b                    []byte
+	err                  error
+	blamedKeys, inflated int
 }
 
 func (e *reportEncoder) finish(start int) ([]byte, error) {
@@ -77,8 +96,15 @@ func (e *reportEncoder) bool(v bool) {
 }
 
 // float formats as encoding/json does: shortest round-trip digits,
-// exponent form below 1e-6 and from 1e21, exponent unpadded.
+// exponent form below 1e-6 and from 1e21, exponent unpadded. An
+// integer below 2⁵³ in magnitude, other than −0, is its own shortest
+// form — most order-statistic bounds and points are whole nanoseconds
+// — and is written as one.
 func (e *reportEncoder) float(f float64) {
+	if i := int64(f); float64(i) == f && -1<<53 < i && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		e.b = strconv.AppendInt(e.b, i, 10)
+		return
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		if e.err == nil {
 			e.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
@@ -101,15 +127,27 @@ func (e *reportEncoder) float(f float64) {
 
 const hexDigits = "0123456789abcdef"
 
+// plainByte marks the bytes a JSON string carries as they are: ASCII
+// from the space up, except the quote, the backslash and the three
+// HTML-escaped <, > and &.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
 // string escapes as encoding/json does with HTML escaping on: quotes,
 // backslashes and control bytes, <, > and &, U+2028/2029, and invalid
-// UTF-8 as U+FFFD.
+// UTF-8 as U+FFFD. A run of plain bytes is appended whole, so a
+// string of only those — every domain name and most details — is one
+// append.
 func (e *reportEncoder) string(s string) {
 	b := append(e.b, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			if plainByte[c] {
 				i++
 				continue
 			}
@@ -175,13 +213,20 @@ func (e *reportEncoder) epochReport(rep *EpochReport) {
 	if e.list(rep.Keys == nil) {
 		for i := range rep.Keys {
 			e.sep(i)
+			start := len(e.b)
 			e.keyReport(&rep.Keys[i])
+			if len(rep.Keys[i].Blames) > 0 {
+				e.blamedKeys++
+				e.inflated += len(e.b) - start
+			}
 		}
 		e.lit("]")
 	}
 	if len(rep.Seq) > 0 {
+		start := len(e.b)
 		e.lit(`,"Seq":`)
 		e.seqVerdicts(rep.Seq)
+		e.inflated += len(e.b) - start
 	}
 	e.lit("}")
 }

@@ -13,10 +13,12 @@ import (
 	"testing"
 
 	"vpm/internal/aggregation"
+	"vpm/internal/netsim"
 	"vpm/internal/packet"
 	"vpm/internal/quantile"
 	"vpm/internal/receipt"
 	"vpm/internal/seqdetect"
+	"vpm/internal/trace"
 )
 
 // encodeProbe builds a report with every field of every report type
@@ -158,6 +160,35 @@ var encodeCorpus = []struct {
 	{"x", 123456789012345678, 1, 14},                // integral float below 1e21 stays positional
 }
 
+// fastPathEdges are FuzzAppendEpochReport's seeds at the edges of the
+// encoder's two fast paths: floats written as integers stop short of
+// 2⁵³ and at −0, and a run of plain bytes is appended whole only up to
+// the first byte that needs an escape, so each escaped byte follows a
+// plain prefix.
+var fastPathEdges = []struct {
+	s     string
+	f     float64
+	n     int64
+	shape uint8
+}{
+	{"x", math.Copysign(0, -1), 1, 14},
+	{"x", 1<<53 - 1, 1, 14},
+	{"x", -(1<<53 - 1), 1, 14},
+	{"x", 1 << 53, 1, 14},
+	{"x", -(1 << 53), 1, 14},
+	{"x", 1<<53 + 2, 1, 14},
+	{"x", 5e-7, 1, 14},
+	{"edge0\"", 2, 1, 14},
+	{"edge0\\", 2, 1, 14},
+	{"edge0<", 2, 1, 14},
+	{"edge0>", 2, 1, 14},
+	{"edge0&", 2, 1, 14},
+	{"edge0\x1f", 2, 1, 14},
+	{"edge0\u2028", 2, 1, 14},
+	{"edge0\xfe", 2, 1, 14},
+	{"edge0 ~!#$%'()*+,-./09:;=?@AZ[]^_`az{|}", 2, 1, 14}, // every other class of plain byte
+}
+
 func TestAppendEpochReportMatchesJSONMarshal(t *testing.T) {
 	for _, c := range encodeCorpus {
 		checkAgainstMarshal(t, encodeProbe(c.s, c.f, c.n, c.shape))
@@ -171,7 +202,7 @@ func TestAppendEpochReportMatchesJSONMarshal(t *testing.T) {
 }
 
 func FuzzAppendEpochReport(f *testing.F) {
-	for _, c := range encodeCorpus {
+	for _, c := range append(encodeCorpus, fastPathEdges...) {
 		f.Add(c.s, c.f, c.n, c.shape)
 	}
 	f.Fuzz(func(t *testing.T, s string, v float64, n int64, shape uint8) {
@@ -180,7 +211,9 @@ func FuzzAppendEpochReport(f *testing.F) {
 }
 
 // BenchmarkEncodeEpochReport encodes a mesh-sized report into a reused
-// buffer, as persistReport does.
+// buffer, as persistReport does. Its floats are fractional and its
+// strings need escaping, so it runs neither of the encoder's fast
+// paths; BenchmarkEncodeMeshEpochReport is what a verifier persists.
 func BenchmarkEncodeEpochReport(b *testing.B) {
 	probe := encodeProbe("10.0.0.0/8->172.16.1.0/24 missing downstream", 1234567.125, 48271, 14)
 	rep := EpochReport{Epoch: 7, Seq: probe.Seq}
@@ -190,6 +223,79 @@ func BenchmarkEncodeEpochReport(b *testing.B) {
 	buf, err := AppendEpochReport(nil, &rep)
 	if err != nil {
 		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = AppendEpochReport(buf[:0], &rep); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// meshEpochReport verifies three epochs of 64 keys over an honest
+// Clos(8,4) fabric and returns the middle epoch's report with its
+// (key, route) reports repeated to 4096, the clos-zipf bench's key
+// count: whole-nanosecond bounds, plain domain names.
+func meshEpochReport(tb testing.TB) EpochReport {
+	tb.Helper()
+	keys := netsim.TopoKeys(64)
+	topo := netsim.ClosTopology(17, 8, 4, keys)
+	const intervalNS, epochs = int64(5e7), 3
+	tc := topoTraceConfig(keys, 2000, epochs*intervalNS)
+	pkts, err := trace.Generate(tc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dep, err := NewTopoDeployment(topo, tc.Table(), meshDeployConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	win, err := NewWindowedStore(dep.HOPs(), epochs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	driver, err := NewEpochDriver(dep, intervalNS, win.Sink())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr, err := netsim.NewTopoRunner(topo, tc.Table())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := tr.Run(pkts, driver.Observers()); err != nil {
+		tb.Fatal(err)
+	}
+	driver.Close()
+	win.FinishStream()
+	rolling := NewRollingVerifier(Layout{}, dep.VerifierConfig(), win, nil, 0.95)
+	rolling.SetKeyLayouts(dep.KeyLayouts())
+	reps, err := rolling.VerifyReady()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(reps) < 2 {
+		tb.Fatalf("%d epochs verified", len(reps))
+	}
+	rep := EpochReport{Epoch: reps[1].Epoch}
+	for len(rep.Keys) < 4096 {
+		rep.Keys = append(rep.Keys, reps[1].Keys...)
+	}
+	return rep
+}
+
+// BenchmarkEncodeMeshEpochReport encodes a verified mesh epoch's
+// report, held first to json.Marshal, into a reused buffer.
+func BenchmarkEncodeMeshEpochReport(b *testing.B) {
+	rep := meshEpochReport(b)
+	want, err := json.Marshal(rep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf, err := AppendEpochReport(nil, &rep)
+	if err != nil || !bytes.Equal(buf, want) {
+		b.Fatalf("the mesh report encodes apart from json.Marshal (err %v)", err)
 	}
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()

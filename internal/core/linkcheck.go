@@ -85,12 +85,14 @@ type checkScope struct {
 
 // kernelScratch is what the checks reuse from one (key, segment) to the
 // next instead of allocating: the §6 join's, the delay samples a domain
-// estimate sorts and the sequential arm's evidence streams. Nothing a
-// report keeps points into it. One belongs to each verifying goroutine;
-// it is never shared.
+// estimate sorts, the order-statistic bounds of the sample counts seen
+// and the sequential arm's evidence streams. Nothing a report keeps
+// points into it. One belongs to each verifying goroutine; it is never
+// shared.
 type kernelScratch struct {
 	join                           aggregation.Joiner
 	delays                         []float64
+	bounds                         quantile.BoundsMemo
 	linkItems, fabItems, biasItems []seqdetect.Evidence
 }
 
@@ -379,7 +381,7 @@ func (s *checkScope) domainReport(seg Segment, qs []float64, confidence float64)
 	s.scratch.delays = delays
 	rep.DelaySamples = len(delays)
 	if len(delays) > 0 {
-		ests, err := quantile.QuantilesInPlace(delays, qs, confidence)
+		ests, err := s.scratch.bounds.QuantilesInPlace(delays, qs, confidence)
 		if err != nil {
 			return rep, err
 		}

@@ -679,8 +679,11 @@ type RollingVerifier struct {
 	wins []hopWindow
 	aggs []receipt.AggReceipt
 	// enc is the grow-only buffer each epoch's canonical report is
-	// encoded into on its way to the durable backend.
-	enc []byte
+	// encoded into on its way to the durable backend, and encPerKey the
+	// bytes per blame-free (key, route) report of the last one encoded
+	// (see persist).
+	enc       []byte
+	encPerKey int
 	// scratch is the link-check kernel's working storage, reused for
 	// every key of every epoch this verifier checks.
 	scratch kernelScratch
@@ -805,7 +808,7 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		// An empty epoch still closes the sequential engine's epoch so
 		// detection latency counts calendar epochs, not traffic epochs.
 		rep.Seq = rv.endSequentialEpoch(epoch)
-		if rv.enc, err = rv.win.persistReport(&rep, rv.enc); err != nil {
+		if err := rv.persist(&rep); err != nil {
 			return rep, err
 		}
 		return rep, rv.win.MarkVerified(epoch)
@@ -903,13 +906,33 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	rep.Seq = rv.endSequentialEpoch(epoch)
 	// The verdict goes durable before the RAM window forgets the epoch
 	// needs judging — a crash between the two re-verifies, never skips.
-	if rv.enc, err = rv.win.persistReport(&rep, rv.enc); err != nil {
+	if err := rv.persist(&rep); err != nil {
 		return rep, err
 	}
 	if err := rv.win.MarkVerified(epoch); err != nil {
 		return rep, err
 	}
 	return rep, nil
+}
+
+// persist files rep's canonical encoding with the window's backend
+// through rv.enc. The buffer is sized ahead to rep's (key, route)
+// count times the bytes per blame-free key report of the last
+// encoding, so a report many times the last one's size — the terminal
+// epoch flushes every sparse key — is allocated once instead of
+// regrown from the steady size. The figure leaves out what a few keys
+// can inflate (violations and their details, blames, sequential
+// verdicts), so a violation-heavy epoch does not oversize the next.
+func (rv *RollingVerifier) persist(rep *EpochReport) (err error) {
+	if size := rv.encPerKey * len(rep.Keys); size > cap(rv.enc) {
+		rv.enc = make([]byte, 0, size)
+	}
+	var perKey int
+	rv.enc, perKey, err = rv.win.persistReport(rep, rv.enc)
+	if perKey > 0 {
+		rv.encPerKey = perKey
+	}
+	return err
 }
 
 // VerifyReady verifies every Ready epoch in ascending order and

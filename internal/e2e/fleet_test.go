@@ -217,9 +217,9 @@ func TestFleetSupervisorSweep(t *testing.T) {
 var shardAddrRE = regexp.MustCompile(`shard \d+/\d+ serving on (http://[^\s]+)`)
 
 // TestFleetShardServesProfiles: `vpm-fleet verify -http` serves the
-// runtime profiles while the shard runs (paced collectors keep it
-// running, and the listener closes when it exits), and the shard then
-// finishes as it would without them.
+// runtime profiles and /debug/epochs while the shard runs (paced
+// collectors keep it running, and the listener closes when it exits),
+// and the shard then finishes as it would without them.
 func TestFleetShardServesProfiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the vpm-fleet binary")
@@ -243,14 +243,16 @@ func TestFleetShardServesProfiles(t *testing.T) {
 	t.Cleanup(func() { cmd.Process.Kill() })
 
 	base := scrapeAddr(t, stderr, shardAddrRE, "vpm-fleet verify -http")
-	resp, err := http.Get(base + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatalf("fetching the shard's profiles: %v", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("verify")) {
-		t.Fatalf("/debug/pprof/cmdline: status %d, err %v, body %q", resp.StatusCode, err, body)
+	for path, want := range map[string]string{"/debug/pprof/cmdline": "verify", "/debug/epochs": `"findings"`} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("fetching the shard's %s: %v", path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(want)) {
+			t.Fatalf("%s: status %d, err %v, body %q", path, resp.StatusCode, err, body)
+		}
 	}
 	select {
 	case err := <-exited:

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"vpm/internal/core"
@@ -10,6 +11,7 @@ import (
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
+	"vpm/internal/trace"
 )
 
 // TestCutTimestampTieIsNotALie replays the smallest stream that shows
@@ -145,5 +147,156 @@ func TestCutTimestampTieIsNotALie(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// FuzzHonestIsSilent searches for the verifier's own contradictions:
+// an honest network — no adversary mounted, every link's jitter inside
+// its advertised MaxDiff, no loss — run through the engine must come
+// out without a single Violation on any link of any key in any epoch,
+// and without a finding. The input spans the topology family (the
+// paper's Fig1 chain, or the benchmarks' Clos(8,4) fabric with ECMP),
+// the seed, the packet rate, the key count and the Zipf skew of the
+// traffic across keys, link and domain reorder jitter, the marker and
+// aggregation rates, and the epoch interval; each is folded into a
+// range the run covers in well under a second.
+//
+// The checked-in corpus starts from the two clos-zipf seeds, 38 and 65,
+// at which a cut's timestamp tie once blamed an honest link: the
+// benchmark's fabric, packet rate, skew, marker and aggregation rates
+// and epoch, over its 256 hottest keys instead of 4096.
+func FuzzHonestIsSilent(f *testing.F) {
+	// vpm-node's defaults on the Fig1 chain: one key at 100 kpps.
+	f.Add(uint8(0), uint64(1), uint32(100_000), uint8(0), 0.0, uint32(100_000), uint32(200_000), 0.001, 0.00001, uint16(250))
+	f.Fuzz(func(t *testing.T, family uint8, seed uint64, rate uint32, keys uint8, zipf float64,
+		linkJitterNS, domainJitterNS uint32, markerRate, aggRate float64, intervalMS uint16) {
+		w := honestWorld{
+			clos:           family%2 == 1,
+			seed:           seed,
+			ratePPS:        float64(wrap(uint64(rate), 1_000, 200_000)),
+			keys:           1 + int(keys),
+			zipf:           fold(zipf, 0, 2, 1),
+			linkJitterNS:   int64(wrap(uint64(linkJitterNS), 0, 1_500_000)),
+			domainJitterNS: int64(wrap(uint64(domainJitterNS), 0, 1_000_000)),
+			markerRate:     fold(markerRate, 0.0005, 0.05, 0.01),
+			aggRate:        fold(aggRate, 0.00001, 0.05, 0.005),
+			intervalNS:     int64(wrap(uint64(intervalMS), 20, 250)) * 1_000_000,
+		}
+		w.run(t)
+	})
+}
+
+// wrap keeps v if it lies in [lo, hi] and wraps it into the range
+// otherwise.
+func wrap(v, lo, hi uint64) uint64 {
+	if lo <= v && v <= hi {
+		return v
+	}
+	return lo + v%(hi-lo+1)
+}
+
+// fold is wrap for floats: x if it lies in [lo, hi], its magnitude
+// wrapped into the range otherwise, and def for NaN and infinities.
+func fold(x, lo, hi, def float64) float64 {
+	switch {
+	case math.IsNaN(x) || math.IsInf(x, 0):
+		return def
+	case lo <= x && x <= hi:
+		return x
+	}
+	return lo + math.Mod(math.Abs(x), hi-lo)
+}
+
+// honestWorld is one point of FuzzHonestIsSilent's input space.
+type honestWorld struct {
+	clos                         bool
+	seed                         uint64
+	ratePPS                      float64
+	keys                         int
+	zipf                         float64
+	linkJitterNS, domainJitterNS int64
+	markerRate, aggRate          float64
+	intervalNS                   int64
+}
+
+// honestEpochs is how many epochs every run simulates.
+const honestEpochs = 4
+
+// run simulates the world through the engine, publishing straight into
+// the verifier's window, and fails on any violation or finding.
+func (w honestWorld) run(t *testing.T) {
+	t.Helper()
+	keys := netsim.WideKeys(w.keys)
+	tc := trace.Config{Seed: w.seed + 7000, DurationNS: honestEpochs * w.intervalNS}
+	weights, sum := make([]float64, len(keys)), 0.0
+	for r := range weights {
+		weights[r] = math.Pow(float64(r+1), -w.zipf)
+		sum += weights[r]
+	}
+	for r, k := range keys {
+		spec := trace.DefaultPath(w.ratePPS * weights[r] / sum)
+		spec.SrcPrefix, spec.DstPrefix = k.Src, k.Dst
+		tc.Paths = append(tc.Paths, spec)
+	}
+	gen, err := trace.NewGenerator(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := netsim.ClosTopology(w.seed+5000, 8, 4, keys)
+	if !w.clos {
+		if topo, err = netsim.Fig1Path(w.seed + 1000).Topology(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range topo.Links {
+		topo.Links[i].JitterNS = w.linkJitterNS
+	}
+	for i := range topo.Domains {
+		topo.Domains[i].ReorderJitterNS = w.domainJitterNS
+	}
+	dc := core.DefaultDeployConfig()
+	dc.MarkerRate, dc.Default.AggRate = w.markerRate, w.aggRate
+	dep, err := core.NewTopoDeployment(topo, tc.Table(), dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := engine.Checks{Config: dep.VerifierConfig(), Layout: dep.Layout()}
+	if w.clos {
+		checks = engine.Checks{Config: dep.VerifierConfig(), KeyLayouts: dep.KeyLayouts()}
+	}
+	hops := dep.HOPs()
+	ver, err := engine.NewVerify(engine.Store{HOPs: hops, Retention: 2}, checks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	violations := 0
+	ver.OnEpoch = func(rep core.EpochReport, _ core.WindowStats) {
+		for _, kr := range rep.Keys {
+			for _, lv := range kr.Links {
+				for _, v := range lv.Violations {
+					if violations++; violations <= 5 {
+						t.Errorf("%+v: epoch %d key %v route %d: honest link %v-%v: %v %s",
+							w, rep.Epoch, kr.Key, kr.Route, lv.Up, lv.Down, v.Kind, v.Detail)
+					}
+				}
+			}
+		}
+	}
+	col, err := engine.NewCollect(dep, hops, w.intervalNS, 0, ver.Window.Sink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := engine.NewSim(dep.Topo, dep.Table, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Run(context.Background(), engine.EpochSource(gen, w.intervalNS, honestEpochs, nil), sim, ver); err != nil {
+		t.Fatal(err)
+	}
+	if ver.Epochs != int(col.Terminal)+1 || len(ver.Findings) != 0 {
+		t.Fatalf("%+v: %d epochs verified of %d, findings %v", w, ver.Epochs, col.Terminal+1, ver.Findings)
+	}
+	if violations > 0 {
+		t.Fatalf("%+v: %d violations on honest links", w, violations)
 	}
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -115,7 +116,7 @@ func TestWorldSplitsHOPsAcrossCollectors(t *testing.T) {
 // its slice of the world and serves its bundles from an httptest
 // server. Each collector builds its own World from the spec, exactly
 // like a real process would. Returns the base URLs and a wait function.
-func startCollectors(t *testing.T, spec Spec) ([]string, func()) {
+func startCollectors(t *testing.T, spec Spec, opts CollectorOptions) ([]string, func()) {
 	t.Helper()
 	urls := make([]string, spec.Collectors)
 	var wg sync.WaitGroup
@@ -135,7 +136,7 @@ func startCollectors(t *testing.T, spec Spec) ([]string, func()) {
 		wg.Add(1)
 		go func(ci int, c *Collector) {
 			defer wg.Done()
-			errs[ci] = c.Run(context.Background(), CollectorOptions{})
+			errs[ci] = c.Run(context.Background(), opts)
 		}(ci, c)
 	}
 	return urls, func() {
@@ -180,7 +181,7 @@ func TestFleetMatchesReferenceAtEveryShardCount(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		urls, wait := startCollectors(t, w.Spec)
+		urls, wait := startCollectors(t, w.Spec, CollectorOptions{})
 		parts := make([]*ShardOutput, shards)
 		verrs := make([]error, shards)
 		var wg sync.WaitGroup
@@ -273,7 +274,7 @@ func TestVerifierRestartIsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	urls, wait := startCollectors(t, w.Spec)
+	urls, wait := startCollectors(t, w.Spec, CollectorOptions{})
 	run := func() *ShardOutput {
 		v, err := NewVerifier(w, 2, 0, VerifierOptions{})
 		if err != nil {
@@ -669,7 +670,7 @@ func TestShardVerifiesOncePerDomainEpoch(t *testing.T) {
 	if domains >= len(w.HOPs) {
 		t.Fatalf("%d domains for %d HOPs: no domain has two HOPs, nothing to share a signature", domains, len(w.HOPs))
 	}
-	urls, wait := startCollectors(t, w.Spec)
+	urls, wait := startCollectors(t, w.Spec, CollectorOptions{})
 	wait()
 	for s := 0; s < 2; s++ {
 		v, err := NewVerifier(w, 2, s, VerifierOptions{})
@@ -711,5 +712,95 @@ func TestCollectorServesProfiles(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: %s, want 200", path, resp.Status)
 		}
+	}
+}
+
+// TestShardServesEpochs scrapes /debug/epochs on shard 0 of a width-2
+// tier while the collectors still stream: every document it reads
+// counts as verified exactly the epochs up to its last verified one,
+// the last verified epoch never moves back, the held epochs ascend one
+// by one, and once the shard is done the document stands at the
+// terminal epoch with every epoch verified and no findings.
+func TestShardServesEpochs(t *testing.T) {
+	w, err := testSpec().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Paced collectors keep the stream going while the shard verifies
+	// its first epochs.
+	urls, wait := startCollectors(t, w.Spec, CollectorOptions{ChunkSlots: 512, Pace: 5 * time.Millisecond})
+	defer wait()
+	v, err := NewVerifier(w, 2, 0, VerifierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	v.HandleEpochs(mux)
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+
+	type doc struct {
+		Held []struct {
+			Epoch core.EpochID `json:"epoch"`
+		} `json:"held"`
+		LastVerified *core.EpochID  `json:"last_verified"`
+		Verified     int            `json:"verified"`
+		Findings     map[string]int `json:"findings"`
+	}
+	scrape := func() doc {
+		resp, err := http.Get(hs.URL + "/debug/epochs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var d doc
+		if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+			t.Fatalf("GET /debug/epochs: %v", err)
+		}
+		return d
+	}
+	var last *core.EpochID
+	check := func(d doc) {
+		t.Helper()
+		if d.LastVerified == nil {
+			if d.Verified != 0 || last != nil {
+				t.Fatalf("no last verified epoch after %v, %d verified", last, d.Verified)
+			}
+			return
+		}
+		if d.Verified != int(*d.LastVerified)+1 {
+			t.Fatalf("%d epochs verified, last %d: an epoch was skipped or verified out of order", d.Verified, *d.LastVerified)
+		}
+		if last != nil && *d.LastVerified < *last {
+			t.Fatalf("last verified epoch went back from %d to %d", *last, *d.LastVerified)
+		}
+		for i := 1; i < len(d.Held); i++ {
+			if d.Held[i].Epoch != d.Held[i-1].Epoch+1 {
+				t.Fatalf("held epochs %+v do not ascend one by one", d.Held)
+			}
+		}
+		last = d.LastVerified
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := v.Run(context.Background(), urls, VerifierOptions{Poll: time.Millisecond})
+		done <- err
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		case <-time.After(time.Millisecond):
+			check(scrape())
+		}
+	}
+	d := scrape()
+	check(d)
+	if d.LastVerified == nil || *d.LastVerified != w.Terminal || len(d.Findings) != 0 {
+		t.Fatalf("finished shard's document: last verified %v, findings %v; want terminal %d and none", d.LastVerified, d.Findings, w.Terminal)
 	}
 }

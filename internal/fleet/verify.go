@@ -37,6 +37,9 @@ type Verifier struct {
 	// Ring.OwnerKey renders and hashes the key's text, and every bundle
 	// names the same keys again.
 	owners map[packet.PathKey]int
+	// status is the /debug/epochs document, nil unless HandleEpochs
+	// was called.
+	status *engine.EpochStatus
 }
 
 // VerifierOptions tunes the shard's fetch loop.
@@ -88,6 +91,15 @@ func (v *Verifier) filterBundle(b *dissem.Bundle) *dissem.Bundle {
 	b.Samples = slices.DeleteFunc(b.Samples, func(r receipt.SampleReceipt) bool { return !v.owns(r.Path.Key) })
 	b.Aggs = slices.DeleteFunc(b.Aggs, func(r receipt.AggReceipt) bool { return !v.owns(r.Path.Key) })
 	return b
+}
+
+// HandleEpochs registers /debug/epochs on mux: the held epochs with
+// the HOPs each still waits for, the epochs verified and the last of
+// them, and the findings so far, as vpm-node serves them. Run refreshes
+// it after every verified epoch; call this before Run.
+func (v *Verifier) HandleEpochs(mux *http.ServeMux) {
+	v.status = &engine.EpochStatus{}
+	mux.Handle("/debug/epochs", v.status)
 }
 
 // owns reports whether k's ring owner is this shard, through the
@@ -146,7 +158,10 @@ func (v *Verifier) Run(ctx context.Context, collectorURLs []string, opts Verifie
 		v.ver.Feeds = append(v.ver.Feeds, feed)
 	}
 	var reports []core.EpochReport
-	v.ver.OnEpoch = func(rep core.EpochReport, _ core.WindowStats) { reports = append(reports, rep) }
+	v.ver.OnEpoch = func(rep core.EpochReport, ws core.WindowStats) {
+		reports = append(reports, rep)
+		v.status.Update(v.ver, rep.Epoch, ws)
+	}
 	if err := v.ver.Run(ctx, v.world.Terminal, poll); err != nil {
 		return reports, err
 	}

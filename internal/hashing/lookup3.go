@@ -140,10 +140,17 @@ func Mix64(x uint64) uint64 {
 // q's packet will be sampled (bias resistance, paper section 5.1).
 //
 // The combination is a non-commutative 64-bit mix so that neither
-// argument alone determines the output.
-func SampleFcn(q, p uint64) uint64 {
-	return Mix64(q ^ Mix64(p^0x517cc1b727220a95))
-}
+// argument alone determines the output. It is SampleStep over
+// SampleKey(p): one marker decides a whole buffer of records, so its
+// callers mix the marker once and step each record.
+func SampleFcn(q, p uint64) uint64 { return SampleStep(q, SampleKey(p)) }
+
+// SampleKey is the half of SampleFcn fixed by the marker digest p.
+func SampleKey(p uint64) uint64 { return Mix64(p ^ 0x517cc1b727220a95) }
+
+// SampleStep is the half of SampleFcn that varies with the record
+// digest q, under a marker's SampleKey.
+func SampleStep(q, key uint64) uint64 { return Mix64(q ^ key) }
 
 // ThresholdForRate returns the threshold sigma such that a uniformly
 // distributed 64-bit hash exceeds sigma with probability rate. Rates

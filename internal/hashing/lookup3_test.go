@@ -167,6 +167,34 @@ func TestSampleFcnKeying(t *testing.T) {
 	}
 }
 
+// TestSampleFcnGolden pins SampleFcn to fixed values, computed once
+// and written down: every HOP and the verifier must key Algorithm 1
+// identically, so a refactor that changes a single output re-keys
+// every receipt. The two-step form the collector runs (the marker's
+// key mixed once, then one step per record) must give the same values.
+func TestSampleFcnGolden(t *testing.T) {
+	golden := []struct{ q, p, want uint64 }{
+		{0x0000000000000000, 0x0000000000000000, 0x61754e8867711e40},
+		{0x0000000000000001, 0x0000000000000000, 0x373da388704a2b8a},
+		{0x0000000000000000, 0x0000000000000001, 0xc797831ffb66e1b7},
+		{0x0000000000001234, 0x0000000000009876, 0xe47fce8dd69c5472},
+		{0xffffffffffffffff, 0xffffffffffffffff, 0x168fabb6c84c93a9},
+		{0x517cc1b727220a95, 0x0000000000000000, 0x41070b9b3ee08bda},
+		{0x0000000000000000, 0x517cc1b727220a95, 0x0000000000000000}, // Mix64's fixed point
+		{0xfeda37ff744d386f, 0x311dbce10ac9b23f, 0xbf468076fa9ae448},
+		{0x311dbce10ac9b23f, 0xfeda37ff744d386f, 0xe2143c5dc18c0a02},
+		{0x8000000000000000, 0x0000000000000001, 0xd3318b461dae0444},
+	}
+	for _, g := range golden {
+		if got := SampleFcn(g.q, g.p); got != g.want {
+			t.Errorf("SampleFcn(%#x, %#x) = %#x, want %#x", g.q, g.p, got, g.want)
+		}
+		if got := SampleStep(g.q, SampleKey(g.p)); got != g.want {
+			t.Errorf("SampleStep(%#x, SampleKey(%#x)) = %#x, want %#x", g.q, g.p, got, g.want)
+		}
+	}
+}
+
 func TestThresholdRateRoundTrip(t *testing.T) {
 	for _, rate := range []float64{0.001, 0.01, 0.05, 0.1, 0.5, 0.9, 0.99} {
 		sigma := ThresholdForRate(rate)

@@ -399,12 +399,13 @@ type TopoRunner struct {
 	// A classified packet follows the topology's routes for its key
 	// (Topology.keyRoutes), every other packet defaultRoutes; when every
 	// route is a default route the sweep skips classification.
-	// routeSalt keys the ECMP split so it is uncorrelated with the
-	// digest comparisons the sampling layer makes.
+	// routeKey keys the ECMP split so it is uncorrelated with the
+	// digest comparisons the sampling layer makes: SampleFcn's marker
+	// half of a salt fixed by the topology's seed, mixed once.
 	defaultRoutes []int
 	routeHOPs     [][]receipt.HOPID
 	routeDoms     [][]int
-	routeSalt     uint64
+	routeKey      uint64
 }
 
 // NewTopoRunner validates the topology and prepares persistent
@@ -426,7 +427,7 @@ func NewTopoRunner(t *Topology, table *packet.Table) (*TopoRunner, error) {
 		defaultRoutes: t.keyRoutes(packet.PathKey{}),
 		routeHOPs:     make([][]receipt.HOPID, len(t.Routes)),
 		routeDoms:     make([][]int, len(t.Routes)),
-		routeSalt:     t.Seed ^ 0x9e3779b97f4a7c15,
+		routeKey:      hashing.SampleKey(t.Seed ^ 0x9e3779b97f4a7c15),
 	}
 	for i := range r.jitterRngs {
 		r.jitterRngs[i] = rng.Split()
@@ -561,7 +562,7 @@ func (r *TopoRunner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPI
 			// ECMP: split by a salted digest hash, the flow-hash a
 			// router would compute — deterministic per packet, and
 			// uncorrelated with the marker/sampling digest comparisons.
-			ri = routes[int(hashing.SampleFcn(digests[i], r.routeSalt)%uint64(len(routes)))]
+			ri = routes[int(hashing.SampleStep(digests[i], r.routeKey)%uint64(len(routes)))]
 		}
 		rt := &t.Routes[ri]
 		doms := r.routeDoms[ri]

@@ -13,6 +13,7 @@ package quantile
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -50,18 +51,20 @@ func Quantile(delaysNS []float64, q, confidence float64) (Estimate, error) {
 	}
 	sorted := slices.Clone(delaysNS)
 	sort.Float64s(sorted)
-	return ofSorted(sorted, q, confidence), nil
+	lo, hi, ok := stats.QuantileOrderBounds(len(sorted), q, confidence)
+	return ofSorted(sorted, q, lo, hi, ok), nil
 }
 
 // Quantiles estimates several quantiles from one sample set.
 func Quantiles(delaysNS []float64, qs []float64, confidence float64) ([]Estimate, error) {
-	return QuantilesInPlace(slices.Clone(delaysNS), qs, confidence)
+	return new(BoundsMemo).QuantilesInPlace(slices.Clone(delaysNS), qs, confidence)
 }
 
 // QuantilesInPlace is Quantiles over a sample set the caller no longer
 // needs in its order: it sorts delaysNS in place, once for all qs,
-// instead of sorting a copy per quantile.
-func QuantilesInPlace(delaysNS []float64, qs []float64, confidence float64) ([]Estimate, error) {
+// instead of sorting a copy per quantile, and takes each estimate's
+// order-statistic bounds from the memo.
+func (m *BoundsMemo) QuantilesInPlace(delaysNS []float64, qs []float64, confidence float64) ([]Estimate, error) {
 	out := make([]Estimate, 0, len(qs))
 	for i, q := range qs {
 		if err := validate(len(delaysNS), q, confidence); err != nil {
@@ -70,9 +73,68 @@ func QuantilesInPlace(delaysNS []float64, qs []float64, confidence float64) ([]E
 		if i == 0 {
 			sort.Float64s(delaysNS)
 		}
-		out = append(out, ofSorted(delaysNS, q, confidence))
+		lo, hi, ok := m.OrderBounds(len(delaysNS), q, confidence)
+		out = append(out, ofSorted(delaysNS, q, lo, hi, ok))
 	}
 	return out, nil
+}
+
+// BoundsMemo remembers stats.QuantileOrderBounds per (n, quantile,
+// confidence). A verifier estimates the same few quantiles at one
+// confidence for sample counts that recur epoch after epoch, and each
+// direct call sums a binomial tail term by term. The memo is a fixed
+// direct-mapped table: the first memoPairs (quantile, confidence)
+// pairs it is asked for get a lane each, and the slot of (n, lane) is
+// n·memoPairs + lane modulo the table's size, so every lane holds
+// memoSlots/memoPairs consecutive sample counts at once and a later n
+// overwrites the one that shared its slot. It never grows and is
+// never shared: one belongs to each goroutine that estimates, and the
+// zero value is empty. A pair beyond the lanes, or an n above 65 535,
+// is computed directly.
+type BoundsMemo struct {
+	pairs  [memoPairs]struct{ q, conf float64 }
+	npairs int
+	slots  [memoSlots]boundsSlot
+}
+
+const (
+	memoPairs = 4
+	memoSlots = 512
+)
+
+// boundsSlot is one memoised result: n == 0 is an empty slot, and
+// lo == 0 stands for ok == false, whose bounds are always (1, n).
+type boundsSlot struct{ n, lo, hi uint16 }
+
+// OrderBounds returns stats.QuantileOrderBounds(n, q, conf).
+func (m *BoundsMemo) OrderBounds(n int, q, conf float64) (lo, hi int, ok bool) {
+	if n <= 0 || n > math.MaxUint16 {
+		return stats.QuantileOrderBounds(n, q, conf)
+	}
+	lane := 0
+	for lane < m.npairs && (m.pairs[lane].q != q || m.pairs[lane].conf != conf) {
+		lane++
+	}
+	if lane == m.npairs {
+		if lane == memoPairs {
+			return stats.QuantileOrderBounds(n, q, conf)
+		}
+		m.pairs[lane].q, m.pairs[lane].conf = q, conf
+		m.npairs++
+	}
+	s := &m.slots[(n*memoPairs+lane)%memoSlots]
+	if int(s.n) != n {
+		lo, hi, ok := stats.QuantileOrderBounds(n, q, conf)
+		*s = boundsSlot{n: uint16(n), hi: uint16(hi)}
+		if ok {
+			s.lo = uint16(lo)
+		}
+		return lo, hi, ok
+	}
+	if s.lo == 0 {
+		return 1, n, false
+	}
+	return int(s.lo), int(s.hi), true
 }
 
 // validate checks one estimate's inputs.
@@ -89,15 +151,15 @@ func validate(n int, q, confidence float64) error {
 	return nil
 }
 
-// ofSorted estimates the q-quantile from ascending delays.
-func ofSorted(sorted []float64, q, confidence float64) Estimate {
+// ofSorted estimates the q-quantile from ascending delays, given the
+// order-statistic bounds stats.QuantileOrderBounds returns for them.
+func ofSorted(sorted []float64, q float64, lo, hi int, ok bool) Estimate {
 	n := len(sorted)
 	est := Estimate{
 		Q:     q,
 		Point: stats.QuantileSorted(sorted, q),
 		N:     n,
 	}
-	lo, hi, ok := stats.QuantileOrderBounds(n, q, confidence)
 	est.Exact = ok
 	if ok {
 		est.Lo, est.Hi = sorted[lo-1], sorted[hi-1]

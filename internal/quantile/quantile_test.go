@@ -1,6 +1,7 @@
 package quantile
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -115,6 +116,50 @@ func TestQuantiles(t *testing.T) {
 	}
 	if _, err := Quantiles(nil, DefaultQuantiles, 0.95); err == nil {
 		t.Error("empty input accepted")
+	}
+}
+
+// TestBoundsMemoMatchesDirect: every bound the memo hands out, on the
+// call that fills its slot and on the calls that find it filled, is
+// the one stats.QuantileOrderBounds computes. A second memo has had
+// its lanes taken by other pairs first, so it answers from the direct
+// computation, and must come out the same.
+func TestBoundsMemoMatchesDirect(t *testing.T) {
+	for _, conf := range []float64{0.9, 0.95, 0.99} {
+		t.Run(fmt.Sprint(conf), func(t *testing.T) {
+			t.Parallel()
+			memo, full := new(BoundsMemo), new(BoundsMemo)
+			for lane := range memoPairs {
+				full.OrderBounds(1, 0.01*float64(lane+1), conf)
+			}
+			for n := 1; n <= 10_000; n++ {
+				for _, q := range DefaultQuantiles {
+					lo, hi, ok := stats.QuantileOrderBounds(n, q, conf)
+					for _, m := range []*BoundsMemo{memo, memo, full} {
+						if mlo, mhi, mok := m.OrderBounds(n, q, conf); mlo != lo || mhi != hi || mok != ok {
+							t.Fatalf("OrderBounds(%d, %v, %v) = (%d, %d, %v), direct (%d, %d, %v)", n, q, conf, mlo, mhi, mok, lo, hi, ok)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWarmBoundsMemoAllocatesNothing: once its slots hold the sample
+// counts asked for, the memo answers without allocating.
+func TestWarmBoundsMemoAllocatesNothing(t *testing.T) {
+	memo := new(BoundsMemo)
+	sweep := func() {
+		for n := 200; n < 200+memoSlots/memoPairs; n++ {
+			for _, q := range DefaultQuantiles {
+				memo.OrderBounds(n, q, 0.95)
+			}
+		}
+	}
+	sweep()
+	if allocs := testing.AllocsPerRun(20, sweep); allocs != 0 {
+		t.Fatalf("a warm sweep allocates %v times", allocs)
 	}
 }
 

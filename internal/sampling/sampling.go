@@ -116,9 +116,9 @@ func (s *Sampler) marker(pktID uint64, tNS int64) {
 		s.tempHighWater = len(s.temp)
 	}
 	s.markers++
-	sigma := s.sigma
+	key, sigma := hashing.SampleKey(pktID), s.sigma
 	for _, q := range s.temp {
-		if hashing.Exceeds(hashing.SampleFcn(q.PktID, pktID), sigma) {
+		if hashing.Exceeds(hashing.SampleStep(q.PktID, key), sigma) {
 			s.sampled++
 			s.samples = append(s.samples, q)
 		}
