@@ -1,8 +1,8 @@
 // Command vpm-fleet runs the measurement pipeline as a multi-process
 // fleet: per-domain collector processes stream sealed epochs over HTTP,
 // each domain's epoch one payload signed with the domain's key, to a
-// sharded verifier tier that consistent-hashes traffic keys across N
-// verifier processes, and a merge step recombines the shards' partial
+// sharded verifier tier that splits traffic keys evenly across N
+// verifier processes by jump consistent hashing, and a merge step recombines the shards' partial
 // verdicts into union epoch reports byte-identical to a single
 // process's at any shard count.
 //

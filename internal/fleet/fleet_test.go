@@ -18,6 +18,7 @@ import (
 	"vpm/internal/core"
 	"vpm/internal/dissem"
 	"vpm/internal/netsim"
+	"vpm/internal/packet"
 	"vpm/internal/receipt"
 )
 
@@ -56,29 +57,31 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRingDeterministicAndBalanced: two Rings of one width agree on
+// every key, and at every width from 2 to 9 the most-loaded shard
+// holds at most 1.06× the mean of 10 000 keys (it reads ≤ 1.046; the
+// slowest shard sets the tier's pace, so skew is lost speed).
 func TestRingDeterministicAndBalanced(t *testing.T) {
 	if _, err := NewRing(0); err == nil {
 		t.Fatal("zero-shard ring built")
 	}
-	r1, err := NewRing(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := NewRing(4)
 	keys := netsim.WideKeys(10_000)
-	counts := make([]int, 4)
-	for _, k := range keys {
-		s := r1.OwnerKey(k)
-		if s2 := r2.OwnerKey(k); s2 != s {
-			t.Fatalf("two rings disagree on %v: %d vs %d", k, s, s2)
+	for n := 2; n <= 9; n++ {
+		r1, err := NewRing(n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		counts[s]++
-	}
-	// Consistent hashing with 64 vnodes is not perfectly even, but no
-	// shard should be starved or hold a majority.
-	for s, c := range counts {
-		if c < len(keys)/10 || c > len(keys)*4/10 {
-			t.Fatalf("shard %d owns %d of %d keys — ring badly unbalanced (%v)", s, c, len(keys), counts)
+		r2, _ := NewRing(n)
+		counts := make([]int, n)
+		for _, k := range keys {
+			s := r1.OwnerKey(k)
+			if s2 := r2.OwnerKey(k); s2 != s {
+				t.Fatalf("two %d-shard rings disagree on %v: %d vs %d", n, k, s, s2)
+			}
+			counts[s]++
+		}
+		if skew := float64(slices.Max(counts)) * float64(n) / float64(len(keys)); skew > 1.06 {
+			t.Errorf("%d shards: most-loaded shard holds %.3f× the mean (%v), want ≤ 1.06", n, skew, counts)
 		}
 	}
 	// One shard owns everything.
@@ -86,6 +89,39 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 	for _, k := range keys[:100] {
 		if one.OwnerKey(k) != 0 {
 			t.Fatal("1-shard ring routed a key off shard 0")
+		}
+	}
+}
+
+// TestRingGolden pins OwnerKey on fixed keys at widths 2, 3 and 4:
+// every process of a verifier tier must compute the same ownership, so
+// a change to the key hash or the jump loop is a change of the split
+// between builds, never a silent one.
+func TestRingGolden(t *testing.T) {
+	keys := []packet.PathKey{
+		{},
+		{Src: packet.MakePrefix(10, 0, 0, 0, 8), Dst: packet.MakePrefix(192, 168, 0, 0, 16)},
+		{Src: packet.MakePrefix(10, 0, 0, 1, 32), Dst: packet.MakePrefix(192, 0, 0, 1, 32)},
+		{Src: packet.MakePrefix(10, 0, 0, 2, 32), Dst: packet.MakePrefix(192, 0, 0, 2, 32)},
+		{Src: packet.MakePrefix(172, 16, 4, 0, 24), Dst: packet.MakePrefix(172, 16, 5, 0, 24)},
+		{Src: packet.MakePrefix(1, 2, 3, 4, 32), Dst: packet.MakePrefix(5, 6, 7, 8, 32)},
+		{Src: packet.MakePrefix(255, 255, 255, 255, 32), Dst: packet.MakePrefix(0, 0, 0, 0, 0)},
+		{Src: packet.MakePrefix(100, 64, 0, 0, 10), Dst: packet.MakePrefix(198, 51, 100, 0, 24)},
+	}
+	want := map[int][]int{
+		2: {0, 0, 0, 0, 0, 0, 1, 0},
+		3: {0, 0, 2, 0, 0, 0, 2, 0},
+		4: {0, 0, 3, 0, 3, 0, 2, 0},
+	}
+	for n, owners := range want {
+		r, err := NewRing(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if got := r.OwnerKey(k); got != owners[i] {
+				t.Errorf("%d shards: %v owned by shard %d, pinned %d", n, k, got, owners[i])
+			}
 		}
 	}
 }
@@ -400,6 +436,83 @@ func TestFilterBundlePreservesIdentity(t *testing.T) {
 	}
 	if len(fb.Samples) != 0 || len(fb.Aggs) != 0 {
 		t.Fatal("empty bundle grew receipts")
+	}
+}
+
+// TestHostileKeysCostAShardNothing: bundles naming 10 000 keys no
+// layout knows — what a hostile or misconfigured domain can send —
+// pass through the shard's filter without one allocation, fresh keys
+// in every bundle, so the filter keeps no per-key state that such a
+// feed could grow.
+func TestHostileKeysCostAShardNothing(t *testing.T) {
+	w, err := testSpec().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewVerifier(w, 2, 1, VerifierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, runs = 10_000, 5
+	// AllocsPerRun calls once more than runs: one decoded bundle each.
+	bundles := make([]*dissem.Bundle, runs+1)
+	for r := range bundles {
+		forged := &dissem.Bundle{Origin: w.HOPs[0], Seq: uint64(r), Epoch: 1}
+		for i := range keys {
+			a, b := byte(i>>8), byte(i)
+			path := receipt.PathID{Key: packet.PathKey{
+				Src: packet.MakePrefix(172, 16+byte(r), a, b, 32),
+				Dst: packet.MakePrefix(198, 18, a, b, 32),
+			}}
+			forged.Samples = append(forged.Samples, receipt.SampleReceipt{Path: path, Samples: []receipt.SampleRecord{{PktID: uint64(i), TimeNS: int64(i)}}})
+			forged.Aggs = append(forged.Aggs, receipt.AggReceipt{Path: path, Agg: receipt.AggID{First: uint64(i), Last: uint64(i)}, PktCnt: 1})
+		}
+		decoded, err := dissem.DecodePayload(forged.AppendEncode(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundles[r] = decoded[0]
+	}
+	want := 0
+	for _, s := range bundles[0].Samples {
+		if v.ring.OwnerKey(s.Path.Key) == 1 {
+			want++
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		v.filterBundle(bundles[next])
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("filtering %d hostile keys allocates %.0f times per bundle, want 0", keys, allocs)
+	}
+	if b := bundles[0]; len(b.Samples) != want || len(b.Aggs) != want || want == 0 || want == keys {
+		t.Errorf("filter kept %d samples and %d aggs; shard 1 owns %d of %d keys", len(b.Samples), len(b.Aggs), want, keys)
+	}
+}
+
+// TestVerifierRunTwiceIsAnError: the engine behind a Verifier holds
+// its first run's feeds and cursors, so a second Run on it returns
+// ErrVerifierReused instead of running over doubled feeds.
+func TestVerifierRunTwiceIsAnError(t *testing.T) {
+	w, err := testSpec().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls, wait := startCollectors(t, w.Spec, CollectorOptions{})
+	v, err := NewVerifier(w, 2, 0, VerifierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := VerifierOptions{Poll: 5 * time.Millisecond}
+	reports, err := v.Run(context.Background(), urls, opts)
+	if err != nil || len(reports) == 0 {
+		t.Fatalf("first Run: %d reports, %v", len(reports), err)
+	}
+	wait()
+	if _, err := v.Run(context.Background(), urls, opts); !errors.Is(err, ErrVerifierReused) {
+		t.Fatalf("second Run: %v, want ErrVerifierReused", err)
 	}
 }
 

@@ -15,94 +15,69 @@
 //     the domain's ed25519 key (§2.3: one key pair per domain).
 //   - Verifier (N processes): fetches every domain's payloads with
 //     bounded retry, keeps only the receipts whose traffic key it owns
-//     on the consistent-hash ring, and runs the indexed store +
+//     under jump consistent hashing, and runs the indexed store +
 //     rolling verifier over its key slice.
 //   - Merge: concatenates the shards' disjoint per-key report
 //     encodings and re-sorts into canonical order (MergeShardOutputs).
 //
 // Ownership is per traffic key, not per (HOP, key) pair: a verifier
 // needs every HOP's receipts for a key to run the §4 link checks, so
-// the ring hashes only the traffic key and a shard owns whole keys
+// ownership hashes only the traffic key and a shard owns whole keys
 // across all HOPs.
 package fleet
 
 import (
-	"fmt"
-	"hash/fnv"
-	"sort"
+	"encoding/binary"
+	"errors"
+	"math"
 
+	"vpm/internal/hashing"
 	"vpm/internal/packet"
 )
 
-// ringVnodes is the number of virtual nodes per shard. 64 keeps the
-// largest/smallest shard load within a few percent of even at the
-// shard counts a fleet runs (single digits to low hundreds) while the
-// ring stays small enough to rebuild on every membership change.
-const ringVnodes = 64
-
-// Ring is a consistent-hash ring assigning traffic keys to verifier
-// shards. It is deterministic: every process that builds a Ring for
-// the same shard count computes the same ownership, which is what lets
-// collectors stay ignorant of sharding entirely — routing happens at
-// the consuming end.
+// Ring assigns traffic keys to verifier shards by Lamping & Veach's
+// jump consistent hash ("A Fast, Minimal Memory, Consistent Hash
+// Algorithm", 2014): each shard owns 1/n of the keys up to sampling
+// noise, and widening the tier from n to n+1 shards moves only keys
+// that land on the new shard. It holds nothing but the width, and it
+// is deterministic: every process of the same build that builds a Ring
+// for the same shard count computes the same ownership, which is what
+// lets collectors stay ignorant of sharding entirely — routing happens
+// at the consuming end.
 type Ring struct {
-	shards int
-	points []ringPoint
+	shards int64
 }
 
-type ringPoint struct {
-	hash  uint64
-	shard int
-}
-
-// mix64 is the splitmix64 finalizer. FNV-1a alone places similar
-// inputs (consecutive vnode labels, keys differing in one octet) at
-// nearby ring positions, which clusters ownership badly; the finalizer
-// restores avalanche so the ring spreads evenly.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// NewRing builds the ring for n verifier shards (n >= 1).
+// NewRing returns the ownership for n verifier shards, 1 <= n <=
+// math.MaxInt32 (the jump loop's products stay inside an int64).
 func NewRing(n int) (*Ring, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("fleet: ring needs at least 1 shard, got %d", n)
+	if n < 1 || n > math.MaxInt32 {
+		return nil, errors.New("fleet: ring width outside [1, MaxInt32]")
 	}
-	r := &Ring{shards: n, points: make([]ringPoint, 0, n*ringVnodes)}
-	for s := 0; s < n; s++ {
-		for v := 0; v < ringVnodes; v++ {
-			h := fnv.New64a()
-			fmt.Fprintf(h, "vpm-fleet-shard-%d-vnode-%d", s, v)
-			r.points = append(r.points, ringPoint{hash: mix64(h.Sum64()), shard: s})
-		}
-	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		return r.points[i].shard < r.points[j].shard
-	})
-	return r, nil
+	return &Ring{shards: int64(n)}, nil
 }
 
-// OwnerKey returns the shard owning traffic key k: the first ring
-// point at or after the key's hash, wrapping at the top.
+// OwnerKey returns the shard owning traffic key k. The key's binary
+// fields are mixed to 64 bits, then the jump loop walks a
+// linear-congruential sequence of ever larger candidate shards and
+// returns the last one below the width. The sequence depends on the
+// key alone, so a wider tier only ever appends shards to it. The
+// reference loop divides in floating point; here the step is in
+// integers, exact on every platform: the next candidate is
+// ⌊(b+1)·2³¹ / d⌋ for d in [1, 2³¹], so it lies strictly above b, and
+// it reaches the width exactly when (b+1)·2³¹ ≥ width·d, which the
+// last step decides with a multiply instead of the division.
 func (r *Ring) OwnerKey(k packet.PathKey) int {
-	if r.shards == 1 {
-		return 0
+	src := uint64(binary.BigEndian.Uint32(k.Src.Addr[:]))<<8 | uint64(k.Src.Bits)
+	dst := uint64(binary.BigEndian.Uint32(k.Dst.Addr[:]))<<8 | uint64(k.Dst.Bits)
+	h := hashing.Mix64(hashing.Mix64(src) ^ dst)
+	var b int64
+	for {
+		h = h*2862933555777941757 + 1
+		d := int64(h>>33) + 1
+		if (b+1)<<31 >= r.shards*d {
+			return int(b)
+		}
+		b = (b + 1) << 31 / d
 	}
-	var buf [57]byte
-	h := fnv.New64a()
-	h.Write(k.AppendText(buf[:0]))
-	kh := mix64(h.Sum64())
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= kh })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].shard
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -16,7 +17,7 @@ import (
 
 // Verifier is one shard of the fleet's verifier tier. It polls every
 // collector's bundle feeds, keeps only the receipts whose traffic key
-// it owns on the consistent-hash ring, and runs the windowed store +
+// it owns under the Ring, and runs the windowed store +
 // rolling verifier over that key slice. Because per-key verification
 // reads only that key's receipts, each shard's per-key reports are
 // byte-for-byte the reports a single whole-store verifier computes —
@@ -33,10 +34,6 @@ type Verifier struct {
 	shard  int
 	ver    *engine.Verify
 	client *dissem.Client // set by Run
-	// owners caches each key's ring owner, filled on first sight:
-	// Ring.OwnerKey renders and hashes the key's text, and every bundle
-	// names the same keys again.
-	owners map[packet.PathKey]int
 	// status is the /debug/epochs document, nil unless HandleEpochs
 	// was called.
 	status *engine.EpochStatus
@@ -72,7 +69,8 @@ func NewVerifier(w *World, shards, shard int, _ VerifierOptions) (*Verifier, err
 		return nil, err
 	}
 	// Only owned keys get layouts — at fleet scale the layout map is
-	// the dominant allocation, and a shard needs 1/shards of it.
+	// the dominant allocation, and a shard needs only its own keys':
+	// about 1/shards of them, as the Ring splits keys evenly.
 	layouts := w.Plan.KeyLayoutsFor(func(k packet.PathKey) bool { return ring.OwnerKey(k) == shard })
 	ver, err := engine.NewVerify(
 		engine.Store{HOPs: w.HOPs, Retention: windowRetention},
@@ -80,8 +78,13 @@ func NewVerifier(w *World, shards, shard int, _ VerifierOptions) (*Verifier, err
 	if err != nil {
 		return nil, err
 	}
-	return &Verifier{world: w, ring: ring, shard: shard, ver: ver, owners: make(map[packet.PathKey]int)}, nil
+	return &Verifier{world: w, ring: ring, shard: shard, ver: ver}, nil
 }
+
+// ErrVerifierReused is Run's answer on a Verifier that has already
+// run: its engine holds the first run's feeds, cursors and window, so
+// a second run would not be a replay. Build a new Verifier instead.
+var ErrVerifierReused = errors.New("fleet: Verifier.Run called twice")
 
 // filterBundle strips b, in place, down to the receipts whose traffic
 // key this shard owns — b is the shard's own, freshly decoded. The
@@ -93,6 +96,11 @@ func (v *Verifier) filterBundle(b *dissem.Bundle) *dissem.Bundle {
 	return b
 }
 
+// owns reports whether this shard owns traffic key k. Ownership is a
+// few multiplies, so nothing is cached: a cache would grow by every
+// key any collector names, without bound.
+func (v *Verifier) owns(k packet.PathKey) bool { return v.ring.OwnerKey(k) == v.shard }
+
 // HandleEpochs registers /debug/epochs on mux: the held epochs with
 // the HOPs each still waits for, the epochs verified and the last of
 // them, and the findings so far, as vpm-node serves them. Run refreshes
@@ -100,18 +108,6 @@ func (v *Verifier) filterBundle(b *dissem.Bundle) *dissem.Bundle {
 func (v *Verifier) HandleEpochs(mux *http.ServeMux) {
 	v.status = &engine.EpochStatus{}
 	mux.Handle("/debug/epochs", v.status)
-}
-
-// owns reports whether k's ring owner is this shard, through the
-// owners cache. Feeds are fetched one at a time, so the cache needs no
-// lock.
-func (v *Verifier) owns(k packet.PathKey) bool {
-	owner, ok := v.owners[k]
-	if !ok {
-		owner = v.ring.OwnerKey(k)
-		v.owners[k] = owner
-	}
-	return owner == v.shard
 }
 
 // Run is the engine's verify half over one feed per domain, from the
@@ -126,8 +122,12 @@ func (v *Verifier) owns(k packet.PathKey) bool {
 //
 // Collectors retain all payloads, so a restarted shard re-fetches from
 // cursor zero and reproduces its exact output: crash recovery is
-// replay.
+// replay, by a new Verifier — Run on one that has run returns
+// ErrVerifierReused.
 func (v *Verifier) Run(ctx context.Context, collectorURLs []string, opts VerifierOptions) ([]core.EpochReport, error) {
+	if v.client != nil {
+		return nil, ErrVerifierReused
+	}
 	if len(collectorURLs) != v.world.Spec.Collectors {
 		return nil, fmt.Errorf("fleet: got %d collector URLs, spec has %d collectors", len(collectorURLs), v.world.Spec.Collectors)
 	}
