@@ -70,7 +70,10 @@ func main() {
 	case "verify":
 		runVerify(os.Args[2:])
 	case "run":
-		runSupervisor(os.Args[2:])
+		// Exits only here, after the defers stopped the children.
+		if err := runSupervisor(os.Args[2:]); err != nil {
+			fatal(err)
+		}
 	default:
 		usage()
 	}
@@ -248,7 +251,7 @@ type collectorProc struct {
 }
 
 // startCollectors spawns one collector child per spec slot and waits
-// for each to announce its address.
+// for each to announce its address. On failure it returns those started.
 func startCollectors(self string, spec fleet.Spec, pace time.Duration) ([]*collectorProc, error) {
 	procs := make([]*collectorProc, spec.Collectors)
 	for i := range procs {
@@ -257,6 +260,7 @@ func startCollectors(self string, spec fleet.Spec, pace time.Duration) ([]*colle
 			args = append(args, "-pace", pace.String())
 		}
 		cmd := exec.Command(self, args...)
+		dieWithParent(cmd)
 		stderr, err := cmd.StderrPipe()
 		if err != nil {
 			return procs, err
@@ -287,6 +291,20 @@ func startCollectors(self string, spec fleet.Spec, pace time.Duration) ([]*colle
 		}
 	}
 	return procs, nil
+}
+
+// stopCollectors signals every started collector and waits for it.
+func stopCollectors(procs []*collectorProc) {
+	for _, p := range procs {
+		if p != nil {
+			p.cmd.Process.Signal(syscall.SIGTERM)
+		}
+	}
+	for _, p := range procs {
+		if p != nil {
+			p.cmd.Wait()
+		}
+	}
 }
 
 // waitFinished polls every collector's /status until the simulation is
@@ -320,7 +338,7 @@ func waitFinished(procs []*collectorProc, timeout time.Duration) error {
 	return nil
 }
 
-func runSupervisor(args []string) {
+func runSupervisor(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	specText := fs.String("spec", "", "fleet spec JSON (empty: demo spec)")
 	verifiers := fs.String("verifiers", "1,2,4", "comma-separated verifier tier widths to sweep")
@@ -334,13 +352,13 @@ func runSupervisor(args []string) {
 	spec := parseSpecFlag(*specText)
 	self, err := os.Executable()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	workDir := *dir
 	if workDir == "" {
 		workDir, err = os.MkdirTemp("", "vpm-fleet-*")
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer os.RemoveAll(workDir)
 	}
@@ -349,30 +367,18 @@ func runSupervisor(args []string) {
 	for _, t := range strings.Split(*verifiers, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(t))
 		if err != nil || n < 1 {
-			fatal(fmt.Errorf("bad -verifiers entry %q", t))
+			return fmt.Errorf("bad -verifiers entry %q", t)
 		}
 		widths = append(widths, n)
 	}
 
 	procs, err := startCollectors(self, spec, *pace)
-	stopCollectors := func() {
-		for _, p := range procs {
-			if p != nil && p.cmd.Process != nil {
-				p.cmd.Process.Signal(syscall.SIGTERM)
-			}
-		}
-		for _, p := range procs {
-			if p != nil && p.cmd.Process != nil {
-				p.cmd.Wait()
-			}
-		}
-	}
-	defer stopCollectors()
+	defer stopCollectors(procs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := waitFinished(procs, *collectTimeout); err != nil {
-		fatal(err)
+		return err
 	}
 	urls := make([]string, len(procs))
 	for i, p := range procs {
@@ -384,15 +390,15 @@ func runSupervisor(args []string) {
 	if *check {
 		refW, err := spec.Build()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		refReports, err := fleet.RunReference(refW, 0)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		refEnc, err = fleet.EncodeReports(refReports)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
@@ -411,6 +417,7 @@ func runSupervisor(args []string) {
 				"-collectors", strings.Join(urls, ","),
 				"-out", partPath)
 			cmd.Stderr = os.Stderr
+			dieWithParent(cmd)
 			wg.Add(1)
 			go func(s int, cmd *exec.Cmd, partPath string) {
 				defer wg.Done()
@@ -425,20 +432,20 @@ func runSupervisor(args []string) {
 		wall := time.Since(start)
 		for _, err := range errs {
 			if err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		merged, err := fleet.MergeShardOutputs(parts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if refEnc != nil {
 			if len(merged) != len(refEnc) {
-				fatal(fmt.Errorf("width %d: merged %d epochs, reference has %d", width, len(merged), len(refEnc)))
+				return fmt.Errorf("width %d: merged %d epochs, reference has %d", width, len(merged), len(refEnc))
 			}
 			for e := range merged {
 				if !bytes.Equal(merged[e], refEnc[e]) {
-					fatal(fmt.Errorf("width %d: epoch %d merged verdict diverges from single-process reference", width, e))
+					return fmt.Errorf("width %d: epoch %d merged verdict diverges from single-process reference", width, e)
 				}
 			}
 		}
@@ -461,17 +468,18 @@ func runSupervisor(args []string) {
 
 	for _, r := range rows[1:] {
 		if r.Fingerprint != rows[0].Fingerprint {
-			fatal(fmt.Errorf("fingerprints diverge across tier widths: %s (procs=%d) vs %s (procs=%d)",
-				rows[0].Fingerprint, rows[0].Procs, r.Fingerprint, r.Procs))
+			return fmt.Errorf("fingerprints diverge across tier widths: %s (procs=%d) vs %s (procs=%d)",
+				rows[0].Fingerprint, rows[0].Procs, r.Fingerprint, r.Procs)
 		}
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rows); err != nil {
-			fatal(err)
+			return err
 		}
 	} else if *check {
 		fmt.Println("vpm-fleet: all tier widths byte-identical to the single-process reference")
 	}
+	return nil
 }

@@ -1,6 +1,10 @@
 package aggregation
 
 import (
+	"hash/maphash"
+	"math/bits"
+
+	"vpm/internal/hashing"
 	"vpm/internal/receipt"
 )
 
@@ -23,25 +27,75 @@ func (p Pair) Lost() int64 { return int64(p.A.PktCnt) - int64(p.B.PktCnt) }
 
 // Joiner computes the §6 join of two HOPs' aggregate receipt sequences
 // and applies the §6.3 patch-up to it. It keeps its working storage —
-// one first-occurrence index and the pair slice — from call to call, so
+// one first-occurrence table and the pair slice — from call to call, so
 // a verifier that joins every (key, adjacent HOP pair) of every epoch
 // allocates only while that storage grows. The zero value is ready to
 // use. A Joiner is not safe for concurrent use: each verifying
 // goroutine owns its own.
 type Joiner struct {
-	// first maps an ID to the position of its first occurrence in the
-	// list being searched, when that list is longer than shortList: the
-	// downstream sequence's aggregate First IDs during the join, a
-	// downstream AggTrans window during the patch-up.
-	first map[uint64]int
+	// first holds the position of each ID's first occurrence in the
+	// list being searched: the downstream sequence's aggregate First IDs
+	// during the join, a downstream AggTrans window during the patch-up.
+	first firstTable
 	pairs []Pair
 }
 
-// shortList is the longest list the Joiner searches by scanning rather
-// than through its index. Most lists are that short — on a mesh a key's
-// HOP seals one aggregate in most epochs — and scanning a few entries
-// costs less than hashing them.
-const shortList = 16
+// firstTable is an open-addressed, pointer-free first-occurrence index
+// over one list at a time. Its size is a power of two, at least twice
+// the longest list it has indexed, and it only grows. A slot belongs to
+// the current list only if it carries the current generation, so a new
+// list starts by bumping gen; only a wrap to 0 clears the slots. The
+// IDs are packet digests a lying HOP may choose, so the slot is a mix
+// keyed by a random seed, drawn anew whenever the table grows: nobody
+// can aim IDs at one slot.
+type firstTable struct {
+	slots []firstSlot
+	seed  uint64
+	gen   uint32
+}
+
+type firstSlot struct {
+	id  uint64
+	pos int32
+	gen uint32 // 0 never is current: a zeroed slot is empty
+}
+
+// reset empties the table for a list of n IDs.
+func (t *firstTable) reset(n int) {
+	if size := max(2*n, 16); len(t.slots) < size {
+		t.seed = maphash.Bytes(maphash.MakeSeed(), nil)
+		//lint:ignore hotpath grow-only, to twice the longest list seen; later lists bump the generation
+		t.slots = make([]firstSlot, 1<<bits.Len(uint(size-1)))
+	}
+	if t.gen++; t.gen == 0 {
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
+// add records pos as id's position unless id already has one.
+func (t *firstTable) add(id uint64, pos int) {
+	if s := t.slot(id); s.gen != t.gen {
+		*s = firstSlot{id: id, pos: int32(pos), gen: t.gen}
+	}
+}
+
+// find returns the position of id's first occurrence in the list.
+func (t *firstTable) find(id uint64) (int, bool) {
+	s := t.slot(id)
+	return int(s.pos), s.gen == t.gen
+}
+
+// slot returns id's slot in the current list, or the empty slot where
+// it would go.
+func (t *firstTable) slot(id uint64) *firstSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := hashing.Mix64(id^t.seed) & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.gen != t.gen || s.id == id {
+			return s
+		}
+	}
+}
 
 // Join computes the join of two aggregate receipt sequences and aligns
 // it: it finds the cutting points common to both HOPs (aggregate
@@ -49,7 +103,8 @@ const shortList = 16
 // receipts between consecutive common cuts — the finest partition over
 // which the two HOPs' claims can be compared (§6.1–§6.2) — and then
 // migrates packets the two HOPs saw on different sides of a common cut
-// (§6.3). migrations counts the packets moved.
+// (§6.3). migrations counts the packets moved. Both steps look first
+// occurrences up in the Joiner's one table, however short the list.
 //
 // Receipts must be in stream order and share each side's PathID
 // traffic. Loss or extra cuts on either side merge away — exactly the
@@ -82,25 +137,13 @@ func (j *Joiner) join(a, b []receipt.AggReceipt) {
 		return
 	}
 	// b's internal boundaries: First-packet ID -> aggregate index.
-	indexed := len(b) > shortList
-	if indexed {
-		j.resetIndex()
-		for k := 1; k < len(b); k++ {
-			if _, dup := j.first[b[k].Agg.First]; !dup {
-				j.first[b[k].Agg.First] = k
-			}
-		}
+	j.first.reset(len(b))
+	for k := 1; k < len(b); k++ {
+		j.first.add(b[k].Agg.First, k)
 	}
 	ia, ib := 0, 0
 	for i := 1; i < len(a); i++ {
-		id := a[i].Agg.First
-		var k int
-		var ok bool
-		if indexed {
-			k, ok = j.first[id]
-		} else {
-			k, ok = boundaryOf(b, id)
-		}
+		k, ok := j.first.find(a[i].Agg.First)
 		// Not a common boundary, or one that would violate stream order
 		// (duplicate digests): merge on.
 		if ok && k > ib && j.appendPair(a[ia:i], b[ib:k]) {
@@ -108,26 +151,6 @@ func (j *Joiner) join(a, b []receipt.AggReceipt) {
 		}
 	}
 	j.appendPair(a[ia:], b[ib:])
-}
-
-// boundaryOf returns the first internal boundary of b (an aggregate
-// after the first) that starts at packet id.
-func boundaryOf(b []receipt.AggReceipt, id uint64) (int, bool) {
-	for k := 1; k < len(b); k++ {
-		if b[k].Agg.First == id {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// resetIndex empties the first-occurrence index for a new list.
-func (j *Joiner) resetIndex() {
-	if j.first == nil {
-		//lint:ignore hotpath once per Joiner; every later list clears and refills it
-		j.first = make(map[uint64]int)
-	}
-	clear(j.first)
 }
 
 // appendPair appends the pair combining as and bs, and reports false —
@@ -189,34 +212,23 @@ func (j *Joiner) patchUp(pairs []Pair) int {
 			continue
 		}
 		wa, wb := pairs[k].A.AggTrans, pairs[k].B.AggTrans
-		posA, okA := indexOf(wa, cutID)
-		posB, okB := indexOf(wb, cutID)
-		if !okA || !okB {
-			continue
-		}
 		// Where each packet of B's window first appears, to tell on which
 		// side of the cut B saw it.
-		indexed := len(wb) > shortList
-		if indexed {
-			j.resetIndex()
-			for i := range wb {
-				if _, dup := j.first[wb[i].PktID]; !dup {
-					j.first[wb[i].PktID] = i
-				}
-			}
+		j.first.reset(len(wb))
+		for i := range wb {
+			j.first.add(wb[i].PktID, i)
+		}
+		posA, okA := indexOf(wa, cutID)
+		posB, okB := j.first.find(cutID)
+		if !okA || !okB {
+			continue
 		}
 		for i := range wa {
 			id := wa[i].PktID
 			if id == cutID {
 				continue
 			}
-			var at int
-			var seen bool
-			if indexed {
-				at, seen = j.first[id]
-			} else {
-				at, seen = indexOf(wb, id)
-			}
+			at, seen := j.first.find(id)
 			if !seen {
 				continue
 			}

@@ -1,7 +1,9 @@
 package aggregation
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vpm/internal/hashing"
@@ -9,25 +11,21 @@ import (
 	"vpm/internal/stats"
 )
 
-// oracleJoin is the allocating reference join the Joiner replaced: the
-// same algorithm over fresh maps and slices, combining with
-// receipt.CombineAggregates (which copies AggTrans).
+// oracleJoin is the allocating reference join: the same algorithm
+// scanning b for each boundary instead of indexing it, over fresh
+// slices, combining with receipt.CombineAggregates (which copies
+// AggTrans).
 func oracleJoin(a, b []receipt.AggReceipt) []Pair {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	// Internal boundaries of b: First-packet ID -> aggregate index.
-	bIdx := make(map[uint64]int, len(b))
-	for j := 1; j < len(b); j++ {
-		if _, dup := bIdx[b[j].Agg.First]; !dup {
-			bIdx[b[j].Agg.First] = j
-		}
-	}
 	var pairs []Pair
 	ia, ib := 0, 0
 	for i := 1; i < len(a); i++ {
-		j, ok := bIdx[a[i].Agg.First]
-		if !ok || j <= ib {
+		// The first internal boundary of b (an aggregate after the first)
+		// that starts at a[i]'s First packet.
+		j := 1 + slices.IndexFunc(b[1:], func(r receipt.AggReceipt) bool { return r.Agg.First == a[i].Agg.First })
+		if j == 0 || j <= ib {
 			continue
 		}
 		ca, err1 := receipt.CombineAggregates(a[ia:i]...)
@@ -442,6 +440,148 @@ func BenchmarkJoin(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		j.Join(a, bb)
+	}
+}
+
+// BenchmarkJoinShort joins mesh-shaped sequences: 1–4 aggregates per
+// side and AggTrans windows of at most 23 records, the lists a verifier
+// joins for most (key, adjacent HOP pair)s of a Clos epoch.
+func BenchmarkJoinShort(b *testing.B) {
+	type input struct{ a, b []receipt.AggReceipt }
+	var inputs []input
+	for seed := uint64(1); len(inputs) < 256; seed++ {
+		// Windows of 3 to 23 records: both sides of the 16 a list once
+		// needed to be hashed rather than scanned.
+		cfg := Config{CutRate: 0.03, WindowNS: 1000 * int64(1+seed%11)}
+		up := randomStream(seed, 80)
+		down := slices.Clone(up)
+		down[40].id, down[41].id = down[41].id, down[40].id
+		a, bb := runPair(cfg, cfg, up, down)
+		short := func(rs []receipt.AggReceipt) bool {
+			for _, r := range rs {
+				if len(r.AggTrans) > 23 {
+					return false
+				}
+			}
+			return len(rs) >= 1 && len(rs) <= 4
+		}
+		if short(a) && short(bb) {
+			inputs = append(inputs, input{a, bb})
+		}
+	}
+	var j Joiner
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		in := &inputs[i%len(inputs)]
+		j.Join(in.a, in.b)
+	}
+}
+
+// unmix inverts hashing.Mix64 (the SplitMix64 finalizer): each
+// xorshift is undone by xoring in its further shifts, each odd
+// multiplier by its inverse mod 2⁶⁴.
+func unmix(y uint64) uint64 {
+	inv := func(c uint64) uint64 {
+		x := c // correct to 3 bits; each Newton step doubles that
+		for range 5 {
+			x *= 2 - c*x
+		}
+		return x
+	}
+	y ^= y>>31 ^ y>>62
+	y *= inv(0x94d049bb133111eb)
+	y ^= y>>27 ^ y>>54
+	y *= inv(0xbf58476d1ce4e5b9)
+	y ^= y>>30 ^ y>>60
+	return y
+}
+
+// TestJoinTableResistsCraftedIDs: PktIDs are digests a lying HOP picks,
+// so a HOP that knows the slot function can send a window whose IDs all
+// hash to one slot. Under the table's seeded mix they still spread: the
+// longest run of occupied slots stays short.
+func TestJoinTableResistsCraftedIDs(t *testing.T) {
+	const n = 4096
+	mask := uint64(2*n - 1) // the table a 4096-record window gets
+	window := make([]receipt.SampleRecord, n)
+	for i := range window {
+		id := unmix(uint64(i+1) << 13)
+		if hashing.Mix64(id)&mask != 0 {
+			t.Fatalf("crafted ID %d lands in slot %d of the unseeded mix, want 0", i, hashing.Mix64(id)&mask)
+		}
+		window[i] = receipt.SampleRecord{PktID: id, TimeNS: int64(i)}
+	}
+	cut := window[n/2].PktID
+	p := testPath()
+	seq := []receipt.AggReceipt{
+		{Path: p, Agg: receipt.AggID{First: window[0].PktID, Last: window[n/2-1].PktID}, PktCnt: n / 2, AggTrans: window},
+		{Path: p, Agg: receipt.AggID{First: cut, Last: window[n-1].PktID}, PktCnt: n / 2},
+	}
+	var j Joiner
+	pairs, migrations := j.Join(seq, seq)
+	if want := oracleJoin(seq, seq); migrations != oraclePatchUp(want) || !reflect.DeepEqual(pairs, want) {
+		t.Fatalf("join of the crafted window differs from the oracle")
+	}
+	if got := uint64(len(j.first.slots)); got != mask+1 {
+		t.Fatalf("table has %d slots after a %d-record window, want %d", got, n, mask+1)
+	}
+	longest, run := 0, 0
+	for _, s := range slices.Concat(j.first.slots, j.first.slots) { // twice round: a run may wrap
+		if s.gen != j.first.gen {
+			run = 0
+			continue
+		}
+		run++
+		longest = max(longest, min(run, n))
+	}
+	if longest > 128 {
+		t.Fatalf("crafted IDs form a run of %d occupied slots, want ≤ 128", longest)
+	}
+	t.Logf("longest run of occupied slots: %d", longest)
+}
+
+// TestJoinGenerationWrap: the table's generation wraps to zero after
+// 2³² lists, which clears it. A Joiner whose table holds another list's
+// IDs under the generation the wrap restarts at is wound to the last
+// generation, then joins a long, a short and a long input; every result
+// must match the oracle.
+func TestJoinGenerationWrap(t *testing.T) {
+	stream := randomStream(18, 30000)
+	down := slices.Clone(stream)
+	for i := 100; i+1 < len(down); i += 37 {
+		down[i].id, down[i+1].id = down[i+1].id, down[i].id
+	}
+	cfg := Config{CutRate: 0.002, WindowNS: 20_000}
+	a, b := runPair(cfg, Config{CutRate: 0.004, WindowNS: 30_000}, stream, down)
+	c, d := runPair(cfg, cfg, stream, down)
+	bare := func(rs []receipt.AggReceipt) []receipt.AggReceipt {
+		out := slices.Clone(rs)
+		for i := range out {
+			out[i].AggTrans = nil
+		}
+		return out
+	}
+	var j Joiner
+	// Without windows the patch-up indexes nothing: the table's one list
+	// is b's First IDs in reverse order, in the first generation.
+	backwards := bare(b)
+	slices.Reverse(backwards)
+	j.Join(bare(a), backwards)
+	j.first.gen = math.MaxUint32
+	for i, in := range [][2][]receipt.AggReceipt{{a, b}, {c[:2], d[:2]}, {c, d}} {
+		want := oracleJoin(in[0], in[1])
+		wantMig := oraclePatchUp(want)
+		got, gotMig := j.Join(in[0], in[1])
+		if gotMig != wantMig || !reflect.DeepEqual(got, want) {
+			t.Fatalf("join %d after the wrap: %d migrations, oracle %d; pairs equal: %v", i, gotMig, wantMig, reflect.DeepEqual(got, want))
+		}
+		if wantMig == 0 && i != 1 {
+			t.Fatalf("join %d: no migrations, so the patch-up's lookups went untested", i)
+		}
+	}
+	if j.first.gen == 0 || j.first.gen > 1<<20 {
+		t.Fatalf("generation %d after three joins: it never wrapped", j.first.gen)
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -211,6 +213,55 @@ func TestFleetSupervisorSweep(t *testing.T) {
 	out, err := exec.Command(bin, "run", "-spec", fleetSpec().Encode(), "-verifiers", "0").CombinedOutput()
 	if err == nil || !bytes.Contains(out, []byte(`bad -verifiers entry "0"`)) {
 		t.Fatalf("-verifiers 0: err %v, output:\n%s", err, out)
+	}
+}
+
+// ciFleetSpec is the world of CI's fleet byte-identity sweep.
+const ciFleetSpec = `{"seed":1,"domains":100,"extra_links":50,"keys":16384,"epochs":4,"interval_ns":200000000,"rate_pps":40960,"collectors":2}`
+
+// TestFleetSupervisorFailureStopsChildren: a supervisor that fails after
+// its collectors are up — every verifier shard fails to write its part
+// into a missing -dir — exits non-zero and leaves no child behind. It
+// runs in a process group of its own, which its children inherit, so
+// once it has exited a signal 0 to the group must find nobody.
+func TestFleetSupervisorFailureStopsChildren(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the vpm-fleet binary")
+	}
+	bin := buildVPMFleet(t)
+	dir := t.TempDir()
+	// A file, not a pipe: a child that outlived the supervisor would hold
+	// a pipe open and Wait would never return.
+	out, err := os.Create(filepath.Join(dir, "output"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	cmd := exec.Command(bin, "run", "-spec", ciFleetSpec, "-verifiers", "1,2", "-check", "-dir", filepath.Join(dir, "missing"))
+	cmd.Stdout, cmd.Stderr = out, out
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pgid := cmd.Process.Pid
+	runErr := cmd.Wait()
+	output := func() string {
+		b, _ := os.ReadFile(out.Name())
+		return string(b)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !errors.Is(syscall.Kill(-pgid, 0), syscall.ESRCH) {
+		if time.Now().After(deadline) {
+			syscall.Kill(-pgid, syscall.SIGKILL)
+			t.Fatalf("children of the failed supervisor still running 10s after it exited\n%s", output())
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if runErr == nil {
+		t.Fatalf("supervisor exited 0 with a missing -dir\n%s", output())
+	}
+	if !strings.Contains(output(), "serving on") || !strings.Contains(output(), "verifier 0/1:") {
+		t.Fatalf("supervisor did not fail in its verifier tier, after its collectors started\n%s", output())
 	}
 }
 
