@@ -361,6 +361,10 @@ func runSupervisor(args []string) error {
 			return err
 		}
 		defer os.RemoveAll(workDir)
+	} else if st, err := os.Stat(workDir); err != nil {
+		return fmt.Errorf("-dir: %w", err)
+	} else if !st.IsDir() {
+		return fmt.Errorf("-dir %s: not a directory", workDir)
 	}
 
 	var widths []int

@@ -3,9 +3,9 @@ package vpm
 // This file is the docs-link checker: it fails CI when docs/*.md,
 // README.md or ROADMAP.md reference a file that no longer exists or a
 // Go symbol (`pkg.Name`, `Type.Member`, `pkg.Type.Member`) that the
-// codebase no longer exports. The symbol index is built from the
-// repository's own sources with go/parser, so the check needs no
-// maintenance as the code evolves — renaming a function and forgetting
+// codebase no longer declares outside its tests. The symbol index is
+// read from the module's one type-checked view (loadModule), so the
+// check needs no maintenance as the code evolves — renaming a function and forgetting
 // the docs is exactly what it catches.
 //
 // Matching is deliberately conservative: only backticked tokens that
@@ -16,11 +16,11 @@ package vpm
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -48,97 +48,62 @@ type symbolIndex struct {
 	members map[string]map[string]bool // type name -> methods + fields
 }
 
-// buildSymbolIndex parses every non-test .go file in the module.
+// buildSymbolIndex reads the non-test declarations of every package of
+// the module from its one type-checked view.
 func buildSymbolIndex(t *testing.T) *symbolIndex {
 	t.Helper()
 	idx := &symbolIndex{
 		pkgs:    make(map[string]map[string]bool),
 		members: make(map[string]map[string]bool),
 	}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	member := func(typ, name string) {
+		if idx.members[typ] == nil {
+			idx.members[typ] = make(map[string]bool)
 		}
-		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == ".github" {
-				return filepath.SkipDir
+		idx.members[typ][name] = true
+	}
+	for _, pkg := range loadModule(t) {
+		nonTest := func(obj types.Object) bool { return !isTestFile(pkg.Fset.Position(obj.Pos()).Filename) }
+		if !slices.ContainsFunc(pkg.Files, func(f *ast.File) bool { return !isTestFile(fileName(pkg, f)) }) {
+			continue
+		}
+		syms := idx.pkgs[pkg.Types.Name()]
+		if syms == nil {
+			syms = make(map[string]bool)
+			idx.pkgs[pkg.Types.Name()] = syms
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !nonTest(obj) {
+				continue
 			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		pkg := f.Name.Name
-		if idx.pkgs[pkg] == nil {
-			idx.pkgs[pkg] = make(map[string]bool)
-		}
-		add := func(name string) { idx.pkgs[pkg][name] = true }
-		member := func(typ, name string) {
-			if idx.members[typ] == nil {
-				idx.members[typ] = make(map[string]bool)
+			syms[name] = true
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
 			}
-			idx.members[typ][name] = true
-		}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil || len(d.Recv.List) == 0 {
-					add(d.Name.Name)
-					continue
+			named := tn.Type().(*types.Named)
+			for i := range named.NumMethods() {
+				if m := named.Method(i); nonTest(m) {
+					member(name, m.Name())
 				}
-				if typ := receiverType(d.Recv.List[0].Type); typ != "" {
-					member(typ, d.Name.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						add(s.Name.Name)
-						if st, ok := s.Type.(*ast.StructType); ok {
-							for _, fld := range st.Fields.List {
-								for _, n := range fld.Names {
-									member(s.Name.Name, n.Name)
-								}
-							}
-						}
-						if it, ok := s.Type.(*ast.InterfaceType); ok {
-							for _, m := range it.Methods.List {
-								for _, n := range m.Names {
-									member(s.Name.Name, n.Name)
-								}
-							}
-						}
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							add(n.Name)
-						}
+			}
+			switch u := named.Underlying().(type) {
+			case *types.Struct:
+				for i := range u.NumFields() {
+					if f := u.Field(i); !f.Embedded() {
+						member(name, f.Name())
 					}
 				}
+			case *types.Interface:
+				for i := range u.NumExplicitMethods() {
+					member(name, u.ExplicitMethod(i).Name())
+				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return idx
-}
-
-func receiverType(e ast.Expr) string {
-	switch r := e.(type) {
-	case *ast.Ident:
-		return r.Name
-	case *ast.StarExpr:
-		return receiverType(r.X)
-	case *ast.IndexExpr: // generic receiver
-		return receiverType(r.X)
-	}
-	return ""
 }
 
 var (
@@ -199,6 +164,7 @@ func pathLike(tok string) (string, bool) {
 
 // TestDocsReferences is the docs-link checker CI gate.
 func TestDocsReferences(t *testing.T) {
+	t.Parallel()
 	idx := buildSymbolIndex(t)
 	var problems []string
 	for _, file := range docFiles(t) {

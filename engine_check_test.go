@@ -8,110 +8,139 @@ package vpm
 // collect → publish → fetch → ingest → verify → evict loop in the
 // making, which is what the engine replaced; such a copy drifts (the
 // stream-end rule existed in one of five before).
+//
+// Every guard here reads the module's one type-checked view
+// (loadModule): names resolve through types.Info, so a method, a
+// renamed import or a method value is seen for what it is.
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
-	pathpkg "path"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"vpm/internal/analysis/loader"
 )
 
-// walkGo calls fn with the slash-separated path of every Go file of
-// the module, tests included, outside testdata and dot directories.
-func walkGo(t *testing.T, fn func(path string) error) {
-	t.Helper()
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == "testdata" || (name != "." && strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if path = filepath.ToSlash(path); strings.HasSuffix(path, ".go") {
-			return fn(path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// fileName returns the slash-separated name of one of pkg's files.
+func fileName(pkg *loader.Package, f *ast.File) string {
+	return filepath.ToSlash(pkg.Fset.Position(f.Package).Filename)
 }
 
-// walkProductionGo calls fn with the slash-separated path of every
-// non-test Go file of the module outside bench/ and testdata.
-func walkProductionGo(t *testing.T, fn func(path string) error) {
-	t.Helper()
-	walkGo(t, func(path string) error {
-		if strings.HasPrefix(path, "bench/") || strings.HasSuffix(path, "_test.go") {
-			return nil
+// productionFiles returns pkg's non-test files outside bench/.
+func productionFiles(pkg *loader.Package) []*ast.File {
+	var files []*ast.File
+	for _, f := range pkg.Files {
+		if name := fileName(pkg, f); !isTestFile(name) && !strings.HasPrefix(name, "bench/") {
+			files = append(files, f)
 		}
-		return fn(path)
-	})
+	}
+	return files
+}
+
+// lookupPkg returns the loaded package at path.
+func lookupPkg(t *testing.T, pkgs []*loader.Package, path string) *loader.Package {
+	t.Helper()
+	for _, pkg := range pkgs {
+		if pkg.PkgPath == path {
+			return pkg
+		}
+	}
+	t.Fatalf("package %s is not in the module", path)
+	return nil
+}
+
+// lookup returns the package-level object name of the package at path.
+func lookup(t *testing.T, pkgs []*loader.Package, path, name string) types.Object {
+	t.Helper()
+	obj := lookupPkg(t, pkgs, path).Types.Scope().Lookup(name)
+	if obj == nil {
+		t.Fatalf("%s has no %s", path, name)
+	}
+	return obj
+}
+
+// usersIn returns the name of each top-level declaration of f that
+// uses an object match accepts: the function's name, or "var" for a
+// package-level declaration.
+func usersIn(info *types.Info, f *ast.File, match func(types.Object) bool) []string {
+	var names []string
+	for _, d := range f.Decls {
+		found := false
+		ast.Inspect(d, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && match(info.Uses[id]) {
+				found = true
+			}
+			return !found
+		})
+		if !found {
+			continue
+		}
+		if fn, ok := d.(*ast.FuncDecl); ok {
+			names = append(names, fn.Name.Name)
+		} else {
+			names = append(names, "var")
+		}
+	}
+	return names
 }
 
 func TestOnePipeline(t *testing.T) {
+	t.Parallel()
 	guarded := map[string]bool{
 		"RunSegment": true, "NewWindowedStore": true, "NewRollingVerifier": true,
 		"NewEpochDriver": true, "NewEpochDriverFor": true, "IngestBundle": true,
 	}
 	allowed := []string{"internal/engine/", "internal/core/", "internal/netsim/"}
-	fset := token.NewFileSet()
-	walkProductionGo(t, func(path string) error {
-		for _, dir := range allowed {
-			if strings.HasPrefix(path, dir) {
-				return nil
+	for _, pkg := range loadModule(t) {
+		for _, f := range productionFiles(pkg) {
+			path := fileName(pkg, f)
+			if slices.ContainsFunc(allowed, func(dir string) bool { return strings.HasPrefix(path, dir) }) {
+				continue
 			}
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			ast.Inspect(f, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				// A function, a method or a func-typed value, called or not.
+				obj := pkg.Info.Uses[id]
+				if obj == nil || !guarded[obj.Name()] {
+					return true
+				}
+				if _, ok := obj.Type().Underlying().(*types.Signature); ok {
+					name := obj.Name()
+					if fn, ok := obj.(*types.Func); ok {
+						name = fn.FullName()
+					}
+					t.Errorf("%s: calls %s outside internal/engine — run the pipeline through the engine instead",
+						pkg.Fset.Position(id.Pos()), name)
+				}
 				return true
-			}
-			var name string
-			switch fn := call.Fun.(type) {
-			case *ast.Ident:
-				name = fn.Name
-			case *ast.SelectorExpr:
-				name = fn.Sel.Name
-			}
-			if guarded[name] {
-				t.Errorf("%s: calls %s outside internal/engine — run the pipeline through the engine instead",
-					fset.Position(call.Pos()), name)
-			}
-			return true
-		})
-		return nil
-	})
+			})
+		}
+	}
 }
 
 // TestLoadBearingSet is the guard on what PRs 22, 24 and 25 cut down
 // to: one collector type, no streaming-sketch backend, one simulator,
 // one serve selection and one cursor for every dissemination carrier,
-// five binaries, and a facade that exports only what something reads —
+// four binaries, and a facade that exports only what something reads —
 // and on one verifier front end, a one-shot run being epoch 0 of the
 // epoch pipeline, and one signed unit per (domain, epoch): one
 // signature check for every carrier and one fleet feed per domain.
 // Each clause fails on a candidate that came back without a caller.
 func TestLoadBearingSet(t *testing.T) {
-	// One collector: in non-test internal/core only Collector and the
-	// epoch clock that wraps it (EpochCollector forwards, it holds no
-	// path state) take observation batches.
-	var batchTypes, simTypes, tamperCallers, seqCursors, sigCheckers []string
+	t.Parallel()
+	pkgs := loadModule(t)
+	var tamperCallers, seqCursors, sigCheckers []string
 	// One signed unit per (domain, epoch): the fleet serves one feed per
 	// domain, never one per HOP.
 	perHOPRoute := regexp.MustCompile(`/hop/`)
@@ -127,121 +156,89 @@ func TestLoadBearingSet(t *testing.T) {
 	// What a one-shot run kept beside the epoch pipeline: the batch
 	// bridge that applied adversaries and the second receipt store.
 	batchFrontEnd := regexp.MustCompile(`\b(BatchSeal|CorruptSealed|StoreFromSealed|ReceiptStore|NewReceiptStore|NewVerifierOn)\b`)
-	fset := token.NewFileSet()
-	walkProductionGo(t, func(path string) error {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
+	// BundleTamper.Serve: the interface's method, or the method of a
+	// type that satisfies it.
+	tamper := lookup(t, pkgs, "vpm/internal/dissem", "BundleTamper").Type().Underlying().(*types.Interface)
+	servesTamper := func(obj types.Object) bool {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Name() != "Serve" {
+			return false
 		}
-		if m := retired.Find(src); m != nil {
-			t.Errorf("%s: mentions %s — the streaming-sketch backend is gone; nothing selected it", path, m)
-		}
-		if m := deleted.Find(src); m != nil {
-			t.Errorf("%s: mentions %s — deleted in PR 25; no non-test caller used it", path, m)
-		}
-		if m := batchFrontEnd.Find(src); m != nil {
-			t.Errorf("%s: mentions %s — a one-shot run is epoch 0 of the epoch pipeline (Deployment.Seal, Deployment.VerifyOnce), and a Verifier reads one leaf", path, m)
-		}
-		if (strings.HasPrefix(path, "internal/fleet/") || strings.HasPrefix(path, "cmd/vpm-fleet/")) && perHOPRoute.Match(src) {
-			t.Errorf("%s: mentions a /hop/ route — a collector serves one feed per domain (fleet.FeedPath), each epoch one payload under the domain's key", path)
-		}
-		if strings.Contains(string(src), "ed25519.Verify(") {
-			f, err := parser.ParseFile(fset, path, src, 0)
+		recv := fn.Type().(*types.Signature).Recv()
+		return recv != nil && types.Implements(recv.Type(), tamper)
+	}
+	verifiesSig := func(obj types.Object) bool {
+		fn, ok := obj.(*types.Func)
+		return ok && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/ed25519" && fn.Name() == "Verify"
+	}
+	for _, pkg := range pkgs {
+		for _, f := range productionFiles(pkg) {
+			path := fileName(pkg, f)
+			src, err := os.ReadFile(path)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			for _, d := range f.Decls {
-				if fn, ok := d.(*ast.FuncDecl); ok && fn.Body != nil {
-					ast.Inspect(fn.Body, func(n ast.Node) bool {
-						if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Verify" {
-							if x, ok := sel.X.(*ast.Ident); ok && x.Name == "ed25519" {
-								sigCheckers = append(sigCheckers, path+":"+fn.Name.Name)
-							}
-						}
-						return true
-					})
+			if m := retired.Find(src); m != nil {
+				t.Errorf("%s: mentions %s — the streaming-sketch backend is gone; nothing selected it", path, m)
+			}
+			if m := deleted.Find(src); m != nil {
+				t.Errorf("%s: mentions %s — deleted in PR 25; no non-test caller used it", path, m)
+			}
+			if m := batchFrontEnd.Find(src); m != nil {
+				t.Errorf("%s: mentions %s — a one-shot run is epoch 0 of the epoch pipeline (Deployment.Seal, Deployment.VerifyOnce), and a Verifier reads one leaf", path, m)
+			}
+			if (strings.HasPrefix(path, "internal/fleet/") || strings.HasPrefix(path, "cmd/vpm-fleet/")) && perHOPRoute.Match(src) {
+				t.Errorf("%s: mentions a /hop/ route — a collector serves one feed per domain (fleet.FeedPath), each epoch one payload under the domain's key", path)
+			}
+			for _, fn := range usersIn(pkg.Info, f, verifiesSig) {
+				sigCheckers = append(sigCheckers, path+":"+fn)
+			}
+			if strings.HasPrefix(path, "internal/dissem/") {
+				tamperCallers = append(tamperCallers, usersIn(pkg.Info, f, servesTamper)...)
+			} else {
+				for range seqCursor.FindAll(src, -1) {
+					seqCursors = append(seqCursors, path)
 				}
 			}
 		}
-		if !strings.HasPrefix(path, "internal/dissem/") {
-			for range seqCursor.FindAll(src, -1) {
-				seqCursors = append(seqCursors, path)
+	}
+
+	// declaring returns the types of non-test code in the package at
+	// path that declare method.
+	declaring := func(path, method string) []string {
+		pkg := lookupPkg(t, pkgs, path)
+		var names []string
+		for _, name := range pkg.Types.Scope().Names() {
+			tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
 			}
-		} else {
-			f, err := parser.ParseFile(fset, path, src, 0)
-			if err != nil {
-				return err
-			}
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				calls := false
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 4 {
-						if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Serve" {
-							calls = true
-						}
-					}
-					return !calls
-				})
-				if calls {
-					tamperCallers = append(tamperCallers, fn.Name.Name)
-				}
-			}
-			return nil
-		}
-		// The method whose receiver types are gathered from this file.
-		inCore := strings.HasPrefix(path, "internal/core/")
-		method, types := "ObserveBatch", &batchTypes
-		if strings.HasPrefix(path, "internal/netsim/") {
-			method, types = "RunSegment", &simTypes
-		} else if !inCore {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, src, 0)
-		if err != nil {
-			return err
-		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil || d.Name.Name != method {
-					continue
-				}
-				recv := d.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				*types = append(*types, recv.(*ast.Ident).Name)
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok || !inCore || ts.Name.Name != "Deployment" {
-						continue
-					}
-					for _, field := range ts.Type.(*ast.StructType).Fields.List {
-						for _, name := range field.Names {
-							if name.Name == "Path" {
-								t.Errorf("%s: core.Deployment has a Path field again — a chain is a Topology with one default route (netsim.Path.Topology)", fset.Position(name.Pos()))
-							}
-						}
-					}
+			named, ok := tn.Type().(*types.Named)
+			for i := 0; ok && i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Name() == method && !isTestFile(pkg.Fset.Position(m.Pos()).Filename) {
+					names = append(names, name)
 				}
 			}
 		}
-		return nil
-	})
-	slices.Sort(batchTypes)
-	if want := []string{"Collector", "EpochCollector"}; !slices.Equal(batchTypes, want) {
-		t.Errorf("types declaring ObserveBatch in non-test internal/core: %v, want %v — a second collector belongs in a _test.go oracle", batchTypes, want)
+		return names
+	}
+	// One collector: in non-test internal/core only Collector and the
+	// epoch clock that wraps it (EpochCollector forwards, it holds no
+	// path state) take observation batches.
+	if got, want := declaring("vpm/internal/core", "ObserveBatch"), []string{"Collector", "EpochCollector"}; !slices.Equal(got, want) {
+		t.Errorf("types declaring ObserveBatch in non-test internal/core: %v, want %v — a second collector belongs in a _test.go oracle", got, want)
 	}
 	// One network model: one type in non-test internal/netsim owns a
 	// forwarding sweep, and a deployment holds a Topology, never a Path
 	// beside it.
-	if want := []string{"TopoRunner"}; !slices.Equal(simTypes, want) {
-		t.Errorf("types declaring RunSegment in non-test internal/netsim: %v, want %v — a second simulator belongs in a _test.go oracle", simTypes, want)
+	if got, want := declaring("vpm/internal/netsim", "RunSegment"), []string{"TopoRunner"}; !slices.Equal(got, want) {
+		t.Errorf("types declaring RunSegment in non-test internal/netsim: %v, want %v — a second simulator belongs in a _test.go oracle", got, want)
+	}
+	dep := lookup(t, pkgs, "vpm/internal/core", "Deployment").Type().Underlying().(*types.Struct)
+	for i := range dep.NumFields() {
+		if f := dep.Field(i); f.Name() == "Path" {
+			t.Errorf("%s: core.Deployment has a Path field again — a chain is a Topology with one default route (netsim.Path.Topology)", pkgs[0].Fset.Position(f.Pos()))
+		}
 	}
 
 	// One serve selection: the bundles a viewer is served are chosen,
@@ -261,8 +258,8 @@ func TestLoadBearingSet(t *testing.T) {
 		t.Errorf("non-test functions calling ed25519.Verify: %v, want exactly %v — every payload is authenticated by the one receive step", sigCheckers, want)
 	}
 
-	// Five binaries: the paper's results are TestPaperResults' golden
-	// files, not a binary's output.
+	// Four binaries: the paper's results are TestPaperResults' golden
+	// files, and the lint gate is TestTreeIsClean, not a binary.
 	entries, err := os.ReadDir("cmd")
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +268,7 @@ func TestLoadBearingSet(t *testing.T) {
 	for _, e := range entries {
 		cmds = append(cmds, e.Name())
 	}
-	if want := []string{"vpm-fleet", "vpm-lint", "vpm-node", "vpm-sim", "vpm-trace"}; !slices.Equal(cmds, want) {
+	if want := []string{"vpm-fleet", "vpm-node", "vpm-sim", "vpm-trace"}; !slices.Equal(cmds, want) {
 		t.Errorf("cmd/ holds %v, want exactly %v", cmds, want)
 	}
 
@@ -296,167 +293,282 @@ func TestLoadBearingSet(t *testing.T) {
 			referenced[string(m[1])] = true
 		}
 	}
-	facade, err := parser.ParseFile(fset, "vpm.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var exported []*ast.Ident
-	for _, d := range facade.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			exported = append(exported, d.Name)
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch spec := spec.(type) {
-				case *ast.TypeSpec:
-					exported = append(exported, spec.Name)
-				case *ast.ValueSpec:
-					exported = append(exported, spec.Names...)
-				}
-			}
+	facade := lookupPkg(t, pkgs, "vpm")
+	var unread []string
+	for id, obj := range facade.Info.Defs {
+		pos := facade.Fset.Position(id.Pos())
+		if obj == nil || !obj.Exported() || pos.Filename != "vpm.go" || referenced[obj.Name()] {
+			continue
+		}
+		if fn, ok := obj.(*types.Func); obj.Parent() == facade.Types.Scope() || ok && fn.Type().(*types.Signature).Recv() != nil {
+			unread = append(unread, fmt.Sprintf("%s: %s is referenced by no example, doc or facade test — delete it or use it", pos, obj.Name()))
 		}
 	}
-	for _, id := range exported {
-		if id.IsExported() && !referenced[id.Name] {
-			t.Errorf("%s: %s is referenced by no example, doc or facade test — delete it or use it", fset.Position(id.Pos()), id.Name)
-		}
+	slices.Sort(unread)
+	for _, msg := range unread {
+		t.Error(msg)
 	}
 }
 
 // TestNoUnusedInternalExports keeps internal/ down to what runs. Every
-// exported top-level identifier of non-test internal/ code must be
-// referenced by a non-test file (bench/ counts) or by the tests of
-// another package, and every internal/ package must be imported by one
-// of those. What only its own package's tests use belongs in a _test.go
-// file of that package, where its external tests still reach it; what
-// nothing uses goes. A reference from inside the identifier's own
-// declaration, or from a method of the type it names, does not count.
+// exported top-level identifier, method and struct field of non-test
+// internal/ code must be referenced by a non-test file (bench/ counts)
+// or by the tests of another package, and every internal/ package must
+// be imported by one of those. What only its own package's tests use
+// belongs in a _test.go file of that package, where its external tests
+// still reach it; what nothing uses goes.
 func TestNoUnusedInternalExports(t *testing.T) {
-	type ident struct{ dir, name string }
-	declared := map[ident]token.Pos{}
-	used := map[ident]bool{}
-	packages := map[string]token.Pos{} // internal/ directory -> a package clause
-	imported := map[string]bool{}
-	fset := token.NewFileSet()
-	walkGo(t, func(path string) error {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		dir, test := pathpkg.Dir(path), strings.HasSuffix(path, "_test.go")
-		internal := !test && strings.HasPrefix(dir, "internal/")
-		if internal && slices.ContainsFunc(f.Decls, declaresCode) {
-			packages[dir] = f.Name.Pos()
-		}
-		// Import name -> directory, for the module's own packages.
-		local := map[string]string{}
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				return err
-			}
-			d, ok := strings.CutPrefix(p, "vpm/")
-			if !ok {
-				continue
-			}
-			name := pathpkg.Base(d)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			local[name] = d
-			if d != dir {
-				imported[d] = true
-			}
-		}
-		for _, decl := range f.Decls {
-			// Each top-level spec with the names it declares; references
-			// to those inside it, or inside a method of the type it
-			// declares, are self-references.
-			var specs []ast.Node
-			var names [][]*ast.Ident
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				specs = append(specs, decl)
-				if decl.Recv == nil {
-					names = append(names, []*ast.Ident{decl.Name})
-				} else {
-					names = append(names, nil)
-				}
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						specs, names = append(specs, spec), append(names, []*ast.Ident{spec.Name})
-					case *ast.ValueSpec:
-						specs, names = append(specs, spec), append(names, spec.Names)
-					}
-				}
-			}
-			for i, spec := range specs {
-				self := map[string]bool{}
-				for _, id := range names[i] {
-					self[id.Name] = true
-					if internal && id.IsExported() {
-						declared[ident{dir, id.Name}] = id.Pos()
-					}
-				}
-				skip := map[*ast.Ident]bool{}
-				if fn, ok := spec.(*ast.FuncDecl); ok {
-					skip[fn.Name] = true
-					if fn.Recv != nil {
-						self[receiverType(fn.Recv.List[0].Type)] = true
-					}
-				}
-				ast.Inspect(spec, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.SelectorExpr:
-						skip[n.Sel] = true
-						if x, ok := n.X.(*ast.Ident); ok {
-							if d, ok := local[x.Name]; ok && (!test || d != dir) {
-								used[ident{d, n.Sel.Name}] = true
-							}
-						}
-					case *ast.Field:
-						for _, id := range n.Names {
-							skip[id] = true
-						}
-					case *ast.CompositeLit:
-						// A key of a struct literal names a field.
-						if _, ok := n.Type.(*ast.MapType); !ok {
-							for _, elt := range n.Elts {
-								if kv, ok := elt.(*ast.KeyValueExpr); ok {
-									if id, ok := kv.Key.(*ast.Ident); ok {
-										skip[id] = true
-									}
-								}
-							}
-						}
-					case *ast.Ident:
-						if !test && !skip[n] && !self[n.Name] {
-							used[ident{dir, n.Name}] = true
-						}
-					}
-					return true
-				})
-			}
-		}
-		return nil
-	})
-	var unused []string
-	for dir, pos := range packages {
-		if !imported[dir] {
-			unused = append(unused, fmt.Sprintf("%s: package %s is imported by no non-test file and by no other package's tests — delete it", fset.Position(pos), dir))
+	t.Parallel()
+	for _, msg := range unusedExports(loadModule(t), "vpm") {
+		t.Error(msg)
+	}
+}
+
+// TestUnusedExportsFixture holds unusedExports to a small module under
+// testdata/exports: a method and a field that only their own package's
+// tests use are reported, and an Unwrap, a String and a ServeHTTP that
+// nothing calls by name, only through errors.Is, fmt.Stringer and
+// http.Handler, are not.
+func TestUnusedExportsFixture(t *testing.T) {
+	t.Parallel()
+	pkgs, err := loader.Load(&loader.Config{Dir: filepath.Join("testdata", "exports"), ModulePath: "fixture", Tests: true}, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := unusedExports(pkgs, "fixture")
+	want := []string{
+		"internal/lib/lib.go:13:2: lib.Table.Hits is referenced",
+		"internal/lib/lib.go:23:17: lib.Table.Reset is referenced",
+		"internal/unused/unused.go:2:9: package internal/unused is imported by no",
+		"internal/unused/unused.go:5:6: unused.Helper is referenced",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("unusedExports = %q, want one line each for %q", got, want)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(got[i], filepath.Join("testdata", "exports", w)) {
+			t.Errorf("line %d = %q, want %q…", i, got[i], w)
 		}
 	}
-	for id, pos := range declared {
-		if !used[id] {
-			unused = append(unused, fmt.Sprintf("%s: %s.%s is referenced by no non-test file and by no other package's tests — delete it, or move it into a _test.go file if its own tests use it", fset.Position(pos), pathpkg.Base(id.dir), id.name))
+}
+
+// unusedExports returns what TestNoUnusedInternalExports fails on in
+// the loaded module at modulePath, one sorted line each. A reference
+// from inside an identifier's own declaration, or from a method of the
+// type it names, does not count; nor does a test file of the declaring
+// package, in-package or external. An exported method also counts as
+// used when its type satisfies an interface holding it, since a call
+// through the interface names only the interface's method: fmt.Stringer
+// reaches a String, http.Handler a ServeHTTP, errors.Is an Unwrap.
+func unusedExports(pkgs []*loader.Package, modulePath string) []string {
+	type decl struct {
+		pos     token.Pos
+		name    string     // package.Name, package.Type.Member
+		pkgPath string     // the declaring package
+		self    []ast.Node // the declaration, and a type's methods
+	}
+	declared := map[types.Object]*decl{}
+	packages := map[string]token.Pos{} // internal/ package -> a package clause
+	imported := map[string]bool{}
+	var methods []*types.Func
+	var fset *token.FileSet
+	for _, pkg := range pkgs {
+		fset = pkg.Fset
+		own := strings.TrimSuffix(pkg.PkgPath, "_test")
+		internal := pkg.PkgPath == own && strings.HasPrefix(own, modulePath+"/internal/")
+		add := func(obj types.Object, name string, self ast.Node) *decl {
+			if !obj.Exported() {
+				return nil
+			}
+			d := &decl{pos: obj.Pos(), name: pkg.Types.Name() + "." + name, pkgPath: own}
+			if self != nil {
+				d.self = []ast.Node{self}
+			}
+			declared[obj] = d
+			return d
+		}
+		// Methods, by receiver type name: self-references of the type.
+		byRecv := map[*types.TypeName][]ast.Node{}
+		for _, f := range pkg.Files {
+			test := isTestFile(pkg.Fset.Position(f.Package).Filename)
+			for _, imp := range f.Imports {
+				if p, err := strconv.Unquote(imp.Path.Value); err == nil && p != own {
+					imported[p] = true
+				}
+			}
+			if test || !internal {
+				continue
+			}
+			if slices.ContainsFunc(f.Decls, declaresCode) {
+				packages[own] = f.Name.Pos()
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := pkg.Info.Defs[d.Name].(*types.Func)
+					recv := fn.Type().(*types.Signature).Recv()
+					if recv == nil {
+						add(fn, fn.Name(), d)
+						continue
+					}
+					tn := receiverNamed(recv.Type()).Obj()
+					byRecv[tn] = append(byRecv[tn], d)
+					if add(fn, tn.Name()+"."+fn.Name(), d) != nil {
+						methods = append(methods, fn)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							tn := pkg.Info.Defs[spec.Name].(*types.TypeName)
+							add(tn, tn.Name(), spec)
+							if st, ok := tn.Type().Underlying().(*types.Struct); ok && !tn.IsAlias() {
+								for i := range st.NumFields() {
+									add(st.Field(i), tn.Name()+"."+st.Field(i).Name(), nil)
+								}
+							}
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								add(pkg.Info.Defs[id], id.Name, spec)
+							}
+						}
+					}
+				}
+			}
+		}
+		for tn, fns := range byRecv {
+			if d := declared[tn]; d != nil {
+				d.self = append(d.self, fns...)
+			}
+		}
+	}
+
+	used := map[types.Object]bool{}
+	use := func(user *loader.Package, pos token.Pos, obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		d := declared[obj]
+		if d == nil || used[obj] {
+			return
+		}
+		if isTestFile(user.Fset.Position(pos).Filename) {
+			used[obj] = strings.TrimSuffix(user.PkgPath, "_test") != d.pkgPath
+			return
+		}
+		used[obj] = !slices.ContainsFunc(d.self, func(n ast.Node) bool { return n.Pos() <= pos && pos < n.End() })
+	}
+	for _, pkg := range pkgs {
+		for id, obj := range pkg.Info.Uses {
+			use(pkg, id.Pos(), obj)
+		}
+		// A promoted field or method is reached through every embedded
+		// field on its path.
+		for sel, s := range pkg.Info.Selections {
+			typ := s.Recv()
+			for _, i := range s.Index()[:len(s.Index())-1] {
+				if p, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = p.Elem()
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				use(pkg, sel.Sel.Pos(), st.Field(i))
+				typ = st.Field(i).Type()
+			}
+		}
+	}
+	ifaces := interfacesByMethod(pkgs)
+	for _, m := range methods {
+		named := receiverNamed(m.Type().(*types.Signature).Recv().Type())
+		if used[m] || named.TypeParams().Len() > 0 {
+			continue
+		}
+		used[m] = slices.ContainsFunc(ifaces[m.Name()], func(iface *types.Interface) bool {
+			return types.Implements(types.NewPointer(named), iface)
+		})
+	}
+
+	var unused []string
+	for path, pos := range packages {
+		if !imported[path] {
+			unused = append(unused, fmt.Sprintf("%s: package %s is imported by no non-test file and by no other package's tests — delete it", fset.Position(pos), strings.TrimPrefix(path, modulePath+"/")))
+		}
+	}
+	for obj, d := range declared {
+		if !used[obj] {
+			unused = append(unused, fmt.Sprintf("%s: %s is referenced by no non-test file and by no other package's tests — delete it, or move it into a _test.go file if its own tests use it", fset.Position(d.pos), d.name))
 		}
 	}
 	slices.Sort(unused)
-	for _, msg := range unused {
-		t.Error(msg)
+	return unused
+}
+
+// receiverNamed returns the named type of a method receiver, T or *T.
+func receiverNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
+	return types.Unalias(t).(*types.Named)
+}
+
+// interfacesByMethod indexes, by method name, every interface the
+// loaded packages can reach: the named ones of every package they
+// import (stdlib included), the interface literals of their own code,
+// and the anonymous ones errors.Is, errors.As and errors.Unwrap probe
+// an error for, whose bodies the view does not hold.
+func interfacesByMethod(pkgs []*loader.Package) map[string][]*types.Interface {
+	byMethod := map[string][]*types.Interface{}
+	seen := map[*types.Interface]bool{}
+	add := func(t types.Type) {
+		iface, ok := t.Underlying().(*types.Interface)
+		if !ok || seen[iface] || !iface.IsMethodSet() {
+			return
+		}
+		seen[iface] = true
+		for i := range iface.NumMethods() {
+			name := iface.Method(i).Name()
+			byMethod[name] = append(byMethod[name], iface)
+		}
+	}
+	for _, expr := range []string{"error", "interface{ Unwrap() error }", "interface{ Unwrap() []error }", "interface{ Is(error) bool }", "interface{ As(any) bool }"} {
+		tv, err := types.Eval(token.NewFileSet(), nil, token.NoPos, expr)
+		if err != nil {
+			panic(err)
+		}
+		add(tv.Type)
+	}
+	visited := map[*types.Package]bool{}
+	var visit func(*types.Package)
+	visit = func(p *types.Package) {
+		if visited[p] {
+			return
+		}
+		visited[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				if named, ok := tn.Type().(*types.Named); !ok || named.TypeParams().Len() == 0 {
+					add(tn.Type())
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range pkgs {
+		visit(pkg.Types)
+		for expr, tv := range pkg.Info.Types {
+			if _, ok := expr.(*ast.InterfaceType); ok {
+				add(tv.Type)
+			}
+		}
+	}
+	return byMethod
 }
 
 // declaresCode reports whether d declares something other than imports:

@@ -1,7 +1,7 @@
 // Package analysis is the repository's static-analysis framework: a
 // self-contained, standard-library-only mirror of the
-// golang.org/x/tools/go/analysis API surface that vpm-lint's passes
-// are written against. The module deliberately has no external
+// golang.org/x/tools/go/analysis API surface that the repository's
+// passes are written against. The module deliberately has no external
 // dependencies (and the build environment is offline), so rather than
 // vendor x/tools this package reimplements the thin slice the
 // analyzers need — Analyzer, Pass, Diagnostic, a driver with
@@ -22,6 +22,9 @@
 //     (runtime twin: the FaultFS crash-point sweep).
 //   - errwrap: sentinel errors are matched with errors.Is/As, never
 //     == or message text (runtime twin: every typed-error test).
+//
+// The root package's TestTreeIsClean runs all four over the whole
+// module (go test -run TestTreeIsClean .); live findings fail it.
 package analysis
 
 import (
@@ -32,7 +35,7 @@ import (
 type Analyzer struct {
 	// Name identifies the pass in reports and //lint:ignore directives.
 	Name string
-	// Doc is the one-paragraph description printed by vpm-lint -list.
+	// Doc is a one-paragraph description of what the pass checks.
 	Doc string
 	// Run applies the pass to one package.
 	Run func(*Pass) (any, error)
@@ -44,7 +47,7 @@ type Diagnostic struct {
 	Pos token.Pos
 	// Message states the violation.
 	Message string
-	// Fix is the remediation hint vpm-lint prints alongside the
-	// position — every invariant has a known-good idiom.
+	// Fix is the remediation hint printed alongside the position —
+	// every invariant has a known-good idiom.
 	Fix string
 }

@@ -29,18 +29,19 @@ type Pass struct {
 // Finding is one driver-level result: a diagnostic resolved to a file
 // position, with suppression applied.
 type Finding struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"pos"`
-	Message  string         `json:"message"`
-	Fix      string         `json:"fix,omitempty"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
+	Fix      string
 	// Suppressed marks findings silenced by a justified //lint:ignore;
 	// they are reported for transparency but do not fail the build.
-	Suppressed bool `json:"suppressed,omitempty"`
+	Suppressed bool
 	// Reason is the suppressing directive's justification.
-	Reason string `json:"reason,omitempty"`
+	Reason string
 }
 
-// String renders the vpm-lint output line.
+// String renders the finding as one line: position, analyzer,
+// message, fix hint and any suppression.
 func (f Finding) String() string {
 	s := fmt.Sprintf("%s: [%s] %s", f.Pos, f.Analyzer, f.Message)
 	if f.Fix != "" {

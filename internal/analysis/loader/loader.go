@@ -1,17 +1,18 @@
-// Package loader type-checks this module's packages for the vpm-lint
-// analyzers using only the standard library. It is the offline,
-// dependency-free slice of golang.org/x/tools/go/packages that this
-// repository needs: the module has no external requirements, so every
-// import resolves either inside the module itself, in GOROOT/src, or
-// in GOROOT/src/vendor — all of which go/build and go/types can load
-// from source without network access or export data.
+// Package loader type-checks this module's packages for the analyzers
+// and the root package's guards using only the standard library. It is
+// the offline, dependency-free slice of golang.org/x/tools/go/packages
+// that this repository needs: the module has no external requirements,
+// so every import resolves either inside the module itself, in
+// GOROOT/src, or in GOROOT/src/vendor — all of which go/build and
+// go/types can load from source without network access or export data.
 //
-// The loader exists so the analyzers in internal/analysis get real
-// *types.Info (map-ness of a ranged expression, string-ness of a `+`,
-// which method a selector resolves to) rather than guessing from
-// syntax. Packages named on the command line are "targets": their
-// syntax is retained (with comments, so //vpm:hotpath and
-// //lint:ignore directives are visible) and their in-package and
+// The loader exists so the analyzers in internal/analysis, and the
+// root package's guards that share one load with them (go test -run
+// TestTreeIsClean .), get real *types.Info (map-ness of a ranged
+// expression, string-ness of a `+`, which method a selector resolves
+// to) rather than guessing from syntax. Packages the patterns name are
+// "targets": their syntax is retained (with comments, so //vpm:hotpath
+// and //lint:ignore directives are visible) and their in-package and
 // external test files are included; packages reached only through
 // imports are type-checked for their exported API and discarded.
 package loader
@@ -28,6 +29,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded target package, ready for analysis.
@@ -60,6 +62,17 @@ type Config struct {
 	Tests bool
 }
 
+// std holds the standard library as type-checked by every Load in the
+// process: it checks the same for any module, and a test binary that
+// loads the module and then a scratch module pays for it once. Each
+// Load holds std's lock throughout, so within one load every stdlib
+// package comes from the same check, and every load shares one FileSet.
+var std struct {
+	sync.Mutex
+	fset *token.FileSet
+	pkgs map[string]*types.Package
+}
+
 // Load resolves patterns ("./...", "./internal/core", or bare import
 // paths in src-root mode) to directories, then parses and type-checks
 // each resulting package plus, with cfg.Tests, its external _test
@@ -69,10 +82,15 @@ func Load(cfg *Config, patterns ...string) ([]*Package, error) {
 	// Cgo files cannot be type-checked from source; every package on
 	// this module's import graph has a pure-Go fallback.
 	ctxt.CgoEnabled = false
+	std.Lock()
+	defer std.Unlock()
+	if std.fset == nil {
+		std.fset, std.pkgs = token.NewFileSet(), make(map[string]*types.Package)
+	}
 	ld := &loaderState{
 		cfg:      cfg,
 		ctxt:     &ctxt,
-		fset:     token.NewFileSet(),
+		fset:     std.fset,
 		checked:  make(map[string]*types.Package),
 		checking: make(map[string]bool),
 		targets:  make(map[string]bool),
@@ -265,6 +283,11 @@ func (ld *loaderState) check(path string) (*types.Package, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("loader: cannot resolve import %q", path)
 	}
+	inGOROOT := strings.HasPrefix(dir, filepath.Join(ld.ctxt.GOROOT, "src")+string(filepath.Separator))
+	if pkg := std.pkgs[path]; pkg != nil && inGOROOT {
+		ld.checked[path] = pkg
+		return pkg, nil
+	}
 	bp, err := ld.ctxt.ImportDir(dir, 0)
 	isTarget := ld.targets[filepath.Clean(dir)]
 	if err != nil {
@@ -306,6 +329,9 @@ func (ld *loaderState) check(path string) (*types.Package, error) {
 		}
 	}
 	ld.checked[path] = pkg
+	if inGOROOT {
+		std.pkgs[path] = pkg
+	}
 
 	if isTarget {
 		ld.loaded = append(ld.loaded, &Package{

@@ -167,3 +167,7 @@ func TestDomainPayloadRules(t *testing.T) {
 		t.Fatalf("a registry splitting the server's HOPs: err %v, want a plain error", err)
 	}
 }
+
+// Verifications returns how many signatures the bus's consumers have
+// checked — every payload but those a server's signer verified ahead.
+func (b *Bus) Verifications() int64 { return b.verifications.Load() }

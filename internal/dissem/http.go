@@ -702,10 +702,6 @@ func (b *Bus) Attach(s *Server) {
 	}
 }
 
-// Verifications returns how many signatures the bus's consumers have
-// checked — every payload but those a server's signer verified ahead.
-func (b *Bus) Verifications() int64 { return b.verifications.Load() }
-
 // CollectSince streams the verified bundles of origin's server at
 // positions ≥ since to fn and returns the next since value — the
 // incremental-subscription primitive: a rolling verifier polls each

@@ -219,25 +219,20 @@ func TestFleetSupervisorSweep(t *testing.T) {
 // ciFleetSpec is the world of CI's fleet byte-identity sweep.
 const ciFleetSpec = `{"seed":1,"domains":100,"extra_links":50,"keys":16384,"epochs":4,"interval_ns":200000000,"rate_pps":40960,"collectors":2}`
 
-// TestFleetSupervisorFailureStopsChildren: a supervisor that fails after
-// its collectors are up — every verifier shard fails to write its part
-// into a missing -dir — exits non-zero and leaves no child behind. It
-// runs in a process group of its own, which its children inherit, so
-// once it has exited a signal 0 to the group must find nobody.
-func TestFleetSupervisorFailureStopsChildren(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the vpm-fleet binary")
-	}
-	bin := buildVPMFleet(t)
-	dir := t.TempDir()
+// runGroup runs bin with args in a process group of its own, which its
+// children inherit, and returns its combined output and exit error once
+// it has exited and a signal 0 to the group finds nobody: a child it
+// started must not outlive it.
+func runGroup(t *testing.T, bin string, args ...string) (string, error) {
+	t.Helper()
 	// A file, not a pipe: a child that outlived the supervisor would hold
 	// a pipe open and Wait would never return.
-	out, err := os.Create(filepath.Join(dir, "output"))
+	out, err := os.Create(filepath.Join(t.TempDir(), "output"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer out.Close()
-	cmd := exec.Command(bin, "run", "-spec", ciFleetSpec, "-verifiers", "1,2", "-check", "-dir", filepath.Join(dir, "missing"))
+	cmd := exec.Command(bin, args...)
 	cmd.Stdout, cmd.Stderr = out, out
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	if err := cmd.Start(); err != nil {
@@ -257,11 +252,53 @@ func TestFleetSupervisorFailureStopsChildren(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if runErr == nil {
-		t.Fatalf("supervisor exited 0 with a missing -dir\n%s", output())
+	return output(), runErr
+}
+
+// TestFleetSupervisorFailureStopsChildren: a supervisor that fails after
+// its collectors are up — the one verifier shard of the first width
+// cannot write its part, whose path is a directory — exits non-zero and
+// leaves no child behind.
+func TestFleetSupervisorFailureStopsChildren(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the vpm-fleet binary")
 	}
-	if !strings.Contains(output(), "serving on") || !strings.Contains(output(), "verifier 0/1:") {
-		t.Fatalf("supervisor did not fail in its verifier tier, after its collectors started\n%s", output())
+	bin := buildVPMFleet(t)
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "part-0-of-1.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	output, err := runGroup(t, bin, "run", "-spec", ciFleetSpec, "-verifiers", "1,2", "-check", "-dir", dir)
+	if err == nil {
+		t.Fatalf("supervisor exited 0 with an unwritable part file\n%s", output)
+	}
+	if !strings.Contains(output, "serving on") || !strings.Contains(output, "verifier 0/1:") {
+		t.Fatalf("supervisor did not fail in its verifier tier, after its collectors started\n%s", output)
+	}
+}
+
+// TestFleetSupervisorRefusesMissingDir: `vpm-fleet run -dir` naming no
+// directory fails before any work starts — no collector is ever started
+// (none announces itself, and none is left in the process group) — and
+// the error names the path.
+func TestFleetSupervisorRefusesMissingDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the vpm-fleet binary")
+	}
+	bin := buildVPMFleet(t)
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(dir, "missing"), file} {
+		output, err := runGroup(t, bin, "run", "-spec", ciFleetSpec, "-verifiers", "1", "-check", "-dir", path)
+		if err == nil {
+			t.Fatalf("-dir %s: supervisor exited 0\n%s", path, output)
+		}
+		if !strings.Contains(output, path) || strings.Contains(output, "serving on") {
+			t.Fatalf("-dir %s: want an error naming the path before any collector starts, got\n%s", path, output)
+		}
 	}
 }
 

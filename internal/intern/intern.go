@@ -48,24 +48,6 @@ func (t *Table) Bytes(b []byte) string {
 	return s
 }
 
-// String returns the canonical string equal to s.
-func (t *Table) String(s string) string {
-	t.mu.RLock()
-	c, ok := t.m[s]
-	t.mu.RUnlock()
-	if ok {
-		return c
-	}
-	return t.Bytes([]byte(s))
-}
-
-// Len returns the number of interned strings.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.m)
-}
-
 // global is the process-wide table behind the package-level helpers.
 var global Table
 

@@ -54,3 +54,21 @@ func TestGlobalHelpers(t *testing.T) {
 		t.Fatal("global helpers disagree")
 	}
 }
+
+// String returns the canonical string equal to s.
+func (t *Table) String(s string) string {
+	t.mu.RLock()
+	c, ok := t.m[s]
+	t.mu.RUnlock()
+	if ok {
+		return c
+	}
+	return t.Bytes([]byte(s))
+}
+
+// Len returns the number of interned strings.
+func (t *Table) Len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.m)
+}

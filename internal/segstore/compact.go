@@ -47,14 +47,6 @@ func (c CompactStats) changed() bool {
 	return c.SegmentsDropped > 0 || c.Merges > 0 || c.ReportsDropped > 0
 }
 
-// Compact runs one retention-and-merge pass. Safe to call at any
-// cadence; a pass with nothing to do is cheap and commits nothing.
-func (s *Store) Compact() (CompactStats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
-}
-
 func (s *Store) compactLocked() (CompactStats, error) {
 	var st CompactStats
 	entries := append([]SegmentInfo(nil), s.entries...)

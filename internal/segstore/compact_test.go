@@ -147,3 +147,11 @@ func TestCompactLeavesLargeSegmentsAlone(t *testing.T) {
 		t.Fatalf("%d segments, want 6 untouched", got)
 	}
 }
+
+// Compact runs one retention-and-merge pass. Safe to call at any
+// cadence; a pass with nothing to do is cheap and commits nothing.
+func (s *Store) Compact() (CompactStats, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.compactLocked()
+}

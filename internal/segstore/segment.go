@@ -59,14 +59,6 @@ var ErrSegmentVersion = errors.New("segstore: segment format version")
 // intact and usable.
 var ErrTornTail = errors.New("segstore: torn segment tail")
 
-// Block is one decoded record block: one HOP's receipts for one epoch.
-type Block struct {
-	Epoch   uint64
-	HOP     receipt.HOPID
-	Samples []receipt.SampleReceipt
-	Aggs    []receipt.AggReceipt
-}
-
 // AppendBlock appends the canonical block encoding for one HOP's
 // sealed epoch to dst and returns the extended slice. The payload is
 // each receipt's AppendBinary encoding: samples then aggregates. The
@@ -134,21 +126,6 @@ func nextBlock(b []byte) (blockHeader, []byte, error) {
 	return h, payload, nil
 }
 
-// decodeReceipts parses a checksummed block payload into its receipts;
-// anything but exactly the declared samples then aggregates is
-// ErrCorruptSegment.
-func decodeReceipts(h blockHeader, payload []byte) (Block, error) {
-	blk := Block{Epoch: h.epoch, HOP: h.hop}
-	var err error
-	if blk.Samples, blk.Aggs, payload, err = receipt.DecodeReceipts(payload, h.nSamples, h.nAggs); err != nil {
-		return blk, fmt.Errorf("%w: %v", ErrCorruptSegment, err)
-	}
-	if len(payload) != 0 {
-		return blk, fmt.Errorf("%w: %d payload bytes beyond the declared receipts", ErrCorruptSegment, len(payload))
-	}
-	return blk, nil
-}
-
 // scanBlocks walks a segment image block by block, handing each block
 // that passes its checksums to each. It returns the length of the
 // prefix each accepted (magic included — the truncation point for a
@@ -189,24 +166,4 @@ func checkMagic(data []byte) error {
 		return fmt.Errorf("%w: %q, this release reads %q", ErrSegmentVersion, magic[:7], segMagic[:7])
 	}
 	return fmt.Errorf("%w: bad magic", ErrCorruptSegment)
-}
-
-// ScanSegment decodes a segment image block by block. It returns the
-// decoded blocks of the valid prefix, the prefix's length in bytes
-// (magic included — the truncation point for a torn file), and the
-// error that stopped the scan: nil for a clean end, ErrTornTail for an
-// incomplete final block, ErrSegmentVersion for another format
-// version, ErrCorruptSegment (wrapped) for checksum or decode
-// failures. Malformed input of any shape returns; it never panics
-// (FuzzDecodeSegment).
-func ScanSegment(data []byte) ([]Block, int, error) {
-	var blocks []Block
-	valid, err := scanBlocks(data, func(h blockHeader, payload []byte) error {
-		blk, err := decodeReceipts(h, payload)
-		if err == nil {
-			blocks = append(blocks, blk)
-		}
-		return err
-	})
-	return blocks, valid, err
 }

@@ -478,3 +478,36 @@ func (s *Store) Manifest() []SegmentInfo {
 	defer s.mu.Unlock()
 	return append([]SegmentInfo(nil), s.entries...)
 }
+
+// ReadEpoch returns the sealed epoch's record blocks in seal order.
+// Unsealed epochs return ErrNotSealed; a sealed segment whose bytes
+// fail verification returns ErrSegmentIntegrity (match with
+// errors.Is).
+func (s *Store) ReadEpoch(epoch uint64) ([]Block, error) {
+	s.mu.Lock()
+	entry := s.entryForLocked(epoch)
+	if entry == nil {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("%w: epoch %d", ErrNotSealed, epoch)
+	}
+	e := *entry
+	s.mu.Unlock()
+	data, err := s.fsys.ReadInto(e.File, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrSegmentIntegrity, e.File, err)
+	}
+	blocks, _, err := ScanSegment(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrSegmentIntegrity, e.File, err)
+	}
+	if e.FromEpoch == e.ToEpoch {
+		return blocks, nil
+	}
+	var out []Block
+	for _, b := range blocks {
+		if b.Epoch == epoch {
+			out = append(out, b)
+		}
+	}
+	return out, nil
+}

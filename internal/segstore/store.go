@@ -50,8 +50,8 @@ type Options struct {
 	// at or above this size are already their tier's output (default
 	// 4 MiB).
 	CompactMaxBytes int64
-	// AutoCompact runs Compact after every Seal, the continuous-
-	// deployment mode. Off, the caller schedules compaction.
+	// AutoCompact runs a retention-and-merge pass after every Seal,
+	// the continuous-deployment mode. Off, nothing compacts the store.
 	AutoCompact bool
 }
 
@@ -497,39 +497,6 @@ func (s *Store) SealedEpochs() []uint64 {
 		}
 	}
 	return out
-}
-
-// ReadEpoch returns the sealed epoch's record blocks in seal order.
-// Unsealed epochs return ErrNotSealed; a sealed segment whose bytes
-// fail verification returns ErrSegmentIntegrity (match with
-// errors.Is).
-func (s *Store) ReadEpoch(epoch uint64) ([]Block, error) {
-	s.mu.Lock()
-	entry := s.entryForLocked(epoch)
-	if entry == nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: epoch %d", ErrNotSealed, epoch)
-	}
-	e := *entry
-	s.mu.Unlock()
-	data, err := s.fsys.ReadInto(e.File, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrSegmentIntegrity, e.File, err)
-	}
-	blocks, _, err := ScanSegment(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrSegmentIntegrity, e.File, err)
-	}
-	if e.FromEpoch == e.ToEpoch {
-		return blocks, nil
-	}
-	var out []Block
-	for _, b := range blocks {
-		if b.Epoch == epoch {
-			out = append(out, b)
-		}
-	}
-	return out, nil
 }
 
 // PutReport durably files the epoch's canonical verdict-report bytes
