@@ -139,6 +139,9 @@ func main() {
 			DiskRetention: *diskRet,
 			AutoCompact:   true,
 		})
+		if errors.Is(err, segstore.ErrBadOptions) {
+			fatal(fmt.Errorf("-disk-retention %d: %w", *diskRet, err))
+		}
 		if err != nil {
 			fatalBoot(&BootError{Err: err})
 		}

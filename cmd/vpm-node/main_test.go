@@ -215,27 +215,32 @@ func TestEarlierFormatStoreRefusesBoot(t *testing.T) {
 
 // TestDiskFlagsRequireDataDir: the durable-store companion flags are
 // meaningless without a store, and silently ignoring them would hide
-// operator typos.
+// operator typos — as would reading a negative -disk-retention as
+// "keep everything".
 func TestDiskFlagsRequireDataDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the vpm-node binary")
 	}
 	bin := buildNode(t)
-	for _, args := range [][]string{
-		{"-http", "127.0.0.1:0"},
-		{"-disk-retention", "4"},
-		{"-serve-only"},
+	for _, tc := range []struct {
+		args    []string
+		explain string
+	}{
+		{[]string{"-http", "127.0.0.1:0"}, "need -data-dir"},
+		{[]string{"-disk-retention", "4"}, "need -data-dir"},
+		{[]string{"-serve-only"}, "need -data-dir"},
+		{[]string{"-data-dir", filepath.Join(t.TempDir(), "store"), "-disk-retention", "-1"}, "-disk-retention -1"},
 	} {
-		cmd := exec.Command(bin, append([]string{"-epochs", "1"}, args...)...)
+		cmd := exec.Command(bin, append([]string{"-epochs", "1"}, tc.args...)...)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Fatalf("%v without -data-dir: err = %v, want exit 1\nstderr:\n%s", args, err, stderr.String())
+			t.Fatalf("%v: err = %v, want exit 1\nstderr:\n%s", tc.args, err, stderr.String())
 		}
-		if !strings.Contains(stderr.String(), "need -data-dir") {
-			t.Fatalf("%v: stderr does not explain the missing -data-dir:\n%s", args, stderr.String())
+		if !strings.Contains(stderr.String(), tc.explain) {
+			t.Fatalf("%v: stderr does not say %q:\n%s", tc.args, tc.explain, stderr.String())
 		}
 	}
 }

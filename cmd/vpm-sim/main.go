@@ -16,6 +16,7 @@ import (
 	"os"
 	"time"
 
+	"vpm/internal/adversary"
 	"vpm/internal/core"
 	"vpm/internal/delaymodel"
 	"vpm/internal/lossmodel"
@@ -145,11 +146,11 @@ func buildVerifier(dep *core.Deployment, path *netsim.Path, key packet.PathKey, 
 	egressPath := path.PathIDFor(receipt.PathID{Key: key}, path.DomainIndex("X"), false)
 	switch lie {
 	case "blame-shift":
-		fs, fa := core.FabricateDelivery(xInS, xInA, egressPath, 500_000)
+		fs, fa := adversary.FabricateDelivery(xInS, xInA, egressPath, 500_000)
 		v.AddSampleReceipt(5, fs)
 		v.AddAggReceipts(5, fa)
 	case "shave-delays":
-		v.AddSampleReceipt(5, core.ShaveDelays(xInS, xEgS, 0.05))
+		v.AddSampleReceipt(5, adversary.ShaveDelays(xInS, xEgS, 0.05))
 	default:
 		fmt.Fprintf(os.Stderr, "vpm-sim: unknown lie %q\n", lie)
 		os.Exit(1)

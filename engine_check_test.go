@@ -132,7 +132,8 @@ func TestOnePipeline(t *testing.T) {
 // TestLoadBearingSet is the guard on what PRs 22, 24 and 25 cut down
 // to: one collector type, no streaming-sketch backend, one simulator,
 // one serve selection and one cursor for every dissemination carrier,
-// four binaries, and a facade that exports only what something reads —
+// three binaries that link no attack code, and a facade that exports
+// only what something reads —
 // and on one verifier front end, a one-shot run being epoch 0 of the
 // epoch pipeline, and one signed unit per (domain, epoch): one
 // signature check for every carrier and one fleet feed per domain.
@@ -258,8 +259,9 @@ func TestLoadBearingSet(t *testing.T) {
 		t.Errorf("non-test functions calling ed25519.Verify: %v, want exactly %v — every payload is authenticated by the one receive step", sigCheckers, want)
 	}
 
-	// Four binaries: the paper's results are TestPaperResults' golden
-	// files, and the lint gate is TestTreeIsClean, not a binary.
+	// Three binaries: the paper's results are TestPaperResults' golden
+	// files, the lint gate is TestTreeIsClean, and a trace is generated
+	// in memory by whoever replays it — none of them is a binary.
 	entries, err := os.ReadDir("cmd")
 	if err != nil {
 		t.Fatal(err)
@@ -268,8 +270,16 @@ func TestLoadBearingSet(t *testing.T) {
 	for _, e := range entries {
 		cmds = append(cmds, e.Name())
 	}
-	if want := []string{"vpm-fleet", "vpm-node", "vpm-sim", "vpm-trace"}; !slices.Equal(cmds, want) {
+	if want := []string{"vpm-fleet", "vpm-node", "vpm-sim"}; !slices.Equal(cmds, want) {
 		t.Errorf("cmd/ holds %v, want exactly %v", cmds, want)
+	}
+
+	// The daemons link no attack and no evaluation: the non-test import
+	// closure of vpm-node and vpm-fleet holds none of the packages only
+	// the paper's evaluation runs, and no type in it lies through the
+	// data-plane or dissemination seam.
+	for _, msg := range daemonLeaks(t, pkgs) {
+		t.Error(msg)
 	}
 
 	// A facade somebody reads: every exported identifier of vpm.go is
@@ -308,6 +318,68 @@ func TestLoadBearingSet(t *testing.T) {
 	for _, msg := range unread {
 		t.Error(msg)
 	}
+}
+
+// daemonLeaks walks the non-test imports of cmd/vpm-node and
+// cmd/vpm-fleet through the module and reports each package of the
+// closure that only the evaluation should link, and each non-test named
+// type in it that implements netsim.Adversary or dissem.BundleTamper.
+func daemonLeaks(t *testing.T, pkgs []*loader.Package) []string {
+	t.Helper()
+	byPath := map[string]*loader.Package{}
+	for _, pkg := range pkgs {
+		byPath[pkg.PkgPath] = pkg
+	}
+	evaluation := map[string]bool{
+		"vpm/internal/adversary":   true,
+		"vpm/internal/experiments": true,
+		"vpm/internal/baseline":    true,
+	}
+	// netsim.Suppressor is worn by the frozen benchmark's
+	// clos-faulty-audit workload; it moves to internal/adversary with
+	// ROADMAP item 3.
+	exempt := map[string]bool{"vpm/internal/netsim.Suppressor": true}
+	liars := []*types.Interface{
+		lookup(t, pkgs, "vpm/internal/netsim", "Adversary").Type().Underlying().(*types.Interface),
+		lookup(t, pkgs, "vpm/internal/dissem", "BundleTamper").Type().Underlying().(*types.Interface),
+	}
+	var leaks []string
+	seen := map[string]bool{}
+	queue := []string{"vpm/cmd/vpm-node", "vpm/cmd/vpm-fleet"}
+	for len(queue) > 0 {
+		path := queue[0]
+		queue = queue[1:]
+		if seen[path] {
+			continue
+		}
+		seen[path] = true
+		if evaluation[path] {
+			leaks = append(leaks, fmt.Sprintf("%s is linked by vpm-node or vpm-fleet — a daemon ships no attack or evaluation code", path))
+		}
+		pkg := lookupPkg(t, pkgs, path)
+		for _, f := range productionFiles(pkg) {
+			for _, imp := range f.Imports {
+				if p, err := strconv.Unquote(imp.Path.Value); err == nil && byPath[p] != nil {
+					queue = append(queue, p)
+				}
+			}
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) || isTestFile(pkg.Fset.Position(tn.Pos()).Filename) || exempt[path+"."+name] {
+				continue
+			}
+			for _, iface := range liars {
+				if types.Implements(tn.Type(), iface) || types.Implements(types.NewPointer(tn.Type()), iface) {
+					leaks = append(leaks, fmt.Sprintf("%s: %s.%s is an attack linked by vpm-node or vpm-fleet — it belongs in internal/adversary",
+						pkg.Fset.Position(tn.Pos()), pkg.Types.Name(), name))
+				}
+			}
+		}
+	}
+	slices.Sort(leaks)
+	return leaks
 }
 
 // TestNoUnusedInternalExports keeps internal/ down to what runs. Every

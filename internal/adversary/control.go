@@ -1,31 +1,33 @@
-package core
+package adversary
 
 import (
 	"sort"
 	"sync"
 
+	"vpm/internal/core"
 	"vpm/internal/receipt"
 	"vpm/internal/stats"
 )
 
-// This file is the control-plane half of the Byzantine HOP framework:
-// adversaries that rewrite *sealed receipts* between collection and
-// publication — the lying control plane of §2.1, which constructs
-// receipts from incomplete or fabricated information rather than
-// corrupting what the data plane observed (that half lives in
-// netsim.Adversary). Control-plane lies can span a domain's HOP pair —
-// forging egress receipts from ingress receipts — or echo a
-// neighbor's claims (collusion, §3.1), so the framework buffers each
-// epoch until every tapped HOP has sealed it and hands the adversary
-// the complete set to corrupt at once. NewAdversarySink is the one way
-// to mount one: a continuous run's epoch driver and a one-shot run's
-// Deployment.Seal (its epoch 0) both seal into an EpochSink.
+// This file is the control plane: adversaries that rewrite *sealed
+// receipts* between collection and publication — the lying control
+// plane of §2.1, which constructs receipts from incomplete or
+// fabricated information. Its lies can span a domain's HOP pair or echo
+// a neighbor's claims (collusion, §3.1), so NewAdversarySink buffers
+// each epoch until every tapped HOP has sealed it and hands the
+// adversary the complete set at once; a continuous run's epoch driver
+// and a one-shot run's core.Deployment.Seal (epoch 0) both seal into
+// it. FabricateDelivery, ShaveDelays, CoverUpReceipt and CoverUpAggs
+// are the same lies as plain transformations over honest receipts:
+// each surfaces as an inter-domain inconsistency that exposes the liar
+// to the neighbor it implicates, or needs a colluder to absorb the
+// blame.
 
 // SealedEpoch is one HOP's sealed interval as the adversary sees it:
 // the receipts the honest collector produced, mutable in place.
 type SealedEpoch struct {
 	HOP     receipt.HOPID
-	Epoch   EpochID
+	Epoch   core.EpochID
 	Samples []receipt.SampleReceipt
 	Aggs    []receipt.AggReceipt
 }
@@ -43,7 +45,7 @@ type EpochAdversary interface {
 	// intercepts.
 	Taps() []receipt.HOPID
 	// Corrupt rewrites one epoch's sealed intervals in place.
-	Corrupt(epoch EpochID, sealed map[receipt.HOPID]*SealedEpoch)
+	Corrupt(epoch core.EpochID, sealed map[receipt.HOPID]*SealedEpoch)
 }
 
 // adversarySink buffers sealed intervals from tapped HOPs until an
@@ -53,12 +55,12 @@ type EpochAdversary interface {
 // replay goroutines); completed epochs flush in ascending order
 // because every tap seals its own epochs in order.
 type adversarySink struct {
-	next EpochSink
+	next core.EpochSink
 	adv  EpochAdversary
 	taps map[receipt.HOPID]bool
 
 	mu      sync.Mutex
-	pending map[EpochID]map[receipt.HOPID]*SealedEpoch
+	pending map[core.EpochID]map[receipt.HOPID]*SealedEpoch
 }
 
 // NewAdversarySink interposes adv between an epoch pipeline and sink:
@@ -68,7 +70,7 @@ type adversarySink struct {
 // outermost wrap sees honest receipts first, and each inner layer sees
 // its predecessor's output (a colluder taps the liar's already-forged
 // egress, exactly as §3.1's chain argument requires).
-func NewAdversarySink(sink EpochSink, adv EpochAdversary) EpochSink {
+func NewAdversarySink(sink core.EpochSink, adv EpochAdversary) core.EpochSink {
 	taps := make(map[receipt.HOPID]bool)
 	for _, h := range adv.Taps() {
 		taps[h] = true
@@ -77,13 +79,13 @@ func NewAdversarySink(sink EpochSink, adv EpochAdversary) EpochSink {
 		next:    sink,
 		adv:     adv,
 		taps:    taps,
-		pending: make(map[EpochID]map[receipt.HOPID]*SealedEpoch),
+		pending: make(map[core.EpochID]map[receipt.HOPID]*SealedEpoch),
 	}
 	return as.seal
 }
 
-// seal is the EpochSink the wrapped pipeline drives.
-func (as *adversarySink) seal(hop receipt.HOPID, epoch EpochID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
+// seal is the core.EpochSink the wrapped pipeline drives.
+func (as *adversarySink) seal(hop receipt.HOPID, epoch core.EpochID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
 	if !as.taps[hop] {
 		as.next(hop, epoch, samples, aggs)
 		return
@@ -119,7 +121,7 @@ func (as *adversarySink) seal(hop receipt.HOPID, epoch EpochID, samples []receip
 
 // epochWindow reports whether an epoch falls inside a half-open
 // [from, to) activation window; to = 0 means unbounded.
-func epochWindow(epoch, from, to EpochID) bool {
+func epochWindow(epoch, from, to core.EpochID) bool {
 	return epoch >= from && (to == 0 || epoch < to)
 }
 
@@ -141,7 +143,7 @@ type Fabricator struct {
 	ClaimedDelayNS int64
 	// From and To bound the active epochs ([From, To); To = 0 means
 	// unbounded) — an attack can straddle rotations.
-	From, To EpochID
+	From, To core.EpochID
 }
 
 // Name implements EpochAdversary.
@@ -152,7 +154,7 @@ func (f *Fabricator) Taps() []receipt.HOPID { return []receipt.HOPID{f.Ingress, 
 
 // Corrupt replaces the egress interval with a forgery of the ingress
 // interval.
-func (f *Fabricator) Corrupt(epoch EpochID, sealed map[receipt.HOPID]*SealedEpoch) {
+func (f *Fabricator) Corrupt(epoch core.EpochID, sealed map[receipt.HOPID]*SealedEpoch) {
 	if !epochWindow(epoch, f.From, f.To) {
 		return
 	}
@@ -192,7 +194,7 @@ type Colluder struct {
 	LinkDelayNS int64
 	// From and To bound the active epochs ([From, To); To = 0 means
 	// unbounded).
-	From, To EpochID
+	From, To core.EpochID
 }
 
 // Name implements EpochAdversary.
@@ -202,7 +204,7 @@ func (c *Colluder) Name() string { return "collude-coverup" }
 func (c *Colluder) Taps() []receipt.HOPID { return []receipt.HOPID{c.LiarEgress, c.OwnIngress} }
 
 // Corrupt replaces the colluder's ingress interval with the echo.
-func (c *Colluder) Corrupt(epoch EpochID, sealed map[receipt.HOPID]*SealedEpoch) {
+func (c *Colluder) Corrupt(epoch core.EpochID, sealed map[receipt.HOPID]*SealedEpoch) {
 	if !epochWindow(epoch, c.From, c.To) {
 		return
 	}
@@ -234,7 +236,7 @@ type RecordDropper struct {
 	Seed uint64
 	// From and To bound the active epochs ([From, To); To = 0 means
 	// unbounded).
-	From, To EpochID
+	From, To core.EpochID
 
 	rng *stats.RNG
 }
@@ -246,7 +248,7 @@ func (r *RecordDropper) Name() string { return "drop-sample-records" }
 func (r *RecordDropper) Taps() []receipt.HOPID { return []receipt.HOPID{r.HOP} }
 
 // Corrupt thins the HOP's sample records in place.
-func (r *RecordDropper) Corrupt(epoch EpochID, sealed map[receipt.HOPID]*SealedEpoch) {
+func (r *RecordDropper) Corrupt(epoch core.EpochID, sealed map[receipt.HOPID]*SealedEpoch) {
 	if r.rng == nil {
 		r.rng = stats.NewRNG(r.Seed ^ 0xd20bbed)
 	}
@@ -267,4 +269,88 @@ func (r *RecordDropper) Corrupt(epoch EpochID, sealed map[receipt.HOPID]*SealedE
 		}
 		se.Samples[i].Samples = kept
 	}
+}
+
+// FabricateDelivery is the blame-shift lie: domain X dropped packets
+// but claims it delivered everything. Its egress receipts are forged
+// from its ingress receipts — every packet that entered is reported as
+// delivered claimedDelayNS later (a flattering, constant transit
+// time). The forged egress claims are inconsistent with the downstream
+// neighbor's ingress receipts, which expose the missing packets.
+func FabricateDelivery(ingressSamples receipt.SampleReceipt, ingressAggs []receipt.AggReceipt,
+	egressPath receipt.PathID, claimedDelayNS int64) (receipt.SampleReceipt, []receipt.AggReceipt) {
+
+	fs := receipt.SampleReceipt{Path: egressPath}
+	for _, s := range ingressSamples.Samples {
+		fs.Samples = append(fs.Samples, receipt.SampleRecord{
+			PktID:  s.PktID,
+			TimeNS: s.TimeNS + claimedDelayNS,
+		})
+	}
+	var fa []receipt.AggReceipt
+	for _, a := range ingressAggs {
+		f := receipt.AggReceipt{
+			Path:   egressPath,
+			Agg:    a.Agg,
+			PktCnt: a.PktCnt, // claims zero loss
+		}
+		for _, t := range a.AggTrans {
+			f.AggTrans = append(f.AggTrans, receipt.SampleRecord{PktID: t.PktID, TimeNS: t.TimeNS + claimedDelayNS})
+		}
+		fa = append(fa, f)
+	}
+	return fs, fa
+}
+
+// ShaveDelays is the delay-exaggeration lie: the liar reports its
+// egress timestamps compressed toward its ingress timestamps so its
+// delay quantiles look better. factor 0 reports zero transit time;
+// factor 1 is honest. The compressed egress times understate the time
+// the packets reached the next HOP, so the link deltas blow past
+// MaxDiff and the lie surfaces as DelayBound inconsistencies.
+func ShaveDelays(ingress, egress receipt.SampleReceipt, factor float64) receipt.SampleReceipt {
+	inTime := make(map[uint64]int64, len(ingress.Samples))
+	for _, s := range ingress.Samples {
+		inTime[s.PktID] = s.TimeNS
+	}
+	out := receipt.SampleReceipt{Path: egress.Path}
+	for _, s := range egress.Samples {
+		t := s.TimeNS
+		if tin, ok := inTime[s.PktID]; ok {
+			t = tin + int64(float64(s.TimeNS-tin)*factor)
+		}
+		out.Samples = append(out.Samples, receipt.SampleRecord{PktID: s.PktID, TimeNS: t})
+	}
+	return out
+}
+
+// CoverUpReceipt is the collusion lie: downstream neighbor N covers
+// X's fabricated deliveries by claiming it received the packets X
+// never delivered. N's forged ingress receipt echoes X's (fabricated)
+// egress claims shifted by a plausible link delay. N now holds the
+// blame: either its own egress receipts show the loss inside N, or N
+// must lie to *its* downstream neighbor and be exposed there (§3.1).
+func CoverUpReceipt(liarEgress receipt.SampleReceipt, ownPath receipt.PathID, linkDelayNS int64) receipt.SampleReceipt {
+	out := receipt.SampleReceipt{Path: ownPath}
+	for _, s := range liarEgress.Samples {
+		out.Samples = append(out.Samples, receipt.SampleRecord{
+			PktID:  s.PktID,
+			TimeNS: s.TimeNS + linkDelayNS,
+		})
+	}
+	return out
+}
+
+// CoverUpAggs forges N's ingress aggregate receipts to match X's
+// fabricated counts.
+func CoverUpAggs(liarEgress []receipt.AggReceipt, ownPath receipt.PathID, linkDelayNS int64) []receipt.AggReceipt {
+	var out []receipt.AggReceipt
+	for _, a := range liarEgress {
+		f := receipt.AggReceipt{Path: ownPath, Agg: a.Agg, PktCnt: a.PktCnt}
+		for _, t := range a.AggTrans {
+			f.AggTrans = append(f.AggTrans, receipt.SampleRecord{PktID: t.PktID, TimeNS: t.TimeNS + linkDelayNS})
+		}
+		out = append(out, f)
+	}
+	return out
 }

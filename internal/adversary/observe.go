@@ -1,13 +1,80 @@
-package netsim
+package adversary
 
 import (
 	"math"
 
+	"vpm/internal/hashing"
+	"vpm/internal/netsim"
 	"vpm/internal/receipt"
 	"vpm/internal/stats"
 )
 
-// Adaptive adversaries: data-plane liars that tune their attack
+// This file is the data plane: netsim.Adversary implementations a HOP
+// wears (netsim.Wear) between the simulator's replay and its
+// collector, rewriting the observation stream the collector sees. A
+// domain can manipulate what its own HOPs claim to have observed; it
+// cannot touch what other HOPs observe, which is why every lie here
+// surfaces as an inter-domain receipt inconsistency (or provably moves
+// the estimate by less than sampling noise).
+
+// DelayShaver is the delay-under-reporting lie worn at a domain's
+// egress HOP: every observation is reported ShaveNS earlier than it
+// happened, so the domain's ingress→egress delay looks ShaveNS
+// smaller. The uniform shift preserves arrival order — the collector
+// cannot tell — but the *inter-domain* link deltas to the downstream
+// neighbor grow by the same ShaveNS, blowing past the advertised
+// MaxDiff: the lie surfaces as DelayBound violations on the link the
+// liar shares with the neighbor it implicated (§4 rule 2).
+type DelayShaver struct {
+	ShaveNS int64
+}
+
+// Name implements netsim.Adversary.
+func (d *DelayShaver) Name() string { return "delay-underreport" }
+
+// TamperBatch shifts every observation ShaveNS earlier, in place.
+func (d *DelayShaver) TamperBatch(_ receipt.HOPID, batch []netsim.Observation) []netsim.Observation {
+	for i := range batch {
+		batch[i].TimeNS -= d.ShaveNS
+	}
+	return batch
+}
+
+// MarkerShaver is the marker-flip gaming lie: the one part of VPM's
+// sample set a domain can predict at forwarding time is the marker set
+// (µ is public), so a gaming egress HOP reports *markers* ShaveNS
+// early while leaving the unpredictable σ-keyed samples honest. The
+// per-link deltas of markers stay inside MaxDiff for modest shaves, so
+// the §4 checks pass — but the marker vs σ-sample delay split is
+// statistically impossible for a uniform hash subsample, and
+// Verifier.CheckMarkerBias flags the domain (§5.1 extension).
+type MarkerShaver struct {
+	// Mu is the system-wide marker threshold (hashing.ThresholdForRate
+	// of the marker rate).
+	Mu uint64
+	// ShaveNS is how much faster markers are claimed to transit.
+	ShaveNS int64
+}
+
+// Name implements netsim.Adversary.
+func (m *MarkerShaver) Name() string { return "marker-shave" }
+
+// TamperBatch back-dates marker observation times in place. The
+// stream order is left untouched — the gaming control plane rewrites
+// the timestamp *field*, not the observation sequence — so the HOP's
+// sampling decisions stay synchronized with its honest neighbors'
+// (Algorithm 1 keys off marker arrival order) and the only trace of
+// the lie is the statistically impossible marker-delay split.
+func (m *MarkerShaver) TamperBatch(_ receipt.HOPID, batch []netsim.Observation) []netsim.Observation {
+	for i := range batch {
+		if hashing.Exceeds(batch[i].Digest, m.Mu) {
+			batch[i].TimeNS -= m.ShaveNS
+		}
+	}
+	return batch
+}
+
+// The adaptive adversaries are data-plane liars that tune their attack
 // magnitude toward the verifier's noise floor instead of lying at a
 // fixed size. A fixed-magnitude lie is the easy case — one epoch of
 // evidence buries it. The adaptive strategies model the §2.1 rational
@@ -80,7 +147,7 @@ type AdaptiveShaver struct {
 	sched schedOrigin
 }
 
-// Name implements Adversary.
+// Name implements netsim.Adversary.
 func (a *AdaptiveShaver) Name() string { return "adaptive-shave" }
 
 // ShaveAt reports the shave magnitude in effect at stream time tNS —
@@ -98,7 +165,7 @@ func (a *AdaptiveShaver) ShaveAt(tNS int64) int64 {
 // batch's on-phase, which can only widen gaps, never reorder; an
 // off-phase edge inside a batch could locally swap arrivals, so the
 // batch is re-sorted when an edge was crossed.
-func (a *AdaptiveShaver) TamperBatch(_ receipt.HOPID, batch []Observation) []Observation {
+func (a *AdaptiveShaver) TamperBatch(_ receipt.HOPID, batch []netsim.Observation) []netsim.Observation {
 	reorder := false
 	var prev int64
 	for i := range batch {
@@ -135,7 +202,7 @@ type AdaptiveSuppressor struct {
 	sched schedOrigin
 }
 
-// Name implements Adversary.
+// Name implements netsim.Adversary.
 func (a *AdaptiveSuppressor) Name() string { return "adaptive-suppress" }
 
 // FractionAt reports the drop probability in effect at stream time
@@ -150,7 +217,7 @@ func (a *AdaptiveSuppressor) FractionAt(tNS int64) float64 {
 
 // TamperBatch filters the batch in place. Each packet's drop decision
 // is a digest-keyed coin at the scheduled fraction for its timestamp.
-func (a *AdaptiveSuppressor) TamperBatch(_ receipt.HOPID, batch []Observation) []Observation {
+func (a *AdaptiveSuppressor) TamperBatch(_ receipt.HOPID, batch []netsim.Observation) []netsim.Observation {
 	out := batch[:0]
 	for _, o := range batch {
 		frac := a.FractionAt(o.TimeNS)
@@ -165,7 +232,7 @@ func (a *AdaptiveSuppressor) TamperBatch(_ receipt.HOPID, batch []Observation) [
 // sortObservations time-orders a batch in place (insertion sort: the
 // batches are nearly sorted — at most one duty-cycle edge out of
 // place).
-func sortObservations(batch []Observation) {
+func sortObservations(batch []netsim.Observation) {
 	for i := 1; i < len(batch); i++ {
 		for j := i; j > 0 && batch[j].TimeNS < batch[j-1].TimeNS; j-- {
 			batch[j], batch[j-1] = batch[j-1], batch[j]

@@ -9,7 +9,8 @@
 //
 // The pass applies only to the deterministic packages (core, receipt,
 // dissem, seqdetect, segstore, and engine, which every fingerprint
-// flows through) and skips test files. It flags:
+// flows through, and adversary, whose lies the attack matrix replays)
+// and skips test files. It flags:
 //
 //   - ranging over a map while appending to a slice declared outside
 //     the loop, unless the slice later reaches a sort call in the same
@@ -50,6 +51,7 @@ var scoped = map[string]bool{
 	"seqdetect": true,
 	"segstore":  true,
 	"engine":    true,
+	"adversary": true,
 }
 
 // orderSinks are method names that emit or accumulate data in call

@@ -2,75 +2,11 @@ package core
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"vpm/internal/dissem"
 	"vpm/internal/receipt"
 )
-
-// recordingAdversary logs every Corrupt call.
-type recordingAdversary struct {
-	taps []receipt.HOPID
-
-	mu     sync.Mutex
-	epochs []EpochID
-	seen   []map[receipt.HOPID]int // sample-receipt counts per call
-}
-
-func (r *recordingAdversary) Name() string          { return "recorder" }
-func (r *recordingAdversary) Taps() []receipt.HOPID { return r.taps }
-func (r *recordingAdversary) Corrupt(epoch EpochID, sealed map[receipt.HOPID]*SealedEpoch) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.epochs = append(r.epochs, epoch)
-	counts := make(map[receipt.HOPID]int, len(sealed))
-	for h, se := range sealed {
-		counts[h] = len(se.Samples)
-	}
-	r.seen = append(r.seen, counts)
-}
-
-// TestAdversarySinkBuffersEpochs: the harness holds a tapped HOP's
-// sealed interval until every tap sealed that epoch, hands the
-// adversary the complete set in ascending epoch order, and passes
-// non-tapped HOPs straight through.
-func TestAdversarySinkBuffersEpochs(t *testing.T) {
-	adv := &recordingAdversary{taps: []receipt.HOPID{4, 5}}
-	type sealEvent struct {
-		hop   receipt.HOPID
-		epoch EpochID
-	}
-	var forwarded []sealEvent
-	sink := NewAdversarySink(func(hop receipt.HOPID, epoch EpochID, samples []receipt.SampleReceipt, _ []receipt.AggReceipt) {
-		forwarded = append(forwarded, sealEvent{hop, epoch})
-	}, adv)
-
-	one := []receipt.SampleReceipt{{}}
-	sink(6, 0, one, nil) // not tapped: straight through
-	if len(forwarded) != 1 || forwarded[0] != (sealEvent{6, 0}) {
-		t.Fatalf("non-tapped HOP not passed through: %v", forwarded)
-	}
-	sink(4, 0, one, nil) // first tap of epoch 0: held
-	if len(forwarded) != 1 || len(adv.epochs) != 0 {
-		t.Fatalf("incomplete epoch leaked: fwd=%v corrupt=%v", forwarded, adv.epochs)
-	}
-	sink(4, 1, one, nil) // tap 4 runs ahead into epoch 1: still held
-	sink(5, 0, one, nil) // epoch 0 complete: corrupted + flushed in HOP order
-	if len(adv.epochs) != 1 || adv.epochs[0] != 0 {
-		t.Fatalf("corrupt calls: %v, want [0]", adv.epochs)
-	}
-	if len(forwarded) != 3 || forwarded[1] != (sealEvent{4, 0}) || forwarded[2] != (sealEvent{5, 0}) {
-		t.Fatalf("epoch 0 flush order wrong: %v", forwarded)
-	}
-	sink(5, 1, one, nil) // epoch 1 completes second: ascending order held
-	if len(adv.epochs) != 2 || adv.epochs[1] != 1 {
-		t.Fatalf("corrupt calls: %v, want [0 1]", adv.epochs)
-	}
-	if got := adv.seen[0]; got[4] != 1 || got[5] != 1 {
-		t.Fatalf("adversary saw %v for epoch 0", got)
-	}
-}
 
 // fig1Layout builds the standard 5-domain layout without a deployment.
 func fig1Layout() Layout {
@@ -167,33 +103,5 @@ func TestWindowStaleSealRejected(t *testing.T) {
 	}
 	if un := win.UnverifiedEpochs(); len(un) != 1 || un[0] != 0 {
 		t.Fatalf("UnverifiedEpochs: %v, want [0]", un)
-	}
-}
-
-// TestFabricatorEpochWindow: outside its [From, To) activation window
-// the fabricator leaves intervals untouched; inside it the egress is
-// forged from the ingress.
-func TestFabricatorEpochWindow(t *testing.T) {
-	pathOf := func(in receipt.PathID) receipt.PathID {
-		in.PrevHOP, in.NextHOP = 5, 6
-		return in
-	}
-	fab := &Fabricator{Ingress: 4, Egress: 5, RewritePath: pathOf, ClaimedDelayNS: 100, From: 2, To: 4}
-	mk := func() map[receipt.HOPID]*SealedEpoch {
-		return map[receipt.HOPID]*SealedEpoch{
-			4: {HOP: 4, Samples: []receipt.SampleReceipt{{Samples: []receipt.SampleRecord{{PktID: 1, TimeNS: 10}, {PktID: 2, TimeNS: 20}}}}},
-			5: {HOP: 5, Samples: []receipt.SampleReceipt{{Samples: []receipt.SampleRecord{{PktID: 1, TimeNS: 15}}}}},
-		}
-	}
-	idle := mk()
-	fab.Corrupt(1, idle)
-	if n := len(idle[5].Samples[0].Samples); n != 1 {
-		t.Fatalf("fabricator active outside its window: egress has %d records", n)
-	}
-	active := mk()
-	fab.Corrupt(2, active)
-	recs := active[5].Samples[0].Samples
-	if len(recs) != 2 || recs[0].TimeNS != 110 || recs[1].TimeNS != 120 {
-		t.Fatalf("forged egress wrong: %+v", recs)
 	}
 }

@@ -3,21 +3,15 @@ package dissem
 import (
 	"bytes"
 	"fmt"
-	"sync"
 
 	"vpm/internal/receipt"
 )
 
-// This file is the dissemination-layer half of the Byzantine HOP
-// framework: attacks injected at the Server/Bus boundary, where a
-// lying origin controls *delivery* of its receipts rather than their
-// content. Signatures make content tampering by third parties
-// impossible (Assumption 2), so the remaining attacks are the origin's
-// own: withholding bundles, replaying stale epochs, and equivocating —
-// serving different validly-signed bundles to different verifiers.
-// Each is either directly detected (typed errors, equivocation proofs)
-// or starves an epoch of its seal, which the windowed store surfaces
-// as a never-Ready epoch naming the withholder (MissingSeals).
+// This file is the dissemination seam of the threat model: a Server
+// applies a BundleTamper to every bundle it serves, and the verifiers
+// cross-check what each origin served them (FindEquivocation). The
+// tampers themselves — withholding, stale-epoch replay, equivocation —
+// live in internal/adversary, which no daemon links.
 
 // BundleTamper intercepts every bundle a Server is about to serve.
 // viewer identifies the requesting verifier ("" when the transport
@@ -52,92 +46,6 @@ func (s *Server) SignedBundles(viewer string) []SignedBundle {
 		out[i] = p.sb
 	}
 	return out
-}
-
-// Withholder withholds every bundle tagged with an epoch in
-// [FromEpoch, ToEpoch) (ToEpoch = 0 means unbounded): the silent
-// starvation attack. Nothing the consumer receives is wrong — the
-// evidence is the absence itself, surfaced by the windowed store as an
-// epoch that never seals, with MissingSeals naming this origin.
-type Withholder struct {
-	FromEpoch, ToEpoch uint64
-}
-
-// Name implements BundleTamper.
-func (w *Withholder) Name() string { return "withhold-bundles" }
-
-// Serve implements BundleTamper.
-func (w *Withholder) Serve(_ string, _, epoch uint64, sb SignedBundle) (SignedBundle, bool) {
-	if epoch >= w.FromEpoch && (w.ToEpoch == 0 || epoch < w.ToEpoch) {
-		return SignedBundle{}, false
-	}
-	return sb, true
-}
-
-// Replayer serves, in place of every bundle tagged epoch >= FromEpoch,
-// the last bundle it saw from an earlier epoch — the stale-epoch
-// replay attack. The replayed bundle is validly signed, so transport
-// authentication passes; the receiver's windowed store refuses it with
-// a StaleSealError (the origin already sealed that epoch), and the
-// suppressed fresh epochs additionally surface as withheld.
-type Replayer struct {
-	FromEpoch uint64
-
-	mu    sync.Mutex
-	stale *SignedBundle
-}
-
-// Name implements BundleTamper.
-func (r *Replayer) Name() string { return "stale-epoch-replay" }
-
-// Serve implements BundleTamper.
-func (r *Replayer) Serve(_ string, _, epoch uint64, sb SignedBundle) (SignedBundle, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if epoch < r.FromEpoch {
-		cp := sb
-		r.stale = &cp
-		return sb, true
-	}
-	if r.stale == nil {
-		return SignedBundle{}, false
-	}
-	return *r.stale, true
-}
-
-// Equivocator serves the honest payload to every viewer except Victim,
-// who receives a mutated, re-signed variant — the cross-verifier
-// equivocation attack. Only the origin itself can mount it (Signer is
-// the origin's own key), and mounting it is self-destructive: the two
-// variants are both validly signed by the same key, so any two
-// verifiers comparing notes hold non-repudiable proof of the lie
-// (FindEquivocation).
-type Equivocator struct {
-	// Signer is the origin's signing key, used to re-sign mutations.
-	Signer *Signer
-	// Victim is the viewer that receives the forged variant.
-	Victim string
-	// Mutate rewrites each decoded bundle of a payload served to the
-	// victim.
-	Mutate func(*Bundle)
-}
-
-// Name implements BundleTamper.
-func (e *Equivocator) Name() string { return "equivocate" }
-
-// Serve implements BundleTamper.
-func (e *Equivocator) Serve(viewer string, _, _ uint64, sb SignedBundle) (SignedBundle, bool) {
-	if viewer != e.Victim || e.Mutate == nil {
-		return sb, true
-	}
-	bundles, err := DecodePayload(sb.Payload)
-	if err != nil {
-		return sb, true // not decodable: nothing to equivocate about
-	}
-	for _, b := range bundles {
-		e.Mutate(b)
-	}
-	return e.Signer.Sign(bundles...), true
 }
 
 // Equivocation is non-repudiable proof that one origin served two

@@ -132,97 +132,6 @@ func TestPrunedCursorGapBus(t *testing.T) {
 	}
 }
 
-// TestWithholderHidesBundles: a withholding tamper starves the
-// consumer without any transport-level error — the absence is the
-// evidence (the windowed store's MissingSeals names the origin).
-func TestWithholderHidesBundles(t *testing.T) {
-	srv, _, reg := dissemWorld(t, 4)
-	srv.PublishEpoch(0, nil, nil)
-	srv.PublishEpoch(1, nil, nil)
-	srv.PublishEpoch(2, nil, nil)
-	srv.SetTamper(&Withholder{FromEpoch: 1})
-	bus := NewBus()
-	bus.Attach(srv)
-	var epochs []uint64
-	next, err := bus.CollectSince(reg, 4, 0, func(b *Bundle) error {
-		epochs = append(epochs, b.Epoch)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(epochs) != 1 || epochs[0] != 0 {
-		t.Fatalf("withholder leaked: %v", epochs)
-	}
-	if next != 1 {
-		t.Fatalf("cursor advanced to %d past a withheld bundle", next)
-	}
-}
-
-// TestReplayerServesStaleEpoch: from its activation epoch on, the
-// replayer serves the last honest bundle again; the decoded epoch
-// gives the replay away downstream.
-func TestReplayerServesStaleEpoch(t *testing.T) {
-	srv, _, reg := dissemWorld(t, 4)
-	srv.PublishEpoch(0, nil, nil)
-	srv.PublishEpoch(1, nil, nil)
-	srv.PublishEpoch(2, nil, nil)
-	srv.SetTamper(&Replayer{FromEpoch: 1})
-	bus := NewBus()
-	bus.Attach(srv)
-	var epochs []uint64
-	if _, err := bus.CollectSince(reg, 4, 0, func(b *Bundle) error {
-		epochs = append(epochs, b.Epoch)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(epochs) != 3 || epochs[0] != 0 || epochs[1] != 0 || epochs[2] != 0 {
-		t.Fatalf("replayed epochs: %v, want [0 0 0]", epochs)
-	}
-}
-
-// TestEquivocatorAndProof: the equivocator serves viewer-dependent,
-// validly-signed bundles; two verifiers comparing raw bundles hold a
-// non-repudiable proof naming the origin.
-func TestEquivocatorAndProof(t *testing.T) {
-	srv, signer, reg := dissemWorld(t, 4)
-	b := sampleBundle(4, 0)
-	srv.PublishEpoch(0, b.Samples, b.Aggs)
-	srv.SetTamper(&Equivocator{
-		Signer: signer,
-		Victim: "B",
-		Mutate: func(b *Bundle) {
-			for i := range b.Samples {
-				for j := range b.Samples[i].Samples {
-					b.Samples[i].Samples[j].TimeNS -= 1000
-				}
-			}
-		},
-	})
-	bus := NewBus()
-	bus.Attach(srv)
-
-	// Both viewers' fetches authenticate: equivocation is invisible to
-	// a single verifier.
-	for _, viewer := range []string{"A", "B"} {
-		if _, err := bus.CollectSinceAs(viewer, reg, 4, 0, func(*Bundle) error { return nil }); err != nil {
-			t.Fatalf("viewer %s: %v", viewer, err)
-		}
-	}
-	proofs := FindEquivocation(reg, 4, srv.SignedBundles("A"), srv.SignedBundles("B"))
-	if len(proofs) != 1 {
-		t.Fatalf("got %d equivocation proofs, want 1", len(proofs))
-	}
-	if proofs[0].Origin != 4 || proofs[0].Seq != 0 {
-		t.Fatalf("proof misattributed: %+v", proofs[0])
-	}
-	// Same viewer twice: no proof (consistency, not equivocation).
-	if p := FindEquivocation(reg, 4, srv.SignedBundles("A"), srv.SignedBundles("A")); len(p) != 0 {
-		t.Fatalf("false equivocation proof: %v", p)
-	}
-}
-
 // corruptSigTamper breaks the signature of every bundle of one epoch.
 type corruptSigTamper struct{ epoch uint64 }
 
@@ -282,39 +191,5 @@ func TestBundleErrorCarriesSeq(t *testing.T) {
 		if next, err := carrier.collect(be.Seq+1, record); err != nil || len(seqs) != 1 || seqs[0] != 2 || next != 3 {
 			t.Fatalf("%s: skipping the poisoned bundle: delivered %v up to %d, err %v", carrier.name, seqs, next, err)
 		}
-	}
-}
-
-// TestViewerHeaderReachesTamper: the HTTP transport carries the
-// verifier identity to the server's tamper, so per-viewer equivocation
-// works over the paper's real dissemination realization too.
-func TestViewerHeaderReachesTamper(t *testing.T) {
-	srv, signer, reg := dissemWorld(t, 4)
-	b := sampleBundle(4, 0)
-	srv.PublishEpoch(0, b.Samples, b.Aggs)
-	srv.SetTamper(&Equivocator{
-		Signer: signer,
-		Victim: "victim",
-		Mutate: func(b *Bundle) { b.Samples[0].Samples[0].TimeNS = 999_999 },
-	})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	fetchFirstTime := func(viewer string) int64 {
-		c := &Client{Registry: reg, Viewer: viewer}
-		var got int64
-		if _, err := c.FetchEach(context.Background(), ts.URL, 4, 0, func(b *Bundle) error {
-			got = b.Samples[0].Samples[0].TimeNS
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	if honest := fetchFirstTime("bystander"); honest == 999_999 {
-		t.Fatal("bystander received the forged variant")
-	}
-	if forged := fetchFirstTime("victim"); forged != 999_999 {
-		t.Fatalf("victim received %d, want the forged variant", forged)
 	}
 }

@@ -3,14 +3,11 @@ package dissem
 import (
 	"bytes"
 	"context"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"slices"
-	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -144,104 +141,6 @@ func TestFetchAfterPublishIsSigned(t *testing.T) {
 			}
 			srv.DropThrough(seq)
 		}
-	}
-}
-
-// TestPublishServeConcurrently runs every Server entry point at once,
-// with bus consumers holding different keys; its value is under -race.
-// Afterwards every retained bundle is served, authenticated.
-func TestPublishServeConcurrently(t *testing.T) {
-	srv, signer, reg := dissemWorld(t, 4)
-	bus := NewBus()
-	bus.Attach(srv)
-	rng := stats.NewRNG(0x57e55)
-	bundles := make([]*Bundle, 16)
-	for i := range bundles {
-		bundles[i] = handoffBundle(rng, 20)
-	}
-	tampers := []BundleTamper{
-		nil,
-		&Withholder{FromEpoch: 100, ToEpoch: 200},
-		&Equivocator{Signer: signer, Victim: "a", Mutate: func(b *Bundle) {
-			if len(b.Aggs) > 0 {
-				b.Aggs[0].PktCnt++
-			}
-		}},
-	}
-
-	var wg sync.WaitGroup
-	run := func(iterations int, f func(i int)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iterations; i++ {
-				f(i)
-				runtime.Gosched()
-			}
-		}()
-	}
-	run(500, func(i int) {
-		b := bundles[i%len(bundles)]
-		srv.PublishEpoch(uint64(i), b.Samples, b.Aggs)
-	})
-	var cursor uint64
-	run(300, func(int) {
-		next, err := bus.CollectSinceAs("a", reg, 4, cursor, func(*Bundle) error { return nil })
-		var gap *GapError
-		switch {
-		case errors.As(err, &gap):
-			cursor = gap.Base
-		case err != nil:
-			t.Errorf("bus: %v", err)
-		case next < cursor:
-			t.Errorf("bus: cursor moved back from %d to %d", cursor, next)
-		default:
-			cursor = next
-		}
-	})
-	// A second viewer whose registry holds another key for HOP 4: it is
-	// refused every bundle, whichever of the two fetched first.
-	wrong := Registry{4: NewSigner(seedOf(99)).Public()}
-	var wrongCursor uint64
-	run(300, func(int) {
-		_, err := bus.CollectSinceAs("b", wrong, 4, wrongCursor, func(b *Bundle) error {
-			t.Errorf("bus: bundle %d accepted under another key", b.Seq)
-			return nil
-		})
-		var gap *GapError
-		var be *BundleError
-		switch {
-		case errors.As(err, &gap):
-			wrongCursor = gap.Base
-		case errors.As(err, &be):
-			wrongCursor = be.Seq + 1
-		case err != nil:
-			t.Errorf("bus, wrong key: %v", err)
-		}
-	})
-	run(300, func(int) {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/?since="+strconv.FormatUint(srv.Base(), 10), nil))
-		if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
-			t.Errorf("http: status %d, Content-Length %q for a %d-byte body", rec.Code, rec.Header().Get("Content-Length"), rec.Body.Len())
-		}
-	})
-	run(300, func(int) {
-		if srv.BundleCount() > 32 {
-			srv.DropThrough(srv.Base())
-		}
-	})
-	run(300, func(i int) { srv.SetTamper(tampers[i%len(tampers)]) })
-	wg.Wait()
-
-	srv.SetTamper(nil)
-	want := srv.BundleCount()
-	got := 0
-	if _, err := bus.CollectSince(reg, 4, srv.Base(), func(*Bundle) error {
-		got++
-		return nil
-	}); err != nil || got != want {
-		t.Fatalf("after the stress: served %d of %d retained bundles, err %v", got, want, err)
 	}
 }
 

@@ -104,82 +104,6 @@ func TestFrameWireAccounting(t *testing.T) {
 	}
 }
 
-// TestTampersOverHTTP: the dissemination adversaries do over the framed
-// feed what their bus tests say they do, and leave both carriers'
-// cursors on the same server position — a withheld position is
-// skipped, a replayed bundle counts where it was served, not where its
-// payload claims to belong.
-func TestTampersOverHTTP(t *testing.T) {
-	for _, tc := range []struct {
-		tamper BundleTamper
-		epochs []uint64
-		next   uint64
-	}{
-		{&Withholder{FromEpoch: 1}, []uint64{0}, 1},
-		{&Withholder{FromEpoch: 1, ToEpoch: 2}, []uint64{0, 2}, 3},
-		{&Replayer{FromEpoch: 1}, []uint64{0, 0, 0}, 3},
-	} {
-		srv, _, reg := dissemWorld(t, 4)
-		for e := uint64(0); e < 3; e++ {
-			b := sampleBundle(4, e)
-			srv.PublishEpoch(e, b.Samples, b.Aggs)
-		}
-		srv.SetTamper(tc.tamper)
-		bus := NewBus()
-		bus.Attach(srv)
-		ts := httptest.NewServer(srv)
-		for carrier, collect := range map[string]func(fn func(*Bundle) error) (uint64, error){
-			"bus": func(fn func(*Bundle) error) (uint64, error) { return bus.CollectSince(reg, 4, 0, fn) },
-			"http": func(fn func(*Bundle) error) (uint64, error) {
-				return (&Client{Registry: reg}).FetchEach(context.Background(), ts.URL, 4, 0, fn)
-			},
-		} {
-			var epochs []uint64
-			next, err := collect(func(b *Bundle) error {
-				epochs = append(epochs, b.Epoch)
-				return nil
-			})
-			if err != nil || !slices.Equal(epochs, tc.epochs) || next != tc.next {
-				t.Errorf("%s over %s: epochs %v up to cursor %d, err %v; want %v up to %d",
-					tc.tamper.Name(), carrier, epochs, next, err, tc.epochs, tc.next)
-			}
-		}
-		ts.Close()
-	}
-
-	// A forged bundle is a permanent *BundleError named by its server
-	// position and the epoch its payload claims (here frame 0 of a
-	// since=1 fetch, at position 1), refused after one attempt exactly as
-	// the bus refuses it.
-	srv, _, reg := dissemWorld(t, 4)
-	for e := uint64(0); e < 3; e++ {
-		b := sampleBundle(4, e)
-		srv.PublishEpoch(e+10, b.Samples, b.Aggs)
-	}
-	srv.SetTamper(corruptSigTamper{epoch: 11})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	attempts, delivered := 0, 0
-	err := Retry(context.Background(), RetryPolicy{Attempts: 2, Base: time.Millisecond}, func() error {
-		attempts++
-		_, err := (&Client{Registry: reg}).FetchEach(context.Background(), ts.URL, 4, 1, func(*Bundle) error {
-			delivered++
-			return nil
-		})
-		return err
-	})
-	var be *BundleError
-	if !errors.As(err, &be) || !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("corrupted signature over HTTP: err %v (%T), want a *BundleError wrapping ErrBadSignature", err, err)
-	}
-	if be.Origin != 4 || be.Seq != 1 || be.Epoch != 11 {
-		t.Errorf("corrupted signature over HTTP: %+v, want HOP 4 seq 1 epoch 11", be)
-	}
-	if attempts != 1 || delivered != 0 {
-		t.Errorf("corrupted signature over HTTP: %d attempts delivering %d bundles, want 1 attempt and none", attempts, delivered)
-	}
-}
-
 // hostileFeed serves whatever raw response the handler writes, as HOP 4.
 func hostileFeed(t *testing.T, h http.HandlerFunc) (*httptest.Server, *Client) {
 	t.Helper()

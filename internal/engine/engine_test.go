@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"vpm/internal/adversary"
 	"vpm/internal/core"
 	"vpm/internal/dissem"
 	"vpm/internal/engine"
@@ -289,9 +290,9 @@ func TestSeamsAreInterchangeable(t *testing.T) {
 				return dissem.SignedBundle{Payload: sb.Payload[:31], Sig: sb.Sig}
 			})
 		}, []core.EvidenceClass{core.EvSignature, core.EvWithheldBundle}},
-		{"withhold", testSigner, func() dissem.BundleTamper { return &dissem.Withholder{FromEpoch: 2} },
+		{"withhold", testSigner, func() dissem.BundleTamper { return &adversary.Withholder{FromEpoch: 2} },
 			[]core.EvidenceClass{core.EvWithheldBundle}},
-		{"replay", testSigner, func() dissem.BundleTamper { return &dissem.Replayer{FromEpoch: 2} },
+		{"replay", testSigner, func() dissem.BundleTamper { return &adversary.Replayer{FromEpoch: 2} },
 			[]core.EvidenceClass{core.EvEpochReplay, core.EvWithheldBundle}},
 		{"domain-flipped-byte", paired, func() dissem.BundleTamper {
 			return forgePayload(func(sb dissem.SignedBundle) dissem.SignedBundle {

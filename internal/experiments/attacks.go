@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"vpm/internal/adversary"
 	"vpm/internal/baseline"
 	"vpm/internal/core"
 	"vpm/internal/delaymodel"
@@ -136,7 +137,7 @@ func Attacks(cfg Config) ([]AttackRow, error) {
 		truth, _ := w.truth.DomainByName("X")
 		v := core.NewVerifierFor(w.dep.Layout(), w.key)
 		v.SetConfig(w.dep.VerifierConfig())
-		w.dep.Seal(core.NewAdversarySink(v.Sink(), fabricatorForX(w.path)))
+		w.dep.Seal(adversary.NewAdversarySink(v.Sink(), fabricatorForX(w.path)))
 		rep, err := v.LossBetween(4, 5)
 		if err != nil {
 			return nil, err

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"vpm/internal/adversary"
 	"vpm/internal/core"
 	"vpm/internal/delaymodel"
 	"vpm/internal/dissem"
@@ -153,7 +154,7 @@ type matrixScenario struct {
 	// wear returns data-plane adversaries to dress HOPs in.
 	wear func(mu uint64) map[receipt.HOPID]netsim.Adversary
 	// domainAdvs returns control-plane adversaries, in tap order.
-	domainAdvs func(p *netsim.Path) []core.EpochAdversary
+	domainAdvs func(p *netsim.Path) []adversary.EpochAdversary
 	// tamper returns dissemination tampers per origin HOP for the
 	// given mode (batch publishes everything as epoch 0). The signer
 	// argument resolves an origin's key (equivocation re-signs).
@@ -213,7 +214,7 @@ func matrixScenarios(cfg Config) []matrixScenario {
 		{
 			name: "delay-underreport", layer: "data-plane", congestX: true,
 			wear: func(uint64) map[receipt.HOPID]netsim.Adversary {
-				return map[receipt.HOPID]netsim.Adversary{hopXEgress: &netsim.DelayShaver{ShaveNS: shaveBlatant}}
+				return map[receipt.HOPID]netsim.Adversary{hopXEgress: &adversary.DelayShaver{ShaveNS: shaveBlatant}}
 			},
 			expect: expectation{verdict: "detected", hops: xnHOPs, evidence: []core.EvidenceClass{core.EvDelayBound}},
 			note:   "shaved egress clocks blow the X-N MaxDiff bound",
@@ -229,7 +230,7 @@ func matrixScenarios(cfg Config) []matrixScenario {
 		{
 			name: "marker-shave", layer: "data-plane",
 			wear: func(mu uint64) map[receipt.HOPID]netsim.Adversary {
-				return map[receipt.HOPID]netsim.Adversary{hopXEgress: &netsim.MarkerShaver{Mu: mu, ShaveNS: shaveSubtle}}
+				return map[receipt.HOPID]netsim.Adversary{hopXEgress: &adversary.MarkerShaver{Mu: mu, ShaveNS: shaveSubtle}}
 			},
 			expect: expectation{verdict: "detected", hops: xHOPs, evidence: []core.EvidenceClass{core.EvMarkerBias}},
 			note:   "markers shaved inside MaxDiff: only the bias split catches it",
@@ -238,7 +239,7 @@ func matrixScenarios(cfg Config) []matrixScenario {
 			name: "adaptive-shave", layer: "data-plane", congestX: true,
 			modes: []string{"continuous"},
 			wear: func(uint64) map[receipt.HOPID]netsim.Adversary {
-				return map[receipt.HOPID]netsim.Adversary{hopXEgress: &netsim.AdaptiveShaver{
+				return map[receipt.HOPID]netsim.Adversary{hopXEgress: &adversary.AdaptiveShaver{
 					InitialShaveNS: shaveBlatant,
 					FloorNS:        shaveFloor,
 					HalfLifeNS:     intervalNS / 2,
@@ -251,7 +252,7 @@ func matrixScenarios(cfg Config) []matrixScenario {
 			name: "adaptive-shave-duty", layer: "data-plane", congestX: true,
 			modes: []string{"continuous"},
 			wear: func(uint64) map[receipt.HOPID]netsim.Adversary {
-				return map[receipt.HOPID]netsim.Adversary{hopXEgress: &netsim.AdaptiveShaver{
+				return map[receipt.HOPID]netsim.Adversary{hopXEgress: &adversary.AdaptiveShaver{
 					InitialShaveNS: shaveDuty,
 					FloorNS:        shaveDuty,
 					PeriodNS:       intervalNS / 2,
@@ -265,7 +266,7 @@ func matrixScenarios(cfg Config) []matrixScenario {
 			name: "adaptive-suppress", layer: "data-plane", congestX: true,
 			modes: []string{"continuous"},
 			wear: func(uint64) map[receipt.HOPID]netsim.Adversary {
-				return map[receipt.HOPID]netsim.Adversary{hopXIngress: &netsim.AdaptiveSuppressor{
+				return map[receipt.HOPID]netsim.Adversary{hopXIngress: &adversary.AdaptiveSuppressor{
 					InitialFraction: 0.12,
 					FloorFraction:   0.08,
 					HalfLifeNS:      intervalNS,
@@ -277,24 +278,24 @@ func matrixScenarios(cfg Config) []matrixScenario {
 		},
 		{
 			name: "drop-records", layer: "control-plane", congestX: true,
-			domainAdvs: func(*netsim.Path) []core.EpochAdversary {
-				return []core.EpochAdversary{&core.RecordDropper{HOP: hopXEgress, Fraction: 0.5, Seed: 7}}
+			domainAdvs: func(*netsim.Path) []adversary.EpochAdversary {
+				return []adversary.EpochAdversary{&adversary.RecordDropper{HOP: hopXEgress, Fraction: 0.5, Seed: 7}}
 			},
 			expect: expectation{verdict: "detected", hops: xnHOPs, evidence: []core.EvidenceClass{core.EvMissingReceipt}},
 			note:   "deleted sample records reappear as missing-receipt evidence at X-N",
 		},
 		{
 			name: "fabricate", layer: "control-plane", congestX: true,
-			domainAdvs: func(p *netsim.Path) []core.EpochAdversary {
-				return []core.EpochAdversary{fabricatorForX(p)}
+			domainAdvs: func(p *netsim.Path) []adversary.EpochAdversary {
+				return []adversary.EpochAdversary{fabricatorForX(p)}
 			},
 			expect: expectation{verdict: "detected", hops: xnHOPs, evidence: allLinkEvidence},
 			note:   "forged deliveries have no downstream record: exposed at X-N",
 		},
 		{
 			name: "collude", layer: "control-plane", congestX: true,
-			domainAdvs: func(p *netsim.Path) []core.EpochAdversary {
-				return []core.EpochAdversary{fabricatorForX(p), colluderForN(p)}
+			domainAdvs: func(p *netsim.Path) []adversary.EpochAdversary {
+				return []adversary.EpochAdversary{fabricatorForX(p), colluderForN(p)}
 			},
 			expect: expectation{verdict: "contained",
 				hops: []receipt.HOPID{hopXIngress, hopXEgress, hopNIngress, hopNEgress}},
@@ -307,7 +308,7 @@ func matrixScenarios(cfg Config) []matrixScenario {
 				if mode == "batch" {
 					from = 0 // batch publishes everything as epoch 0
 				}
-				return map[receipt.HOPID]dissem.BundleTamper{hopXEgress: &dissem.Withholder{FromEpoch: from}}
+				return map[receipt.HOPID]dissem.BundleTamper{hopXEgress: &adversary.Withholder{FromEpoch: from}}
 			},
 			expect: expectation{verdict: "detected", hops: []receipt.HOPID{hopXEgress},
 				evidence: []core.EvidenceClass{core.EvWithheldBundle}},
@@ -317,7 +318,7 @@ func matrixScenarios(cfg Config) []matrixScenario {
 			name: "stale-replay", layer: "dissemination", congestX: true,
 			modes: []string{"continuous"},
 			tamper: func(string, func(receipt.HOPID) *dissem.Signer) map[receipt.HOPID]dissem.BundleTamper {
-				return map[receipt.HOPID]dissem.BundleTamper{hopXEgress: &dissem.Replayer{FromEpoch: matrixEpochs / 2}}
+				return map[receipt.HOPID]dissem.BundleTamper{hopXEgress: &adversary.Replayer{FromEpoch: matrixEpochs / 2}}
 			},
 			expect: expectation{verdict: "detected", hops: []receipt.HOPID{hopXEgress},
 				evidence: []core.EvidenceClass{core.EvEpochReplay, core.EvWithheldBundle}},
@@ -327,7 +328,7 @@ func matrixScenarios(cfg Config) []matrixScenario {
 			name: "equivocate", layer: "dissemination", congestX: true,
 			modes: []string{"batch"},
 			tamper: func(_ string, signer func(receipt.HOPID) *dissem.Signer) map[receipt.HOPID]dissem.BundleTamper {
-				return map[receipt.HOPID]dissem.BundleTamper{hopXEgress: &dissem.Equivocator{
+				return map[receipt.HOPID]dissem.BundleTamper{hopXEgress: &adversary.Equivocator{
 					Signer: signer(hopXEgress),
 					Victim: "B",
 					Mutate: func(b *dissem.Bundle) {
@@ -348,9 +349,9 @@ func matrixScenarios(cfg Config) []matrixScenario {
 
 // fabricatorForX builds the §3.1 blame-shift adversary for domain X on
 // the given path.
-func fabricatorForX(p *netsim.Path) *core.Fabricator {
+func fabricatorForX(p *netsim.Path) *adversary.Fabricator {
 	xi := p.DomainIndex("X")
-	return &core.Fabricator{
+	return &adversary.Fabricator{
 		Ingress: hopXIngress,
 		Egress:  hopXEgress,
 		RewritePath: func(in receipt.PathID) receipt.PathID {
@@ -361,9 +362,9 @@ func fabricatorForX(p *netsim.Path) *core.Fabricator {
 }
 
 // colluderForN builds the cover-up adversary for domain N.
-func colluderForN(p *netsim.Path) *core.Colluder {
+func colluderForN(p *netsim.Path) *adversary.Colluder {
 	ni := p.DomainIndex("N")
-	return &core.Colluder{
+	return &adversary.Colluder{
 		LiarEgress: hopXEgress,
 		OwnIngress: hopNIngress,
 		RewritePath: func(liar receipt.PathID) receipt.PathID {
@@ -717,7 +718,7 @@ func (sc *matrixScenario) adversarySink(p *netsim.Path, sink core.EpochSink) cor
 	}
 	chain := sc.domainAdvs(p)
 	for i := len(chain) - 1; i >= 0; i-- {
-		sink = core.NewAdversarySink(sink, chain[i])
+		sink = adversary.NewAdversarySink(sink, chain[i])
 	}
 	return sink
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"vpm/internal/adversary"
 	"vpm/internal/core"
 	"vpm/internal/netsim"
 	"vpm/internal/quantile"
@@ -142,7 +143,7 @@ func TestEpochStraddleAttribution(t *testing.T) {
 		WrapSink: func(sink core.EpochSink) core.EpochSink {
 			fab := fabricatorForX(netsim.Fig1Path(cfg.Seed + 1000))
 			fab.From, fab.To = from, to
-			return core.NewAdversarySink(sink, fab)
+			return adversary.NewAdversarySink(sink, fab)
 		},
 	}
 	res, err := RunContinuousOpts(cfg, ec, epochs, opts)
@@ -193,7 +194,7 @@ func TestContinuousWearMatchesBatchWear(t *testing.T) {
 	cfg := Config{Seed: 9, RatePPS: 30_000, DurationNS: 200_000_000}
 	dc := matrixDeploy()
 	wear := map[receipt.HOPID]netsim.Adversary{
-		hopXEgress: &netsim.DelayShaver{ShaveNS: shaveBlatant},
+		hopXEgress: &adversary.DelayShaver{ShaveNS: shaveBlatant},
 	}
 	ec := core.EpochConfig{IntervalNS: cfg.DurationNS / 4, Retention: 2}
 	res1, err := RunContinuousOpts(cfg, ec, 4, ContinuousOptions{Deploy: &dc, Wear: wear})
@@ -201,7 +202,7 @@ func TestContinuousWearMatchesBatchWear(t *testing.T) {
 		t.Fatal(err)
 	}
 	res2, err := RunContinuousOpts(cfg, ec, 4, ContinuousOptions{Deploy: &dc, Wear: map[receipt.HOPID]netsim.Adversary{
-		hopXEgress: &netsim.DelayShaver{ShaveNS: shaveBlatant},
+		hopXEgress: &adversary.DelayShaver{ShaveNS: shaveBlatant},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ type ContinuousOptions struct {
 	// collector sees it.
 	Wear map[receipt.HOPID]netsim.Adversary
 	// WrapSink interposes control-plane adversaries between the epoch
-	// driver and publication (see core.NewAdversarySink); it receives
+	// driver and publication (see adversary.NewAdversarySink); it receives
 	// the honest publish sink and returns the sink the driver uses.
 	WrapSink func(core.EpochSink) core.EpochSink
 	// Tamper installs dissemination-layer attacks on the named HOPs'

@@ -132,6 +132,36 @@ func TestTable1(t *testing.T) {
 	}
 }
 
+func TestOverheadBudgets(t *testing.T) {
+	// §7.1 scenarios, paper numbers vs ours.
+	paper := paperMemoryScenario(100000, 3.125e6, 10_000_000)
+	if paper.MonitoringCacheBytes != 2_000_000 {
+		t.Errorf("paper cache = %d, want 2MB", paper.MonitoringCacheBytes)
+	}
+	if paper.TempBufferBytes < 200_000 || paper.TempBufferBytes > 450_000 {
+		t.Errorf("paper temp buffer = %d, want ~218-437KB", paper.TempBufferBytes)
+	}
+	ours := computeMemoryBudget(100000, 3.125e6, 10_000_000)
+	if ours.MonitoringCacheBytes <= paper.MonitoringCacheBytes {
+		t.Error("our 64-bit state should cost more than the paper's 20B")
+	}
+	if ours.String() == "" || paper.String() == "" {
+		t.Error("empty budget strings")
+	}
+	bw := computeBandwidthBudget(10, 1000, 0.01, 400)
+	// The paper's scenario lands at 0.2 B/pkt, 0.046% with 22-byte
+	// receipts; our receipts are larger but the order must hold.
+	if bw.BytesPerPacket > 3 {
+		t.Errorf("bandwidth %v B/pkt implausibly high", bw.BytesPerPacket)
+	}
+	if bw.OverheadFraction > 0.01 {
+		t.Errorf("overhead fraction %v exceeds 1%%", bw.OverheadFraction)
+	}
+	if bw.String() == "" {
+		t.Error("empty bandwidth string")
+	}
+}
+
 func TestMemoryOverheadRows(t *testing.T) {
 	rows := MemoryOverhead()
 	if len(rows) != 3 {

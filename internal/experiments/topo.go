@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"vpm/internal/adversary"
 	"vpm/internal/core"
 	"vpm/internal/lossmodel"
 	"vpm/internal/netsim"
@@ -360,7 +361,7 @@ func MeshAttackRows(cfg Config) ([]MatrixRow, error) {
 		{
 			name: "mesh-shave-shared",
 			wear: func() map[receipt.HOPID]netsim.Adversary {
-				return map[receipt.HOPID]netsim.Adversary{1: &netsim.DelayShaver{ShaveNS: 3_000_000}}
+				return map[receipt.HOPID]netsim.Adversary{1: &adversary.DelayShaver{ShaveNS: 3_000_000}}
 			},
 			expectEv: []core.EvidenceClass{core.EvDelayBound},
 			note:     "leaf0 shaves its egress clocks: MaxDiff blown on the shared link for every key",

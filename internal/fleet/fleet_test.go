@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"vpm/internal/adversary"
 	"vpm/internal/core"
 	"vpm/internal/dissem"
 	"vpm/internal/netsim"
@@ -714,7 +715,7 @@ func TestReplayedFeedBecomesBlame(t *testing.T) {
 		}
 		if ci == 0 {
 			liar = cw.DomainHOPs(multiHOPDomains(t, cw, ci)[0])
-			c.servers.Servers[liar[0]].SetTamper(&dissem.Replayer{FromEpoch: 1})
+			c.servers.Servers[liar[0]].SetTamper(&adversary.Replayer{FromEpoch: 1})
 		}
 		hs := httptest.NewServer(c.Handler())
 		defer hs.Close()

@@ -1,16 +1,19 @@
-package netsim
+package netsim_test
 
 import (
 	"testing"
+
+	"vpm/internal/adversary"
+	"vpm/internal/netsim"
 )
 
 // adaptiveBatch builds a deterministic batch spanning spanNS of stream
 // time.
-func adaptiveBatch(n int, spanNS int64) []Observation {
-	pkts := make([]Observation, n)
+func adaptiveBatch(n int, spanNS int64) []netsim.Observation {
+	pkts := make([]netsim.Observation, n)
 	step := spanNS / int64(n)
 	for i := range pkts {
-		pkts[i] = Observation{
+		pkts[i] = netsim.Observation{
 			Digest: uint64(i)*0x9e3779b97f4a7c15 + 1,
 			TimeNS: int64(i) * step,
 		}
@@ -19,7 +22,7 @@ func adaptiveBatch(n int, spanNS int64) []Observation {
 }
 
 func TestAdaptiveShaverDecaysTowardFloor(t *testing.T) {
-	a := &AdaptiveShaver{
+	a := &adversary.AdaptiveShaver{
 		InitialShaveNS: 1_000_000,
 		FloorNS:        100_000,
 		HalfLifeNS:     10_000_000,
@@ -35,14 +38,14 @@ func TestAdaptiveShaverDecaysTowardFloor(t *testing.T) {
 		t.Fatalf("asymptotic shave %d, want ~floor %d", got, a.FloorNS)
 	}
 	// The schedule is anchored at the first query, not at time zero.
-	b := &AdaptiveShaver{InitialShaveNS: 1_000_000, HalfLifeNS: 10_000_000}
+	b := &adversary.AdaptiveShaver{InitialShaveNS: 1_000_000, HalfLifeNS: 10_000_000}
 	if got := b.ShaveAt(500_000_000); got != 1_000_000 {
 		t.Fatalf("late-starting stream opens at %d, want full magnitude", got)
 	}
 }
 
 func TestAdaptiveShaverDutyCycle(t *testing.T) {
-	a := &AdaptiveShaver{
+	a := &adversary.AdaptiveShaver{
 		InitialShaveNS: 400_000,
 		PeriodNS:       1_000_000,
 		Duty:           0.5,
@@ -59,7 +62,7 @@ func TestAdaptiveShaverDutyCycle(t *testing.T) {
 
 	// A batch crossing an on→off edge must come out time-ordered even
 	// though the edge un-shaves later observations.
-	fresh := &AdaptiveShaver{InitialShaveNS: 400_000, PeriodNS: 1_000_000, Duty: 0.5}
+	fresh := &adversary.AdaptiveShaver{InitialShaveNS: 400_000, PeriodNS: 1_000_000, Duty: 0.5}
 	out := fresh.TamperBatch(1, adaptiveBatch(64, 2_000_000))
 	for i := 1; i < len(out); i++ {
 		if out[i].TimeNS < out[i-1].TimeNS {
@@ -69,7 +72,7 @@ func TestAdaptiveShaverDutyCycle(t *testing.T) {
 }
 
 func TestAdaptiveSuppressorDecaysTowardFloor(t *testing.T) {
-	a := &AdaptiveSuppressor{
+	a := &adversary.AdaptiveSuppressor{
 		InitialFraction: 0.5,
 		FloorFraction:   0.05,
 		HalfLifeNS:      1_000_000,
@@ -105,8 +108,8 @@ func TestAdaptiveSuppressorDecaysTowardFloor(t *testing.T) {
 // the packet digest and its own timestamp, so feeding the stream in
 // any batch chunking keeps exactly the same packets.
 func TestAdaptiveSuppressorChunkingInvariant(t *testing.T) {
-	mk := func() *AdaptiveSuppressor {
-		return &AdaptiveSuppressor{
+	mk := func() *adversary.AdaptiveSuppressor {
+		return &adversary.AdaptiveSuppressor{
 			InitialFraction: 0.4,
 			FloorFraction:   0.1,
 			HalfLifeNS:      5_000_000,
@@ -116,7 +119,7 @@ func TestAdaptiveSuppressorChunkingInvariant(t *testing.T) {
 		}
 	}
 	whole := mk().TamperBatch(1, adaptiveBatch(4096, 20_000_000))
-	var pieces []Observation
+	var pieces []netsim.Observation
 	chunked := mk()
 	src := adaptiveBatch(4096, 20_000_000)
 	for lo := 0; lo < len(src); lo += 97 {
@@ -137,7 +140,7 @@ func TestAdaptiveSuppressorChunkingInvariant(t *testing.T) {
 }
 
 func TestAdaptiveSuppressorDutyCycleOff(t *testing.T) {
-	a := &AdaptiveSuppressor{InitialFraction: 1, PeriodNS: 1_000_000, Duty: 0.25, Seed: 3}
+	a := &adversary.AdaptiveSuppressor{InitialFraction: 1, PeriodNS: 1_000_000, Duty: 0.25, Seed: 3}
 	batch := adaptiveBatch(1000, 1_000_000)
 	out := a.TamperBatch(1, batch)
 	if len(out) == 0 {

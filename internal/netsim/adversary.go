@@ -1,22 +1,22 @@
 package netsim
 
 import (
-	"vpm/internal/hashing"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
 	"vpm/internal/stats"
 )
 
-// This file is the data-plane half of the Byzantine HOP framework: an
-// Adversary a HOP "wears" between the simulator's replay and the HOP's
+// This file is the data-plane seam of the threat model: an Adversary
+// a HOP "wears" between the simulator's replay and the HOP's
 // collector, rewriting the observation stream the collector sees. The
 // paper's threat model (§2.1, §3) allows a domain to manipulate what
 // its own HOPs claim to have observed — it cannot touch what *other*
-// HOPs observe, which is exactly why every lie here surfaces as an
+// HOPs observe, which is exactly why every lie surfaces as an
 // inter-domain receipt inconsistency (or provably moves the estimate
-// by less than sampling noise). The control-plane half — rewriting
-// sealed receipts after collection — lives in core (EpochAdversary);
-// dissemination-layer attacks live in dissem (BundleTamper).
+// by less than sampling noise). The attacks live in internal/adversary
+// beside the control-plane (core.EpochSink) and dissemination
+// (dissem.BundleTamper) ones; Suppressor stays here only because the
+// benchmark names it (ROADMAP item 3).
 
 // Adversary rewrites the observation stream of one HOP. TamperBatch
 // receives each arrival-ordered batch before the HOP's collector and
@@ -68,29 +68,6 @@ func (w *wornObserver) ObserveBatch(batch []Observation) {
 	}
 }
 
-// DelayShaver is the delay-under-reporting lie worn at a domain's
-// egress HOP: every observation is reported ShaveNS earlier than it
-// happened, so the domain's ingress→egress delay looks ShaveNS
-// smaller. The uniform shift preserves arrival order — the collector
-// cannot tell — but the *inter-domain* link deltas to the downstream
-// neighbor grow by the same ShaveNS, blowing past the advertised
-// MaxDiff: the lie surfaces as DelayBound violations on the link the
-// liar shares with the neighbor it implicated (§4 rule 2).
-type DelayShaver struct {
-	ShaveNS int64
-}
-
-// Name implements Adversary.
-func (d *DelayShaver) Name() string { return "delay-underreport" }
-
-// TamperBatch shifts every observation ShaveNS earlier, in place.
-func (d *DelayShaver) TamperBatch(_ receipt.HOPID, batch []Observation) []Observation {
-	for i := range batch {
-		batch[i].TimeNS -= d.ShaveNS
-	}
-	return batch
-}
-
 // Suppressor is the observation-suppression lie, worn at an ingress
 // HOP: a deterministic fraction of arriving packets is simply never
 // recorded — the domain pretends they did not arrive, shrinking both
@@ -123,38 +100,4 @@ func (s *Suppressor) TamperBatch(_ receipt.HOPID, batch []Observation) []Observa
 		out = append(out, o)
 	}
 	return out
-}
-
-// MarkerShaver is the marker-flip gaming lie: the one part of VPM's
-// sample set a domain can predict at forwarding time is the marker set
-// (µ is public), so a gaming egress HOP reports *markers* ShaveNS
-// early while leaving the unpredictable σ-keyed samples honest. The
-// per-link deltas of markers stay inside MaxDiff for modest shaves, so
-// the §4 checks pass — but the marker vs σ-sample delay split is
-// statistically impossible for a uniform hash subsample, and
-// Verifier.CheckMarkerBias flags the domain (§5.1 extension).
-type MarkerShaver struct {
-	// Mu is the system-wide marker threshold (hashing.ThresholdForRate
-	// of the marker rate).
-	Mu uint64
-	// ShaveNS is how much faster markers are claimed to transit.
-	ShaveNS int64
-}
-
-// Name implements Adversary.
-func (m *MarkerShaver) Name() string { return "marker-shave" }
-
-// TamperBatch back-dates marker observation times in place. The
-// stream order is left untouched — the gaming control plane rewrites
-// the timestamp *field*, not the observation sequence — so the HOP's
-// sampling decisions stay synchronized with its honest neighbors'
-// (Algorithm 1 keys off marker arrival order) and the only trace of
-// the lie is the statistically impossible marker-delay split.
-func (m *MarkerShaver) TamperBatch(_ receipt.HOPID, batch []Observation) []Observation {
-	for i := range batch {
-		if hashing.Exceeds(batch[i].Digest, m.Mu) {
-			batch[i].TimeNS -= m.ShaveNS
-		}
-	}
-	return batch
 }

@@ -1,9 +1,11 @@
-package netsim
+package netsim_test
 
 import (
 	"testing"
 
+	"vpm/internal/adversary"
 	"vpm/internal/hashing"
+	"vpm/internal/netsim"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
 )
@@ -20,19 +22,19 @@ func (c *collectObs) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
 }
 
 // wearTestBatch builds a deterministic observation batch.
-func wearTestBatch(n int) []Observation {
+func wearTestBatch(n int) []netsim.Observation {
 	pkts := make([]packet.Packet, n)
-	batch := make([]Observation, n)
+	batch := make([]netsim.Observation, n)
 	for i := range batch {
-		batch[i] = Observation{Pkt: &pkts[i], Digest: uint64(i)*0x9e3779b97f4a7c15 + 1, TimeNS: int64(i) * 1000}
+		batch[i] = netsim.Observation{Pkt: &pkts[i], Digest: uint64(i)*0x9e3779b97f4a7c15 + 1, TimeNS: int64(i) * 1000}
 	}
 	return batch
 }
 
 func TestWearDelayShaver(t *testing.T) {
 	var honest, worn collectObs
-	Deliver(&honest, wearTestBatch(64))
-	Deliver(Wear(1, &DelayShaver{ShaveNS: 500}, &worn), wearTestBatch(64))
+	netsim.Deliver(&honest, wearTestBatch(64))
+	netsim.Deliver(netsim.Wear(1, &adversary.DelayShaver{ShaveNS: 500}, &worn), wearTestBatch(64))
 	if len(worn.ids) != len(honest.ids) {
 		t.Fatalf("shaver changed the observation count: %d vs %d", len(worn.ids), len(honest.ids))
 	}
@@ -46,8 +48,8 @@ func TestWearDelayShaver(t *testing.T) {
 func TestWearSuppressorDeterministic(t *testing.T) {
 	runOnce := func() []uint64 {
 		var c collectObs
-		obs := Wear(1, &Suppressor{Fraction: 0.3, Seed: 42}, &c)
-		Deliver(obs, wearTestBatch(512))
+		obs := netsim.Wear(1, &netsim.Suppressor{Fraction: 0.3, Seed: 42}, &c)
+		netsim.Deliver(obs, wearTestBatch(512))
 		return c.ids
 	}
 	a, b := runOnce(), runOnce()
@@ -71,8 +73,8 @@ func TestWearSuppressorDeterministic(t *testing.T) {
 func TestWearMarkerShaverOnlyMarkers(t *testing.T) {
 	mu := hashing.ThresholdForRate(0.25) // plenty of "markers" in the test batch
 	var honest, worn collectObs
-	Deliver(&honest, wearTestBatch(256))
-	Deliver(Wear(1, &MarkerShaver{Mu: mu, ShaveNS: 900}, &worn), wearTestBatch(256))
+	netsim.Deliver(&honest, wearTestBatch(256))
+	netsim.Deliver(netsim.Wear(1, &adversary.MarkerShaver{Mu: mu, ShaveNS: 900}, &worn), wearTestBatch(256))
 	if len(worn.ids) != len(honest.ids) {
 		t.Fatalf("marker shaver changed the count")
 	}
@@ -99,7 +101,7 @@ func TestWearMarkerShaverOnlyMarkers(t *testing.T) {
 // neighboring HOPs' observation streams are untouched, which is the
 // §2.1 threat-model boundary the whole verification story rests on.
 func TestWearOnPath(t *testing.T) {
-	path := Fig1Path(3)
+	path := netsim.Fig1Path(3)
 	pkts := make([]packet.Packet, 2000)
 	for i := range pkts {
 		pkts[i] = packet.Packet{
@@ -109,18 +111,18 @@ func TestWearOnPath(t *testing.T) {
 			SentAt: int64(i) * 10_000,
 		}
 	}
-	run := func(adv Adversary) (map[receipt.HOPID][]int64, *Result) {
+	run := func(adv netsim.Adversary) (map[receipt.HOPID][]int64, *netsim.Result) {
 		// One comparable observer per HOP: distinct pointers keep each
 		// HOP in its own replay group (ObserverFunc closures would all
 		// share one group and see every HOP's stream).
 		sinks := make(map[receipt.HOPID]*collectObs, 8)
-		observers := make(map[receipt.HOPID]Observer, 8)
+		observers := make(map[receipt.HOPID]netsim.Observer, 8)
 		for h := receipt.HOPID(1); h <= 8; h++ {
 			c := &collectObs{}
 			sinks[h] = c
-			var obs Observer = c
+			var obs netsim.Observer = c
 			if h == 5 && adv != nil {
-				obs = Wear(h, adv, obs)
+				obs = netsim.Wear(h, adv, obs)
 			}
 			observers[h] = obs
 		}
@@ -135,7 +137,7 @@ func TestWearOnPath(t *testing.T) {
 		return times, res
 	}
 	honest, resH := run(nil)
-	worn, resW := run(&DelayShaver{ShaveNS: 1000})
+	worn, resW := run(&adversary.DelayShaver{ShaveNS: 1000})
 	if resH.Delivered != resW.Delivered {
 		t.Fatalf("wearing an adversary changed ground truth: %d vs %d delivered", resH.Delivered, resW.Delivered)
 	}

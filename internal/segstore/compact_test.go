@@ -1,6 +1,9 @@
 package segstore
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -75,6 +78,20 @@ func TestCompactMergesSmallRuns(t *testing.T) {
 		if !committed[name] {
 			t.Fatalf("uncommitted file %s survived compaction", name)
 		}
+	}
+}
+
+// TestOpenRefusesNegativeRetention: a negative DiskRetention is a typo,
+// not "keep everything" — Open returns ErrBadOptions and creates no
+// directory.
+func TestOpenRefusesNegativeRetention(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	s, _, err := Open(dir, Options{DiskRetention: -1, AutoCompact: true})
+	if !errors.Is(err, ErrBadOptions) || s != nil {
+		t.Fatalf("Open with DiskRetention -1: store %v, err %v; want ErrBadOptions", s, err)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused Open touched %s: %v", dir, err)
 	}
 }
 

@@ -32,6 +32,9 @@ var (
 	// ErrCorruptReport reports a verdict-report file that is shorter
 	// than its framing or fails its checksum.
 	ErrCorruptReport = errors.New("segstore: verdict report fails integrity check")
+	// ErrBadOptions reports Options that Open refuses before it touches
+	// the directory: a negative DiskRetention.
+	ErrBadOptions = errors.New("segstore: invalid options")
 )
 
 // Options parameterizes a Store.
@@ -40,7 +43,7 @@ type Options struct {
 	// means a DirFS over the Open directory.
 	FS FS
 	// DiskRetention bounds how many sealed epochs stay on disk; 0
-	// keeps everything. Compaction drops segments whose newest epoch
+	// keeps everything, and Open refuses a negative value. Compaction drops segments whose newest epoch
 	// has fallen more than DiskRetention behind the last sealed one.
 	DiskRetention int
 	// CompactFanIn is how many adjacent small segments trigger a
@@ -148,10 +151,14 @@ type Store struct {
 // committed. A report that fails its checksum is not fatal:
 // the evidence is intact, so the file is dropped and the epoch is
 // verified again. A report that cannot be read at all is an error —
-// deleting a verdict over a transient EIO would be.
+// deleting a verdict over a transient EIO would be. A negative
+// DiskRetention returns ErrBadOptions before dir is created or read.
 func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	opts = opts.normalize()
 	var stats RecoveryStats
+	if opts.DiskRetention < 0 {
+		return nil, stats, fmt.Errorf("%w: DiskRetention %d is negative", ErrBadOptions, opts.DiskRetention)
+	}
 	fsys := opts.FS
 	if fsys == nil {
 		dfs, err := NewDirFS(dir)

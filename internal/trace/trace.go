@@ -1,11 +1,13 @@
-// Package trace generates and stores synthetic packet traces that stand
-// in for the CAIDA Tier-1 traces used in the paper's evaluation
+// Package trace generates synthetic packet traces that stand in for the
+// CAIDA Tier-1 traces used in the paper's evaluation
 // (docs/PAPER-MAP.md's "CAIDA Tier-1 traces" row documents the
 // substitution). The paper uses traces only to drive the hashing,
 // sampling and aggregation machinery with a realistic packet stream —
 // what matters is header entropy, a realistic packet-size mix, and
 // well-defined per-path packet sequences, all of which the generator
-// reproduces deterministically from a seed.
+// reproduces deterministically from a seed. Traces live in memory only:
+// every consumer regenerates its trace from the seed, so there is no
+// trace file format.
 //
 // The workload model: each HOP path (source/destination origin-prefix
 // pair) carries a population of concurrent flows; flow sizes are

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"errors"
 	"math"
 	"testing"
 
@@ -178,64 +176,6 @@ func TestConfigTable(t *testing.T) {
 		if _, ok := tbl.Classify(&pkts[i]); !ok {
 			t.Fatalf("packet %d unclassifiable", i)
 		}
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	pkts, err := Generate(testConfig(20000, int64(100e6)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, pkts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(pkts) {
-		t.Fatalf("count mismatch %d != %d", len(got), len(pkts))
-	}
-	for i := range got {
-		if got[i] != pkts[i] {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got[i], pkts[i])
-		}
-	}
-}
-
-func TestFileEmptyRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatal("expected empty trace")
-	}
-}
-
-func TestFileBadMagic(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("NOTATRACEFILE???"))); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("err = %v, want ErrBadMagic", err)
-	}
-}
-
-func TestFileTruncated(t *testing.T) {
-	pkts, _ := Generate(testConfig(5000, int64(10e6)))
-	var buf bytes.Buffer
-	if err := Write(&buf, pkts); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := Read(bytes.NewReader(raw[:len(raw)-5])); err == nil {
-		t.Error("truncated file accepted")
-	}
-	if _, err := Read(bytes.NewReader(raw[:4])); err == nil {
-		t.Error("header-truncated file accepted")
 	}
 }
 

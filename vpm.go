@@ -33,6 +33,7 @@ package vpm
 import (
 	"context"
 
+	"vpm/internal/adversary"
 	"vpm/internal/core"
 	"vpm/internal/delaymodel"
 	"vpm/internal/dissem"
@@ -124,18 +125,18 @@ func MergeBlames(perKey map[PathKey][]Blame) []core.SharedBlame { return core.Me
 // examples/liar-detection.
 func FabricateDelivery(ingressSamples SampleReceipt, ingressAggs []AggReceipt,
 	egressPath PathID, claimedDelayNS int64) (SampleReceipt, []AggReceipt) {
-	return core.FabricateDelivery(ingressSamples, ingressAggs, egressPath, claimedDelayNS)
+	return adversary.FabricateDelivery(ingressSamples, ingressAggs, egressPath, claimedDelayNS)
 }
 
 // CoverUpReceipt is the collusion lie: a neighbor echoes a liar's
 // fabricated claims, absorbing the blame.
 func CoverUpReceipt(liarEgress SampleReceipt, ownPath PathID, linkDelayNS int64) SampleReceipt {
-	return core.CoverUpReceipt(liarEgress, ownPath, linkDelayNS)
+	return adversary.CoverUpReceipt(liarEgress, ownPath, linkDelayNS)
 }
 
 // CoverUpAggs forges matching aggregate receipts for a cover-up.
 func CoverUpAggs(liarEgress []AggReceipt, ownPath PathID, linkDelayNS int64) []AggReceipt {
-	return core.CoverUpAggs(liarEgress, ownPath, linkDelayNS)
+	return adversary.CoverUpAggs(liarEgress, ownPath, linkDelayNS)
 }
 
 // Simulation substrate.
