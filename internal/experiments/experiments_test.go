@@ -145,9 +145,6 @@ func TestOverheadBudgets(t *testing.T) {
 	if ours.MonitoringCacheBytes <= paper.MonitoringCacheBytes {
 		t.Error("our 64-bit state should cost more than the paper's 20B")
 	}
-	if ours.String() == "" || paper.String() == "" {
-		t.Error("empty budget strings")
-	}
 	bw := computeBandwidthBudget(10, 1000, 0.01, 400)
 	// The paper's scenario lands at 0.2 B/pkt, 0.046% with 22-byte
 	// receipts; our receipts are larger but the order must hold.
@@ -156,9 +153,6 @@ func TestOverheadBudgets(t *testing.T) {
 	}
 	if bw.OverheadFraction > 0.01 {
 		t.Errorf("overhead fraction %v exceeds 1%%", bw.OverheadFraction)
-	}
-	if bw.String() == "" {
-		t.Error("empty bandwidth string")
 	}
 }
 

@@ -32,15 +32,6 @@ type memoryBudget struct {
 	TempBufferBytes int64
 }
 
-// String renders the budget in the paper's units.
-func (m memoryBudget) String() string {
-	return fmt.Sprintf("paths=%d cache=%.2fMB tempbuf=%.0f entries (%.2fMB)",
-		m.ActivePaths,
-		float64(m.MonitoringCacheBytes)/1e6,
-		float64(m.TempBufferEntries),
-		float64(m.TempBufferBytes)/1e6)
-}
-
 // computeMemoryBudget evaluates the §7.1 scenario: activePaths
 // concurrently active origin-prefix pairs, an interface observing
 // ratePPS packets per second, and per-packet state retained for
@@ -69,12 +60,6 @@ type bandwidthBudget struct {
 	BytesPerPacket float64
 	// OverheadFraction is BytesPerPacket / avgPacketBytes.
 	OverheadFraction float64
-}
-
-// String renders the budget.
-func (b bandwidthBudget) String() string {
-	return fmt.Sprintf("hops=%d agg=%.0fpkt sample=%.2g%% -> %.3f B/pkt (%.4f%%)",
-		b.HOPs, b.PktsPerAggregate, b.SampleRate*100, b.BytesPerPacket, b.OverheadFraction*100)
 }
 
 // computeBandwidthBudget evaluates the §7.1 scenario analytically: a

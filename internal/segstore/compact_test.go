@@ -146,6 +146,39 @@ func TestAutoCompactBoundsSegmentCount(t *testing.T) {
 	}
 }
 
+// TestAutoCompactBoundsUnretainedManifest: without retention, merging
+// is all that keeps the manifest — which every Seal rewrites and
+// fsyncs, and every Open reads — from growing by one entry per epoch.
+// Merged files grow until they reach CompactMaxBytes, so the manifest
+// holds at most bytes/CompactMaxBytes capped files plus a tail of
+// fewer than CompactFanIn small ones. The zero Options are what
+// vpm-node runs with -disk-retention 0.
+func TestAutoCompactBoundsUnretainedManifest(t *testing.T) {
+	for _, opts := range []Options{
+		{},
+		{CompactFanIn: 4, CompactMaxBytes: 4 << 10},
+	} {
+		opts.FS, opts.AutoCompact = NewMemFS(), true
+		s, _, err := Open("", opts)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		norm := opts.normalize()
+		const epochs = 300
+		for epoch := uint64(0); epoch < epochs; epoch++ {
+			fillFrom(t, s, epoch, epoch+1, []receipt.HOPID{0, 1})
+			st := s.StoreStats()
+			if limit := int(st.Bytes/norm.CompactMaxBytes) + norm.CompactFanIn - 1; st.Segments > limit {
+				t.Fatalf("fan-in %d, cap %d B: %d segments after %d epochs (%d B), want at most %d",
+					norm.CompactFanIn, norm.CompactMaxBytes, st.Segments, epoch+1, st.Bytes, limit)
+			}
+		}
+		if got := s.SealedEpochs(); len(got) != epochs {
+			t.Fatalf("%d sealed epochs after merging, want %d", len(got), epochs)
+		}
+	}
+}
+
 func TestCompactLeavesLargeSegmentsAlone(t *testing.T) {
 	// CompactMaxBytes of 1 makes every segment "large": nothing merges.
 	s, _, err := Open("", Options{FS: NewMemFS(), CompactFanIn: 2, CompactMaxBytes: 1})

@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -50,7 +51,13 @@ func testReceipts(epoch uint64, hop receipt.HOPID) ([]receipt.SampleReceipt, []r
 // fillEpochs appends and seals epochs [0, n) across the given hops.
 func fillEpochs(t *testing.T, s *Store, n int, hops []receipt.HOPID) {
 	t.Helper()
-	for epoch := uint64(0); epoch < uint64(n); epoch++ {
+	fillFrom(t, s, 0, uint64(n), hops)
+}
+
+// fillFrom appends and seals epochs [from, to) across the given hops.
+func fillFrom(t *testing.T, s *Store, from, to uint64, hops []receipt.HOPID) {
+	t.Helper()
+	for epoch := from; epoch < to; epoch++ {
 		for _, hop := range hops {
 			samples, aggs := testReceipts(epoch, hop)
 			if err := s.Append(epoch, hop, samples, aggs); err != nil {
@@ -137,21 +144,7 @@ func TestScanSegmentTornAndCorrupt(t *testing.T) {
 // with ErrSegmentVersion naming both versions, and Open changes no
 // file: nothing truncated, swept or removed.
 func TestOpenRefusesEarlierFormat(t *testing.T) {
-	m := NewMemFS()
-	dir := filepath.Join("testdata", "vpmseg1")
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string][]byte{}
-	for _, f := range files {
-		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[f.Name()] = data
-		m.files[f.Name()] = append([]byte(nil), data...)
-	}
+	m, want := loadFixture(t, "vpmseg1")
 	if len(want) != 6 {
 		t.Fatalf("fixture holds %d files, want 6", len(want))
 	}
@@ -167,6 +160,98 @@ func TestOpenRefusesEarlierFormat(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m.files, want) {
 		t.Fatalf("Open changed the store: %d files after, %d before", len(m.files), len(want))
+	}
+}
+
+// loadFixture copies the store under testdata/name into a MemFS and
+// returns it beside the files as read.
+func loadFixture(t *testing.T, name string) (*MemFS, map[string][]byte) {
+	t.Helper()
+	m := NewMemFS()
+	dir := filepath.Join("testdata", name)
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[f.Name()] = data
+		m.files[f.Name()] = append([]byte(nil), data...)
+	}
+	return m, want
+}
+
+// TestOpenReadsMergedStore: a store an earlier build wrote and
+// compacted with CompactFanIn 2 — testdata/merged, epochs 0–3 merged
+// into one ep-<from>-<to>.seg, epoch 4 in its own segment, a report
+// per epoch — opens, and reads back what that build read from it
+// (testdata/merged.json: the sealed epochs, every epoch's blocks and
+// every report). The files are checked in, so a change to the on-disk
+// format, or a reader narrowed to single-epoch segments, fails here
+// even when it still reads what it writes. Retention then keeps the
+// merged file whole while it straddles the horizon and drops it whole
+// once it has aged out.
+func TestOpenReadsMergedStore(t *testing.T) {
+	m, _ := loadFixture(t, "merged")
+	s, stats, err := Open("", Options{FS: m, AutoCompact: true, DiskRetention: 3})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if stats.SealedEpochs != 5 || stats.LastSealed != 4 || stats.Reports != 5 ||
+		stats.PartialSegments != 0 || stats.OrphansRemoved != 0 || stats.CorruptReports != 0 {
+		t.Fatalf("recovery: %s", stats)
+	}
+	if man := s.Manifest(); len(man) != 2 || man[0].FromEpoch != 0 || man[0].ToEpoch != 3 {
+		t.Fatalf("fixture manifest %+v holds no merged range 0–3", man)
+	}
+
+	data, err := os.ReadFile(filepath.Join("testdata", "merged.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type readBack struct {
+		SealedEpochs []uint64           `json:"sealed_epochs"`
+		Epochs       map[uint64][]Block `json:"epochs"`
+		Reports      map[uint64]string  `json:"reports"`
+	}
+	var want readBack
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	got := readBack{SealedEpochs: s.SealedEpochs(), Epochs: map[uint64][]Block{}, Reports: map[uint64]string{}}
+	for _, epoch := range got.SealedEpochs {
+		blocks, err := s.ReadEpoch(epoch)
+		if err != nil {
+			t.Fatalf("ReadEpoch(%d): %v", epoch, err)
+		}
+		got.Epochs[epoch] = blocks
+		rep, err := s.Report(epoch)
+		if err != nil {
+			t.Fatalf("Report(%d): %v", epoch, err)
+		}
+		got.Reports[epoch] = string(rep)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("read back differs from what the earlier release read:\n got %+v\nwant %+v", got, want)
+	}
+
+	// Epoch 5 moves the horizon to 3: the merged file straddles it and
+	// stays whole.
+	fillFrom(t, s, 5, 6, []receipt.HOPID{0, 1})
+	if got := s.SealedEpochs(); !reflect.DeepEqual(got, []uint64{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("SealedEpochs = %v, want the straddling merged range kept", got)
+	}
+	// Epoch 6 moves it to 4: the merged file has aged out whole.
+	fillFrom(t, s, 6, 7, []receipt.HOPID{0, 1})
+	if got := s.SealedEpochs(); !reflect.DeepEqual(got, []uint64{4, 5, 6}) {
+		t.Fatalf("SealedEpochs = %v, want [4 5 6]", got)
+	}
+	if _, ok := m.files["ep-0000000000000000-0000000000000003.seg"]; ok {
+		t.Fatal("retention left the aged-out merged segment on disk")
 	}
 }
 
