@@ -17,13 +17,19 @@ import (
 //
 // Call order per epoch: AppendEpochHOP once per expected HOP (exactly
 // when that HOP seals the epoch — its receipt set is final), then
-// SealEpoch once when the last HOP seals. A backend must make
-// SealEpoch the durability point: after it returns, the epoch must
-// survive kill -9; before it, the epoch is discardable. PutReport
-// files the epoch's canonical verdict bytes (EncodeEpochReport) after
-// verification — the slice is the verifier's reused encode buffer,
-// valid only during the call; LastSealed and HasReport drive crash
-// recovery (see AttachBackend).
+// SealEpoch once when the last HOP seals. The slices handed to
+// AppendEpochHOP are immutable — the window's index aliases the same
+// records — and the backend may retain them, uncopied, until the
+// epoch's report is filed. A backend may write an epoch behind the
+// caller, so SealEpoch returning promises nothing; the durability
+// point is PutReport (or the backend's own close) returning: by then
+// the epoch, and every epoch sealed before it, must survive kill -9.
+// Before it, an epoch is discardable. PutReport files the epoch's
+// canonical verdict bytes (EncodeEpochReport) after verification — the
+// slice is the verifier's reused encode buffer, valid only during the
+// call — so a verdict is on record only once its evidence is durable;
+// LastSealed and HasReport drive crash recovery (see AttachBackend)
+// and answer for every seal handed over before them.
 type StoreBackend interface {
 	AppendEpochHOP(epoch EpochID, hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) error
 	SealEpoch(epoch EpochID) error

@@ -229,7 +229,7 @@ func (w *WindowedStore) expects(hop receipt.HOPID) bool {
 // nothing ever reads another's). When the last expected HOP seals an
 // epoch it counts toward readiness. With a durable backend attached,
 // the HOP's now-final receipt set is mirrored to it first, and the
-// epoch's durable seal is committed when the last HOP seals — unless
+// epoch's seal is handed to it when the last HOP seals — unless
 // the epoch predates the recovery watermark (already durable;
 // re-persisting would double-count). Receipts whose persist failed
 // stay pending, and views index them on demand.

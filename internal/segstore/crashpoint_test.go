@@ -10,7 +10,9 @@ package segstore
 // invariants must hold at every N:
 //
 //  1. No durably sealed epoch is lost: every epoch whose Seal returned
-//     nil is in the recovered sealed set, byte-identical to baseline.
+//     nil, and whose commit the workload then waited for without
+//     error, is in the recovered sealed set, byte-identical to
+//     baseline.
 //  2. Nothing phantom appears: the recovered sealed set is bounded by
 //     the epochs the workload had attempted to seal, and every
 //     surviving report decodes and matches baseline bytes.
@@ -21,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vpm/internal/receipt"
@@ -35,10 +38,14 @@ var crashHops = []receipt.HOPID{0, 1}
 
 // crashWorkload drives the deterministic workload against s for the
 // given number of epochs, returning the epochs durably sealed (Seal
-// returned nil), the epochs whose report write returned nil, the
-// epochs a Seal was at least attempted for, and the first error hit
-// (nil if the workload completed).
-func crashWorkload(s *Store, epochs uint64) (durable, reported, attempted map[uint64]bool, err error) {
+// returned nil and the wait for its commit did too; none when commit
+// is false, which leaves the commit to PutReport's wait), the epochs
+// whose report write returned nil, the epochs a Seal was at least
+// attempted for, and the first error hit (nil if the workload
+// completed). Both ways make the same filesystem operations in the
+// same order: the writer commits each seal before the next call that
+// waits for it runs.
+func crashWorkload(s *Store, epochs uint64, commit bool) (durable, reported, attempted map[uint64]bool, err error) {
 	durable = make(map[uint64]bool)
 	reported = make(map[uint64]bool)
 	attempted = make(map[uint64]bool)
@@ -53,7 +60,12 @@ func crashWorkload(s *Store, epochs uint64) (durable, reported, attempted map[ui
 		if err = s.Seal(epoch); err != nil {
 			return
 		}
-		durable[epoch] = true
+		if commit {
+			if err = drain(s); err != nil {
+				return
+			}
+			durable[epoch] = true
+		}
 		if err = s.PutReport(epoch, []byte(fmt.Sprintf(crashReport, epoch))); err != nil {
 			return
 		}
@@ -75,7 +87,7 @@ func crashBaseline(t *testing.T) baselineState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := crashWorkload(s, crashEpochs); err != nil {
+	if _, _, _, err := crashWorkload(s, crashEpochs, true); err != nil {
 		t.Fatalf("uninterrupted workload failed: %v", err)
 	}
 	base := baselineState{blocks: make(map[uint64][]Block), reports: make(map[uint64][]byte)}
@@ -105,7 +117,7 @@ func totalOps(t *testing.T) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := crashWorkload(s, crashEpochs); err != nil {
+	if _, _, _, err := crashWorkload(s, crashEpochs, true); err != nil {
 		t.Fatalf("counting run failed: %v", err)
 	}
 	fault.mu.Lock()
@@ -113,7 +125,21 @@ func totalOps(t *testing.T) int {
 	return huge - fault.remaining
 }
 
-func TestCrashPointEveryOperation(t *testing.T) {
+func TestCrashPointEveryOperation(t *testing.T) { sweepCrashPoints(t, true) }
+
+// TestCrashPointWriteBehind is the sweep without the wait after each
+// Seal: the writer commits epoch e while the workload goes on to file
+// e's report, and a crash inside the commit surfaces at that PutReport.
+// No Seal's return promises anything here; what must survive is every
+// epoch whose report was filed, report included.
+func TestCrashPointWriteBehind(t *testing.T) { sweepCrashPoints(t, false) }
+
+// sweepCrashPoints runs the workload at every crash point, waiting for
+// each seal's commit after Seal or not (see crashWorkload), and holds
+// the recovered store to the three invariants. With no wait, (1)
+// covers the reported epochs. Either way the recovered seals are a
+// prefix of the attempted ones: the writer commits them in seal order.
+func sweepCrashPoints(t *testing.T, commit bool) {
 	base := crashBaseline(t)
 	ops := totalOps(t)
 	if ops < 20 {
@@ -125,11 +151,10 @@ func TestCrashPointEveryOperation(t *testing.T) {
 		mem := NewMemFS()
 		fault := NewFaultFS(mem, n)
 
-		durable := make(map[uint64]bool)
-		attempted := make(map[uint64]bool)
+		var durable, reported, attempted map[uint64]bool
 		s, _, err := Open("", Options{FS: fault})
 		if err == nil {
-			durable, _, attempted, err = crashWorkload(s, crashEpochs)
+			durable, reported, attempted, err = crashWorkload(s, crashEpochs, commit)
 		}
 		if n < ops {
 			if err == nil {
@@ -153,7 +178,14 @@ func TestCrashPointEveryOperation(t *testing.T) {
 		for _, epoch := range s2.SealedEpochs() {
 			recovered[epoch] = true
 		}
-		// (1) every durably sealed epoch survives, bytes intact.
+		// (1) every durably sealed epoch survives, bytes intact, and
+		// so does every filed report.
+		for epoch := range reported {
+			if !s2.HasReport(epoch) {
+				t.Fatalf("budget %d: filed report of epoch %d lost (recovered %v)", n, epoch, s2.ReportEpochs())
+			}
+			durable[epoch] = true
+		}
 		for epoch := range durable {
 			if !recovered[epoch] {
 				t.Fatalf("budget %d: durably sealed epoch %d lost (recovered %v)", n, epoch, s2.SealedEpochs())
@@ -166,11 +198,11 @@ func TestCrashPointEveryOperation(t *testing.T) {
 				t.Fatalf("budget %d: epoch %d blocks differ from baseline after recovery", n, epoch)
 			}
 		}
-		// (2) nothing phantom: only attempted seals can be recovered,
-		// and surviving reports are byte-exact.
-		for epoch := range recovered {
-			if !attempted[epoch] {
-				t.Fatalf("budget %d: recovered epoch %d was never sealed", n, epoch)
+		// (2) nothing phantom: the recovered seals are a prefix of the
+		// attempted ones, and surviving reports are byte-exact.
+		for epoch := uint64(0); epoch < uint64(len(recovered)); epoch++ {
+			if !recovered[epoch] || !attempted[epoch] {
+				t.Fatalf("budget %d: recovered %v, not a prefix of the attempted seals %v", n, s2.SealedEpochs(), attempted)
 			}
 		}
 		for _, epoch := range s2.ReportEpochs() {
@@ -244,7 +276,7 @@ func TestCrashPointWithAutoCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := crashWorkload(sBase, compactEpochs); err != nil {
+	if _, _, _, err := crashWorkload(sBase, compactEpochs, true); err != nil {
 		t.Fatalf("uninterrupted compacting workload failed: %v", err)
 	}
 	baseSealed := sBase.SealedEpochs()
@@ -255,7 +287,7 @@ func TestCrashPointWithAutoCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := crashWorkload(sCount, compactEpochs); err != nil {
+	if _, _, _, err := crashWorkload(sCount, compactEpochs, true); err != nil {
 		t.Fatalf("counting run failed: %v", err)
 	}
 	fault.mu.Lock()
@@ -268,7 +300,7 @@ func TestCrashPointWithAutoCompact(t *testing.T) {
 		durable := make(map[uint64]bool)
 		s, _, err := Open("", opts(NewFaultFS(mem, n)))
 		if err == nil {
-			durable, _, _, err = crashWorkload(s, compactEpochs)
+			durable, _, _, err = crashWorkload(s, compactEpochs, true)
 		}
 		if n == ops && err != nil {
 			t.Fatalf("budget %d covers the whole workload but it failed: %v", n, err)
@@ -313,5 +345,59 @@ func TestCrashPointWithAutoCompact(t *testing.T) {
 	// Sanity: the compacting baseline really did retain only a window.
 	if len(baseSealed) >= compactEpochs {
 		t.Fatalf("compaction baseline retained %v — retention never kicked in", baseSealed)
+	}
+}
+
+// TestCrashPointCountsOnlyInFlightAsPartial sweeps a retaining store's
+// crash points: a crash between a retention pass's manifest commit and
+// its removals leaves a retired segment behind. Recovery removes it as
+// an orphan; it counts as partial only the segments of epochs newer
+// than the last seal, the work in flight.
+func TestCrashPointCountsOnlyInFlightAsPartial(t *testing.T) {
+	opts := func(fsys FS) Options { return Options{FS: fsys, AutoCompact: true, DiskRetention: 2} }
+	retiredSeen := 0
+	for n, done := 1, false; !done; n++ {
+		mem := NewMemFS()
+		s, _, err := Open("", opts(NewFaultFS(mem, n)))
+		if err == nil {
+			_, _, _, err = crashWorkload(s, compactEpochs, true)
+		}
+		done = err == nil
+
+		committed := make(map[string]bool)
+		var last uint64
+		if data, err := mem.ReadInto(manifestName, nil); err == nil {
+			entries, err := DecodeManifest(data)
+			if err != nil {
+				t.Fatalf("budget %d: committed manifest: %v", n, err)
+			}
+			for _, e := range entries {
+				committed[e.File] = true
+				last = e.ToEpoch
+			}
+		}
+		names, _ := mem.List()
+		partial := 0
+		for _, name := range names {
+			if committed[name] || !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+				continue
+			}
+			if _, to, err := parseSegmentName(name); err == nil && len(committed) > 0 && to <= last {
+				retiredSeen++
+			} else {
+				partial++
+			}
+		}
+		_, stats, err := Open("", opts(mem))
+		if err != nil {
+			t.Fatalf("budget %d: recovery failed: %v", n, err)
+		}
+		if stats.PartialSegments != partial {
+			t.Fatalf("budget %d: %d partial segments counted, %d of the uncommitted segments are newer than last seal %d (files %v)",
+				n, stats.PartialSegments, partial, last, names)
+		}
+	}
+	if retiredSeen == 0 {
+		t.Fatal("no crash point left a retired segment behind: the sweep checks nothing")
 	}
 }

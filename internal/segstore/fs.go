@@ -7,9 +7,13 @@
 // far beyond RAM — the paper's post-hoc dispute-resolution use case
 // needs receipts to still exist when the dispute is raised.
 //
-// Durability contract: an epoch is durable exactly when its Seal
-// committed the manifest (write-temp, fsync, rename, fsync-dir).
-// Everything before that point — blocks appended to the active
+// Durability contract: an epoch is durable exactly when the manifest
+// commit of its seal (write-temp, fsync, rename, fsync-dir) is done.
+// Append and Seal hand their work to one ordered writer goroutine and
+// return before it is written, so the caller's promise point is later:
+// when PutReport or Close returns nil, every epoch sealed before the
+// call is durable — a verdict is filed only once its evidence is.
+// Everything before the commit — blocks appended to the active
 // segment, a manifest temp file — is discardable; everything after
 // survives kill -9 at any instruction boundary. Recovery (Open)
 // re-establishes exactly the manifest's world: sealed segments are

@@ -54,7 +54,17 @@ func fillEpochs(t *testing.T, s *Store, n int, hops []receipt.HOPID) {
 	fillFrom(t, s, 0, uint64(n), hops)
 }
 
-// fillFrom appends and seals epochs [from, to) across the given hops.
+// drain waits for s's writer to commit every seal handed to it and
+// returns the writer's failure, if any: what PutReport and Close wait
+// for, without filing anything.
+func drain(s *Store) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.drainLocked()
+}
+
+// fillFrom appends and seals epochs [from, to) across the given hops
+// and waits until the seals are committed.
 func fillFrom(t *testing.T, s *Store, from, to uint64, hops []receipt.HOPID) {
 	t.Helper()
 	for epoch := from; epoch < to; epoch++ {
@@ -67,6 +77,9 @@ func fillFrom(t *testing.T, s *Store, from, to uint64, hops []receipt.HOPID) {
 		if err := s.Seal(epoch); err != nil {
 			t.Fatalf("Seal(%d): %v", epoch, err)
 		}
+	}
+	if err := drain(s); err != nil {
+		t.Fatalf("committing epochs [%d, %d): %v", from, to, err)
 	}
 }
 
@@ -370,16 +383,16 @@ func TestRecoveryDropsPartialEpochAndTornTail(t *testing.T) {
 	fillEpochs(t, s, 2, []receipt.HOPID{0, 1})
 
 	// Epoch 2 is mid-flight: one whole block plus a torn half-block,
-	// never sealed — the state kill -9 leaves behind.
+	// never sealed — the state kill -9 leaves behind when it lands
+	// inside the writer's commit of the epoch.
 	samples, aggs := testReceipts(2, 0)
-	if err := s.Append(2, 0, samples, aggs); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
 	torn := EncodeBlock(2, 1, samples, aggs)
 	f, err := mfs.OpenAppend(segmentName(2))
 	if err != nil {
 		t.Fatalf("OpenAppend: %v", err)
 	}
+	f.Write(segMagic[:])
+	f.Write(EncodeBlock(2, 0, samples, aggs))
 	f.Write(torn[:len(torn)-5])
 	f.Close()
 	// A stale manifest temp and an orphan report ride along.
@@ -561,6 +574,7 @@ func TestRecoveryStatsString(t *testing.T) {
 func (s *Store) Manifest() []SegmentInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	return append([]SegmentInfo(nil), s.entries...)
 }
 
@@ -570,6 +584,7 @@ func (s *Store) Manifest() []SegmentInfo {
 // errors.Is).
 func (s *Store) ReadEpoch(epoch uint64) ([]Block, error) {
 	s.mu.Lock()
+	s.drainLocked()
 	entry := s.entryForLocked(epoch)
 	if entry == nil {
 		s.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -90,8 +91,10 @@ type RecoveryStats struct {
 	// grown past their committed size (an append torn mid-crash after
 	// the manifest commit).
 	TruncatedBytes int64 `json:"truncated_bytes"`
-	// OrphansRemoved counts stale temp files, and reports of epochs
-	// that never sealed, garbage-collected.
+	// OrphansRemoved counts what was garbage-collected besides partial
+	// segments: stale temp files, segments retired or merged away whose
+	// removal the crash interrupted, and reports of epochs that never
+	// sealed.
 	OrphansRemoved int `json:"orphans_removed"`
 	// CorruptReports counts reports of sealed epochs dropped because
 	// they failed their checksum (bit rot, or a file from before
@@ -110,7 +113,19 @@ func (s RecoveryStats) String() string {
 		s.SealedEpochs, last, s.Reports, s.PartialSegments, s.PartialBlocksDropped, s.TornBytes, s.OrphansRemoved, s.CorruptReports)
 }
 
-// activeSegment is one open (unsealed) epoch's append state.
+// op is one write handed to the writer: an appended block — one HOP's
+// receipts, referenced, not copied (see core.StoreBackend) — or, when
+// seal is set, the epoch's seal.
+type op struct {
+	epoch   uint64
+	seal    bool
+	hop     receipt.HOPID
+	samples []receipt.SampleReceipt
+	aggs    []receipt.AggReceipt
+}
+
+// activeSegment is one open (unsealed) epoch's segment file, written by
+// the writer.
 type activeSegment struct {
 	file    File
 	name    string
@@ -123,11 +138,27 @@ type activeSegment struct {
 
 // Store is the durable epoch-segment store. All methods are safe for
 // concurrent use.
+//
+// Appends and seals are written behind the caller. Append and Seal
+// queue an op and return; one writer goroutine — started by the call
+// that finds it idle, gone once the queue is empty — applies the ops in
+// order: it encodes each block into its epoch's segment and, at a seal,
+// syncs the segment, commits the manifest and compacts. While it runs,
+// the writer alone touches the filesystem, active, buf and the committed
+// state (publishing entries and reports under mu); every other method
+// that reads or writes them first waits, under mu, for it to finish
+// (drainLocked). The first failure it hits is kept in err and returned
+// by every later write.
 type Store struct {
 	mu      sync.Mutex
+	idle    sync.Cond // signalled, on mu, when the writer exits
 	fsys    FS
 	opts    Options
 	entries []SegmentInfo // committed manifest, sorted by FromEpoch
+	queue   []op          // handed to the writer, oldest first
+	sealing map[uint64]bool
+	writing bool  // the writer goroutine is running
+	err     error // the writer's first failure, sticky
 	active  map[uint64]*activeSegment
 	// reports maps each epoch with a durable report to its file's size;
 	// reportBytes is their sum.
@@ -170,9 +201,11 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	s := &Store{
 		fsys:    fsys,
 		opts:    opts,
+		sealing: make(map[uint64]bool),
 		active:  make(map[uint64]*activeSegment),
 		reports: make(map[uint64]int64),
 	}
+	s.idle.L = &s.mu
 	entries, err := loadManifest(fsys)
 	if err != nil {
 		return nil, stats, err
@@ -239,11 +272,19 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	if err != nil {
 		return nil, stats, fmt.Errorf("segstore: list data dir: %w", err)
 	}
+	// A segment the manifest does not name holding no epoch newer than
+	// the committed ones was retired or merged away: the commit that
+	// dropped it happened, its removal did not. Only newer ones were in
+	// flight.
+	retired := func(name string) bool {
+		_, to, err := parseSegmentName(name)
+		return err == nil && len(entries) > 0 && to <= entries[len(entries)-1].ToEpoch
+	}
 	for _, name := range names {
 		switch {
 		case name == manifestName || inManifest[name]:
 			continue
-		case name == manifestTemp || strings.HasSuffix(name, ".tmp"):
+		case name == manifestTemp || strings.HasSuffix(name, ".tmp") || retired(name):
 			if err := fsys.Remove(name); err != nil {
 				return nil, stats, fmt.Errorf("segstore: remove stale %s: %w", name, err)
 			}
@@ -350,6 +391,25 @@ func reportName(epoch uint64) string {
 	return fmt.Sprintf("%s%016x%s", repPrefix, epoch, repSuffix)
 }
 
+// parseSegmentName inverts segmentName and mergedSegmentName,
+// returning the epoch range the file holds.
+func parseSegmentName(name string) (from, to uint64, err error) {
+	hex := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
+	switch len(hex) {
+	case 16:
+		_, err = fmt.Sscanf(hex, "%016x", &from)
+		to = from
+	case 33:
+		_, err = fmt.Sscanf(hex, "%016x-%016x", &from, &to)
+	default:
+		err = errors.New("no epoch range")
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("segstore: bad segment name %q: %v", name, err)
+	}
+	return from, to, nil
+}
+
 // parseReportName inverts reportName.
 func parseReportName(name string) (uint64, error) {
 	hex := strings.TrimSuffix(strings.TrimPrefix(name, repPrefix), repSuffix)
@@ -375,35 +435,126 @@ func (s *Store) entryForLocked(epoch uint64) *SegmentInfo {
 	return nil
 }
 
-// Append files one HOP's receipts for an open epoch into the epoch's
-// active segment. Blocks are buffered by the OS until Seal syncs the
-// file — durability is a property of sealed epochs only. Appending to
-// an already-sealed epoch returns ErrEpochSealed (nothing is written):
-// that is the no-double-count guard recovery-by-reexecution relies on.
+// Append hands one HOP's receipts for an open epoch to the writer,
+// which encodes them as a block of the epoch's segment file. The
+// slices are retained, not copied, until then (see core.StoreBackend).
+// Blocks are buffered by the OS until the epoch's seal syncs the file —
+// durability is a property of committed seals only. Appending to an
+// epoch already sealed, or handed over for sealing, returns
+// ErrEpochSealed (nothing is written): that is the no-double-count
+// guard recovery-by-reexecution relies on. A failed background write is
+// returned instead, by this and every later write.
 func (s *Store) Append(epoch uint64, hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sealedLocked(epoch) {
+	if err := s.writableLocked(epoch); err != nil {
+		return err
+	}
+	s.handLocked(op{epoch: epoch, hop: hop, samples: samples, aggs: aggs})
+	return nil
+}
+
+// Seal hands epoch's seal to the writer and returns. After every op
+// handed over before it, the writer syncs the epoch's segment to stable
+// storage and atomically rewrites the manifest to include it; the
+// epoch survives kill -9 once that commit is done, which PutReport and
+// Close wait for. Until then it is discardable. Sealing an epoch with no
+// appended receipts commits an empty segment (epochs with zero traffic
+// are still epochs). Sealing twice returns ErrEpochSealed.
+func (s *Store) Seal(epoch uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writableLocked(epoch); err != nil {
+		return err
+	}
+	s.sealing[epoch] = true
+	s.handLocked(op{epoch: epoch, seal: true})
+	return nil
+}
+
+// writableLocked returns the writer's sticky failure, else
+// ErrEpochSealed when epoch is committed or handed over for its commit.
+func (s *Store) writableLocked(epoch uint64) error {
+	if s.err != nil {
+		return s.err
+	}
+	if s.sealing[epoch] || s.sealedLocked(epoch) {
 		return fmt.Errorf("%w: epoch %d", ErrEpochSealed, epoch)
 	}
-	seg, err := s.activeLocked(epoch)
+	return nil
+}
+
+// handLocked queues o for the writer, starting it if it is idle.
+func (s *Store) handLocked(o op) {
+	s.queue = append(s.queue, o)
+	if !s.writing {
+		s.writing = true
+		go s.write()
+	}
+}
+
+// write is the writer goroutine: it applies the queued ops oldest
+// first, publishing each committed seal's manifest and compacting after
+// it when AutoCompact is set, and returns once the queue is empty. A
+// failure is kept as the store's sticky error, and the ops queued behind
+// it are dropped undone.
+func (s *Store) write() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.queue) > 0 {
+		o := s.queue[0]
+		entries := s.entries
+		s.mu.Unlock()
+		var err error
+		if o.seal {
+			entries, err = s.commitSeal(o.epoch, entries)
+		} else {
+			err = s.appendBlock(o)
+		}
+		s.mu.Lock()
+		s.queue[0] = op{}
+		s.queue = s.queue[1:]
+		if err == nil && o.seal {
+			s.entries = entries
+			delete(s.sealing, o.epoch)
+			if s.opts.AutoCompact {
+				if _, err = s.compactLocked(); err != nil {
+					err = fmt.Errorf("segstore: auto-compact after epoch %d: %w", o.epoch, err)
+				}
+			}
+		}
+		if err != nil {
+			s.err = err
+			clear(s.queue)
+			s.queue = s.queue[:0]
+			clear(s.sealing)
+		}
+	}
+	s.writing = false
+	s.idle.Broadcast()
+}
+
+// appendBlock encodes o's receipts as one block of its epoch's active
+// segment. Only the writer calls it, outside mu.
+func (s *Store) appendBlock(o op) error {
+	seg, err := s.openSegment(o.epoch)
 	if err != nil {
 		return err
 	}
-	s.buf = AppendBlock(s.buf[:0], epoch, hop, samples, aggs)
+	s.buf = AppendBlock(s.buf[:0], o.epoch, o.hop, o.samples, o.aggs)
 	if _, err := seg.file.Write(s.buf); err != nil {
-		return fmt.Errorf("segstore: append epoch %d hop %d: %w", epoch, hop, err)
+		return fmt.Errorf("segstore: append epoch %d hop %d: %w", o.epoch, o.hop, err)
 	}
 	seg.crc = crc32.Update(seg.crc, crcTable, s.buf)
 	seg.bytes += int64(len(s.buf))
 	seg.blocks++
-	seg.samples += len(samples)
-	seg.aggs += len(aggs)
+	seg.samples += len(o.samples)
+	seg.aggs += len(o.aggs)
 	return nil
 }
 
-// activeLocked returns (creating if needed) the epoch's open segment.
-func (s *Store) activeLocked(epoch uint64) (*activeSegment, error) {
+// openSegment returns (creating if needed) the epoch's active segment.
+func (s *Store) openSegment(epoch uint64) (*activeSegment, error) {
 	if seg := s.active[epoch]; seg != nil {
 		return seg, nil
 	}
@@ -428,33 +579,25 @@ func (s *Store) activeLocked(epoch uint64) (*activeSegment, error) {
 	return seg, nil
 }
 
-// Seal makes epoch durable: the active segment is synced to stable
-// storage and the manifest is atomically rewritten to include it. When
-// Seal returns nil the epoch survives kill -9; until then it is
-// discardable. Sealing an epoch with no appended receipts commits an
-// empty segment (epochs with zero traffic are still epochs). Sealing
-// twice returns ErrEpochSealed.
-func (s *Store) Seal(epoch uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sealedLocked(epoch) {
-		return fmt.Errorf("%w: epoch %d", ErrEpochSealed, epoch)
-	}
-	seg, err := s.activeLocked(epoch)
+// commitSeal syncs and closes epoch's segment and commits a manifest of
+// entries plus the segment, returning what it committed. Only the
+// writer calls it, outside mu.
+func (s *Store) commitSeal(epoch uint64, entries []SegmentInfo) ([]SegmentInfo, error) {
+	seg, err := s.openSegment(epoch)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := seg.file.Sync(); err != nil {
-		return fmt.Errorf("segstore: sync epoch %d: %w", epoch, err)
+		return nil, fmt.Errorf("segstore: sync epoch %d: %w", epoch, err)
 	}
 	if err := seg.file.Close(); err != nil {
-		return fmt.Errorf("segstore: close epoch %d: %w", epoch, err)
+		return nil, fmt.Errorf("segstore: close epoch %d: %w", epoch, err)
 	}
 	// The file handle is spent either way; if the manifest commit
 	// below fails, the segment is left an uncommitted orphan for the
 	// next Open to sweep.
 	delete(s.active, epoch)
-	entry := SegmentInfo{
+	entries = append(slices.Clip(entries), SegmentInfo{
 		File:      seg.name,
 		FromEpoch: epoch,
 		ToEpoch:   epoch,
@@ -463,26 +606,33 @@ func (s *Store) Seal(epoch uint64) error {
 		CRC:       seg.crc,
 		Samples:   seg.samples,
 		Aggs:      seg.aggs,
-	}
-	entries := append(append([]SegmentInfo(nil), s.entries...), entry)
+	})
 	sort.Slice(entries, func(i, j int) bool { return entries[i].FromEpoch < entries[j].FromEpoch })
 	if err := commitManifest(s.fsys, entries); err != nil {
-		return err
+		return nil, err
 	}
-	s.entries = entries
-	if s.opts.AutoCompact {
-		if _, err := s.compactLocked(); err != nil {
-			return fmt.Errorf("segstore: auto-compact after epoch %d: %w", epoch, err)
-		}
+	return entries, nil
+}
+
+// drainLocked waits until the writer has applied every queued op —
+// every seal handed over is committed — and returns its sticky
+// failure, if any. The caller holds mu, and
+// keeps the filesystem and the committed state to itself until it
+// releases mu: no writer starts before then.
+func (s *Store) drainLocked() error {
+	for s.writing {
+		s.idle.Wait()
 	}
-	return nil
+	return s.err
 }
 
 // LastSealed returns the newest durably sealed epoch, false when
-// nothing has sealed.
+// nothing has sealed. Like every read, it first waits for the seals
+// already handed to the writer.
 func (s *Store) LastSealed() (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	if len(s.entries) == 0 {
 		return 0, false
 	}
@@ -494,6 +644,7 @@ func (s *Store) LastSealed() (uint64, bool) {
 func (s *Store) SealedEpochs() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	var out []uint64
 	for _, e := range s.entries {
 		for ep := e.FromEpoch; ep <= e.ToEpoch; ep++ {
@@ -509,13 +660,20 @@ func (s *Store) SealedEpochs() []uint64 {
 // PutReport durably files the epoch's canonical verdict-report bytes
 // under their checksum trailer (write-temp, sync, rename, sync-dir —
 // the same commit discipline as the manifest). data is not retained.
-// The epoch must be sealed first — a verdict must never outlive the
-// evidence it judges — else ErrNotSealed is returned (match with
-// errors.Is). Re-putting a report replaces it (re-verification writes
-// identical bytes).
+// It first waits for every seal handed to the writer before it to
+// commit, and returns the writer's failure if one did not: a report is
+// filed only once its evidence is durable, so when PutReport returns
+// nil the epoch and every epoch sealed before it survive kill -9. The
+// epoch must be sealed — a verdict must never outlive the evidence it
+// judges — else ErrNotSealed is returned (match with errors.Is).
+// Re-putting a report replaces it (re-verification writes identical
+// bytes).
 func (s *Store) PutReport(epoch uint64, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.drainLocked(); err != nil {
+		return err
+	}
 	if !s.sealedLocked(epoch) {
 		return fmt.Errorf("%w: epoch %d has no durable evidence for a report", ErrNotSealed, epoch)
 	}
@@ -562,6 +720,7 @@ func (s *Store) PutReport(epoch uint64, data []byte) error {
 func (s *Store) HasReport(epoch uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	_, ok := s.reports[epoch]
 	return ok
 }
@@ -581,6 +740,7 @@ func (s *Store) Report(epoch uint64) ([]byte, error) {
 // a serving loop keeps one buffer whatever happens.
 func (s *Store) ReportInto(epoch uint64, buf []byte) ([]byte, error) {
 	s.mu.Lock()
+	s.drainLocked()
 	_, ok := s.reports[epoch]
 	s.mu.Unlock()
 	if !ok {
@@ -601,6 +761,7 @@ func (s *Store) ReportInto(epoch uint64, buf []byte) ([]byte, error) {
 func (s *Store) ReportEpochs() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	out := make([]uint64, 0, len(s.reports))
 	for epoch := range s.reports {
 		out = append(out, epoch)
@@ -620,14 +781,17 @@ type Stats struct {
 	Reports      int   `json:"reports"`
 	// ReportBytes is the size of the report files; Bytes counts the
 	// sealed segments only.
-	ReportBytes  int64 `json:"report_bytes"`
-	ActiveEpochs int   `json:"active_epochs"`
+	ReportBytes int64 `json:"report_bytes"`
+	// ActiveEpochs counts the epochs with appended receipts and no
+	// seal yet.
+	ActiveEpochs int `json:"active_epochs"`
 }
 
 // StoreStats returns the current occupancy.
 func (s *Store) StoreStats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	st := Stats{
 		Segments:     len(s.entries),
 		Reports:      len(s.reports),
@@ -643,12 +807,14 @@ func (s *Store) StoreStats() Stats {
 	return st
 }
 
-// Close releases the open segment files. Unsealed epochs stay
+// Close waits for the writer to apply everything handed to it, then
+// releases the open segment files; no goroutine of the store runs after
+// it. It returns the writer's failure, if any. Unsealed epochs stay
 // discardable — Close does not seal.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var firstErr error
+	firstErr := s.drainLocked()
 	for epoch, seg := range s.active {
 		if err := seg.file.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("segstore: close active epoch %d: %w", epoch, err)
