@@ -382,7 +382,7 @@ func TestCrashPointCountsOnlyInFlightAsPartial(t *testing.T) {
 			if committed[name] || !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
 				continue
 			}
-			if _, to, err := parseSegmentName(name); err == nil && len(committed) > 0 && to <= last {
+			if to, ok := segmentLastEpoch(name); ok && len(committed) > 0 && to <= last {
 				retiredSeen++
 			} else {
 				partial++

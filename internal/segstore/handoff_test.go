@@ -211,3 +211,69 @@ func TestWriterCommitsInSealOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadsWhileWriting: a reader — the query API beside a running
+// pipeline — sees the committed state grow monotonically while seals
+// and reports are handed over from another goroutine, and never a
+// report whose epoch is not sealed.
+func TestReadsWhileWriting(t *testing.T) {
+	s, _, err := Open("", Options{FS: NewMemFS(), AutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const epochs = 30
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for epoch := uint64(0); epoch < epochs; epoch++ {
+			for _, hop := range []receipt.HOPID{0, 1} {
+				samples, aggs := testReceipts(epoch, hop)
+				if err := s.Append(epoch, hop, samples, aggs); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := s.Seal(epoch); err != nil {
+				t.Error(err)
+				return
+			}
+			if epoch > 0 {
+				if err := s.PutReport(epoch-1, []byte(`{}`)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	var last uint64
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		// Reports first: each must be of an epoch sealed by the later
+		// read.
+		reports := s.ReportEpochs()
+		if n := uint64(len(s.SealedEpochs())); n < last {
+			t.Fatalf("%d sealed epochs after %d", n, last)
+		} else {
+			last = n
+		}
+		for _, epoch := range reports {
+			if epoch >= last {
+				t.Fatalf("report of epoch %d with %d epochs sealed", epoch, last)
+			}
+			if _, err := s.Report(epoch); err != nil {
+				t.Fatalf("Report(%d): %v", epoch, err)
+			}
+		}
+		_ = s.StoreStats()
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.SealedEpochs()); got != epochs {
+		t.Fatalf("%d sealed epochs, want %d", got, epochs)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -144,21 +145,21 @@ type activeSegment struct {
 // that finds it idle, gone once the queue is empty — applies the ops in
 // order: it encodes each block into its epoch's segment and, at a seal,
 // syncs the segment, commits the manifest and compacts. While it runs,
-// the writer alone touches the filesystem, active, buf and the committed
-// state (publishing entries and reports under mu); every other method
-// that reads or writes them first waits, under mu, for it to finish
-// (drainLocked). The first failure it hits is kept in err and returned
-// by every later write.
+// the writer alone writes to the filesystem and touches active, buf and
+// the committed state (publishing entries and reports under mu); every
+// other method that reads or writes them first waits, under mu, for it
+// to finish (drainLocked). The first failure it hits is kept in err and
+// returned by every later write.
 type Store struct {
 	mu      sync.Mutex
 	idle    sync.Cond // signalled, on mu, when the writer exits
 	fsys    FS
 	opts    Options
-	entries []SegmentInfo // committed manifest, sorted by FromEpoch
-	queue   []op          // handed to the writer, oldest first
-	sealing map[uint64]bool
-	writing bool  // the writer goroutine is running
-	err     error // the writer's first failure, sticky
+	entries []SegmentInfo   // committed manifest, sorted by FromEpoch
+	queue   []op            // handed to the writer, oldest first
+	sealing map[uint64]bool // epochs whose seal is queued, not committed
+	writing bool            // the writer goroutine is running
+	err     error           // the writer's first failure, sticky
 	active  map[uint64]*activeSegment
 	// reports maps each epoch with a durable report to its file's size;
 	// reportBytes is their sum.
@@ -277,8 +278,8 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	// dropped it happened, its removal did not. Only newer ones were in
 	// flight.
 	retired := func(name string) bool {
-		_, to, err := parseSegmentName(name)
-		return err == nil && len(entries) > 0 && to <= entries[len(entries)-1].ToEpoch
+		last, ok := segmentLastEpoch(name)
+		return ok && len(entries) > 0 && last <= entries[len(entries)-1].ToEpoch
 	}
 	for _, name := range names {
 		switch {
@@ -391,23 +392,16 @@ func reportName(epoch uint64) string {
 	return fmt.Sprintf("%s%016x%s", repPrefix, epoch, repSuffix)
 }
 
-// parseSegmentName inverts segmentName and mergedSegmentName,
-// returning the epoch range the file holds.
-func parseSegmentName(name string) (from, to uint64, err error) {
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
-	switch len(hex) {
-	case 16:
-		_, err = fmt.Sscanf(hex, "%016x", &from)
-		to = from
-	case 33:
-		_, err = fmt.Sscanf(hex, "%016x-%016x", &from, &to)
-	default:
-		err = errors.New("no epoch range")
+// segmentLastEpoch returns the newest epoch a segment file holds, the
+// last 16 hex digits of a segmentName or mergedSegmentName; false for
+// any other name.
+func segmentLastEpoch(name string) (uint64, bool) {
+	hex := strings.TrimSuffix(name, segSuffix)
+	if !strings.HasPrefix(name, segPrefix) || len(hex) == len(name) || len(hex) < len(segPrefix)+16 {
+		return 0, false
 	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("segstore: bad segment name %q: %v", name, err)
-	}
-	return from, to, nil
+	epoch, err := strconv.ParseUint(hex[len(hex)-16:], 16, 64)
+	return epoch, err == nil
 }
 
 // parseReportName inverts reportName.
