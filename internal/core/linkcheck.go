@@ -154,7 +154,7 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 		tu, _ := iu.timeOf(pid)
 		td, ok := id.timeOf(pid)
 		if !ok {
-			if v.expectedSampled(&iu, &id, down, 0, maxDiff, pid) {
+			if v.expectedSampled(&iu, &id, down, maxDiff, pid) {
 				missingDown = append(missingDown, receipt.Inconsistency{
 					Kind:   receipt.MissingDownstream,
 					PktID:  pid,
@@ -183,7 +183,7 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 	}
 	for _, pid := range s.claimed(down) {
 		if _, ok := iu.timeOf(pid); !ok {
-			if v.expectedSampled(&id, &iu, up, -maxDiff, 0, pid) {
+			if v.expectedSampled(&id, &iu, up, maxDiff, pid) {
 				missingUp = append(missingUp, receipt.Inconsistency{
 					Kind:   receipt.MissingUpstream,
 					PktID:  pid,
@@ -436,25 +436,27 @@ func (d *missingDetails) missingUpstream() string {
 }
 
 // expectedSampled reports whether HOP `other` (window oi) must have
-// sampled packet id, given that the reporter (window ri) sampled it at
-// its time t. It re-derives the Algorithm 1 decision at the other end:
-// other decided id under the first marker it observed at or after id's
-// arrival there, and that arrival lies in [t+lo, t+hi] — [t, t+MaxDiff]
-// when other is downstream, [t−MaxDiff, t] when it is upstream. Every
-// marker that comes first at other for some arrival time in that window
-// is a feasible deciding marker: the markers other timestamped inside
-// it (binary-searched on its cached marker timeline), and the first one
-// at or after its end. id is expected only if SampleFcn selects it
-// under every one of them against other's advertised σ, so a packet and
-// a marker that swapped order across the link, or a marker that
-// overtook others (§5.3), never reads as a missing record. Only markers
-// both ends reported count, so neither end can name a deciding marker
-// the other did not see. When no shared marker lies at or after the
-// window's end, some arrival times leave id undecided at other, and it
-// is not expected. Markers themselves are always expected. Without
-// deployment constants the verifier is strict: everything is expected
-// (correct when all HOPs share one rate).
-func (v *Verifier) expectedSampled(ri, oi *window, other receipt.HOPID, lo, hi int64, id uint64) bool {
+// sampled packet id, given that the reporter (window ri) sampled it. It
+// re-derives the Algorithm 1 decision: find the marker that keyed id
+// in the reporter's sample timeline (the first marker at or after id's
+// observation — markers are the samples whose digest exceeds the
+// system-wide µ, binary-searched on the window's cached marker
+// timeline) and test SampleFcn(id, marker) against other's advertised
+// σ. Markers themselves are always expected. Without deployment
+// constants the verifier is strict: everything is expected (correct
+// when all HOPs share one rate).
+//
+// §5.3, markers reordered in flight: when the deciding marker M and the
+// marker N after it crossed the link in the opposite order, the other
+// end closed id's whole temporary buffer with N, not M — one inversion
+// desynchronizes a buffer's worth of decisions, however long the buffer
+// had been filling. The receipts say when that happened: both ends
+// report every marker, so if other reported M and N and timestamped N
+// first, id is judged against N. Only markers both ends reported, no
+// farther apart than the link's advertised MaxDiff (reordering beyond
+// it is itself a violation), are honoured, so neither end can name a
+// deciding marker the other did not see.
+func (v *Verifier) expectedSampled(ri, oi *window, other receipt.HOPID, maxDiff int64, id uint64) bool {
 	mu := v.cfg.MarkerThreshold
 	if mu == 0 {
 		return true
@@ -471,18 +473,21 @@ func (v *Verifier) expectedSampled(ri, oi *window, other receipt.HOPID, lo, hi i
 		return true
 	}
 	// Ties on the timeline are broken by arrival order (stable sort).
-	markers := oi.markerTimeline(mu)
-	for i := sort.Search(len(markers), func(i int) bool { return markers[i].TimeNS >= t+lo }); i < len(markers); i++ {
-		m := markers[i]
-		if _, ok := ri.timeOf(m.PktID); !ok {
-			continue
-		}
-		if !hashing.Exceeds(hashing.SampleFcn(id, m.PktID), sigma) {
-			return false
-		}
-		if m.TimeNS >= t+hi {
-			return true
+	markers := ri.markerTimeline(mu)
+	i := sort.Search(len(markers), func(i int) bool { return markers[i].TimeNS >= t })
+	if i == len(markers) {
+		// No marker followed: the reporter could not have sampled id
+		// through Algorithm 1 either; don't expect it elsewhere.
+		return false
+	}
+	marker := markers[i]
+	if i+1 < len(markers) && markers[i+1].TimeNS-marker.TimeNS <= maxDiff {
+		next := markers[i+1]
+		tm, okM := oi.timeOf(marker.PktID)
+		tn, okN := oi.timeOf(next.PktID)
+		if okM && okN && tn < tm {
+			marker = next
 		}
 	}
-	return false
+	return hashing.Exceeds(hashing.SampleFcn(id, marker.PktID), sigma)
 }

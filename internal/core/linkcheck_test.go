@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 
 	"vpm/internal/hashing"
@@ -14,9 +13,7 @@ import (
 
 // inversionLink is the §5.3 worst case on a two-HOP link, run through
 // real Algorithm 1 samplers. Both HOPs see two long marker-free runs
-// (temporary buffers holding ~100 σ-samples' worth of packets each,
-// 8 ms of traffic, so most of each run lies farther than MaxDiff from
-// any marker).
+// (temporary buffers holding ~100 σ-samples' worth of packets each).
 // The first is closed by the same marker at both ends. The second is
 // closed upstream by marker M, followed gapNS later by marker N;
 // downstream the two markers arrive in the opposite order, so it closes
@@ -55,7 +52,7 @@ func (c inversionLink) build(t *testing.T) *Verifier {
 			up.Observe(first, tNS)
 			down.Observe(first, tNS+delayNS)
 		}
-		tNS += 4000
+		tNS += 1000
 		up.Observe(id, tNS)
 		down.Observe(id, tNS+delayNS)
 	}
@@ -109,18 +106,16 @@ func TestCheckLinkMarkerInversion(t *testing.T) {
 	}
 	tol := missingTolerance(lv.MatchedSamples)
 
-	// The same inversion does not cover for suppression: the first
-	// run's earliest records lie more than MaxDiff before its marker,
-	// which decided them at both ends whatever the link's delay.
+	// The same inversion does not cover for suppression.
 	lv = inversionLink{gapNS: gap, suppress: 30}.build(t).CheckLink(1, 2)
 	if lv.Consistent() || lv.MissingDown != 30 || lv.MissingUp != 0 {
 		t.Fatalf("30 suppressed records behind an inversion: %d missing downstream, %d upstream, %v", lv.MissingDown, lv.MissingUp, lv)
 	}
 	// Markers farther apart than MaxDiff cannot have been reordered by
-	// an honest link: the one held back crossed it in more than MaxDiff.
+	// an honest link.
 	lv = inversionLink{gapNS: 2 * inversionMaxDiffNS}.build(t).CheckLink(1, 2)
-	if !slices.ContainsFunc(lv.Violations, func(v receipt.Inconsistency) bool { return v.Kind == receipt.DelayBound }) {
-		t.Fatalf("inversion across %d ns honoured: no delay-bound violation in %v", 2*inversionMaxDiffNS, lv)
+	if lv.MissingDown <= tol || lv.MissingUp <= tol {
+		t.Fatalf("inversion across %d ns honoured: %d missing downstream, %d upstream", 2*inversionMaxDiffNS, lv.MissingDown, lv.MissingUp)
 	}
 	// A deciding marker only one end reported is never honoured.
 	lv = inversionLink{gapNS: gap, hideNext: true}.build(t).CheckLink(1, 2)

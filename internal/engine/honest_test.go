@@ -164,11 +164,7 @@ func TestCutTimestampTieIsNotALie(t *testing.T) {
 // The checked-in corpus starts from the two clos-zipf seeds, 38 and 65,
 // at which a cut's timestamp tie once blamed an honest link: the
 // benchmark's fabric, packet rate, skew, marker and aggregation rates
-// and epoch, over its 256 hottest keys instead of 4096. Beside them,
-// fig1_seed_1_marker_swaps is the Fig1 chain at 200 kpps with 0.1 ms of
-// link jitter, 1 % markers and 50 ms epochs, where packets and markers
-// that swapped order across a link, or a marker that overtook two,
-// once read as missing records on the honest link HOP7–HOP8.
+// and epoch, over its 256 hottest keys instead of 4096.
 func FuzzHonestIsSilent(f *testing.F) {
 	// vpm-node's defaults on the Fig1 chain: one key at 100 kpps.
 	f.Add(uint8(0), uint64(1), uint32(100_000), uint8(0), 0.0, uint32(100_000), uint32(200_000), 0.001, 0.00001, uint16(250))
