@@ -198,13 +198,13 @@ func TestCompactLeavesLargeSegmentsAlone(t *testing.T) {
 	}
 }
 
-// Compact runs one retention-and-merge pass once the seals handed to
-// the writer are committed. Safe to call at any cadence; a pass with
-// nothing to do is cheap and commits nothing.
+// Compact runs one retention-and-merge pass once the writer is idle,
+// every seal handed to it committed. Safe to call at any cadence; a
+// pass with nothing to do is cheap and commits nothing.
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.drainLocked(); err != nil {
+	if err := s.idleLocked(); err != nil {
 		return CompactStats{}, err
 	}
 	return s.compactLocked()

@@ -11,8 +11,8 @@ import (
 )
 
 // The seal hand-off: Seal returns before its epoch's segment is
-// written and synced, and PutReport, every read and Close wait for the
-// writer. The gate below stands in for a slow disk, so none of this
+// written and synced; PutReport and every read wait for the ops handed
+// to the writer before them, and Close for the writer to exit. The gate below stands in for a slow disk, so none of this
 // depends on how fast the machine is.
 
 // gateFS is a MemFS whose segment files' Sync announces itself on
@@ -107,6 +107,67 @@ func TestSealReturnsBeforeItsSync(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLaterHandOffDoesNotDelayPutReport: PutReport waits for the seals
+// handed over before it, not for those handed over while it waits, so
+// a pipeline that keeps sealing cannot hold a report back.
+func TestLaterHandOffDoesNotDelayPutReport(t *testing.T) {
+	g := newGateFS()
+	s, _, err := Open("", Options{FS: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealBlocked(t, s, g, 0)
+	done := make(chan error)
+	go func() { done <- s.PutReport(0, []byte(`{"epoch":0}`)) }()
+	waitDraining(t, "PutReport")
+
+	samples, aggs := testReceipts(1, 0)
+	if err := s.Append(1, 0, samples, aggs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Seal(1); err != nil {
+		t.Fatal(err)
+	}
+	g.result <- nil
+	if name := <-g.entered; name != segmentName(1) {
+		t.Fatalf("writer syncs %s, want %s", name, segmentName(1))
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("PutReport(0): %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("PutReport(0) still waits while epoch 1, handed over after it, is syncing")
+	}
+	g.result <- nil
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.HasReport(0) || len(s.SealedEpochs()) != 2 {
+		t.Fatalf("after Close: report 0 filed %v, sealed %v", s.HasReport(0), s.SealedEpochs())
+	}
+}
+
+// waitDraining polls the goroutine dump until a goroutine is parked in
+// drainLocked under the Store method caller: it has taken the count of
+// ops it waits for.
+func waitDraining(t *testing.T, caller string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "(*Cond).Wait") && strings.Contains(g, "(*Store).drainLocked") && strings.Contains(g, "(*Store)."+caller) {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s waiting in drainLocked", caller)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

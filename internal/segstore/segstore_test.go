@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -265,6 +266,45 @@ func TestOpenReadsMergedStore(t *testing.T) {
 	}
 	if _, ok := m.files["ep-0000000000000000-0000000000000003.seg"]; ok {
 		t.Fatal("retention left the aged-out merged segment on disk")
+	}
+}
+
+// TestOpenSortsLeftoverMergedSegments: testdata/merged with its
+// manifest rewritten as a crash would leave it. A merged segment the
+// manifest no longer names, all of whose epochs are at or below the
+// last seal, was retired before the crash and is an orphan; a segment
+// newer than the last seal was in flight and is partial. The file names
+// are spelled out, not derived from the code under test.
+func TestOpenSortsLeftoverMergedSegments(t *testing.T) {
+	const merged, single = "ep-0000000000000000-0000000000000003.seg", "ep-0000000000000004.seg"
+	for _, c := range []struct {
+		keep             string // the one segment the manifest still names
+		left             string // the segment it no longer names
+		partial, orphans int    // orphans include the reports of unsealed epochs
+	}{
+		{keep: single, left: merged, partial: 0, orphans: 1 + 4},
+		{keep: merged, left: single, partial: 1, orphans: 1},
+	} {
+		m, _ := loadFixture(t, "merged")
+		entries, err := DecodeManifest(m.files[manifestName])
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = slices.DeleteFunc(entries, func(e SegmentInfo) bool { return e.File != c.keep })
+		if m.files[manifestName], err = encodeManifest(entries); err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := Open("", Options{FS: m})
+		if err != nil {
+			t.Fatalf("keeping %s: Open: %v", c.keep, err)
+		}
+		if stats.PartialSegments != c.partial || stats.OrphansRemoved != c.orphans {
+			t.Fatalf("keeping %s: %d partial segments and %d orphans, want %d and %d (%s)",
+				c.keep, stats.PartialSegments, stats.OrphansRemoved, c.partial, c.orphans, stats)
+		}
+		if _, ok := m.files[c.left]; ok {
+			t.Fatalf("keeping %s: %s left on disk", c.keep, c.left)
+		}
 	}
 }
 

@@ -145,22 +145,28 @@ type activeSegment struct {
 // that finds it idle, gone once the queue is empty — applies the ops in
 // order: it encodes each block into its epoch's segment and, at a seal,
 // syncs the segment, commits the manifest and compacts. While it runs,
-// the writer alone writes to the filesystem and touches active, buf and
-// the committed state (publishing entries and reports under mu); every
-// other method that reads or writes them first waits, under mu, for it
-// to finish (drainLocked). The first failure it hits is kept in err and
-// returned by every later write.
+// the writer alone touches active and buf and writes segments and the
+// manifest; it publishes the committed state (entries, reports,
+// activeEpochs) under mu. PutReport and every read first wait, under
+// mu, until the writer has applied the ops handed over before the call
+// (drainLocked) — not those handed over while they wait — and then use
+// only what the writer publishes. The first failure it hits is kept in
+// err and returned by every later write.
 type Store struct {
 	mu      sync.Mutex
-	idle    sync.Cond // signalled, on mu, when the writer exits
+	applied sync.Cond // signalled, on mu, as the writer finishes each op and when it exits
 	fsys    FS
 	opts    Options
 	entries []SegmentInfo   // committed manifest, sorted by FromEpoch
 	queue   []op            // handed to the writer, oldest first
+	handed  uint64          // ops ever queued
+	done    uint64          // ops applied, or dropped behind a failure
 	sealing map[uint64]bool // epochs whose seal is queued, not committed
 	writing bool            // the writer goroutine is running
 	err     error           // the writer's first failure, sticky
 	active  map[uint64]*activeSegment
+	// activeEpochs is len(active) as the writer last published it.
+	activeEpochs int
 	// reports maps each epoch with a durable report to its file's size;
 	// reportBytes is their sum.
 	reports     map[uint64]int64
@@ -206,7 +212,7 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 		active:  make(map[uint64]*activeSegment),
 		reports: make(map[uint64]int64),
 	}
-	s.idle.L = &s.mu
+	s.applied.L = &s.mu
 	entries, err := loadManifest(fsys)
 	if err != nil {
 		return nil, stats, err
@@ -481,6 +487,7 @@ func (s *Store) writableLocked(epoch uint64) error {
 // handLocked queues o for the writer, starting it if it is idle.
 func (s *Store) handLocked(o op) {
 	s.queue = append(s.queue, o)
+	s.handed++
 	if !s.writing {
 		s.writing = true
 		go s.write()
@@ -508,6 +515,8 @@ func (s *Store) write() {
 		s.mu.Lock()
 		s.queue[0] = op{}
 		s.queue = s.queue[1:]
+		s.done++
+		s.activeEpochs = len(s.active)
 		if err == nil && o.seal {
 			s.entries = entries
 			delete(s.sealing, o.epoch)
@@ -519,13 +528,15 @@ func (s *Store) write() {
 		}
 		if err != nil {
 			s.err = err
+			s.done += uint64(len(s.queue))
 			clear(s.queue)
 			s.queue = s.queue[:0]
 			clear(s.sealing)
 		}
+		s.applied.Broadcast()
 	}
 	s.writing = false
-	s.idle.Broadcast()
+	s.applied.Broadcast()
 }
 
 // appendBlock encodes o's receipts as one block of its epoch's active
@@ -608,14 +619,26 @@ func (s *Store) commitSeal(epoch uint64, entries []SegmentInfo) ([]SegmentInfo, 
 	return entries, nil
 }
 
-// drainLocked waits until the writer has applied every queued op —
-// every seal handed over is committed — and returns its sticky
-// failure, if any. The caller holds mu, and
-// keeps the filesystem and the committed state to itself until it
-// releases mu: no writer starts before then.
+// drainLocked waits until the writer has applied every op handed to it
+// before the call — every seal handed over before it is committed —
+// and returns its sticky failure, if any. Ops handed over while it
+// waits do not hold it up, so a reader beside a busy pipeline waits for
+// a bounded amount of work. The caller holds mu; the writer may go on
+// with later ops once it returns.
 func (s *Store) drainLocked() error {
+	for target := s.handed; s.done < target; {
+		s.applied.Wait()
+	}
+	return s.err
+}
+
+// idleLocked waits until the writer goroutine has exited, and returns
+// its sticky failure, if any. The caller holds mu and has the
+// filesystem, active and buf to itself until it releases mu: no writer
+// starts before then.
+func (s *Store) idleLocked() error {
 	for s.writing {
-		s.idle.Wait()
+		s.applied.Wait()
 	}
 	return s.err
 }
@@ -790,7 +813,7 @@ func (s *Store) StoreStats() Stats {
 		Segments:     len(s.entries),
 		Reports:      len(s.reports),
 		ReportBytes:  s.reportBytes,
-		ActiveEpochs: len(s.active),
+		ActiveEpochs: s.activeEpochs,
 	}
 	for _, e := range s.entries {
 		st.SealedEpochs += int(e.ToEpoch-e.FromEpoch) + 1
@@ -808,12 +831,13 @@ func (s *Store) StoreStats() Stats {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	firstErr := s.drainLocked()
+	firstErr := s.idleLocked()
 	for epoch, seg := range s.active {
 		if err := seg.file.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("segstore: close active epoch %d: %w", epoch, err)
 		}
 		delete(s.active, epoch)
 	}
+	s.activeEpochs = 0
 	return firstErr
 }
