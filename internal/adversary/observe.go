@@ -183,11 +183,10 @@ func (a *AdaptiveShaver) TamperBatch(_ receipt.HOPID, batch []netsim.Observation
 
 // AdaptiveSuppressor is the observation-suppression lie on the same
 // rational schedule: the drop probability decays from InitialFraction
-// toward FloorFraction — pick the floor at or under the verifier's
-// missing-record tolerance (reorder-noise absorption, §5.3) and the
-// per-epoch batch judgment absorbs every epoch's drops as noise, while
-// the sequential Bernoulli detector accumulates the drop trials across
-// epochs. Drop decisions hash the packet digest, so they are
+// toward FloorFraction. The per-epoch batch judgment forgives no
+// missing record, so every drop whose record the link check expects is
+// a violation in its epoch, and the sequential Bernoulli detector
+// accumulates the drop trials across epochs besides. Drop decisions hash the packet digest, so they are
 // per-packet deterministic and independent of batch chunking.
 type AdaptiveSuppressor struct {
 	InitialFraction float64

@@ -32,8 +32,8 @@ const (
 	// EvInconsistentAggregate: the two ends of a link report different
 	// packet counts for the same aggregate.
 	EvInconsistentAggregate
-	// EvDelayBound: a matched sample's link delta exceeds the
-	// advertised MaxDiff (delay under-reporting, or a broken clock).
+	// EvDelayBound: a matched sample's link delta lies outside [0,
+	// MaxDiff] (delay under-reporting, or a broken clock).
 	EvDelayBound
 	// EvMaxDiffMismatch: the two ends advertise different MaxDiff
 	// bounds for their shared link.

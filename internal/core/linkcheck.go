@@ -120,12 +120,12 @@ func (s *checkScope) claimed(hop receipt.HOPID) []uint64 {
 // are visited in each HOP's first-arrival order, so the verdict —
 // including the order of its violations — is deterministic.
 //
-// Missing-record semantics: a packet the upstream HOP claims to have
-// delivered is expected in the downstream receipt exactly when the
-// downstream HOP's advertised sampling threshold would have selected
-// it (the verifier re-derives the Algorithm 1 decision). Expected but
-// missing records beyond a small reordering-noise tolerance are
-// inconsistencies — caused either by a faulty link or by a lie; the
+// Missing-record semantics: a packet one end sampled is expected in the
+// other end's receipt exactly when the other HOP's advertised sampling
+// threshold selects it under every marker that could have decided it
+// there (the verifier re-derives the Algorithm 1 decision from the
+// receipts; see expectedSampled). Every expected but missing record is
+// an inconsistency — caused either by a faulty link or by a lie; the
 // two neighbors then debug the link, and if it is healthy the liar
 // stands exposed to the neighbor it implicated (§3.1).
 func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
@@ -149,13 +149,13 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 	// trial stream over the downstream HOP's claims.
 	linkItems, fabItems := s.scratch.linkItems[:0], s.scratch.fabItems[:0]
 	detail := missingDetails{up: up, down: down}
-	var missingDown, missingUp []receipt.Inconsistency
 	for _, pid := range s.claimed(up) {
 		tu, _ := iu.timeOf(pid)
 		td, ok := id.timeOf(pid)
 		if !ok {
-			if v.expectedSampled(&iu, &id, down, maxDiff, pid) {
-				missingDown = append(missingDown, receipt.Inconsistency{
+			if s.expectedSampled(&iu, &id, down, 0, maxDiff, pid) {
+				lv.MissingDown++
+				lv.Violations = append(lv.Violations, receipt.Inconsistency{
 					Kind:   receipt.MissingDownstream,
 					PktID:  pid,
 					Detail: detail.missingDownstream(),
@@ -173,18 +173,19 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 				seqdetect.Evidence{Kind: seqdetect.KindKeep},
 				seqdetect.Evidence{Kind: seqdetect.KindDelta, Value: float64(delta)})
 		}
-		if delta > maxDiff {
+		if delta < 0 || delta > maxDiff {
 			lv.Violations = append(lv.Violations, receipt.Inconsistency{
 				Kind:   receipt.DelayBound,
 				PktID:  pid,
-				Detail: fmt.Sprintf("link delta %dns exceeds MaxDiff %dns", delta, maxDiff),
+				Detail: fmt.Sprintf("link delta %dns outside [0, MaxDiff %dns]", delta, maxDiff),
 			})
 		}
 	}
 	for _, pid := range s.claimed(down) {
 		if _, ok := iu.timeOf(pid); !ok {
-			if v.expectedSampled(&id, &iu, up, maxDiff, pid) {
-				missingUp = append(missingUp, receipt.Inconsistency{
+			if s.expectedSampled(&id, &iu, up, -maxDiff, 0, pid) {
+				lv.MissingUp++
+				lv.Violations = append(lv.Violations, receipt.Inconsistency{
 					Kind:   receipt.MissingUpstream,
 					PktID:  pid,
 					Detail: detail.missingUpstream(),
@@ -203,14 +204,6 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 		d[1].Observe(linkItems)
 		d[2].Observe(fabItems)
 		s.scratch.linkItems, s.scratch.fabItems = linkItems, fabItems
-	}
-	lv.MissingDown, lv.MissingUp = len(missingDown), len(missingUp)
-	tol := missingTolerance(lv.MatchedSamples)
-	if lv.MissingDown > tol {
-		lv.Violations = append(lv.Violations, missingDown...)
-	}
-	if lv.MissingUp > tol {
-		lv.Violations = append(lv.Violations, missingUp...)
 	}
 
 	if ra, rb := iu.aggReceipts(), id.aggReceipts(); len(ra) > 0 && len(rb) > 0 {
@@ -392,30 +385,10 @@ func (s *checkScope) domainReport(seg Segment, qs []float64, confidence float64)
 	return rep, nil
 }
 
-// The noise tolerance of the missing-record check: 5% of the matched
-// samples, floor 10 — an order of magnitude below what fabrication or
-// under-reporting lies produce, and above what heavy jitter causes on
-// honest links.
-const (
-	missingToleranceFraction = 0.05
-	missingToleranceFloor    = 10
-)
-
-// missingTolerance returns the number of unexplained missing sample
-// records a link check absorbs as noise before declaring
-// inconsistency. Reordering across a marker boundary legitimately
-// desynchronizes the sample sets of two honest HOPs for the packets
-// near the marker (§5.3), so missing records bounded by a small
-// fraction of the matched samples must not condemn a link.
-func missingTolerance(matched int) int {
-	return max(int(float64(matched)*missingToleranceFraction), missingToleranceFloor)
-}
-
 // missingDetails renders the Detail strings of a link check's
-// missing-record inconsistencies. Both are constants of (up, down), and
-// the tolerance test discards most missing records unreported, so each
-// is formatted at most once per check, on first use, instead of once
-// per missing packet.
+// missing-record inconsistencies. Both are constants of (up, down), so
+// each is formatted at most once per check, on first use, and shared by
+// every missing packet's record.
 type missingDetails struct {
 	up, down             receipt.HOPID
 	downstream, upstream string
@@ -436,43 +409,39 @@ func (d *missingDetails) missingUpstream() string {
 }
 
 // expectedSampled reports whether HOP `other` (window oi) must have
-// sampled packet id, given that the reporter (window ri) sampled it. It
-// re-derives the Algorithm 1 decision: find the marker that keyed id
-// in the reporter's sample timeline (the first marker at or after id's
-// observation — markers are the samples whose digest exceeds the
-// system-wide µ, binary-searched on the window's cached marker
-// timeline) and test SampleFcn(id, marker) against other's advertised
-// σ. Markers themselves are always expected. Without deployment
-// constants the verifier is strict: everything is expected (correct
-// when all HOPs share one rate).
+// sampled packet id, given that the reporter (window ri) sampled it at
+// t. It re-derives other's Algorithm 1 decision from the receipts:
+// other decided id under the first marker it saw at or after id's
+// arrival there, in [t+lo, t+hi] — [t, t+MaxDiff] downstream,
+// [t−MaxDiff, t] upstream. A marker counts only if both ends reported
+// it and its own crossing lies in [lo, hi], so neither end can name a
+// marker the other never saw, or backdate one, to move a decision.
 //
-// §5.3, markers reordered in flight: when the deciding marker M and the
-// marker N after it crossed the link in the opposite order, the other
-// end closed id's whole temporary buffer with N, not M — one inversion
-// desynchronizes a buffer's worth of decisions, however long the buffer
-// had been filling. The receipts say when that happened: both ends
-// report every marker, so if other reported M and N and timestamped N
-// first, id is judged against N. Only markers both ends reported, no
-// farther apart than the link's advertised MaxDiff (reordering beyond
-// it is itself a violation), are honoured, so neither end can name a
-// deciding marker the other did not see.
-func (v *Verifier) expectedSampled(ri, oi *window, other receipt.HOPID, maxDiff int64, id uint64) bool {
-	mu := v.cfg.MarkerThreshold
-	if mu == 0 {
+//   - The reporter's deciding marker M (its first at or after t): if
+//     other never reported M, id is judged under M — a lost or hidden
+//     marker excuses nothing; if M crossed infeasibly, id is not
+//     expected, and M carries its own DelayBound violation.
+//   - Otherwise id is expected only if SampleFcn selects it against
+//     other's σ under every counted marker other saw from t+lo up to
+//     the first one at or after t+hi: packets and markers that swapped
+//     order, or a marker that overtook others (§5.3), excuse records
+//     within MaxDiff of a marker.
+//   - An epoch view whose other end holds no marker at or before t+lo
+//     may miss the one that decided id (a sparse key's markers can be
+//     epochs apart), so it expects nothing there unless it reaches the
+//     stream head.
+//
+// Markers are always expected; without deployment constants everything
+// is (correct when all HOPs share one rate).
+func (s *checkScope) expectedSampled(ri, oi *window, other receipt.HOPID, lo, hi int64, id uint64) bool {
+	mu := s.view.cfg.MarkerThreshold
+	sigma, known := s.view.cfg.SampleThresholds[other]
+	t, sampled := ri.timeOf(id)
+	if mu == 0 || hashing.Exceeds(id, mu) || !known || !sampled {
 		return true
 	}
-	if hashing.Exceeds(id, mu) {
-		return true // markers are always sampled everywhere
-	}
-	sigma, ok := v.cfg.SampleThresholds[other]
-	if !ok {
-		return true
-	}
-	t, ok := ri.timeOf(id)
-	if !ok {
-		return true
-	}
-	// Ties on the timeline are broken by arrival order (stable sort).
+	selects := func(marker uint64) bool { return hashing.Exceeds(hashing.SampleFcn(id, marker), sigma) }
+	// Ties on the timelines are broken by arrival order (stable sort).
 	markers := ri.markerTimeline(mu)
 	i := sort.Search(len(markers), func(i int) bool { return markers[i].TimeNS >= t })
 	if i == len(markers) {
@@ -480,14 +449,30 @@ func (v *Verifier) expectedSampled(ri, oi *window, other receipt.HOPID, maxDiff 
 		// through Algorithm 1 either; don't expect it elsewhere.
 		return false
 	}
-	marker := markers[i]
-	if i+1 < len(markers) && markers[i+1].TimeNS-marker.TimeNS <= maxDiff {
-		next := markers[i+1]
-		tm, okM := oi.timeOf(marker.PktID)
-		tn, okN := oi.timeOf(next.PktID)
-		if okM && okN && tn < tm {
-			marker = next
+	m := markers[i]
+	tm, ok := oi.timeOf(m.PktID)
+	if !ok {
+		return selects(m.PktID)
+	}
+	if d := tm - m.TimeNS; d < lo || d > hi {
+		return false
+	}
+	theirs := oi.markerTimeline(mu) // holds M, at or after t+lo
+	if !s.headComplete && theirs[0].TimeNS > t+lo {
+		return false
+	}
+	for j := sort.Search(len(theirs), func(j int) bool { return theirs[j].TimeNS >= t+lo }); j < len(theirs); j++ {
+		n := theirs[j]
+		tr, ok := ri.timeOf(n.PktID)
+		if d := n.TimeNS - tr; !ok || d < lo || d > hi {
+			continue
+		}
+		if !selects(n.PktID) {
+			return false
+		}
+		if n.TimeNS >= t+hi {
+			return true
 		}
 	}
-	return hashing.Exceeds(hashing.SampleFcn(id, marker.PktID), sigma)
+	return false
 }

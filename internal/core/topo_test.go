@@ -448,8 +448,8 @@ func TestLinkDomainsHyphenNames(t *testing.T) {
 // not) as §5.3 reorder noise under a σ/µ-scaled floor; marker-order
 // inversions are now derived from the receipts themselves
 // (TestCheckLinkMarkerInversion), so nothing is budgeted: symmetric or
-// not, unexplained divergence beyond the tolerance is flagged, with the
-// counts surfaced.
+// not, every unexplained missing record is flagged, with the counts
+// surfaced.
 func TestCheckLinkSymmetricReorderNoise(t *testing.T) {
 	const (
 		markerRate = 0.004

@@ -367,9 +367,8 @@ type LinkVerdict struct {
 	Violations []receipt.Inconsistency
 	// MatchedSamples is how many sampled packets both ends reported.
 	MatchedSamples int
-	// MissingDown and MissingUp count the unexplained missing records
-	// in each direction, whether or not they crossed the noise
-	// tolerance into Violations.
+	// MissingDown and MissingUp count the expected but missing records
+	// in each direction; each is also one of Violations.
 	MissingDown, MissingUp int
 }
 

@@ -22,8 +22,7 @@ import (
 // a 16-HOP path (9 domains) carrying 64 origin-prefix paths, densely
 // sampled. With lossyLink, one mid-path inter-domain link drops ~30%
 // of traffic, so link checks surface real violations (missing
-// downstream records past the noise tolerance, aggregate count
-// mismatches).
+// downstream records, aggregate count mismatches).
 func buildMultiPathScenario(t testing.TB, lossyLink bool) (*Deployment, []packet.PathKey) {
 	t.Helper()
 	const nPaths = 64
@@ -299,18 +298,6 @@ func TestKeylessVerifierAnswersForOneKey(t *testing.T) {
 	lowFeed(alone)
 	if single.SampleCount(4) == 0 || single.SampleCount(4) == alone.SampleCount(4) {
 		t.Fatalf("keyless verifier fed one key: %d samples at HOP 4 (the other key has %d)", single.SampleCount(4), alone.SampleCount(4))
-	}
-}
-
-// TestMissingToleranceDefaults covers the §5.3 noise tolerance
-// arithmetic directly: floor 10, 5% of the matched samples.
-func TestMissingToleranceDefaults(t *testing.T) {
-	for _, tc := range []struct{ matched, want int }{
-		{0, 10}, {1, 10}, {199, 10}, {200, 10}, {201, 10}, {400, 20}, {10000, 500},
-	} {
-		if got := missingTolerance(tc.matched); got != tc.want {
-			t.Errorf("tolerance(%d) = %d, want %d", tc.matched, got, tc.want)
-		}
 	}
 }
 

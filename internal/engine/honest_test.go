@@ -164,10 +164,32 @@ func TestCutTimestampTieIsNotALie(t *testing.T) {
 // The checked-in corpus starts from the two clos-zipf seeds, 38 and 65,
 // at which a cut's timestamp tie once blamed an honest link: the
 // benchmark's fabric, packet rate, skew, marker and aggregation rates
-// and epoch, over its 256 hottest keys instead of 4096.
+// and epoch, over its 256 hottest keys instead of 4096. Beside them,
+// fig1_seed_1_marker_swaps is the Fig1 chain at 200 kpps with 0.1 ms of
+// link jitter, 1 % markers and 50 ms epochs, where packets and markers
+// that swapped order across a link, or a marker that overtook two, once
+// read as missing records on the honest link HOP7–HOP8.
+//
+// The seeds added below are a deterministic grid over the axes where
+// missed records hide: both families at 200 kpps with 50 ms epochs —
+// the Fig1 chain's one key, and 256 Zipf keys on the Clos fabric, whose
+// sparse keys sit longer than an epoch before their deciding marker —
+// without jitter and with the most the search allows, at marker rates
+// from the lowest to the highest.
 func FuzzHonestIsSilent(f *testing.F) {
 	// vpm-node's defaults on the Fig1 chain: one key at 100 kpps.
 	f.Add(uint8(0), uint64(1), uint32(100_000), uint8(0), 0.0, uint32(100_000), uint32(200_000), 0.001, 0.00001, uint16(250))
+	for family := range uint8(2) {
+		keys, zipf := uint8(0), 0.0
+		if family == 1 {
+			keys, zipf = 255, 1.01
+		}
+		for _, jitter := range [][2]uint32{{0, 0}, {1_500_000, 1_000_000}} {
+			for _, markers := range []float64{0.0005, 0.002, 0.01, 0.05} {
+				f.Add(family, uint64(1), uint32(200_000), keys, zipf, jitter[0], jitter[1], markers, 0.005, uint16(50))
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, family uint8, seed uint64, rate uint32, keys uint8, zipf float64,
 		linkJitterNS, domainJitterNS uint32, markerRate, aggRate float64, intervalMS uint16) {
 		w := honestWorld{

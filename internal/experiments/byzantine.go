@@ -50,6 +50,10 @@ const (
 	// window (the deployment default of one per ~100k packets yields
 	// none at matrix scale).
 	matrixAggRate = 0.001
+	// fewRecords is how many of X's egress sample records the
+	// drop-few-records row deletes on average from its one batch epoch:
+	// 5 in the BENCH_4 world, 4 in the BENCH_8 world.
+	fewRecords = 2.5
 	// matrixEpochs is the number of rotation intervals the continuous
 	// arm drives; the total trace duration matches the batch arm.
 	matrixEpochs = 4
@@ -274,7 +278,7 @@ func matrixScenarios(cfg Config) []matrixScenario {
 				}}
 			},
 			expect: expectation{verdict: "detected", hops: lxHOPs, evidence: allLinkEvidence},
-			note:   "drops sit under the per-epoch missing-record tolerance; exact aggregate counts and the cross-epoch Bernoulli SPRT still expose them",
+			note:   "drops decay toward 8 % of X's ingress observations; every unexcused missing record, exact aggregate counts and the cross-epoch Bernoulli SPRT expose them",
 		},
 		{
 			name: "drop-records", layer: "control-plane", congestX: true,
@@ -283,6 +287,17 @@ func matrixScenarios(cfg Config) []matrixScenario {
 			},
 			expect: expectation{verdict: "detected", hops: xnHOPs, evidence: []core.EvidenceClass{core.EvMissingReceipt}},
 			note:   "deleted sample records reappear as missing-receipt evidence at X-N",
+		},
+		{
+			name: "drop-few-records", layer: "control-plane", congestX: true,
+			modes: []string{"batch"},
+			domainAdvs: func(*netsim.Path) []adversary.EpochAdversary {
+				// X's egress reports the σ-samples and markers of the traffic it does not lose.
+				records := cfg.RatePPS * float64(cfg.DurationNS) / 1e9 * (matrixSampleRate + matrixMarkerRate) * (1 - matrixLossX)
+				return []adversary.EpochAdversary{&adversary.RecordDropper{HOP: hopXEgress, Fraction: fewRecords / records, Seed: 7}}
+			},
+			expect: expectation{verdict: "detected", hops: xnHOPs, evidence: []core.EvidenceClass{core.EvMissingReceipt}},
+			note:   "at most 5 deleted sample records in the epoch, under the 10 a link check once forgave, are each missing-receipt evidence at X-N",
 		},
 		{
 			name: "fabricate", layer: "control-plane", congestX: true,

@@ -19,8 +19,10 @@ const (
 	// MaxDiffMismatch: the two HOPs report different MaxDiff values
 	// for their shared link (rule 1 for sample receipts).
 	MaxDiffMismatch InconsistencyKind = iota
-	// DelayBound: a sampled packet's receive timestamp exceeds the
-	// delivery timestamp by more than MaxDiff (rule 2).
+	// DelayBound: a sampled packet's receive timestamp precedes its
+	// delivery timestamp, or exceeds it by more than MaxDiff (rule 2,
+	// two-sided: a clock set back would otherwise make every marker's
+	// crossing infeasible and excuse every missing record).
 	DelayBound
 	// CountMismatch: the two HOPs report different packet counts for
 	// the same aggregate.
