@@ -25,9 +25,11 @@ import (
 // point is PutReport (or the backend's own close) returning: by then
 // the epoch, and every epoch sealed before it, must survive kill -9.
 // Before it, an epoch is discardable. PutReport files the epoch's
-// canonical verdict bytes (EncodeEpochReport) after verification — the
-// slice is the verifier's reused encode buffer, valid only during the
-// call — so a verdict is on record only once its evidence is durable;
+// report record (AppendReportRecord; a reader renders the canonical
+// JSON from it with DecodeReportRecord and AppendEpochReport) after
+// verification and before VerifyReady returns — the slice is the
+// verifier's reused encode buffer, valid only during the call — so a
+// verdict is on record only once its evidence is durable;
 // LastSealed and HasReport drive crash recovery (see AttachBackend)
 // and answer for every seal handed over before them.
 type StoreBackend interface {
@@ -43,7 +45,7 @@ type StoreBackend interface {
 // — no maps — so encoding is order-stable), byte for byte what
 // json.Marshal renders (see AppendEpochReport). The kill-9 e2e harness
 // asserts byte identity of these encodings across crash-recovery, and
-// the historical query API serves them verbatim.
+// the historical query API renders them from the stored records.
 func EncodeEpochReport(rep EpochReport) ([]byte, error) {
 	return AppendEpochReport(nil, &rep)
 }
@@ -108,24 +110,22 @@ func (w *WindowedStore) skipRecovered(epoch EpochID) bool {
 	return true
 }
 
-// persistReport files the canonical encoding of rep with the backend;
-// a no-op without one. The encoding is built in buf, the caller's
-// grow-only scratch, which is returned for the next epoch with the
-// encoding's bytes per key report without a blame finding (see
-// appendEpochReport; 0 when nothing was encoded).
-func (w *WindowedStore) persistReport(rep *EpochReport, buf []byte) ([]byte, int, error) {
+// persistReport files rep's record (see record.go) with the backend; a
+// no-op without one. The record is built by enc in buf, the caller's
+// grow-only scratch, which is returned for the next epoch.
+func (w *WindowedStore) persistReport(rep *EpochReport, enc *recordEncoder, buf []byte) ([]byte, error) {
 	w.mu.Lock()
 	b := w.backend
 	w.mu.Unlock()
 	if b == nil {
-		return buf, 0, nil
+		return buf, nil
 	}
-	buf, perKey, err := appendEpochReport(buf[:0], rep)
+	buf, err := enc.append(buf[:0], rep)
 	if err != nil {
-		return buf, 0, fmt.Errorf("core: encoding epoch %d report: %w", rep.Epoch, err)
+		return buf, fmt.Errorf("core: encoding epoch %d report: %w", rep.Epoch, err)
 	}
 	if err := b.PutReport(rep.Epoch, buf); err != nil {
-		return buf, perKey, fmt.Errorf("core: persisting epoch %d report: %w", rep.Epoch, err)
+		return buf, fmt.Errorf("core: persisting epoch %d report: %w", rep.Epoch, err)
 	}
-	return buf, perKey, nil
+	return buf, nil
 }

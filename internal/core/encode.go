@@ -14,8 +14,10 @@ import (
 	"vpm/internal/seqdetect"
 )
 
-// The canonical verdict encoder. A 2.6 MB mesh report used to cost a
-// reflection walk per persist; these functions append the same bytes
+// The canonical verdict encoder: the JSON every reader, fingerprint and
+// golden file sees, rendered from the structs (the store renders it
+// from a decoded report record on read, see record.go). A 2.6 MB mesh
+// report used to cost a reflection walk; these functions append the same bytes
 // json.Marshal renders for the report types — field order and names,
 // null for a nil slice and [] for an empty one, omitempty where the
 // struct tags ask for it, ES6 float formatting, HTML-safe string
@@ -28,25 +30,9 @@ import (
 // NaN or infinite float returns the *json.UnsupportedValueError
 // json.Marshal would, and dst at its original length.
 func AppendEpochReport(dst []byte, rep *EpochReport) ([]byte, error) {
-	b, _, err := appendEpochReport(dst, rep)
-	return b, err
-}
-
-// appendEpochReport is AppendEpochReport that also returns the
-// encoding's length per key report without a blame finding, rounded
-// up (0 when every key has one). The blamed keys' reports and the
-// sequential verdicts are left out of the length: the violations and
-// verdicts that make a few keys' reports many times the rest (see
-// RollingVerifier.persist).
-func appendEpochReport(dst []byte, rep *EpochReport) ([]byte, int, error) {
 	e := reportEncoder{b: dst}
 	e.epochReport(rep)
-	b, err := e.finish(len(dst))
-	clean := len(rep.Keys) - e.blamedKeys
-	if clean == 0 || err != nil {
-		return b, 0, err
-	}
-	return b, (len(b) - len(dst) - e.inflated + clean - 1) / clean, nil
+	return e.finish(len(dst))
 }
 
 // AppendEpochKeyReport appends the canonical encoding of one key's
@@ -65,13 +51,10 @@ func AppendSeqVerdicts(dst []byte, vs []seqdetect.SeqVerdict) ([]byte, error) {
 	return e.finish(len(dst))
 }
 
-// reportEncoder carries the output and the first float error, and
-// tallies the key reports with a blame finding and the bytes they and
-// the sequential verdicts take.
+// reportEncoder carries the output and the first float error.
 type reportEncoder struct {
-	b                    []byte
-	err                  error
-	blamedKeys, inflated int
+	b   []byte
+	err error
 }
 
 func (e *reportEncoder) finish(start int) ([]byte, error) {
@@ -105,9 +88,9 @@ func (e *reportEncoder) float(f float64) {
 		e.b = strconv.AppendInt(e.b, i, 10)
 		return
 	}
-	if math.IsInf(f, 0) || math.IsNaN(f) {
+	if err := unsupportedFloat(f); err != nil {
 		if e.err == nil {
-			e.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+			e.err = err
 		}
 		return
 	}
@@ -123,6 +106,15 @@ func (e *reportEncoder) float(f float64) {
 			e.b = e.b[:n-1]
 		}
 	}
+}
+
+// unsupportedFloat returns the error json.Marshal gives for f, nil
+// when f is finite.
+func unsupportedFloat(f float64) error {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	return nil
 }
 
 const hexDigits = "0123456789abcdef"
@@ -213,20 +205,13 @@ func (e *reportEncoder) epochReport(rep *EpochReport) {
 	if e.list(rep.Keys == nil) {
 		for i := range rep.Keys {
 			e.sep(i)
-			start := len(e.b)
 			e.keyReport(&rep.Keys[i])
-			if len(rep.Keys[i].Blames) > 0 {
-				e.blamedKeys++
-				e.inflated += len(e.b) - start
-			}
 		}
 		e.lit("]")
 	}
 	if len(rep.Seq) > 0 {
-		start := len(e.b)
 		e.lit(`,"Seq":`)
 		e.seqVerdicts(rep.Seq)
-		e.inflated += len(e.b) - start
 	}
 	e.lit("}")
 }

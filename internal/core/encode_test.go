@@ -130,6 +130,7 @@ func checkAgainstMarshal(t *testing.T, rep EpochReport) {
 	if want, wantErr := json.Marshal(rep); !bytes.Equal(enc, want) || (err == nil) != (wantErr == nil) {
 		t.Fatalf("EncodeEpochReport = %s, %v; json.Marshal = %s, %v", enc, err, want, wantErr)
 	}
+	checkRecordRoundTrip(t, new(recordEncoder), new(ReportDecoder), &rep)
 }
 
 // encodeCorpus is the seed set: what the encoder has to get right that
@@ -198,6 +199,12 @@ func TestAppendEpochReportMatchesJSONMarshal(t *testing.T) {
 	reps, _ := runSeqRolling(t, true, &seqdetect.Config{})
 	for _, rep := range reps {
 		checkAgainstMarshal(t, rep)
+	}
+	// The verifier files its reports through one encoder whose tables
+	// outlive each record, and a store decodes them through one decoder.
+	enc, dec := new(recordEncoder), new(ReportDecoder)
+	for i := range reps {
+		checkRecordRoundTrip(t, enc, dec, &reps[i])
 	}
 }
 

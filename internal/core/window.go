@@ -678,12 +678,11 @@ type RollingVerifier struct {
 	// their concatenated aggregates are cut from, reused key after key.
 	wins []hopWindow
 	aggs []receipt.AggReceipt
-	// enc is the grow-only buffer each epoch's canonical report is
-	// encoded into on its way to the durable backend, and encPerKey the
-	// bytes per blame-free (key, route) report of the last one encoded
-	// (see persist).
-	enc       []byte
-	encPerKey int
+	// enc is the grow-only buffer each epoch's report record is
+	// encoded into on its way to the durable backend, by rec, whose
+	// tables are likewise kept from epoch to epoch.
+	enc []byte
+	rec recordEncoder
 	// scratch is the link-check kernel's working storage, reused for
 	// every key of every epoch this verifier checks.
 	scratch kernelScratch
@@ -915,23 +914,9 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	return rep, nil
 }
 
-// persist files rep's canonical encoding with the window's backend
-// through rv.enc. The buffer is sized ahead to rep's (key, route)
-// count times the bytes per blame-free key report of the last
-// encoding, so a report many times the last one's size — the terminal
-// epoch flushes every sparse key — is allocated once instead of
-// regrown from the steady size. The figure leaves out what a few keys
-// can inflate (violations and their details, blames, sequential
-// verdicts), so a violation-heavy epoch does not oversize the next.
+// persist files rep's record with the window's backend through rv.enc.
 func (rv *RollingVerifier) persist(rep *EpochReport) (err error) {
-	if size := rv.encPerKey * len(rep.Keys); size > cap(rv.enc) {
-		rv.enc = make([]byte, 0, size)
-	}
-	var perKey int
-	rv.enc, perKey, err = rv.win.persistReport(rep, rv.enc)
-	if perKey > 0 {
-		rv.encPerKey = perKey
-	}
+	rv.enc, err = rv.win.persistReport(rep, &rv.rec, rv.enc)
 	return err
 }
 

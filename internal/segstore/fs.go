@@ -1,7 +1,9 @@
 // Package segstore is the durable epoch-segment backend: an
 // append-only on-disk store of sealed per-epoch receipt segments with
 // a rename-committed manifest, crash-recovery replay, size-tiered
-// compaction, and per-epoch verdict-report persistence. It sits
+// compaction, and per-epoch verdict-report persistence: each report is
+// filed as its compact record (core.AppendReportRecord) and rendered
+// to the canonical JSON when it is read (Store.Report). It sits
 // beneath core.WindowedStore (see core.StoreBackend) so a continuous
 // deployment's evidence survives process death and retention reaches
 // far beyond RAM — the paper's post-hoc dispute-resolution use case

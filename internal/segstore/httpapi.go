@@ -25,10 +25,10 @@ import (
 //	                        from_ns/to_ns (time range; needs the
 //	                        epoch interval), key (traffic key,
 //	                        "src->dst" CIDR pair), domain (domain
-//	                        name). Unfiltered reports are served
-//	                        verbatim from disk — byte-identical to
-//	                        what verification persisted, each held
-//	                        to its checksum before it is written.
+//	                        name). Each report is rendered from the
+//	                        record verification filed, held to its
+//	                        checksum first — byte-identical to the
+//	                        canonical JSON of the verifier's report.
 //	GET /metrics          — Prometheus text exposition: occupancy
 //	                        gauges plus violation/matched-sample
 //	                        counters over the stored verdicts.
@@ -176,9 +176,9 @@ func (h *apiHandler) epochRange(r *http.Request) (from, to uint64, err error) {
 //
 // where each rᵢ is one canonical report. The frame is written by hand
 // around the report bytes: they are compact, HTML-escaped JSON as they
-// stand (core.AppendEpochReport's output), so a json.Encoder over
-// RawMessages would re-validate and re-compact megabytes into the very
-// same bytes (TestVerdictsResponseByteIdentical).
+// stand (core.AppendEpochReport's output, rendered by Store.ReportInto),
+// so a json.Encoder over RawMessages would re-validate and re-compact
+// megabytes into the very same bytes (TestVerdictsResponseByteIdentical).
 
 // writeVerdictsHead starts the response: the header, and the frame up
 // to the first report.
@@ -230,23 +230,26 @@ func (h *apiHandler) verdicts(w http.ResponseWriter, r *http.Request) {
 	defer h.bufs.Put(bufp)
 
 	if keyFilter == "" && domainFilter == "" {
-		h.serveVerbatim(w, epochs, bufp)
+		h.serveReports(w, epochs, bufp)
 		return
 	}
-	// Filtered: which epochs survive is known only after every report
-	// has been narrowed, so the narrowed encodings are gathered first.
+	// Filtered: each report is decoded from its record and narrowed,
+	// and only what survives is rendered. Which epochs survive is known
+	// only after every report has been narrowed, so the narrowed
+	// encodings are gathered first.
+	d := h.store.decoders.Get().(*core.ReportDecoder)
+	defer h.store.decoders.Put(d)
 	var kept []uint64
 	var body []byte
 	for _, epoch := range epochs {
-		blob, err := h.store.ReportInto(epoch, *bufp)
-		*bufp = blob[:0]
+		payload, err := h.store.payloadInto(epoch, *bufp)
+		*bufp = payload[:0]
+		var rep *core.EpochReport
+		if err == nil {
+			rep, err = decodeReport(epoch, payload, d)
+		}
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "reading epoch %d report: %v", epoch, err)
-			return
-		}
-		rep, err := core.DecodeEpochReport(blob)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "decoding epoch %d report: %v", epoch, err)
 			return
 		}
 		filtered := filterReport(rep, keyFilter != "", wantKey, domainFilter)
@@ -267,13 +270,13 @@ func (h *apiHandler) verdicts(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, verdictsTail)
 }
 
-// serveVerbatim writes the frame around the stored bytes of epochs'
-// reports, one report at a time through *bufp, each verified against
+// serveReports writes the frame around epochs' reports, each rendered
+// through *bufp (Store.ReportInto) one at a time and verified against
 // its checksum before any of it is written. A report that fails before
 // the first byte has gone out is a 500; one that fails later aborts
 // the connection — the client must see a broken response, never a
 // well-formed body that is short a verdict.
-func (h *apiHandler) serveVerbatim(w http.ResponseWriter, epochs []uint64, bufp *[]byte) {
+func (h *apiHandler) serveReports(w http.ResponseWriter, epochs []uint64, bufp *[]byte) {
 	for i, epoch := range epochs {
 		blob, err := h.store.ReportInto(epoch, *bufp)
 		*bufp = blob[:0]
@@ -301,7 +304,7 @@ func (h *apiHandler) serveVerbatim(w http.ResponseWriter, epochs []uint64, bufp 
 // each surviving key keeps only the matching domain reports (and the
 // blames naming that domain), and keys left with no matching domain
 // are dropped.
-func filterReport(rep core.EpochReport, byKey bool, key packet.PathKey, domain string) core.EpochReport {
+func filterReport(rep *core.EpochReport, byKey bool, key packet.PathKey, domain string) core.EpochReport {
 	out := core.EpochReport{Epoch: rep.Epoch}
 	for _, kr := range rep.Keys {
 		if byKey && kr.Key != key {
@@ -350,11 +353,13 @@ func (h *apiHandler) tallyFor(epoch uint64) (reportTally, error) {
 	if ok {
 		return t, nil
 	}
-	blob, err := h.store.Report(epoch)
+	payload, err := h.store.payloadInto(epoch, nil)
 	if err != nil {
 		return reportTally{}, err
 	}
-	rep, err := core.DecodeEpochReport(blob)
+	d := h.store.decoders.Get().(*core.ReportDecoder)
+	defer h.store.decoders.Put(d)
+	rep, err := decodeReport(epoch, payload, d)
 	if err != nil {
 		return reportTally{}, err
 	}

@@ -84,8 +84,9 @@ func TestQueryAPIServesVerbatimVerdicts(t *testing.T) {
 	if len(verdicts.Reports) != len(res.Reports) {
 		t.Fatalf("%d verdicts via API, want %d", len(verdicts.Reports), len(res.Reports))
 	}
-	// Unfiltered responses are byte-identical to the canonical
-	// encodings the verifier persisted.
+	// Unfiltered responses, rendered from the stored records, are
+	// byte-identical to the canonical encodings of the verifier's
+	// reports.
 	for i, rep := range res.Reports {
 		want, err := core.EncodeEpochReport(rep)
 		if err != nil {

@@ -1,8 +1,9 @@
 package segstore
 
-// The durable verdict path: a report goes to disk under a checksum,
-// comes back through Open and Report only if it still matches it, and
-// is served by /api/v1/verdicts as the bytes it was written as. The
+// The durable verdict path: a report goes to disk as its record under a
+// checksum, comes back through Open and Report only if it still matches
+// it, and is served by /api/v1/verdicts as the canonical JSON of the
+// report it was written from. The
 // tests here use synthetic reports (package experiments imports this
 // one, so the real pipeline drives the query API from httpapi_test.go
 // instead) sized like a mesh epoch's, with the characters a verdict's
@@ -19,6 +20,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"testing"
 
@@ -66,11 +68,13 @@ func syntheticReport(epoch uint64, keys int) core.EpochReport {
 	return rep
 }
 
-// fillReports seals epochs [0, len(keys)) and files a synthetic report
-// of keys[e] keys for each, returning the bytes filed.
-func fillReports(t testing.TB, s *Store, keys []int) [][]byte {
+// fillReports seals epochs [0, len(keys)) and files the record of a
+// synthetic report of keys[e] keys for each, as a verifier does,
+// returning the records filed and the canonical JSON of each report —
+// what Report must give back.
+func fillReports(t testing.TB, s *Store, keys []int) (records, blobs [][]byte) {
 	t.Helper()
-	blobs := make([][]byte, len(keys))
+	records, blobs = make([][]byte, len(keys)), make([][]byte, len(keys))
 	for e, n := range keys {
 		epoch := uint64(e)
 		samples, aggs := testReceiptsRaw(epoch, 1)
@@ -80,16 +84,20 @@ func fillReports(t testing.TB, s *Store, keys []int) [][]byte {
 		if err := s.Seal(epoch); err != nil {
 			t.Fatalf("Seal(%d): %v", epoch, err)
 		}
-		blob, err := core.EncodeEpochReport(syntheticReport(epoch, n))
+		rep := syntheticReport(epoch, n)
+		rec, err := core.AppendReportRecord(nil, &rep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.PutReport(epoch, blob); err != nil {
+		if err := s.PutReport(epoch, rec); err != nil {
 			t.Fatalf("PutReport(%d): %v", epoch, err)
 		}
-		blobs[e] = blob
+		if blobs[e], err = core.EncodeEpochReport(rep); err != nil {
+			t.Fatal(err)
+		}
+		records[e] = rec
 	}
-	return blobs
+	return records, blobs
 }
 
 // rewriteFile replaces name's contents in mfs with edit's result.
@@ -108,36 +116,38 @@ func rewriteFile(t testing.TB, mfs *MemFS, name string, edit func([]byte) []byte
 	f.Close()
 }
 
-// flipDigit changes one decimal digit inside the JSON: the file still
-// parses, and says something else.
-func flipDigit(data []byte) []byte {
-	i := bytes.Index(data, []byte(`"MatchedSamples":`)) + len(`"MatchedSamples":`)
-	if data[i] < '0' || data[i] > '8' {
-		panic("no digit to flip")
+// flipBit flips the low bit of the record's epoch, a one-byte uvarint
+// right after the magic: the file still decodes, and says something
+// else.
+func flipBit(data []byte) []byte {
+	i := len("VPMREP1\n")
+	if !core.IsReportRecord(data) || data[i] >= 0x80 {
+		panic("no one-byte epoch to flip")
 	}
-	data[i]++
+	data[i] ^= 1
 	return data
 }
 
-func TestReportFileIsJSONUnderChecksumTrailer(t *testing.T) {
+func TestReportFileIsRecordUnderChecksumTrailer(t *testing.T) {
 	mfs := NewMemFS()
 	s, _, err := Open("", Options{FS: mfs, DiskRetention: 2, CompactFanIn: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs := fillReports(t, s, []int{3, 0, 5})
+	records, blobs := fillReports(t, s, []int{3, 0, 5})
 	var onDisk int64
 	for e, blob := range blobs {
 		got, err := s.Report(uint64(e))
 		if err != nil || !bytes.Equal(got, blob) {
-			t.Fatalf("Report(%d) differs from the bytes put (err %v)", e, err)
+			t.Fatalf("Report(%d) differs from the canonical JSON of the report filed (err %v)", e, err)
 		}
 		file, err := mfs.ReadInto(reportName(uint64(e)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(file) != len(blob)+reportTrailerLen || !bytes.Equal(file[:len(blob)], blob) {
-			t.Fatalf("epoch %d: file is not the JSON followed by a %d-byte trailer", e, reportTrailerLen)
+		rec := records[e]
+		if len(file) != len(rec)+reportTrailerLen || !bytes.Equal(file[:len(rec)], rec) {
+			t.Fatalf("epoch %d: file is not the record followed by a %d-byte trailer", e, reportTrailerLen)
 		}
 		onDisk += int64(len(file))
 	}
@@ -145,7 +155,7 @@ func TestReportFileIsJSONUnderChecksumTrailer(t *testing.T) {
 		t.Fatalf("StoreStats = %+v, want %d report bytes in 3 reports", st, onDisk)
 	}
 	// Re-putting replaces, it does not add.
-	if err := s.PutReport(1, blobs[1]); err != nil {
+	if err := s.PutReport(1, records[1]); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.StoreStats(); st.ReportBytes != onDisk {
@@ -163,7 +173,7 @@ func TestReportFileIsJSONUnderChecksumTrailer(t *testing.T) {
 	if cs, err := s2.Compact(); err != nil || cs.ReportsDropped != 1 {
 		t.Fatalf("Compact: %+v, %v", cs, err)
 	}
-	if st := s2.StoreStats(); st.ReportBytes != onDisk-int64(len(blobs[0])+reportTrailerLen) {
+	if st := s2.StoreStats(); st.ReportBytes != onDisk-int64(len(records[0])+reportTrailerLen) {
 		t.Fatalf("ReportBytes = %d after retention, want epoch 0's file gone from %d", st.ReportBytes, onDisk)
 	}
 	if err := s2.PutReport(2, nil); err == nil {
@@ -177,10 +187,11 @@ func TestOpenDropsBitRottedReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs := fillReports(t, s, []int{2, 2, 2})
-	rewriteFile(t, mfs, reportName(1), flipDigit)
-	if rotted, _ := mfs.ReadInto(reportName(1), nil); !json.Valid(rotted[:len(rotted)-reportTrailerLen]) {
-		t.Fatal("the flipped digit was meant to leave valid JSON")
+	records, blobs := fillReports(t, s, []int{2, 2, 2})
+	rewriteFile(t, mfs, reportName(1), flipBit)
+	rotted, _ := mfs.ReadInto(reportName(1), nil)
+	if rep, err := core.DecodeReportRecord(rotted[:len(rotted)-reportTrailerLen]); err != nil || rep.Epoch == 1 {
+		t.Fatalf("the flipped bit was meant to leave a record that decodes to another report (epoch %d, err %v)", rep.Epoch, err)
 	}
 	// The open store notices when asked…
 	if _, err := s.Report(1); !errors.Is(err, ErrCorruptReport) {
@@ -206,7 +217,7 @@ func TestOpenDropsBitRottedReport(t *testing.T) {
 	}
 	// HasReport false is what sends the epoch through verification
 	// again on re-execution; its verdict then files as usual.
-	if err := s2.PutReport(1, blobs[1]); err != nil {
+	if err := s2.PutReport(1, records[1]); err != nil {
 		t.Fatal(err)
 	}
 	for e, blob := range blobs {
@@ -231,7 +242,7 @@ func TestOpenDropsReportWithoutTrailer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blobs := fillReports(t, s, []int{2, 2})
+			_, blobs := fillReports(t, s, []int{2, 2})
 			rewriteFile(t, mfs, reportName(0), func([]byte) []byte { return file(blobs[0]) })
 			s2, stats, err := Open("", Options{FS: mfs})
 			if err != nil {
@@ -252,7 +263,7 @@ func TestOpenReturnsReportReadError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs := fillReports(t, s, []int{2, 2})
+	_, blobs := fillReports(t, s, []int{2, 2})
 	fault := NewFaultFS(mfs, 1<<20)
 	fault.FailRead(reportName(1))
 	if _, _, err := Open("", Options{FS: fault}); !errors.Is(err, ErrInjectedFault) {
@@ -264,7 +275,7 @@ func TestOpenReturnsReportReadError(t *testing.T) {
 	// The same through FaultFS with the file damaged rather than
 	// unreadable: dropped and counted, no error.
 	fault.FailRead("")
-	rewriteFile(t, mfs, reportName(0), flipDigit)
+	rewriteFile(t, mfs, reportName(0), flipBit)
 	s2, stats, err := Open("", Options{FS: fault})
 	if err != nil || stats.CorruptReports != 1 || stats.Reports != 1 {
 		t.Fatalf("Open over a damaged report: %+v, %v", stats, err)
@@ -312,7 +323,7 @@ func TestVerdictsResponseByteIdentical(t *testing.T) {
 		t.Fatalf("empty store: %q, want %q", got, want)
 	}
 
-	blobs := fillReports(t, s, []int{4, 0, 9, 1})
+	_, blobs := fillReports(t, s, []int{4, 0, 9, 1})
 	for _, c := range []struct {
 		query  string
 		epochs []uint64
@@ -340,7 +351,7 @@ func TestVerdictsResponseByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		narrowed := filterReport(rep, false, packet.PathKey{}, domain)
+		narrowed := filterReport(&rep, false, packet.PathKey{}, domain)
 		if len(narrowed.Keys) == 0 {
 			continue
 		}
@@ -355,6 +366,62 @@ func TestVerdictsResponseByteIdentical(t *testing.T) {
 	}
 	if got, want := get("?domain="+domain), verdictsOracle(t, epochs, reports); !bytes.Equal(got, want) {
 		t.Fatalf("filtered response differs from the json.Encoder rendering:\n got %.200q\nwant %.200q", got, want)
+	}
+}
+
+// A report file a node wrote before records existed holds the canonical
+// JSON itself. Every read serves it as a record's rendering would be
+// served: verbatim, narrowed by a filter, tallied by /metrics.
+func TestPreRecordReportsServeAsWritten(t *testing.T) {
+	query := func(s *Store, path string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		NewHandler(s, APIConfig{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	stores := make([]*Store, 2)
+	for i := range stores {
+		s, _, err := Open("", Options{FS: NewMemFS()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+	}
+	records, blobs := fillReports(t, stores[0], []int{3, 5})
+	for e, blob := range blobs {
+		samples, aggs := testReceiptsRaw(uint64(e), 1)
+		if err := stores[1].Append(uint64(e), 1, samples, aggs); err != nil {
+			t.Fatal(err)
+		}
+		if err := stores[1].Seal(uint64(e)); err != nil {
+			t.Fatal(err)
+		}
+		if err := stores[1].PutReport(uint64(e), blob); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := stores[1].Report(uint64(e)); err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("Report(%d) of a JSON payload: err %v", e, err)
+		}
+		if bytes.Equal(records[e], blob) {
+			t.Fatal("the record store was meant to hold records")
+		}
+	}
+	for _, path := range []string{"/api/v1/verdicts", "/api/v1/verdicts?domain=AS64513", "/api/v1/verdicts?key=10.0.1.0/24->172.16.1.0/24", "/metrics"} {
+		rec, pre := query(stores[0], path), query(stores[1], path)
+		if path == "/metrics" {
+			// The files' sizes differ; the tallies over them may not.
+			size := regexp.MustCompile(`(?m)^vpm_store_report_bytes \d+$`)
+			rec, pre = size.ReplaceAll(rec, nil), size.ReplaceAll(pre, nil)
+			if !bytes.Contains(rec, []byte("vpm_violations_total 8\n")) {
+				t.Fatalf("/metrics counts no violations over 8 key reports:\n%s", rec)
+			}
+		}
+		if !bytes.Equal(rec, pre) {
+			t.Fatalf("GET %s: a JSON report file serves\n%.300s\nits record\n%.300s", path, pre, rec)
+		}
 	}
 }
 
@@ -373,7 +440,7 @@ func TestVerdictsAbortsMidStreamOnCorruptReport(t *testing.T) {
 	defer srv.Close()
 	srv.Config.ErrorLog = nil
 
-	rewriteFile(t, mfs, reportName(1), flipDigit)
+	rewriteFile(t, mfs, reportName(1), flipBit)
 	resp, err := srv.Client().Get(srv.URL + "/api/v1/verdicts")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
@@ -534,5 +601,29 @@ func BenchmarkVerdictsQuery(b *testing.B) {
 	}
 	if w.code != 0 {
 		b.Fatalf("status %d", w.code)
+	}
+}
+
+// BenchmarkVerdictsQueryFiltered narrows a mesh-sized report to one
+// domain: the record is decoded and only what survives is rendered.
+func BenchmarkVerdictsQueryFiltered(b *testing.B) {
+	dir, sizes := diskStore(b, []int{1500})
+	s, _, err := Open(dir, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	api := NewHandler(s, APIConfig{})
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/verdicts?from=0&to=0&domain=AS64513", nil)
+	w := &discardWriter{header: make(http.Header)}
+	api.ServeHTTP(w, req)
+	if w.code != 0 || w.n == 0 {
+		b.Fatalf("status %d, %d bytes", w.code, w.n)
+	}
+	b.SetBytes(sizes[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		api.ServeHTTP(w, req)
 	}
 }

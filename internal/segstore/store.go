@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"vpm/internal/core"
 	"vpm/internal/receipt"
 )
 
@@ -171,7 +172,8 @@ type Store struct {
 	// reportBytes is their sum.
 	reports     map[uint64]int64
 	reportBytes int64
-	buf         []byte // grow-only block-encode buffer
+	buf         []byte    // grow-only block-encode buffer
+	decoders    sync.Pool // *core.ReportDecoder, for rendering reports on read
 }
 
 // Open opens (or initializes) the store in dir, running crash
@@ -213,6 +215,7 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 		reports: make(map[uint64]int64),
 	}
 	s.applied.L = &s.mu
+	s.decoders.New = func() any { return new(core.ReportDecoder) }
 	entries, err := loadManifest(fsys)
 	if err != nil {
 		return nil, stats, err
@@ -365,12 +368,16 @@ const (
 	repSuffix = ".json"
 )
 
-// A report file is the canonical JSON followed by a fixed trailer: the
-// CRC-32C of the JSON, little-endian — the checksum and byte order of
-// the segment block framing. JSON that parses is not evidence the
-// bytes are the ones verification wrote (a flipped digit still
-// parses); the trailer is. A file from before the trailer existed
-// fails the check like any other damaged one.
+// A report file is the payload PutReport was given — the report's
+// record (core.AppendReportRecord), or, in a file a node wrote before
+// records existed, its canonical JSON — followed by a fixed trailer:
+// the CRC-32C of the payload, little-endian — the checksum and byte
+// order of the segment block framing. A payload that decodes is not
+// evidence the bytes are the ones verification wrote (a flipped bit
+// can still decode); the trailer is. A file from before the trailer
+// existed fails the check like any other damaged one. The name keeps
+// its .json suffix, so a store written before records reads as it
+// did.
 const reportTrailerLen = 4
 
 // reportPayload checks a report file image against its trailer and
@@ -674,8 +681,9 @@ func (s *Store) SealedEpochs() []uint64 {
 	return out
 }
 
-// PutReport durably files the epoch's canonical verdict-report bytes
-// under their checksum trailer (write-temp, sync, rename, sync-dir —
+// PutReport durably files the epoch's verdict report — its record,
+// as the verifier encodes it (core.AppendReportRecord) — under a
+// checksum trailer (write-temp, sync, rename, sync-dir —
 // the same commit discipline as the manifest). data is not retained.
 // It first waits for every seal handed to the writer before it to
 // commit, and returns the writer's failure if one did not: a report is
@@ -742,20 +750,73 @@ func (s *Store) HasReport(epoch uint64) bool {
 	return ok
 }
 
-// Report returns the epoch's stored verdict-report bytes — exactly the
-// canonical JSON PutReport was given, verified against its checksum;
-// fs.ErrNotExist (wrapped) when none is filed, ErrCorruptReport
-// (wrapped) when the file no longer matches its trailer.
+// Report returns the epoch's verdict as canonical JSON: the record
+// PutReport filed, verified against its checksum, decoded and rendered
+// (core.AppendEpochReport) — byte for byte the JSON of the report the
+// verifier filed. A payload without the record magic, a report filed
+// before records existed, is returned as it was written. The errors
+// are fs.ErrNotExist (wrapped) when none is filed, ErrCorruptReport
+// (wrapped) when the file no longer matches its trailer or its record
+// does not decode.
 func (s *Store) Report(epoch uint64) ([]byte, error) {
 	return s.ReportInto(epoch, nil)
 }
 
 // ReportInto is Report through the caller's buffer: the file is read
-// into buf's storage (see FS.ReadInto) and the returned JSON is a
-// prefix of it. The errors are Report's — fs.ErrNotExist,
-// ErrCorruptReport — and beside one it returns the buffer emptied, so
-// a serving loop keeps one buffer whatever happens.
+// into buf's storage (see FS.ReadInto), the JSON is rendered over it,
+// and the returned JSON is a prefix of that storage, grown as the JSON
+// needs. The errors are Report's — fs.ErrNotExist, ErrCorruptReport —
+// and beside one it returns the buffer emptied, so a serving loop keeps
+// one buffer whatever happens.
 func (s *Store) ReportInto(epoch uint64, buf []byte) ([]byte, error) {
+	payload, err := s.payloadInto(epoch, buf)
+	if err != nil || !core.IsReportRecord(payload) {
+		return payload, err
+	}
+	d := s.decoders.Get().(*core.ReportDecoder)
+	defer s.decoders.Put(d)
+	rep, err := decodeReport(epoch, payload, d)
+	if err != nil {
+		return payload[:0], err
+	}
+	// The decoded report holds nothing of payload, so the JSON is
+	// rendered over it, in room made once: a record renders to several
+	// times its size (8–14× on a mesh), and an append that outgrows a
+	// large buffer regrows it a quarter at a time, copying it each time.
+	out, err := core.AppendEpochReport(slices.Grow(payload[:0], renderRoom*len(payload)), rep)
+	if err != nil {
+		return out[:0], fmt.Errorf("segstore: rendering epoch %d report: %w", epoch, err)
+	}
+	return out, nil
+}
+
+// renderRoom is the JSON bytes ReportInto makes room for per record
+// byte before it renders.
+const renderRoom = 16
+
+// decodeReport decodes epoch's report payload through d: the record
+// PutReport filed, or the JSON a report filed before records holds.
+// The report is valid until d's next decode.
+func decodeReport(epoch uint64, payload []byte, d *core.ReportDecoder) (*core.EpochReport, error) {
+	var rep *core.EpochReport
+	var err error
+	if core.IsReportRecord(payload) {
+		rep, err = d.Decode(payload)
+	} else {
+		var r core.EpochReport
+		r, err = core.DecodeEpochReport(payload)
+		rep = &r
+	}
+	if err != nil {
+		return nil, fmt.Errorf("segstore: epoch %d: %w: %w", epoch, ErrCorruptReport, err)
+	}
+	return rep, nil
+}
+
+// payloadInto reads epoch's report file into buf's storage and returns
+// its payload, held to its trailer: a prefix of that storage, or it
+// emptied beside an error.
+func (s *Store) payloadInto(epoch uint64, buf []byte) ([]byte, error) {
 	s.mu.Lock()
 	s.drainLocked()
 	_, ok := s.reports[epoch]
@@ -765,7 +826,7 @@ func (s *Store) ReportInto(epoch uint64, buf []byte) ([]byte, error) {
 	}
 	buf, err := s.fsys.ReadInto(reportName(epoch), buf)
 	if err != nil {
-		return buf, err
+		return buf[:0], err
 	}
 	data, err := reportPayload(buf)
 	if err != nil {
