@@ -69,14 +69,10 @@ type checkScope struct {
 	// upper edge (the stream finished at or inside it), so Join's tail
 	// region is bounded and may be compared.
 	tailComplete bool
-	// seq, when non-nil, is the sequential arm's engine (see
-	// seqarm.go): the checks feed it their per-packet evidence as they
-	// produce it, through the handles in dets — the slots of the link or
-	// domain under check (three or one) — which they fill on first use
-	// with detectors named after seqKey, the key's string form.
-	seq    *seqdetect.Engine
-	dets   []*seqdetect.Detector
-	seqKey string
+	// capture, when non-nil, is where the checks leave their per-packet
+	// evidence for the sequential arm (see seqarm.go), which feeds it to
+	// the engine once the epoch's checks are done.
+	capture *seqCapture
 	// scratch is the checks' working storage, owned by whoever runs the
 	// scope: a RollingVerifier's, reused for every key of every epoch,
 	// or the scope's own for a hand-fed verifier's query.
@@ -85,15 +81,13 @@ type checkScope struct {
 
 // kernelScratch is what the checks reuse from one (key, segment) to the
 // next instead of allocating: the §6 join's, the delay samples a domain
-// estimate sorts, the order-statistic bounds of the sample counts seen
-// and the sequential arm's evidence streams. Nothing a report keeps
-// points into it. One belongs to each verifying goroutine; it is never
-// shared.
+// estimate sorts and the order-statistic bounds of the sample counts
+// seen. Nothing a report keeps points into it. One belongs to each
+// verifying goroutine; it is never shared.
 type kernelScratch struct {
-	join                           aggregation.Joiner
-	delays                         []float64
-	bounds                         quantile.BoundsMemo
-	linkItems, fabItems, biasItems []seqdetect.Evidence
+	join   aggregation.Joiner
+	delays []float64
+	bounds quantile.BoundsMemo
 }
 
 // wholeStream is a hand-fed verifier's scope: claims = evidence =
@@ -142,12 +136,16 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 	}
 	maxDiff := pu.MaxDiffNS
 
-	// The sequential arm's trial streams, in claims order: linkItems
+	// The sequential arm's trial streams, in claims order: the first
 	// interleaves keep/drop Bernoulli trials with matched link deltas
-	// (one mixed slice serves both the loss and the delay detector —
-	// each skips the other's kinds); fabItems is the mirror-direction
-	// trial stream over the downstream HOP's claims.
-	linkItems, fabItems := s.scratch.linkItems[:0], s.scratch.fabItems[:0]
+	// (one mixed stream serves both the loss and the delay detector —
+	// each skips the other's kinds); the second, from mid, is the
+	// mirror-direction trial stream over the downstream HOP's claims.
+	c := s.capture
+	var lo, mid int
+	if c != nil {
+		lo = len(c.items)
+	}
 	detail := missingDetails{up: up, down: down}
 	for _, pid := range s.claimed(up) {
 		tu, _ := iu.timeOf(pid)
@@ -160,16 +158,16 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 					PktID:  pid,
 					Detail: detail.missingDownstream(),
 				})
-				if s.seq != nil {
-					linkItems = append(linkItems, seqdetect.Evidence{Kind: seqdetect.KindDrop})
+				if c != nil {
+					c.items = append(c.items, seqdetect.Evidence{Kind: seqdetect.KindDrop})
 				}
 			}
 			continue
 		}
 		lv.MatchedSamples++
 		delta := td - tu
-		if s.seq != nil {
-			linkItems = append(linkItems,
+		if c != nil {
+			c.items = append(c.items,
 				seqdetect.Evidence{Kind: seqdetect.KindKeep},
 				seqdetect.Evidence{Kind: seqdetect.KindDelta, Value: float64(delta)})
 		}
@@ -181,6 +179,9 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 			})
 		}
 	}
+	if c != nil {
+		mid = len(c.items)
+	}
 	for _, pid := range s.claimed(down) {
 		if _, ok := iu.timeOf(pid); !ok {
 			if s.expectedSampled(&id, &iu, up, -maxDiff, 0, pid) {
@@ -190,20 +191,16 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 					PktID:  pid,
 					Detail: detail.missingUpstream(),
 				})
-				if s.seq != nil {
-					fabItems = append(fabItems, seqdetect.Evidence{Kind: seqdetect.KindDrop})
+				if c != nil {
+					c.items = append(c.items, seqdetect.Evidence{Kind: seqdetect.KindDrop})
 				}
 			}
-		} else if s.seq != nil {
-			fabItems = append(fabItems, seqdetect.Evidence{Kind: seqdetect.KindKeep})
+		} else if c != nil {
+			c.items = append(c.items, seqdetect.Evidence{Kind: seqdetect.KindKeep})
 		}
 	}
-	if s.seq != nil {
-		d := s.linkDetectors(up, down)
-		d[0].Observe(linkItems)
-		d[1].Observe(linkItems)
-		d[2].Observe(fabItems)
-		s.scratch.linkItems, s.scratch.fabItems = linkItems, fabItems
+	if c != nil {
+		c.link(up, down, lo, mid)
 	}
 
 	if ra, rb := iu.aggReceipts(), id.aggReceipts(); len(ra) > 0 && len(rb) > 0 {
@@ -336,25 +333,27 @@ func (s *checkScope) delaysBetween(seg Segment, delays []float64) []float64 {
 	// Without MarkerThreshold the marker/σ-sample split is unknown and
 	// no sequential bias stream is collected — the same precondition
 	// the batch CheckMarkerBias has.
-	collectBias := s.seq != nil && v.cfg.MarkerThreshold != 0
-	biasItems := s.scratch.biasItems[:0]
+	var c *seqCapture
+	var lo int
+	if s.capture != nil && v.cfg.MarkerThreshold != 0 {
+		c, lo = s.capture, len(s.capture.items)
+	}
 	delays = slices.Grow(delays, len(claimed))
 	for _, pid := range claimed {
 		if ta, ok := wa.timeOf(pid); ok {
 			tb, _ := wb.timeOf(pid)
 			d := float64(tb - ta)
 			delays = append(delays, d)
-			if collectBias {
-				biasItems = append(biasItems, seqdetect.Evidence{
+			if c != nil {
+				c.items = append(c.items, seqdetect.Evidence{
 					Kind:  seqMarkerKind(pid, v.cfg.MarkerThreshold),
 					Value: d,
 				})
 			}
 		}
 	}
-	if collectBias {
-		s.biasDetector(seg).Observe(biasItems)
-		s.scratch.biasItems = biasItems
+	if c != nil {
+		c.bias(seg.Up, seg.Down, seg.Name, lo)
 	}
 	return delays
 }

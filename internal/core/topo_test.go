@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -591,6 +593,81 @@ func TestMeshBlameIngestionOrderInvariance(t *testing.T) {
 	for shuffle := uint64(1); shuffle < 5; shuffle++ {
 		if got := fingerprint(shuffle); got != want {
 			t.Fatalf("shuffle %d: blame attribution depends on ingestion order:\nwant:\n%s\ngot:\n%s", shuffle, want, got)
+		}
+	}
+}
+
+// TestMeshVerifyFailsOnLowestKey: when the checks fail on several keys
+// of an epoch, VerifyEpoch returns the error of the lowest-numbered
+// one, whichever worker checked it — at every width the error a serial
+// pass stops at. An out-of-range quantile fails the delay estimate of
+// every key with delay samples; the two lowest keys send too little to
+// have any, so the first key to fail is not the first of worker 0.
+func TestMeshVerifyFailsOnLowestKey(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	keys := netsim.WideKeys(24)
+	topo := netsim.ClosTopology(91, 2, 2, keys)
+	tc := topoTraceConfig(keys, 4000, 2e8)
+	for i := range 2 {
+		tc.Paths[i].RatePPS = 10
+	}
+	pkts, err := trace.Generate(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := NewTopoDeployment(topo, tc.Table(), meshDeployConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	win, err := NewWindowedStore(dep.HOPs(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driver, err := NewEpochDriver(dep, int64(1e9), win.Sink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := netsim.NewTopoRunner(topo, tc.Table())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Run(pkts, driver.Observers()); err != nil {
+		t.Fatal(err)
+	}
+	driver.Close()
+	win.FinishStream()
+	verify := func(quantiles []float64) (EpochReport, error) {
+		rolling := NewRollingVerifier(Layout{}, dep.VerifierConfig(), win, quantiles, 0.95)
+		rolling.SetKeyLayouts(dep.KeyLayouts())
+		return rolling.VerifyEpoch(0)
+	}
+	// A failed epoch is not marked verified, so every width verifies the
+	// same epoch afresh.
+	var want error
+	for _, procs := range []int{1, 2, 3, 4} {
+		runtime.GOMAXPROCS(procs)
+		_, err := verify([]float64{1.5})
+		switch {
+		case err == nil:
+			t.Fatalf("GOMAXPROCS %d: an out-of-range quantile verified", procs)
+		case want == nil:
+			want = err
+		case !reflect.DeepEqual(err, want):
+			t.Fatalf("GOMAXPROCS %d: %v, want the serial pass's %v", procs, err, want)
+		}
+	}
+	rep, err := verify(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kr := range rep.Keys {
+		if kr.Key != rep.Keys[0].Key {
+			break
+		}
+		for _, dr := range kr.Domains {
+			if dr.DelaySamples > 0 {
+				t.Fatalf("the first key has %d delay samples: it fails first at every width", dr.DelaySamples)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -670,22 +671,59 @@ type RollingVerifier struct {
 	// seq is the sequential-detection engine of the SPRT arm, nil when
 	// VerifierConfig.Sequential is unset; seqKeys holds each key's
 	// detector handles beside plans (see keySeq), cut from seqSlab. Only
-	// the verification goroutine touches them, and the scratch below.
+	// the goroutine calling VerifyEpoch touches them — in the planning
+	// pass and the replay, never inside the key loop.
 	seq     *seqdetect.Engine
 	seqKeys map[packet.PathKey]keySeq
 	seqSlab []*seqdetect.Detector
-	// wins and aggs are the current key's resolved windows and the slab
-	// their concatenated aggregates are cut from, reused key after key.
-	wins []hopWindow
-	aggs []receipt.AggReceipt
+	// job is the epoch under verification as the planning pass lays it
+	// out, and workers the key loop's per-goroutine state (workers[0]
+	// runs on the calling goroutine), both kept from epoch to epoch;
+	// helpers joins the others.
+	job     epochJob
+	workers []*keyWorker
+	helpers sync.WaitGroup
 	// enc is the grow-only buffer each epoch's report record is
 	// encoded into on its way to the durable backend, by rec, whose
 	// tables are likewise kept from epoch to epoch.
 	enc []byte
 	rec recordEncoder
-	// scratch is the link-check kernel's working storage, reused for
-	// every key of every epoch this verifier checks.
+}
+
+// epochJob is one epoch's key loop, laid out by the serial planning
+// pass: which keys, each key's plan, where its reports sit in reports
+// (at[i] is key i's first, one per route, with their verdict and
+// estimate slab ranges already cut) and, with the SPRT arm on, its
+// detector slots. The workers only read it, and each writes only the
+// reports of its own keys.
+type epochJob struct {
+	epoch      EpochID
+	view       *epochView
+	claims     leaf
+	keys       []packet.PathKey
+	plans      []*keyPlan
+	at         []int
+	seqs       []keySeq
+	reports    []EpochKeyReport
+	quantiles  []float64
+	confidence float64
+}
+
+// keyWorker is one goroutine's share of the key loop: its own read
+// view, check scope and kernel scratch, the resolved windows of the key
+// under check and the slab their concatenated aggregates are cut from,
+// and the capture of what its checks feed the SPRT arm. A worker keeps
+// all of it from epoch to epoch, and shares none of it.
+type keyWorker struct {
+	v       Verifier
+	scope   checkScope
 	scratch kernelScratch
+	wins    []hopWindow
+	aggs    []receipt.AggReceipt
+	capture seqCapture
+	// err is the worker's first failure this epoch, at key errKey.
+	err    error
+	errKey int
 }
 
 // keyPlan is what verifying one traffic key takes from its route
@@ -793,8 +831,15 @@ func NewRollingVerifier(layout Layout, cfg VerifierConfig, win *WindowedStore, q
 // traffic key with receipts sealed in the epoch gets the scoped §4
 // link checks and per-domain estimates (claims from the epoch,
 // evidence from the ±1 window — see linkcheck.go). An epoch with no
-// traffic yields an empty report. Keys verify one after another, in
-// work order.
+// traffic yields an empty report.
+//
+// The keys are checked on min(GOMAXPROCS, keys) workers: the calling
+// goroutine and one helper per further worker, started for the epoch
+// and joined before anything is filed. Key i goes to worker i mod w,
+// and every key's report has its place before the loop starts, so the
+// report does not depend on scheduling; the SPRT arm's feeds are
+// replayed in key order after the join (see seqarm.go). On failure the
+// error is that of the lowest-numbered key that failed.
 func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	rep := EpochReport{Epoch: epoch}
 	view, err := rv.win.View(epoch)
@@ -812,95 +857,28 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		}
 		return rep, rv.win.MarkVerified(epoch)
 	}
-	// One report per (key, route layout): a linear path has exactly one
-	// layout per key; a mesh key verifies once per ECMP route, each
-	// route checking the links it owns (see OwnedLinks) — so violation
-	// and blame counts tally distinct link verifications.
-	plans := make([]*keyPlan, len(keys))
-	reports, links, domains := 0, 0, 0
-	for i, key := range keys {
-		plans[i] = rv.planFor(key)
-		reports += len(plans[i].routes)
-		for ri := range plans[i].routes {
-			links += len(plans[i].routes[ri].owned)
-			domains += len(plans[i].routes[ri].domains)
+	job := rv.plan(epoch, view, claims, keys)
+	rep.Keys = job.reports
+	w := min(runtime.GOMAXPROCS(0), len(keys))
+	workers := rv.workersFor(w)
+	rv.helpers.Add(w - 1)
+	for j := 1; j < w; j++ {
+		go rv.help(workers[j], j, w)
+	}
+	workers[0].run(job, 0, w)
+	rv.helpers.Wait()
+	defer job.release()
+	failed := -1
+	for j, wk := range workers {
+		if wk.err != nil && (failed < 0 || wk.errKey < workers[failed].errKey) {
+			failed = j
 		}
 	}
-	rep.Keys = make([]EpochKeyReport, reports)
-	// Every (key, route) report's verdicts and estimates are cut from one
-	// slab each, capped so an append to one report never reaches the next.
-	linkSlab, domainSlab := make([]LinkVerdict, links), make([]DomainReport, domains)
-	v := &Verifier{cfg: rv.cfg, keyed: true}
-	scope := &checkScope{
-		view: v,
-		// The view spans max(0, epoch−1)..epoch+1, so it reaches the
-		// stream start exactly when epoch ≤ 1.
-		headComplete: epoch <= 1,
-		tailComplete: view.tailComplete,
-		seq:          rv.seq,
-		scratch:      &rv.scratch,
+	if failed >= 0 {
+		return rep, workers[failed].err
 	}
-	next := 0
-	for i, key := range keys {
-		rv.wins = view.resolve(key, rv.wins[:0], &rv.aggs)
-		v.key, v.wins = key, rv.wins
-		// A view of the target's leaf alone is the whole stream —
-		// claims and evidence at once, as in a one-shot run
-		// (Deployment.VerifyOnce) — so it keeps no separate claims.
-		if view.n > 1 {
-			scope.claims = claims[key]
-		}
-		// slots are the key's detector handles still to be handed out,
-		// in the order the checks below consume them.
-		var slots []*seqdetect.Detector
-		if rv.seq != nil {
-			ks := rv.keySeqFor(key, plans[i])
-			scope.seqKey, slots = ks.name, ks.slots
-		}
-		for ri := range plans[i].routes {
-			layout, plan := plans[i].layouts[ri], &plans[i].routes[ri]
-			v.layout = layout
-			kr := EpochKeyReport{Key: key, Route: ri}
-			if n := len(plan.owned); n > 0 {
-				kr.Links, linkSlab = linkSlab[:0:n], linkSlab[n:]
-			}
-			for _, l := range plan.owned {
-				if slots != nil {
-					scope.dets, slots = slots[:3], slots[3:]
-				}
-				seg := &layout.Segments[l.seg]
-				kr.Links = append(kr.Links, scope.checkLink(int(l.id), seg.Up, seg.Down))
-			}
-			if n := len(plan.domains); n > 0 {
-				kr.Domains, domainSlab = domainSlab[:0:n], domainSlab[n:]
-			}
-			for _, si := range plan.domains {
-				if slots != nil {
-					scope.dets, slots = slots[:1], slots[1:]
-				}
-				dr, err := scope.domainReport(layout.Segments[si], rv.quantiles, rv.confidence)
-				if err != nil {
-					return rep, fmt.Errorf("core: epoch %d key %v: %w", epoch, key, err)
-				}
-				kr.Domains = append(kr.Domains, dr)
-			}
-			kr.Blames = AttributeBlame(layout, epoch, kr.Links)
-			if rv.cfg.BiasChecks {
-				for _, si := range plan.domains {
-					seg := layout.Segments[si]
-					bias, err := v.CheckMarkerBias(seg.Up, seg.Down)
-					if err != nil {
-						continue // too few samples this epoch to judge
-					}
-					kr.Bias = append(kr.Bias, DomainBiasVerdict{Domain: seg.Name, Report: bias})
-					if bias.Suspicious {
-						kr.Blames = append(kr.Blames, BlameMarkerBias(epoch, seg, bias))
-					}
-				}
-			}
-			rep.Keys[next] = kr
-			next++
-		}
+	if rv.seq != nil {
+		rv.replaySequential(job, workers)
 	}
 	rep.Seq = rv.endSequentialEpoch(epoch)
 	// The verdict goes durable before the RAM window forgets the epoch
@@ -912,6 +890,152 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		return rep, err
 	}
 	return rep, nil
+}
+
+// plan is VerifyEpoch's serial pass: it resolves every key's plan and,
+// with the SPRT arm on, its detector slots, and cuts the epoch's
+// reports. One report per (key, route layout): a linear path has
+// exactly one layout per key; a mesh key verifies once per ECMP route,
+// each route checking the links it owns (see OwnedLinks) — so violation
+// and blame counts tally distinct link verifications.
+func (rv *RollingVerifier) plan(epoch EpochID, view *epochView, claims leaf, keys []packet.PathKey) *epochJob {
+	job := &rv.job
+	job.epoch, job.view, job.claims, job.keys = epoch, view, claims, keys
+	job.quantiles, job.confidence = rv.quantiles, rv.confidence
+	job.plans, job.at, job.seqs = job.plans[:0], job.at[:0], job.seqs[:0]
+	reports, links, domains := 0, 0, 0
+	for _, key := range keys {
+		p := rv.planFor(key)
+		job.plans = append(job.plans, p)
+		job.at = append(job.at, reports)
+		if rv.seq != nil {
+			job.seqs = append(job.seqs, rv.keySeqFor(key, p))
+		}
+		reports += len(p.routes)
+		for ri := range p.routes {
+			links += len(p.routes[ri].owned)
+			domains += len(p.routes[ri].domains)
+		}
+	}
+	// Every (key, route) report's verdicts and estimates are cut from one
+	// slab each, capped so an append to one report never reaches the next.
+	job.reports = make([]EpochKeyReport, reports)
+	linkSlab, domainSlab := make([]LinkVerdict, links), make([]DomainReport, domains)
+	for i, key := range keys {
+		for ri := range job.plans[i].routes {
+			plan := &job.plans[i].routes[ri]
+			kr := &job.reports[job.at[i]+ri]
+			kr.Key, kr.Route = key, ri
+			if n := len(plan.owned); n > 0 {
+				kr.Links, linkSlab = linkSlab[:0:n], linkSlab[n:]
+			}
+			if n := len(plan.domains); n > 0 {
+				kr.Domains, domainSlab = domainSlab[:0:n], domainSlab[n:]
+			}
+		}
+	}
+	return job
+}
+
+// release lets go of the epoch's evidence and report once the epoch is
+// done with; the grow-only slices stay for the next.
+func (job *epochJob) release() {
+	job.view, job.claims, job.keys, job.reports = nil, nil, nil, nil
+}
+
+// workersFor returns the first w workers, making those not made yet.
+func (rv *RollingVerifier) workersFor(w int) []*keyWorker {
+	for len(rv.workers) < w {
+		wk := &keyWorker{}
+		wk.v.cfg, wk.v.keyed = rv.cfg, true
+		wk.scope = checkScope{view: &wk.v, scratch: &wk.scratch}
+		if rv.seq != nil {
+			wk.scope.capture = &wk.capture
+		}
+		rv.workers = append(rv.workers, wk)
+	}
+	return rv.workers[:w]
+}
+
+// help runs one helper's share of the key loop.
+func (rv *RollingVerifier) help(wk *keyWorker, first, stride int) {
+	defer rv.helpers.Done()
+	wk.run(&rv.job, first, stride)
+}
+
+// run checks keys first, first+stride, … of job, stopping at the first
+// that fails.
+func (wk *keyWorker) run(job *epochJob, first, stride int) {
+	wk.err = nil
+	wk.capture.reset()
+	// The view spans max(0, epoch−1)..epoch+1, so it reaches the stream
+	// start exactly when epoch ≤ 1.
+	wk.scope.headComplete = job.epoch <= 1
+	wk.scope.tailComplete = job.view.tailComplete
+	for i := first; i < len(job.keys); i += stride {
+		if err := wk.verifyKey(job, i); err != nil {
+			wk.err, wk.errKey = err, i
+			return
+		}
+	}
+}
+
+// verifyKey fills key i's reports.
+func (wk *keyWorker) verifyKey(job *epochJob, i int) error {
+	key, p := job.keys[i], job.plans[i]
+	v, scope := &wk.v, &wk.scope
+	wk.wins = job.view.resolve(key, wk.wins[:0], &wk.aggs)
+	v.key, v.wins = key, wk.wins
+	// A view of the target's leaf alone is the whole stream — claims and
+	// evidence at once, as in a one-shot run (Deployment.VerifyOnce) — so
+	// it keeps no separate claims.
+	scope.claims = nil
+	if job.view.n > 1 {
+		scope.claims = job.claims[key]
+	}
+	// slots are the key's detector handles still to be handed out, in
+	// the order the checks below consume them.
+	var slots []*seqdetect.Detector
+	if job.seqs != nil {
+		wk.capture.key, slots = i, job.seqs[i].slots
+	}
+	for ri := range p.routes {
+		layout, plan := p.layouts[ri], &p.routes[ri]
+		v.layout = layout
+		kr := &job.reports[job.at[i]+ri]
+		for _, l := range plan.owned {
+			if slots != nil {
+				wk.capture.dets, slots = slots[:3], slots[3:]
+			}
+			seg := &layout.Segments[l.seg]
+			kr.Links = append(kr.Links, scope.checkLink(int(l.id), seg.Up, seg.Down))
+		}
+		for _, si := range plan.domains {
+			if slots != nil {
+				wk.capture.dets, slots = slots[:1], slots[1:]
+			}
+			dr, err := scope.domainReport(layout.Segments[si], job.quantiles, job.confidence)
+			if err != nil {
+				return fmt.Errorf("core: epoch %d key %v: %w", job.epoch, key, err)
+			}
+			kr.Domains = append(kr.Domains, dr)
+		}
+		kr.Blames = AttributeBlame(layout, job.epoch, kr.Links)
+		if v.cfg.BiasChecks {
+			for _, si := range plan.domains {
+				seg := layout.Segments[si]
+				bias, err := v.CheckMarkerBias(seg.Up, seg.Down)
+				if err != nil {
+					continue // too few samples this epoch to judge
+				}
+				kr.Bias = append(kr.Bias, DomainBiasVerdict{Domain: seg.Name, Report: bias})
+				if bias.Suspicious {
+					kr.Blames = append(kr.Blames, BlameMarkerBias(job.epoch, seg, bias))
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // persist files rep's record with the window's backend through rv.enc.

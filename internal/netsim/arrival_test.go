@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -150,6 +151,12 @@ func TestRunSegmentAllocsFlatInPackets(t *testing.T) {
 	// exits on another P leaves its descriptor there, and the next
 	// spawn allocates one.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// No GC cycle inside a window: after each cycle the runtime runs the
+	// unique package's map cleanup on a goroutine of its own, which
+	// allocates two 24-byte objects that would count as the segment's.
+	// At 50 000 packets a cycle lands in most windows, under load in all
+	// of them. Each size starts from a collected heap instead.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const warm, measured = 2, 4
 	// A second's worth of packets to spare at 100 kpps.
 	pkts := testTrace(t, 100000, int64((warm+measured+2)*50000*1e4))
@@ -157,6 +164,7 @@ func TestRunSegmentAllocsFlatInPackets(t *testing.T) {
 		t.Fatalf("trace has %d packets, want more than %d", len(pkts), (warm+measured)*50000)
 	}
 	allocs := func(perSeg int) uint64 {
+		runtime.GC()
 		tr, err := NewRunner(Fig1Path(5))
 		if err != nil {
 			t.Fatal(err)

@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"vpm/internal/core"
@@ -544,6 +545,10 @@ func TestVerdictQueryAllocsIndependentOfReportSize(t *testing.T) {
 	}
 	defer s.Close()
 	api := NewHandler(s, APIConfig{})
+	// A GC cycle empties the sync.Pools the handler draws from, and
+	// their refill would count as the query's own allocations at
+	// whichever size it lands in: no GC while the queries are measured.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(epoch int) float64 {
 		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/api/v1/verdicts?from=%d&to=%d", epoch, epoch), nil)
 		w := &discardWriter{header: make(http.Header)}
