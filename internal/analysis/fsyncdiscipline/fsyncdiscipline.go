@@ -1,13 +1,15 @@
 // Package fsyncdiscipline enforces segstore's durability contract at
-// compile time. The store's crash-safety argument (PR 7) rests on one
-// commit sequence — write temp file, fsync the file, rename over the
-// committed name, fsync the directory — with the manifest rename as
-// the sole durability point. A rename that skips the preceding file
-// sync can commit a name whose contents are still in the page cache;
-// one that skips the following directory sync can lose the rename
-// itself. The FaultFS crash-point sweep catches these at test time,
-// ~10 minutes after the bug ships; this pass catches them at the
-// keystroke.
+// compile time. The store commits two ways. A seal appends one record
+// to the manifest log and syncs it, after syncing the segment and its
+// directory entry; that order is held at test time by
+// TestSealCostIsFlat. Every file that replaces another — a manifest
+// checkpoint, a verdict report — goes through one sequence: write temp
+// file, fsync the file, rename over the committed name, fsync the
+// directory. A rename that skips the preceding file sync can commit a
+// name whose contents are still in the page cache; one that skips the
+// following directory sync can lose the rename itself. The FaultFS
+// crash-point sweep catches these at test time, ~10 minutes after the
+// bug ships; this pass catches them at the keystroke.
 //
 // Rules, applied to non-test files of package segstore:
 //

@@ -98,8 +98,9 @@ func manifestLastSealed(t *testing.T, dir string) (uint64, bool) {
 	}
 	entries, err := segstore.DecodeManifest(raw)
 	if err != nil {
-		// A torn MANIFEST.tmp is possible; a torn MANIFEST is not — the
-		// commit protocol renames a fully synced temp into place.
+		// A record torn mid-append at the log's tail is possible, and
+		// DecodeManifest reads past it as Open does; a record that fails
+		// its checksum is not — every append is whole or cut short.
 		t.Fatalf("committed MANIFEST does not decode: %v", err)
 	}
 	if len(entries) == 0 {

@@ -260,14 +260,15 @@ func sweepCrashPoints(t *testing.T, commit bool) {
 }
 
 // TestCrashPointWithAutoCompact repeats the sweep with AutoCompact on
-// and a tight retention, so crash points also land inside compaction's
-// merge/drop/commit sequence — recovery must cope with half-finished
-// compaction exactly as with half-finished seals.
+// and a tight retention, so crash points also land inside retention's
+// retire-record/remove sequence and inside the manifest checkpoint the
+// retire records bring on — recovery must cope with half-finished
+// retention and checkpoints exactly as with half-finished seals.
 const compactEpochs = 8
 
 func TestCrashPointWithAutoCompact(t *testing.T) {
 	opts := func(fsys FS) Options {
-		return Options{FS: fsys, AutoCompact: true, DiskRetention: 3, CompactFanIn: 2}
+		return Options{FS: fsys, AutoCompact: true, DiskRetention: 3}
 	}
 
 	// Baseline final state under compaction: only the retained window
@@ -282,7 +283,8 @@ func TestCrashPointWithAutoCompact(t *testing.T) {
 	baseSealed := sBase.SealedEpochs()
 
 	const huge = 1 << 20
-	fault := NewFaultFS(NewMemFS(), huge)
+	counted := &countFS{FS: NewMemFS()}
+	fault := NewFaultFS(counted, huge)
 	sCount, _, err := Open("", opts(fault))
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +295,20 @@ func TestCrashPointWithAutoCompact(t *testing.T) {
 	fault.mu.Lock()
 	ops := huge - fault.remaining
 	fault.mu.Unlock()
-	t.Logf("sweeping %d crash points with auto-compaction", ops)
+	// The first seal creates the log through a checkpoint; at least one
+	// more must come from the retire records, or the sweep never crashes
+	// one.
+	recorded, _ := counted.take()
+	checkpoints := 0
+	for _, op := range recorded {
+		if op == (fsOp{"rename", manifestName}) {
+			checkpoints++
+		}
+	}
+	if checkpoints < 2 {
+		t.Fatalf("the workload checkpoints the manifest %d times, want a checkpoint beside the first seal's", checkpoints)
+	}
+	t.Logf("sweeping %d crash points with auto-compaction (%d checkpoints)", ops, checkpoints)
 
 	for n := 1; n <= ops; n++ {
 		mem := NewMemFS()
@@ -320,7 +335,7 @@ func TestCrashPointWithAutoCompact(t *testing.T) {
 		// durable set the workload observed: a crash inside Seal after
 		// the manifest commit leaves the epoch durable even though the
 		// call returned the injected fault — and the same Seal may have
-		// already run a compaction pass against the newer horizon.)
+		// already run a retention pass against the newer horizon.)
 		recoveredLast, haveRecovered := s2.LastSealed()
 		if !haveRecovered && len(durable) > 0 {
 			t.Fatalf("budget %d: all durable epochs lost (durable %v)", n, durable)
@@ -349,7 +364,7 @@ func TestCrashPointWithAutoCompact(t *testing.T) {
 }
 
 // TestCrashPointCountsOnlyInFlightAsPartial sweeps a retaining store's
-// crash points: a crash between a retention pass's manifest commit and
+// crash points: a crash between a retention pass's retire record and
 // its removals leaves a retired segment behind. Recovery removes it as
 // an orphan; it counts as partial only the segments of epochs newer
 // than the last seal, the work in flight. Which epoch a leftover file

@@ -1,7 +1,7 @@
 // Package segstore is the durable epoch-segment backend: an
 // append-only on-disk store of sealed per-epoch receipt segments with
-// a rename-committed manifest, crash-recovery replay, size-tiered
-// compaction, and per-epoch verdict-report persistence: each report is
+// an append-only manifest log, crash-recovery replay, retention, and
+// per-epoch verdict-report persistence: each report is
 // filed as its compact record (core.AppendReportRecord) and rendered
 // to the canonical JSON when it is read (Store.Report). It sits
 // beneath core.WindowedStore (see core.StoreBackend) so a continuous
@@ -9,18 +9,19 @@
 // far beyond RAM — the paper's post-hoc dispute-resolution use case
 // needs receipts to still exist when the dispute is raised.
 //
-// Durability contract: an epoch is durable exactly when the manifest
-// commit of its seal (write-temp, fsync, rename, fsync-dir) is done.
+// Durability contract: an epoch is durable exactly when its seal is
+// committed — segment synced, directory synced, one record appended to
+// the manifest log and the log synced; a segment is never rewritten.
 // Append and Seal hand their work to one ordered writer goroutine and
 // return before it is written, so the caller's promise point is later:
 // when PutReport or Close returns nil, every epoch sealed before the
 // call is durable — a verdict is filed only once its evidence is.
 // Everything before the commit — blocks appended to the active
-// segment, a manifest temp file — is discardable; everything after
-// survives kill -9 at any instruction boundary. Recovery (Open)
-// re-establishes exactly the manifest's world: sealed segments are
-// checksum-verified, a torn tail on the active segment is truncated
-// away, and orphaned temp files are removed.
+// segment, a torn log record, a temp file — is discardable; everything
+// after survives kill -9 at any instruction boundary. Recovery (Open)
+// replays the log and re-establishes exactly its world: sealed
+// segments are checksum-verified, torn tails are truncated away, and
+// orphaned files are removed.
 package segstore
 
 import (

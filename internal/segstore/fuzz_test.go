@@ -9,6 +9,7 @@ package segstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -89,7 +90,7 @@ func FuzzDecodeSegment(f *testing.F) {
 				len(reBlocks), reValid, len(blocks), valid)
 		}
 		// Decoded blocks re-encode into an image that scans back to the
-		// same blocks (the merge path concatenates such re-reads).
+		// same blocks.
 		out := append([]byte(nil), segMagic[:]...)
 		for _, blk := range blocks {
 			out = AppendBlock(out, blk.Epoch, blk.HOP, blk.Samples, blk.Aggs)
@@ -104,25 +105,33 @@ func FuzzDecodeSegment(f *testing.F) {
 	})
 }
 
-// FuzzDecodeManifest: DecodeManifest must be total, reject everything
-// inconsistent with ErrCorruptManifest, and accept exactly the images
-// its own encoder produces (encode∘decode = id on the accepted set).
+// FuzzDecodeManifest: DecodeManifest must be total over both forms —
+// the log and the JSON manifest of earlier releases — reject everything
+// inconsistent with ErrCorruptManifest, and hand back entries that a
+// log re-encodes exactly (decode∘encode = id on the accepted set). A
+// log it accepts must stop being accepted when any bit of its last
+// complete record flips: the record checksums leave no way to un-seal
+// an epoch silently.
 func FuzzDecodeManifest(f *testing.F) {
-	valid, err := encodeManifest([]SegmentInfo{
+	entries := []SegmentInfo{
 		{File: "ep-0000000000000000.seg", FromEpoch: 0, ToEpoch: 0, Bytes: 64, Blocks: 2, CRC: 7, Samples: 2, Aggs: 1},
 		{File: "ep-0000000000000001-0000000000000003.seg", FromEpoch: 1, ToEpoch: 3, Bytes: 128, Blocks: 6, CRC: 9, Samples: 4, Aggs: 4},
-	})
+	}
+	validJSON, err := json.MarshalIndent(jsonManifest{Version: manifestVersion, Entries: entries}, "", " ")
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid)
+	f.Add(validJSON)
 	f.Add([]byte{})
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"version":1,"entries":[]}`))
 	f.Add([]byte(`{"version":2,"entries":[]}`))
 	f.Add([]byte(`{"version":1,"entries":[{"file":"a.seg","from_epoch":5,"to_epoch":2,"bytes":64}]}`))
 	f.Add([]byte(`{"version":1,"entries":[{"file":"a.seg","from_epoch":0,"to_epoch":3,"bytes":64},{"file":"b.seg","from_epoch":2,"to_epoch":4,"bytes":64}]}`))
-	f.Add(bytes.Replace(valid, []byte(`"version": 1`), []byte(`"version": 1e1`), 1))
+	f.Add(bytes.Replace(validJSON, []byte(`"version": 1`), []byte(`"version": 1e1`), 1))
+	for _, seed := range manifestLogSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := DecodeManifest(data)
@@ -133,18 +142,14 @@ func FuzzDecodeManifest(f *testing.F) {
 			return
 		}
 		for i, e := range entries {
-			if e.File == "" || e.ToEpoch < e.FromEpoch {
+			if checkEntry(e) != nil {
 				t.Fatalf("accepted malformed entry %d: %+v", i, e)
 			}
 			if i > 0 && e.FromEpoch <= entries[i-1].ToEpoch {
 				t.Fatalf("accepted overlapping entries %d and %d", i-1, i)
 			}
 		}
-		re, err := encodeManifest(entries)
-		if err != nil {
-			t.Fatalf("accepted entries do not re-encode: %v", err)
-		}
-		back, err := DecodeManifest(re)
+		back, err := DecodeManifest(encodeManifest(entries))
 		if err != nil {
 			t.Fatalf("re-encoded manifest rejected: %v", err)
 		}
@@ -152,5 +157,35 @@ func FuzzDecodeManifest(f *testing.F) {
 		if len(back) != len(entries) || (len(entries) > 0 && !reflect.DeepEqual(back, entries)) {
 			t.Fatalf("manifest round trip changed the entries")
 		}
+		if complete := (len(data) - len(logMagic)) / recordLen; bytes.HasPrefix(data, logMagic[:]) && complete > 0 {
+			last := len(logMagic) + (complete-1)*recordLen
+			bit := int(data[len(data)-1]) % (8 * recordLen)
+			flipped := append([]byte(nil), data...)
+			flipped[last+bit/8] ^= 1 << (bit % 8)
+			if _, err := DecodeManifest(flipped); !errors.Is(err, ErrCorruptManifest) {
+				t.Fatalf("bit %d of the last record flipped: err = %v, want ErrCorruptManifest", bit, err)
+			}
+		}
 	})
+}
+
+// manifestLogSeeds returns the log images the committed corpus holds
+// (testdata/fuzz/FuzzDecodeManifest/seed_log_*), in that order: a
+// valid log of seals and a retire, the same with a torn tail, with a
+// bit flipped in its last record, with a retire past the last seal
+// appended, and with a seal overlapping a live segment appended.
+func manifestLogSeeds() [][]byte {
+	seal := func(from, to uint64) SegmentInfo {
+		return SegmentInfo{FromEpoch: from, ToEpoch: to, Bytes: 64, Blocks: 2, CRC: 7, Samples: 2, Aggs: 1}
+	}
+	valid := encodeManifest([]SegmentInfo{seal(0, 3), seal(4, 4)})
+	valid = appendRecord(valid, recSeal, seal(5, 5))
+	valid = appendRecord(valid, recRetire, SegmentInfo{ToEpoch: 3})
+	torn := appendRecord(append([]byte(nil), valid...), recSeal, seal(6, 6))
+	torn = torn[:len(torn)-recordLen/2]
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-recordLen+9] ^= 0x04
+	pastLast := appendRecord(append([]byte(nil), valid...), recRetire, SegmentInfo{ToEpoch: 9})
+	overlap := appendRecord(append([]byte(nil), valid...), recSeal, seal(5, 6))
+	return [][]byte{valid, torn, flipped, pastLast, overlap}
 }

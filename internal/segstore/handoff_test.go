@@ -59,8 +59,8 @@ func sealBlocked(t *testing.T, s *Store, g gateFS, epoch uint64) {
 	if err := s.Seal(epoch); err != nil {
 		t.Fatalf("Seal(%d): %v", epoch, err)
 	}
-	if name := <-g.entered; name != segmentName(epoch) {
-		t.Fatalf("writer syncs %s, want %s", name, segmentName(epoch))
+	if name := <-g.entered; name != segmentName(epoch, epoch) {
+		t.Fatalf("writer syncs %s, want %s", name, segmentName(epoch, epoch))
 	}
 }
 
@@ -132,8 +132,8 @@ func TestLaterHandOffDoesNotDelayPutReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.result <- nil
-	if name := <-g.entered; name != segmentName(1) {
-		t.Fatalf("writer syncs %s, want %s", name, segmentName(1))
+	if name := <-g.entered; name != segmentName(1, 1) {
+		t.Fatalf("writer syncs %s, want %s", name, segmentName(1, 1))
 	}
 	select {
 	case err := <-done:

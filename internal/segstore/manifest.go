@@ -1,30 +1,59 @@
 package segstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
+	"math"
+	"slices"
 	"sort"
 )
 
 // The manifest is the commit record: a segment exists, durably, iff
-// the manifest names it. Sealing an epoch (and every compaction)
-// rewrites the manifest through write-temp → fsync → rename →
-// fsync-dir, so the transition from "epoch N-1 durable" to "epoch N
-// durable" is a single atomic rename — a crash observes one world or
-// the other, never a half-written manifest. A half-written temp left
-// behind by a crash is garbage-collected on Open.
+// the manifest names it. It is a log of fixed-width records, each
+// framed by its own CRC-32C (little-endian, like the segment blocks):
+//
+//	magic:   "VPMLOG1\n"
+//	record:  kind[1] reserved[3] blocks[4] from[8] to[8] bytes[8]
+//	         samples[4] aggs[4] segmentCRC[4] recordCRC[4]
+//
+// A seal record (kind 1) adds the segment holding epochs from..to,
+// named by that range (segmentName); a retire record (kind 2) drops
+// every segment whose newest epoch is at or below to. A seal appends
+// one record and syncs the log, at the same cost however long the
+// history. The one rewrite is the checkpoint (replaceFile, one seal
+// record per live segment): at a fresh store's first seal, once at
+// Open over an earlier release's JSON manifest, and when the log
+// outgrows twice the live segments plus checkpointSlack records.
+//
+// A record a crash cut short at the tail never committed; Open
+// truncates it. A complete record that fails its checksum is
+// ErrCorruptManifest, the last one included: bit rot in the newest
+// seal must not silently un-seal an epoch.
 
-// manifestName is the committed manifest's filename; manifestTemp is
-// the staging name every rewrite goes through.
 const (
+	// manifestName is the manifest log's filename.
 	manifestName = "MANIFEST"
-	manifestTemp = "MANIFEST.tmp"
+	// recordLen is a log record's fixed size; recSeal and recRetire
+	// are its kinds.
+	recordLen = 48
+	recSeal   = 1
+	recRetire = 2
+	// checkpointSlack is how many records beyond twice the live
+	// segments the log holds before it is checkpointed. A store without
+	// retention only appends seals, so its log never reaches the bound.
+	checkpointSlack = 4
+	// manifestVersion guards the schema of the JSON manifest earlier
+	// releases wrote.
+	manifestVersion = 1
 )
 
-// manifestVersion guards the manifest schema.
-const manifestVersion = 1
+// logMagic begins the manifest log.
+var logMagic = [8]byte{'V', 'P', 'M', 'L', 'O', 'G', '1', '\n'}
 
 // ErrCorruptManifest reports an unreadable or inconsistent manifest —
 // the store refuses to open rather than silently starting with empty
@@ -32,11 +61,12 @@ const manifestVersion = 1
 // cmd/vpm-node's boot error path).
 var ErrCorruptManifest = errors.New("segstore: corrupt manifest")
 
-// SegmentInfo is one sealed segment's manifest entry. A freshly sealed
-// segment covers one epoch (FromEpoch == ToEpoch); compaction merges
-// adjacent segments into multi-epoch files.
+// SegmentInfo is one sealed segment's manifest entry. A seal covers
+// one epoch (FromEpoch == ToEpoch); a file an earlier release's merge
+// wrote covers a range, and is still read.
 type SegmentInfo struct {
-	// File is the segment's filename within the store directory.
+	// File is the segment's filename within the store directory,
+	// segmentName of its range.
 	File string `json:"file"`
 	// FromEpoch and ToEpoch bound the epochs the segment holds
 	// (inclusive).
@@ -55,89 +85,211 @@ type SegmentInfo struct {
 	Aggs    int `json:"aggs"`
 }
 
-// manifest is the committed store state.
-type manifest struct {
+// jsonManifest is the form earlier releases committed, read once and
+// converted.
+type jsonManifest struct {
 	Version int           `json:"version"`
 	Entries []SegmentInfo `json:"entries"`
 }
 
-// DecodeManifest parses and validates manifest bytes: entries must be
-// sorted by epoch, non-overlapping, with sane ranges. Malformed input
-// returns an error wrapping ErrCorruptManifest, never a panic
-// (FuzzDecodeSegment fuzzes this decoder too).
+// DecodeManifest parses and validates manifest bytes in either form —
+// the log, or the JSON manifest of earlier releases — and returns the
+// live entries, sorted by epoch and non-overlapping. A short record at
+// the log's tail is an append a crash cut short and is ignored.
+// Malformed input returns an error wrapping ErrCorruptManifest, never a
+// panic (FuzzDecodeManifest fuzzes it).
 func DecodeManifest(data []byte) ([]SegmentInfo, error) {
-	var m manifest
+	if !bytes.HasPrefix(data, logMagic[:]) {
+		return decodeJSONManifest(data)
+	}
+	var entries []SegmentInfo
+	var err error
+	for i, rest := 0, data[len(logMagic):]; len(rest) >= recordLen; i, rest = i+1, rest[recordLen:] {
+		if entries, err = applyRecord(entries, rest[:recordLen]); err != nil {
+			return nil, fmt.Errorf("%w: record %d: %v", ErrCorruptManifest, i, err)
+		}
+	}
+	return entries, nil
+}
+
+// applyRecord checks one record's checksum and replays it onto
+// entries.
+func applyRecord(entries []SegmentInfo, r []byte) ([]SegmentInfo, error) {
+	le := binary.LittleEndian
+	if crc32.Checksum(r[:recordLen-4], crcTable) != le.Uint32(r[recordLen-4:]) {
+		return nil, errors.New("checksum")
+	}
+	e := SegmentInfo{
+		Blocks:    int(le.Uint32(r[4:8])),
+		FromEpoch: le.Uint64(r[8:16]),
+		ToEpoch:   le.Uint64(r[16:24]),
+		Bytes:     int64(le.Uint64(r[24:32])),
+		Samples:   int(le.Uint32(r[32:36])),
+		Aggs:      int(le.Uint32(r[36:40])),
+		CRC:       le.Uint32(r[40:44]),
+	}
+	switch r[0] {
+	case recSeal:
+		e.File = segmentName(e.FromEpoch, e.ToEpoch)
+		if err := checkEntry(e); err != nil {
+			return nil, err
+		}
+		return insertEntry(entries, e)
+	case recRetire:
+		if n := len(entries); n == 0 || e.ToEpoch >= entries[n-1].ToEpoch {
+			return nil, fmt.Errorf("retire through epoch %d leaves no live seal", e.ToEpoch)
+		}
+		return entries[sort.Search(len(entries), func(i int) bool { return entries[i].ToEpoch > e.ToEpoch }):], nil
+	}
+	return nil, fmt.Errorf("unknown kind %d", r[0])
+}
+
+// checkEntry holds a segment entry to what a seal record can carry.
+func checkEntry(e SegmentInfo) error {
+	fits32 := func(n int) bool { return n >= 0 && uint64(n) <= math.MaxUint32 }
+	switch {
+	case e.ToEpoch < e.FromEpoch, e.Bytes < int64(len(segMagic)), !fits32(e.Blocks), !fits32(e.Samples), !fits32(e.Aggs):
+		return fmt.Errorf("entry %q is malformed", e.File)
+	case e.File != segmentName(e.FromEpoch, e.ToEpoch):
+		return fmt.Errorf("entry %q does not name epochs %d–%d", e.File, e.FromEpoch, e.ToEpoch)
+	}
+	return nil
+}
+
+// insertEntry returns entries with e added in epoch order, or an error
+// when e overlaps a live segment. A seal after the newest appends; one
+// anywhere else copies, so entries itself stays as it was for readers
+// that still hold it.
+func insertEntry(entries []SegmentInfo, e SegmentInfo) ([]SegmentInfo, error) {
+	i := sort.Search(len(entries), func(i int) bool { return entries[i].FromEpoch > e.FromEpoch })
+	if i > 0 && entries[i-1].ToEpoch >= e.FromEpoch || i < len(entries) && entries[i].FromEpoch <= e.ToEpoch {
+		return nil, fmt.Errorf("segment %s overlaps a live one", e.File)
+	}
+	if i == len(entries) {
+		return append(entries, e), nil
+	}
+	return slices.Insert(slices.Clip(entries), i, e), nil
+}
+
+// decodeJSONManifest parses the JSON manifest of earlier releases.
+func decodeJSONManifest(data []byte) ([]SegmentInfo, error) {
+	var m jsonManifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptManifest, err)
 	}
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorruptManifest, m.Version, manifestVersion)
 	}
+	var entries []SegmentInfo
 	for i, e := range m.Entries {
-		if e.File == "" || e.ToEpoch < e.FromEpoch || e.Bytes < int64(len(segMagic)) || e.Blocks < 0 {
-			return nil, fmt.Errorf("%w: entry %d (%q) is malformed", ErrCorruptManifest, i, e.File)
+		err := checkEntry(e)
+		if err == nil {
+			entries, err = insertEntry(entries, e)
 		}
-		if i > 0 && e.FromEpoch <= m.Entries[i-1].ToEpoch {
-			return nil, fmt.Errorf("%w: entry %d (%q) overlaps or disorders epochs", ErrCorruptManifest, i, e.File)
+		if err != nil {
+			return nil, fmt.Errorf("%w: entry %d: %v", ErrCorruptManifest, i, err)
 		}
 	}
-	return m.Entries, nil
+	return entries, nil
 }
 
-// encodeManifest renders the committed form.
-func encodeManifest(entries []SegmentInfo) ([]byte, error) {
-	sorted := append([]SegmentInfo(nil), entries...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].FromEpoch < sorted[j].FromEpoch })
-	return json.MarshalIndent(manifest{Version: manifestVersion, Entries: sorted}, "", " ")
+// appendRecord appends one log record of kind for e to dst.
+func appendRecord(dst []byte, kind byte, e SegmentInfo) []byte {
+	le := binary.LittleEndian
+	var r [recordLen]byte
+	r[0] = kind
+	le.PutUint32(r[4:8], uint32(e.Blocks))
+	le.PutUint64(r[8:16], e.FromEpoch)
+	le.PutUint64(r[16:24], e.ToEpoch)
+	le.PutUint64(r[24:32], uint64(e.Bytes))
+	le.PutUint32(r[32:36], uint32(e.Samples))
+	le.PutUint32(r[36:40], uint32(e.Aggs))
+	le.PutUint32(r[40:44], e.CRC)
+	le.PutUint32(r[44:48], crc32.Checksum(r[:44], crcTable))
+	return append(dst, r[:]...)
 }
 
-// commitManifest durably replaces the manifest with entries: temp
-// write, file sync, atomic rename, directory sync. On any error the
-// committed manifest is untouched (the rename either happened whole or
-// not at all).
-func commitManifest(fsys FS, entries []SegmentInfo) error {
-	data, err := encodeManifest(entries)
-	if err != nil {
-		return err
+// encodeManifest renders the checkpoint of entries: the magic and one
+// seal record per entry.
+func encodeManifest(entries []SegmentInfo) []byte {
+	out := append(make([]byte, 0, len(logMagic)+recordLen*len(entries)), logMagic[:]...)
+	for _, e := range entries {
+		out = appendRecord(out, recSeal, e)
 	}
-	// A temp left by an earlier crash is garbage; start clean.
-	if err := fsys.Remove(manifestTemp); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("segstore: clear stale manifest temp: %w", err)
+	return out
+}
+
+// commitRecord commits one record whose replay leaves entries live: an
+// append and a sync of the log, or a checkpoint of entries when no log
+// is open or the log has outgrown its bound. Only the writer calls it,
+// or a caller holding the store idle.
+func (s *Store) commitRecord(kind byte, e SegmentInfo, entries []SegmentInfo) error {
+	if s.log == nil || s.logRecords >= 2*len(entries)+checkpointSlack {
+		return s.checkpoint(entries)
 	}
-	f, err := fsys.OpenAppend(manifestTemp)
-	if err != nil {
-		return fmt.Errorf("segstore: stage manifest: %w", err)
+	if _, err := s.log.Write(appendRecord(nil, kind, e)); err != nil {
+		return fmt.Errorf("segstore: append manifest record: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("segstore: stage manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("segstore: sync manifest: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("segstore: close manifest: %w", err)
-	}
-	if err := fsys.Rename(manifestTemp, manifestName); err != nil {
-		return fmt.Errorf("segstore: commit manifest: %w", err)
-	}
-	if err := fsys.SyncDir(); err != nil {
-		return fmt.Errorf("segstore: sync manifest commit: %w", err)
-	}
+	s.logRecords++
 	return nil
 }
 
-// loadManifest reads the committed manifest; a missing file is an
-// empty store (fresh directory), anything unreadable is
-// ErrCorruptManifest.
-func loadManifest(fsys FS) ([]SegmentInfo, error) {
-	data, err := fsys.ReadInto(manifestName, nil)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
+// checkpoint durably replaces the manifest with a log of entries
+// (replaceFile) and opens the new log for appending. On any error the
+// committed manifest is the old one or the new one, and no log is open.
+func (s *Store) checkpoint(entries []SegmentInfo) error {
+	if s.log != nil {
+		err := s.log.Close()
+		s.log = nil
+		if err != nil {
+			return fmt.Errorf("segstore: close manifest: %w", err)
+		}
 	}
+	if err := replaceFile(s.fsys, manifestName, encodeManifest(entries)); err != nil {
+		return fmt.Errorf("segstore: checkpoint manifest: %w", err)
+	}
+	var err error
+	if s.log, err = s.fsys.OpenAppend(manifestName); err != nil {
+		return fmt.Errorf("segstore: open manifest: %w", err)
+	}
+	s.logRecords = len(entries)
+	return nil
+}
+
+// replaceFile durably replaces name with the concatenated parts: write
+// name+".tmp", sync it, rename it over name, sync the directory. On any
+// error name is untouched (the rename either happened whole or not at
+// all); a temp a crash leaves behind is removed on Open.
+func replaceFile(fsys FS, name string, parts ...[]byte) error {
+	tmp := name + ".tmp"
+	if err := fsys.Remove(tmp); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("clear stale temp: %w", err)
+	}
+	f, err := fsys.OpenAppend(tmp)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptManifest, err)
+		return fmt.Errorf("stage: %w", err)
 	}
-	return DecodeManifest(data)
+	for _, part := range parts {
+		if _, err := f.Write(part); err != nil {
+			f.Close()
+			return fmt.Errorf("stage: %w", err)
+		}
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("sync: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("close: %w", err)
+	}
+	if err := fsys.Rename(tmp, name); err != nil {
+		return fmt.Errorf("commit: %w", err)
+	}
+	if err := fsys.SyncDir(); err != nil {
+		return fmt.Errorf("sync commit: %w", err)
+	}
+	return nil
 }

@@ -20,6 +20,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"runtime"
 	"runtime/debug"
@@ -131,7 +132,7 @@ func flipBit(data []byte) []byte {
 
 func TestReportFileIsRecordUnderChecksumTrailer(t *testing.T) {
 	mfs := NewMemFS()
-	s, _, err := Open("", Options{FS: mfs, DiskRetention: 2, CompactFanIn: -1})
+	s, _, err := Open("", Options{FS: mfs, DiskRetention: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestReportFileIsRecordUnderChecksumTrailer(t *testing.T) {
 		t.Fatalf("ReportBytes = %d after a re-put, want %d", st.ReportBytes, onDisk)
 	}
 	// Recovery arrives at the same figure from the files alone.
-	s2, stats, err := Open("", Options{FS: mfs, DiskRetention: 2, CompactFanIn: -1})
+	s2, stats, err := Open("", Options{FS: mfs, DiskRetention: 2})
 	if err != nil || stats.Reports != 3 || stats.CorruptReports != 0 {
 		t.Fatalf("reopen: %+v, %v", stats, err)
 	}
@@ -171,8 +172,11 @@ func TestReportFileIsRecordUnderChecksumTrailer(t *testing.T) {
 		t.Fatalf("ReportBytes = %d after reopen, want %d", st.ReportBytes, onDisk)
 	}
 	// Retention takes epoch 0's report and its bytes with it.
-	if cs, err := s2.Compact(); err != nil || cs.ReportsDropped != 1 {
-		t.Fatalf("Compact: %+v, %v", cs, err)
+	if err := s2.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if got := s2.ReportEpochs(); !reflect.DeepEqual(got, []uint64{1, 2}) {
+		t.Fatalf("ReportEpochs after retention = %v, want [1 2]", got)
 	}
 	if st := s2.StoreStats(); st.ReportBytes != onDisk-int64(len(records[0])+reportTrailerLen) {
 		t.Fatalf("ReportBytes = %d after retention, want epoch 0's file gone from %d", st.ReportBytes, onDisk)

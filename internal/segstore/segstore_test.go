@@ -199,16 +199,17 @@ func loadFixture(t *testing.T, name string) (*MemFS, map[string][]byte) {
 	return m, want
 }
 
-// TestOpenReadsMergedStore: a store an earlier build wrote and
-// compacted with CompactFanIn 2 — testdata/merged, epochs 0–3 merged
-// into one ep-<from>-<to>.seg, epoch 4 in its own segment, a report
-// per epoch — opens, and reads back what that build read from it
+// TestOpenReadsMergedStore: a store an earlier build wrote and merged
+// — testdata/merged, a JSON manifest, epochs 0–3 merged into one
+// ep-<from>-<to>.seg, epoch 4 in its own segment, a report per epoch —
+// opens, and reads back what that build read from it
 // (testdata/merged.json: the sealed epochs, every epoch's blocks and
 // every report). The files are checked in, so a change to the on-disk
 // format, or a reader narrowed to single-epoch segments, fails here
-// even when it still reads what it writes. Retention then keeps the
-// merged file whole while it straddles the horizon and drops it whole
-// once it has aged out.
+// even when it still reads what it writes. Open converts the manifest
+// to a log holding the same entries. Retention then keeps the merged
+// file whole, its epochs' reports with it, while it straddles the
+// horizon, and drops both once it has aged out whole.
 func TestOpenReadsMergedStore(t *testing.T) {
 	m, _ := loadFixture(t, "merged")
 	s, stats, err := Open("", Options{FS: m, AutoCompact: true, DiskRetention: 3})
@@ -219,8 +220,14 @@ func TestOpenReadsMergedStore(t *testing.T) {
 		stats.PartialSegments != 0 || stats.OrphansRemoved != 0 || stats.CorruptReports != 0 {
 		t.Fatalf("recovery: %s", stats)
 	}
-	if man := s.Manifest(); len(man) != 2 || man[0].FromEpoch != 0 || man[0].ToEpoch != 3 {
+	man := s.Manifest()
+	if len(man) != 2 || man[0].FromEpoch != 0 || man[0].ToEpoch != 3 {
 		t.Fatalf("fixture manifest %+v holds no merged range 0–3", man)
+	}
+	if log := m.files[manifestName]; !bytes.HasPrefix(log, logMagic[:]) {
+		t.Fatalf("Open left the JSON manifest in place: %.40q", log)
+	} else if entries, err := DecodeManifest(log); err != nil || !reflect.DeepEqual(entries, man) {
+		t.Fatalf("converted log holds %+v (%v), want %+v", entries, err, man)
 	}
 
 	data, err := os.ReadFile(filepath.Join("testdata", "merged.json"))
@@ -254,15 +261,21 @@ func TestOpenReadsMergedStore(t *testing.T) {
 	}
 
 	// Epoch 5 moves the horizon to 3: the merged file straddles it and
-	// stays whole.
+	// stays whole, and so do its epochs' reports.
 	fillFrom(t, s, 5, 6, []receipt.HOPID{0, 1})
 	if got := s.SealedEpochs(); !reflect.DeepEqual(got, []uint64{0, 1, 2, 3, 4, 5}) {
 		t.Fatalf("SealedEpochs = %v, want the straddling merged range kept", got)
+	}
+	if got := s.ReportEpochs(); !reflect.DeepEqual(got, []uint64{0, 1, 2, 3, 4}) {
+		t.Fatalf("ReportEpochs = %v, want the kept epochs' reports [0 1 2 3 4]", got)
 	}
 	// Epoch 6 moves it to 4: the merged file has aged out whole.
 	fillFrom(t, s, 6, 7, []receipt.HOPID{0, 1})
 	if got := s.SealedEpochs(); !reflect.DeepEqual(got, []uint64{4, 5, 6}) {
 		t.Fatalf("SealedEpochs = %v, want [4 5 6]", got)
+	}
+	if got := s.ReportEpochs(); !reflect.DeepEqual(got, []uint64{4}) {
+		t.Fatalf("ReportEpochs = %v, want [4]", got)
 	}
 	if _, ok := m.files["ep-0000000000000000-0000000000000003.seg"]; ok {
 		t.Fatal("retention left the aged-out merged segment on disk")
@@ -291,9 +304,7 @@ func TestOpenSortsLeftoverMergedSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		entries = slices.DeleteFunc(entries, func(e SegmentInfo) bool { return e.File != c.keep })
-		if m.files[manifestName], err = encodeManifest(entries); err != nil {
-			t.Fatal(err)
-		}
+		m.files[manifestName] = encodeManifest(entries)
 		_, stats, err := Open("", Options{FS: m})
 		if err != nil {
 			t.Fatalf("keeping %s: Open: %v", c.keep, err)
@@ -308,38 +319,52 @@ func TestOpenSortsLeftoverMergedSegments(t *testing.T) {
 	}
 }
 
+// TestManifestRoundTrip: entries survive the log, and an inconsistent
+// manifest in either form — the log or an earlier release's JSON — is
+// ErrCorruptManifest.
 func TestManifestRoundTrip(t *testing.T) {
 	entries := []SegmentInfo{
 		{File: "ep-0000000000000000.seg", FromEpoch: 0, ToEpoch: 0, Bytes: 64, Blocks: 2, CRC: 7, Samples: 4, Aggs: 2},
 		{File: "ep-0000000000000001-0000000000000003.seg", FromEpoch: 1, ToEpoch: 3, Bytes: 256, Blocks: 9, CRC: 9, Samples: 18, Aggs: 9},
 	}
-	data, err := encodeManifest(entries)
-	if err != nil {
-		t.Fatalf("encodeManifest: %v", err)
+	asJSON := func(e []SegmentInfo) []byte {
+		data, err := json.Marshal(jsonManifest{Version: manifestVersion, Entries: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	got, err := DecodeManifest(data)
-	if err != nil {
-		t.Fatalf("DecodeManifest: %v", err)
-	}
-	if !reflect.DeepEqual(got, entries) {
-		t.Fatalf("manifest did not round-trip:\n got %+v\nwant %+v", got, entries)
+	for form, data := range map[string][]byte{"log": encodeManifest(entries), "json": asJSON(entries)} {
+		got, err := DecodeManifest(data)
+		if err != nil {
+			t.Fatalf("%s: DecodeManifest: %v", form, err)
+		}
+		if !reflect.DeepEqual(got, entries) {
+			t.Fatalf("%s: manifest did not round-trip:\n got %+v\nwant %+v", form, got, entries)
+		}
 	}
 
 	for name, mangle := range map[string]func([]SegmentInfo) []SegmentInfo{
 		"overlap":  func(e []SegmentInfo) []SegmentInfo { e[1].FromEpoch = 0; return e },
 		"reversed": func(e []SegmentInfo) []SegmentInfo { e[1].ToEpoch = 0; return e },
 		"tiny":     func(e []SegmentInfo) []SegmentInfo { e[0].Bytes = 2; return e },
-		"unnamed":  func(e []SegmentInfo) []SegmentInfo { e[0].File = ""; return e },
 	} {
 		bad := mangle(append([]SegmentInfo(nil), entries...))
-		// Encode without the sanity sort hiding the damage: build the
-		// JSON by hand through the manifest struct.
-		raw, err := encodeManifest(bad)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
+		for i := range bad {
+			bad[i].File = segmentName(bad[i].FromEpoch, bad[i].ToEpoch)
 		}
-		if _, err := DecodeManifest(raw); !errors.Is(err, ErrCorruptManifest) {
-			t.Fatalf("%s: err = %v, want ErrCorruptManifest", name, err)
+		for form, data := range map[string][]byte{"log": encodeManifest(bad), "json": asJSON(bad)} {
+			if _, err := DecodeManifest(data); !errors.Is(err, ErrCorruptManifest) {
+				t.Fatalf("%s %s: err = %v, want ErrCorruptManifest", form, name, err)
+			}
+		}
+	}
+	// The log derives a file's name from its range; JSON must agree.
+	for _, file := range []string{"", "a.seg", segmentName(0, 1)} {
+		bad := append([]SegmentInfo(nil), entries...)
+		bad[0].File = file
+		if _, err := DecodeManifest(asJSON(bad)); !errors.Is(err, ErrCorruptManifest) {
+			t.Fatalf("JSON entry named %q: err = %v, want ErrCorruptManifest", file, err)
 		}
 	}
 	if _, err := DecodeManifest([]byte("{not json")); !errors.Is(err, ErrCorruptManifest) {
@@ -427,7 +452,7 @@ func TestRecoveryDropsPartialEpochAndTornTail(t *testing.T) {
 	// inside the writer's commit of the epoch.
 	samples, aggs := testReceipts(2, 0)
 	torn := EncodeBlock(2, 1, samples, aggs)
-	f, err := mfs.OpenAppend(segmentName(2))
+	f, err := mfs.OpenAppend(segmentName(2, 2))
 	if err != nil {
 		t.Fatalf("OpenAppend: %v", err)
 	}
@@ -436,7 +461,7 @@ func TestRecoveryDropsPartialEpochAndTornTail(t *testing.T) {
 	f.Write(torn[:len(torn)-5])
 	f.Close()
 	// A stale manifest temp and an orphan report ride along.
-	tmp, _ := mfs.OpenAppend(manifestTemp)
+	tmp, _ := mfs.OpenAppend(manifestName + ".tmp")
 	tmp.Write([]byte("half a manifest"))
 	tmp.Close()
 	orphan, _ := mfs.OpenAppend(reportName(9))
@@ -486,7 +511,7 @@ func TestRecoveryTruncatesSealedSegmentOvergrowth(t *testing.T) {
 	fillEpochs(t, s, 1, []receipt.HOPID{0})
 
 	// Garbage appended after the seal (a torn post-commit write).
-	f, _ := mfs.OpenAppend(segmentName(0))
+	f, _ := mfs.OpenAppend(segmentName(0, 0))
 	f.Write([]byte("garbage past the committed size"))
 	f.Close()
 
@@ -504,18 +529,18 @@ func TestRecoveryTruncatesSealedSegmentOvergrowth(t *testing.T) {
 
 func TestRecoveryRefusesCorruptSealedSegment(t *testing.T) {
 	cases := map[string]func(mfs *MemFS){
-		"missing segment": func(mfs *MemFS) { mfs.Remove(segmentName(0)) },
+		"missing segment": func(mfs *MemFS) { mfs.Remove(segmentName(0, 0)) },
 		"payload bitflip": func(mfs *MemFS) {
-			data, _ := mfs.ReadInto(segmentName(0), nil)
+			data, _ := mfs.ReadInto(segmentName(0, 0), nil)
 			data[len(data)-1] ^= 0x10
-			mfs.Truncate(segmentName(0), 0)
-			f, _ := mfs.OpenAppend(segmentName(0))
+			mfs.Truncate(segmentName(0, 0), 0)
+			f, _ := mfs.OpenAppend(segmentName(0, 0))
 			f.Write(data)
 			f.Close()
 		},
 		"short file": func(mfs *MemFS) {
-			data, _ := mfs.ReadInto(segmentName(0), nil)
-			mfs.Truncate(segmentName(0), int64(len(data)-4))
+			data, _ := mfs.ReadInto(segmentName(0, 0), nil)
+			mfs.Truncate(segmentName(0, 0), int64(len(data)-4))
 		},
 	}
 	for name, corrupt := range cases {
@@ -533,18 +558,26 @@ func TestRecoveryRefusesCorruptSealedSegment(t *testing.T) {
 		})
 	}
 
-	t.Run("corrupt manifest", func(t *testing.T) {
-		mfs := NewMemFS()
-		s, _, err := Open("", Options{FS: mfs})
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		fillEpochs(t, s, 1, []receipt.HOPID{0})
-		mfs.Truncate(manifestName, 10)
-		if _, _, err := Open("", Options{FS: mfs}); !errors.Is(err, ErrCorruptManifest) {
-			t.Fatalf("err = %v, want ErrCorruptManifest", err)
-		}
-	})
+	// A manifest cut inside its magic, or whose one record rotted. (A
+	// log cut inside a record after the magic is a torn append, which
+	// Open truncates: TestManifestLogDamage.)
+	for name, corrupt := range map[string]func(mfs *MemFS){
+		"short manifest":   func(mfs *MemFS) { mfs.Truncate(manifestName, 4) },
+		"corrupt manifest": func(mfs *MemFS) { mfs.files[manifestName][len(logMagic)+20] ^= 0x01 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			mfs := NewMemFS()
+			s, _, err := Open("", Options{FS: mfs})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			fillEpochs(t, s, 1, []receipt.HOPID{0})
+			corrupt(mfs)
+			if _, _, err := Open("", Options{FS: mfs}); !errors.Is(err, ErrCorruptManifest) {
+				t.Fatalf("err = %v, want ErrCorruptManifest", err)
+			}
+		})
+	}
 }
 
 func TestStoreOnRealDisk(t *testing.T) {

@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,30 +47,13 @@ type Options struct {
 	// means a DirFS over the Open directory.
 	FS FS
 	// DiskRetention bounds how many sealed epochs stay on disk; 0
-	// keeps everything, and Open refuses a negative value. Compaction drops segments whose newest epoch
-	// has fallen more than DiskRetention behind the last sealed one.
+	// keeps everything, and Open refuses a negative value. Retention
+	// drops segments whose newest epoch has fallen DiskRetention or more
+	// behind the last sealed one.
 	DiskRetention int
-	// CompactFanIn is how many adjacent small segments trigger a
-	// size-tiered merge (default 8; <0 disables merging).
-	CompactFanIn int
-	// CompactMaxBytes caps the segments eligible for merging — files
-	// at or above this size are already their tier's output (default
-	// 4 MiB).
-	CompactMaxBytes int64
-	// AutoCompact runs a retention-and-merge pass after every Seal,
-	// the continuous-deployment mode. Off, nothing compacts the store.
+	// AutoCompact runs a retention pass after every Seal, the
+	// continuous-deployment mode. Off, nothing is retired.
 	AutoCompact bool
-}
-
-// normalize fills defaulted options.
-func (o Options) normalize() Options {
-	if o.CompactFanIn == 0 {
-		o.CompactFanIn = 8
-	}
-	if o.CompactMaxBytes == 0 {
-		o.CompactMaxBytes = 4 << 20
-	}
-	return o
 }
 
 // RecoveryStats reports what Open found and did — the daemon logs it
@@ -89,14 +73,14 @@ type RecoveryStats struct {
 	PartialSegments      int   `json:"partial_segments"`
 	PartialBlocksDropped int   `json:"partial_blocks_dropped"`
 	TornBytes            int64 `json:"torn_bytes"`
-	// TruncatedBytes counts bytes cut from *sealed* segments that had
-	// grown past their committed size (an append torn mid-crash after
-	// the manifest commit).
+	// TruncatedBytes counts bytes cut from committed files that had
+	// grown past their committed state: a sealed segment's append torn
+	// mid-crash after its seal, and a manifest record torn mid-append.
 	TruncatedBytes int64 `json:"truncated_bytes"`
 	// OrphansRemoved counts what was garbage-collected besides partial
-	// segments: stale temp files, segments retired or merged away whose
-	// removal the crash interrupted, and reports of epochs that never
-	// sealed.
+	// segments: stale temp files, segments retired (or merged away by an
+	// earlier release) whose removal the crash interrupted, and reports
+	// of epochs that never sealed.
 	OrphansRemoved int `json:"orphans_removed"`
 	// CorruptReports counts reports of sealed epochs dropped because
 	// they failed their checksum (bit rot, or a file from before
@@ -111,8 +95,8 @@ func (s RecoveryStats) String() string {
 	if s.HasSealed {
 		last = fmt.Sprintf("%d", s.LastSealed)
 	}
-	return fmt.Sprintf("recovered %d sealed epochs (last sealed epoch %s, %d reports); dropped %d partial segments (%d blocks, %d torn bytes), %d orphans, %d corrupt reports",
-		s.SealedEpochs, last, s.Reports, s.PartialSegments, s.PartialBlocksDropped, s.TornBytes, s.OrphansRemoved, s.CorruptReports)
+	return fmt.Sprintf("recovered %d sealed epochs (last sealed epoch %s, %d reports); dropped %d partial segments (%d blocks, %d torn bytes), %d truncated bytes, %d orphans, %d corrupt reports",
+		s.SealedEpochs, last, s.Reports, s.PartialSegments, s.PartialBlocksDropped, s.TornBytes, s.TruncatedBytes, s.OrphansRemoved, s.CorruptReports)
 }
 
 // op is one write handed to the writer: an appended block — one HOP's
@@ -145,10 +129,10 @@ type activeSegment struct {
 // queue an op and return; one writer goroutine — started by the call
 // that finds it idle, gone once the queue is empty — applies the ops in
 // order: it encodes each block into its epoch's segment and, at a seal,
-// syncs the segment, commits the manifest and compacts. While it runs,
-// the writer alone touches active and buf and writes segments and the
-// manifest; it publishes the committed state (entries, reports,
-// activeEpochs) under mu. PutReport and every read first wait, under
+// syncs the segment, appends the seal to the manifest log and applies
+// retention. While it runs, the writer alone touches active, buf and
+// log, and writes segments and the manifest; it publishes the
+// committed state (entries, reports, activeEpochs) under mu. PutReport and every read first wait, under
 // mu, until the writer has applied the ops handed over before the call
 // (drainLocked) — not those handed over while they wait — and then use
 // only what the writer publishes. The first failure it hits is kept in
@@ -173,20 +157,23 @@ type Store struct {
 	reports     map[uint64]int64
 	reportBytes int64
 	buf         []byte    // grow-only block-encode buffer
+	log         File      // append handle on the manifest log; nil until one is committed
+	logRecords  int       // records in the log
 	decoders    sync.Pool // *core.ReportDecoder, for rendering reports on read
 }
 
 // Open opens (or initializes) the store in dir, running crash
-// recovery: the manifest's world is validated segment by segment, torn
-// tails are truncated, unsealed partial segments and stale temp files
-// are removed, and every report is held to its checksum. Every file is
+// recovery: the manifest log is replayed and its world validated
+// segment by segment, torn tails are truncated, unsealed partial
+// segments and stale temp files are removed, and every report is held to its checksum. Every file is
 // read through one buffer that grows to the largest of them. Returns
 // the store and what recovery found. Integrity failures (a corrupt
 // manifest, a sealed segment that cannot be read back) return typed
 // errors — ErrCorruptManifest, ErrSegmentIntegrity; match with
 // errors.Is — and no store, so the caller decides whether to refuse
-// service or rebuild. A sealed segment in another format version
-// returns ErrSegmentVersion before any file is changed. An unsealed
+// service or rebuild. A JSON manifest an earlier release wrote is
+// converted to the log once its segments validate. A sealed segment in
+// another format version returns ErrSegmentVersion before any file is changed. An unsealed
 // one is dropped like any partial segment: its epoch was never
 // committed. A report that fails its checksum is not fatal:
 // the evidence is intact, so the file is dropped and the epoch is
@@ -194,7 +181,6 @@ type Store struct {
 // deleting a verdict over a transient EIO would be. A negative
 // DiskRetention returns ErrBadOptions before dir is created or read.
 func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
-	opts = opts.normalize()
 	var stats RecoveryStats
 	if opts.DiskRetention < 0 {
 		return nil, stats, fmt.Errorf("%w: DiskRetention %d is negative", ErrBadOptions, opts.DiskRetention)
@@ -216,12 +202,16 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	}
 	s.applied.L = &s.mu
 	s.decoders.New = func() any { return new(core.ReportDecoder) }
-	entries, err := loadManifest(fsys)
-	if err != nil {
-		return nil, stats, err
+	logData, err := fsys.ReadInto(manifestName, nil)
+	switch {
+	case err == nil:
+		if s.entries, err = DecodeManifest(logData); err != nil {
+			return nil, stats, err
+		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, stats, fmt.Errorf("%w: %v", ErrCorruptManifest, err)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].FromEpoch < entries[j].FromEpoch })
-	s.entries = entries
+	entries := s.entries
 
 	// Validate every sealed segment against its manifest entry: size,
 	// whole-file checksum, then every block's own checksums, the block
@@ -283,9 +273,9 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 		return nil, stats, fmt.Errorf("segstore: list data dir: %w", err)
 	}
 	// A segment the manifest does not name holding no epoch newer than
-	// the committed ones was retired or merged away: the commit that
-	// dropped it happened, its removal did not. Only newer ones were in
-	// flight.
+	// the committed ones was retired (or merged away by an earlier
+	// release): the commit that dropped it happened, its removal did not.
+	// Only newer ones were in flight.
 	retired := func(name string) bool {
 		last, ok := segmentLastEpoch(name)
 		return ok && len(entries) > 0 && last <= entries[len(entries)-1].ToEpoch
@@ -294,7 +284,7 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 		switch {
 		case name == manifestName || inManifest[name]:
 			continue
-		case name == manifestTemp || strings.HasSuffix(name, ".tmp") || retired(name):
+		case strings.HasSuffix(name, ".tmp") || retired(name):
 			if err := fsys.Remove(name); err != nil {
 				return nil, stats, fmt.Errorf("segstore: remove stale %s: %w", name, err)
 			}
@@ -348,6 +338,27 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 		return nil, stats, fmt.Errorf("segstore: sync recovery cleanup: %w", err)
 	}
 
+	switch body := len(logData) - len(logMagic); {
+	case len(logData) == 0:
+		// A fresh store: its first seal creates the log.
+	case !bytes.HasPrefix(logData, logMagic[:]):
+		if err := s.checkpoint(entries); err != nil {
+			return nil, stats, fmt.Errorf("segstore: convert manifest to a log: %w", err)
+		}
+	default:
+		// A short record at the tail is an append the crash cut short.
+		if torn := body % recordLen; torn > 0 {
+			if err := fsys.Truncate(manifestName, int64(len(logData)-torn)); err != nil {
+				return nil, stats, fmt.Errorf("segstore: truncate torn manifest record: %w", err)
+			}
+			stats.TruncatedBytes += int64(torn)
+		}
+		if s.log, err = fsys.OpenAppend(manifestName); err != nil {
+			return nil, stats, fmt.Errorf("segstore: open manifest: %w", err)
+		}
+		s.logRecords = body / recordLen
+	}
+
 	for _, e := range entries {
 		stats.SealedEpochs += int(e.ToEpoch-e.FromEpoch) + 1
 	}
@@ -359,8 +370,7 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	return s, stats, nil
 }
 
-// Segment and report filename schemes. Single-epoch segments are
-// "ep-<epoch>.seg"; compaction outputs "ep-<from>-<to>.seg".
+// Segment and report filename schemes (see segmentName).
 const (
 	segPrefix = "ep-"
 	segSuffix = ".seg"
@@ -393,11 +403,14 @@ func reportPayload(file []byte) ([]byte, error) {
 	return file[:n], nil
 }
 
-func segmentName(epoch uint64) string {
-	return fmt.Sprintf("%s%016x%s", segPrefix, epoch, segSuffix)
-}
-
-func mergedSegmentName(from, to uint64) string {
+// segmentName names the segment file holding epochs from..to:
+// "ep-<epoch>.seg" for one epoch, the file every seal writes, and
+// "ep-<from>-<to>.seg" for a range, a file an earlier release's merge
+// wrote.
+func segmentName(from, to uint64) string {
+	if from == to {
+		return fmt.Sprintf("%s%016x%s", segPrefix, from, segSuffix)
+	}
 	return fmt.Sprintf("%s%016x-%016x%s", segPrefix, from, to, segSuffix)
 }
 
@@ -406,8 +419,7 @@ func reportName(epoch uint64) string {
 }
 
 // segmentLastEpoch returns the newest epoch a segment file holds, the
-// last 16 hex digits of a segmentName or mergedSegmentName; false for
-// any other name.
+// last 16 hex digits of a segmentName; false for any other name.
 func segmentLastEpoch(name string) (uint64, bool) {
 	hex := strings.TrimSuffix(name, segSuffix)
 	if !strings.HasPrefix(name, segPrefix) || len(hex) == len(name) || len(hex) < len(segPrefix)+16 {
@@ -462,10 +474,10 @@ func (s *Store) Append(epoch uint64, hop receipt.HOPID, samples []receipt.Sample
 }
 
 // Seal hands epoch's seal to the writer and returns. After every op
-// handed over before it, the writer syncs the epoch's segment to stable
-// storage and atomically rewrites the manifest to include it; the
-// epoch survives kill -9 once that commit is done, which PutReport and
-// Close wait for. Until then it is discardable. Sealing an epoch with no
+// handed over before it, the writer syncs the epoch's segment and its
+// directory entry to stable storage, then appends the seal's record to
+// the manifest log and syncs it; the epoch survives kill -9 once that
+// commit is done, which PutReport and Close wait for. Until then it is discardable. Sealing an epoch with no
 // appended receipts commits an empty segment (epochs with zero traffic
 // are still epochs). Sealing twice returns ErrEpochSealed.
 func (s *Store) Seal(epoch uint64) error {
@@ -502,7 +514,7 @@ func (s *Store) handLocked(o op) {
 }
 
 // write is the writer goroutine: it applies the queued ops oldest
-// first, publishing each committed seal's manifest and compacting after
+// first, publishing each committed seal and applying retention after
 // it when AutoCompact is set, and returns once the queue is empty. A
 // failure is kept as the store's sticky error, and the ops queued behind
 // it are dropped undone.
@@ -528,8 +540,8 @@ func (s *Store) write() {
 			s.entries = entries
 			delete(s.sealing, o.epoch)
 			if s.opts.AutoCompact {
-				if _, err = s.compactLocked(); err != nil {
-					err = fmt.Errorf("segstore: auto-compact after epoch %d: %w", o.epoch, err)
+				if err = s.retainLocked(); err != nil {
+					err = fmt.Errorf("segstore: retention after epoch %d: %w", o.epoch, err)
 				}
 			}
 		}
@@ -570,7 +582,7 @@ func (s *Store) openSegment(epoch uint64) (*activeSegment, error) {
 	if seg := s.active[epoch]; seg != nil {
 		return seg, nil
 	}
-	name := segmentName(epoch)
+	name := segmentName(epoch, epoch)
 	file, err := s.fsys.OpenAppend(name)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: open segment for epoch %d: %w", epoch, err)
@@ -591,9 +603,10 @@ func (s *Store) openSegment(epoch uint64) (*activeSegment, error) {
 	return seg, nil
 }
 
-// commitSeal syncs and closes epoch's segment and commits a manifest of
-// entries plus the segment, returning what it committed. Only the
-// writer calls it, outside mu.
+// commitSeal syncs and closes epoch's segment, syncs the directory entry
+// the segment's creation made, and commits the seal's record, returning
+// entries plus the segment, or an error. Only the writer calls it,
+// outside mu.
 func (s *Store) commitSeal(epoch uint64, entries []SegmentInfo) ([]SegmentInfo, error) {
 	seg, err := s.openSegment(epoch)
 	if err != nil {
@@ -605,11 +618,14 @@ func (s *Store) commitSeal(epoch uint64, entries []SegmentInfo) ([]SegmentInfo, 
 	if err := seg.file.Close(); err != nil {
 		return nil, fmt.Errorf("segstore: close epoch %d: %w", epoch, err)
 	}
-	// The file handle is spent either way; if the manifest commit
-	// below fails, the segment is left an uncommitted orphan for the
-	// next Open to sweep.
+	// The file handle is spent either way; if the commit below fails,
+	// the segment is left an uncommitted orphan for the next Open to
+	// sweep.
 	delete(s.active, epoch)
-	entries = append(slices.Clip(entries), SegmentInfo{
+	if err := s.fsys.SyncDir(); err != nil {
+		return nil, fmt.Errorf("segstore: sync epoch %d's directory entry: %w", epoch, err)
+	}
+	e := SegmentInfo{
 		File:      seg.name,
 		FromEpoch: epoch,
 		ToEpoch:   epoch,
@@ -618,12 +634,11 @@ func (s *Store) commitSeal(epoch uint64, entries []SegmentInfo) ([]SegmentInfo, 
 		CRC:       seg.crc,
 		Samples:   seg.samples,
 		Aggs:      seg.aggs,
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].FromEpoch < entries[j].FromEpoch })
-	if err := commitManifest(s.fsys, entries); err != nil {
-		return nil, err
 	}
-	return entries, nil
+	if entries, err = insertEntry(entries, e); err == nil {
+		err = s.commitRecord(recSeal, e, entries)
+	}
+	return entries, err
 }
 
 // drainLocked waits until the writer has applied every op handed to it
@@ -683,8 +698,8 @@ func (s *Store) SealedEpochs() []uint64 {
 
 // PutReport durably files the epoch's verdict report — its record,
 // as the verifier encodes it (core.AppendReportRecord) — under a
-// checksum trailer (write-temp, sync, rename, sync-dir —
-// the same commit discipline as the manifest). data is not retained.
+// checksum trailer (replaceFile: write-temp, sync, rename, sync-dir —
+// the same commit discipline as a manifest checkpoint). data is not retained.
 // It first waits for every seal handed to the writer before it to
 // commit, and returns the writer's failure if one did not: a report is
 // filed only once its evidence is durable, so when PutReport returns
@@ -705,35 +720,10 @@ func (s *Store) PutReport(epoch uint64, data []byte) error {
 	if len(data) == 0 {
 		return fmt.Errorf("segstore: empty report for epoch %d", epoch)
 	}
-	name := reportName(epoch)
-	tmp := name + ".tmp"
-	if err := s.fsys.Remove(tmp); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("segstore: clear stale report temp: %w", err)
-	}
-	f, err := s.fsys.OpenAppend(tmp)
-	if err != nil {
-		return fmt.Errorf("segstore: stage report for epoch %d: %w", epoch, err)
-	}
 	var trailer [reportTrailerLen]byte
 	binary.LittleEndian.PutUint32(trailer[:], crc32.Checksum(data, crcTable))
-	for _, part := range [][]byte{data, trailer[:]} {
-		if _, err := f.Write(part); err != nil {
-			f.Close()
-			return fmt.Errorf("segstore: stage report for epoch %d: %w", epoch, err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("segstore: sync report for epoch %d: %w", epoch, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("segstore: close report for epoch %d: %w", epoch, err)
-	}
-	if err := s.fsys.Rename(tmp, name); err != nil {
-		return fmt.Errorf("segstore: commit report for epoch %d: %w", epoch, err)
-	}
-	if err := s.fsys.SyncDir(); err != nil {
-		return fmt.Errorf("segstore: sync report commit for epoch %d: %w", epoch, err)
+	if err := replaceFile(s.fsys, reportName(epoch), data, trailer[:]); err != nil {
+		return fmt.Errorf("segstore: file report for epoch %d: %w", epoch, err)
 	}
 	size := int64(len(data) + reportTrailerLen)
 	s.reportBytes += size - s.reports[epoch]
@@ -886,7 +876,7 @@ func (s *Store) StoreStats() Stats {
 }
 
 // Close waits for the writer to apply everything handed to it, then
-// releases the open segment files; no goroutine of the store runs after
+// releases the open segment files and the manifest log; no goroutine of the store runs after
 // it. It returns the writer's failure, if any. Unsealed epochs stay
 // discardable — Close does not seal.
 func (s *Store) Close() error {
@@ -900,5 +890,11 @@ func (s *Store) Close() error {
 		delete(s.active, epoch)
 	}
 	s.activeEpochs = 0
+	if s.log != nil {
+		if err := s.log.Close(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("segstore: close manifest: %w", err)
+		}
+		s.log = nil
+	}
 	return firstErr
 }
