@@ -59,7 +59,7 @@ type checkScope struct {
 	// claims holds the records this run vouches for — the key's entry
 	// in the target interval's leaf when the evidence spans neighbouring
 	// leaves too; nil means the claims are the evidence (one leaf).
-	claims *keyIndex
+	claims *pathIndex
 	// headComplete reports that the evidence's lower edge is the true
 	// stream start: nothing precedes the first joined pair, so no
 	// patch-up evidence is missing at its leading boundary and the head

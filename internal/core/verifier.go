@@ -143,7 +143,7 @@ type Verifier struct {
 
 	mu    sync.Mutex // serializes ingest into leaf
 	leaf  leaf
-	runs  []keyRun // leaf.addHOP's scratch
+	idx   indexScratch // leaf.add's
 	key   packet.PathKey
 	keyed bool
 	// wins, when set, are the key's windows already resolved against a
@@ -202,11 +202,11 @@ func (v *Verifier) queried() packet.PathKey {
 func (v *Verifier) add(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	var only *packet.PathKey
+	var f keyFilter
 	if v.keyed {
-		only = &v.key
+		f.only = &v.key
 	}
-	v.leaf.addHOP(hop, samples, aggs, false, only, &v.runs)
+	v.leaf.add([]delivery{{hop: hop, samples: samples, aggs: aggs}}, false, f, &v.idx)
 }
 
 // AddSampleReceipt ingests one HOP's sample receipt.

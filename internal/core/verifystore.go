@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math/bits"
 	"slices"
 	"sort"
@@ -13,10 +14,12 @@ import (
 )
 
 // leaf is the one receipt index: traffic key → the few HOPs that
-// reported it → what each reported. A WindowedStore holds one per
-// epoch, built as each HOP seals and immutable once every expected HOP
-// has (see epochSegment); a hand-fed Verifier holds one that grows as
-// receipts arrive.
+// reported it, each with what it reported, chained (pathIndex.next) in
+// the order their first receipt for the key arrived — a handful even
+// on a mesh, so finding a HOP is a short walk, not a second map. A
+// WindowedStore holds one per key partition of each epoch (see
+// epochLeaf); a hand-fed Verifier holds one that grows as receipts
+// arrive.
 //
 // Beyond the raw samples, each (HOP, key) index maintains two derived
 // views:
@@ -28,76 +31,74 @@ import (
 //     the system-wide µ, built on first use and cached), which turns
 //     the Algorithm 1 re-derivation in missing-record checks from a
 //     scan over all of a HOP's samples into a binary search.
-type leaf map[packet.PathKey]*keyIndex
+type leaf map[packet.PathKey]*pathIndex
 
-// keyIndex lists the HOPs that reported one traffic key, in the order
-// their first receipt arrived — a handful even on a mesh, so finding a
-// HOP is a short scan, not a second map.
-type keyIndex struct {
-	hops []hopIndex
+// of returns what hop reported about the key whose chain starts at pi,
+// or nil.
+func (pi *pathIndex) of(hop receipt.HOPID) *pathIndex {
+	found, _ := pi.find(hop)
+	return found
 }
 
-type hopIndex struct {
-	hop receipt.HOPID
-	pi  *pathIndex
-}
-
-// of returns what hop reported about the key, or nil.
-func (k *keyIndex) of(hop receipt.HOPID) *pathIndex {
-	if k == nil {
-		return nil
-	}
-	for i := range k.hops {
-		if k.hops[i].hop == hop {
-			return k.hops[i].pi
+// find walks the chain from pi to hop's index; when hop is not on it,
+// it returns nil and the chain's last index (nil for an empty chain).
+func (pi *pathIndex) find(hop receipt.HOPID) (found, last *pathIndex) {
+	for ; pi != nil; pi = pi.next {
+		if pi.hop == hop {
+			return pi, nil
 		}
+		last = pi
 	}
-	return nil
+	return nil, last
 }
 
-// index returns (creating if needed) the index for (hop, key), cutting
-// whatever it creates from slab.
-func (l leaf) index(hop receipt.HOPID, key packet.PathKey, slab *leafSlab) *pathIndex {
-	ki := l[key]
-	if pi := ki.of(hop); pi != nil {
-		return pi
-	}
-	return l.addPath(hop, key, ki, slab)
+// delivery is what one HOP handed over for an epoch: its receipts,
+// each list PathID-sorted as a collector drains them.
+type delivery struct {
+	hop     receipt.HOPID
+	samples []receipt.SampleReceipt
+	aggs    []receipt.AggReceipt
 }
 
-// addPath creates the index for (hop, key), which the leaf does not
-// hold; ki is the key's entry, nil when the key is new to the leaf.
-func (l leaf) addPath(hop receipt.HOPID, key packet.PathKey, ki *keyIndex, slab *leafSlab) *pathIndex {
-	if ki == nil {
-		ki = &cut(&slab.keys, 1)[0]
-		ki.hops = cut(&slab.hops, 1)[:0]
-		l[key] = ki
-	} else if len(ki.hops) == cap(ki.hops) {
-		// Grow as append would, into the slab.
-		ki.hops = append(cut(&slab.hops, 2*len(ki.hops))[:0], ki.hops...)
-	}
-	pi := &cut(&slab.paths, 1)[0]
-	ki.hops = append(ki.hops, hopIndex{hop, pi})
-	return pi
+// keyFilter selects the traffic keys one add files: those of key
+// partition part of parts (every key when parts ≤ 1) and, when only is
+// set, that key alone.
+type keyFilter struct {
+	only        *packet.PathKey
+	part, parts int
 }
 
-// leafSlab is what one addHOP call cuts the index values it creates
-// from: one allocation per kind, sized by its first pass (leaf.runs). A
-// slab lives as long as anything cut from it — for a sealed (HOP,
-// epoch), as long as its segment.
+func (f keyFilter) keeps(key packet.PathKey) bool {
+	if f.only != nil && key != *f.only {
+		return false
+	}
+	return f.parts <= 1 || partOf(key, f.parts) == f.part
+}
+
+// partOf returns the partition of parts that key belongs to — a fixed
+// hash of the key, so a partition's keys do not depend on which
+// receipts arrive or who indexes them.
+func partOf(key packet.PathKey, parts int) int {
+	x := uint64(binary.BigEndian.Uint32(key.Src.Addr[:]))<<32 | uint64(binary.BigEndian.Uint32(key.Dst.Addr[:]))
+	h, _ := bits.Mul64(hashing.Mix64(x^uint64(key.Src.Bits)<<8^uint64(key.Dst.Bits)), uint64(parts))
+	return int(h)
+}
+
+// leafSlab is what one add call cuts the index values it creates from:
+// one allocation per kind, sized by its first pass (runs). A slab lives
+// as long as anything cut from it — for a sealed epoch's key partition,
+// as long as its segment.
 type leafSlab struct {
-	keys    []keyIndex
 	paths   []pathIndex
-	hops    []hopIndex // each new key's initial list, and full lists grown
 	samples []sampleIndex
 	recs    []receipt.SampleRecord // sampleIndex.add's sorted batches
 	ids     []uint64               // sampleIndex.add's first arrivals
 }
 
 // cut takes the next n values off the front of *slab as a capped
-// three-index slice, so a later append — a second HOP reporting the
-// key, a second receipt for it — reallocates instead of reaching a
-// neighbour. A slab the count left short yields a fresh slice.
+// three-index slice, so a later append — a second receipt for the same
+// (HOP, key) — reallocates instead of reaching a neighbour. A slab the
+// count left short yields a fresh slice.
 func cut[T any](slab *[]T, n int) []T {
 	if len(*slab) < n {
 		return make([]T, n)
@@ -107,128 +108,193 @@ func cut[T any](slab *[]T, n int) []T {
 	return s
 }
 
-// keyRun is one traffic key's receipts within a delivery —
-// samples[s0:s1] and aggs[a0:a1] — and what the leaf held for the key
-// before it: ki is nil for a key new to the leaf, pi for a key new to
-// the delivering HOP.
+// keyRun is one traffic key's receipts within delivery d —
+// samples[s0:s1] and aggs[a0:a1].
 type keyRun struct {
-	s0, s1, a0, a1 int
-	ki             *keyIndex
-	pi             *pathIndex
+	d, s0, s1, a0, a1 int
 }
 
-// addHOP indexes receipts one HOP delivered. A WindowedStore indexes a
-// sealed (HOP, epoch) with alias set: the leaf then references the
-// receipts' record slices instead of copying them, since a sealed
-// interval is final and whoever handed it over — a decoded bundle, a
-// collector's drained buffers — gave it away. A hand-fed Verifier
-// copies, and passes only to keep one traffic key's receipts.
-//
-// It takes two passes: runs finds each key's receipts and looks the key
-// up once, sizing the slab from what is missing; the second pass creates
-// that from the slab and files the receipts. The runs live in *scratch,
-// which the caller keeps between calls under the lock that guards the
-// leaf, so a delivery allocates no run list.
-func (l leaf) addHOP(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt, alias bool, only *packet.PathKey, scratch *[]keyRun) {
-	runs, slab, ascending := l.runs((*scratch)[:0], hop, samples, aggs, only)
-	for _, r := range runs {
-		pi := r.pi
-		switch {
-		case !ascending:
-			// A key may recur in a later run, so what the first pass saw is
-			// stale: look again.
-			pi = l.index(hop, r.key(samples, aggs), &slab)
-		case pi == nil:
-			pi = l.addPath(hop, r.key(samples, aggs), r.ki, &slab)
-		}
-		for _, s := range samples[r.s0:r.s1] {
-			pi.addSamples(s, alias, &slab)
-		}
-		if r.a0 < r.a1 {
-			pi.addAggs(aggs[r.a0:r.a1], alias)
-		}
-	}
-	clear(runs) // the scratch must not pin an evicted segment's index
-	*scratch = runs[:0]
+// indexScratch is the working storage of whoever indexes: add's run
+// list and sortByPktID's buffer. The owner keeps it from call to call,
+// so indexing allocates neither.
+type indexScratch struct {
+	runs []keyRun
+	sort []receipt.SampleRecord
 }
 
 // key returns the run's traffic key.
-func (r *keyRun) key(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) packet.PathKey {
+func (r *keyRun) key(d *delivery) packet.PathKey {
 	if r.s0 < r.s1 {
-		return samples[r.s0].Path.Key
+		return d.samples[r.s0].Path.Key
 	}
-	return aggs[r.a0].Path.Key
+	return d.aggs[r.a0].Path.Key
 }
 
-// runs is addHOP's first pass. Samples and aggregates both arrive
-// PathID-sorted, so one merge walk meets each key once, as a run in
-// either list or both; runs appends each run of a key only passes to
-// dst, looks the key up, and counts what indexing the delivery will
-// create: a new key's keyIndex and initial hop list, a new (hop, key)'s
-// pathIndex, a full hop list's growth, the keys that carry sample
-// records and the records themselves. It returns the runs, a slab sized
-// by the counts, and whether the runs' keys ascend strictly. An unsorted
-// delivery splits a key into several runs: they do not ascend, and the
-// counts only overshoot.
-func (l leaf) runs(dst []keyRun, hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt, only *packet.PathKey) ([]keyRun, leafSlab, bool) {
-	var keys, paths, hops, sampled, recs int
-	ascending := true
-	dst = slices.Grow(dst, len(samples)+len(aggs))
-	for i, j := 0, 0; i < len(samples) || j < len(aggs); {
-		var key packet.PathKey
-		if j == len(aggs) || i < len(samples) && samples[i].Path.Key.Compare(aggs[j].Path.Key) <= 0 {
-			key = samples[i].Path.Key
-		} else {
-			key = aggs[j].Path.Key
-		}
-		r := keyRun{s0: i, a0: j}
-		n := 0
-		for ; i < len(samples) && samples[i].Path.Key == key; i++ {
-			n += len(samples[i].Samples)
-		}
-		for ; j < len(aggs) && aggs[j].Path.Key == key; j++ {
-		}
-		r.s1, r.a1 = i, j
-		if only != nil && key != *only {
-			continue
-		}
-		if len(dst) > 0 && dst[len(dst)-1].key(samples, aggs).Compare(key) >= 0 {
-			ascending = false
-		}
-		if n > 0 {
-			sampled++
-			recs += n
-		}
-		r.ki = l[key]
-		r.pi = r.ki.of(hop)
-		switch {
-		case r.ki == nil:
-			keys++
-			hops++
-			paths++
-		case r.pi == nil:
-			paths++
-			if len(r.ki.hops) == cap(r.ki.hops) {
-				hops += 2 * len(r.ki.hops)
+// add indexes deliveries, in order, keeping the keys f keeps; *l is
+// made when nil. A WindowedStore indexes a sealed epoch's deliveries
+// with alias set: the leaf then references the receipts' record slices
+// instead of copying them, since a sealed interval is final and
+// whoever handed it over — a decoded bundle, a collector's drained
+// buffers — gave it away. A hand-fed Verifier copies, and passes f.only
+// to keep one traffic key's receipts.
+//
+// It takes two passes: runs finds each key's receipts and sizes one
+// slab for all of them; the second pass looks each run's key up once,
+// creates what is missing from the slab and files the receipts. Both
+// work in *sc (nil: scratch of their own).
+func (l *leaf) add(ds []delivery, alias bool, f keyFilter, sc *indexScratch) {
+	if sc == nil {
+		sc = new(indexScratch)
+	}
+	runs, slab, most := l.runs(sc.runs[:0], ds, f)
+	sc.runs = runs[:0]
+	if *l == nil {
+		*l = make(leaf, most)
+	}
+	m := *l
+	for i := range runs {
+		r := &runs[i]
+		d := &ds[r.d]
+		key := r.key(d)
+		head := m[key]
+		pi, last := head.find(d.hop)
+		if pi == nil {
+			pi = &cut(&slab.paths, 1)[0]
+			pi.hop = d.hop
+			if last == nil {
+				m[key] = pi
+			} else {
+				last.next = pi
 			}
 		}
-		dst = append(dst, r)
+		for _, s := range d.samples[r.s0:r.s1] {
+			pi.addSamples(s, alias, &slab, &sc.sort)
+		}
+		if r.a0 < r.a1 {
+			pi.addAggs(d.aggs[r.a0:r.a1], alias)
+		}
+	}
+}
+
+// runs is add's first pass. Samples and aggregates both arrive
+// PathID-sorted, so one merge walk of a delivery meets each key once,
+// as a run in either list or both; runs appends each run of a key f
+// keeps to dst and counts what filing them will create: a (HOP, key)'s
+// pathIndex, the sampleIndex of one that carries sample records, and
+// the records themselves. Into an empty leaf that takes no lookup; a
+// leaf that already holds receipts is asked what it has. It returns the
+// runs, a slab sized by the counts, and the most runs one delivery had
+// — what an empty leaf's map is sized for. An unsorted delivery splits
+// a key into several runs, and a HOP delivering twice repeats its keys:
+// the counts then only overshoot.
+func (l leaf) runs(dst []keyRun, ds []delivery, f keyFilter) ([]keyRun, leafSlab, int) {
+	var paths, sampled, recs, most int
+	for d := range ds {
+		samples, aggs := ds[d].samples, ds[d].aggs
+		from := len(dst)
+		dst = slices.Grow(dst, len(samples)+len(aggs))
+		for i, j := 0, 0; i < len(samples) || j < len(aggs); {
+			var key packet.PathKey
+			if j == len(aggs) || i < len(samples) && samples[i].Path.Key.Compare(aggs[j].Path.Key) <= 0 {
+				key = samples[i].Path.Key
+			} else {
+				key = aggs[j].Path.Key
+			}
+			r := keyRun{d: d, s0: i, a0: j}
+			n := 0
+			for ; i < len(samples) && samples[i].Path.Key == key; i++ {
+				n += len(samples[i].Samples)
+			}
+			for ; j < len(aggs) && aggs[j].Path.Key == key; j++ {
+			}
+			r.s1, r.a1 = i, j
+			if !f.keeps(key) {
+				continue
+			}
+			dst = append(dst, r)
+			recs += n
+			var pi *pathIndex
+			if len(l) > 0 {
+				pi = l[key].of(ds[d].hop)
+			}
+			if pi == nil {
+				paths++
+			}
+			if n > 0 && (pi == nil || pi.samples == nil) {
+				sampled++
+			}
+		}
+		most = max(most, len(dst)-from)
 	}
 	return dst, leafSlab{
-		keys:    make([]keyIndex, keys),
 		paths:   make([]pathIndex, paths),
-		hops:    make([]hopIndex, hops),
 		samples: make([]sampleIndex, sampled),
 		recs:    make([]receipt.SampleRecord, recs),
 		ids:     make([]uint64, recs),
-	}, ascending
+	}, most
+}
+
+// epochLeaf is one epoch's leaf, split into key partitions: key k
+// lives in parts[partOf(k, len(parts))]. A sealed segment's leaf is
+// built from from — its expected HOPs' deliveries, in seal order — by
+// the first view that holds it (see WindowedStore.view), one builder
+// per partition, each replaying every delivery for its own keys, so the
+// partitions need no lock and each key's chain has the seal order
+// whoever builds it. done is released once every partition is built;
+// nothing writes the leaf after that.
+type epochLeaf struct {
+	parts []leaf
+	from  []delivery
+	done  sync.WaitGroup
+}
+
+// split cuts the leaf into n key partitions, none built yet.
+func (e *epochLeaf) split(n int) { e.parts = make([]leaf, n) }
+
+// buildPart builds partition p, working in *sc.
+func (e *epochLeaf) buildPart(p int, sc *indexScratch) {
+	e.parts[p].add(e.from, true, keyFilter{part: p, parts: len(e.parts)}, sc)
+}
+
+// build builds the leaf as one partition on the calling goroutine and
+// releases it.
+func (e *epochLeaf) build(sc *indexScratch) {
+	e.split(1)
+	e.buildPart(0, sc)
+	e.release()
+}
+
+// release lets go of the deliveries — the leaf references what it
+// needs of them — and marks the leaf built.
+func (e *epochLeaf) release() {
+	e.from = nil
+	e.done.Done()
+}
+
+// get returns the chain of key's indices, or nil.
+func (e *epochLeaf) get(key packet.PathKey) *pathIndex {
+	if len(e.parts) == 1 {
+		return e.parts[0][key]
+	}
+	return e.parts[partOf(key, len(e.parts))][key]
+}
+
+// len returns how many traffic keys the leaf holds.
+func (e *epochLeaf) len() int {
+	n := 0
+	for _, p := range e.parts {
+		n += len(p)
+	}
+	return n
 }
 
 // keys returns the leaf's traffic keys in packet.PathKey order.
-func (l leaf) keys() []packet.PathKey {
-	out := make([]packet.PathKey, 0, len(l))
-	for k := range l {
-		out = append(out, k)
+func (e *epochLeaf) keys() []packet.PathKey {
+	out := make([]packet.PathKey, 0, e.len())
+	for _, p := range e.parts {
+		for k := range p {
+			out = append(out, k)
+		}
 	}
 	slices.SortFunc(out, packet.PathKey.Compare)
 	return out
@@ -240,6 +306,11 @@ func (l leaf) keys() []packet.PathKey {
 // marker-timeline build between verifiers reading the same index.
 type pathIndex struct {
 	mu sync.Mutex
+
+	// hop is the reporting HOP, and next the index of the next HOP that
+	// reported the key to the same leaf.
+	hop  receipt.HOPID
+	next *pathIndex
 
 	pathID  receipt.PathID
 	hasPath bool
@@ -312,21 +383,72 @@ func (si *sampleIndex) find(id uint64) (int, bool) {
 // byPktID orders sample records by packet.
 func byPktID(a, b receipt.SampleRecord) int { return cmp.Compare(a.PktID, b.PktID) }
 
+// radixMin is the batch from which sampleIndex.add sorts by radix
+// (sortByPktID); below it a comparison sort is faster.
+const radixMin = 256
+
+// sortByPktID sorts recs by PktID stably — among records of one packet
+// the later arrival stays later — through *buf, grown to len(recs) when
+// short. It is a least-significant-digit radix sort by byte: at most
+// eight counting passes, skipping a byte every record shares, each
+// linear whatever the PktIDs, so no choice of PktIDs makes it slower.
+func sortByPktID(recs []receipt.SampleRecord, buf *[]receipt.SampleRecord) {
+	n := len(recs)
+	if cap(*buf) < n {
+		*buf = make([]receipt.SampleRecord, n)
+	}
+	src, dst := recs, (*buf)[:n]
+	var count [8][256]int32
+	for _, r := range recs {
+		for b := range count {
+			count[b][byte(r.PktID>>(8*b))]++
+		}
+	}
+	for b := range count {
+		c := &count[b]
+		if int(c[byte(recs[0].PktID>>(8*b))]) == n {
+			continue
+		}
+		var at int32
+		for d := range c {
+			c[d], at = at, at+c[d]
+		}
+		for _, r := range src {
+			d := byte(r.PktID >> (8 * b))
+			dst[c[d]] = r
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &recs[0] {
+		copy(recs, src)
+	}
+}
+
 // add files one receipt's records, in arrival order, cutting the sorted
-// batch and the first first-arrival list from slab.
-func (si *sampleIndex) add(recs []receipt.SampleRecord, slab *leafSlab) {
+// batch and the first first-arrival list from slab; a large batch is
+// sorted through *sortBuf (nil: a buffer of its own).
+func (si *sampleIndex) add(recs []receipt.SampleRecord, slab *leafSlab, sortBuf *[]receipt.SampleRecord) {
 	// The batch on its own: sorted by PktID, one record per packet
-	// carrying its last time. A packet recorded twice in one receipt is
-	// rare, so sort fast first and redo it stably — among equals the last
-	// arrival is then the last of its run — only when that turns one up.
+	// carrying its last time — among equals the last arrival must be the
+	// last of its run. The radix sort is stable; below radixMin a packet
+	// recorded twice in one receipt is rare, so sort fast first and redo
+	// it stably only when that turns one up.
 	batch := cut(&slab.recs, len(recs))
 	copy(batch, recs)
-	slices.SortFunc(batch, byPktID)
-	for i := 1; i < len(batch); i++ {
-		if batch[i].PktID == batch[i-1].PktID {
-			copy(batch, recs)
-			slices.SortStableFunc(batch, byPktID)
-			break
+	if len(batch) >= radixMin {
+		if sortBuf == nil {
+			sortBuf = new([]receipt.SampleRecord)
+		}
+		sortByPktID(batch, sortBuf)
+	} else {
+		slices.SortFunc(batch, byPktID)
+		for i := 1; i < len(batch); i++ {
+			if batch[i].PktID == batch[i-1].PktID {
+				copy(batch, recs)
+				slices.SortStableFunc(batch, byPktID)
+				break
+			}
 		}
 	}
 	n := 0
@@ -389,8 +511,8 @@ func (si *sampleIndex) add(recs []receipt.SampleRecord, slab *leafSlab) {
 
 // addSamples files one sample receipt, cutting what it creates from
 // slab. With alias set the first receipt's records are referenced, not
-// copied (see leaf.addHOP).
-func (pi *pathIndex) addSamples(r receipt.SampleReceipt, alias bool, slab *leafSlab) {
+// copied (see leaf.add).
+func (pi *pathIndex) addSamples(r receipt.SampleReceipt, alias bool, slab *leafSlab, sortBuf *[]receipt.SampleRecord) {
 	pi.pathID, pi.hasPath, pi.samplePath = r.Path, true, true
 	if len(r.Samples) == 0 {
 		return
@@ -400,7 +522,7 @@ func (pi *pathIndex) addSamples(r receipt.SampleReceipt, alias bool, slab *leafS
 		si = &cut(&slab.samples, 1)[0]
 		pi.samples = si
 	}
-	si.add(r.Samples, slab)
+	si.add(r.Samples, slab, sortBuf)
 	if alias && si.ordered == nil {
 		si.ordered = r.Samples[:len(r.Samples):len(r.Samples)]
 	} else {
@@ -471,7 +593,7 @@ func (pi *pathIndex) markerTimeline(mu uint64) []receipt.SampleRecord {
 // key: the leaf indices holding its receipts, oldest first. A hand-fed
 // Verifier's window has the one index of its leaf; a per-epoch window
 // spans the target interval's leaf and its neighbours' (see
-// WindowedStore.View), and answers exactly as one index fed the
+// WindowedStore.view), and answers exactly as one index fed the
 // leaves' receipts in order would:
 //
 //   - a packet's time is the newest leaf's that sampled it (last write

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"vpm/internal/dissem"
 	"vpm/internal/packet"
@@ -57,10 +58,10 @@ func (e *StaleSealError) Error() string {
 //
 // Concurrency: all methods are safe for concurrent use. Ingest into
 // epoch N+1 may run concurrently with verification of epoch N−1:
-// verification reads the indices View handed it without the store's
-// lock, and those never change — a sealed (HOP, epoch) receives no
-// further receipts, and a segment some HOP has yet to seal is viewed
-// through a private copy.
+// verification reads the indices a view handed it without the store's
+// lock, and those never change once built — a sealed (HOP, epoch)
+// receives no further receipts, and a segment some HOP has yet to seal
+// is viewed through a private copy.
 type WindowedStore struct {
 	mu        sync.Mutex
 	hops      []receipt.HOPID
@@ -71,9 +72,8 @@ type WindowedStore struct {
 	hasSealed bool
 	finished  bool // stream over: no further epochs will seal
 	evicted   uint64
-	// indexBuilds counts (HOP, epoch) indexings, cached or not.
+	// indexBuilds counts (HOP, epoch) indexings, shared or private.
 	indexBuilds uint64
-	runs        []keyRun // leaf.addHOP's scratch
 	// Durable persistence (see backend.go). backend mirrors seals to
 	// stable storage; durable/hasDurable is the recovery watermark
 	// captured at attach; recovered counts epochs whose verification
@@ -86,33 +86,27 @@ type WindowedStore struct {
 
 // epochSegment is one epoch's receipts plus its lifecycle state. A
 // HOP's receipts wait in pending, as they arrived, until the HOP seals
-// the epoch; the seal makes them final, so that is when they are
-// indexed — once — into the segment's leaf and the raw slices let go
-// (the leaf aliases their records). Every neighbouring target epoch's
-// evidence view then reads that same leaf. The store's mutex guards
-// every field.
+// the epoch; the seal makes them final and moves them, untouched, to
+// sealed. Once every expected HOP has sealed, the first view that
+// holds the segment takes sealed over into the segment's leaf and
+// builds it — on the verifying workers (see RollingVerifier.VerifyEpoch)
+// — and every later view, of this epoch or a neighbour, shares it. The
+// store's mutex guards every field; the leaf's contents belong to its
+// builder until it is built.
 type epochSegment struct {
-	pending map[receipt.HOPID]pendingReceipts
-	// index holds the expected HOPs that sealed; indexed counts them.
-	// Once indexed reaches the expected HOP count nothing writes index
-	// again, and views share it.
-	index    leaf
-	indexed  int
+	pending map[receipt.HOPID]delivery
+	// sealed holds the expected HOPs' deliveries in the order they
+	// sealed, until the leaf takes them.
+	sealed   []delivery
+	leaf     *epochLeaf // nil until a view claims the fully sealed segment
 	sealedBy map[receipt.HOPID]bool
 	verified bool
 }
 
-// pendingReceipts is what one HOP has delivered for an epoch it has not
-// sealed yet.
-type pendingReceipts struct {
-	samples []receipt.SampleReceipt
-	aggs    []receipt.AggReceipt
-}
-
-func newEpochSegment() *epochSegment {
+func newEpochSegment(hops int) *epochSegment {
 	return &epochSegment{
-		pending:  make(map[receipt.HOPID]pendingReceipts),
-		index:    make(leaf),
+		pending:  make(map[receipt.HOPID]delivery),
+		sealed:   make([]delivery, 0, hops),
 		sealedBy: make(map[receipt.HOPID]bool),
 	}
 }
@@ -122,6 +116,7 @@ func newEpochSegment() *epochSegment {
 func (s *epochSegment) add(hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
 	p, ok := s.pending[hop]
 	if !ok {
+		p.hop = hop
 		p.samples = samples[:len(samples):len(samples)]
 		p.aggs = aggs[:len(aggs):len(aggs)]
 	} else {
@@ -162,7 +157,7 @@ func (w *WindowedStore) segmentLocked(epoch EpochID) (*epochSegment, error) {
 	if epoch < w.minEpoch {
 		return nil, fmt.Errorf("%w: epoch %d (window starts at %d)", ErrEvictedEpoch, epoch, w.minEpoch)
 	}
-	seg := newEpochSegment()
+	seg := newEpochSegment(len(w.hops))
 	w.segs[epoch] = seg
 	return seg, nil
 }
@@ -226,14 +221,15 @@ func (w *WindowedStore) expects(hop receipt.HOPID) bool {
 }
 
 // SealHOP records that hop has no further receipts for epoch, and
-// indexes what it delivered into the epoch's leaf (an expected HOP's —
-// nothing ever reads another's). When the last expected HOP seals an
-// epoch it counts toward readiness. With a durable backend attached,
-// the HOP's now-final receipt set is mirrored to it first, and the
-// epoch's seal is handed to it when the last HOP seals — unless
-// the epoch predates the recovery watermark (already durable;
-// re-persisting would double-count). Receipts whose persist failed
-// stay pending, and views index them on demand.
+// files what it delivered, in seal order, for the epoch's leaf (an
+// expected HOP's — nothing ever reads another's). Nothing is indexed
+// here: the first view of the fully sealed epoch builds its leaf. When
+// the last expected HOP seals an epoch it counts toward readiness. With
+// a durable backend attached, the HOP's now-final receipt set is
+// mirrored to it first, and the epoch's seal is handed to it when the
+// last HOP seals — unless the epoch predates the recovery watermark
+// (already durable; re-persisting would double-count). Receipts whose
+// persist failed stay pending, and views index them on demand.
 func (w *WindowedStore) SealHOP(hop receipt.HOPID, epoch EpochID) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -253,9 +249,8 @@ func (w *WindowedStore) SealHOP(hop receipt.HOPID, epoch EpochID) error {
 		}
 		delete(seg.pending, hop)
 		if w.expects(hop) {
-			seg.index.addHOP(hop, p.samples, p.aggs, true, nil, &w.runs)
-			seg.indexed++
-			w.indexBuilds++
+			p.hop = hop
+			seg.sealed = append(seg.sealed, p)
 		}
 	}
 	if w.sealedLocked(seg) {
@@ -354,7 +349,7 @@ func (w *WindowedStore) UnverifiedEpochs() []EpochID {
 // evidence — receipts a HOP sealed one interval away for packets that
 // crossed the target interval's edges in flight.
 type epochView struct {
-	leaves [3]leaf
+	leaves [3]*epochLeaf
 	n      int
 	// target is the position of the target epoch's own leaf: the
 	// records a per-epoch report vouches for.
@@ -362,6 +357,10 @@ type epochView struct {
 	// tailComplete reports that nothing can exist beyond the view's
 	// upper edge (see tailCompleteLocked).
 	tailComplete bool
+	// claimed are the leaves this view took over unbuilt, nc of them:
+	// whoever took the view builds them before reading it.
+	claimed [3]*epochLeaf
+	nc      int
 }
 
 // hopWindow is one HOP's window within a resolved key.
@@ -376,21 +375,17 @@ type hopWindow struct {
 // into *aggs, a scratch slab the caller keeps between keys.
 func (v *epochView) resolve(key packet.PathKey, wins []hopWindow, aggs *[]receipt.AggReceipt) []hopWindow {
 	for li := 0; li < v.n; li++ {
-		ki := v.leaves[li][key]
-		if ki == nil {
-			continue
-		}
 	hops:
-		for _, h := range ki.hops {
+		for pi := v.leaves[li].get(key); pi != nil; pi = pi.next {
 			for i := range wins {
-				if wins[i].hop == h.hop {
+				if wins[i].hop == pi.hop {
 					w := &wins[i].win
-					w.leaves[w.n] = h.pi
+					w.leaves[w.n] = pi
 					w.n++
 					continue hops
 				}
 			}
-			wins = append(wins, hopWindow{hop: h.hop, win: soleWindow(h.pi)})
+			wins = append(wins, hopWindow{hop: pi.hop, win: soleWindow(pi)})
 		}
 	}
 	// Size the slab first: growing it mid-way would strand the windows
@@ -419,11 +414,12 @@ func (v *epochView) resolve(key packet.PathKey, wins []hopWindow, aggs *[]receip
 	return wins
 }
 
-// View returns the evidence view of one target epoch: the target
+// view returns the evidence view of one target epoch: the target
 // segment's leaf plus its immediate neighbours' (when they exist). No
-// receipt is touched: a segment every expected HOP has sealed hands out
-// the leaf it built as they sealed.
-func (w *WindowedStore) View(epoch EpochID) (*epochView, error) {
+// receipt is touched under the lock but a partly sealed segment's: a
+// fully sealed segment hands out its leaf, claimed by the first view
+// that holds it and built by whoever took that view (v.claimed).
+func (w *WindowedStore) view(epoch EpochID) (*epochView, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if _, ok := w.segs[epoch]; !ok {
@@ -442,32 +438,71 @@ func (w *WindowedStore) View(epoch EpochID) (*epochView, error) {
 		if e == epoch {
 			v.target = v.n
 		}
-		v.leaves[v.n] = w.leafLocked(seg)
+		v.leaves[v.n] = w.leafLocked(seg, v)
 		v.n++
 	}
 	return v, nil
 }
 
 // leafLocked returns seg's receipts as a leaf. Once every expected HOP
-// has sealed that is the segment's own index, shared and never written
-// again. Until then it is a private copy with the pending receipts of
-// the HOPs still to seal indexed in — built per view and not kept, so
-// a bundle that arrives after one view was taken is in the next.
-func (w *WindowedStore) leafLocked(seg *epochSegment) leaf {
-	if seg.indexed == len(w.hops) {
-		return seg.index
+// has sealed that is the segment's own leaf, shared and never written
+// once built; the first view to ask claims it unbuilt. Until then it is
+// a private copy, built here from the sealed HOPs' receipts in seal
+// order, then the pending ones in HOP order — built per view and not
+// kept, so a bundle that arrives after one view was taken is in the
+// next.
+func (w *WindowedStore) leafLocked(seg *epochSegment, v *epochView) *epochLeaf {
+	if seg.leaf != nil {
+		return seg.leaf
 	}
-	out := make(leaf, len(seg.index))
-	for key, ki := range seg.index {
-		out[key] = &keyIndex{hops: ki.hops[:len(ki.hops):len(ki.hops)]}
+	l := &epochLeaf{from: seg.sealed}
+	l.done.Add(1)
+	w.indexBuilds += uint64(len(l.from))
+	if len(seg.sealed) == len(w.hops) {
+		seg.leaf, seg.sealed = l, nil
+		v.claimed[v.nc] = l
+		v.nc++
+		return l
 	}
+	l.from = slices.Clip(l.from)
 	for _, hop := range w.hops {
 		if p, ok := seg.pending[hop]; ok {
-			out.addHOP(hop, p.samples, p.aggs, true, nil, &w.runs)
+			l.from = append(l.from, p)
 			w.indexBuilds++
 		}
 	}
-	return out
+	l.build(nil)
+	return l
+}
+
+// build builds the leaves the view claimed, on the calling goroutine
+// working in *sc, then waits for the rest.
+func (v *epochView) build(sc *indexScratch) {
+	for _, l := range v.claimed[:v.nc] {
+		l.build(sc)
+	}
+	v.nc = 0
+	v.wait()
+}
+
+// wait returns once every leaf of the view it did not claim is built —
+// at once, unless another view claimed one and is building it still.
+func (v *epochView) wait() {
+	for _, l := range v.leaves[:v.n] {
+		if !v.claims(l) {
+			l.done.Wait()
+		}
+	}
+}
+
+// claims reports whether the view claimed l.
+func (v *epochView) claims(l *epochLeaf) bool {
+	for _, c := range v.claimed[:v.nc] {
+		if c == l {
+			return true
+		}
+	}
+	return false
 }
 
 // tailCompleteLocked reports whether nothing can exist beyond epoch+1:
@@ -545,11 +580,13 @@ type WindowStats struct {
 	// Segments is 0).
 	OldestHeld, NewestHeld EpochID
 	// IndexBuilds is the cumulative number of times a (HOP, epoch)'s
-	// receipts were indexed: once per seal in a healthy run, more when
-	// epochs had to be viewed while a HOP had yet to seal them.
+	// receipts were indexed: once per sealed (HOP, epoch), by the first
+	// view of the fully sealed epoch, in a healthy run; more when epochs
+	// had to be viewed while a HOP had yet to seal them.
 	IndexBuilds uint64
 	// IndexedSegments is how many held segments every expected HOP has
-	// sealed — the ones a view reads without indexing anything.
+	// sealed — the ones whose leaf, once the first view has built it,
+	// every view shares.
 	IndexedSegments int
 }
 
@@ -560,7 +597,7 @@ func (w *WindowedStore) Stats() WindowStats {
 	st := WindowStats{Segments: len(w.segs), Evicted: w.evicted, IndexBuilds: w.indexBuilds}
 	first := true
 	for e, seg := range w.segs {
-		if seg.indexed == len(w.hops) {
+		if seg.leaf != nil || len(seg.sealed) == len(w.hops) {
 			st.IndexedSegments++
 		}
 		if first || e < st.OldestHeld {
@@ -690,16 +727,29 @@ type RollingVerifier struct {
 	rec recordEncoder
 }
 
-// epochJob is one epoch's key loop, laid out by the serial planning
-// pass: which keys, each key's plan, where its reports sit in reports
-// (at[i] is key i's first, one per route, with their verdict and
-// estimate slab ranges already cut) and, with the SPRT arm on, its
-// detector slots. The workers only read it, and each writes only the
-// reports of its own keys.
+// epochJob is one epoch's work. First the leaves its view claimed
+// unbuilt (builds), each cut into width key partitions; the workers
+// take (leaf, partition) pairs through next, and built counts them down
+// with one more count for the planning pass. Then the key loop, laid
+// out by the planning pass: which keys, each key's plan, where its
+// reports sit in reports (at[i] is key i's first, one per route, with
+// their verdict and estimate slab ranges already cut) and, with the
+// SPRT arm on, its detector slots. The workers take keys in ascending
+// order through nextKey and note in by which of them checked each. They
+// only read the layout, and each writes only the partitions it took and
+// the reports and by entries of its own keys.
 type epochJob struct {
+	builds []*epochLeaf
+	width  int
+	next   atomic.Int32
+	built  sync.WaitGroup
+
+	nextKey atomic.Int32
+	by      []int32
+
 	epoch      EpochID
 	view       *epochView
-	claims     leaf
+	claims     *epochLeaf
 	keys       []packet.PathKey
 	plans      []*keyPlan
 	at         []int
@@ -709,12 +759,14 @@ type epochJob struct {
 	confidence float64
 }
 
-// keyWorker is one goroutine's share of the key loop: its own read
-// view, check scope and kernel scratch, the resolved windows of the key
-// under check and the slab their concatenated aggregates are cut from,
-// and the capture of what its checks feed the SPRT arm. A worker keeps
-// all of it from epoch to epoch, and shares none of it.
+// keyWorker is one goroutine's share of an epoch: the scratch of the
+// leaf partitions it builds, its own read view, check scope and kernel
+// scratch, the resolved windows of the key under check and the slab
+// their concatenated aggregates are cut from, and the capture of what
+// its checks feed the SPRT arm. A worker keeps all of it from epoch to
+// epoch, and shares none of it.
 type keyWorker struct {
+	idx     indexScratch
 	v       Verifier
 	scope   checkScope
 	scratch kernelScratch
@@ -793,14 +845,15 @@ func (rv *RollingVerifier) SetKeyLayouts(layouts map[packet.PathKey][]Layout) {
 }
 
 // planFor resolves the plan a key verifies against: its own route
-// layouts', or the constructor layout's.
+// layouts', or the constructor layout's. A key with layouts of its own
+// is looked up in plans alone once it has been seen.
 func (rv *RollingVerifier) planFor(key packet.PathKey) *keyPlan {
+	if p := rv.plans[key]; p != nil {
+		return p
+	}
 	if ls := rv.keyLayouts[key]; len(ls) > 0 {
-		p := rv.plans[key]
-		if p == nil {
-			p = planRoutes(ls)
-			rv.plans[key] = p
-		}
+		p := planRoutes(ls)
+		rv.plans[key] = p
 		return p
 	}
 	if rv.fallback == nil {
@@ -833,22 +886,35 @@ func NewRollingVerifier(layout Layout, cfg VerifierConfig, win *WindowedStore, q
 // evidence from the ±1 window — see linkcheck.go). An epoch with no
 // traffic yields an empty report.
 //
-// The keys are checked on min(GOMAXPROCS, keys) workers: the calling
+// The epoch runs on min(GOMAXPROCS, keys) workers: the calling
 // goroutine and one helper per further worker, started for the epoch
-// and joined before anything is filed. Key i goes to worker i mod w,
-// and every key's report has its place before the loop starts, so the
-// report does not depend on scheduling; the SPRT arm's feeds are
-// replayed in key order after the join (see seqarm.go). On failure the
-// error is that of the lowest-numbered key that failed.
+// and joined before anything is filed. The workers first build the
+// leaves the view claimed — in a stream, the successor epoch's, the
+// target's having been built by the view before — one key partition at
+// a time while the calling goroutine plans the key loop, and meet at
+// one barrier. Then each worker takes the next key not taken yet.
+// Every partition has one builder and every key's report has its place
+// before the loop starts, so the report does not depend on scheduling;
+// the SPRT arm's feeds are replayed in key order after the join (see
+// seqarm.go). On failure the error is that of the lowest-numbered key
+// that failed.
 func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	rep := EpochReport{Epoch: epoch}
-	view, err := rv.win.View(epoch)
+	view, err := rv.win.view(epoch)
 	if err != nil {
 		return rep, err
 	}
+	scratch := &rv.workersFor(1)[0].idx
 	claims := view.leaves[view.target]
-	keys := claims.keys()
-	if len(keys) == 0 {
+	if view.claims(claims) {
+		// The first view of the target: nothing says how wide the epoch is
+		// until its leaf is built, so this view's leaves are built here.
+		view.build(scratch)
+	}
+	claims.done.Wait() // built by an earlier view, normally long since
+	n := claims.len()
+	if n == 0 {
+		view.build(scratch)
 		// An empty epoch still closes the sequential engine's epoch so
 		// detection latency counts calendar epochs, not traffic epochs.
 		rep.Seq = rv.endSequentialEpoch(epoch)
@@ -857,15 +923,30 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		}
 		return rep, rv.win.MarkVerified(epoch)
 	}
-	job := rv.plan(epoch, view, claims, keys)
-	rep.Keys = job.reports
-	w := min(runtime.GOMAXPROCS(0), len(keys))
+	w := min(runtime.GOMAXPROCS(0), n)
+	job := &rv.job
+	job.builds, job.width = view.claimed[:view.nc], w
+	for _, l := range job.builds {
+		l.split(w)
+	}
+	job.next.Store(0)
+	job.nextKey.Store(0)
+	job.built.Add(len(job.builds)*w + 1)
 	workers := rv.workersFor(w)
 	rv.helpers.Add(w - 1)
 	for j := 1; j < w; j++ {
-		go rv.help(workers[j], j, w)
+		go rv.help(workers[j], j)
 	}
-	workers[0].run(job, 0, w)
+	rv.plan(epoch, view, claims)
+	view.wait()
+	job.built.Done()
+	workers[0].build(job)
+	job.built.Wait()
+	for _, l := range job.builds {
+		l.release()
+	}
+	rep.Keys = job.reports
+	workers[0].run(job, 0)
 	rv.helpers.Wait()
 	defer job.release()
 	failed := -1
@@ -892,17 +973,20 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	return rep, nil
 }
 
-// plan is VerifyEpoch's serial pass: it resolves every key's plan and,
-// with the SPRT arm on, its detector slots, and cuts the epoch's
-// reports. One report per (key, route layout): a linear path has
-// exactly one layout per key; a mesh key verifies once per ECMP route,
-// each route checking the links it owns (see OwnedLinks) — so violation
-// and blame counts tally distinct link verifications.
-func (rv *RollingVerifier) plan(epoch EpochID, view *epochView, claims leaf, keys []packet.PathKey) *epochJob {
+// plan is VerifyEpoch's serial pass, run while the helpers build: it
+// reads only the target's leaf, resolves every key's plan and, with the
+// SPRT arm on, its detector slots, and cuts the epoch's reports. One
+// report per (key, route layout): a linear path has exactly one layout
+// per key; a mesh key verifies once per ECMP route, each route checking
+// the links it owns (see OwnedLinks) — so violation and blame counts
+// tally distinct link verifications.
+func (rv *RollingVerifier) plan(epoch EpochID, view *epochView, claims *epochLeaf) {
 	job := &rv.job
+	keys := claims.keys()
 	job.epoch, job.view, job.claims, job.keys = epoch, view, claims, keys
 	job.quantiles, job.confidence = rv.quantiles, rv.confidence
 	job.plans, job.at, job.seqs = job.plans[:0], job.at[:0], job.seqs[:0]
+	job.by = slices.Grow(job.by[:0], len(keys))[:len(keys)]
 	reports, links, domains := 0, 0, 0
 	for _, key := range keys {
 		p := rv.planFor(key)
@@ -934,13 +1018,12 @@ func (rv *RollingVerifier) plan(epoch EpochID, view *epochView, claims leaf, key
 			}
 		}
 	}
-	return job
 }
 
 // release lets go of the epoch's evidence and report once the epoch is
 // done with; the grow-only slices stay for the next.
 func (job *epochJob) release() {
-	job.view, job.claims, job.keys, job.reports = nil, nil, nil, nil
+	job.builds, job.view, job.claims, job.keys, job.reports = nil, nil, nil, nil, nil
 }
 
 // workersFor returns the first w workers, making those not made yet.
@@ -957,22 +1040,44 @@ func (rv *RollingVerifier) workersFor(w int) []*keyWorker {
 	return rv.workers[:w]
 }
 
-// help runs one helper's share of the key loop.
-func (rv *RollingVerifier) help(wk *keyWorker, first, stride int) {
+// help runs helper j's share of the epoch: leaf partitions until none
+// is left, the barrier, then keys until none is left.
+func (rv *RollingVerifier) help(wk *keyWorker, j int) {
 	defer rv.helpers.Done()
-	wk.run(&rv.job, first, stride)
+	job := &rv.job
+	wk.build(job)
+	job.built.Wait()
+	wk.run(job, j)
 }
 
-// run checks keys first, first+stride, … of job, stopping at the first
-// that fails.
-func (wk *keyWorker) run(job *epochJob, first, stride int) {
+// build takes the job's leaf partitions one at a time and builds them
+// until none is left.
+func (wk *keyWorker) build(job *epochJob) {
+	for {
+		i := int(job.next.Add(1)) - 1
+		if i >= len(job.builds)*job.width {
+			return
+		}
+		job.builds[i/job.width].buildPart(i%job.width, &wk.idx)
+		job.built.Done()
+	}
+}
+
+// run checks, as worker j, the keys of job it takes, in ascending
+// order, stopping at the first that fails.
+func (wk *keyWorker) run(job *epochJob, j int) {
 	wk.err = nil
 	wk.capture.reset()
 	// The view spans max(0, epoch−1)..epoch+1, so it reaches the stream
 	// start exactly when epoch ≤ 1.
 	wk.scope.headComplete = job.epoch <= 1
 	wk.scope.tailComplete = job.view.tailComplete
-	for i := first; i < len(job.keys); i += stride {
+	for {
+		i := int(job.nextKey.Add(1)) - 1
+		if i >= len(job.keys) {
+			return
+		}
+		job.by[i] = int32(j)
 		if err := wk.verifyKey(job, i); err != nil {
 			wk.err, wk.errKey = err, i
 			return
@@ -991,7 +1096,7 @@ func (wk *keyWorker) verifyKey(job *epochJob, i int) error {
 	// it keeps no separate claims.
 	scope.claims = nil
 	if job.view.n > 1 {
-		scope.claims = job.claims[key]
+		scope.claims = job.claims.get(key)
 	}
 	// slots are the key's detector handles still to be handed out, in
 	// the order the checks below consume them.

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"vpm/internal/dissem"
@@ -400,7 +401,9 @@ func runEpochTopo(t testing.TB, topo *netsim.Topology, tc trace.Config, pkts []p
 
 // TestSampleIndexMatchesMap holds the sorted-slice sample index to the
 // map it stands in for, on receipts with packets repeated within and
-// across them and on ids bunched where the rank guess is worst.
+// across them and on ids bunched where the rank guess is worst — and
+// where the radix sort finds bytes every record shares — with receipts
+// below and above radixMin.
 func TestSampleIndexMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
@@ -417,7 +420,11 @@ func TestSampleIndexMatchesMap(t *testing.T) {
 			return ^uint64(0) - uint64(rng.Intn(1000)) // bunched at the top
 		}
 		for receipts := 1 + rng.Intn(4); receipts > 0; receipts-- {
-			recs := make([]receipt.SampleRecord, 1+rng.Intn(60))
+			n := 1 + rng.Intn(60)
+			if trial%4 == 3 {
+				n = radixMin + rng.Intn(radixMin)
+			}
+			recs := make([]receipt.SampleRecord, n)
 			for i := range recs {
 				recs[i] = receipt.SampleRecord{PktID: ids(), TimeNS: rng.Int63()}
 				if _, seen := times[recs[i].PktID]; !seen {
@@ -425,7 +432,7 @@ func TestSampleIndexMatchesMap(t *testing.T) {
 				}
 				times[recs[i].PktID] = recs[i].TimeNS
 			}
-			si.add(recs, new(leafSlab))
+			si.add(recs, new(leafSlab), nil)
 		}
 		if !reflect.DeepEqual(si.uniq, order) {
 			t.Fatalf("trial %d: first-arrival order differs\n got %v\nwant %v", trial, si.uniq, order)
@@ -447,19 +454,20 @@ func TestSampleIndexMatchesMap(t *testing.T) {
 	}
 }
 
-// TestSealIndexAllocsPerReceipt: indexing a sealed (HOP, epoch) cuts
-// every index value from one slab per kind, so the objects it allocates
-// do not grow with the receipts it indexes — at most one per slab kind,
-// and one for the store's list of key runs, which later seals reuse,
-// for 10 keys as for 1 000, beyond what the leaf map takes to
-// grow, which is measured on its own and allowed for. Later HOPs
-// reporting the same keys grow each key's hop list from their own
-// slabs, and no key's list reaches another's.
+// TestSealIndexAllocsPerReceipt: indexing a sealed (HOP, epoch), which
+// the first view of the sealed epoch does, cuts every index value from
+// one slab per kind, so the objects it allocates do not grow with the
+// receipts it indexes — at most perDelivery, for 10 keys as for 1 000,
+// beyond what the leaf map takes, which is measured on its own and
+// allowed for. Later HOPs reporting the same keys chain their indices
+// to the key's in seal order.
 func TestSealIndexAllocsPerReceipt(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector include its own")
 	}
-	const perDelivery = 6 + 1 // the fields of leafSlab, and the store's runs
+	// The bound indexing at the seal was held to; the first view's build
+	// takes five: the four kinds of leafSlab and the view's run list.
+	const perDelivery = 7
 	delivery := func(keys []packet.PathKey, hop receipt.HOPID) ([]receipt.SampleReceipt, []receipt.AggReceipt) {
 		samples := make([]receipt.SampleReceipt, len(keys))
 		aggs := make([]receipt.AggReceipt, len(keys))
@@ -485,13 +493,16 @@ func TestSealIndexAllocsPerReceipt(t *testing.T) {
 				if err := w.IngestSealed(hops[0], 0, samples, aggs); err != nil {
 					t.Fatal(err)
 				}
+				if _, err := w.View(0); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		indexed := testing.AllocsPerRun(20, seal(samples, aggs))
 		empty := testing.AllocsPerRun(20, seal(nil, nil))
 		fill := func(keys []packet.PathKey) func() {
 			return func() {
-				leafSink = make(leaf)
+				leafSink = make(leaf, len(keys))
 				for _, k := range keys {
 					leafSink[k] = nil
 				}
@@ -515,19 +526,130 @@ func TestSealIndexAllocsPerReceipt(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		l := w.segs[0].index
+		view, err := w.View(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := view.leaves[view.target]
 		for _, k := range keys {
-			ki := l[k]
-			if ki == nil || len(ki.hops) != len(hops) {
-				t.Fatalf("%v: indexed %+v, want one entry per HOP of %v", k, ki, hops)
-			}
-			for i, h := range ki.hops {
-				if h.hop != hops[i] || h.pi.pathID.Key != k || h.pi.pathID.PrevHOP != hops[i]-1 || len(h.pi.aggs) != 1 || len(h.pi.uniqOrder()) != 2 {
-					t.Fatalf("%v: entry %d is %v with path %+v, want %v's index of the key", k, i, h.hop, h.pi.pathID, hops[i])
+			i := 0
+			for pi := l.get(k); pi != nil; pi, i = pi.next, i+1 {
+				if i == len(hops) || pi.hop != hops[i] || pi.pathID.Key != k || pi.pathID.PrevHOP != hops[i]-1 || len(pi.aggs) != 1 || len(pi.uniqOrder()) != 2 {
+					t.Fatalf("%v: entry %d is %v with path %+v, want the index of HOP %d of %v", k, i, pi.hop, pi.pathID, i, hops)
 				}
+			}
+			if i != len(hops) {
+				t.Fatalf("%v: %d entries, want one per HOP of %v", k, i, hops)
 			}
 		}
 	}
+}
+
+// TestLeafBuildIsScheduleFree: an epoch's leaf built as key partitions,
+// each by whichever worker takes it, at widths 1–4, is the leaf indexing
+// the deliveries one HOP at a time in seal order builds — the same keys,
+// each key's HOPs in the same order, the same contents in every
+// (HOP, key) index — and every key sits in its own partition. The
+// deliveries are a recorded Clos epoch's, plus one HOP's delivered in
+// reverse PathID order and one HOP listed twice.
+func TestLeafBuildIsScheduleFree(t *testing.T) {
+	keys := netsim.TopoKeys(24)
+	topo := netsim.ClosTopology(93, 2, 2, keys)
+	const intervalNS = int64(2e7)
+	tc := topoTraceConfig(keys, 20000, 3*intervalNS)
+	pkts, err := trace.Generate(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rec := runEpochTopo(t, topo, tc, pkts, meshDeployConfig(), intervalNS)
+	s := streamOf(rec)
+	var ds []delivery
+	for _, hop := range s.hops {
+		se := s.epochs[1][hop]
+		ds = append(ds, delivery{hop: hop, samples: se.samples, aggs: se.aggs})
+	}
+	if len(ds) < 3 {
+		t.Fatalf("%d deliveries, want at least 3", len(ds))
+	}
+	unsorted := &ds[len(ds)/2]
+	unsorted.samples, unsorted.aggs = slices.Clone(unsorted.samples), slices.Clone(unsorted.aggs)
+	slices.Reverse(unsorted.samples)
+	slices.Reverse(unsorted.aggs)
+	ds = append(ds, ds[0]) // the first HOP again, every record repeated
+
+	var serial leaf
+	for i := range ds {
+		serial.add(ds[i:i+1], true, keyFilter{}, nil)
+	}
+	sampled := 0
+	for _, pi := range serial {
+		for ; pi != nil; pi = pi.next {
+			if pi.samples != nil {
+				sampled++
+			}
+		}
+	}
+	if len(serial) < 2*4 || sampled == 0 {
+		t.Fatalf("%d keys, %d sampled indices: too few to split", len(serial), sampled)
+	}
+	t.Logf("%d deliveries, %d keys, %d sampled indices", len(ds), len(serial), sampled)
+	for w := 1; w <= 4; w++ {
+		l := &epochLeaf{from: ds}
+		l.done.Add(1)
+		l.split(w)
+		job := &epochJob{builds: []*epochLeaf{l}, width: w}
+		job.built.Add(w)
+		var workers sync.WaitGroup
+		for j := 0; j < w; j++ {
+			workers.Add(1)
+			go func() {
+				defer workers.Done()
+				new(keyWorker).build(job)
+			}()
+		}
+		workers.Wait()
+		job.built.Wait()
+		l.release()
+		if got, want := l.keys(), serial.keys(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("width %d: keys %v, serial %v", w, got, want)
+		}
+		for p, part := range l.parts {
+			for key := range part {
+				if partOf(key, w) != p {
+					t.Fatalf("width %d: %v in partition %d, belongs in %d", w, key, p, partOf(key, w))
+				}
+			}
+		}
+		for key, want := range serial {
+			got := l.get(key)
+			for ; want != nil; got, want = got.next, want.next {
+				if got == nil || got.hop != want.hop {
+					t.Fatalf("width %d %v: HOP order differs from the serial leaf's", w, key)
+				}
+				if !samePathIndex(got, want) {
+					t.Fatalf("width %d %v %v: index differs from the serial leaf's", w, key, want.hop)
+				}
+			}
+			if got != nil {
+				t.Fatalf("width %d %v: more HOPs than the serial leaf", w, key)
+			}
+		}
+	}
+}
+
+// samePathIndex reports whether two indices hold the same receipts.
+func samePathIndex(a, b *pathIndex) bool {
+	if a.pathID != b.pathID || a.hasPath != b.hasPath || a.samplePath != b.samplePath || !reflect.DeepEqual(a.aggs, b.aggs) {
+		return false
+	}
+	if (a.samples == nil) != (b.samples == nil) {
+		return false
+	}
+	if a.samples == nil {
+		return true
+	}
+	x, y := a.samples, b.samples
+	return slices.Equal(x.ordered, y.ordered) && slices.Equal(x.byID, y.byID) && slices.Equal(x.uniq, y.uniq)
 }
 
 // leafSink keeps the leaf TestSealIndexAllocsPerReceipt fills on the
@@ -557,11 +679,12 @@ func timeIn(view *epochView, key packet.PathKey, hop receipt.HOPID, pkt uint64) 
 	return 0, false
 }
 
-// TestWindowIndexLifecycle: a (HOP, epoch) is indexed when its HOP
-// seals and never again; until then its receipts are indexed per view,
-// so a bundle that lands after a neighbour's view was taken is in the
-// next one; a bundle for a sealed (HOP, epoch) bounces off without
-// touching the index.
+// TestWindowIndexLifecycle: a sealed (HOP, epoch) is indexed by the
+// first view of its fully sealed epoch and never again — the seal
+// itself indexes nothing; until every HOP has sealed, the epoch's
+// receipts are indexed per view, so a bundle that lands after a
+// neighbour's view was taken is in the next one; a bundle for a sealed
+// (HOP, epoch) bounces off without touching the index.
 func TestWindowIndexLifecycle(t *testing.T) {
 	key := netsim.TopoKeys(1)[0]
 	win, err := NewWindowedStore([]receipt.HOPID{1, 2}, 4)
@@ -590,7 +713,9 @@ func TestWindowIndexLifecycle(t *testing.T) {
 	// Epoch 1 exists so epoch 0 can be seen as a neighbour.
 	ingest(oneSample(1, 1, key, 200, 30))
 	seal(1, 1)
-	if st := win.Stats(); st.IndexBuilds != 3 || st.IndexedSegments != 0 {
+	// The view of the partly sealed epoch 0 indexed HOP 1's sealed
+	// receipts and HOP 2's pending ones; the seals indexed nothing.
+	if st := win.Stats(); st.IndexBuilds != 2 || st.IndexedSegments != 0 {
 		t.Fatalf("after two seals: %+v", st)
 	}
 
@@ -618,20 +743,26 @@ func TestWindowIndexLifecycle(t *testing.T) {
 		t.Fatalf("late bundle missing from the next view: %d/%v", got, ok)
 	}
 
-	// Sealing indexes both bundles once; from then on views share the
-	// segment's own leaf.
+	// The last seal indexes nothing; the first view of the sealed epoch
+	// indexes its two HOPs' receipts once, and from then on views share
+	// the segment's own leaf. Epoch 1, which HOP 2 has not sealed, is a
+	// private copy of HOP 1's receipts in every view that holds it.
 	before := win.Stats().IndexBuilds
 	seal(2, 0)
-	if st := win.Stats(); st.IndexBuilds != before+1 || st.IndexedSegments != 1 {
+	if st := win.Stats(); st.IndexBuilds != before || st.IndexedSegments != 1 {
 		t.Fatalf("after the last seal of epoch 0: %+v (builds before: %d)", st, before)
 	}
 	v1, _ := win.View(0)
+	if got := win.Stats().IndexBuilds; got != before+2+1 {
+		t.Fatalf("first view of the sealed epoch: %d builds, want %d", got, before+2+1)
+	}
 	v2, _ := win.View(1)
 	if reflect.ValueOf(v1.leaves[v1.target]).Pointer() != reflect.ValueOf(v2.leaves[0]).Pointer() {
 		t.Fatal("a fully sealed segment handed out two different leaves")
 	}
-	if got := win.Stats().IndexBuilds; got != before+1 {
-		t.Fatalf("views with nothing pending indexed something: %d builds, want %d", got, before+1)
+	before += 2
+	if got := win.Stats().IndexBuilds; got != before+2 {
+		t.Fatalf("a view of an indexed epoch indexed it again: %d builds, want %d", got, before+2)
 	}
 
 	// A replayed bundle for the sealed (HOP 2, epoch 0) is refused and
@@ -652,8 +783,8 @@ func TestWindowIndexLifecycle(t *testing.T) {
 	if _, ok := timeIn(v3, key, 2, 102); ok {
 		t.Fatal("stale bundle's record reached the index")
 	}
-	if got := win.Stats().IndexBuilds; got != before+1 {
-		t.Fatalf("stale bundle caused indexing: %d builds, want %d", got, before+1)
+	if got := win.Stats().IndexBuilds; got != before+3 {
+		t.Fatalf("stale bundle caused indexing: %d builds, want %d", got, before+3)
 	}
 }
 
@@ -784,6 +915,28 @@ func TestEvictReleasesLeaf(t *testing.T) {
 		t.Fatalf("live heap grew from %d to %d bytes over epochs %d..%d with %d segments held: evicted leaves are still reachable",
 			plateau, final, epochs/4, epochs, st.Segments)
 	}
+}
+
+// View returns the evidence view of one target epoch, every leaf in it
+// built: what view returns, with the leaves it claimed built on the
+// calling goroutine.
+func (w *WindowedStore) View(epoch EpochID) (*epochView, error) {
+	v, err := w.view(epoch)
+	if err != nil {
+		return nil, err
+	}
+	v.build(nil)
+	return v, nil
+}
+
+// keys returns the leaf's traffic keys in packet.PathKey order.
+func (l leaf) keys() []packet.PathKey {
+	out := make([]packet.PathKey, 0, len(l))
+	for k := range l {
+		out = append(out, k)
+	}
+	slices.SortFunc(out, packet.PathKey.Compare)
+	return out
 }
 
 // Holds reports whether the store still has a segment for epoch.

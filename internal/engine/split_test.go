@@ -16,11 +16,13 @@ import (
 	"vpm/internal/trace"
 )
 
-// TestVerifySplitIsScheduleFree: the rolling verifier checks an epoch's
-// keys on up to GOMAXPROCS workers and replays the SPRT arm's feeds in
+// TestVerifySplitIsScheduleFree: the rolling verifier builds each sealed
+// epoch's leaf as key partitions on up to GOMAXPROCS workers, checks an
+// epoch's keys on the same workers, and replays the SPRT arm's feeds in
 // key order afterwards, so every report — its sequential verdicts, whose
 // order within an epoch is the order their detectors were first fed,
-// included — is the same bytes at every width and in every run. The
+// included — is the same bytes at every width and in every run, and
+// every sealed (HOP, epoch) is indexed exactly once at every width. The
 // world is a Clos mesh of 97 keys (a multiple of no width tried) with a
 // lossy shared link and a HOP that suppresses a fifth of what it sees,
 // under the arm: many detectors cross in one epoch, on keys that
@@ -94,7 +96,9 @@ func runSplitWorld(t *testing.T) ([][]byte, int) {
 	}
 	var reports [][]byte
 	seq, widest := 0, 0
-	ver.OnEpoch = func(rep core.EpochReport, _ core.WindowStats) {
+	var last core.WindowStats
+	ver.OnEpoch = func(rep core.EpochReport, st core.WindowStats) {
+		last = st
 		enc, err := core.EncodeEpochReport(rep)
 		if err != nil {
 			t.Error(err)
@@ -119,6 +123,9 @@ func runSplitWorld(t *testing.T) ([][]byte, int) {
 	}
 	if widest < 64 {
 		t.Fatalf("at most %d keys per epoch: too few to split", widest)
+	}
+	if sealed := uint64(len(dep.HOPs()) * len(reports)); last.IndexBuilds != sealed {
+		t.Fatalf("%d (HOP, epoch) indexings for %d sealed", last.IndexBuilds, sealed)
 	}
 	return reports, seq
 }

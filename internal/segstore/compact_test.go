@@ -91,3 +91,51 @@ func (s *Store) Compact() error {
 	}
 	return s.retainLocked()
 }
+
+// TestRetiredEpochRefusesWrites: with DiskRetention 2 and epochs 0–4
+// sealed, retention has retired epochs 0–2, so an Append or Seal for
+// epoch 1 is refused with ErrEpochSealed and writes nothing — the
+// evidence would be written, sealed and retired again unseen.
+func TestRetiredEpochRefusesWrites(t *testing.T) {
+	mfs := NewMemFS()
+	s, _, err := Open("", Options{FS: mfs, AutoCompact: true, DiskRetention: 2})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	fillEpochs(t, s, 5, []receipt.HOPID{0})
+	files := func() map[string]string {
+		names, err := mfs.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string, len(names))
+		for _, name := range names {
+			data, err := mfs.ReadInto(name, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = string(data)
+		}
+		return out
+	}
+	before, sealed := files(), s.SealedEpochs()
+	samples, aggs := testReceipts(1, 0)
+	if err := s.Append(1, 0, samples, aggs); !errors.Is(err, ErrEpochSealed) {
+		t.Fatalf("Append to retired epoch 1: %v, want ErrEpochSealed", err)
+	}
+	if err := s.Seal(1); !errors.Is(err, ErrEpochSealed) {
+		t.Fatalf("Seal of retired epoch 1: %v, want ErrEpochSealed", err)
+	}
+	if err := drain(s); err != nil {
+		t.Fatal(err)
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatal("refused writes changed the store's files")
+	}
+	if got := s.SealedEpochs(); !reflect.DeepEqual(got, sealed) {
+		t.Fatalf("SealedEpochs = %v after refused writes, want %v", got, sealed)
+	}
+	// The epoch above the horizon that no seal holds yet still opens.
+	fillFrom(t, s, 5, 6, []receipt.HOPID{0})
+}

@@ -684,3 +684,48 @@ func (s *Store) ReadEpoch(epoch uint64) ([]Block, error) {
 	}
 	return out, nil
 }
+
+// TestParseReportNameAcceptsWhatItDid: parseReportName, which scanned
+// with fmt.Sscanf("%016x") before it parsed with strconv, accepts and
+// rejects the same names and returns the same epochs — except names
+// Sscanf accepted only by stopping early or skipping spaces, whose
+// epoch was then not the one the name spells (reportName of it is
+// another name): those are refused now.
+func TestParseReportNameAcceptsWhatItDid(t *testing.T) {
+	sscanf := func(name string) (uint64, bool) {
+		hex := strings.TrimSuffix(strings.TrimPrefix(name, repPrefix), repSuffix)
+		var epoch uint64
+		if _, err := fmt.Sscanf(hex, "%016x", &epoch); err != nil || len(hex) != 16 {
+			return 0, false
+		}
+		return epoch, true
+	}
+	same := []string{
+		reportName(0), reportName(1), reportName(0xabcdef), reportName(1<<63 + 5), reportName(^uint64(0)),
+		"rep-00000000000000A1.json", "rep-FFFFFFFFFFFFFFFF.json", "rep-0b00000000000001.json",
+		"rep-1.json", "rep-000000000000000001.json", "rep-.json", "rep-0000000000000001.seg",
+		"ep-0000000000000001.json", "rep-+000000000000001.json", "rep--000000000000001.json",
+		"rep-g000000000000000.json", "rep-0000000000000001", "",
+	}
+	for _, name := range same {
+		want, wok := sscanf(name)
+		got, err := parseReportName(name)
+		if (err == nil) != wok || got != want {
+			t.Errorf("%q: %d, %v; Sscanf read %d, %v", name, got, err, want, wok)
+		}
+	}
+	misread := []string{
+		"rep-0x00000000000001.json", "rep-0X00000000000001.json", "rep-000000000000000g.json",
+		"rep-0000_00000000001.json", "rep- 000000000000001.json", "rep-\t000000000000001.json",
+		"rep-000000000000001 .json", "rep-00000000000000 1.json", "rep-00000000000001\n1.json",
+	}
+	for _, name := range misread {
+		epoch, ok := sscanf(name)
+		if !ok || reportName(epoch) == name {
+			t.Fatalf("%q: Sscanf read %d, %v — not a misread", name, epoch, ok)
+		}
+		if got, err := parseReportName(name); err == nil {
+			t.Errorf("%q: accepted as epoch %d", name, got)
+		}
+	}
+}
