@@ -21,11 +21,13 @@ const AllocsPerPktBudget = 0.001
 // 11.9 once the §6 join and the delay estimates reused the verifier's
 // scratch and each epoch's verdicts were cut from one slab, 4.66 once
 // each sealed (HOP, epoch) was indexed from one slab per kind instead
-// of about five objects per receipt, and 3.39 since an epoch's leaf is
-// built as a few key partitions, each from one slab per kind, and a
-// key's HOPs are chained instead of listed. What is left is mostly the
-// route plans the benchmark's fresh verifier builds once per key, and
-// the parts a report keeps: its delay estimates and copied loss pairs.
+// of about five objects per receipt, and 3.70 since an epoch's leaf is
+// built as a few key partitions, each from one slab per kind, a key's
+// HOPs are chained instead of listed, and each sealed delivery carries
+// the list of its key runs until the leaf is built. What is left is
+// mostly the route plans the benchmark's fresh verifier builds once per
+// key, and the parts a report keeps: its delay estimates and copied
+// loss pairs.
 const VerifyAllocsPerKeyEpochBudget = 5.1
 
 // SequentialVerifyAllocsPerKeyEpochBudget is VerifyAllocsPerKeyEpochBudget
@@ -34,7 +36,7 @@ const VerifyAllocsPerKeyEpochBudget = 5.1
 // verifier (BenchmarkVerifyEpochMeshSequential;
 // TestSequentialVerifyAllocsWithinBudget asserts it). It is 4.77,
 // measured when it was set, plus about 10 % (11.99 before the seal index
-// was cut from slabs; 3.53 since the leaf is built in key partitions).
+// was cut from slabs; 3.84 since the leaf is built in key partitions).
 // The arm cost 32.0 when every feed looked its
 // detector up by a Scope formatted from the key, each detector was four
 // objects and its trajectory a ring grown per epoch, and each check

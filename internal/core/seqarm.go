@@ -105,12 +105,11 @@ func (c *seqCapture) bias(up, down receipt.HOPID, domain string, lo int) {
 }
 
 // replaySequential feeds the engine what the epoch's workers captured,
-// key by key in work order: key i's feeds are the next run of the
-// worker that checked it (job.by[i]), which took its keys in ascending
-// order.
+// key by key in work order: key i's feeds are the next run of worker
+// i mod w's, which checked its keys in ascending order.
 func (rv *RollingVerifier) replaySequential(job *epochJob, workers []*keyWorker) {
 	for i := range job.keys {
-		c := &workers[job.by[i]].capture
+		c := &workers[i%len(workers)].capture
 		for ; c.next < len(c.feeds) && c.feeds[c.next].key == i; c.next++ {
 			rv.feed(job.seqs[i].name, &c.feeds[c.next], c.items)
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"encoding/binary"
 	"math/bits"
 	"slices"
 	"sort"
@@ -53,11 +52,14 @@ func (pi *pathIndex) find(hop receipt.HOPID) (found, last *pathIndex) {
 }
 
 // delivery is what one HOP handed over for an epoch: its receipts,
-// each list PathID-sorted as a collector drains them.
+// each list PathID-sorted as a collector drains them, and, once the HOP
+// sealed it into a WindowedStore, runs — its key runs (see findRuns);
+// nil until then.
 type delivery struct {
 	hop     receipt.HOPID
 	samples []receipt.SampleReceipt
 	aggs    []receipt.AggReceipt
+	runs    []keyRun
 }
 
 // keyFilter selects the traffic keys one add files: those of key
@@ -68,21 +70,31 @@ type keyFilter struct {
 	part, parts int
 }
 
-func (f keyFilter) keeps(key packet.PathKey) bool {
-	if f.only != nil && key != *f.only {
-		return false
-	}
-	return f.parts <= 1 || partOf(key, f.parts) == f.part
+// fineBuckets is how many fine buckets a fixed hash of the PathKey
+// spreads keys over; a key partition is a range of consecutive fine
+// buckets, so a run's fine bucket, found once, places it for any
+// partition count.
+const fineBuckets = 256
+
+// fineOf returns key's fine bucket — the top byte of a fixed hash of
+// the key, so a partition's keys do not depend on which receipts arrive
+// or who indexes them.
+func fineOf(key packet.PathKey) uint8 {
+	src, dst := &key.Src.Addr, &key.Dst.Addr
+	x := uint64(src[0])<<56 | uint64(src[1])<<48 | uint64(src[2])<<40 | uint64(src[3])<<32 |
+		uint64(dst[0])<<24 | uint64(dst[1])<<16 | uint64(dst[2])<<8 | uint64(dst[3])
+	return uint8(hashing.Mix64(x^uint64(key.Src.Bits)<<8^uint64(key.Dst.Bits)) >> 56)
 }
 
-// partOf returns the partition of parts that key belongs to — a fixed
-// hash of the key, so a partition's keys do not depend on which
-// receipts arrive or who indexes them.
-func partOf(key packet.PathKey, parts int) int {
-	x := uint64(binary.BigEndian.Uint32(key.Src.Addr[:]))<<32 | uint64(binary.BigEndian.Uint32(key.Dst.Addr[:]))
-	h, _ := bits.Mul64(hashing.Mix64(x^uint64(key.Src.Bits)<<8^uint64(key.Dst.Bits)), uint64(parts))
-	return int(h)
-}
+// partOf returns the partition of parts that key belongs to.
+func partOf(key packet.PathKey, parts int) int { return fineToPart(int(fineOf(key)), parts) }
+
+// fineToPart returns the partition of parts that fine bucket b belongs
+// to: partition p holds the buckets from firstFine(p, parts) up to, not
+// including, firstFine(p+1, parts).
+func fineToPart(b, parts int) int { return b * parts / fineBuckets }
+
+func firstFine(p, parts int) int { return (p*fineBuckets + parts - 1) / parts }
 
 // leafSlab is what one add call cuts the index values it creates from:
 // one allocation per kind, sized by its first pass (runs). A slab lives
@@ -108,18 +120,20 @@ func cut[T any](slab *[]T, n int) []T {
 	return s
 }
 
-// keyRun is one traffic key's receipts within delivery d —
-// samples[s0:s1] and aggs[a0:a1].
+// keyRun is one traffic key's receipts within delivery d of the list
+// being filed — samples[s0:s1] and aggs[a0:a1] — and the key's fine
+// bucket.
 type keyRun struct {
-	d, s0, s1, a0, a1 int
+	d, s0, s1, a0, a1 int32
+	fine              uint8
 }
 
 // indexScratch is the working storage of whoever indexes: add's run
-// list and sortByPktID's buffer. The owner keeps it from call to call,
-// so indexing allocates neither.
+// list and sortByPktID's counts. The owner keeps it from call to call,
+// so neither allocates.
 type indexScratch struct {
-	runs []keyRun
-	sort []receipt.SampleRecord
+	runs   []keyRun
+	counts []int32
 }
 
 // key returns the run's traffic key.
@@ -130,6 +144,73 @@ func (r *keyRun) key(d *delivery) packet.PathKey {
 	return d.aggs[r.a0].Path.Key
 }
 
+// walk appends the delivery's key runs to dst, as delivery d of a list,
+// with their fine buckets. Samples and aggregates both arrive
+// PathID-sorted, so one merge walk meets each key once, as a run in
+// either list or both; an unsorted delivery splits a key into several
+// runs, in delivery order.
+func (dl *delivery) walk(dst []keyRun, d int) []keyRun {
+	samples, aggs := dl.samples, dl.aggs
+	n := len(dst)
+	dst = slices.Grow(dst, len(samples)+len(aggs))[:n+len(samples)+len(aggs)]
+	for i, j := 0, 0; i < len(samples) || j < len(aggs); n++ {
+		var key packet.PathKey
+		switch {
+		case j == len(aggs):
+			key = samples[i].Path.Key
+		case i == len(samples):
+			key = aggs[j].Path.Key
+		default:
+			// Mostly a key has both, so equality is tested first.
+			key = samples[i].Path.Key
+			if k := aggs[j].Path.Key; k != key && k.Compare(key) < 0 {
+				key = k
+			}
+		}
+		r := &dst[n]
+		*r = keyRun{d: int32(d), s0: int32(i), a0: int32(j), fine: fineOf(key)}
+		for ; i < len(samples) && samples[i].Path.Key == key; i++ {
+		}
+		for ; j < len(aggs) && aggs[j].Path.Key == key; j++ {
+		}
+		r.s1, r.a1 = int32(i), int32(j)
+	}
+	return dst[:n]
+}
+
+// findRuns records the delivery's key runs in runs, once, as a
+// WindowedStore seals it, so that no builder walks the receipts or
+// hashes a key again: each reads the runs and skips, by their fine
+// buckets, those of other partitions. The runs live until the leaf is
+// built.
+func (dl *delivery) findRuns() {
+	dl.runs = dl.walk(make([]keyRun, 0, len(dl.samples)+len(dl.aggs)), 0) // not nil, even empty
+}
+
+// runsOf appends to dst, as delivery d, the runs of dl that f keeps —
+// the runs found at the seal, or those a walk finds now (filtered in
+// place).
+func (dl *delivery) runsOf(dst []keyRun, d int, f keyFilter) []keyRun {
+	rs := dl.runs
+	if rs == nil {
+		from := len(dst)
+		dst = dl.walk(dst, d)
+		rs, dst = dst[from:], dst[:from] // kept runs only move down
+	}
+	lo, hi := 0, fineBuckets
+	if f.parts > 1 {
+		lo, hi = firstFine(f.part, f.parts), firstFine(f.part+1, f.parts)
+	}
+	for _, r := range rs {
+		if int(r.fine) < lo || int(r.fine) >= hi || f.only != nil && r.key(dl) != *f.only {
+			continue
+		}
+		r.d = int32(d)
+		dst = append(dst, r)
+	}
+	return dst
+}
+
 // add indexes deliveries, in order, keeping the keys f keeps; *l is
 // made when nil. A WindowedStore indexes a sealed epoch's deliveries
 // with alias set: the leaf then references the receipts' record slices
@@ -138,16 +219,19 @@ func (r *keyRun) key(d *delivery) packet.PathKey {
 // buffers — gave it away. A hand-fed Verifier copies, and passes f.only
 // to keep one traffic key's receipts.
 //
-// It takes two passes: runs finds each key's receipts and sizes one
-// slab for all of them; the second pass looks each run's key up once,
-// creates what is missing from the slab and files the receipts. Both
-// work in *sc (nil: scratch of their own).
+// It takes two passes: runs gathers the kept runs and sizes one slab for
+// all of them; the second pass looks each run's key up once, creates
+// what is missing from the slab and files the receipts. Both work in
+// *sc (nil: scratch of their own).
 func (l *leaf) add(ds []delivery, alias bool, f keyFilter, sc *indexScratch) {
 	if sc == nil {
 		sc = new(indexScratch)
 	}
 	runs, slab, most := l.runs(sc.runs[:0], ds, f)
 	sc.runs = runs[:0]
+	if len(runs) == 0 {
+		return
+	}
 	if *l == nil {
 		*l = make(leaf, most)
 	}
@@ -168,7 +252,7 @@ func (l *leaf) add(ds []delivery, alias bool, f keyFilter, sc *indexScratch) {
 			}
 		}
 		for _, s := range d.samples[r.s0:r.s1] {
-			pi.addSamples(s, alias, &slab, &sc.sort)
+			pi.addSamples(s, alias, &slab, &sc.counts)
 		}
 		if r.a0 < r.a1 {
 			pi.addAggs(d.aggs[r.a0:r.a1], alias)
@@ -176,46 +260,30 @@ func (l *leaf) add(ds []delivery, alias bool, f keyFilter, sc *indexScratch) {
 	}
 }
 
-// runs is add's first pass. Samples and aggregates both arrive
-// PathID-sorted, so one merge walk of a delivery meets each key once,
-// as a run in either list or both; runs appends each run of a key f
-// keeps to dst and counts what filing them will create: a (HOP, key)'s
-// pathIndex, the sampleIndex of one that carries sample records, and
-// the records themselves. Into an empty leaf that takes no lookup; a
-// leaf that already holds receipts is asked what it has. It returns the
-// runs, a slab sized by the counts, and the most runs one delivery had
-// — what an empty leaf's map is sized for. An unsorted delivery splits
-// a key into several runs, and a HOP delivering twice repeats its keys:
-// the counts then only overshoot.
+// runs is add's first pass: it appends to dst the runs of each delivery
+// that f keeps (runsOf) and counts what filing them will create: a
+// (HOP, key)'s pathIndex, the sampleIndex of one that carries sample
+// records, and the records themselves. Into an empty leaf that takes no
+// lookup; a leaf that already holds receipts is asked what it has. It
+// returns the runs, a slab sized by the counts, and the most runs one
+// delivery had — what an empty leaf's map is sized for. An unsorted
+// delivery splits a key into several runs, and a HOP delivering twice
+// repeats its keys: the counts then only overshoot.
 func (l leaf) runs(dst []keyRun, ds []delivery, f keyFilter) ([]keyRun, leafSlab, int) {
 	var paths, sampled, recs, most int
 	for d := range ds {
-		samples, aggs := ds[d].samples, ds[d].aggs
+		dl := &ds[d]
 		from := len(dst)
-		dst = slices.Grow(dst, len(samples)+len(aggs))
-		for i, j := 0, 0; i < len(samples) || j < len(aggs); {
-			var key packet.PathKey
-			if j == len(aggs) || i < len(samples) && samples[i].Path.Key.Compare(aggs[j].Path.Key) <= 0 {
-				key = samples[i].Path.Key
-			} else {
-				key = aggs[j].Path.Key
-			}
-			r := keyRun{d: d, s0: i, a0: j}
+		dst = dl.runsOf(dst, d, f)
+		for _, r := range dst[from:] {
 			n := 0
-			for ; i < len(samples) && samples[i].Path.Key == key; i++ {
-				n += len(samples[i].Samples)
+			for _, s := range dl.samples[r.s0:r.s1] {
+				n += len(s.Samples)
 			}
-			for ; j < len(aggs) && aggs[j].Path.Key == key; j++ {
-			}
-			r.s1, r.a1 = i, j
-			if !f.keeps(key) {
-				continue
-			}
-			dst = append(dst, r)
 			recs += n
 			var pi *pathIndex
 			if len(l) > 0 {
-				pi = l[key].of(ds[d].hop)
+				pi = l[r.key(dl)].of(dl.hop)
 			}
 			if pi == nil {
 				paths++
@@ -236,12 +304,12 @@ func (l leaf) runs(dst []keyRun, ds []delivery, f keyFilter) ([]keyRun, leafSlab
 
 // epochLeaf is one epoch's leaf, split into key partitions: key k
 // lives in parts[partOf(k, len(parts))]. A sealed segment's leaf is
-// built from from — its expected HOPs' deliveries, in seal order — by
-// the first view that holds it (see WindowedStore.view), one builder
-// per partition, each replaying every delivery for its own keys, so the
-// partitions need no lock and each key's chain has the seal order
-// whoever builds it. done is released once every partition is built;
-// nothing writes the leaf after that.
+// built from from — its expected HOPs' deliveries, in seal order, each
+// with the key runs found as it sealed — by the first view that holds it (see
+// WindowedStore.view), one builder per partition, each replaying its
+// own runs of every delivery, so the partitions need no lock and each
+// key's chain has the seal order whoever builds it. done is released
+// once every partition is built; nothing writes the leaf after that.
 type epochLeaf struct {
 	parts []leaf
 	from  []delivery
@@ -383,74 +451,61 @@ func (si *sampleIndex) find(id uint64) (int, bool) {
 // byPktID orders sample records by packet.
 func byPktID(a, b receipt.SampleRecord) int { return cmp.Compare(a.PktID, b.PktID) }
 
-// radixMin is the batch from which sampleIndex.add sorts by radix
-// (sortByPktID); below it a comparison sort is faster.
-const radixMin = 256
-
-// sortByPktID sorts recs by PktID stably — among records of one packet
-// the later arrival stays later — through *buf, grown to len(recs) when
-// short. It is a least-significant-digit radix sort by byte: at most
-// eight counting passes, skipping a byte every record shares, each
-// linear whatever the PktIDs, so no choice of PktIDs makes it slower.
-func sortByPktID(recs []receipt.SampleRecord, buf *[]receipt.SampleRecord) {
+// sortByPktID copies recs into dst (as long) sorted by PktID, stably:
+// among records of one packet the later arrival stays later. PktIDs are
+// hash digests, spread evenly over uint64, so each record first goes to
+// the bucket of the n its value predicts — the rank find guesses — about
+// one record a bucket, and a bucket holding more is then sorted stably
+// on its own: linear on honest receipts, and no slower than a stable
+// sort of the batch on ids picked to share a bucket. *counts holds the
+// buckets.
+func sortByPktID(dst, recs []receipt.SampleRecord, counts *[]int32) {
 	n := len(recs)
-	if cap(*buf) < n {
-		*buf = make([]receipt.SampleRecord, n)
+	if cap(*counts) < n+1 {
+		*counts = make([]int32, n+1)
 	}
-	src, dst := recs, (*buf)[:n]
-	var count [8][256]int32
+	at := (*counts)[:n+1]
+	clear(at)
 	for _, r := range recs {
-		for b := range count {
-			count[b][byte(r.PktID>>(8*b))]++
-		}
+		b, _ := bits.Mul64(r.PktID, uint64(n))
+		at[b+1]++
 	}
-	for b := range count {
-		c := &count[b]
-		if int(c[byte(recs[0].PktID>>(8*b))]) == n {
-			continue
-		}
-		var at int32
-		for d := range c {
-			c[d], at = at, at+c[d]
-		}
-		for _, r := range src {
-			d := byte(r.PktID >> (8 * b))
-			dst[c[d]] = r
-			c[d]++
-		}
-		src, dst = dst, src
+	for b := 1; b < n; b++ {
+		at[b] += at[b-1]
 	}
-	if &src[0] != &recs[0] {
-		copy(recs, src)
+	for _, r := range recs {
+		b, _ := bits.Mul64(r.PktID, uint64(n))
+		dst[at[b]] = r
+		at[b]++
+	}
+	from := int32(0)
+	for _, to := range at[:n] {
+		switch {
+		case to-from > 8:
+			slices.SortStableFunc(dst[from:to], byPktID)
+		case to-from > 1:
+			for i := from + 1; i < to; i++ {
+				for j := i; j > from && dst[j-1].PktID > dst[j].PktID; j-- {
+					dst[j-1], dst[j] = dst[j], dst[j-1]
+				}
+			}
+		}
+		from = to
 	}
 }
 
 // add files one receipt's records, in arrival order, cutting the sorted
-// batch and the first first-arrival list from slab; a large batch is
-// sorted through *sortBuf (nil: a buffer of its own).
-func (si *sampleIndex) add(recs []receipt.SampleRecord, slab *leafSlab, sortBuf *[]receipt.SampleRecord) {
+// batch and the first first-arrival list from slab and sorting in
+// *counts (nil: counts of its own).
+func (si *sampleIndex) add(recs []receipt.SampleRecord, slab *leafSlab, counts *[]int32) {
 	// The batch on its own: sorted by PktID, one record per packet
-	// carrying its last time — among equals the last arrival must be the
-	// last of its run. The radix sort is stable; below radixMin a packet
-	// recorded twice in one receipt is rare, so sort fast first and redo
-	// it stably only when that turns one up.
-	batch := cut(&slab.recs, len(recs))
-	copy(batch, recs)
-	if len(batch) >= radixMin {
-		if sortBuf == nil {
-			sortBuf = new([]receipt.SampleRecord)
-		}
-		sortByPktID(batch, sortBuf)
-	} else {
-		slices.SortFunc(batch, byPktID)
-		for i := 1; i < len(batch); i++ {
-			if batch[i].PktID == batch[i-1].PktID {
-				copy(batch, recs)
-				slices.SortStableFunc(batch, byPktID)
-				break
-			}
-		}
+	// carrying its last time — the sort is stable, so among equals the
+	// last arrival is the last of its run.
+	if counts == nil {
+		counts = new([]int32)
 	}
+	batch := cut(&slab.recs, len(recs))
+	sortByPktID(batch, recs, counts)
 	n := 0
 	for i, rec := range batch {
 		if i+1 < len(batch) && batch[i+1].PktID == rec.PktID {
@@ -472,8 +527,10 @@ func (si *sampleIndex) add(recs []receipt.SampleRecord, slab *leafSlab, sortBuf 
 		si.uniq = slices.Grow(si.uniq, len(batch))
 	}
 	for _, rec := range recs {
-		if _, known := si.find(rec.PktID); known {
-			continue
+		if len(si.byID) > 0 {
+			if _, known := si.find(rec.PktID); known {
+				continue
+			}
 		}
 		if seen != nil {
 			j, _ := slices.BinarySearchFunc(batch, rec, byPktID)
@@ -512,7 +569,7 @@ func (si *sampleIndex) add(recs []receipt.SampleRecord, slab *leafSlab, sortBuf 
 // addSamples files one sample receipt, cutting what it creates from
 // slab. With alias set the first receipt's records are referenced, not
 // copied (see leaf.add).
-func (pi *pathIndex) addSamples(r receipt.SampleReceipt, alias bool, slab *leafSlab, sortBuf *[]receipt.SampleRecord) {
+func (pi *pathIndex) addSamples(r receipt.SampleReceipt, alias bool, slab *leafSlab, counts *[]int32) {
 	pi.pathID, pi.hasPath, pi.samplePath = r.Path, true, true
 	if len(r.Samples) == 0 {
 		return
@@ -522,7 +579,7 @@ func (pi *pathIndex) addSamples(r receipt.SampleReceipt, alias bool, slab *leafS
 		si = &cut(&slab.samples, 1)[0]
 		pi.samples = si
 	}
-	si.add(r.Samples, slab, sortBuf)
+	si.add(r.Samples, slab, counts)
 	if alias && si.ordered == nil {
 		si.ordered = r.Samples[:len(r.Samples):len(r.Samples)]
 	} else {

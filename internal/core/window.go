@@ -86,13 +86,14 @@ type WindowedStore struct {
 
 // epochSegment is one epoch's receipts plus its lifecycle state. A
 // HOP's receipts wait in pending, as they arrived, until the HOP seals
-// the epoch; the seal makes them final and moves them, untouched, to
-// sealed. Once every expected HOP has sealed, the first view that
-// holds the segment takes sealed over into the segment's leaf and
-// builds it — on the verifying workers (see RollingVerifier.VerifyEpoch)
-// — and every later view, of this epoch or a neighbour, shares it. The
-// store's mutex guards every field; the leaf's contents belong to its
-// builder until it is built.
+// the epoch; the seal makes them final, finds their key runs (see
+// delivery.findRuns) and moves them, untouched, to sealed. Once
+// every expected HOP has sealed, the first view that holds the segment
+// takes sealed over into the segment's leaf and builds it — on the
+// verifying workers (see RollingVerifier.VerifyEpoch) — and every later
+// view, of this epoch or a neighbour, shares it. The store's mutex
+// guards every field; the leaf's contents belong to its builder until
+// it is built.
 type epochSegment struct {
 	pending map[receipt.HOPID]delivery
 	// sealed holds the expected HOPs' deliveries in the order they
@@ -222,9 +223,10 @@ func (w *WindowedStore) expects(hop receipt.HOPID) bool {
 
 // SealHOP records that hop has no further receipts for epoch, and
 // files what it delivered, in seal order, for the epoch's leaf (an
-// expected HOP's — nothing ever reads another's). Nothing is indexed
-// here: the first view of the fully sealed epoch builds its leaf. When
-// the last expected HOP seals an epoch it counts toward readiness. With
+// expected HOP's — nothing ever reads another's) with its key runs,
+// found here once for every builder. Nothing is indexed here: the
+// first view of the fully sealed epoch builds its leaf. When the last
+// expected HOP seals an epoch it counts toward readiness. With
 // a durable backend attached, the HOP's now-final receipt set is
 // mirrored to it first, and the epoch's seal is handed to it when the
 // last HOP seals — unless the epoch predates the recovery watermark
@@ -250,6 +252,7 @@ func (w *WindowedStore) SealHOP(hop receipt.HOPID, epoch EpochID) error {
 		delete(seg.pending, hop)
 		if w.expects(hop) {
 			p.hop = hop
+			p.findRuns()
 			seg.sealed = append(seg.sealed, p)
 		}
 	}
@@ -734,18 +737,14 @@ type RollingVerifier struct {
 // out by the planning pass: which keys, each key's plan, where its
 // reports sit in reports (at[i] is key i's first, one per route, with
 // their verdict and estimate slab ranges already cut) and, with the
-// SPRT arm on, its detector slots. The workers take keys in ascending
-// order through nextKey and note in by which of them checked each. They
-// only read the layout, and each writes only the partitions it took and
-// the reports and by entries of its own keys.
+// SPRT arm on, its detector slots. Worker j of w checks keys j, j+w, …
+// They only read the layout, and each writes only the partitions it
+// took and the reports of its own keys.
 type epochJob struct {
 	builds []*epochLeaf
 	width  int
 	next   atomic.Int32
 	built  sync.WaitGroup
-
-	nextKey atomic.Int32
-	by      []int32
 
 	epoch      EpochID
 	view       *epochView
@@ -892,8 +891,8 @@ func NewRollingVerifier(layout Layout, cfg VerifierConfig, win *WindowedStore, q
 // leaves the view claimed — in a stream, the successor epoch's, the
 // target's having been built by the view before — one key partition at
 // a time while the calling goroutine plans the key loop, and meet at
-// one barrier. Then each worker takes the next key not taken yet.
-// Every partition has one builder and every key's report has its place
+// one barrier. Then worker j of w checks keys j, j+w, … Every
+// partition has one builder and every key's report has its place
 // before the loop starts, so the report does not depend on scheduling;
 // the SPRT arm's feeds are replayed in key order after the join (see
 // seqarm.go). On failure the error is that of the lowest-numbered key
@@ -930,12 +929,11 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		l.split(w)
 	}
 	job.next.Store(0)
-	job.nextKey.Store(0)
 	job.built.Add(len(job.builds)*w + 1)
 	workers := rv.workersFor(w)
 	rv.helpers.Add(w - 1)
 	for j := 1; j < w; j++ {
-		go rv.help(workers[j], j)
+		go rv.help(workers[j], j, w)
 	}
 	rv.plan(epoch, view, claims)
 	view.wait()
@@ -946,7 +944,7 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		l.release()
 	}
 	rep.Keys = job.reports
-	workers[0].run(job, 0)
+	workers[0].run(job, 0, w)
 	rv.helpers.Wait()
 	defer job.release()
 	failed := -1
@@ -986,7 +984,6 @@ func (rv *RollingVerifier) plan(epoch EpochID, view *epochView, claims *epochLea
 	job.epoch, job.view, job.claims, job.keys = epoch, view, claims, keys
 	job.quantiles, job.confidence = rv.quantiles, rv.confidence
 	job.plans, job.at, job.seqs = job.plans[:0], job.at[:0], job.seqs[:0]
-	job.by = slices.Grow(job.by[:0], len(keys))[:len(keys)]
 	reports, links, domains := 0, 0, 0
 	for _, key := range keys {
 		p := rv.planFor(key)
@@ -1040,14 +1037,14 @@ func (rv *RollingVerifier) workersFor(w int) []*keyWorker {
 	return rv.workers[:w]
 }
 
-// help runs helper j's share of the epoch: leaf partitions until none
-// is left, the barrier, then keys until none is left.
-func (rv *RollingVerifier) help(wk *keyWorker, j int) {
+// help runs a helper's share of the epoch: leaf partitions until none
+// is left, the barrier, then keys first, first+stride, …
+func (rv *RollingVerifier) help(wk *keyWorker, first, stride int) {
 	defer rv.helpers.Done()
 	job := &rv.job
 	wk.build(job)
 	job.built.Wait()
-	wk.run(job, j)
+	wk.run(job, first, stride)
 }
 
 // build takes the job's leaf partitions one at a time and builds them
@@ -1063,21 +1060,16 @@ func (wk *keyWorker) build(job *epochJob) {
 	}
 }
 
-// run checks, as worker j, the keys of job it takes, in ascending
-// order, stopping at the first that fails.
-func (wk *keyWorker) run(job *epochJob, j int) {
+// run checks keys first, first+stride, … of job, stopping at the first
+// that fails.
+func (wk *keyWorker) run(job *epochJob, first, stride int) {
 	wk.err = nil
 	wk.capture.reset()
 	// The view spans max(0, epoch−1)..epoch+1, so it reaches the stream
 	// start exactly when epoch ≤ 1.
 	wk.scope.headComplete = job.epoch <= 1
 	wk.scope.tailComplete = job.view.tailComplete
-	for {
-		i := int(job.nextKey.Add(1)) - 1
-		if i >= len(job.keys) {
-			return
-		}
-		job.by[i] = int32(j)
+	for i := first; i < len(job.keys); i += stride {
 		if err := wk.verifyKey(job, i); err != nil {
 			wk.err, wk.errKey = err, i
 			return

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -401,30 +402,32 @@ func runEpochTopo(t testing.TB, topo *netsim.Topology, tc trace.Config, pkts []p
 
 // TestSampleIndexMatchesMap holds the sorted-slice sample index to the
 // map it stands in for, on receipts with packets repeated within and
-// across them and on ids bunched where the rank guess is worst — and
-// where the radix sort finds bytes every record shares — with receipts
-// below and above radixMin.
+// across them, on ids bunched where the rank guess is worst, and on
+// spread ids repeated within a receipt, so that the sort meets equal
+// ids in buckets of a few records as well as in one large one.
 func TestSampleIndexMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		var si sampleIndex
 		times := make(map[uint64]int64)
 		var order []uint64
+		pool := make([]uint64, 8+rng.Intn(40))
+		for i := range pool {
+			pool[i] = rng.Uint64()
+		}
 		ids := func() uint64 {
-			switch trial % 3 {
+			switch trial % 4 {
 			case 0:
 				return rng.Uint64()
 			case 1:
 				return uint64(rng.Intn(40)) // dense, repeating, all at the bottom
+			case 2:
+				return pool[rng.Intn(len(pool))] // spread, repeating
 			}
 			return ^uint64(0) - uint64(rng.Intn(1000)) // bunched at the top
 		}
 		for receipts := 1 + rng.Intn(4); receipts > 0; receipts-- {
-			n := 1 + rng.Intn(60)
-			if trial%4 == 3 {
-				n = radixMin + rng.Intn(radixMin)
-			}
-			recs := make([]receipt.SampleRecord, n)
+			recs := make([]receipt.SampleRecord, 1+rng.Intn(60))
 			for i := range recs {
 				recs[i] = receipt.SampleRecord{PktID: ids(), TimeNS: rng.Int63()}
 				if _, seen := times[recs[i].PktID]; !seen {
@@ -454,19 +457,44 @@ func TestSampleIndexMatchesMap(t *testing.T) {
 	}
 }
 
+// BenchmarkSampleIndexAdd files one sample receipt of n records with
+// uniformly spread PktIDs, as hash digests are, into an empty index:
+// the batch sort, the dedup and the first-arrival list. It reports
+// ns/record per receipt size.
+func BenchmarkSampleIndexAdd(b *testing.B) {
+	for _, n := range []int{1, 2, 4, 16, 64, 270, 1024} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		recs := make([]receipt.SampleRecord, n)
+		for i := range recs {
+			recs[i] = receipt.SampleRecord{PktID: rng.Uint64(), TimeNS: int64(i)}
+		}
+		sorted, ids := make([]receipt.SampleRecord, n), make([]uint64, n)
+		var counts []int32
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var si sampleIndex
+				si.add(recs, &leafSlab{recs: sorted, ids: ids}, &counts)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
+		})
+	}
+}
+
 // TestSealIndexAllocsPerReceipt: indexing a sealed (HOP, epoch), which
 // the first view of the sealed epoch does, cuts every index value from
 // one slab per kind, so the objects it allocates do not grow with the
 // receipts it indexes — at most perDelivery, for 10 keys as for 1 000,
 // beyond what the leaf map takes, which is measured on its own and
-// allowed for. Later HOPs reporting the same keys chain their indices
-// to the key's in seal order.
+// allowed for. As in a stream, the store and the builder keep their
+// scratch from epoch to epoch. Later HOPs reporting the same keys chain
+// their indices to the key's in seal order.
 func TestSealIndexAllocsPerReceipt(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector include its own")
 	}
-	// The bound indexing at the seal was held to; the first view's build
-	// takes five: the four kinds of leafSlab and the view's run list.
+	// The bound indexing at the seal was held to; the seal and the first
+	// view's build take six: the delivery's key runs, the four kinds
+	// of leafSlab and the leaf map itself (an empty delivery makes none).
 	const perDelivery = 7
 	delivery := func(keys []packet.PathKey, hop receipt.HOPID) ([]receipt.SampleReceipt, []receipt.AggReceipt) {
 		samples := make([]receipt.SampleReceipt, len(keys))
@@ -485,17 +513,22 @@ func TestSealIndexAllocsPerReceipt(t *testing.T) {
 		slices.SortFunc(keys, packet.PathKey.Compare)
 		samples, aggs := delivery(keys, hops[0])
 		seal := func(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) func() {
+			w, err := NewWindowedStore(hops[:1], 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc indexScratch
+			epoch := EpochID(0)
 			return func() {
-				w, err := NewWindowedStore(hops[:1], 1)
+				if err := w.IngestSealed(hops[0], epoch, samples, aggs); err != nil {
+					t.Fatal(err)
+				}
+				v, err := w.view(epoch)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := w.IngestSealed(hops[0], 0, samples, aggs); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := w.View(0); err != nil {
-					t.Fatal(err)
-				}
+				v.build(&sc)
+				epoch++
 			}
 		}
 		indexed := testing.AllocsPerRun(20, seal(samples, aggs))
@@ -545,13 +578,16 @@ func TestSealIndexAllocsPerReceipt(t *testing.T) {
 	}
 }
 
-// TestLeafBuildIsScheduleFree: an epoch's leaf built as key partitions,
-// each by whichever worker takes it, at widths 1–4, is the leaf indexing
-// the deliveries one HOP at a time in seal order builds — the same keys,
-// each key's HOPs in the same order, the same contents in every
-// (HOP, key) index — and every key sits in its own partition. The
+// TestLeafBuildIsScheduleFree: an epoch's leaf built as key partitions
+// from deliveries whose runs were found as they sealed, each partition by whichever
+// worker takes it, at 1–4 partitions on 1–4 workers, is the leaf
+// indexing the deliveries one HOP at a time in seal order builds — the
+// same keys, each key's HOPs in the same order, the same contents in
+// every (HOP, key) index — and every key sits in its own partition. The
 // deliveries are a recorded Clos epoch's, plus one HOP's delivered in
-// reverse PathID order and one HOP listed twice.
+// reverse PathID order and one HOP listed twice. Every fine bucket lies
+// in the range of the partition it belongs to, at any partition count
+// up to 64.
 func TestLeafBuildIsScheduleFree(t *testing.T) {
 	keys := netsim.TopoKeys(24)
 	topo := netsim.ClosTopology(93, 2, 2, keys)
@@ -581,6 +617,10 @@ func TestLeafBuildIsScheduleFree(t *testing.T) {
 	for i := range ds {
 		serial.add(ds[i:i+1], true, keyFilter{}, nil)
 	}
+	found := slices.Clone(ds)
+	for i := range found {
+		found[i].findRuns()
+	}
 	sampled := 0
 	for _, pi := range serial {
 		for ; pi != nil; pi = pi.next {
@@ -593,45 +633,54 @@ func TestLeafBuildIsScheduleFree(t *testing.T) {
 		t.Fatalf("%d keys, %d sampled indices: too few to split", len(serial), sampled)
 	}
 	t.Logf("%d deliveries, %d keys, %d sampled indices", len(ds), len(serial), sampled)
-	for w := 1; w <= 4; w++ {
-		l := &epochLeaf{from: ds}
-		l.done.Add(1)
-		l.split(w)
-		job := &epochJob{builds: []*epochLeaf{l}, width: w}
-		job.built.Add(w)
-		var workers sync.WaitGroup
-		for j := 0; j < w; j++ {
-			workers.Add(1)
-			go func() {
-				defer workers.Done()
-				new(keyWorker).build(job)
-			}()
-		}
-		workers.Wait()
-		job.built.Wait()
-		l.release()
-		if got, want := l.keys(), serial.keys(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("width %d: keys %v, serial %v", w, got, want)
-		}
-		for p, part := range l.parts {
-			for key := range part {
-				if partOf(key, w) != p {
-					t.Fatalf("width %d: %v in partition %d, belongs in %d", w, key, p, partOf(key, w))
-				}
+	for parts := 1; parts <= 64; parts++ {
+		for b := 0; b < fineBuckets; b++ {
+			if p := fineToPart(b, parts); b < firstFine(p, parts) || b >= firstFine(p+1, parts) {
+				t.Fatalf("%d partitions: fine bucket %d is in partition %d but outside its range", parts, b, p)
 			}
 		}
-		for key, want := range serial {
-			got := l.get(key)
-			for ; want != nil; got, want = got.next, want.next {
-				if got == nil || got.hop != want.hop {
-					t.Fatalf("width %d %v: HOP order differs from the serial leaf's", w, key)
-				}
-				if !samePathIndex(got, want) {
-					t.Fatalf("width %d %v %v: index differs from the serial leaf's", w, key, want.hop)
+	}
+	for parts := 1; parts <= 4; parts++ {
+		for w := 1; w <= 4; w++ {
+			l := &epochLeaf{from: found}
+			l.done.Add(1)
+			l.split(parts)
+			job := &epochJob{builds: []*epochLeaf{l}, width: parts}
+			job.built.Add(parts)
+			var workers sync.WaitGroup
+			for j := 0; j < w; j++ {
+				workers.Add(1)
+				go func() {
+					defer workers.Done()
+					new(keyWorker).build(job)
+				}()
+			}
+			workers.Wait()
+			job.built.Wait()
+			l.release()
+			if got, want := l.keys(), serial.keys(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d partitions, %d workers: keys %v, serial %v", parts, w, got, want)
+			}
+			for p, part := range l.parts {
+				for key := range part {
+					if partOf(key, parts) != p {
+						t.Fatalf("%d partitions: %v in partition %d, belongs in %d", parts, key, p, partOf(key, parts))
+					}
 				}
 			}
-			if got != nil {
-				t.Fatalf("width %d %v: more HOPs than the serial leaf", w, key)
+			for key, want := range serial {
+				got := l.get(key)
+				for ; want != nil; got, want = got.next, want.next {
+					if got == nil || got.hop != want.hop {
+						t.Fatalf("%d partitions, %d workers, %v: HOP order differs from the serial leaf's", parts, w, key)
+					}
+					if !samePathIndex(got, want) {
+						t.Fatalf("%d partitions, %d workers, %v %v: index differs from the serial leaf's", parts, w, key, want.hop)
+					}
+				}
+				if got != nil {
+					t.Fatalf("%d partitions, %d workers, %v: more HOPs than the serial leaf", parts, w, key)
+				}
 			}
 		}
 	}

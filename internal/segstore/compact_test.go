@@ -92,10 +92,11 @@ func (s *Store) Compact() error {
 	return s.retainLocked()
 }
 
-// TestRetiredEpochRefusesWrites: with DiskRetention 2 and epochs 0–4
-// sealed, retention has retired epochs 0–2, so an Append or Seal for
-// epoch 1 is refused with ErrEpochSealed and writes nothing — the
-// evidence would be written, sealed and retired again unseen.
+// TestRetiredEpochRefusesWrites: with DiskRetention 2, AutoCompact and
+// epochs 0–4 sealed, retention has retired epochs 0–2, so an Append or
+// Seal for epoch 1 is refused with ErrEpochSealed and writes nothing —
+// the evidence would be written, sealed and retired again unseen.
+// Without AutoCompact the same epoch, unsealed, is written as any other.
 func TestRetiredEpochRefusesWrites(t *testing.T) {
 	mfs := NewMemFS()
 	s, _, err := Open("", Options{FS: mfs, AutoCompact: true, DiskRetention: 2})
@@ -138,4 +139,17 @@ func TestRetiredEpochRefusesWrites(t *testing.T) {
 	}
 	// The epoch above the horizon that no seal holds yet still opens.
 	fillFrom(t, s, 5, 6, []receipt.HOPID{0})
+
+	// Without AutoCompact nothing is retired, so an epoch below the
+	// horizon that no seal holds is still written and sealed.
+	keep, _, err := Open("", Options{FS: NewMemFS(), DiskRetention: 2})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer keep.Close()
+	fillFrom(t, keep, 2, 5, []receipt.HOPID{0})
+	fillFrom(t, keep, 1, 2, []receipt.HOPID{0})
+	if got, want := keep.SealedEpochs(), []uint64{1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("SealedEpochs = %v without AutoCompact, want %v", got, want)
+	}
 }

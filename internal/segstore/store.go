@@ -463,10 +463,10 @@ func (s *Store) entryForLocked(epoch uint64) *SegmentInfo {
 // slices are retained, not copied, until then (see core.StoreBackend).
 // Blocks are buffered by the OS until the epoch's seal syncs the file —
 // durability is a property of committed seals only. Appending to an
-// epoch already sealed, handed over for sealing, or at or below the
-// retention horizon returns ErrEpochSealed (nothing is written): that
-// is the no-double-count guard recovery-by-reexecution relies on, and
-// retention would drop what an old epoch's write added. A failed background write is
+// epoch already sealed, handed over for sealing, or (with AutoCompact)
+// at or below the retention horizon returns ErrEpochSealed (nothing is
+// written): that is the no-double-count guard recovery-by-reexecution
+// relies on, and retention would drop what an old epoch's write added. A failed background write is
 // returned instead, by this and every later write.
 func (s *Store) Append(epoch uint64, hop receipt.HOPID, samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) error {
 	s.mu.Lock()
@@ -484,8 +484,8 @@ func (s *Store) Append(epoch uint64, hop receipt.HOPID, samples []receipt.Sample
 // the manifest log and syncs it; the epoch survives kill -9 once that
 // commit is done, which PutReport and Close wait for. Until then it is discardable. Sealing an epoch with no
 // appended receipts commits an empty segment (epochs with zero traffic
-// are still epochs). Sealing twice, or at or below the retention
-// horizon, returns ErrEpochSealed.
+// are still epochs). Sealing twice, or (with AutoCompact) at or below
+// the retention horizon, returns ErrEpochSealed.
 func (s *Store) Seal(epoch uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -499,8 +499,9 @@ func (s *Store) Seal(epoch uint64) error {
 
 // writableLocked returns the writer's sticky failure, else
 // ErrEpochSealed when epoch is committed or handed over for its commit,
-// or lies at or below the retention horizon: DiskRetention epochs behind
-// the newest committed seal, where retention retires what it holds.
+// or — with AutoCompact, the one mode that retires anything — lies at
+// or below the retention horizon: DiskRetention epochs behind the newest
+// committed seal, where retention retires what it holds.
 func (s *Store) writableLocked(epoch uint64) error {
 	if s.err != nil {
 		return s.err
@@ -508,7 +509,7 @@ func (s *Store) writableLocked(epoch uint64) error {
 	if s.sealing[epoch] || s.sealedLocked(epoch) {
 		return fmt.Errorf("%w: epoch %d", ErrEpochSealed, epoch)
 	}
-	if r, n := uint64(s.opts.DiskRetention), len(s.entries); r > 0 && n > 0 && s.entries[n-1].ToEpoch >= r {
+	if r, n := uint64(s.opts.DiskRetention), len(s.entries); s.opts.AutoCompact && r > 0 && n > 0 && s.entries[n-1].ToEpoch >= r {
 		if horizon := s.entries[n-1].ToEpoch - r; epoch <= horizon {
 			return fmt.Errorf("%w: epoch %d is at or below the retention horizon %d", ErrEpochSealed, epoch, horizon)
 		}
