@@ -69,10 +69,10 @@ type checkScope struct {
 	// upper edge (the stream finished at or inside it), so Join's tail
 	// region is bounded and may be compared.
 	tailComplete bool
-	// capture, when non-nil, is where the checks leave their per-packet
-	// evidence for the sequential arm (see seqarm.go), which feeds it to
-	// the engine once the epoch's checks are done.
-	capture *seqCapture
+	// seq, when non-nil, is where the checks collect their per-packet
+	// evidence for the sequential arm and hand it to their detectors (see
+	// seqarm.go).
+	seq *seqArm
 	// scratch is the checks' working storage, owned by whoever runs the
 	// scope: a RollingVerifier's, reused for every key of every epoch,
 	// or the scope's own for a hand-fed verifier's query.
@@ -141,10 +141,9 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 	// (one mixed stream serves both the loss and the delay detector —
 	// each skips the other's kinds); the second, from mid, is the
 	// mirror-direction trial stream over the downstream HOP's claims.
-	c := s.capture
-	var lo, mid int
+	c := s.seq
 	if c != nil {
-		lo = len(c.items)
+		c.items = c.items[:0]
 	}
 	detail := missingDetails{up: up, down: down}
 	for _, pid := range s.claimed(up) {
@@ -179,6 +178,7 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 			})
 		}
 	}
+	var mid int
 	if c != nil {
 		mid = len(c.items)
 	}
@@ -200,7 +200,7 @@ func (s *checkScope) checkLink(linkID int, up, down receipt.HOPID) LinkVerdict {
 		}
 	}
 	if c != nil {
-		c.link(up, down, lo, mid)
+		c.link(up, down, mid)
 	}
 
 	if ra, rb := iu.aggReceipts(), id.aggReceipts(); len(ra) > 0 && len(rb) > 0 {
@@ -333,10 +333,10 @@ func (s *checkScope) delaysBetween(seg Segment, delays []float64) []float64 {
 	// Without MarkerThreshold the marker/σ-sample split is unknown and
 	// no sequential bias stream is collected — the same precondition
 	// the batch CheckMarkerBias has.
-	var c *seqCapture
-	var lo int
-	if s.capture != nil && v.cfg.MarkerThreshold != 0 {
-		c, lo = s.capture, len(s.capture.items)
+	var c *seqArm
+	if s.seq != nil && v.cfg.MarkerThreshold != 0 {
+		c = s.seq
+		c.items = c.items[:0]
 	}
 	delays = slices.Grow(delays, len(claimed))
 	for _, pid := range claimed {
@@ -353,7 +353,7 @@ func (s *checkScope) delaysBetween(seg Segment, delays []float64) []float64 {
 		}
 	}
 	if c != nil {
-		c.bias(seg.Up, seg.Down, seg.Name, lo)
+		c.bias(seg.Up, seg.Down, seg.Name)
 	}
 	return delays
 }

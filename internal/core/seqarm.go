@@ -15,128 +15,164 @@ import (
 // link after a fraction of one epoch's packets.
 //
 // Determinism: an epoch's keys are checked on several goroutines (see
-// RollingVerifier.VerifyEpoch), and the checks never touch the engine.
-// Each check captures what it would feed — its evidence stream and the
-// slots of the link or domain it judged — in its worker's seqCapture,
-// one run of feeds per key. Once every worker is done, the calling
-// goroutine replays the feeds key by key in work order, creating and
-// feeding detectors exactly as a serial pass would, so the engine sees
-// one stream and crossings land on the same packet in every run, at any
-// number of workers.
+// RollingVerifier.VerifyEpoch), and the worker that checks a key also
+// creates and feeds that key's detectors, through a seqdetect.Feeder of
+// its own, as each check ends. Every detector belongs to one key, and a
+// key's checks run on one worker in their fixed order, so each detector
+// takes its evidence in the same order in every run. A detector is
+// created at the position (key's place in the epoch's work order, slot's
+// place among the key's slots) — the order a serial pass over the keys
+// would create detectors in — and the engine emits the crossings of one epoch
+// in that order, once the calling goroutine has joined the workers. So
+// crossings land on the same packet and verdicts come out in the same
+// order in every run, at any number of workers.
 
 // keySeq is one traffic key's share of the sequential arm: the key's
 // string form, which names its detectors, and the handles of its
 // detectors laid out route by route — three per owned link (loss,
-// delay, fabricate), then one per domain (bias). A slot stays nil until
-// the replay first feeds its detector, so detectors are created in the
-// order they are first fed, and after that nothing is formatted or
-// looked up to reach them.
+// delay, fabricate), then one per domain (bias), with bias holding the
+// slot of each domain's bias detector. A domain another route crosses
+// too shares its slot (see layOut). A slot stays nil until its first
+// check is fed, so detectors are created in the order they are first
+// fed, and after that nothing is formatted or looked up to reach them.
+// The name is set by the worker creating the key's first detector, its
+// only reader.
 type keySeq struct {
 	name  string
 	slots []*seqdetect.Detector
+	bias  []int32
 }
 
 // keySeqFor returns key's detector handles under plan, making them empty
-// the first time the key is verified. Slots are cut from one chunked
-// slab.
-func (rv *RollingVerifier) keySeqFor(key packet.PathKey, plan *keyPlan) keySeq {
-	if ks, ok := rv.seqKeys[key]; ok {
+// the first time the key is verified. Handles, slots and bias slots are
+// cut from chunked slabs.
+func (rv *RollingVerifier) keySeqFor(key packet.PathKey, plan *keyPlan) *keySeq {
+	if ks := rv.seqKeys[key]; ks != nil {
 		return ks
 	}
-	n := 0
-	for ri := range plan.routes {
-		n += 3*len(plan.routes[ri].owned) + len(plan.routes[ri].domains)
+	if len(rv.seqKeySlab) == 0 {
+		rv.seqKeySlab = make([]keySeq, seqKeyChunk)
 	}
+	ks := &rv.seqKeySlab[0]
+	rv.seqKeySlab = rv.seqKeySlab[1:]
+	n := ks.layOut(plan, &rv.seqBiasSlab)
 	if n > len(rv.seqSlab) {
 		rv.seqSlab = make([]*seqdetect.Detector, max(n, seqSlabChunk))
 	}
-	ks := keySeq{name: key.String(), slots: rv.seqSlab[:n:n]}
-	rv.seqSlab = rv.seqSlab[n:]
+	ks.slots, rv.seqSlab = rv.seqSlab[:n:n], rv.seqSlab[n:]
 	rv.seqKeys[key] = ks
 	return ks
 }
 
-// seqSlabChunk is how many detector slots one slab chunk holds.
-const seqSlabChunk = 4096
-
-// seqCapture is one worker's record of what its checks feed the
-// sequential arm, in the order it ran them. The worker points key and
-// dets at the key and slots of each check before running it; the check
-// appends its evidence to items and files a feed. Both slices are
-// grow-only and kept from epoch to epoch.
-type seqCapture struct {
-	items []seqdetect.Evidence
-	feeds []seqFeed
-	key   int
-	dets  []*seqdetect.Detector
-	// next is the replay's cursor into feeds.
-	next int
-}
-
-// seqFeed is one check's share of the arm. A link's loss and delay
-// detectors take items[lo:mid] (keep/drop trials interleaved with
-// matched link deltas — each detector skips the other's kinds) and its
-// fabricate detector items[mid:hi]; a domain's (bias set) bias detector
-// takes items[lo:hi].
-type seqFeed struct {
-	key         int // the key's position in the epoch's work order
-	dets        []*seqdetect.Detector
-	up, down    receipt.HOPID
-	domain      string
-	bias        bool
-	lo, mid, hi int
-}
-
-// reset empties the capture for a new epoch.
-func (c *seqCapture) reset() {
-	c.items, c.feeds, c.next = c.items[:0], c.feeds[:0], 0
-}
-
-// link files the feed of the link up→down: its two streams run from lo
-// to mid and from mid to the end of items.
-func (c *seqCapture) link(up, down receipt.HOPID, lo, mid int) {
-	c.feeds = append(c.feeds, seqFeed{key: c.key, dets: c.dets, up: up, down: down, lo: lo, mid: mid, hi: len(c.items)})
-}
-
-// bias files the feed of the domain segment up→down named domain: its
-// stream runs from lo to the end of items.
-func (c *seqCapture) bias(up, down receipt.HOPID, domain string, lo int) {
-	c.feeds = append(c.feeds, seqFeed{key: c.key, dets: c.dets, up: up, down: down, domain: domain, bias: true, lo: lo, hi: len(c.items)})
-}
-
-// replaySequential feeds the engine what the epoch's workers captured,
-// key by key in work order: key i's feeds are the next run of worker
-// i mod w's, which checked its keys in ascending order.
-func (rv *RollingVerifier) replaySequential(job *epochJob, workers []*keyWorker) {
-	for i := range job.keys {
-		c := &workers[i%len(workers)].capture
-		for ; c.next < len(c.feeds) && c.feeds[c.next].key == i; c.next++ {
-			rv.feed(job.seqs[i].name, &c.feeds[c.next], c.items)
+// layOut cuts ks.bias from slab and fills it with the slot of each of
+// plan's domains' bias detector, route by route, and returns how many
+// slots the key's handles take. A domain an earlier route crosses too —
+// the same HOPs and name, so the same detector scope — shares that
+// route's slot, and its own stays empty.
+func (ks *keySeq) layOut(plan *keyPlan, slab *[]int32) int {
+	n := 0
+	for r := range plan.routes {
+		n += len(plan.routes[r].domains)
+	}
+	if n > len(*slab) {
+		*slab = make([]int32, max(n, seqSlabChunk))
+	}
+	ks.bias, *slab = (*slab)[:0:n], (*slab)[n:]
+	slots := 0
+	for r := range plan.routes {
+		rp := &plan.routes[r]
+		slots += 3 * len(rp.owned)
+		for _, si := range rp.domains {
+			ks.bias = append(ks.bias, ks.biasSlot(plan, plan.layouts[r].Segments[si], slots))
+			slots++
 		}
 	}
+	return slots
 }
 
-// feed hands one captured check to its detectors, creating them on
-// first use with names under key.
-func (rv *RollingVerifier) feed(key string, f *seqFeed, items []seqdetect.Evidence) {
-	d := f.dets
+// biasSlot returns the slot of seg's bias detector: that of the first
+// domain laid out before it with the same HOPs and name, else next.
+func (ks *keySeq) biasSlot(plan *keyPlan, seg Segment, next int) int32 {
+	k := 0
+	for r := range plan.routes {
+		for _, si := range plan.routes[r].domains {
+			if k == len(ks.bias) {
+				return int32(next)
+			}
+			if o := &plan.layouts[r].Segments[si]; o.Up == seg.Up && o.Down == seg.Down && o.Name == seg.Name {
+				return ks.bias[k]
+			}
+			k++
+		}
+	}
+	return int32(next)
+}
+
+// seqSlabChunk is how many detector or bias slots one slab chunk holds,
+// and seqKeyChunk how many keys' handles.
+const (
+	seqSlabChunk = 4096
+	seqKeyChunk  = 256
+)
+
+// seqArm is one worker's share of the arm: its feeder; the key under
+// check, its handles and base, the key's place in the epoch's work order
+// shifted above any slot's; the detector slots of the check under way
+// and the position its first detector is created at; and that check's
+// evidence. The worker points it at each key and, through at, at each
+// check before running it; the check fills items and hands them to its
+// detectors as it ends (link, bias). items holds one check's stream at
+// a time and is kept from check to check.
+type seqArm struct {
+	feeder *seqdetect.Feeder
+	key    packet.PathKey
+	ks     *keySeq
+	base   uint64
+	dets   []*seqdetect.Detector
+	pos    uint64
+	items  []seqdetect.Evidence
+}
+
+// at points a at the key's n slots from slot, whose detectors, if
+// the check creates them, take the positions from the key's s-th on.
+func (a *seqArm) at(slot, n, s int) {
+	a.dets, a.pos = a.ks.slots[slot:slot+n], a.base|uint64(s)
+}
+
+// scope names the detector of up→down (of domain, for a bias detector)
+// under the key being checked.
+func (a *seqArm) scope(up, down receipt.HOPID, domain string) seqdetect.Scope {
+	if a.ks.name == "" {
+		a.ks.name = a.key.String()
+	}
+	return seqdetect.Scope{Key: a.ks.name, Up: uint32(up), Down: uint32(down), Domain: domain}
+}
+
+// link feeds the check of the link up→down to its detectors, creating
+// them on first use: the loss and delay detectors take items[:mid]
+// (keep/drop trials interleaved with matched link deltas — each
+// detector skips the other's kinds), the fabricate detector items[mid:].
+func (a *seqArm) link(up, down receipt.HOPID, mid int) {
+	d := a.dets
 	if d[0] == nil {
-		sc := seqdetect.Scope{Key: key, Up: uint32(f.up), Down: uint32(f.down), Domain: f.domain}
-		if f.bias {
-			d[0] = rv.seq.Detector(sc, seqdetect.ClassBias)
-		} else {
-			d[0] = rv.seq.Detector(sc, seqdetect.ClassLoss)
-			d[1] = rv.seq.Detector(sc, seqdetect.ClassDelay)
-			d[2] = rv.seq.Detector(sc, seqdetect.ClassFabricate)
-		}
+		sc := a.scope(up, down, "")
+		d[0] = a.feeder.Detector(sc, seqdetect.ClassLoss, a.pos)
+		d[1] = a.feeder.Detector(sc, seqdetect.ClassDelay, a.pos+1)
+		d[2] = a.feeder.Detector(sc, seqdetect.ClassFabricate, a.pos+2)
 	}
-	if f.bias {
-		d[0].Observe(items[f.lo:f.hi])
-		return
+	a.feeder.Observe(d[0], a.items[:mid])
+	a.feeder.Observe(d[1], a.items[:mid])
+	a.feeder.Observe(d[2], a.items[mid:])
+}
+
+// bias feeds the domain segment up→down named domain its items,
+// creating its bias detector on first use.
+func (a *seqArm) bias(up, down receipt.HOPID, domain string) {
+	d := a.dets
+	if d[0] == nil {
+		d[0] = a.feeder.Detector(a.scope(up, down, domain), seqdetect.ClassBias, a.pos)
 	}
-	d[0].Observe(items[f.lo:f.mid])
-	d[1].Observe(items[f.lo:f.mid])
-	d[2].Observe(items[f.mid:f.hi])
+	a.feeder.Observe(d[0], a.items)
 }
 
 // seqMarkerKind classifies a domain delay sample for the bias

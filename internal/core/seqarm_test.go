@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"vpm/internal/lossmodel"
@@ -153,5 +154,28 @@ func TestSequentialArmHonestRunQuiet(t *testing.T) {
 		if rep.Violations() != 0 {
 			t.Fatalf("epoch %d: honest run has batch violations", rep.Epoch)
 		}
+	}
+}
+
+// TestSharedDomainSharesBiasSlot: two routes of a key that cross the
+// same domain segment — the same HOPs and name, so one detector scope —
+// feed one bias detector through one slot, while a domain segment they
+// share only one HOP of gets a slot per route.
+func TestSharedDomainSharesBiasSlot(t *testing.T) {
+	link := func(up, down receipt.HOPID) Segment { return Segment{Kind: LinkSegment, Up: up, Down: down} }
+	domain := func(up, down receipt.HOPID, name string) Segment {
+		return Segment{Kind: DomainSegment, Up: up, Down: down, Name: name}
+	}
+	p := planRoutes([]Layout{
+		{Segments: []Segment{domain(1, 2, "S"), link(2, 3), domain(3, 4, "A"), link(4, 5)}},
+		{Segments: []Segment{domain(1, 2, "S"), link(2, 3), domain(3, 6, "A"), link(6, 7)}},
+	})
+	var ks keySeq
+	n := ks.layOut(p, new([]int32))
+	// Route 0: slots 0–2 and 3–5 for its two links, 6 and 7 for S and A;
+	// route 1: 8–10 for its own link (2→3 is route 0's), S shares slot 6,
+	// its own slot 11 stays empty, and A (3→6) takes slot 12.
+	if n != 13 || !slices.Equal(ks.bias, []int32{6, 7, 6, 12}) {
+		t.Fatalf("%d slots, bias slots %v; want 13 and [6 7 6 12]", n, ks.bias)
 	}
 }

@@ -710,12 +710,15 @@ type RollingVerifier struct {
 	fallback *keyPlan
 	// seq is the sequential-detection engine of the SPRT arm, nil when
 	// VerifierConfig.Sequential is unset; seqKeys holds each key's
-	// detector handles beside plans (see keySeq), cut from seqSlab. Only
-	// the goroutine calling VerifyEpoch touches them — in the planning
-	// pass and the replay, never inside the key loop.
-	seq     *seqdetect.Engine
-	seqKeys map[packet.PathKey]keySeq
-	seqSlab []*seqdetect.Detector
+	// detector handles beside plans (see keySeq), cut from seqKeySlab,
+	// seqSlab and seqBiasSlab. The planning pass finds or makes a key's
+	// handles; inside the key loop, only the worker checking the key
+	// touches them.
+	seq         *seqdetect.Engine
+	seqKeys     map[packet.PathKey]*keySeq
+	seqKeySlab  []keySeq
+	seqSlab     []*seqdetect.Detector
+	seqBiasSlab []int32
 	// job is the epoch under verification as the planning pass lays it
 	// out, and workers the key loop's per-goroutine state (workers[0]
 	// runs on the calling goroutine), both kept from epoch to epoch;
@@ -737,7 +740,7 @@ type RollingVerifier struct {
 // out by the planning pass: which keys, each key's plan, where its
 // reports sit in reports (at[i] is key i's first, one per route, with
 // their verdict and estimate slab ranges already cut) and, with the
-// SPRT arm on, its detector slots. Worker j of w checks keys j, j+w, …
+// SPRT arm on, its detector handles. Worker j of w checks keys j, j+w, …
 // They only read the layout, and each writes only the partitions it
 // took and the reports of its own keys.
 type epochJob struct {
@@ -752,7 +755,7 @@ type epochJob struct {
 	keys       []packet.PathKey
 	plans      []*keyPlan
 	at         []int
-	seqs       []keySeq
+	seqs       []*keySeq
 	reports    []EpochKeyReport
 	quantiles  []float64
 	confidence float64
@@ -761,9 +764,9 @@ type epochJob struct {
 // keyWorker is one goroutine's share of an epoch: the scratch of the
 // leaf partitions it builds, its own read view, check scope and kernel
 // scratch, the resolved windows of the key under check and the slab
-// their concatenated aggregates are cut from, and the capture of what
-// its checks feed the SPRT arm. A worker keeps all of it from epoch to
-// epoch, and shares none of it.
+// their concatenated aggregates are cut from, and its feed of the SPRT
+// arm. A worker keeps all of it from epoch to epoch, and shares none of
+// it.
 type keyWorker struct {
 	idx     indexScratch
 	v       Verifier
@@ -771,7 +774,7 @@ type keyWorker struct {
 	scratch kernelScratch
 	wins    []hopWindow
 	aggs    []receipt.AggReceipt
-	capture seqCapture
+	seq     seqArm
 	// err is the worker's first failure this epoch, at key errKey.
 	err    error
 	errKey int
@@ -837,9 +840,9 @@ func (rv *RollingVerifier) SetKeyLayouts(layouts map[packet.PathKey][]Layout) {
 	rv.keyLayouts = layouts
 	rv.plans = make(map[packet.PathKey]*keyPlan)
 	if rv.seq != nil {
-		// Slots follow the plans; the detectors they point to stay in the
-		// engine and are found again.
-		rv.seqKeys = make(map[packet.PathKey]keySeq)
+		// Slots follow the plans. The detectors the old slots held are not
+		// found again, which is why layouts are set before verifying.
+		rv.seqKeys = make(map[packet.PathKey]*keySeq)
 	}
 }
 
@@ -874,7 +877,7 @@ func NewRollingVerifier(layout Layout, cfg VerifierConfig, win *WindowedStore, q
 	rv := &RollingVerifier{layout: layout, cfg: cfg, win: win, quantiles: quantiles, confidence: confidence}
 	if cfg.Sequential != nil {
 		rv.seq = seqdetect.NewEngine(*cfg.Sequential)
-		rv.seqKeys = make(map[packet.PathKey]keySeq)
+		rv.seqKeys = make(map[packet.PathKey]*keySeq)
 	}
 	return rv
 }
@@ -891,12 +894,12 @@ func NewRollingVerifier(layout Layout, cfg VerifierConfig, win *WindowedStore, q
 // leaves the view claimed — in a stream, the successor epoch's, the
 // target's having been built by the view before — one key partition at
 // a time while the calling goroutine plans the key loop, and meet at
-// one barrier. Then worker j of w checks keys j, j+w, … Every
-// partition has one builder and every key's report has its place
-// before the loop starts, so the report does not depend on scheduling;
-// the SPRT arm's feeds are replayed in key order after the join (see
-// seqarm.go). On failure the error is that of the lowest-numbered key
-// that failed.
+// one barrier. Then worker j of w checks keys j, j+w, …, feeding the
+// SPRT arm as it goes. Every partition has one builder, every key's
+// report has its place before the loop starts, and every detector its
+// place in the emission order (see seqarm.go), so the report does not
+// depend on scheduling. On failure the error is that of the
+// lowest-numbered key that failed.
 func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	rep := EpochReport{Epoch: epoch}
 	view, err := rv.win.view(epoch)
@@ -955,9 +958,6 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 	}
 	if failed >= 0 {
 		return rep, workers[failed].err
-	}
-	if rv.seq != nil {
-		rv.replaySequential(job, workers)
 	}
 	rep.Seq = rv.endSequentialEpoch(epoch)
 	// The verdict goes durable before the RAM window forgets the epoch
@@ -1030,7 +1030,8 @@ func (rv *RollingVerifier) workersFor(w int) []*keyWorker {
 		wk.v.cfg, wk.v.keyed = rv.cfg, true
 		wk.scope = checkScope{view: &wk.v, scratch: &wk.scratch}
 		if rv.seq != nil {
-			wk.scope.capture = &wk.capture
+			wk.seq.feeder = rv.seq.NewFeeder()
+			wk.scope.seq = &wk.seq
 		}
 		rv.workers = append(rv.workers, wk)
 	}
@@ -1064,7 +1065,6 @@ func (wk *keyWorker) build(job *epochJob) {
 // that fails.
 func (wk *keyWorker) run(job *epochJob, first, stride int) {
 	wk.err = nil
-	wk.capture.reset()
 	// The view spans max(0, epoch−1)..epoch+1, so it reaches the stream
 	// start exactly when epoch ≤ 1.
 	wk.scope.headComplete = job.epoch <= 1
@@ -1090,27 +1090,32 @@ func (wk *keyWorker) verifyKey(job *epochJob, i int) error {
 	if job.view.n > 1 {
 		scope.claims = job.claims.get(key)
 	}
-	// slots are the key's detector handles still to be handed out, in
-	// the order the checks below consume them.
-	var slots []*seqdetect.Detector
+	// s is the next check's first slot in the key's work order: where its
+	// detectors sit in keySeq.slots — unless a bias detector's slot is
+	// shared — and their position among the key's; b counts the domains.
+	var arm *seqArm
 	if job.seqs != nil {
-		wk.capture.key, slots = i, job.seqs[i].slots
+		arm = &wk.seq
+		arm.key, arm.ks, arm.base = key, job.seqs[i], uint64(i)<<32
 	}
+	s, b := 0, 0
 	for ri := range p.routes {
 		layout, plan := p.layouts[ri], &p.routes[ri]
 		v.layout = layout
 		kr := &job.reports[job.at[i]+ri]
 		for _, l := range plan.owned {
-			if slots != nil {
-				wk.capture.dets, slots = slots[:3], slots[3:]
+			if arm != nil {
+				arm.at(s, 3, s)
 			}
+			s += 3
 			seg := &layout.Segments[l.seg]
 			kr.Links = append(kr.Links, scope.checkLink(int(l.id), seg.Up, seg.Down))
 		}
 		for _, si := range plan.domains {
-			if slots != nil {
-				wk.capture.dets, slots = slots[:1], slots[1:]
+			if arm != nil {
+				arm.at(int(arm.ks.bias[b]), 1, s)
 			}
+			s, b = s+1, b+1
 			dr, err := scope.domainReport(layout.Segments[si], job.quantiles, job.confidence)
 			if err != nil {
 				return fmt.Errorf("core: epoch %d key %v: %w", job.epoch, key, err)

@@ -18,22 +18,28 @@ import (
 
 // TestVerifySplitIsScheduleFree: the rolling verifier builds each sealed
 // epoch's leaf as key partitions on up to GOMAXPROCS workers, checks an
-// epoch's keys on the same workers, and replays the SPRT arm's feeds in
-// key order afterwards, so every report — its sequential verdicts, whose
-// order within an epoch is the order their detectors were first fed,
+// epoch's keys on the same workers, and each worker creates and feeds
+// the SPRT arm's detectors of the keys it checks, so every report — its
+// sequential verdicts, whose order within an epoch is the order a
+// serial pass over the keys would have created their detectors in,
 // included — is the same bytes at every width and in every run, and
 // every sealed (HOP, epoch) is indexed exactly once at every width. The
 // world is a Clos mesh of 97 keys (a multiple of no width tried) with a
 // lossy shared link and a HOP that suppresses a fifth of what it sees,
 // under the arm: many detectors cross in one epoch, on keys that
-// different workers check.
+// different workers check, and at every width above one some epoch's
+// verdicts include two from detectors that different workers created
+// in that very epoch.
 func TestVerifySplitIsScheduleFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want [][]byte
 	for _, procs := range []int{1, 2, 3, 4} {
 		runtime.GOMAXPROCS(procs)
 		for run := 0; run < 3; run++ {
-			got, seq := runSplitWorld(t)
+			got, seq, split := runSplitWorld(t)
+			if procs > 1 && split == 0 {
+				t.Fatalf("GOMAXPROCS %d run %d: no epoch emits verdicts of detectors two workers created in it", procs, run)
+			}
 			if want == nil {
 				if seq < 10 {
 					t.Fatalf("%d sequential verdicts: the world was meant to make several cross", seq)
@@ -54,9 +60,10 @@ func TestVerifySplitIsScheduleFree(t *testing.T) {
 }
 
 // runSplitWorld builds the world afresh, runs it through the engine and
-// returns every report's canonical encoding and the number of
-// sequential verdicts.
-func runSplitWorld(t *testing.T) ([][]byte, int) {
+// returns every report's canonical encoding, the number of sequential
+// verdicts and the number of epochs whose verdicts include two from
+// detectors created in that epoch by different workers.
+func runSplitWorld(t *testing.T) ([][]byte, int, int) {
 	t.Helper()
 	keys := netsim.WideKeys(97)
 	tc := trace.Config{Seed: 41, DurationNS: testEpochs * testIntervalNS}
@@ -95,7 +102,7 @@ func runSplitWorld(t *testing.T) ([][]byte, int) {
 		t.Fatal(err)
 	}
 	var reports [][]byte
-	seq, widest := 0, 0
+	seq, widest, split := 0, 0, 0
 	var last core.WindowStats
 	ver.OnEpoch = func(rep core.EpochReport, st core.WindowStats) {
 		last = st
@@ -105,13 +112,25 @@ func runSplitWorld(t *testing.T) ([][]byte, int) {
 		}
 		reports = append(reports, enc)
 		seq += len(rep.Seq)
-		n := 0
+		// Key i of the epoch's n is checked by worker i mod w.
+		at := make(map[string]int)
 		for _, kr := range rep.Keys {
 			if kr.Route == 0 {
-				n++
+				at[kr.Key.String()] = len(at)
 			}
 		}
+		n, w := len(at), min(runtime.GOMAXPROCS(0), len(at))
 		widest = max(widest, n)
+		workers := make(map[int]bool)
+		for _, v := range rep.Seq {
+			// One trajectory point: the detector was born in this epoch.
+			if len(v.Trajectory) == 1 {
+				workers[at[v.Key]%w] = true
+			}
+		}
+		if len(workers) > 1 {
+			split++
+		}
 	}
 	col, err := engine.NewCollect(dep, dep.HOPs(), testIntervalNS, 0, ver.Window.Sink())
 	if err != nil {
@@ -127,7 +146,7 @@ func runSplitWorld(t *testing.T) ([][]byte, int) {
 	if sealed := uint64(len(dep.HOPs()) * len(reports)); last.IndexBuilds != sealed {
 		t.Fatalf("%d (HOP, epoch) indexings for %d sealed", last.IndexBuilds, sealed)
 	}
-	return reports, seq
+	return reports, seq, split
 }
 
 // suppressingHOP picks the liar: the ingress HOP of the last link of the

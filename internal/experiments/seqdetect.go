@@ -127,7 +127,8 @@ func sweepDelay(sq seqdetect.Config, mag float64, n, trials int, seed uint64) Se
 	for tr := 0; tr < trials; tr++ {
 		rng := stats.NewRNG(seed ^ (0xd31a<<16 + uint64(tr)*0x9e3779b97f4a7c15 + uint64(mag*1e6)))
 		eng := seqdetect.NewEngine(sq)
-		det := eng.Detector(scope, seqdetect.ClassDelay)
+		feed := eng.NewFeeder()
+		det := feed.Detector(scope, seqdetect.ClassDelay, 0)
 		seqEp, batchEp := -1.0, -1
 		for ep := 0; ep < seqFrontierHorizon && (seqEp < 0 || batchEp < 0); ep++ {
 			items := make([]seqdetect.Evidence, n)
@@ -137,7 +138,7 @@ func sweepDelay(sq seqdetect.Config, mag float64, n, trials int, seed uint64) Se
 				items[i] = seqdetect.Evidence{Kind: seqdetect.KindDelta, Value: v}
 				sum += v
 			}
-			det.Observe(items)
+			feed.Observe(det, items)
 			for _, v := range eng.EndEpoch(uint64(ep)) {
 				if seqEp < 0 {
 					seqEp = v.EpochsToVerdict()
@@ -173,7 +174,8 @@ func sweepLoss(sq seqdetect.Config, mag float64, n, trials int, seed uint64) Seq
 	for tr := 0; tr < trials; tr++ {
 		rng := stats.NewRNG(seed ^ (0x10ff<<16 + uint64(tr)*0x9e3779b97f4a7c15 + uint64(mag*1e6)))
 		eng := seqdetect.NewEngine(sq)
-		det := eng.Detector(scope, seqdetect.ClassLoss)
+		feed := eng.NewFeeder()
+		det := feed.Detector(scope, seqdetect.ClassLoss, 0)
 		seqEp, batchEp := -1.0, -1
 		batchBound := float64(n)*sq.LossP0 + zAlpha999*math.Sqrt(float64(n)*sq.LossP0*(1-sq.LossP0))
 		for ep := 0; ep < seqFrontierHorizon && (seqEp < 0 || batchEp < 0); ep++ {
@@ -187,7 +189,7 @@ func sweepLoss(sq seqdetect.Config, mag float64, n, trials int, seed uint64) Seq
 					items[i] = seqdetect.Evidence{Kind: seqdetect.KindKeep}
 				}
 			}
-			det.Observe(items)
+			feed.Observe(det, items)
 			for _, v := range eng.EndEpoch(uint64(ep)) {
 				if seqEp < 0 {
 					seqEp = v.EpochsToVerdict()

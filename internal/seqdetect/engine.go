@@ -7,21 +7,23 @@ import (
 )
 
 // The Engine multiplexes the per-(link, key) detectors of one rolling
-// verifier. A caller resolves each detector once — Engine.Detector finds
-// or creates it — and feeds the handle its evidence batches
-// (Detector.Observe), in deterministic work order from one goroutine;
-// EndEpoch closes the epoch and emits a SeqVerdict for each detector
-// that crossed its detection threshold during it.
+// verifier. Detectors are created and fed through Feeders, one per
+// feeding goroutine: Feeder.Detector creates a detector at a position
+// of the epoch's work order, and Feeder.Observe feeds it an evidence
+// batch. EndEpoch closes the epoch and emits a SeqVerdict for each
+// detector that crossed its detection threshold during it.
 //
-// An epoch costs what it was fed, not how many detectors exist. The
-// engine lists the detectors created or fed since the last EndEpoch,
+// An epoch costs what it was fed, not how many detectors exist. Each
+// feeder lists the detectors it created or fed since the last EndEpoch,
 // and EndEpoch visits only those. A detector's statistic moves only when
 // it is fed, so it records a point (epoch, statistic) at the epochs it
 // was fed and the epochs in between repeat the earlier point; the
 // bounded per-epoch trajectory a verdict carries is rebuilt from those
 // points when, and only when, the verdict is emitted. Verdicts crossing
-// in one epoch are emitted in detector creation order, whatever order
-// the detectors were fed in.
+// in one epoch are emitted in creation order — by the epoch a detector
+// was created in, then its position in that epoch's work order — so the
+// order depends on what was created where, not on which feeder created
+// or fed it, or when.
 //
 // Crossing points are recorded as global evidence indexes, so they
 // are invariant under re-chunking of the evidence stream (the same
@@ -112,12 +114,12 @@ type detKey struct {
 	class Class
 }
 
-// Detector is the handle of one (scope, class) detector. Resolve it once
-// with Engine.Detector and feed it with Observe; the engine owns it.
+// Detector is the handle of one (scope, class) detector. Create it once
+// with Feeder.Detector and feed it with Feeder.Observe; the engine owns
+// it.
 type Detector struct {
-	eng  *Engine
 	key  detKey
-	ord  uint64 // creation ordinal: the emission order within an epoch
+	pos  uint64 // position in the work order of the epoch it was born in
 	bin  *BernoulliSPRT
 	mean *GaussianSPRT
 	bias *BiasDetector
@@ -125,7 +127,7 @@ type Detector struct {
 	state      State
 	emitted    bool
 	listed     uint64 // 1 + the epoch tick the detector was last listed as fed in
-	born       uint64 // the epoch tick it was created in
+	born       uint64 // the epoch tick it was created in: with pos, its emission order
 	items      uint64 // evidence items consumed (trials/scored samples)
 	epochStart uint64 // items at the start of the current epoch
 	crossItem  uint64 // items at the detection crossing (1-based)
@@ -152,84 +154,105 @@ func (d *Detector) stat() float64 {
 	}
 }
 
-// Engine owns the detectors of one rolling verifier. Not safe for
-// concurrent use: the rolling pipeline feeds it from its single
-// verification goroutine, in deterministic work order.
+// Engine owns the detectors of one rolling verifier.
+//
+// Within an epoch, detectors are created and fed only through Feeders,
+// and each Feeder belongs to one goroutine at a time. Several goroutines
+// may feed at once, each through its own Feeder, as long as no detector
+// is fed through two Feeders in one epoch and no two detectors created
+// in one epoch share a position. NewFeeder and EndEpoch run on one
+// goroutine, while nothing feeds: EndEpoch gathers every feeder's fed
+// list, so a caller that feeds from several goroutines joins them first.
 type Engine struct {
-	cfg  Config
-	dets map[detKey]*Detector
-	// tick counts EndEpoch calls: the epoch being fed.
-	tick uint64
-	// fed lists the detectors created or fed since the last EndEpoch,
-	// each once; crossed is EndEpoch's scratch.
-	fed, crossed []*Detector
-
-	// Detector state is cut from chunked slabs: one allocation per chunk,
-	// addresses stable for the engine's life.
-	detSlab  slab[Detector]
-	binSlab  slab[BernoulliSPRT]
-	meanSlab slab[GaussianSPRT]
-	biasSlab slab[BiasDetector]
-	ptSlab   slab[point]
+	cfg Config
+	// tick counts EndEpoch calls: the epoch being fed. Feeders read it;
+	// only EndEpoch writes it.
+	tick    uint64
+	feeders []*Feeder
+	// crossed is EndEpoch's scratch.
+	crossed []*Detector
+	// Point segments are cut from a chunked slab by EndEpoch.
+	ptSlab slab[point]
 }
 
 // NewEngine builds an engine; zero cfg fields take defaults.
 func NewEngine(cfg Config) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), dets: make(map[detKey]*Detector)}
+	return &Engine{cfg: cfg.withDefaults()}
 }
 
-// Detector finds or creates the (scope, class) detector. A detector
-// created counts as fed in the current epoch, so it snapshots its
-// statistic from this epoch on, as if fed an empty batch.
-func (e *Engine) Detector(scope Scope, class Class) *Detector {
-	k := detKey{scope: scope, class: class}
-	if d, ok := e.dets[k]; ok {
-		return d
-	}
-	d := e.detSlab.alloc()
-	*d = Detector{eng: e, key: k, ord: uint64(len(e.dets)), born: e.tick}
-	c := e.cfg
+// Feeder creates and feeds an engine's detectors on behalf of one
+// goroutine: it cuts detector state from its own chunked slabs — one
+// allocation per chunk, addresses stable for the engine's life — and
+// lists the detectors it created or fed since the last EndEpoch, each
+// once.
+type Feeder struct {
+	eng *Engine
+	fed []*Detector
+
+	detSlab  slab[Detector]
+	binSlab  slab[BernoulliSPRT]
+	meanSlab slab[GaussianSPRT]
+	biasSlab slab[BiasDetector]
+}
+
+// NewFeeder adds a feeder to the engine.
+func (e *Engine) NewFeeder() *Feeder {
+	f := &Feeder{eng: e}
+	e.feeders = append(e.feeders, f)
+	return f
+}
+
+// Detector creates the (scope, class) detector at position pos of the
+// current epoch's work order; among the detectors created in one epoch,
+// pos orders their verdicts, so no two may share it. Each call creates
+// a new detector: a caller that feeds one scope from several places
+// keeps the handle. A detector created counts as fed in the current
+// epoch, so it snapshots its statistic from this epoch on, as if fed an
+// empty batch.
+func (f *Feeder) Detector(scope Scope, class Class, pos uint64) *Detector {
+	d := f.detSlab.alloc()
+	*d = Detector{key: detKey{scope: scope, class: class}, pos: pos, born: f.eng.tick}
+	c := f.eng.cfg
 	switch class {
 	case ClassLoss, ClassFabricate:
-		d.bin = e.binSlab.alloc()
+		d.bin = f.binSlab.alloc()
 		*d.bin = newBernoulliSPRT(c.Alpha, c.Beta, c.LossP0, c.LossP1)
 		d.bin.setClip(c.ClipLLR)
 	case ClassDelay:
-		d.mean = e.meanSlab.alloc()
+		d.mean = f.meanSlab.alloc()
 		*d.mean = newGaussianSPRT(c.Alpha, c.Beta, c.DelayRefNS, c.DelayShiftNS, c.DelaySigmaNS)
 		d.mean.setClip(c.ClipLLR)
 	case ClassBias:
-		mean := e.meanSlab.alloc()
+		mean := f.meanSlab.alloc()
 		*mean = newBiasMean(c)
-		d.bias = e.biasSlab.alloc()
+		d.bias = f.biasSlab.alloc()
 		*d.bias = BiasDetector{minRef: c.BiasMinRef, mean: mean}
 		d.bias.setClip(c.ClipLLR)
 	}
-	e.dets[k] = d
-	e.list(d)
+	f.list(d)
 	return d
 }
 
-// list enters d in the epoch's fed list, once.
-func (e *Engine) list(d *Detector) {
-	if d.listed != e.tick+1 {
-		d.listed = e.tick + 1
-		e.fed = append(e.fed, d)
+// list enters d in the feeder's fed list, once per epoch.
+func (f *Feeder) list(d *Detector) {
+	if t := f.eng.tick + 1; d.listed != t {
+		d.listed = t
+		f.fed = append(f.fed, d)
 	}
 }
 
-// Observe feeds one evidence batch to the detector. Items irrelevant to
-// its class are skipped, so callers may reuse one mixed slice across
-// classes. Batching carries no meaning: any chunking of the same stream
-// yields the same crossings. A detector whose verdict was emitted has
-// nothing left to decide and ignores its feed.
+// Observe feeds one evidence batch to d. Items irrelevant to its class
+// are skipped, so callers may reuse one mixed slice across classes.
+// Batching carries no meaning: any chunking of the same stream yields
+// the same crossings. A detector whose verdict was emitted has nothing
+// left to decide and ignores its feed.
 //
 //vpm:hotpath
-func (d *Detector) Observe(items []Evidence) {
+func (f *Feeder) Observe(d *Detector, items []Evidence) {
 	if d.emitted {
 		return
 	}
-	d.eng.list(d)
+	f.list(d)
 	class := d.key.class
 	for _, it := range items {
 		if d.state == Detected {
@@ -296,22 +319,26 @@ func countable(class Class, k Kind) bool {
 	return false
 }
 
-// EndEpoch closes one epoch: every detector created or fed during it
-// records its statistic, and each that crossed detection emits its
-// SeqVerdict (once), in creation order. Detectors left idle are not
-// visited. epoch is the epoch id the evidence batches since the
-// previous EndEpoch belonged to.
+// EndEpoch closes one epoch: every detector created or fed during it,
+// through any feeder, records its statistic, and each that crossed
+// detection emits its SeqVerdict (once), in creation order. Detectors
+// left idle are not visited. epoch is the epoch id the evidence batches
+// since the previous EndEpoch belonged to.
 //
 //vpm:hotpath
 func (e *Engine) EndEpoch(epoch uint64) []SeqVerdict {
 	crossed := e.crossed[:0]
-	for _, d := range e.fed {
-		if d.state == Detected {
-			crossed = append(crossed, d)
-			continue
+	for _, f := range e.feeders {
+		for _, d := range f.fed {
+			if d.state == Detected {
+				crossed = append(crossed, d)
+				continue
+			}
+			e.record(d)
+			d.epochStart = d.items
 		}
-		e.record(d)
-		d.epochStart = d.items
+		clear(f.fed)
+		f.fed = f.fed[:0]
 	}
 	var out []SeqVerdict
 	if len(crossed) > 0 {
@@ -323,14 +350,19 @@ func (e *Engine) EndEpoch(epoch uint64) []SeqVerdict {
 		}
 		clear(crossed)
 	}
-	clear(e.fed)
-	e.fed, e.crossed = e.fed[:0], crossed[:0]
+	e.crossed = crossed[:0]
 	e.tick++
 	return out
 }
 
-// byCreation orders detectors by creation.
-func byCreation(a, b *Detector) int { return cmp.Compare(a.ord, b.ord) }
+// byCreation orders detectors by creation: the epoch each was born in,
+// then its position in that epoch's work order.
+func byCreation(a, b *Detector) int {
+	if c := cmp.Compare(a.born, b.born); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
 
 // emit builds d's verdict as the epoch closes and retires d.
 func (e *Engine) emit(d *Detector, epoch uint64) SeqVerdict {

@@ -195,9 +195,10 @@ func TestGuaranteeEngineHonestRun(t *testing.T) {
 	for r := 0; r < runs; r++ {
 		rr := rng.Split()
 		e := NewEngine(cfg)
+		f := e.NewFeeder()
 		link := Scope{Key: "a->b", Up: 1, Down: 2}
-		lossDet, delayDet := e.Detector(link, ClassLoss), e.Detector(link, ClassDelay)
-		biasDet := e.Detector(Scope{Domain: "X", Up: 2, Down: 3}, ClassBias)
+		lossDet, delayDet := f.Detector(link, ClassLoss, 0), f.Detector(link, ClassDelay, 1)
+		biasDet := f.Detector(Scope{Domain: "X", Up: 2, Down: 3}, ClassBias, 2)
 		any := false
 		for ep := uint64(0); ep < epochs; ep++ {
 			loss := make([]Evidence, perEpoch)
@@ -208,12 +209,12 @@ func TestGuaranteeEngineHonestRun(t *testing.T) {
 					loss[i] = Evidence{Kind: KindKeep}
 				}
 			}
-			lossDet.Observe(loss)
+			f.Observe(lossDet, loss)
 			deltas := make([]Evidence, perEpoch/2)
 			for i := range deltas {
 				deltas[i] = Evidence{Kind: KindDelta, Value: gRef + gSigma*rr.NormFloat64()}
 			}
-			delayDet.Observe(deltas)
+			f.Observe(delayDet, deltas)
 			biasItems := make([]Evidence, 0, 4*markersPer)
 			for i := 0; i < markersPer; i++ {
 				for j := 0; j < 3; j++ {
@@ -221,7 +222,7 @@ func TestGuaranteeEngineHonestRun(t *testing.T) {
 				}
 				biasItems = append(biasItems, Evidence{Kind: KindMarkerDelta, Value: gRef + gSigma*rr.NormFloat64()})
 			}
-			biasDet.Observe(biasItems)
+			f.Observe(biasDet, biasItems)
 			if len(e.EndEpoch(ep)) > 0 {
 				any = true
 			}

@@ -26,6 +26,18 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		}
 		cfg := seqdetect.Config{Alpha: 0.05, Beta: 0.05, BiasMinRef: 2, TrajectoryCap: 1 + int(data[0]%5)}
 		eng, ref := seqdetect.NewEngine(cfg), seqdetect.NewReferenceEngine(cfg)
+		feed := eng.NewFeeder()
+		// The engine creates; finding is the caller's: a detector is
+		// created the first time it is named, at the next position.
+		var dets [4]*seqdetect.Detector
+		created := uint64(0)
+		detector := func(id int, scope seqdetect.Scope, class seqdetect.Class) *seqdetect.Detector {
+			if dets[id%4] == nil {
+				dets[id%4] = feed.Detector(scope, class, created)
+				created++
+			}
+			return dets[id%4]
+		}
 		epoch := uint64(0)
 		end := func() {
 			got, gerr := core.AppendSeqVerdicts(nil, eng.EndEpoch(epoch))
@@ -36,12 +48,12 @@ func FuzzEngineMatchesReference(f *testing.F) {
 			epoch++
 		}
 		for data = data[1:]; len(data) > 0; {
-			op := data[0] >> 5
-			scope, class := fuzzScope(data[0] & 31)
+			op, id := data[0]>>5, int(data[0]&31)%6
+			scope, class := fuzzScope(id)
 			data = data[1:]
 			switch op {
 			case 0:
-				eng.Detector(scope, class)
+				detector(id, scope, class)
 				ref.Observe(scope, class, nil)
 			case 1:
 				end()
@@ -49,7 +61,7 @@ func FuzzEngineMatchesReference(f *testing.F) {
 				n := min(3*int(op-2), len(data))
 				items := fuzzItems(data[:n])
 				data = data[n:]
-				eng.Detector(scope, class).Observe(items)
+				feed.Observe(detector(id, scope, class), items)
 				ref.Observe(scope, class, items)
 			}
 		}
@@ -57,10 +69,9 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	})
 }
 
-// fuzzScope names one of six detectors, each class at least once, two
-// of them sharing a scope with another class.
-func fuzzScope(arg byte) (seqdetect.Scope, seqdetect.Class) {
-	id := int(arg) % 6
+// fuzzScope names the detector of id, one of six: four detectors, one
+// of each class, ids 4 and 5 naming those of 0 and 1 again.
+func fuzzScope(id int) (seqdetect.Scope, seqdetect.Class) {
 	class := seqdetect.Class(1 + id%4)
 	sc := seqdetect.Scope{Key: "k" + strconv.Itoa(id%4), Up: uint32(id % 4), Down: uint32(id%4 + 1)}
 	if class == seqdetect.ClassBias {

@@ -173,9 +173,10 @@ func makeLossStream(n int, dropRate float64, seed uint64) []Evidence {
 
 func TestEngineEmitsVerdictOnce(t *testing.T) {
 	e := NewEngine(Config{})
-	d := e.Detector(Scope{Key: "a->b", Up: 1, Down: 2}, ClassLoss)
+	f := e.NewFeeder()
+	d := f.Detector(Scope{Key: "a->b", Up: 1, Down: 2}, ClassLoss, 0)
 	stream := makeLossStream(4000, 0.30, 23)
-	d.Observe(stream[:2000])
+	f.Observe(d, stream[:2000])
 	vs := e.EndEpoch(0)
 	if len(vs) != 1 {
 		t.Fatalf("epoch 0: got %d verdicts, want 1", len(vs))
@@ -198,7 +199,7 @@ func TestEngineEmitsVerdictOnce(t *testing.T) {
 		t.Fatal("verdict must carry the statistic trajectory")
 	}
 	// Later epochs must not re-emit.
-	d.Observe(stream[2000:])
+	f.Observe(d, stream[2000:])
 	vs = e.EndEpoch(1)
 	if len(vs) != 0 {
 		t.Fatalf("epoch 1 re-emitted %d verdicts", len(vs))
@@ -217,9 +218,10 @@ func TestEngineEpochsToVerdict(t *testing.T) {
 
 func TestEngineHonestStreamStaysQuiet(t *testing.T) {
 	e := NewEngine(Config{})
-	d := e.Detector(Scope{Key: "a->b", Up: 1, Down: 2}, ClassLoss)
+	f := e.NewFeeder()
+	d := f.Detector(Scope{Key: "a->b", Up: 1, Down: 2}, ClassLoss, 0)
 	for ep := uint64(0); ep < 8; ep++ {
-		d.Observe(makeLossStream(5000, 0.01, 100+ep))
+		f.Observe(d, makeLossStream(5000, 0.01, 100+ep))
 		if vs := e.EndEpoch(ep); len(vs) != 0 {
 			t.Fatalf("honest stream flagged at epoch %d: %+v", ep, vs)
 		}
@@ -240,8 +242,9 @@ func TestRechunkingInvariance(t *testing.T) {
 
 	run := func(chunk int) []SeqVerdict {
 		e := NewEngine(Config{})
-		lossDet := e.Detector(Scope{Key: "a->b", Up: 1, Down: 2}, ClassLoss)
-		delayDet := e.Detector(Scope{Key: "a->b", Up: 2, Down: 3}, ClassDelay)
+		f := e.NewFeeder()
+		lossDet := f.Detector(Scope{Key: "a->b", Up: 1, Down: 2}, ClassLoss, 0)
+		delayDet := f.Detector(Scope{Key: "a->b", Up: 2, Down: 3}, ClassDelay, 1)
 		var all []SeqVerdict
 		for ep := 0; ep < 4; ep++ {
 			ls := stream[ep*epochLen : (ep+1)*epochLen]
@@ -251,14 +254,14 @@ func TestRechunkingInvariance(t *testing.T) {
 				if end > len(ls) {
 					end = len(ls)
 				}
-				lossDet.Observe(ls[i:end])
+				f.Observe(lossDet, ls[i:end])
 			}
 			for i := 0; i < len(ds); i += chunk {
 				end := i + chunk
 				if end > len(ds) {
 					end = len(ds)
 				}
-				delayDet.Observe(ds[i:end])
+				f.Observe(delayDet, ds[i:end])
 			}
 			all = append(all, e.EndEpoch(uint64(ep))...)
 		}
@@ -294,10 +297,11 @@ func TestEngineMixedSlice(t *testing.T) {
 		{Kind: KindOtherDelta, Value: 1_000_000},
 	}
 	e := NewEngine(Config{})
+	f := e.NewFeeder()
 	scope := Scope{Key: "k", Up: 1, Down: 2}
-	dLoss, dDelay := e.Detector(scope, ClassLoss), e.Detector(scope, ClassDelay)
-	dLoss.Observe(mixed)
-	dDelay.Observe(mixed)
+	dLoss, dDelay := f.Detector(scope, ClassLoss, 0), f.Detector(scope, ClassDelay, 1)
+	f.Observe(dLoss, mixed)
+	f.Observe(dDelay, mixed)
 	e.EndEpoch(0)
 	// Loss detector saw exactly 2 trials, delay exactly 1 delta.
 	if dLoss.items != 2 {
@@ -314,15 +318,16 @@ func TestEngineMixedSlice(t *testing.T) {
 func TestTrajectoryRingBounded(t *testing.T) {
 	const trajCap = 4
 	e := NewEngine(Config{TrajectoryCap: trajCap})
-	d := e.Detector(Scope{Key: "k", Up: 1, Down: 2}, ClassLoss)
+	f := e.NewFeeder()
+	d := f.Detector(Scope{Key: "k", Up: 1, Down: 2}, ClassLoss, 0)
 	for ep := uint64(0); ep < 20; ep++ {
-		d.Observe(makeLossStream(100, 0.01, ep))
+		f.Observe(d, makeLossStream(100, 0.01, ep))
 		e.EndEpoch(ep)
 		if cap(d.pts) > 2*(trajCap+1) {
 			t.Fatalf("epoch %d: %d points held (capacity %d), cap %d", ep, len(d.pts), cap(d.pts), trajCap)
 		}
 	}
-	d.Observe(makeLossStream(2000, 0.5, 99))
+	f.Observe(d, makeLossStream(2000, 0.5, 99))
 	vs := e.EndEpoch(20)
 	if len(vs) != 1 || len(vs[0].Trajectory) != trajCap {
 		t.Fatalf("verdicts %+v, want one with a %d-epoch trajectory", vs, trajCap)
@@ -349,20 +354,21 @@ func TestConfigWithDefaults(t *testing.T) {
 func TestEndEpochIgnoresIdleDetectors(t *testing.T) {
 	const n = 10_000
 	e := NewEngine(Config{})
+	f := e.NewFeeder()
 	dets := make([]*Detector, n)
 	for i := range dets {
-		dets[i] = e.Detector(Scope{Key: "k", Up: uint32(i), Down: uint32(i + 1)}, ClassLoss)
+		dets[i] = f.Detector(Scope{Key: "k", Up: uint32(i), Down: uint32(i + 1)}, ClassLoss, uint64(i))
 	}
-	if len(e.fed) != n {
-		t.Fatalf("%d detectors listed after creating %d", len(e.fed), n)
+	if len(f.fed) != n {
+		t.Fatalf("%d detectors listed after creating %d", len(f.fed), n)
 	}
 	e.EndEpoch(0)
 	keep := []Evidence{{Kind: KindKeep}}
 	epoch := uint64(1)
 	allocs := testing.AllocsPerRun(200, func() {
-		dets[epoch%n].Observe(keep)
-		if len(e.fed) != 1 {
-			t.Fatalf("epoch %d: %d detectors listed, want the one fed", epoch, len(e.fed))
+		f.Observe(dets[epoch%n], keep)
+		if len(f.fed) != 1 {
+			t.Fatalf("epoch %d: %d detectors listed, want the one fed", epoch, len(f.fed))
 		}
 		if vs := e.EndEpoch(epoch); vs != nil {
 			t.Fatalf("epoch %d: unexpected verdicts %+v", epoch, vs)
@@ -378,11 +384,12 @@ func TestEndEpochIgnoresIdleDetectors(t *testing.T) {
 // emit in the order they were created, not the order they were fed.
 func TestCrossingsEmitInCreationOrder(t *testing.T) {
 	e := NewEngine(Config{})
-	first := e.Detector(Scope{Key: "k", Up: 1, Down: 2}, ClassLoss)
-	second := e.Detector(Scope{Key: "k", Up: 2, Down: 3}, ClassLoss)
+	f := e.NewFeeder()
+	first := f.Detector(Scope{Key: "k", Up: 1, Down: 2}, ClassLoss, 0)
+	second := f.Detector(Scope{Key: "k", Up: 2, Down: 3}, ClassLoss, 1)
 	drops := makeLossStream(200, 0.5, 7)
-	second.Observe(drops)
-	first.Observe(drops)
+	f.Observe(second, drops)
+	f.Observe(first, drops)
 	vs := e.EndEpoch(0)
 	if len(vs) != 2 || vs[0].Up != 1 || vs[1].Up != 2 {
 		t.Fatalf("verdicts %+v, want link 1→2 then 2→3", vs)
