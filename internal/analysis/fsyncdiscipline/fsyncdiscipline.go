@@ -2,10 +2,11 @@
 // compile time. The store commits two ways. A seal appends one record
 // to the manifest log and syncs it, after syncing the segment and its
 // directory entry; that order is held at test time by
-// TestSealCostIsFlat. Every file that replaces another — a manifest
-// checkpoint, a verdict report — goes through one sequence: write temp
-// file, fsync the file, rename over the committed name, fsync the
-// directory. A rename that skips the preceding file sync can commit a
+// TestSealCostIsFlat. A verdict report is one block appended to its
+// epoch's segment and a sync of that file (TestPutReportCostIsFlat).
+// The one file that replaces another — a manifest checkpoint — goes
+// through one sequence: write temp file, fsync the file, rename over the
+// committed name, fsync the directory. A rename that skips the preceding file sync can commit a
 // name whose contents are still in the page cache; one that skips the
 // following directory sync can lose the rename itself. The FaultFS
 // crash-point sweep catches these at test time, ~10 minutes after the

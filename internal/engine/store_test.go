@@ -18,7 +18,7 @@ import (
 
 // The store keeps verdicts no larger than the evidence they judge: on a
 // Clos mesh with a lossy shared link — violations, blames and the
-// sequential arm's verdicts in the reports — the report files take no
+// sequential arm's verdicts in the reports — the report blocks take no
 // more bytes than the receipt segments, and every stored report renders
 // to the canonical JSON of the report the verifier delivered.
 func TestStoredReportsAreEvidenceSized(t *testing.T) {
@@ -91,9 +91,9 @@ func TestStoredReportsAreEvidenceSized(t *testing.T) {
 	for _, r := range reports {
 		canon += len(r)
 	}
-	t.Logf("%d epochs: receipts %d B, report files %d B, canonical JSON %d B", st.SealedEpochs, st.Bytes, st.ReportBytes, canon)
+	t.Logf("%d epochs: receipts %d B, report blocks %d B, canonical JSON %d B", st.SealedEpochs, st.Bytes, st.ReportBytes, canon)
 	if st.ReportBytes > st.Bytes {
-		t.Fatalf("report files take %d B, the receipts they judge %d B", st.ReportBytes, st.Bytes)
+		t.Fatalf("report blocks take %d B, the receipts they judge %d B", st.ReportBytes, st.Bytes)
 	}
 }
 

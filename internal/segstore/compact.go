@@ -4,18 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"sort"
 )
 
 // Retention is the store's one compaction rule: with DiskRetention = R,
 // segments whose newest epoch has fallen R or more behind the last
-// sealed epoch are retired with the reports of their epochs (a report
-// never outlives its evidence — the invariant Open enforces). A
-// multi-epoch file an earlier release's merge wrote stays whole,
-// reports included, while it straddles the horizon: dropping must never
-// split a committed file. A pass commits one retire record before it
-// removes anything, so a crash leaves the old world or the new one, and
-// files the log no longer names are orphans the next Open sweeps.
+// sealed epoch are retired, and with each file go the reports it holds
+// (a report never outlives its evidence). A multi-epoch file an earlier
+// release's merge wrote stays whole while it straddles the horizon:
+// dropping must never split a committed file. A pass commits one retire
+// record before it removes anything, so a crash leaves the old world or
+// the new one, and files the log no longer names are orphans the next
+// Open sweeps.
 
 // retainLocked runs one retention pass. The writer calls it under mu
 // after each committed seal when AutoCompact is set.
@@ -34,29 +35,16 @@ func (s *Store) retainLocked() error {
 		return err
 	}
 	s.entries = s.entries[drop:]
+	maps.DeleteFunc(s.reports, func(epoch uint64, _ reportAt) bool { return epoch <= through })
 
 	// Old files are garbage now; failing to remove one only costs an
 	// orphan the next Open sweeps, so removal errors are not fatal to
 	// the committed state — but they are still reported.
 	var firstErr error
 	for _, e := range dropped {
+		delete(s.tails, e.File)
 		if err := s.fsys.Remove(e.File); err != nil && !errors.Is(err, fs.ErrNotExist) && firstErr == nil {
 			firstErr = fmt.Errorf("segstore: remove retired %s: %w", e.File, err)
-		}
-		// e.ToEpoch is below the newest seal's, so the loop ends.
-		for epoch := e.FromEpoch; epoch <= e.ToEpoch; epoch++ {
-			size, ok := s.reports[epoch]
-			if !ok {
-				continue
-			}
-			if err := s.fsys.Remove(reportName(epoch)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("segstore: remove retired report for epoch %d: %w", epoch, err)
-				}
-				continue
-			}
-			s.reportBytes -= size
-			delete(s.reports, epoch)
 		}
 	}
 	if err := s.fsys.SyncDir(); err != nil && firstErr == nil {

@@ -52,8 +52,8 @@ func TestCompactRetentionDropsOldEpochsAndReports(t *testing.T) {
 		t.Fatalf("StoreStats after retention: %+v, want 3 segments and 3 reports", st)
 	}
 	names, _ := mfs.List()
-	if len(names) != 1+3+3 {
-		t.Fatalf("files after retention = %v, want the manifest, 3 segments and 3 reports", names)
+	if len(names) != 1+3 {
+		t.Fatalf("files after retention = %v, want the manifest and 3 segments, each holding its report", names)
 	}
 
 	// Idempotent: a second pass with nothing aged out commits nothing.

@@ -1,9 +1,10 @@
 // Package segstore is the durable epoch-segment backend: an
 // append-only on-disk store of sealed per-epoch receipt segments with
 // an append-only manifest log, crash-recovery replay, retention, and
-// per-epoch verdict-report persistence: each report is
-// filed as its compact record (core.AppendReportRecord) and rendered
-// to the canonical JSON when it is read (Store.Report). It sits
+// per-epoch verdict-report persistence: a sealed epoch is one file, and
+// its report is filed in it, after the sealed receipts, as its compact
+// record (core.AppendReportRecord), rendered to the canonical JSON when
+// it is read (Store.Report). It sits
 // beneath core.WindowedStore (see core.StoreBackend) so a continuous
 // deployment's evidence survives process death and retention reaches
 // far beyond RAM — the paper's post-hoc dispute-resolution use case
@@ -15,9 +16,10 @@
 // Append and Seal hand their work to one ordered writer goroutine and
 // return before it is written, so the caller's promise point is later:
 // when PutReport or Close returns nil, every epoch sealed before the
-// call is durable — a verdict is filed only once its evidence is.
-// Everything before the commit — blocks appended to the active
-// segment, a torn log record, a temp file — is discardable; everything
+// call is durable — a verdict is filed only once its evidence is — and
+// PutReport's report is, once its segment's sync returns. Everything
+// before the commit — blocks appended to the active segment, a torn log
+// record or report block, a temp file — is discardable; everything
 // after survives kill -9 at any instruction boundary. Recovery (Open)
 // replays the log and re-establishes exactly its world: sealed
 // segments are checksum-verified, torn tails are truncated away, and

@@ -15,8 +15,9 @@ import (
 // to the writer before them, and Close for the writer to exit. The gate below stands in for a slow disk, so none of this
 // depends on how fast the machine is.
 
-// gateFS is a MemFS whose segment files' Sync announces itself on
-// entered and then waits for its result on result.
+// gateFS is a MemFS whose Sync of a segment file the store creates — a
+// seal's, not a report's — announces itself on entered and then waits
+// for its result on result.
 type gateFS struct {
 	*MemFS
 	entered chan string
@@ -29,8 +30,10 @@ func newGateFS() gateFS {
 
 // OpenAppend implements FS.
 func (g gateFS) OpenAppend(name string) (File, error) {
+	_, readErr := g.MemFS.ReadInto(name, nil)
+	created := readErr != nil
 	f, err := g.MemFS.OpenAppend(name)
-	if err != nil || !strings.HasPrefix(name, segPrefix) {
+	if err != nil || !strings.HasPrefix(name, segPrefix) || !created {
 		return f, err
 	}
 	return gateFile{File: f, name: name, g: g}, nil

@@ -259,11 +259,11 @@ func (s *Store) checkpoint(entries []SegmentInfo) error {
 	return nil
 }
 
-// replaceFile durably replaces name with the concatenated parts: write
-// name+".tmp", sync it, rename it over name, sync the directory. On any
-// error name is untouched (the rename either happened whole or not at
-// all); a temp a crash leaves behind is removed on Open.
-func replaceFile(fsys FS, name string, parts ...[]byte) error {
+// replaceFile durably replaces name with data: write name+".tmp", sync
+// it, rename it over name, sync the directory. On any error name is
+// untouched (the rename either happened whole or not at all); a temp a
+// crash leaves behind is removed on Open.
+func replaceFile(fsys FS, name string, data []byte) error {
 	tmp := name + ".tmp"
 	if err := fsys.Remove(tmp); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("clear stale temp: %w", err)
@@ -272,11 +272,9 @@ func replaceFile(fsys FS, name string, parts ...[]byte) error {
 	if err != nil {
 		return fmt.Errorf("stage: %w", err)
 	}
-	for _, part := range parts {
-		if _, err := f.Write(part); err != nil {
-			f.Close()
-			return fmt.Errorf("stage: %w", err)
-		}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return fmt.Errorf("stage: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

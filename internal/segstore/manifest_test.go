@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -124,6 +125,51 @@ func TestSealCostIsFlat(t *testing.T) {
 	}
 	if st := s.StoreStats(); st.Segments != last+1 {
 		t.Fatalf("%d segments, want one per epoch", st.Segments)
+	}
+}
+
+// TestPutReportCostIsFlat: a report is one block appended to its
+// epoch's segment, so one PutReport is one write and one sync of that
+// file — no temp file, no rename, no directory sync, no new file — and
+// the same at epoch 10 and at epoch 10 000 of a store that keeps
+// everything.
+func TestPutReportCostIsFlat(t *testing.T) {
+	mfs := NewMemFS()
+	c := &countFS{FS: mfs}
+	s, _, err := Open("", Options{FS: c, AutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const last = 10_000
+	for epoch := uint64(0); epoch <= last; epoch++ {
+		samples, aggs := testReceipts(epoch, 0)
+		if err := s.Append(epoch, 0, samples, aggs); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Seal(epoch); err != nil {
+			t.Fatal(err)
+		}
+		if epoch != 10 && epoch != last {
+			continue
+		}
+		if err := drain(s); err != nil {
+			t.Fatal(err)
+		}
+		c.take()
+		before, _ := mfs.List()
+		report := []byte(fmt.Sprintf(`{"epoch":%d}`, epoch))
+		if err := s.PutReport(epoch, report); err != nil {
+			t.Fatal(err)
+		}
+		ops, written := c.take()
+		seg := segmentName(epoch, epoch)
+		want := []fsOp{{"write", seg}, {"sync", seg}}
+		if !reflect.DeepEqual(ops, want) || written != int64(blockHeaderLen+len(report)) {
+			t.Fatalf("PutReport(%d): %v writing %d bytes, want %v writing %d", epoch, ops, written, want, blockHeaderLen+len(report))
+		}
+		if after, _ := mfs.List(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("PutReport(%d) changed the directory: %d files after, %d before", epoch, len(after), len(before))
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package segstore
 
-// The durable verdict path: a report goes to disk as its record under a
-// checksum, comes back through Open and Report only if it still matches
-// it, and is served by /api/v1/verdicts as the canonical JSON of the
-// report it was written from. The
+// The durable verdict path: a report goes to disk as its record, in a
+// checksummed block at the end of its epoch's segment, comes back
+// through Open and Report only if it still matches its checksum, and is
+// served by /api/v1/verdicts as the canonical JSON of the report it was
+// written from. The
 // tests here use synthetic reports (package experiments imports this
 // one, so the real pipeline drives the query API from httpapi_test.go
 // instead) sized like a mesh epoch's, with the characters a verdict's
@@ -11,11 +12,12 @@ package segstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
-	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -24,6 +26,7 @@ import (
 	"regexp"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"vpm/internal/core"
@@ -102,24 +105,8 @@ func fillReports(t testing.TB, s *Store, keys []int) (records, blobs [][]byte) {
 	return records, blobs
 }
 
-// rewriteFile replaces name's contents in mfs with edit's result.
-func rewriteFile(t testing.TB, mfs *MemFS, name string, edit func([]byte) []byte) {
-	t.Helper()
-	data, err := mfs.ReadInto(name, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = edit(data)
-	if err := mfs.Truncate(name, 0); err != nil {
-		t.Fatal(err)
-	}
-	f, _ := mfs.OpenAppend(name)
-	f.Write(data)
-	f.Close()
-}
-
 // flipBit flips the low bit of the record's epoch, a one-byte uvarint
-// right after the magic: the file still decodes, and says something
+// right after the magic: the record still decodes, and says something
 // else.
 func flipBit(data []byte) []byte {
 	i := len("VPMREP1\n")
@@ -130,33 +117,74 @@ func flipBit(data []byte) []byte {
 	return data
 }
 
-func TestReportFileIsRecordUnderChecksumTrailer(t *testing.T) {
+// reportBlock returns the name of the file that holds epoch's report
+// and the block's bounds in it.
+func reportBlock(t testing.TB, s *Store, epoch uint64) (file string, off, end int64) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	at, ok := s.reports[epoch]
+	if !ok {
+		t.Fatalf("no report on record for epoch %d", epoch)
+	}
+	return s.entryForLocked(epoch).File, at.off, at.off + blockHeaderLen + int64(at.len)
+}
+
+// rotReport flips a bit of epoch's filed record in place (flipBit): the
+// block's header still checks out, its payload no longer does.
+func rotReport(t testing.TB, s *Store, mfs *MemFS, epoch uint64) {
+	t.Helper()
+	file, off, end := reportBlock(t, s, epoch)
+	mfs.mu.Lock()
+	defer mfs.mu.Unlock()
+	flipBit(mfs.files[file][off+blockHeaderLen : end])
+}
+
+// noReportFiles fails when mfs holds a report file of the layout earlier
+// releases wrote.
+func noReportFiles(t testing.TB, mfs *MemFS) {
+	t.Helper()
+	names, _ := mfs.List()
+	for _, name := range names {
+		if strings.HasPrefix(name, "rep-") {
+			t.Fatalf("%s is on disk beside the segments: %v", name, names)
+		}
+	}
+}
+
+func TestReportIsRecordBlockInItsSegment(t *testing.T) {
 	mfs := NewMemFS()
 	s, _, err := Open("", Options{FS: mfs, DiskRetention: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	records, blobs := fillReports(t, s, []int{3, 0, 5})
+	noReportFiles(t, mfs)
+	man := s.Manifest()
+	tails := make([]int64, len(blobs))
 	var onDisk int64
 	for e, blob := range blobs {
 		got, err := s.Report(uint64(e))
 		if err != nil || !bytes.Equal(got, blob) {
 			t.Fatalf("Report(%d) differs from the canonical JSON of the report filed (err %v)", e, err)
 		}
-		file, err := mfs.ReadInto(reportName(uint64(e)), nil)
+		// The segment is its sealed bytes, then one block: the record.
+		file, err := mfs.ReadInto(man[e].File, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := records[e]
-		if len(file) != len(rec)+reportTrailerLen || !bytes.Equal(file[:len(rec)], rec) {
-			t.Fatalf("epoch %d: file is not the record followed by a %d-byte trailer", e, reportTrailerLen)
+		tail := file[man[e].Bytes:]
+		h, payload, err := nextBlock(tail)
+		if err != nil || h.epoch != uint64(e) || !bytes.Equal(payload, records[e]) || blockHeaderLen+len(payload) != len(tail) {
+			t.Fatalf("epoch %d: the %d bytes past the sealed ones are not one block of the record (epoch %d, %v)", e, len(tail), h.epoch, err)
 		}
-		onDisk += int64(len(file))
+		tails[e] = int64(len(tail))
+		onDisk += tails[e]
 	}
 	if st := s.StoreStats(); st.ReportBytes != onDisk || st.Reports != 3 {
 		t.Fatalf("StoreStats = %+v, want %d report bytes in 3 reports", st, onDisk)
 	}
-	// Re-putting replaces, it does not add.
+	// Re-putting the same bytes, as re-verification does, adds nothing.
 	if err := s.PutReport(1, records[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -165,24 +193,138 @@ func TestReportFileIsRecordUnderChecksumTrailer(t *testing.T) {
 	}
 	// Recovery arrives at the same figure from the files alone.
 	s2, stats, err := Open("", Options{FS: mfs, DiskRetention: 2})
-	if err != nil || stats.Reports != 3 || stats.CorruptReports != 0 {
+	if err != nil || stats.Reports != 3 || stats.CorruptReports != 0 || stats.TruncatedBytes != 0 {
 		t.Fatalf("reopen: %+v, %v", stats, err)
 	}
 	if st := s2.StoreStats(); st.ReportBytes != onDisk {
 		t.Fatalf("ReportBytes = %d after reopen, want %d", st.ReportBytes, onDisk)
 	}
-	// Retention takes epoch 0's report and its bytes with it.
+	// Retention takes epoch 0's report and its bytes with its file.
 	if err := s2.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	if got := s2.ReportEpochs(); !reflect.DeepEqual(got, []uint64{1, 2}) {
 		t.Fatalf("ReportEpochs after retention = %v, want [1 2]", got)
 	}
-	if st := s2.StoreStats(); st.ReportBytes != onDisk-int64(len(records[0])+reportTrailerLen) {
-		t.Fatalf("ReportBytes = %d after retention, want epoch 0's file gone from %d", st.ReportBytes, onDisk)
+	if st := s2.StoreStats(); st.ReportBytes != onDisk-tails[0] {
+		t.Fatalf("ReportBytes = %d after retention, want epoch 0's block gone from %d", st.ReportBytes, onDisk)
 	}
 	if err := s2.PutReport(2, nil); err == nil {
 		t.Fatal("PutReport accepted an empty report")
+	}
+}
+
+// TestNewestReportBlockWins: a report put again with other bytes is a
+// second block, and the newer one is the report, before and after Open.
+func TestNewestReportBlockWins(t *testing.T) {
+	mfs := NewMemFS()
+	s, _, err := Open("", Options{FS: mfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillEpochs(t, s, 1, []receipt.HOPID{0})
+	for i, put := range []string{`{"v":1}`, `{"v":2}`, `{"v":1}`} {
+		if err := s.PutReport(0, []byte(put)); err != nil {
+			t.Fatal(err)
+		}
+		s2, stats, err := Open("", Options{FS: mfs})
+		if err != nil || stats.Reports != 1 || stats.CorruptReports != 0 || stats.TruncatedBytes != 0 {
+			t.Fatalf("put %d: reopen: %+v, %v", i, stats, err)
+		}
+		for name, st := range map[string]*Store{"open": s, "reopened": s2} {
+			if got, err := st.Report(0); err != nil || string(got) != put {
+				t.Fatalf("put %d: %s store reads %q, %v; want the newest, %q", i, name, got, err, put)
+			}
+		}
+		if blocks := s2.StoreStats().ReportBytes / (blockHeaderLen + int64(len(put))); blocks != int64(i+1) {
+			t.Fatalf("put %d: the segment holds %d report blocks, want %d", i, blocks, i+1)
+		}
+	}
+}
+
+// TestOpenTruncatesTornReport: a crash mid-append leaves a torn report
+// block at the end of the segment. Open cuts it away and counts its
+// bytes, and the epoch has no report; the one before it is untouched.
+func TestOpenTruncatesTornReport(t *testing.T) {
+	for cut := 1; cut < blockHeaderLen+len(`{"epoch":1}`); cut += 3 {
+		mfs := NewMemFS()
+		s, _, err := Open("", Options{FS: mfs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillEpochs(t, s, 2, []receipt.HOPID{0})
+		if err := s.PutReport(0, []byte(`{"epoch":0}`)); err != nil {
+			t.Fatal(err)
+		}
+		sealed := s.Manifest()[1]
+		f, _ := mfs.OpenAppend(sealed.File)
+		f.Write(appendReportBlock(nil, 1, []byte(`{"epoch":1}`))[:cut])
+		f.Close()
+		s2, stats, err := Open("", Options{FS: mfs})
+		if err != nil || stats.TruncatedBytes != int64(cut) || stats.Reports != 1 || stats.CorruptReports != 0 {
+			t.Fatalf("cut %d: reopen: %+v, %v", cut, stats, err)
+		}
+		if s2.HasReport(1) || !s2.HasReport(0) {
+			t.Fatalf("cut %d: reports on record %v, want [0]", cut, s2.ReportEpochs())
+		}
+		if file, _ := mfs.ReadInto(sealed.File, nil); int64(len(file)) != sealed.Bytes {
+			t.Fatalf("cut %d: %s is %d bytes after Open, want its sealed %d", cut, sealed.File, len(file), sealed.Bytes)
+		}
+		// The epoch is verified again, and its report files as usual.
+		if err := s2.PutReport(1, []byte(`{"epoch":1}`)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s2.Report(1); err != nil || string(got) != `{"epoch":1}` {
+			t.Fatalf("cut %d: re-filed report reads %q, %v", cut, got, err)
+		}
+	}
+}
+
+// TestFailedPutReportIsSticky: a report write that fails part-way is
+// returned by every later write, so no report is filed behind its torn
+// bytes, and the next Open truncates them.
+func TestFailedPutReportIsSticky(t *testing.T) {
+	mfs := NewMemFS()
+	fault := NewFaultFS(mfs, 1<<20)
+	s, _, err := Open("", Options{FS: fault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillEpochs(t, s, 2, []receipt.HOPID{0})
+	fault.mu.Lock()
+	fault.remaining = 0
+	fault.mu.Unlock()
+	if err := s.PutReport(0, []byte(`{"epoch":0}`)); !errors.Is(err, ErrInjectedFault) {
+		t.Fatalf("PutReport through a failing write: %v, want the injected fault", err)
+	}
+	fault.mu.Lock()
+	fault.remaining, fault.tripped = 1<<20, false
+	fault.mu.Unlock()
+	samples, aggs := testReceipts(2, 0)
+	for name, call := range map[string]func() error{
+		"PutReport": func() error { return s.PutReport(1, []byte(`{"epoch":1}`)) },
+		"Append":    func() error { return s.Append(2, 0, samples, aggs) },
+		"Seal":      func() error { return s.Seal(2) },
+		"Close":     s.Close,
+	} {
+		if err := call(); !errors.Is(err, ErrInjectedFault) {
+			t.Fatalf("%s after the failed report: %v, want the injected fault", name, err)
+		}
+	}
+	torn, _ := mfs.ReadInto(segmentName(0, 0), nil)
+	sealed := s.Manifest()[0].Bytes
+	if int64(len(torn)) <= sealed {
+		t.Fatal("the failed write left no torn bytes to recover from")
+	}
+	s2, stats, err := Open("", Options{FS: mfs})
+	if err != nil || stats.TruncatedBytes != int64(len(torn))-sealed || stats.Reports != 0 {
+		t.Fatalf("reopen: %+v, %v; want the %d torn bytes truncated", stats, err, int64(len(torn))-sealed)
+	}
+	if err := s2.PutReport(0, []byte(`{"epoch":0}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.Report(0); err != nil || string(got) != `{"epoch":0}` {
+		t.Fatalf("Report(0) after recovery: %q, %v", got, err)
 	}
 }
 
@@ -193,14 +335,15 @@ func TestOpenDropsBitRottedReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	records, blobs := fillReports(t, s, []int{2, 2, 2})
-	rewriteFile(t, mfs, reportName(1), flipBit)
-	rotted, _ := mfs.ReadInto(reportName(1), nil)
-	if rep, err := core.DecodeReportRecord(rotted[:len(rotted)-reportTrailerLen]); err != nil || rep.Epoch == 1 {
+	rotReport(t, s, mfs, 1)
+	file, off, end := reportBlock(t, s, 1)
+	rotted, _ := mfs.ReadInto(file, nil)
+	if rep, err := core.DecodeReportRecord(rotted[off+blockHeaderLen : end]); err != nil || rep.Epoch == 1 {
 		t.Fatalf("the flipped bit was meant to leave a record that decodes to another report (epoch %d, err %v)", rep.Epoch, err)
 	}
 	// The open store notices when asked…
 	if _, err := s.Report(1); !errors.Is(err, ErrCorruptReport) {
-		t.Fatalf("Report(1) over a rotted file: err = %v, want ErrCorruptReport", err)
+		t.Fatalf("Report(1) over a rotted block: err = %v, want ErrCorruptReport", err)
 	}
 	// …and recovery refuses to vouch for it: dropped, counted apart
 	// from the orphans, named in the boot line.
@@ -217,9 +360,6 @@ func TestOpenDropsBitRottedReport(t *testing.T) {
 	if s2.HasReport(1) {
 		t.Fatal("the rotted report is still on record")
 	}
-	if _, err := mfs.ReadInto(reportName(1), nil); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("the rotted file survived recovery: %v", err)
-	}
 	// HasReport false is what sends the epoch through verification
 	// again on re-execution; its verdict then files as usual.
 	if err := s2.PutReport(1, records[1]); err != nil {
@@ -232,23 +372,63 @@ func TestOpenDropsBitRottedReport(t *testing.T) {
 	}
 }
 
-// A report written before reports carried a checksum is bare JSON. It
-// cannot be told from a damaged one, so it is treated as one: not
-// vouched for, dropped, its epoch verified again.
+// legacyStore seals epochs [0, n) of a store in a MemFS and closes it,
+// with no report filed, and returns the MemFS, the record of a synthetic
+// report for each epoch and the report's canonical JSON.
+func legacyStore(t *testing.T, n int) (mfs *MemFS, records, blobs [][]byte) {
+	t.Helper()
+	mfs = NewMemFS()
+	s, _, err := Open("", Options{FS: mfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillEpochs(t, s, n, []receipt.HOPID{0})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for e := range n {
+		rep := syntheticReport(uint64(e), 2)
+		rec, err := core.AppendReportRecord(nil, &rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := core.EncodeEpochReport(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, blobs = append(records, rec), append(blobs, blob)
+	}
+	return mfs, records, blobs
+}
+
+// writeLegacyReport puts the report file name, holding file, in mfs.
+func writeLegacyReport(mfs *MemFS, name string, file []byte) {
+	mfs.mu.Lock()
+	defer mfs.mu.Unlock()
+	mfs.files[name] = file
+}
+
+// trailed returns payload followed by its CRC-32C, little-endian: a
+// report file's bytes as an earlier release wrote them.
+func trailed(payload []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), payload...), crc32.Checksum(payload, crcTable))
+}
+
+// A report file written before reports carried a checksum is bare JSON.
+// It cannot be told from a damaged one, so Open's conversion treats it
+// as one: not vouched for, dropped, its epoch verified again. An intact
+// file beside it is converted: its payload is filed as written, and the
+// file goes.
 func TestOpenDropsReportWithoutTrailer(t *testing.T) {
 	for name, file := range map[string]func(blob []byte) []byte{
 		"bare JSON, the format before the trailer": func(blob []byte) []byte { return blob },
 		"empty file":              func([]byte) []byte { return nil },
-		"a trailer and no report": func([]byte) []byte { return make([]byte, reportTrailerLen) },
+		"a trailer and no report": func([]byte) []byte { return make([]byte, 4) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			mfs := NewMemFS()
-			s, _, err := Open("", Options{FS: mfs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, blobs := fillReports(t, s, []int{2, 2})
-			rewriteFile(t, mfs, reportName(0), func([]byte) []byte { return file(blobs[0]) })
+			mfs, _, blobs := legacyStore(t, 2)
+			writeLegacyReport(mfs, "rep-0000000000000000.json", file(blobs[0]))
+			writeLegacyReport(mfs, "rep-0000000000000001.json", trailed(blobs[1]))
 			s2, stats, err := Open("", Options{FS: mfs})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
@@ -256,38 +436,41 @@ func TestOpenDropsReportWithoutTrailer(t *testing.T) {
 			if stats.CorruptReports != 1 || stats.Reports != 1 || s2.HasReport(0) || !s2.HasReport(1) {
 				t.Fatalf("recovery stats: %+v, want epoch 0's report dropped as corrupt and epoch 1's kept", stats)
 			}
+			noReportFiles(t, mfs)
+			if got, err := s2.Report(1); err != nil || !bytes.Equal(got, blobs[1]) {
+				t.Fatalf("Report(1) of the converted JSON file: %.80q, %v", got, err)
+			}
 		})
 	}
 }
 
 // A read that fails is not a verdict on the file: Open must hand the
-// error up and leave the report where it is.
+// error up and leave the report file where it is. What the failed Open
+// converted before it stays converted.
 func TestOpenReturnsReportReadError(t *testing.T) {
-	mfs := NewMemFS()
-	s, _, err := Open("", Options{FS: mfs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, blobs := fillReports(t, s, []int{2, 2})
+	mfs, records, blobs := legacyStore(t, 2)
+	writeLegacyReport(mfs, "rep-0000000000000000.json", trailed(records[0]))
+	writeLegacyReport(mfs, "rep-0000000000000001.json", trailed(records[1]))
 	fault := NewFaultFS(mfs, 1<<20)
-	fault.FailRead(reportName(1))
+	fault.FailRead("rep-0000000000000001.json")
 	if _, _, err := Open("", Options{FS: fault}); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("Open over an unreadable report: err = %v, want the read error", err)
 	}
-	if _, err := mfs.ReadInto(reportName(1), nil); err != nil {
+	if _, err := mfs.ReadInto("rep-0000000000000001.json", nil); err != nil {
 		t.Fatalf("Open deleted the report it could not read: %v", err)
 	}
 	// The same through FaultFS with the file damaged rather than
 	// unreadable: dropped and counted, no error.
 	fault.FailRead("")
-	rewriteFile(t, mfs, reportName(0), flipBit)
+	writeLegacyReport(mfs, "rep-0000000000000001.json", flipBit(trailed(records[1])))
 	s2, stats, err := Open("", Options{FS: fault})
 	if err != nil || stats.CorruptReports != 1 || stats.Reports != 1 {
 		t.Fatalf("Open over a damaged report: %+v, %v", stats, err)
 	}
-	if got, err := s2.Report(1); err != nil || !bytes.Equal(got, blobs[1]) {
-		t.Fatalf("the intact report did not survive: %v", err)
+	if got, err := s2.Report(0); err != nil || !bytes.Equal(got, blobs[0]) {
+		t.Fatalf("the report converted before the failed read did not survive: %v", err)
 	}
+	noReportFiles(t, mfs)
 }
 
 // verdictsOracle renders the response the way the handler used to:
@@ -445,7 +628,7 @@ func TestVerdictsAbortsMidStreamOnCorruptReport(t *testing.T) {
 	defer srv.Close()
 	srv.Config.ErrorLog = nil
 
-	rewriteFile(t, mfs, reportName(1), flipBit)
+	rotReport(t, s, mfs, 1)
 	resp, err := srv.Client().Get(srv.URL + "/api/v1/verdicts")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
@@ -488,7 +671,7 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 
 // diskStore builds a store on a real directory holding one synthetic
 // report per entry of keys, closes it, and returns the directory and
-// the size of each report file.
+// the size of each epoch's one file: its segment, report included.
 func diskStore(t testing.TB, keys []int) (string, []int64) {
 	t.Helper()
 	dir := t.TempDir()
@@ -502,7 +685,7 @@ func diskStore(t testing.TB, keys []int) (string, []int64) {
 	}
 	sizes := make([]int64, len(keys))
 	for e := range keys {
-		info, err := os.Stat(filepath.Join(dir, reportName(uint64(e))))
+		info, err := os.Stat(filepath.Join(dir, segmentName(uint64(e), uint64(e))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -560,7 +743,7 @@ func TestVerdictQueryAllocsIndependentOfReportSize(t *testing.T) {
 			w.n = 0
 			api.ServeHTTP(w, req)
 		})
-		if w.code != 0 || w.n < sizes[epoch]-reportTrailerLen {
+		if w.code != 0 || w.n < sizes[epoch] {
 			t.Fatalf("epoch %d: status %d, %d bytes written for a %d-byte file", epoch, w.code, w.n, sizes[epoch])
 		}
 		return n

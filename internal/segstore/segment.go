@@ -11,27 +11,33 @@ import (
 
 // On-disk segment format. A segment file is the 8-byte magic followed
 // by zero or more record blocks, each one HOP's receipts for one
-// epoch, appended in seal order:
+// epoch, appended in seal order, and after the sealed ones the epoch's
+// verdict report blocks:
 //
 //	magic:  "VPMSEG2\n"
 //	block:  epoch[8] hop[4] nSamples[4] nAggs[4] payloadLen[4]
 //	        payloadCRC[4] headerCRC[4]  payload[payloadLen]
 //
-// The payload is the receipt wire encoding (samples then aggregates,
-// the canonical stream order — the same bytes a dissemination bundle
-// carries). Both CRCs are CRC-32C (Castagnoli); headerCRC covers the
-// 28 header bytes before it, so a torn or bit-rotted header is
-// detected without trusting payloadLen. The header is little-endian,
-// like the receipt encoding's fixed-width fields.
+// A receipt block's payload is the receipt wire encoding (samples then
+// aggregates, the canonical stream order — the same bytes a
+// dissemination bundle carries). A report block follows the sealed
+// length the manifest committed; its payload is the report as filed,
+// and its hop and counts are zero. Both CRCs are CRC-32C (Castagnoli);
+// headerCRC covers the 28 header bytes before it, so a torn or
+// bit-rotted header is detected without trusting payloadLen. The
+// header is little-endian, like the receipt encoding's fixed-width
+// fields.
 //
 // The magic's digit is the format version, and it moves with the
 // receipt layout: version 1 held fixed-width receipts, version 2 holds
 // the compact ones. A file of another version is refused with
 // ErrSegmentVersion, never read as corrupt and never repaired.
 //
-// The format is append-only and self-delimiting: recovery scans
-// blocks until the first incomplete or corrupt one and truncates
-// there — the torn tail a crash mid-append leaves behind.
+// The format is append-only and self-delimiting: a torn tail — what a
+// crash mid-append leaves behind — ends at the first incomplete block.
+// Recovery truncates a report tail at its first torn block, or the first
+// whose header fails its checksum, and skips a block whose payload alone
+// fails (Store.indexReports).
 
 // segMagic begins every segment file.
 var segMagic = [8]byte{'V', 'P', 'M', 'S', 'E', 'G', '2', '\n'}
@@ -78,6 +84,21 @@ func AppendBlock(dst []byte, epoch uint64, hop receipt.HOPID, samples []receipt.
 	for _, r := range aggs {
 		dst = r.AppendBinary(dst)
 	}
+	return finishBlock(dst, start)
+}
+
+// appendReportBlock appends a report block for epoch holding payload
+// to dst and returns the extended slice.
+func appendReportBlock(dst []byte, epoch uint64, payload []byte) []byte {
+	start := len(dst)
+	var hdr [blockHeaderLen]byte
+	binary.LittleEndian.PutUint64(hdr[0:8], epoch)
+	return finishBlock(append(append(dst, hdr[:]...), payload...), start)
+}
+
+// finishBlock fills in the payload length and both checksums of the
+// block that starts at dst[start] and runs to the end of dst.
+func finishBlock(dst []byte, start int) []byte {
 	payload := dst[start+blockHeaderLen:]
 	binary.LittleEndian.PutUint32(dst[start+20:start+24], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[start+24:start+28], crc32.Checksum(payload, crcTable))
@@ -92,11 +113,16 @@ type blockHeader struct {
 	nSamples, nAggs uint32
 }
 
+// errPayloadChecksum is nextBlock's error for a block whose header
+// checks out and whose payload does not.
+var errPayloadChecksum = fmt.Errorf("%w: block payload checksum", ErrCorruptSegment)
+
 // nextBlock checks the block at the head of b against both of its
 // checksums and returns its header and payload. A clean truncation
 // (fewer bytes than the header or payload promise, with the present
 // prefix intact) returns ErrTornTail; a checksum failure returns
-// ErrCorruptSegment.
+// ErrCorruptSegment — errPayloadChecksum, beside the header and the
+// payload as read, when only the payload's fails.
 func nextBlock(b []byte) (blockHeader, []byte, error) {
 	var h blockHeader
 	if len(b) < blockHeaderLen {
@@ -121,7 +147,7 @@ func nextBlock(b []byte) (blockHeader, []byte, error) {
 	}
 	payload := rest[:payloadLen]
 	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[24:28]) {
-		return h, nil, fmt.Errorf("%w: block payload checksum", ErrCorruptSegment)
+		return h, payload, errPayloadChecksum
 	}
 	return h, payload, nil
 }

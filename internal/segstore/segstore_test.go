@@ -464,7 +464,7 @@ func TestRecoveryDropsPartialEpochAndTornTail(t *testing.T) {
 	tmp, _ := mfs.OpenAppend(manifestName + ".tmp")
 	tmp.Write([]byte("half a manifest"))
 	tmp.Close()
-	orphan, _ := mfs.OpenAppend(reportName(9))
+	orphan, _ := mfs.OpenAppend("rep-0000000000000009.json")
 	orphan.Write([]byte(`{"epoch":9}`))
 	orphan.Close()
 
@@ -651,7 +651,8 @@ func (s *Store) Manifest() []SegmentInfo {
 	return append([]SegmentInfo(nil), s.entries...)
 }
 
-// ReadEpoch returns the sealed epoch's record blocks in seal order.
+// ReadEpoch returns the sealed epoch's record blocks in seal order,
+// read from its segment's sealed bytes.
 // Unsealed epochs return ErrNotSealed; a sealed segment whose bytes
 // fail verification returns ErrSegmentIntegrity (match with
 // errors.Is).
@@ -669,7 +670,10 @@ func (s *Store) ReadEpoch(epoch uint64) ([]Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrSegmentIntegrity, e.File, err)
 	}
-	blocks, _, err := ScanSegment(data)
+	if int64(len(data)) < e.Bytes {
+		return nil, fmt.Errorf("%w: %s has %d bytes, manifest committed %d", ErrSegmentIntegrity, e.File, len(data), e.Bytes)
+	}
+	blocks, _, err := ScanSegment(data[:e.Bytes])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrSegmentIntegrity, e.File, err)
 	}
@@ -689,9 +693,10 @@ func (s *Store) ReadEpoch(epoch uint64) ([]Block, error) {
 // with fmt.Sscanf("%016x") before it parsed with strconv, accepts and
 // rejects the same names and returns the same epochs — except names
 // Sscanf accepted only by stopping early or skipping spaces, whose
-// epoch was then not the one the name spells (reportName of it is
-// another name): those are refused now.
+// epoch was then not the one the name spells (the name an earlier
+// release wrote for it is another name): those are refused now.
 func TestParseReportNameAcceptsWhatItDid(t *testing.T) {
+	reportName := func(epoch uint64) string { return fmt.Sprintf("rep-%016x.json", epoch) }
 	sscanf := func(name string) (uint64, bool) {
 		hex := strings.TrimSuffix(strings.TrimPrefix(name, repPrefix), repSuffix)
 		var epoch uint64

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"slices"
 	"sort"
@@ -33,8 +34,8 @@ var (
 	// epoch that is not durably sealed — a report must never outlive
 	// the evidence it judges.
 	ErrNotSealed = errors.New("segstore: epoch not sealed")
-	// ErrCorruptReport reports a verdict-report file that is shorter
-	// than its framing or fails its checksum.
+	// ErrCorruptReport reports a verdict report that fails its checksum
+	// or does not decode.
 	ErrCorruptReport = errors.New("segstore: verdict report fails integrity check")
 	// ErrBadOptions reports Options that Open refuses before it touches
 	// the directory: a negative DiskRetention.
@@ -74,18 +75,18 @@ type RecoveryStats struct {
 	PartialBlocksDropped int   `json:"partial_blocks_dropped"`
 	TornBytes            int64 `json:"torn_bytes"`
 	// TruncatedBytes counts bytes cut from committed files that had
-	// grown past their committed state: a sealed segment's append torn
-	// mid-crash after its seal, and a manifest record torn mid-append.
+	// grown past their committed state: a report block a crash tore (or
+	// whose header no longer checks out) at the end of a sealed segment,
+	// with everything after it, and a manifest record torn mid-append.
 	TruncatedBytes int64 `json:"truncated_bytes"`
 	// OrphansRemoved counts what was garbage-collected besides partial
 	// segments: stale temp files, segments retired (or merged away by an
-	// earlier release) whose removal the crash interrupted, and reports
-	// of epochs that never sealed.
+	// earlier release) whose removal the crash interrupted, and report
+	// files an earlier release wrote for epochs that are not sealed.
 	OrphansRemoved int `json:"orphans_removed"`
-	// CorruptReports counts reports of sealed epochs dropped because
-	// they failed their checksum (bit rot, or a file from before
-	// reports carried one). Their epochs have no verdict on record and
-	// are verified again when the stream is re-executed.
+	// CorruptReports counts report blocks (counted at every Open) and
+	// earlier releases' report files that fail their checksum. An epoch
+	// left without an intact report is verified again on re-execution.
 	CorruptReports int `json:"corrupt_reports"`
 }
 
@@ -152,34 +153,42 @@ type Store struct {
 	active  map[uint64]*activeSegment
 	// activeEpochs is len(active) as the writer last published it.
 	activeEpochs int
-	// reports maps each epoch with a durable report to its file's size;
-	// reportBytes is their sum.
-	reports     map[uint64]int64
-	reportBytes int64
-	buf         []byte    // grow-only block-encode buffer
-	log         File      // append handle on the manifest log; nil until one is committed
-	logRecords  int       // records in the log
-	decoders    sync.Pool // *core.ReportDecoder, for rendering reports on read
+	// reports locates each epoch's durable report in its segment; tails
+	// holds the size of each segment file that has report blocks past
+	// its sealed Bytes.
+	reports    map[uint64]reportAt
+	tails      map[string]int64
+	buf        []byte    // grow-only block-encode buffer
+	rbuf       []byte    // grow-only report-block buffer, used under mu
+	log        File      // append handle on the manifest log; nil until one is committed
+	logRecords int       // records in the log
+	decoders   sync.Pool // *core.ReportDecoder, for rendering reports on read
+}
+
+// reportAt locates an epoch's report block in its segment file: the
+// block's offset, and its payload's length and checksum.
+type reportAt struct {
+	off, len int64
+	crc      uint32
 }
 
 // Open opens (or initializes) the store in dir, running crash
 // recovery: the manifest log is replayed and its world validated
-// segment by segment, torn tails are truncated, unsealed partial
-// segments and stale temp files are removed, and every report is held to its checksum. Every file is
-// read through one buffer that grows to the largest of them. Returns
-// the store and what recovery found. Integrity failures (a corrupt
-// manifest, a sealed segment that cannot be read back) return typed
-// errors — ErrCorruptManifest, ErrSegmentIntegrity; match with
-// errors.Is — and no store, so the caller decides whether to refuse
-// service or rebuild. A JSON manifest an earlier release wrote is
-// converted to the log once its segments validate. A sealed segment in
-// another format version returns ErrSegmentVersion before any file is changed. An unsealed
-// one is dropped like any partial segment: its epoch was never
-// committed. A report that fails its checksum is not fatal:
-// the evidence is intact, so the file is dropped and the epoch is
-// verified again. A report that cannot be read at all is an error —
-// deleting a verdict over a transient EIO would be. A negative
-// DiskRetention returns ErrBadOptions before dir is created or read.
+// segment by segment, report blocks are indexed (indexReports), and
+// unsealed partial segments and stale temp files are removed. Every
+// file is read through one buffer. Returns the store and what recovery
+// found. Integrity failures (a corrupt manifest, a sealed
+// segment that cannot be read back) return typed errors —
+// ErrCorruptManifest, ErrSegmentIntegrity; match with errors.Is — and
+// no store, so the caller decides whether to refuse service or rebuild.
+// A sealed segment in another format version returns ErrSegmentVersion
+// before any file is changed. An unsealed one is dropped like any
+// partial segment: its epoch was never committed. What an earlier
+// release wrote is converted once its segments validate: a JSON
+// manifest to the log, each report file to a report block
+// (convertReport). A report file that cannot be read at all is an
+// error — deleting a verdict over a transient EIO would be. A negative DiskRetention
+// returns ErrBadOptions before dir is created or read.
 func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	var stats RecoveryStats
 	if opts.DiskRetention < 0 {
@@ -198,7 +207,8 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 		opts:    opts,
 		sealing: make(map[uint64]bool),
 		active:  make(map[uint64]*activeSegment),
-		reports: make(map[uint64]int64),
+		reports: make(map[uint64]reportAt),
+		tails:   make(map[string]int64),
 	}
 	s.applied.L = &s.mu
 	s.decoders.New = func() any { return new(core.ReportDecoder) }
@@ -214,34 +224,27 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	entries := s.entries
 
 	// Validate every sealed segment against its manifest entry: size,
-	// whole-file checksum, then every block's own checksums, the block
-	// count and the epochs the blocks claim. Receipts are not decoded —
-	// bytes that pass the committed checksum are the bytes Seal wrote.
+	// checksum of the sealed bytes, then every block's own checksums, the
+	// block count and the epochs the blocks claim. Receipts are not
+	// decoded — bytes that pass the committed checksum are the bytes Seal
+	// wrote. The report blocks past them are indexed.
 	var buf []byte // every file below is read through this
-	for _, e := range entries {
+	for i := range entries {
+		e := &entries[i]
 		buf, err = fsys.ReadInto(e.File, buf)
 		if err != nil {
 			return nil, stats, fmt.Errorf("%w: %s: %v", ErrSegmentIntegrity, e.File, err)
 		}
-		data := buf
-		if err := checkMagic(data); errors.Is(err, ErrSegmentVersion) {
+		if err := checkMagic(buf); errors.Is(err, ErrSegmentVersion) {
 			// Another release's store: refused before anything is
-			// truncated, swept or removed.
+			// truncated, swept, converted or removed.
 			return nil, stats, fmt.Errorf("%s: %w", e.File, err)
 		}
-		if int64(len(data)) < e.Bytes {
+		if int64(len(buf)) < e.Bytes {
 			return nil, stats, fmt.Errorf("%w: %s has %d bytes, manifest committed %d",
-				ErrSegmentIntegrity, e.File, len(data), e.Bytes)
+				ErrSegmentIntegrity, e.File, len(buf), e.Bytes)
 		}
-		if int64(len(data)) > e.Bytes {
-			// An append torn by the crash after this segment sealed;
-			// the committed prefix is authoritative.
-			if err := fsys.Truncate(e.File, e.Bytes); err != nil {
-				return nil, stats, fmt.Errorf("%w: %s: truncating torn tail: %v", ErrSegmentIntegrity, e.File, err)
-			}
-			stats.TruncatedBytes += int64(len(data)) - e.Bytes
-			data = data[:e.Bytes]
-		}
+		data := buf[:e.Bytes]
 		if got := crc32.Checksum(data, crcTable); got != e.CRC {
 			return nil, stats, fmt.Errorf("%w: %s checksum %08x, manifest committed %08x",
 				ErrSegmentIntegrity, e.File, got, e.CRC)
@@ -261,9 +264,22 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 			return nil, stats, fmt.Errorf("%w: %s holds %d blocks, manifest committed %d",
 				ErrSegmentIntegrity, e.File, blocks, e.Blocks)
 		}
+		end := s.indexReports(e, buf, &stats)
+		if end < int64(len(buf)) {
+			// A report block the crash tore, or whose header rotted, and
+			// everything after it.
+			if err := fsys.Truncate(e.File, end); err != nil {
+				return nil, stats, fmt.Errorf("%w: %s: truncating torn tail: %v", ErrSegmentIntegrity, e.File, err)
+			}
+			stats.TruncatedBytes += int64(len(buf)) - end
+		}
+		if end > e.Bytes {
+			s.tails[e.File] = end
+		}
 	}
 
-	// Garbage-collect everything the manifest does not vouch for.
+	// Garbage-collect everything the manifest does not vouch for, and
+	// move the report files an earlier release wrote into their segments.
 	inManifest := make(map[string]bool, len(entries))
 	for _, e := range entries {
 		inManifest[e.File] = true
@@ -309,29 +325,9 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 				return nil, stats, fmt.Errorf("segstore: remove partial %s: %w", name, err)
 			}
 		case strings.HasPrefix(name, repPrefix) && strings.HasSuffix(name, repSuffix):
-			epoch, perr := parseReportName(name)
-			if perr != nil || !s.sealedLocked(epoch) {
-				// A report for an epoch that is not durably sealed: a
-				// verdict without evidence — drop it.
-				if err := fsys.Remove(name); err != nil {
-					return nil, stats, fmt.Errorf("segstore: remove orphan report %s: %w", name, err)
-				}
-				stats.OrphansRemoved++
-				continue
+			if buf, err = s.convertReport(name, buf, &stats); err != nil {
+				return nil, stats, err
 			}
-			buf, err = fsys.ReadInto(name, buf)
-			if err != nil {
-				return nil, stats, fmt.Errorf("segstore: read report %s: %w", name, err)
-			}
-			if _, err := reportPayload(buf); err != nil {
-				if err := fsys.Remove(name); err != nil {
-					return nil, stats, fmt.Errorf("segstore: remove corrupt report %s: %w", name, err)
-				}
-				stats.CorruptReports++
-				continue
-			}
-			s.reports[epoch] = int64(len(buf))
-			s.reportBytes += int64(len(buf))
 		}
 	}
 	if err := fsys.SyncDir(); err != nil {
@@ -370,7 +366,8 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	return s, stats, nil
 }
 
-// Segment and report filename schemes (see segmentName).
+// Segment filename scheme (see segmentName), and that of the report
+// files earlier releases wrote (see convertReport).
 const (
 	segPrefix = "ep-"
 	segSuffix = ".seg"
@@ -378,29 +375,91 @@ const (
 	repSuffix = ".json"
 )
 
-// A report file is the payload PutReport was given — the report's
-// record (core.AppendReportRecord), or, in a file a node wrote before
-// records existed, its canonical JSON — followed by a fixed trailer:
-// the CRC-32C of the payload, little-endian — the checksum and byte
-// order of the segment block framing. A payload that decodes is not
-// evidence the bytes are the ones verification wrote (a flipped bit
-// can still decode); the trailer is. A file from before the trailer
-// existed fails the check like any other damaged one. The name keeps
-// its .json suffix, so a store written before records reads as it
-// did.
-const reportTrailerLen = 4
+// indexReports indexes each intact report block past e's sealed bytes
+// in its file image data, a later block of an epoch over an earlier
+// one. A block whose payload alone fails, or that names an epoch
+// outside e, is skipped and counted. It returns where the walk stopped:
+// the end of data, or the first block that is torn or whose header
+// fails its checksum.
+func (s *Store) indexReports(e *SegmentInfo, data []byte, stats *RecoveryStats) int64 {
+	off := e.Bytes
+	for off < int64(len(data)) {
+		h, payload, err := nextBlock(data[off:])
+		switch {
+		case err == nil && h.epoch >= e.FromEpoch && h.epoch <= e.ToEpoch:
+			s.reports[h.epoch] = reportAt{off, int64(len(payload)), binary.LittleEndian.Uint32(data[off+24:])}
+		case err == nil || errors.Is(err, errPayloadChecksum):
+			stats.CorruptReports++
+		default:
+			return off
+		}
+		off += int64(blockHeaderLen + len(payload))
+	}
+	return off
+}
 
-// reportPayload checks a report file image against its trailer and
-// returns the JSON inside it, a prefix of file.
-func reportPayload(file []byte) ([]byte, error) {
-	n := len(file) - reportTrailerLen
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: %d bytes hold no report", ErrCorruptReport, len(file))
+// fileReport appends payload as epoch's report block to e's segment
+// file and syncs it, unless the report on file holds the same bytes. A
+// failed write or sync may leave a torn block, so its error becomes the
+// store's sticky one: no later report lands behind the tear, which the
+// next Open truncates. The caller holds mu, or has the store to itself.
+func (s *Store) fileReport(e *SegmentInfo, epoch uint64, payload []byte) error {
+	s.rbuf = appendReportBlock(s.rbuf[:0], epoch, payload)
+	at := reportAt{e.Bytes, int64(len(payload)), binary.LittleEndian.Uint32(s.rbuf[24:])}
+	if old, ok := s.reports[epoch]; ok && old.len == at.len && old.crc == at.crc {
+		return nil
 	}
-	if got, want := crc32.Checksum(file[:n], crcTable), binary.LittleEndian.Uint32(file[n:]); got != want {
-		return nil, fmt.Errorf("%w: checksum %08x, trailer says %08x", ErrCorruptReport, got, want)
+	f, err := s.fsys.OpenAppend(e.File)
+	if err != nil {
+		return fmt.Errorf("segstore: open epoch %d's segment for its report: %w", epoch, err)
 	}
-	return file[:n], nil
+	_, err = f.Write(s.rbuf)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		s.err = fmt.Errorf("segstore: file report for epoch %d: %w", epoch, err)
+		return s.err
+	}
+	if tail, ok := s.tails[e.File]; ok {
+		at.off = tail
+	}
+	s.tails[e.File] = at.off + int64(len(s.rbuf))
+	s.reports[epoch] = at
+	return nil
+}
+
+// convertReport files the payload of the report file name an earlier
+// release wrote (the payload, then its CRC-32C, little-endian) as
+// written, in its epoch's segment, and removes the file. A file of an
+// unsealed epoch is an orphan, one failing its checksum is corrupt;
+// either is removed unconverted. It reads through buf and returns it.
+func (s *Store) convertReport(name string, buf []byte, stats *RecoveryStats) ([]byte, error) {
+	var e *SegmentInfo
+	epoch, err := parseReportName(name)
+	if err == nil {
+		e = s.entryForLocked(epoch)
+	}
+	if e == nil {
+		stats.OrphansRemoved++
+	} else {
+		if buf, err = s.fsys.ReadInto(name, buf); err != nil {
+			return buf, fmt.Errorf("segstore: read report %s: %w", name, err)
+		}
+		n := len(buf) - 4
+		if n <= 0 || crc32.Checksum(buf[:n], crcTable) != binary.LittleEndian.Uint32(buf[n:]) {
+			stats.CorruptReports++
+		} else if err := s.fileReport(e, epoch, buf[:n]); err != nil {
+			return buf, err
+		}
+	}
+	if err := s.fsys.Remove(name); err != nil {
+		return buf, fmt.Errorf("segstore: remove report %s: %w", name, err)
+	}
+	return buf, nil
 }
 
 // segmentName names the segment file holding epochs from..to:
@@ -414,10 +473,6 @@ func segmentName(from, to uint64) string {
 	return fmt.Sprintf("%s%016x-%016x%s", segPrefix, from, to, segSuffix)
 }
 
-func reportName(epoch uint64) string {
-	return fmt.Sprintf("%s%016x%s", repPrefix, epoch, repSuffix)
-}
-
 // segmentLastEpoch returns the newest epoch a segment file holds, the
 // last 16 hex digits of a segmentName; false for any other name.
 func segmentLastEpoch(name string) (uint64, bool) {
@@ -429,23 +484,15 @@ func segmentLastEpoch(name string) (uint64, bool) {
 	return epoch, err == nil
 }
 
-// parseReportName inverts reportName: the name's 16 hex digits, every
-// one of them a digit.
+// parseReportName reads the epoch a report file's name spells,
+// rep-<16 hex digits>.json: every one of them a digit.
 func parseReportName(name string) (uint64, error) {
 	hex := strings.TrimSuffix(strings.TrimPrefix(name, repPrefix), repSuffix)
-	if len(hex) != 16 {
-		return 0, fmt.Errorf("segstore: bad report name %q", name)
-	}
 	epoch, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
+	if len(hex) != 16 || err != nil {
 		return 0, fmt.Errorf("segstore: bad report name %q", name)
 	}
 	return epoch, nil
-}
-
-// sealedLocked reports whether epoch is inside any committed segment.
-func (s *Store) sealedLocked(epoch uint64) bool {
-	return s.entryForLocked(epoch) != nil
 }
 
 // entryForLocked returns the manifest entry holding epoch, nil if
@@ -506,7 +553,7 @@ func (s *Store) writableLocked(epoch uint64) error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.sealing[epoch] || s.sealedLocked(epoch) {
+	if s.sealing[epoch] || s.entryForLocked(epoch) != nil {
 		return fmt.Errorf("%w: epoch %d", ErrEpochSealed, epoch)
 	}
 	if r, n := uint64(s.opts.DiskRetention), len(s.entries); s.opts.AutoCompact && r > 0 && n > 0 && s.entries[n-1].ToEpoch >= r {
@@ -711,38 +758,32 @@ func (s *Store) SealedEpochs() []uint64 {
 }
 
 // PutReport durably files the epoch's verdict report — its record,
-// as the verifier encodes it (core.AppendReportRecord) — under a
-// checksum trailer (replaceFile: write-temp, sync, rename, sync-dir —
-// the same commit discipline as a manifest checkpoint). data is not retained.
-// It first waits for every seal handed to the writer before it to
-// commit, and returns the writer's failure if one did not: a report is
-// filed only once its evidence is durable, so when PutReport returns
-// nil the epoch and every epoch sealed before it survive kill -9. The
-// epoch must be sealed — a verdict must never outlive the evidence it
-// judges — else ErrNotSealed is returned (match with errors.Is).
-// Re-putting a report replaces it (re-verification writes identical
-// bytes).
+// as the verifier encodes it (core.AppendReportRecord) — as a block
+// appended to the epoch's segment file, which it then syncs: the report
+// is durable once that sync returns, and it goes wherever its evidence
+// goes. data is not retained. It first waits for every seal handed to
+// the writer before it to commit, and returns the writer's failure if
+// one did not: a report is filed only once its evidence is durable, so
+// when PutReport returns nil the epoch and every epoch sealed before it
+// survive kill -9. The epoch must be sealed — a verdict must never
+// outlive the evidence it judges — else ErrNotSealed is returned (match
+// with errors.Is). Re-putting a report replaces it; re-putting the same
+// bytes (as re-verification does) writes nothing. A failed write or
+// sync is returned by this and every later write (see fileReport).
 func (s *Store) PutReport(epoch uint64, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.drainLocked(); err != nil {
 		return err
 	}
-	if !s.sealedLocked(epoch) {
+	e := s.entryForLocked(epoch)
+	if e == nil {
 		return fmt.Errorf("%w: epoch %d has no durable evidence for a report", ErrNotSealed, epoch)
 	}
 	if len(data) == 0 {
 		return fmt.Errorf("segstore: empty report for epoch %d", epoch)
 	}
-	var trailer [reportTrailerLen]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc32.Checksum(data, crcTable))
-	if err := replaceFile(s.fsys, reportName(epoch), data, trailer[:]); err != nil {
-		return fmt.Errorf("segstore: file report for epoch %d: %w", epoch, err)
-	}
-	size := int64(len(data) + reportTrailerLen)
-	s.reportBytes += size - s.reports[epoch]
-	s.reports[epoch] = size
-	return nil
+	return s.fileReport(e, epoch, data)
 }
 
 // HasReport reports whether a durable verdict report exists for epoch.
@@ -760,14 +801,15 @@ func (s *Store) HasReport(epoch uint64) bool {
 // verifier filed. A payload without the record magic, a report filed
 // before records existed, is returned as it was written. The errors
 // are fs.ErrNotExist (wrapped) when none is filed, ErrCorruptReport
-// (wrapped) when the file no longer matches its trailer or its record
+// (wrapped) when the block no longer matches its checksum or its record
 // does not decode.
 func (s *Store) Report(epoch uint64) ([]byte, error) {
 	return s.ReportInto(epoch, nil)
 }
 
-// ReportInto is Report through the caller's buffer: the file is read
-// into buf's storage (see FS.ReadInto), the JSON is rendered over it,
+// ReportInto is Report through the caller's buffer: the epoch's segment
+// is read into buf's storage (see FS.ReadInto), the payload moved to
+// its front, the JSON is rendered over it,
 // and the returned JSON is a prefix of that storage, grown as the JSON
 // needs. The errors are Report's — fs.ErrNotExist, ErrCorruptReport —
 // and beside one it returns the buffer emptied, so a serving loop keeps
@@ -817,26 +859,33 @@ func decodeReport(epoch uint64, payload []byte, d *core.ReportDecoder) (*core.Ep
 	return rep, nil
 }
 
-// payloadInto reads epoch's report file into buf's storage and returns
-// its payload, held to its trailer: a prefix of that storage, or it
-// emptied beside an error.
+// payloadInto reads epoch's segment into buf's storage and returns its
+// report block's payload, held to the block's checksums and moved to the
+// front: a prefix of that storage, or it emptied beside an error.
 func (s *Store) payloadInto(epoch uint64, buf []byte) ([]byte, error) {
 	s.mu.Lock()
 	s.drainLocked()
-	_, ok := s.reports[epoch]
+	at, ok := s.reports[epoch]
+	var file string
+	if ok {
+		file = s.entryForLocked(epoch).File
+	}
 	s.mu.Unlock()
 	if !ok {
 		return buf[:0], fmt.Errorf("segstore: no report for epoch %d: %w", epoch, fs.ErrNotExist)
 	}
-	buf, err := s.fsys.ReadInto(reportName(epoch), buf)
+	buf, err := s.fsys.ReadInto(file, buf)
 	if err != nil {
 		return buf[:0], err
 	}
-	data, err := reportPayload(buf)
-	if err != nil {
-		return buf[:0], fmt.Errorf("segstore: epoch %d: %w", epoch, err)
+	h, payload, err := blockHeader{}, []byte(nil), error(io.ErrUnexpectedEOF)
+	if end := at.off + blockHeaderLen + at.len; end <= int64(len(buf)) {
+		h, payload, err = nextBlock(buf[at.off:end])
 	}
-	return data, nil
+	if err != nil || h.epoch != epoch || int64(len(payload)) != at.len {
+		return buf[:0], fmt.Errorf("segstore: epoch %d: %w: report block at %d of %s: %v", epoch, ErrCorruptReport, at.off, file, err)
+	}
+	return buf[:copy(buf, payload)], nil
 }
 
 // ReportEpochs returns every epoch with a durable report, ascending.
@@ -861,8 +910,9 @@ type Stats struct {
 	Samples      int   `json:"samples"`
 	Aggs         int   `json:"aggs"`
 	Reports      int   `json:"reports"`
-	// ReportBytes is the size of the report files; Bytes counts the
-	// sealed segments only.
+	// ReportBytes is the size of the report blocks the segments hold
+	// past their sealed bytes, framing included; Bytes counts the sealed
+	// bytes only.
 	ReportBytes int64 `json:"report_bytes"`
 	// ActiveEpochs counts the epochs with appended receipts and no
 	// seal yet.
@@ -877,12 +927,14 @@ func (s *Store) StoreStats() Stats {
 	st := Stats{
 		Segments:     len(s.entries),
 		Reports:      len(s.reports),
-		ReportBytes:  s.reportBytes,
 		ActiveEpochs: s.activeEpochs,
 	}
 	for _, e := range s.entries {
 		st.SealedEpochs += int(e.ToEpoch-e.FromEpoch) + 1
 		st.Bytes += e.Bytes
+		if tail, ok := s.tails[e.File]; ok {
+			st.ReportBytes += tail - e.Bytes
+		}
 		st.Samples += e.Samples
 		st.Aggs += e.Aggs
 	}
