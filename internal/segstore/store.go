@@ -159,7 +159,6 @@ type Store struct {
 	reports    map[uint64]reportAt
 	tails      map[string]int64
 	buf        []byte    // grow-only block-encode buffer
-	rbuf       []byte    // grow-only report-block buffer, used under mu
 	log        File      // append handle on the manifest log; nil until one is committed
 	logRecords int       // records in the log
 	decoders   sync.Pool // *core.ReportDecoder, for rendering reports on read
@@ -404,8 +403,8 @@ func (s *Store) indexReports(e *SegmentInfo, data []byte, stats *RecoveryStats) 
 // store's sticky one: no later report lands behind the tear, which the
 // next Open truncates. The caller holds mu, or has the store to itself.
 func (s *Store) fileReport(e *SegmentInfo, epoch uint64, payload []byte) error {
-	s.rbuf = appendReportBlock(s.rbuf[:0], epoch, payload)
-	at := reportAt{e.Bytes, int64(len(payload)), binary.LittleEndian.Uint32(s.rbuf[24:])}
+	block := appendReportBlock(make([]byte, 0, blockHeaderLen+len(payload)), epoch, payload)
+	at := reportAt{e.Bytes, int64(len(payload)), binary.LittleEndian.Uint32(block[24:])}
 	if old, ok := s.reports[epoch]; ok && old.len == at.len && old.crc == at.crc {
 		return nil
 	}
@@ -413,7 +412,7 @@ func (s *Store) fileReport(e *SegmentInfo, epoch uint64, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("segstore: open epoch %d's segment for its report: %w", epoch, err)
 	}
-	_, err = f.Write(s.rbuf)
+	_, err = f.Write(block)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -427,7 +426,7 @@ func (s *Store) fileReport(e *SegmentInfo, epoch uint64, payload []byte) error {
 	if tail, ok := s.tails[e.File]; ok {
 		at.off = tail
 	}
-	s.tails[e.File] = at.off + int64(len(s.rbuf))
+	s.tails[e.File] = at.off + int64(len(block))
 	s.reports[epoch] = at
 	return nil
 }
