@@ -176,18 +176,18 @@ type reportAt struct {
 // segment by segment, report blocks are indexed (indexReports), and
 // unsealed partial segments and stale temp files are removed. Every
 // file is read through one buffer. Returns the store and what recovery
-// found. Integrity failures (a corrupt manifest, a sealed
-// segment that cannot be read back) return typed errors —
-// ErrCorruptManifest, ErrSegmentIntegrity; match with errors.Is — and
-// no store, so the caller decides whether to refuse service or rebuild.
-// A sealed segment in another format version returns ErrSegmentVersion
-// before any file is changed. An unsealed one is dropped like any
-// partial segment: its epoch was never committed. What an earlier
-// release wrote is converted once its segments validate: a JSON
-// manifest to the log, each report file to a report block
-// (convertReport). A report file that cannot be read at all is an
-// error — deleting a verdict over a transient EIO would be. A negative DiskRetention
-// returns ErrBadOptions before dir is created or read.
+// found. Integrity failures (a corrupt manifest, a sealed segment that
+// cannot be read back) return typed errors — ErrCorruptManifest,
+// ErrSegmentIntegrity; match with errors.Is — and no store, so the
+// caller decides whether to refuse service or rebuild. A sealed segment
+// in another format version returns ErrSegmentVersion before any file
+// is changed. An unsealed one is dropped like any partial segment: its
+// epoch was never committed. What an earlier release wrote is converted
+// once its segments validate: a JSON manifest to the log, each report
+// file to a report block (convertReport). A report file that cannot be
+// read at all is an error — deleting a verdict over a transient EIO
+// would be. A negative DiskRetention returns ErrBadOptions before dir
+// is created or read.
 func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	var stats RecoveryStats
 	if opts.DiskRetention < 0 {
